@@ -252,6 +252,9 @@ class ReliabilityAssessor:
                     ):
                         if link_cid in self.topology.components:
                             failed[link_cid] = dense[link_cid]
+            # Dead from here on, and the larger share of an assessment's
+            # transient memory: route-and-check reads only ``failed``.
+            del batch, dense
 
             if cancel is not None:
                 cancel.check()

@@ -13,8 +13,9 @@ are a pure function of the request:
 * :func:`request_seed` — the deterministic random stream, derived from
   ``(service seed, kind, idempotency key or journaled id)``, never from
   worker identity, shard placement or submission order.
-* :func:`chunked_assess` — the anytime sequential assessment loop
-  (cancellation checked between chunks, honest CI widening on partial
+* :func:`chunk_layout` / :func:`chunked_assess` — the anytime
+  sequential assessment loop (rounds cut into pieces by work,
+  cancellation checked between pieces, honest CI widening on partial
   completion).
 * :class:`RequestExecutor` — one worker's view: a per-worker assessor
   plus ``run()`` mapping requests (and mid-run cancellation/errors) to
@@ -63,6 +64,37 @@ def request_seed(service_seed: int, kind: str, handle: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+#: Fewest rounds worth a piece of their own in :func:`chunked_assess`.
+#: Every piece is a full ``assess()`` call, and an ``assess()`` call has a
+#: fixed cost that does not shrink with its round count: one numpy call per
+#: sampled component group, fault-tree node and aggregation switch, whatever
+#: the array length. Measured on the Table-2 ``small`` preset (4-of-5 plans,
+#: default sampler): one ``assess()`` takes 3.0 ms at 1 250 rounds, 4.2 ms at
+#: 8 192, 4.4 ms at 10 000 and 32 ms at 160 000, so about 2.7 ms a call is
+#: fixed and a round costs 0.2 us; 10 000 rounds as 8 x 1 250 took 25 ms
+#: against 5 ms in one piece. A piece under this size would take less than
+#: 4 ms, most of it fixed cost: no deadline is met by a cancellation point
+#: that close to the end, so a request that small runs whole (its sampler
+#: loop still polls the token). Part of the re-execution contract: see
+#: :func:`chunk_layout`.
+MIN_CHUNK_ROUNDS = 8_192
+
+
+def chunk_layout(rounds: int, chunks: int) -> tuple[int, ...]:
+    """Piece sizes of the anytime loop: by work, at most ``chunks`` pieces.
+
+    ``max(1, min(chunks, rounds // MIN_CHUNK_ROUNDS))`` pieces, sizes as
+    even as possible (they differ by at most one, larger ones first) and
+    summing to ``rounds``. A pure function of ``(rounds, chunks)`` and of
+    nothing else: every piece draws from the request's one seeded stream
+    in turn, so the layout decides which bits a request yields, and a
+    crash-replayed request must be cut exactly like the original was.
+    """
+    pieces = max(1, min(chunks, rounds // MIN_CHUNK_ROUNDS))
+    base, larger = divmod(rounds, pieces)
+    return (base + 1,) * larger + (base,) * (pieces - larger)
+
+
 def chunked_assess(
     assessor,
     plan: DeploymentPlan,
@@ -71,35 +103,33 @@ def chunked_assess(
     chunks: int,
     token: CancellationToken,
 ) -> AssessmentResult:
-    """Sequential anytime execution: assess in chunks, stop on cancel.
+    """Sequential anytime execution: assess in pieces, stop on cancel.
 
-    Rounds are split into about ``chunks`` independent chunks; the token
-    is checked between chunks and forwarded into each chunk's sampler
-    loop. On cancel the completed chunks become the anytime estimate with
-    coverage-widened bounds; only a cancel before *any* chunk finished
-    raises :class:`OperationCancelled`.
+    Rounds are cut by :func:`chunk_layout` into at most ``chunks``
+    independent pieces of at least :data:`MIN_CHUNK_ROUNDS` rounds; the
+    token is checked between pieces and forwarded into each piece's
+    sampler loop. On cancel the completed pieces become the anytime
+    estimate with coverage-widened bounds; only a cancel before *any*
+    piece finished raises :class:`OperationCancelled`.
     """
     watch = Stopwatch()
-    chunk_size = max(1, rounds // max(1, chunks))
+    layout = chunk_layout(rounds, chunks)
     per_round_chunks: list[np.ndarray] = []
-    completed_rounds = 0
     sampled_components = 0
     cancelled = False
-    while completed_rounds < rounds:
+    for batch in layout:
         if token.cancelled:
             cancelled = True
             break
-        batch = min(chunk_size, rounds - completed_rounds)
         try:
             chunk = assessor.assess(plan, structure, rounds=batch, cancel=token)
         except OperationCancelled:
-            # Mid-chunk cancel: the interrupted chunk yields nothing,
-            # but earlier chunks may still carry the anytime result.
+            # Mid-piece cancel: the interrupted piece yields nothing,
+            # but earlier pieces may still carry the anytime result.
             cancelled = True
             break
         per_round_chunks.append(chunk.per_round)
         sampled_components = max(sampled_components, chunk.sampled_components)
-        completed_rounds += batch
     if not per_round_chunks:
         raise OperationCancelled(
             "assessment cancelled before any chunk completed",
@@ -111,7 +141,7 @@ def chunked_assess(
         else np.concatenate(per_round_chunks)
     )
     estimate = estimate_from_results(per_round)
-    dropped_rounds = rounds - completed_rounds
+    dropped_rounds = rounds - per_round.size
     if dropped_rounds > 0:
         # Same honest widening the parallel partial_ok path applies:
         # missing rounds are missing data, not sampled data.
@@ -123,12 +153,11 @@ def chunked_assess(
                 estimate.confidence_interval_width * coverage**0.5
             ),
         )
-    total_chunks = -(-rounds // chunk_size)
     runtime = RuntimeMetadata(
         backend="chunked",
         workers=1,
         portion_seeds=(),
-        dropped_portions=total_chunks - len(per_round_chunks),
+        dropped_portions=len(layout) - len(per_round_chunks),
         dropped_rounds=dropped_rounds,
         cancelled=cancelled,
     )

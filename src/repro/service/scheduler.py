@@ -94,8 +94,10 @@ class ServiceConfig:
         parallel_workers: Worker *processes* for the shared parallel
             backend; 0 disables it (chunked sequential only).
         chunks: Anytime granularity of the sequential path — rounds are
-            assessed in about this many chunks with a cancellation check
-            between chunks.
+            assessed in at most this many pieces with a cancellation
+            check between pieces; fewer when a piece would fall under
+            :data:`repro.service.executor.MIN_CHUNK_ROUNDS` rounds (a
+            default 10 000-round request is one piece).
         default_deadline_seconds: Deadline applied when a request does
             not set one (``None`` = unbounded).
         breaker_failure_threshold / breaker_recovery_seconds /

@@ -28,6 +28,7 @@ timeout), then the process exits 0.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import signal
@@ -43,6 +44,11 @@ logger = logging.getLogger("repro.service")
 #: Maximum accepted request-body size; anything larger is a client error.
 MAX_BODY_BYTES = 1 << 20
 
+#: How often ``serve_forever`` looks for a shutdown request. ``shutdown()``
+#: waits out one interval: at the stdlib's default of 0.5 s, stopping an idle
+#: server takes up to half a second. An idle wake-up costs microseconds.
+SHUTDOWN_POLL_SECONDS = 0.05
+
 
 class ServiceHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
@@ -50,6 +56,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: AssessmentService):
         super().__init__(address, _Handler)
         self.service = service
+
+    def serve_forever(self, poll_interval: float = SHUTDOWN_POLL_SECONDS):
+        super().serve_forever(poll_interval)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -59,13 +68,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, document: dict, headers: dict | None = None):
         body = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Headers and body leave in ONE send. ``end_headers()`` flushes the
+        # header block to the socket on its own; on a persistent connection
+        # Nagle's algorithm then holds the body back until the client's
+        # delayed ACK of the headers, about 40 ms a response. So the header
+        # block is collected here and written together with the body.
+        socket_file, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = socket_file
+        self.wfile.write(head + body)
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)

@@ -127,3 +127,30 @@ def test_sigterm_finishes_inflight_rejects_queued_and_exits_clean(tmp_path):
             process.wait(timeout=10.0)
         if process.stdout is not None:
             process.stdout.close()
+
+
+def test_idle_server_shutdown_returns_promptly():
+    """``shutdown()`` waits out one ``serve_forever`` poll interval; with
+    the stdlib's default that was up to 0.5 s for a server doing nothing."""
+    from repro.service.scheduler import AssessmentService, ServiceConfig
+    from repro.service.server import ServiceHTTPServer
+
+    with AssessmentService(ServiceConfig(scale="tiny")) as service:
+        for _ in range(3):  # the old wait was uniform in [0, 0.5) s
+            httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
+            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+            thread.start()
+            try:
+                client = HttpServiceClient(
+                    f"http://127.0.0.1:{httpd.server_address[1]}", timeout=30.0
+                )
+                _wait_ready(client)
+                started = time.monotonic()
+                httpd.shutdown()
+                elapsed = time.monotonic() - started
+            finally:
+                httpd.shutdown()
+                thread.join(timeout=5.0)
+                httpd.server_close()
+            assert not thread.is_alive()
+            assert elapsed < 0.3, f"idle shutdown took {elapsed:.3f} s"

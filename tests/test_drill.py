@@ -314,6 +314,7 @@ class TestRealFleetSeam:
         """The real forked fleet inherits an armed registry; dropping a
         worker's ``started`` protocol message must not affect the reply
         (the journal simply never learns the request began)."""
+        from repro.service.executor import MIN_CHUNK_ROUNDS
         from repro.service.fleet import FleetSupervisor
         from repro.service.requests import AssessRequest
         from repro.service.scheduler import ServiceConfig
@@ -324,7 +325,7 @@ class TestRealFleetSeam:
         config = ServiceConfig(
             scale="tiny",
             seed=1,
-            rounds=200,
+            rounds=2 * MIN_CHUNK_ROUNDS,  # two anytime pieces a request
             chunks=4,
             queue_capacity=16,
             fleet_workers=2,

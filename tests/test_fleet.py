@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.sampling import base as sampling_base
+from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout
 from repro.service.fleet import FleetSupervisor, HashRing
 from repro.service.journal import RequestJournal
 from repro.service.requests import AssessRequest
@@ -114,6 +115,63 @@ class TestFleetBasics:
             )
             assert replay.replayed
             assert replay.result == first.result
+
+    def test_thread_scheduler_and_fleet_answer_with_the_same_bits(
+        self, tmp_path
+    ):
+        """Same (service seed, idempotency key), same layout of pieces:
+        a forked shard worker and a scheduler thread give one result,
+        for a one-piece request and for a several-piece one."""
+        from repro.service.scheduler import AssessmentService
+
+        several = 3 * MIN_CHUNK_ROUNDS + 1
+        assert len(chunk_layout(several, 4)) == 3
+        results = {}
+        for name, factory, overrides in (
+            ("fleet", FleetSupervisor, {}),
+            ("threads", AssessmentService, {"fleet_workers": 0}),
+        ):
+            with factory(_config(tmp_path / name, **overrides)) as service:
+                hosts = _hosts(service)
+                results[name] = [
+                    service.assess(
+                        AssessRequest(
+                            hosts=hosts, k=2, rounds=rounds,
+                            idempotency_key=f"same-bits-{rounds}",
+                        ),
+                        timeout=120,
+                    )
+                    for rounds in (None, several)
+                ]
+        for fleet, threads in zip(results["fleet"], results["threads"]):
+            assert fleet.status == threads.status == "ok"
+            fleet.result.pop("elapsed_seconds")  # wall time, the one
+            threads.result.pop("elapsed_seconds")  # field that may differ
+            assert fleet.result == threads.result
+
+    def test_tight_deadline_yields_anytime_not_timeout(self, tmp_path):
+        """A request far larger than its deadline is still cut into
+        ``chunks`` pieces in the shard worker: the answer is a typed
+        anytime response (partial rounds) or a typed cancel, never a
+        timeout and never the whole run."""
+        rounds = 3_000_000
+        assert len(chunk_layout(rounds, 4)) == 4
+        with FleetSupervisor(_config(tmp_path)) as fleet:
+            response = fleet.assess(
+                AssessRequest(
+                    hosts=_hosts(fleet), k=2, rounds=rounds,
+                    deadline_seconds=0.15,
+                ),
+                timeout=60,
+            )
+        assert response.status in ("ok", "degraded", "cancelled")
+        if response.status == "degraded":
+            runtime = response.result["runtime"]
+            assert runtime["cancelled"] is True
+            assert runtime["dropped_rounds"] > 0
+            assert 0 < response.result["estimate"]["rounds"] < rounds
+        elif response.status == "cancelled":
+            assert response.error["error"] == "cancelled"
 
     def test_keyed_requests_route_by_ring_owner(self, tmp_path):
         with FleetSupervisor(_config(tmp_path)) as fleet:
@@ -266,8 +324,12 @@ class TestFleetChaos:
         bit-identical to an uninterrupted run of the same request."""
         request = None
         reference = None
+        # Enough rounds for four anytime pieces, i.e. four ``assess`` calls:
+        # the kill below lands with two pieces done and the third begun.
+        rounds = 4 * MIN_CHUNK_ROUNDS + 3
+        assert len(chunk_layout(rounds, 4)) == 4
         # Reference: the same keyed request on an undisturbed fleet.
-        with FleetSupervisor(_config(tmp_path / "ref", rounds=40_000)) as fleet:
+        with FleetSupervisor(_config(tmp_path / "ref", rounds=rounds)) as fleet:
             hosts = _hosts(fleet)
             request = AssessRequest(
                 hosts=hosts, k=2, idempotency_key="victim-key"
@@ -284,7 +346,7 @@ class TestFleetChaos:
             with calls.get_lock():
                 calls.value += 1
                 landed = calls.value
-            if landed == 3:  # a few chunks in: flag the test, then block
+            if landed == 3:  # third piece begun: flag the test, then block
                 ready.release()
                 gate.acquire()
 
@@ -292,7 +354,7 @@ class TestFleetChaos:
         try:
             # Workers fork *after* the hook is set and inherit it.
             with FleetSupervisor(
-                _config(tmp_path / "chaos", rounds=40_000)
+                _config(tmp_path / "chaos", rounds=rounds)
             ) as fleet:
                 ticket = fleet.submit("assess", request)
                 assert ready.acquire(timeout=60), "worker never sampled"

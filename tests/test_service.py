@@ -3,17 +3,23 @@ degradation, drain semantics, health probes and the HTTP front-end."""
 
 from __future__ import annotations
 
+import contextlib
+import http.client
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.service.client import HttpServiceClient, ServiceClient
+from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout
 from repro.service.health import (
     DRAINING,
     SERVING,
@@ -258,101 +264,153 @@ class TestServiceLifecycle:
             assert snapshot["timers"]["service/queue_wait"]["calls"] == 1
 
 
+class _CountingAssessor:
+    """Assessor proxy: records every piece's round count and optionally
+    fires a token once the first piece returns."""
+
+    def __init__(self, assessor, cancel_after_first=None):
+        self._assessor = assessor
+        self._token = cancel_after_first
+        self.pieces: list[int] = []
+
+    def assess(self, plan, structure, rounds=None, cancel=None):
+        result = self._assessor.assess(
+            plan, structure, rounds=rounds, cancel=cancel
+        )
+        self.pieces.append(rounds)
+        if self._token is not None:
+            self._token.cancel("test: first piece done")
+        return result
+
+
+class TestChunkLayout:
+    """The pure ``(rounds, chunks) -> piece sizes`` rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rounds=st.integers(min_value=1, max_value=40 * MIN_CHUNK_ROUNDS),
+        chunks=st.integers(min_value=1, max_value=64),
+    )
+    def test_at_most_chunks_even_pieces_summing_to_rounds(self, rounds, chunks):
+        layout = chunk_layout(rounds, chunks)
+        assert 1 <= len(layout) <= chunks
+        assert max(layout) - min(layout) <= 1
+        assert sum(layout) == rounds
+
+    def test_pieces_follow_work_not_a_fixed_count(self):
+        assert chunk_layout(10_000, 8) == (10_000,)
+        assert len(chunk_layout(3_000_000, 8)) == 8
+        assert chunk_layout(2 * MIN_CHUNK_ROUNDS, 8) == (MIN_CHUNK_ROUNDS,) * 2
+        # Neither a ninth piece of one round nor ``rounds`` one-round pieces.
+        assert chunk_layout(8 * MIN_CHUNK_ROUNDS + 1, 8) == (
+            (MIN_CHUNK_ROUNDS + 1,) + (MIN_CHUNK_ROUNDS,) * 7
+        )
+        assert chunk_layout(5, 8) == (5,)
+
+
 class TestChunkedAnytime:
     """The sequential anytime backend, driven deterministically."""
 
     STRUCTURE = ApplicationStructure.k_of_n(2, 3)
+    PIECE = MIN_CHUNK_ROUNDS
 
-    class _CancelAfterFirstChunk:
-        """Assessor proxy: fires the token once the first chunk returns."""
-
-        def __init__(self, assessor, token):
-            self._assessor = assessor
-            self._token = token
-
-        def assess(self, plan, structure, rounds=None, cancel=None):
-            result = self._assessor.assess(
-                plan, structure, rounds=rounds, cancel=cancel
-            )
-            self._token.cancel("test: first chunk done")
-            return result
-
-    def test_partial_chunks_become_widened_estimate(self, fattree4, inventory):
-        service = _service(fattree4, inventory, chunks=8)
-        assessor = ReliabilityAssessor.from_config(
-            fattree4, inventory, AssessmentConfig(rounds=800, rng=11)
+    def _run(self, fattree4, inventory, rounds, *, service=None, token=None,
+             cancel_after_first=False):
+        service = service or _service(fattree4, inventory, chunks=8)
+        token = token or CancellationToken()
+        assessor = _CountingAssessor(
+            ReliabilityAssessor.from_config(
+                fattree4, inventory, AssessmentConfig(rounds=800, rng=11)
+            ),
+            cancel_after_first=token if cancel_after_first else None,
         )
-        token = CancellationToken()
         plan = DeploymentPlan.single_component(
             fattree4.hosts[:3], self.STRUCTURE.components[0].name
         )
         result = service._chunked_assess(
-            self._CancelAfterFirstChunk(assessor, token),
-            plan,
-            self.STRUCTURE,
-            800,
-            token,
+            assessor, plan, self.STRUCTURE, rounds, token
         )
+        return result, assessor.pieces
+
+    def test_partial_chunks_become_widened_estimate(self, fattree4, inventory):
+        rounds = 8 * self.PIECE
+        result, pieces = self._run(
+            fattree4, inventory, rounds, cancel_after_first=True
+        )
+        assert pieces == [self.PIECE]
         assert result.runtime.cancelled
         assert result.runtime.backend == "chunked"
-        assert result.estimate.rounds == 100  # 1 of 8 chunks
-        assert result.runtime.dropped_rounds == 700
+        assert result.estimate.rounds == self.PIECE  # 1 of 8 pieces
+        assert result.runtime.dropped_rounds == 7 * self.PIECE
         assert result.runtime.dropped_portions == 7
         assert result.degraded
 
         from repro.sampling.statistics import estimate_from_results
 
         unwidened = estimate_from_results(np.asarray(result.per_round))
-        coverage = 800 / 100
+        coverage = rounds / self.PIECE
         assert result.estimate.variance == pytest.approx(
             unwidened.variance * coverage
+        )
+        assert result.estimate.confidence_interval_width == pytest.approx(
+            unwidened.confidence_interval_width * coverage**0.5
         )
 
     def test_pre_fired_token_raises(self, fattree4, inventory):
         from repro.util.errors import OperationCancelled
 
-        service = _service(fattree4, inventory)
-        assessor = ReliabilityAssessor.from_config(
-            fattree4, inventory, AssessmentConfig(rounds=800, rng=11)
-        )
         token = CancellationToken()
         token.cancel("gone")
-        plan = DeploymentPlan.single_component(
-            fattree4.hosts[:3], self.STRUCTURE.components[0].name
-        )
         with pytest.raises(OperationCancelled):
-            service._chunked_assess(assessor, plan, self.STRUCTURE, 800, token)
+            self._run(fattree4, inventory, 800, token=token)
 
     def test_uncancelled_run_is_not_degraded(self, fattree4, inventory):
-        service = _service(fattree4, inventory, chunks=8)
-        assessor = ReliabilityAssessor.from_config(
-            fattree4, inventory, AssessmentConfig(rounds=800, rng=11)
-        )
-        plan = DeploymentPlan.single_component(
-            fattree4.hosts[:3], self.STRUCTURE.components[0].name
-        )
-        result = service._chunked_assess(
-            assessor, plan, self.STRUCTURE, 800, CancellationToken()
-        )
+        rounds = 3 * self.PIECE + 2
+        result, pieces = self._run(fattree4, inventory, rounds)
+        assert pieces == [self.PIECE + 1, self.PIECE + 1, self.PIECE]
         assert not result.degraded
         assert not result.runtime.cancelled
-        assert result.estimate.rounds == 800
+        assert result.runtime.dropped_portions == 0
+        assert result.estimate.rounds == rounds
+
+    def test_assess_calls_follow_the_work(self, fattree4, inventory):
+        """The regression this layout fixes: a default request paid the
+        per-assessment fixed cost once per configured chunk."""
+        default = ServiceConfig()
+        service = _service(fattree4, inventory, chunks=default.chunks)
+        for rounds, expected in (
+            (default.rounds, [default.rounds]),
+            (8 * self.PIECE, [self.PIECE] * 8),
+        ):
+            _, pieces = self._run(fattree4, inventory, rounds, service=service)
+            assert pieces == expected
+
+
+@contextlib.contextmanager
+def _http_server(fattree4, inventory, server_class=ServiceHTTPServer):
+    """A started service behind a listening HTTP front, torn down on exit."""
+    service = _service(fattree4, inventory).start()
+    httpd = server_class(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield service, httpd
+    finally:
+        httpd.shutdown()
+        thread.join(timeout=5.0)
+        httpd.server_close()
+        service.close()
+    assert not thread.is_alive()
 
 
 class TestHTTPFrontend:
     @pytest.fixture
     def http_service(self, fattree4, inventory):
-        service = _service(fattree4, inventory).start()
-        httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        port = httpd.server_address[1]
-        client = HttpServiceClient(f"http://127.0.0.1:{port}", timeout=60.0)
-        yield service, client
-        httpd.shutdown()
-        thread.join(timeout=5.0)
-        httpd.server_close()
-        service.close()
+        with _http_server(fattree4, inventory) as (service, httpd):
+            port = httpd.server_address[1]
+            yield service, HttpServiceClient(
+                f"http://127.0.0.1:{port}", timeout=60.0
+            )
 
     def test_readyz_and_healthz(self, http_service):
         service, client = http_service
@@ -391,3 +449,61 @@ class TestHTTPFrontend:
         snapshot = client.metrics()
         assert snapshot["counters"]["service/requests"] >= 1
         assert "service/latency" in snapshot["timers"]
+
+
+class _CountingSocket:
+    """A server-side connection that records the size of every send."""
+
+    def __init__(self, sock, sends: list[int]):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data, *flags):
+        self._sends.append(len(data))
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _CountingHTTPServer(ServiceHTTPServer):
+    def __init__(self, address, service):
+        super().__init__(address, service)
+        self.sends: list[int] = []
+
+    def get_request(self):
+        sock, address = super().get_request()
+        return _CountingSocket(sock, self.sends), address
+
+
+class TestHTTPWire:
+    def test_each_response_is_one_send_on_a_persistent_connection(
+        self, fattree4, inventory
+    ):
+        """Headers and body in two sends cost a persistent connection one
+        delayed ACK (about 40 ms) per response; counted, not timed."""
+        exchanges = [
+            ("GET", "/readyz", None, 200),
+            ("POST", "/assess",
+             {"hosts": fattree4.hosts[:3], "k": 2, "rounds": 1_000}, 200),
+            ("POST", "/assess", {"hosts": ["host/nowhere"], "k": 1}, 400),
+            ("GET", "/nowhere", None, 404),
+            ("GET", "/healthz", None, 200),
+        ]
+        with _http_server(fattree4, inventory, _CountingHTTPServer) as (_, httpd):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", httpd.server_address[1], timeout=60.0
+            )
+            try:
+                for sent, (method, path, payload, status) in enumerate(exchanges, 1):
+                    body = None if payload is None else json.dumps(payload)
+                    connection.request(method, path, body=body)
+                    response = connection.getresponse()
+                    document = response.read()
+                    assert response.status == status
+                    json.loads(document)
+                    # One send per response so far, and it carried the body.
+                    assert len(httpd.sends) == sent
+                    assert httpd.sends[-1] > len(document)
+            finally:
+                connection.close()
