@@ -16,8 +16,9 @@ assessed — so it can be cached once and reused across every move:
 * **Closure memoization** — the relevant closure decomposes per host for
   every shipped engine (the union of single-host closures equals the
   joint closure; the generic engine's closure is the whole data center,
-  which makes the union trivially exact), and fault-tree basic events are
-  memoized per subject, so closure computation is an O(delta) set union.
+  which makes the union trivially exact), so each host's ``(subjects,
+  sampled)`` pair is computed once and a plan's closure is a union of
+  finished sets.
 * **Effective-state cache** — fault-tree reasoning per subject does not
   depend on the plan either; each subject's effective per-round failure
   vector is computed once and shared by every plan that touches it.
@@ -29,6 +30,13 @@ assessed — so it can be cached once and reused across every move:
   (opt-in) the symmetry-canonical signature from
   :class:`~repro.core.transforms.SymmetryChecker`, so revisited or
   symmetry-equivalent plans cost a dictionary lookup.
+
+**Delta rule.** A move brings in one host, so nothing on the path of an
+assessment may walk the whole closure in Python: what a plan adds to the
+universe is found by set difference against what is already there, loops
+run over that delta only, and the hit/miss counters are bumped by the set
+sizes. Entries are pure functions of their key, so the order the delta is
+walked in cannot show in any result.
 
 **Correctness invariant (CRN equality).** Before the route-and-check for
 a plan runs, every element of that plan's relevant closure has been
@@ -191,7 +199,8 @@ class IncrementalAssessor:
         # hang off it — stay valid across every assessment.
         self._zeros = np.zeros(self.rounds, dtype=bool)
         self._zeros.flags.writeable = False
-        self._host_closure: dict[str, frozenset[str]] = {}
+        # host -> (subjects, sampled) of that host's relevant closure
+        self._host_closure: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
         self._failed_rounds: dict[str, np.ndarray] = {}  # component samples
         self._dense: dict[str, np.ndarray] = {}  # dense view, failing comps
         self._effective: dict[str, np.ndarray] = {}  # post-fault-tree states
@@ -276,40 +285,39 @@ class IncrementalAssessor:
 
     def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
         """(subjects, sampled component ids) — same contract as the
-        from-scratch assessor, assembled from per-host memo entries."""
-        metrics = self.metrics
-        elements: set[str] = set()
-        for host in plan.hosts():
-            cached = self._host_closure.get(host)
+        from-scratch assessor, assembled from per-host memo entries.
+
+        Both halves distribute over hosts (``basic_events_for`` is a union
+        over subjects; link elements are never subjects), so the graph
+        filter and the fault-tree event lookup run once per host and a
+        plan's closure is a union of finished frozensets.
+        """
+        memo = self._host_closure
+        subjects: set[str] = set()
+        sampled: set[str] = set()
+        hosts = plan.hosts()
+        misses = 0
+        for host in hosts:
+            cached = memo.get(host)
             if cached is None:
-                metrics.incr("closure/host/miss")
-                cached = frozenset(self.engine.relevant_elements([host]))
-                self._host_closure[host] = cached
-            else:
-                metrics.incr("closure/host/hit")
-            elements |= cached
-        graph = self.topology.graph
-        subjects = {cid for cid in elements if cid in graph}
-        sampled = set(self.dependency_model.basic_events_for(subjects))
-        sampled.update(elements - subjects)
+                misses += 1
+                elements = self.engine.relevant_elements([host])
+                graph = self.topology.graph
+                host_subjects = frozenset(cid for cid in elements if cid in graph)
+                cached = memo[host] = (
+                    host_subjects,
+                    self.dependency_model.basic_events_for(host_subjects)
+                    | (elements - host_subjects),
+                )
+            subjects |= cached[0]
+            sampled |= cached[1]
+        self.metrics.incr("closure/host/hit", len(hosts) - misses)
+        self.metrics.incr("closure/host/miss", misses)
         return subjects, sampled
 
     # ------------------------------------------------------------------
     # Component sampling and fault-tree reasoning (both cached)
     # ------------------------------------------------------------------
-
-    def _failed_for(self, cid: str) -> np.ndarray:
-        """Sampled failed-round indices for one component, cached."""
-        failed = self._failed_rounds.get(cid)
-        if failed is None:
-            self.metrics.incr("sample/component/miss")
-            failed = self.sampler.component_failed_rounds(
-                cid, self._all_probabilities[cid], self.rounds
-            )
-            self._failed_rounds[cid] = failed
-        else:
-            self.metrics.incr("sample/component/hit")
-        return failed
 
     def _dense_for(self, cid: str) -> np.ndarray:
         """Dense per-round failure vector (shared read-only zeros when the
@@ -332,105 +340,84 @@ class IncrementalAssessor:
         Samples every not-yet-seen component, evaluates the fault tree of
         every not-yet-seen subject, and registers failing links — after
         which ``self._states`` covers everything this plan's
-        route-and-check can read. Cancellation between components/subjects
-        is safe: the caches only ever *gain* complete entries, so an
-        aborted extension leaves a smaller but fully valid universe.
+        route-and-check can read. Priced by the module docstring's delta
+        rule: loops run over what set difference says is new. The dense and
+        the packed (compiled-kernel) universe share this one path and
+        differ only in how a component is drawn, how new subjects are
+        evaluated and what "never failed" looks like. Cancellation between
+        components/subjects is safe: the caches only ever *gain* complete
+        entries, so an aborted extension leaves a smaller but fully valid
+        universe.
         """
-        if self.kernel is not None:
-            self._extend_universe_packed(subjects, sampled, cancel=cancel)
-            return
         metrics = self.metrics
-        model = self.dependency_model
+        packed = self.kernel is not None
+        if packed:
+            samples, draw = self._packed_rows, self.sampler.component_packed_row
+        else:
+            samples, draw = self._failed_rounds, self.sampler.component_failed_rounds
         with metrics.timer("sample"):
-            for index, cid in enumerate(sampled):
+            new_components = sampled.difference(samples)
+            metrics.incr("sample/component/hit", len(sampled) - len(new_components))
+            metrics.incr("sample/component/miss", len(new_components))
+            probabilities = self._all_probabilities
+            for index, cid in enumerate(new_components):
                 if cancel is not None and index % 64 == 0:
                     cancel.check()
-                self._failed_for(cid)
+                samples[cid] = draw(cid, probabilities[cid], self.rounds)
 
         with metrics.timer("faulttree"):
             if cancel is not None:
                 cancel.check()
-            for subject in subjects:
-                if subject in self._known_subjects:
-                    metrics.incr("faulttree/subject/hit")
-                    continue
-                metrics.incr("faulttree/subject/miss")
-                self._known_subjects.add(subject)
-                events = model.basic_events_of(subject)
-                if all(not self._failed_rounds[e].size for e in events):
-                    continue  # nothing this subject depends on ever failed
-                dense = {e: self._dense_for(e) for e in events}
-                effective = model.tree_for(subject).evaluate(dense)
-                if effective.any():
-                    self._effective[subject] = effective
-
-            trees = model.trees
-            components = self.topology.components
-            for link_cid in sampled:
-                if link_cid in subjects or link_cid in self._known_links:
-                    continue
-                self._known_links.add(link_cid)
-                if (
-                    self._failed_rounds[link_cid].size
-                    and link_cid not in trees
-                    and link_cid in components
-                ):
-                    self._effective[link_cid] = self._dense_for(link_cid)
-
-    def _extend_universe_packed(
-        self, subjects: set[str], sampled: set[str], cancel=None
-    ) -> None:
-        """Compiled-kernel twin of :meth:`_extend_universe`.
-
-        Component states are packed rows from the same CRN streams (so
-        the universe stays bit-identical to the dense one), fault-tree
-        reasoning runs through the compiled forest with a persistent
-        node-value cache, and the shared :class:`PackedRoundStates`
-        gains packed effective rows.
-        """
-        metrics = self.metrics
-        kernel = self.kernel
-        rows = self._packed_rows
-        with metrics.timer("sample"):
-            for index, cid in enumerate(sampled):
-                if cancel is not None and index % 64 == 0:
-                    cancel.check()
-                if cid in rows:
-                    metrics.incr("sample/component/hit")
-                    continue
-                metrics.incr("sample/component/miss")
-                rows[cid] = self.sampler.component_packed_row(
-                    cid, self._all_probabilities[cid], self.rounds
-                )
-
-        with metrics.timer("faulttree"):
-            if cancel is not None:
-                cancel.check()
-            new_subjects = [s for s in subjects if s not in self._known_subjects]
+            new_subjects = subjects - self._known_subjects
             metrics.incr("faulttree/subject/hit", len(subjects) - len(new_subjects))
+            metrics.incr("faulttree/subject/miss", len(new_subjects))
             if new_subjects:
-                metrics.incr("faulttree/subject/miss", len(new_subjects))
-                self._known_subjects.update(new_subjects)
-                kernel.compile_subjects(new_subjects)
-                arena_ids = kernel.arena.ids
-                effective = kernel.forest.evaluate(
-                    new_subjects,
-                    lambda op: rows[arena_ids[op]],
-                    self._forest_values,
-                )
-                for subject, row in effective.items():
-                    if row is not None:
-                        self._effective[subject] = row
+                self._known_subjects |= new_subjects
+                if packed:
+                    self._evaluate_subjects_packed(new_subjects)
+                else:
+                    self._evaluate_subjects(new_subjects)
 
+            new_links = (sampled - subjects) - self._known_links
+            self._known_links |= new_links
             trees = self.dependency_model.trees
             components = self.topology.components
-            for link_cid in sampled:
-                if link_cid in subjects or link_cid in self._known_links:
+            for link_cid in new_links:
+                if link_cid in trees or link_cid not in components:
                     continue
-                self._known_links.add(link_cid)
-                row = rows[link_cid]
-                if row is not None and link_cid not in trees and link_cid in components:
-                    self._effective[link_cid] = row
+                sample = samples[link_cid]
+                if packed:
+                    if sample is not None:
+                        self._effective[link_cid] = sample
+                elif sample.size:
+                    self._effective[link_cid] = self._dense_for(link_cid)
+
+    def _evaluate_subjects(self, new_subjects: set[str]) -> None:
+        """Fault-tree reasoning for new subjects over dense vectors."""
+        model = self.dependency_model
+        failed_rounds = self._failed_rounds
+        for subject in new_subjects:
+            events = model.basic_events_of(subject)
+            if all(not failed_rounds[e].size for e in events):
+                continue  # nothing this subject depends on ever failed
+            dense = {e: self._dense_for(e) for e in events}
+            effective = model.tree_for(subject).evaluate(dense)
+            if effective.any():
+                self._effective[subject] = effective
+
+    def _evaluate_subjects_packed(self, new_subjects: set[str]) -> None:
+        """The same through the compiled forest, whose node-value cache
+        persists for the assessor's lifetime."""
+        kernel = self.kernel
+        rows = self._packed_rows
+        kernel.compile_subjects(new_subjects)
+        arena_ids = kernel.arena.ids
+        effective = kernel.forest.evaluate(
+            new_subjects, lambda op: rows[arena_ids[op]], self._forest_values
+        )
+        for subject, row in effective.items():
+            if row is not None:
+                self._effective[subject] = row
 
     # ------------------------------------------------------------------
     # Assessment
@@ -452,12 +439,26 @@ class IncrementalAssessor:
         :class:`~repro.util.errors.OperationCancelled` without corrupting
         any cache.
         """
+        self._require_own_rounds(rounds)
+        return self._assess(plan, structure, cancel)
+
+    def _require_own_rounds(self, rounds: int | None) -> None:
         if rounds is not None and rounds != self.rounds:
             raise ConfigurationError(
                 f"incremental assessment is fixed at {self.rounds} rounds "
                 f"(its cache universe); got rounds={rounds}. Use a "
                 "sequential assessor for ad-hoc round counts."
             )
+
+    def _assess(
+        self,
+        plan: DeploymentPlan,
+        structure: ApplicationStructure,
+        cancel,
+        closure: tuple[set[str], set[str]] | None = None,
+    ) -> AssessmentResult:
+        """:meth:`assess` proper; ``closure`` is the plan's
+        :meth:`closure_for` when :meth:`score_plans` already computed it."""
         watch = Stopwatch()
         metrics = self.metrics
         plan.validate_against(self.topology, structure)
@@ -467,6 +468,7 @@ class IncrementalAssessor:
         if cached is not None:
             metrics.incr("plan_cache/hit")
             return cached
+        signature = None
         if self.reuse_symmetric:
             signature = self._plan_signature(plan, structure)
             symmetric = self._signature_cache.get(signature)
@@ -479,8 +481,10 @@ class IncrementalAssessor:
 
         if cancel is not None:
             cancel.check()
-        with metrics.timer("closure"):
-            subjects, sampled = self.closure_for(plan)
+        if closure is None:
+            with metrics.timer("closure"):
+                closure = self.closure_for(plan)
+        subjects, sampled = closure
         self._extend_universe(subjects, sampled, cancel=cancel)
 
         if cancel is not None:
@@ -504,10 +508,8 @@ class IncrementalAssessor:
             runtime=self._runtime_metadata(),
         )
         self._plan_cache[cache_key] = result
-        if self.reuse_symmetric:
-            self._signature_cache.setdefault(
-                self._plan_signature(plan, structure), result
-            )
+        if signature is not None:
+            self._signature_cache.setdefault(signature, result)
         return result
 
     def score_plans(
@@ -532,23 +534,26 @@ class IncrementalAssessor:
         plans = list(plans)
         if not plans:
             return []
+        self._require_own_rounds(rounds)
+        structure_key = _structure_key(structure)
         uncached = [
             plan
             for plan in plans
-            if (plan.canonical_key(), _structure_key(structure)) not in self._plan_cache
+            if (plan.canonical_key(), structure_key) not in self._plan_cache
         ]
+        closures: dict[int, tuple[set[str], set[str]]] = {}
         if len(uncached) > 1:
             subjects: set[str] = set()
             sampled: set[str] = set()
             with self.metrics.timer("closure"):
                 for plan in uncached:
-                    plan_subjects, plan_sampled = self.closure_for(plan)
-                    subjects |= plan_subjects
-                    sampled |= plan_sampled
+                    closures[id(plan)] = closure = self.closure_for(plan)
+                    subjects |= closure[0]
+                    sampled |= closure[1]
             self._extend_universe(subjects, sampled, cancel=cancel)
             self.metrics.incr("score_plans/batched", len(uncached))
         return [
-            self.assess(plan, structure, rounds=rounds, cancel=cancel)
+            self._assess(plan, structure, cancel, closures.get(id(plan)))
             for plan in plans
         ]
 

@@ -188,7 +188,9 @@ class DeploymentSearch:
             self.symmetry = symmetry or SymmetryChecker(
                 assessor.topology, assessor.dependency_model
             )
-            self._symmetry_filter = BatchSymmetryFilter(self.symmetry)
+            self._symmetry_filter = BatchSymmetryFilter(
+                self.symmetry, metrics=metrics
+            )
         else:
             self.symmetry = None
             self._symmetry_filter = None
@@ -456,7 +458,7 @@ class DeploymentSearch:
 
         Each temperature step proposes ``state.batch_size`` candidate
         moves from the incumbent, screens them (resource filter, then the
-        move-keyed symmetry filter), scores every survivor in **one**
+        symmetry filter), scores every survivor in **one**
         :meth:`~repro.core.api.Assessor.score_plans` call, and processes
         the scored candidates in proposal order under the classic
         acceptance rule — the first accepted candidate wins the step and
@@ -538,8 +540,8 @@ class DeploymentSearch:
                     continue
                 if (
                     self._symmetry_filter is not None
-                    and self._symmetry_filter.equivalent_move(
-                        state.current_plan, move, neighbor_plan
+                    and self._symmetry_filter.equivalent(
+                        state.current_plan, neighbor_plan
                     )
                 ):
                     # Symmetric to the current plan: same reliability,

@@ -24,7 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: dtype used for failed-round indices.
 ROUND_DTYPE = np.int64
 
-_EMPTY_ROUNDS = np.empty(0, dtype=ROUND_DTYPE)
+#: The failed rounds of a component that never fails: one shared array,
+#: read-only because every such component is handed the same object.
+EMPTY_ROUNDS = np.empty(0, dtype=ROUND_DTYPE)
+EMPTY_ROUNDS.flags.writeable = False
 
 
 @dataclass
@@ -45,7 +48,7 @@ class SampleBatch:
 
     def rounds_failed(self, component_id: str) -> np.ndarray:
         """Sorted failed-round indices for one component (possibly empty)."""
-        return self.failed_rounds.get(component_id, _EMPTY_ROUNDS)
+        return self.failed_rounds.get(component_id, EMPTY_ROUNDS)
 
     def dense(self, component_id: str) -> np.ndarray:
         """Boolean per-round failure vector for one component."""

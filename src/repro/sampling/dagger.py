@@ -34,7 +34,13 @@ from typing import Mapping
 import numpy as np
 
 from repro.kernel.packed import PACK_DTYPE, PackedBatch, pack_indices, packed_width
-from repro.sampling.base import ROUND_DTYPE, SampleBatch, Sampler, validate_probabilities
+from repro.sampling.base import (
+    EMPTY_ROUNDS,
+    ROUND_DTYPE,
+    SampleBatch,
+    Sampler,
+    validate_probabilities,
+)
 
 
 def dagger_cycle_length(probability: float) -> int:
@@ -376,7 +382,7 @@ class CommonRandomDaggerSampler(Sampler):
         previously drawn component verbatim.
         """
         if probability <= 0.0:
-            return np.empty(0, dtype=ROUND_DTYPE)
+            return EMPTY_ROUNDS
         stream = np.random.default_rng(
             _component_stream_seed(self.master_seed, component_id)
         )

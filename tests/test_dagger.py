@@ -1,5 +1,6 @@
 """Unit + property tests for dagger sampling (repro.sampling.dagger)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sampling.base import ROUND_DTYPE
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
     DaggerSampler,
@@ -222,3 +224,28 @@ class TestCommonRandomDagger:
         sampler = CommonRandomDaggerSampler(master_seed=3)
         batch = sampler.sample({"a": 0.3, "b": 0.3}, 10_000, rng)
         assert not np.array_equal(batch.rounds_failed("a"), batch.rounds_failed("b"))
+
+    def test_zero_probability_components_share_one_readonly_empty(self):
+        """About nine tenths of a fat-tree closure is zero-probability
+        links: they all get the same empty array, which nobody can write
+        to, and the positive-probability streams are byte for byte what
+        they were when each got a fresh one (digest from that commit)."""
+        sampler = CommonRandomDaggerSampler(master_seed=2024)
+        first = sampler.component_failed_rounds("link/a--b", 0.0, 5_000)
+        second = sampler.component_failed_rounds("link/c--d", 0.0, 5_000)
+        assert first is second and first.size == 0
+        assert first.dtype == ROUND_DTYPE and not first.flags.writeable
+        assert sampler.component_packed_row("link/a--b", 0.0, 5_000) is None
+        digest = hashlib.sha256()
+        for cid, probability in [
+            ("host/0/0/0", 0.01),
+            ("link/a--b", 0.003),
+            ("psu/1", 0.2),
+            ("core/0", 0.5),
+        ]:
+            failed = sampler.component_failed_rounds(cid, probability, 5_000)
+            assert failed.flags.writeable
+            digest.update(failed.tobytes())
+        assert digest.hexdigest() == (
+            "9fc02f58da92dcf22b8114a94173d8860746d2b7dcf85943668c287e4ddf6e64"
+        )

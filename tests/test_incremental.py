@@ -18,10 +18,15 @@ from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
+from repro.core.transforms import SymmetryChecker
+from repro.faults.faulttree import FaultTree
 from repro.faults.inventory import build_paper_inventory
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.montecarlo import MonteCarloSampler
-from repro.util.errors import ConfigurationError
+from repro.topology.presets import paper_topology
+from repro.util.cancel import CancellationToken
+from repro.util.errors import ConfigurationError, OperationCancelled
+from repro.util.metrics import MetricsRegistry
 
 MASTER_SEED = 424242
 ROUNDS = 2_000
@@ -207,3 +212,317 @@ class TestConfiguration:
         foreign = build_paper_inventory(leafspine, seed=3)
         with pytest.raises(ConfigurationError):
             IncrementalAssessor(fattree4, foreign)
+
+
+# ---------------------------------------------------------------------------
+# The universe extension is priced by the closure delta
+# ---------------------------------------------------------------------------
+
+
+class PerComponentLoopAssessor(IncrementalAssessor):
+    """Reference implementation: the universe extension as it was before
+    it became set algebra — the closure rebuilt from raw per-host element
+    sets for every plan, and one Python iteration (and one counter bump)
+    per closure component, new or not. Kept as the oracle the delta-priced
+    :meth:`IncrementalAssessor._extend_universe` is held against."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._host_elements = {}
+
+    def closure_for(self, plan):
+        metrics = self.metrics
+        elements = set()
+        for host in plan.hosts():
+            cached = self._host_elements.get(host)
+            if cached is None:
+                metrics.incr("closure/host/miss")
+                cached = frozenset(self.engine.relevant_elements([host]))
+                self._host_elements[host] = cached
+            else:
+                metrics.incr("closure/host/hit")
+            elements |= cached
+        graph = self.topology.graph
+        subjects = {cid for cid in elements if cid in graph}
+        sampled = set(self.dependency_model.basic_events_for(subjects))
+        sampled.update(elements - subjects)
+        return subjects, sampled
+
+    def _failed_for(self, cid):
+        failed = self._failed_rounds.get(cid)
+        if failed is None:
+            self.metrics.incr("sample/component/miss")
+            failed = self.sampler.component_failed_rounds(
+                cid, self._all_probabilities[cid], self.rounds
+            )
+            self._failed_rounds[cid] = failed
+        else:
+            self.metrics.incr("sample/component/hit")
+        return failed
+
+    def _extend_universe(self, subjects, sampled, cancel=None):
+        if self.kernel is not None:
+            self._extend_universe_packed(subjects, sampled, cancel=cancel)
+            return
+        metrics = self.metrics
+        model = self.dependency_model
+        with metrics.timer("sample"):
+            for index, cid in enumerate(sampled):
+                if cancel is not None and index % 64 == 0:
+                    cancel.check()
+                self._failed_for(cid)
+
+        with metrics.timer("faulttree"):
+            if cancel is not None:
+                cancel.check()
+            for subject in subjects:
+                if subject in self._known_subjects:
+                    metrics.incr("faulttree/subject/hit")
+                    continue
+                metrics.incr("faulttree/subject/miss")
+                self._known_subjects.add(subject)
+                events = model.basic_events_of(subject)
+                if all(not self._failed_rounds[e].size for e in events):
+                    continue
+                dense = {e: self._dense_for(e) for e in events}
+                effective = model.tree_for(subject).evaluate(dense)
+                if effective.any():
+                    self._effective[subject] = effective
+
+            trees = model.trees
+            components = self.topology.components
+            for link_cid in sampled:
+                if link_cid in subjects or link_cid in self._known_links:
+                    continue
+                self._known_links.add(link_cid)
+                if (
+                    self._failed_rounds[link_cid].size
+                    and link_cid not in trees
+                    and link_cid in components
+                ):
+                    self._effective[link_cid] = self._dense_for(link_cid)
+
+    def _extend_universe_packed(self, subjects, sampled, cancel=None):
+        metrics = self.metrics
+        kernel = self.kernel
+        rows = self._packed_rows
+        with metrics.timer("sample"):
+            for index, cid in enumerate(sampled):
+                if cancel is not None and index % 64 == 0:
+                    cancel.check()
+                if cid in rows:
+                    metrics.incr("sample/component/hit")
+                    continue
+                metrics.incr("sample/component/miss")
+                rows[cid] = self.sampler.component_packed_row(
+                    cid, self._all_probabilities[cid], self.rounds
+                )
+
+        with metrics.timer("faulttree"):
+            if cancel is not None:
+                cancel.check()
+            new_subjects = [s for s in subjects if s not in self._known_subjects]
+            metrics.incr("faulttree/subject/hit", len(subjects) - len(new_subjects))
+            if new_subjects:
+                metrics.incr("faulttree/subject/miss", len(new_subjects))
+                self._known_subjects.update(new_subjects)
+                kernel.compile_subjects(new_subjects)
+                arena_ids = kernel.arena.ids
+                effective = kernel.forest.evaluate(
+                    new_subjects,
+                    lambda op: rows[arena_ids[op]],
+                    self._forest_values,
+                )
+                for subject, row in effective.items():
+                    if row is not None:
+                        self._effective[subject] = row
+
+            trees = self.dependency_model.trees
+            components = self.topology.components
+            for link_cid in sampled:
+                if link_cid in subjects or link_cid in self._known_links:
+                    continue
+                self._known_links.add(link_cid)
+                row = rows[link_cid]
+                if row is not None and link_cid not in trees and link_cid in components:
+                    self._effective[link_cid] = row
+
+
+UNIVERSE_COUNTERS = [
+    f"{cache}/{outcome}"
+    for cache in ("sample/component", "faulttree/subject", "closure/host")
+    for outcome in ("hit", "miss")
+]
+
+
+@pytest.fixture(scope="module")
+def medium():
+    topology = paper_topology("medium", seed=1)
+    return topology, build_paper_inventory(topology, seed=2)
+
+
+def _same_arrays(ours, reference):
+    assert ours.keys() == reference.keys()
+    for cid, row in reference.items():
+        if row is None:
+            assert ours[cid] is None
+        else:
+            assert np.array_equal(ours[cid], row), cid
+
+
+class CountingRegistry(MetricsRegistry):
+    def __init__(self):
+        super().__init__()
+        self.incr_calls = 0
+
+    def incr(self, name, amount=1):
+        self.incr_calls += 1
+        super().incr(name, amount)
+
+
+class TestDeltaPricedUniverse:
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_matches_per_component_loop_over_a_walk(self, medium, kernel):
+        topology, model = medium
+        config = AssessmentConfig(
+            mode="incremental", rounds=600, master_seed=MASTER_SEED, kernel=kernel
+        )
+        ours = IncrementalAssessor(topology, model, config)
+        reference = PerComponentLoopAssessor(topology, model, config)
+        structure = ApplicationStructure.k_of_n(8, 10)
+        for plan in _walk(topology, structure, moves=25, seed=9):
+            _assert_identical(
+                ours.assess(plan, structure), reference.assess(plan, structure)
+            )
+            samples = "_packed_rows" if kernel else "_failed_rounds"
+            _same_arrays(getattr(ours, samples), getattr(reference, samples))
+            _same_arrays(ours._effective, reference._effective)
+            assert ours._known_subjects == reference._known_subjects
+            assert ours._known_links == reference._known_links
+            for name in UNIVERSE_COUNTERS:
+                assert ours.metrics.counter(name) == reference.metrics.counter(name)
+        assert ours.metrics.counter("sample/component/hit") > 10_000
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_warm_assess_costs_a_handful_of_counter_bumps(
+        self, medium, kernel, monkeypatch
+    ):
+        """Cost guard by count: once every host of a plan is folded in, a
+        new plan over those hosts draws nothing, evaluates no tree and
+        touches the registry a constant number of times (the
+        per-component loop: one bump per closure component, ~1 750)."""
+        topology, model = medium
+        registry = CountingRegistry()
+        assessor = IncrementalAssessor(
+            topology,
+            model,
+            AssessmentConfig(
+                mode="incremental",
+                rounds=600,
+                master_seed=MASTER_SEED,
+                kernel=kernel,
+                metrics=registry,
+            ),
+        )
+        rng = np.random.default_rng(4)
+        hosts = [str(h) for h in rng.choice(topology.hosts, size=11, replace=False)]
+        structure = ApplicationStructure.k_of_n(8, 10)
+        component = structure.components[0].name
+        assessor.assess(DeploymentPlan.single_component(hosts[:10], component), structure)
+        assessor.assess(DeploymentPlan.single_component(hosts[1:], component), structure)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm assess must not sample or evaluate")
+
+        monkeypatch.setattr(assessor.sampler, "component_failed_rounds", forbidden)
+        monkeypatch.setattr(FaultTree, "evaluate", forbidden)
+        if kernel:
+            monkeypatch.setattr(assessor.kernel.forest, "evaluate", forbidden)
+        registry.incr_calls = 0
+        misses = registry.counter("sample/component/miss")
+        warm = DeploymentPlan.single_component([hosts[10]] + hosts[:9], component)
+        result = assessor.assess(warm, structure)
+        assert registry.incr_calls < 20
+        assert registry.counter("sample/component/miss") == misses
+        assert result.sampled_components > 1_000
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_cancel_mid_extension_leaves_a_valid_smaller_universe(
+        self, medium, kernel
+    ):
+        topology, model = medium
+        config = AssessmentConfig(
+            mode="incremental", rounds=600, master_seed=MASTER_SEED, kernel=kernel
+        )
+        assessor = IncrementalAssessor(topology, model, config)
+        structure = ApplicationStructure.k_of_n(8, 10)
+        plan = DeploymentPlan.random(topology, structure, rng=2)
+
+        class FiresOnThirdCheck(CancellationToken):
+            checks = 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == 3:
+                    self.cancel("test")
+                super().check()
+
+        with pytest.raises(OperationCancelled):
+            assessor.assess(plan, structure, cancel=FiresOnThirdCheck())
+        samples = assessor._packed_rows if kernel else assessor._failed_rounds
+        _, sampled = assessor.closure_for(plan)
+        # One check before the closure, one at component 0, the third at
+        # component 64 of the extension: 64 complete entries, no more.
+        assert len(samples) == 64 and samples.keys() < sampled
+        assert not assessor._effective and not assessor._known_subjects
+        scratch = IncrementalAssessor(topology, model, config)
+        _assert_identical(
+            assessor.assess(plan, structure), scratch.assess(plan, structure)
+        )
+        _same_arrays(samples, scratch._packed_rows if kernel else scratch._failed_rounds)
+
+
+class TestComputedOnce:
+    def test_signature_computed_once_per_symmetric_miss(
+        self, fattree4, inventory, monkeypatch
+    ):
+        incremental = IncrementalAssessor.from_config(
+            fattree4,
+            inventory,
+            AssessmentConfig(
+                mode="incremental",
+                rounds=ROUNDS,
+                master_seed=MASTER_SEED,
+                reuse_symmetric=True,
+            ),
+        )
+        calls = []
+        original = SymmetryChecker.signature
+        monkeypatch.setattr(
+            SymmetryChecker,
+            "signature",
+            lambda self, plan: calls.append(plan) or original(self, plan),
+        )
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plan = DeploymentPlan.random(fattree4, structure, rng=6)
+        incremental.assess(plan, structure)
+        assert calls == [plan]
+        assert incremental.metrics.counter("plan_cache/miss") == 1
+
+    def test_score_plans_computes_each_closure_once(self, fattree4, inventory):
+        _, incremental = _pair(fattree4, inventory)
+        _, one_by_one = _pair(fattree4, inventory)
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plans = _walk(fattree4, structure, moves=3, seed=8)
+        calls = []
+        closure_for = incremental.closure_for
+        incremental.closure_for = lambda plan: calls.append(plan) or closure_for(plan)
+        scored = incremental.score_plans(plans, structure)
+        assert calls == plans  # the parent: every plan twice
+        for plan, result in zip(plans, scored):
+            _assert_identical(result, one_by_one.assess(plan, structure))
+        hosts = sum(len(plan.hosts()) for plan in plans)
+        counted = incremental.metrics.counter(
+            "closure/host/hit"
+        ) + incremental.metrics.counter("closure/host/miss")
+        assert counted == hosts
