@@ -203,7 +203,7 @@ def _chaos_killer(
             if len(alive) < 2:
                 continue  # keep at least one survivor to fail over onto
             victim = rng.choice(alive)
-            pid = victim.process.pid
+            pid = fleet._workers[victim.shard].process.pid
         os.kill(pid, signal.SIGKILL)
         kills.append(victim.shard)
     return kills

@@ -15,6 +15,7 @@ in ``/healthz`` (see :func:`write_verdict` / :func:`load_verdict`).
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
 import shutil
@@ -92,6 +93,12 @@ def run_drill(
         requests=requests,
         max_ticks=max_ticks,
     )
+    # The drill drives the production lifecycle, which logs every worker
+    # death and lost write — here all injected on purpose. The verdict
+    # is the invariant sweep, not that log.
+    service_log = logging.getLogger("repro.service")
+    log_level = service_log.level
+    service_log.setLevel(logging.CRITICAL)
     try:
         with armed(registry):
             try:
@@ -104,6 +111,7 @@ def run_drill(
             for v in check_drill(sim)
         ]
     finally:
+        service_log.setLevel(log_level)
         if sim.service is not None:
             sim.service.close_handles()
         if own_root:

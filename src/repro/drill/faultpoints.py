@@ -1,7 +1,7 @@
 """Named fault-injection seams for the deterministic failure drill.
 
 The whole drill subsystem rests on one idea: the durability modules
-(``journal``, ``store``, ``fleet``, ``redeploy``) expose *named seams* —
+(``journal``, ``store``, ``lifecycle``, ``redeploy``) expose *named seams* —
 points where a real deployment can crash, tear a write, lose an fsync or
 drop a message — and a :class:`FaultPoints` registry decides, purely from
 ``(point name, occurrence index)``, what misfortune strikes there. With

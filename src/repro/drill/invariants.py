@@ -257,20 +257,20 @@ def check_drill(sim) -> list[Violation]:
     # ------------------------------------------------------------- I7
     if sim.service is not None:
         service = sim.service
-        if service.tickets:
+        if service.core.tickets:
             violations.append(
                 Violation(
                     "fleet-drained",
-                    f"{len(service.tickets)} tickets still open at the end",
+                    f"{len(service.core.tickets)} tickets still open at the end",
                 )
             )
-        for shard in sorted(service.queues):
-            if service.queues[shard]:
+        for slot in service.core.slots:
+            if slot.queue:
                 violations.append(
                     Violation(
                         "fleet-drained",
-                        f"shard {shard} queue still holds "
-                        f"{len(service.queues[shard])} tasks",
+                        f"shard {slot.shard} queue still holds "
+                        f"{len(slot.queue)} tasks",
                     )
                 )
         for worker in service.workers.values():
@@ -278,8 +278,8 @@ def check_drill(sim) -> list[Violation]:
                 violations.append(
                     Violation(
                         "fleet-drained",
-                        f"{worker.name} ended {worker.state} — supervision "
-                        "never reaped it",
+                        f"shard-{worker.shard} ended {worker.state} — "
+                        "supervision never reaped it",
                     )
                 )
     elif sim.quiesced:

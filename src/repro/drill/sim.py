@@ -1,21 +1,22 @@
 """Single-process deterministic simulation of the full service stack.
 
-The drill runs the *real* durability machinery — :class:`~repro.service.
-journal.RequestJournal` segment families, the :class:`~repro.service.
-store.ResultStore`, the consistent :class:`~repro.service.fleet.HashRing`,
-:class:`~repro.service.heartbeat.HeartbeatTracker`/:class:`RestartPolicy`
-failure detection, per-request seeds from :func:`~repro.service.executor.
-request_seed`, and the real :class:`~repro.service.redeploy.
-RedeploymentController` commit point — but replaces the nondeterministic
-substrate (threads, processes, pipes, wall clocks) with a discrete-event
-tick loop and a virtual clock. Workers are protocol state machines that
-advance one step per tick (``started → compute → respond``), so a fault
-schedule addressing "the 3rd heartbeat" or "the 7th journal append"
-strikes the same instant on every run: the whole drill is a pure
-function of ``(seed, schedule)``.
+The drill runs the *production* request lifecycle —
+:class:`~repro.service.lifecycle.RequestLifecycle` over real
+:class:`~repro.service.journal.RequestJournal` segment families and the
+real :class:`~repro.service.store.ResultStore`, with its consistent hash
+ring, heartbeat failure detection, restart policy, takeover and recovery
+— plus the real :class:`~repro.service.redeploy.RedeploymentController`
+commit point. It is the third driver of that core, next to the thread
+service and the forked fleet: what it replaces is only the
+nondeterministic substrate (threads, processes, pipes, wall clocks), with
+a discrete-event tick loop and a virtual clock. Workers are protocol
+state machines that advance one step per tick (``started → compute →
+respond``), so a fault schedule addressing "the 3rd heartbeat" or "the
+7th journal append" strikes the same instant on every run: the whole
+drill is a pure function of ``(seed, schedule)``.
 
 A :class:`~repro.drill.faultpoints.SimulatedCrash` raised from any seam
-kills the simulated process: in-memory queues, tickets and the
+kills the simulated process: the core, its queues and tickets and the
 controller vanish; the next tick rebuilds the service *from its durable
 files alone* — the same recovery path a real restart takes. A
 ``power_loss`` crash additionally truncates every file with un-fsync'd
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.core.plan import DeploymentPlan
 from repro.drill.faultpoints import (
@@ -40,11 +41,11 @@ from repro.drill.faultpoints import (
     raise_if_crash,
 )
 from repro.service.executor import request_seed
-from repro.service.fleet import HashRing
-from repro.service.heartbeat import HeartbeatTracker, RestartPolicy
-from repro.service.journal import RequestJournal
+from repro.service.lifecycle import Effect, RequestLifecycle, open_state
 from repro.service.redeploy import DegradationEvent, RedeploymentController
-from repro.service.store import ResultStore
+from repro.service.requests import AssessRequest, ServiceResponse, Ticket
+from repro.service.scheduler import ServiceConfig
+from repro.util.errors import AdmissionRejected
 
 #: Virtual seconds per tick, and the failure-detection knobs expressed
 #: in virtual time. One protocol step per tick keeps interleavings wide.
@@ -165,7 +166,7 @@ class Submission:
     index: int
     kind: str
     key: str | None
-    request: dict
+    request: AssessRequest
     acked: bool = False
     request_id: str | None = None
     gave_up: bool = False
@@ -194,29 +195,14 @@ class DrillTrace:
 
 
 @dataclass
-class SimTask:
-    request_id: str
-    kind: str
-    request: dict
-    key: str | None
-    fingerprint: str | None
-    shard: int
-    recovered: bool = False
-    phase: str = "start"  # start -> compute -> respond
-    result: dict | None = None
-
-
-@dataclass
 class SimWorker:
-    shard: int
-    state: str = "alive"  # alive | hung | exited | down | quarantined
-    task: SimTask | None = None
-    generation: int = 1
-    respawn_at: float | None = None
+    """One fake shard worker process: the protocol steps of one task."""
 
-    @property
-    def name(self) -> str:
-        return f"shard-{self.shard}"
+    shard: int
+    state: str = "alive"  # alive | hung | exited | down
+    ticket: Ticket | None = None
+    phase: str = "started"  # started -> compute -> respond
+    result: dict | None = None
 
 
 class _SimClock:
@@ -235,64 +221,18 @@ class _ServiceState:
     the durable directories alone — that *is* the recovery path."""
 
     def __init__(self, sim: "DrillSim"):
-        self.journals = {
-            shard: RequestJournal(
-                sim.journal_dir, segment_bytes=SEGMENT_BYTES, shard=shard
-            )
-            for shard in range(sim.shards)
-        }
-        self.store = ResultStore(os.path.join(sim.journal_dir, "results"))
-        self.ring = HashRing(sim.shards)
-        self.heartbeats = HeartbeatTracker(clock=sim.clock.now)
-        self.restarts = RestartPolicy(
-            backoff_seconds=RESPAWN_BACKOFF,
-            backoff_cap_seconds=RESPAWN_CAP,
-            quarantine_restarts=QUARANTINE_RESTARTS,
-            quarantine_window_seconds=QUARANTINE_WINDOW,
+        # The production core: opening the per-shard journals truncates
+        # any torn live tails, and its constructor rebuilds tickets and
+        # the key table from what the families hold.
+        self.core = RequestLifecycle(
+            sim.config,
+            sim.topology,
+            *open_state(sim.config, sim.shards),
+            slots=sim.shards,
             clock=sim.clock.now,
         )
-        self.workers = {shard: SimWorker(shard) for shard in range(sim.shards)}
-        self.queues: dict[int, deque[SimTask]] = {
-            shard: deque() for shard in range(sim.shards)
-        }
-        self.tickets: dict[str, SimTask] = {}
-        self.keys: dict[str, tuple] = {}
-        self.answered: dict[str, dict] = {}
-        self.terminal_ids: set[str] = set()
-
-        # Global fold across every segment family: the per-shard
-        # constructors above already truncated any torn live tails.
-        state = RequestJournal.scan(sim.journal_dir)
-        self.next_number = state.max_request_number + 1
-        self.terminal_ids.update(state.terminal_ids)
-        for key, (fingerprint, status) in state.keys.items():
-            self.keys[key] = ("completed", fingerprint, status)
-        for entry in state.pending:
-            shard = entry.shard if entry.shard in self.workers else None
-            if shard is None:
-                shard = self.ring.owner(
-                    entry.idempotency_key or entry.request_id
-                )
-            task = SimTask(
-                request_id=entry.request_id,
-                kind=entry.kind,
-                request=entry.request,
-                key=entry.idempotency_key,
-                fingerprint=entry.fingerprint,
-                shard=shard,
-                recovered=True,
-            )
-            self.tickets[task.request_id] = task
-            self.queues[shard].append(task)
-            if task.key is not None:
-                self.keys[task.key] = (
-                    "inflight",
-                    task.fingerprint,
-                    task.request_id,
-                )
-
-        for worker in self.workers.values():
-            self.heartbeats.beat(worker.name, busy=False)
+        self.store = self.core.store
+        self.workers: dict[int, SimWorker] = {}
 
         # The real controller, recovering its commit point from disk.
         # The fresh stub answers "search finds nothing better than the
@@ -319,17 +259,10 @@ class _ServiceState:
             sleep=lambda seconds: None,
         )
 
-    def routable(self) -> list[int]:
-        return [
-            shard
-            for shard in sorted(self.workers)
-            if self.workers[shard].state != "quarantined"
-        ]
-
     def close_handles(self) -> None:
         """Drop file handles without the graceful-close fsync — this
         process model just crashed; nothing graceful happens."""
-        for journal in self.journals.values():
+        for journal in self.core.journals:
             with contextlib.suppress(Exception):
                 journal._handle.close()
 
@@ -360,6 +293,21 @@ class DrillSim:
         self.redeploy_dir = os.path.join(root, "redeploy")
         os.makedirs(self.journal_dir, exist_ok=True)
         os.makedirs(self.redeploy_dir, exist_ok=True)
+        self.config = ServiceConfig(
+            journal_dir=self.journal_dir,
+            journal_segment_bytes=SEGMENT_BYTES,
+            heartbeat_interval_seconds=HEARTBEAT_INTERVAL,
+            heartbeat_misses=HEARTBEAT_MISSES,
+            respawn_backoff_seconds=RESPAWN_BACKOFF,
+            respawn_backoff_cap_seconds=RESPAWN_CAP,
+            quarantine_restarts=QUARANTINE_RESTARTS,
+            quarantine_window_seconds=QUARANTINE_WINDOW,
+        )
+        # The data center recovered requests are re-validated against:
+        # request ``i`` deploys onto host ``h<i>``.
+        self.topology = SimpleNamespace(
+            components=frozenset(f"h{index}" for index in range(requests))
+        )
 
         self.clock = _SimClock()
         self.trace = DrillTrace()
@@ -384,8 +332,7 @@ class DrillSim:
             self.clock.advance(TICK_SECONDS)
             try:
                 if self.service is None:
-                    self.service = _ServiceState(self)
-                    self.trace.restarts += 1
+                    self._boot()
                 raise_if_crash(
                     fault_hit("supervisor.tick", tick=self.tick),
                     "supervisor.tick",
@@ -393,7 +340,6 @@ class DrillSim:
                 self._client_ops()
                 self._beat_workers()
                 self._monitor()
-                self._dispatch()
                 self._worker_steps()
                 if self.tick % REDEPLOY_EVERY == 0:
                     self.service.controller.step()
@@ -404,10 +350,15 @@ class DrillSim:
             # Crashed on the very last permitted tick: one final rebuild
             # so the invariant checkers see a recovered system.
             with contextlib.suppress(SimulatedCrash):
-                self.service = _ServiceState(self)
-                self.trace.restarts += 1
+                self._boot()
         self._final_fetches()
         return self
+
+    def _boot(self) -> None:
+        """A process start: rebuild from disk, spawn every worker."""
+        self.service = _ServiceState(self)
+        self.trace.restarts += 1
+        self._apply(self.service.core.start())
 
     def _work_remaining(self) -> bool:
         if self.op_cursor < len(self.ops):
@@ -418,7 +369,7 @@ class DrillSim:
         service = self.service
         if service is None:
             return True
-        if service.tickets:
+        if service.core.tickets:
             return True
         return any(
             worker.state in ("hung", "exited")
@@ -435,6 +386,29 @@ class DrillSim:
             self.registry.apply_power_loss()
         if self.trace.crashes >= MAX_CRASHES:
             self.registry.disable()
+
+    def _apply(self, effects: list[Effect]) -> None:
+        """Carry out core effects on the fake substrate: a spawned worker
+        is up (and says hello) at once, a killed one is gone at once, a
+        resolved ticket's response reaches every client waiting on its
+        id — including clients that acked it in an earlier incarnation.
+        ``cancel`` has no step to interrupt: fake work ignores tokens."""
+        service = self.service
+        pending = deque(effects)
+        while pending:
+            effect = pending.popleft()
+            if effect.kind == "spawn":
+                service.workers[effect.shard] = SimWorker(effect.shard)
+                pending.extend(service.core.worker_ready(effect.shard))
+            elif effect.kind == "kill":
+                self.trace.failovers += 1
+                service.workers[effect.shard].state = "down"
+            elif effect.kind == "dispatch":
+                worker = service.workers[effect.shard]
+                worker.ticket, worker.phase = effect.ticket, "started"
+            elif effect.kind == "resolve":
+                for sub in self.trace.waiters.get(effect.ticket.id, []):
+                    sub.responses.append(effect.response.to_dict())
 
     # ------------------------------------------------------------------
     # Client side
@@ -460,15 +434,14 @@ class DrillSim:
 
     def _apply_op(self, op: WorkOp) -> None:
         if op.action in ("submit", "resubmit"):
-            request: dict = {"hosts": [f"h{op.index}"], "k": 1}
-            if op.key is not None:
-                request["idempotency_key"] = op.key
             sub = Submission(
                 seq=self.next_seq,
                 index=op.index,
                 kind="assess",
                 key=op.key,
-                request=request,
+                request=AssessRequest(
+                    hosts=(f"h{op.index}",), k=1, idempotency_key=op.key
+                ),
             )
             self.next_seq += 1
             self.trace.submissions.append(sub)
@@ -491,126 +464,57 @@ class DrillSim:
             raise
 
     def _submit(self, sub: Submission) -> None:
+        """One client call into production admission. The submission is
+        acknowledged once ``admit`` returns a ticket — by then the
+        write-ahead record is durable — and answered when that ticket
+        resolves (at once, for a replay or a join of a finished one)."""
         sub.attempts += 1
-        service = self.service
-        key = sub.key
-        if key is not None:
-            entry = service.keys.get(key)
-            if entry is not None and entry[0] == "completed":
-                stored = service.store.get(key)
-                if stored is not None:
-                    self._deliver_to(sub, dict(stored, replayed=True))
-                    return
-                # Stored result unreadable: degrade to re-execution.
-            elif entry is not None and entry[0] == "inflight":
-                request_id = entry[2]
-                sub.acked = True
-                sub.request_id = request_id
-                self.trace.waiters.setdefault(request_id, []).append(sub)
-                if request_id in service.answered:
-                    self._deliver_to(sub, service.answered[request_id])
-                return
-        routable = service.routable()
-        if not routable:
-            self._deliver_to(
-                sub,
-                {
-                    "request_id": None,
-                    "status": "rejected",
-                    "error": {"reason": "all shard workers are quarantined"},
-                },
-            )
-            return
         raise_if_crash(
             fault_hit("supervisor.admit", seq=sub.seq), "supervisor.admit"
         )
-        request_id = f"req-{service.next_number}"
-        fingerprint = None
-        if key is not None:
-            fingerprint = hashlib.sha256(
-                json.dumps(sub.request, sort_keys=True).encode("utf-8")
-            ).hexdigest()[:16]
-            shard = service.ring.owner(key, routable)
-        else:
-            shard = min(
-                routable, key=lambda s: (len(service.queues[s]), s)
+        try:
+            ticket, effects = self.service.core.admit(sub.kind, sub.request)
+        except AdmissionRejected as exc:
+            sub.responses.append(
+                {
+                    "request_id": None,
+                    "status": "rejected",
+                    "error": {"reason": exc.reason},
+                }
             )
-        # Write-ahead: the accepted record is durable before the client
-        # is acked or the task can dispatch. Seams may crash in here.
-        service.journals[shard].accepted(
-            request_id, sub.kind, sub.request, key, fingerprint
-        )
-        service.next_number += 1
-        task = SimTask(
-            request_id=request_id,
-            kind=sub.kind,
-            request=sub.request,
-            key=key,
-            fingerprint=fingerprint,
-            shard=shard,
-        )
-        service.tickets[request_id] = task
-        service.queues[shard].append(task)
-        if key is not None:
-            service.keys[key] = ("inflight", fingerprint, request_id)
+            return
         sub.acked = True
-        sub.request_id = request_id
-        self.trace.waiters.setdefault(request_id, []).append(sub)
+        sub.request_id = ticket.id
+        self.trace.waiters.setdefault(ticket.id, []).append(sub)
+        if ticket.future.done():
+            sub.responses.append(ticket.future.result().to_dict())
+        self._apply(effects)
 
     def _cancel(self, index: int) -> None:
-        service = self.service
         target = None
         for sub in self.trace.submissions:
             if sub.index == index and sub.request_id is not None:
                 target = sub
-        if target is None:
-            return
-        task = service.tickets.get(target.request_id)
-        if task is None:
-            return
-        if any(worker.task is task for worker in service.workers.values()):
-            return  # already executing; the drill only cancels queued work
-        queue = service.queues[task.shard]
-        if task not in queue:
-            return
-        queue.remove(task)
-        service.journals[task.shard].cancelled(
-            task.request_id, reason="client-cancel", started=False
-        )
-        service.tickets.pop(task.request_id, None)
-        service.terminal_ids.add(task.request_id)
-        if task.key is not None:
-            entry = service.keys.get(task.key)
-            if entry is not None and entry[0] == "inflight":
-                service.keys.pop(task.key, None)
-        response = {"request_id": task.request_id, "status": "cancelled"}
-        service.answered[task.request_id] = response
-        self._deliver(task.request_id, response)
-
-    def _deliver(self, request_id: str, response: dict) -> None:
-        for sub in self.trace.waiters.get(request_id, []):
-            self._deliver_to(sub, response)
-
-    def _deliver_to(self, sub: Submission, response: dict) -> None:
-        sub.responses.append(response)
+        if target is not None:
+            self._apply(
+                self.service.core.cancel(target.request_id, "client-cancel") or []
+            )
 
     def _final_fetches(self) -> None:
         """The client's last retry pass: keyed submissions that never saw
-        a response re-fetch their key — the stored-response replay path."""
+        a response re-fetch their key — the stored-response replay path,
+        read-only so it can start no new work."""
         service = self.service
         if service is None:
             return
         for sub in self.trace.submissions:
             if not sub.acked or sub.responses or sub.key is None:
                 continue
-            entry = service.keys.get(sub.key)
+            entry = service.core.keys.get(sub.key)
             if entry is not None and entry[0] == "completed":
                 stored = service.store.get(sub.key)
                 if stored is not None:
-                    self._deliver_to(sub, dict(stored, replayed=True))
-                    continue
-            if sub.request_id in service.answered:
-                self._deliver_to(sub, service.answered[sub.request_id])
+                    sub.responses.append(dict(stored, replayed=True))
 
     # ------------------------------------------------------------------
     # Workers
@@ -618,290 +522,77 @@ class DrillSim:
 
     def _beat_workers(self) -> None:
         service = self.service
-        for shard in sorted(service.workers):
-            worker = service.workers[shard]
+        for shard, worker in sorted(service.workers.items()):
             if worker.state != "alive":
                 continue
             command = fault_hit("worker.heartbeat", shard=shard)
             if command is not None and command.kind == "hang":
                 worker.state = "hung"
-                continue
-            if command is not None and command.kind == "drop":
-                continue
-            service.heartbeats.beat(worker.name, busy=worker.task is not None)
+            elif command is None or command.kind != "drop":
+                service.core.heartbeat(shard)
 
     def _monitor(self) -> None:
+        """What the fleet's monitor thread does each interval: report
+        exited processes, then let the core judge the silent ones."""
         service = self.service
-        now = self.clock.now()
-        for shard in sorted(service.workers):
-            worker = service.workers[shard]
-            if (
-                worker.state == "down"
-                and worker.respawn_at is not None
-                and worker.respawn_at <= now
-            ):
-                worker.state = "alive"
-                worker.generation += 1
-                worker.respawn_at = None
-                service.heartbeats.beat(worker.name, busy=False)
-            elif worker.state == "exited":
-                self._fail_worker(worker, "process exited")
-            elif worker.state in ("alive", "hung") and service.heartbeats.missed(
-                worker.name, HEARTBEAT_INTERVAL, HEARTBEAT_MISSES
-            ):
-                self._fail_worker(
-                    worker, f"missed {HEARTBEAT_MISSES} heartbeats"
-                )
-
-    def _fail_worker(self, worker: SimWorker, reason: str) -> None:
-        """Declare a worker dead: take over its work, then let the
-        restart policy decide respawn vs quarantine."""
-        service = self.service
-        shard = worker.shard
-        self.trace.failovers += 1
-
-        # The live task objects are the primary takeover source (a task
-        # stolen from another shard's family lives only here); the dead
-        # family's journal scan cross-checks for supervisor amnesia.
-        orphans: list[tuple[SimTask, bool]] = []
-        if worker.task is not None:
-            task = worker.task
-            worker.task = None
-            task.phase = "start"
-            task.result = None
-            task.recovered = True
-            orphans.append((task, True))
-        for task in service.queues[shard]:
-            orphans.append((task, False))
-        service.queues[shard].clear()
-        known = {task.request_id for task, _ in orphans}
-        scan = RequestJournal.scan(self.journal_dir, shard=shard)
-        for entry in scan.pending:
-            if (
-                entry.request_id in service.terminal_ids
-                or entry.request_id in known
-            ):
-                continue
-            live = service.tickets.get(entry.request_id)
-            if live is not None and live.shard != shard:
-                continue  # stolen or already moved; it lives elsewhere
-            if live is not None:
-                live.phase = "start"
-                live.result = None
-                live.recovered = True
-                orphans.append((live, False))
-                continue
-            orphans.append(
-                (
-                    SimTask(
-                        request_id=entry.request_id,
-                        kind=entry.kind,
-                        request=entry.request,
-                        key=entry.idempotency_key,
-                        fingerprint=entry.fingerprint,
-                        shard=shard,
-                        recovered=True,
-                    ),
-                    False,
-                )
-            )
-
-        worker.state = "down"
-        delay = service.restarts.record_failure(worker.name)
-        if delay is None:
-            worker.state = "quarantined"
-        else:
-            worker.respawn_at = self.clock.now() + delay
-        service.heartbeats.beat(worker.name, busy=False)
-
-        survivors = [s for s in service.routable() if s != shard]
-        for task, front in orphans:
-            request_id = task.request_id
-            if not survivors:
-                service.journals[shard].cancelled(
-                    request_id, reason="failover", started=False
-                )
-                service.tickets.pop(request_id, None)
-                service.terminal_ids.add(request_id)
-                if task.key is not None:
-                    service.keys.pop(task.key, None)
-                response = {"request_id": request_id, "status": "rejected"}
-                service.answered[request_id] = response
-                self._deliver(request_id, response)
-                continue
-            if task.key is not None:
-                new_shard = service.ring.owner(task.key, survivors)
-            else:
-                new_shard = min(
-                    survivors, key=lambda s: (len(service.queues[s]), s)
-                )
-            # Re-accept into the survivor's segment family before it can
-            # dispatch there — the write-ahead contract, again.
-            service.journals[new_shard].accepted(
-                request_id,
-                task.kind,
-                task.request,
-                task.key,
-                task.fingerprint,
-            )
-            raise_if_crash(
-                fault_hit("fleet.route.accepted", request=request_id),
-                "fleet.route.accepted",
-            )
-            task.shard = new_shard
-            task.recovered = True
-            service.tickets[request_id] = task
-            if front:
-                service.queues[new_shard].appendleft(task)
-            else:
-                service.queues[new_shard].append(task)
-            if task.key is not None:
-                service.keys[task.key] = (
-                    "inflight",
-                    task.fingerprint,
-                    request_id,
-                )
-
-    def _dispatch(self) -> None:
-        service = self.service
-        for shard in sorted(service.workers):
-            worker = service.workers[shard]
-            if worker.state != "alive" or worker.task is not None:
-                continue
-            if service.queues[shard]:
-                worker.task = service.queues[shard].popleft()
-            else:
-                # Steal an unkeyed task from the longest other queue.
-                candidates = sorted(
-                    (
-                        (-len(service.queues[s]), s)
-                        for s in sorted(service.workers)
-                        if s != shard and service.queues[s]
-                    ),
-                )
-                for _, other in candidates:
-                    stolen = next(
-                        (t for t in service.queues[other] if t.key is None),
-                        None,
-                    )
-                    if stolen is not None:
-                        service.queues[other].remove(stolen)
-                        stolen.shard = shard
-                        worker.task = stolen
-                        break
-            if worker.task is not None:
-                worker.task.phase = "start"
+        for shard, worker in sorted(service.workers.items()):
+            if worker.state == "exited":
+                self._apply(service.core.worker_lost(shard, "process exited"))
+        self._apply(service.core.tick())
 
     def _worker_steps(self) -> None:
         service = self.service
-        for shard in sorted(service.workers):
-            worker = service.workers[shard]
-            if worker.state != "alive" or worker.task is None:
+        core = service.core
+        for shard, worker in sorted(service.workers.items()):
+            ticket = worker.ticket
+            if worker.state != "alive" or ticket is None:
                 continue
-            task = worker.task
-            if task.phase == "start":
-                command = fault_hit(
-                    "worker.task.started", shard=shard, request=task.request_id
-                )
-                if self._worker_fault(worker, command):
-                    continue
-                if command is None or command.kind != "drop":
-                    service.journals[task.shard].started(task.request_id)
-                task.phase = "compute"
-            elif task.phase == "compute":
-                command = fault_hit(
-                    "worker.task.compute", shard=shard, request=task.request_id
-                )
-                if self._worker_fault(worker, command):
-                    continue
-                task.result = self._execute(task)
+            command = fault_hit(
+                f"worker.task.{worker.phase}", shard=shard, request=ticket.id
+            )
+            if command is not None and command.kind == "kill":
+                # The process dies; the supervisor-side ticket stays on
+                # the slot until the monitor notices and the core takes
+                # the work over.
+                worker.state = "exited"
+            elif command is not None and command.kind == "hang":
+                worker.state = "hung"
+            elif worker.phase == "started":
+                if command is None:  # else "drop": the message is lost
+                    core.started(shard, ticket.id)
+                worker.phase = "compute"
+            elif worker.phase == "compute":
+                worker.result = self._execute(ticket)
                 self.trace.executions.setdefault(
-                    task.key or task.request_id, []
-                ).append(task.result)
-                task.phase = "respond"
-            elif task.phase == "respond":
-                command = fault_hit(
-                    "worker.task.respond", shard=shard, request=task.request_id
+                    ticket.idempotency_key or ticket.id, []
+                ).append(worker.result)
+                worker.phase = "respond"
+            else:
+                worker.ticket = None
+                self._apply(
+                    core.completed(
+                        shard,
+                        ticket.id,
+                        ServiceResponse(
+                            request_id=ticket.id, status="ok", result=worker.result
+                        ),
+                    )
                 )
-                if self._worker_fault(worker, command):
-                    continue
-                response = {
-                    "request_id": task.request_id,
-                    "status": "ok",
-                    "result": task.result,
-                    "recovered": task.recovered,
-                }
-                self._record_terminal(task, response)
-                worker.task = None
 
-    def _worker_fault(self, worker: SimWorker, command) -> bool:
-        if command is None:
-            return False
-        if command.kind == "kill":
-            # The process dies; the supervisor-side ticket stays on the
-            # slot until the monitor notices and takes the work over.
-            worker.state = "exited"
-            return True
-        if command.kind == "hang":
-            worker.state = "hung"
-            return True
-        return False
-
-    def _execute(self, task: SimTask) -> dict:
+    def _execute(self, ticket: Ticket) -> dict:
         """The deterministic stand-in for an assessment: a pure function
         of the per-request seed, which derives from the idempotency key
         (or the journaled request id) — so any re-execution, in any
         process incarnation, is bit-identical."""
-        seed = request_seed(self.seed, task.kind, task.key or task.request_id)
+        seed = request_seed(
+            self.seed, ticket.kind, ticket.idempotency_key or ticket.id
+        )
         digest = hashlib.sha256(f"drill:{seed}".encode("utf-8")).hexdigest()
         return {
             "score": int(digest[:8], 16) / 0xFFFFFFFF,
             "digest": digest[:16],
             "seed": seed,
         }
-
-    def _record_terminal(self, task: SimTask, response: dict) -> None:
-        """Store-then-journal, the same order the fleet uses: the result
-        must be durable before the journal forgets the request."""
-        service = self.service
-        if task.key is not None:
-            try:
-                service.store.put(
-                    task.key,
-                    {
-                        "request_id": task.request_id,
-                        "status": response["status"],
-                        "result": task.result,
-                    },
-                )
-            except OSError:
-                # Mirror the fleet: answer the client, leave the journal
-                # without a terminal record — recovery will re-execute
-                # (bit-identically) after a restart.
-                service.tickets.pop(task.request_id, None)
-                service.answered[task.request_id] = response
-                self._deliver(task.request_id, response)
-                return
-        # The window the real fleet guards with the same seam: result
-        # durable, journal still unaware — a crash here must re-execute
-        # bit-identically, not lose or double the answer.
-        raise_if_crash(
-            fault_hit("fleet.record_terminal", request=task.request_id),
-            "fleet.record_terminal",
-        )
-        service.journals[task.shard].completed(
-            task.request_id, response["status"]
-        )
-        service.terminal_ids.add(task.request_id)
-        service.tickets.pop(task.request_id, None)
-        if task.key is not None:
-            service.keys[task.key] = (
-                "completed",
-                task.fingerprint,
-                response["status"],
-            )
-        service.answered[task.request_id] = response
-        self._deliver(task.request_id, response)
 
     # ------------------------------------------------------------------
     # Redeployment controller script

@@ -16,7 +16,6 @@ from repro.service.cancellation import NEVER, CancellationToken
 from repro.service.client import HttpServiceClient, ServiceClient
 from repro.service.health import HealthMonitor
 from repro.service.journal import JournalState, RequestJournal
-from repro.service.queue import AdmissionQueue
 from repro.service.redeploy import (
     DegradationEvent,
     RecoveryReport,
@@ -33,7 +32,6 @@ from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.service.store import ResultStore
 
 __all__ = [
-    "AdmissionQueue",
     "AssessRequest",
     "AssessmentService",
     "CancellationToken",

@@ -19,13 +19,14 @@ are a pure function of the request:
   completion).
 * :class:`RequestExecutor` — one worker's view: a per-worker assessor
   plus ``run()`` mapping requests (and mid-run cancellation/errors) to
-  :class:`~repro.service.requests.ServiceResponse` exactly like the
-  scheduler's execute path does.
+  :class:`~repro.service.requests.ServiceResponse`; thread workers and
+  shard worker processes both execute through it and nothing else.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,8 @@ from repro.util.cancel import CancellationToken
 from repro.util.errors import OperationCancelled, ReproError
 from repro.util.rng import make_rng
 from repro.util.timing import Stopwatch
+
+logger = logging.getLogger("repro.service")
 
 
 def request_seed(service_seed: int, kind: str, handle: str) -> int:
@@ -175,10 +178,15 @@ class RequestExecutor:
     """One worker's execution engine for validated service requests.
 
     Owns a sequential assessor over the service's data center and turns
-    an ``(kind, request)`` pair into the :class:`ServiceResponse` the
-    scheduler's thread workers would produce on their chunked-sequential
-    path — including the cancelled/error response shapes, so a shard
-    worker process needs no extra mapping layer around it.
+    an ``(kind, request)`` pair into a :class:`ServiceResponse` —
+    including the cancelled/error response shapes, so neither a thread
+    worker nor a shard worker process needs a mapping layer around it.
+
+    ``accelerator`` is an optional pre-step for assess requests:
+    ``accelerator(plan, structure, rounds, seed, token)`` returns an
+    :class:`AssessmentResult` from a faster backend, or ``None`` to fall
+    through to the chunked sequential path (the thread service plugs its
+    circuit-broken parallel pool in here).
     """
 
     def __init__(
@@ -196,6 +204,7 @@ class RequestExecutor:
         self.service_seed = service_seed
         self.default_rounds = default_rounds
         self.chunks = chunks
+        self.accelerator = None
         self.assessor = ReliabilityAssessor.from_config(
             topology,
             dependency_model,
@@ -220,7 +229,13 @@ class RequestExecutor:
         queue_seconds: float = 0.0,
         recovered: bool = False,
     ) -> ServiceResponse:
-        """Execute one request, mapping cancellation/errors to responses."""
+        """Execute one request, mapping cancellation/errors to responses.
+
+        Never raises: anything that is not a typed :class:`ReproError`
+        (``MemoryError`` on an oversized request, a bug) becomes an
+        ``error``/``internal`` response, which the lifecycle core treats
+        as "not an answer" — journaled cancelled, retried on resubmission.
+        """
         watch = Stopwatch()
         try:
             if token.cancelled:
@@ -271,6 +286,15 @@ class RequestExecutor:
                 elapsed_seconds=watch.elapsed(),
                 queue_seconds=queue_seconds,
             )
+        except Exception as exc:  # the worker must answer, not die
+            logger.exception("request %s executor crash", request_id)
+            return ServiceResponse(
+                request_id=request_id,
+                status="error",
+                error={"error": "internal", "message": str(exc)},
+                elapsed_seconds=watch.elapsed(),
+                queue_seconds=queue_seconds,
+            )
 
     # ------------------------------------------------------------------
 
@@ -290,12 +314,17 @@ class RequestExecutor:
         )
         rounds = request.rounds or self.default_rounds
         seed = self.seed_for("assess", request.idempotency_key or request_id)
-        # Reseed per request: the stream is a pure function of the
-        # request, not of which worker runs it or what ran before.
-        self.assessor.rng = make_rng(seed)
-        result = chunked_assess(
-            self.assessor, plan, structure, rounds, self.chunks, token
-        )
+        result = None
+        if self.accelerator is not None:
+            result = self.accelerator(plan, structure, rounds, seed, token)
+        backend = "parallel" if result is not None else "chunked-sequential"
+        if result is None:
+            # Reseed per request: the stream is a pure function of the
+            # request, not of which worker runs it or what ran before.
+            self.assessor.rng = make_rng(seed)
+            result = chunked_assess(
+                self.assessor, plan, structure, rounds, self.chunks, token
+            )
         if recovered and result.runtime is not None:
             result = replace(
                 result, runtime=replace(result.runtime, recovered=True)
@@ -311,7 +340,7 @@ class RequestExecutor:
             result=serialization.assessment_to_dict(result),
             elapsed_seconds=watch.elapsed(),
             queue_seconds=queue_seconds,
-            backend="chunked-sequential",
+            backend=backend,
         )
 
     def run_search(

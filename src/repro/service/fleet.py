@@ -1,34 +1,28 @@
 """Supervised multi-process worker fleet for the assessment service.
 
 One :class:`FleetSupervisor` process owns admission, idempotency and the
-write-ahead journals; N forked shard worker processes own execution. Each
-worker owns one shard of the idempotency-key space via a consistent
-:class:`HashRing`, so a key always lands on the same worker while it is
-alive and moves deterministically to a survivor when it is not. Unkeyed
-requests have no placement constraint and are stolen by whichever worker
-goes idle first.
+write-ahead journals — all of it the shared
+:class:`~repro.service.lifecycle.RequestLifecycle`, configured as N slots
+of width 1 with one journal segment family each; N forked shard worker
+processes own execution. This module is the plumbing between the two:
+fork and pipe, a reader thread per worker turning protocol messages into
+core events (``hello`` → ``worker_ready``, ``heartbeat``, ``started``,
+``response`` → ``completed``), a monitor thread reporting exited
+processes (``worker_lost``) and the passage of time (``tick``), and
+``_apply`` carrying the core's effects back out (``dispatch``/``cancel``
+→ pipe messages, ``kill``/``spawn`` → processes).
 
-Supervision tree and failure handling:
-
-* Every worker heartbeats over its pipe. A worker that **exits** is dead
-  immediately; one that goes **silent** for ``heartbeat_misses``
-  consecutive intervals is declared dead and SIGKILLed (a half-dead
-  worker must not answer after its shard moved).
-* On death the supervisor runs the **takeover scan** — a read-only
-  replay of the dead worker's journal segment family — re-journals the
-  orphaned requests into a survivor's segment family, and re-enqueues
-  them (in-flight orphans at the *front*) with their journaled ids and
-  ``recovered=True``. Because per-request seeds are a pure function of
-  ``(service seed, kind, key-or-id)`` (:func:`~repro.service.executor.
-  request_seed`), the replayed execution is bit-identical to what the
-  dead worker would have answered.
-* The dead worker is respawned with exponential backoff; a flapping
-  worker is quarantined (:class:`~repro.service.heartbeat.RestartPolicy`)
-  and its key range is served by the survivors.
-* While **no** worker is alive, submissions are shed with a typed
-  ``AdmissionRejected(reason="failover")`` — the HTTP layer turns that
-  into 503 + Retry-After, and :class:`~repro.service.client.
-  HttpServiceClient` retries keyed requests through the window.
+What the core decides and this module only executes: a key always lands
+on the same worker while it is alive (consistent :class:`~repro.service.
+lifecycle.HashRing`) and moves deterministically to a survivor when it
+is not; unkeyed requests are stolen by whichever worker goes idle first;
+a worker that **exits** is dead immediately, one that goes **silent**
+for ``heartbeat_misses`` intervals is declared dead and SIGKILLed; its
+requests move to survivors with their journaled ids (so, per-request
+seeds being a pure function of ``(service seed, kind, key-or-id)``, the
+replay is bit-identical); it respawns with exponential backoff or is
+quarantined when it flaps; while **no** worker is routable submissions
+are shed with ``AdmissionRejected(reason="failover")``.
 
 The fleet requires the ``fork`` start method (workers inherit the built
 topology and any test hooks); platforms without it get a
@@ -37,47 +31,24 @@ topology and any test hooks); platforms without it get a
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-import itertools
 import logging
 import multiprocessing
 import os
 import queue as queue_module
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.drill.faultpoints import fault_hit, raise_if_crash
+from repro.drill.faultpoints import fault_hit
 from repro.service.executor import RequestExecutor
-from repro.service.health import DRAINING, SERVING, STOPPED, HealthMonitor
-from repro.service.heartbeat import HeartbeatTracker, RestartPolicy
-from repro.service.journal import RequestJournal
-from repro.service.requests import (
-    AssessRequest,
-    SearchRequest,
-    ServiceResponse,
-    Ticket,
-)
-from repro.service.scheduler import AssessmentService, ServiceConfig
-from repro.service.store import ResultStore
+from repro.service.health import SERVING, STOPPED
+from repro.service.lifecycle import Effect
+from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
+from repro.service.scheduler import ServiceConfig, ServiceFront
 from repro.util.cancel import CancellationToken
-from repro.util.errors import (
-    AdmissionRejected,
-    ConfigurationError,
-    ValidationError,
-)
-from repro.util.metrics import MetricsRegistry
+from repro.util.errors import ConfigurationError
 
 logger = logging.getLogger("repro.service.fleet")
-
-_TICKET_IDS = itertools.count(1)
-
-#: How long a freshly forked worker may take to say hello before the
-#: monitor gives up on it. Generous: topology builds are O(seconds) on a
-#: loaded CI box and a false positive here causes a pointless respawn.
-STARTUP_TIMEOUT_SECONDS = 60.0
 
 
 def _fork_context():
@@ -87,50 +58,6 @@ def _fork_context():
             "this platform does not support it"
         )
     return multiprocessing.get_context("fork")
-
-
-# ----------------------------------------------------------------------
-# Consistent hashing
-# ----------------------------------------------------------------------
-
-
-class HashRing:
-    """A consistent-hash ring over shard numbers.
-
-    sha256-based so placement is stable across processes and runs
-    (``hash()`` is salted per process). ``replicas`` virtual nodes per
-    shard smooth the key distribution; ``owner`` walks clockwise from
-    the key's point to the first *eligible* shard, so removing a shard
-    moves only that shard's arc — the property that keeps failover from
-    reshuffling keys that never touched the dead worker.
-    """
-
-    def __init__(self, shards: int, replicas: int = 64):
-        self.shards = shards
-        self._points: list[tuple[int, int]] = []
-        for shard in range(shards):
-            for replica in range(replicas):
-                self._points.append((self._hash(f"shard-{shard}#{replica}"), shard))
-        self._points.sort()
-        self._keys = [point for point, _ in self._points]
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        digest = hashlib.sha256(value.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
-
-    def owner(self, key: str, eligible=None) -> int | None:
-        """The shard owning ``key`` among ``eligible`` (default: all)."""
-        if eligible is not None:
-            eligible = set(eligible)
-            if not eligible:
-                return None
-        start = bisect.bisect_right(self._keys, self._hash(key))
-        for offset in range(len(self._points)):
-            _, shard = self._points[(start + offset) % len(self._points)]
-            if eligible is None or shard in eligible:
-                return shard
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +80,7 @@ def shard_worker_main(
     cancellation tokens, a heartbeat sender proving liveness every
     ``heartbeat_interval``, and the main loop executing one task at a
     time through the shared :class:`RequestExecutor` (same bits as the
-    thread scheduler's sequential path). The worker exits on ``stop``,
+    thread service's workers). The worker exits on ``stop``,
     on pipe EOF, and when its parent disappears — an orphaned worker
     must never keep answering for a shard that has been failed over.
     """
@@ -247,22 +174,14 @@ def shard_worker_main(
             os._exit(70)
         if command is None or command.kind != "drop":
             send({"type": "started", "id": request_id})
-        try:
-            request = request_cls.from_dict(message["request"])
-            response = executor.run(
-                message["kind"],
-                request,
-                request_id=request_id,
-                token=token,
-                queue_seconds=message.get("queue_seconds", 0.0),
-                recovered=message.get("recovered", False),
-            )
-        except BaseException as exc:  # the worker must answer, not die
-            response = ServiceResponse(
-                request_id=request_id,
-                status="error",
-                error={"error": "internal", "message": str(exc)},
-            )
+        response = executor.run(
+            message["kind"],
+            request_cls.from_dict(message["request"]),
+            request_id=request_id,
+            token=token,
+            queue_seconds=message.get("queue_seconds", 0.0),
+            recovered=message.get("recovered", False),
+        )
         with tokens_lock:
             tokens.pop(request_id, None)
         # Drill seam: a lost response means a dead pipe, and a worker
@@ -282,28 +201,17 @@ def shard_worker_main(
 
 
 @dataclass
-class _WorkerSlot:
-    """Supervisor-side state of one shard worker."""
+class _Worker:
+    """The supervisor's handle on one shard worker process."""
 
-    shard: int
     process: object = None
     conn: object = None
-    reader: threading.Thread | None = None
-    # starting | alive | dead | respawning | quarantined
-    state: str = "starting"
-    ready: bool = False
-    inflight: Ticket | None = None
-    spawned_at: float = 0.0
-    respawn_at: float | None = None
-    generation: int = 0
     send_lock: threading.Lock = field(default_factory=threading.Lock)
 
-    @property
-    def name(self) -> str:
-        return f"shard-{self.shard}"
-
     def send(self, message: dict) -> bool:
-        """Best-effort pipe send; a dead pipe is the monitor's problem."""
+        """Best-effort pipe send. A dead pipe is the monitor's problem:
+        it reports the exited process and the core re-routes whatever
+        the worker held, this message's ticket included."""
         conn = self.conn
         if conn is None:
             return False
@@ -315,14 +223,13 @@ class _WorkerSlot:
             return False
 
 
-class FleetSupervisor:
+class FleetSupervisor(ServiceFront):
     """Supervisor process of the worker fleet.
 
-    Public surface mirrors :class:`~repro.service.scheduler.
-    AssessmentService` (``start``/``drain``/``close``/``submit``/
-    ``assess``/``search``/``cancel``/``status``, plus ``health``,
-    ``metrics`` and ``heartbeats``) so the HTTP server and the clients
-    cannot tell which deployment shape is behind them.
+    Same public surface as :class:`~repro.service.scheduler.
+    AssessmentService` (both are :class:`ServiceFront`), so the HTTP
+    server and the clients cannot tell which deployment shape is behind
+    them.
     """
 
     def __init__(self, config: ServiceConfig, clock=time.monotonic):
@@ -331,61 +238,19 @@ class FleetSupervisor:
                 "FleetSupervisor requires fleet_workers >= 1"
             )
         self._ctx = _fork_context()
-        self.config = config
-        self._clock = clock
-        from repro.faults.inventory import build_paper_inventory
-        from repro.topology.presets import paper_topology
-
-        self.topology = paper_topology(config.scale, seed=config.seed)
-        self.dependency_model = build_paper_inventory(
-            self.topology, seed=config.seed + 1
+        super().__init__(
+            config,
+            None,
+            None,
+            clock,
+            slots=config.fleet_workers,
+            width=1,
+            shards=config.fleet_workers,
         )
-        self.metrics = MetricsRegistry()
-        self.health = HealthMonitor(clock)
-        self.heartbeats = HeartbeatTracker(clock=clock)
-        self.ring = HashRing(config.fleet_workers)
-        self.restarts = RestartPolicy(
-            backoff_seconds=config.respawn_backoff_seconds,
-            backoff_cap_seconds=config.respawn_backoff_cap_seconds,
-            quarantine_restarts=config.quarantine_restarts,
-            quarantine_window_seconds=config.quarantine_window_seconds,
-            clock=clock,
-        )
-        self._root_token = CancellationToken(clock=clock)
-        self._lock = threading.RLock()
-        self._work = threading.Condition(self._lock)
-        self._slots = [_WorkerSlot(shard=i) for i in range(config.fleet_workers)]
-        self._queues: list[deque[Ticket]] = [
-            deque() for _ in range(config.fleet_workers)
-        ]
-        self._tickets: dict[str, Ticket] = {}
-        self._keys: dict[str, tuple[str, str | None, object]] = {}
-        self._keys_lock = threading.Lock()
-        self._journals: dict[int, RequestJournal] = {}
-        self._store: ResultStore | None = None
-        self._recovered_tickets: list[Ticket] = []
-        self._id_offset = 0
-        self._started = False
-        self._draining = False
+        self._slots = self.core.slots
+        self._workers = [_Worker() for _ in self._slots]
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        if config.journal_dir is not None:
-            root = os.fspath(config.journal_dir)
-            self._store = ResultStore(os.path.join(root, "results"))
-            pending = []
-            for shard in range(config.fleet_workers):
-                journal = RequestJournal(
-                    root,
-                    segment_bytes=config.journal_segment_bytes,
-                    shard=shard,
-                )
-                self._journals[shard] = journal
-                state = journal.replay()
-                self._id_offset = max(self._id_offset, state.max_request_number)
-                for key, (fingerprint, status) in state.keys.items():
-                    self._keys[key] = ("completed", fingerprint, status)
-                pending.extend(state.pending)
-            self._recovered_tickets = self._rebuild_pending(pending)
+        self._monitor: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -396,31 +261,11 @@ class FleetSupervisor:
             return self
         self._started = True
         with self._lock:
-            for slot in self._slots:
-                self._spawn_locked(slot)
-            for ticket in self._recovered_tickets:
-                self._tickets[ticket.id] = ticket
-                self._route_locked(ticket, front=True)
-            if self._recovered_tickets:
-                self.metrics.incr(
-                    "service/recovered", len(self._recovered_tickets)
-                )
-                logger.info(
-                    "fleet recovery: re-enqueued %d journaled request(s)",
-                    len(self._recovered_tickets),
-                )
-            self._recovered_tickets = []
-        if self._store is not None:
-            self._store.compact(self.config.result_ttl_seconds)
-        monitor = threading.Thread(
+            self._apply(self.core.start())
+        self._monitor = threading.Thread(
             target=self._monitor_loop, name="fleet-monitor", daemon=True
         )
-        dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="fleet-dispatch", daemon=True
-        )
-        monitor.start()
-        dispatcher.start()
-        self._threads = [monitor, dispatcher]
+        self._monitor.start()
         self.health.transition(SERVING)
         logger.info(
             "fleet serving scale=%s shards=%d queue=%d journal=%s",
@@ -431,408 +276,78 @@ class FleetSupervisor:
         )
         return self
 
-    def drain(self, timeout_seconds: float | None = None) -> None:
-        """Graceful shutdown: queued rejected, in-flight allowed to finish."""
-        timeout = (
-            self.config.drain_timeout_seconds
-            if timeout_seconds is None
-            else timeout_seconds
-        )
-        self.health.transition(DRAINING)
-        with self._lock:
-            self._draining = True
-            stranded: list[Ticket] = []
-            for shard_queue in self._queues:
-                stranded.extend(shard_queue)
-                shard_queue.clear()
-        for ticket in stranded:
-            ticket.reject(
-                ServiceResponse(
-                    request_id=ticket.id,
-                    status="rejected",
-                    error={
-                        "error": "admission",
-                        "reason": "draining",
-                        "message": "service is draining; request was not started",
-                    },
-                )
-            )
-            journal = self._journal_for(ticket)
-            if journal is not None:
-                journal.cancelled(ticket.id, reason="draining", started=False)
-            self._forget_inflight_key(ticket)
-            with self._lock:
-                self._tickets.pop(ticket.id, None)
-        deadline = self._clock() + timeout
-        for ticket in self._open_tickets():
-            remaining = max(0.0, deadline - self._clock())
-            try:
-                ticket.future.result(timeout=remaining)
-            except Exception:
-                pass
-        # Whatever is still running gets cancelled into an anytime result.
-        with self._lock:
-            for slot in self._slots:
-                if slot.inflight is not None:
-                    slot.send(
-                        {
-                            "type": "cancel",
-                            "id": slot.inflight.id,
-                            "reason": "service draining",
-                        }
-                    )
-        for ticket in self._open_tickets():
-            try:
-                ticket.future.result(timeout=5.0)
-            except Exception:
-                pass
-        self.close()
-
     def close(self) -> None:
         """Hard stop: stop workers, resolve stragglers, free resources."""
-        self._root_token.cancel("service stopped")
-        self._stop.set()
-        with self._work:
-            self._draining = True
-            self._work.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
         with self._lock:
-            slots = list(self._slots)
-        for slot in slots:
-            slot.send({"type": "stop"})
-        for slot in slots:
-            process = slot.process
-            if process is None:
-                continue
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=2.0)
-            if slot.conn is not None:
-                try:
-                    slot.conn.close()
-                except OSError:
-                    pass
-        for ticket in self._open_tickets():
-            ticket.reject(
-                ServiceResponse(
-                    request_id=ticket.id,
-                    status="rejected",
-                    error={
-                        "error": "admission",
-                        "reason": "stopped",
-                        "message": "service stopped before the request ran",
-                    },
-                )
-            )
-        for journal in self._journals.values():
-            journal.close()
+            self.core.stop()
+        self._stop.set()
+        if self._monitor is not None:
+            self._monitor.join(timeout=5.0)
+            self._monitor = None
+        for worker in self._workers:
+            worker.send({"type": "stop"})
+        for worker in self._workers:
+            if worker.process is not None:
+                worker.process.join(timeout=2.0)
+            self._kill(worker)
+        with self._lock:
+            self.core.close()
         self.health.transition(STOPPED)
 
-    def __enter__(self) -> "FleetSupervisor":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _open_tickets(self) -> list[Ticket]:
-        with self._lock:
-            return [t for t in self._tickets.values() if not t.future.done()]
-
     # ------------------------------------------------------------------
-    # Admission (mirrors AssessmentService.submit, with shard routing)
+    # Effects out: processes and pipes
     # ------------------------------------------------------------------
 
-    def submit(self, kind: str, request) -> Ticket:
-        """Validate, ticket, journal and enqueue on the owning shard.
-
-        Sheds with ``AdmissionRejected(reason="failover")`` while no
-        shard is alive — the supervisor is respawning; the client should
-        retry after a beat. Idempotency semantics are identical to the
-        thread scheduler's: a known key joins the live ticket or replays
-        the stored response, and never executes twice.
-        """
-        if kind not in ("assess", "search"):
-            raise ValidationError([("kind", f"unknown request kind {kind!r}")])
-        request.validate(self.topology)
-        key = request.idempotency_key
-        fingerprint = (
-            AssessmentService._fingerprint(request) if key is not None else None
-        )
-        if key is not None and self._journals:
-            existing = self._resolve_key(kind, request, key, fingerprint)
-            if existing is not None:
-                return existing
-        deadline = request.deadline_seconds
-        if deadline is None:
-            deadline = self.config.default_deadline_seconds
-        token = self._root_token.child(deadline_seconds=deadline)
-        ticket = Ticket(
-            id=self._next_id(),
-            kind=kind,
-            request=request,
-            token=token,
-            enqueued_at=self._clock(),
-        )
-        if key is not None and self._journals:
-            with self._keys_lock:
-                if key in self._keys:
-                    existing = self._resolve_key_locked(
-                        kind, request, key, fingerprint
-                    )
-                    if existing is not None:
-                        return existing
-                self._keys[key] = ("inflight", fingerprint, ticket)
-        with self._work:
-            if self._draining or self._stop.is_set():
-                self._forget_inflight_key(ticket)
-                raise AdmissionRejected(
-                    "service is draining and accepts no new requests",
-                    reason="draining" if self._draining else "stopped",
-                    queue_depth=self._depth_locked(),
-                    capacity=self.config.queue_capacity,
+    def _apply(self, effects: list[Effect]) -> None:
+        """Carry out core effects (lock held, so a ticket's ``task``
+        always reaches the pipe before its ``cancel``)."""
+        for effect in effects:
+            if effect.kind == "dispatch":
+                ticket = effect.ticket
+                self._workers[effect.shard].send(
+                    {
+                        "type": "task",
+                        "id": ticket.id,
+                        "kind": ticket.kind,
+                        "request": ticket.request.to_dict(),
+                        "deadline_seconds": ticket.token.remaining(),
+                        "queue_seconds": effect.queue_seconds,
+                        "recovered": ticket.recovered,
+                    }
                 )
-            routable = self._routable_shards_locked()
-            if not routable:
-                self._forget_inflight_key(ticket)
-                self.metrics.incr("fleet/failover_sheds")
-                raise AdmissionRejected(
-                    "no shard worker is alive; failover in progress, retry",
-                    reason="failover",
-                    queue_depth=self._depth_locked(),
-                    capacity=self.config.queue_capacity,
+            elif effect.kind == "cancel":
+                self._workers[effect.shard].send(
+                    {
+                        "type": "cancel",
+                        "id": effect.ticket.id,
+                        "reason": effect.reason,
+                    }
                 )
-            if self._depth_locked() >= self.config.queue_capacity:
-                self._forget_inflight_key(ticket)
-                self.metrics.incr("service/shed")
-                raise AdmissionRejected(
-                    f"admission queue is full ({self.config.queue_capacity} "
-                    "queued); retry with backoff",
-                    reason="queue_full",
-                    queue_depth=self._depth_locked(),
-                    capacity=self.config.queue_capacity,
-                )
-            self._tickets[ticket.id] = ticket
-            self._route_locked(ticket)
-            self.metrics.incr("service/admitted")
-            self.metrics.incr("service/requests")
-        logger.info(
-            "request %s admitted kind=%s shard=%s", ticket.id, kind, ticket.shard
-        )
-        return ticket
+            elif effect.kind == "kill":
+                self._kill(self._workers[effect.shard])
+            elif effect.kind == "spawn":
+                self._spawn(effect.shard)
 
-    def assess(self, request, timeout: float | None = None) -> ServiceResponse:
-        return self.submit("assess", request).future.result(timeout=timeout)
-
-    def search(self, request, timeout: float | None = None) -> ServiceResponse:
-        return self.submit("search", request).future.result(timeout=timeout)
-
-    def cancel(self, request_id: str, reason: str = "cancelled by client") -> bool:
-        with self._lock:
-            ticket = self._tickets.get(request_id)
-            if ticket is None:
-                return False
-            ticket.token.cancel(reason)
-            for slot in self._slots:
-                if slot.inflight is ticket:
-                    slot.send(
-                        {"type": "cancel", "id": request_id, "reason": reason}
-                    )
-        self.metrics.incr("service/cancel_requests")
-        return True
-
-    def _next_id(self) -> str:
-        return f"req-{self._id_offset + next(_TICKET_IDS)}"
-
-    def _depth_locked(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def _routable_shards_locked(self) -> list[int]:
-        """Shards that can accept work: alive now, or coming back."""
-        return [
-            slot.shard
-            for slot in self._slots
-            if slot.state in ("starting", "alive", "respawning")
-        ]
-
-    def _route_locked(self, ticket: Ticket, front: bool = False) -> None:
-        """Pin the ticket to its owning shard's queue.
-
-        Keyed tickets go to the ring owner among routable shards (so a
-        key deterministically maps to a worker); unkeyed tickets go to
-        the shortest queue and may later be stolen by any idle worker.
-        """
-        routable = self._routable_shards_locked()
-        if not routable:
-            # Everyone is quarantined: nothing will ever run this.
-            ticket.reject(
-                ServiceResponse(
-                    request_id=ticket.id,
-                    status="rejected",
-                    error={
-                        "error": "admission",
-                        "reason": "failover",
-                        "message": "all shard workers are quarantined",
-                    },
-                )
-            )
-            journal = self._journal_for(ticket)
-            if journal is not None:
-                journal.cancelled(ticket.id, reason="failover", started=False)
-            self._forget_inflight_key(ticket)
-            self._tickets.pop(ticket.id, None)
-            return
-        key = ticket.idempotency_key
-        if key is not None:
-            shard = self.ring.owner(key, routable)
-        else:
-            shard = min(routable, key=lambda s: len(self._queues[s]))
-        previous = ticket.shard
-        ticket.shard = shard
-        journal = self._journals.get(shard)
-        if journal is not None:
-            # Write-ahead (or, on failover, re-accept into the new
-            # owner's segment family) before the ticket can dispatch.
-            journal.accepted(
-                ticket.id,
-                ticket.kind,
-                ticket.request.to_dict(),
-                key,
-                AssessmentService._fingerprint(ticket.request)
-                if key is not None
-                else None,
-            )
-            # Drill seam: supervisor death between the write-ahead
-            # record and the enqueue — the request must be recovered
-            # from the journal alone.
-            raise_if_crash(
-                fault_hit("fleet.route.accepted", request=ticket.id),
-                "fleet.route.accepted",
-            )
-        if front:
-            self._queues[shard].appendleft(ticket)
-        else:
-            self._queues[shard].append(ticket)
-        if previous is not None and previous != shard:
-            logger.info(
-                "request %s moved shard %s -> %s", ticket.id, previous, shard
-            )
-        self._work.notify_all()
-
-    # ------------------------------------------------------------------
-    # Idempotency (same semantics as the thread scheduler)
-    # ------------------------------------------------------------------
-
-    def _resolve_key(self, kind, request, key, fingerprint) -> Ticket | None:
-        with self._keys_lock:
-            return self._resolve_key_locked(kind, request, key, fingerprint)
-
-    def _resolve_key_locked(self, kind, request, key, fingerprint) -> Ticket | None:
-        entry = self._keys.get(key)
-        if entry is None:
-            return None
-        state, known_fingerprint, payload = entry
-        if known_fingerprint != fingerprint:
-            raise ValidationError(
-                [
-                    (
-                        "idempotency_key",
-                        f"key {key!r} was already used with a different "
-                        "request payload",
-                    )
-                ]
-            )
-        if state == "inflight":
-            self.metrics.incr("service/idempotent_joins")
-            return payload
-        stored = self._store.get(key) if self._store is not None else None
-        if stored is None:
-            del self._keys[key]
-            return None
-        response = replace(ServiceResponse.from_dict(stored), replayed=True)
-        ticket = Ticket(
-            id=response.request_id or self._next_id(),
-            kind=kind,
-            request=request,
-            token=CancellationToken(clock=self._clock),
-            enqueued_at=self._clock(),
-        )
-        ticket.future.set_result(response)
-        self.metrics.incr("service/idempotent_replays")
-        return ticket
-
-    def _forget_inflight_key(self, ticket: Ticket) -> None:
-        key = ticket.idempotency_key
-        if key is None:
-            return
-        with self._keys_lock:
-            entry = self._keys.get(key)
-            if entry is not None and entry[0] == "inflight" and entry[2] is ticket:
-                del self._keys[key]
-
-    def _journal_for(self, ticket: Ticket) -> RequestJournal | None:
-        if ticket.shard is None:
-            return self._journals.get(0)
-        return self._journals.get(ticket.shard)
-
-    def _rebuild_pending(self, pending) -> list[Ticket]:
-        """Journal replay state -> re-executable tickets (full restart)."""
-        tickets: list[Ticket] = []
-        for entry in pending:
+    @staticmethod
+    def _kill(worker: _Worker) -> None:
+        process = worker.process
+        if process is not None and process.is_alive():
+            process.kill()
+            process.join(timeout=2.0)
+        if worker.conn is not None:
             try:
-                if entry.kind == "search":
-                    request = SearchRequest.from_dict(entry.request)
-                else:
-                    request = AssessRequest.from_dict(entry.request)
-                request.validate(self.topology)
-            except ValidationError as exc:
-                logger.warning(
-                    "fleet recovery: dropping journaled request %s (%s)",
-                    entry.request_id,
-                    exc,
-                )
-                journal = self._journals.get(entry.shard or 0)
-                if journal is not None:
-                    journal.cancelled(
-                        entry.request_id,
-                        reason="unrecoverable",
-                        started=entry.started,
-                    )
-                continue
-            deadline = request.deadline_seconds
-            if deadline is None:
-                deadline = self.config.default_deadline_seconds
-            ticket = Ticket(
-                id=entry.request_id,
-                kind=entry.kind,
-                request=request,
-                token=self._root_token.child(deadline_seconds=deadline),
-                enqueued_at=self._clock(),
-                recovered=True,
-                shard=entry.shard,
-            )
-            tickets.append(ticket)
-            if entry.idempotency_key is not None:
-                self._keys[entry.idempotency_key] = (
-                    "inflight",
-                    entry.fingerprint,
-                    ticket,
-                )
-        return tickets
+                worker.conn.close()
+            except OSError:
+                pass
+            worker.conn = None
 
-    # ------------------------------------------------------------------
-    # Spawning and dispatch
-    # ------------------------------------------------------------------
-
-    def _spawn_locked(self, slot: _WorkerSlot) -> None:
+    def _spawn(self, shard: int) -> None:
+        slot, worker = self._slots[shard], self._workers[shard]
         parent_conn, child_conn = self._ctx.Pipe()
-        slot.generation += 1
         process = self._ctx.Process(
             target=shard_worker_main,
             args=(
-                slot.shard,
+                shard,
                 child_conn,
                 self.config.scale,
                 self.config.seed,
@@ -845,28 +360,15 @@ class FleetSupervisor:
         )
         process.start()
         child_conn.close()
-        slot.process = process
-        slot.conn = parent_conn
-        slot.state = "starting"
-        slot.ready = False
-        slot.inflight = None
-        slot.respawn_at = None
-        slot.spawned_at = self._clock()
-        self.heartbeats.annotate(
-            slot.name,
-            shard=slot.shard,
-            pid=process.pid,
-            generation=slot.generation,
-            status="starting",
-        )
-        reader = threading.Thread(
+        worker.process = process
+        worker.conn = parent_conn
+        self.heartbeats.annotate(slot.name, pid=process.pid)
+        threading.Thread(
             target=self._reader_loop,
-            args=(slot, slot.generation),
-            name=f"fleet-reader-{slot.shard}",
+            args=(shard, parent_conn, slot.generation),
+            name=f"fleet-reader-{shard}",
             daemon=True,
-        )
-        reader.start()
-        slot.reader = reader
+        ).start()
         logger.info(
             "%s spawned pid=%d generation=%d",
             slot.name,
@@ -874,356 +376,82 @@ class FleetSupervisor:
             slot.generation,
         )
 
-    def _reader_loop(self, slot: _WorkerSlot, generation: int) -> None:
-        conn = slot.conn
+    # ------------------------------------------------------------------
+    # Events in: worker messages, process exits, time
+    # ------------------------------------------------------------------
+
+    def _reader_loop(self, shard: int, conn, generation: int) -> None:
+        core = self.core
         while not self._stop.is_set():
             try:
                 message = conn.recv()
             except (EOFError, OSError):
                 return  # the monitor notices the dead process
             kind = message.get("type")
-            with self._work:
-                if slot.generation != generation:
+            with self._lock:
+                if self._slots[shard].generation != generation:
                     return  # a respawn superseded this pipe
                 if kind == "hello":
-                    slot.ready = True
-                    if slot.state == "starting":
-                        slot.state = "alive"
-                    self.heartbeats.beat(slot.name, busy=False)
-                    self.heartbeats.annotate(slot.name, status="alive")
-                    self._work.notify_all()
+                    effects = core.worker_ready(shard)
                 elif kind == "heartbeat":
-                    self.heartbeats.beat(
-                        slot.name, busy=slot.inflight is not None
-                    )
+                    effects = core.heartbeat(shard)
                 elif kind == "started":
-                    ticket = slot.inflight
-                    if ticket is not None and ticket.id == message.get("id"):
-                        journal = self._journal_for(ticket)
-                        if journal is not None:
-                            journal.started(ticket.id)
+                    effects = core.started(shard, message["id"])
                 elif kind == "response":
-                    self._complete_locked(slot, message)
-
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            with self._work:
-                dispatched = self._dispatch_once_locked()
-                if not dispatched:
-                    self._work.wait(timeout=0.05)
-
-    def _dispatch_once_locked(self) -> bool:
-        dispatched = False
-        for slot in self._slots:
-            if slot.state != "alive" or not slot.ready or slot.inflight is not None:
-                continue
-            ticket = self._pick_ticket_locked(slot.shard)
-            if ticket is None:
-                continue
-            dispatched = True
-            if ticket.future.done():
-                self._tickets.pop(ticket.id, None)
-                continue
-            queue_seconds = max(0.0, self._clock() - ticket.enqueued_at)
-            if ticket.token.cancelled:
-                self._resolve_cancelled_locked(ticket, queue_seconds)
-                continue
-            self.metrics.observe("service/queue_wait", queue_seconds)
-            slot.inflight = ticket
-            sent = slot.send(
-                {
-                    "type": "task",
-                    "id": ticket.id,
-                    "kind": ticket.kind,
-                    "request": ticket.request.to_dict(),
-                    "deadline_seconds": ticket.token.remaining(),
-                    "queue_seconds": queue_seconds,
-                    "recovered": ticket.recovered,
-                }
-            )
-            if not sent:
-                # Dead pipe: put the work back; the monitor will fail
-                # the worker over and this ticket rides along.
-                slot.inflight = None
-                self._queues[slot.shard].appendleft(ticket)
-        return dispatched
-
-    def _pick_ticket_locked(self, shard: int) -> Ticket | None:
-        """Own queue first; otherwise steal the oldest *unkeyed* ticket.
-
-        Keyed tickets are pinned to their ring owner (placement is what
-        makes a key a key); unkeyed tickets belong to whoever is idle.
-        """
-        own = self._queues[shard]
-        if own:
-            return own.popleft()
-        victim: deque | None = None
-        for other, candidates in enumerate(self._queues):
-            if other == shard or not candidates:
-                continue
-            if any(t.idempotency_key is None for t in candidates):
-                if victim is None or len(candidates) > len(victim):
-                    victim = candidates
-        if victim is None:
-            return None
-        for index, ticket in enumerate(victim):
-            if ticket.idempotency_key is None:
-                del victim[index]
-                self.metrics.incr("fleet/steals")
-                return ticket
-        return None
-
-    def _resolve_cancelled_locked(
-        self, ticket: Ticket, queue_seconds: float
-    ) -> None:
-        response = ServiceResponse(
-            request_id=ticket.id,
-            status="cancelled",
-            error={
-                "error": "cancelled",
-                "reason": ticket.token.reason,
-                "message": "cancelled before execution started",
-            },
-            queue_seconds=queue_seconds,
-        )
-        journal = self._journal_for(ticket)
-        if journal is not None:
-            journal.cancelled(
-                ticket.id, reason=ticket.token.reason or "cancelled", started=False
-            )
-        self._forget_inflight_key(ticket)
-        self.metrics.incr("service/status/cancelled")
-        ticket.reject(response)
-        self._tickets.pop(ticket.id, None)
-
-    def _complete_locked(self, slot: _WorkerSlot, message: dict) -> None:
-        ticket = slot.inflight
-        if ticket is None or ticket.id != message.get("id"):
-            return  # stale response from a superseded execution
-        slot.inflight = None
-        response = ServiceResponse.from_dict(message["response"])
-        self._record_terminal(ticket, response)
-        self.metrics.observe("service/latency", response.elapsed_seconds)
-        self.metrics.incr(f"service/status/{response.status}")
-        if not ticket.future.done():
-            ticket.future.set_result(response)
-        self._tickets.pop(ticket.id, None)
-        logger.info(
-            "request %s kind=%s status=%s shard=%d elapsed=%.3fs",
-            ticket.id,
-            ticket.kind,
-            response.status,
-            slot.shard,
-            response.elapsed_seconds,
-        )
-        self._work.notify_all()
-
-    def _record_terminal(self, ticket: Ticket, response: ServiceResponse) -> None:
-        """Store + journal the outcome (same rules as the scheduler)."""
-        journal = self._journal_for(ticket)
-        if journal is None:
-            return
-        key = ticket.idempotency_key
-        try:
-            if response.status in ("ok", "degraded", "error"):
-                if key is not None and self._store is not None:
-                    self._store.put(key, response.to_dict())
-                # Drill seam: supervisor death between the durable result
-                # and the journal's terminal record — the request must
-                # re-execute bit-identically after recovery.
-                raise_if_crash(
-                    fault_hit("fleet.record_terminal", request=ticket.id),
-                    "fleet.record_terminal",
-                )
-                journal.completed(ticket.id, response.status)
-                if key is not None:
-                    with self._keys_lock:
-                        self._keys[key] = (
-                            "completed",
-                            AssessmentService._fingerprint(ticket.request),
-                            response.status,
-                        )
-            else:
-                reason = (response.error or {}).get("reason", "cancelled")
-                journal.cancelled(ticket.id, reason=reason, started=True)
-                self._forget_inflight_key(ticket)
-        except Exception:
-            logger.exception(
-                "request %s: failed to journal terminal state", ticket.id
-            )
-
-    # ------------------------------------------------------------------
-    # Failure detection and failover
-    # ------------------------------------------------------------------
+                    effects = core.completed(
+                        shard,
+                        message["id"],
+                        ServiceResponse.from_dict(message["response"]),
+                    )
+                else:
+                    continue
+                self._apply(effects)
 
     def _monitor_loop(self) -> None:
         interval = max(0.02, self.config.heartbeat_interval_seconds / 2)
         while not self._stop.wait(interval):
-            with self._work:
-                now = self._clock()
-                for slot in self._slots:
-                    if slot.state in ("starting", "alive"):
-                        if not slot.process.is_alive():
-                            self._fail_worker_locked(slot, "process exited")
-                        elif slot.state == "alive" and self.heartbeats.missed(
-                            slot.name,
-                            self.config.heartbeat_interval_seconds,
-                            self.config.heartbeat_misses,
-                        ):
-                            self._fail_worker_locked(
-                                slot,
-                                f"missed {self.config.heartbeat_misses} heartbeats",
-                            )
-                        elif (
-                            slot.state == "starting"
-                            and now - slot.spawned_at > STARTUP_TIMEOUT_SECONDS
-                        ):
-                            self._fail_worker_locked(slot, "startup timeout")
-                    elif (
-                        slot.state == "respawning"
-                        and slot.respawn_at is not None
-                        and now >= slot.respawn_at
+            with self._lock:
+                for slot, worker in zip(self._slots, self._workers):
+                    if (
+                        slot.state in ("starting", "alive")
+                        and not worker.process.is_alive()
                     ):
-                        self._spawn_locked(slot)
-                        self.metrics.incr("fleet/respawns")
-
-    def _fail_worker_locked(self, slot: _WorkerSlot, why: str) -> None:
-        """Declare a worker dead: kill, take over its shard, schedule respawn."""
-        logger.warning("%s declared dead (%s)", slot.name, why)
-        self.metrics.incr("fleet/worker_deaths")
-        slot.state = "dead"
-        slot.ready = False
-        process = slot.process
-        if process is not None and process.is_alive():
-            # A silent worker must not come back to life and answer for
-            # a shard that has been handed over.
-            process.kill()
-            process.join(timeout=1.0)
-        if slot.conn is not None:
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
-            slot.conn = None
-        self.heartbeats.annotate(slot.name, status="dead")
-        self._takeover_locked(slot)
-        delay = self.restarts.record_failure(slot.name)
-        if delay is None:
-            slot.state = "quarantined"
-            self.metrics.incr("fleet/quarantined")
-            self.heartbeats.annotate(slot.name, status="quarantined")
-            logger.error(
-                "%s quarantined after %d restarts; shard served by survivors",
-                slot.name,
-                self.restarts.total_restarts(slot.name),
-            )
-        else:
-            slot.state = "respawning"
-            slot.respawn_at = self._clock() + delay
-            self.heartbeats.annotate(slot.name, status="respawning")
-            logger.info("%s respawning in %.2fs", slot.name, delay)
-        self._work.notify_all()
-
-    def _takeover_locked(self, slot: _WorkerSlot) -> None:
-        """Move the dead shard's work to the survivors.
-
-        The write-ahead journal is the source of truth for *what the
-        dead worker owed*: a read-only takeover scan of its segment
-        family cross-checks the in-memory picture (and is what a freshly
-        restarted supervisor would recover from). The live ticket
-        objects — holding the futures clients are blocked on — are then
-        re-routed: the orphaned in-flight request to the *front* of its
-        new owner's queue flagged ``recovered`` (its journaled id keeps
-        the seed, so the replay is bit-identical), queued tickets behind
-        it in arrival order.
-        """
-        if self.config.journal_dir is not None:
-            try:
-                scan = RequestJournal.scan(
-                    self.config.journal_dir, shard=slot.shard
-                )
-                orphans = len(scan.pending)
-                self.metrics.incr("fleet/takeover_scans")
-                logger.info(
-                    "%s takeover scan: %d non-terminal journaled request(s)",
-                    slot.name,
-                    orphans,
-                )
-            except Exception:
-                logger.exception("%s takeover scan failed", slot.name)
-        orphan = slot.inflight
-        slot.inflight = None
-        moved = list(self._queues[slot.shard])
-        self._queues[slot.shard].clear()
-        if orphan is not None and not orphan.future.done():
-            orphan.recovered = True
-            self.metrics.incr("fleet/orphans_recovered")
-            self._route_locked(orphan, front=True)
-        for ticket in moved:
-            if not ticket.future.done():
-                self._route_locked(ticket)
+                        self._apply(
+                            self.core.worker_lost(slot.shard, "process exited")
+                        )
+                self._apply(self.core.tick())
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def status(self) -> dict:
-        """JSON-ready health + queue + fleet + per-worker snapshot."""
+        """The shared snapshot plus the per-shard fleet view."""
         with self._lock:
-            shards = []
-            for slot in self._slots:
-                shards.append(
-                    {
-                        "shard": slot.shard,
-                        "state": slot.state,
-                        "pid": slot.process.pid if slot.process else None,
-                        "generation": slot.generation,
-                        "restarts": self.restarts.total_restarts(slot.name),
-                        "window_restarts": self.restarts.restarts(slot.name),
-                        "quarantined": self.restarts.is_quarantined(slot.name),
-                        "lifetime_quarantines": self.restarts.total_quarantines(
-                            slot.name
-                        ),
-                        "queue_depth": len(self._queues[slot.shard]),
-                        "inflight": slot.inflight.id if slot.inflight else None,
-                        "heartbeat_age_seconds": self.heartbeats.age(slot.name),
-                    }
-                )
-            depth = self._depth_locked()
-            inflight = sum(1 for s in self._slots if s.inflight is not None)
-        return {
-            "health": self.health.snapshot(),
-            "queue": {
-                "depth": depth,
-                "capacity": self.config.queue_capacity,
-                "draining": self._draining,
-            },
-            "inflight": inflight,
-            "workers": self.heartbeats.snapshot(),
-            "fleet": {
-                "shards": shards,
-                "alive": sum(1 for s in shards if s["state"] == "alive"),
-                "quarantined": sum(1 for s in shards if s["state"] == "quarantined"),
-                "lifetime_restarts": sum(s["restarts"] for s in shards),
-                "lifetime_quarantines": sum(
-                    s["lifetime_quarantines"] for s in shards
-                ),
-                "workers": self.config.fleet_workers,
-            },
-            "durability": {
-                "journaling": bool(self._journals),
-                "journal_dir": self.config.journal_dir,
-                "known_keys": len(self._keys),
-            },
-            "drill": self._drill_verdict(),
+            restarts = self.core.restarts
+            shards = [
+                {
+                    "shard": slot.shard,
+                    "state": slot.state,
+                    "pid": worker.process.pid if worker.process else None,
+                    "generation": slot.generation,
+                    "restarts": restarts.total_restarts(slot.name),
+                    "window_restarts": restarts.restarts(slot.name),
+                    "quarantined": restarts.is_quarantined(slot.name),
+                    "lifetime_quarantines": restarts.total_quarantines(slot.name),
+                    "queue_depth": len(slot.queue),
+                    "inflight": next(iter(slot.inflight), None),
+                    "heartbeat_age_seconds": self.heartbeats.age(slot.name),
+                }
+                for slot, worker in zip(self._slots, self._workers)
+            ]
+            status = super().status()
+        status["fleet"] = {
+            "shards": shards,
+            "alive": sum(1 for s in shards if s["state"] == "alive"),
+            "quarantined": sum(1 for s in shards if s["state"] == "quarantined"),
+            "lifetime_restarts": sum(s["restarts"] for s in shards),
+            "lifetime_quarantines": sum(s["lifetime_quarantines"] for s in shards),
+            "workers": self.config.fleet_workers,
         }
-
-    def _drill_verdict(self) -> dict | None:
-        """The last ``repro drill`` verdict written next to this journal,
-        so ``/healthz`` shows whether the stack passed its latest failure
-        drill (``None`` when no campaign has run against this state dir)."""
-        if not self.config.journal_dir:
-            return None
-        from repro.drill.engine import load_verdict
-
-        return load_verdict(self.config.journal_dir)
+        return status

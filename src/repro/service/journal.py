@@ -31,7 +31,7 @@ write-ahead contract), and segment files are rotated at a byte threshold
 so garbage collection can drop whole sealed segments instead of
 rewriting. A fleet deployment gives every shard its own *segment family*
 (``journal-sNN-*.waj``) in the shared directory: one single-writer file
-per shard, a takeover scan that reads only the dead shard's family, and
+per shard, a scan that can read only one shard's family, and
 per-shard GC that never touches a survivor's live segment. Opening the journal for writing truncates a *torn tail* — a
 record half-written when the process died — back to the last intact
 record; corruption anywhere in a sealed (fsync'd, rotated-away) segment
@@ -361,8 +361,8 @@ class RequestJournal:
         default ``shard=...`` every segment family in the directory is
         folded into one state (each family may carry its own torn live
         tail); ``shard=N`` (or ``shard=None`` for the unsharded family)
-        restricts the scan to one family — the **takeover scan** a fleet
-        supervisor runs against a dead worker's shard.
+        restricts the scan to one family, e.g. to see what a dead worker's
+        shard still owes.
         """
         directory = os.fspath(directory)
         state = JournalState()

@@ -279,8 +279,9 @@ class Ticket:
     ``recovered`` marks a ticket rebuilt from the write-ahead journal
     after a crash: it was accepted by a previous process and is being
     re-executed, which the result's runtime metadata discloses.
-    ``shard`` is the owning shard under the supervised fleet
-    (:mod:`repro.service.fleet`); the thread scheduler leaves it ``None``.
+    ``shard`` is the slot whose journal family holds the ticket's
+    ``accepted`` record (:mod:`repro.service.lifecycle`); ``fingerprint``
+    is the payload digest of a keyed request, computed once at admission.
     """
 
     id: str
@@ -293,6 +294,7 @@ class Ticket:
     enqueued_at: float = 0.0
     recovered: bool = False
     shard: int | None = None
+    fingerprint: str | None = None
 
     @property
     def idempotency_key(self) -> str | None:

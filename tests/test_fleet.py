@@ -18,8 +18,9 @@ import pytest
 
 from repro.sampling import base as sampling_base
 from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout
-from repro.service.fleet import FleetSupervisor, HashRing
+from repro.service.fleet import FleetSupervisor
 from repro.service.journal import RequestJournal
+from repro.service.lifecycle import HashRing, fingerprint
 from repro.service.requests import AssessRequest
 from repro.service.scheduler import ServiceConfig
 from repro.util.errors import AdmissionRejected, ConfigurationError
@@ -177,7 +178,9 @@ class TestFleetBasics:
         with FleetSupervisor(_config(tmp_path)) as fleet:
             hosts = _hosts(fleet)
             key = "routed-key"
-            expected = fleet.ring.owner(key, range(fleet.config.fleet_workers))
+            expected = fleet.core.ring.owner(
+                key, range(fleet.config.fleet_workers)
+            )
             ticket = fleet.submit(
                 "assess", AssessRequest(hosts=hosts, k=2, idempotency_key=key)
             )
@@ -244,7 +247,6 @@ class TestFleetRecovery:
     def test_full_restart_replays_journaled_pending_requests(self, tmp_path):
         # A previous supervisor accepted work into shard 1's segment
         # family and died before executing it.
-        from repro.service.scheduler import AssessmentService
         from repro.topology.presets import paper_topology
 
         topology = paper_topology("tiny", seed=1)
@@ -258,12 +260,12 @@ class TestFleetRecovery:
             "assess",
             request.to_dict(),
             "ghost",
-            AssessmentService._fingerprint(request),
+            fingerprint(request),
         )
         journal.started("req-77")
         journal.close()
         with FleetSupervisor(_config(tmp_path)) as fleet:
-            assert _wait_until(lambda: "req-77" not in fleet._tickets)
+            assert _wait_until(lambda: "req-77" not in fleet.core.tickets)
             # The replayed execution completed and the key is now bound
             # to a stored response.
             replay = fleet.assess(
@@ -277,7 +279,7 @@ class TestFleetRecovery:
     def test_dead_worker_respawns_and_serves_again(self, tmp_path):
         with FleetSupervisor(_config(tmp_path)) as fleet:
             assert _wait_until(lambda: fleet.status()["fleet"]["alive"] == 2)
-            victim = fleet._slots[0].process.pid
+            victim = fleet._workers[0].process.pid
             os.kill(victim, signal.SIGKILL)
             assert _wait_until(
                 lambda: fleet._slots[0].generation == 2
@@ -288,7 +290,7 @@ class TestFleetRecovery:
             assert status["fleet"]["shards"][0]["window_restarts"] == 1
             assert status["fleet"]["lifetime_restarts"] == 1
             assert status["fleet"]["lifetime_quarantines"] == 0
-            assert fleet._slots[0].process.pid != victim
+            assert fleet._workers[0].process.pid != victim
             hosts = _hosts(fleet)
             response = fleet.assess(AssessRequest(hosts=hosts, k=2), timeout=60)
             assert response.status == "ok"
@@ -297,7 +299,7 @@ class TestFleetRecovery:
         config = _config(tmp_path, quarantine_restarts=0)
         with FleetSupervisor(config) as fleet:
             assert _wait_until(lambda: fleet.status()["fleet"]["alive"] == 2)
-            os.kill(fleet._slots[0].process.pid, signal.SIGKILL)
+            os.kill(fleet._workers[0].process.pid, signal.SIGKILL)
             assert _wait_until(
                 lambda: fleet._slots[0].state == "quarantined"
             ), fleet.status()
@@ -359,9 +361,9 @@ class TestFleetChaos:
                 ticket = fleet.submit("assess", request)
                 assert ready.acquire(timeout=60), "worker never sampled"
                 with fleet._lock:
-                    busy = [s for s in fleet._slots if s.inflight is not None]
+                    busy = [s.shard for s in fleet._slots if s.inflight]
                 assert busy, fleet.status()
-                os.kill(busy[0].process.pid, signal.SIGKILL)
+                os.kill(fleet._workers[busy[0]].process.pid, signal.SIGKILL)
                 for _ in range(500):  # unblock the replay and respawns
                     gate.release()
                 response = ticket.future.result(timeout=120)
@@ -394,7 +396,7 @@ class TestFleetChaos:
                 )
                 for i in range(10)
             ]
-            os.kill(fleet._slots[1].process.pid, signal.SIGKILL)
+            os.kill(fleet._workers[1].process.pid, signal.SIGKILL)
             responses = [t.future.result(timeout=120) for t in tickets]
             by_id = {}
             for response in responses:

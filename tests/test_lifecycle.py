@@ -1,0 +1,599 @@
+"""The request-lifecycle core, thread-free, and the drivers around it.
+
+The first half feeds :class:`RequestLifecycle` events on a fake clock and
+reads the effects, the journal and the store — no thread, process or
+sleep. The second half checks that the three drivers (thread service,
+forked fleet, deterministic drill) really run that one core: same
+journal records, same rule for a crashed executor, same seams, and a
+drill that notices when the core's durability order is broken.
+"""
+
+from __future__ import annotations
+
+import inspect
+import multiprocessing
+import os
+from types import SimpleNamespace
+
+import pytest
+
+from repro.drill.engine import run_campaign
+from repro.drill.faultpoints import FaultPoints, armed, fault_hit, raise_if_crash
+from repro.drill.sim import DrillSim
+from repro.service import executor, fleet, lifecycle, scheduler
+from repro.service.fleet import FleetSupervisor
+from repro.service.journal import RequestJournal
+from repro.service.lifecycle import RequestLifecycle, open_state
+from repro.service.requests import AssessRequest, ServiceResponse
+from repro.service.scheduler import AssessmentService, ServiceConfig
+from repro.util.errors import AdmissionRejected, ValidationError
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker fleet requires the fork start method",
+)
+
+TOPOLOGY = SimpleNamespace(components=frozenset(f"h{i}" for i in range(8)))
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def _request(key=None, host="h0", k=1):
+    return AssessRequest(hosts=(host,), k=k, idempotency_key=key)
+
+
+def _core(tmp_path, slots=1, width=1, shards=None, up=True, **overrides):
+    """A core over a real journal directory; ``up`` brings every slot
+    alive (as a driver's ``start`` + each worker's hello would)."""
+    config = ServiceConfig(
+        journal_dir=None if tmp_path is None else os.fspath(tmp_path),
+        **overrides,
+    )
+    core = RequestLifecycle(
+        config,
+        TOPOLOGY,
+        *open_state(config, shards),
+        slots=slots,
+        width=width,
+        clock=FakeClock(),
+    )
+    if up:
+        assert [e.kind for e in core.start()] == ["spawn"] * slots
+        for shard in range(slots):
+            core.worker_ready(shard)
+    return core
+
+
+def _fleet_core(tmp_path, slots=2, **overrides):
+    return _core(tmp_path, slots=slots, shards=slots, **overrides)
+
+
+def _ok(ticket, result=None):
+    return ServiceResponse(
+        request_id=ticket.id, status="ok", result=result or {"score": 0.5}
+    )
+
+
+def _events(directory, request_id, shard=...):
+    state = RequestJournal.scan(directory, shard=shard)
+    return [e["event"] for e in state.events.get(request_id, [])]
+
+
+def _kinds(effects):
+    return [effect.kind for effect in effects]
+
+
+def _key_owned_by(core, shard, taken=()):
+    return next(
+        key
+        for key in (f"key-{i}" for i in range(1000))
+        if core.ring.owner(key) == shard and key not in taken
+    )
+
+
+class TestAdmission:
+    """The bounded admission queue's contract, now the core's."""
+
+    def test_fifo_and_depth(self, tmp_path):
+        core = _core(tmp_path, up=False)
+        a, _ = core.admit("assess", _request())
+        b, _ = core.admit("assess", _request())
+        assert core.depth() == 2
+        core.start()
+        (first,) = core.worker_ready(0)
+        assert (first.kind, first.ticket) == ("dispatch", a)
+        assert core.depth() == 1
+        resolve, second = core.completed(0, a.id, _ok(a))
+        assert (resolve.kind, resolve.ticket) == ("resolve", a)
+        assert (second.kind, second.ticket) == ("dispatch", b)
+
+    def test_overflow_is_typed_and_immediate(self, tmp_path):
+        core = _core(tmp_path, up=False, queue_capacity=2)
+        core.admit("assess", _request())
+        core.admit("assess", _request())
+        with pytest.raises(AdmissionRejected) as excinfo:
+            core.admit("assess", _request())
+        assert excinfo.value.reason == "queue_full"
+        assert excinfo.value.queue_depth == 2
+        assert excinfo.value.capacity == 2
+        assert core.metrics.counter("service/shed") == 1
+
+    def test_a_shed_submission_leaves_the_journal_untouched(self, tmp_path):
+        """Shed before journaling: saying no costs no fsync."""
+
+        def journal_bytes():
+            return {
+                name: (tmp_path / name).read_bytes()
+                for name in sorted(os.listdir(tmp_path))
+                if name.endswith(".waj")
+            }
+
+        core = _core(tmp_path, up=False, queue_capacity=1)
+        core.admit("assess", _request("kept"))
+        before = journal_bytes()
+        with pytest.raises(AdmissionRejected, match="full"):
+            core.admit("assess", _request("shed"))
+        core.draining = True
+        with pytest.raises(AdmissionRejected, match="draining"):
+            core.admit("assess", _request("late"))
+        assert journal_bytes() == before
+        assert "shed" not in core.keys and "late" not in core.keys
+
+    def test_drain_rejects_stranded_and_new(self, tmp_path):
+        core = _core(tmp_path, up=False)
+        tickets = [core.admit("assess", _request(f"k{i}"))[0] for i in range(2)]
+        effects = core.drain()
+        assert _kinds(effects) == ["resolve", "resolve"]
+        for ticket in tickets:
+            response = ticket.future.result(timeout=0)
+            assert response.status == "rejected"
+            assert response.error["reason"] == "draining"
+            assert _events(tmp_path, ticket.id) == ["accepted", "cancelled"]
+        # Rejected tickets are forgotten, not left open behind the drain.
+        assert core.depth() == 0 and not core.tickets and not core.keys
+        with pytest.raises(AdmissionRejected) as excinfo:
+            core.admit("assess", _request())
+        assert excinfo.value.reason == "draining"
+
+    def test_stopped_core_rejects_with_stopped(self, tmp_path):
+        core = _core(tmp_path)
+        core.stop()
+        with pytest.raises(AdmissionRejected) as excinfo:
+            core.admit("assess", _request())
+        assert excinfo.value.reason == "stopped"
+
+    def test_recovered_tickets_queue_first_and_bypass_capacity(self, tmp_path):
+        with RequestJournal(tmp_path) as journal:
+            for number in (3, 4, 5):
+                journal.accepted(f"req-{number}", "assess", _request().to_dict())
+        core = _core(tmp_path, up=False, queue_capacity=1)
+        # Already admitted once: never shed, original order kept.
+        assert [t.id for t in core.slots[0].queue] == ["req-3", "req-4", "req-5"]
+        assert all(t.recovered for t in core.slots[0].queue)
+        with pytest.raises(AdmissionRejected):
+            core.admit("assess", _request())
+        core.start()
+        (first,) = core.worker_ready(0)
+        assert first.ticket.id == "req-3"
+        # And new ids start past everything the journal knows.
+        core.completed(0, "req-3", _ok(first.ticket))
+        core.completed(0, "req-4", _ok(core.tickets["req-4"]))
+        core.completed(0, "req-5", _ok(core.tickets["req-5"]))
+        fresh, _ = core.admit("assess", _request())
+        assert fresh.id == "req-6"
+
+    def test_capacity_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError):
+            _core(tmp_path, queue_capacity=0)
+
+
+class TestIdempotency:
+    def test_duplicate_key_joins_the_live_ticket(self, tmp_path):
+        core = _core(tmp_path)
+        first, effects = core.admit("assess", _request("job"))
+        assert _kinds(effects) == ["dispatch"]
+        second, effects = core.admit("assess", _request("job"))
+        assert second is first and effects == []
+        assert core.metrics.counter("service/idempotent_joins") == 1
+        assert _events(tmp_path, first.id) == ["accepted"]
+
+    def test_key_reuse_with_another_payload_is_a_validation_error(self, tmp_path):
+        core = _core(tmp_path)
+        core.admit("assess", _request("job", host="h0"))
+        with pytest.raises(ValidationError, match="different request payload"):
+            core.admit("assess", _request("job", host="h1"))
+
+    def test_completed_key_replays_the_stored_response(self, tmp_path):
+        core = _core(tmp_path)
+        ticket, _ = core.admit("assess", _request("job"))
+        core.completed(0, ticket.id, _ok(ticket, {"score": 0.25}))
+        again, effects = core.admit("assess", _request("job"))
+        assert effects == []
+        response = again.future.result(timeout=0)
+        assert response.replayed and response.request_id == ticket.id
+        assert response.result == {"score": 0.25}
+        assert core.metrics.counter("service/idempotent_replays") == 1
+
+    def test_aged_out_result_is_reexecuted(self, tmp_path):
+        core = _core(tmp_path)
+        ticket, _ = core.admit("assess", _request("job"))
+        core.completed(0, ticket.id, _ok(ticket))
+        assert core.store.compact(0.0)  # every stored result ages out
+        fresh, effects = core.admit("assess", _request("job"))
+        assert fresh.id != ticket.id and not fresh.future.done()
+        assert _kinds(effects) == ["dispatch"]
+
+    def test_cancel_before_start_is_journaled_unstarted_and_retried_fresh(
+        self, tmp_path
+    ):
+        core = _core(tmp_path, up=False)
+        ticket, _ = core.admit("assess", _request("job"))
+        assert core.cancel(ticket.id, "changed my mind") == []  # not dispatched
+        assert core.cancel("req-unknown", "x") is None
+        core.start()
+        (resolve,) = core.worker_ready(0)
+        assert resolve.kind == "resolve"
+        response = ticket.future.result(timeout=0)
+        assert response.status == "cancelled"
+        assert response.error["reason"] == "changed my mind"
+        state = RequestJournal.scan(tmp_path)
+        assert state.events[ticket.id][-1]["event"] == "cancelled"
+        assert state.events[ticket.id][-1]["reason"] == "changed my mind"
+        assert "job" not in core.keys
+        fresh, effects = core.admit("assess", _request("job"))
+        assert fresh.id != ticket.id and _kinds(effects) == ["dispatch"]
+
+    def test_cancel_of_a_dispatched_ticket_is_forwarded(self, tmp_path):
+        core = _core(tmp_path)
+        ticket, _ = core.admit("assess", _request())
+        (effect,) = core.cancel(ticket.id, "stop")
+        assert (effect.kind, effect.shard, effect.reason) == ("cancel", 0, "stop")
+        assert ticket.token.cancelled
+
+    def test_fresh_keyed_request_costs_three_appends_one_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        appends, digests = [], []
+        real_append = RequestJournal._append
+        real_fingerprint = lifecycle.fingerprint
+        monkeypatch.setattr(
+            RequestJournal,
+            "_append",
+            lambda self, record: (
+                appends.append(record["event"]),
+                real_append(self, record),
+            )[1],
+        )
+        monkeypatch.setattr(
+            lifecycle,
+            "fingerprint",
+            lambda request: (digests.append(1), real_fingerprint(request))[1],
+        )
+        core = _fleet_core(tmp_path)
+        ticket, _ = core.admit("assess", _request("job"))
+        core.started(ticket.shard, ticket.id)
+        core.completed(ticket.shard, ticket.id, _ok(ticket))
+        assert appends == ["accepted", "started", "completed"]
+        assert len(digests) == 1
+
+
+class TestFailover:
+    def test_worker_lost_midflight_orphan_leads_the_survivors_queue(
+        self, tmp_path
+    ):
+        core = _fleet_core(tmp_path)
+        victim_key = _key_owned_by(core, 0)
+        busy_key = _key_owned_by(core, 1)
+        queued_key = _key_owned_by(core, 1, taken=(busy_key,))
+        core.admit("assess", _request(busy_key))
+        queued, _ = core.admit("assess", _request(queued_key))
+        orphan, effects = core.admit("assess", _request(victim_key))
+        assert [(e.kind, e.shard) for e in effects] == [("dispatch", 0)]
+        core.started(0, orphan.id)
+
+        effects = core.worker_lost(0, "process exited")
+        assert _kinds(effects) == ["kill"]
+        assert list(core.slots[1].queue) == [orphan, queued]
+        assert orphan.recovered and orphan.shard == 1
+        assert not queued.recovered
+        assert core.slots[0].state == "respawning"
+        # Re-accepted into the survivor's family; the dead family keeps
+        # its half of the story and nothing more is ever written there.
+        assert _events(tmp_path, orphan.id, shard=0) == ["accepted", "started"]
+        assert _events(tmp_path, orphan.id, shard=1) == ["accepted"]
+        assert core.metrics.counter("fleet/orphans_recovered") == 1
+        # The survivor finishes it, in its own family.
+        core.completed(1, next(iter(core.slots[1].inflight)), _ok(orphan))
+        assert orphan.id in core.slots[1].inflight
+        core.completed(1, orphan.id, _ok(orphan))
+        assert _events(tmp_path, orphan.id, shard=1) == ["accepted", "completed"]
+
+    def test_silent_worker_is_killed_and_respawned_after_backoff(self, tmp_path):
+        core = _fleet_core(
+            tmp_path,
+            heartbeat_interval_seconds=1.0,
+            heartbeat_misses=3,
+            respawn_backoff_seconds=2.0,
+        )
+        clock = core.clock
+        clock.now += 2.9
+        core.heartbeat(1)
+        assert core.tick() == []
+        clock.now += 0.2  # shard 0 has now been silent for 3.1 s
+        effects = core.tick()
+        assert [(e.kind, e.shard) for e in effects] == [("kill", 0)]
+        assert core.slots[0].state == "respawning"
+        core.heartbeat(1)
+        clock.now += 1.9
+        core.heartbeat(1)
+        assert core.tick() == []  # still backing off
+        clock.now += 0.2
+        core.heartbeat(1)
+        effects = core.tick()
+        assert [(e.kind, e.shard) for e in effects] == [("spawn", 0)]
+        assert core.slots[0].state == "starting"
+        assert core.slots[0].generation == 2
+
+    def test_quarantining_every_slot_rejects_with_typed_failover(self, tmp_path):
+        core = _fleet_core(tmp_path, quarantine_restarts=0)
+        core.admit("assess", _request())  # dispatched to shard 0
+        queued, _ = core.admit("assess", _request(_key_owned_by(core, 0)))
+        core.worker_lost(0, "process exited")
+        assert core.slots[0].state == "quarantined"
+        assert queued in core.slots[1].queue or queued.id in core.slots[1].inflight
+        effects = core.worker_lost(1, "process exited")
+        assert core.slots[1].state == "quarantined"
+        assert _kinds(effects).count("resolve") == 2
+        response = queued.future.result(timeout=0)
+        assert response.status == "rejected"
+        assert response.error["reason"] == "failover"
+        assert not core.tickets and not core.keys
+        assert RequestJournal.scan(tmp_path).pending == []
+        with pytest.raises(AdmissionRejected) as excinfo:
+            core.admit("assess", _request())
+        assert excinfo.value.reason == "failover"
+
+    def test_idle_slot_steals_unkeyed_work_but_never_a_key(self, tmp_path):
+        core = _fleet_core(tmp_path, up=False)
+        keyed, _ = core.admit("assess", _request(_key_owned_by(core, 0)))
+        pinned, _ = core.admit(
+            "assess",
+            _request(_key_owned_by(core, 0, taken=(keyed.idempotency_key,))),
+        )
+        loose, _ = core.admit("assess", _request())  # shortest queue: shard 1
+        other, _ = core.admit("assess", _request())
+        core.start()
+        home = {t.id: t.shard for t in (keyed, pinned, loose, other)}
+        assert home[keyed.id] == home[pinned.id] == 0
+        loose_on_zero = [t for t in (loose, other) if home[t.id] == 0]
+        effects = core.worker_ready(1)
+        taken = [e.ticket for e in effects if e.kind == "dispatch"]
+        assert len(taken) == 1 and taken[0].idempotency_key is None
+        while core.slots[1].inflight:
+            (ticket,) = core.slots[1].inflight.values()
+            core.started(1, ticket.id)
+            core.completed(1, ticket.id, _ok(ticket))
+        # Shard 1 drained every unkeyed ticket, its own and shard 0's;
+        # the keyed ones still wait for their owner.
+        assert list(core.slots[0].queue) == [keyed, pinned]
+        assert core.metrics.counter("fleet/steals") == len(loose_on_zero)
+        for ticket in loose_on_zero:  # stolen work stays in its own family
+            assert _events(tmp_path, ticket.id, shard=0) == [
+                "accepted", "started", "completed",
+            ]
+
+    def test_moved_and_finished_request_is_not_resurrected(self, tmp_path):
+        """A takeover leaves the request pending in the dead family and
+        finished in the survivor's: terminal anywhere means done."""
+        payload = _request("moved").to_dict()
+        with RequestJournal(tmp_path, shard=1) as dead:
+            dead.accepted("req-5", "assess", payload, "moved", "fp")
+            dead.started("req-5")
+        with RequestJournal(tmp_path, shard=0) as survivor:
+            survivor.accepted("req-5", "assess", payload, "moved", "fp")
+            survivor.completed("req-5", "ok")
+        core = _fleet_core(tmp_path, up=False)
+        assert not core.tickets and core.depth() == 0
+        assert core.keys["moved"] == ("completed", "fp", "ok")
+
+    def test_full_restart_recovers_each_family_onto_its_slot(self, tmp_path):
+        with RequestJournal(tmp_path, shard=1) as journal:
+            ghost = _request("ghost")
+            journal.accepted(
+                "req-7", "assess", ghost.to_dict(), "ghost",
+                lifecycle.fingerprint(ghost),
+            )
+            journal.accepted("req-9", "assess", {"hosts": ["nowhere"], "k": 1})
+        core = _fleet_core(tmp_path, up=False)
+        (ticket,) = core.slots[1].queue
+        assert (ticket.id, ticket.recovered, ticket.shard) == ("req-7", True, 1)
+        assert core.keys["ghost"][0] == "inflight"
+        assert core.metrics.counter("service/recovered") == 1
+        # The request that no longer validates was dropped loudly.
+        assert "req-9" in RequestJournal.scan(tmp_path).terminal_ids
+        again, _ = core.admit("assess", _request("ghost"))
+        assert again is ticket
+        # Not re-accepted: its family already holds the record.
+        assert _events(tmp_path, "req-7") == ["accepted"]
+
+
+# ----------------------------------------------------------------------
+# The drivers run this core and nothing else
+# ----------------------------------------------------------------------
+
+
+def _service_config(journal_dir, **overrides) -> ServiceConfig:
+    defaults = dict(
+        scale="tiny",
+        seed=1,
+        rounds=200,
+        chunks=4,
+        queue_capacity=16,
+        scheduler_workers=1,
+        journal_dir=os.fspath(journal_dir),
+        heartbeat_interval_seconds=0.1,
+        heartbeat_misses=5,
+    )
+    defaults.update(overrides)
+    return ServiceConfig(**defaults)
+
+
+def _drivers(tmp_path):
+    yield "threads", lambda: AssessmentService(_service_config(tmp_path / "threads"))
+    if "fork" in multiprocessing.get_all_start_methods():
+        yield "fleet", lambda: FleetSupervisor(
+            _service_config(tmp_path / "fleet", fleet_workers=2)
+        )
+
+
+def _hosts(service, count=3):
+    return tuple(
+        c for c in service.topology.components if c.startswith("host")
+    )[:count]
+
+
+class TestDriverEquivalence:
+    @needs_fork
+    def test_thread_service_and_fleet_write_the_same_records(self, tmp_path):
+        seen = {}
+        for name, factory in _drivers(tmp_path):
+            with factory() as service:
+                response = service.assess(
+                    AssessRequest(
+                        hosts=_hosts(service), k=2, idempotency_key="same"
+                    ),
+                    timeout=120,
+                )
+                assert response.status == "ok"
+                stored = service.core.store.get("same")
+            state = RequestJournal.scan(tmp_path / name)
+            stored["result"].pop("elapsed_seconds")
+            seen[name] = (
+                [e["event"] for e in state.events[response.request_id]],
+                state.records,
+                response.request_id,
+                stored["status"],
+                stored["result"],
+            )
+        assert seen["threads"][0] == ["accepted", "started", "completed"]
+        assert seen["threads"] == seen["fleet"]
+
+    def test_crashed_executor_is_an_internal_error_and_the_retry_reexecutes(
+        self, tmp_path, monkeypatch
+    ):
+        """One rule in every driver: a non-``ReproError`` out of the
+        executor answers ``error``/``internal``, is journaled cancelled
+        and unbinds the key — the retry runs, it neither joins the dead
+        ticket nor replays the breakage."""
+        real = executor.chunked_assess
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("cannot allocate the round matrix")
+            return real(*args, **kwargs)
+
+        # Fleet workers fork after this and inherit it, counter included.
+        monkeypatch.setattr(executor, "chunked_assess", flaky)
+        for name, factory in _drivers(tmp_path):
+            with factory() as service:
+                request = AssessRequest(
+                    hosts=_hosts(service), k=2, idempotency_key="big"
+                )
+                broken = service.assess(request, timeout=120)
+                assert broken.status == "error", name
+                assert broken.error["error"] == "internal"
+                assert "round matrix" in broken.error["message"]
+                assert "big" not in service.core.keys
+                assert not service.core.tickets
+                retry = service.assess(request, timeout=120)
+                assert retry.status == "ok" and not retry.replayed, name
+                assert retry.request_id != broken.request_id
+            state = RequestJournal.scan(tmp_path / name)
+            last = state.events[broken.request_id][-1]
+            assert (last["event"], last["reason"]) == ("cancelled", "internal")
+            assert state.keys["big"][1] == "ok"
+            calls.clear()
+
+
+class TestSeams:
+    def test_durability_seams_exist_once_in_the_core(self):
+        for seam in ("fleet.route.accepted", "fleet.record_terminal"):
+            assert inspect.getsource(lifecycle).count(f'"{seam}"') == 2
+            for driver in (scheduler, fleet, inspect.getmodule(DrillSim)):
+                assert seam not in inspect.getsource(driver)
+
+    def test_seams_fire_in_the_drill(self, tmp_path):
+        registry = FaultPoints()
+        with armed(registry):
+            sim = DrillSim(3, os.fspath(tmp_path), registry, shards=2, requests=6)
+            sim.run()
+        assert sim.quiesced
+        assert registry.counters["fleet.route.accepted"] > 0
+        assert registry.counters["fleet.record_terminal"] > 0
+        sim.service.close_handles()
+
+    @needs_fork
+    def test_seams_fire_in_the_real_fleet(self, tmp_path):
+        registry = FaultPoints()
+        with armed(registry):
+            with FleetSupervisor(
+                _service_config(tmp_path, fleet_workers=2)
+            ) as service:
+                response = service.assess(
+                    AssessRequest(hosts=_hosts(service), k=2), timeout=120
+                )
+        assert response.status == "ok"
+        assert registry.counters["fleet.route.accepted"] == 1
+        assert registry.counters["fleet.record_terminal"] == 1
+
+
+class TestDrillRunsProductionCode:
+    """``repro drill --rounds 30 --seed 7`` passes on the real core (CI's
+    drill-smoke) and fails when the core's durability order is broken:
+    the invariants are about production transitions, not a mirror."""
+
+    def _campaign(self, out_dir):
+        return run_campaign(
+            rounds=30, seed=7, shrink_failures=False, out_dir=os.fspath(out_dir)
+        )
+
+    def test_completed_before_store_put_breaks_store_journal_agreement(
+        self, monkeypatch, tmp_path
+    ):
+        def journal_first(self, ticket, response):
+            self.slots[ticket.shard].journal.completed(ticket.id, response.status)
+            raise_if_crash(
+                fault_hit("fleet.record_terminal", request=ticket.id),
+                "fleet.record_terminal",
+            )
+            key = ticket.idempotency_key
+            if key is not None:
+                self.store.put(key, response.to_dict())
+                self.keys[key] = ("completed", ticket.fingerprint, response.status)
+
+        monkeypatch.setattr(RequestLifecycle, "_record_terminal", journal_first)
+        report = self._campaign(tmp_path)
+        assert not report.passed
+        assert "store-journal-agreement" in {
+            v.invariant for v in report.failure.violations
+        }
+
+    def test_skipping_the_write_ahead_record_loses_requests(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            RequestLifecycle, "_write_ahead", lambda self, ticket: None
+        )
+        report = self._campaign(tmp_path)
+        assert not report.passed
+        assert "no-lost-request" in {
+            v.invariant for v in report.failure.violations
+        }

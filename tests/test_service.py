@@ -19,7 +19,7 @@ from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.service.client import HttpServiceClient, ServiceClient
-from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout
+from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout, chunked_assess
 from repro.service.health import (
     DRAINING,
     SERVING,
@@ -27,20 +27,11 @@ from repro.service.health import (
     STOPPED,
     HealthMonitor,
 )
-from repro.service.queue import AdmissionQueue
-from repro.service.requests import AssessRequest, SearchRequest, Ticket
+from repro.service.requests import AssessRequest
 from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.service.server import ServiceHTTPServer
 from repro.util.cancel import CancellationToken
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
-
-
-def _ticket(n: int) -> Ticket:
-    return Ticket(
-        id=f"t-{n}", kind="assess",
-        request=AssessRequest(hosts=("h",), k=1),
-        token=CancellationToken(),
-    )
 
 
 def _service(fattree4, inventory, **overrides) -> AssessmentService:
@@ -51,53 +42,6 @@ def _service(fattree4, inventory, **overrides) -> AssessmentService:
     return AssessmentService(
         ServiceConfig(**defaults), topology=fattree4, dependency_model=inventory
     )
-
-
-class TestAdmissionQueue:
-    def test_fifo_and_depth(self):
-        queue = AdmissionQueue(capacity=3)
-        a, b = _ticket(1), _ticket(2)
-        queue.submit(a)
-        queue.submit(b)
-        assert len(queue) == 2
-        assert queue.pop() is a
-        assert queue.pop() is b
-
-    def test_overflow_is_typed_and_immediate(self):
-        queue = AdmissionQueue(capacity=2)
-        queue.submit(_ticket(1))
-        queue.submit(_ticket(2))
-        with pytest.raises(AdmissionRejected) as excinfo:
-            queue.submit(_ticket(3))
-        assert excinfo.value.reason == "queue_full"
-        assert excinfo.value.queue_depth == 2
-        assert excinfo.value.capacity == 2
-
-    def test_drain_returns_stranded_and_rejects_new(self):
-        queue = AdmissionQueue(capacity=4)
-        queue.submit(_ticket(1))
-        queue.submit(_ticket(2))
-        stranded = queue.drain()
-        assert [t.id for t in stranded] == ["t-1", "t-2"]
-        assert len(queue) == 0
-        with pytest.raises(AdmissionRejected) as excinfo:
-            queue.submit(_ticket(3))
-        assert excinfo.value.reason == "draining"
-
-    def test_stopped_queue_rejects_with_stopped(self):
-        queue = AdmissionQueue(capacity=2)
-        queue.stop()
-        with pytest.raises(AdmissionRejected) as excinfo:
-            queue.submit(_ticket(1))
-        assert excinfo.value.reason == "stopped"
-
-    def test_pop_timeout_returns_none(self):
-        queue = AdmissionQueue(capacity=1)
-        assert queue.pop(timeout=0.01) is None
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AdmissionQueue(capacity=0)
 
 
 class TestHealthMonitor:
@@ -167,7 +111,7 @@ class TestServiceLifecycle:
                 )
             with pytest.raises(ValidationError):
                 service.submit("mine", AssessRequest(hosts=("h",), k=1))
-            assert len(service.queue) == 0
+            assert service.status()["queue"]["depth"] == 0
             assert service.status()["inflight"] == 0
 
     def test_burst_beyond_capacity_is_shed(self, fattree4, inventory):
@@ -327,8 +271,8 @@ class TestChunkedAnytime:
         plan = DeploymentPlan.single_component(
             fattree4.hosts[:3], self.STRUCTURE.components[0].name
         )
-        result = service._chunked_assess(
-            assessor, plan, self.STRUCTURE, rounds, token
+        result = chunked_assess(
+            assessor, plan, self.STRUCTURE, rounds, service.config.chunks, token
         )
         return result, assessor.pieces
 
