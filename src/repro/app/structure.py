@@ -101,6 +101,13 @@ class ApplicationStructure:
         if not self.components:
             raise ConfigurationError("an application needs at least one component")
         self._validate_requirements()
+        self._content_key = (
+            tuple((spec.name, spec.instances) for spec in self.components),
+            tuple(
+                (req.component, req.source, req.min_reachable)
+                for req in self.requirements
+            ),
+        )
 
     def _validate_requirements(self) -> None:
         seen: set[tuple[str, str]] = set()
@@ -137,6 +144,12 @@ class ApplicationStructure:
 
     def component_names(self) -> list[str]:
         return [spec.name for spec in self.components]
+
+    def content_key(self) -> tuple:
+        """Hashable identity by content: two structures with equal keys
+        validate and evaluate identically. Caches key on this, never on
+        the object's ``id``, which CPython reuses once it is collected."""
+        return self._content_key
 
     @property
     def total_instances(self) -> int:

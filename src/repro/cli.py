@@ -221,10 +221,7 @@ def cmd_search(args) -> int:
         return EXIT_CONFIG
     topology, inventory = _build_context(args)
     metrics = _metrics_for(args)
-    if args.assessor == "analytic":
-        mode = "analytic"
-    else:
-        mode = "incremental" if args.incremental else "sequential"
+    mode = "analytic" if args.assessor == "analytic" else "incremental"
     config = AssessmentConfig(
         rounds=args.rounds,
         rng=args.seed + 2,
@@ -242,10 +239,30 @@ def cmd_search(args) -> int:
     else:
         objective = None
 
-    # Graceful preemption: when checkpointing, SIGTERM/SIGINT request a
-    # final checkpoint and an orderly stop instead of killing mid-anneal.
+    # Built before any signal handler is installed: a bad --batch-size or
+    # --move-budget is a ConfigurationError here, which main() maps to
+    # EXIT_CONFIG with the process's signal dispositions untouched.
     stop_requested = {"flag": False}
     checkpoint_path = args.checkpoint or args.resume
+    search = DeploymentSearch.from_config(
+        topology,
+        inventory,
+        config,
+        objective=objective,
+        rng=args.seed + 4,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=args.checkpoint_every,
+        should_stop=(lambda: stop_requested["flag"]) if checkpoint_path else None,
+        batch_size=args.batch_size,
+        temperature_schedule=(
+            None
+            if args.move_budget is None
+            else MoveBudgetTemperatureSchedule(args.move_budget)
+        ),
+    )
+
+    # Graceful preemption: when checkpointing, SIGTERM/SIGINT request a
+    # final checkpoint and an orderly stop instead of killing mid-anneal.
     if checkpoint_path:
         def _request_stop(signum, frame):
             stop_requested["flag"] = True
@@ -253,31 +270,6 @@ def cmd_search(args) -> int:
         signal.signal(signal.SIGTERM, _request_stop)
         signal.signal(signal.SIGINT, _request_stop)
 
-    if args.batch_size < 1:
-        print("error: --batch-size must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    schedule = None
-    if args.move_budget is not None:
-        if args.move_budget < 1:
-            print("error: --move-budget must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        schedule = MoveBudgetTemperatureSchedule(args.move_budget)
-    search = DeploymentSearch.from_config(
-        topology,
-        inventory,
-        config,
-        # With the analytic backend the mode no longer encodes the
-        # hot-path choice, so the sampling fallback's engine is picked
-        # by the flag directly.
-        incremental=args.incremental,
-        objective=objective,
-        rng=args.seed + 4,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=args.checkpoint_every,
-        should_stop=(lambda: stop_requested["flag"]) if checkpoint_path else None,
-        batch_size=args.batch_size,
-        temperature_schedule=schedule,
-    )
     if args.resume:
         result = search.resume(args.resume, max_seconds=args.seconds)
     else:
@@ -852,13 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="resume an interrupted search from this checkpoint "
         "(--k/--n come from the checkpoint)",
-    )
-    p.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the search hot path through the incremental assessment "
-        "engine (bit-identical to the from-scratch path, just faster)",
     )
     p.add_argument(
         "--batch-size",

@@ -31,7 +31,7 @@ from repro.core.plan import (
 from repro.core.result import AssessmentResult, SearchRecord, SearchResult
 from repro.core.risk import RiskAnalyzer, RiskEntry
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.core.transforms import SignatureCache, SymmetryChecker
+from repro.core.transforms import SymmetryChecker
 
 __all__ = [
     "AssessmentConfig",
@@ -53,7 +53,6 @@ __all__ = [
     "SearchRecord",
     "SearchResult",
     "SearchSpec",
-    "SignatureCache",
     "StructureEvaluator",
     "SymmetryChecker",
     "WeightedObjective",

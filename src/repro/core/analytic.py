@@ -42,12 +42,12 @@ screen exactly and confirm by cache hit where tractable.
 from __future__ import annotations
 
 import logging
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.app.structure import ApplicationStructure
-from repro.core.api import AssessmentConfig, reject_legacy_kwargs
+from repro.core.api import AssessmentConfig, AssessorBase
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
@@ -63,17 +63,6 @@ from repro.util.timing import Stopwatch
 __all__ = ["AnalyticAssessor"]
 
 logger = logging.getLogger(__name__)
-
-
-def _structure_key(structure: ApplicationStructure) -> tuple:
-    """Hashable identity of an application structure for the result cache."""
-    return (
-        tuple((spec.name, spec.instances) for spec in structure.components),
-        tuple(
-            (req.component, req.source, req.min_reachable)
-            for req in structure.requirements
-        ),
-    )
 
 
 class _ClosureStates:
@@ -100,7 +89,7 @@ class _ClosureStates:
         self.sampled_size = sampled_size
 
 
-class AnalyticAssessor:
+class AnalyticAssessor(AssessorBase):
     """Exact-where-tractable assessor wrapping a sampling fallback.
 
     Implements the full :class:`~repro.core.api.Assessor` protocol.
@@ -116,10 +105,7 @@ class AnalyticAssessor:
         inner,
         budget: ExactBudget | None = None,
         config: AssessmentConfig | None = None,
-        **legacy: Any,
     ):
-        if legacy:
-            reject_legacy_kwargs(legacy)
         self.inner = inner
         self.config = config or getattr(inner, "config", None)
         if budget is None and self.config is not None:
@@ -148,7 +134,7 @@ class AnalyticAssessor:
         self._warned: set[str] = set()
         self._closure_states: dict[frozenset[str], _ClosureStates | str] = {}
         self._results: dict[tuple, AssessmentResult] = {}
-        self._validated: set[tuple] = set()
+        self._validated = set()
         if not self._packed:
             self._warn(
                 "engine",
@@ -293,33 +279,15 @@ class AnalyticAssessor:
             [float(probability_of[index_of(cid)]) for cid in uncertain]
         )
 
-        leaf_rows: dict[int, np.ndarray] = {
-            index_of(cid): rows[i] for i, cid in enumerate(uncertain)
+        leaf_rows: dict[str, np.ndarray] = {
+            cid: rows[i] for i, cid in enumerate(uncertain)
         }
         failed_row = np.full(width, 0xFF, dtype=np.uint8)
         failed_row.flags.writeable = False
         for cid in certain_failed:
-            leaf_rows[index_of(cid)] = failed_row
+            leaf_rows[cid] = failed_row
 
-        ordered_subjects = sorted(subjects)
-        kernel.compile_subjects(ordered_subjects)
-        order = kernel.forest.evaluation_order(ordered_subjects)
-        effective = kernel.forest.evaluate(
-            ordered_subjects, leaf_rows.get, order=order
-        )
-        failed: dict[str, np.ndarray] = {
-            subject: row for subject, row in effective.items() if row is not None
-        }
-        # Raw elements (links and other tree-less components the engine
-        # reads): their effective state is their own event's state.
-        trees = self.dependency_model.trees
-        components = self.topology.components
-        for cid in sorted(sampled - subjects):
-            if cid in trees or cid not in components:
-                continue
-            row = leaf_rows.get(index_of(cid))
-            if row is not None:
-                failed[cid] = row
+        failed = kernel.effective_states(subjects, sampled - subjects, leaf_rows)
         entry = _ClosureStates(
             rounds=rounds,
             states=PackedRoundStates(rounds=rounds, failed=failed),
@@ -344,19 +312,14 @@ class AnalyticAssessor:
             if self.metrics is not None:
                 self.metrics.incr("analytic/declined")
             return None
-        key = (plan, _structure_key(structure))
+        key = (plan, structure.content_key())
         cached = self._results.get(key)
         if cached is not None:
             if self.metrics is not None:
                 self.metrics.incr("analytic/exact_hit")
             return cached
         watch = Stopwatch()
-        vkey = (plan, id(structure))
-        if vkey not in self._validated:
-            plan.validate_against(self.topology, structure)
-            if len(self._validated) >= 4096:
-                self._validated.clear()
-            self._validated.add(vkey)
+        self._validate(plan, structure)
         subjects, sampled = self.inner.closure_for(plan)
         entry = self._closure(subjects, sampled)
         if isinstance(entry, str):
@@ -403,8 +366,6 @@ class AnalyticAssessor:
         result = self._exact(plan, structure)
         if result is not None:
             return result
-        if cancel is None:
-            return self.inner.assess(plan, structure, rounds=rounds)
         return self.inner.assess(plan, structure, rounds=rounds, cancel=cancel)
 
     def score_plans(
@@ -433,24 +394,12 @@ class AnalyticAssessor:
                 declined.append(i)
         if declined:
             subset = [plans[i] for i in declined]
-            if cancel is None:
-                sampled = self.inner.score_plans(subset, structure, rounds=rounds)
-            else:
-                sampled = self.inner.score_plans(
-                    subset, structure, rounds=rounds, cancel=cancel
-                )
+            sampled = self.inner.score_plans(
+                subset, structure, rounds=rounds, cancel=cancel
+            )
             for i, result in zip(declined, sampled):
                 results[i] = result
         return results  # type: ignore[return-value]
-
-    def assess_k_of_n(
-        self, hosts, k: int, rounds: int | None = None
-    ) -> AssessmentResult:
-        """Convenience wrapper for the simple K-of-N scenario (§2.2)."""
-        hosts = list(hosts)
-        structure = ApplicationStructure.k_of_n(k, len(hosts))
-        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
-        return self.assess(plan, structure, rounds=rounds)
 
     def __repr__(self) -> str:
         return (

@@ -16,28 +16,23 @@ the surface. This module collapses them:
 * :func:`build_assessor` — the factory that turns a topology + dependency
   model + config into the right assessor (sequential, parallel, or
   incremental).
-
-The pre-``AssessmentConfig`` keyword forms (``ReliabilityAssessor(topo,
-model, rounds=..., rng=...)``) went through a ``DeprecationWarning`` shim
-for one release cycle and are now a hard :class:`TypeError` — see
-:func:`reject_legacy_kwargs` for the migration hint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.app.structure import ApplicationStructure
+from repro.core.plan import DeploymentPlan
 from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from typing import Sequence
 
-    from repro.app.structure import ApplicationStructure
-    from repro.core.plan import DeploymentPlan
     from repro.core.result import AssessmentResult
     from repro.faults.dependencies import DependencyModel
     from repro.routing.base import ReachabilityEngine
@@ -87,9 +82,6 @@ class AssessmentConfig:
         chaos: Deterministic fault injection for tests (parallel mode).
         master_seed: Common-random-numbers master seed for the incremental
             mode; ``None`` derives one from ``rng``.
-        reuse_symmetric: Let the incremental plan cache return the result
-            of a *symmetry-equivalent* plan (same reliability by network
-            transformation, but not bit-identical per-round states).
         kernel: Route assessments through the compiled kernel
             (:mod:`repro.kernel`): integer component arena, bit-packed
             round states, flattened fault-tree programs. Bit-identical to
@@ -124,7 +116,6 @@ class AssessmentConfig:
     partial_ok: bool = False
     chaos: "ChaosPolicy | None" = None
     master_seed: int | None = None
-    reuse_symmetric: bool = False
     kernel: bool = False
     profile: bool = False
     metrics: MetricsRegistry | None = field(default=None, compare=False)
@@ -266,38 +257,50 @@ class Assessor(Protocol):
         ...
 
 
-#: Legacy keyword -> config field, kept for the migration-hint message.
-_LEGACY_FIELDS = frozenset(
-    f.name for f in fields(AssessmentConfig) if f.name not in ("mode",)
-)
+class AssessorBase:
+    """What the in-process assessors share beyond the protocol."""
 
+    topology: "Topology"
+    #: (plan, structure content key) pairs already validated: an empty set
+    #: per instance, created by the subclasses that call :meth:`_validate`.
+    _validated: set[tuple]
 
-def reject_legacy_kwargs(legacy: dict[str, Any]) -> None:
-    """Raise the hard error that replaced the legacy-keyword shim.
+    @classmethod
+    def from_config(
+        cls,
+        topology: "Topology",
+        dependency_model: "DependencyModel | None" = None,
+        config: AssessmentConfig | None = None,
+    ):
+        """The unified-API constructor :func:`build_assessor` dispatches to."""
+        return cls(topology, dependency_model, config=config)
 
-    Pre-``AssessmentConfig`` keyword forms (``ReliabilityAssessor(topo,
-    model, rounds=..., rng=...)``, ``ParallelAssessor(topo, model,
-    workers=...)``, ``build_assessor(topo, model, rounds=...)``) spent one
-    release cycle behind a ``DeprecationWarning``; they now fail loudly
-    with a hint naming the config fields to move the keywords into.
-    """
-    known = sorted(set(legacy) & _LEGACY_FIELDS)
-    unknown = sorted(set(legacy) - _LEGACY_FIELDS)
-    parts = []
-    if known:
-        parts.append(
-            "move "
-            + ", ".join(f"{name}=..." for name in known)
-            + " into AssessmentConfig and pass config=AssessmentConfig(...)"
-        )
-    if unknown:
-        parts.append(f"unknown keyword(s) {unknown}")
-    raise TypeError(
-        "legacy assessment keywords are no longer accepted: "
-        + "; ".join(parts)
-        + ". Build an AssessmentConfig and use "
-        "build_assessor()/from_config() instead."
-    )
+    def _validate(self, plan: DeploymentPlan, structure: ApplicationStructure) -> None:
+        """``plan.validate_against`` with a memo of already-valid pairs.
+
+        Validation is a pure check over immutable plans, so repeated
+        assessments of the same plan (estimator refinement, benchmarking,
+        the search re-visiting a plateau) skip the graph lookups. Keyed on
+        the structure's content, not its ``id``: ids are reused once a
+        structure is collected, and a stale hit would skip the check for a
+        different structure.
+        """
+        key = (plan, structure.content_key())
+        if key in self._validated:
+            return
+        plan.validate_against(self.topology, structure)
+        if len(self._validated) >= 4096:
+            self._validated.clear()
+        self._validated.add(key)
+
+    def assess_k_of_n(
+        self, hosts, k: int, rounds: int | None = None
+    ) -> "AssessmentResult":
+        """Convenience wrapper for the simple K-of-N scenario (§2.2)."""
+        hosts = list(hosts)
+        structure = ApplicationStructure.k_of_n(k, len(hosts))
+        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
+        return self.assess(plan, structure, rounds=rounds)
 
 
 def score_plans_sequentially(
@@ -321,14 +324,11 @@ def build_assessor(
     topology: "Topology",
     dependency_model: "DependencyModel | None" = None,
     config: AssessmentConfig | None = None,
-    **legacy: Any,
 ) -> Assessor:
     """Build the assessor a config describes.
 
     The one entry point the search, the CLI and the baselines share.
     """
-    if legacy:
-        reject_legacy_kwargs(legacy)
     config = config or AssessmentConfig()
     config.validate(topology)
 

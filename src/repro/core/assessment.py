@@ -22,12 +22,12 @@ Pipeline, per assessment:
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.app.structure import ApplicationStructure
-from repro.core.api import DEFAULT_ROUNDS, AssessmentConfig, reject_legacy_kwargs
+from repro.core.api import DEFAULT_ROUNDS, AssessmentConfig, AssessorBase
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
@@ -41,7 +41,11 @@ from repro.routing.base import (
 )
 from repro.sampling.base import Sampler
 from repro.sampling.dagger import ExtendedDaggerSampler
-from repro.sampling.statistics import estimate_from_results
+from repro.sampling.statistics import (
+    estimate_from_pieces,
+    estimate_from_results,
+    rounds_for_target_ci,
+)
 from repro.topology.base import Topology
 from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
@@ -58,7 +62,7 @@ def _stage(metrics: MetricsRegistry | None, name: str):
     return metrics.timer(name)
 
 
-class _ZeroFill(dict):
+class ZeroFill(dict):
     """Dense-state mapping that treats absent components as never failed."""
 
     def __init__(self, rounds: int):
@@ -70,7 +74,34 @@ class _ZeroFill(dict):
         return self._zeros
 
 
-class ReliabilityAssessor:
+def effective_states(
+    model: DependencyModel,
+    subjects: Iterable[str],
+    links: Iterable[str],
+    dense: ZeroFill,
+) -> dict[str, np.ndarray]:
+    """Interpreted fault-tree reasoning and filtering (§3.2.3).
+
+    ``dense`` holds the dense per-round failure vector of every sampled
+    component that failed in some round (anything else reads as zeros).
+    Returns the effective per-round failure vector of each subject, after
+    reasoning over its fault tree, and of each raw element among
+    ``links``, keeping only elements that fail in at least one round. The
+    compiled counterpart is
+    :meth:`repro.kernel.AssessmentKernel.effective_states`.
+    """
+    failed: dict[str, np.ndarray] = {}
+    for subject in subjects:
+        if dense.keys().isdisjoint(model.basic_events_of(subject)):
+            continue  # nothing this subject depends on ever failed
+        effective = model.tree_for(subject).evaluate(dense)
+        if effective.any():
+            failed[subject] = effective
+    model.register_raw_elements(links, dense.get, failed)
+    return failed
+
+
+class ReliabilityAssessor(AssessorBase):
     """Assesses deployment plans on one topology + dependency model.
 
     Construct once per (topology, dependency model) and reuse across many
@@ -82,10 +113,7 @@ class ReliabilityAssessor:
         topology: Topology,
         dependency_model: DependencyModel | None = None,
         config: AssessmentConfig | None = None,
-        **legacy: Any,
     ):
-        if legacy:
-            reject_legacy_kwargs(legacy)
         config = config or AssessmentConfig()
         self.config = config
         self.topology = topology
@@ -102,7 +130,7 @@ class ReliabilityAssessor:
         self.metrics = config.registry()
         self._evaluator = StructureEvaluator(self.engine)
         self._all_probabilities = self.dependency_model.failure_probabilities()
-        self._validated: set[tuple[DeploymentPlan, int]] = set()
+        self._validated = set()
         self._closures: dict[frozenset[str], tuple[set[str], set[str]]] = {}
         # The compiled kernel needs a packed-capable engine; generic
         # topologies keep the legacy interpreter (config.kernel is then a
@@ -112,16 +140,6 @@ class ReliabilityAssessor:
             if config.kernel and kernel_supported(self.engine)
             else None
         )
-
-    @classmethod
-    def from_config(
-        cls,
-        topology: Topology,
-        dependency_model: DependencyModel | None = None,
-        config: AssessmentConfig | None = None,
-    ) -> "ReliabilityAssessor":
-        """The unified-API constructor (see :mod:`repro.core.api`)."""
-        return cls(topology, dependency_model, config=config)
 
     # ------------------------------------------------------------------
 
@@ -137,21 +155,6 @@ class ReliabilityAssessor:
             # compiled against it) cannot go stale; trees recompile
             # lazily on the next assessment.
             self.kernel = AssessmentKernel(self.topology, self.dependency_model)
-
-    def _validate(self, plan: DeploymentPlan, structure: ApplicationStructure) -> None:
-        """``plan.validate_against`` with a memo of already-valid pairs.
-
-        Validation is a pure check over immutable plans, so repeated
-        assessments of the same plan (estimator refinement, benchmarking,
-        the search re-visiting a plateau) skip the graph lookups.
-        """
-        key = (plan, id(structure))
-        if key in self._validated:
-            return
-        plan.validate_against(self.topology, structure)
-        if len(self._validated) >= 4096:
-            self._validated.clear()
-        self._validated.add(key)
 
     def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
         """(subjects, sampled component ids) for a plan's assessment.
@@ -216,51 +219,9 @@ class ReliabilityAssessor:
                     cid: self._all_probabilities[cid] for cid in sorted(sampled)
                 }
 
-        if self.kernel is not None:
-            per_round = self._assess_kernel(
-                plan, structure, rounds, subjects, sampled, probabilities, cancel
-            )
-        else:
-            with _stage(metrics, "sample"):
-                batch = self.sampler.sample(
-                    probabilities, rounds, self.rng, cancel=cancel
-                )
-
-            if cancel is not None:
-                cancel.check()
-            # Fault-tree reasoning: effective per-round failure per subject.
-            with _stage(metrics, "faulttree"):
-                dense = _ZeroFill(rounds)
-                for cid, failed_rounds in batch.failed_rounds.items():
-                    if cid in sampled:
-                        states = np.zeros(rounds, dtype=bool)
-                        states[failed_rounds] = True
-                        dense[cid] = states
-
-                failed: dict[str, np.ndarray] = {}
-                for subject in subjects:
-                    tree = self.dependency_model.tree_for(subject)
-                    if all(event not in dense for event in tree.basic_events()):
-                        continue  # nothing this subject depends on ever failed
-                    effective = tree.evaluate(dense)
-                    if effective.any():
-                        failed[subject] = effective
-                for link_cid in sampled - subjects:
-                    if (
-                        link_cid in dense
-                        and link_cid not in self.dependency_model.trees
-                    ):
-                        if link_cid in self.topology.components:
-                            failed[link_cid] = dense[link_cid]
-            # Dead from here on, and the larger share of an assessment's
-            # transient memory: route-and-check reads only ``failed``.
-            del batch, dense
-
-            if cancel is not None:
-                cancel.check()
-            with _stage(metrics, "route_and_check"):
-                round_states = RoundStates(rounds=rounds, failed=failed)
-                per_round = self._evaluator.evaluate(round_states, plan, structure)
+        per_round = self._run_stages(
+            plan, structure, rounds, subjects, sampled, probabilities, cancel
+        )
         with _stage(metrics, "estimate"):
             estimate = estimate_from_results(per_round)
         if metrics is not None:
@@ -274,7 +235,7 @@ class ReliabilityAssessor:
             elapsed_seconds=watch.elapsed(),
         )
 
-    def _assess_kernel(
+    def _run_stages(
         self,
         plan: DeploymentPlan,
         structure: ApplicationStructure,
@@ -286,32 +247,60 @@ class ReliabilityAssessor:
         values: dict[int, np.ndarray | None] | None = None,
         batch=None,
     ) -> np.ndarray:
-        """Sample -> compiled forest -> packed route-and-check.
+        """Sample -> fault-tree reasoning -> route-and-check.
 
-        Bit-identical to the legacy stages: the sampler fast paths draw
-        the same uniforms in the same order, the compiled forest applies
-        the same boolean formulas, and the packed engines AND/OR the same
-        alive masks — only the storage layout differs. ``batch`` and
-        ``values`` let :meth:`score_plans` share one sampled batch (and
-        the node-value cache over it) across many plans.
+        Written once; each stage calls its interpreted or its compiled
+        function, by ``self.kernel``. The two are bit-identical: the
+        packed sampler paths draw the same uniforms in the same order, the
+        compiled forest applies the same boolean formulas, and the packed
+        engines AND/OR the same alive masks — only the storage layout
+        differs. ``batch`` and ``values`` let :meth:`score_plans` share one
+        packed batch (and the node-value cache over it) across many plans.
         """
         metrics = self.metrics
         kernel = self.kernel
         if batch is None:
             with _stage(metrics, "sample"):
-                batch = kernel.sample_packed(
-                    self.sampler, probabilities, rounds, self.rng, cancel=cancel
-                )
+                if kernel is not None:
+                    batch = kernel.sample_packed(
+                        self.sampler, probabilities, rounds, self.rng, cancel=cancel
+                    )
+                else:
+                    batch = self.sampler.sample(
+                        probabilities, rounds, self.rng, cancel=cancel
+                    )
 
         if cancel is not None:
             cancel.check()
         with _stage(metrics, "faulttree"):
-            failed = kernel.effective_states(subjects, sampled, batch, values)
+            # Raw-element candidates: what failed, was sampled for this
+            # plan and is no subject — a handful, where the closure's
+            # links run to thousands.
+            if kernel is not None:
+                rows = batch.failed_rows()
+                failed = kernel.effective_states(
+                    subjects, (rows.keys() & sampled) - subjects, rows, values
+                )
+                round_states = PackedRoundStates(rounds=rounds, failed=failed)
+            else:
+                dense = ZeroFill(rounds)
+                for cid, failed_rounds in batch.failed_rounds.items():
+                    if cid in sampled:
+                        states = np.zeros(rounds, dtype=bool)
+                        states[failed_rounds] = True
+                        dense[cid] = states
+                failed = effective_states(
+                    self.dependency_model, subjects, dense.keys() - subjects, dense
+                )
+                round_states = RoundStates(rounds=rounds, failed=failed)
+                del dense
+        # Dead from here on, and the larger share of an assessment's
+        # transient memory: route-and-check reads only ``failed``.
+        del batch
 
         if cancel is not None:
             cancel.check()
         with _stage(metrics, "route_and_check"):
-            round_states = PackedRoundStates(rounds=rounds, failed=failed)
             return self._evaluator.evaluate(round_states, plan, structure)
 
     def score_plans(
@@ -379,7 +368,7 @@ class ReliabilityAssessor:
         results = []
         for plan, (subjects, sampled) in zip(plans, closures):
             elapsed_before = watch.elapsed()
-            per_round = self._assess_kernel(
+            per_round = self._run_stages(
                 plan,
                 structure,
                 rounds,
@@ -407,15 +396,6 @@ class ReliabilityAssessor:
             metrics.incr("sample/components", len(probabilities))
         return results
 
-    def assess_k_of_n(
-        self, hosts, k: int, rounds: int | None = None
-    ) -> AssessmentResult:
-        """Convenience wrapper for the simple K-of-N scenario (§2.2)."""
-        hosts = list(hosts)
-        structure = ApplicationStructure.k_of_n(k, len(hosts))
-        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
-        return self.assess(plan, structure, rounds=rounds)
-
     def assess_to_ci(
         self,
         plan: DeploymentPlan,
@@ -437,11 +417,6 @@ class ReliabilityAssessor:
                 f"target CI width must be positive, got {target_ci_width}"
             )
         watch = Stopwatch()
-        from repro.sampling.statistics import (
-            estimate_from_results as _estimate,
-            rounds_for_target_ci,
-        )
-
         result = self.assess(plan, structure, rounds=min(pilot_rounds, max_rounds))
         chunks = [result.per_round]
         total = result.estimate.rounds
@@ -457,10 +432,10 @@ class ReliabilityAssessor:
             batch = min(max(needed - total, total // 2, 1), max_rounds - total)
             chunks.append(self.assess(plan, structure, rounds=batch).per_round)
             total += batch
-            merged = np.concatenate(chunks)
+            merged, estimate, _ = estimate_from_pieces(chunks)
             result = AssessmentResult(
                 plan=plan,
-                estimate=_estimate(merged),
+                estimate=estimate,
                 per_round=merged,
                 sampled_components=sampled,
                 elapsed_seconds=watch.elapsed(),

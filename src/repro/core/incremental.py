@@ -26,10 +26,8 @@ assessed — so it can be cached once and reused across every move:
   share one :class:`~repro.routing.base.RoundStates`, so the engines'
   per-states path-segment caches persist across moves, and a caching
   proxy memoizes finished per-host external / per-pair vectors.
-* **Plan-level result cache** — keyed by the plan's canonical key, plus
-  (opt-in) the symmetry-canonical signature from
-  :class:`~repro.core.transforms.SymmetryChecker`, so revisited or
-  symmetry-equivalent plans cost a dictionary lookup.
+* **Plan-level result cache** — keyed by the plan's canonical key, so
+  revisited plans cost a dictionary lookup.
 
 **Delta rule.** A move brings in one host, so nothing on the path of an
 assessment may walk the whole closure in Python: what a plan adds to the
@@ -55,13 +53,13 @@ resets everything, e.g. after ``override_probabilities`` style updates.
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
 from typing import Sequence
 
 import numpy as np
 
 from repro.app.structure import ApplicationStructure
-from repro.core.api import AssessmentConfig
+from repro.core.api import AssessmentConfig, AssessorBase
+from repro.core.assessment import ZeroFill, effective_states
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, RuntimeMetadata
@@ -80,17 +78,6 @@ from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.util.timing import Stopwatch
-
-
-def _structure_key(structure: ApplicationStructure) -> tuple:
-    """Hashable identity of an application structure for the plan cache."""
-    return (
-        tuple((spec.name, spec.instances) for spec in structure.components),
-        tuple(
-            (req.component, req.source, req.min_reachable)
-            for req in structure.requirements
-        ),
-    )
 
 
 class _CachingEngine(ReachabilityEngine):
@@ -142,7 +129,7 @@ class _CachingEngine(ReachabilityEngine):
         self._pairs.clear()
 
 
-class IncrementalAssessor:
+class IncrementalAssessor(AssessorBase):
     """Cached, move-incremental reliability assessment under CRN.
 
     Implements the same :class:`~repro.core.api.Assessor` protocol as the
@@ -186,7 +173,6 @@ class IncrementalAssessor:
                 f"{type(config.sampler).__name__}"
             )
         self.sample_full_infrastructure = config.sample_full_infrastructure
-        self.reuse_symmetric = config.reuse_symmetric
         self.metrics = config.registry() or MetricsRegistry()
         self.engine = config.engine or engine_for(topology)
         self._caching_engine = _CachingEngine(self.engine, self.metrics)
@@ -197,18 +183,14 @@ class IncrementalAssessor:
         # entries (and existing entries are never rewritten), so the one
         # long-lived RoundStates — and the engine path-segment caches that
         # hang off it — stay valid across every assessment.
-        self._zeros = np.zeros(self.rounds, dtype=bool)
-        self._zeros.flags.writeable = False
         # host -> (subjects, sampled) of that host's relevant closure
         self._host_closure: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
         self._failed_rounds: dict[str, np.ndarray] = {}  # component samples
-        self._dense: dict[str, np.ndarray] = {}  # dense view, failing comps
+        self._dense = ZeroFill(self.rounds)  # dense view, failing comps
         self._effective: dict[str, np.ndarray] = {}  # post-fault-tree states
         self._known_subjects: set[str] = set()
         self._known_links: set[str] = set()
         self._plan_cache: dict[tuple, AssessmentResult] = {}
-        self._signature_cache: dict[tuple, AssessmentResult] = {}
-        self._symmetry = None  # built lazily when reuse_symmetric is on
 
         # Compiled-kernel universe: packed per-component rows and a
         # persistent node-value cache over the compiled forest. Valid for
@@ -228,16 +210,6 @@ class IncrementalAssessor:
         if self.kernel is not None:
             return PackedRoundStates(rounds=self.rounds, failed=self._effective)
         return RoundStates(rounds=self.rounds, failed=self._effective)
-
-    @classmethod
-    def from_config(
-        cls,
-        topology: Topology,
-        dependency_model: DependencyModel | None = None,
-        config: AssessmentConfig | None = None,
-    ) -> "IncrementalAssessor":
-        """The unified-API constructor (see :mod:`repro.core.api`)."""
-        return cls(topology, dependency_model, config=config)
 
     # ------------------------------------------------------------------
     # Cache maintenance
@@ -261,7 +233,6 @@ class IncrementalAssessor:
         self._known_subjects.clear()
         self._known_links.clear()
         self._plan_cache.clear()
-        self._signature_cache.clear()
         self._caching_engine.clear()
         self._packed_rows.clear()
         self._forest_values.clear()
@@ -320,17 +291,15 @@ class IncrementalAssessor:
     # ------------------------------------------------------------------
 
     def _dense_for(self, cid: str) -> np.ndarray:
-        """Dense per-round failure vector (shared read-only zeros when the
-        component never fails)."""
+        """Dense per-round failure vector of a sampled component, built on
+        first need (the shared read-only zeros when it never fails)."""
+        dense = self._dense
         failed = self._failed_rounds[cid]
-        if not failed.size:
-            return self._zeros
-        dense = self._dense.get(cid)
-        if dense is None:
-            dense = np.zeros(self.rounds, dtype=bool)
-            dense[failed] = True
-            self._dense[cid] = dense
-        return dense
+        if failed.size and cid not in dense:
+            states = np.zeros(self.rounds, dtype=bool)
+            states[failed] = True
+            dense[cid] = states
+        return dense[cid]
 
     def _extend_universe(
         self, subjects: set[str], sampled: set[str], cancel=None
@@ -343,15 +312,15 @@ class IncrementalAssessor:
         route-and-check can read. Priced by the module docstring's delta
         rule: loops run over what set difference says is new. The dense and
         the packed (compiled-kernel) universe share this one path and
-        differ only in how a component is drawn, how new subjects are
-        evaluated and what "never failed" looks like. Cancellation between
+        differ only in how a component is drawn and in which of the two
+        fault-tree stage functions reads the draws. Cancellation between
         components/subjects is safe: the caches only ever *gain* complete
         entries, so an aborted extension leaves a smaller but fully valid
         universe.
         """
         metrics = self.metrics
-        packed = self.kernel is not None
-        if packed:
+        kernel = self.kernel
+        if kernel is not None:
             samples, draw = self._packed_rows, self.sampler.component_packed_row
         else:
             samples, draw = self._failed_rounds, self.sampler.component_failed_rounds
@@ -371,53 +340,26 @@ class IncrementalAssessor:
             new_subjects = subjects - self._known_subjects
             metrics.incr("faulttree/subject/hit", len(subjects) - len(new_subjects))
             metrics.incr("faulttree/subject/miss", len(new_subjects))
-            if new_subjects:
-                self._known_subjects |= new_subjects
-                if packed:
-                    self._evaluate_subjects_packed(new_subjects)
-                else:
-                    self._evaluate_subjects(new_subjects)
-
             new_links = (sampled - subjects) - self._known_links
+            if not (new_subjects or new_links):
+                return
+            self._known_subjects |= new_subjects
             self._known_links |= new_links
-            trees = self.dependency_model.trees
-            components = self.topology.components
-            for link_cid in new_links:
-                if link_cid in trees or link_cid not in components:
-                    continue
-                sample = samples[link_cid]
-                if packed:
-                    if sample is not None:
-                        self._effective[link_cid] = sample
-                elif sample.size:
-                    self._effective[link_cid] = self._dense_for(link_cid)
-
-    def _evaluate_subjects(self, new_subjects: set[str]) -> None:
-        """Fault-tree reasoning for new subjects over dense vectors."""
-        model = self.dependency_model
-        failed_rounds = self._failed_rounds
-        for subject in new_subjects:
-            events = model.basic_events_of(subject)
-            if all(not failed_rounds[e].size for e in events):
-                continue  # nothing this subject depends on ever failed
-            dense = {e: self._dense_for(e) for e in events}
-            effective = model.tree_for(subject).evaluate(dense)
-            if effective.any():
-                self._effective[subject] = effective
-
-    def _evaluate_subjects_packed(self, new_subjects: set[str]) -> None:
-        """The same through the compiled forest, whose node-value cache
-        persists for the assessor's lifetime."""
-        kernel = self.kernel
-        rows = self._packed_rows
-        kernel.compile_subjects(new_subjects)
-        arena_ids = kernel.arena.ids
-        effective = kernel.forest.evaluate(
-            new_subjects, lambda op: rows[arena_ids[op]], self._forest_values
-        )
-        for subject, row in effective.items():
-            if row is not None:
-                self._effective[subject] = row
+            if kernel is not None:
+                found = kernel.effective_states(
+                    new_subjects, new_links, samples, self._forest_values
+                )
+            else:
+                # Densified by need, not at draw time: a cancelled sampling
+                # loop leaves drawn components behind, and the next call's
+                # delta no longer names them.
+                model = self.dependency_model
+                for cid in model.basic_events_for(new_subjects) | new_links:
+                    self._dense_for(cid)
+                found = effective_states(
+                    model, new_subjects, new_links, self._dense
+                )
+            self._effective.update(found)
 
     # ------------------------------------------------------------------
     # Assessment
@@ -463,20 +405,11 @@ class IncrementalAssessor:
         metrics = self.metrics
         plan.validate_against(self.topology, structure)
 
-        cache_key = (plan.canonical_key(), _structure_key(structure))
+        cache_key = (plan.canonical_key(), structure.content_key())
         cached = self._plan_cache.get(cache_key)
         if cached is not None:
             metrics.incr("plan_cache/hit")
             return cached
-        signature = None
-        if self.reuse_symmetric:
-            signature = self._plan_signature(plan, structure)
-            symmetric = self._signature_cache.get(signature)
-            if symmetric is not None:
-                metrics.incr("plan_cache/symmetric_hit")
-                result = dataclass_replace(symmetric, plan=plan)
-                self._plan_cache[cache_key] = result
-                return result
         metrics.incr("plan_cache/miss")
 
         if cancel is not None:
@@ -508,8 +441,6 @@ class IncrementalAssessor:
             runtime=self._runtime_metadata(),
         )
         self._plan_cache[cache_key] = result
-        if signature is not None:
-            self._signature_cache.setdefault(signature, result)
         return result
 
     def score_plans(
@@ -535,7 +466,7 @@ class IncrementalAssessor:
         if not plans:
             return []
         self._require_own_rounds(rounds)
-        structure_key = _structure_key(structure)
+        structure_key = structure.content_key()
         uncached = [
             plan
             for plan in plans
@@ -556,25 +487,6 @@ class IncrementalAssessor:
             self._assess(plan, structure, cancel, closures.get(id(plan)))
             for plan in plans
         ]
-
-    def assess_k_of_n(self, hosts, k: int) -> AssessmentResult:
-        """Convenience wrapper for the simple K-of-N scenario (§2.2)."""
-        hosts = list(hosts)
-        structure = ApplicationStructure.k_of_n(k, len(hosts))
-        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
-        return self.assess(plan, structure)
-
-    # ------------------------------------------------------------------
-
-    def _plan_signature(
-        self, plan: DeploymentPlan, structure: ApplicationStructure
-    ) -> tuple:
-        """Symmetry-canonical cache key (reuses the search's pruning logic)."""
-        if self._symmetry is None:
-            from repro.core.transforms import SymmetryChecker
-
-            self._symmetry = SymmetryChecker(self.topology, self.dependency_model)
-        return (self._symmetry.signature(plan), _structure_key(structure))
 
     def _runtime_metadata(self) -> RuntimeMetadata | None:
         """Attach the metrics snapshot when profiling was requested."""

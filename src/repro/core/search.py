@@ -50,7 +50,6 @@ from repro.core.objectives import Objective, ReliabilityObjective
 from repro.core.plan import DeploymentPlan, MoveDescriptor, ZoneConstraints
 from repro.core.result import AssessmentResult, SearchRecord, SearchResult
 from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
-from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
@@ -166,7 +165,6 @@ class DeploymentSearch:
         rng: int | np.random.Generator | None = None,
         keep_trace: bool = False,
         common_random_numbers: bool = True,
-        incremental: bool = True,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
         checkpoint_path: str | None = None,
@@ -207,7 +205,6 @@ class DeploymentSearch:
         self.rng = make_rng(rng)
         self.keep_trace = keep_trace
         self.common_random_numbers = common_random_numbers
-        self.incremental = incremental
         self.metrics = metrics
         self._clock = clock
         self.checkpoint_path = checkpoint_path
@@ -232,16 +229,15 @@ class DeploymentSearch:
 
         The *outer* assessor — used for independent best-so-far
         confirmations, which must draw fresh randomness on every call —
-        is always the sequential from-scratch path; ``config.mode``
-        instead selects the hot-path behaviour: ``"incremental"`` (also
-        the default) runs the CRN search assessor through the
-        :class:`~repro.core.incremental.IncrementalAssessor` caches,
-        ``"sequential"`` keeps the from-scratch CRN assessor, and
-        ``"analytic"`` wraps both the outer and the search assessor in
-        the :class:`~repro.core.analytic.AnalyticAssessor` — candidate
+        is the sequential from-scratch path whatever ``config.mode``
+        says, and the walk itself always runs on the
+        :class:`~repro.core.incremental.IncrementalAssessor` (see
+        :meth:`_search_assessor`). Only ``mode="analytic"`` changes the
+        shape: it wraps both in the
+        :class:`~repro.core.analytic.AnalyticAssessor`, so candidate
         screening *and* best-so-far confirmation are exact wherever the
         closure is tractable (the hybrid exact-screen/sampled-confirm
-        mode), falling back to the modes above per plan elsewhere.
+        mode), falling back to sampling per plan elsewhere.
         """
         config = config or AssessmentConfig(mode="incremental")
         registry = config.registry()
@@ -261,7 +257,6 @@ class DeploymentSearch:
                     mode="sequential", master_seed=None, metrics=registry
                 ),
             )
-        search_kwargs.setdefault("incremental", config.mode != "sequential")
         if registry is not None:
             search_kwargs.setdefault("metrics", registry)
         return cls(outer, **search_kwargs)
@@ -276,12 +271,16 @@ class DeploymentSearch:
         and the annealing walk stalls. The winning plan is re-assessed
         independently before being reported (see :meth:`search`).
 
-        With ``incremental`` enabled (the default) the CRN assessor is an
+        The CRN assessor is an
         :class:`~repro.core.incremental.IncrementalAssessor`, which caches
         sampled states, closures, fault-tree results and routed plans
-        across the move sequence — bit-identical to the from-scratch CRN
-        path under the same master seed, so enabling it never changes a
-        search trajectory, only its cost.
+        across the move sequence — bit-identical to a from-scratch
+        :class:`ReliabilityAssessor` over a
+        :class:`~repro.sampling.dagger.CommonRandomDaggerSampler` with the
+        same master seed, which is the oracle the equality tests build. It
+        is configured like the outer assessor (rounds, engine, kernel,
+        closure or full-infrastructure sampling) and differs in the
+        sampler alone.
 
         When the outer assessor is an
         :class:`~repro.core.analytic.AnalyticAssessor`, the CRN assessor
@@ -294,6 +293,7 @@ class DeploymentSearch:
         checkpoints so :meth:`resume` rebuilds the identical streams).
         """
         from repro.core.analytic import AnalyticAssessor
+        from repro.core.incremental import IncrementalAssessor
 
         if master_seed is None:
             return self.assessor
@@ -301,30 +301,22 @@ class DeploymentSearch:
         analytic = outer if isinstance(outer, AnalyticAssessor) else None
         if analytic is not None:
             outer = analytic.inner
-        config = AssessmentConfig(
-            rounds=outer.rounds,
-            engine=outer.engine,
-            master_seed=master_seed,
-            sample_full_infrastructure=outer.sample_full_infrastructure,
-            kernel=getattr(getattr(outer, "config", None), "kernel", False),
-            metrics=self.metrics,
+        crn = IncrementalAssessor.from_config(
+            outer.topology,
+            outer.dependency_model,
+            # The outer sampler and stream are the confirmations' own; the
+            # walk's randomness is the master seed alone, and it reports
+            # into the search's registry or nowhere.
+            outer.config.with_updates(
+                mode="incremental",
+                sampler=None,
+                rng=None,
+                engine=outer.engine,
+                master_seed=master_seed,
+                profile=False,
+                metrics=self.metrics,
+            ),
         )
-        if self.incremental:
-            from repro.core.incremental import IncrementalAssessor
-
-            crn = IncrementalAssessor.from_config(
-                outer.topology,
-                outer.dependency_model,
-                config.with_updates(mode="incremental"),
-            )
-        else:
-            crn = ReliabilityAssessor.from_config(
-                outer.topology,
-                outer.dependency_model,
-                config.with_updates(
-                    sampler=CommonRandomDaggerSampler(master_seed), rng=self.rng
-                ),
-            )
         if analytic is not None:
             return analytic.with_inner(crn)
         return crn

@@ -391,34 +391,3 @@ class BatchSymmetryFilter:
             node_match=lambda a, b: a["label"] == b["label"],
         )
         return matcher.is_isomorphic()
-
-
-class SignatureCache:
-    """Score cache keyed by plan signature.
-
-    Beyond skipping neighbours symmetric to the *current* plan (the
-    paper's Step 3), the search can reuse the assessed score of any
-    previously-seen symmetric plan instead of re-assessing it.
-    """
-
-    def __init__(self, checker: SymmetryChecker):
-        self.checker = checker
-        self._scores: dict[str, float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, plan: DeploymentPlan) -> float | None:
-        """Cached score for a symmetric plan, if any."""
-        signature = self.checker.signature(plan)
-        score = self._scores.get(signature)
-        if score is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return score
-
-    def record(self, plan: DeploymentPlan, score: float) -> None:
-        self._scores[self.checker.signature(plan)] = score
-
-    def __len__(self) -> int:
-        return len(self._scores)

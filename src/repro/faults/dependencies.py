@@ -196,6 +196,27 @@ class DependencyModel:
             for subject_id in subject_ids
         }
 
+    def register_raw_elements(
+        self, candidates: Iterable[str], state_of, failed: dict
+    ) -> None:
+        """Filter step for elements that have no fault tree (§3.2.3).
+
+        A topology component without a tree — links, mostly — fails
+        exactly when its own sampled event does, so its effective state is
+        its sampled state: ``failed[cid] = state_of(cid)`` for every such
+        candidate whose ``state_of`` is not ``None`` (``None`` = never
+        failed). Shared by the interpreted and the compiled fault-tree
+        stage, whatever the state representation.
+        """
+        trees = self.trees
+        components = self.topology.components
+        for cid in candidates:
+            if cid in trees or cid not in components:
+                continue
+            state = state_of(cid)
+            if state is not None:
+                failed[cid] = state
+
     def dependency_count(self) -> int:
         """Number of dependency components registered with the model."""
         return len(self.dependency_components)

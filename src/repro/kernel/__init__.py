@@ -111,19 +111,10 @@ class AssessmentKernel:
         self.arena = ComponentArena.for_model(dependency_model)
         self.forest = CompiledForest(self.arena)
         self._compiler = FaultTreeCompiler(self.arena)
-        # component_ids tuple -> arena-index lookup; valid for this
-        # kernel's arena only, hence owned here (see row_for_index).
-        self._leaf_lookup_cache: dict = {}
-        # id(subjects set) -> (strong ref, evaluation order). The
-        # assessor's closure memo hands the same set object to every
-        # assessment of a plan's host set, so identity is a safe and
-        # free cache key; the strong ref pins the id.
-        self._order_cache: dict[int, tuple[object, list[int]]] = {}
-        # frozenset(subjects) -> evaluation order: content-addressed
-        # fallback for callers that rebuild equal subject sets instead of
-        # reusing one object — the batched search loop proposes candidate
-        # closures per move, and neighbouring moves frequently revisit
-        # the same host set through fresh set objects.
+        # frozenset(subjects) -> evaluation order. Content-addressed: the
+        # sequential assessor hands in its memoized closure set every
+        # time, the search proposes candidate closures per move and
+        # revisits host sets through fresh set objects.
         self._order_by_content: dict[frozenset, list[int]] = {}
 
     # ------------------------------------------------------------------
@@ -162,54 +153,39 @@ class AssessmentKernel:
     def effective_states(
         self,
         subjects: Iterable[str],
-        sampled: Iterable[str],
-        batch: PackedBatch,
+        links: Iterable[str],
+        rows: Mapping[str, np.ndarray | None],
         values: dict[int, np.ndarray | None] | None = None,
     ) -> dict[str, np.ndarray]:
         """Packed effective per-round failure rows after fault-tree reasoning.
 
-        The kernel analogue of the legacy "reason over each subject's
-        tree, then register failing links" stage: returns a mapping from
-        element id to packed failure row containing only elements that
-        fail in at least one round (absent == always alive, the
-        :class:`RoundStates` convention).
+        The compiled form of the "reason over each subject's tree, then
+        register failing raw elements" stage, for every packed backend:
+        ``rows`` maps a component id to its packed failure row (absent or
+        ``None`` = never failed) — a sampled batch, the incremental
+        universe's rows, an exact state enumeration — and ``values`` is an
+        optional node-value cache to keep across calls over the same
+        rows. Returns a mapping from element id to
+        packed failure row containing only elements that fail in at least
+        one round (absent == always alive, the :class:`RoundStates`
+        convention).
         """
-        if not isinstance(subjects, set):
-            subjects = set(subjects)
-        entry = self._order_cache.get(id(subjects))
-        if entry is not None and entry[0] is subjects:
-            order = entry[1]
-        else:
-            content_key = frozenset(subjects)
-            order = self._order_by_content.get(content_key)
-            if order is None:
-                self.compile_subjects(subjects)
-                order = self.forest.evaluation_order(subjects)
-                if len(self._order_by_content) >= 256:
-                    self._order_by_content.clear()
-                self._order_by_content[content_key] = order
-            if len(self._order_cache) >= 64:
-                self._order_cache.clear()
-            self._order_cache[id(subjects)] = (subjects, order)
+        content_key = frozenset(subjects)
+        order = self._order_by_content.get(content_key)
+        if order is None:
+            self.compile_subjects(content_key)
+            order = self.forest.evaluation_order(content_key)
+            if len(self._order_by_content) >= 256:
+                self._order_by_content.clear()
+            self._order_by_content[content_key] = order
+        row_of, ids = rows.get, self.arena.ids
         effective = self.forest.evaluate(
-            subjects,
-            batch.row_for_index(self.arena, self._leaf_lookup_cache),
-            values,
-            order=order,
+            content_key, lambda op: row_of(ids[op]), values, order=order
         )
         failed: dict[str, np.ndarray] = {
             subject: row for subject, row in effective.items() if row is not None
         }
-        trees = self.dependency_model.trees
-        components = self.topology.components
-        index_get = batch._index.get
-        nonzero, matrix = batch.nonzero, batch.matrix
-        for cid in sampled:
-            if cid in subjects or cid in trees or cid not in components:
-                continue
-            i = index_get(cid)
-            if i is not None and nonzero[i]:
-                failed[cid] = matrix[i]
+        self.dependency_model.register_raw_elements(links, row_of, failed)
         return failed
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ never failed is ``None``, and gates propagate it algebraically (OR skips
 it, AND short-circuits to ``None``, k-of-n counts it as zero), so the
 usual case — almost nothing failed — touches almost no bytes. This
 mirrors exactly the legacy pipeline's "skip subjects whose events never
-failed" and ``_ZeroFill`` semantics.
+failed" and ``ZeroFill`` semantics.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ of 8 safe everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -104,39 +104,11 @@ class PackedBatch:
             return None
         return self.matrix[i]
 
-    def row_for_index(
-        self, arena, lookup_cache: dict | None = None
-    ) -> "Callable[[int], np.ndarray | None]":
-        """A leaf-lookup closure over arena indices for the compiled forest.
-
-        Maps an arena component index to that component's packed failure
-        row, or ``None`` for never-failed / unsampled components.
-        ``lookup_cache`` (any mutable mapping the caller keeps, e.g. on
-        the kernel) memoizes the index translation per distinct
-        ``component_ids`` tuple — sampler layouts reuse one tuple object
-        across batches, so repeated assessments skip the id walk.
-        """
-        lookup = None if lookup_cache is None else lookup_cache.get(self.component_ids)
-        if lookup is None:
-            lookup = np.full(len(arena), -1, dtype=np.int64)
-            arena_index = arena.index
-            for i, cid in enumerate(self.component_ids):
-                idx = arena_index.get(cid)
-                if idx is not None:
-                    lookup[idx] = i
-            if lookup_cache is not None:
-                if len(lookup_cache) >= 64:
-                    lookup_cache.clear()
-                lookup_cache[self.component_ids] = lookup
-        nonzero, matrix = self.nonzero, self.matrix
-
-        def row(op: int) -> np.ndarray | None:
-            i = lookup[op]
-            if i < 0 or not nonzero[i]:
-                return None
-            return matrix[i]
-
-        return row
+    def failed_rows(self) -> dict[str, np.ndarray]:
+        """Packed failure row of every component that failed in some round
+        (the compiled forest's leaf states; anything absent never failed)."""
+        ids, matrix = self.component_ids, self.matrix
+        return {ids[i]: matrix[i] for i in np.flatnonzero(self.nonzero)}
 
     def dense(self, component_id: str) -> np.ndarray:
         """Dense boolean per-round vector (all-False when never failed)."""
@@ -184,23 +156,3 @@ class PackedBatch:
             failed = np.nonzero(unpack_row(self.matrix[i], self.rounds))[0]
             batch.failed_rounds[cid] = failed.astype(ROUND_DTYPE)
         return batch
-
-
-def concat_packed(batches: Sequence[PackedBatch]) -> PackedBatch:
-    """Stack several packed batches over the same round count."""
-    if not batches:
-        raise ConfigurationError("need at least one batch to concatenate")
-    rounds = batches[0].rounds
-    for batch in batches[1:]:
-        if batch.rounds != rounds:
-            raise ConfigurationError("cannot concatenate batches of mixed rounds")
-    ids: tuple[str, ...] = ()
-    for batch in batches:
-        ids += batch.component_ids
-    return PackedBatch(
-        rounds=rounds,
-        component_ids=ids,
-        matrix=np.concatenate([b.matrix for b in batches], axis=0)
-        if ids
-        else None,
-    )

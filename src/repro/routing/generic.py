@@ -9,12 +9,10 @@ fat-tree) should use their specific engine; this one is the universal
 fallback and the reference implementation the fast engines are validated
 against on architectures where the two semantics coincide.
 
-Two key optimisations keep the per-round loop tolerable:
-
-* rounds in which no relevant element fails are resolved in bulk (every
-  target is reachable unless isolated in the intact topology), and
-* connectivity is computed once per distinct failure pattern with a single
-  union-find pass over the alive edges.
+Rounds in which no relevant element fails are resolved in bulk (every
+target is reachable unless isolated in the intact topology). Every other
+round costs one union-find pass over the alive edges, per call: two rounds
+with the same failure pattern are not recognised as such and pay twice.
 """
 
 from __future__ import annotations

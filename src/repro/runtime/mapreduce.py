@@ -48,28 +48,23 @@ crashing.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import multiprocessing.pool
 import time
 import warnings
-from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.app.structure import ApplicationStructure
-from repro.core.api import (
-    AssessmentConfig,
-    reject_legacy_kwargs,
-    score_plans_sequentially,
-)
+from repro.core.api import AssessmentConfig, AssessorBase, score_plans_sequentially
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, PortionFailure, RuntimeMetadata
 from repro.faults.dependencies import DependencyModel
 from repro.runtime.chaos import ChaosPolicy
-from repro.sampling.statistics import estimate_from_results
+from repro.sampling.statistics import estimate_from_pieces
 from repro.topology.base import Topology
 from repro.util.errors import (
     ConfigurationError,
@@ -226,7 +221,7 @@ class _PassCancelled(Exception):
     """Internal: the caller's cancellation token fired during a pass."""
 
 
-class ParallelAssessor:
+class ParallelAssessor(AssessorBase):
     """Assesses plans by fanning rounds out to supervised worker processes.
 
     Statistically equivalent to :class:`ReliabilityAssessor` with the same
@@ -248,10 +243,7 @@ class ParallelAssessor:
         topology: Topology,
         dependency_model: DependencyModel | None = None,
         config: AssessmentConfig | None = None,
-        **legacy: Any,
     ):
-        if legacy:
-            reject_legacy_kwargs(legacy)
         config = config or AssessmentConfig(mode="parallel")
         if config.workers < 1:
             raise ConfigurationError(
@@ -288,16 +280,6 @@ class ParallelAssessor:
         self._pool_restarts = 0
         if backend == "process":
             self._start_pool()
-
-    @classmethod
-    def from_config(
-        cls,
-        topology: Topology,
-        dependency_model: DependencyModel | None = None,
-        config: AssessmentConfig | None = None,
-    ) -> "ParallelAssessor":
-        """The unified-API constructor (see :mod:`repro.core.api`)."""
-        return cls(topology, dependency_model, config=config)
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -477,27 +459,11 @@ class ParallelAssessor:
                 failures=failures,
             )
 
-        per_round = np.concatenate(
-            [completed[i][0] for i in sorted(completed)]
+        per_round, estimate, dropped_rounds = estimate_from_pieces(
+            [completed[i][0] for i in sorted(completed)], total_rounds
         )
         sampled_components = max(completed[i][1] for i in completed)
         used_seeds = tuple(completed[i][2] for i in sorted(completed))
-        dropped_rounds = sum(p.rounds for p in dropped)
-
-        estimate = estimate_from_results(per_round)
-        if dropped_rounds:
-            # Honest widening: the statistical CI already reflects the
-            # smaller sample, but the dropped portions are missing data,
-            # not sampled data — inflate variance by the coverage ratio
-            # so the reported interval cannot understate uncertainty.
-            coverage = total_rounds / per_round.size
-            estimate = replace(
-                estimate,
-                variance=estimate.variance * coverage,
-                confidence_interval_width=(
-                    estimate.confidence_interval_width * math.sqrt(coverage)
-                ),
-            )
 
         runtime = RuntimeMetadata(
             backend=self.backend if self._pool is not None else "inline",

@@ -12,7 +12,8 @@ two standard errors on each side, the 68-95-99.7 rule).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +97,40 @@ def estimate_from_results(result_list: np.ndarray) -> ReliabilityEstimate:
         rounds=n,
         reliable_rounds=int(results.sum()),
     )
+
+
+def estimate_from_pieces(
+    pieces: Sequence[np.ndarray], requested_rounds: int | None = None
+) -> tuple[np.ndarray, ReliabilityEstimate, int]:
+    """Reduce the completed pieces of one assessment.
+
+    Independent sampling rounds concatenate freely, so an assessment run
+    in pieces (anytime chunks, worker portions, CI-driven extensions)
+    reduces to ``(per_round, estimate, dropped_rounds)`` over the pieces
+    that finished, in the order given. When fewer than
+    ``requested_rounds`` rounds completed, the dropped rounds are missing
+    data, not sampled data: the statistical CI already reflects the
+    smaller sample, and the variance is additionally inflated by the
+    coverage ratio ``requested / completed`` (the CI width by its square
+    root) so the reported interval cannot understate uncertainty.
+    """
+    if not pieces:
+        raise ConfigurationError("cannot estimate from zero completed pieces")
+    per_round = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    estimate = estimate_from_results(per_round)
+    dropped_rounds = (
+        0 if requested_rounds is None else requested_rounds - per_round.size
+    )
+    if dropped_rounds > 0:
+        coverage = requested_rounds / per_round.size
+        estimate = replace(
+            estimate,
+            variance=estimate.variance * coverage,
+            confidence_interval_width=(
+                estimate.confidence_interval_width * math.sqrt(coverage)
+            ),
+        )
+    return per_round, estimate, dropped_rounds
 
 
 def exact_estimate(score: float) -> ReliabilityEstimate:

@@ -38,7 +38,7 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, RuntimeMetadata
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.sampling.statistics import estimate_from_results
+from repro.sampling.statistics import estimate_from_pieces
 from repro.service.requests import (
     AssessRequest,
     SearchRequest,
@@ -138,24 +138,9 @@ def chunked_assess(
             "assessment cancelled before any chunk completed",
             reason=token.reason,
         )
-    per_round = (
-        per_round_chunks[0]
-        if len(per_round_chunks) == 1
-        else np.concatenate(per_round_chunks)
+    per_round, estimate, dropped_rounds = estimate_from_pieces(
+        per_round_chunks, rounds
     )
-    estimate = estimate_from_results(per_round)
-    dropped_rounds = rounds - per_round.size
-    if dropped_rounds > 0:
-        # Same honest widening the parallel partial_ok path applies:
-        # missing rounds are missing data, not sampled data.
-        coverage = rounds / per_round.size
-        estimate = replace(
-            estimate,
-            variance=estimate.variance * coverage,
-            confidence_interval_width=(
-                estimate.confidence_interval_width * coverage**0.5
-            ),
-        )
     runtime = RuntimeMetadata(
         backend="chunked",
         workers=1,

@@ -450,12 +450,18 @@ class AssessmentService(ServiceFront):
 
     def _parallel_assess(self, plan, structure, rounds, seed, token):
         """The executor's accelerator: the shared parallel pool when it
-        is configured, idle and the breaker allows; ``None`` sends the
-        request down the chunked sequential path."""
-        if self._parallel is None or not self._parallel_lock.acquire(
-            blocking=False
-        ):
+        is configured and the breaker allows; ``None`` sends the request
+        down the chunked sequential path.
+
+        A busy pool is waited for (polling the ticket's token), never
+        skipped: which backend answers decides which bits a keyed request
+        yields, so it may depend on configuration and on faults, not on
+        which of two concurrent requests reached the lock first.
+        """
+        if self._parallel is None:
             return None
+        while not self._parallel_lock.acquire(timeout=0.05):
+            token.check()
         try:
             try:
                 self.breaker.before_call()

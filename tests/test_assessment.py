@@ -10,7 +10,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.app.structure import ApplicationStructure
+from repro.app.structure import (
+    EXTERNAL,
+    ApplicationStructure,
+    ComponentSpec,
+    ReachabilityRequirement,
+)
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
@@ -191,6 +196,31 @@ class TestAssessorMechanics:
         bad_plan = DeploymentPlan.single_component(["host/0/0/0", "edge/0/0"], "app")
         with pytest.raises(Exception):
             assessor.assess(bad_plan, structure)
+
+
+    @pytest.mark.parametrize("mode", ["sequential", "analytic"])
+    def test_validation_memo_is_not_fooled_by_a_reused_id(
+        self, fattree4, inventory, mode
+    ):
+        """CPython hands a collected structure's id to the next object of
+        its size, so a memo keyed on ``id(structure)`` skips validating a
+        3-host plan against a 4-instance structure and answers it.
+        Re-initialising the object in place is that collision without
+        depending on where the allocator puts the next structure."""
+        from repro.core.api import build_assessor
+        from repro.util.errors import ValidationError
+
+        assessor = build_assessor(
+            fattree4, inventory, AssessmentConfig(rounds=500, rng=4, mode=mode)
+        )
+        plan = DeploymentPlan.single_component(fattree4.hosts[:3], "app")
+        structure = ApplicationStructure.k_of_n(2, 3)
+        assessor.assess(plan, structure)
+        structure.__init__(
+            [ComponentSpec("app", 4)], [ReachabilityRequirement("app", EXTERNAL, 2)]
+        )
+        with pytest.raises(ValidationError, match="needs 4 hosts"):
+            assessor.assess(plan, structure)
 
 
 class TestLimitedInformationModes:

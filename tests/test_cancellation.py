@@ -196,6 +196,73 @@ class TestParallelCancellation:
             unwidened.confidence_interval_width * math.sqrt(coverage)
         )
 
+    @pytest.mark.parametrize("completed", [1, 2, 3])
+    def test_chunked_and_inline_report_the_same_loss(
+        self, fattree4, inventory, monkeypatch, completed
+    ):
+        """Same piece sizes, cancelled after the same piece: the service's
+        chunked loop and the inline portions reduce through one function,
+        so they drop the same rounds and widen by the same coverage."""
+        from repro.sampling.statistics import estimate_from_results
+        from repro.service.executor import MIN_CHUNK_ROUNDS, chunked_assess
+
+        pieces, rounds = 4, 4 * MIN_CHUNK_ROUNDS
+        plan = _plan(fattree4)
+
+        class CancelsAfter:
+            """Assessor proxy firing ``token`` once ``completed`` pieces ran."""
+
+            def __init__(self, assessor, token):
+                self.assessor, self.token, self.ran = assessor, token, 0
+
+            def assess(self, plan, structure, rounds=None, cancel=None):
+                result = self.assessor.assess(
+                    plan, structure, rounds=rounds, cancel=cancel
+                )
+                self.ran += 1
+                if self.ran == completed:
+                    self.token.cancel("test: pieces done")
+                return result
+
+        token = CancellationToken()
+        sequential = ReliabilityAssessor.from_config(
+            fattree4, inventory, AssessmentConfig(rounds=rounds, rng=3)
+        )
+        chunked = chunked_assess(
+            CancelsAfter(sequential, token), plan, STRUCTURE, rounds, pieces, token
+        )
+
+        token = CancellationToken()
+        real = ParallelAssessor._inline_portion
+
+        def portion(self, portion, plan, structure, cancel=None):
+            out = real(self, portion, plan, structure, cancel)
+            if portion.index + 1 == completed:
+                token.cancel("test: portions done")
+            return out
+
+        monkeypatch.setattr(ParallelAssessor, "_inline_portion", portion)
+        inline = ParallelAssessor.from_config(
+            fattree4,
+            inventory,
+            AssessmentConfig(mode="parallel", backend="inline", workers=pieces,
+                             rounds=rounds, rng=3),
+        ).assess(plan, STRUCTURE, cancel=token)
+
+        kept = MIN_CHUNK_ROUNDS * completed
+        coverage = rounds / kept
+        for result in (chunked, inline):
+            assert result.runtime.cancelled
+            assert result.runtime.dropped_portions == pieces - completed
+            assert result.runtime.dropped_rounds == rounds - kept
+            assert result.per_round.size == kept
+            plain = estimate_from_results(result.per_round)
+            assert plain.variance > 0.0
+            assert result.estimate.variance == plain.variance * coverage
+            assert result.estimate.confidence_interval_width == (
+                plain.confidence_interval_width * math.sqrt(coverage)
+            )
+
     def test_pre_fired_token_raises_not_returns(self, fattree4, inventory):
         assessor = ParallelAssessor.from_config(
             fattree4,

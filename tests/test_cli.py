@@ -105,6 +105,30 @@ class TestSearchCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--move-budget"])
+    def test_non_positive_search_budget_is_a_config_error(
+        self, capsys, tmp_path, flag
+    ):
+        import signal
+
+        before = signal.getsignal(signal.SIGTERM)
+        code, _out, err = run_cli(
+            capsys,
+            "search", "--scale", "tiny", "--k", "2", "--n", "3",
+            "--checkpoint", str(tmp_path / "search.ckpt"), flag, "0",
+        )
+        assert code == 2
+        assert "error:" in err
+        # Rejected before the preemption handlers were installed.
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_incremental_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["search", "--k", "2", "--n", "3", "--no-incremental"]
+            )
+
+
 class TestRiskCommand:
     def test_risk_report(self, capsys):
         code, out, _err = run_cli(

@@ -18,7 +18,6 @@ from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
-from repro.core.transforms import SymmetryChecker
 from repro.faults.faulttree import FaultTree
 from repro.faults.inventory import build_paper_inventory
 from repro.sampling.dagger import CommonRandomDaggerSampler
@@ -483,32 +482,6 @@ class TestDeltaPricedUniverse:
 
 
 class TestComputedOnce:
-    def test_signature_computed_once_per_symmetric_miss(
-        self, fattree4, inventory, monkeypatch
-    ):
-        incremental = IncrementalAssessor.from_config(
-            fattree4,
-            inventory,
-            AssessmentConfig(
-                mode="incremental",
-                rounds=ROUNDS,
-                master_seed=MASTER_SEED,
-                reuse_symmetric=True,
-            ),
-        )
-        calls = []
-        original = SymmetryChecker.signature
-        monkeypatch.setattr(
-            SymmetryChecker,
-            "signature",
-            lambda self, plan: calls.append(plan) or original(self, plan),
-        )
-        structure = ApplicationStructure.k_of_n(2, 3)
-        plan = DeploymentPlan.random(fattree4, structure, rng=6)
-        incremental.assess(plan, structure)
-        assert calls == [plan]
-        assert incremental.metrics.counter("plan_cache/miss") == 1
-
     def test_score_plans_computes_each_closure_once(self, fattree4, inventory):
         _, incremental = _pair(fattree4, inventory)
         _, one_by_one = _pair(fattree4, inventory)

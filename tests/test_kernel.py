@@ -473,7 +473,9 @@ class TestKernelObject:
         subjects = {
             cid for cid in FATTREE.graph if cid in FATTREE_INV.trees
         } or set(list(FATTREE.graph)[:8])
-        failed = kernel.effective_states(subjects, set(probabilities), batch)
+        failed = kernel.effective_states(
+            subjects, set(probabilities) - subjects, batch.failed_rows()
+        )
         legacy = sampler.sample(probabilities, rounds, np.random.default_rng(2))
         dense = {}
         for cid, failed_rounds in legacy.failed_rounds.items():

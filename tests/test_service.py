@@ -92,6 +92,53 @@ class TestServiceLifecycle:
             assert response.request_id.startswith("req-")
         assert service.health.state == STOPPED
 
+    def test_busy_parallel_pool_is_waited_for_not_skipped(self, fattree4, inventory):
+        """Which backend answers decides a keyed request's bits, so it must
+        not depend on whether the pool was free when the request arrived."""
+        requests = {
+            key: AssessRequest(
+                hosts=tuple(fattree4.hosts[:3]), k=2, rounds=2_000,
+                idempotency_key=key,
+            )
+            for key in ("first", "second")
+        }
+        with _service(fattree4, inventory, parallel_workers=2) as service:
+            # Both scheduler threads find the pool taken.
+            service._parallel_lock.acquire()
+            try:
+                tickets = {
+                    key: service.submit("assess", request)
+                    for key, request in requests.items()
+                }
+                time.sleep(0.3)
+            finally:
+                service._parallel_lock.release()
+            contended = {
+                key: ticket.future.result(timeout=60.0)
+                for key, ticket in tickets.items()
+            }
+        for key, request in requests.items():
+            assert contended[key].status == "ok"
+            assert contended[key].backend == "parallel"
+            with _service(fattree4, inventory, parallel_workers=2) as fresh:
+                alone = fresh.assess(request, timeout=60.0)
+            assert alone.backend == "parallel"
+            assert alone.result["estimate"] == contended[key].result["estimate"]
+
+    def test_deadline_fires_while_waiting_for_the_pool(self, fattree4, inventory):
+        request = AssessRequest(
+            hosts=tuple(fattree4.hosts[:3]), k=2, rounds=2_000,
+            deadline_seconds=0.2,
+        )
+        with _service(fattree4, inventory, parallel_workers=2) as service:
+            service._parallel_lock.acquire()
+            try:
+                response = service.assess(request, timeout=60.0)
+            finally:
+                service._parallel_lock.release()
+        assert response.status == "cancelled"
+        assert response.error["reason"] == "deadline exceeded"
+
     def test_search_round_trip(self, fattree4, inventory):
         with _service(fattree4, inventory, rounds=500) as service:
             client = ServiceClient(service)

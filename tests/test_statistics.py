@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.sampling.statistics import (
     ReliabilityEstimate,
+    estimate_from_pieces,
     estimate_from_results,
     merge_estimates,
     rounds_for_target_ci,
@@ -100,6 +101,50 @@ class TestCoverage:
                 covered += 1
         # Binomial(400, 0.95) -> stddev ~ 4.3; accept a generous band.
         assert covered / trials > 0.88
+
+
+class TestEstimateFromPieces:
+    """The one reduction every piecewise assessment ends in."""
+
+    SIZES = (700, 300, 512, 1)
+
+    def _pieces(self):
+        rng = np.random.default_rng(11)
+        return [rng.random(size) < 0.9 for size in self.SIZES]
+
+    def test_every_subset_widens_by_the_missing_coverage(self):
+        pieces = self._pieces()
+        requested = sum(self.SIZES)
+        for mask in range(1, 2 ** len(pieces) - 1):  # non-empty, incomplete
+            done = [p for i, p in enumerate(pieces) if mask >> i & 1]
+            per_round, estimate, dropped = estimate_from_pieces(done, requested)
+            assert np.array_equal(per_round, np.concatenate(done))
+            plain = estimate_from_results(per_round)
+            coverage = requested / per_round.size
+            assert dropped == requested - per_round.size > 0
+            assert estimate.score == plain.score
+            assert estimate.rounds == per_round.size
+            assert estimate.variance == plain.variance * coverage
+            assert estimate.confidence_interval_width == (
+                plain.confidence_interval_width * math.sqrt(coverage)
+            )
+
+    @pytest.mark.parametrize("requested", [sum(SIZES), None])
+    def test_nothing_widened_when_everything_completed(self, requested):
+        pieces = self._pieces()
+        per_round, estimate, dropped = estimate_from_pieces(pieces, requested)
+        assert dropped == 0
+        assert estimate == estimate_from_results(np.concatenate(pieces))
+        assert per_round.size == sum(self.SIZES)
+
+    def test_single_piece_is_not_copied(self):
+        piece = self._pieces()[0]
+        per_round, _, _ = estimate_from_pieces([piece], piece.size)
+        assert per_round is piece
+
+    def test_zero_pieces_raises(self):
+        with pytest.raises(ConfigurationError):
+            estimate_from_pieces([], 100)
 
 
 class TestMergeEstimates:

@@ -11,7 +11,7 @@ from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.plan import DeploymentPlan, MoveDescriptor
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.core.transforms import BatchSymmetryFilter, SignatureCache, SymmetryChecker
+from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
 from repro.faults.component import Component, ComponentType
 from repro.faults.dependencies import DependencyModel
 from repro.faults.faulttree import BasicEvent
@@ -147,26 +147,6 @@ class TestSharedDependencies:
                     diverse_pair = (a, b)
         assert shared_pair and diverse_pair
         assert not checker.equivalent(plan_of(*shared_pair), plan_of(*diverse_pair))
-
-
-class TestSignatureCache:
-    def test_records_and_hits(self, checker):
-        cache = SignatureCache(checker)
-        plan = plan_of("host/0/0/0", "host/1/0/0")
-        assert cache.lookup(plan) is None
-        cache.record(plan, 0.99)
-        assert cache.lookup(plan) == 0.99
-        # A symmetric plan hits the same entry.
-        symmetric = plan_of("host/1/0/0", "host/2/0/0")
-        assert cache.lookup(symmetric) == 0.99
-        assert cache.hits == 2
-        assert cache.misses == 1
-        assert len(cache) == 1
-
-    def test_different_pattern_misses(self, checker):
-        cache = SignatureCache(checker)
-        cache.record(plan_of("host/0/0/0", "host/1/0/0"), 0.9)
-        assert cache.lookup(plan_of("host/0/0/0", "host/0/0/1")) is None
 
 
 class TestBatchSymmetryFilter:
