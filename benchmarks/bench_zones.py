@@ -13,9 +13,11 @@ Two gates for the zone-aware robustness stack:
 * ``incumbent_research`` — the redeployment controller's warm start:
   after a zone outage degrades the incumbent, re-searching *from the
   incumbent* with a small move budget must match the quality of a
-  from-scratch search given several times the budget, at >= 2x less
-  wall clock. Seeds are fixed, so the scores are reproducible; only the
-  timing ratio varies between runs.
+  from-scratch search given five times the budget, while assessing at
+  most half as many plans. Seeds are fixed, so scores, moves and
+  assessed-plan counts repeat exactly and are what the gate reads; the
+  seconds are recorded as information only (both sides finish in a few
+  hundredths of a second, where a wall-clock ratio is host noise).
 
 Results land in ``BENCH_zones.json`` at the repo root.
 
@@ -55,7 +57,9 @@ from repro.runtime.chaos import ZoneOutage
 from repro.topology.zones import MultiZoneTopology
 
 MASTER_SEED = 20170412
-SMOKE_SPEEDUP_FLOOR = 2.0
+#: Work floor of the warm start: the from-scratch search must assess at
+#: least this many times the plans the incumbent re-search does.
+PLANS_ASSESSED_RATIO_FLOOR = 2.0
 #: Warm-start quality slack: the incumbent re-search may trail the
 #: from-scratch search by at most this much reliability (seeds are fixed,
 #: so in practice the scores are constants; the slack absorbs future
@@ -207,9 +211,13 @@ def bench_incumbent_research(
         "scratch_score": scratch.best_assessment.score,
         "warm_score": warm.best_assessment.score,
         "quality_epsilon": QUALITY_EPSILON,
+        "scratch_moves": scratch.iterations,
+        "warm_moves": warm.iterations,
+        "scratch_plans_assessed": scratch.plans_assessed,
+        "warm_plans_assessed": warm.plans_assessed,
+        "plans_assessed_ratio": scratch.plans_assessed / warm.plans_assessed,
         "scratch_seconds": scratch_seconds,
         "warm_seconds": warm_seconds,
-        "speedup": scratch_seconds / max(warm_seconds, 1e-12),
         "warm_satisfies_constraints": constraints.satisfied_by(
             warm.best_plan, topology
         ),
@@ -229,10 +237,12 @@ def _report(row: dict) -> str:
             f"spread={'alive' if row['spread_survives'] else 'DOWN'}"
         )
     return (
-        f"{row['workload']:<18} scratch={row['scratch_score']:.4f} in "
-        f"{row['scratch_seconds']:.2f}s ({row['scratch_budget']} moves) "
-        f"warm={row['warm_score']:.4f} in {row['warm_seconds']:.2f}s "
-        f"({row['incumbent_budget']} moves) speedup={row['speedup']:.2f}x"
+        f"{row['workload']:<18} scratch={row['scratch_score']:.4f} with "
+        f"{row['scratch_moves']} moves / {row['scratch_plans_assessed']} plans "
+        f"({row['scratch_seconds']:.2f}s) warm={row['warm_score']:.4f} with "
+        f"{row['warm_moves']} moves / {row['warm_plans_assessed']} plans "
+        f"({row['warm_seconds']:.2f}s) "
+        f"plans ratio={row['plans_assessed_ratio']:.2f}x"
     )
 
 
@@ -255,10 +265,17 @@ def _check(rows: list[dict]) -> list[str]:
             f"from-scratch {research['scratch_score']:.4f} by more than "
             f"{QUALITY_EPSILON}"
         )
-    if research["speedup"] < SMOKE_SPEEDUP_FLOOR:
+    if research["warm_moves"] > research["incumbent_budget"]:
         failures.append(
-            f"incumbent re-search speedup {research['speedup']:.2f}x below "
-            f"the {SMOKE_SPEEDUP_FLOOR:.0f}x floor"
+            f"incumbent re-search took {research['warm_moves']} moves, over "
+            f"its budget of {research['incumbent_budget']}"
+        )
+    if research["plans_assessed_ratio"] < PLANS_ASSESSED_RATIO_FLOOR:
+        failures.append(
+            f"from-scratch search assessed only "
+            f"{research['plans_assessed_ratio']:.2f}x the plans of the "
+            f"incumbent re-search, below the "
+            f"{PLANS_ASSESSED_RATIO_FLOOR:.0f}x floor"
         )
     if not research["warm_satisfies_constraints"]:
         failures.append("warm-start result violates the zone constraints")
@@ -269,7 +286,7 @@ def _write_results(rows: list[dict]) -> None:
     payload = {
         "benchmark": "multi-zone correlated outages and incumbent re-search",
         "master_seed": MASTER_SEED,
-        "smoke_speedup_floor": SMOKE_SPEEDUP_FLOOR,
+        "plans_assessed_ratio_floor": PLANS_ASSESSED_RATIO_FLOOR,
         "quality_epsilon": QUALITY_EPSILON,
         "rows": rows,
     }
@@ -278,7 +295,7 @@ def _write_results(rows: list[dict]) -> None:
 
 
 def run_smoke() -> int:
-    """CI gate: exact outage semantics plus the warm-start floor."""
+    """CI gate: exact outage semantics plus the warm-start work floor."""
     rows = [
         bench_zone_outage_exact(),
         bench_incumbent_research(rounds=1_000, scratch_budget=60,
@@ -291,7 +308,7 @@ def run_smoke() -> int:
     _write_results(rows)
     print(
         "smoke OK: zone-pinned plan dies with its zone, constrained plan "
-        "survives, warm re-search meets the speedup floor at equal quality"
+        "survives, warm re-search meets the work floor at equal quality"
     )
     return 0
 
@@ -324,7 +341,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI gate: exact outage check + 2x warm-start re-search floor",
+        help="CI gate: exact outage check + warm-start re-search work floor",
     )
     parser.add_argument("--rounds", type=int, default=2_000)
     parser.add_argument("--scratch-budget", type=int, default=60)

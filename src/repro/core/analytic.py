@@ -122,9 +122,9 @@ class AnalyticAssessor(AssessorBase):
         self.metrics = inner.metrics
         self._evaluator = StructureEvaluator(self.engine)
         # The enumeration needs the packed pipeline end to end: compiled
-        # forest rows in, bitwise route-and-check out. Engines without a
-        # packed fast path (the generic per-round engine) get no exact
-        # path at all — everything falls back, with one loud warning.
+        # forest rows in, bitwise route-and-check out. An engine that is
+        # not packed-capable (no shipped one) gets no exact path at
+        # all — everything falls back, with one loud warning.
         self._packed = kernel_supported(self.engine)
         self.kernel: AssessmentKernel | None = None
         if self._packed:

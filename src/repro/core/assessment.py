@@ -132,8 +132,8 @@ class ReliabilityAssessor(AssessorBase):
         self._all_probabilities = self.dependency_model.failure_probabilities()
         self._validated = set()
         self._closures: dict[frozenset[str], tuple[set[str], set[str]]] = {}
-        # The compiled kernel needs a packed-capable engine; generic
-        # topologies keep the legacy interpreter (config.kernel is then a
+        # The compiled kernel needs a packed-capable engine; under any
+        # other the legacy interpreter stays (config.kernel is then a
         # no-op, which is the documented fallback).
         self.kernel: AssessmentKernel | None = (
             AssessmentKernel(topology, self.dependency_model)

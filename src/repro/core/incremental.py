@@ -88,8 +88,9 @@ class _CachingEngine(ReachabilityEngine):
     on which other hosts share the call (all shipped engines compute them
     host-by-host) — and the shared states for any element a query reads
     are in place before the first query that reads them, and never change.
-    Missing entries are delegated to the inner engine in one batch so the
-    generic engine keeps its one-union-find-per-round amortization.
+    Missing entries are delegated to the inner engine in one batch: the
+    generic engine stacks its alive tables and propagates from the border
+    switches once per call, however many hosts the call names.
     """
 
     def __init__(self, inner: ReachabilityEngine, metrics: MetricsRegistry):

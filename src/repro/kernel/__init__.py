@@ -22,8 +22,8 @@ Everything is bit-identical to the legacy interpreter for the same
 :class:`~repro.core.api.AssessmentConfig` and rng seed — the kernel
 changes how states are stored and combined, never which draws are made
 or which boolean formulas are applied. Enable it with
-``AssessmentConfig(kernel=True)``; topologies without a packed-capable
-reachability engine (the generic per-round engine) transparently fall
+``AssessmentConfig(kernel=True)``. Every shipped reachability engine is
+packed-capable; a user-supplied engine that is not transparently falls
 back to the legacy interpreter.
 """
 
@@ -89,9 +89,9 @@ def kernel_supported(engine: "ReachabilityEngine") -> bool:
     """Whether the compiled kernel can drive this reachability engine.
 
     The packed representation needs an engine whose route-and-check is
-    pure boolean algebra over alive masks (fat-tree, leaf-spine). The
-    generic per-round union-find engine reads individual rounds, so
-    generic topologies keep the legacy interpreter.
+    pure boolean algebra over alive masks, as every shipped engine's is
+    (fat-tree, leaf-spine, generic). An engine that reads individual
+    rounds keeps the legacy interpreter.
     """
     return bool(getattr(engine, "supports_packed", False))
 

@@ -93,26 +93,6 @@ class RoundStates:
         failed = self.failed.get(component_id)
         return failed is None or not bool(np.any(failed))
 
-    def failed_in_round(self, component_id: str, round_index: int) -> bool:
-        """Scalar state query for one element in one round."""
-        failed = self.failed.get(component_id)
-        if failed is None:
-            return False
-        return bool(failed[round_index])
-
-    def rounds_with_failures(self, component_ids: Iterable[str]) -> np.ndarray:
-        """Indices of rounds where at least one listed element is failed.
-
-        Rounds outside this set need no routing at all — everything is
-        alive — which is the main fast path of per-round engines.
-        """
-        any_failed = np.zeros(self.rounds, dtype=bool)
-        for cid in component_ids:
-            failed = self.failed.get(cid)
-            if failed is not None:
-                np.logical_or(any_failed, failed, out=any_failed)
-        return np.nonzero(any_failed)[0]
-
 
 class PackedRoundStates(RoundStates):
     """Round states over bit-packed ``uint8`` rows (the kernel's native form).
@@ -157,21 +137,6 @@ class PackedRoundStates(RoundStates):
         cached.flags.writeable = False
         self._alive_cache[component_id] = cached
         return cached
-
-    def failed_in_round(self, component_id: str, round_index: int) -> bool:
-        failed = self.failed.get(component_id)
-        if failed is None:
-            return False
-        byte, bit = divmod(round_index, 8)
-        return bool(failed[byte] >> (7 - bit) & 1)
-
-    def rounds_with_failures(self, component_ids: Iterable[str]) -> np.ndarray:
-        any_failed = self.zeros()
-        for cid in component_ids:
-            failed = self.failed.get(cid)
-            if failed is not None:
-                np.bitwise_or(any_failed, failed, out=any_failed)
-        return np.nonzero(self.unpack(any_failed))[0]
 
 
 def all_alive(states: RoundStates, component_ids: Iterable[str]) -> np.ndarray | None:
@@ -244,8 +209,8 @@ class ReachabilityEngine:
 
     #: True on engines whose route-and-check is pure boolean algebra over
     #: alive masks and therefore works on :class:`PackedRoundStates`
-    #: unchanged. The generic per-round engine reads individual rounds,
-    #: so it stays dense-only.
+    #: unchanged, as every shipped engine's is. An engine that reads
+    #: individual rounds leaves it False and is driven dense-only.
     supports_packed = False
 
     def __init__(self, topology: Topology):
@@ -281,7 +246,7 @@ def engine_for(topology: Topology) -> ReachabilityEngine:
     """Pick the best engine for a topology.
 
     Fat-trees and leaf-spines get their vectorised up-down engines; any
-    other architecture falls back to the generic per-round engine.
+    other architecture falls back to the generic connectivity engine.
     """
     # Imported here to avoid a routing <-> topology import cycle at load time.
     from repro.routing.fattree_fast import FatTreeReachabilityEngine

@@ -1,18 +1,21 @@
-"""Generic per-round route-and-check for arbitrary topologies.
+"""Generic route-and-check for arbitrary topologies, every round at once.
 
 Works on any :class:`~repro.topology.base.Topology` by examining the alive
-subgraph round by round. Reachability here means graph connectivity of the
-alive subgraph — the weakest assumption about the architecture's routing
+subgraph. Reachability here means graph connectivity of the alive
+subgraph — the weakest assumption about the architecture's routing
 protocol (any protocol can at best use the alive subgraph). Architectures
 whose protocols forbid some physical paths (e.g. valley routing in a
 fat-tree) should use their specific engine; this one is the universal
 fallback and the reference implementation the fast engines are validated
 against on architectures where the two semantics coincide.
 
-Rounds in which no relevant element fails are resolved in bulk (every
-target is reachable unless isolated in the intact topology). Every other
-round costs one union-find pass over the alive edges, per call: two rounds
-with the same failure pattern are not recognised as such and pay twice.
+The topology is flattened once into node and link id tables and a
+directed edge list sorted by destination. A call stacks the alive rows of
+every node and link, bit-packed (64 rounds a word), and grows the set of
+rounds in which each node is reached from the seeds: one sweep moves every
+round one hop along every alive edge with a gather, an AND and a segmented
+OR, and sweeps repeat until nothing changes — at most one per node,
+whatever the round count.
 """
 
 from __future__ import annotations
@@ -21,161 +24,118 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults.component import ComponentType
 from repro.routing.base import ReachabilityEngine, RoundStates
 from repro.topology.base import Topology
 
 
-class _UnionFind:
-    """Minimal union-find over dense integer ids (path halving + size)."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-
 class GenericReachabilityEngine(ReachabilityEngine):
-    """Round-by-round union-find connectivity on the alive subgraph."""
+    """Connectivity of the alive subgraph by bitwise frontier propagation."""
+
+    supports_packed = True
 
     def __init__(self, topology: Topology):
         super().__init__(topology)
-        self._index = {node: i for i, node in enumerate(topology.graph.nodes)}
-        self._edges = [
-            (self._index[a], self._index[b], data["component_id"], a, b)
-            for a, b, data in topology.graph.edges(data=True)
-        ]
-        self._border_indices = [self._index[b] for b in topology.border_switches]
-        self._intact = self._intact_union_find()
+        nodes = list(topology.graph.nodes)
+        edges = list(topology.graph.edges(data="component_id"))
+        self._index = {node: i for i, node in enumerate(nodes)}
+        # Alive-table rows: every node, then the link of every edge.
+        self._ids = nodes + [link for _a, _b, link in edges]
+        # Without structural knowledge, any element may sit on some path.
+        self._relevant = frozenset(self._ids)
+        self._borders = [self._index[b] for b in topology.border_switches]
 
-    def _intact_union_find(self) -> _UnionFind:
-        """Connectivity of the fully-alive topology (the no-failure baseline)."""
-        uf = _UnionFind(len(self._index))
-        for ia, ib, _link_cid, _a, _b in self._edges:
-            uf.union(ia, ib)
-        return uf
+        a = np.array([self._index[a] for a, _b, _link in edges], dtype=np.intp)
+        b = np.array([self._index[b] for _a, b, _link in edges], dtype=np.intp)
+        link = np.arange(len(nodes), len(self._ids), dtype=np.intp)
+        stay = np.arange(len(nodes), dtype=np.intp)
+        # Both directions of every edge, plus a self-loop per node that
+        # carries what the node already holds (its "link" row is its own),
+        # sorted by destination: one ``reduceat`` then ORs together
+        # everything arriving at each node, and no node — not even one
+        # without edges — owns an empty segment, which ``reduceat`` lacks.
+        dst = np.concatenate([b, a, stay])
+        order = np.argsort(dst, kind="stable")
+        self._src = np.concatenate([a, b, stay])[order]
+        self._dst = dst[order]
+        self._link = np.concatenate([link, link, stay])[order]
+        self._starts = np.searchsorted(self._dst, stay)
+
+    def relevant_elements(self, hosts: Sequence[str]) -> frozenset[str]:
+        return self._relevant
 
     # ------------------------------------------------------------------
 
-    def _relevant_ids(self) -> list[str]:
-        """Every element whose failure can change connectivity."""
-        ids = list(self._index)
-        ids.extend(edge[2] for edge in self._edges)
-        return ids
+    def _alive_table(self, states: RoundStates) -> np.ndarray:
+        """Alive rows (ids x words) of every node, then every link.
 
-    def relevant_elements(self, hosts) -> set[str]:
-        # Without structural knowledge, any element may sit on some path.
-        return set(self._relevant_ids())
+        Rows are bit-packed and viewed as ``uint64`` — 64 rounds a word,
+        because ``reduceat`` is priced by the element — so the row width
+        is padded to whole words; the padding reads "failed" and is cut
+        off again by :meth:`_rows`.
+        """
+        width, per_word = states.width, 8 if states.packed else 64
+        table = np.zeros(
+            (len(self._ids), -(-width // per_word) * per_word),
+            dtype=np.uint8 if states.packed else bool,
+        )
+        table[:, :width] = states.materialize(None)
+        for row, cid in enumerate(self._ids):
+            mask = states.alive_mask(cid)
+            if mask is not None:
+                table[row, :width] = mask
+        if not states.packed:
+            table = np.packbits(table, axis=1)
+        return table.view(np.uint64)
 
-    def _components_for_round(self, states: RoundStates, round_index: int) -> _UnionFind:
-        """Union-find of the alive subgraph in one round."""
-        uf = _UnionFind(len(self._index))
-        for ia, ib, link_cid, a, b in self._edges:
-            if states.failed_in_round(link_cid, round_index):
-                continue
-            if states.failed_in_round(a, round_index) or states.failed_in_round(
-                b, round_index
-            ):
-                continue
-            uf.union(ia, ib)
-        return uf
+    def _edge_alive(self, table: np.ndarray) -> np.ndarray:
+        """Per directed edge: rounds where the link and both ends are alive."""
+        return table[self._link] & table[self._src] & table[self._dst]
+
+    def _sweep(self, reach: np.ndarray, edge_alive: np.ndarray) -> np.ndarray:
+        """Every round one hop on: per node, the OR over its alive in-edges."""
+        return np.bitwise_or.reduceat(reach[self._src] & edge_alive, self._starts)
+
+    def _reach_from(
+        self, seeds: Sequence[int], table: np.ndarray, edge_alive: np.ndarray
+    ) -> np.ndarray:
+        """Per node: rounds where it is alive and joined to an alive seed."""
+        reach = np.zeros((len(self._index), table.shape[1]), dtype=np.uint64)
+        reach[seeds] = table[seeds]
+        while True:
+            grown = self._sweep(reach, edge_alive)
+            if np.array_equal(grown, reach):
+                return reach
+            reach = grown
+
+    def _rows(
+        self, states: RoundStates, reach: np.ndarray, nodes: Sequence[str]
+    ) -> np.ndarray:
+        """The nodes' rows of ``reach`` (copied) in the states' own form."""
+        rows = reach[[self._index[node] for node in nodes]].view(np.uint8)
+        if states.packed:
+            return rows[:, : states.width]
+        return np.unpackbits(rows, axis=1, count=states.rounds).view(bool)
+
+    # ------------------------------------------------------------------
 
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
     ) -> dict[str, np.ndarray]:
-        rounds = states.rounds
-        # Rounds without failures fall back to intact-topology connectivity
-        # (all-reachable for any sane topology, but not assumed).
-        result = {
-            host: np.full(
-                rounds,
-                any(
-                    self._intact.connected(self._index[host], ib)
-                    for ib in self._border_indices
-                ),
-                dtype=bool,
-            )
-            for host in hosts
-        }
-
-        failure_rounds = states.rounds_with_failures(self._relevant_ids())
-        for round_index in failure_rounds:
-            uf = self._components_for_round(states, round_index)
-            alive_borders = [
-                ib
-                for b, ib in zip(self.topology.border_switches, self._border_indices)
-                if not states.failed_in_round(b, round_index)
-            ]
-            for host in hosts:
-                reachable = False
-                if not states.failed_in_round(host, round_index):
-                    host_index = self._index[host]
-                    reachable = any(
-                        uf.connected(host_index, ib) for ib in alive_borders
-                    )
-                result[host][round_index] = reachable
-        return result
+        table = self._alive_table(states)
+        reach = self._reach_from(self._borders, table, self._edge_alive(table))
+        return dict(zip(hosts, self._rows(states, reach, hosts)))
 
     def pairwise_reachable(
         self, states: RoundStates, pairs: Sequence[tuple[str, str]]
     ) -> dict[tuple[str, str], np.ndarray]:
-        rounds = states.rounds
-        result = {
-            pair: np.full(
-                rounds,
-                self._intact.connected(self._index[pair[0]], self._index[pair[1]]),
-                dtype=bool,
-            )
-            for pair in pairs
-        }
-
-        failure_rounds = states.rounds_with_failures(self._relevant_ids())
-        for round_index in failure_rounds:
-            uf = self._components_for_round(states, round_index)
-            for a, b in pairs:
-                if states.failed_in_round(a, round_index) or states.failed_in_round(
-                    b, round_index
-                ):
-                    result[(a, b)][round_index] = False
-                    continue
-                result[(a, b)][round_index] = uf.connected(self._index[a], self._index[b])
+        table = self._alive_table(states)
+        edge_alive = self._edge_alive(table)
+        peers: dict[str, list[str]] = {}
+        for a, b in pairs:
+            peers.setdefault(a, []).append(b)
+        result = {}
+        for a, others in peers.items():
+            reach = self._reach_from([self._index[a]], table, edge_alive)
+            for b, row in zip(others, self._rows(states, reach, others)):
+                result[(a, b)] = row
         return result
-
-    # ------------------------------------------------------------------
-    # Debug / inspection helpers
-    # ------------------------------------------------------------------
-
-    def reachable_hosts_in_round(self, states: RoundStates, round_index: int) -> set[str]:
-        """All hosts reachable from some alive border switch in one round."""
-        uf = self._components_for_round(states, round_index)
-        alive_borders = [
-            self._index[b]
-            for b in self.topology.border_switches
-            if not states.failed_in_round(b, round_index)
-        ]
-        reachable = set()
-        for host in self.topology.hosts:
-            if states.failed_in_round(host, round_index):
-                continue
-            host_index = self._index[host]
-            if any(uf.connected(host_index, ib) for ib in alive_borders):
-                reachable.add(host)
-        return reachable

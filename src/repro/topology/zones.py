@@ -28,7 +28,7 @@ of the same plane index are fully meshed across zones.
 :class:`MultiZoneTopology` deliberately does **not** subclass
 :class:`FatTreeTopology`: the fat-tree's specialised routing engine
 assumes a single tree, so :func:`repro.routing.base.engine_for` must
-fall through to the generic union-find reachability engine here.
+fall through to the generic connectivity engine here.
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ from repro.serialization import estimate_from_dict, estimate_to_dict
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, ValidationError
+from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 TOPO = FatTreeTopology(4, seed=5)
 MODEL = build_paper_inventory(TOPO, power_supplies=3, seed=9)
@@ -361,19 +362,33 @@ class TestAnalyticZones:
             independent *= marginals.marginal(root)
         assert marginals.marginal(joint) > independent
 
-    def test_zone_plan_level_declines_to_sampling(self):
-        # Multi-zone topologies route through the generic per-round
-        # engine, which has no packed fast path: the analytic backend
-        # must decline loudly and serve the sampled estimate instead.
+    def _zone_assessor(self, engine_class=None):
         topology = MultiZoneTopology(zones=2, k=4, seed=7)
         model = build_zone_inventory(topology, power_supplies=2, seed=3)
-        assessor = build_assessor(
-            topology,
-            model,
-            AssessmentConfig(mode="analytic", rounds=1500, rng=13),
+        config = AssessmentConfig(mode="analytic", rounds=1500, rng=13)
+        if engine_class is not None:
+            config = config.with_updates(engine=engine_class(topology))
+        plan = DeploymentPlan.single_component(sorted(topology.hosts)[:2], APP)
+        return build_assessor(topology, model, config), plan
+
+    def test_zone_plan_level_declines_to_sampling(self):
+        # The generic engine is packed-capable, so the analytic backend
+        # reaches the zone closure itself — and that closure is the whole
+        # topology, far past the enumeration budget: it must decline
+        # loudly, for that reason, and serve the sampled estimate.
+        assessor, plan = self._zone_assessor()
+        assert assessor.explain(plan) == (
+            "closure has 71 uncertain basic events, "
+            "budget allows 20 (2**20 exact states)"
         )
-        zone_hosts = sorted(topology.hosts)[:2]
-        plan = DeploymentPlan.single_component(zone_hosts, APP)
+        result = assessor.assess(plan, STRUCTURE)
+        assert not result.estimate.exact
+        assert result.estimate.rounds == 1500
+
+    def test_dense_only_engine_declines_on_the_engine(self):
+        # A user-supplied engine that reads individual rounds cannot be
+        # driven packed: the backend declines before any closure analysis.
+        assessor, plan = self._zone_assessor(UnionFindReachabilityEngine)
         assert assessor.explain(plan) == "no packed reachability engine"
         result = assessor.assess(plan, STRUCTURE)
         assert not result.estimate.exact

@@ -38,7 +38,6 @@ from repro.kernel import (
     unpack_row,
 )
 from repro.kernel.packed import PackedBatch, pack_bool_matrix, unpack_matrix
-from repro.routing.generic import GenericReachabilityEngine
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
     ExtendedDaggerSampler,
@@ -47,6 +46,7 @@ from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
 from repro.util.errors import ConfigurationError
+from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 # ---------------------------------------------------------------------------
 # Shared substrates (hypothesis re-runs test bodies; build these once)
@@ -347,8 +347,11 @@ class TestAssessmentBitIdentity:
         assert np.array_equal(a.per_round, b.per_round)
 
     def test_generic_engine_falls_back_to_interpreter(self):
+        # The shipped generic engine is packed-capable; the per-round
+        # union-find it replaced stands in for a user-supplied dense-only
+        # engine, which must still fall back rather than be driven packed.
         config = AssessmentConfig(
-            rounds=501, rng=7, engine=GenericReachabilityEngine(FATTREE), kernel=True
+            rounds=501, rng=7, engine=UnionFindReachabilityEngine(FATTREE), kernel=True
         )
         assessor = build_assessor(FATTREE, FATTREE_INV, config)
         assert assessor.kernel is None  # fallback, not an error
@@ -359,7 +362,7 @@ class TestAssessmentBitIdentity:
             FATTREE,
             FATTREE_INV,
             AssessmentConfig(
-                rounds=501, rng=7, engine=GenericReachabilityEngine(FATTREE)
+                rounds=501, rng=7, engine=UnionFindReachabilityEngine(FATTREE)
             ),
         ).assess(_plan_for(FATTREE, structure), structure)
         assert np.array_equal(result.per_round, reference.per_round)

@@ -1,18 +1,23 @@
 """Route-and-check tests: RoundStates, generic engine, fast engines.
 
 The fat-tree fast engine is validated against a brute-force enumeration of
-valid up-down paths; the generic engine against networkx connectivity; and
-the fast engines are checked to be *subsets* of graph connectivity (a
-routed path is in particular a physical path).
+valid up-down paths; the generic engine against networkx connectivity and,
+round for round, against the per-round union-find it replaced
+(``tests/unionfind_oracle.py``); and the fast engines are checked to be
+*subsets* of graph connectivity (a routed path is in particular a
+physical path).
 """
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults.component import link_id
+from repro.faults.component import ComponentType, link_id
 from repro.faults.probability import DefaultProbabilityPolicy
 from repro.routing.base import (
+    PackedRoundStates,
     RoundStates,
     all_alive,
     any_path,
@@ -24,8 +29,15 @@ from repro.routing.generic import GenericReachabilityEngine
 from repro.routing.leafspine_fast import LeafSpineReachabilityEngine
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.fattree import FatTreeTopology
+from repro.topology.base import Topology
 from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, TopologyError
+from tests.unionfind_oracle import (
+    UnionFindReachabilityEngine,
+    failed_in_round,
+    rounds_with_failures,
+)
 
 ROUNDS = 400
 
@@ -39,7 +51,7 @@ def _states_for(topology, seed=2, rounds=ROUNDS):
 
 
 def _alive(states, cid, i):
-    return not states.failed_in_round(cid, i)
+    return not failed_in_round(states, cid, i)
 
 
 # ----------------------------------------------------------------------
@@ -127,11 +139,14 @@ class TestRoundStates:
         states = RoundStates(3, {"c": failed})
         assert np.array_equal(states.alive_mask("c"), ~failed)
 
+    # The two scalar queries below left ``RoundStates`` with the per-round
+    # engine; the oracle module carries them for itself and these tests.
+
     def test_failed_in_round(self):
         states = RoundStates(3, {"c": np.array([True, False, True])})
-        assert states.failed_in_round("c", 0)
-        assert not states.failed_in_round("c", 1)
-        assert not states.failed_in_round("ghost", 2)
+        assert failed_in_round(states, "c", 0)
+        assert not failed_in_round(states, "c", 1)
+        assert not failed_in_round(states, "ghost", 2)
 
     def test_rounds_with_failures(self):
         states = RoundStates(
@@ -141,9 +156,9 @@ class TestRoundStates:
                 "b": np.array([False, False, True, False]),
             },
         )
-        assert list(states.rounds_with_failures(["a", "b"])) == [0, 2]
-        assert list(states.rounds_with_failures(["a"])) == [0]
-        assert list(states.rounds_with_failures(["ghost"])) == []
+        assert list(rounds_with_failures(states, ["a", "b"])) == [0, 2]
+        assert list(rounds_with_failures(states, ["a"])) == [0]
+        assert list(rounds_with_failures(states, ["ghost"])) == []
 
     def test_rejects_non_positive_rounds(self):
         with pytest.raises(ConfigurationError):
@@ -256,13 +271,13 @@ class TestGenericEngine:
         for i in range(0, ROUNDS, 7):  # spot-check a sample of rounds
             graph = nx.Graph()
             for node in lossy_fattree4.graph.nodes:
-                if not lossy_states.failed_in_round(node, i):
+                if _alive(lossy_states, node, i):
                     graph.add_node(node)
             for a, b, data in lossy_fattree4.graph.edges(data=True):
                 if (
                     a in graph
                     and b in graph
-                    and not lossy_states.failed_in_round(data["component_id"], i)
+                    and _alive(lossy_states, data["component_id"], i)
                 ):
                     graph.add_edge(a, b)
             alive_borders = [
@@ -287,8 +302,162 @@ class TestGenericEngine:
         # Fail one edge switch: exactly its hosts become unreachable.
         failed = {"edge/0/0": np.array([True])}
         states = RoundStates(1, failed)
-        reachable = engine.reachable_hosts_in_round(states, 0)
+        result = engine.external_reachable(states, fattree4.hosts)
+        reachable = {host for host, vector in result.items() if vector[0]}
         assert reachable == set(fattree4.hosts) - {"host/0/0/0", "host/0/0/1"}
+
+
+# ----------------------------------------------------------------------
+# All-rounds-at-once generic engine vs the per-round union-find it replaced
+# ----------------------------------------------------------------------
+
+
+def _custom_topology(nodes, borders, edges, name="custom"):
+    """A bare topology over nodes ``0..nodes-1``; the first ``borders`` are
+    border switches, the rest hosts."""
+    topology = Topology(name, probability_policy=DefaultProbabilityPolicy(0.1))
+    ids = []
+    for i in range(nodes):
+        if i < borders:
+            ids.append(f"border/{i}")
+            topology._add_switch(ids[-1], ComponentType.BORDER_SWITCH)
+        else:
+            ids.append(f"host/{i}")
+            topology._add_host(ids[-1])
+    for a, b in edges:
+        topology._add_link(ids[a], ids[b])
+    topology._freeze()
+    return topology
+
+
+#: Shipped shapes plus a ring, where one failure stretches the alive path
+#: between neighbours of the break to the whole circumference — far past
+#: the intact diameter.
+FIXED_TOPOLOGIES = [
+    MultiZoneTopology(zones=2, k=4, seed=1),
+    FatTreeTopology(4, seed=1),
+    LeafSpineTopology(spines=3, leaves=4, hosts_per_leaf=2, seed=3),
+    _custom_topology(12, 1, [(i, (i + 1) % 12) for i in range(12)], name="ring"),
+]
+
+
+@st.composite
+def topologies(draw):
+    """A shipped shape, or a random graph: sparse draws are disconnected
+    and leave nodes with no edge at all."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIXED_TOPOLOGIES))
+    nodes = draw(st.integers(2, 10))
+    borders = draw(st.integers(1, nodes - 1))
+    candidates = [(a, b) for a in range(nodes) for b in range(a + 1, nodes)]
+    edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=20))
+    return _custom_topology(nodes, borders, edges)
+
+
+@st.composite
+def routing_cases(draw):
+    topology = draw(topologies())
+    rounds = draw(st.integers(1, 41))  # mostly not a multiple of 8: pad bits
+    rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.5, 0.8]))
+    present = draw(st.sampled_from([0.3, 1.0]))  # ids missing from ``failed``
+    dead_borders = draw(st.sampled_from(["none", "one", "all"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    graph = topology.graph
+    nodes = list(graph.nodes)
+    links = [link for _a, _b, link in graph.edges(data="component_id")]
+    failed = {
+        cid: rng.random(rounds) < rate
+        for cid in nodes + links
+        if rng.random() < present
+    }
+    borders = topology.border_switches
+    for border in {"none": [], "one": borders[:1], "all": borders}[dead_borders]:
+        failed[border] = np.ones(rounds, dtype=bool)
+
+    # Queries name any node (a border is a host that is itself a border),
+    # with repeats, and pairs include (a, a) and both orders.
+    hosts = [nodes[i] for i in rng.integers(0, len(nodes), size=6)] + borders[:1]
+    pairs = [
+        (nodes[a], nodes[b]) for a, b in rng.integers(0, len(nodes), size=(6, 2))
+    ]
+    pairs += [pairs[0], pairs[1][::-1], (hosts[0], hosts[0])]
+    return topology, rounds, failed, hosts, pairs
+
+
+class TestGenericEngineVsUnionFind:
+    @given(case=routing_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_every_round_matches_the_oracle(self, case):
+        topology, rounds, failed, hosts, pairs = case
+        oracle = UnionFindReachabilityEngine(topology)
+        engine = GenericReachabilityEngine(topology)
+        dense = RoundStates(rounds, failed)
+        packed = PackedRoundStates(
+            rounds, {cid: np.packbits(vector) for cid, vector in failed.items()}
+        )
+
+        expected = oracle.external_reachable(dense, hosts)
+        got_dense = engine.external_reachable(dense, hosts)
+        got_packed = engine.external_reachable(packed, hosts)
+        assert set(got_dense) == set(got_packed) == set(expected)
+        for host, vector in expected.items():
+            assert got_dense[host].dtype == bool
+            assert np.array_equal(got_dense[host], vector), host
+            assert got_packed[host].shape == (packed.width,)
+            assert np.array_equal(packed.unpack(got_packed[host]), vector), host
+
+        expected = oracle.pairwise_reachable(dense, pairs)
+        got_dense = engine.pairwise_reachable(dense, pairs)
+        got_packed = engine.pairwise_reachable(packed, pairs)
+        assert set(got_dense) == set(got_packed) == set(expected)
+        for pair, vector in expected.items():
+            assert np.array_equal(got_dense[pair], vector), pair
+            assert np.array_equal(packed.unpack(got_packed[pair]), vector), pair
+
+    def test_relevant_elements_is_one_shared_set(self):
+        topology = FIXED_TOPOLOGIES[0]
+        engine = GenericReachabilityEngine(topology)
+        oracle = UnionFindReachabilityEngine(topology)
+        elements = engine.relevant_elements(topology.hosts[:1])
+        assert elements == oracle.relevant_elements(topology.hosts[:1])
+        assert engine.relevant_elements(topology.hosts[1:3]) is elements
+
+    def test_cost_does_not_grow_with_rounds(self, monkeypatch):
+        """A 500-round call makes no per-round Python call: the state
+        reads are one per id and the sweeps are bounded by the node count,
+        exactly as for 50 rounds."""
+        topology = FIXED_TOPOLOGIES[0]
+        engine = GenericReachabilityEngine(topology)
+
+        def per_round_query(*_args, **_kwargs):
+            raise AssertionError("per-round state query on the production path")
+
+        monkeypatch.setattr(
+            RoundStates, "failed_in_round", per_round_query, raising=False
+        )
+        calls = {"alive_mask": 0, "sweep": 0}
+        alive_mask, sweep = RoundStates.alive_mask, GenericReachabilityEngine._sweep
+
+        def counting_alive_mask(states, cid):
+            calls["alive_mask"] += 1
+            return alive_mask(states, cid)
+
+        def counting_sweep(self, reach, edge_alive):
+            calls["sweep"] += 1
+            return sweep(self, reach, edge_alive)
+
+        monkeypatch.setattr(RoundStates, "alive_mask", counting_alive_mask)
+        monkeypatch.setattr(GenericReachabilityEngine, "_sweep", counting_sweep)
+
+        ids = len(topology.graph.nodes) + topology.graph.number_of_edges()
+        for rounds in (50, 500):
+            calls.update(alive_mask=0, sweep=0)
+            states = _states_for(topology, seed=9, rounds=rounds)
+            result = engine.external_reachable(states, topology.hosts)
+            assert calls["alive_mask"] == ids
+            assert 1 <= calls["sweep"] <= len(topology.graph.nodes)
+            assert all(vector.shape == (rounds,) for vector in result.values())
 
 
 class TestLeafSpineEngine:
@@ -356,9 +525,6 @@ class TestEngineFactory:
         assert isinstance(engine_for(leafspine), LeafSpineReachabilityEngine)
 
     def test_unknown_topology_gets_generic(self):
-        from repro.faults.component import ComponentType
-        from repro.topology.base import Topology
-
         topo = Topology("custom", probability_policy=DefaultProbabilityPolicy(0.1))
         topo._add_host("h0")
         topo._add_switch("s0", ComponentType.BORDER_SWITCH)

@@ -35,6 +35,8 @@ from repro.util.errors import (
     UnsatisfiableRequirements,
     ValidationError,
 )
+from repro.util.metrics import MetricsRegistry
+from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 
 @pytest.fixture
@@ -319,13 +321,13 @@ class FakeClock:
         return self.now
 
 
-def _zone_search(zones2, zone_model, **kwargs):
+def _zone_search(zones2, zone_model, config=None, **kwargs):
     kwargs.setdefault("rng", 11)
     kwargs.setdefault("clock", FakeClock())
     return DeploymentSearch.from_config(
         zones2,
         zone_model,
-        AssessmentConfig(rounds=600, rng=5),
+        config or AssessmentConfig(rounds=600, rng=5),
         **kwargs,
     )
 
@@ -382,6 +384,90 @@ class TestConstrainedSearch:
         ).resume(ckpt, max_iterations=12)
         assert resumed.iterations == 12
         assert CROSS_ZONE.satisfied_by(resumed.best_plan, zones2)
+
+
+class TestGenericEngineKeepsEveryAnswer:
+    """The all-rounds generic engine against the per-round union-find it
+    replaced, through the whole search: same plans, estimates, trajectory
+    and cache counters. Under ``kernel=True`` the oracle, being
+    dense-only, falls back to the interpreter, so that leg also holds the
+    packed pipeline against the dense one."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_search_matches_union_find_oracle(
+        self, zones2, zone_model, kernel, batch_size
+    ):
+        def run(engine):
+            metrics = MetricsRegistry()
+            config = AssessmentConfig(
+                rounds=300, rng=5, kernel=kernel, engine=engine, metrics=metrics
+            )
+            result = _zone_search(
+                zones2,
+                zone_model,
+                config=config,
+                batch_size=batch_size,
+                keep_trace=True,
+            ).search(
+                SearchSpec(
+                    ApplicationStructure.k_of_n(3, 4),
+                    max_seconds=30.0,
+                    max_iterations=12,
+                    zone_constraints=CROSS_ZONE,
+                )
+            )
+            return result, metrics.snapshot()["counters"]
+
+        got, got_counters = run(GenericReachabilityEngine(zones2))
+        want, want_counters = run(UnionFindReachabilityEngine(zones2))
+        assert got.best_plan == want.best_plan
+        assert got.best_assessment.estimate == want.best_assessment.estimate
+        assert np.array_equal(
+            got.best_assessment.per_round, want.best_assessment.per_round
+        )
+        assert got.trace == want.trace and len(got.trace) >= 12
+        for field in (
+            "iterations",
+            "plans_assessed",
+            "plans_skipped_symmetric",
+            "candidates_proposed",
+            "batches_scored",
+        ):
+            assert getattr(got, field) == getattr(want, field), field
+        assert got_counters == want_counters
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_layered_assessment_matches_union_find_oracle(
+        self, zones2, zone_model, kernel
+    ):
+        # Inter-component requirements go through pairwise_reachable.
+        structure = ApplicationStructure.from_requirement_map(
+            {"web": 2, "app": 3, "db": 2},
+            {("app", "web"): 1, ("db", "app"): 2},
+        )
+        zone0, zone1 = zones2.hosts_in_zone("zone0"), zones2.hosts_in_zone("zone1")
+        plan = DeploymentPlan.from_mapping(
+            {
+                "web": [zone0[0], zone1[0]],
+                "app": [zone0[1], zone0[5], zone1[3]],
+                "db": [zone0[9], zone1[7]],
+            }
+        )
+        results = [
+            build_assessor(
+                zones2,
+                zone_model,
+                AssessmentConfig(rounds=501, rng=21, kernel=kernel, engine=engine),
+            ).assess(plan, structure)
+            for engine in (
+                GenericReachabilityEngine(zones2),
+                UnionFindReachabilityEngine(zones2),
+            )
+        ]
+        assert results[0].estimate == results[1].estimate
+        assert 0.0 < results[0].estimate.score < 1.0
+        assert np.array_equal(results[0].per_round, results[1].per_round)
 
 
 def spec_document_legacy(document):
