@@ -1,9 +1,10 @@
 """Compiled kernel vs interpreted assessment path.
 
-Times the same workloads through the legacy interpreted pipeline and the
+Runs the same workloads through the interpreted pipeline
+(``kernel=False``, named explicitly: the kernel is the default) and the
 compiled kernel (integer component arena + bit-packed round states +
 flattened fault-tree programs), verifies every per-round vector is
-*bit-identical*, and reports three speedups:
+*bit-identical*, and records:
 
 * ``assess`` — end-to-end sequential assessments on the Table-2 tiny
   preset at the default 10^4 rounds, with the full infrastructure
@@ -11,7 +12,17 @@ flattened fault-tree programs), verifies every per-round vector is
 * ``search_loop`` — the incremental engine replaying a single-VM-move
   random walk with packed vs dense round states;
 * ``shared_batch`` — ``score_plans`` scoring a candidate set off one
-  common-random-numbers batch vs assessing each plan solo.
+  common-random-numbers batch vs assessing each plan solo;
+* ``cold_medium`` — a distinct cold 8-of-10 plan per assessment on the
+  Table-2 medium preset, closure-only and with the full infrastructure
+  sampled (the mode Fig. 7 times): p50 and peak RSS of each leg over 5
+  interleaved repeats, a process each. Recorded, not gated.
+
+What is gated repeats exactly: 0 mismatches everywhere, and the function
+calls (Python and C, counted by ``sys.setprofile``) one pass of the
+``assess`` leg makes on each side — the interpreter's dispatch overhead
+is what the kernel removes, and a call count does not depend on the
+runner. Seconds are recorded only.
 
 Results land in ``BENCH_kernel.json`` at the repo root.
 
@@ -19,7 +30,7 @@ Usage::
 
     python benchmarks/bench_kernel.py            # full comparison
     python benchmarks/bench_kernel.py --smoke    # CI gate: asserts
-        bit-equality and >= 2x end-to-end speedup on the tiny preset
+        bit-equality and the call-count floor on the tiny preset
 
 Also runnable under pytest (``pytest benchmarks/bench_kernel.py``).
 """
@@ -28,7 +39,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import pathlib
+import resource
+import statistics
 import sys
 import time
 
@@ -50,7 +64,9 @@ from repro.topology.presets import paper_topology
 
 MASTER_SEED = 20170412
 WALK_SEED = 11
-SMOKE_SPEEDUP_FLOOR = 2.0
+#: The interpreted ``assess`` pass must make at least this many times the
+#: function calls of the compiled one (measured: see BENCH_kernel.json).
+CALLS_RATIO_FLOOR = 1.5
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = _REPO_ROOT / "BENCH_kernel.json"
@@ -70,6 +86,34 @@ def _plans(topology, structure, count: int) -> list[DeploymentPlan]:
         plan = plan.random_neighbor(topology, rng=rng)
         plans.append(plan)
     return plans
+
+
+def _both_sides(cls, topology, inventory, config):
+    """``(interpreted, compiled)`` assessors of one config, each named."""
+    interpreted = cls.from_config(
+        topology, inventory, config.with_updates(kernel=False)
+    )
+    compiled = cls.from_config(topology, inventory, config.with_updates(kernel=True))
+    assert interpreted.kernel is None, "interpreted leg is running the kernel"
+    assert compiled.kernel is not None, "kernel disabled on a supported preset"
+    return interpreted, compiled
+
+
+def _calls(work) -> int:
+    """Function calls, Python and C, ``work()`` makes: an exact repeat."""
+    count = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def _mismatches(results_a, results_b) -> int:
@@ -92,17 +136,15 @@ def bench_assess(scale: str, rounds: int, repeats: int) -> dict:
     plans = _plans(topology, structure, 12)
     base = AssessmentConfig(rounds=rounds, rng=7, sample_full_infrastructure=True)
 
-    legacy = ReliabilityAssessor.from_config(topology, inventory, base)
-    kernel = ReliabilityAssessor.from_config(
-        topology, inventory, base.with_updates(kernel=True)
-    )
-    assert kernel.kernel is not None, "kernel disabled on a supported preset"
+    legacy, kernel = _both_sides(ReliabilityAssessor, topology, inventory, base)
 
     # Warmup pass doubling as the bit-identity check: both assessors start
     # from the same rng seed, so pass one is draw-for-draw comparable.
     legacy_results = [legacy.assess(p, structure).per_round for p in plans]
     kernel_results = [kernel.assess(p, structure).per_round for p in plans]
     mismatches = _mismatches(legacy_results, kernel_results)
+    legacy_calls = _calls(lambda: [legacy.assess(p, structure) for p in plans])
+    kernel_calls = _calls(lambda: [kernel.assess(p, structure) for p in plans])
 
     legacy_seconds = kernel_seconds = float("inf")
     for _ in range(max(repeats, 1)):
@@ -124,6 +166,9 @@ def bench_assess(scale: str, rounds: int, repeats: int) -> dict:
         "interpreted_seconds": legacy_seconds,
         "kernel_seconds": kernel_seconds,
         "speedup": legacy_seconds / max(kernel_seconds, 1e-12),
+        "interpreted_calls": legacy_calls,
+        "kernel_calls": kernel_calls,
+        "calls_ratio": legacy_calls / kernel_calls,
         "mismatches": mismatches,
     }
 
@@ -137,10 +182,7 @@ def bench_search_loop(scale: str, rounds: int, moves: int) -> dict:
         mode="incremental", rounds=rounds, master_seed=MASTER_SEED
     )
 
-    dense = IncrementalAssessor.from_config(topology, inventory, base)
-    packed = IncrementalAssessor.from_config(
-        topology, inventory, base.with_updates(kernel=True)
-    )
+    dense, packed = _both_sides(IncrementalAssessor, topology, inventory, base)
 
     start = time.perf_counter()
     dense_results = [dense.assess(p, structure).per_round for p in plans]
@@ -197,75 +239,153 @@ def bench_shared_batch(scale: str, rounds: int, plans_count: int) -> dict:
     }
 
 
+def _cold_leg(kernel: bool, full: bool, plans: int, rounds: int) -> dict:
+    """One leg in its own process: ``plans`` cold assessments on a substrate
+    built here, their p50 and the process's peak RSS."""
+    topology, inventory = _substrate("medium")
+    structure = ApplicationStructure.k_of_n(8, 10)
+    assessor = ReliabilityAssessor.from_config(
+        topology,
+        inventory,
+        AssessmentConfig(
+            rounds=rounds, rng=7, kernel=kernel, sample_full_infrastructure=full
+        ),
+    )
+    rng = np.random.default_rng(WALK_SEED)
+    name = structure.components[0].name
+    seconds, scores = [], []
+    for _ in range(plans):
+        picks = rng.choice(len(topology.hosts), 10, replace=False)
+        plan = DeploymentPlan.single_component(
+            [topology.hosts[i] for i in picks], name
+        )
+        start = time.perf_counter()
+        result = assessor.assess(plan, structure)
+        seconds.append(time.perf_counter() - start)
+        scores.append(result.estimate.score)
+    return {
+        "p50_ms": 1e3 * statistics.median(seconds),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "scores": scores,
+    }
+
+
+def bench_cold_medium(rounds: int, plans: int, repeats: int = 5) -> list[dict]:
+    """Cold 8-of-10 plans on ``medium``, closure-only and full infrastructure.
+
+    Every leg runs in its own spawned process (peak RSS is per process and
+    only ever rises), legs interleaved, the first repeat a discarded
+    warm-up of the host. Recorded information: nothing here is gated but
+    the equality of the two legs' scores.
+    """
+    context = multiprocessing.get_context("spawn")
+    rows = []
+    for full in (False, True):
+        legs = {False: [], True: []}
+        for _ in range(repeats + 1):
+            for kernel in (False, True):
+                with context.Pool(1) as pool:
+                    legs[kernel].append(
+                        pool.apply(_cold_leg, (kernel, full, plans, rounds))
+                    )
+        row = {
+            "workload": "cold_medium_full" if full else "cold_medium_closure",
+            "scale": "medium",
+            "rounds": rounds,
+            "assessments": plans,
+            "timing_repeats": repeats,
+            "mismatches": sum(
+                a["scores"] != b["scores"] for a, b in zip(legs[False], legs[True])
+            ),
+        }
+        for side, kernel in (("interpreted", False), ("kernel", True)):
+            timed = legs[kernel][1:]
+            row[f"{side}_p50_ms"] = statistics.median(leg["p50_ms"] for leg in timed)
+            row[f"{side}_peak_rss_mb"] = max(leg["peak_rss_mb"] for leg in timed)
+        rows.append(row)
+    return rows
+
+
 def _report(row: dict) -> str:
+    if "interpreted_p50_ms" in row:
+        return (
+            f"{row['workload']:<19} rounds={row['rounds']:<7} "
+            f"interpreted={row['interpreted_p50_ms']:.1f}ms/"
+            f"{row['interpreted_peak_rss_mb']:.0f}MB "
+            f"kernel={row['kernel_p50_ms']:.1f}ms/{row['kernel_peak_rss_mb']:.0f}MB "
+            f"mismatches={row['mismatches']}"
+        )
+    calls = (
+        f" calls={row['interpreted_calls']}/{row['kernel_calls']}"
+        if "kernel_calls" in row
+        else ""
+    )
     return (
         f"{row['workload']:<13} {row['scale']:<6} rounds={row['rounds']:<7} "
         f"interpreted={row['interpreted_seconds']:.3f}s "
         f"kernel={row['kernel_seconds']:.3f}s "
-        f"speedup={row['speedup']:.2f}x mismatches={row['mismatches']}"
+        f"speedup={row['speedup']:.2f}x{calls} mismatches={row['mismatches']}"
     )
 
 
-def _write_results(rows: list[dict]) -> None:
+def _failures(rows: list[dict]) -> list[str]:
+    """Gate failures (empty = all gates met): counts, never seconds."""
+    failures = [
+        f"{row['workload']}: kernel diverged from the interpreted path "
+        f"({row['mismatches']} mismatches)"
+        for row in rows
+        if row["mismatches"]
+    ]
+    assess = rows[0]
+    if assess["calls_ratio"] < CALLS_RATIO_FLOOR:
+        failures.append(
+            f"assess: the interpreter makes {assess['calls_ratio']:.2f}x the "
+            f"kernel's function calls, below the {CALLS_RATIO_FLOOR}x floor"
+        )
+    return failures
+
+
+def _run(rows: list[dict]) -> int:
+    for row in rows:
+        print(_report(row))
+    failures = _failures(rows)
+    for failure in failures:
+        print(f"  !! {failure}")
     payload = {
         "benchmark": "compiled assessment kernel vs interpreted path",
         "master_seed": MASTER_SEED,
-        "smoke_speedup_floor": SMOKE_SPEEDUP_FLOOR,
+        "calls_ratio_floor": CALLS_RATIO_FLOOR,
         "rows": rows,
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULTS_PATH}")
+    return 1 if failures else 0
 
 
 def run_smoke() -> int:
-    """CI gate: bit-equality always, plus the end-to-end speedup floor.
-
-    The speedup assertion compares two in-process timings of identical
-    workloads (same machine, same load), so it is robust to slow runners
-    even though it is a wall-clock ratio.
-    """
-    rows = [
-        bench_assess("tiny", rounds=10_000, repeats=6),
-        bench_search_loop("tiny", rounds=2_000, moves=10),
-        bench_shared_batch("tiny", rounds=2_000, plans_count=8),
-    ]
-    for row in rows:
-        print(_report(row))
-        assert row["mismatches"] == 0, (
-            f"{row['workload']}: kernel diverged from the interpreted path"
-        )
-    assess = rows[0]
-    assert assess["speedup"] >= SMOKE_SPEEDUP_FLOOR, (
-        f"end-to-end kernel speedup {assess['speedup']:.2f}x below the "
-        f"{SMOKE_SPEEDUP_FLOOR:.0f}x floor on the tiny preset"
+    """CI gate: 0 mismatches and the call-count floor; seconds recorded."""
+    code = _run(
+        [
+            bench_assess("tiny", rounds=10_000, repeats=6),
+            bench_search_loop("tiny", rounds=2_000, moves=10),
+            bench_shared_batch("tiny", rounds=2_000, plans_count=8),
+            *bench_cold_medium(rounds=10_000, plans=30),
+        ]
     )
-    _write_results(rows)
-    print("smoke OK: bit-identical results, speedup floor met")
-    return 0
+    if code == 0:
+        print("smoke OK: bit-identical results, call-count floor met")
+    return code
 
 
 def run_full(scales: list[str], rounds: int) -> int:
-    failed = False
     rows = []
     for scale in scales:
-        for row in (
+        rows += [
             bench_assess(scale, rounds=rounds, repeats=8),
             bench_search_loop(scale, rounds=rounds, moves=30),
             bench_shared_batch(scale, rounds=rounds, plans_count=12),
-        ):
-            rows.append(row)
-            print(_report(row))
-            if row["mismatches"]:
-                print(f"  !! {row['mismatches']} mismatching assessments")
-                failed = True
-    if rows and rows[0]["speedup"] < SMOKE_SPEEDUP_FLOOR:
-        print(
-            f"  !! end-to-end speedup {rows[0]['speedup']:.2f}x below "
-            f"{SMOKE_SPEEDUP_FLOOR:.0f}x"
-        )
-        failed = True
-    _write_results(rows)
-    return 1 if failed else 0
+        ]
+    return _run(rows + bench_cold_medium(rounds=rounds, plans=100))
 
 
 def test_kernel_smoke():
@@ -278,7 +398,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI gate: bit-equality plus the 2x end-to-end speedup floor",
+        help="CI gate: bit-equality plus the call-count floor",
     )
     parser.add_argument(
         "--scales", default="tiny", help="comma-separated Table-2 scales"

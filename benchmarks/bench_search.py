@@ -271,7 +271,9 @@ def bench_tiny_loop(rounds: int, moves: int, repeats: int) -> dict:
     topology, inventory = _substrate("tiny")
     structure = ApplicationStructure.k_of_n(2, 3)
     spec = SearchSpec(structure, max_seconds=3_600.0, max_iterations=moves)
-    interpreted = AssessmentConfig(mode="incremental", rounds=rounds, rng=5)
+    interpreted = AssessmentConfig(
+        mode="incremental", rounds=rounds, rng=5, kernel=False
+    )
     batched = interpreted.with_updates(kernel=True)
 
     legacy = _legacy_search(

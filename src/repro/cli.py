@@ -760,9 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--kernel",
-            action="store_true",
-            help="route assessments through the compiled kernel (packed "
-            "states + flattened fault trees); bit-identical, faster",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="assess on the compiled kernel (packed states + flattened "
+            "fault trees); --no-kernel keeps the bit-identical interpreter",
         )
 
     p = sub.add_parser("topology", help="print a data center summary")
@@ -1047,8 +1048,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel",
-        action="store_true",
-        help="route assessments through the compiled kernel",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="assess on the compiled kernel (--no-kernel: the interpreter)",
     )
     p.add_argument("--k", type=int, required=True, help="instances that must be alive")
     p.add_argument("--n", type=int, required=True, help="instances to deploy")

@@ -82,12 +82,12 @@ class AssessmentConfig:
         chaos: Deterministic fault injection for tests (parallel mode).
         master_seed: Common-random-numbers master seed for the incremental
             mode; ``None`` derives one from ``rng``.
-        kernel: Route assessments through the compiled kernel
+        kernel: Run assessments on the compiled kernel
             (:mod:`repro.kernel`): integer component arena, bit-packed
-            round states, flattened fault-tree programs. Bit-identical to
-            the legacy interpreter for the same config and seed;
-            topologies without a packed-capable reachability engine fall
-            back to the interpreter transparently.
+            round states, flattened fault-tree programs. On by default;
+            ``False`` selects the interpreter, bit-identical for the same
+            config and seed, which a user-supplied engine without
+            ``supports_packed`` falls back to transparently.
         profile: Collect stage timings and cache counters; surfaced via
             the assessor's ``metrics`` registry and, on results, via
             ``RuntimeMetadata.profile``.
@@ -116,7 +116,7 @@ class AssessmentConfig:
     partial_ok: bool = False
     chaos: "ChaosPolicy | None" = None
     master_seed: int | None = None
-    kernel: bool = False
+    kernel: bool = True
     profile: bool = False
     metrics: MetricsRegistry | None = field(default=None, compare=False)
     analytic_shared_bits: int = 12

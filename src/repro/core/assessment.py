@@ -136,7 +136,7 @@ class ReliabilityAssessor(AssessorBase):
         # other the legacy interpreter stays (config.kernel is then a
         # no-op, which is the documented fallback).
         self.kernel: AssessmentKernel | None = (
-            AssessmentKernel(topology, self.dependency_model)
+            AssessmentKernel(topology, self.dependency_model, self._all_probabilities)
             if config.kernel and kernel_supported(self.engine)
             else None
         )
@@ -154,27 +154,32 @@ class ReliabilityAssessor(AssessorBase):
             # Rebuild so the arena's probability table (and anything
             # compiled against it) cannot go stale; trees recompile
             # lazily on the next assessment.
-            self.kernel = AssessmentKernel(self.topology, self.dependency_model)
+            self.kernel = AssessmentKernel(
+                self.topology, self.dependency_model, self._all_probabilities
+            )
 
     def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
         """(subjects, sampled component ids) for a plan's assessment.
 
         Subjects are the hosts/switches whose fault trees get evaluated;
         the sampled set adds links and every dependency those trees read.
-        The closure depends only on the plan's host set, so it is memoized
-        per host set (neighbouring plans in a search walk share it);
-        callers treat the returned sets as read-only.
+        The closure depends only on the plan's host set and is memoized
+        for the last few of them: what hits is one plan assessed again
+        and again (the service's chunked pieces, ``assess_to_ci``, a
+        worker's portions), and a ~70 KiB entry per cold plan is the
+        memory that would otherwise grow. Callers treat the returned
+        sets as read-only.
         """
         key = frozenset(plan.hosts())
         cached = self._closures.get(key)
         if cached is not None:
             return cached
         elements = self.engine.relevant_elements(plan.hosts())
-        subjects = {cid for cid in elements if cid in self.topology.graph}
+        subjects = elements & self.topology.elements
         links = elements - subjects
         sampled = set(self.dependency_model.basic_events_for(subjects))
         sampled.update(links)
-        if len(self._closures) >= 4096:
+        if len(self._closures) >= 8:
             self._closures.clear()
         self._closures[key] = (subjects, sampled)
         return subjects, sampled
@@ -206,9 +211,7 @@ class ReliabilityAssessor(AssessorBase):
         with _stage(metrics, "closure"):
             subjects, sampled = self.closure_for(plan)
             if self.sample_full_infrastructure:
-                # The one long-lived dict, not a copy: samplers only read
-                # it, and passing the same object lets their per-layout
-                # caches hit on identity.
+                # The one long-lived dict, not a copy: samplers only read it.
                 probabilities = self._all_probabilities
             else:
                 # Sorted, not set order: the sampler draws per component in
@@ -277,9 +280,9 @@ class ReliabilityAssessor(AssessorBase):
             # plan and is no subject — a handful, where the closure's
             # links run to thousands.
             if kernel is not None:
-                rows = batch.failed_rows()
+                rows = batch.failed_rows(sampled)
                 failed = kernel.effective_states(
-                    subjects, (rows.keys() & sampled) - subjects, rows, values
+                    subjects, rows.keys() - subjects, rows, values
                 )
                 round_states = PackedRoundStates(rounds=rounds, failed=failed)
             else:

@@ -71,6 +71,7 @@ from repro.routing.base import (
     RoundStates,
     engine_for,
 )
+from repro.sampling.base import sampling_started
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.statistics import estimate_from_results
 from repro.topology.base import Topology
@@ -199,7 +200,7 @@ class IncrementalAssessor(AssessorBase):
         # every node value) are pure functions of (master_seed,
         # component, rounds), and node ids only ever grow.
         self.kernel: AssessmentKernel | None = (
-            AssessmentKernel(topology, self.dependency_model)
+            AssessmentKernel(topology, self.dependency_model, self._all_probabilities)
             if config.kernel and kernel_supported(self.engine)
             else None
         )
@@ -237,14 +238,16 @@ class IncrementalAssessor(AssessorBase):
         self._caching_engine.clear()
         self._packed_rows.clear()
         self._forest_values.clear()
+        self._all_probabilities = self.dependency_model.failure_probabilities()
         if self.kernel is not None:
             # Rebuild the arena/forest too: the probabilities (or even
             # the dependency trees) may have changed under us.
-            self.kernel = AssessmentKernel(self.topology, self.dependency_model)
+            self.kernel = AssessmentKernel(
+                self.topology, self.dependency_model, self._all_probabilities
+            )
         # Fresh RoundStates: the engines' per-states segment caches are
         # attached to the old object and die with it.
         self._states = self._fresh_states()
-        self._all_probabilities = self.dependency_model.failure_probabilities()
 
     def reseed(self, master_seed: int) -> None:
         """Move to a new CRN master seed, invalidating every cache."""
@@ -274,8 +277,7 @@ class IncrementalAssessor(AssessorBase):
             if cached is None:
                 misses += 1
                 elements = self.engine.relevant_elements([host])
-                graph = self.topology.graph
-                host_subjects = frozenset(cid for cid in elements if cid in graph)
+                host_subjects = self.topology.elements.intersection(elements)
                 cached = memo[host] = (
                     host_subjects,
                     self.dependency_model.basic_events_for(host_subjects)
@@ -330,6 +332,8 @@ class IncrementalAssessor(AssessorBase):
             metrics.incr("sample/component/hit", len(sampled) - len(new_components))
             metrics.incr("sample/component/miss", len(new_components))
             probabilities = self._all_probabilities
+            if new_components:
+                sampling_started()
             for index, cid in enumerate(new_components):
                 if cancel is not None and index % 64 == 0:
                     cancel.check()

@@ -61,6 +61,10 @@ class DependencyModel:
     _events_memo: dict[str, frozenset[str]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: ``(ids, index)`` of the compiled kernel's component arena — a pure
+    #: function of the component set, so interned once per model
+    #: (:meth:`repro.kernel.arena.ComponentArena.for_model`).
+    _interned: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def empty(cls, topology: Topology) -> "DependencyModel":
@@ -82,6 +86,7 @@ class DependencyModel:
         if existing is not None and existing != component:
             raise ConfigurationError(f"conflicting definitions for dependency {cid!r}")
         self.dependency_components[cid] = component
+        self._interned = None
 
     def attach_branch(self, subject_id: str, branch: FaultTreeNode) -> None:
         """OR a new dependency branch into ``subject_id``'s fault tree.

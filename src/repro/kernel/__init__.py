@@ -21,10 +21,10 @@ compiles that pipeline down to integer-indexed numpy kernels:
 Everything is bit-identical to the legacy interpreter for the same
 :class:`~repro.core.api.AssessmentConfig` and rng seed — the kernel
 changes how states are stored and combined, never which draws are made
-or which boolean formulas are applied. Enable it with
-``AssessmentConfig(kernel=True)``. Every shipped reachability engine is
-packed-capable; a user-supplied engine that is not transparently falls
-back to the legacy interpreter.
+or which boolean formulas are applied. It is the default
+(``AssessmentConfig(kernel=False)`` keeps the interpreter). Every shipped
+reachability engine is packed-capable; a user-supplied engine that is
+not transparently falls back to the legacy interpreter.
 """
 
 from __future__ import annotations
@@ -105,16 +105,21 @@ class AssessmentKernel:
     assessor runs — exactly like the legacy per-assessor caches.
     """
 
-    def __init__(self, topology: "Topology", dependency_model: "DependencyModel"):
+    def __init__(
+        self,
+        topology: "Topology",
+        dependency_model: "DependencyModel",
+        probabilities: Mapping[str, float] | None = None,
+    ):
         self.topology = topology
         self.dependency_model = dependency_model
-        self.arena = ComponentArena.for_model(dependency_model)
+        self.arena = ComponentArena.for_model(dependency_model, probabilities)
         self.forest = CompiledForest(self.arena)
         self._compiler = FaultTreeCompiler(self.arena)
-        # frozenset(subjects) -> evaluation order. Content-addressed: the
-        # sequential assessor hands in its memoized closure set every
-        # time, the search proposes candidate closures per move and
-        # revisits host sets through fresh set objects.
+        # frozenset(subjects) -> evaluation order, for the last few
+        # subject sets: what repeats is one plan's closure assessed piece
+        # by piece; the incremental universe hands in deltas that never
+        # do, and a ~10 KiB order per cold plan is memory that grows.
         self._order_by_content: dict[frozenset, list[int]] = {}
 
     # ------------------------------------------------------------------
@@ -175,7 +180,7 @@ class AssessmentKernel:
         if order is None:
             self.compile_subjects(content_key)
             order = self.forest.evaluation_order(content_key)
-            if len(self._order_by_content) >= 256:
+            if len(self._order_by_content) >= 8:
                 self._order_by_content.clear()
             self._order_by_content[content_key] = order
         row_of, ids = rows.get, self.arena.ids

@@ -2,7 +2,7 @@
 
 Every per-assessment structure the compiled kernel touches — packed
 state matrices, fault-tree leaf operands, closure sets — is indexed by a
-dense integer instead of a string id. The arena is built once per
+dense integer instead of a string id. The id table is built once per
 (topology, dependency model) pair, in the deterministic iteration order
 of :meth:`~repro.faults.dependencies.DependencyModel.failure_probabilities`,
 so indices are stable for the lifetime of an assessor and identical
@@ -11,7 +11,7 @@ across processes given the same substrate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -29,15 +29,22 @@ class ComponentArena:
 
     __slots__ = ("ids", "index", "probabilities")
 
-    def __init__(self, ids: Iterable[str], probabilities: Iterable[float] | None = None):
+    def __init__(
+        self,
+        ids: Iterable[str],
+        probabilities: Iterable[float] | None = None,
+        index: dict[str, int] | None = None,
+    ):
         self.ids: tuple[str, ...] = tuple(ids)
-        self.index: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
+        self.index: dict[str, int] = (
+            {cid: i for i, cid in enumerate(self.ids)} if index is None else index
+        )
         if len(self.index) != len(self.ids):
             raise ConfigurationError("duplicate component ids in arena")
         self.probabilities: np.ndarray | None = (
             None
             if probabilities is None
-            else np.asarray(tuple(probabilities), dtype=np.float64)
+            else np.fromiter(probabilities, dtype=np.float64)
         )
         if self.probabilities is not None and self.probabilities.shape != (
             len(self.ids),
@@ -47,10 +54,25 @@ class ComponentArena:
             )
 
     @classmethod
-    def for_model(cls, model: "DependencyModel") -> "ComponentArena":
-        """Intern every network + dependency component of one substrate."""
-        probabilities = model.failure_probabilities()
-        return cls(probabilities.keys(), probabilities.values())
+    def for_model(
+        cls, model: "DependencyModel", probabilities: Mapping[str, float] | None = None
+    ) -> "ComponentArena":
+        """Intern every network + dependency component of one substrate.
+
+        The id table is a pure function of the model's component set, so
+        it is built once per model and shared by every arena over it (a
+        search builds two kernels per request); the probability vector is
+        read afresh from ``probabilities``, the caller's
+        ``model.failure_probabilities()`` when it already holds one.
+        """
+        if probabilities is None:
+            probabilities = model.failure_probabilities()
+        interned = model._interned
+        if interned is None or len(interned[0]) != len(probabilities):
+            fresh = cls(probabilities, probabilities.values())
+            model._interned = (fresh.ids, fresh.index)
+            return fresh
+        return cls(interned[0], probabilities.values(), index=interned[1])
 
     # ------------------------------------------------------------------
 

@@ -72,7 +72,6 @@ class PackedBatch:
     rounds: int
     component_ids: tuple[str, ...] = ()
     matrix: np.ndarray | None = None
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
     nonzero: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -86,8 +85,6 @@ class PackedBatch:
                 f"{len(self.component_ids)} components x "
                 f"{packed_width(self.rounds)} bytes"
             )
-        if not self._index:
-            self._index = {cid: i for i, cid in enumerate(self.component_ids)}
         if self.nonzero is None:
             self.nonzero = self.matrix.any(axis=1)
 
@@ -96,26 +93,16 @@ class PackedBatch:
         """Bytes per row."""
         return packed_width(self.rounds)
 
-    def row_for(self, component_id: str) -> np.ndarray | None:
-        """Packed failure row, or ``None`` when the component never failed
-        (including components that were not sampled at all)."""
-        i = self._index.get(component_id)
-        if i is None or not self.nonzero[i]:
-            return None
-        return self.matrix[i]
-
-    def failed_rows(self) -> dict[str, np.ndarray]:
+    def failed_rows(self, only=None) -> dict[str, np.ndarray]:
         """Packed failure row of every component that failed in some round
-        (the compiled forest's leaf states; anything absent never failed)."""
+        (the compiled forest's leaf states; anything absent never failed),
+        of those in the set ``only`` when given: a plan reads its closure,
+        a full-infrastructure batch holds the whole data center."""
         ids, matrix = self.component_ids, self.matrix
-        return {ids[i]: matrix[i] for i in np.flatnonzero(self.nonzero)}
-
-    def dense(self, component_id: str) -> np.ndarray:
-        """Dense boolean per-round vector (all-False when never failed)."""
-        row = self.row_for(component_id)
-        if row is None:
-            return np.zeros(self.rounds, dtype=bool)
-        return unpack_row(row, self.rounds)
+        failed = np.flatnonzero(self.nonzero).tolist()
+        if only is not None:
+            failed = [i for i in failed if ids[i] in only]
+        return {ids[i]: matrix[i] for i in failed}
 
     # ------------------------------------------------------------------
     # Conversions to/from the legacy sparse-index representation

@@ -47,6 +47,21 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         if not isinstance(topology, FatTreeTopology):
             raise TopologyError("FatTreeReachabilityEngine requires a FatTreeTopology")
         super().__init__(topology)
+        # Id layouts the packed blocks and `relevant_elements` share. The
+        # core layer — every core switch, its border link, the border
+        # switches — is the same for every plan; pods and edges fill in
+        # on first need.
+        cells = [(g, j) for g in range(topology.radix) for j in range(topology.radix)]
+        borders = [topology.border_switch_of_group(g) for g in range(topology.radix)]
+        cores = topology.core_ids
+        self._core_layer: tuple[str, ...] = (
+            *(cores[cell] for cell in cells),
+            *(link_id(borders[g], cores[g, j]) for g, j in cells),
+            *borders,
+        )
+        self._cells = cells  # (group, j) in the order the blocks reshape by
+        self._pod_layers: dict[int, tuple[str, ...]] = {}
+        self._edge_layers: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Cached path-segment vectors (one cache per RoundStates object)
@@ -127,148 +142,104 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         return result
 
     # ------------------------------------------------------------------
-    # Matrix-form external scaffolding (packed states only)
+    # Block-form external scaffolding (packed states only)
     #
     # The scalar helpers above issue one numpy call per path segment —
     # hundreds of sub-microsecond bitwise ops whose *call overhead*
     # dominates on packed rows (a k=4 fabric's row is ~1 KB). For packed
-    # states the whole external scaffold — every border->core segment,
-    # every aggregation switch's route up, every edge switch's external
-    # row — is evaluated in one shot: the fabric's element ids are laid
-    # out once per engine as contiguous slices of a single ordered list,
-    # each assessment fills one (elements x width) alive matrix from the
-    # failed-row dict, and a handful of broadcast AND / OR-reduce calls
-    # compute all edges' rows together. Identical boolean algebra,
-    # identical bits (AND/OR are commutative and associative per bit);
-    # always-alive (absent) elements enter as all-ones rows, which AND/OR
-    # treat exactly as the scalar path treats None.
+    # states the scaffold is evaluated in three kinds of block, each
+    # built on first need for everything a call is missing at once and
+    # cached on the states object for its whole life: the core layer's
+    # border->core segments, one pod's aggregation switches' routes up,
+    # one edge switch's external row. A host's closure names every
+    # element its pod block and edge row read (`relevant_elements` is
+    # assembled from the same id layouts), and a states object's failed
+    # mapping only ever gains rows, so a block built when its first host
+    # is queried never goes stale — the contract the scalar caches rely
+    # on. Identical boolean algebra, identical bits (AND/OR are
+    # commutative and associative per bit); always-alive (absent)
+    # elements enter as all-ones rows, which AND/OR treat exactly as the
+    # scalar path treats None.
     # ------------------------------------------------------------------
 
-    def _scaffold_layout(self):
-        """Fixed element-id layout of the external-route scaffold.
-
-        Built once per engine: one ordered id tuple whose contiguous
-        slices are the core switches, border->core links, border
-        switches, agg->core uplinks, aggregation switches, edge->agg
-        uplinks, and edge switches — in loop order matching the scalar
-        helpers so reshapes recover the (pod, group, j) structure.
-        """
-        layout = getattr(self, "_scaffold", None)
-        if layout is None:
+    def _pod_layer(self, pod: int) -> tuple[str, ...]:
+        """One pod's agg->core uplinks in (group, j) order, then its
+        aggregation switches; built once per engine."""
+        ids = self._pod_layers.get(pod)
+        if ids is None:
             topo = self.topology
-            radix = topo.radix
-            pods = topo.num_pods
-            edges = list(topo.edge_pod)
-            groups = range(radix)
-            ids: list[str] = []
+            aggs = [topo.agg_ids[(pod, g)] for g in range(topo.radix)]
+            ids = self._pod_layers[pod] = (
+                *(link_id(aggs[g], topo.core_ids[g, j]) for g, j in self._cells),
+                *aggs,
+            )
+        return ids
 
-            def span(items) -> slice:
-                start = len(ids)
-                ids.extend(items)
-                return slice(start, len(ids))
+    def _edge_layer(self, edge: str) -> tuple[str, ...]:
+        """One edge switch's uplinks in group order, then the switch
+        itself; built once per engine."""
+        ids = self._edge_layers.get(edge)
+        if ids is None:
+            topo = self.topology
+            pod = topo.edge_pod[edge]
+            ids = self._edge_layers[edge] = (
+                *(link_id(edge, topo.agg_ids[(pod, g)]) for g in range(topo.radix)),
+                edge,
+            )
+        return ids
 
-            cores = span(
-                topo.core_ids[(g, j)] for g in groups for j in range(radix)
-            )
-            core_links = span(
-                link_id(topo.border_switch_of_group(g), topo.core_ids[(g, j)])
-                for g in groups
-                for j in range(radix)
-            )
-            borders = span(topo.border_switch_of_group(g) for g in groups)
-            uplinks = span(
-                link_id(topo.agg_ids[(pod, g)], topo.core_ids[(g, j)])
-                for pod in range(pods)
-                for g in groups
-                for j in range(radix)
-            )
-            aggs = span(
-                topo.agg_ids[(pod, g)] for pod in range(pods) for g in groups
-            )
-            edge_uplinks = span(
-                link_id(edge, topo.agg_ids[(topo.edge_pod[edge], g)])
-                for edge in edges
-                for g in groups
-            )
-            edge_span = span(edges)
-            layout = (
-                tuple(ids),
-                cores,
-                core_links,
-                borders,
-                uplinks,
-                aggs,
-                edge_uplinks,
-                edge_span,
-                np.array([topo.edge_pod[e] for e in edges], dtype=np.intp),
-                {edge: i for i, edge in enumerate(edges)},
-            )
-            self._scaffold = layout
-        return layout
+    @staticmethod
+    def _alive_rows(states: RoundStates, ids: Sequence[str]) -> np.ndarray:
+        """Packed alive matrix, one row per id (absent = always alive)."""
+        alive = np.zeros((len(ids), states.width), dtype=np.uint8)
+        failed_get = states.failed.get
+        for i, cid in enumerate(ids):
+            row = failed_get(cid)
+            if row is not None:
+                alive[i] = row
+        return np.bitwise_not(alive, out=alive)
 
-    def _edge_ext_matrix(self, states: RoundStates):
-        """All edge switches' packed external rows, plus the row index.
-
-        Returns ``(matrix, edge_index)`` where ``matrix[edge_index[e]]``
-        is edge ``e``'s "alive with an alive route to an external core"
-        row. Edges outside the sampled closure read all-alive rows for
-        their unsampled dependencies; their rows are never consulted.
-
-        The incremental assessor reuses one states object whose failed
-        dict only ever *gains* entries (existing rows are never
-        rewritten), so the dict's size doubles as a version counter: the
-        matrix is recomputed whenever the dict has grown since it was
-        built, which is exactly when a later plan's closure may have
-        registered scaffold elements this matrix read as always-alive.
-        """
+    def _edge_ext_rows(self, states: RoundStates, edges: Sequence[str]) -> np.ndarray:
+        """Packed "alive with an alive route to an external core" rows of
+        the given edge switches, stacked in call order."""
         cache = self._cache(states)
-        entry = cache.get("edge_ext_matrix")
-        if entry is not None and entry[2] != len(states.failed):
-            entry = None
-        if entry is None:
+        missing = [e for e in dict.fromkeys(edges) if ("edge_row", e) not in cache]
+        if missing:
             topo = self.topology
-            radix, pods = topo.radix, topo.num_pods
-            (
-                ids,
-                cores,
-                core_links,
-                borders,
-                uplinks,
-                aggs,
-                edge_uplinks,
-                edge_span,
-                pod_of_edge,
-                edge_index,
-            ) = self._scaffold_layout()
-            width = states.width
-            alive = np.zeros((len(ids), width), dtype=np.uint8)
-            failed_get = states.failed.get
-            for i, cid in enumerate(ids):
-                row = failed_get(cid)
-                if row is not None:
-                    alive[i] = row
-            np.bitwise_not(alive, out=alive)
-
+            radix, width = topo.radix, states.width
+            cells = radix * radix
             # border(g) -> core(g, j) segments, shaped (group, j, width).
-            ext_core = alive[cores] & alive[core_links]
-            ext_core = ext_core.reshape(radix, radix, width)
-            ext_core &= alive[borders][:, None, :]
+            ext_core = cache.get("core_block")
+            if ext_core is None:
+                alive = self._alive_rows(states, self._core_layer)
+                ext_core = alive[:cells] & alive[cells : 2 * cells]
+                ext_core = ext_core.reshape(radix, radix, width)
+                ext_core &= alive[2 * cells :, None, :]
+                cache["core_block"] = ext_core
             # agg(pod, g) alive with a route up: OR over core index j.
-            segments = alive[uplinks].reshape(pods, radix * radix, width)
-            segments &= ext_core.reshape(1, radix * radix, width)
-            agg_ext = np.bitwise_or.reduce(
-                segments.reshape(pods, radix, radix, width), axis=2
-            )
-            agg_ext &= alive[aggs].reshape(pods, radix, width)
+            pod_of = [topo.edge_pod[e] for e in missing]
+            pods = [p for p in dict.fromkeys(pod_of) if ("pod_block", p) not in cache]
+            if pods:
+                alive = self._alive_rows(
+                    states, [cid for pod in pods for cid in self._pod_layer(pod)]
+                ).reshape(len(pods), cells + radix, width)
+                segments = alive[:, :cells].reshape(len(pods), radix, radix, width)
+                segments &= ext_core
+                agg_ext = np.bitwise_or.reduce(segments, axis=2)
+                agg_ext &= alive[:, cells:]
+                for pod, block in zip(pods, agg_ext):
+                    cache["pod_block", pod] = block
             # edge alive with a route up: OR over aggregation group g.
-            n_edges = len(pod_of_edge)
-            segments = alive[edge_uplinks].reshape(n_edges, radix, width)
-            segments &= agg_ext[pod_of_edge]
-            matrix = np.bitwise_or.reduce(segments, axis=1)
-            matrix &= alive[edge_span]
-            entry = (matrix, edge_index, len(states.failed))
-            cache["edge_ext_matrix"] = entry
-        return entry
+            alive = self._alive_rows(
+                states, [cid for edge in missing for cid in self._edge_layer(edge)]
+            ).reshape(len(missing), radix + 1, width)
+            segments = alive[:, :radix]
+            segments &= np.stack([cache["pod_block", pod] for pod in pod_of])
+            rows = np.bitwise_or.reduce(segments, axis=1)
+            rows &= alive[:, radix]
+            for edge, row in zip(missing, rows):
+                cache["edge_row", edge] = row
+        return np.stack([cache["edge_row", e] for e in edges])
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -276,29 +247,17 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
 
     def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
         topo = self.topology
-        elements: set[str] = set()
-        pods: set[int] = set()
+        elements = set(self._core_layer)
+        edges = set()
         for host in hosts:
             edge = topo.edge_switch_of(host)
-            elements.update((host, edge, link_id(host, edge)))
-            pods.add(topo.edge_pod[edge])
-        edges_in_play = {topo.edge_switch_of(h) for h in hosts}
-        for pod in pods:
-            for group in range(topo.radix):
-                agg = topo.agg_ids[(pod, group)]
-                elements.add(agg)
-                for edge in edges_in_play:
-                    if topo.edge_pod[edge] == pod:
-                        elements.add(link_id(edge, agg))
-                for j in range(topo.radix):
-                    elements.add(link_id(agg, topo.core_ids[(group, j)]))
-        for group in range(topo.radix):
-            border = topo.border_switch_of_group(group)
-            elements.add(border)
-            for j in range(topo.radix):
-                core = topo.core_ids[(group, j)]
-                elements.add(core)
-                elements.add(link_id(border, core))
+            edges.add(edge)
+            elements.add(host)
+            elements.add(link_id(host, edge))
+        for edge in edges:
+            elements.update(self._edge_layer(edge))
+        for pod in {topo.edge_pod[edge] for edge in edges}:
+            elements.update(self._pod_layer(pod))
         return elements
 
     def external_reachable(
@@ -306,24 +265,14 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
     ) -> dict[str, np.ndarray]:
         topo = self.topology
         result = {}
-        if states.packed:
-            edge_ext, edge_index, _ = self._edge_ext_matrix(states)
-            n, width = len(hosts), states.width
-            stack = np.zeros((2 * n, width), dtype=np.uint8)
-            eidx = np.empty(n, dtype=np.intp)
-            failed_get = states.failed.get
-            for i, host in enumerate(hosts):
-                edge = topo.edge_switch_of(host)
-                eidx[i] = edge_index[edge]
-                row = failed_get(host)
-                if row is not None:
-                    stack[i] = row
-                row = failed_get(link_id(host, edge))
-                if row is not None:
-                    stack[n + i] = row
-            np.bitwise_not(stack, out=stack)
-            matrix = stack[:n] & stack[n:]
-            matrix &= edge_ext[eidx]
+        if states.packed and hosts:
+            edges = [topo.edge_switch_of(host) for host in hosts]
+            n = len(hosts)
+            alive = self._alive_rows(
+                states, [*hosts, *(link_id(h, e) for h, e in zip(hosts, edges))]
+            )
+            matrix = alive[:n] & alive[n:]
+            matrix &= self._edge_ext_rows(states, edges)
             return dict(zip(hosts, matrix))
         for host in hosts:
             edge = topo.edge_switch_of(host)

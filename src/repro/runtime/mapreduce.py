@@ -128,7 +128,7 @@ def _worker_portion(args: tuple) -> tuple[np.ndarray, int]:
                 rounds=rounds,
                 sampler=_WORKER_STATE["sampler"],
                 rng=seed,
-                kernel=_WORKER_STATE.get("kernel", False),
+                kernel=_WORKER_STATE["kernel"],
             ),
         )
         _WORKER_STATE["assessor"] = assessor

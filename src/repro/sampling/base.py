@@ -119,11 +119,10 @@ class Sampler:
 
 
 #: Test-only instrumentation: called (with no arguments) at the top of
-#: every sampler entry, i.e. whenever :func:`validate_probabilities`
-#: runs. Forked worker processes inherit the hook set in the parent
-#: before the pool was created, which lets tests gate *deterministically*
-#: on "a worker is now inside a sampling pass" instead of sleeping or
-#: inflating round counts. Never set in production code.
+#: every sampler entry. Forked worker processes inherit the hook set in
+#: the parent before the pool was created, which lets tests gate
+#: *deterministically* on "a worker is now inside a sampling pass" instead
+#: of sleeping or inflating round counts. Never set in production code.
 _sampling_started_hook = None
 
 
@@ -133,12 +132,21 @@ def set_sampling_started_hook(hook) -> None:
     _sampling_started_hook = hook
 
 
-def validate_probabilities(probabilities: Mapping[str, float]) -> None:
-    """Reject probabilities outside [0, 1)."""
+def sampling_started() -> None:
+    """The seam itself: every sampler entry calls this exactly once."""
     if _sampling_started_hook is not None:
         _sampling_started_hook()
-    for cid, p in probabilities.items():
-        if not 0.0 <= p < 1.0:
-            raise ConfigurationError(
-                f"failure probability of {cid!r} must be in [0, 1), got {p}"
-            )
+
+
+def validate_probabilities(probabilities: Mapping[str, float]) -> np.ndarray:
+    """Reject probabilities outside [0, 1); returns them in mapping order."""
+    values = np.fromiter(
+        probabilities.values(), dtype=np.float64, count=len(probabilities)
+    )
+    if not ((values >= 0.0) & (values < 1.0)).all():
+        for cid, p in probabilities.items():
+            if not 0.0 <= p < 1.0:
+                raise ConfigurationError(
+                    f"failure probability of {cid!r} must be in [0, 1), got {p}"
+                )
+    return values

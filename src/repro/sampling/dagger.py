@@ -39,6 +39,7 @@ from repro.sampling.base import (
     ROUND_DTYPE,
     SampleBatch,
     Sampler,
+    sampling_started,
     validate_probabilities,
 )
 
@@ -106,8 +107,8 @@ def _group_draws(
     return failed_round, valid
 
 
-#: MSB-first bit weights, float64 because ``np.bincount`` weights are.
-_BIT_WEIGHTS = (0x80 >> np.arange(8)).astype(np.float64)
+#: MSB-first bit of each round-within-byte position.
+_BIT_OF = (0x80 >> np.arange(8)).astype(PACK_DTYPE)
 
 #: Cached per-(probability, rounds, block_length) cycle geometry. The
 #: arrays are rng-independent, so repeated assessments (the search loop
@@ -183,6 +184,7 @@ class ExtendedDaggerSampler(Sampler):
         rng: np.random.Generator,
         cancel=None,
     ) -> SampleBatch:
+        sampling_started()
         validate_probabilities(probabilities)
         batch = SampleBatch(rounds=rounds)
 
@@ -216,121 +218,92 @@ class ExtendedDaggerSampler(Sampler):
 
         All groups' uniforms come from ONE ``rng.random`` call — numpy
         generators fill arrays sequentially from the bit stream, so a
-        flat draw sliced per group is bit-identical to :meth:`sample`'s
-        one call per group, without 2x-the-group-count call overhead.
-        The per-draw constants (probability, cycle starts, block guards,
-        component row) are precomputed as flat arrays and cached per
-        ``(probabilities, rounds)``, so the whole batch reduces to a
-        handful of whole-array operations plus one ``packbits``.
+        flat draw laid out group by group, component by component is
+        bit-identical to :meth:`sample`'s one call per group. Each group
+        is a ``(components, draws)`` view of that array, turned in place
+        into the bit position ``row * 8 * width + round`` of every draw
+        by broadcasting the group's :func:`_cycle_geometry` tables, so
+        nothing is laid out per draw and nothing about a probability map
+        outlives the call.
         """
-        layout = self._packed_layout(probabilities, rounds)
-        if layout is None:
+        sampling_started()
+        values = validate_probabilities(probabilities)
+        positive = np.flatnonzero(values > 0.0)
+        if not positive.size:
             return PackedBatch(rounds=rounds)
-        ids, index, row_byte0, p_of_draw, cycle_start, limit = layout
         if cancel is not None:
             cancel.check()
 
-        flat = rng.random(len(p_of_draw))
-        # Truncation == floor for the non-negative ratios, and a single
-        # bound check replaces sample()'s three validity conditions (see
-        # _cycle_geometry) — the surviving draws are identical.
-        offset = (flat / p_of_draw).astype(ROUND_DTYPE)
-        hits = np.nonzero(offset < limit)[0]
-        # Pack without a dense (components x rounds) intermediate: each
-        # (component, round) pair is unique, so the bits of one byte come
-        # from distinct powers of two and summing them (bincount) equals
-        # OR-ing them.
-        width = (rounds + 7) >> 3
-        cols = cycle_start[hits] + offset[hits]
-        flat_byte = row_byte0[hits] + (cols >> 3)
-        bits = _BIT_WEIGHTS[cols & 7]
-        matrix = (
-            np.bincount(flat_byte, weights=bits, minlength=len(ids) * width)
-            .astype(PACK_DTYPE)
-            .reshape(len(ids), width)
+        # Group by exact probability, groups in order of first appearance
+        # and components in mapping order inside a group: sample()'s order.
+        levels, first, level_of, sizes = np.unique(
+            values[positive],
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
         )
-        return PackedBatch(
-            rounds=rounds, component_ids=ids, matrix=matrix, _index=index
-        )
+        by_appearance = np.argsort(first, kind="stable")
+        group_of_level = np.empty_like(by_appearance)
+        group_of_level[by_appearance] = np.arange(len(levels))
+        order = np.argsort(group_of_level[level_of], kind="stable")
+        all_ids = list(probabilities)
+        ids = tuple(all_ids[i] for i in positive[order].tolist())
 
-    #: (probabilities, rounds) -> flat draw layout; bounded, see below.
-    _LAYOUT_CACHE_LIMIT = 64
-
-    def _packed_layout(self, probabilities: Mapping[str, float], rounds: int):
-        """Flat per-draw constants for :meth:`sample_packed`, cached.
-
-        Returns ``None`` when no component has a positive probability.
-        The layout is a pure function of the (ordered) probability map
-        and the round count — exactly what determines :meth:`sample`'s
-        rng consumption. Reused map *objects* (the assessor passes its
-        one ``_all_probabilities`` dict in full-infrastructure mode) hit
-        an identity key, so the cache check costs nothing even for
-        thousands of components; small maps fall back to a content key
-        so logically-equal rebuilt closures still hit. Entries keep a
-        strong reference to identity-keyed maps, which both pins their
-        ``id`` and means a *mutated* map must be passed as a fresh dict
-        (as the assessors do) to take effect.
-        """
-        cache = getattr(self, "_layout_cache", None)
-        if cache is None:
-            cache = self._layout_cache = {}
-        key = (rounds, id(probabilities))
-        entry = cache.get(key)
-        if entry is not None and entry[0] is probabilities:
-            return entry[1]
-        if len(probabilities) <= 4096:
-            key = (rounds, tuple(probabilities.items()))
-            entry = cache.get(key)
-            if entry is not None:
-                return entry[1]
-
-        validate_probabilities(probabilities)  # once per layout, not per draw
-        by_probability: dict[float, list[str]] = defaultdict(list)
-        for cid, p in probabilities.items():
-            if p > 0.0:
-                by_probability[p].append(cid)
-        if not by_probability:
-            layout = None
-        else:
-            block_length = max(dagger_cycle_length(p) for p in by_probability)
-            width = packed_width(rounds)
-            ids: list[str] = []
-            rows, ps, starts, limits = [], [], [], []
-            for probability, component_ids in by_probability.items():
-                _s, dpc, cycle_start, limit = _cycle_geometry(
-                    probability, rounds, block_length
-                )
-                count = len(component_ids)
-                row0 = len(ids)
-                ids.extend(component_ids)
-                # Row-major draw order: component i's draws are contiguous,
-                # matching rng.random((count, dpc)) consumption in sample();
-                # pre-scaled to byte offsets for the bincount pack.
-                rows.append(
-                    np.repeat(
-                        np.arange(
-                            row0 * width, (row0 + count) * width, width,
-                            dtype=np.intp,
-                        ),
-                        dpc,
-                    )
-                )
-                ps.append(np.full(count * dpc, probability))
-                starts.append(np.tile(cycle_start, count))
-                limits.append(np.tile(limit, count))
-            id_tuple = tuple(ids)
-            layout = (
-                id_tuple,
-                {cid: i for i, cid in enumerate(id_tuple)},
-                np.concatenate(rows),
-                np.concatenate(ps),
-                np.concatenate(starts),
-                np.concatenate(limits),
+        # floor(1/p) never grows with p: the smallest level has the
+        # longest cycle.
+        block_length = dagger_cycle_length(float(levels[0]))
+        groups = [
+            (p, count, *_cycle_geometry(p, rounds, block_length)[1:])
+            for p, count in zip(
+                levels[by_appearance].tolist(), sizes[by_appearance].tolist()
             )
-        if len(cache) >= self._LAYOUT_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = (probabilities, layout)
-        return layout
+        ]
+        width = packed_width(rounds)
+        flat = rng.random(sum(count * dpc for _p, count, dpc, _start, _limit in groups))
+        hit = np.empty(len(flat), dtype=bool)
+        bit = np.empty(len(flat), dtype=np.intp)
+        nonzero = np.empty(len(ids), dtype=bool)
+        row_bit0 = np.arange(0, len(ids) * 8 * width, 8 * width)[:, None]
+        lo = row = 0
+        for p, count, dpc, cycle_start, limit in groups:
+            hi = lo + count * dpc
+            shape = (count, dpc)
+            # A draw in the i-th subinterval fails round i of its cycle.
+            # The quotient is below the (integer) limit exactly when its
+            # floor is, so one bound check replaces sample()'s three
+            # validity conditions (see _cycle_geometry), and truncation
+            # is floor for the non-negative ratios.
+            quotient = flat[lo:hi].reshape(shape)
+            quotient /= p
+            hits = hit[lo:hi].reshape(shape)
+            np.less(quotient, limit, out=hits)
+            hits.any(axis=1, out=nonzero[row : row + count])
+            bits = bit[lo:hi].reshape(shape)
+            bits[...] = quotient
+            bits += cycle_start
+            bits += row_bit0[row : row + count]
+            lo, row = hi, row + count
+
+        # Rows are in draw order and a row's hits in round order, so the
+        # bytes are sorted; each (component, round) pair is unique, so
+        # hits sharing a byte set distinct bits. Plain assignment keeps
+        # the last hit of a byte, the rare earlier ones are OR-ed in.
+        # (The per-draw arrays are megabytes in full-infrastructure mode:
+        # dropped as they die, shifted in place, so the next one reuses
+        # their pages.)
+        del flat
+        bit = bit[hit]
+        del hit
+        mask = _BIT_OF[bit & 7]
+        byte = np.right_shift(bit, 3, out=bit)
+        matrix = np.zeros((len(ids), width), dtype=PACK_DTYPE)
+        cells = matrix.reshape(-1)
+        cells[byte] = mask
+        shared = np.flatnonzero(byte[1:] == byte[:-1])
+        np.bitwise_or.at(cells, byte[shared], mask[shared])
+        return PackedBatch(
+            rounds=rounds, component_ids=ids, matrix=matrix, nonzero=nonzero
+        )
 
 
 def _component_stream_seed(master_seed: int, component_id: str) -> np.random.SeedSequence:
@@ -407,6 +380,7 @@ class CommonRandomDaggerSampler(Sampler):
         rng: np.random.Generator,  # unused: streams are component-addressed
         cancel=None,
     ) -> SampleBatch:
+        sampling_started()
         validate_probabilities(probabilities)
         batch = SampleBatch(rounds=rounds)
         for index, (cid, probability) in enumerate(probabilities.items()):
@@ -441,6 +415,7 @@ class CommonRandomDaggerSampler(Sampler):
         cancel=None,
     ) -> PackedBatch:
         """Packed batch from the per-component common-random streams."""
+        sampling_started()
         validate_probabilities(probabilities)
         ids = tuple(probabilities)
         matrix = np.zeros((len(ids), packed_width(rounds)), dtype=PACK_DTYPE)
@@ -471,6 +446,7 @@ class DaggerSampler(Sampler):
         rng: np.random.Generator,
         cancel=None,
     ) -> SampleBatch:
+        sampling_started()
         validate_probabilities(probabilities)
         batch = SampleBatch(rounds=rounds)
 

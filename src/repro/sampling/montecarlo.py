@@ -15,7 +15,13 @@ from typing import Mapping
 import numpy as np
 
 from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
-from repro.sampling.base import ROUND_DTYPE, SampleBatch, Sampler, validate_probabilities
+from repro.sampling.base import (
+    ROUND_DTYPE,
+    SampleBatch,
+    Sampler,
+    sampling_started,
+    validate_probabilities,
+)
 
 #: Peak transient memory allowed per chunk, in bytes (~128 MiB). Each draw
 #: materialises a float64 uniform plus a bool in the comparison matrix, so
@@ -40,6 +46,7 @@ class MonteCarloSampler(Sampler):
         rng: np.random.Generator,
         cancel=None,
     ) -> SampleBatch:
+        sampling_started()
         validate_probabilities(probabilities)
         batch = SampleBatch(rounds=rounds)
 
@@ -87,6 +94,7 @@ class MonteCarloSampler(Sampler):
         sizes, same ``rng.random`` calls), so the drawn states are
         bit-identical; only the index-extraction stage disappears.
         """
+        sampling_started()
         validate_probabilities(probabilities)
         component_ids = [cid for cid, p in probabilities.items() if p > 0.0]
         if not component_ids:

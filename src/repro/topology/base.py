@@ -12,6 +12,7 @@ populate the graph and may expose extra structure for fast routing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import networkx as nx
@@ -143,6 +144,13 @@ class Topology:
     # Query API
     # ------------------------------------------------------------------
 
+    @cached_property
+    def elements(self) -> frozenset[str]:
+        """Ids of the hosts and switches: the graph's nodes (links are its
+        edges), as one set the assessors split closures against. Read it
+        on the frozen topology: it is built once."""
+        return frozenset(self.graph)
+
     def component(self, component_id: str) -> Component:
         """The component with ``component_id``; raises on unknown ids."""
         try:
@@ -212,12 +220,17 @@ class Topology:
             seen.setdefault(self.rack_of(host), None)
         return list(seen)
 
-    def failure_probabilities(self) -> dict[str, float]:
-        """Map of component id -> failure probability for every component."""
+    @cached_property
+    def _probabilities(self) -> dict[str, float]:
         return {
             cid: component.failure_probability
             for cid, component in self.components.items()
         }
+
+    def failure_probabilities(self) -> dict[str, float]:
+        """Map of component id -> failure probability for every component
+        (the caller's own copy; every assessor and kernel asks for one)."""
+        return dict(self._probabilities)
 
     def override_probabilities(self, overrides: Mapping[str, float]) -> None:
         """Replace failure probabilities for selected components.
@@ -227,6 +240,7 @@ class Topology:
         """
         for cid, probability in overrides.items():
             self.components[cid] = self.component(cid).with_probability(probability)
+        self.__dict__.pop("_probabilities", None)
 
     def summarize(self) -> TopologySummary:
         """Component counts in the shape of the paper's Table 2."""

@@ -27,7 +27,12 @@ from repro.faults.faulttree import (
     k_of_n_gate,
     or_gate,
 )
-from repro.faults.inventory import build_paper_inventory, build_rich_inventory
+from repro.faults.component import link_id
+from repro.faults.inventory import (
+    build_paper_inventory,
+    build_rich_inventory,
+    build_zone_inventory,
+)
 from repro.kernel import (
     AssessmentKernel,
     ComponentArena,
@@ -38,13 +43,20 @@ from repro.kernel import (
     unpack_row,
 )
 from repro.kernel.packed import PackedBatch, pack_bool_matrix, unpack_matrix
+from repro.routing.base import PackedRoundStates, RoundStates, engine_for
+from repro.sampling import base as sampling_base
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
+    DaggerSampler,
     ExtendedDaggerSampler,
 )
 from repro.sampling.montecarlo import MonteCarloSampler
+from repro.service.executor import MIN_CHUNK_ROUNDS, chunked_assess
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.presets import paper_topology
+from repro.topology.zones import MultiZoneTopology
+from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
@@ -251,6 +263,33 @@ class TestSamplerFastPaths:
         reference = PackedBatch.from_sample_batch(legacy, packed.component_ids)
         assert np.array_equal(packed.matrix, reference.matrix)
 
+    @given(
+        levels=st.lists(
+            st.sampled_from([0.0, 0.9, 0.6, 0.5, 0.45, 0.3, 0.125, 0.05, 0.003]),
+            min_size=1,
+            max_size=5,
+        ),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+        rounds=st.sampled_from([1, 7, 8, 9, 64, 65, 501, 4099]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_extended_dagger_packs_crowded_bytes(self, levels, picks, rounds, seed):
+        """Cycles shorter than a byte put several hits of one component in
+        one byte, and mixed levels exercise the first-appearance group
+        order; rows, the nonzero flags and the stream position must all
+        match :meth:`sample`."""
+        sampler = ExtendedDaggerSampler()
+        probs = {f"c{i}": levels[k % len(levels)] for i, k in enumerate(picks)}
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        legacy = sampler.sample(probs, rounds, rng_a)
+        packed = sampler.sample_packed(probs, rounds, rng_b)
+        reference = PackedBatch.from_sample_batch(legacy, packed.component_ids)
+        assert set(packed.component_ids) == {c for c, p in probs.items() if p > 0}
+        assert np.array_equal(packed.matrix, reference.matrix)
+        assert np.array_equal(packed.nonzero, reference.nonzero)
+        assert rng_a.random() == rng_b.random()
+
     @pytest.mark.parametrize("rounds", [9, 501])
     def test_crn_packed_matches_legacy(self, rounds):
         sampler = CommonRandomDaggerSampler(master_seed=7)
@@ -267,6 +306,61 @@ class TestSamplerFastPaths:
             sampler.sample(self.PROBS, 501, rng_a)
             sampler.sample_packed(self.PROBS, 501, rng_b)
             assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            MonteCarloSampler(),
+            ExtendedDaggerSampler(),
+            DaggerSampler(),
+            CommonRandomDaggerSampler(master_seed=7),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_sampling_started_seam_fires_once_per_entry(self, sampler):
+        """The fleet and cancellation chaos tests gate on this seam; it must
+        fire on every entry a worker can take, validation or no validation."""
+        fired = []
+        sampling_base.set_sampling_started_hook(lambda: fired.append(1))
+        try:
+            kernel = AssessmentKernel(FATTREE, FATTREE_INV)
+            for rounds in (64, 64, 9):  # a repeated map must fire again
+                fired.clear()
+                sampler.sample(self.PROBS, rounds, np.random.default_rng(1))
+                assert len(fired) == 1
+                fired.clear()
+                kernel.sample_packed(
+                    sampler, self.PROBS, rounds, np.random.default_rng(1)
+                )
+                assert len(fired) == 1
+        finally:
+            sampling_base.set_sampling_started_hook(None)
+
+    def test_packed_entry_validates_every_call(self):
+        sampler = ExtendedDaggerSampler()
+        probs = dict(self.PROBS)
+        sampler.sample_packed(probs, 64, np.random.default_rng(1))
+        probs["x0"] = 1.5  # same object, mutated: no cache may hide it
+        with pytest.raises(ConfigurationError):
+            sampler.sample_packed(probs, 64, np.random.default_rng(1))
+
+    def test_incremental_draws_fire_the_seam_once_per_extension(self):
+        fired = []
+        sampling_base.set_sampling_started_hook(lambda: fired.append(1))
+        try:
+            assessor = build_assessor(
+                FATTREE,
+                FATTREE_INV,
+                AssessmentConfig(rounds=64, mode="incremental", master_seed=3),
+            )
+            structure = ApplicationStructure.k_of_n(2, 3)
+            plan = _plan_for(FATTREE, structure)
+            assessor.assess(plan, structure)
+            assert len(fired) == 1
+            assessor.assess(plan, structure)  # plan cache: nothing drawn
+            assert len(fired) == 1
+        finally:
+            sampling_base.set_sampling_started_hook(None)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +380,27 @@ SUBSTRATES = [
 ]
 
 
+def _both_sides(topology, inventory, config):
+    """``(interpreted, compiled)`` assessors of one config, each side named:
+    the default is the kernel, so a comparison against "whatever the
+    default is" would hold the kernel against itself."""
+    interpreted = build_assessor(
+        topology, inventory, config.with_updates(kernel=False)
+    )
+    compiled = build_assessor(topology, inventory, config.with_updates(kernel=True))
+    assert interpreted.kernel is None and compiled.kernel is not None
+    return interpreted, compiled
+
+
 class TestAssessmentBitIdentity:
     @pytest.mark.parametrize("topology,inventory", SUBSTRATES)
     @pytest.mark.parametrize("rounds", [501, 3000])
     def test_sequential_assess(self, topology, inventory, rounds):
         structure = ApplicationStructure.k_of_n(3, 5)
         plan = _plan_for(topology, structure)
-        base = AssessmentConfig(rounds=rounds, rng=7)
-        legacy = build_assessor(topology, inventory, base)
-        kernel = build_assessor(topology, inventory, base.with_updates(kernel=True))
-        assert kernel.kernel is not None
+        legacy, kernel = _both_sides(
+            topology, inventory, AssessmentConfig(rounds=rounds, rng=7)
+        )
         a = legacy.assess(plan, structure)
         b = kernel.assess(plan, structure)
         assert np.array_equal(a.per_round, b.per_round)
@@ -307,9 +412,9 @@ class TestAssessmentBitIdentity:
     ):
         """Back-to-back assessments share one rng; streams must not drift."""
         structure = ApplicationStructure.k_of_n(2, 4)
-        base = AssessmentConfig(rounds=501, rng=13)
-        legacy = build_assessor(topology, inventory, base)
-        kernel = build_assessor(topology, inventory, base.with_updates(kernel=True))
+        legacy, kernel = _both_sides(
+            topology, inventory, AssessmentConfig(rounds=501, rng=13)
+        )
         hosts = list(topology.hosts)
         for offset in (0, 2, 4):
             plan = DeploymentPlan.single_component(
@@ -323,10 +428,9 @@ class TestAssessmentBitIdentity:
         structure = ApplicationStructure.k_of_n(3, 5)
         plan = _plan_for(FATTREE, structure)
         base = AssessmentConfig(rounds=800, rng=3, sample_full_infrastructure=True)
-        a = build_assessor(FATTREE, FATTREE_INV, base).assess(plan, structure)
-        b = build_assessor(
-            FATTREE, FATTREE_INV, base.with_updates(kernel=True)
-        ).assess(plan, structure)
+        legacy, kernel = _both_sides(FATTREE, FATTREE_INV, base)
+        a = legacy.assess(plan, structure)
+        b = kernel.assess(plan, structure)
         assert np.array_equal(a.per_round, b.per_round)
 
     def test_structured_application(self):
@@ -339,11 +443,11 @@ class TestAssessmentBitIdentity:
         plan = DeploymentPlan.from_mapping(
             {"web": hosts[:2], "app": hosts[2:5], "db": hosts[5:7]}
         )
-        base = AssessmentConfig(rounds=1001, rng=21)
-        a = build_assessor(FATTREE, FATTREE_INV, base).assess(plan, structure)
-        b = build_assessor(
-            FATTREE, FATTREE_INV, base.with_updates(kernel=True)
-        ).assess(plan, structure)
+        legacy, kernel = _both_sides(
+            FATTREE, FATTREE_INV, AssessmentConfig(rounds=1001, rng=21)
+        )
+        a = legacy.assess(plan, structure)
+        b = kernel.assess(plan, structure)
         assert np.array_equal(a.per_round, b.per_round)
 
     def test_generic_engine_falls_back_to_interpreter(self):
@@ -362,21 +466,51 @@ class TestAssessmentBitIdentity:
             FATTREE,
             FATTREE_INV,
             AssessmentConfig(
-                rounds=501, rng=7, engine=UnionFindReachabilityEngine(FATTREE)
+                rounds=501,
+                rng=7,
+                engine=UnionFindReachabilityEngine(FATTREE),
+                kernel=False,
             ),
         ).assess(_plan_for(FATTREE, structure), structure)
         assert np.array_equal(result.per_round, reference.per_round)
+
+
+class TestKernelIsTheDefault:
+    ZONES = MultiZoneTopology(zones=2, k=4, seed=7)
+
+    @pytest.mark.parametrize(
+        "topology,inventory",
+        SUBSTRATES + [pytest.param(ZONES, build_zone_inventory(ZONES, seed=7), id="zones")],
+    )
+    @pytest.mark.parametrize("mode", ["sequential", "incremental"])
+    def test_default_config_builds_a_kernel(self, topology, inventory, mode):
+        assert build_assessor(topology, inventory, AssessmentConfig()).kernel is not None
+        assessor = build_assessor(topology, inventory, AssessmentConfig(mode=mode))
+        assert assessor.kernel is not None
+        assert kernel_supported(assessor.engine)
+
+    def test_only_a_dense_only_engine_falls_back(self):
+        config = AssessmentConfig(engine=UnionFindReachabilityEngine(FATTREE))
+        assert build_assessor(FATTREE, FATTREE_INV, config).kernel is None
+
+    def test_arena_table_is_interned_once_per_model(self):
+        first = build_assessor(FATTREE, FATTREE_INV, AssessmentConfig())
+        second = build_assessor(
+            FATTREE, FATTREE_INV, AssessmentConfig(mode="incremental")
+        )
+        assert first.kernel.arena.index is second.kernel.arena.index
+        assert first.kernel.arena is not second.kernel.arena
+        before = first.kernel.arena
+        first.refresh_probabilities()
+        assert first.kernel.arena is not before  # fresh probability vector
+        assert first.kernel.arena.ids is before.ids
 
 
 class TestIncrementalKernel:
     def test_move_walk_bit_identity(self):
         structure = ApplicationStructure.k_of_n(3, 5)
         config = AssessmentConfig(rounds=1001, mode="incremental", master_seed=123)
-        dense = build_assessor(FATTREE, FATTREE_INV, config)
-        packed = build_assessor(
-            FATTREE, FATTREE_INV, config.with_updates(kernel=True)
-        )
-        assert packed.kernel is not None
+        dense, packed = _both_sides(FATTREE, FATTREE_INV, config)
         hosts = list(FATTREE.hosts)
         rng = np.random.default_rng(11)
         current = hosts[:5]
@@ -393,21 +527,18 @@ class TestIncrementalKernel:
             current[slot] = candidates[int(rng.integers(0, len(candidates)))]
 
     def test_walk_across_pods_tracks_growing_closure(self):
-        # Regression: the packed fat-tree engine caches the whole-fabric
-        # edge-external matrix per states object. The incremental
-        # assessor reuses ONE states object whose failed dict only grows,
-        # so a matrix built while another pod's elements were unsampled
-        # must be rebuilt once they register — otherwise later plans in
-        # that pod read stale all-alive rows. Needs enough rounds that
-        # newly registered scaffold elements actually fail somewhere.
+        # Regression: the packed fat-tree engine caches its core, pod and
+        # edge blocks on the states object, and the incremental assessor
+        # reuses ONE states object whose failed dict only grows. A block
+        # must therefore read nothing a later plan can still register —
+        # a whole-fabric matrix built while another pod was unsampled
+        # once served that pod stale all-alive rows. Needs enough rounds
+        # that newly registered scaffold elements actually fail somewhere.
         structure = ApplicationStructure.k_of_n(2, 3)
         config = AssessmentConfig(
             rounds=2000, mode="incremental", master_seed=20170412
         )
-        dense = build_assessor(FATTREE, FATTREE_INV, config)
-        packed = build_assessor(
-            FATTREE, FATTREE_INV, config.with_updates(kernel=True)
-        )
+        dense, packed = _both_sides(FATTREE, FATTREE_INV, config)
         rng = np.random.default_rng(11)
         plan = DeploymentPlan.random(FATTREE, structure, rng=rng)
         for _ in range(11):
@@ -455,8 +586,9 @@ class TestScorePlans:
     def test_without_kernel_falls_back_to_independent_assess(self):
         structure = ApplicationStructure.k_of_n(2, 4)
         plans = [_plan_for(FATTREE, structure)]
-        config = AssessmentConfig(rounds=501, rng=5)
+        config = AssessmentConfig(rounds=501, rng=5, kernel=False)
         assessor = build_assessor(FATTREE, FATTREE_INV, config)
+        assert assessor.kernel is None
         results = assessor.score_plans(plans, structure)
         reference = build_assessor(FATTREE, FATTREE_INV, config).assess(
             plans[0], structure
@@ -500,3 +632,144 @@ class TestKernelObject:
     def test_repr_mentions_arena_size(self):
         kernel = AssessmentKernel(FATTREE, FATTREE_INV)
         assert "components" in repr(kernel)
+
+
+# ---------------------------------------------------------------------------
+# Count guards: what the packed path may read and keep, as exact counts
+# ---------------------------------------------------------------------------
+
+
+class _CountingRows(dict):
+    """A failed-rows mapping that counts every read."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestFatTreeBlocksReadOnlyWhatAPlanNeeds:
+    """`medium` has radix 12: 300 core-layer rows, 156 a pod, 13 an edge
+    switch, 2 a host. The whole fabric is 7 788."""
+
+    ROUNDS = 256
+
+    @pytest.fixture(scope="class")
+    def medium(self):
+        return paper_topology("medium", seed=1)
+
+    def _states(self, engine, hosts, seed=5):
+        """Packed states with a fifth of the hosts' closure failing somewhere."""
+        rng = np.random.default_rng(seed)
+        failed = _CountingRows()
+        for cid in sorted(engine.relevant_elements(hosts)):
+            if rng.random() < 0.2:
+                failed[cid] = pack_bool_matrix(rng.random((1, self.ROUNDS)) < 0.3)[0]
+        return PackedRoundStates(rounds=self.ROUNDS, failed=failed)
+
+    def test_rows_read_scale_with_the_plan_not_the_fabric(self, medium):
+        engine = engine_for(medium)
+        rng = np.random.default_rng(3)
+        hosts = [medium.hosts[i] for i in rng.choice(len(medium.hosts), 10, False)]
+        edges = {medium.edge_switch_of(h) for h in hosts}
+        pods = {medium.edge_pod[e] for e in edges}
+        # One more host under an edge of the plan, one under a new edge of
+        # one of its pods: both inside the universe the states cover.
+        edge = medium.edge_switch_of(hosts[0])
+        sibling = next(
+            h for h in medium.hosts
+            if medium.edge_switch_of(h) == edge and h not in hosts
+        )
+        cousin = next(
+            h for h in medium.hosts
+            if medium.edge_pod[medium.edge_switch_of(h)] == medium.edge_pod[edge]
+            and medium.edge_switch_of(h) not in edges
+        )
+        states = self._states(engine, hosts + [sibling, cousin])
+        rows = states.failed
+
+        rows.reads = 0
+        got = engine.external_reachable(states, hosts)
+        assert rows.reads <= 300 + 156 * len(pods) + 13 * len(edges) + 2 * len(hosts)
+        rows.reads = 0
+        got.update(engine.external_reachable(states, [sibling]))
+        assert rows.reads <= 2
+        rows.reads = 0
+        got.update(engine.external_reachable(states, [cousin]))
+        assert rows.reads <= 15
+        rows.reads = 0
+        engine.external_reachable(states, hosts)
+        assert rows.reads <= 2 * len(hosts)
+
+        # The same answers as the scalar path over the same states, dense.
+        dense = RoundStates(
+            rounds=self.ROUNDS,
+            failed={cid: unpack_row(row, self.ROUNDS) for cid, row in rows.items()},
+        )
+        want = engine.external_reachable(dense, list(got))
+        for host, row in got.items():
+            assert np.array_equal(unpack_row(row, self.ROUNDS), want[host]), host
+
+    def test_closure_is_assembled_from_the_block_layouts(self, medium):
+        engine = engine_for(medium)
+        host = medium.hosts[100]
+        edge = medium.edge_switch_of(host)
+        pod = medium.edge_pod[edge]
+        elements = engine.relevant_elements([host])
+        assert len(elements) == 300 + 156 + 13 + 2
+        assert {host, link_id(host, edge), edge, medium.agg_ids[(pod, 3)]} <= elements
+        assert link_id(medium.agg_ids[(pod, 3)], medium.core_ids[(3, 7)]) in elements
+        assert link_id(medium.border_switch_of_group(5), medium.core_ids[(5, 0)]) in elements
+
+
+class TestMemosStopGrowing:
+    BOUND = 8
+
+    def test_cold_plans_leave_bounded_state(self):
+        topology = paper_topology("tiny", seed=1)
+        inventory = build_paper_inventory(topology, seed=2)
+        assessor = build_assessor(topology, inventory, AssessmentConfig(rounds=64, rng=1))
+        structure = ApplicationStructure.k_of_n(2, 4)
+        rng = np.random.default_rng(9)
+        seen = set()
+        while len(seen) < 300:
+            hosts = tuple(sorted(rng.choice(len(topology.hosts), 4, replace=False)))
+            if hosts in seen:
+                continue
+            seen.add(hosts)
+            plan = DeploymentPlan.single_component(
+                [topology.hosts[i] for i in hosts], structure.components[0].name
+            )
+            assessor.assess(plan, structure)
+        assert len(assessor._closures) <= self.BOUND
+        assert len(assessor.kernel._order_by_content) <= self.BOUND
+        assert vars(assessor.sampler) == {}  # no layout, no cache: nothing kept
+
+    def test_chunked_pieces_share_one_closure(self, monkeypatch):
+        assessor = build_assessor(FATTREE, FATTREE_INV, AssessmentConfig(rng=1))
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plan = _plan_for(FATTREE, structure)
+        calls = {"closure": 0, "order": 0}
+        relevant = assessor.engine.relevant_elements
+        order = assessor.kernel.forest.evaluation_order
+
+        def counted_relevant(hosts):
+            calls["closure"] += 1
+            return relevant(hosts)
+
+        def counted_order(subjects):
+            calls["order"] += 1
+            return order(subjects)
+
+        monkeypatch.setattr(assessor.engine, "relevant_elements", counted_relevant)
+        monkeypatch.setattr(assessor.kernel.forest, "evaluation_order", counted_order)
+        result = chunked_assess(
+            assessor, plan, structure, 3 * MIN_CHUNK_ROUNDS, 3, CancellationToken()
+        )
+        assert result.estimate.rounds == 3 * MIN_CHUNK_ROUNDS
+        assert calls == {"closure": 1, "order": 1}
