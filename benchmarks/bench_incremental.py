@@ -12,8 +12,10 @@ Usage::
 
     python benchmarks/bench_incremental.py            # full comparison
     python benchmarks/bench_incremental.py --smoke    # CI smoke: tiny
-        preset, few moves; asserts equality + cache hit rate > 0 (never
-        wall-clock, so it cannot flake on loaded runners)
+        preset, few moves; asserts equality + cache hit rate > 0, then
+        the delta-pricing counts of a fixed-seed 25-move ``medium`` walk
+        (never wall-clock, so it cannot flake on loaded runners); writes
+        ``BENCH_incremental.json``
 
 Also runnable under pytest (``pytest benchmarks/bench_incremental.py``).
 """
@@ -21,6 +23,7 @@ Also runnable under pytest (``pytest benchmarks/bench_incremental.py``).
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
 import time
@@ -38,11 +41,13 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.faults.inventory import build_paper_inventory
+from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.topology.presets import paper_topology
 
 MASTER_SEED = 20170412  # CoNEXT '17 submission-ish; any fixed value works
 WALK_SEED = 11
+RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
 
 
 def _substrate(scale: str):
@@ -119,6 +124,61 @@ def run_comparison(
     }
 
 
+def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) -> dict:
+    """What a fixed-seed walk costs the incremental universe, in counts.
+
+    Every count is a function of the walk alone — none depends on set
+    order, so all repeat exactly across ``PYTHONHASHSEED`` and hosts:
+    closure components seen, how many of them the positive-probability
+    mask dropped without a draw, private generators constructed, closure
+    layer mask pairs built, against the pods, edge switches and hosts the
+    walk touched.
+    """
+    topology, inventory = _substrate(scale)
+    structure = ApplicationStructure.k_of_n(8, 10)
+    plans = _move_sequence(topology, structure, moves)
+    assessor = IncrementalAssessor.from_config(
+        topology,
+        inventory,
+        AssessmentConfig(mode="incremental", rounds=rounds, master_seed=MASTER_SEED),
+    )
+    generators = 0
+    component_stream = dagger._component_stream
+
+    def counted_stream(master_seed, component_id):
+        nonlocal generators
+        generators += 1
+        return component_stream(master_seed, component_id)
+
+    dagger._component_stream = counted_stream
+    try:
+        for plan in plans:
+            assessor.assess(plan, structure)
+    finally:
+        dagger._component_stream = component_stream
+    seen = set().union(*(assessor.closure_for(plan)[1] for plan in plans))
+    probabilities = inventory.failure_probabilities()
+    positive = sum(probabilities[cid] > 0.0 for cid in seen)
+    hosts = {host for plan in plans for host in plan.hosts()}
+    edges = {topology.edge_switch_of(host) for host in hosts}
+    pods = {topology.edge_pod[edge] for edge in edges}
+    return {
+        "workload": "delta_counts",
+        "scale": scale,
+        "rounds": rounds,
+        "moves": moves,
+        "components_seen": len(seen),
+        "component_misses": int(assessor.metrics.counter("sample/component/miss")),
+        "dropped_by_positive_mask": len(seen) - positive,
+        "positive_misses": positive,
+        "generators_constructed": generators,
+        "layer_masks_built": len(assessor._layers),
+        "pods_touched": len(pods),
+        "edges_touched": len(edges),
+        "hosts_touched": len(hosts),
+    }
+
+
 def _report(row: dict) -> str:
     return (
         f"{row['scale']:<8} rounds={row['rounds']:<7} moves={row['moves']:<4} "
@@ -143,7 +203,30 @@ def run_smoke() -> int:
     assert row["subject_hit_rate"] > 0.0, (
         "fault-tree cache never hit across a move sequence"
     )
-    print("smoke OK: bit-identical results, caches exercised")
+    counts = run_delta_counts()
+    print(" ".join(f"{key}={value}" for key, value in counts.items()))
+    assert counts["component_misses"] == counts["components_seen"], (
+        "a closure component was folded into the universe more than once"
+    )
+    assert counts["generators_constructed"] == counts["positive_misses"], (
+        "private generators constructed != new components that can fail"
+    )
+    layer_bound = (
+        1 + counts["pods_touched"] + counts["edges_touched"] + counts["hosts_touched"]
+    )
+    assert counts["layer_masks_built"] <= layer_bound, (
+        f"{counts['layer_masks_built']} closure layers built, bound {layer_bound}"
+    )
+    row = {key: value for key, value in row.items() if key != "metrics"}
+    payload = {
+        "benchmark": "incremental engine: bit-equality and delta-pricing counts",
+        "master_seed": MASTER_SEED,
+        "walk_seed": WALK_SEED,
+        "rows": [{"workload": "tiny_equality", **row}, counts],
+    }
+    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {RESULTS_PATH}")
+    print("smoke OK: bit-identical results, caches exercised, deltas priced by count")
     return 0
 
 

@@ -53,6 +53,7 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
     sys.path.insert(0, str(_ROOT / "src"))
     sys.path.insert(0, str(_ROOT / "benchmarks"))
 
+from common import count_calls
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
@@ -99,23 +100,6 @@ def _both_sides(cls, topology, inventory, config):
     return interpreted, compiled
 
 
-def _calls(work) -> int:
-    """Function calls, Python and C, ``work()`` makes: an exact repeat."""
-    count = 0
-
-    def profiler(_frame, event, _arg):
-        nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
-
-    sys.setprofile(profiler)
-    try:
-        work()
-    finally:
-        sys.setprofile(None)
-    return count
-
-
 def _mismatches(results_a, results_b) -> int:
     return sum(
         not np.array_equal(a, b) for a, b in zip(results_a, results_b, strict=True)
@@ -143,8 +127,8 @@ def bench_assess(scale: str, rounds: int, repeats: int) -> dict:
     legacy_results = [legacy.assess(p, structure).per_round for p in plans]
     kernel_results = [kernel.assess(p, structure).per_round for p in plans]
     mismatches = _mismatches(legacy_results, kernel_results)
-    legacy_calls = _calls(lambda: [legacy.assess(p, structure) for p in plans])
-    kernel_calls = _calls(lambda: [kernel.assess(p, structure) for p in plans])
+    legacy_calls = count_calls(lambda: [legacy.assess(p, structure) for p in plans])
+    kernel_calls = count_calls(lambda: [kernel.assess(p, structure) for p in plans])
 
     legacy_seconds = kernel_seconds = float("inf")
     for _ in range(max(repeats, 1)):

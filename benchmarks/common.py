@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import sys
 from functools import lru_cache
 
 from repro.faults.dependencies import DependencyModel
@@ -86,6 +87,23 @@ def inventory(scale: str) -> DependencyModel:
 def workload(scale: str) -> HostWorkloadModel:
     """The §4.2.2 workload model for one scale."""
     return HostWorkloadModel.paper_default(topology(scale), seed=WORKLOAD_SEED)
+
+
+def count_calls(work) -> int:
+    """Function calls, Python and C, ``work()`` makes: an exact repeat."""
+    count = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 class ResultTable:

@@ -8,17 +8,19 @@ common random numbers all of that work is a pure function of
 ``(component, master_seed, rounds)`` — independent of which plan is being
 assessed — so it can be cached once and reused across every move:
 
-* **Component-state cache** — each component's failed-round indices come
-  from its private CRN stream (see
-  :meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_failed_rounds`),
+* **Component-state cache** — each component's failure row comes from its
+  private CRN stream (see
+  :meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_rows`),
   so a one-host move only samples the closure *delta*; every shared
   component's states are reused verbatim.
-* **Closure memoization** — the relevant closure decomposes per host for
-  every shipped engine (the union of single-host closures equals the
-  joint closure; the generic engine's closure is the whole data center,
-  which makes the union trivially exact), so each host's ``(subjects,
-  sampled)`` pair is computed once and a plan's closure is a union of
-  finished sets.
+* **Closure memoization** — a closure is a ``(subjects, sampled)`` pair
+  of bitmasks (Python ints) over the
+  :class:`~repro.kernel.arena.ComponentArena` indices. It decomposes per
+  host for every shipped engine, and per host into the layers
+  :meth:`~repro.routing.base.ReachabilityEngine.relevant_layers` names —
+  a fat-tree's core, a pod, an edge switch, the host itself; the generic
+  engine's one piece is the whole data center. A layer's pair is built
+  once; a host is the OR of its layers, a plan of its hosts.
 * **Effective-state cache** — fault-tree reasoning per subject does not
   depend on the plan either; each subject's effective per-round failure
   vector is computed once and shared by every plan that touches it.
@@ -31,10 +33,14 @@ assessed — so it can be cached once and reused across every move:
 
 **Delta rule.** A move brings in one host, so nothing on the path of an
 assessment may walk the whole closure in Python: what a plan adds to the
-universe is found by set difference against what is already there, loops
-run over that delta only, and the hit/miss counters are bumped by the set
-sizes. Entries are pure functions of their key, so the order the delta is
-walked in cannot show in any result.
+universe is ``closure & ~known``, the hit/miss counters are bumped by
+``int.bit_count()``, and only the delta's bits are turned back into
+indices. Of those, the components that cannot fail (most links) are
+dropped by the positive-probability mask without a call or a dict entry
+— an absent row reads "never failed" everywhere — and the rest are drawn
+64 to a ``component_rows`` call, a component's known bit set only once
+its row is stored. Entries are pure functions of their key, so the order
+the delta is walked in (arena order) cannot show in any result.
 
 **Correctness invariant (CRN equality).** Before the route-and-check for
 a plan runs, every element of that plan's relevant closure has been
@@ -64,7 +70,7 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, RuntimeMetadata
 from repro.faults.dependencies import DependencyModel
-from repro.kernel import AssessmentKernel, kernel_supported
+from repro.kernel import AssessmentKernel, ComponentArena, kernel_supported
 from repro.routing.base import (
     PackedRoundStates,
     ReachabilityEngine,
@@ -126,10 +132,6 @@ class _CachingEngine(ReachabilityEngine):
             self._pairs.update(self.inner.pairwise_reachable(states, missing))
         return {p: self._pairs[p] for p in unique}
 
-    def clear(self) -> None:
-        self._external.clear()
-        self._pairs.clear()
-
 
 class IncrementalAssessor(AssessorBase):
     """Cached, move-incremental reliability assessment under CRN.
@@ -148,7 +150,10 @@ class IncrementalAssessor(AssessorBase):
         topology: Topology,
         dependency_model: DependencyModel | None = None,
         config: AssessmentConfig | None = None,
+        kernel: AssessmentKernel | None = None,
     ):
+        """``kernel``: a compiled kernel over the same substrate to share
+        (it keeps no per-assessment state), as the search's outer one."""
         config = config or AssessmentConfig(mode="incremental")
         self.config = config
         self.topology = topology
@@ -177,41 +182,55 @@ class IncrementalAssessor(AssessorBase):
         self.sample_full_infrastructure = config.sample_full_infrastructure
         self.metrics = config.registry() or MetricsRegistry()
         self.engine = config.engine or engine_for(topology)
+        self._all_probabilities = self.dependency_model.failure_probabilities()
+        if not (config.kernel and kernel_supported(self.engine)):
+            kernel = None
+        elif kernel is None:
+            kernel = self._private_kernel()
+        self._new_universe(kernel)
+
+    def _private_kernel(self) -> AssessmentKernel:
+        return AssessmentKernel(
+            self.topology, self.dependency_model, self._all_probabilities
+        )
+
+    def _new_universe(self, kernel: AssessmentKernel | None) -> None:
+        """An empty sampling universe on ``kernel`` (``None``: interpreted).
+
+        Everything below only ever gains entries, and existing entries are
+        never rewritten (the CRN streams, and hence every row and forest
+        node value, are pure functions of (master_seed, component, rounds);
+        node ids only ever grow), so the one long-lived RoundStates — and
+        the engine path-segment caches that hang off it — stay valid
+        across every assessment.
+        """
+        self.kernel = kernel
+        # What every mask below indexes, and the mask of what can fail.
+        self._arena = (
+            kernel.arena
+            if kernel is not None
+            else ComponentArena.for_model(
+                self.dependency_model, self._all_probabilities
+            )
+        )
+        self._positive = self._arena.mask_of_indices(self._arena.probabilities > 0.0)
+        # layer key / host -> (subjects, sampled) masks of its closure
+        self._layers: dict[object, tuple[int, int]] = {}
+        self._closures: dict[str, tuple[int, int]] = {}
+        # Failing components' draws: packed rows on the kernel, failed-round
+        # indices (and `_dense`, their dense view) on the interpreter.
+        self._rows: dict[str, np.ndarray] = {}
+        self._dense = ZeroFill(self.rounds)
+        self._sampled = 0  # mask: drawn, or never failing
+        self._forest_values: dict[int, np.ndarray | None] = {}
+        self._effective: dict[str, np.ndarray] = {}  # post-fault-tree states
+        self._reasoned = 0  # mask: subjects whose tree is evaluated
+        self._registered = 0  # mask: non-subjects seen by the filter step
         self._caching_engine = _CachingEngine(self.engine, self.metrics)
         self._evaluator = StructureEvaluator(self._caching_engine)
-        self._all_probabilities = self.dependency_model.failure_probabilities()
-
-        # The shared sampling universe. `_effective` only ever gains
-        # entries (and existing entries are never rewritten), so the one
-        # long-lived RoundStates — and the engine path-segment caches that
-        # hang off it — stay valid across every assessment.
-        # host -> (subjects, sampled) of that host's relevant closure
-        self._host_closure: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
-        self._failed_rounds: dict[str, np.ndarray] = {}  # component samples
-        self._dense = ZeroFill(self.rounds)  # dense view, failing comps
-        self._effective: dict[str, np.ndarray] = {}  # post-fault-tree states
-        self._known_subjects: set[str] = set()
-        self._known_links: set[str] = set()
         self._plan_cache: dict[tuple, AssessmentResult] = {}
-
-        # Compiled-kernel universe: packed per-component rows and a
-        # persistent node-value cache over the compiled forest. Valid for
-        # the assessor's lifetime because the CRN streams (and hence
-        # every node value) are pure functions of (master_seed,
-        # component, rounds), and node ids only ever grow.
-        self.kernel: AssessmentKernel | None = (
-            AssessmentKernel(topology, self.dependency_model, self._all_probabilities)
-            if config.kernel and kernel_supported(self.engine)
-            else None
-        )
-        self._packed_rows: dict[str, np.ndarray | None] = {}
-        self._forest_values: dict[int, np.ndarray | None] = {}
-        self._states = self._fresh_states()
-
-    def _fresh_states(self) -> RoundStates:
-        if self.kernel is not None:
-            return PackedRoundStates(rounds=self.rounds, failed=self._effective)
-        return RoundStates(rounds=self.rounds, failed=self._effective)
+        states = RoundStates if kernel is None else PackedRoundStates
+        self._states = states(rounds=self.rounds, failed=self._effective)
 
     # ------------------------------------------------------------------
     # Cache maintenance
@@ -226,28 +245,14 @@ class IncrementalAssessor(AssessorBase):
         """Drop every cache (states, closures, plans, route vectors).
 
         Call after externally mutating failure probabilities or the
-        dependency model; the next assessment rebuilds from scratch.
+        dependency model; the next assessment rebuilds from scratch — on
+        a kernel of its own (the probabilities, or even the dependency
+        trees, may have changed under a shared one).
         """
-        self._host_closure.clear()
-        self._failed_rounds.clear()
-        self._dense.clear()
-        self._effective.clear()
-        self._known_subjects.clear()
-        self._known_links.clear()
-        self._plan_cache.clear()
-        self._caching_engine.clear()
-        self._packed_rows.clear()
-        self._forest_values.clear()
         self._all_probabilities = self.dependency_model.failure_probabilities()
-        if self.kernel is not None:
-            # Rebuild the arena/forest too: the probabilities (or even
-            # the dependency trees) may have changed under us.
-            self.kernel = AssessmentKernel(
-                self.topology, self.dependency_model, self._all_probabilities
-            )
-        # Fresh RoundStates: the engines' per-states segment caches are
-        # attached to the old object and die with it.
-        self._states = self._fresh_states()
+        self._new_universe(
+            self._private_kernel() if self.kernel is not None else None
+        )
 
     def reseed(self, master_seed: int) -> None:
         """Move to a new CRN master seed, invalidating every cache."""
@@ -255,115 +260,131 @@ class IncrementalAssessor(AssessorBase):
         self.clear_caches()
 
     # ------------------------------------------------------------------
-    # Closure (memoized per host)
+    # Closure (memoized per layer and per host)
     # ------------------------------------------------------------------
 
     def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
         """(subjects, sampled component ids) — same contract as the
-        from-scratch assessor, assembled from per-host memo entries.
+        from-scratch assessor, decoded from :meth:`_closure_masks`."""
+        subjects, sampled = self._closure_masks(plan)
+        ids_in = self._arena.ids_in
+        return set(ids_in(subjects)), set(ids_in(sampled))
 
-        Both halves distribute over hosts (``basic_events_for`` is a union
-        over subjects; link elements are never subjects), so the graph
-        filter and the fault-tree event lookup run once per host and a
-        plan's closure is a union of finished frozensets.
+    def _closure_masks(self, plan: DeploymentPlan) -> tuple[int, int]:
+        """The plan's (subjects, sampled) closure as arena bitmasks.
+
+        Both halves distribute over hosts, and over the layers of a host
+        (``basic_events_for`` is a union over subjects; link elements are
+        never subjects), so the graph filter and the fault-tree event
+        lookup run once per layer and a plan's closure is an OR of
+        finished masks.
         """
-        memo = self._host_closure
-        subjects: set[str] = set()
-        sampled: set[str] = set()
+        closures, layers = self._closures, self._layers
+        subjects = sampled = 0
         hosts = plan.hosts()
         misses = 0
         for host in hosts:
-            cached = memo.get(host)
+            cached = closures.get(host)
             if cached is None:
                 misses += 1
-                elements = self.engine.relevant_elements([host])
-                host_subjects = self.topology.elements.intersection(elements)
-                cached = memo[host] = (
-                    host_subjects,
-                    self.dependency_model.basic_events_for(host_subjects)
-                    | (elements - host_subjects),
-                )
+                host_subjects = host_sampled = 0
+                for key, ids in self.engine.relevant_layers(host):
+                    layer = layers.get(key)
+                    if layer is None:
+                        layer = layers[key] = self._layer_masks(ids)
+                    host_subjects |= layer[0]
+                    host_sampled |= layer[1]
+                cached = closures[host] = (host_subjects, host_sampled)
             subjects |= cached[0]
             sampled |= cached[1]
         self.metrics.incr("closure/host/hit", len(hosts) - misses)
         self.metrics.incr("closure/host/miss", misses)
         return subjects, sampled
 
+    def _layer_masks(self, ids) -> tuple[int, int]:
+        """(subjects, sampled) masks of one closure layer's element ids."""
+        subjects = self.topology.elements.intersection(ids)
+        sampled = self.dependency_model.basic_events_for(subjects).union(
+            cid for cid in ids if cid not in subjects
+        )
+        return self._arena.mask_of(subjects), self._arena.mask_of(sampled)
+
     # ------------------------------------------------------------------
     # Component sampling and fault-tree reasoning (both cached)
     # ------------------------------------------------------------------
 
-    def _dense_for(self, cid: str) -> np.ndarray:
-        """Dense per-round failure vector of a sampled component, built on
-        first need (the shared read-only zeros when it never fails)."""
-        dense = self._dense
-        failed = self._failed_rounds[cid]
-        if failed.size and cid not in dense:
-            states = np.zeros(self.rounds, dtype=bool)
-            states[failed] = True
-            dense[cid] = states
-        return dense[cid]
-
-    def _extend_universe(
-        self, subjects: set[str], sampled: set[str], cancel=None
-    ) -> None:
-        """Fold a plan's closure into the shared sampling universe.
+    def _extend_universe(self, subjects: int, sampled: int, cancel=None) -> None:
+        """Fold a plan's closure masks into the shared sampling universe.
 
         Samples every not-yet-seen component, evaluates the fault tree of
         every not-yet-seen subject, and registers failing links — after
         which ``self._states`` covers everything this plan's
         route-and-check can read. Priced by the module docstring's delta
-        rule: loops run over what set difference says is new. The dense and
-        the packed (compiled-kernel) universe share this one path and
-        differ only in how a component is drawn and in which of the two
-        fault-tree stage functions reads the draws. Cancellation between
-        components/subjects is safe: the caches only ever *gain* complete
-        entries, so an aborted extension leaves a smaller but fully valid
-        universe.
+        rule. The dense and the packed (compiled-kernel) universe share
+        this one path and differ only in the form of a drawn row and in
+        which of the two fault-tree stage functions reads the draws.
+        Cancellation between batches of components and before the subjects
+        is safe: the caches only ever *gain* complete entries, so an
+        aborted extension leaves a smaller but fully valid universe.
         """
         metrics = self.metrics
         kernel = self.kernel
-        if kernel is not None:
-            samples, draw = self._packed_rows, self.sampler.component_packed_row
-        else:
-            samples, draw = self._failed_rounds, self.sampler.component_failed_rounds
+        arena = self._arena
+        rows = self._rows
         with metrics.timer("sample"):
-            new_components = sampled.difference(samples)
-            metrics.incr("sample/component/hit", len(sampled) - len(new_components))
-            metrics.incr("sample/component/miss", len(new_components))
-            probabilities = self._all_probabilities
-            if new_components:
+            new = sampled & ~self._sampled
+            misses = new.bit_count()
+            metrics.incr("sample/component/hit", sampled.bit_count() - misses)
+            metrics.incr("sample/component/miss", misses)
+            if new:
                 sampling_started()
-            for index, cid in enumerate(new_components):
-                if cancel is not None and index % 64 == 0:
-                    cancel.check()
-                samples[cid] = draw(cid, probabilities[cid], self.rounds)
+                self._sampled |= new & ~self._positive
+                ids, probabilities = arena.ids, arena.probabilities
+                drawn = arena.indices_in(new & self._positive)
+                for lo in range(0, len(drawn), 64):
+                    if cancel is not None:
+                        cancel.check()
+                    batch = drawn[lo : lo + 64]
+                    rows.update(
+                        self.sampler.component_rows(
+                            [ids[i] for i in batch.tolist()],
+                            probabilities[batch],
+                            self.rounds,
+                            packed=kernel is not None,
+                        )
+                    )
+                    self._sampled |= arena.mask_of_indices(batch)
 
         with metrics.timer("faulttree"):
             if cancel is not None:
                 cancel.check()
-            new_subjects = subjects - self._known_subjects
-            metrics.incr("faulttree/subject/hit", len(subjects) - len(new_subjects))
-            metrics.incr("faulttree/subject/miss", len(new_subjects))
-            new_links = (sampled - subjects) - self._known_links
-            if not (new_subjects or new_links):
+            new_subjects = subjects & ~self._reasoned
+            misses = new_subjects.bit_count()
+            metrics.incr("faulttree/subject/hit", subjects.bit_count() - misses)
+            metrics.incr("faulttree/subject/miss", misses)
+            new_raw = sampled & ~subjects & ~self._registered
+            if not (new_subjects or new_raw):
                 return
-            self._known_subjects |= new_subjects
-            self._known_links |= new_links
+            self._reasoned |= new_subjects
+            self._registered |= new_raw
+            subject_ids = arena.ids_in(new_subjects)
+            # Only a component that failed can register a failing element.
+            raw_ids = [cid for cid in arena.ids_in(new_raw) if cid in rows]
             if kernel is not None:
                 found = kernel.effective_states(
-                    new_subjects, new_links, samples, self._forest_values
+                    subject_ids, raw_ids, rows, self._forest_values
                 )
             else:
                 # Densified by need, not at draw time: a cancelled sampling
                 # loop leaves drawn components behind, and the next call's
                 # delta no longer names them.
-                model = self.dependency_model
-                for cid in model.basic_events_for(new_subjects) | new_links:
-                    self._dense_for(cid)
-                found = effective_states(
-                    model, new_subjects, new_links, self._dense
-                )
+                model, dense = self.dependency_model, self._dense
+                for cid in model.basic_events_for(subject_ids).union(raw_ids):
+                    failed = rows.get(cid)
+                    if failed is not None and cid not in dense:
+                        dense[cid] = states = np.zeros(self.rounds, dtype=bool)
+                        states[failed] = True
+                found = effective_states(model, subject_ids, raw_ids, dense)
             self._effective.update(found)
 
     # ------------------------------------------------------------------
@@ -402,10 +423,10 @@ class IncrementalAssessor(AssessorBase):
         plan: DeploymentPlan,
         structure: ApplicationStructure,
         cancel,
-        closure: tuple[set[str], set[str]] | None = None,
+        closure: tuple[int, int] | None = None,
     ) -> AssessmentResult:
         """:meth:`assess` proper; ``closure`` is the plan's
-        :meth:`closure_for` when :meth:`score_plans` already computed it."""
+        :meth:`_closure_masks` when :meth:`score_plans` already computed it."""
         watch = Stopwatch()
         metrics = self.metrics
         plan.validate_against(self.topology, structure)
@@ -421,7 +442,7 @@ class IncrementalAssessor(AssessorBase):
             cancel.check()
         if closure is None:
             with metrics.timer("closure"):
-                closure = self.closure_for(plan)
+                closure = self._closure_masks(plan)
         subjects, sampled = closure
         self._extend_universe(subjects, sampled, cancel=cancel)
 
@@ -436,7 +457,7 @@ class IncrementalAssessor(AssessorBase):
         if self.sample_full_infrastructure:
             sampled_components = len(self._all_probabilities)
         else:
-            sampled_components = len(sampled)
+            sampled_components = sampled.bit_count()
         result = AssessmentResult(
             plan=plan,
             estimate=estimate,
@@ -477,13 +498,12 @@ class IncrementalAssessor(AssessorBase):
             for plan in plans
             if (plan.canonical_key(), structure_key) not in self._plan_cache
         ]
-        closures: dict[int, tuple[set[str], set[str]]] = {}
+        closures: dict[int, tuple[int, int]] = {}
         if len(uncached) > 1:
-            subjects: set[str] = set()
-            sampled: set[str] = set()
+            subjects = sampled = 0
             with self.metrics.timer("closure"):
                 for plan in uncached:
-                    closures[id(plan)] = closure = self.closure_for(plan)
+                    closures[id(plan)] = closure = self._closure_masks(plan)
                     subjects |= closure[0]
                     sampled |= closure[1]
             self._extend_universe(subjects, sampled, cancel=cancel)
@@ -508,6 +528,6 @@ class IncrementalAssessor(AssessorBase):
         return (
             f"<IncrementalAssessor on {self.topology.name!r}: "
             f"{self.rounds} rounds, master_seed={self.master_seed}, "
-            f"{len(self._failed_rounds)} components cached, "
+            f"{self._sampled.bit_count()} components cached, "
             f"{len(self._plan_cache)} plans cached>"
         )

@@ -279,8 +279,8 @@ class DeploymentSearch:
         :class:`~repro.sampling.dagger.CommonRandomDaggerSampler` with the
         same master seed, which is the oracle the equality tests build. It
         is configured like the outer assessor (rounds, engine, kernel,
-        closure or full-infrastructure sampling) and differs in the
-        sampler alone.
+        closure or full-infrastructure sampling), shares its compiled
+        kernel, and differs in the sampler alone.
 
         When the outer assessor is an
         :class:`~repro.core.analytic.AnalyticAssessor`, the CRN assessor
@@ -301,7 +301,7 @@ class DeploymentSearch:
         analytic = outer if isinstance(outer, AnalyticAssessor) else None
         if analytic is not None:
             outer = analytic.inner
-        crn = IncrementalAssessor.from_config(
+        crn = IncrementalAssessor(
             outer.topology,
             outer.dependency_model,
             # The outer sampler and stream are the confirmations' own; the
@@ -316,6 +316,9 @@ class DeploymentSearch:
                 profile=False,
                 metrics=self.metrics,
             ),
+            # One arena and one compiled forest per search: a kernel keeps
+            # no per-assessment state, and nothing here runs concurrently.
+            kernel=getattr(outer, "kernel", None),
         )
         if analytic is not None:
             return analytic.with_inner(crn)

@@ -16,9 +16,7 @@ questions — "which components must be sampled for these subjects?" and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.faults.component import Component
 from repro.faults.faulttree import (
@@ -184,22 +182,6 @@ class DependencyModel:
         Failures of these produce correlated subject failures.
         """
         return merge_shared_events(list(self.trees.values()))
-
-    def subject_failures(
-        self,
-        subject_ids: Sequence[str],
-        failed_states: Mapping[str, np.ndarray],
-    ) -> dict[str, np.ndarray]:
-        """Vectorised per-round failure of each subject (fault-tree reasoning).
-
-        This is the "reason and filter" step of §3.2.3: given sampled
-        component failure states across rounds, decide per round whether
-        each host/switch is effectively failed.
-        """
-        return {
-            subject_id: self.tree_for(subject_id).evaluate(failed_states)
-            for subject_id in subject_ids
-        }
 
     def register_raw_elements(
         self, candidates: Iterable[str], state_of, failed: dict

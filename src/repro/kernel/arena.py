@@ -60,8 +60,8 @@ class ComponentArena:
         """Intern every network + dependency component of one substrate.
 
         The id table is a pure function of the model's component set, so
-        it is built once per model and shared by every arena over it (a
-        search builds two kernels per request); the probability vector is
+        it is built once per model and shared by every arena over it
+        (every search request builds a kernel); the probability vector is
         read afresh from ``probabilities``, the caller's
         ``model.failure_probabilities()`` when it already holds one.
         """
@@ -105,6 +105,32 @@ class ComponentArena:
             (self.index_of(cid) for cid in component_ids),
             dtype=INDEX_DTYPE,
         )
+
+    # Component sets as Python ints, bit ``i`` the component at index ``i``:
+    # union is ``|``, difference ``& ~``, size ``int.bit_count()``.
+
+    def mask_of_indices(self, indices) -> int:
+        """The bitmask with exactly the given dense indices set."""
+        flags = np.zeros(len(self.ids), dtype=bool)
+        flags[indices] = True
+        packed = np.packbits(flags, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    def mask_of(self, component_ids: Iterable[str]) -> int:
+        """The bitmask of several component ids (each one in the arena)."""
+        index = self.index
+        return self.mask_of_indices([index[cid] for cid in component_ids])
+
+    def indices_in(self, mask: int) -> np.ndarray:
+        """Ascending dense indices of the bits set in ``mask``."""
+        raw = mask.to_bytes((len(self.ids) + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+        return np.flatnonzero(bits)
+
+    def ids_in(self, mask: int) -> list[str]:
+        """Component ids of the bits set in ``mask``, in index order."""
+        ids = self.ids
+        return [ids[i] for i in self.indices_in(mask).tolist()]
 
     def __repr__(self) -> str:
         return f"<ComponentArena: {len(self.ids)} components>"

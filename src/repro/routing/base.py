@@ -241,6 +241,18 @@ class ReachabilityEngine:
         """
         raise NotImplementedError
 
+    def relevant_layers(
+        self, host: str
+    ) -> tuple[tuple[object, Iterable[str]], ...]:
+        """``relevant_elements([host])`` cut into ``(key, ids)`` pieces for
+        callers that memoise closures: the pieces' union equals
+        ``relevant_elements([host])``, and pieces with equal keys — of
+        this host or any other — hold equal ids. The default is one piece
+        keyed by the host; an engine whose closures overlap (a fabric's
+        core, a pod) names the shared parts.
+        """
+        return ((host, self.relevant_elements([host])),)
+
 
 def engine_for(topology: Topology) -> ReachabilityEngine:
     """Pick the best engine for a topology.

@@ -246,19 +246,23 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
     # ------------------------------------------------------------------
 
     def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
-        topo = self.topology
-        elements = set(self._core_layer)
-        edges = set()
+        layers = {}
         for host in hosts:
-            edge = topo.edge_switch_of(host)
-            edges.add(edge)
-            elements.add(host)
-            elements.add(link_id(host, edge))
-        for edge in edges:
-            elements.update(self._edge_layer(edge))
-        for pod in {topo.edge_pod[edge] for edge in edges}:
-            elements.update(self._pod_layer(pod))
-        return elements
+            layers.update(self.relevant_layers(host))
+        return set().union(*layers.values())
+
+    def relevant_layers(self, host: str):
+        """The core layer every host shares, the host's pod, its edge
+        switch, and the host with its own link."""
+        topo = self.topology
+        edge = topo.edge_switch_of(host)
+        pod = topo.edge_pod[edge]
+        return (
+            ("core", self._core_layer),
+            (("pod", pod), self._pod_layer(pod)),
+            (("edge", edge), self._edge_layer(edge)),
+            (("host", host), (host, link_id(host, edge))),
+        )
 
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]

@@ -63,6 +63,9 @@ class GenericReachabilityEngine(ReachabilityEngine):
     def relevant_elements(self, hosts: Sequence[str]) -> frozenset[str]:
         return self._relevant
 
+    def relevant_layers(self, host: str):
+        return (("all", self._relevant),)
+
     # ------------------------------------------------------------------
 
     def _alive_table(self, states: RoundStates) -> np.ndarray:

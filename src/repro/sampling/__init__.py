@@ -11,7 +11,6 @@ from repro.sampling.montecarlo import MonteCarloSampler
 from repro.sampling.statistics import (
     ReliabilityEstimate,
     estimate_from_results,
-    merge_estimates,
     rounds_for_target_ci,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "dagger_cycle_length",
     "dagger_draw_count",
     "estimate_from_results",
-    "merge_estimates",
     "rounds_for_target_ci",
 ]

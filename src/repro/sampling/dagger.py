@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import defaultdict
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -306,12 +306,14 @@ class ExtendedDaggerSampler(Sampler):
         )
 
 
-def _component_stream_seed(master_seed: int, component_id: str) -> np.random.SeedSequence:
-    """A stable, component-addressed seed: same (master, id) -> same stream."""
+def _component_stream(master_seed: int, component_id: str) -> np.random.Generator:
+    """A component's private generator: same (master, id) -> same stream."""
     digest = hashlib.blake2b(
         component_id.encode("utf-8"), digest_size=8
     ).digest()
-    return np.random.SeedSequence([master_seed, int.from_bytes(digest, "big")])
+    return np.random.default_rng(
+        np.random.SeedSequence([master_seed, int.from_bytes(digest, "big")])
+    )
 
 
 class CommonRandomDaggerSampler(Sampler):
@@ -356,9 +358,7 @@ class CommonRandomDaggerSampler(Sampler):
         """
         if probability <= 0.0:
             return EMPTY_ROUNDS
-        stream = np.random.default_rng(
-            _component_stream_seed(self.master_seed, component_id)
-        )
+        stream = _component_stream(self.master_seed, component_id)
         # Per-component cycle length (original dagger) rather than the
         # extended cross-component reset: the reset aligns cycles of
         # *jointly drawn* components, but these streams are independent
@@ -372,6 +372,52 @@ class CommonRandomDaggerSampler(Sampler):
             rounds,
             block_length=dagger_cycle_length(probability),
         )[0]
+
+    def component_rows(
+        self,
+        component_ids: Sequence[str],
+        probabilities: np.ndarray,
+        rounds: int,
+        packed: bool,
+    ) -> dict[str, np.ndarray]:
+        """Failure rows of several components, each from its private stream.
+
+        Row for row what :meth:`component_packed_row` (``packed``) or
+        :meth:`component_failed_rounds` returns, for probabilities in
+        (0, 1); a component that never failed has no entry. Each draws
+        from its own generator, so no row depends on what else is in the
+        call; what follows the draws is one ragged pass, component ``i``
+        owning one entry per cycle of its own length ``s_i``.
+        """
+        p = np.asarray(probabilities, dtype=np.float64)
+        if not ((p > 0.0) & (p < 1.0)).all():
+            raise ValueError(f"probabilities must be in (0, 1), got {p}")
+        s = np.floor(1.0 / p).astype(ROUND_DTYPE)
+        draws = -(-rounds // s)
+        ends = np.cumsum(draws)
+        quotient = np.empty(ends[-1])
+        lo = 0
+        for cid, hi in zip(component_ids, ends.tolist()):
+            _component_stream(self.master_seed, cid).random(out=quotient[lo:hi])
+            lo = hi
+        component = np.repeat(np.arange(len(p)), draws)
+        quotient /= p[component]
+        # A draw in the i-th subinterval fails round i of its cycle; past
+        # the last subinterval, or the last round, it fails nothing.
+        offset = quotient.astype(ROUND_DTYPE)
+        cycle_length = s[component]
+        cycle = np.arange(len(offset)) - (ends - draws)[component]
+        failed = cycle * cycle_length + offset
+        hit = (offset < cycle_length) & (failed < rounds)
+        component, failed = component[hit], failed[hit]
+        counts = np.bincount(component, minlength=len(p))
+        if packed:
+            dense = np.zeros((len(p), rounds), dtype=bool)
+            dense[component, failed] = True
+            rows = np.packbits(dense, axis=1)
+        else:
+            rows = np.split(failed, np.cumsum(counts)[:-1])
+        return {component_ids[i]: rows[i] for i in np.flatnonzero(counts).tolist()}
 
     def sample(
         self,

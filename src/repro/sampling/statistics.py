@@ -152,29 +152,6 @@ def exact_estimate(score: float) -> ReliabilityEstimate:
     )
 
 
-def merge_estimates(estimates: list[ReliabilityEstimate]) -> ReliabilityEstimate:
-    """Combine estimates from disjoint round sets (parallel execution).
-
-    This is the reduce step of §3.2.1's MapReduce formulation: worker nodes
-    assess disjoint chunks of rounds and the master combines their counts.
-    The merged variance is recomputed from the pooled Bernoulli counts,
-    which equals ``Var[L]/n`` over the concatenated result list.
-    """
-    if not estimates:
-        raise ConfigurationError("cannot merge zero estimates")
-    total_rounds = sum(e.rounds for e in estimates)
-    reliable = sum(e.reliable_rounds for e in estimates)
-    score = reliable / total_rounds
-    variance = score * (1.0 - score) / total_rounds
-    return ReliabilityEstimate(
-        score=score,
-        variance=variance,
-        confidence_interval_width=4.0 * math.sqrt(variance),
-        rounds=total_rounds,
-        reliable_rounds=reliable,
-    )
-
-
 def rounds_for_target_ci(
     target_ci_width: float, pilot_variance_per_round: float
 ) -> int:

@@ -213,12 +213,15 @@ class Topology:
             if self.components[n].component_type is ComponentType.HOST
         ]
 
+    @cached_property
+    def _racks(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.rack_of(host) for host in self.hosts))
+
     def racks(self) -> list[str]:
-        """Every rack id (edge switches that have at least one host)."""
-        seen: dict[str, None] = {}
-        for host in self.hosts:
-            seen.setdefault(self.rack_of(host), None)
-        return list(seen)
+        """Every rack id (edge switches that have at least one host), in
+        host order: the caller's own copy of a walk over every host done
+        once, on the frozen topology."""
+        return list(self._racks)
 
     @cached_property
     def _probabilities(self) -> dict[str, float]:

@@ -249,3 +249,44 @@ class TestCommonRandomDagger:
         assert digest.hexdigest() == (
             "9fc02f58da92dcf22b8114a94173d8860746d2b7dcf85943668c287e4ddf6e64"
         )
+
+    @given(
+        probabilities=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-4, max_value=0.999),
+                st.sampled_from([0.5, 1 / 3, 0.25, 0.75, 0.01]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        rounds=st.sampled_from([7, 13, 500, 10_000]),
+        packed=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_draw_equals_the_per_component_draw(
+        self, probabilities, rounds, packed, seed
+    ):
+        """``component_rows`` against the per-component oracle, row for
+        row in both representations; a component that never failed has
+        no entry."""
+        sampler = CommonRandomDaggerSampler(master_seed=seed)
+        ids = [f"component/{i}" for i in range(len(probabilities))]
+        rows = sampler.component_rows(ids, np.array(probabilities), rounds, packed)
+        assert list(rows) == [cid for cid in ids if cid in rows]
+        for cid, probability in zip(ids, probabilities):
+            if packed:
+                expected = sampler.component_packed_row(cid, probability, rounds)
+            else:
+                expected = sampler.component_failed_rounds(cid, probability, rounds)
+            if expected is None or not expected.size:
+                assert cid not in rows
+            else:
+                assert rows[cid].dtype == expected.dtype
+                assert np.array_equal(rows[cid], expected)
+
+    def test_batch_draw_takes_probabilities_strictly_inside_the_unit_interval(self):
+        sampler = CommonRandomDaggerSampler(master_seed=1)
+        for probability in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                sampler.component_rows(["a", "b"], np.array([0.1, probability]), 50, True)

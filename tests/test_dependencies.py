@@ -1,6 +1,5 @@
 """Tests for the dependency model and synthetic inventories."""
 
-import numpy as np
 import pytest
 
 from repro.faults.component import Component, ComponentType
@@ -92,15 +91,6 @@ class TestDependencyModel:
         events = inventory.basic_events_for(["host/0/0/0"])
         assert "host/0/0/0" in events
         assert any(e.startswith("power/") for e in events)
-
-    def test_subject_failures_vectorised(self, inventory, rng):
-        subjects = ["host/0/0/0", "edge/0/0"]
-        events = inventory.basic_events_for(subjects)
-        states = {e: rng.random(100) < 0.3 for e in events}
-        failures = inventory.subject_failures(subjects, states)
-        for subject in subjects:
-            expected = inventory.tree_for(subject).evaluate(states)
-            assert np.array_equal(failures[subject], expected)
 
     def test_component_lookup_spans_both_namespaces(self, inventory, fattree4):
         assert inventory.component("power/0").component_type is ComponentType.POWER_SUPPLY

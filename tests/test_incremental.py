@@ -19,13 +19,17 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.faults.faulttree import FaultTree
-from repro.faults.inventory import build_paper_inventory
+from repro.faults.inventory import build_paper_inventory, build_zone_inventory
+from repro.routing.generic import GenericReachabilityEngine
+from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.presets import paper_topology
+from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, OperationCancelled
 from repro.util.metrics import MetricsRegistry
+from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 MASTER_SEED = 424242
 ROUNDS = 2_000
@@ -218,18 +222,29 @@ class TestConfiguration:
 # ---------------------------------------------------------------------------
 
 
+class _Ids(set):
+    """A string set answering the one mask question ``_assess`` asks."""
+
+    bit_count = set.__len__
+
+
 class PerComponentLoopAssessor(IncrementalAssessor):
-    """Reference implementation: the universe extension as it was before
-    it became set algebra — the closure rebuilt from raw per-host element
-    sets for every plan, and one Python iteration (and one counter bump)
-    per closure component, new or not. Kept as the oracle the delta-priced
+    """Reference implementation: the universe as string sets — the closure
+    rebuilt from raw per-host element sets for every plan, and one Python
+    iteration (and one counter bump, one private draw) per closure
+    component, new or not. It keeps its own universe (``samples``,
+    ``known_subjects``, ``known_links``) beside the inherited result
+    caches, as the oracle the mask-priced
     :meth:`IncrementalAssessor._extend_universe` is held against."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._host_elements = {}
+        self.samples = {}  # every closure component, never failing or not
+        self.known_subjects = set()
+        self.known_links = set()
 
-    def closure_for(self, plan):
+    def _closure_masks(self, plan):
         metrics = self.metrics
         elements = set()
         for host in plan.hosts():
@@ -245,19 +260,29 @@ class PerComponentLoopAssessor(IncrementalAssessor):
         subjects = {cid for cid in elements if cid in graph}
         sampled = set(self.dependency_model.basic_events_for(subjects))
         sampled.update(elements - subjects)
-        return subjects, sampled
+        return _Ids(subjects), _Ids(sampled)
 
-    def _failed_for(self, cid):
-        failed = self._failed_rounds.get(cid)
-        if failed is None:
+    def _sample(self, sampled, cancel):
+        draw = (
+            self.sampler.component_failed_rounds
+            if self.kernel is None
+            else self.sampler.component_packed_row
+        )
+        for index, cid in enumerate(sampled):
+            if cancel is not None and index % 64 == 0:
+                cancel.check()
+            if cid in self.samples:
+                self.metrics.incr("sample/component/hit")
+                continue
             self.metrics.incr("sample/component/miss")
-            failed = self.sampler.component_failed_rounds(
-                cid, self._all_probabilities[cid], self.rounds
-            )
-            self._failed_rounds[cid] = failed
-        else:
-            self.metrics.incr("sample/component/hit")
-        return failed
+            self.samples[cid] = draw(cid, self._all_probabilities[cid], self.rounds)
+
+    def _dense_of(self, cid):
+        if cid not in self._dense:
+            states = np.zeros(self.rounds, dtype=bool)
+            states[self.samples[cid]] = True
+            self._dense[cid] = states
+        return self._dense[cid]
 
     def _extend_universe(self, subjects, sampled, cancel=None):
         if self.kernel is not None:
@@ -266,24 +291,21 @@ class PerComponentLoopAssessor(IncrementalAssessor):
         metrics = self.metrics
         model = self.dependency_model
         with metrics.timer("sample"):
-            for index, cid in enumerate(sampled):
-                if cancel is not None and index % 64 == 0:
-                    cancel.check()
-                self._failed_for(cid)
+            self._sample(sampled, cancel)
 
         with metrics.timer("faulttree"):
             if cancel is not None:
                 cancel.check()
             for subject in subjects:
-                if subject in self._known_subjects:
+                if subject in self.known_subjects:
                     metrics.incr("faulttree/subject/hit")
                     continue
                 metrics.incr("faulttree/subject/miss")
-                self._known_subjects.add(subject)
+                self.known_subjects.add(subject)
                 events = model.basic_events_of(subject)
-                if all(not self._failed_rounds[e].size for e in events):
+                if all(not self.samples[e].size for e in events):
                     continue
-                dense = {e: self._dense_for(e) for e in events}
+                dense = {e: self._dense_of(e) for e in events}
                 effective = model.tree_for(subject).evaluate(dense)
                 if effective.any():
                     self._effective[subject] = effective
@@ -291,40 +313,31 @@ class PerComponentLoopAssessor(IncrementalAssessor):
             trees = model.trees
             components = self.topology.components
             for link_cid in sampled:
-                if link_cid in subjects or link_cid in self._known_links:
+                if link_cid in subjects or link_cid in self.known_links:
                     continue
-                self._known_links.add(link_cid)
+                self.known_links.add(link_cid)
                 if (
-                    self._failed_rounds[link_cid].size
+                    self.samples[link_cid].size
                     and link_cid not in trees
                     and link_cid in components
                 ):
-                    self._effective[link_cid] = self._dense_for(link_cid)
+                    self._effective[link_cid] = self._dense_of(link_cid)
 
     def _extend_universe_packed(self, subjects, sampled, cancel=None):
         metrics = self.metrics
         kernel = self.kernel
-        rows = self._packed_rows
+        rows = self.samples
         with metrics.timer("sample"):
-            for index, cid in enumerate(sampled):
-                if cancel is not None and index % 64 == 0:
-                    cancel.check()
-                if cid in rows:
-                    metrics.incr("sample/component/hit")
-                    continue
-                metrics.incr("sample/component/miss")
-                rows[cid] = self.sampler.component_packed_row(
-                    cid, self._all_probabilities[cid], self.rounds
-                )
+            self._sample(sampled, cancel)
 
         with metrics.timer("faulttree"):
             if cancel is not None:
                 cancel.check()
-            new_subjects = [s for s in subjects if s not in self._known_subjects]
+            new_subjects = [s for s in subjects if s not in self.known_subjects]
             metrics.incr("faulttree/subject/hit", len(subjects) - len(new_subjects))
             if new_subjects:
                 metrics.incr("faulttree/subject/miss", len(new_subjects))
-                self._known_subjects.update(new_subjects)
+                self.known_subjects.update(new_subjects)
                 kernel.compile_subjects(new_subjects)
                 arena_ids = kernel.arena.ids
                 effective = kernel.forest.evaluate(
@@ -339,9 +352,9 @@ class PerComponentLoopAssessor(IncrementalAssessor):
             trees = self.dependency_model.trees
             components = self.topology.components
             for link_cid in sampled:
-                if link_cid in subjects or link_cid in self._known_links:
+                if link_cid in subjects or link_cid in self.known_links:
                     continue
-                self._known_links.add(link_cid)
+                self.known_links.add(link_cid)
                 row = rows[link_cid]
                 if row is not None and link_cid not in trees and link_cid in components:
                     self._effective[link_cid] = row
@@ -360,13 +373,36 @@ def medium():
     return topology, build_paper_inventory(topology, seed=2)
 
 
+@pytest.fixture(scope="module")
+def zones():
+    topology = MultiZoneTopology(zones=2, k=4, seed=7)
+    return topology, build_zone_inventory(topology, seed=7)
+
+
 def _same_arrays(ours, reference):
     assert ours.keys() == reference.keys()
     for cid, row in reference.items():
-        if row is None:
-            assert ours[cid] is None
-        else:
-            assert np.array_equal(ours[cid], row), cid
+        assert np.array_equal(ours[cid], row), cid
+
+
+def _failing(samples):
+    """The oracle's draws without the components that never failed: the
+    mask universe keeps no entry for those."""
+    return {
+        cid: row for cid, row in samples.items() if row is not None and row.size
+    }
+
+
+def _assert_same_universe(ours, reference):
+    """The mask universe, decoded, against the oracle's string sets."""
+    decode = lambda mask: set(ours._arena.ids_in(mask))
+    assert decode(ours._sampled) == reference.samples.keys()
+    assert decode(ours._reasoned) == reference.known_subjects
+    assert decode(ours._registered) == reference.known_links
+    _same_arrays(ours._rows, _failing(reference.samples))
+    _same_arrays(ours._effective, reference._effective)
+    for name in UNIVERSE_COUNTERS:
+        assert ours.metrics.counter(name) == reference.metrics.counter(name), name
 
 
 class CountingRegistry(MetricsRegistry):
@@ -377,6 +413,19 @@ class CountingRegistry(MetricsRegistry):
     def incr(self, name, amount=1):
         self.incr_calls += 1
         super().incr(name, amount)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to count its calls; returns the one-item tally."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestDeltaPricedUniverse:
@@ -393,14 +442,101 @@ class TestDeltaPricedUniverse:
             _assert_identical(
                 ours.assess(plan, structure), reference.assess(plan, structure)
             )
-            samples = "_packed_rows" if kernel else "_failed_rounds"
-            _same_arrays(getattr(ours, samples), getattr(reference, samples))
-            _same_arrays(ours._effective, reference._effective)
-            assert ours._known_subjects == reference._known_subjects
-            assert ours._known_links == reference._known_links
-            for name in UNIVERSE_COUNTERS:
-                assert ours.metrics.counter(name) == reference.metrics.counter(name)
+            _assert_same_universe(ours, reference)
+            closure = ours.closure_for(plan)
+            assert closure == tuple(map(set, reference._closure_masks(plan)))
         assert ours.metrics.counter("sample/component/hit") > 10_000
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize(
+        "engine", [GenericReachabilityEngine, UnionFindReachabilityEngine]
+    )
+    def test_matches_per_component_loop_on_zones(self, zones, engine, kernel):
+        """One ``"all"`` layer (generic) and the default one piece per
+        host (the dense-only union-find oracle, which also sends
+        ``kernel=True`` down the interpreter)."""
+        topology, model = zones
+        config = AssessmentConfig(
+            mode="incremental",
+            rounds=300,
+            master_seed=MASTER_SEED,
+            kernel=kernel,
+            engine=engine(topology),
+        )
+        ours = IncrementalAssessor(topology, model, config)
+        reference = PerComponentLoopAssessor(topology, model, config)
+        structure = ApplicationStructure.k_of_n(3, 4)
+        plans = _walk(topology, structure, moves=8, seed=3)
+        for plan in plans:
+            _assert_identical(
+                ours.assess(plan, structure), reference.assess(plan, structure)
+            )
+            _assert_same_universe(ours, reference)
+        hosts = {host for plan in plans for host in plan.hosts()}
+        assert len(ours._layers) == (
+            1 if engine is GenericReachabilityEngine else len(hosts)
+        )
+
+    def test_walk_draws_once_per_failing_component_and_builds_layers_once(
+        self, medium, monkeypatch
+    ):
+        """Count guards over a 25-move ``medium`` walk: one private
+        generator per new component that can fail and none for the rest,
+        the closure from layer ids alone, each layer built once."""
+        topology, model = medium
+        assessor = IncrementalAssessor(
+            topology,
+            model,
+            AssessmentConfig(mode="incremental", rounds=600, master_seed=MASTER_SEED),
+        )
+        streams = _count_calls(monkeypatch, dagger, "_component_stream")
+        layers = _count_calls(monkeypatch, assessor, "_layer_masks")
+        monkeypatch.setattr(
+            assessor.engine,
+            "relevant_elements",
+            lambda hosts: pytest.fail("the closure is assembled from layers"),
+        )
+        structure = ApplicationStructure.k_of_n(8, 10)
+        plans = _walk(topology, structure, moves=25, seed=9)
+        seen = set()
+        for plan in plans:
+            assessor.assess(plan, structure)
+            seen |= assessor.closure_for(plan)[1]
+        probabilities = model.failure_probabilities()
+        assert assessor.metrics.counter("sample/component/miss") == len(seen)
+        assert streams[0] == sum(probabilities[cid] > 0.0 for cid in seen)
+        assert set(assessor._rows) <= {c for c in seen if probabilities[c] > 0.0}
+        hosts = {host for plan in plans for host in plan.hosts()}
+        edges = {topology.edge_switch_of(host) for host in hosts}
+        pods = {topology.edge_pod[edge] for edge in edges}
+        assert layers[0] == len(assessor._layers)
+        assert layers[0] == 1 + len(pods) + len(edges) + len(hosts)
+
+    def test_new_host_under_a_known_edge_builds_one_layer(self, medium, monkeypatch):
+        topology, model = medium
+        assessor = IncrementalAssessor(
+            topology,
+            model,
+            AssessmentConfig(mode="incremental", rounds=600, master_seed=MASTER_SEED),
+        )
+        rack = topology.hosts_in_rack(topology.racks()[0])
+        others = [topology.hosts_in_rack(r)[0] for r in topology.racks()[1:10]]
+        structure = ApplicationStructure.k_of_n(8, 10)
+        component = structure.components[0].name
+        assessor.assess(
+            DeploymentPlan.single_component([rack[0]] + others, component), structure
+        )
+        layers = _count_calls(monkeypatch, assessor, "_layer_masks")
+        misses = assessor.metrics.counter("sample/component/miss")
+        moved = DeploymentPlan.single_component([rack[1]] + others, component)
+        assessor.assess(moved, structure)
+        assert layers[0] == 1
+        # The host and its link, plus whatever only its own tree reads.
+        private = model.basic_events_of(rack[1]) - model.basic_events_of(rack[0])
+        assert (
+            assessor.metrics.counter("sample/component/miss") - misses
+            == 1 + len(private)
+        )
 
     @pytest.mark.parametrize("kernel", [False, True])
     def test_warm_assess_costs_a_handful_of_counter_bumps(
@@ -433,7 +569,8 @@ class TestDeltaPricedUniverse:
         def forbidden(*args, **kwargs):
             raise AssertionError("a warm assess must not sample or evaluate")
 
-        monkeypatch.setattr(assessor.sampler, "component_failed_rounds", forbidden)
+        monkeypatch.setattr(assessor.sampler, "component_rows", forbidden)
+        monkeypatch.setattr(assessor, "_layer_masks", forbidden)
         monkeypatch.setattr(FaultTree, "evaluate", forbidden)
         if kernel:
             monkeypatch.setattr(assessor.kernel.forest, "evaluate", forbidden)
@@ -468,17 +605,62 @@ class TestDeltaPricedUniverse:
 
         with pytest.raises(OperationCancelled):
             assessor.assess(plan, structure, cancel=FiresOnThirdCheck())
-        samples = assessor._packed_rows if kernel else assessor._failed_rounds
+        arena = assessor._arena
+        known = arena.indices_in(assessor._sampled)
+        drawn = known[arena.probabilities[known] > 0.0]
         _, sampled = assessor.closure_for(plan)
-        # One check before the closure, one at component 0, the third at
-        # component 64 of the extension: 64 complete entries, no more.
-        assert len(samples) == 64 and samples.keys() < sampled
-        assert not assessor._effective and not assessor._known_subjects
+        # One check before the closure, one before the first batch of 64
+        # components that can fail, the third before the second batch: 64
+        # drawn, the never-failing ones known without a draw, no more.
+        assert len(drawn) == 64 and {arena.ids[i] for i in known} < sampled
+        assert not assessor._effective and not assessor._reasoned
+        assert not assessor._registered
         scratch = IncrementalAssessor(topology, model, config)
-        _assert_identical(
-            assessor.assess(plan, structure), scratch.assess(plan, structure)
+        uninterrupted = scratch.assess(plan, structure)
+        # No known bit lacks its row: each holds what an uninterrupted
+        # extension draws for it, or nothing when that never fails.
+        for cid in (arena.ids[i] for i in known):
+            assert np.array_equal(assessor._rows.get(cid), scratch._rows.get(cid)), cid
+        assert assessor._rows.keys() <= {arena.ids[i] for i in drawn}
+        _assert_identical(assessor.assess(plan, structure), uninterrupted)
+        assert assessor._sampled == scratch._sampled
+        _same_arrays(assessor._rows, scratch._rows)
+
+    def test_clear_caches_recomputes_the_positive_mask(self, fattree4):
+        model = build_paper_inventory(fattree4, seed=3)
+        assessor = IncrementalAssessor(
+            fattree4,
+            model,
+            AssessmentConfig(mode="incremental", rounds=ROUNDS, master_seed=MASTER_SEED),
         )
-        _same_arrays(samples, scratch._packed_rows if kernel else scratch._failed_rounds)
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plan = DeploymentPlan.random(fattree4, structure, rng=6)
+        assessor.assess(plan, structure)
+        link = next(
+            cid
+            for cid in sorted(assessor.closure_for(plan)[1])
+            if cid.startswith("link[") and model.failure_probabilities()[cid] == 0.0
+        )
+        bit = 1 << assessor._arena.index_of(link)
+        assert not assessor._positive & bit and link not in assessor._rows
+        model.override_probabilities({link: 0.25})
+        try:
+            assessor.clear_caches()
+            assert assessor._positive & bit
+            assessor.assess(plan, structure)
+            assert link in assessor._rows
+            scratch = ReliabilityAssessor.from_config(
+                fattree4,
+                model,
+                AssessmentConfig(
+                    rounds=ROUNDS, sampler=CommonRandomDaggerSampler(MASTER_SEED)
+                ),
+            )
+            _assert_identical(
+                assessor.assess(plan, structure), scratch.assess(plan, structure)
+            )
+        finally:
+            model.override_probabilities({link: 0.0})
 
 
 class TestComputedOnce:
@@ -488,8 +670,10 @@ class TestComputedOnce:
         structure = ApplicationStructure.k_of_n(2, 3)
         plans = _walk(fattree4, structure, moves=3, seed=8)
         calls = []
-        closure_for = incremental.closure_for
-        incremental.closure_for = lambda plan: calls.append(plan) or closure_for(plan)
+        closure_masks = incremental._closure_masks
+        incremental._closure_masks = lambda plan: (
+            calls.append(plan) or closure_masks(plan)
+        )
         scored = incremental.score_plans(plans, structure)
         assert calls == plans  # the parent: every plan twice
         for plan, result in zip(plans, scored):

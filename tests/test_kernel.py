@@ -556,7 +556,7 @@ class TestIncrementalKernel:
         plan = _plan_for(FATTREE, structure)
         first = assessor.assess(plan, structure)
         assessor.clear_caches()
-        assert not assessor._packed_rows and not assessor._forest_values
+        assert not assessor._rows and not assessor._forest_values
         again = assessor.assess(plan, structure)
         assert np.array_equal(first.per_round, again.per_round)
 

@@ -531,3 +531,44 @@ class TestEngineFactory:
         topo._add_link("h0", "s0")
         topo._freeze()
         assert isinstance(engine_for(topo), GenericReachabilityEngine)
+
+
+class TestRelevantLayers:
+    """The contract closure memos rely on: a host's pieces add up to its
+    ``relevant_elements``, and equal keys mean equal ids across hosts."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FatTreeReachabilityEngine(FatTreeTopology(4, seed=1)),
+            lambda: LeafSpineReachabilityEngine(
+                LeafSpineTopology(spines=3, leaves=4, hosts_per_leaf=2, seed=1)
+            ),
+            lambda: GenericReachabilityEngine(MultiZoneTopology(zones=2, k=4, seed=7)),
+            lambda: UnionFindReachabilityEngine(FatTreeTopology(4, seed=1)),
+        ],
+        ids=["fattree", "leafspine", "generic", "default"],
+    )
+    def test_pieces_cover_the_closure_and_keys_name_their_ids(self, build):
+        engine = build()
+        by_key = {}
+        for host in engine.topology.hosts:
+            pieces = engine.relevant_layers(host)
+            covered = set().union(*(ids for _key, ids in pieces))
+            assert covered == set(engine.relevant_elements([host]))
+            for key, ids in pieces:
+                assert set(by_key.setdefault(key, ids)) == set(ids), key
+
+    def test_fattree_shares_core_pod_and_edge(self, fattree4):
+        engine = FatTreeReachabilityEngine(fattree4)
+        rack = fattree4.hosts_in_rack(fattree4.racks()[0])
+        first, second = (dict(engine.relevant_layers(host)) for host in rack[:2])
+        shared = first.keys() & second.keys()
+        assert len(first) == 4 and len(shared) == 3
+        (own,) = first.keys() - shared
+        assert set(first[own]) == {rack[0], link_id(rack[0], fattree4.racks()[0])}
+
+    def test_generic_closure_is_one_piece(self):
+        engine = GenericReachabilityEngine(MultiZoneTopology(zones=2, k=4, seed=7))
+        a, b = (engine.relevant_layers(host) for host in engine.topology.hosts[:2])
+        assert len(a) == 1 and a[0][0] == b[0][0] and a[0][1] is b[0][1]

@@ -11,7 +11,6 @@ from repro.sampling.statistics import (
     ReliabilityEstimate,
     estimate_from_pieces,
     estimate_from_results,
-    merge_estimates,
     rounds_for_target_ci,
 )
 from repro.util.errors import ConfigurationError
@@ -145,26 +144,6 @@ class TestEstimateFromPieces:
     def test_zero_pieces_raises(self):
         with pytest.raises(ConfigurationError):
             estimate_from_pieces([], 100)
-
-
-class TestMergeEstimates:
-    def test_merge_equals_pooled(self):
-        rng = np.random.default_rng(7)
-        chunks = [rng.random(500) < 0.9 for _ in range(4)]
-        merged = merge_estimates([estimate_from_results(c) for c in chunks])
-        pooled = estimate_from_results(np.concatenate(chunks))
-        assert merged.score == pytest.approx(pooled.score)
-        assert merged.rounds == pooled.rounds
-        assert merged.variance == pytest.approx(pooled.variance)
-
-    def test_merge_single(self):
-        estimate = estimate_from_results([1, 0, 1, 1])
-        merged = merge_estimates([estimate])
-        assert merged.score == estimate.score
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            merge_estimates([])
 
 
 class TestRoundsForTargetCi:

@@ -36,6 +36,14 @@ class TestLeafSpine:
     def test_racks_are_leaves(self, leafspine):
         assert sorted(leafspine.racks()) == sorted(leafspine.leaf_ids)
 
+    def test_racks_walks_the_hosts_once_and_hands_out_copies(self, leafspine, monkeypatch):
+        first = leafspine.racks()
+        first.clear()
+        monkeypatch.setattr(
+            leafspine, "rack_of", lambda host: pytest.fail("racks are memoised")
+        )
+        assert sorted(leafspine.racks()) == sorted(leafspine.leaf_ids)
+
     def test_rejects_zero_spines(self):
         with pytest.raises(ConfigurationError):
             LeafSpineTopology(spines=0, leaves=2, hosts_per_leaf=2)

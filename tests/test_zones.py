@@ -15,7 +15,9 @@ import pytest
 
 from repro import serialization
 from repro.app.structure import ApplicationStructure
+from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.api import AssessmentConfig, build_assessor
+from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
 from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
@@ -384,6 +386,33 @@ class TestConstrainedSearch:
         ).resume(ckpt, max_iterations=12)
         assert resumed.iterations == 12
         assert CROSS_ZONE.satisfied_by(resumed.best_plan, zones2)
+
+
+class TestZoneClosureIsOneLayer:
+    def test_search_builds_one_layer_mask_pair(self, zones2, zone_model, monkeypatch):
+        """Every host's generic closure is the whole data center: a
+        25-move walk builds its masks once, not once per host."""
+        built = []
+        layer_masks = IncrementalAssessor._layer_masks
+        monkeypatch.setattr(
+            IncrementalAssessor,
+            "_layer_masks",
+            lambda self, ids: built.append(len(ids)) or layer_masks(self, ids),
+        )
+        result = _zone_search(
+            zones2,
+            zone_model,
+            temperature_schedule=MoveBudgetTemperatureSchedule(25),
+        ).search(
+            SearchSpec(
+                ApplicationStructure.k_of_n(3, 4),
+                max_seconds=30.0,
+                max_iterations=25,
+                zone_constraints=CROSS_ZONE,
+            )
+        )
+        assert result.iterations == 25 and result.plans_assessed > 10
+        assert built == [len(GenericReachabilityEngine(zones2).relevant_elements([]))]
 
 
 class TestGenericEngineKeepsEveryAnswer:
