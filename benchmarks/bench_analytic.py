@@ -139,7 +139,8 @@ def _brute_force_score(assessor, plan, structure) -> float:
         vector = np.fromiter((cid in fs for fs in failed_sets), dtype=bool, count=n)
         if vector.any():
             failed[cid] = vector
-    states = RoundStates(rounds=n, failed=failed)
+    packed = {cid: np.packbits(vector) for cid, vector in failed.items()}
+    states = RoundStates(rounds=n, failed=packed)
     phi = StructureEvaluator(engine_for(topology)).evaluate(states, plan, structure)
     weights = np.ones(n, dtype=np.float64)
     arange = np.arange(n, dtype=np.int64)
@@ -157,7 +158,7 @@ def bench_analytic_exactness() -> dict:
     structure = ApplicationStructure.k_of_n(1, 2)
     app = structure.components[0].name
     config = AssessmentConfig(
-        rounds=1_000, master_seed=MASTER_SEED, mode="analytic", kernel=True
+        rounds=1_000, master_seed=MASTER_SEED, mode="analytic"
     )
     assessor = AnalyticAssessor.from_config(topology, model, config)
 
@@ -218,7 +219,6 @@ def _run_search(
         rng=seed + 1_000,
         master_seed=MASTER_SEED,
         mode=mode,
-        kernel=True,
         metrics=metrics,
     )
     search = DeploymentSearch.from_config(
@@ -247,7 +247,6 @@ def _ground_truth(plan, structure) -> float:
         rounds=1_000,
         master_seed=1,
         mode="analytic",
-        kernel=True,
         analytic_state_bits=22,
     )
     assessor = AnalyticAssessor.from_config(topology, model, config)
@@ -364,10 +363,7 @@ def bench_hybrid_search(
         "moves": moves,
         "seeds": list(seeds),
         "fallback_rounds": fallback_rounds,
-        # Both searches walk on the compiled kernel (_run_search passes
-        # kernel=True): the race is exact against sampled, not packed
-        # against dense.
-        "sampled_baseline": "incremental CRN search, compiled kernel (kernel=True)",
+        "sampled_baseline": "incremental CRN search",
         "analytic_seconds": analytic_seconds,
         "analytic_mean_quality": analytic_mean_quality,
         "rungs": rungs,
@@ -400,7 +396,7 @@ def _report(row: dict) -> str:
     )
     return (
         f"{row['workload']:<18} analytic {row['analytic_mean_quality']:.6f}@"
-        f"{row['analytic_seconds']:.2f}s vs sampled on the kernel [{rung_text}] "
+        f"{row['analytic_seconds']:.2f}s vs sampled [{rung_text}] "
         f"equal-quality speedup {row['speedup']:.2f}x "
         f"({row['equal_quality_bound']}, recorded); "
         f"{row['exact_assessments']}/"

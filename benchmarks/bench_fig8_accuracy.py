@@ -90,8 +90,7 @@ def _experiment_fig8_exact_ground_truth():
     analytic = AnalyticAssessor.from_config(
         topo,
         model,
-        AssessmentConfig(rounds=1_000, master_seed=1, mode="analytic",
-                         kernel=True),
+        AssessmentConfig(rounds=1_000, master_seed=1, mode="analytic"),
     )
     result = analytic.assess(plan, structure)
     assert result.estimate.exact, analytic.explain(plan)

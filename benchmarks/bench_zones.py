@@ -96,7 +96,7 @@ def _exact_outage_states(topology, inventory, zone: str) -> RoundStates:
         if component.component_type is ComponentType.LINK:
             continue
         down = inventory.tree_for(component_id).evaluate_round(outage)
-        failed[component_id] = np.array([down])
+        failed[component_id] = np.packbits([down])
     return RoundStates(rounds=1, failed=failed)
 
 
@@ -115,9 +115,7 @@ def bench_zone_outage_exact() -> dict:
     evaluator = StructureEvaluator(engine_for(topology))
     pinned_alive = bool(evaluator.evaluate(states, pinned, structure)[0])
     spread_alive = bool(evaluator.evaluate(states, spread, structure)[0])
-    blast_radius = int(
-        sum(bool(vector[0]) for vector in states.failed.values())
-    )
+    blast_radius = int(sum(row.any() for row in states.failed.values()))
 
     return {
         "workload": "zone_outage_exact",

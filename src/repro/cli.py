@@ -163,7 +163,6 @@ def cmd_assess(args) -> int:
             timeout_seconds=args.portion_timeout, max_retries=args.retries
         ),
         partial_ok=args.partial_ok,
-        kernel=args.kernel,
         metrics=metrics,
         analytic_shared_bits=args.analytic_shared_bits,
         analytic_state_bits=args.analytic_state_bits,
@@ -226,7 +225,6 @@ def cmd_search(args) -> int:
         rounds=args.rounds,
         rng=args.seed + 2,
         mode=mode,
-        kernel=args.kernel,
         metrics=metrics,
         analytic_shared_bits=args.analytic_shared_bits,
         analytic_state_bits=args.analytic_state_bits,
@@ -336,7 +334,7 @@ def cmd_baseline(args) -> int:
     assessor = build_assessor(
         topology,
         inventory,
-        AssessmentConfig(rounds=args.rounds, rng=args.seed + 2, kernel=args.kernel),
+        AssessmentConfig(rounds=args.rounds, rng=args.seed + 2),
     )
     plans = {
         "common-practice": common_practice_plan(topology, workload, args.n),
@@ -522,9 +520,7 @@ def cmd_redeploy(args) -> int:
     if constraints.is_trivial:
         constraints = None
 
-    config = AssessmentConfig(
-        rounds=args.rounds, rng=args.seed + 2, kernel=args.kernel
-    )
+    config = AssessmentConfig(rounds=args.rounds, rng=args.seed + 2)
     search = DeploymentSearch.from_config(
         topology, inventory, config, rng=args.seed + 4
     )
@@ -757,13 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile",
             action="store_true",
             help="collect and print stage timings and cache counters",
-        )
-        p.add_argument(
-            "--kernel",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="assess on the compiled kernel (packed states + flattened "
-            "fault trees); --no-kernel keeps the bit-identical interpreter",
         )
 
     p = sub.add_parser("topology", help="print a data center summary")
@@ -1045,12 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p.add_argument(
-        "--kernel",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="assess on the compiled kernel (--no-kernel: the interpreter)",
     )
     p.add_argument("--k", type=int, required=True, help="instances that must be alive")
     p.add_argument("--n", type=int, required=True, help="instances to deploy")

@@ -52,10 +52,10 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
-from repro.kernel import AssessmentKernel, kernel_supported
+from repro.kernel import AssessmentKernel
 from repro.kernel.exact import ExactBudget, enumeration_rows, enumeration_weights
 from repro.kernel.packed import packed_width
-from repro.routing.base import PackedRoundStates
+from repro.routing.base import RoundStates
 from repro.sampling.statistics import exact_estimate
 from repro.topology.base import Topology
 from repro.util.timing import Stopwatch
@@ -70,7 +70,7 @@ class _ClosureStates:
 
     Shared by every plan over the same host set: the packed per-element
     failure rows over all ``2**U`` states, the exact per-state weights,
-    and one long-lived :class:`PackedRoundStates` so engine-side per-state
+    and one long-lived :class:`RoundStates` so engine-side per-state
     caches stay warm across the plans that share the closure.
     """
 
@@ -79,7 +79,7 @@ class _ClosureStates:
     def __init__(
         self,
         rounds: int,
-        states: PackedRoundStates,
+        states: RoundStates,
         weights: np.ndarray,
         sampled_size: int,
     ):
@@ -121,27 +121,17 @@ class AnalyticAssessor(AssessorBase):
         self.sample_full_infrastructure = inner.sample_full_infrastructure
         self.metrics = inner.metrics
         self._evaluator = StructureEvaluator(self.engine)
-        # The enumeration needs the packed pipeline end to end: compiled
-        # forest rows in, bitwise route-and-check out. An engine that is
-        # not packed-capable (no shipped one) gets no exact path at
-        # all — everything falls back, with one loud warning.
-        self._packed = kernel_supported(self.engine)
-        self.kernel: AssessmentKernel | None = None
-        if self._packed:
-            self.kernel = getattr(inner, "kernel", None) or AssessmentKernel(
-                self.topology, self.dependency_model
-            )
+        self.kernel = self._kernel_of_inner()
         self._warned: set[str] = set()
         self._closure_states: dict[frozenset[str], _ClosureStates | str] = {}
         self._results: dict[tuple, AssessmentResult] = {}
         self._validated = set()
-        if not self._packed:
-            self._warn(
-                "engine",
-                f"reachability engine {type(self.engine).__name__} has no "
-                "packed route-and-check; every assessment falls back to "
-                "sampling",
-            )
+
+    def _kernel_of_inner(self) -> AssessmentKernel:
+        """The inner assessor's kernel (a parallel one has none: a fresh one)."""
+        return getattr(self.inner, "kernel", None) or AssessmentKernel(
+            self.topology, self.dependency_model
+        )
 
     @classmethod
     def from_config(
@@ -175,8 +165,7 @@ class AnalyticAssessor(AssessorBase):
         assessor's confirmation hits.
         """
         clone = AnalyticAssessor(inner, budget=self.budget, config=self.config)
-        if clone._packed:
-            clone.kernel = self.kernel
+        clone.kernel = self.kernel
         clone._closure_states = self._closure_states
         clone._results = self._results
         clone._warned = self._warned
@@ -204,10 +193,7 @@ class AnalyticAssessor(AssessorBase):
         self.inner.refresh_probabilities()
         self._closure_states.clear()
         self._results.clear()
-        if self._packed:
-            self.kernel = getattr(self.inner, "kernel", None) or AssessmentKernel(
-                self.topology, self.dependency_model
-            )
+        self.kernel = self._kernel_of_inner()
 
     # ------------------------------------------------------------------
     # Exact evaluation
@@ -231,8 +217,6 @@ class AnalyticAssessor(AssessorBase):
         Diagnostic surface for tests and operators; does all the closure
         analysis but none of the evaluation.
         """
-        if not self._packed:
-            return "no packed reachability engine"
         subjects, sampled = self.inner.closure_for(plan)
         entry = self._closure(subjects, sampled)
         return entry if isinstance(entry, str) else None
@@ -290,7 +274,7 @@ class AnalyticAssessor(AssessorBase):
         failed = kernel.effective_states(subjects, sampled - subjects, leaf_rows)
         entry = _ClosureStates(
             rounds=rounds,
-            states=PackedRoundStates(rounds=rounds, failed=failed),
+            states=RoundStates(rounds=rounds, failed=failed),
             weights=weights,
             sampled_size=len(sampled),
         )
@@ -308,10 +292,6 @@ class AnalyticAssessor(AssessorBase):
         self, plan: DeploymentPlan, structure: ApplicationStructure
     ) -> AssessmentResult | None:
         """The exact assessment, or ``None`` when the closure declines."""
-        if not self._packed:
-            if self.metrics is not None:
-                self.metrics.incr("analytic/declined")
-            return None
         key = (plan, structure.content_key())
         cached = self._results.get(key)
         if cached is not None:

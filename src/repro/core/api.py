@@ -64,7 +64,8 @@ class AssessmentConfig:
             incrementally).
         rng: Seed or generator for the assessment randomness.
         engine: Reachability engine override; ``None`` picks the best
-            engine for the topology.
+            engine for the topology. It receives and returns bit-packed
+            rows (the contract in :mod:`repro.routing.base`).
         sample_full_infrastructure: Sample every component of the data
             center instead of the relevant closure (literal Table-1
             semantics; what Fig. 7 times).
@@ -82,12 +83,6 @@ class AssessmentConfig:
         chaos: Deterministic fault injection for tests (parallel mode).
         master_seed: Common-random-numbers master seed for the incremental
             mode; ``None`` derives one from ``rng``.
-        kernel: Run assessments on the compiled kernel
-            (:mod:`repro.kernel`): integer component arena, bit-packed
-            round states, flattened fault-tree programs. On by default;
-            ``False`` selects the interpreter, bit-identical for the same
-            config and seed, which a user-supplied engine without
-            ``supports_packed`` falls back to transparently.
         profile: Collect stage timings and cache counters; surfaced via
             the assessor's ``metrics`` registry and, on results, via
             ``RuntimeMetadata.profile``.
@@ -116,7 +111,6 @@ class AssessmentConfig:
     partial_ok: bool = False
     chaos: "ChaosPolicy | None" = None
     master_seed: int | None = None
-    kernel: bool = True
     profile: bool = False
     metrics: MetricsRegistry | None = field(default=None, compare=False)
     analytic_shared_bits: int = 12

@@ -22,7 +22,7 @@ Pipeline, per assessment:
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +32,8 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
-from repro.kernel import AssessmentKernel, kernel_supported
-from repro.routing.base import (
-    PackedRoundStates,
-    ReachabilityEngine,
-    RoundStates,
-    engine_for,
-)
+from repro.kernel import AssessmentKernel
+from repro.routing.base import ReachabilityEngine, RoundStates, engine_for
 from repro.sampling.base import Sampler
 from repro.sampling.dagger import ExtendedDaggerSampler
 from repro.sampling.statistics import (
@@ -60,45 +55,6 @@ def _stage(metrics: MetricsRegistry | None, name: str):
     if metrics is None:
         return contextlib.nullcontext()
     return metrics.timer(name)
-
-
-class ZeroFill(dict):
-    """Dense-state mapping that treats absent components as never failed."""
-
-    def __init__(self, rounds: int):
-        super().__init__()
-        self._zeros = np.zeros(rounds, dtype=bool)
-        self._zeros.flags.writeable = False
-
-    def __missing__(self, key: str) -> np.ndarray:
-        return self._zeros
-
-
-def effective_states(
-    model: DependencyModel,
-    subjects: Iterable[str],
-    links: Iterable[str],
-    dense: ZeroFill,
-) -> dict[str, np.ndarray]:
-    """Interpreted fault-tree reasoning and filtering (§3.2.3).
-
-    ``dense`` holds the dense per-round failure vector of every sampled
-    component that failed in some round (anything else reads as zeros).
-    Returns the effective per-round failure vector of each subject, after
-    reasoning over its fault tree, and of each raw element among
-    ``links``, keeping only elements that fail in at least one round. The
-    compiled counterpart is
-    :meth:`repro.kernel.AssessmentKernel.effective_states`.
-    """
-    failed: dict[str, np.ndarray] = {}
-    for subject in subjects:
-        if dense.keys().isdisjoint(model.basic_events_of(subject)):
-            continue  # nothing this subject depends on ever failed
-        effective = model.tree_for(subject).evaluate(dense)
-        if effective.any():
-            failed[subject] = effective
-    model.register_raw_elements(links, dense.get, failed)
-    return failed
 
 
 class ReliabilityAssessor(AssessorBase):
@@ -132,13 +88,8 @@ class ReliabilityAssessor(AssessorBase):
         self._all_probabilities = self.dependency_model.failure_probabilities()
         self._validated = set()
         self._closures: dict[frozenset[str], tuple[set[str], set[str]]] = {}
-        # The compiled kernel needs a packed-capable engine; under any
-        # other the legacy interpreter stays (config.kernel is then a
-        # no-op, which is the documented fallback).
-        self.kernel: AssessmentKernel | None = (
-            AssessmentKernel(topology, self.dependency_model, self._all_probabilities)
-            if config.kernel and kernel_supported(self.engine)
-            else None
+        self.kernel = AssessmentKernel(
+            topology, self.dependency_model, self._all_probabilities
         )
 
     # ------------------------------------------------------------------
@@ -150,13 +101,12 @@ class ReliabilityAssessor(AssessorBase):
         near-real-time condition changes, §2.1/§3.2.2).
         """
         self._all_probabilities = self.dependency_model.failure_probabilities()
-        if self.kernel is not None:
-            # Rebuild so the arena's probability table (and anything
-            # compiled against it) cannot go stale; trees recompile
-            # lazily on the next assessment.
-            self.kernel = AssessmentKernel(
-                self.topology, self.dependency_model, self._all_probabilities
-            )
+        # Rebuild so the arena's probability table (and anything compiled
+        # against it) cannot go stale; trees recompile lazily on the next
+        # assessment.
+        self.kernel = AssessmentKernel(
+            self.topology, self.dependency_model, self._all_probabilities
+        )
 
     def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
         """(subjects, sampled component ids) for a plan's assessment.
@@ -252,26 +202,16 @@ class ReliabilityAssessor(AssessorBase):
     ) -> np.ndarray:
         """Sample -> fault-tree reasoning -> route-and-check.
 
-        Written once; each stage calls its interpreted or its compiled
-        function, by ``self.kernel``. The two are bit-identical: the
-        packed sampler paths draw the same uniforms in the same order, the
-        compiled forest applies the same boolean formulas, and the packed
-        engines AND/OR the same alive masks — only the storage layout
-        differs. ``batch`` and ``values`` let :meth:`score_plans` share one
-        packed batch (and the node-value cache over it) across many plans.
+        ``batch`` and ``values`` let :meth:`score_plans` share one packed
+        batch (and the node-value cache over it) across many plans.
         """
         metrics = self.metrics
         kernel = self.kernel
         if batch is None:
             with _stage(metrics, "sample"):
-                if kernel is not None:
-                    batch = kernel.sample_packed(
-                        self.sampler, probabilities, rounds, self.rng, cancel=cancel
-                    )
-                else:
-                    batch = self.sampler.sample(
-                        probabilities, rounds, self.rng, cancel=cancel
-                    )
+                batch = kernel.sample_packed(
+                    self.sampler, probabilities, rounds, self.rng, cancel=cancel
+                )
 
         if cancel is not None:
             cancel.check()
@@ -279,24 +219,11 @@ class ReliabilityAssessor(AssessorBase):
             # Raw-element candidates: what failed, was sampled for this
             # plan and is no subject — a handful, where the closure's
             # links run to thousands.
-            if kernel is not None:
-                rows = batch.failed_rows(sampled)
-                failed = kernel.effective_states(
-                    subjects, rows.keys() - subjects, rows, values
-                )
-                round_states = PackedRoundStates(rounds=rounds, failed=failed)
-            else:
-                dense = ZeroFill(rounds)
-                for cid, failed_rounds in batch.failed_rounds.items():
-                    if cid in sampled:
-                        states = np.zeros(rounds, dtype=bool)
-                        states[failed_rounds] = True
-                        dense[cid] = states
-                failed = effective_states(
-                    self.dependency_model, subjects, dense.keys() - subjects, dense
-                )
-                round_states = RoundStates(rounds=rounds, failed=failed)
-                del dense
+            rows = batch.failed_rows(sampled)
+            failed = kernel.effective_states(
+                subjects, rows.keys() - subjects, rows, values
+            )
+            round_states = RoundStates(rounds=rounds, failed=failed)
         # Dead from here on, and the larger share of an assessment's
         # transient memory: route-and-check reads only ``failed``.
         del batch
@@ -318,12 +245,10 @@ class ReliabilityAssessor(AssessorBase):
         The shared batch puts every plan under common random numbers, so
         score differences between the plans reflect only the components
         they do not share — the paired-comparison property the annealing
-        search wants from candidate scoring. With the kernel enabled, one
-        packed batch over the union closure is sampled once and the
-        compiled forest's node-value cache is reused across all plans
-        (neighbour plans share almost all subjects); without it, each
-        plan is assessed independently — still valid scores, just without
-        the shared-batch variance reduction or the shared work.
+        search wants from candidate scoring. One packed batch over the
+        union closure is sampled once and the compiled forest's node-value
+        cache is reused across all plans (neighbour plans share almost all
+        subjects).
 
         With a :class:`~repro.sampling.dagger.CommonRandomDaggerSampler`
         the results are bit-identical to assessing each plan separately,
@@ -331,11 +256,11 @@ class ReliabilityAssessor(AssessorBase):
         in the batch.
         """
         rounds = rounds or self.rounds
-        if self.kernel is None or len(plans) < 2:
-            # Also the single-plan route: score_plans([p]) must equal
-            # [assess(p)] bit-for-bit on every backend, and assess's
-            # sorted-closure sampling order differs from the arena order
-            # the shared batch uses (visible to non-CRN samplers).
+        if len(plans) < 2:
+            # score_plans([p]) must equal [assess(p)] bit-for-bit on every
+            # backend, and assess's sorted-closure sampling order differs
+            # from the arena order the shared batch uses (visible to
+            # non-CRN samplers).
             return [
                 self.assess(plan, structure, rounds=rounds, cancel=cancel)
                 for plan in plans

@@ -18,9 +18,9 @@ stable — which exists because pruning is monotone over a finite lattice.
 For acyclic structures (K-of-N, layered chains) the loop converges in as
 many sweeps as the structure is deep.
 
-Everything here is vectorised across rounds: activity is a boolean matrix
-(instances x rounds) per component, and one fixed-point sweep is a handful
-of numpy reductions regardless of the round count.
+Everything here is vectorised across rounds: activity is a bit-packed
+matrix (instances x packed rounds) per component, and one fixed-point sweep
+is a handful of bitwise numpy reductions regardless of the round count.
 """
 
 from __future__ import annotations
@@ -51,13 +51,9 @@ class StructureEvaluator:
         active = self.active_instances(states, plan, structure)
         reliable = np.ones(states.rounds, dtype=bool)
         for requirement in structure.requirements:
-            matrix = active[requirement.component]
-            if states.packed:
-                # Counting is the estimate boundary: unpack here (and only
-                # here), dropping the pad bits of the last byte.
-                counts = np.unpackbits(matrix, axis=1, count=states.rounds).sum(axis=0)
-            else:
-                counts = matrix.sum(axis=0)
+            # Counting is the estimate boundary: unpack here (and only
+            # here), dropping the pad bits of the last byte.
+            counts = states.unpack(active[requirement.component]).sum(axis=0)
             np.logical_and(reliable, counts >= requirement.min_reachable, out=reliable)
         return reliable
 
@@ -67,9 +63,9 @@ class StructureEvaluator:
         plan: DeploymentPlan,
         structure: ApplicationStructure,
     ) -> dict[str, np.ndarray]:
-        """Per-component activity matrices (instances x rounds).
+        """Per-component packed activity matrices (instances x row width).
 
-        An entry is True when that instance is *active* in that round —
+        A bit is set when that instance is *active* in that round —
         alive and satisfying all of its component's reachability
         requirements (the greatest fixed point described above). This is
         the instance-level view behind :meth:`evaluate`, also used by the
@@ -140,36 +136,28 @@ class StructureEvaluator:
         external_by_host: dict[str, np.ndarray],
         pair_reachable: dict[tuple[str, str], np.ndarray],
     ) -> dict[str, np.ndarray]:
-        # All matrices use the states' representation: dense boolean rows,
-        # or packed uint8 rows under the compiled kernel. The sweeps below
-        # only use bitwise AND/OR and equality, which are representation-
-        # agnostic; pad bits prune monotonically like every other bit.
-        dtype = np.uint8 if states.packed else bool
+        # All matrices are packed uint8 rows; the sweeps below only use
+        # bitwise AND/OR and equality, and pad bits prune monotonically
+        # like every other bit.
 
         # Start optimistic: every alive instance is active.
         active: dict[str, np.ndarray] = {}
         for component, hosts in hosts_by_component.items():
-            matrix = np.empty((len(hosts), states.width), dtype=dtype)
+            matrix = np.empty((len(hosts), states.width), dtype=np.uint8)
             for row, host in enumerate(hosts):
                 matrix[row] = states.materialize(states.alive_mask(host))
             active[component] = matrix
 
-        external_matrix: dict[str, np.ndarray] = {}
-        if states.packed and external_by_host:
-            # Packed fast path: AND each component's whole activity matrix
-            # against its hosts' stacked external rows in one vectorised
-            # sweep step instead of row-at-a-time (same bits — AND is
-            # idempotent and per-row vs whole-matrix change detection
-            # reach the same fixed point).
-            for component, hosts in hosts_by_component.items():
-                if all(host in external_by_host for host in hosts):
-                    external_matrix[component] = np.stack(
-                        [external_by_host[host] for host in hosts]
-                    )
-
         requirements_by_component: dict[str, list] = {
             spec.name: structure.requirements_for(spec.name)
             for spec in structure.components
+        }
+        # A component's EXTERNAL requirement ANDs its whole activity matrix
+        # against its hosts' stacked external rows in one sweep step.
+        external_matrix: dict[str, np.ndarray] = {
+            component: np.stack([external_by_host[host] for host in hosts])
+            for component, hosts in hosts_by_component.items()
+            if any(r.source == EXTERNAL for r in requirements_by_component[component])
         }
 
         # Each sweep can only clear bits, so the loop terminates; the cap
@@ -181,18 +169,10 @@ class StructureEvaluator:
                 matrix = active[component]
                 for requirement in requirements_by_component[component]:
                     if requirement.source == EXTERNAL:
-                        ext = external_matrix.get(component)
-                        if ext is not None:
-                            updated = matrix & ext
-                            if not np.array_equal(updated, matrix):
-                                active[component] = matrix = updated
-                                changed = True
-                            continue
-                        for row, host in enumerate(hosts):
-                            updated = matrix[row] & external_by_host[host]
-                            if not np.array_equal(updated, matrix[row]):
-                                matrix[row] = updated
-                                changed = True
+                        updated = matrix & external_matrix[component]
+                        if not np.array_equal(updated, matrix):
+                            active[component] = matrix = updated
+                            changed = True
                         continue
                     source_hosts = hosts_by_component[requirement.source]
                     source_active = active[requirement.source]

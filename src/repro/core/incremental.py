@@ -8,8 +8,8 @@ common random numbers all of that work is a pure function of
 ``(component, master_seed, rounds)`` — independent of which plan is being
 assessed — so it can be cached once and reused across every move:
 
-* **Component-state cache** — each component's failure row comes from its
-  private CRN stream (see
+* **Component-state cache** — each component's packed failure row comes
+  from its private CRN stream (see
   :meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_rows`),
   so a one-host move only samples the closure *delta*; every shared
   component's states are reused verbatim.
@@ -65,18 +65,12 @@ import numpy as np
 
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, AssessorBase
-from repro.core.assessment import ZeroFill, effective_states
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, RuntimeMetadata
 from repro.faults.dependencies import DependencyModel
-from repro.kernel import AssessmentKernel, ComponentArena, kernel_supported
-from repro.routing.base import (
-    PackedRoundStates,
-    ReachabilityEngine,
-    RoundStates,
-    engine_for,
-)
+from repro.kernel import AssessmentKernel
+from repro.routing.base import ReachabilityEngine, RoundStates, engine_for
 from repro.sampling.base import sampling_started
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.statistics import estimate_from_results
@@ -162,6 +156,14 @@ class IncrementalAssessor(AssessorBase):
             raise ConfigurationError(
                 "dependency model was built for a different topology"
             )
+        if kernel is not None and (
+            kernel.topology is not topology
+            or kernel.dependency_model is not self.dependency_model
+        ):
+            raise ConfigurationError(
+                "shared kernel was built for a different topology or "
+                "dependency model"
+            )
         self.rounds = config.rounds
         self.rng = make_rng(config.rng)
         if config.sampler is None:
@@ -183,19 +185,15 @@ class IncrementalAssessor(AssessorBase):
         self.metrics = config.registry() or MetricsRegistry()
         self.engine = config.engine or engine_for(topology)
         self._all_probabilities = self.dependency_model.failure_probabilities()
-        if not (config.kernel and kernel_supported(self.engine)):
-            kernel = None
-        elif kernel is None:
-            kernel = self._private_kernel()
-        self._new_universe(kernel)
+        self._new_universe(kernel or self._private_kernel())
 
     def _private_kernel(self) -> AssessmentKernel:
         return AssessmentKernel(
             self.topology, self.dependency_model, self._all_probabilities
         )
 
-    def _new_universe(self, kernel: AssessmentKernel | None) -> None:
-        """An empty sampling universe on ``kernel`` (``None``: interpreted).
+    def _new_universe(self, kernel: AssessmentKernel) -> None:
+        """An empty sampling universe on ``kernel``.
 
         Everything below only ever gains entries, and existing entries are
         never rewritten (the CRN streams, and hence every row and forest
@@ -206,21 +204,12 @@ class IncrementalAssessor(AssessorBase):
         """
         self.kernel = kernel
         # What every mask below indexes, and the mask of what can fail.
-        self._arena = (
-            kernel.arena
-            if kernel is not None
-            else ComponentArena.for_model(
-                self.dependency_model, self._all_probabilities
-            )
-        )
+        self._arena = kernel.arena
         self._positive = self._arena.mask_of_indices(self._arena.probabilities > 0.0)
         # layer key / host -> (subjects, sampled) masks of its closure
         self._layers: dict[object, tuple[int, int]] = {}
         self._closures: dict[str, tuple[int, int]] = {}
-        # Failing components' draws: packed rows on the kernel, failed-round
-        # indices (and `_dense`, their dense view) on the interpreter.
-        self._rows: dict[str, np.ndarray] = {}
-        self._dense = ZeroFill(self.rounds)
+        self._rows: dict[str, np.ndarray] = {}  # failing components' packed draws
         self._sampled = 0  # mask: drawn, or never failing
         self._forest_values: dict[int, np.ndarray | None] = {}
         self._effective: dict[str, np.ndarray] = {}  # post-fault-tree states
@@ -229,8 +218,7 @@ class IncrementalAssessor(AssessorBase):
         self._caching_engine = _CachingEngine(self.engine, self.metrics)
         self._evaluator = StructureEvaluator(self._caching_engine)
         self._plan_cache: dict[tuple, AssessmentResult] = {}
-        states = RoundStates if kernel is None else PackedRoundStates
-        self._states = states(rounds=self.rounds, failed=self._effective)
+        self._states = RoundStates(rounds=self.rounds, failed=self._effective)
 
     # ------------------------------------------------------------------
     # Cache maintenance
@@ -250,9 +238,7 @@ class IncrementalAssessor(AssessorBase):
         trees, may have changed under a shared one).
         """
         self._all_probabilities = self.dependency_model.failure_probabilities()
-        self._new_universe(
-            self._private_kernel() if self.kernel is not None else None
-        )
+        self._new_universe(self._private_kernel())
 
     def reseed(self, master_seed: int) -> None:
         """Move to a new CRN master seed, invalidating every cache."""
@@ -320,15 +306,11 @@ class IncrementalAssessor(AssessorBase):
         every not-yet-seen subject, and registers failing links — after
         which ``self._states`` covers everything this plan's
         route-and-check can read. Priced by the module docstring's delta
-        rule. The dense and the packed (compiled-kernel) universe share
-        this one path and differ only in the form of a drawn row and in
-        which of the two fault-tree stage functions reads the draws.
-        Cancellation between batches of components and before the subjects
-        is safe: the caches only ever *gain* complete entries, so an
-        aborted extension leaves a smaller but fully valid universe.
+        rule. Cancellation between batches of components and before the
+        subjects is safe: the caches only ever *gain* complete entries, so
+        an aborted extension leaves a smaller but fully valid universe.
         """
         metrics = self.metrics
-        kernel = self.kernel
         arena = self._arena
         rows = self._rows
         with metrics.timer("sample"):
@@ -350,7 +332,6 @@ class IncrementalAssessor(AssessorBase):
                             [ids[i] for i in batch.tolist()],
                             probabilities[batch],
                             self.rounds,
-                            packed=kernel is not None,
                         )
                     )
                     self._sampled |= arena.mask_of_indices(batch)
@@ -370,22 +351,11 @@ class IncrementalAssessor(AssessorBase):
             subject_ids = arena.ids_in(new_subjects)
             # Only a component that failed can register a failing element.
             raw_ids = [cid for cid in arena.ids_in(new_raw) if cid in rows]
-            if kernel is not None:
-                found = kernel.effective_states(
+            self._effective.update(
+                self.kernel.effective_states(
                     subject_ids, raw_ids, rows, self._forest_values
                 )
-            else:
-                # Densified by need, not at draw time: a cancelled sampling
-                # loop leaves drawn components behind, and the next call's
-                # delta no longer names them.
-                model, dense = self.dependency_model, self._dense
-                for cid in model.basic_events_for(subject_ids).union(raw_ids):
-                    failed = rows.get(cid)
-                    if failed is not None and cid not in dense:
-                        dense[cid] = states = np.zeros(self.rounds, dtype=bool)
-                        states[failed] = True
-                found = effective_states(model, subject_ids, raw_ids, dense)
-            self._effective.update(found)
+            )
 
     # ------------------------------------------------------------------
     # Assessment

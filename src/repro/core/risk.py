@@ -88,21 +88,24 @@ class RiskAnalyzer:
         structure: ApplicationStructure,
         subjects: set[str],
         failed_components: frozenset[str],
-    ) -> dict[str, np.ndarray]:
-        """Instance activity (1 round) given exactly these base failures."""
+    ) -> dict[str, int]:
+        """Active instances per application component in the one round
+        where exactly these base components have failed."""
+        failed_row = np.packbits([True])
         failed_states: dict[str, np.ndarray] = {}
         for subject in subjects:
             tree = self.dependency_model.tree_for(subject)
             if tree.basic_events() & failed_components:
                 if tree.evaluate_round(failed_components):
-                    failed_states[subject] = np.array([True])
+                    failed_states[subject] = failed_row
         for cid in failed_components:
             # Links (and any element without a fault tree entry) fail as
             # themselves.
             if cid in self.topology.components and cid not in failed_states:
-                failed_states[cid] = np.array([True])
+                failed_states[cid] = failed_row
         states = RoundStates(1, failed_states)
-        return self._evaluator.active_instances(states, plan, structure)
+        active = self._evaluator.active_instances(states, plan, structure)
+        return {name: int(states.unpack(m).sum()) for name, m in active.items()}
 
     def what_if(
         self,
@@ -118,10 +121,9 @@ class RiskAnalyzer:
         """
         plan.validate_against(self.topology, structure)
         subjects, _ = self._closure(plan)
-        active = self._active_counts(
+        counts = self._active_counts(
             plan, structure, subjects, frozenset(failed_components)
         )
-        counts = {name: int(matrix.sum()) for name, matrix in active.items()}
         survives = all(
             counts[req.component] >= req.min_reachable
             for req in structure.requirements
@@ -149,24 +151,21 @@ class RiskAnalyzer:
             }
 
         baseline = self._active_counts(plan, structure, subjects, frozenset())
-        baseline_counts = {
-            name: int(matrix.sum()) for name, matrix in baseline.items()
-        }
 
         entries = []
         for cid in sorted(candidates):
             active = self._active_counts(plan, structure, subjects, frozenset((cid,)))
             lost = 0
             degraded = []
-            for name, matrix in active.items():
-                delta = baseline_counts[name] - int(matrix.sum())
+            for name, count in active.items():
+                delta = baseline[name] - count
                 if delta > 0:
                     degraded.append(name)
                     lost += delta
             if lost == 0:
                 continue
             down = any(
-                int(active[req.component].sum()) < req.min_reachable
+                active[req.component] < req.min_reachable
                 for req in structure.requirements
             )
             component = self.dependency_model.component(cid)

@@ -278,9 +278,9 @@ class DeploymentSearch:
         :class:`ReliabilityAssessor` over a
         :class:`~repro.sampling.dagger.CommonRandomDaggerSampler` with the
         same master seed, which is the oracle the equality tests build. It
-        is configured like the outer assessor (rounds, engine, kernel,
-        closure or full-infrastructure sampling), shares its compiled
-        kernel, and differs in the sampler alone.
+        is configured like the outer assessor (rounds, engine, closure or
+        full-infrastructure sampling), shares its compiled kernel, and
+        differs in the sampler alone.
 
         When the outer assessor is an
         :class:`~repro.core.analytic.AnalyticAssessor`, the CRN assessor

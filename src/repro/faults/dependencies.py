@@ -192,8 +192,7 @@ class DependencyModel:
         exactly when its own sampled event does, so its effective state is
         its sampled state: ``failed[cid] = state_of(cid)`` for every such
         candidate whose ``state_of`` is not ``None`` (``None`` = never
-        failed). Shared by the interpreted and the compiled fault-tree
-        stage, whatever the state representation.
+        failed), whatever the state representation.
         """
         trees = self.trees
         components = self.topology.components

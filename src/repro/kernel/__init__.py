@@ -1,30 +1,26 @@
 """Compiled assessment kernel: integer arenas, packed states, flat programs.
 
 The per-assessment hot path — sample, fault-tree reasoning, route and
-check — historically flowed through string-keyed dicts of index arrays
-and a recursive interpreter over :class:`Gate` objects. This package
-compiles that pipeline down to integer-indexed numpy kernels:
+check — runs on integer-indexed numpy kernels, the one representation
+every assessor uses:
 
 * :class:`~repro.kernel.arena.ComponentArena` interns component ids to
   dense ``int32`` indices, built once per (topology, dependency model);
 * samplers emit a bit-packed ``(components x rounds)`` state matrix
-  (:class:`~repro.kernel.packed.PackedBatch`) instead of per-component
-  index dicts, via stream-identical ``sample_packed`` fast paths;
+  (:class:`~repro.kernel.packed.PackedBatch`) via ``sample_packed`` fast
+  paths that draw the same uniforms in the same order as the paper's
+  Table-1 form, ``Sampler.sample``;
 * :class:`~repro.kernel.compiler.FaultTreeCompiler` flattens the whole
   forest into one postorder instruction program with shared subtrees
   deduplicated, evaluated by a non-recursive loop;
 * the packed states flow into routing and structure evaluation as
   bitwise AND/OR on ``uint8`` rows
-  (:class:`~repro.routing.base.PackedRoundStates`), unpacking only at
-  the estimate boundary.
+  (:class:`~repro.routing.base.RoundStates`), unpacking only at the
+  estimate boundary.
 
-Everything is bit-identical to the legacy interpreter for the same
-:class:`~repro.core.api.AssessmentConfig` and rng seed — the kernel
-changes how states are stored and combined, never which draws are made
-or which boolean formulas are applied. It is the default
-(``AssessmentConfig(kernel=False)`` keeps the interpreter). Every shipped
-reachability engine is packed-capable; a user-supplied engine that is
-not transparently falls back to the legacy interpreter.
+The reference it is held to is ``tests/interpreted_oracle.py``: sparse
+``Sampler.sample`` draws, recursive ``FaultTree.evaluate``, a per-round
+union-find and a per-round structure check, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from repro.kernel.packed import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.dependencies import DependencyModel
-    from repro.routing.base import ReachabilityEngine
     from repro.sampling.base import Sampler
     from repro.topology.base import Topology
 
@@ -76,7 +71,6 @@ __all__ = [
     "enumeration_rows",
     "enumeration_weights",
     "exact_tree_probability",
-    "kernel_supported",
     "pack_bool_matrix",
     "pack_indices",
     "packed_width",
@@ -85,24 +79,13 @@ __all__ = [
 ]
 
 
-def kernel_supported(engine: "ReachabilityEngine") -> bool:
-    """Whether the compiled kernel can drive this reachability engine.
-
-    The packed representation needs an engine whose route-and-check is
-    pure boolean algebra over alive masks, as every shipped engine's is
-    (fat-tree, leaf-spine, generic). An engine that reads individual
-    rounds keeps the legacy interpreter.
-    """
-    return bool(getattr(engine, "supports_packed", False))
-
-
 class AssessmentKernel:
     """Compiled state for one (topology, dependency model) substrate.
 
     Owns the component arena and the growing compiled forest; stateless
     with respect to individual assessments (per-assessment scratch lives
     in the caller), so one kernel is shared by every assessment an
-    assessor runs — exactly like the legacy per-assessor caches.
+    assessor runs.
     """
 
     def __init__(
@@ -139,7 +122,7 @@ class AssessmentKernel:
         Samplers with a matrix-native ``sample_packed`` fast path are
         called directly; anything else runs its ordinary ``sample`` and
         the sparse result is packed — either way the rng stream advances
-        exactly as the legacy path's would.
+        exactly as ``sample`` would advance it.
         """
         fast = getattr(sampler, "sample_packed", None)
         if fast is not None:
@@ -164,8 +147,8 @@ class AssessmentKernel:
     ) -> dict[str, np.ndarray]:
         """Packed effective per-round failure rows after fault-tree reasoning.
 
-        The compiled form of the "reason over each subject's tree, then
-        register failing raw elements" stage, for every packed backend:
+        The "reason over each subject's tree, then register failing raw
+        elements" stage (§3.2.3), for every backend:
         ``rows`` maps a component id to its packed failure row (absent or
         ``None`` = never failed) — a sampled batch, the incremental
         universe's rows, an exact state enumeration — and ``values`` is an

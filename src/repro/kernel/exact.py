@@ -277,7 +277,7 @@ def enumeration_rows(bits: int) -> list[np.ndarray]:
     exactly those with bit ``i`` of ``s`` set. Rows use the
     ``np.packbits`` MSB-first layout of :class:`PackedBatch`, so they are
     drop-in leaf rows for :meth:`CompiledForest.evaluate` and
-    :class:`~repro.routing.base.PackedRoundStates`. The returned rows are
+    :class:`~repro.routing.base.RoundStates`. The returned rows are
     read-only and shared across calls; do not mutate them.
     """
     cached = _ROWS_CACHE.get(bits)

@@ -6,7 +6,6 @@ from repro.routing.base import (
     all_alive,
     any_path,
     engine_for,
-    materialize,
 )
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
 from repro.routing.generic import GenericReachabilityEngine
@@ -21,5 +20,4 @@ __all__ = [
     "all_alive",
     "any_path",
     "engine_for",
-    "materialize",
 ]

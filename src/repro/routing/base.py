@@ -13,14 +13,18 @@ Reachability follows the deployment architecture's routing protocol; for
 a fat-tree that means up-down (valley-free) paths. Swapping the data-center
 architecture only swaps the engine, exactly as §3.2.1 prescribes.
 
-States are passed as a :class:`RoundStates` wrapper over boolean failure
-vectors. Elements absent from the mapping never fail, which keeps the
+States are passed as a :class:`RoundStates` wrapper over bit-packed failure
+rows. Elements absent from the mapping never fail, which keeps the
 common case (links with failure probability 0) free.
+
+**Engine contract.** An engine receives packed rows and returns packed
+rows; one that must read individual rounds calls ``states.unpack(row)`` on
+what it reads and ``np.packbits`` on what it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,23 +37,19 @@ from repro.util.errors import ConfigurationError
 class RoundStates:
     """Effective per-round failure states of network elements and links.
 
-    ``failed`` maps element/link component ids to boolean vectors of length
-    ``rounds`` (True = failed in that round). Ids missing from the mapping
-    are treated as always alive. For hosts and switches these are the
-    *effective* states produced by fault-tree reasoning (§3.2.3), not the
-    raw sampled states of the element's own hardware.
+    ``failed`` maps element/link component ids to ``np.packbits`` rows
+    (``uint8``, 8 rounds per byte, MSB-first; a set bit = failed in that
+    round). Ids missing from the mapping are treated as always alive. For
+    hosts and switches these are the *effective* states produced by
+    fault-tree reasoning (§3.2.3), not the raw sampled states of the
+    element's own hardware.
 
-    The compiled kernel uses the :class:`PackedRoundStates` subclass,
-    whose vectors are ``np.packbits`` rows (8 rounds per ``uint8`` byte)
-    instead of dense booleans. Engines that only combine alive masks
-    with :func:`all_alive` / :func:`any_path` / ``states.materialize``
-    work on either representation unchanged, because those helpers use
-    *bitwise* operators (identical to logical ones on booleans) and take
-    their vector geometry from the states object.
+    Alive masks are bitwise complements, so the pad bits of the last byte
+    read "alive" — harmless, because every consumer unpacks with
+    ``count=rounds``, which drops them. Inverted alive rows are memoized
+    per component: engines ask for the same few masks over and over while
+    assembling path segments.
     """
-
-    #: True on subclasses whose vectors are bit-packed uint8 rows.
-    packed = False
 
     rounds: int
     failed: Mapping[str, np.ndarray]
@@ -57,76 +57,34 @@ class RoundStates:
     def __post_init__(self) -> None:
         if self.rounds <= 0:
             raise ConfigurationError(f"rounds must be positive, got {self.rounds}")
-
-    # -- vector geometry (overridden by PackedRoundStates) --------------
-
-    @property
-    def width(self) -> int:
-        """Length of one state vector in array elements."""
-        return self.rounds
-
-    def zeros(self) -> np.ndarray:
-        """A fresh all-False ("never alive" / "never failed") vector."""
-        return np.zeros(self.rounds, dtype=bool)
-
-    def materialize(self, mask: np.ndarray | None, alive: bool = True) -> np.ndarray:
-        """Expand a possibly-``None`` mask into a concrete vector."""
-        if mask is None:
-            return np.full(self.rounds, alive, dtype=bool)
-        return mask
-
-    def unpack(self, vector: np.ndarray) -> np.ndarray:
-        """Dense boolean per-round view of one state vector."""
-        return vector
-
-    # -- state queries ---------------------------------------------------
-
-    def alive_mask(self, component_id: str) -> np.ndarray | None:
-        """Per-round alive vector, or ``None`` when always alive."""
-        failed = self.failed.get(component_id)
-        if failed is None:
-            return None
-        return ~np.asarray(failed, dtype=bool)
-
-    def is_always_alive(self, component_id: str) -> bool:
-        """True when the element has no failure rounds at all."""
-        failed = self.failed.get(component_id)
-        return failed is None or not bool(np.any(failed))
-
-
-class PackedRoundStates(RoundStates):
-    """Round states over bit-packed ``uint8`` rows (the kernel's native form).
-
-    Each vector covers 8 rounds per byte (``np.packbits`` layout,
-    MSB-first). Alive masks are bitwise complements, so the pad bits of
-    the last byte read "alive" — harmless, because every consumer
-    unpacks with ``count=rounds``, which drops them. Inverted alive rows
-    are memoized per component: engines ask for the same few masks over
-    and over while assembling path segments.
-    """
-
-    packed = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
         self._alive_cache: dict[str, np.ndarray] = {}
 
+    # -- row geometry -----------------------------------------------------
+
     @property
     def width(self) -> int:
+        """Length of one packed row in bytes."""
         return (self.rounds + 7) // 8
 
     def zeros(self) -> np.ndarray:
+        """A fresh all-clear ("never alive" / "never failed") row."""
         return np.zeros(self.width, dtype=np.uint8)
 
     def materialize(self, mask: np.ndarray | None, alive: bool = True) -> np.ndarray:
+        """Expand a possibly-``None`` mask into a concrete row."""
         if mask is None:
             return np.full(self.width, 0xFF if alive else 0x00, dtype=np.uint8)
         return mask
 
-    def unpack(self, vector: np.ndarray) -> np.ndarray:
-        return np.unpackbits(vector, count=self.rounds).view(bool)
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """Dense boolean per-round view of one packed row, or of a matrix
+        of them along its last axis."""
+        return np.unpackbits(rows, axis=-1, count=self.rounds).view(bool)
+
+    # -- state queries ---------------------------------------------------
 
     def alive_mask(self, component_id: str) -> np.ndarray | None:
+        """Packed per-round alive row, or ``None`` when always alive."""
         cached = self._alive_cache.get(component_id)
         if cached is not None:
             return cached
@@ -140,10 +98,7 @@ class PackedRoundStates(RoundStates):
 
 
 def all_alive(states: RoundStates, component_ids: Iterable[str]) -> np.ndarray | None:
-    """AND of the alive vectors of several elements (None = always alive).
-
-    Uses bitwise AND so the same code handles dense boolean vectors and
-    the kernel's packed ``uint8`` rows (on booleans the two coincide).
+    """AND of the alive rows of several elements (None = always alive).
 
     Returned arrays may alias a mask owned by ``states`` — treat them as
     read-only (as :func:`any_path` and the engines' combine helpers do).
@@ -165,23 +120,18 @@ def all_alive(states: RoundStates, component_ids: Iterable[str]) -> np.ndarray |
 
 
 def any_path(
-    paths: Sequence[np.ndarray | None], rounds: "int | RoundStates"
+    paths: Sequence[np.ndarray | None], states: RoundStates
 ) -> np.ndarray | None:
-    """OR of per-path alive vectors.
+    """OR of per-path alive rows of ``states``.
 
     ``None`` entries mean "that path is always available", so the result is
     also ``None`` (always reachable). An empty sequence means no path
-    exists: an all-False vector. ``rounds`` may be the round count (dense
-    vectors, the historical signature) or the :class:`RoundStates` the
-    paths came from — required for packed states, whose empty-path vector
-    is byte-sized.
+    exists: an all-clear row.
     """
     if any(path is None for path in paths):
         return None
     if not paths:
-        if isinstance(rounds, RoundStates):
-            return rounds.zeros()
-        return np.zeros(rounds, dtype=bool)
+        return states.zeros()
     result = paths[0]
     owned = False
     for path in paths[1:]:
@@ -193,25 +143,8 @@ def any_path(
     return result
 
 
-def materialize(mask: np.ndarray | None, rounds: int, alive: bool = True) -> np.ndarray:
-    """Expand a possibly-None alive mask into a concrete boolean vector.
-
-    Dense-representation helper kept for compatibility; representation-
-    agnostic callers should use ``states.materialize(mask)`` instead.
-    """
-    if mask is None:
-        return np.full(rounds, alive, dtype=bool)
-    return mask
-
-
 class ReachabilityEngine:
     """Architecture-specific route-and-check."""
-
-    #: True on engines whose route-and-check is pure boolean algebra over
-    #: alive masks and therefore works on :class:`PackedRoundStates`
-    #: unchanged, as every shipped engine's is. An engine that reads
-    #: individual rounds leaves it False and is driven dense-only.
-    supports_packed = False
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -219,15 +152,15 @@ class ReachabilityEngine:
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
     ) -> dict[str, np.ndarray]:
-        """Per host: boolean vector, True in rounds where the host is alive
-        and reachable from at least one alive border switch."""
+        """Per host: packed row, set in rounds where the host is alive and
+        reachable from at least one alive border switch."""
         raise NotImplementedError
 
     def pairwise_reachable(
         self, states: RoundStates, pairs: Sequence[tuple[str, str]]
     ) -> dict[tuple[str, str], np.ndarray]:
-        """Per host pair: boolean vector, True in rounds where both hosts
-        are alive and a routed path exists between them."""
+        """Per host pair: packed row, set in rounds where both hosts are
+        alive and a routed path exists between them."""
         raise NotImplementedError
 
     def relevant_elements(self, hosts: Sequence[str]) -> set[str]:

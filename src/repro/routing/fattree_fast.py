@@ -13,8 +13,8 @@ Routing semantics are the fat-tree routing protocol's valley-free paths:
   across pods. (A core detour inside one pod adds nothing: core group ``g``
   attaches to exactly one aggregation switch per pod.)
 
-Every formula below ANDs the alive vectors of the elements and links on a
-path segment and ORs over the alternative segments. ``None`` masks denote
+Every formula below ANDs the packed alive rows of the elements and links on
+a path segment and ORs over the alternative segments. ``None`` masks denote
 "always alive" (elements that never fail in the batch), so fully reliable
 links cost nothing.
 """
@@ -38,8 +38,6 @@ from repro.util.errors import TopologyError
 
 class FatTreeReachabilityEngine(ReachabilityEngine):
     """Up-down reachability over a :class:`FatTreeTopology`."""
-
-    supports_packed = True
 
     topology: FatTreeTopology
 
@@ -74,58 +72,13 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
             object.__setattr__(states, "_fattree_cache", cache)
         return cache
 
-    def _external_core(self, states: RoundStates, group: int, j: int):
-        """border(g) -> core(g, j) segment: both alive + the link between."""
-        cache = self._cache(states)
-        key = ("ext_core", group, j)
-        if key not in cache:
-            topo = self.topology
-            border = topo.border_switch_of_group(group)
-            core = topo.core_ids[(group, j)]
-            cache[key] = all_alive(states, (border, core, link_id(border, core)))
-        return cache[key]
-
-    def _agg_external(self, states: RoundStates, pod: int, group: int):
-        """agg(pod, g) alive with an alive route up to an external core."""
-        cache = self._cache(states)
-        key = ("agg_ext", pod, group)
-        if key not in cache:
-            topo = self.topology
-            agg = topo.agg_ids[(pod, group)]
-            paths = []
-            for j in range(topo.radix):
-                core = topo.core_ids[(group, j)]
-                uplink = all_alive(states, (link_id(agg, core),))
-                segment = self._combine(self._external_core(states, group, j), uplink)
-                paths.append(segment)
-            via_core = any_path(paths, states)
-            cache[key] = self._combine(all_alive(states, (agg,)), via_core)
-        return cache[key]
-
-    def _edge_external(self, states: RoundStates, edge: str):
-        """edge switch alive with an alive route to an external core."""
-        cache = self._cache(states)
-        key = ("edge_ext", edge)
-        if key not in cache:
-            topo = self.topology
-            pod = topo.edge_pod[edge]
-            paths = []
-            for group in range(topo.radix):
-                agg = topo.agg_ids[(pod, group)]
-                up = all_alive(states, (link_id(edge, agg),))
-                paths.append(self._combine(self._agg_external(states, pod, group), up))
-            via_agg = any_path(paths, states)
-            cache[key] = self._combine(all_alive(states, (edge,)), via_agg)
-        return cache[key]
-
     @staticmethod
     def _combine(*masks):
         """AND possibly-None alive masks (None = always alive).
 
-        Bitwise so the same formula runs on dense boolean vectors and on
-        the kernel's packed ``uint8`` rows. The result may alias the
-        single non-None input, so combined masks are read-only by
-        convention (every combiner here copies-on-write the same way).
+        The result may alias the single non-None input, so combined masks
+        are read-only by convention (every combiner here copies-on-write
+        the same way).
         """
         result = None
         owned = False
@@ -142,24 +95,21 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         return result
 
     # ------------------------------------------------------------------
-    # Block-form external scaffolding (packed states only)
+    # Block-form external scaffolding
     #
-    # The scalar helpers above issue one numpy call per path segment —
-    # hundreds of sub-microsecond bitwise ops whose *call overhead*
-    # dominates on packed rows (a k=4 fabric's row is ~1 KB). For packed
-    # states the scaffold is evaluated in three kinds of block, each
-    # built on first need for everything a call is missing at once and
-    # cached on the states object for its whole life: the core layer's
-    # border->core segments, one pod's aggregation switches' routes up,
-    # one edge switch's external row. A host's closure names every
-    # element its pod block and edge row read (`relevant_elements` is
-    # assembled from the same id layouts), and a states object's failed
-    # mapping only ever gains rows, so a block built when its first host
-    # is queried never goes stale — the contract the scalar caches rely
-    # on. Identical boolean algebra, identical bits (AND/OR are
-    # commutative and associative per bit); always-alive (absent)
-    # elements enter as all-ones rows, which AND/OR treat exactly as the
-    # scalar path treats None.
+    # One numpy call per path segment would be hundreds of sub-microsecond
+    # bitwise ops whose *call overhead* dominates on packed rows (a k=4
+    # fabric's row is ~1 KB). The scaffold is therefore evaluated in three
+    # kinds of block, each built on first need for everything a call is
+    # missing at once and cached on the states object for its whole life:
+    # the core layer's border->core segments, one pod's aggregation
+    # switches' routes up, one edge switch's external row. A host's
+    # closure names every element its pod block and edge row read
+    # (`relevant_elements` is assembled from the same id layouts), and a
+    # states object's failed mapping only ever gains rows, so a block
+    # built when its first host is queried never goes stale. Always-alive
+    # (absent) elements enter as all-ones rows, which AND/OR treat
+    # exactly as the pairwise formulas treat None.
     # ------------------------------------------------------------------
 
     def _pod_layer(self, pod: int) -> tuple[str, ...]:
@@ -267,25 +217,16 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
     ) -> dict[str, np.ndarray]:
-        topo = self.topology
-        result = {}
-        if states.packed and hosts:
-            edges = [topo.edge_switch_of(host) for host in hosts]
-            n = len(hosts)
-            alive = self._alive_rows(
-                states, [*hosts, *(link_id(h, e) for h, e in zip(hosts, edges))]
-            )
-            matrix = alive[:n] & alive[n:]
-            matrix &= self._edge_ext_rows(states, edges)
-            return dict(zip(hosts, matrix))
-        for host in hosts:
-            edge = topo.edge_switch_of(host)
-            mask = self._combine(
-                all_alive(states, (host, link_id(host, edge))),
-                self._edge_external(states, edge),
-            )
-            result[host] = states.materialize(mask)
-        return result
+        if not hosts:
+            return {}
+        edges = [self.topology.edge_switch_of(host) for host in hosts]
+        n = len(hosts)
+        alive = self._alive_rows(
+            states, [*hosts, *(link_id(h, e) for h, e in zip(hosts, edges))]
+        )
+        matrix = alive[:n] & alive[n:]
+        matrix &= self._edge_ext_rows(states, edges)
+        return dict(zip(hosts, matrix))
 
     def pairwise_reachable(
         self, states: RoundStates, pairs: Sequence[tuple[str, str]]

@@ -31,8 +31,6 @@ from repro.topology.base import Topology
 class GenericReachabilityEngine(ReachabilityEngine):
     """Connectivity of the alive subgraph by bitwise frontier propagation."""
 
-    supports_packed = True
-
     def __init__(self, topology: Topology):
         super().__init__(topology)
         nodes = list(topology.graph.nodes)
@@ -71,23 +69,18 @@ class GenericReachabilityEngine(ReachabilityEngine):
     def _alive_table(self, states: RoundStates) -> np.ndarray:
         """Alive rows (ids x words) of every node, then every link.
 
-        Rows are bit-packed and viewed as ``uint64`` — 64 rounds a word,
+        The packed rows are viewed as ``uint64`` — 64 rounds a word,
         because ``reduceat`` is priced by the element — so the row width
         is padded to whole words; the padding reads "failed" and is cut
         off again by :meth:`_rows`.
         """
-        width, per_word = states.width, 8 if states.packed else 64
-        table = np.zeros(
-            (len(self._ids), -(-width // per_word) * per_word),
-            dtype=np.uint8 if states.packed else bool,
-        )
+        width = states.width
+        table = np.zeros((len(self._ids), -(-width // 8) * 8), dtype=np.uint8)
         table[:, :width] = states.materialize(None)
         for row, cid in enumerate(self._ids):
             mask = states.alive_mask(cid)
             if mask is not None:
                 table[row, :width] = mask
-        if not states.packed:
-            table = np.packbits(table, axis=1)
         return table.view(np.uint64)
 
     def _edge_alive(self, table: np.ndarray) -> np.ndarray:
@@ -113,11 +106,9 @@ class GenericReachabilityEngine(ReachabilityEngine):
     def _rows(
         self, states: RoundStates, reach: np.ndarray, nodes: Sequence[str]
     ) -> np.ndarray:
-        """The nodes' rows of ``reach`` (copied) in the states' own form."""
+        """The nodes' rows of ``reach`` (copied), cut to the states' width."""
         rows = reach[[self._index[node] for node in nodes]].view(np.uint8)
-        if states.packed:
-            return rows[:, : states.width]
-        return np.unpackbits(rows, axis=1, count=states.rounds).view(bool)
+        return rows[:, : states.width]
 
     # ------------------------------------------------------------------
 

@@ -27,8 +27,6 @@ from repro.util.errors import TopologyError
 class LeafSpineReachabilityEngine(ReachabilityEngine):
     """Up-down reachability over a :class:`LeafSpineTopology`."""
 
-    supports_packed = True
-
     topology: LeafSpineTopology
 
     def __init__(self, topology: LeafSpineTopology):
@@ -47,7 +45,7 @@ class LeafSpineReachabilityEngine(ReachabilityEngine):
 
     @staticmethod
     def _combine(*masks):
-        """AND possibly-None alive masks (bitwise: dense or packed).
+        """AND possibly-None alive masks (None = always alive).
 
         May alias the single non-None input; combined masks are
         read-only by convention.

@@ -128,7 +128,6 @@ def _worker_portion(args: tuple) -> tuple[np.ndarray, int]:
                 rounds=rounds,
                 sampler=_WORKER_STATE["sampler"],
                 rng=seed,
-                kernel=_WORKER_STATE["kernel"],
             ),
         )
         _WORKER_STATE["assessor"] = assessor
@@ -298,7 +297,6 @@ class ParallelAssessor(AssessorBase):
             model=self.dependency_model,
             sampler=self.sampler,
             chaos=self.chaos,
-            kernel=self.config.kernel,
         )
         context = multiprocessing.get_context("fork")
         self._pool = context.Pool(
@@ -783,7 +781,6 @@ class ParallelAssessor(AssessorBase):
                 rounds=portion.rounds,
                 sampler=self.sampler,
                 rng=seed,
-                kernel=self.config.kernel,
             ),
         )
         result = assessor.assess(plan, structure, cancel=cancel)

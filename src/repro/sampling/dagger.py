@@ -378,16 +378,16 @@ class CommonRandomDaggerSampler(Sampler):
         component_ids: Sequence[str],
         probabilities: np.ndarray,
         rounds: int,
-        packed: bool,
     ) -> dict[str, np.ndarray]:
-        """Failure rows of several components, each from its private stream.
+        """Packed failure rows of several components, each from its private
+        stream.
 
-        Row for row what :meth:`component_packed_row` (``packed``) or
-        :meth:`component_failed_rounds` returns, for probabilities in
-        (0, 1); a component that never failed has no entry. Each draws
-        from its own generator, so no row depends on what else is in the
-        call; what follows the draws is one ragged pass, component ``i``
-        owning one entry per cycle of its own length ``s_i``.
+        Row for row what :meth:`component_packed_row` returns, for
+        probabilities in (0, 1); a component that never failed has no
+        entry. Each draws from its own generator, so no row depends on
+        what else is in the call; what follows the draws is one ragged
+        pass, component ``i`` owning one entry per cycle of its own length
+        ``s_i``.
         """
         p = np.asarray(probabilities, dtype=np.float64)
         if not ((p > 0.0) & (p < 1.0)).all():
@@ -411,12 +411,9 @@ class CommonRandomDaggerSampler(Sampler):
         hit = (offset < cycle_length) & (failed < rounds)
         component, failed = component[hit], failed[hit]
         counts = np.bincount(component, minlength=len(p))
-        if packed:
-            dense = np.zeros((len(p), rounds), dtype=bool)
-            dense[component, failed] = True
-            rows = np.packbits(dense, axis=1)
-        else:
-            rows = np.split(failed, np.cumsum(counts)[:-1])
+        dense = np.zeros((len(p), rounds), dtype=bool)
+        dense[component, failed] = True
+        rows = np.packbits(dense, axis=1)
         return {component_ids[i]: rows[i] for i in np.flatnonzero(counts).tolist()}
 
     def sample(

@@ -13,9 +13,17 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.faults.dependencies import DependencyModel
 from repro.faults.inventory import build_paper_inventory, build_rich_inventory
 from repro.faults.probability import DefaultProbabilityPolicy
+from repro.routing.base import RoundStates
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
 from repro.core.api import AssessmentConfig
+
+
+def packed_states(rounds, failed):
+    """:class:`RoundStates` over a dense fixture ``{id: bool vector}``; read
+    an engine's or evaluator's rows back through ``states.unpack``."""
+    rows = {cid: np.packbits(np.asarray(v, dtype=bool)) for cid, v in failed.items()}
+    return RoundStates(rounds, rows)
 
 
 @pytest.fixture

@@ -1,0 +1,193 @@
+"""The interpreted assessment pipeline, kept as a differential oracle.
+
+This is the dense column ``src/`` carried beside the compiled kernel until
+it was deleted there: :class:`ZeroFill`, :func:`effective_states` and the
+dense arm of ``ReliabilityAssessor._run_stages`` verbatim, with the
+closure step of ``assess`` in front. It is closed by a per-round,
+set-based §3.2.4 check written from the paper's definition rather than
+moved, so the whole reference shares no stage with production: sparse
+``Sampler.sample`` draws -> recursive ``FaultTree.evaluate`` -> the
+per-round union-find's dense answers -> one fixed point per round.
+"""
+
+from __future__ import annotations
+
+import copy
+from types import SimpleNamespace
+from typing import Iterable
+
+import numpy as np
+
+from repro.app.structure import EXTERNAL
+from repro.faults.dependencies import DependencyModel
+from repro.routing.base import RoundStates
+from repro.sampling.statistics import estimate_from_results
+from tests.unionfind_oracle import UnionFindReachabilityEngine
+
+
+class ZeroFill(dict):
+    """Dense-state mapping that treats absent components as never failed."""
+
+    def __init__(self, rounds: int):
+        super().__init__()
+        self._zeros = np.zeros(rounds, dtype=bool)
+        self._zeros.flags.writeable = False
+
+    def __missing__(self, key: str) -> np.ndarray:
+        return self._zeros
+
+
+def effective_states(
+    model: DependencyModel,
+    subjects: Iterable[str],
+    links: Iterable[str],
+    dense: ZeroFill,
+) -> dict[str, np.ndarray]:
+    """Interpreted fault-tree reasoning and filtering (§3.2.3).
+
+    ``dense`` holds the dense per-round failure vector of every sampled
+    component that failed in some round (anything else reads as zeros).
+    Returns the effective per-round failure vector of each subject, after
+    reasoning over its fault tree, and of each raw element among
+    ``links``, keeping only elements that fail in at least one round. The
+    compiled counterpart is
+    :meth:`repro.kernel.AssessmentKernel.effective_states`.
+    """
+    failed: dict[str, np.ndarray] = {}
+    for subject in subjects:
+        if dense.keys().isdisjoint(model.basic_events_of(subject)):
+            continue  # nothing this subject depends on ever failed
+        effective = model.tree_for(subject).evaluate(dense)
+        if effective.any():
+            failed[subject] = effective
+    model.register_raw_elements(links, dense.get, failed)
+    return failed
+
+
+def _dense_answers(engine, rounds, failed, hosts, pairs):
+    """Dense (external, pairwise) vectors: the union-find's own, or a
+    production engine's through the pack/unpack door its contract names."""
+    if isinstance(engine, UnionFindReachabilityEngine):
+        states = SimpleNamespace(rounds=rounds, failed=failed)
+        return engine.external_dense(states, hosts), engine.pairwise_dense(states, pairs)
+    states = RoundStates(rounds, {cid: np.packbits(v) for cid, v in failed.items()})
+    return tuple(
+        {query: states.unpack(row) for query, row in answers.items()}
+        for answers in (
+            engine.external_reachable(states, hosts),
+            engine.pairwise_reachable(states, pairs),
+        )
+    )
+
+
+def reliable_rounds(structure, hosts, rounds, failed, external, pair) -> np.ndarray:
+    """§3.2.4 by its definition, one round at a time; ``hosts`` maps each
+    application component to its instances' hosts.
+
+    An instance is active when its host is alive and every requirement of
+    its component is served: an external one by a border switch reaching
+    the host, an internal one by at least one active instance of the
+    source that the host reaches (``pair`` holds a host's reach of itself
+    too: its aliveness). Activity is the greatest such set — start from the alive instances and prune
+    until nothing changes — and a round is reliable when every
+    requirement ``(Ci, Cj, K)`` counts at least ``K`` active ``Ci``.
+    """
+    reliable = np.zeros(rounds, dtype=bool)
+    for r in range(rounds):
+
+        def served(host, requirement, active):
+            if requirement.source == EXTERNAL:
+                return bool(external[host][r])
+            return any(
+                (requirement.source, j) in active
+                and pair[min(host, other), max(host, other)][r]
+                for j, other in enumerate(hosts[requirement.source])
+            )
+
+        active = {
+            (name, i)
+            for name, placed in hosts.items()
+            for i, host in enumerate(placed)
+            if host not in failed or not failed[host][r]
+        }
+        while True:
+            kept = {
+                (name, i)
+                for name, i in active
+                if all(
+                    served(hosts[name][i], requirement, active)
+                    for requirement in structure.requirements_for(name)
+                )
+            }
+            if kept == active:
+                break
+            active = kept
+        reliable[r] = all(
+            sum(name == requirement.component for name, _ in active)
+            >= requirement.min_reachable
+            for requirement in structure.requirements
+        )
+    return reliable
+
+
+def interpreted_assess(
+    topology, model, plan, structure, rounds, sampler, rng,
+    engine=None, sample_full_infrastructure=False,
+) -> tuple[np.ndarray, int]:
+    """``(per-round reliable vector, sampled components)`` of one plan.
+
+    ``engine`` names the closure and answers reachability: the per-round
+    union-find by default, or a production engine to hold to this
+    reference everything around it.
+    """
+    engine = engine or UnionFindReachabilityEngine(topology)
+    all_probabilities = model.failure_probabilities()
+    elements = set(engine.relevant_elements(plan.hosts()))
+    subjects = elements & topology.elements
+    sampled = set(model.basic_events_for(subjects)) | (elements - subjects)
+    if sample_full_infrastructure:
+        probabilities = all_probabilities
+    else:
+        probabilities = {cid: all_probabilities[cid] for cid in sorted(sampled)}
+
+    batch = sampler.sample(probabilities, rounds, rng)
+    dense = ZeroFill(rounds)
+    for cid, failed_rounds in batch.failed_rounds.items():
+        if cid in sampled:
+            states = np.zeros(rounds, dtype=bool)
+            states[failed_rounds] = True
+            dense[cid] = states
+    failed = effective_states(model, subjects, dense.keys() - subjects, dense)
+
+    placed = {spec.name: plan.hosts_for(spec.name) for spec in structure.components}
+    pairs = sorted(
+        {
+            (min(a, b), max(a, b))
+            for requirement in structure.requirements
+            if requirement.source != EXTERNAL
+            for a in placed[requirement.component]
+            for b in placed[requirement.source]
+        }
+    )
+    hosts = sorted(set(plan.hosts()))
+    external, pair = _dense_answers(engine, rounds, failed, hosts, pairs)
+    per_round = reliable_rounds(structure, placed, rounds, failed, external, pair)
+    return per_round, len(probabilities)
+
+
+def assert_held_to_oracle(assessor, plans, structure) -> None:
+    """Assess ``plans`` in order on a fresh production assessor and on its
+    interpreted reference — same substrate, rounds, engine, sampling mode,
+    sampler and seed: per-round vectors, estimates and
+    ``sampled_components`` must be equal."""
+    rng = copy.deepcopy(assessor.rng)
+    for plan in plans:
+        got = assessor.assess(plan, structure)
+        per_round, sampled = interpreted_assess(
+            assessor.topology, assessor.dependency_model, plan, structure,
+            assessor.rounds, assessor.sampler, rng,
+            assessor.engine, assessor.sample_full_infrastructure,
+        )
+        assert np.array_equal(got.per_round, per_round), plan
+        assert got.estimate == estimate_from_results(per_round), plan
+        assert got.sampled_components == sampled, plan

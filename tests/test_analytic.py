@@ -53,12 +53,13 @@ from repro.kernel.exact import (
     enumeration_weights,
     exact_tree_probability,
 )
-from repro.routing.base import RoundStates, engine_for
+from repro.routing.base import engine_for
 from repro.sampling.statistics import exact_estimate
 from repro.serialization import estimate_from_dict, estimate_to_dict
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, ValidationError
+from tests.conftest import packed_states
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 TOPO = FatTreeTopology(4, seed=5)
@@ -100,7 +101,7 @@ def brute_force_score(assessor: AnalyticAssessor, plan, structure) -> float:
         vector = np.fromiter((cid in fs for fs in failed_sets), dtype=bool, count=n)
         if vector.any():
             failed[cid] = vector
-    states = RoundStates(rounds=n, failed=failed)
+    states = packed_states(n, failed)
     phi = StructureEvaluator(engine_for(topology)).evaluate(states, plan, structure)
     weights = np.ones(n, dtype=np.float64)
     arange = np.arange(n, dtype=np.int64)
@@ -385,14 +386,17 @@ class TestAnalyticZones:
         assert not result.estimate.exact
         assert result.estimate.rounds == 1500
 
-    def test_dense_only_engine_declines_on_the_engine(self):
-        # A user-supplied engine that reads individual rounds cannot be
-        # driven packed: the backend declines before any closure analysis.
+    def test_round_reading_engine_is_analysed_like_any_other(self):
+        # A user-supplied engine that reads individual rounds is handed
+        # packed rows like the shipped ones: the backend reaches the same
+        # closure analysis, declines for the same reason and serves the
+        # same sampled estimate as under the generic engine.
         assessor, plan = self._zone_assessor(UnionFindReachabilityEngine)
-        assert assessor.explain(plan) == "no packed reachability engine"
+        generic, _ = self._zone_assessor()
+        assert assessor.explain(plan) == generic.explain(plan)
         result = assessor.assess(plan, STRUCTURE)
         assert not result.estimate.exact
-        assert result.estimate.rounds == 1500
+        assert result.estimate == generic.assess(plan, STRUCTURE).estimate
 
 
 class TestConfigValidation:

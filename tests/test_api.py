@@ -9,6 +9,8 @@ Carlo chunking.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,33 @@ class TestLegacyKwargsRejected:
                 fattree4, inventory, AssessmentConfig(rounds=500)
             )
             build_assessor(fattree4, inventory, AssessmentConfig(rounds=500))
+
+
+class TestOneRepresentation:
+    """The interpreted column and the option that selected it are gone;
+    neither spelling may drift back."""
+
+    def test_config_has_no_kernel_field(self):
+        names = {f.name for f in dataclasses.fields(AssessmentConfig)}
+        assert "kernel" not in names and len(names) == 16
+        with pytest.raises(TypeError, match="kernel"):
+            AssessmentConfig(kernel=False)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("assess", "--hosts", "host/0/0/0,host/1/0/0", "--k", "1"),
+            ("redeploy", "--k", "2", "--n", "3", "--state-dir", "unused"),
+        ],
+        ids=["assess", "redeploy"],
+    )
+    def test_no_kernel_flag_is_an_argparse_error(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-kernel"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-kernel" in capsys.readouterr().err
 
 
 class TestScorePlansProtocol:

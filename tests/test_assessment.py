@@ -21,10 +21,11 @@ from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
 from repro.faults.inventory import build_paper_inventory
 from repro.faults.probability import DefaultProbabilityPolicy
-from repro.routing.base import RoundStates, engine_for
+from repro.routing.base import engine_for
 from repro.sampling.dagger import ExtendedDaggerSampler
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.fattree import FatTreeTopology
+from tests.conftest import packed_states
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
 
@@ -57,9 +58,9 @@ def exact_k_of_n_reliability(topology, model, hosts, k, engine=None):
         for subject in subjects:
             tree = model.tree_for(subject)
             failed_states[subject] = np.array([tree.evaluate_round(failed_set)])
-        states = RoundStates(1, failed_states)
+        states = packed_states(1, failed_states)
         reachable = engine.external_reachable(states, hosts)
-        alive = sum(1 for h in hosts if reachable[h][0])
+        alive = sum(1 for h in hosts if states.unpack(reachable[h])[0])
         if alive >= k:
             total += weight
     return total

@@ -62,20 +62,6 @@ class TestAssessCommand:
         assert document["format"] == "assessment-result"
         assert 0.5 < document["estimate"]["score"] <= 1.0
 
-    def test_kernel_is_on_by_default_and_no_kernel_agrees(self, capsys):
-        argv = (
-            "assess", "--scale", "tiny", "--hosts", self.HOSTS, "--k", "2",
-            "--rounds", "2000", "--json",
-        )
-        assert build_parser().parse_args(list(argv)).kernel is True
-        assert build_parser().parse_args([*argv, "--no-kernel"]).kernel is False
-        estimates = []
-        for extra in ((), ("--kernel",), ("--no-kernel",)):
-            code, out, _err = run_cli(capsys, *argv, *extra)
-            assert code == 0
-            estimates.append(json.loads(out)["estimate"])
-        assert estimates[0] == estimates[1] == estimates[2]
-
     def test_unknown_host_is_reported(self, capsys):
         code, _out, err = run_cli(
             capsys,

@@ -260,26 +260,21 @@ class TestCommonRandomDagger:
             max_size=12,
         ),
         rounds=st.sampled_from([7, 13, 500, 10_000]),
-        packed=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_draw_equals_the_per_component_draw(
-        self, probabilities, rounds, packed, seed
+        self, probabilities, rounds, seed
     ):
         """``component_rows`` against the per-component oracle, row for
-        row in both representations; a component that never failed has
-        no entry."""
+        row; a component that never failed has no entry."""
         sampler = CommonRandomDaggerSampler(master_seed=seed)
         ids = [f"component/{i}" for i in range(len(probabilities))]
-        rows = sampler.component_rows(ids, np.array(probabilities), rounds, packed)
+        rows = sampler.component_rows(ids, np.array(probabilities), rounds)
         assert list(rows) == [cid for cid in ids if cid in rows]
         for cid, probability in zip(ids, probabilities):
-            if packed:
-                expected = sampler.component_packed_row(cid, probability, rounds)
-            else:
-                expected = sampler.component_failed_rounds(cid, probability, rounds)
-            if expected is None or not expected.size:
+            expected = sampler.component_packed_row(cid, probability, rounds)
+            if expected is None:
                 assert cid not in rows
             else:
                 assert rows[cid].dtype == expected.dtype
@@ -289,4 +284,4 @@ class TestCommonRandomDagger:
         sampler = CommonRandomDaggerSampler(master_seed=1)
         for probability in (0.0, 1.0):
             with pytest.raises(ValueError):
-                sampler.component_rows(["a", "b"], np.array([0.1, probability]), 50, True)
+                sampler.component_rows(["a", "b"], np.array([0.1, probability]), 50)

@@ -14,6 +14,7 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.routing.base import RoundStates
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
+from tests.conftest import packed_states
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def _states(rounds=1, **failed_components):
         vector = np.zeros(rounds, dtype=bool)
         vector[list(rounds_failed)] = True
         failed[cid] = vector
-    return RoundStates(rounds, failed)
+    return packed_states(rounds, failed)
 
 
 class TestKofN:
@@ -223,12 +224,12 @@ class TestVectorisation:
             lossy_fattree4.failure_probabilities(), 200, rng
         )
         failed = {cid: batch.dense(cid) for cid in batch.failed_rounds}
-        states = RoundStates(200, failed)
+        states = packed_states(200, failed)
         evaluator = StructureEvaluator(engine)
         vector = evaluator.evaluate(states, plan, structure)
         for i in range(200):
             single_failed = {
                 cid: np.array([v[i]]) for cid, v in failed.items() if v[i]
             }
-            single = evaluator.evaluate(RoundStates(1, single_failed), plan, structure)
+            single = evaluator.evaluate(packed_states(1, single_failed), plan, structure)
             assert vector[i] == single[0], i

@@ -18,7 +18,6 @@ from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
-from repro.faults.faulttree import FaultTree
 from repro.faults.inventory import build_paper_inventory, build_zone_inventory
 from repro.routing.generic import GenericReachabilityEngine
 from repro.sampling import dagger
@@ -29,6 +28,7 @@ from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, OperationCancelled
 from repro.util.metrics import MetricsRegistry
+from tests.interpreted_oracle import assert_held_to_oracle
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 MASTER_SEED = 424242
@@ -263,11 +263,7 @@ class PerComponentLoopAssessor(IncrementalAssessor):
         return _Ids(subjects), _Ids(sampled)
 
     def _sample(self, sampled, cancel):
-        draw = (
-            self.sampler.component_failed_rounds
-            if self.kernel is None
-            else self.sampler.component_packed_row
-        )
+        draw = self.sampler.component_packed_row
         for index, cid in enumerate(sampled):
             if cancel is not None and index % 64 == 0:
                 cancel.check()
@@ -277,53 +273,7 @@ class PerComponentLoopAssessor(IncrementalAssessor):
             self.metrics.incr("sample/component/miss")
             self.samples[cid] = draw(cid, self._all_probabilities[cid], self.rounds)
 
-    def _dense_of(self, cid):
-        if cid not in self._dense:
-            states = np.zeros(self.rounds, dtype=bool)
-            states[self.samples[cid]] = True
-            self._dense[cid] = states
-        return self._dense[cid]
-
     def _extend_universe(self, subjects, sampled, cancel=None):
-        if self.kernel is not None:
-            self._extend_universe_packed(subjects, sampled, cancel=cancel)
-            return
-        metrics = self.metrics
-        model = self.dependency_model
-        with metrics.timer("sample"):
-            self._sample(sampled, cancel)
-
-        with metrics.timer("faulttree"):
-            if cancel is not None:
-                cancel.check()
-            for subject in subjects:
-                if subject in self.known_subjects:
-                    metrics.incr("faulttree/subject/hit")
-                    continue
-                metrics.incr("faulttree/subject/miss")
-                self.known_subjects.add(subject)
-                events = model.basic_events_of(subject)
-                if all(not self.samples[e].size for e in events):
-                    continue
-                dense = {e: self._dense_of(e) for e in events}
-                effective = model.tree_for(subject).evaluate(dense)
-                if effective.any():
-                    self._effective[subject] = effective
-
-            trees = model.trees
-            components = self.topology.components
-            for link_cid in sampled:
-                if link_cid in subjects or link_cid in self.known_links:
-                    continue
-                self.known_links.add(link_cid)
-                if (
-                    self.samples[link_cid].size
-                    and link_cid not in trees
-                    and link_cid in components
-                ):
-                    self._effective[link_cid] = self._dense_of(link_cid)
-
-    def _extend_universe_packed(self, subjects, sampled, cancel=None):
         metrics = self.metrics
         kernel = self.kernel
         rows = self.samples
@@ -388,9 +338,7 @@ def _same_arrays(ours, reference):
 def _failing(samples):
     """The oracle's draws without the components that never failed: the
     mask universe keeps no entry for those."""
-    return {
-        cid: row for cid, row in samples.items() if row is not None and row.size
-    }
+    return {cid: row for cid, row in samples.items() if row is not None}
 
 
 def _assert_same_universe(ours, reference):
@@ -429,16 +377,22 @@ def _count_calls(monkeypatch, owner, name):
 
 
 class TestDeltaPricedUniverse:
-    @pytest.mark.parametrize("kernel", [False, True])
-    def test_matches_per_component_loop_over_a_walk(self, medium, kernel):
+    @pytest.mark.parametrize("full", [False, True])
+    def test_matches_per_component_loop_over_a_walk(self, medium, full):
+        """Closure and full-infrastructure mode: the universe is the same,
+        ``sampled_components`` is not."""
         topology, model = medium
         config = AssessmentConfig(
-            mode="incremental", rounds=600, master_seed=MASTER_SEED, kernel=kernel
+            mode="incremental",
+            rounds=600,
+            master_seed=MASTER_SEED,
+            sample_full_infrastructure=full,
         )
         ours = IncrementalAssessor(topology, model, config)
         reference = PerComponentLoopAssessor(topology, model, config)
         structure = ApplicationStructure.k_of_n(8, 10)
-        for plan in _walk(topology, structure, moves=25, seed=9):
+        plans = _walk(topology, structure, moves=25, seed=9)
+        for plan in plans:
             _assert_identical(
                 ours.assess(plan, structure), reference.assess(plan, structure)
             )
@@ -446,21 +400,19 @@ class TestDeltaPricedUniverse:
             closure = ours.closure_for(plan)
             assert closure == tuple(map(set, reference._closure_masks(plan)))
         assert ours.metrics.counter("sample/component/hit") > 10_000
+        assert_held_to_oracle(ours, plans[::6], structure)
 
-    @pytest.mark.parametrize("kernel", [False, True])
     @pytest.mark.parametrize(
         "engine", [GenericReachabilityEngine, UnionFindReachabilityEngine]
     )
-    def test_matches_per_component_loop_on_zones(self, zones, engine, kernel):
+    def test_matches_per_component_loop_on_zones(self, zones, engine):
         """One ``"all"`` layer (generic) and the default one piece per
-        host (the dense-only union-find oracle, which also sends
-        ``kernel=True`` down the interpreter)."""
+        host (the round-reading union-find oracle behind its door)."""
         topology, model = zones
         config = AssessmentConfig(
             mode="incremental",
             rounds=300,
             master_seed=MASTER_SEED,
-            kernel=kernel,
             engine=engine(topology),
         )
         ours = IncrementalAssessor(topology, model, config)
@@ -538,9 +490,9 @@ class TestDeltaPricedUniverse:
             == 1 + len(private)
         )
 
-    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("full", [False, True])
     def test_warm_assess_costs_a_handful_of_counter_bumps(
-        self, medium, kernel, monkeypatch
+        self, medium, full, monkeypatch
     ):
         """Cost guard by count: once every host of a plan is folded in, a
         new plan over those hosts draws nothing, evaluates no tree and
@@ -555,7 +507,7 @@ class TestDeltaPricedUniverse:
                 mode="incremental",
                 rounds=600,
                 master_seed=MASTER_SEED,
-                kernel=kernel,
+                sample_full_infrastructure=full,
                 metrics=registry,
             ),
         )
@@ -571,9 +523,7 @@ class TestDeltaPricedUniverse:
 
         monkeypatch.setattr(assessor.sampler, "component_rows", forbidden)
         monkeypatch.setattr(assessor, "_layer_masks", forbidden)
-        monkeypatch.setattr(FaultTree, "evaluate", forbidden)
-        if kernel:
-            monkeypatch.setattr(assessor.kernel.forest, "evaluate", forbidden)
+        monkeypatch.setattr(assessor.kernel.forest, "evaluate", forbidden)
         registry.incr_calls = 0
         misses = registry.counter("sample/component/miss")
         warm = DeploymentPlan.single_component([hosts[10]] + hosts[:9], component)
@@ -582,13 +532,10 @@ class TestDeltaPricedUniverse:
         assert registry.counter("sample/component/miss") == misses
         assert result.sampled_components > 1_000
 
-    @pytest.mark.parametrize("kernel", [False, True])
-    def test_cancel_mid_extension_leaves_a_valid_smaller_universe(
-        self, medium, kernel
-    ):
+    def test_cancel_mid_extension_leaves_a_valid_smaller_universe(self, medium):
         topology, model = medium
         config = AssessmentConfig(
-            mode="incremental", rounds=600, master_seed=MASTER_SEED, kernel=kernel
+            mode="incremental", rounds=600, master_seed=MASTER_SEED
         )
         assessor = IncrementalAssessor(topology, model, config)
         structure = ApplicationStructure.k_of_n(8, 10)

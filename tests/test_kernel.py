@@ -1,13 +1,13 @@
 """Compiled-kernel equivalence: packed states, flat forests, bit-identity.
 
-The kernel's contract is that enabling it never changes a single bit of
-any per-round result — it only changes how states are stored and
+The kernel's contract is that it never changes a single bit of what the
+paper's pipeline computes — it only changes how states are stored and
 combined. These tests pin that contract at every layer: packbits
 round-trips (including round counts not divisible by 8), the component
 arena, compiled-forest vs recursive-interpreter equality over random
 fault-tree forests, sampler fast-path stream identity, and end-to-end
 assessments on the fat-tree and leaf-spine presets, sequentially and
-incrementally.
+incrementally, against ``tests/interpreted_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, build_assessor
+from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.faults.faulttree import (
     FaultTree,
@@ -37,13 +38,13 @@ from repro.kernel import (
     AssessmentKernel,
     ComponentArena,
     CompiledForest,
-    kernel_supported,
     pack_indices,
     packed_width,
     unpack_row,
 )
 from repro.kernel.packed import PackedBatch, pack_bool_matrix, unpack_matrix
-from repro.routing.base import PackedRoundStates, RoundStates, engine_for
+from repro.routing.base import RoundStates, engine_for
+from repro.routing.generic import GenericReachabilityEngine
 from repro.sampling import base as sampling_base
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
@@ -58,7 +59,13 @@ from repro.topology.presets import paper_topology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
-from tests.unionfind_oracle import UnionFindReachabilityEngine
+from tests.interpreted_oracle import (
+    ZeroFill,
+    assert_held_to_oracle,
+    effective_states,
+)
+from tests.test_routing import fattree_ext_reference
+from tests.unionfind_oracle import UnionFindReachabilityEngine, unpacked
 
 # ---------------------------------------------------------------------------
 # Shared substrates (hypothesis re-runs test bodies; build these once)
@@ -380,16 +387,30 @@ SUBSTRATES = [
 ]
 
 
-def _both_sides(topology, inventory, config):
-    """``(interpreted, compiled)`` assessors of one config, each side named:
-    the default is the kernel, so a comparison against "whatever the
-    default is" would hold the kernel against itself."""
-    interpreted = build_assessor(
-        topology, inventory, config.with_updates(kernel=False)
+def _held_to_oracle(topology, inventory, config, plans, structure):
+    """The production pipeline of ``config`` against the interpreted oracle,
+    twice: under the topology's own engine, which the oracle drives through
+    its pack/unpack door (everything around route-and-check independent),
+    and under the per-round union-find, which the *production* pipeline
+    drives through the union-find's door (nothing shared at all)."""
+    for engine in (engine_for(topology), UnionFindReachabilityEngine(topology)):
+        assessor = build_assessor(
+            topology, inventory, config.with_updates(engine=engine)
+        )
+        assert_held_to_oracle(assessor, plans, structure)
+
+
+LAYERED = ApplicationStructure.from_requirement_map(
+    {"web": 2, "app": 3, "db": 2},
+    {("app", "web"): 1, ("db", "app"): 2},
+)
+
+
+def _layered_plan(topology):
+    hosts = list(topology.hosts)[:7]
+    return DeploymentPlan.from_mapping(
+        {"web": hosts[:2], "app": hosts[2:5], "db": hosts[5:7]}
     )
-    compiled = build_assessor(topology, inventory, config.with_updates(kernel=True))
-    assert interpreted.kernel is None and compiled.kernel is not None
-    return interpreted, compiled
 
 
 class TestAssessmentBitIdentity:
@@ -397,14 +418,13 @@ class TestAssessmentBitIdentity:
     @pytest.mark.parametrize("rounds", [501, 3000])
     def test_sequential_assess(self, topology, inventory, rounds):
         structure = ApplicationStructure.k_of_n(3, 5)
-        plan = _plan_for(topology, structure)
-        legacy, kernel = _both_sides(
-            topology, inventory, AssessmentConfig(rounds=rounds, rng=7)
+        _held_to_oracle(
+            topology,
+            inventory,
+            AssessmentConfig(rounds=rounds, rng=7),
+            [_plan_for(topology, structure)],
+            structure,
         )
-        a = legacy.assess(plan, structure)
-        b = kernel.assess(plan, structure)
-        assert np.array_equal(a.per_round, b.per_round)
-        assert a.estimate == b.estimate
 
     @pytest.mark.parametrize("topology,inventory", SUBSTRATES)
     def test_sequential_assess_stays_identical_across_calls(
@@ -412,67 +432,59 @@ class TestAssessmentBitIdentity:
     ):
         """Back-to-back assessments share one rng; streams must not drift."""
         structure = ApplicationStructure.k_of_n(2, 4)
-        legacy, kernel = _both_sides(
-            topology, inventory, AssessmentConfig(rounds=501, rng=13)
-        )
         hosts = list(topology.hosts)
-        for offset in (0, 2, 4):
-            plan = DeploymentPlan.single_component(
+        plans = [
+            DeploymentPlan.single_component(
                 hosts[offset : offset + 4], structure.components[0].name
             )
-            a = legacy.assess(plan, structure)
-            b = kernel.assess(plan, structure)
-            assert np.array_equal(a.per_round, b.per_round)
+            for offset in (0, 2, 4)
+        ]
+        _held_to_oracle(
+            topology, inventory, AssessmentConfig(rounds=501, rng=13), plans, structure
+        )
 
     def test_full_infrastructure_mode(self):
-        structure = ApplicationStructure.k_of_n(3, 5)
-        plan = _plan_for(FATTREE, structure)
-        base = AssessmentConfig(rounds=800, rng=3, sample_full_infrastructure=True)
-        legacy, kernel = _both_sides(FATTREE, FATTREE_INV, base)
-        a = legacy.assess(plan, structure)
-        b = kernel.assess(plan, structure)
-        assert np.array_equal(a.per_round, b.per_round)
+        config = AssessmentConfig(rounds=800, rng=3, sample_full_infrastructure=True)
+        k_of_n = ApplicationStructure.k_of_n(3, 5)
+        for plan, structure in (
+            (_plan_for(FATTREE, k_of_n), k_of_n),
+            (_layered_plan(FATTREE), LAYERED),
+        ):
+            _held_to_oracle(FATTREE, FATTREE_INV, config, [plan], structure)
 
     def test_structured_application(self):
-        """Pairwise reachability (packed fixed point) agrees too."""
-        structure = ApplicationStructure.from_requirement_map(
-            {"web": 2, "app": 3, "db": 2},
-            {("app", "web"): 1, ("db", "app"): 2},
-        )
-        hosts = list(FATTREE.hosts)[:7]
-        plan = DeploymentPlan.from_mapping(
-            {"web": hosts[:2], "app": hosts[2:5], "db": hosts[5:7]}
-        )
-        legacy, kernel = _both_sides(
-            FATTREE, FATTREE_INV, AssessmentConfig(rounds=1001, rng=21)
-        )
-        a = legacy.assess(plan, structure)
-        b = kernel.assess(plan, structure)
-        assert np.array_equal(a.per_round, b.per_round)
+        """Pairwise reachability and the packed fixed point agree with the
+        per-round definition too."""
+        config = AssessmentConfig(rounds=1001, rng=21)
+        for topology, inventory in ((FATTREE, FATTREE_INV), (LEAFSPINE, LEAFSPINE_INV)):
+            _held_to_oracle(
+                topology, inventory, config, [_layered_plan(topology)], LAYERED
+            )
 
-    def test_generic_engine_falls_back_to_interpreter(self):
-        # The shipped generic engine is packed-capable; the per-round
-        # union-find it replaced stands in for a user-supplied dense-only
-        # engine, which must still fall back rather than be driven packed.
-        config = AssessmentConfig(
-            rounds=501, rng=7, engine=UnionFindReachabilityEngine(FATTREE), kernel=True
-        )
-        assessor = build_assessor(FATTREE, FATTREE_INV, config)
-        assert assessor.kernel is None  # fallback, not an error
-        assert not kernel_supported(assessor.engine)
-        structure = ApplicationStructure.k_of_n(3, 5)
-        result = assessor.assess(_plan_for(FATTREE, structure), structure)
-        reference = build_assessor(
-            FATTREE,
-            FATTREE_INV,
-            AssessmentConfig(
-                rounds=501,
-                rng=7,
-                engine=UnionFindReachabilityEngine(FATTREE),
-                kernel=False,
-            ),
-        ).assess(_plan_for(FATTREE, structure), structure)
-        assert np.array_equal(result.per_round, reference.per_round)
+    def test_round_reading_engine_is_driven_by_the_one_pipeline(self):
+        # The per-round union-find stands in for a user-supplied engine
+        # that reads individual rounds: the one pipeline hands it packed
+        # rows like any other, and it agrees bit for bit with the shipped
+        # generic engine (the same connectivity semantics) in every mode.
+        structure = ApplicationStructure.k_of_n(5, 5)
+        plan = _plan_for(FATTREE, structure)
+        for mode in ("sequential", "incremental"):
+            results = [
+                build_assessor(
+                    FATTREE,
+                    FATTREE_INV,
+                    AssessmentConfig(
+                        rounds=501, rng=7, mode=mode, master_seed=5, engine=engine
+                    ),
+                ).assess(plan, structure)
+                for engine in (
+                    UnionFindReachabilityEngine(FATTREE),
+                    GenericReachabilityEngine(FATTREE),
+                )
+            ]
+            assert np.array_equal(results[0].per_round, results[1].per_round)
+            assert results[0].estimate == results[1].estimate
+            assert 0.0 < results[0].estimate.score < 1.0
 
 
 class TestKernelIsTheDefault:
@@ -486,12 +498,12 @@ class TestKernelIsTheDefault:
     def test_default_config_builds_a_kernel(self, topology, inventory, mode):
         assert build_assessor(topology, inventory, AssessmentConfig()).kernel is not None
         assessor = build_assessor(topology, inventory, AssessmentConfig(mode=mode))
-        assert assessor.kernel is not None
-        assert kernel_supported(assessor.engine)
+        assert isinstance(assessor.kernel, AssessmentKernel)
 
-    def test_only_a_dense_only_engine_falls_back(self):
+    def test_a_round_reading_engine_gets_a_kernel_too(self):
         config = AssessmentConfig(engine=UnionFindReachabilityEngine(FATTREE))
-        assert build_assessor(FATTREE, FATTREE_INV, config).kernel is None
+        assessor = build_assessor(FATTREE, FATTREE_INV, config)
+        assert isinstance(assessor.kernel, AssessmentKernel)
 
     def test_arena_table_is_interned_once_per_model(self):
         first = build_assessor(FATTREE, FATTREE_INV, AssessmentConfig())
@@ -510,21 +522,19 @@ class TestIncrementalKernel:
     def test_move_walk_bit_identity(self):
         structure = ApplicationStructure.k_of_n(3, 5)
         config = AssessmentConfig(rounds=1001, mode="incremental", master_seed=123)
-        dense, packed = _both_sides(FATTREE, FATTREE_INV, config)
         hosts = list(FATTREE.hosts)
         rng = np.random.default_rng(11)
         current = hosts[:5]
+        plans = []
         for _ in range(12):
-            plan = DeploymentPlan.single_component(
-                current, structure.components[0].name
+            plans.append(
+                DeploymentPlan.single_component(current, structure.components[0].name)
             )
-            a = dense.assess(plan, structure)
-            b = packed.assess(plan, structure)
-            assert np.array_equal(a.per_round, b.per_round)
             slot = int(rng.integers(0, 5))
             candidates = [h for h in hosts if h not in current]
             current = list(current)
             current[slot] = candidates[int(rng.integers(0, len(candidates)))]
+        _held_to_oracle(FATTREE, FATTREE_INV, config, plans, structure)
 
     def test_walk_across_pods_tracks_growing_closure(self):
         # Regression: the packed fat-tree engine caches its core, pod and
@@ -538,19 +548,16 @@ class TestIncrementalKernel:
         config = AssessmentConfig(
             rounds=2000, mode="incremental", master_seed=20170412
         )
-        dense, packed = _both_sides(FATTREE, FATTREE_INV, config)
         rng = np.random.default_rng(11)
-        plan = DeploymentPlan.random(FATTREE, structure, rng=rng)
-        for _ in range(11):
-            a = dense.assess(plan, structure)
-            b = packed.assess(plan, structure)
-            assert np.array_equal(a.per_round, b.per_round)
-            plan = plan.random_neighbor(FATTREE, rng=rng)
+        plans = [DeploymentPlan.random(FATTREE, structure, rng=rng)]
+        for _ in range(10):
+            plans.append(plans[-1].random_neighbor(FATTREE, rng=rng))
+        _held_to_oracle(FATTREE, FATTREE_INV, config, plans, structure)
 
     def test_clear_caches_resets_kernel_universe(self):
         structure = ApplicationStructure.k_of_n(2, 4)
         config = AssessmentConfig(
-            rounds=501, mode="incremental", master_seed=9, kernel=True
+            rounds=501, mode="incremental", master_seed=9
         )
         assessor = build_assessor(FATTREE, FATTREE_INV, config)
         plan = _plan_for(FATTREE, structure)
@@ -559,6 +566,22 @@ class TestIncrementalKernel:
         assert not assessor._rows and not assessor._forest_values
         again = assessor.assess(plan, structure)
         assert np.array_equal(first.per_round, again.per_round)
+
+
+    def test_foreign_shared_kernel_is_rejected(self):
+        """A shared kernel's arena and forest must be this assessor's own
+        substrate's: another topology's, or another model's over the same
+        topology, would be assessed on silently."""
+        config = AssessmentConfig(rounds=64, mode="incremental", master_seed=1)
+        other_model = build_paper_inventory(FATTREE, seed=3)
+        for foreign in (
+            AssessmentKernel(LEAFSPINE, LEAFSPINE_INV),
+            AssessmentKernel(FATTREE, other_model),
+        ):
+            with pytest.raises(ConfigurationError, match="shared kernel"):
+                IncrementalAssessor(FATTREE, FATTREE_INV, config, kernel=foreign)
+        own = AssessmentKernel(FATTREE, FATTREE_INV)
+        assert IncrementalAssessor(FATTREE, FATTREE_INV, config, kernel=own).kernel is own
 
 
 class TestScorePlans:
@@ -572,7 +595,7 @@ class TestScorePlans:
             for i in (0, 3, 7)
         ]
         config = AssessmentConfig(
-            rounds=1001, rng=3, sampler=CommonRandomDaggerSampler(99), kernel=True
+            rounds=1001, rng=3, sampler=CommonRandomDaggerSampler(99)
         )
         shared = build_assessor(FATTREE, FATTREE_INV, config)
         results = shared.score_plans(plans, structure)
@@ -583,12 +606,13 @@ class TestScorePlans:
             )
             assert np.array_equal(solo.per_round, result.per_round)
 
-    def test_without_kernel_falls_back_to_independent_assess(self):
+    def test_single_plan_batch_equals_assess(self):
+        # A non-CRN sampler sees the draw order, and the shared batch draws
+        # in arena order where assess draws in sorted-closure order.
         structure = ApplicationStructure.k_of_n(2, 4)
         plans = [_plan_for(FATTREE, structure)]
-        config = AssessmentConfig(rounds=501, rng=5, kernel=False)
+        config = AssessmentConfig(rounds=501, rng=5)
         assessor = build_assessor(FATTREE, FATTREE_INV, config)
-        assert assessor.kernel is None
         results = assessor.score_plans(plans, structure)
         reference = build_assessor(FATTREE, FATTREE_INV, config).assess(
             plans[0], structure
@@ -612,22 +636,16 @@ class TestKernelObject:
             subjects, set(probabilities) - subjects, batch.failed_rows()
         )
         legacy = sampler.sample(probabilities, rounds, np.random.default_rng(2))
-        dense = {}
+        dense = ZeroFill(rounds)
         for cid, failed_rounds in legacy.failed_rounds.items():
-            vec = np.zeros(rounds, dtype=bool)
-            vec[failed_rounds] = True
-            dense[cid] = vec
-        for subject in subjects:
-            tree = FATTREE_INV.tree_for(subject)
-            states = {e: dense.get(e, np.zeros(rounds, dtype=bool)) for e in tree.basic_events()}
-            expected = tree.evaluate(states)
-            row = failed.get(subject)
-            got = (
-                np.zeros(rounds, dtype=bool)
-                if row is None
-                else unpack_row(row, rounds)
-            )
-            assert np.array_equal(got, expected)
+            dense[cid] = np.zeros(rounds, dtype=bool)
+            dense[cid][failed_rounds] = True
+        expected = effective_states(
+            FATTREE_INV, subjects, set(probabilities) - subjects, dense
+        )
+        assert failed.keys() == expected.keys()
+        for cid, vector in expected.items():
+            assert np.array_equal(unpack_row(failed[cid], rounds), vector), cid
 
     def test_repr_mentions_arena_size(self):
         kernel = AssessmentKernel(FATTREE, FATTREE_INV)
@@ -670,7 +688,7 @@ class TestFatTreeBlocksReadOnlyWhatAPlanNeeds:
         for cid in sorted(engine.relevant_elements(hosts)):
             if rng.random() < 0.2:
                 failed[cid] = pack_bool_matrix(rng.random((1, self.ROUNDS)) < 0.3)[0]
-        return PackedRoundStates(rounds=self.ROUNDS, failed=failed)
+        return RoundStates(rounds=self.ROUNDS, failed=failed)
 
     def test_rows_read_scale_with_the_plan_not_the_fabric(self, medium):
         engine = engine_for(medium)
@@ -706,14 +724,14 @@ class TestFatTreeBlocksReadOnlyWhatAPlanNeeds:
         engine.external_reachable(states, hosts)
         assert rows.reads <= 2 * len(hosts)
 
-        # The same answers as the scalar path over the same states, dense.
-        dense = RoundStates(
-            rounds=self.ROUNDS,
-            failed={cid: unpack_row(row, self.ROUNDS) for cid, row in rows.items()},
-        )
-        want = engine.external_reachable(dense, list(got))
+        # The same answers as the per-round brute-force up-down reference.
+        dense = unpacked(states)
         for host, row in got.items():
-            assert np.array_equal(unpack_row(row, self.ROUNDS), want[host]), host
+            want = [
+                fattree_ext_reference(medium, dense, host, i)
+                for i in range(self.ROUNDS)
+            ]
+            assert np.array_equal(unpack_row(row, self.ROUNDS), want), host
 
     def test_closure_is_assembled_from_the_block_layouts(self, medium):
         engine = engine_for(medium)

@@ -13,16 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.structure import ApplicationStructure
+from repro.core.api import AssessmentConfig, build_assessor
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.transforms import SymmetryChecker
 from repro.faults.dependencies import DependencyModel
-from repro.faults.inventory import build_paper_inventory
+from repro.faults.inventory import (
+    build_paper_inventory,
+    build_rich_inventory,
+    build_zone_inventory,
+)
 from repro.faults.probability import DefaultProbabilityPolicy
-from repro.routing.base import RoundStates
+from repro.routing.base import engine_for
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
+from repro.sampling.dagger import CommonRandomDaggerSampler
+from repro.sampling.statistics import estimate_from_results
 from repro.topology.fattree import FatTreeTopology
-from repro.core.api import AssessmentConfig
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.zones import MultiZoneTopology
+from tests.conftest import packed_states
+from tests.interpreted_oracle import interpreted_assess
+from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 # Module-level fixtures built once: hypothesis re-runs the bodies many
 # times and the topology is immutable under these tests.
@@ -88,12 +99,15 @@ class TestReachabilityProperties:
             for cid, v in base_failed.items()
         }
         hosts = HOSTS[:5]
-        base = engine.external_reachable(RoundStates(1, base_failed), hosts)
-        more = engine.external_reachable(RoundStates(1, more_failed), hosts)
+        states = packed_states(1, base_failed)
+        base = engine.external_reachable(states, hosts)
+        more = engine.external_reachable(packed_states(1, more_failed), hosts)
         for host in hosts:
             # Anything reachable under MORE failures must be reachable
             # under fewer.
-            assert not (more[host][0] and not base[host][0])
+            assert not (
+                states.unpack(more[host])[0] and not states.unpack(base[host])[0]
+            )
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
@@ -103,9 +117,10 @@ class TestReachabilityProperties:
         elements = [cid for cid in TOPOLOGY.components if cid in TOPOLOGY.graph]
         failed = {cid: rng.random(8) < 0.2 for cid in elements}
         a, b = HOSTS[0], HOSTS[7]
-        fwd = engine.pairwise_reachable(RoundStates(8, failed), [(a, b)])
-        rev = engine.pairwise_reachable(RoundStates(8, dict(failed)), [(b, a)])
-        assert np.array_equal(fwd[(a, b)], rev[(b, a)])
+        states = packed_states(8, failed)
+        fwd = engine.pairwise_reachable(states, [(a, b)])
+        rev = engine.pairwise_reachable(packed_states(8, failed), [(b, a)])
+        assert np.array_equal(states.unpack(fwd[(a, b)]), states.unpack(rev[(b, a)]))
 
 
 class TestAssessmentProperties:
@@ -157,3 +172,83 @@ class TestAssessmentProperties:
         result = assessor.assess(plan, ApplicationStructure.k_of_n(2, 3))
         assert 0.0 <= result.score <= 1.0
         assert result.estimate.ci_lower <= result.score <= result.estimate.ci_upper
+
+
+LEAFSPINE = LeafSpineTopology(spines=3, leaves=4, hosts_per_leaf=3, seed=2)
+ZONES = MultiZoneTopology(zones=2, k=4, seed=7)
+SUBSTRATES = [
+    (TOPOLOGY, INVENTORY),
+    (TOPOLOGY, build_rich_inventory(TOPOLOGY, seed=4)),
+    (LEAFSPINE, build_paper_inventory(LEAFSPINE, seed=3)),
+    (ZONES, build_zone_inventory(ZONES, seed=7)),
+]
+STRUCTURES = [
+    ApplicationStructure.k_of_n(1, 2),
+    ApplicationStructure.k_of_n(3, 4),
+    ApplicationStructure.k_of_n(5, 5),
+    ApplicationStructure.from_requirement_map(
+        {"web": 2, "app": 3, "db": 2}, {("app", "web"): 1, ("db", "app"): 2}
+    ),
+]
+
+
+class TestEveryBackendEqualsTheInterpretedOracle:
+    """Sequential = incremental = parallel = the interpreted reference, bit
+    for bit, under common random numbers (the one sampler all of them can
+    share: a component's draws depend on nothing else in the call)."""
+
+    @given(
+        substrate=st.sampled_from(SUBSTRATES),
+        structure=st.sampled_from(STRUCTURES),
+        rounds=st.sampled_from([9, 64, 301]),
+        full=st.booleans(),
+        round_reading=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_all_modes_agree_bit_for_bit(
+        self, substrate, structure, rounds, full, round_reading, seed
+    ):
+        topology, model = substrate
+        plan = DeploymentPlan.random(topology, structure, rng=seed)
+        sampler = CommonRandomDaggerSampler(seed)
+        # Production on its own engine, or driving the per-round union-find
+        # through its door; the reference on the union-find's dense answers
+        # wherever the closures coincide (the generic engine's: everything).
+        engine = (UnionFindReachabilityEngine if round_reading else engine_for)(topology)
+        independent = round_reading or topology is ZONES
+
+        def reference(portion, engine=None if independent else engine):
+            return interpreted_assess(
+                topology, model, plan, structure, portion, sampler, None,
+                engine=engine, sample_full_infrastructure=full,
+            )
+
+        want, sampled = reference(rounds)
+        base = AssessmentConfig(
+            rounds=rounds, rng=seed, engine=engine, sample_full_infrastructure=full
+        )
+        for config in (
+            base.with_updates(sampler=sampler),
+            base.with_updates(mode="incremental", master_seed=seed),
+        ):
+            got = build_assessor(topology, model, config).assess(plan, structure)
+            assert np.array_equal(got.per_round, want), config.mode
+            assert got.estimate == estimate_from_results(want), config.mode
+            assert got.sampled_components == sampled, config.mode
+
+        # Two inline workers assess one portion of the rounds each; under
+        # CRN a portion is the reference at that round count. (A worker
+        # builds the topology's own engine whatever ``config.engine`` says.)
+        parallel = build_assessor(
+            topology,
+            model,
+            base.with_updates(
+                mode="parallel", backend="inline", workers=2, sampler=sampler
+            ),
+        )
+        own = None if topology is ZONES else engine_for(topology)
+        portions = np.concatenate(
+            [reference(portion, own)[0] for portion in parallel._portions(rounds)]
+        )
+        assert np.array_equal(parallel.assess(plan, structure).per_round, portions)

@@ -16,14 +16,7 @@ from hypothesis import strategies as st
 
 from repro.faults.component import ComponentType, link_id
 from repro.faults.probability import DefaultProbabilityPolicy
-from repro.routing.base import (
-    PackedRoundStates,
-    RoundStates,
-    all_alive,
-    any_path,
-    engine_for,
-    materialize,
-)
+from repro.routing.base import RoundStates, all_alive, any_path, engine_for
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
 from repro.routing.generic import GenericReachabilityEngine
 from repro.routing.leafspine_fast import LeafSpineReachabilityEngine
@@ -33,10 +26,12 @@ from repro.topology.base import Topology
 from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, TopologyError
+from tests.conftest import packed_states
 from tests.unionfind_oracle import (
     UnionFindReachabilityEngine,
     failed_in_round,
     rounds_with_failures,
+    unpacked,
 )
 
 ROUNDS = 400
@@ -47,11 +42,12 @@ def _states_for(topology, seed=2, rounds=ROUNDS):
         topology.failure_probabilities(), rounds, np.random.default_rng(seed)
     )
     failed = {cid: batch.dense(cid) for cid in batch.failed_rounds}
-    return RoundStates(rounds, failed)
+    return packed_states(rounds, failed)
 
 
-def _alive(states, cid, i):
-    return not failed_in_round(states, cid, i)
+def _alive(dense, cid, i):
+    """``dense``: the :func:`unpacked` view of the states an engine was given."""
+    return not failed_in_round(dense, cid, i)
 
 
 # ----------------------------------------------------------------------
@@ -132,29 +128,30 @@ class TestRoundStates:
     def test_alive_mask_none_for_unknown(self):
         states = RoundStates(10, {})
         assert states.alive_mask("x") is None
-        assert states.is_always_alive("x")
 
     def test_alive_mask_inverts_failed(self):
         failed = np.array([True, False, True])
-        states = RoundStates(3, {"c": failed})
-        assert np.array_equal(states.alive_mask("c"), ~failed)
+        states = packed_states(3, {"c": failed})
+        assert np.array_equal(states.unpack(states.alive_mask("c")), ~failed)
 
     # The two scalar queries below left ``RoundStates`` with the per-round
     # engine; the oracle module carries them for itself and these tests.
 
     def test_failed_in_round(self):
-        states = RoundStates(3, {"c": np.array([True, False, True])})
+        states = unpacked(packed_states(3, {"c": np.array([True, False, True])}))
         assert failed_in_round(states, "c", 0)
         assert not failed_in_round(states, "c", 1)
         assert not failed_in_round(states, "ghost", 2)
 
     def test_rounds_with_failures(self):
-        states = RoundStates(
-            4,
-            {
-                "a": np.array([True, False, False, False]),
-                "b": np.array([False, False, True, False]),
-            },
+        states = unpacked(
+            packed_states(
+                4,
+                {
+                    "a": np.array([True, False, False, False]),
+                    "b": np.array([False, False, True, False]),
+                },
+            )
         )
         assert list(rounds_with_failures(states, ["a", "b"])) == [0, 2]
         assert list(rounds_with_failures(states, ["a"])) == [0]
@@ -171,7 +168,7 @@ class TestCombinators:
         assert all_alive(states, ["a", "b"]) is None
 
     def test_all_alive_ands_masks(self):
-        states = RoundStates(
+        states = packed_states(
             3,
             {
                 "a": np.array([True, False, False]),
@@ -179,23 +176,28 @@ class TestCombinators:
             },
         )
         mask = all_alive(states, ["a", "b", "ghost"])
-        assert list(mask) == [False, False, True]
+        assert list(states.unpack(mask)) == [False, False, True]
 
     def test_any_path_none_dominates(self):
-        assert any_path([np.zeros(3, bool), None], 3) is None
+        states = RoundStates(3, {})
+        assert any_path([states.zeros(), None], states) is None
 
     def test_any_path_empty_is_unreachable(self):
-        assert not any_path([], 3).any()
+        states = RoundStates(3, {})
+        assert not states.unpack(any_path([], states)).any()
 
     def test_any_path_ors(self):
-        a = np.array([True, False, False])
-        b = np.array([False, True, False])
-        assert list(any_path([a, b], 3)) == [True, True, False]
+        states = RoundStates(3, {})
+        a = np.packbits([True, False, False])
+        b = np.packbits([False, True, False])
+        assert list(states.unpack(any_path([a, b], states))) == [True, True, False]
 
     def test_materialize(self):
-        assert materialize(None, 2).all()
-        mask = np.array([True, False])
-        assert np.array_equal(materialize(mask, 2), mask)
+        states = RoundStates(2, {})
+        assert states.unpack(states.materialize(None)).all()
+        assert not states.unpack(states.materialize(None, alive=False)).any()
+        mask = np.packbits([True, False])
+        assert states.materialize(mask) is mask
 
 
 class TestFatTreeEngineVsBruteForce:
@@ -203,10 +205,12 @@ class TestFatTreeEngineVsBruteForce:
         engine = FatTreeReachabilityEngine(lossy_fattree4)
         hosts = lossy_fattree4.hosts
         result = engine.external_reachable(lossy_states, hosts)
+        dense = unpacked(lossy_states)
         for host in hosts:
+            got = lossy_states.unpack(result[host])
             for i in range(ROUNDS):
-                assert result[host][i] == fattree_ext_reference(
-                    lossy_fattree4, lossy_states, host, i
+                assert got[i] == fattree_ext_reference(
+                    lossy_fattree4, dense, host, i
                 ), (host, i)
 
     def test_pairwise_matches_reference(self, lossy_fattree4, lossy_states):
@@ -220,10 +224,12 @@ class TestFatTreeEngineVsBruteForce:
             (hosts[7], hosts[7]),  # self
         ]
         result = engine.pairwise_reachable(lossy_states, pairs)
+        dense = unpacked(lossy_states)
         for pair in pairs:
+            got = lossy_states.unpack(result[pair])
             for i in range(ROUNDS):
-                assert result[pair][i] == fattree_pair_reference(
-                    lossy_fattree4, lossy_states, *pair, i
+                assert got[i] == fattree_pair_reference(
+                    lossy_fattree4, dense, *pair, i
                 ), (pair, i)
 
     def test_updown_is_subset_of_connectivity(self, lossy_fattree4, lossy_states):
@@ -233,14 +239,14 @@ class TestFatTreeEngineVsBruteForce:
         rf = fast.external_reachable(lossy_states, hosts)
         rg = generic.external_reachable(RoundStates(ROUNDS, lossy_states.failed), hosts)
         for host in hosts:
-            assert not np.any(rf[host] & ~rg[host])
+            assert not lossy_states.unpack(rf[host] & ~rg[host]).any()
 
     def test_no_failures_everything_reachable(self, fattree4):
         engine = FatTreeReachabilityEngine(fattree4)
         states = RoundStates(10, {})
         result = engine.external_reachable(states, fattree4.hosts)
         for host in fattree4.hosts:
-            assert result[host].all()
+            assert states.unpack(result[host]).all()
 
     def test_rejects_non_fattree(self, leafspine):
         with pytest.raises(TopologyError):
@@ -268,16 +274,18 @@ class TestGenericEngine:
         engine = GenericReachabilityEngine(lossy_fattree4)
         hosts = lossy_fattree4.hosts[:5]
         result = engine.external_reachable(lossy_states, hosts)
+        result = {host: lossy_states.unpack(row) for host, row in result.items()}
+        dense = unpacked(lossy_states)
         for i in range(0, ROUNDS, 7):  # spot-check a sample of rounds
             graph = nx.Graph()
             for node in lossy_fattree4.graph.nodes:
-                if _alive(lossy_states, node, i):
+                if _alive(dense, node, i):
                     graph.add_node(node)
             for a, b, data in lossy_fattree4.graph.edges(data=True):
                 if (
                     a in graph
                     and b in graph
-                    and _alive(lossy_states, data["component_id"], i)
+                    and _alive(dense, data["component_id"], i)
                 ):
                     graph.add_edge(a, b)
             alive_borders = [
@@ -301,9 +309,9 @@ class TestGenericEngine:
         engine = GenericReachabilityEngine(fattree4)
         # Fail one edge switch: exactly its hosts become unreachable.
         failed = {"edge/0/0": np.array([True])}
-        states = RoundStates(1, failed)
+        states = packed_states(1, failed)
         result = engine.external_reachable(states, fattree4.hosts)
-        reachable = {host for host, vector in result.items() if vector[0]}
+        reachable = {host for host, row in result.items() if states.unpack(row)[0]}
         assert reachable == set(fattree4.hosts) - {"host/0/0/0", "host/0/0/1"}
 
 
@@ -392,28 +400,25 @@ class TestGenericEngineVsUnionFind:
         topology, rounds, failed, hosts, pairs = case
         oracle = UnionFindReachabilityEngine(topology)
         engine = GenericReachabilityEngine(topology)
-        dense = RoundStates(rounds, failed)
-        packed = PackedRoundStates(
-            rounds, {cid: np.packbits(vector) for cid, vector in failed.items()}
-        )
+        packed = packed_states(rounds, failed)
+        dense = unpacked(packed)
+        assert all(np.array_equal(dense.failed[cid], failed[cid]) for cid in failed)
 
-        expected = oracle.external_reachable(dense, hosts)
-        got_dense = engine.external_reachable(dense, hosts)
-        got_packed = engine.external_reachable(packed, hosts)
-        assert set(got_dense) == set(got_packed) == set(expected)
+        expected = oracle.external_dense(dense, hosts)
+        got = engine.external_reachable(packed, hosts)
+        assert set(got) == set(expected)
         for host, vector in expected.items():
-            assert got_dense[host].dtype == bool
-            assert np.array_equal(got_dense[host], vector), host
-            assert got_packed[host].shape == (packed.width,)
-            assert np.array_equal(packed.unpack(got_packed[host]), vector), host
+            assert got[host].shape == (packed.width,)
+            assert np.array_equal(packed.unpack(got[host]), vector), host
+        # The oracle's own door: what it is handed and returns is packed.
+        for host, row in oracle.external_reachable(packed, hosts).items():
+            assert np.array_equal(packed.unpack(row), expected[host]), host
 
-        expected = oracle.pairwise_reachable(dense, pairs)
-        got_dense = engine.pairwise_reachable(dense, pairs)
-        got_packed = engine.pairwise_reachable(packed, pairs)
-        assert set(got_dense) == set(got_packed) == set(expected)
+        expected = oracle.pairwise_dense(dense, pairs)
+        got = engine.pairwise_reachable(packed, pairs)
+        assert set(got) == set(expected)
         for pair, vector in expected.items():
-            assert np.array_equal(got_dense[pair], vector), pair
-            assert np.array_equal(packed.unpack(got_packed[pair]), vector), pair
+            assert np.array_equal(packed.unpack(got[pair]), vector), pair
 
     def test_relevant_elements_is_one_shared_set(self):
         topology = FIXED_TOPOLOGIES[0]
@@ -457,7 +462,7 @@ class TestGenericEngineVsUnionFind:
             result = engine.external_reachable(states, topology.hosts)
             assert calls["alive_mask"] == ids
             assert 1 <= calls["sweep"] <= len(topology.graph.nodes)
-            assert all(vector.shape == (rounds,) for vector in result.values())
+            assert all(row.shape == (states.width,) for row in result.values())
 
 
 class TestLeafSpineEngine:
@@ -490,9 +495,9 @@ class TestLeafSpineEngine:
         )
         for host in hosts:
             # Up-down is a subset of connectivity...
-            assert not np.any(rf[host] & ~rg[host])
+            assert not policy_states.unpack(rf[host] & ~rg[host]).any()
             # ...and disagreements need a valley path (rare): bound them.
-            disagreement = np.mean(rf[host] != rg[host])
+            disagreement = np.mean(policy_states.unpack(rf[host] ^ rg[host]))
             assert disagreement < 0.05
 
     def test_no_failures_everything_reachable(self, leafspine):
@@ -500,17 +505,17 @@ class TestLeafSpineEngine:
         states = RoundStates(5, {})
         result = engine.external_reachable(states, leafspine.hosts)
         for host in leafspine.hosts:
-            assert result[host].all()
+            assert states.unpack(result[host]).all()
 
     def test_same_leaf_pair_needs_only_leaf(self, leafspine):
         engine = LeafSpineReachabilityEngine(leafspine)
         # Fail every spine: same-leaf hosts still talk, cross-leaf do not.
         failed = {s: np.array([True]) for s in leafspine.spine_ids}
-        states = RoundStates(1, failed)
+        states = packed_states(1, failed)
         same = engine.pairwise_reachable(states, [("host/0/0", "host/0/1")])
         cross = engine.pairwise_reachable(states, [("host/0/0", "host/1/0")])
-        assert same[("host/0/0", "host/0/1")][0]
-        assert not cross[("host/0/0", "host/1/0")][0]
+        assert states.unpack(same[("host/0/0", "host/0/1")])[0]
+        assert not states.unpack(cross[("host/0/0", "host/1/0")])[0]
 
     def test_rejects_non_leafspine(self, fattree4):
         with pytest.raises(TopologyError):

@@ -198,20 +198,23 @@ class TestCrnBehaviour:
         result = search.search(spec)
         assert result.plans_assessed >= 1
 
-    @pytest.mark.parametrize("kernel", [True, False])
-    def test_crn_assessor_shares_the_outer_kernel(self, fattree4, inventory, kernel):
-        """One arena and one compiled forest per search, not two; a
-        ``clear_caches()`` afterwards builds the walk a private one."""
+    @pytest.mark.parametrize("full", [True, False])
+    def test_crn_assessor_shares_the_outer_kernel(self, fattree4, inventory, full):
+        """One arena and one compiled forest per search, not two, in the
+        outer assessor's sampling mode; a ``clear_caches()`` afterwards
+        builds the walk a private one."""
         outer = ReliabilityAssessor(
-            fattree4, inventory, config=AssessmentConfig(rounds=300, rng=5, kernel=kernel)
+            fattree4,
+            inventory,
+            config=AssessmentConfig(rounds=300, rng=5, sample_full_infrastructure=full),
         )
         crn = _search(outer)._search_assessor(master_seed=7)
-        assert (outer.kernel is not None) == kernel
         assert crn.kernel is outer.kernel
+        assert crn.sample_full_infrastructure is full
         structure = ApplicationStructure.k_of_n(2, 3)
         plan = DeploymentPlan.random(fattree4, structure, rng=3)
         before = crn.assess(plan, structure)
         outer.assess(plan, structure)  # compiles into the same forest
         crn.clear_caches()
-        assert kernel == (crn.kernel is not None and crn.kernel is not outer.kernel)
+        assert crn.kernel is not outer.kernel
         assert np.array_equal(before.per_round, crn.assess(plan, structure).per_round)

@@ -38,6 +38,7 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.metrics import MetricsRegistry
+from tests.interpreted_oracle import interpreted_assess
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 
@@ -418,19 +419,23 @@ class TestZoneClosureIsOneLayer:
 class TestGenericEngineKeepsEveryAnswer:
     """The all-rounds generic engine against the per-round union-find it
     replaced, through the whole search: same plans, estimates, trajectory
-    and cache counters. Under ``kernel=True`` the oracle, being
-    dense-only, falls back to the interpreter, so that leg also holds the
-    packed pipeline against the dense one."""
+    and cache counters, in closure and full-infrastructure mode. Only the
+    engine differs: the production search drives the oracle through its
+    unpack/pack door."""
 
     @pytest.mark.parametrize("batch_size", [1, 3])
-    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("full", [False, True])
     def test_search_matches_union_find_oracle(
-        self, zones2, zone_model, kernel, batch_size
+        self, zones2, zone_model, full, batch_size
     ):
         def run(engine):
             metrics = MetricsRegistry()
             config = AssessmentConfig(
-                rounds=300, rng=5, kernel=kernel, engine=engine, metrics=metrics
+                rounds=300,
+                rng=5,
+                sample_full_infrastructure=full,
+                engine=engine,
+                metrics=metrics,
             )
             result = _zone_search(
                 zones2,
@@ -466,10 +471,7 @@ class TestGenericEngineKeepsEveryAnswer:
             assert getattr(got, field) == getattr(want, field), field
         assert got_counters == want_counters
 
-    @pytest.mark.parametrize("kernel", [False, True])
-    def test_layered_assessment_matches_union_find_oracle(
-        self, zones2, zone_model, kernel
-    ):
+    def test_layered_assessment_matches_union_find_oracle(self, zones2, zone_model):
         # Inter-component requirements go through pairwise_reachable.
         structure = ApplicationStructure.from_requirement_map(
             {"web": 2, "app": 3, "db": 2},
@@ -487,7 +489,7 @@ class TestGenericEngineKeepsEveryAnswer:
             build_assessor(
                 zones2,
                 zone_model,
-                AssessmentConfig(rounds=501, rng=21, kernel=kernel, engine=engine),
+                AssessmentConfig(rounds=501, rng=21, engine=engine),
             ).assess(plan, structure)
             for engine in (
                 GenericReachabilityEngine(zones2),
@@ -497,6 +499,21 @@ class TestGenericEngineKeepsEveryAnswer:
         assert results[0].estimate == results[1].estimate
         assert 0.0 < results[0].estimate.score < 1.0
         assert np.array_equal(results[0].per_round, results[1].per_round)
+        # And the one pipeline itself, on the shipped generic engine, against
+        # the interpreted reference with the union-find's dense answers.
+        for full in (False, True):
+            config = AssessmentConfig(
+                rounds=501, rng=21, sample_full_infrastructure=full
+            )
+            assessor = build_assessor(zones2, zone_model, config)
+            per_round, sampled = interpreted_assess(
+                zones2, zone_model, plan, structure, 501,
+                assessor.sampler, np.random.default_rng(21),
+                sample_full_infrastructure=full,
+            )
+            result = assessor.assess(plan, structure)
+            assert np.array_equal(result.per_round, per_round)
+            assert result.sampled_components == sampled
 
 
 def spec_document_legacy(document):

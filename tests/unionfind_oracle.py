@@ -9,14 +9,17 @@ no relevant element fails are resolved in bulk (intact-topology
 connectivity), every other round costs one union-find pass over the alive
 edges, per call.
 
-It reads individual rounds of dense vectors, so it is also the suite's
-one dense-only engine (``supports_packed = False``): the stand-in for a
-user-supplied engine that the kernel and the analytic backend must fall
-back for rather than drive packed.
+It reads individual rounds, so it is also the suite's one round-reading
+engine under the contract of :mod:`repro.routing.base`: at its door it
+unpacks the rows it is handed (:func:`unpacked`) and packs the vectors it
+returns, which lets the *production* pipeline drive it. Its dense answers
+(``external_dense`` / ``pairwise_dense``) are what
+``tests/interpreted_oracle.py`` reads directly.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,13 +28,19 @@ from repro.routing.base import ReachabilityEngine, RoundStates
 from repro.topology.base import Topology
 
 
-def failed_in_round(states: RoundStates, component_id: str, round_index: int) -> bool:
+def unpacked(states: RoundStates) -> SimpleNamespace:
+    """The door: ``states`` with every packed row unpacked to a dense vector."""
+    failed = {cid: states.unpack(row) for cid, row in states.failed.items()}
+    return SimpleNamespace(rounds=states.rounds, failed=failed)
+
+
+def failed_in_round(states, component_id: str, round_index: int) -> bool:
     """Scalar state query for one element in one round (dense states)."""
     failed = states.failed.get(component_id)
     return failed is not None and bool(failed[round_index])
 
 
-def rounds_with_failures(states: RoundStates, component_ids: Iterable[str]) -> np.ndarray:
+def rounds_with_failures(states, component_ids: Iterable[str]) -> np.ndarray:
     """Indices of rounds where at least one listed element is failed."""
     any_failed = np.zeros(states.rounds, dtype=bool)
     for cid in component_ids:
@@ -71,8 +80,6 @@ class _UnionFind:
 class UnionFindReachabilityEngine(ReachabilityEngine):
     """Round-by-round union-find connectivity on the alive subgraph."""
 
-    supports_packed = False
-
     def __init__(self, topology: Topology):
         super().__init__(topology)
         self._index = {node: i for i, node in enumerate(topology.graph.nodes)}
@@ -102,7 +109,7 @@ class UnionFindReachabilityEngine(ReachabilityEngine):
         # Without structural knowledge, any element may sit on some path.
         return set(self._relevant_ids())
 
-    def _components_for_round(self, states: RoundStates, round_index: int) -> _UnionFind:
+    def _components_for_round(self, states, round_index: int) -> _UnionFind:
         """Union-find of the alive subgraph in one round."""
         uf = _UnionFind(len(self._index))
         for ia, ib, link_cid, a, b in self._edges:
@@ -118,6 +125,16 @@ class UnionFindReachabilityEngine(ReachabilityEngine):
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
     ) -> dict[str, np.ndarray]:
+        dense = self.external_dense(unpacked(states), hosts)
+        return {host: np.packbits(vector) for host, vector in dense.items()}
+
+    def pairwise_reachable(
+        self, states: RoundStates, pairs: Sequence[tuple[str, str]]
+    ) -> dict[tuple[str, str], np.ndarray]:
+        dense = self.pairwise_dense(unpacked(states), pairs)
+        return {pair: np.packbits(vector) for pair, vector in dense.items()}
+
+    def external_dense(self, states, hosts: Sequence[str]) -> dict[str, np.ndarray]:
         rounds = states.rounds
         # Rounds without failures fall back to intact-topology connectivity
         # (all-reachable for any sane topology, but not assumed).
@@ -151,8 +168,8 @@ class UnionFindReachabilityEngine(ReachabilityEngine):
                 result[host][round_index] = reachable
         return result
 
-    def pairwise_reachable(
-        self, states: RoundStates, pairs: Sequence[tuple[str, str]]
+    def pairwise_dense(
+        self, states, pairs: Sequence[tuple[str, str]]
     ) -> dict[tuple[str, str], np.ndarray]:
         rounds = states.rounds
         result = {
