@@ -3,8 +3,11 @@
 §3.3.1 Step 3 discards neighbour plans that are symmetric to the current
 plan before paying for an assessment. This bench runs the same search
 budget with pruning enabled and disabled and reports how many *distinct*
-plans each mode managed to consider, plus the per-check cost of the
-signature computation itself.
+plans each mode managed to consider, and — whether Step 3 pays at this
+scale — the milliseconds a move spends being screened beside the
+milliseconds of assessment the skips save it (skip rate x the mean cost of
+an assessed plan in the same run). The per-check cost of the reference
+checker is benchmarked separately.
 
 Expected shape: with pruning on, a meaningful fraction of generated
 neighbours is discarded for free (the paper's 438-plans-in-30 s figure
@@ -26,25 +29,51 @@ from repro.core.api import AssessmentConfig
 BUDGET_SECONDS = 6.0
 
 
+def _time_screen(search: DeploymentSearch) -> list[float]:
+    """Accumulate, in the returned one-element list, the seconds ``search``
+    spends inside its symmetry screen."""
+    screen = search._symmetry_filter
+    decide = screen.equivalent
+    spent = [0.0]
+
+    def timed(plan_a, plan_b):
+        start = time.perf_counter()
+        try:
+            return decide(plan_a, plan_b)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    screen.equivalent = timed
+    return spent
+
+
 def _experiment_symmetry_pruning_effect():
     scale = bench_scales()[0]
     structure = ApplicationStructure.k_of_n(4, 5)
     table = ResultTable(
         "ablation_symmetry",
         f"{'pruning':<9} {'iterations':>11} {'assessed':>9} {'skipped':>8} "
-        f"{'skip_rate':>10}",
+        f"{'skip_rate':>10} {'screen_ms/move':>15} {'saved_ms/move':>14}",
     )
     outcomes = {}
     for use_symmetry in (True, False):
         assessor = ReliabilityAssessor(topology(scale), inventory(scale), config=AssessmentConfig(rounds=8_000, rng=3))
         search = DeploymentSearch(assessor, use_symmetry=use_symmetry, rng=7)
+        screening = _time_screen(search) if use_symmetry else [0.0]
         result = search.search(SearchSpec(structure, max_seconds=BUDGET_SECONDS))
         skip_rate = result.plans_skipped_symmetric / max(result.plans_considered, 1)
+        moves = max(result.candidates_proposed, 1)
+        # Everything the loop does outside the screen is charged to the
+        # plans it assessed: what a skipped neighbour would have cost.
+        assessment_ms = (
+            1e3 * (result.elapsed_seconds - screening[0]) / max(result.plans_assessed, 1)
+        )
         outcomes[use_symmetry] = result
         table.row(
             f"{str(use_symmetry):<9} {result.iterations:>11} "
             f"{result.plans_assessed:>9} {result.plans_skipped_symmetric:>8} "
-            f"{skip_rate:>9.1%}"
+            f"{skip_rate:>9.1%} {1e3 * screening[0] / moves:>15.3f} "
+            f"{assessment_ms * result.plans_skipped_symmetric / moves:>14.3f}"
         )
     table.save()
     # Shape: pruning actually fires, and never fires when disabled.

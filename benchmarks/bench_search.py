@@ -10,7 +10,7 @@ and the one assessment pipeline, so the B=1 trajectory must be
 *bit-identical*: every trace record (temperature, candidate score,
 acceptance decision, best-so-far) is compared tuple-for-tuple.
 
-Two workloads:
+Three workloads:
 
 * ``tiny_loop`` — the Table-2 tiny preset; gates trajectory equality and
   that the pre-batch loop makes >= 4x the function calls of the
@@ -18,6 +18,11 @@ Two workloads:
   exactly, the pre-batch loop's to the ~2 % its uncached symmetry screen
   varies with set order under ``PYTHONHASHSEED``); the seconds of both are
   recorded only;
+* ``symmetry_walk`` — a fixed-seed 8-of-10 search on the Table-2 medium
+  preset with the symmetry screen's pairs recorded; gates the screen's
+  work counters (exact repeats): refinements built == distinct plans
+  screened, bijection searches run == pairs with equal invariants, and
+  instance assignments tried <= a committed ceiling per search run;
 * ``large_walk`` — the k=48 search-benchmark preset (~27k hosts,
   :func:`~repro.topology.presets.search_benchmark_topology`) running a
   fixed move budget under the move-budget temperature schedule; gates
@@ -29,7 +34,8 @@ Usage::
 
     python benchmarks/bench_search.py            # full comparison
     python benchmarks/bench_search.py --smoke    # CI gate: trajectory
-        equality, >= 4x tiny call ratio, k=48 budget completion
+        equality, >= 4x tiny call ratio, symmetry-screen counts, k=48
+        budget completion
 
 Also runnable under pytest (``pytest benchmarks/bench_search.py``).
 """
@@ -67,6 +73,7 @@ from repro.topology.presets import (
     paper_topology,
     search_benchmark_topology,
 )
+from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline
 
@@ -75,6 +82,10 @@ SEARCH_SEED = MASTER_SEED  # seeds the annealing RNG of both loops
 #: Function calls the pre-batch loop must make per call of the batch-first
 #: stack on ``tiny_loop`` (``sys.setprofile`` counts; measured 6.0-6.2x).
 CALLS_RATIO_FLOOR = 4.0
+#: Instance assignments the symmetry screen may try per bijection search
+#: on ``symmetry_walk`` (10 instances a plan; measured 12.3: a symmetric
+#: neighbour is mapped on or next to the first descent).
+EXTENSIONS_PER_MATCH_CEILING = 20.0
 #: Wall-clock budget the k=48 fixed-move-budget walk must finish inside
 #: (search only; building the 27k-host substrate is reported separately).
 LARGE_BUDGET_SECONDS = 240.0
@@ -315,6 +326,92 @@ def bench_tiny_loop(rounds: int, moves: int, repeats: int) -> dict:
     }
 
 
+def bench_symmetry_walk(rounds: int, moves: int) -> dict:
+    """The symmetry screen's work counters over a fixed-seed medium search.
+
+    Every pair the search screens is recorded on its way into the filter,
+    so what the counters must equal is computed from the pairs themselves
+    (the walk stays far inside the filter's LRU, so a plan is refined
+    exactly once).
+    """
+    topology, inventory = _substrate("medium")
+    registry = MetricsRegistry()
+    search = DeploymentSearch.from_config(
+        topology,
+        inventory,
+        AssessmentConfig(mode="incremental", rounds=rounds, rng=5, metrics=registry),
+        rng=SEARCH_SEED,
+        clock=_TickClock(),
+    )
+    screen = search._symmetry_filter
+    pairs = []
+    decide = screen.equivalent
+
+    def recording(plan_a, plan_b):
+        pairs.append((plan_a, plan_b))
+        return decide(plan_a, plan_b)
+
+    screen.equivalent = recording
+    result = search.search(
+        SearchSpec(
+            ApplicationStructure.k_of_n(8, 10),
+            max_seconds=3_600.0,
+            max_iterations=moves,
+        )
+    )
+    counters = {
+        name: int(registry.counter(f"symmetry/{name}"))
+        for name in ("screened", "refined", "matched", "extensions")
+    }
+    pairs = [(a, b) for a, b in pairs if a.canonical_key() != b.canonical_key()]
+    plans = {plan.canonical_key() for pair in pairs for plan in pair}
+    equal_invariants = sum(
+        screen.refinement(a).invariant == screen.refinement(b).invariant
+        for a, b in pairs
+    )
+    return {
+        "workload": "symmetry_walk",
+        "scale": "medium",
+        "rounds": rounds,
+        "moves": moves,
+        "iterations": result.iterations,
+        "skipped_symmetric": result.plans_skipped_symmetric,
+        "pairs_screened": len(pairs),
+        "distinct_plans_screened": len(plans),
+        "pairs_with_equal_invariants": equal_invariants,
+        **counters,
+        "extensions_per_match": counters["extensions"] / max(counters["matched"], 1),
+        "extensions_per_match_ceiling": EXTENSIONS_PER_MATCH_CEILING,
+    }
+
+
+def _symmetry_walk_failures(row: dict) -> list[str]:
+    """Which of the ``symmetry_walk`` count gates ``row`` misses."""
+    failures = []
+    if row["screened"] != row["pairs_screened"]:
+        failures.append(
+            f"{row['screened']} pairs counted, {row['pairs_screened']} screened"
+        )
+    if row["refined"] != row["distinct_plans_screened"]:
+        failures.append(
+            f"{row['refined']} refinements built for "
+            f"{row['distinct_plans_screened']} distinct plans"
+        )
+    if row["matched"] != row["pairs_with_equal_invariants"]:
+        failures.append(
+            f"{row['matched']} bijection searches for "
+            f"{row['pairs_with_equal_invariants']} pairs with equal invariants"
+        )
+    if not 0 < row["skipped_symmetric"] <= row["matched"]:
+        failures.append("the walk skipped no symmetric neighbour")
+    if row["extensions_per_match"] > EXTENSIONS_PER_MATCH_CEILING:
+        failures.append(
+            f"{row['extensions_per_match']:.1f} extensions per bijection search, "
+            f"ceiling {EXTENSIONS_PER_MATCH_CEILING:.0f}"
+        )
+    return failures
+
+
 def bench_large_walk(
     move_budget: int,
     rounds: int,
@@ -384,6 +481,15 @@ def _report(row: dict) -> str:
             f"pre-batch={row['pre_batch_seconds']:.3f}s "
             f"batched={row['batched_seconds']:.3f}s mismatches={row['mismatches']}"
         )
+    if row["workload"] == "symmetry_walk":
+        return (
+            f"{row['workload']:<11} {row['scale']:<6} moves={row['moves']:<4} "
+            f"screened={row['screened']} refined={row['refined']}/"
+            f"{row['distinct_plans_screened']} plans matched={row['matched']}/"
+            f"{row['pairs_with_equal_invariants']} equal invariants "
+            f"skipped={row['skipped_symmetric']} extensions={row['extensions']} "
+            f"({row['extensions_per_match']:.1f}/match)"
+        )
     return (
         f"{row['workload']:<11} {row['scale']:<6} hosts={row['hosts']} "
         f"moves={row['iterations']}/{row['move_budget']} B={row['batch_size']} "
@@ -398,6 +504,7 @@ def _write_results(rows: list[dict]) -> None:
         "benchmark": "batch-first search loop vs pre-batch loop",
         "search_seed": SEARCH_SEED,
         "calls_ratio_floor": CALLS_RATIO_FLOOR,
+        "extensions_per_match_ceiling": EXTENSIONS_PER_MATCH_CEILING,
         "rows": rows,
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -416,6 +523,10 @@ def run_smoke() -> int:
         f"pre-batch loop makes {tiny['calls_ratio']:.2f}x the batch-first "
         f"stack's calls, below the {CALLS_RATIO_FLOOR:.0f}x floor"
     )
+    symmetry = bench_symmetry_walk(rounds=1_000, moves=200)
+    print(_report(symmetry))
+    failures = _symmetry_walk_failures(symmetry)
+    assert not failures, "; ".join(failures)
     large = bench_large_walk(move_budget=12, rounds=1_000, batch_size=8)
     print(_report(large))
     assert large["within_budget"] and large["completed_budget"], (
@@ -423,8 +534,11 @@ def run_smoke() -> int:
         f"moves in {large['search_seconds']:.1f}s "
         f"(budget {large['budget_seconds']:.0f}s)"
     )
-    _write_results([tiny, large])
-    print("smoke OK: bit-identical trajectory, call-ratio floor and budget met")
+    _write_results([tiny, symmetry, large])
+    print(
+        "smoke OK: bit-identical trajectory, call-ratio floor, symmetry-screen "
+        "counts and budget met"
+    )
     return 0
 
 
@@ -432,13 +546,14 @@ def run_full(rounds: int, moves: int, move_budget: int, batch_size: int) -> int:
     failed = False
     rows = [
         bench_tiny_loop(rounds=rounds, moves=moves, repeats=5),
+        bench_symmetry_walk(rounds=rounds, moves=moves),
         bench_large_walk(
             move_budget=move_budget, rounds=rounds, batch_size=batch_size
         ),
     ]
     for row in rows:
         print(_report(row))
-    tiny, large = rows
+    tiny, symmetry, large = rows
     if tiny["mismatches"]:
         print(f"  !! {tiny['mismatches']} trajectory mismatches")
         failed = True
@@ -447,6 +562,9 @@ def run_full(rounds: int, moves: int, move_budget: int, batch_size: int) -> int:
             f"  !! call ratio {tiny['calls_ratio']:.2f}x below "
             f"{CALLS_RATIO_FLOOR:.0f}x"
         )
+        failed = True
+    for failure in _symmetry_walk_failures(symmetry):
+        print(f"  !! symmetry screen: {failure}")
         failed = True
     if not (large["within_budget"] and large["completed_budget"]):
         print("  !! k=48 walk missed its wall-clock budget")
@@ -465,7 +583,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI gate: trajectory equality, 2x tiny speedup, k=48 budget",
+        help="CI gate: trajectory equality, 4x tiny call ratio, "
+        "symmetry-screen counts, k=48 budget",
     )
     parser.add_argument("--rounds", type=int, default=2_000)
     parser.add_argument("--moves", type=int, default=120)

@@ -18,9 +18,11 @@ reliability can depend on:
 
 Two plans whose surgery graphs are isomorphic place their instances in
 symmetric positions with identically-shared dependencies, so the entire
-route-and-check distribution coincides. Isomorphism is decided via the
-Weisfeiler-Lehman graph hash (exact on these small coloured membership
-graphs in practice, and used as a conservative signature).
+route-and-check distribution coincides. :class:`SymmetryChecker` is the
+reference: it builds the graphs and asks networkx for an exact
+isomorphism. :class:`BatchSymmetryFilter` is what the search calls: the
+same verdicts from colour refinement and one bijection search over the
+instances, cached per plan.
 
 Probability classes quantise failure probabilities (§3.3.1: components of
 the same type with *similar* probabilities are treated as one type;
@@ -30,9 +32,9 @@ types). The quantisation step is configurable.
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
-from itertools import permutations, product
+from collections import Counter, OrderedDict
+from itertools import chain
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -76,29 +78,32 @@ class SymmetryChecker:
             symmetry = dependency.component_type.value
         return f"{symmetry}|p{self.probability_class(component_id)}"
 
+    def host_groups(self, host: str) -> tuple[tuple[str, str], ...]:
+        """``(group id, node label)`` of every group an instance on ``host``
+        is a member of: the host, its edge switch, its pod and the shared
+        dependencies in its fault tree — deduplicated, in a fixed order.
+        """
+        topo = self.topology
+        edge = topo.edge_switch_of(host)
+        groups = {host: self._group_label(host), edge: self._group_label(edge)}
+        pod_of = getattr(topo, "pod_of", None)
+        if pod_of is not None and pod_of(host) is not None:
+            groups[f"pod:{pod_of(host)}"] = "pod"
+        for event in sorted(self.dependency_model.basic_events_of(host)):
+            if event not in groups:
+                groups[event] = self._group_label(event)
+        return tuple(groups.items())
+
     def surgery_graph(self, plan: DeploymentPlan) -> nx.Graph:
         """The canonical membership graph described in the module docstring."""
         graph = nx.Graph()
-        topo = self.topology
         for component, hosts in plan.placements:
             for index, host in enumerate(hosts):
                 instance_node = ("instance", component, index)
                 graph.add_node(instance_node, label=f"instance|{component}")
-                groups = [host, topo.edge_switch_of(host)]
-                pod_of = getattr(topo, "pod_of", None)
-                if pod_of is not None and pod_of(host) is not None:
-                    groups.append(f"pod:{pod_of(host)}")
-                for event in self.dependency_model.tree_for(host).basic_events():
-                    if event != host:
-                        groups.append(event)
-                for group in groups:
-                    group_node = ("group", group)
-                    if group.startswith("pod:"):
-                        label = "pod"
-                    else:
-                        label = self._group_label(group)
-                    graph.add_node(group_node, label=label)
-                    graph.add_edge(instance_node, group_node)
+                for group, label in self.host_groups(host):
+                    graph.add_node(("group", group), label=label)
+                    graph.add_edge(instance_node, ("group", group))
         return graph
 
     def signature(self, plan: DeploymentPlan) -> str:
@@ -131,49 +136,44 @@ class SymmetryChecker:
         return matcher.is_isomorphic()
 
 
+class _Refinement(NamedTuple):
+    """What :class:`BatchSymmetryFilter` caches per plan."""
+
+    #: Every round's colour table, the class sizes and the multiset of
+    #: ``(label, member colours)`` over the shared groups.
+    invariant: tuple
+    #: Final colour of each instance, and the instances of each colour.
+    colours: list[int]
+    classes: list[list[int]]
+    #: ``(label, instances)`` of every group two or more instances touch.
+    shared: list[tuple[int, list[int]]]
+
+
 class BatchSymmetryFilter:
-    """Symmetry screening for the search hot loop: exact certificates with
-    the checker's own WL + VF2 path behind them.
+    """Symmetry screening for the search hot loop: one exact tier.
 
     Every :meth:`SymmetryChecker.equivalent` call rebuilds two surgery
-    graphs and runs two Weisfeiler-Lehman hashes, even though consecutive
-    checks share the incumbent plan and each neighbour differs from it by
-    one host. The filter decides the same verdicts from what it caches:
+    graphs and hashes both, even though consecutive checks share the
+    incumbent and each neighbour differs from it by one host. The filter
+    decides the same verdicts without a graph library:
 
-    * **Exact certificates.** For plans with few instances the surgery
-      graph is a tiny coloured bipartite incidence structure, and a
-      *complete* isomorphism invariant is cheap to compute outright (see
-      :meth:`_compute_certificate`): colour refinement splits the
-      instances into classes, and the shared-group multiset is minimised
-      over the renumberings inside the classes refinement could not
-      split. Two plans are equivalent **iff** their certificates are
-      equal — no hashing, no VF2 — and certificates are LRU-cached by
-      ``plan.canonical_key()``, so the incumbent's is built once per
-      incumbent, not once per candidate.
-    * **WL + VF2 fallback.** When the renumberings left would exceed
-      :attr:`PERMUTATION_BUDGET` (many interchangeable instances, e.g.
-      four pods holding two each) the certificate declines and the
-      checker's WL-signature + exact-isomorphism path runs, signatures
-      LRU-cached by canonical key. Both tiers decide exact graph
-      isomorphism, so verdicts never depend on which one ran.
+    * **Per plan**, LRU-cached by ``plan.canonical_key()``: the instance
+      colouring refined to a fixpoint over the shared groups, and its
+      isomorphism invariant (:meth:`refinement`).
+    * **Per pair**: unequal invariants are not equivalent; equal
+      invariants are decided by searching for one colour-preserving
+      bijection of the instances that carries one plan's shared groups
+      onto the other's (:meth:`_match`).
 
-    Measured on the end-to-end benchmark's searches (the 36 ops of a
-    ``--seed 1 --trace 1`` round, counters ``symmetry/*``): on
-    ``search_fattree`` (10 instances on Table-2 ``medium``, 900 moves)
-    certificates decide 82 % of the moves and the fallback 18 %, and 10 %
-    of the 916 certificates built overflow the budget; on
-    ``search_zones`` (5 instances, 2 zones, 360 moves) certificates
-    decide every move. DESIGN.md has the table, and why no cheaper tier
-    sits in front of the certificate.
+    Both steps are exact, so there is no budget and no fallback. Group
+    ids and labels are interned to integers that mean something inside
+    this filter only: nothing derived from them leaves it but verdicts.
+    DESIGN.md ("Symmetry screening at batch rate") has the argument.
 
     The filter is deliberately *not* folded into :class:`SymmetryChecker`:
     the unwrapped checker remains the uncached reference implementation
     the differential tests hold the filter against.
     """
-
-    #: Maximum number of colour-preserving instance renumberings the exact
-    #: certificate may enumerate; beyond it the WL + VF2 fallback runs.
-    PERMUTATION_BUDGET = 720
 
     def __init__(
         self,
@@ -187,114 +187,80 @@ class BatchSymmetryFilter:
             )
         self.checker = checker
         self.max_signatures = max_signatures
-        #: ``symmetry/certificate`` and ``symmetry/fallback`` count the
-        #: verdicts each tier decided, ``symmetry/certificate_built`` and
-        #: ``symmetry/budget_overflow`` the certificates built and the
-        #: builds among them that declined.
+        #: ``symmetry/screened`` counts the pairs decided,
+        #: ``symmetry/refined`` the refinements built (one per distinct
+        #: plan while it stays cached), ``symmetry/matched`` the pairs
+        #: whose invariants were equal and ``symmetry/extensions`` the
+        #: instance assignments their bijection searches tried.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._host_groups: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._signatures: OrderedDict[tuple, str] = OrderedDict()
-        self._certificates: OrderedDict[tuple, tuple | None] = OrderedDict()
+        self._interned: dict[str, int] = {}
+        self._host_groups: dict[str, tuple[tuple[int, int], ...]] = {}
+        self._refinements: OrderedDict[tuple, _Refinement] = OrderedDict()
 
     # ------------------------------------------------------------------
 
-    def _host_group_entries(self, host: str) -> tuple[tuple[str, str], ...]:
-        """``(group id, group label)`` pairs ``host`` contributes, deduplicated.
+    def _groups_of(self, host: str) -> tuple[tuple[int, int], ...]:
+        """:meth:`SymmetryChecker.host_groups` on interned integers."""
+        groups = self._host_groups.get(host)
+        if groups is None:
+            intern = self._interned
+            groups = self._host_groups[host] = tuple(
+                (
+                    intern.setdefault(group, len(intern)),
+                    intern.setdefault(label, len(intern)),
+                )
+                for group, label in self.checker.host_groups(host)
+            )
+        return groups
 
-        Exactly the group nodes :meth:`SymmetryChecker.surgery_graph`
-        attaches to an instance on ``host`` (the host, its edge switch,
-        its pod, its shared fault-tree dependencies) — ids preserve the
-        sharing structure between instances, labels are the graph's node
-        labels.
-        """
-        cached = self._host_groups.get(host)
+    def refinement(self, plan: DeploymentPlan) -> _Refinement:
+        """Refined colouring of ``plan``, LRU-cached by canonical key."""
+        return self._refinement(plan, plan.canonical_key())
+
+    def _refinement(self, plan: DeploymentPlan, key: tuple) -> _Refinement:
+        cached = self._refinements.get(key)
         if cached is not None:
+            self._refinements.move_to_end(key)
             return cached
-        checker = self.checker
-        topo = checker.topology
-        entries: dict[str, str] = {
-            host: checker._group_label(host),
-        }
-        edge = topo.edge_switch_of(host)
-        entries.setdefault(edge, checker._group_label(edge))
-        pod_of = getattr(topo, "pod_of", None)
-        if pod_of is not None and pod_of(host) is not None:
-            entries.setdefault(f"pod:{pod_of(host)}", "pod")
-        for event in checker.dependency_model.tree_for(host).basic_events():
-            if event != host:
-                entries.setdefault(event, checker._group_label(event))
-        result = tuple(entries.items())
-        self._host_groups[host] = result
-        return result
+        self.metrics.incr("symmetry/refined")
+        refinement = self._refinements[key] = self._refine(plan)
+        if len(self._refinements) > self.max_signatures:
+            self._refinements.popitem(last=False)
+        return refinement
 
-    def certificate(self, plan: DeploymentPlan) -> tuple | None:
-        """Complete isomorphism invariant of the surgery graph, or ``None``.
+    def _refine(self, plan: DeploymentPlan) -> _Refinement:
+        """Colour refinement of the instance-group incidence structure.
 
-        LRU-cached by canonical key. Two plans with certificates are
-        equivalent iff the certificates are equal; ``None`` means the
-        permutation budget was exceeded and the caller must fall back to
-        the WL + exact-isomorphism path.
+        The surgery graph is bipartite (instances x groups) and a group
+        has no identity beyond its label and its members, so the graph is
+        determined up to isomorphism by each instance's component and
+        ``(group label, degree)`` profile — its *initial colour*, which
+        also covers every group only one instance touches — plus the
+        multiset of ``(label, members)`` over the shared groups. Colours
+        are refined to a fixpoint: an instance's next colour is its colour
+        plus, per shared group it is in, the group's label and its
+        members' colours. A colour is the rank of its signature in the
+        round's sorted table and every table goes into the invariant, so
+        equal invariants name equal colours, and an isomorphism — which
+        preserves every round's signatures — preserves the invariant.
         """
-        key = plan.canonical_key()
-        if key in self._certificates:
-            self._certificates.move_to_end(key)
-            return self._certificates[key]
-        certificate = self._compute_certificate(plan)
-        self.metrics.incr("symmetry/certificate_built")
-        if certificate is None:
-            self.metrics.incr("symmetry/budget_overflow")
-        self._certificates[key] = certificate
-        if len(self._certificates) > self.max_signatures:
-            self._certificates.popitem(last=False)
-        return certificate
-
-    def _compute_certificate(self, plan: DeploymentPlan) -> tuple | None:
-        """Canonicalise the coloured instance-group incidence structure.
-
-        The surgery graph is bipartite (instances x groups) and groups
-        carry no identity beyond their label and attachment set, so the
-        graph is determined up to isomorphism by each instance's component
-        and ``(group label, degree)`` profile — its *initial colour*,
-        which also covers every group attached to one instance only — plus
-        the multiset of ``(group label, attached instances)`` over the
-        shared groups, modulo a colour-preserving renumbering of the
-        instances. Colours are refined to a fixpoint (an instance's next
-        colour is its colour plus, per shared group it is in, the group's
-        label and its members' colours); every round's colour table goes
-        into the certificate, so equal certificates name equal colours.
-        Any isomorphism preserves every round's colours, so minimising
-        the shared-group multiset over colour-preserving renumberings
-        only — positions are handed out class by class in colour order —
-        loses nothing. Classes of one instance, and classes attached to no
-        shared group (the multiset never mentions them), have nothing to
-        permute and stay out of the enumeration and its budget.
-        """
-        attachments: dict[str, tuple[str, list[int]]] = {}
-        instances: list[tuple[str, tuple[tuple[str, str], ...]]] = []
+        instances: list[tuple[str, tuple[tuple[int, int], ...]]] = []
+        groups: dict[int, tuple[int, list[int]]] = {}
         for component, hosts in plan.placements:
             for host in hosts:
-                entries = self._host_group_entries(host)
-                for group_id, label in entries:
-                    attachments.setdefault(group_id, (label, []))[1].append(
-                        len(instances)
-                    )
+                entries = self._groups_of(host)
+                for group, label in entries:
+                    groups.setdefault(group, (label, []))[1].append(len(instances))
                 instances.append((component, entries))
         count = len(instances)
-        shared = [group for group in attachments.values() if len(group[1]) > 1]
+        shared = [group for group in groups.values() if len(group[1]) > 1]
         shared_of: list[list[int]] = [[] for _ in range(count)]
         for index, (_, attached) in enumerate(shared):
             for instance in attached:
                 shared_of[instance].append(index)
+        degree = {group: len(attached) for group, (_, attached) in groups.items()}
         signatures: list[tuple] = [
-            (
-                component,
-                tuple(
-                    sorted(
-                        (label, len(attachments[group_id][1]))
-                        for group_id, label in entries
-                    )
-                ),
-            )
+            (component, tuple(sorted([(label, degree[g]) for g, label in entries])))
             for component, entries in instances
         ]
 
@@ -306,88 +272,99 @@ class BatchSymmetryFilter:
             tables.append(tuple(table))
             rank = {signature: colour for colour, signature in enumerate(table)}
             colours = [rank[signature] for signature in signatures]
-            if len(table) == count or not shared:
-                break  # nothing left to split / nothing to split by
             group_colours = [
-                (label, tuple(sorted(colours[i] for i in attached)))
+                (label, tuple(sorted([colours[i] for i in attached])))
                 for label, attached in shared
             ]
+            if len(table) == count or not shared:
+                break  # nothing left to split / nothing to split by
             signatures = [
-                (colours[i], tuple(sorted(group_colours[g] for g in shared_of[i])))
+                (colours[i], tuple(sorted([group_colours[g] for g in shared_of[i]])))
                 for i in range(count)
             ]
 
         classes: list[list[int]] = [[] for _ in tables[-1]]
         for instance, colour in enumerate(colours):
             classes[colour].append(instance)
-        mapping = [0] * count
-        permuted: list[tuple[list[int], range]] = []
-        budget = 1
-        base = 0
-        for members in classes:
-            slots = range(base, base + len(members))
-            base += len(members)
-            for instance, position in zip(members, slots):
-                mapping[instance] = position
-            if len(members) > 1 and shared_of[members[0]]:
-                permuted.append((members, slots))
-                budget *= math.factorial(len(members))
-                if budget > self.PERMUTATION_BUDGET:
-                    return None
-
-        best: list | None = None
-        for combo in product(*(permutations(slots) for _, slots in permuted)):
-            for (members, _), positions in zip(permuted, combo):
-                for instance, position in zip(members, positions):
-                    mapping[instance] = position
-            candidate = sorted(
-                (label, sorted(mapping[i] for i in attached))
-                for label, attached in shared
-            )
-            if best is None or candidate < best:
-                best = candidate
-        return (
+        invariant = (
             tuple(tables),
             tuple(len(members) for members in classes),
-            tuple((label, tuple(positions)) for label, positions in best),
+            tuple(sorted(group_colours)),
+        )
+        return _Refinement(invariant, colours, classes, shared)
+
+    def _match(self, a: _Refinement, b: _Refinement) -> bool:
+        """Whether a colour-preserving bijection carries ``a``'s shared
+        groups onto ``b``'s (as multisets of ``(label, members)``).
+
+        Such a bijection, with the equal initial colours it implies, *is*
+        an isomorphism of the surgery graphs, and every isomorphism is
+        one. Instances of ``a`` are taken shared group by shared group,
+        smallest group first, each tried on the unused instances of its
+        colour in ``b``; a group whose last member was just mapped must
+        find its image among ``b``'s groups still unclaimed, or the
+        partial map is dropped. A genuinely symmetric pair succeeds on
+        (or near) the first descent.
+        """
+        by_size = sorted(a.shared, key=lambda group: len(group[1]))
+        # Instances in no shared group come last: any assignment inside
+        # their class does.
+        order = list(
+            dict.fromkeys(
+                chain(*(attached for _, attached in by_size), range(len(a.colours)))
+            )
+        )
+        position = {instance: depth for depth, instance in enumerate(order)}
+        completes: list[list[tuple[int, list[int]]]] = [[] for _ in order]
+        for group in a.shared:
+            completes[max(position[i] for i in group[1])].append(group)
+        unclaimed = Counter(
+            (label, frozenset(attached)) for label, attached in b.shared
         )
 
-    def signature(self, plan: DeploymentPlan) -> str:
-        """WL signature of ``plan``, LRU-cached by canonical key."""
-        key = plan.canonical_key()
-        cached = self._signatures.get(key)
-        if cached is not None:
-            self._signatures.move_to_end(key)
-            return cached
-        signature = self.checker.signature(plan)
-        self._signatures[key] = signature
-        if len(self._signatures) > self.max_signatures:
-            self._signatures.popitem(last=False)
-        return signature
+        image = [-1] * len(order)
+        used = [False] * len(order)
+        extensions = 0
+
+        def extend(depth: int) -> bool:
+            nonlocal extensions
+            if depth == len(order):
+                return True
+            instance = order[depth]
+            for candidate in b.classes[a.colours[instance]]:
+                if used[candidate]:
+                    continue
+                extensions += 1
+                image[instance] = candidate
+                claimed = []
+                for label, attached in completes[depth]:
+                    key = (label, frozenset([image[i] for i in attached]))
+                    if not unclaimed[key]:
+                        break
+                    unclaimed[key] -= 1
+                    claimed.append(key)
+                else:
+                    used[candidate] = True
+                    if extend(depth + 1):
+                        return True
+                    used[candidate] = False
+                for key in claimed:
+                    unclaimed[key] += 1
+            return False
+
+        found = extend(0)
+        self.metrics.incr("symmetry/matched")
+        self.metrics.incr("symmetry/extensions", extensions)
+        return found
 
     # ------------------------------------------------------------------
 
     def equivalent(self, plan_a: DeploymentPlan, plan_b: DeploymentPlan) -> bool:
-        """Cached variant of :meth:`SymmetryChecker.equivalent`.
-
-        Both the certificate fast path and the WL + VF2 fallback decide
-        exact isomorphism of the surgery graphs, so the verdict is always
-        the one the unwrapped checker would return.
-        """
-        if plan_a.canonical_key() == plan_b.canonical_key():
+        """Cached, graph-free variant of :meth:`SymmetryChecker.equivalent`:
+        always the verdict the unwrapped checker would return."""
+        key_a, key_b = plan_a.canonical_key(), plan_b.canonical_key()
+        if key_a == key_b:
             return True
-        certificate_a = self.certificate(plan_a)
-        if certificate_a is not None:
-            certificate_b = self.certificate(plan_b)
-            if certificate_b is not None:
-                self.metrics.incr("symmetry/certificate")
-                return certificate_a == certificate_b
-        self.metrics.incr("symmetry/fallback")
-        if self.signature(plan_a) != self.signature(plan_b):
-            return False
-        matcher = nx.algorithms.isomorphism.GraphMatcher(
-            self.checker.surgery_graph(plan_a),
-            self.checker.surgery_graph(plan_b),
-            node_match=lambda a, b: a["label"] == b["label"],
-        )
-        return matcher.is_isomorphic()
+        self.metrics.incr("symmetry/screened")
+        a, b = self._refinement(plan_a, key_a), self._refinement(plan_b, key_b)
+        return a.invariant == b.invariant and self._match(a, b)

@@ -127,6 +127,7 @@ def _worker_portion(args: tuple) -> tuple[np.ndarray, int]:
             AssessmentConfig(
                 rounds=rounds,
                 sampler=_WORKER_STATE["sampler"],
+                engine=_WORKER_STATE["engine"],
                 rng=seed,
             ),
         )
@@ -296,6 +297,7 @@ class ParallelAssessor(AssessorBase):
             topology=self.topology,
             model=self.dependency_model,
             sampler=self.sampler,
+            engine=self.config.engine,
             chaos=self.chaos,
         )
         context = multiprocessing.get_context("fork")
@@ -780,6 +782,7 @@ class ParallelAssessor(AssessorBase):
             AssessmentConfig(
                 rounds=portion.rounds,
                 sampler=self.sampler,
+                engine=self.config.engine,
                 rng=seed,
             ),
         )

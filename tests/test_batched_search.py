@@ -8,6 +8,8 @@ runs must be deterministic for a fixed seed, and the new
 checkpoints written before the fields existed.
 """
 
+import sys
+
 import pytest
 
 from repro import serialization
@@ -24,6 +26,8 @@ from repro.core.objectives import ReliabilityObjective
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec, SearchState
 from repro.core.transforms import SymmetryChecker
+from repro.faults.inventory import build_paper_inventory
+from repro.topology.presets import paper_topology
 from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline
@@ -154,6 +158,41 @@ class TestBatchSizeOneBitIdentity:
         result = _search(fattree4, inventory, batch_size=1).search(spec)
         assert result.candidates_proposed == result.iterations == 15
         assert result.batches_scored <= result.iterations
+
+
+class TestSearchPathIsNetworkxFree:
+    def test_medium_search_never_enters_networkx(self):
+        """The search screens symmetry without a graph library — zero
+        frames of ``networkx.*`` under ``DeploymentSearch.search`` — and
+        still walks the trajectory the reference loop walks with the
+        uncached networkx ``SymmetryChecker.equivalent``."""
+        topology = paper_topology("medium", seed=1)
+        inventory = build_paper_inventory(topology, seed=2)
+        spec = SearchSpec(
+            ApplicationStructure.k_of_n(8, 10), max_seconds=50.0, max_iterations=25
+        )
+        search = _search(topology, inventory)
+        topology.elements  # cached listing of the topology's own nx.Graph
+        entered = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__", "")
+                if module.split(".")[0] == "networkx":
+                    entered.append(f"{module}.{frame.f_code.co_name}")
+
+        sys.setprofile(profiler)
+        try:
+            result = search.search(spec)
+        finally:
+            sys.setprofile(None)
+        assert entered == []
+        reference = _reference_search(topology, inventory, spec)
+        assert _trace_key(result.trace) == reference["trace"]
+        assert result.best_plan == reference["best_plan"]
+        assert result.best_assessment.score == reference["best_score"]
+        # Both verdicts occurred, so the screen was actually exercised.
+        assert 0 < result.plans_skipped_symmetric < 25
 
 
 class TestBatchedDeterminism:

@@ -1,5 +1,7 @@
 """Tests for the parallel MapReduce-style assessor (repro.runtime)."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.app.structure import ApplicationStructure
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.runtime import mapreduce
+from repro.routing.base import ReachabilityEngine, engine_for
 from repro.runtime.mapreduce import ParallelAssessor, RetryPolicy
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
@@ -121,6 +124,54 @@ class TestProcessBackend:
         key = pa._registry_key
         pa.__del__()
         assert key not in mapreduce._FORK_REGISTRY
+
+
+class _RecordingEngine(ReachabilityEngine):
+    """The topology's own engine behind a call counter forked workers share."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.inner = engine_for(topology)
+        self.calls = multiprocessing.get_context("fork").Value("i", 0)
+
+    def _record(self):
+        with self.calls.get_lock():
+            self.calls.value += 1
+
+    def external_reachable(self, states, hosts):
+        self._record()
+        return self.inner.external_reachable(states, hosts)
+
+    def pairwise_reachable(self, states, pairs):
+        self._record()
+        return self.inner.pairwise_reachable(states, pairs)
+
+    def relevant_elements(self, hosts):
+        return self.inner.relevant_elements(hosts)
+
+
+class TestConfiguredEngine:
+    """``AssessmentConfig(engine=...)`` reaches every portion: the inline
+    path and the forked workers used to build the topology's default."""
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_portions_route_on_the_configured_engine(
+        self, fattree4, inventory, plan, structure, backend
+    ):
+        engine = _RecordingEngine(fattree4)
+        config = AssessmentConfig(
+            mode="parallel", rounds=2_000, workers=2, rng=3,
+            backend=backend, engine=engine,
+        )
+        with ParallelAssessor(fattree4, inventory, config=config) as pa:
+            result = pa.assess(plan, structure)
+        assert result.estimate.rounds == 2_000
+        assert engine.calls.value >= result.runtime.portions == 2
+        # The recorder only forwards, so the estimate is the default engine's.
+        with ParallelAssessor(
+            fattree4, inventory, config=config.with_updates(engine=None)
+        ) as pa:
+            assert pa.assess(plan, structure).score == result.score
 
 
 class TestRuntimeMetadata:
