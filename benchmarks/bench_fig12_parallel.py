@@ -33,7 +33,7 @@ STRUCTURE = ApplicationStructure.k_of_n(4, 5)
 def _measure(scale, workers, rounds, repetitions=3):
     topo = topology(scale)
     plan = DeploymentPlan.random(topo, STRUCTURE, rng=6)
-    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=rounds, workers=workers, rng=5, backend="process")) as assessor:
+    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=rounds, workers=workers, rng=5)) as assessor:
         best = float("inf")
         for _ in range(repetitions):
             start = time.perf_counter()
@@ -82,7 +82,7 @@ def test_parallel_assessment_time(benchmark, workers):
     rounds = max(ROUND_SERIES)
     topo = topology(scale)
     plan = DeploymentPlan.random(topo, STRUCTURE, rng=6)
-    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=rounds, workers=workers, rng=5, backend="process")) as assessor:
+    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=rounds, workers=workers, rng=5)) as assessor:
         benchmark.pedantic(
             lambda: assessor.assess(plan, STRUCTURE), iterations=1, rounds=2
         )

@@ -48,7 +48,7 @@ def _measure(scale, rate, kinds=("crash", "error"), repetitions=3):
     chaos = (
         ChaosPolicy(rate=rate, kinds=kinds, seed=11) if rate > 0 else None
     )
-    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=ROUNDS, workers=WORKERS, rng=5, backend="process", retry_policy=RetryPolicy(max_retries=3, backoff_seconds=0.01), chaos=chaos)) as assessor:
+    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=ROUNDS, workers=WORKERS, rng=5, retry_policy=RetryPolicy(max_retries=3, backoff_seconds=0.01), chaos=chaos)) as assessor:
         best_ms, result = float("inf"), None
         for _ in range(repetitions):
             start = time.perf_counter()

@@ -131,34 +131,19 @@ def cmd_assess(args) -> int:
     structure = ApplicationStructure.k_of_n(args.k, len(hosts))
     plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
     if args.assessor == "analytic":
-        # The analytic backend is a mode of its own: collect every flag
-        # conflict and report them all at once, like config validation.
-        conflicts = []
-        if args.mode != "auto":
-            conflicts.append(
-                ("mode", f"--assessor analytic conflicts with --mode {args.mode}")
-            )
         if args.workers > 0:
-            conflicts.append(
-                (
-                    "workers",
-                    "--assessor analytic runs in-process; "
-                    f"--workers {args.workers} has no effect",
-                )
+            raise ValidationError(
+                [("workers", "--assessor analytic runs in-process; drop --workers")]
             )
-        if conflicts:
-            raise ValidationError(conflicts)
         mode = "analytic"
-    elif args.mode == "auto":
-        mode = "parallel" if args.workers > 0 else "sequential"
     else:
-        mode = args.mode
+        mode = "parallel" if args.workers > 0 else "sequential"
     metrics = _metrics_for(args)
     config = AssessmentConfig(
         rounds=args.rounds,
         rng=args.seed + 2,
         mode=mode,
-        workers=args.workers or 2,
+        workers=args.workers,
         retry_policy=RetryPolicy(
             timeout_seconds=args.portion_timeout, max_retries=args.retries
         ),
@@ -786,12 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept partial results with widened error bounds instead of "
         "recovering failed portions inline",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("auto", "sequential", "parallel", "incremental"),
-        default="auto",
-        help="execution mode (auto = parallel when --workers > 0)",
     )
     analytic_flags(p)
     p.set_defaults(handler=cmd_assess)

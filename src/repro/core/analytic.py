@@ -52,7 +52,6 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
-from repro.kernel import AssessmentKernel
 from repro.kernel.exact import ExactBudget, enumeration_rows, enumeration_weights
 from repro.kernel.packed import packed_width
 from repro.routing.base import RoundStates
@@ -121,17 +120,11 @@ class AnalyticAssessor(AssessorBase):
         self.sample_full_infrastructure = inner.sample_full_infrastructure
         self.metrics = inner.metrics
         self._evaluator = StructureEvaluator(self.engine)
-        self.kernel = self._kernel_of_inner()
+        self.kernel = inner.kernel
         self._warned: set[str] = set()
         self._closure_states: dict[frozenset[str], _ClosureStates | str] = {}
         self._results: dict[tuple, AssessmentResult] = {}
         self._validated = set()
-
-    def _kernel_of_inner(self) -> AssessmentKernel:
-        """The inner assessor's kernel (a parallel one has none: a fresh one)."""
-        return getattr(self.inner, "kernel", None) or AssessmentKernel(
-            self.topology, self.dependency_model
-        )
 
     @classmethod
     def from_config(
@@ -193,7 +186,7 @@ class AnalyticAssessor(AssessorBase):
         self.inner.refresh_probabilities()
         self._closure_states.clear()
         self._results.clear()
-        self.kernel = self._kernel_of_inner()
+        self.kernel = self.inner.kernel
 
     # ------------------------------------------------------------------
     # Exact evaluation

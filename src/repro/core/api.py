@@ -75,8 +75,8 @@ class AssessmentConfig:
             fault-tree evaluation where the closure fits the
             tractability budget, sampled fallback elsewhere; see
             :mod:`repro.core.analytic`).
-        workers: Worker processes for the parallel mode.
-        backend: ``"process"`` or ``"inline"`` for the parallel mode.
+        workers: Worker processes for the parallel mode (on a platform
+            without fork the portions run on the master instead).
         retry_policy: Per-portion retry/timeout policy (parallel mode).
         partial_ok: Accept degraded partial estimates instead of inline
             recovery (parallel mode).
@@ -106,7 +106,6 @@ class AssessmentConfig:
     sample_full_infrastructure: bool = False
     mode: str = "sequential"
     workers: int = 2
-    backend: str = "process"
     retry_policy: "RetryPolicy | None" = None
     partial_ok: bool = False
     chaos: "ChaosPolicy | None" = None
@@ -144,11 +143,8 @@ class AssessmentConfig:
             errors.append(("rounds", f"must be >= 1, got {self.rounds}"))
         if self.mode not in MODES:
             errors.append(("mode", f"unknown mode {self.mode!r}"))
-        if self.mode == "parallel":
-            if self.workers < 1:
-                errors.append(("workers", f"must be >= 1, got {self.workers}"))
-            if self.backend not in ("process", "inline"):
-                errors.append(("backend", f"unknown backend {self.backend!r}"))
+        if self.mode == "parallel" and self.workers < 1:
+            errors.append(("workers", f"must be >= 1, got {self.workers}"))
         if self.master_seed is not None and self.master_seed < 0:
             errors.append(
                 ("master_seed", f"must be non-negative, got {self.master_seed}")
@@ -302,6 +298,7 @@ def score_plans_sequentially(
     plans: "Sequence[DeploymentPlan]",
     structure: "ApplicationStructure",
     rounds: int | None = None,
+    cancel=None,
 ) -> "list[AssessmentResult]":
     """The default ``score_plans``: one :meth:`~Assessor.assess` per plan.
 
@@ -311,7 +308,10 @@ def score_plans_sequentially(
     override ``score_plans`` and fall back here when the fast path does
     not apply.
     """
-    return [assessor.assess(plan, structure, rounds=rounds) for plan in plans]
+    return [
+        assessor.assess(plan, structure, rounds=rounds, cancel=cancel)
+        for plan in plans
+    ]
 
 
 def build_assessor(

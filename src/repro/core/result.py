@@ -12,14 +12,14 @@ from repro.sampling.statistics import ReliabilityEstimate
 
 @dataclass(frozen=True)
 class PortionFailure:
-    """One failed attempt at one portion inside the parallel runtime.
+    """One failed attempt at one portion of a split assessment.
 
     Attributes:
         portion: Index of the portion within the assessment.
         attempt: Zero-based attempt number that failed.
         kind: ``"crash"`` (worker process died), ``"timeout"`` (portion
-            exceeded its per-portion deadline) or ``"error"`` (the worker
-            raised an exception).
+            exceeded its per-portion deadline), ``"error"`` (the worker
+            raised an exception) or ``"cancelled"`` (a token fired first).
         message: Human-readable description of the failure.
     """
 
@@ -31,14 +31,18 @@ class PortionFailure:
 
 @dataclass(frozen=True)
 class RuntimeMetadata:
-    """Execution metadata aggregated by the parallel runtime (§3.2.1).
-
-    Replaces the old ``sampled_components=-1`` sentinel: the master now
-    reports how the work was actually distributed and what went wrong.
+    """How a split assessment ran (§3.2.1): where its portions went and
+    what went wrong.
 
     Attributes:
-        backend: ``"process"`` or ``"inline"``.
-        workers: Worker processes the assessor was configured with.
+        backend: ``"process"`` (portions ran on a worker pool),
+            ``"inline"`` (on the master: the service's chunked pieces,
+            a platform without fork) or ``"incremental"``
+            (:class:`~repro.core.incremental.IncrementalAssessor`, which
+            reports its cache counters here). Documents written before
+            the portion runner existed may carry ``"chunked"``.
+        workers: Worker processes of the pool; 1 when the portions ran
+            on the master, 0 for the incremental assessor.
         portion_seeds: The per-portion stream seeds that produced the
             estimate (the seeds actually used, including retry reseeds).
         retries: Total retry attempts across all portions.
@@ -96,10 +100,11 @@ class AssessmentResult:
         sampled_components: How many components had failure states
             generated (the relevant closure, incl. dependencies).
         elapsed_seconds: Wall-clock time of the assessment.
-        runtime: Parallel-execution metadata when the assessment was run
-            by the :class:`~repro.runtime.mapreduce.ParallelAssessor`
-            (portion seeds, retry/degradation counters); ``None`` for a
-            plain sequential assessment.
+        runtime: How a split assessment ran — portion seeds, retry and
+            degradation counters — when it went through
+            :func:`~repro.runtime.mapreduce.run_portions` (the parallel
+            assessor, the service's chunked path), or the incremental
+            assessor's profile; ``None`` for one plain ``assess`` call.
     """
 
     plan: DeploymentPlan

@@ -1,58 +1,50 @@
-"""Parallel route-and-check via a supervised MapReduce-style master/worker split.
+"""Split assessments: one portion runner, an optional supervised worker pool.
 
 §3.2.1: "A master node distributes portions of rounds to worker nodes.
 Each worker node performs the route-and-check for the assigned rounds. The
 master node then gathers the results from each worker node to compute the
 overall reliability score."
 
-Here the worker nodes are processes on one machine (the closest local
-equivalent of the paper's distributed execution engine). Each worker
-receives a (seed, rounds) portion, runs the full sample + fault-tree +
-route-and-check pipeline for its rounds, and ships back its per-round
-result list; the master concatenates the lists and computes the estimate —
-statistically identical to a single sequential run over the union of
-rounds, because portions use independent random streams.
+:func:`run_portions` is that master, written once. It draws one stream
+seed per portion from the caller's generator, runs portion *i* under
+``make_rng(seed_i)`` on the master itself or on a :class:`WorkerPool` of
+forked processes, and reduces the completed per-round lists through
+:func:`~repro.sampling.statistics.estimate_from_pieces`. Where a portion
+runs never changes its bits: for one stream and one layout the master,
+the pool and any mix of the two return the same ``per_round`` vector.
+Its callers are the service's anytime loop
+(:func:`repro.service.executor.chunked_assess`), :class:`ParallelAssessor`
+(an even split over its pool: Fig. 12, where parallelism pays off only at
+many rounds) and the thread service's circuit-broken pool.
 
-The master is also a *supervisor*. A system that assesses reliability
-should itself survive component failure, so portions are dispatched
-asynchronously under a :class:`RetryPolicy`:
+The pool is *supervised*, because a system that assesses reliability
+should itself survive component failure. Under a :class:`RetryPolicy`, a
+portion past its timeout is marked hung, a dead worker (pid-watching)
+loses every result in flight, and the pool is restarted once nothing else
+is in flight. Failed portions are retried, *reseeded deterministically*
+from their base seed and attempt number (reproducible given the same
+failure pattern, every attempt an independent stream). A portion out of
+retries is rerun on the master or, under ``partial_ok``, dropped: the
+estimate then comes from the portions that did complete, flagged
+``degraded`` with honestly widened bounds.
 
-* a portion that exceeds its per-portion timeout is marked hung and the
-  worker pool is restarted (terminating the stuck worker);
-* a worker process that dies is detected by watching worker pids, the
-  pool is restarted, and the lost portions are retried;
-* retried portions are *reseeded deterministically* from their base seed
-  and attempt number, so the estimate stays reproducible given the same
-  failure pattern and every attempt is an independent, unbiased stream;
-* when retries are exhausted the master degrades gracefully: by default
-  it recovers the portion by running it inline (the 0-worker fallback
-  backend), or — under ``partial_ok`` — returns an estimate built from
-  the portions that did complete, flagged ``degraded`` with honestly
-  widened error bounds.
-
-The paper's Fig. 12 lesson reproduces naturally: for small round counts
-the serialization/transmission and per-worker context setup dominate the
-cheap route-and-check, so parallel execution only pays off when very high
-assessment accuracy (many rounds) is required.
-
-Implementation note: the process backend uses a fork-based
-``multiprocessing.Pool``, whose workers inherit the (possibly huge)
-topology copy-on-write — it is never pickled. The inherited state lives
-in a registry keyed per assessor for the pool's lifetime, so workers the
-pool respawns after a crash re-initialize correctly, and concurrent
-assessors cannot clash. On platforms without the fork start method the
-assessor degrades to the inline backend with a warning instead of
-crashing.
+The pool is a fork-based ``multiprocessing.Pool`` whose workers inherit
+the master's assessor (topology, compiled kernel and all) copy-on-write
+through a registry entry that lives as long as the pool, so workers it
+respawns after a crash initialise correctly. Without the fork start
+method :func:`fork_pool` warns and returns ``None``: portions run on the
+master.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import multiprocessing.pool
+import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -70,15 +62,12 @@ from repro.util.errors import (
     ConfigurationError,
     DegradedResult,
     OperationCancelled,
-    PortionTimeout,
     WorkerFailure,
 )
 from repro.util.rng import make_rng
 from repro.util.timing import Stopwatch
 
-#: Per-assessor state inherited by forked workers, keyed by a registry id.
-#: An entry lives exactly as long as its assessor's pool, so workers the
-#: pool respawns later (after a crash) still find their state at fork time.
+#: Per-pool state inherited by forked workers, keyed by a registry id.
 _FORK_REGISTRY: dict[int, dict] = {}
 _REGISTRY_IDS = itertools.count(1)
 
@@ -91,50 +80,58 @@ def _init_forked_worker(registry_key: int) -> None:
     _WORKER_STATE = dict(_FORK_REGISTRY[registry_key])
 
 
-def _seed_for_attempt(base_seed: int, attempt: int) -> int:
-    """Deterministic stream seed for one attempt at one portion.
-
-    Attempt 0 uses the base seed itself (so a failure-free run is
-    bit-identical to the unsupervised runtime); retries derive a fresh,
-    independent stream from (base seed, attempt) so a deterministic
-    worker fault tied to the stream cannot recur forever and the retried
-    estimate is still reproducible.
-    """
-    if attempt == 0:
-        return int(base_seed)
-    derived = np.random.SeedSequence([int(base_seed), int(attempt)])
-    return int(derived.generate_state(1, dtype=np.uint64)[0] & (2**63 - 1))
+def _fork_available() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _worker_portion(args: tuple) -> tuple[np.ndarray, int]:
-    """Run the route-and-check pipeline for one portion of rounds.
+def even_split(rounds: int, pieces: int) -> tuple[int, ...]:
+    """``rounds`` in ``pieces`` sizes that differ by at most one, larger
+    ones first."""
+    base, larger = divmod(rounds, pieces)
+    return (base + 1,) * larger + (base,) * (pieces - larger)
 
-    The assessor is the per-worker "context" of §3.2.1 and is set up once
-    per worker process, then reused across portions; only the stream seed
-    and the round count change per task. Returns the per-round result
-    list and the sampled-closure size so the master can aggregate real
-    metadata instead of a sentinel.
-    """
-    portion_index, attempt, seed, rounds, plan, structure = args
-    chaos: ChaosPolicy | None = _WORKER_STATE.get("chaos")
-    if chaos is not None:
-        chaos.execute(portion_index, attempt)
-    assessor = _WORKER_STATE.get("assessor")
-    if assessor is None:
-        assessor = ReliabilityAssessor.from_config(
-            _WORKER_STATE["topology"],
-            _WORKER_STATE["model"],
-            AssessmentConfig(
-                rounds=rounds,
-                sampler=_WORKER_STATE["sampler"],
-                engine=_WORKER_STATE["engine"],
-                rng=seed,
-            ),
-        )
-        _WORKER_STATE["assessor"] = assessor
+
+@dataclass
+class _Portion:
+    """One portion of rounds and the attempt it is on."""
+
+    index: int
+    rounds: int
+    base_seed: int
+    attempt: int = 0
+    not_before: float = 0.0  # monotonic time a retry may be dispatched at
+
+    def seed(self) -> int:
+        """Attempt 0 runs on the base seed (a failure-free run is the same
+        wherever it runs); a retry derives an independent stream from
+        (base seed, attempt), so a fault tied to the stream cannot recur
+        forever and the retried estimate is still reproducible."""
+        if self.attempt == 0:
+            return self.base_seed
+        derived = np.random.SeedSequence([self.base_seed, self.attempt])
+        return int(derived.generate_state(1, dtype=np.uint64)[0] & (2**63 - 1))
+
+
+def _run_portion(assessor, portion: _Portion, plan, structure, cancel=None):
+    """One portion under its own stream: ``(per_round, sampled, seed)``."""
+    seed = portion.seed()
     assessor.rng = make_rng(seed)
-    result = assessor.assess(plan, structure, rounds=rounds)
-    return result.per_round, result.sampled_components
+    result = assessor.assess(plan, structure, rounds=portion.rounds, cancel=cancel)
+    return result.per_round, result.sampled_components, seed
+
+
+def _worker_portion(args: tuple) -> tuple[np.ndarray, int, int]:
+    """A portion on a worker: the forked copy of the pool's assessor (the
+    per-worker "context" of §3.2.1, set up once), after any injected fault."""
+    portion, plan, structure = args
+    chaos: ChaosPolicy | None = _WORKER_STATE["chaos"]
+    if chaos is not None:
+        chaos.execute(portion.index, portion.attempt)
+    return _run_portion(_WORKER_STATE["assessor"], portion, plan, structure)
+
+
+def _record(failures: list, portion: _Portion, kind: str, message: str) -> None:
+    failures.append(PortionFailure(portion.index, portion.attempt, kind, message))
 
 
 @dataclass(frozen=True)
@@ -142,20 +139,20 @@ class RetryPolicy:
     """How the master supervises portions (timeouts, retries, backoff).
 
     Attributes:
-        timeout_seconds: Per-portion deadline; a portion that has not
-            reported by then is treated as hung and the pool restarted.
-            ``None`` disables the timeout (crashes are still detected by
-            pid-watching, but a genuinely hung worker then hangs the
-            assessment — set a timeout for production use).
+        timeout_seconds: Per-portion deadline from dispatch; a portion
+            that has not reported by then is treated as hung and the pool
+            restarted. ``None`` disables the timeout (crashes are still
+            detected by pid-watching, but a genuinely hung worker then
+            hangs the assessment — set a timeout for production use).
         max_retries: Retry attempts per portion after its first failure.
-        backoff_seconds: Base delay before re-dispatching failed portions.
+        backoff_seconds: Base delay before re-dispatching a failed portion.
         backoff_multiplier: Exponential growth factor per retry attempt.
         max_backoff_seconds: Cap on the backoff delay.
         jitter_fraction: Uniform ±fraction of jitter applied to each
-            backoff sleep (decorrelates retry stampedes; drawn from a
+            backoff delay (decorrelates retry stampedes; drawn from a
             private stream so estimates stay reproducible).
-        poll_interval_seconds: How often the master polls pending
-            portions and checks worker liveness while waiting.
+        poll_interval_seconds: How often the master polls the portions in
+            flight and checks worker liveness.
     """
 
     timeout_seconds: float | None = None
@@ -191,7 +188,7 @@ class RetryPolicy:
             )
 
     def backoff_for(self, attempt: int, jitter_rng: np.random.Generator) -> float:
-        """Sleep before re-dispatching a portion on its Nth retry (1-based)."""
+        """Delay before re-dispatching a portion on its Nth retry (1-based)."""
         delay = self.backoff_seconds * self.backoff_multiplier ** max(0, attempt - 1)
         delay = min(delay, self.max_backoff_seconds)
         if self.jitter_fraction > 0.0 and delay > 0.0:
@@ -200,42 +197,296 @@ class RetryPolicy:
         return max(0.0, delay)
 
 
-@dataclass
-class _Portion:
-    """Supervision state for one portion of rounds."""
+class WorkerPool:
+    """A supervised fork pool running the portions of split assessments.
 
-    index: int
-    rounds: int
-    base_seed: int
-    attempt: int = 0
+    Every worker inherits ``assessor`` at fork and runs a portion on it
+    exactly as :func:`run_portions` would on the master. ``partial_ok``
+    tells the runner to drop a portion out of retries instead of rerunning
+    it on the master; ``chaos`` injects deterministic worker faults for
+    tests and benchmarks. One assessment at a time.
+    """
 
-    def seed(self) -> int:
-        return _seed_for_attempt(self.base_seed, self.attempt)
+    def __init__(
+        self,
+        assessor,
+        workers: int,
+        retry_policy: RetryPolicy | None = None,
+        partial_ok: bool = False,
+        chaos: ChaosPolicy | None = None,
+    ):
+        self.workers = workers
+        self.retry_policy = retry_policy or RetryPolicy()
+        self.partial_ok = partial_ok
+        self.restarts = 0
+        self._jitter_rng = np.random.default_rng()
+        self._registry_key = next(_REGISTRY_IDS)
+        _FORK_REGISTRY[self._registry_key] = {"assessor": assessor, "chaos": chaos}
+        self._start()
+
+    def _start(self) -> None:
+        self._pool = multiprocessing.get_context("fork").Pool(
+            processes=self.workers,
+            initializer=_init_forked_worker,
+            initargs=(self._registry_key,),
+        )
+        self._pids = self.live_worker_pids()
+        self._suspect = False  # a hang/crash was seen: drain may block
+
+    def _stop(self, terminate: bool) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate() if terminate else pool.close()
+            pool.join()
+
+    def _restart(self) -> None:
+        """Tear down a suspect pool (hung/crashed workers) and refork."""
+        self._stop(terminate=True)
+        self.restarts += 1
+        self._start()
+
+    def close(self) -> None:
+        """Drain a healthy pool; terminate one that saw a hang or crash, so
+        a stuck worker cannot block shutdown. Idempotent."""
+        self._stop(terminate=self._suspect)
+        _FORK_REGISTRY.pop(self._registry_key, None)
+
+    def __del__(self):  # pragma: no cover - exercised indirectly
+        # Abandoned pools must not leak workers. Terminate rather than
+        # drain: at interpreter shutdown a graceful join could block.
+        try:
+            self._suspect = True
+            self.close()
+        except Exception:
+            pass
+
+    def live_worker_pids(self) -> frozenset[int]:
+        processes = getattr(self._pool, "_pool", None) or ()
+        return frozenset(p.pid for p in processes if p.is_alive())
+
+    def supervise(self, portions, plan, structure, cancel, failures: list):
+        """Run portions until each completes, exhausts its retries or is
+        cancelled: ``(completed, exhausted, cancelled, retries)``.
+
+        One poll loop, woken by every result that lands. At most
+        ``workers`` portions are in flight, so a deadline runs from the
+        moment a worker takes its portion. After a hang or crash nothing
+        new is dispatched until the portions in flight resolve; then the
+        pool is restarted. A fired token keeps the results already in and
+        cancels the rest (never retried), restarting the pool so no
+        orphaned worker keeps computing rounds nobody will collect.
+        """
+        policy, timeout = self.retry_policy, self.retry_policy.timeout_seconds
+        completed, exhausted, cancelled, retries = {}, [], [], 0
+        due = list(portions)
+        inflight: list[tuple[_Portion, float]] = []
+        landed: dict[tuple[int, int], object] = {}  # a result or what was raised
+        wake = threading.Event()
+
+        def land(key: tuple[int, int], outcome) -> None:
+            landed[key] = outcome  # on the pool's result-handler thread
+            wake.set()
+
+        def failed(portion: _Portion, kind: str, message: str) -> None:
+            nonlocal retries
+            _record(failures, portion, kind, message)
+            portion.attempt += 1
+            if portion.attempt > policy.max_retries:
+                exhausted.append(portion)
+                return
+            retries += 1
+            backoff = policy.backoff_for(portion.attempt, self._jitter_rng)
+            portion.not_before = time.monotonic() + backoff
+            due.append(portion)
+
+        while True:
+            wake.clear()
+            stop = cancel is not None and cancel.cancelled
+            died = bool(self._pids - self.live_worker_pids())
+            now = time.monotonic()
+            still = []
+            for entry in inflight:
+                portion, deadline = entry
+                outcome = landed.pop((portion.index, portion.attempt), None)
+                if isinstance(outcome, BaseException):  # the worker raised
+                    failed(portion, "error", str(outcome))
+                elif outcome is not None:
+                    completed[portion.index] = outcome
+                elif stop:
+                    _record(failures, portion, "cancelled", "cancelled while in flight")
+                    cancelled.append(portion)
+                    self._suspect = True
+                elif died:
+                    failed(portion, "crash", "result lost to a worker death")
+                elif now >= deadline:
+                    self._suspect = True
+                    failed(portion, "timeout", f"no result within {timeout:.3g}s")
+                else:
+                    still.append(entry)
+            self._suspect |= died
+            inflight = still
+            if stop:
+                for portion in due:
+                    _record(failures, portion, "cancelled", "cancelled before dispatch")
+                cancelled += due
+                if self._suspect:
+                    self._restart()
+                return completed, exhausted, cancelled, retries
+
+            if self._suspect and not inflight:
+                self._restart()
+            free = 0 if self._suspect else self.workers - len(inflight)
+            for portion in sorted(due, key=lambda p: p.not_before)[:free]:
+                if portion.not_before > now:
+                    break
+                due.remove(portion)
+                done = partial(land, (portion.index, portion.attempt))
+                self._pool.apply_async(
+                    _worker_portion,
+                    ((portion, plan, structure),),
+                    callback=done,
+                    error_callback=done,
+                )
+                inflight.append((portion, time.monotonic() + (timeout or float("inf"))))
+            if inflight:
+                wake.wait(policy.poll_interval_seconds)
+            elif due:  # every due portion is backing off
+                time.sleep(max(0.0, min(p.not_before for p in due) - time.monotonic()))
+            else:
+                return completed, exhausted, cancelled, retries
 
 
-class _PassAborted(Exception):
-    """Internal: a worker death invalidated the rest of a dispatch pass."""
+def fork_pool(assessor, workers: int, **supervision) -> WorkerPool | None:
+    """A :class:`WorkerPool`, or ``None`` (with a warning) without fork."""
+    if not _fork_available():
+        warnings.warn(
+            "the 'fork' start method is unavailable on this platform; "
+            "portions run on the master (no parallelism)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    return WorkerPool(assessor, workers, **supervision)
 
 
-class _PassCancelled(Exception):
-    """Internal: the caller's cancellation token fired during a pass."""
+def run_portions(
+    assessor,
+    plan: DeploymentPlan,
+    structure: ApplicationStructure,
+    layout: Sequence[int],
+    cancel=None,
+    pool: WorkerPool | None = None,
+) -> AssessmentResult:
+    """One assessment cut into portions of ``layout`` rounds, reduced.
+
+    The stream the caller hands in is ``assessor.rng``: one seed per
+    portion is drawn from it (that draw is all it advances by), and
+    portion *i* runs under ``make_rng(seed_i)`` on the master through
+    ``assessor.assess`` or, given a ``pool``, on a worker. Portions the
+    pool gives up on are rerun on the master under their retry seed,
+    unless the pool is ``partial_ok``: then they are dropped.
+
+    ``cancel`` (a :class:`~repro.util.cancel.CancellationToken`) is
+    checked between portions and forwarded into each portion's sampler
+    loop. When it fires, the completed portions become an **anytime
+    result** flagged ``runtime.cancelled`` and ``degraded``, its interval
+    widened by the missing coverage; only when *zero* portions completed
+    does it raise :class:`~repro.util.errors.OperationCancelled`.
+    """
+    watch = Stopwatch()
+    stream = assessor.rng
+    seeds = stream.integers(0, 2**63, size=len(layout))
+    portions = [
+        _Portion(index, int(size), int(seed))
+        for index, (size, seed) in enumerate(zip(layout, seeds))
+    ]
+    failures: list[PortionFailure] = []
+    completed, exhausted, cancelled = {}, [], []
+    retries = restarts = recovered = 0
+    try:
+        if pool is None:
+            for position, portion in enumerate(portions):
+                try:  # assess() checks the token before any work
+                    completed[portion.index] = _run_portion(
+                        assessor, portion, plan, structure, cancel
+                    )
+                except OperationCancelled:
+                    cancelled = portions[position:]
+                    for later in cancelled:
+                        _record(failures, later, "cancelled", "cancelled on the master")
+                    break
+        else:
+            restarts = pool.restarts
+            completed, exhausted, cancelled, retries = pool.supervise(
+                portions, plan, structure, cancel, failures
+            )
+            restarts = pool.restarts - restarts
+            if not pool.partial_ok:
+                # The master recovers what the pool lost. A failure here
+                # is a real error in the workload, not the substrate.
+                for portion in exhausted:
+                    try:
+                        completed[portion.index] = _run_portion(
+                            assessor, portion, plan, structure
+                        )
+                    except Exception as exc:
+                        raise WorkerFailure(
+                            f"portion {portion.index} failed in every worker "
+                            f"attempt and on the master: {exc}",
+                            portion=portion.index,
+                            attempt=portion.attempt,
+                            failures=failures,
+                        ) from exc
+                recovered, exhausted = len(exhausted), []
+    finally:
+        assessor.rng = stream
+
+    if not completed:
+        if cancelled:
+            raise OperationCancelled(
+                "assessment cancelled before any portion completed; "
+                "no anytime estimate is possible",
+                reason=cancel.reason if cancel is not None else None,
+            )
+        raise DegradedResult(
+            f"all {len(portions)} portions were lost despite "
+            f"{retries} retries; nothing to estimate from",
+            failures=failures,
+        )
+    done = [completed[index] for index in sorted(completed)]
+    per_round, estimate, dropped_rounds = estimate_from_pieces(
+        [piece[0] for piece in done], sum(layout)
+    )
+    runtime = RuntimeMetadata(
+        backend="inline" if pool is None else "process",
+        workers=1 if pool is None else pool.workers,
+        portion_seeds=tuple(piece[2] for piece in done),
+        retries=retries,
+        pool_restarts=restarts,
+        recovered_inline=recovered,
+        dropped_portions=len(cancelled) + len(exhausted),
+        dropped_rounds=dropped_rounds,
+        cancelled=bool(cancelled),
+        failures=tuple(failures),
+    )
+    return AssessmentResult(
+        plan=plan,
+        estimate=estimate,
+        per_round=per_round,
+        sampled_components=max(piece[1] for piece in done),
+        elapsed_seconds=watch.elapsed(),
+        runtime=runtime,
+    )
 
 
 class ParallelAssessor(AssessorBase):
-    """Assesses plans by fanning rounds out to supervised worker processes.
+    """The runner with its pool: rounds split evenly over ``workers``.
 
-    Statistically equivalent to :class:`ReliabilityAssessor` with the same
-    total round count. ``backend`` selects ``"process"`` (default; uses
-    fork so the topology is shared copy-on-write) or ``"inline"`` (no
-    parallelism — the master does everything; the 0-worker baseline and
-    the fallback on platforms without fork).
-
-    Fault tolerance is governed by ``retry_policy`` (see
-    :class:`RetryPolicy`). ``partial_ok=True`` switches the degradation
-    mode from "recover exhausted portions inline" to "return a degraded
-    partial estimate with widened error bounds". ``chaos`` injects
-    deterministic worker faults for tests and benchmarks (never applied
-    on the inline path).
+    One master :class:`ReliabilityAssessor` is built from the config: the
+    pool's workers inherit it, and the master runs on it whatever a
+    platform without fork or an exhausted retry budget leaves there.
+    ``config.retry_policy``, ``partial_ok`` and ``chaos`` configure the
+    pool (see :class:`RetryPolicy` and :class:`WorkerPool`).
     """
 
     def __init__(
@@ -249,103 +500,24 @@ class ParallelAssessor(AssessorBase):
             raise ConfigurationError(
                 f"need at least one worker, got {config.workers}"
             )
-        if config.backend not in ("process", "inline"):
-            raise ConfigurationError(f"unknown backend {config.backend!r}")
-        backend = config.backend
-        if backend == "process" and not self._fork_available():
-            warnings.warn(
-                "the 'fork' start method is unavailable on this platform; "
-                "falling back to backend='inline' (no parallelism)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            backend = "inline"
-            config = config.with_updates(backend="inline")
         self.config = config
+        self.master = ReliabilityAssessor(topology, dependency_model, config)
         self.topology = topology
-        self.dependency_model = dependency_model or DependencyModel.empty(topology)
-        self.sampler = config.sampler
+        self.dependency_model = self.master.dependency_model
         self.rounds = config.rounds
-        self.workers = config.workers
-        self.backend = backend
-        self.retry_policy = config.retry_policy or RetryPolicy()
-        self.partial_ok = config.partial_ok
-        self.chaos = config.chaos
-        self.rng = make_rng(config.rng)
-        self.metrics = config.registry()
-        self._jitter_rng = np.random.default_rng()
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._pool_suspect = False  # a hang/crash was seen: drain may block
-        self._registry_key = next(_REGISTRY_IDS)
-        self._pool_restarts = 0
-        if backend == "process":
-            self._start_pool()
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _fork_available() -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def _start_pool(self) -> None:
-        # The registry entry must outlive this call: multiprocessing.Pool
-        # respawns dead workers on demand, and those late forks run the
-        # initializer again — it has to find the state.
-        _FORK_REGISTRY[self._registry_key] = dict(
-            topology=self.topology,
-            model=self.dependency_model,
-            sampler=self.sampler,
-            engine=self.config.engine,
-            chaos=self.chaos,
+        self.metrics = self.master.metrics
+        self.pool = fork_pool(
+            self.master,
+            config.workers,
+            retry_policy=config.retry_policy,
+            partial_ok=config.partial_ok,
+            chaos=config.chaos,
         )
-        context = multiprocessing.get_context("fork")
-        self._pool = context.Pool(
-            processes=self.workers,
-            initializer=_init_forked_worker,
-            initargs=(self._registry_key,),
-        )
-        self._pool_suspect = False
-
-    def _restart_pool(self) -> None:
-        """Tear down a suspect pool (hung/crashed workers) and refork."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        self._pool_restarts += 1
-        self._start_pool()
 
     def close(self) -> None:
-        """Shut the worker pool down.
-
-        Drains gracefully (``close()`` + ``join()``) when the pool is
-        healthy; escalates to ``terminate()`` when a hang or crash was
-        observed, so a stuck worker cannot block shutdown. Idempotent.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            if self._pool_suspect:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
-        _FORK_REGISTRY.pop(self._registry_key, None)
-
-    def __del__(self):  # pragma: no cover - exercised indirectly
-        # Abandoned assessors must not leak worker processes. Terminate
-        # rather than drain: __del__ may run at interpreter shutdown where
-        # a graceful join could block indefinitely.
-        try:
-            pool = getattr(self, "_pool", None)
-            self._pool = None
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            _FORK_REGISTRY.pop(getattr(self, "_registry_key", None), None)
-        except Exception:
-            pass
+        """Shut the worker pool down (see :meth:`WorkerPool.close`)."""
+        if self.pool is not None:
+            self.pool.close()
 
     def __enter__(self) -> "ParallelAssessor":
         return self
@@ -353,27 +525,11 @@ class ParallelAssessor(AssessorBase):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _live_worker_pids(self) -> frozenset[int]:
-        pool = self._pool
-        processes = getattr(pool, "_pool", None) or ()
-        return frozenset(p.pid for p in processes if p.is_alive())
-
-    # ------------------------------------------------------------------
-    # Portioning
-    # ------------------------------------------------------------------
-
     def _portions(self, rounds: int) -> list[int]:
-        """Split ``rounds`` into one near-equal portion per worker."""
+        """One near-equal portion per worker (fewer when rounds are few)."""
         if rounds <= 0:
             raise ConfigurationError(f"rounds must be positive, got {rounds}")
-        base = rounds // self.workers
-        remainder = rounds % self.workers
-        portions = [base + (1 if i < remainder else 0) for i in range(self.workers)]
-        return [p for p in portions if p > 0]
-
-    # ------------------------------------------------------------------
-    # Assessment
-    # ------------------------------------------------------------------
+        return list(even_split(rounds, min(self.config.workers, rounds)))
 
     def assess(
         self,
@@ -382,109 +538,13 @@ class ParallelAssessor(AssessorBase):
         rounds: int | None = None,
         cancel=None,
     ) -> AssessmentResult:
-        """Distribute, supervise, gather, reduce (the MapReduce of §3.2.1).
-
-        ``cancel`` is an optional
-        :class:`~repro.util.cancel.CancellationToken`. When it fires
-        mid-assessment, the master stops waiting, tears down in-flight
-        work (nothing keeps burning on rounds nobody will collect) and
-        returns an **anytime result**: the estimate built from the
-        portions completed so far, flagged ``runtime.cancelled`` and
-        ``degraded``, with the confidence interval widened by the missing
-        coverage — the same honest-widening path ``partial_ok`` uses.
-        Only when *zero* portions completed does it raise
-        :class:`~repro.util.errors.OperationCancelled`.
-        """
-        watch = Stopwatch()
-        total_rounds = self.rounds if rounds is None else rounds
-        portion_sizes = self._portions(total_rounds)
-        base_seeds = [
-            int(s) for s in self.rng.integers(0, 2**63, size=len(portion_sizes))
-        ]
-        portions = [
-            _Portion(index=i, rounds=size, base_seed=seed)
-            for i, (size, seed) in enumerate(zip(portion_sizes, base_seeds))
-        ]
-
-        failures: list[PortionFailure] = []
-        retries = 0
-        recovered_inline = 0
-        restarts_before = self._pool_restarts
-        cancelled: list[_Portion] = []
-
-        if self._pool is None:
-            completed, cancelled = self._inline_portions(
-                portions, plan, structure, failures, cancel
-            )
-            exhausted: list[_Portion] = []
-        else:
-            completed, exhausted, cancelled, retries = self._supervise(
-                portions, plan, structure, failures, cancel
-            )
-
-        dropped: list[_Portion] = list(cancelled)
-        if exhausted:
-            if self.partial_ok:
-                dropped.extend(exhausted)
-            else:
-                # Graceful degradation, mode 1: the master recovers lost
-                # portions itself on the inline backend (chaos-free and
-                # pool-independent). A failure here is a real error in
-                # the workload, not the substrate — surface it.
-                for portion in exhausted:
-                    try:
-                        completed[portion.index] = self._inline_portion(
-                            portion, plan, structure
-                        )
-                        recovered_inline += 1
-                    except Exception as exc:
-                        raise WorkerFailure(
-                            f"portion {portion.index} failed in every worker "
-                            f"attempt and in the inline fallback: {exc}",
-                            portion=portion.index,
-                            attempt=portion.attempt,
-                            failures=failures,
-                        ) from exc
-
-        if not completed:
-            if cancelled:
-                raise OperationCancelled(
-                    "assessment cancelled before any portion completed; "
-                    "no anytime estimate is possible",
-                    reason=cancel.reason if cancel is not None else None,
-                )
-            raise DegradedResult(
-                f"all {len(portions)} portions were lost despite "
-                f"{retries} retries; nothing to estimate from",
-                failures=failures,
-            )
-
-        per_round, estimate, dropped_rounds = estimate_from_pieces(
-            [completed[i][0] for i in sorted(completed)], total_rounds
-        )
-        sampled_components = max(completed[i][1] for i in completed)
-        used_seeds = tuple(completed[i][2] for i in sorted(completed))
-
-        runtime = RuntimeMetadata(
-            backend=self.backend if self._pool is not None else "inline",
-            workers=self.workers,
-            portion_seeds=used_seeds,
-            retries=retries,
-            pool_restarts=self._pool_restarts - restarts_before,
-            recovered_inline=recovered_inline,
-            dropped_portions=len(dropped),
-            dropped_rounds=dropped_rounds,
-            cancelled=bool(cancelled),
-            failures=tuple(failures),
-            profile=self.metrics.flat() if self.metrics is not None else None,
-        )
-        return AssessmentResult(
-            plan=plan,
-            estimate=estimate,
-            per_round=per_round,
-            sampled_components=sampled_components,
-            elapsed_seconds=watch.elapsed(),
-            runtime=runtime,
+        """Distribute, supervise, gather, reduce (see :func:`run_portions`)."""
+        layout = self._portions(self.rounds if rounds is None else rounds)
+        result = run_portions(self.master, plan, structure, layout, cancel, self.pool)
+        if self.metrics is None:
+            return result
+        return replace(
+            result, runtime=replace(result.runtime, profile=self.metrics.flat())
         )
 
     def score_plans(
@@ -494,297 +554,6 @@ class ParallelAssessor(AssessorBase):
         rounds: int | None = None,
         cancel=None,
     ) -> list[AssessmentResult]:
-        """Batch scoring via the protocol's sequential fallback.
-
-        The parallel backend already saturates the workers with one
-        plan's portions, so there is no shared-batch fast path to gain;
-        the method exists so the search can consume every backend through
-        the same :class:`~repro.core.api.Assessor` batch interface.
-        """
-        if cancel is not None:
-            return [
-                self.assess(plan, structure, rounds=rounds, cancel=cancel)
-                for plan in plans
-            ]
-        return score_plans_sequentially(self, plans, structure, rounds=rounds)
-
-    # ------------------------------------------------------------------
-    # Supervision
-    # ------------------------------------------------------------------
-
-    def _supervise(
-        self,
-        portions: list[_Portion],
-        plan: DeploymentPlan,
-        structure: ApplicationStructure,
-        failures: list[PortionFailure],
-        cancel=None,
-    ) -> tuple[
-        dict[int, tuple[np.ndarray, int, int]], list[_Portion], list[_Portion], int
-    ]:
-        """Dispatch portions until each completes or exhausts its retries.
-
-        Returns ``(completed, exhausted, cancelled, retries)`` where
-        ``completed`` maps portion index to ``(per_round,
-        sampled_components, seed)``. A fired cancellation token ends
-        supervision immediately: portions not yet gathered land in
-        ``cancelled`` (never retried), and the pool is restarted so no
-        orphaned worker keeps computing rounds nobody will collect.
-        """
-        policy = self.retry_policy
-        completed: dict[int, tuple[np.ndarray, int, int]] = {}
-        exhausted: list[_Portion] = []
-        cancelled: list[_Portion] = []
-        retries = 0
-        pending = list(portions)
-
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                cancelled.extend(pending)
-                for portion in pending:
-                    self._record_failure(
-                        failures, portion, "cancelled", "cancelled before dispatch"
-                    )
-                break
-            failed_pass, cancelled_pass = self._dispatch_pass(
-                pending, plan, structure, completed, failures, cancel
-            )
-            if cancelled_pass:
-                cancelled.extend(cancelled_pass)
-                # In-flight tasks were abandoned mid-pass; tear the pool
-                # down so their workers stop burning CPU on dead rounds.
-                self._pool_suspect = True
-                self._restart_pool()
-                break
-            if not failed_pass:
-                break
-            # A hang or crash leaves the pool suspect (stuck worker still
-            # holding a slot, or respawned workers mid-flight): restart it
-            # before the retry pass so retries land on a clean substrate.
-            # A worker that merely raised leaves the pool healthy.
-            if self._pool_suspect:
-                self._restart_pool()
-            pending = []
-            for portion in failed_pass:
-                portion.attempt += 1
-                if portion.attempt <= policy.max_retries:
-                    retries += 1
-                    pending.append(portion)
-                else:
-                    exhausted.append(portion)
-            if pending:
-                min_attempt = min(p.attempt for p in pending)
-                delay = policy.backoff_for(min_attempt, self._jitter_rng)
-                if delay > 0.0:
-                    time.sleep(delay)
-        return completed, exhausted, cancelled, retries
-
-    def _dispatch_pass(
-        self,
-        pending: list[_Portion],
-        plan: DeploymentPlan,
-        structure: ApplicationStructure,
-        completed: dict[int, tuple[np.ndarray, int, int]],
-        failures: list[PortionFailure],
-        cancel=None,
-    ) -> tuple[list[_Portion], list[_Portion]]:
-        """One async dispatch of every pending portion.
-
-        Returns ``(failed, cancelled)``. A worker death aborts the whole
-        pass: the pool is about to be restarted, which invalidates every
-        result not yet gathered, so ready results are swept up and
-        everything else is marked crashed. A fired cancellation token
-        likewise ends the pass, but the un-gathered portions are
-        *cancelled* (not retried) — whatever already finished is kept for
-        the anytime estimate.
-        """
-        assert self._pool is not None
-        pass_pids = self._live_worker_pids()
-        dispatched = [
-            (
-                portion,
-                self._pool.apply_async(
-                    _worker_portion,
-                    (
-                        (
-                            portion.index,
-                            portion.attempt,
-                            portion.seed(),
-                            portion.rounds,
-                            plan,
-                            structure,
-                        ),
-                    ),
-                ),
-            )
-            for portion in pending
-        ]
-
-        failed: list[_Portion] = []
-        cancelled: list[_Portion] = []
-        for position, (portion, async_result) in enumerate(dispatched):
-            try:
-                value = self._wait_portion(portion, async_result, pass_pids, cancel)
-                completed[portion.index] = (value[0], value[1], portion.seed())
-            except _PassCancelled:
-                # Sweep results that are already in, then mark the rest
-                # cancelled; nothing gets retried after a cancel.
-                for later, later_result in dispatched[position:]:
-                    if later_result.ready():
-                        try:
-                            value = later_result.get(timeout=0)
-                            completed[later.index] = (
-                                value[0],
-                                value[1],
-                                later.seed(),
-                            )
-                            continue
-                        except Exception as exc:
-                            self._record_failure(failures, later, "error", str(exc))
-                            cancelled.append(later)
-                            continue
-                    self._record_failure(
-                        failures, later, "cancelled", "cancelled while in flight"
-                    )
-                    cancelled.append(later)
-                break
-            except _PassAborted:
-                self._record_failure(
-                    failures, portion, "crash", "worker process died mid-pass"
-                )
-                failed.append(portion)
-                # Sweep later results that finished before the death was
-                # observed; the rest cannot be trusted to ever arrive.
-                for later, later_result in dispatched[position + 1 :]:
-                    if later_result.ready():
-                        try:
-                            value = later_result.get(timeout=0)
-                            completed[later.index] = (
-                                value[0],
-                                value[1],
-                                later.seed(),
-                            )
-                            continue
-                        except Exception as exc:
-                            self._record_failure(failures, later, "error", str(exc))
-                            failed.append(later)
-                            continue
-                    self._record_failure(
-                        failures, later, "crash", "result lost to a worker death"
-                    )
-                    failed.append(later)
-                break
-            except PortionTimeout as exc:
-                self._pool_suspect = True
-                self._record_failure(failures, portion, "timeout", str(exc))
-                failed.append(portion)
-            except Exception as exc:  # the worker raised
-                self._record_failure(failures, portion, "error", str(exc))
-                failed.append(portion)
-        return failed, cancelled
-
-    def _wait_portion(self, portion: _Portion, async_result, pass_pids, cancel=None):
-        """Wait for one portion, polling for timeouts, deaths and cancel."""
-        policy = self.retry_policy
-        deadline = (
-            None
-            if policy.timeout_seconds is None
-            else time.monotonic() + policy.timeout_seconds
-        )
-        while True:
-            try:
-                return async_result.get(timeout=policy.poll_interval_seconds)
-            except multiprocessing.TimeoutError:
-                pass
-            if cancel is not None and cancel.cancelled:
-                raise _PassCancelled()
-            if pass_pids - self._live_worker_pids():
-                self._pool_suspect = True
-                raise _PassAborted()
-            if deadline is not None and time.monotonic() >= deadline:
-                raise PortionTimeout(
-                    f"portion {portion.index} (attempt {portion.attempt}) exceeded "
-                    f"its {policy.timeout_seconds:.3g}s timeout",
-                    portion=portion.index,
-                    attempt=portion.attempt,
-                    timeout_seconds=policy.timeout_seconds,
-                )
-
-    @staticmethod
-    def _record_failure(
-        failures: list[PortionFailure], portion: _Portion, kind: str, message: str
-    ) -> None:
-        failures.append(
-            PortionFailure(
-                portion=portion.index,
-                attempt=portion.attempt,
-                kind=kind,
-                message=message,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Inline execution (the 0-worker baseline and the fallback path)
-    # ------------------------------------------------------------------
-
-    def _inline_portions(
-        self,
-        portions: list[_Portion],
-        plan: DeploymentPlan,
-        structure: ApplicationStructure,
-        failures: list[PortionFailure],
-        cancel=None,
-    ) -> tuple[dict[int, tuple[np.ndarray, int, int]], list[_Portion]]:
-        """Run portions one-by-one on the master, honouring cancellation.
-
-        The token is checked between portions and forwarded into each
-        portion's pipeline (sampler chunk granularity), so a deadline cuts
-        the work off promptly even without a worker pool. A portion
-        interrupted mid-pipeline yields no partial data — it and every
-        later portion are returned as cancelled.
-        """
-        completed: dict[int, tuple[np.ndarray, int, int]] = {}
-        cancelled: list[_Portion] = []
-        for position, portion in enumerate(portions):
-            if cancel is not None and cancel.cancelled:
-                remaining = portions[position:]
-                for later in remaining:
-                    self._record_failure(
-                        failures, later, "cancelled", "cancelled before dispatch"
-                    )
-                cancelled.extend(remaining)
-                break
-            try:
-                completed[portion.index] = self._inline_portion(
-                    portion, plan, structure, cancel
-                )
-            except OperationCancelled:
-                remaining = portions[position:]
-                for later in remaining:
-                    self._record_failure(
-                        failures, later, "cancelled", "cancelled mid-portion"
-                    )
-                cancelled.extend(remaining)
-                break
-        return completed, cancelled
-
-    def _inline_portion(
-        self,
-        portion: _Portion,
-        plan: DeploymentPlan,
-        structure: ApplicationStructure,
-        cancel=None,
-    ) -> tuple[np.ndarray, int, int]:
-        seed = portion.seed()
-        assessor = ReliabilityAssessor.from_config(
-            self.topology,
-            self.dependency_model,
-            AssessmentConfig(
-                rounds=portion.rounds,
-                sampler=self.sampler,
-                engine=self.config.engine,
-                rng=seed,
-            ),
-        )
-        result = assessor.assess(plan, structure, cancel=cancel)
-        return result.per_round, result.sampled_components, seed
+        """One :meth:`assess` per plan: the pool is already saturated by one
+        plan's portions, so there is no shared-batch fast path to gain."""
+        return score_plans_sequentially(self, plans, structure, rounds, cancel)

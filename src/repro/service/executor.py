@@ -14,9 +14,10 @@ are a pure function of the request:
   ``(service seed, kind, idempotency key or journaled id)``, never from
   worker identity, shard placement or submission order.
 * :func:`chunk_layout` / :func:`chunked_assess` — the anytime
-  sequential assessment loop (rounds cut into pieces by work,
+  assessment loop (rounds cut into pieces by work, one seed per piece,
   cancellation checked between pieces, honest CI widening on partial
-  completion).
+  completion), the same bits whether the pieces run on the worker or on
+  the thread service's pool.
 * :class:`RequestExecutor` — one worker's view: a per-worker assessor
   plus ``run()`` mapping requests (and mid-run cancellation/errors) to
   :class:`~repro.service.requests.ServiceResponse`; thread workers and
@@ -29,16 +30,14 @@ import hashlib
 import logging
 from dataclasses import replace
 
-import numpy as np
-
 from repro import serialization
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
-from repro.core.result import AssessmentResult, RuntimeMetadata
+from repro.core.result import AssessmentResult
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.sampling.statistics import estimate_from_pieces
+from repro.runtime.mapreduce import even_split, run_portions
 from repro.service.requests import (
     AssessRequest,
     SearchRequest,
@@ -93,9 +92,7 @@ def chunk_layout(rounds: int, chunks: int) -> tuple[int, ...]:
     in turn, so the layout decides which bits a request yields, and a
     crash-replayed request must be cut exactly like the original was.
     """
-    pieces = max(1, min(chunks, rounds // MIN_CHUNK_ROUNDS))
-    base, larger = divmod(rounds, pieces)
-    return (base + 1,) * larger + (base,) * (pieces - larger)
+    return even_split(rounds, max(1, min(chunks, rounds // MIN_CHUNK_ROUNDS)))
 
 
 def chunked_assess(
@@ -105,58 +102,20 @@ def chunked_assess(
     rounds: int,
     chunks: int,
     token: CancellationToken,
+    pool=None,
 ) -> AssessmentResult:
-    """Sequential anytime execution: assess in pieces, stop on cancel.
+    """The anytime loop: :func:`~repro.runtime.mapreduce.run_portions`
+    over :func:`chunk_layout`, seeded from ``assessor.rng``.
 
-    Rounds are cut by :func:`chunk_layout` into at most ``chunks``
-    independent pieces of at least :data:`MIN_CHUNK_ROUNDS` rounds; the
-    token is checked between pieces and forwarded into each piece's
-    sampler loop. On cancel the completed pieces become the anytime
-    estimate with coverage-widened bounds; only a cancel before *any*
-    piece finished raises :class:`OperationCancelled`.
+    At most ``chunks`` pieces of at least :data:`MIN_CHUNK_ROUNDS`
+    rounds; the token is checked between pieces and forwarded into each
+    piece's sampler loop. On cancel the completed pieces become the
+    anytime estimate with coverage-widened bounds; only a cancel before
+    *any* piece finished raises :class:`OperationCancelled`. A ``pool``
+    runs the same pieces on its workers, with the same bits.
     """
-    watch = Stopwatch()
     layout = chunk_layout(rounds, chunks)
-    per_round_chunks: list[np.ndarray] = []
-    sampled_components = 0
-    cancelled = False
-    for batch in layout:
-        if token.cancelled:
-            cancelled = True
-            break
-        try:
-            chunk = assessor.assess(plan, structure, rounds=batch, cancel=token)
-        except OperationCancelled:
-            # Mid-piece cancel: the interrupted piece yields nothing,
-            # but earlier pieces may still carry the anytime result.
-            cancelled = True
-            break
-        per_round_chunks.append(chunk.per_round)
-        sampled_components = max(sampled_components, chunk.sampled_components)
-    if not per_round_chunks:
-        raise OperationCancelled(
-            "assessment cancelled before any chunk completed",
-            reason=token.reason,
-        )
-    per_round, estimate, dropped_rounds = estimate_from_pieces(
-        per_round_chunks, rounds
-    )
-    runtime = RuntimeMetadata(
-        backend="chunked",
-        workers=1,
-        portion_seeds=(),
-        dropped_portions=len(layout) - len(per_round_chunks),
-        dropped_rounds=dropped_rounds,
-        cancelled=cancelled,
-    )
-    return AssessmentResult(
-        plan=plan,
-        estimate=estimate,
-        per_round=per_round,
-        sampled_components=sampled_components,
-        elapsed_seconds=watch.elapsed(),
-        runtime=runtime,
-    )
+    return run_portions(assessor, plan, structure, layout, token, pool)
 
 
 class RequestExecutor:
@@ -167,11 +126,10 @@ class RequestExecutor:
     including the cancelled/error response shapes, so neither a thread
     worker nor a shard worker process needs a mapping layer around it.
 
-    ``accelerator`` is an optional pre-step for assess requests:
-    ``accelerator(plan, structure, rounds, seed, token)`` returns an
-    :class:`AssessmentResult` from a faster backend, or ``None`` to fall
-    through to the chunked sequential path (the thread service plugs its
-    circuit-broken parallel pool in here).
+    ``pool`` is the thread service's circuit-broken worker pool (see
+    :class:`~repro.service.scheduler.GuardedPool`), or ``None``: an
+    assess request's pieces then run on this worker's own assessor. The
+    pieces and their seeds are the same either way.
     """
 
     def __init__(
@@ -183,13 +141,14 @@ class RequestExecutor:
         default_rounds: int,
         chunks: int,
         worker_index: int = 0,
+        pool=None,
     ):
         self.topology = topology
         self.dependency_model = dependency_model
         self.service_seed = service_seed
         self.default_rounds = default_rounds
         self.chunks = chunks
-        self.accelerator = None
+        self.pool = pool
         self.assessor = ReliabilityAssessor.from_config(
             topology,
             dependency_model,
@@ -299,17 +258,19 @@ class RequestExecutor:
         )
         rounds = request.rounds or self.default_rounds
         seed = self.seed_for("assess", request.idempotency_key or request_id)
-        result = None
-        if self.accelerator is not None:
-            result = self.accelerator(plan, structure, rounds, seed, token)
-        backend = "parallel" if result is not None else "chunked-sequential"
-        if result is None:
-            # Reseed per request: the stream is a pure function of the
+
+        def pieces(pool) -> AssessmentResult:
+            # Reseed per attempt: the stream is a pure function of the
             # request, not of which worker runs it or what ran before.
             self.assessor.rng = make_rng(seed)
-            result = chunked_assess(
-                self.assessor, plan, structure, rounds, self.chunks, token
+            return chunked_assess(
+                self.assessor, plan, structure, rounds, self.chunks, token, pool
             )
+
+        if self.pool is None:
+            result, backend = pieces(None), "chunked-sequential"
+        else:
+            result, backend = self.pool.run(pieces)
         if recovered and result.runtime is not None:
             result = replace(
                 result, runtime=replace(result.runtime, recovered=True)

@@ -46,7 +46,7 @@ from repro.service.lifecycle import Effect
 from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
 from repro.service.scheduler import ServiceConfig, ServiceFront
 from repro.util.cancel import CancellationToken
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 logger = logging.getLogger("repro.service.fleet")
 
@@ -236,6 +236,10 @@ class FleetSupervisor(ServiceFront):
         if config.fleet_workers < 1:
             raise ConfigurationError(
                 "FleetSupervisor requires fleet_workers >= 1"
+            )
+        if config.parallel_workers > 0:  # shards run every piece themselves
+            raise ValidationError(
+                [("parallel_workers", "the shard fleet runs no worker pool")]
             )
         self._ctx = _fork_context()
         super().__init__(

@@ -13,9 +13,9 @@ what sits around it:
   it with forked workers.
 * :class:`AssessmentService` — the single-process shape: one slot whose
   ``scheduler_workers`` executors are threads, each running the shared
-  :class:`~repro.service.executor.RequestExecutor`, with the optional
-  parallel backend (guarded by a :class:`~repro.service.breaker.
-  CircuitBreaker`) plugged in front of it as the executor's accelerator.
+  :class:`~repro.service.executor.RequestExecutor`, all handed the one
+  optional worker pool behind a :class:`~repro.service.breaker.
+  CircuitBreaker` (:class:`GuardedPool`).
 
 A deadline firing mid-run does not raise: the service returns the
 **anytime result** built from the work completed so far, with honestly
@@ -34,7 +34,9 @@ import time
 from dataclasses import dataclass
 
 from repro.core.api import AssessmentConfig
+from repro.core.assessment import ReliabilityAssessor
 from repro.core.result import RuntimeMetadata
+from repro.runtime.mapreduce import RetryPolicy, fork_pool
 from repro.service.breaker import CircuitBreaker
 from repro.service.executor import RequestExecutor
 from repro.service.health import DRAINING, SERVING, STOPPED, HealthMonitor
@@ -52,7 +54,6 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.metrics import MetricsRegistry
-from repro.util.rng import make_rng
 
 logger = logging.getLogger("repro.service")
 
@@ -329,25 +330,22 @@ class AssessmentService(ServiceFront):
         # more than ``scheduler_workers`` items.
         self._dispatched: queue.SimpleQueue = queue.SimpleQueue()
         self._workers: list[threading.Thread] = []
-        self._parallel = None
-        self._parallel_lock = threading.Lock()
+        self._pool = None
         if config.parallel_workers > 0:
-            from repro.runtime.mapreduce import ParallelAssessor, RetryPolicy
-
-            self._parallel = ParallelAssessor.from_config(
-                self.topology,
-                self.dependency_model,
-                AssessmentConfig(
-                    mode="parallel",
-                    rounds=config.rounds,
-                    workers=config.parallel_workers,
-                    rng=config.seed + 2,
-                    partial_ok=True,
-                    retry_policy=RetryPolicy(
-                        timeout_seconds=config.portion_timeout_seconds
-                    ),
+            pool = fork_pool(
+                ReliabilityAssessor.from_config(
+                    self.topology,
+                    self.dependency_model,
+                    AssessmentConfig(rounds=config.rounds),
                 ),
+                config.parallel_workers,
+                retry_policy=RetryPolicy(
+                    timeout_seconds=config.portion_timeout_seconds
+                ),
+                partial_ok=True,
             )
+            if pool is not None:
+                self._pool = GuardedPool(pool, self.breaker, self.metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -382,9 +380,9 @@ class AssessmentService(ServiceFront):
         for thread in self._workers:
             thread.join(timeout=5.0)
         self._workers.clear()
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
+        if self._pool is not None:
+            self._pool.pool.close()
+            self._pool = None
         with self._lock:
             self.core.close()
         self.health.transition(STOPPED)
@@ -420,8 +418,8 @@ class AssessmentService(ServiceFront):
             default_rounds=self.config.rounds,
             chunks=self.config.chunks,
             worker_index=index,
+            pool=self._pool,
         )
-        executor.accelerator = self._parallel_assess
         while True:
             try:
                 effect = self._dispatched.get(timeout=0.1)
@@ -448,72 +446,69 @@ class AssessmentService(ServiceFront):
             with self._lock:
                 self._apply(self.core.completed(0, ticket.id, response))
 
-    def _parallel_assess(self, plan, structure, rounds, seed, token):
-        """The executor's accelerator: the shared parallel pool when it
-        is configured and the breaker allows; ``None`` sends the request
-        down the chunked sequential path.
-
-        A busy pool is waited for (polling the ticket's token), never
-        skipped: which backend answers decides which bits a keyed request
-        yields, so it may depend on configuration and on faults, not on
-        which of two concurrent requests reached the lock first.
-        """
-        if self._parallel is None:
-            return None
-        while not self._parallel_lock.acquire(timeout=0.05):
-            token.check()
-        try:
-            try:
-                self.breaker.before_call()
-            except CircuitOpen:
-                self.metrics.incr("service/breaker_fallbacks")
-                return None
-            try:
-                # Reseed under the backend lock: portion seeds become a
-                # pure function of the request, not of execution order.
-                self._parallel.rng = make_rng(seed)
-                result = self._parallel.assess(
-                    plan, structure, rounds=rounds, cancel=token
-                )
-            except OperationCancelled:
-                # Not a backend fault: the caller's deadline fired
-                # before any portion finished.
-                raise
-            except ReproError as exc:
-                self.breaker.record_failure()
-                logger.warning(
-                    "parallel backend failed (%s); falling back to chunked "
-                    "sequential",
-                    exc,
-                )
-                return None
-            if self._runtime_sick(result.runtime):
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-            return result
-        finally:
-            self._parallel_lock.release()
-
-    @staticmethod
-    def _runtime_sick(runtime: RuntimeMetadata | None) -> bool:
-        """Did the substrate misbehave, even if the result recovered?
-
-        Cancellation is the *caller's* doing and never counts; crashes,
-        hangs, worker errors and pool restarts do — a backend that keeps
-        recovering inline is a backend about to fail for real.
-        """
-        if runtime is None:
-            return False
-        substrate_failures = [
-            f for f in runtime.failures if f.kind != "cancelled"
-        ]
-        if substrate_failures:
-            return True
-        if runtime.recovered_inline > 0:
-            return True
-        return runtime.pool_restarts > 0 and not runtime.cancelled
-
     def status(self) -> dict:
         """The shared snapshot plus the parallel backend's breaker."""
         return dict(super().status(), breaker=self.breaker.snapshot())
+
+
+class GuardedPool:
+    """The thread service's one worker pool behind its circuit breaker.
+
+    :meth:`run` takes ``pieces(pool)``, a request's chunked assessment
+    that runs its pieces on ``pool`` or, given ``None``, on the calling
+    thread, and calls it on the pool when the pool is free and the
+    breaker allows. A busy pool, an open breaker or a pool that failed
+    the request sends it inline instead: same layout, same seeds, same
+    bits, so which side answers never decides a keyed request's result.
+    """
+
+    def __init__(self, pool, breaker: CircuitBreaker, metrics: MetricsRegistry):
+        self.pool = pool
+        self.breaker = breaker
+        self.metrics = metrics
+        self._lock = threading.Lock()
+
+    def run(self, pieces):
+        """``(result, backend)``: ``"parallel"`` when the pool answered."""
+        if self._lock.acquire(blocking=False):
+            try:
+                result = self._on_pool(pieces)
+            finally:
+                self._lock.release()
+            if result is not None:
+                return result, "parallel"
+        return pieces(None), "chunked-sequential"
+
+    def _on_pool(self, pieces):
+        try:
+            self.breaker.before_call()
+        except CircuitOpen:
+            self.metrics.incr("service/breaker_fallbacks")
+            return None
+        try:
+            result = pieces(self.pool)
+        except OperationCancelled:
+            # Not a pool fault: the caller's deadline fired before any
+            # piece finished.
+            raise
+        except ReproError as exc:
+            self.breaker.record_failure()
+            logger.warning("worker pool failed (%s); running inline", exc)
+            return None
+        if _runtime_sick(result.runtime):
+            self.breaker.record_failure()
+        else:
+            self.breaker.record_success()
+        return result
+
+
+def _runtime_sick(runtime: RuntimeMetadata) -> bool:
+    """Did the pool misbehave, even if the result recovered?
+
+    Cancellation is the *caller's* doing and never counts; crashes,
+    hangs, worker errors (recovered on the master or not) and pool
+    restarts do — a pool that keeps recovering is about to fail for real.
+    """
+    if any(f.kind != "cancelled" for f in runtime.failures):
+        return True
+    return runtime.pool_restarts > 0 and not runtime.cancelled

@@ -6,6 +6,8 @@ seconds; scale-sensitive behaviour is covered by the benchmarks.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ def packed_states(rounds, failed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """What a platform without fork gets: parallel assessors built under
+    this fixture have no worker pool and run every portion on the master."""
+    from repro.runtime import mapreduce
+
+    monkeypatch.setattr(mapreduce, "_fork_available", lambda: False)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "the 'fork' start method", RuntimeWarning)
+        yield
 
 
 @pytest.fixture

@@ -74,8 +74,8 @@ class TestBuildAssessorDispatch:
         assert isinstance(assessor, ReliabilityAssessor)
         assert isinstance(assessor, Assessor)
 
-    def test_parallel(self, fattree4, inventory):
-        config = self.CONFIG.with_updates(mode="parallel", backend="inline")
+    def test_parallel(self, fattree4, inventory, no_fork):
+        config = self.CONFIG.with_updates(mode="parallel")
         with build_assessor(fattree4, inventory, config) as assessor:
             assert isinstance(assessor, ParallelAssessor)
             assert isinstance(assessor, Assessor)
@@ -101,7 +101,7 @@ class TestLegacyKwargsRejected:
 
     def test_parallel_assessor_legacy_kwargs_raise(self, fattree4, inventory):
         with pytest.raises(TypeError, match="workers"):
-            ParallelAssessor(fattree4, inventory, workers=2, backend="inline")
+            ParallelAssessor(fattree4, inventory, workers=2)
 
     def test_build_assessor_legacy_kwargs_raise(self, fattree4, inventory):
         with pytest.raises(TypeError, match="rounds"):
@@ -128,7 +128,7 @@ class TestOneRepresentation:
 
     def test_config_has_no_kernel_field(self):
         names = {f.name for f in dataclasses.fields(AssessmentConfig)}
-        assert "kernel" not in names and len(names) == 16
+        assert names.isdisjoint({"kernel", "backend"}) and len(names) == 15
         with pytest.raises(TypeError, match="kernel"):
             AssessmentConfig(kernel=False)
 
@@ -183,11 +183,9 @@ class TestScorePlansProtocol:
             assert np.array_equal(batch_result.per_round, lone.per_round)
             assert batch_result.estimate == lone.estimate
 
-    def test_parallel_backend_uses_fallback(self, fattree4, inventory):
+    def test_parallel_backend_uses_fallback(self, fattree4, inventory, no_fork):
         plans = self._plans(fattree4, count=2)
-        config = AssessmentConfig(
-            mode="parallel", rounds=400, rng=3, workers=2, backend="inline"
-        )
+        config = AssessmentConfig(mode="parallel", rounds=400, rng=3, workers=2)
         with ParallelAssessor.from_config(fattree4, inventory, config) as pa:
             results = pa.score_plans(plans, STRUCTURE)
         assert [r.plan for r in results] == plans

@@ -153,8 +153,9 @@ class TestServiceLevelBreaker:
 
     def test_trip_fallback_and_recovery(self, fattree4, inventory):
         from repro.core.api import AssessmentConfig
+        from repro.core.assessment import ReliabilityAssessor
         from repro.runtime.chaos import ChaosPolicy
-        from repro.runtime.mapreduce import ParallelAssessor, RetryPolicy
+        from repro.runtime.mapreduce import RetryPolicy, WorkerPool
         from repro.service.requests import AssessRequest
         from repro.service.scheduler import AssessmentService, ServiceConfig
 
@@ -176,24 +177,21 @@ class TestServiceLevelBreaker:
             request = AssessRequest(hosts=hosts, k=2, rounds=2_000)
 
             # Rig the pool so every portion crashes in every attempt.
-            assert service._parallel is not None
-            service._parallel.close()
-            service._parallel = ParallelAssessor.from_config(
-                fattree4,
-                inventory,
-                AssessmentConfig(
-                    mode="parallel",
-                    workers=2,
-                    rounds=2_000,
-                    rng=9,
-                    chaos=ChaosPolicy(
-                        crash=frozenset(range(64)),
-                        max_attempts=100,
-                        kinds=("crash",),
-                    ),
-                    retry_policy=RetryPolicy(timeout_seconds=5.0, max_retries=1),
-                    partial_ok=True,
+            assert service._pool is not None
+            assessor = ReliabilityAssessor.from_config(
+                fattree4, inventory, AssessmentConfig(rounds=2_000)
+            )
+            service._pool.pool.close()
+            service._pool.pool = WorkerPool(
+                assessor,
+                2,
+                chaos=ChaosPolicy(
+                    crash=frozenset(range(64)),
+                    max_attempts=100,
+                    kinds=("crash",),
                 ),
+                retry_policy=RetryPolicy(timeout_seconds=5.0, max_retries=1),
+                partial_ok=True,
             )
 
             # Two failing requests trip the breaker; both still succeed via
@@ -213,15 +211,8 @@ class TestServiceLevelBreaker:
             # Heal the backend, wait out the recovery window: the next
             # request is the half-open probe, succeeds on the pool, and
             # closes the circuit.
-            service._parallel.close()
-            service._parallel = ParallelAssessor.from_config(
-                fattree4,
-                inventory,
-                AssessmentConfig(
-                    mode="parallel", workers=2, rounds=2_000, rng=9,
-                    partial_ok=True,
-                ),
-            )
+            service._pool.pool.close()
+            service._pool.pool = WorkerPool(assessor, 2, partial_ok=True)
             import time
 
             deadline = time.monotonic() + 5.0

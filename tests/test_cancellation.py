@@ -9,6 +9,7 @@ collect.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -140,31 +141,68 @@ class TestSequentialCancellation:
         assert result.estimate.rounds == 500
 
 
-def _cancel_after_first_portion(monkeypatch, token):
-    """Fire ``token`` deterministically once the first portion completes."""
-    real = ParallelAssessor._inline_portion
+def _cancel_after(monkeypatch, assessor, token, pieces):
+    """Fire ``token`` deterministically once ``pieces`` portions have run
+    on ``assessor`` (the master of a runner without a pool)."""
+    real = assessor.assess
+    ran = []
 
-    def wrapper(self, portion, plan, structure, cancel=None):
-        out = real(self, portion, plan, structure, cancel)
-        token.cancel("test: first portion done")
-        return out
+    def assess(plan, structure, rounds=None, cancel=None):
+        result = real(plan, structure, rounds=rounds, cancel=cancel)
+        ran.append(rounds)
+        if len(ran) == pieces:
+            token.cancel("test: pieces done")
+        return result
 
-    monkeypatch.setattr(ParallelAssessor, "_inline_portion", wrapper)
+    monkeypatch.setattr(assessor, "assess", assess)
+
+
+def _cancel_on_pool_after(pieces, token):
+    """A hook that fires ``token`` once ``pieces`` portions ran on a
+    one-worker pool.
+
+    Installed before the pool forks, it counts sampling passes in the
+    worker; the next portion signals and then blocks inside sampling,
+    so the cancel lands while it is in flight, after exactly ``pieces``
+    results reached the master (one worker runs portions in turn). Raw
+    semaphores: the pool restart kills the blocked worker, and a
+    semaphore has no acknowledge protocol to deadlock on.
+    """
+    import multiprocessing
+    import threading
+
+    count = multiprocessing.Value("i", 0)
+    started = multiprocessing.Semaphore(0)
+    release = multiprocessing.Semaphore(0)
+
+    def hook():
+        with count.get_lock():
+            count.value += 1
+            blocked = count.value == pieces + 1
+        if blocked:
+            started.release()
+            release.acquire(timeout=60.0)
+
+    def fire():
+        if started.acquire(timeout=30.0):
+            token.cancel("test: pieces done")
+
+    threading.Thread(target=fire, daemon=True).start()
+    return hook, release
 
 
 class TestParallelCancellation:
     def test_inline_backend_returns_anytime_partial(
-        self, fattree4, inventory, monkeypatch
+        self, fattree4, inventory, monkeypatch, no_fork
     ):
         """Cancel between portions: completed portions become the estimate."""
         assessor = ParallelAssessor.from_config(
             fattree4,
             inventory,
-            AssessmentConfig(mode="parallel", backend="inline", workers=4,
-                             rounds=400, rng=3),
+            AssessmentConfig(mode="parallel", workers=4, rounds=400, rng=3),
         )
         token = CancellationToken()
-        _cancel_after_first_portion(monkeypatch, token)
+        _cancel_after(monkeypatch, assessor.master, token, 1)
         result = assessor.assess(_plan(fattree4), STRUCTURE, cancel=token)
         runtime = result.runtime
         assert runtime.cancelled
@@ -174,15 +212,16 @@ class TestParallelCancellation:
         assert runtime.dropped_rounds == 300
         assert sum(1 for f in runtime.failures if f.kind == "cancelled") == 3
 
-    def test_anytime_bounds_are_widened(self, fattree4, inventory, monkeypatch):
+    def test_anytime_bounds_are_widened(
+        self, fattree4, inventory, monkeypatch, no_fork
+    ):
         assessor = ParallelAssessor.from_config(
             fattree4,
             inventory,
-            AssessmentConfig(mode="parallel", backend="inline", workers=4,
-                             rounds=400, rng=3),
+            AssessmentConfig(mode="parallel", workers=4, rounds=400, rng=3),
         )
         token = CancellationToken()
-        _cancel_after_first_portion(monkeypatch, token)
+        _cancel_after(monkeypatch, assessor.master, token, 1)
         result = assessor.assess(_plan(fattree4), STRUCTURE, cancel=token)
         coverage = 400 / result.estimate.rounds
         raw = np.asarray(result.per_round)
@@ -200,58 +239,42 @@ class TestParallelCancellation:
     def test_chunked_and_inline_report_the_same_loss(
         self, fattree4, inventory, monkeypatch, completed
     ):
-        """Same piece sizes, cancelled after the same piece: the service's
-        chunked loop and the inline portions reduce through one function,
-        so they drop the same rounds and widen by the same coverage."""
+        """One runner, with and without a pool: the same pieces, cancelled
+        after the same piece, keep the same bits, drop the same rounds and
+        widen by the same coverage."""
+        from repro.runtime.mapreduce import WorkerPool
+        from repro.sampling import base as sampling_base
         from repro.sampling.statistics import estimate_from_results
         from repro.service.executor import MIN_CHUNK_ROUNDS, chunked_assess
 
         pieces, rounds = 4, 4 * MIN_CHUNK_ROUNDS
         plan = _plan(fattree4)
+        config = AssessmentConfig(rounds=rounds, rng=3)
 
-        class CancelsAfter:
-            """Assessor proxy firing ``token`` once ``completed`` pieces ran."""
-
-            def __init__(self, assessor, token):
-                self.assessor, self.token, self.ran = assessor, token, 0
-
-            def assess(self, plan, structure, rounds=None, cancel=None):
-                result = self.assessor.assess(
-                    plan, structure, rounds=rounds, cancel=cancel
+        token = CancellationToken()
+        master = ReliabilityAssessor.from_config(fattree4, inventory, config)
+        hook, release = _cancel_on_pool_after(completed, token)
+        sampling_base.set_sampling_started_hook(hook)
+        try:
+            with contextlib.closing(WorkerPool(master, 1)) as pool:
+                sampling_base.set_sampling_started_hook(None)
+                pooled = chunked_assess(
+                    master, plan, STRUCTURE, rounds, pieces, token, pool
                 )
-                self.ran += 1
-                if self.ran == completed:
-                    self.token.cancel("test: pieces done")
-                return result
+        finally:
+            release.release()
+            sampling_base.set_sampling_started_hook(None)
 
         token = CancellationToken()
-        sequential = ReliabilityAssessor.from_config(
-            fattree4, inventory, AssessmentConfig(rounds=rounds, rng=3)
-        )
-        chunked = chunked_assess(
-            CancelsAfter(sequential, token), plan, STRUCTURE, rounds, pieces, token
-        )
+        master = ReliabilityAssessor.from_config(fattree4, inventory, config)
+        _cancel_after(monkeypatch, master, token, completed)
+        alone = chunked_assess(master, plan, STRUCTURE, rounds, pieces, token)
 
-        token = CancellationToken()
-        real = ParallelAssessor._inline_portion
-
-        def portion(self, portion, plan, structure, cancel=None):
-            out = real(self, portion, plan, structure, cancel)
-            if portion.index + 1 == completed:
-                token.cancel("test: portions done")
-            return out
-
-        monkeypatch.setattr(ParallelAssessor, "_inline_portion", portion)
-        inline = ParallelAssessor.from_config(
-            fattree4,
-            inventory,
-            AssessmentConfig(mode="parallel", backend="inline", workers=pieces,
-                             rounds=rounds, rng=3),
-        ).assess(plan, STRUCTURE, cancel=token)
-
+        assert np.array_equal(pooled.per_round, alone.per_round)
+        assert pooled.runtime.portion_seeds == alone.runtime.portion_seeds
         kept = MIN_CHUNK_ROUNDS * completed
         coverage = rounds / kept
-        for result in (chunked, inline):
+        for result in (pooled, alone):
             assert result.runtime.cancelled
             assert result.runtime.dropped_portions == pieces - completed
             assert result.runtime.dropped_rounds == rounds - kept
@@ -263,12 +286,11 @@ class TestParallelCancellation:
                 plain.confidence_interval_width * math.sqrt(coverage)
             )
 
-    def test_pre_fired_token_raises_not_returns(self, fattree4, inventory):
+    def test_pre_fired_token_raises_not_returns(self, fattree4, inventory, no_fork):
         assessor = ParallelAssessor.from_config(
             fattree4,
             inventory,
-            AssessmentConfig(mode="parallel", backend="inline", workers=2,
-                             rounds=200, rng=3),
+            AssessmentConfig(mode="parallel", workers=2, rounds=200, rng=3),
         )
         token = CancellationToken()
         token.cancel("gone")
@@ -312,9 +334,9 @@ class TestParallelCancellation:
                 inventory,
                 AssessmentConfig(mode="parallel", workers=2, rounds=10_000, rng=3),
             ) as assessor:
-                if assessor.backend != "process":
+                if assessor.pool is None:
                     pytest.skip("fork unavailable on this platform")
-                before_pids = assessor._live_worker_pids()
+                before_pids = assessor.pool.live_worker_pids()
                 token = CancellationToken()
                 saw_sampling = threading.Event()
 
@@ -339,7 +361,7 @@ class TestParallelCancellation:
                 release.release()
                 # The old in-flight workers were torn down with the pool
                 # restart; the fresh pool must be fully alive and usable.
-                after_pids = assessor._live_worker_pids()
+                after_pids = assessor.pool.live_worker_pids()
                 assert len(after_pids) == 2
                 assert not (before_pids & after_pids)
                 follow_up = assessor.assess(_plan(fattree4), STRUCTURE, rounds=200)

@@ -2,7 +2,7 @@
 
 The acceptance bar: with crashes and hangs injected into at least a
 quarter of the portions, the supervised assessor must still produce an
-estimate statistically consistent with the inline backend, and
+estimate statistically consistent with a fault-free run, and
 ``partial_ok`` must degrade honestly (flagged result, widened bounds)
 instead of raising.
 """
@@ -77,29 +77,42 @@ class TestSupervisedRecovery:
         self, fattree4, inventory, plan, structure
     ):
         """Crashes + hangs on 50% of portions: retries and pool restarts
-        recover every round, and the estimate stays within the same
-        tolerance as the fault-free process/inline equivalence test."""
+        recover every round, and the estimate stays within sampling
+        tolerance of a fault-free run on the same seed."""
         chaos = ChaosPolicy(crash={0, 2}, hang={1})
         assert len(chaos.targeted_portions(4)) >= 1  # >= 25% of 4 portions
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=20_000, workers=4, rng=3, backend="process", retry_policy=RetryPolicy(
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=20_000, workers=4, rng=3, retry_policy=RetryPolicy(
                 timeout_seconds=1.0, max_retries=2, backoff_seconds=0.01
             ), chaos=chaos)) as pa:
             chaotic = pa.assess(plan, structure)
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=20_000, workers=4, rng=3, backend="inline")) as pa:
-            inline = pa.assess(plan, structure)
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=20_000, workers=4, rng=3)) as pa:
+            healthy = pa.assess(plan, structure)
         assert chaotic.estimate.rounds == 20_000
-        assert chaotic.score == pytest.approx(inline.score, abs=0.015)
+        # Retried portions run on derived seeds: a different sample of
+        # the same distribution.
+        assert chaotic.score == pytest.approx(healthy.score, abs=0.015)
         assert not chaotic.degraded
         runtime = chaotic.runtime
         assert runtime.retries >= 3  # every sabotaged portion retried
         assert runtime.pool_restarts >= 1  # hang forced at least one
         assert len(runtime.failures) >= 3
 
+    def test_hang_times_out_and_retries_on_a_fresh_pool(
+        self, fattree4, inventory, plan, structure
+    ):
+        """A hung worker holds its slot until the deadline; the pool is
+        restarted once the other portion is in, and the retry completes."""
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, retry_policy=RetryPolicy(timeout_seconds=0.5, backoff_seconds=0.01), chaos=ChaosPolicy(hang={1}))) as pa:
+            result = pa.assess(plan, structure)
+        assert result.estimate.rounds == 4_000
+        assert [(f.portion, f.kind) for f in result.runtime.failures] == [(1, "timeout")]
+        assert result.runtime.retries == result.runtime.pool_restarts == 1
+
     def test_error_injection_recovers_without_restart(
         self, fattree4, inventory, plan, structure
     ):
         chaos = ChaosPolicy(error={0, 1})
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, backend="process", retry_policy=RetryPolicy(max_retries=2, backoff_seconds=0.01), chaos=chaos)) as pa:
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, retry_policy=RetryPolicy(max_retries=2, backoff_seconds=0.01), chaos=chaos)) as pa:
             result = pa.assess(plan, structure)
         assert result.estimate.rounds == 4_000
         assert result.runtime.retries == 2
@@ -111,7 +124,7 @@ class TestSupervisedRecovery:
         """A portion that fails on every attempt falls back to inline
         execution in the master, still completing all rounds."""
         chaos = ChaosPolicy(error={0}, max_attempts=10)
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3, backend="process", retry_policy=RetryPolicy(max_retries=1, backoff_seconds=0.01), chaos=chaos)) as pa:
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3, retry_policy=RetryPolicy(max_retries=1, backoff_seconds=0.01), chaos=chaos)) as pa:
             result = pa.assess(plan, structure)
         assert result.estimate.rounds == 2_000
         assert result.runtime.recovered_inline == 1
@@ -123,9 +136,9 @@ class TestSupervisedRecovery:
         """partial_ok drops exhausted portions instead of recovering them:
         the result is flagged degraded and its CI honestly widened."""
         chaos = ChaosPolicy(error={0}, max_attempts=10)
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, backend="process", retry_policy=RetryPolicy(max_retries=1, backoff_seconds=0.01), chaos=chaos, partial_ok=True)) as pa:
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, retry_policy=RetryPolicy(max_retries=1, backoff_seconds=0.01), chaos=chaos, partial_ok=True)) as pa:
             degraded = pa.assess(plan, structure)
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, backend="process")) as pa:
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3)) as pa:
             healthy = pa.assess(plan, structure)
         assert degraded.degraded
         assert degraded.runtime.dropped_portions == 1
@@ -142,7 +155,7 @@ class TestSupervisedRecovery:
         self, fattree4, inventory, plan, structure
     ):
         chaos = ChaosPolicy(error={0, 1}, max_attempts=10)
-        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3, backend="process", retry_policy=RetryPolicy(max_retries=0), chaos=chaos, partial_ok=True)) as pa:
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3, retry_policy=RetryPolicy(max_retries=0), chaos=chaos, partial_ok=True)) as pa:
             # Inline recovery is off (partial_ok) and every portion fails:
             # nothing remains to estimate from.
             with pytest.raises(DegradedResult):
@@ -154,10 +167,10 @@ class TestSupervisedRecovery:
         """If even the master's inline fallback fails, the failure is
         reported as WorkerFailure with the attempt history attached."""
         chaos = ChaosPolicy(error={0, 1}, max_attempts=10)
-        pa = ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3, backend="process", retry_policy=RetryPolicy(max_retries=0), chaos=chaos))
+        pa = ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3, retry_policy=RetryPolicy(max_retries=0), chaos=chaos))
         monkeypatch.setattr(
-            pa, "_inline_portion",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("inline down")),
+            pa.master, "assess",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("master down")),
         )
         try:
             with pytest.raises(WorkerFailure) as excinfo:
@@ -170,7 +183,7 @@ class TestSupervisedRecovery:
         """Same seed + same chaos policy => identical estimate, because
         retried portions reseed deterministically."""
         def run():
-            with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, backend="process", retry_policy=RetryPolicy(max_retries=2, backoff_seconds=0.01), chaos=ChaosPolicy(error={0}))) as pa:
+            with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3, retry_policy=RetryPolicy(max_retries=2, backoff_seconds=0.01), chaos=ChaosPolicy(error={0}))) as pa:
                 return pa.assess(plan, structure)
 
         a, b = run(), run()

@@ -72,6 +72,26 @@ class TestAssessCommand:
         assert "error" in err
 
 
+    def test_mode_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["assess", "--hosts", self.HOSTS, "--k", "2", "--mode", "parallel"]
+            )
+
+    @pytest.mark.parametrize("workers, backend", [(0, None), (2, "process")])
+    def test_workers_pick_sequential_or_the_pool(self, capsys, workers, backend):
+        code, out, _err = run_cli(
+            capsys,
+            "assess", "--scale", "tiny", "--hosts", self.HOSTS, "--k", "2",
+            "--rounds", "2000", "--workers", str(workers), "--json",
+        )
+        assert code == 0
+        runtime = json.loads(out).get("runtime")
+        assert (runtime and runtime["backend"]) == backend
+        if backend is not None:
+            assert runtime["workers"] == workers
+
+
 class TestSearchCommand:
     def test_search_runs(self, capsys):
         code, out, _err = run_cli(
@@ -198,6 +218,17 @@ class TestServeParser:
         assert args.queue_capacity == 2
         assert args.parallel_workers == 4
         assert args.default_deadline == 1.5
+
+
+    def test_fleet_rejects_a_parallel_pool(self, capsys):
+        """The shard fleet forks no pool: asking for one is a config error,
+        not a silently dropped flag."""
+        code, _out, err = run_cli(
+            capsys, "serve", "--workers", "2", "--parallel-workers", "2",
+            "--port", "0",
+        )
+        assert code == 2
+        assert "parallel_workers:" in err
 
 
 class TestBaselineCommand:

@@ -7,6 +7,8 @@ assessments are invariant to things that must not matter (instance
 order, host relabeling within a symmetry class).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.faults.inventory import (
 from repro.faults.probability import DefaultProbabilityPolicy
 from repro.routing.base import engine_for
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
+from repro.runtime import mapreduce
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.statistics import estimate_from_results
 from repro.topology.fattree import FatTreeTopology
@@ -237,18 +240,16 @@ class TestEveryBackendEqualsTheInterpretedOracle:
             assert got.estimate == estimate_from_results(want), config.mode
             assert got.sampled_components == sampled, config.mode
 
-        # Two inline workers assess one portion of the rounds each; under
-        # CRN a portion is the reference at that round count. (A worker
-        # builds the topology's own engine whatever ``config.engine`` says.)
-        parallel = build_assessor(
-            topology,
-            model,
-            base.with_updates(
-                mode="parallel", backend="inline", workers=2, sampler=sampler
-            ),
-        )
-        own = None if topology is ZONES else engine_for(topology)
+        # Two portions of the rounds, run on the master (a platform without
+        # fork); under CRN a portion is the reference at that round count.
+        with mock.patch.object(mapreduce, "_fork_available", lambda: False):
+            with pytest.warns(RuntimeWarning, match="fork"):
+                parallel = build_assessor(
+                    topology,
+                    model,
+                    base.with_updates(mode="parallel", workers=2, sampler=sampler),
+                )
         portions = np.concatenate(
-            [reference(portion, own)[0] for portion in parallel._portions(rounds)]
+            [reference(portion)[0] for portion in parallel._portions(rounds)]
         )
         assert np.array_equal(parallel.assess(plan, structure).per_round, portions)

@@ -92,52 +92,35 @@ class TestServiceLifecycle:
             assert response.request_id.startswith("req-")
         assert service.health.state == STOPPED
 
-    def test_busy_parallel_pool_is_waited_for_not_skipped(self, fattree4, inventory):
-        """Which backend answers decides a keyed request's bits, so it must
-        not depend on whether the pool was free when the request arrived."""
-        requests = {
-            key: AssessRequest(
-                hosts=tuple(fattree4.hosts[:3]), k=2, rounds=2_000,
-                idempotency_key=key,
-            )
-            for key in ("first", "second")
-        }
-        with _service(fattree4, inventory, parallel_workers=2) as service:
-            # Both scheduler threads find the pool taken.
-            service._parallel_lock.acquire()
-            try:
-                tickets = {
-                    key: service.submit("assess", request)
-                    for key, request in requests.items()
-                }
-                time.sleep(0.3)
-            finally:
-                service._parallel_lock.release()
-            contended = {
-                key: ticket.future.result(timeout=60.0)
-                for key, ticket in tickets.items()
-            }
-        for key, request in requests.items():
-            assert contended[key].status == "ok"
-            assert contended[key].backend == "parallel"
-            with _service(fattree4, inventory, parallel_workers=2) as fresh:
-                alone = fresh.assess(request, timeout=60.0)
-            assert alone.backend == "parallel"
-            assert alone.result["estimate"] == contended[key].result["estimate"]
-
-    def test_deadline_fires_while_waiting_for_the_pool(self, fattree4, inventory):
+    def test_keyed_estimate_does_not_depend_on_who_runs_the_pieces(
+        self, fattree4, inventory
+    ):
+        """The pool, the open breaker's inline fallback and a service with
+        no pool cut a request into the same pieces under the same seeds,
+        so a keyed request gets one answer from all three."""
         request = AssessRequest(
-            hosts=tuple(fattree4.hosts[:3]), k=2, rounds=2_000,
-            deadline_seconds=0.2,
+            hosts=tuple(fattree4.hosts[:3]), k=2, rounds=2 * MIN_CHUNK_ROUNDS,
+            idempotency_key="same-bits",
         )
         with _service(fattree4, inventory, parallel_workers=2) as service:
-            service._parallel_lock.acquire()
-            try:
-                response = service.assess(request, timeout=60.0)
-            finally:
-                service._parallel_lock.release()
-        assert response.status == "cancelled"
-        assert response.error["reason"] == "deadline exceeded"
+            pooled = service.assess(request, timeout=60.0)
+        with _service(
+            fattree4, inventory, parallel_workers=2,
+            breaker_failure_threshold=1, breaker_recovery_seconds=3600.0,
+        ) as service:
+            service.breaker.record_failure()
+            fallback = service.assess(request, timeout=60.0)
+        with _service(fattree4, inventory) as service:
+            alone = service.assess(request, timeout=60.0)
+        assert (pooled.backend, fallback.backend, alone.backend) == (
+            "parallel", "chunked-sequential", "chunked-sequential",
+        )
+        assert pooled.result["runtime"]["portion_seeds"] == (
+            alone.result["runtime"]["portion_seeds"]
+        )
+        assert len(alone.result["runtime"]["portion_seeds"]) == 2
+        assert pooled.result["estimate"] == alone.result["estimate"]
+        assert fallback.result["estimate"] == alone.result["estimate"]
 
     def test_search_round_trip(self, fattree4, inventory):
         with _service(fattree4, inventory, rounds=500) as service:
@@ -264,6 +247,14 @@ class _CountingAssessor:
         self._token = cancel_after_first
         self.pieces: list[int] = []
 
+    @property
+    def rng(self):
+        return self._assessor.rng
+
+    @rng.setter
+    def rng(self, value):
+        self._assessor.rng = value
+
     def assess(self, plan, structure, rounds=None, cancel=None):
         result = self._assessor.assess(
             plan, structure, rounds=rounds, cancel=cancel
@@ -330,7 +321,7 @@ class TestChunkedAnytime:
         )
         assert pieces == [self.PIECE]
         assert result.runtime.cancelled
-        assert result.runtime.backend == "chunked"
+        assert result.runtime.backend == "inline"
         assert result.estimate.rounds == self.PIECE  # 1 of 8 pieces
         assert result.runtime.dropped_rounds == 7 * self.PIECE
         assert result.runtime.dropped_portions == 7

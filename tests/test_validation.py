@@ -109,14 +109,14 @@ class TestAssessmentConfigValidation:
 
     def test_parallel_cross_field_checks(self):
         config = AssessmentConfig(mode="parallel", workers=2)
-        bad = config.with_updates(workers=0, backend="quantum")
+        bad = config.with_updates(workers=0, master_seed=-1)
         with pytest.raises(ValidationError) as excinfo:
             bad.validate()
-        assert set(excinfo.value.fields()) == {"workers", "backend"}
+        assert set(excinfo.value.fields()) == {"workers", "master_seed"}
 
     def test_workers_ignored_outside_parallel_mode(self):
-        # Sequential mode does not read workers/backend; no error.
-        AssessmentConfig(mode="sequential", workers=0, backend="quantum").validate()
+        # Sequential mode does not read workers; no error.
+        AssessmentConfig(mode="sequential", workers=0).validate()
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValidationError) as excinfo:
