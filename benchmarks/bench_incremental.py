@@ -14,6 +14,7 @@ Usage::
     python benchmarks/bench_incremental.py --smoke    # CI smoke: tiny
         preset, few moves; asserts equality + cache hit rate > 0, then
         the delta-pricing counts of a fixed-seed 25-move ``medium`` walk
+        and the closure counts of 100 cold from-scratch ``tiny`` plans
         (never wall-clock, so it cannot flake on loaded runners); writes
         ``BENCH_incremental.json``
 
@@ -44,6 +45,7 @@ from repro.faults.inventory import build_paper_inventory
 from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.topology.presets import paper_topology
+from repro.util.metrics import MetricsRegistry
 
 MASTER_SEED = 20170412  # CoNEXT '17 submission-ish; any fixed value works
 WALK_SEED = 11
@@ -130,9 +132,9 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
     Every count is a function of the walk alone — none depends on set
     order, so all repeat exactly across ``PYTHONHASHSEED`` and hosts:
     closure components seen, how many of them the positive-probability
-    mask dropped without a draw, private generators constructed, closure
-    layer mask pairs built, against the pods, edge switches and hosts the
-    walk touched.
+    mask dropped without a draw, private generators constructed, shared
+    closure layers the kernel keeps, against the pods, edge switches and
+    hosts the walk touched.
     """
     topology, inventory = _substrate(scale)
     structure = ApplicationStructure.k_of_n(8, 10)
@@ -172,10 +174,70 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
         "dropped_by_positive_mask": len(seen) - positive,
         "positive_misses": positive,
         "generators_constructed": generators,
-        "layer_masks_built": len(assessor._layers),
+        "layers_kept": len(assessor.kernel._layer_memo[assessor.engine]),
         "pods_touched": len(pods),
         "edges_touched": len(edges),
         "hosts_touched": len(hosts),
+    }
+
+
+def run_scratch_counts(scale: str = "tiny", rounds: int = 600, count: int = 100) -> dict:
+    """What cold plans cost the from-scratch assessor's closure, in counts.
+
+    ``count`` distinct random 3-host plans, each assessed once: the
+    components handed to the sampler against the positive-probability
+    components of each plan's string-set closure (engine elements plus
+    their subjects' basic events), the ``sample/components`` counter
+    against the closures' full sizes, and the shared layers the kernel
+    keeps against the pods and edge switches touched. All repeat exactly
+    across ``PYTHONHASHSEED``.
+    """
+    topology, inventory = _substrate(scale)
+    structure = ApplicationStructure.k_of_n(2, 3)
+    registry = MetricsRegistry()
+    assessor = ReliabilityAssessor.from_config(
+        topology, inventory, AssessmentConfig(rounds=rounds, rng=WALK_SEED, metrics=registry)
+    )
+    drawn = 0
+    sample_packed = assessor.kernel.sample_packed
+
+    def counted_sample(sampler, probabilities, *args, **kwargs):
+        nonlocal drawn
+        drawn += len(probabilities)
+        return sample_packed(sampler, probabilities, *args, **kwargs)
+
+    assessor.kernel.sample_packed = counted_sample
+    rng = np.random.default_rng(WALK_SEED)
+    probabilities = inventory.failure_probabilities()
+    seen: set[tuple[str, ...]] = set()
+    closure_total = positive = 0
+    while len(seen) < count:
+        hosts = tuple(sorted(str(h) for h in rng.choice(topology.hosts, 3, replace=False)))
+        if hosts in seen:
+            continue
+        seen.add(hosts)
+        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
+        assessor.assess(plan, structure)
+        elements = assessor.engine.relevant_elements(hosts)
+        subjects = elements & topology.elements
+        closure = inventory.basic_events_for(subjects) | (elements - subjects)
+        closure_total += len(closure)
+        positive += sum(probabilities[cid] > 0.0 for cid in closure)
+    edges = {topology.edge_switch_of(host) for hosts in seen for host in hosts}
+    pods = {topology.edge_pod[edge] for edge in edges}
+    return {
+        "workload": "scratch_cold_plans",
+        "scale": scale,
+        "rounds": rounds,
+        "plans": count,
+        "components_drawn": drawn,
+        "positive_closure_components": positive,
+        "components_counted": int(registry.counter("sample/components")),
+        "closure_components": closure_total,
+        "layers_kept": len(assessor.kernel._layer_memo[assessor.engine]),
+        "layer_builds": int(registry.counter("closure/layer/miss")),
+        "pods_touched": len(pods),
+        "edges_touched": len(edges),
     }
 
 
@@ -211,18 +273,28 @@ def run_smoke() -> int:
     assert counts["generators_constructed"] == counts["positive_misses"], (
         "private generators constructed != new components that can fail"
     )
-    layer_bound = (
-        1 + counts["pods_touched"] + counts["edges_touched"] + counts["hosts_touched"]
+    layer_bound = 1 + counts["pods_touched"] + counts["edges_touched"]
+    assert counts["layers_kept"] <= layer_bound, (
+        f"{counts['layers_kept']} closure layers kept, bound {layer_bound}"
     )
-    assert counts["layer_masks_built"] <= layer_bound, (
-        f"{counts['layer_masks_built']} closure layers built, bound {layer_bound}"
+    scratch = run_scratch_counts()
+    print(" ".join(f"{key}={value}" for key, value in scratch.items()))
+    assert scratch["components_drawn"] == scratch["positive_closure_components"], (
+        "the from-scratch sampler was handed components that cannot fail"
+    )
+    assert scratch["components_counted"] == scratch["closure_components"], (
+        "sample/components no longer counts the whole closure"
+    )
+    layer_bound = 1 + scratch["pods_touched"] + scratch["edges_touched"]
+    assert scratch["layers_kept"] == scratch["layer_builds"] <= layer_bound, (
+        f"{scratch['layers_kept']} closure layers kept, bound {layer_bound}"
     )
     row = {key: value for key, value in row.items() if key != "metrics"}
     payload = {
         "benchmark": "incremental engine: bit-equality and delta-pricing counts",
         "master_seed": MASTER_SEED,
         "walk_seed": WALK_SEED,
-        "rows": [{"workload": "tiny_equality", **row}, counts],
+        "rows": [{"workload": "tiny_equality", **row}, counts, scratch],
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULTS_PATH}")

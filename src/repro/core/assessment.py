@@ -87,7 +87,6 @@ class ReliabilityAssessor(AssessorBase):
         self._evaluator = StructureEvaluator(self.engine)
         self._all_probabilities = self.dependency_model.failure_probabilities()
         self._validated = set()
-        self._closures: dict[frozenset[str], tuple[set[str], set[str]]] = {}
         self.kernel = AssessmentKernel(
             topology, self.dependency_model, self._all_probabilities
         )
@@ -108,31 +107,28 @@ class ReliabilityAssessor(AssessorBase):
             self.topology, self.dependency_model, self._all_probabilities
         )
 
-    def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
-        """(subjects, sampled component ids) for a plan's assessment.
+    def _closure_masks(self, plan: DeploymentPlan) -> tuple[int, int]:
+        return self.kernel.closure_masks(self.engine, plan.hosts(), self.metrics)
 
-        Subjects are the hosts/switches whose fault trees get evaluated;
-        the sampled set adds links and every dependency those trees read.
-        The closure depends only on the plan's host set and is memoized
-        for the last few of them: what hits is one plan assessed again
-        and again (the service's chunked pieces, ``assess_to_ci``, a
-        worker's portions), and a ~70 KiB entry per cold plan is the
-        memory that would otherwise grow. Callers treat the returned
-        sets as read-only.
-        """
-        key = frozenset(plan.hosts())
-        cached = self._closures.get(key)
-        if cached is not None:
-            return cached
-        elements = self.engine.relevant_elements(plan.hosts())
-        subjects = elements & self.topology.elements
-        links = elements - subjects
-        sampled = set(self.dependency_model.basic_events_for(subjects))
-        sampled.update(links)
-        if len(self._closures) >= 8:
-            self._closures.clear()
-        self._closures[key] = (subjects, sampled)
-        return subjects, sampled
+    def _probabilities(self, sampled: int, by_id: bool) -> dict[str, float]:
+        """The sampler's input for a closure: the components that can fail
+        (every sampler skips the rest without a draw), in sorted-id order,
+        the stream :meth:`assess` has always drawn, or arena order."""
+        if self.sample_full_infrastructure:
+            # The one long-lived dict, not a copy: samplers only read it.
+            return self._all_probabilities
+        arena = self.kernel.arena
+        drawn = arena.indices_in(sampled & self.kernel.positive)
+        if by_id:
+            drawn = drawn[np.argsort(arena.rank[drawn])]
+        ids = arena.ids
+        keys = [ids[i] for i in drawn.tolist()]
+        return dict(zip(keys, arena.probabilities[drawn].tolist()))
+
+    def _sampled_components(self, sampled: int) -> int:
+        if self.sample_full_infrastructure:
+            return len(self._all_probabilities)
+        return sampled.bit_count()
 
     def assess(
         self,
@@ -159,32 +155,23 @@ class ReliabilityAssessor(AssessorBase):
         if cancel is not None:
             cancel.check()
         with _stage(metrics, "closure"):
-            subjects, sampled = self.closure_for(plan)
-            if self.sample_full_infrastructure:
-                # The one long-lived dict, not a copy: samplers only read it.
-                probabilities = self._all_probabilities
-            else:
-                # Sorted, not set order: the sampler draws per component in
-                # mapping order, and set iteration varies with the process's
-                # hash seed — which would make results differ across process
-                # restarts with the same request seed.
-                probabilities = {
-                    cid: self._all_probabilities[cid] for cid in sorted(sampled)
-                }
+            subjects, sampled = self._closure_masks(plan)
+            probabilities = self._probabilities(sampled, by_id=True)
 
         per_round = self._run_stages(
             plan, structure, rounds, subjects, sampled, probabilities, cancel
         )
         with _stage(metrics, "estimate"):
             estimate = estimate_from_results(per_round)
+        sampled_components = self._sampled_components(sampled)
         if metrics is not None:
             metrics.incr("assess/from_scratch")
-            metrics.incr("sample/components", len(probabilities))
+            metrics.incr("sample/components", sampled_components)
         return AssessmentResult(
             plan=plan,
             estimate=estimate,
             per_round=per_round,
-            sampled_components=len(probabilities),
+            sampled_components=sampled_components,
             elapsed_seconds=watch.elapsed(),
         )
 
@@ -193,8 +180,8 @@ class ReliabilityAssessor(AssessorBase):
         plan: DeploymentPlan,
         structure: ApplicationStructure,
         rounds: int,
-        subjects: set[str],
-        sampled: set[str],
+        subjects: int,
+        sampled: int,
         probabilities: dict[str, float],
         cancel=None,
         values: dict[int, np.ndarray | None] | None = None,
@@ -207,6 +194,10 @@ class ReliabilityAssessor(AssessorBase):
         """
         metrics = self.metrics
         kernel = self.kernel
+        # A shared or full-infrastructure batch holds more than the closure.
+        only = None
+        if batch is not None or self.sample_full_infrastructure:
+            only = set(kernel.arena.ids_in(sampled))
         if batch is None:
             with _stage(metrics, "sample"):
                 batch = kernel.sample_packed(
@@ -216,12 +207,11 @@ class ReliabilityAssessor(AssessorBase):
         if cancel is not None:
             cancel.check()
         with _stage(metrics, "faulttree"):
-            # Raw-element candidates: what failed, was sampled for this
-            # plan and is no subject — a handful, where the closure's
-            # links run to thousands.
-            rows = batch.failed_rows(sampled)
+            # Every failed row is a raw-element candidate: a handful,
+            # where the closure's links run to thousands.
+            rows = batch.failed_rows(only)
             failed = kernel.effective_states(
-                subjects, rows.keys() - subjects, rows, values
+                kernel.arena.ids_in(subjects), rows, rows, values
             )
             round_states = RoundStates(rounds=rounds, failed=failed)
         # Dead from here on, and the larger share of an assessment's
@@ -269,23 +259,14 @@ class ReliabilityAssessor(AssessorBase):
         watch = Stopwatch()
         metrics = self.metrics
         kernel = self.kernel
-        closures: list[tuple[set[str], set[str]]] = []
-        union_sampled: set[str] = set()
+        closures: list[tuple[int, int]] = []
+        union_sampled = 0
         with _stage(metrics, "closure"):
             for plan in plans:
                 plan.validate_against(self.topology, structure)
-                subjects, sampled = self.closure_for(plan)
-                closures.append((subjects, sampled))
-                union_sampled |= sampled
-            if self.sample_full_infrastructure:
-                probabilities = self._all_probabilities
-            else:
-                # Deterministic arena order, independent of set iteration.
-                probabilities = {
-                    cid: self._all_probabilities[cid]
-                    for cid in kernel.arena.ids
-                    if cid in union_sampled
-                }
+                closures.append(self._closure_masks(plan))
+                union_sampled |= closures[-1][1]
+            probabilities = self._probabilities(union_sampled, by_id=False)
 
         with _stage(metrics, "sample"):
             batch = kernel.sample_packed(
@@ -316,12 +297,12 @@ class ReliabilityAssessor(AssessorBase):
                     plan=plan,
                     estimate=estimate,
                     per_round=per_round,
-                    sampled_components=len(sampled),
+                    sampled_components=self._sampled_components(sampled),
                     elapsed_seconds=watch.elapsed() - elapsed_before,
                 )
             )
         if metrics is not None:
-            metrics.incr("sample/components", len(probabilities))
+            metrics.incr("sample/components", self._sampled_components(union_sampled))
         return results
 
     def assess_to_ci(

@@ -15,12 +15,13 @@ assessed — so it can be cached once and reused across every move:
   component's states are reused verbatim.
 * **Closure memoization** — a closure is a ``(subjects, sampled)`` pair
   of bitmasks (Python ints) over the
-  :class:`~repro.kernel.arena.ComponentArena` indices. It decomposes per
-  host for every shipped engine, and per host into the layers
+  :class:`~repro.kernel.arena.ComponentArena` indices, built by
+  :meth:`~repro.kernel.AssessmentKernel.closure_masks` from the layers
   :meth:`~repro.routing.base.ReachabilityEngine.relevant_layers` names —
   a fat-tree's core, a pod, an edge switch, the host itself; the generic
-  engine's one piece is the whole data center. A layer's pair is built
-  once; a host is the OR of its layers, a plan of its hosts.
+  engine's one piece is the whole data center. Shared layers are kept on
+  the kernel (and so shared with the search's confirmations); a host is
+  the OR of its layers, kept here, and a plan the OR of its hosts.
 * **Effective-state cache** — fault-tree reasoning per subject does not
   depend on the plan either; each subject's effective per-round failure
   vector is computed once and shared by every plan that touches it.
@@ -100,9 +101,6 @@ class _CachingEngine(ReachabilityEngine):
         self.metrics = metrics
         self._external: dict[str, np.ndarray] = {}
         self._pairs: dict[tuple[str, str], np.ndarray] = {}
-
-    def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
-        return self.inner.relevant_elements(hosts)
 
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
@@ -205,10 +203,10 @@ class IncrementalAssessor(AssessorBase):
         self.kernel = kernel
         # What every mask below indexes, and the mask of what can fail.
         self._arena = kernel.arena
-        self._positive = self._arena.mask_of_indices(self._arena.probabilities > 0.0)
-        # layer key / host -> (subjects, sampled) masks of its closure
-        self._layers: dict[object, tuple[int, int]] = {}
-        self._closures: dict[str, tuple[int, int]] = {}
+        self._positive = kernel.positive
+        # host -> (subjects, sampled) masks of its closure; the shared
+        # layers they are ORed from live on the kernel.
+        self._host_masks: dict[str, tuple[int, int]] = {}
         self._rows: dict[str, np.ndarray] = {}  # failing components' packed draws
         self._sampled = 0  # mask: drawn, or never failing
         self._forest_values: dict[int, np.ndarray | None] = {}
@@ -245,55 +243,11 @@ class IncrementalAssessor(AssessorBase):
         self.sampler.reseed(master_seed)
         self.clear_caches()
 
-    # ------------------------------------------------------------------
-    # Closure (memoized per layer and per host)
-    # ------------------------------------------------------------------
-
-    def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
-        """(subjects, sampled component ids) — same contract as the
-        from-scratch assessor, decoded from :meth:`_closure_masks`."""
-        subjects, sampled = self._closure_masks(plan)
-        ids_in = self._arena.ids_in
-        return set(ids_in(subjects)), set(ids_in(sampled))
-
     def _closure_masks(self, plan: DeploymentPlan) -> tuple[int, int]:
-        """The plan's (subjects, sampled) closure as arena bitmasks.
-
-        Both halves distribute over hosts, and over the layers of a host
-        (``basic_events_for`` is a union over subjects; link elements are
-        never subjects), so the graph filter and the fault-tree event
-        lookup run once per layer and a plan's closure is an OR of
-        finished masks.
-        """
-        closures, layers = self._closures, self._layers
-        subjects = sampled = 0
-        hosts = plan.hosts()
-        misses = 0
-        for host in hosts:
-            cached = closures.get(host)
-            if cached is None:
-                misses += 1
-                host_subjects = host_sampled = 0
-                for key, ids in self.engine.relevant_layers(host):
-                    layer = layers.get(key)
-                    if layer is None:
-                        layer = layers[key] = self._layer_masks(ids)
-                    host_subjects |= layer[0]
-                    host_sampled |= layer[1]
-                cached = closures[host] = (host_subjects, host_sampled)
-            subjects |= cached[0]
-            sampled |= cached[1]
-        self.metrics.incr("closure/host/hit", len(hosts) - misses)
-        self.metrics.incr("closure/host/miss", misses)
-        return subjects, sampled
-
-    def _layer_masks(self, ids) -> tuple[int, int]:
-        """(subjects, sampled) masks of one closure layer's element ids."""
-        subjects = self.topology.elements.intersection(ids)
-        sampled = self.dependency_model.basic_events_for(subjects).union(
-            cid for cid in ids if cid not in subjects
+        """The plan's closure masks, each host's kept for the walk."""
+        return self.kernel.closure_masks(
+            self.engine, plan.hosts(), self.metrics, self._host_masks
         )
-        return self._arena.mask_of(subjects), self._arena.mask_of(sampled)
 
     # ------------------------------------------------------------------
     # Component sampling and fault-tree reasoning (both cached)

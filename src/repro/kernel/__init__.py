@@ -25,7 +25,7 @@ union-find and a per-round structure check, bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,8 +52,10 @@ from repro.kernel.packed import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.dependencies import DependencyModel
+    from repro.routing.base import ReachabilityEngine
     from repro.sampling.base import Sampler
     from repro.topology.base import Topology
+    from repro.util.metrics import MetricsRegistry
 
 __all__ = [
     "INDEX_DTYPE",
@@ -97,13 +99,74 @@ class AssessmentKernel:
         self.topology = topology
         self.dependency_model = dependency_model
         self.arena = ComponentArena.for_model(dependency_model, probabilities)
+        #: The mask of the components that can fail: nothing else is drawn.
+        self.positive = self.arena.mask_of_indices(self.arena.probabilities > 0.0)
         self.forest = CompiledForest(self.arena)
         self._compiler = FaultTreeCompiler(self.arena)
+        # engine -> its layer key -> (subjects, sampled) masks of the layer
+        self._layer_memo: dict["ReachabilityEngine", dict] = {}
         # frozenset(subjects) -> evaluation order, for the last few
         # subject sets: what repeats is one plan's closure assessed piece
         # by piece; the incremental universe hands in deltas that never
         # do, and a ~10 KiB order per cold plan is memory that grows.
         self._order_by_content: dict[frozenset, list[int]] = {}
+
+    # ------------------------------------------------------------------
+    # Relevant closure
+    # ------------------------------------------------------------------
+
+    def closure_masks(
+        self,
+        engine: "ReachabilityEngine",
+        hosts: Sequence[str],
+        metrics: "MetricsRegistry | None" = None,
+        host_memo: dict[str, tuple[int, int]] | None = None,
+    ) -> tuple[int, int]:
+        """The hosts' (subjects, sampled) closure as arena bitmasks: the
+        subjects whose trees get evaluated, and with them the links and
+        every event those trees read. Both halves distribute over hosts
+        and over ``engine.relevant_layers``, so a closure is an OR of
+        layer masks. Shared layers are built once per engine and kept; a
+        host's own few bits are not (random plans reach every host), and
+        ``host_memo`` keeps whole hosts for a caller that revisits them.
+        """
+        layers = self._layer_memo.setdefault(engine, {})
+        memo = {} if host_memo is None else host_memo
+        known = len(memo)
+        subjects = sampled = lookups = misses = 0
+        for host in hosts:
+            masks = memo.get(host)
+            if masks is None:
+                masks = (0, 0)
+                for key, ids in engine.relevant_layers(host):
+                    if key == host:
+                        layer = self._masks_of(ids)
+                    else:
+                        lookups += 1
+                        layer = layers.get(key)
+                        if layer is None:
+                            misses += 1
+                            layer = layers[key] = self._masks_of(ids)
+                    masks = (masks[0] | layer[0], masks[1] | layer[1])
+                memo[host] = masks
+            subjects |= masks[0]
+            sampled |= masks[1]
+        if metrics is not None:
+            metrics.incr("closure/layer/hit", lookups - misses)
+            metrics.incr("closure/layer/miss", misses)
+            if host_memo is not None:
+                built = len(memo) - known
+                metrics.incr("closure/host/hit", len(hosts) - built)
+                metrics.incr("closure/host/miss", built)
+        return subjects, sampled
+
+    def _masks_of(self, ids: Iterable[str]) -> tuple[int, int]:
+        """(subjects, sampled) masks of one closure layer's element ids."""
+        subjects = self.topology.elements.intersection(ids)
+        sampled = self.dependency_model.basic_events_for(subjects).union(
+            cid for cid in ids if cid not in subjects
+        )
+        return self.arena.mask_of(subjects), self.arena.mask_of(sampled)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -153,7 +216,10 @@ class AssessmentKernel:
         ``None`` = never failed) — a sampled batch, the incremental
         universe's rows, an exact state enumeration — and ``values`` is an
         optional node-value cache to keep across calls over the same
-        rows. Returns a mapping from element id to
+        rows. ``links`` may name subjects and dependency events as well,
+        so a caller can hand in ``rows`` itself: the filter skips events
+        and subjects with a tree, and a subject without one fails exactly
+        when its own event does. Returns a mapping from element id to
         packed failure row containing only elements that fail in at least
         one round (absent == always alive, the :class:`RoundStates`
         convention).

@@ -27,17 +27,25 @@ INDEX_DTYPE = np.int32
 class ComponentArena:
     """Bidirectional component-id <-> dense-index interning table."""
 
-    __slots__ = ("ids", "index", "probabilities")
+    __slots__ = ("ids", "index", "probabilities", "rank")
 
     def __init__(
         self,
         ids: Iterable[str],
         probabilities: Iterable[float] | None = None,
         index: dict[str, int] | None = None,
+        rank: np.ndarray | None = None,
     ):
         self.ids: tuple[str, ...] = tuple(ids)
         self.index: dict[str, int] = (
             {cid: i for i, cid in enumerate(self.ids)} if index is None else index
+        )
+        # Each index's position in sorted id order (the inverse of the
+        # sorting permutation): indices sorted by rank are their ids sorted.
+        self.rank: np.ndarray = (
+            np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+            if rank is None
+            else rank
         )
         if len(self.index) != len(self.ids):
             raise ConfigurationError("duplicate component ids in arena")
@@ -70,9 +78,10 @@ class ComponentArena:
         interned = model._interned
         if interned is None or len(interned[0]) != len(probabilities):
             fresh = cls(probabilities, probabilities.values())
-            model._interned = (fresh.ids, fresh.index)
+            model._interned = (fresh.ids, fresh.index, fresh.rank)
             return fresh
-        return cls(interned[0], probabilities.values(), index=interned[1])
+        ids, index, rank = interned
+        return cls(ids, probabilities.values(), index=index, rank=rank)
 
     # ------------------------------------------------------------------
 
@@ -119,7 +128,11 @@ class ComponentArena:
     def mask_of(self, component_ids: Iterable[str]) -> int:
         """The bitmask of several component ids (each one in the arena)."""
         index = self.index
-        return self.mask_of_indices([index[cid] for cid in component_ids])
+        indices = {index[cid] for cid in component_ids}
+        if len(indices) > 16:
+            return self.mask_of_indices(list(indices))
+        # A few bits (a host's own): cheaper summed than packed full-width.
+        return sum(1 << i for i in indices)
 
     def indices_in(self, mask: int) -> np.ndarray:
         """Ascending dense indices of the bits set in ``mask``."""

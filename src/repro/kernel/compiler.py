@@ -135,16 +135,6 @@ class CompiledForest:
         self._interned[key] = node_id
         return node_id
 
-    def leaf_node(self, arena_index: int) -> int | None:
-        """Node id of the leaf for one arena component index, if interned.
-
-        The exact evaluator uses this to detect basic events that are
-        *also* referenced outside the forest (e.g. a component sampled
-        directly as a raw link element while some subject's tree reads
-        it too) — such events are shared and must be conditioned.
-        """
-        return self._interned.get((OP_LEAF, arena_index))
-
     def _descendants(self, root: int) -> list[int]:
         """Ascending, deduplicated node ids needed to evaluate ``root``.
 

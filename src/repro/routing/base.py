@@ -163,28 +163,30 @@ class ReachabilityEngine:
         alive and a routed path exists between them."""
         raise NotImplementedError
 
-    def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
-        """Every element/link id this engine may read for these hosts.
-
-        This is the network part of an assessment's sampling closure:
-        components outside it cannot influence any reachability answer for
-        the given hosts, so they need no failure states at all (components
-        fail independently, hence restricting sampling to the closure draws
-        from the identical joint distribution over what is read).
-        """
-        raise NotImplementedError
-
     def relevant_layers(
         self, host: str
     ) -> tuple[tuple[object, Iterable[str]], ...]:
-        """``relevant_elements([host])`` cut into ``(key, ids)`` pieces for
-        callers that memoise closures: the pieces' union equals
-        ``relevant_elements([host])``, and pieces with equal keys — of
-        this host or any other — hold equal ids. The default is one piece
-        keyed by the host; an engine whose closures overlap (a fabric's
-        core, a pod) names the shared parts.
+        """Every element/link id this engine may read for ``host``, as
+        ``(key, ids)`` layers: the one closure API an engine implements.
+
+        Components outside it cannot change a reachability answer for the
+        host, so they need no failure states (components fail
+        independently: sampling only the closure draws from the same
+        joint distribution over what is read). Layers with equal keys, of
+        any hosts, hold equal ids, so
+        :meth:`~repro.kernel.AssessmentKernel.closure_masks` keeps a
+        shared layer (a fabric's core, a pod; the whole data center) once
+        per engine; the layer keyed by the host itself is not kept.
         """
-        return ((host, self.relevant_elements([host])),)
+        raise NotImplementedError
+
+    def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
+        """Every element/link id this engine may read for these hosts: the
+        union of their :meth:`relevant_layers`."""
+        layers = {}
+        for host in hosts:
+            layers.update(self.relevant_layers(host))
+        return set().union(*layers.values())
 
 
 def engine_for(topology: Topology) -> ReachabilityEngine:

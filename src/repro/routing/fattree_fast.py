@@ -45,7 +45,7 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         if not isinstance(topology, FatTreeTopology):
             raise TopologyError("FatTreeReachabilityEngine requires a FatTreeTopology")
         super().__init__(topology)
-        # Id layouts the packed blocks and `relevant_elements` share. The
+        # Id layouts the packed blocks and `relevant_layers` share. The
         # core layer — every core switch, its border link, the border
         # switches — is the same for every plan; pods and edges fill in
         # on first need.
@@ -105,7 +105,7 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
     # the core layer's border->core segments, one pod's aggregation
     # switches' routes up, one edge switch's external row. A host's
     # closure names every element its pod block and edge row read
-    # (`relevant_elements` is assembled from the same id layouts), and a
+    # (`relevant_layers` is assembled from the same id layouts), and a
     # states object's failed mapping only ever gains rows, so a block
     # built when its first host is queried never goes stale. Always-alive
     # (absent) elements enter as all-ones rows, which AND/OR treat
@@ -195,12 +195,6 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
     # Engine interface
     # ------------------------------------------------------------------
 
-    def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
-        layers = {}
-        for host in hosts:
-            layers.update(self.relevant_layers(host))
-        return set().union(*layers.values())
-
     def relevant_layers(self, host: str):
         """The core layer every host shares, the host's pod, its edge
         switch, and the host with its own link."""
@@ -211,7 +205,7 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
             ("core", self._core_layer),
             (("pod", pod), self._pod_layer(pod)),
             (("edge", edge), self._edge_layer(edge)),
-            (("host", host), (host, link_id(host, edge))),
+            (host, (host, link_id(host, edge))),
         )
 
     def external_reachable(

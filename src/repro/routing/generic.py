@@ -58,9 +58,6 @@ class GenericReachabilityEngine(ReachabilityEngine):
         self._link = np.concatenate([link, link, stay])[order]
         self._starts = np.searchsorted(self._dst, stay)
 
-    def relevant_elements(self, hosts: Sequence[str]) -> frozenset[str]:
-        return self._relevant
-
     def relevant_layers(self, host: str):
         return (("all", self._relevant),)
 

@@ -35,6 +35,10 @@ class LeafSpineReachabilityEngine(ReachabilityEngine):
                 "LeafSpineReachabilityEngine requires a LeafSpineTopology"
             )
         super().__init__(topology)
+        spines, borders = topology.spine_ids, topology.border_switches
+        self._spine_layer = (*spines, *borders) + tuple(
+            link_id(border, spine) for spine in spines for border in borders
+        )
 
     def _cache(self, states: RoundStates) -> dict:
         cache = getattr(states, "_leafspine_cache", None)
@@ -94,22 +98,17 @@ class LeafSpineReachabilityEngine(ReachabilityEngine):
             )
         return cache[key]
 
-    def relevant_elements(self, hosts: Sequence[str]) -> set[str]:
+    def relevant_layers(self, host: str):
+        """The spine layer every host shares (spines, border switches and
+        their links), the host's leaf with its spine links, and the host
+        with its own link."""
         topo = self.topology
-        elements: set[str] = set()
-        leaves = set()
-        for host in hosts:
-            leaf = topo.edge_switch_of(host)
-            elements.update((host, leaf, link_id(host, leaf)))
-            leaves.add(leaf)
-        for spine in topo.spine_ids:
-            elements.add(spine)
-            for leaf in leaves:
-                elements.add(link_id(leaf, spine))
-            for border in topo.border_switches:
-                elements.add(border)
-                elements.add(link_id(border, spine))
-        return elements
+        leaf = topo.edge_switch_of(host)
+        return (
+            ("spine", self._spine_layer),
+            (("leaf", leaf), (leaf, *(link_id(leaf, s) for s in topo.spine_ids))),
+            (host, (host, link_id(host, leaf))),
+        )
 
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]

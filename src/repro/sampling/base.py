@@ -12,7 +12,7 @@ components a particular route-and-check actually reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -57,14 +57,6 @@ class SampleBatch:
         if failed.size:
             states[failed] = True
         return states
-
-    def dense_states(self, component_ids: Iterable[str]) -> dict[str, np.ndarray]:
-        """Dense per-round vectors for a set of components.
-
-        This is what fault-tree evaluation consumes; call it only for the
-        relevant closure of an assessment, not the whole data center.
-        """
-        return {cid: self.dense(cid) for cid in component_ids}
 
     def failure_fraction(self, component_id: str) -> float:
         """Empirical fraction of rounds in which the component failed."""

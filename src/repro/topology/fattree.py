@@ -112,14 +112,6 @@ class FatTreeTopology(Topology):
         except KeyError:
             return super().edge_switch_of(host_id)
 
-    def aggregation_switches_of_pod(self, pod: int) -> list[str]:
-        """Aggregation switch ids of one pod, ordered by core group."""
-        return [self.agg_ids[(pod, g)] for g in range(self.radix)]
-
-    def cores_of_group(self, group: int) -> list[str]:
-        """Core switch ids of one core group."""
-        return [self.core_ids[(group, j)] for j in range(self.radix)]
-
     def border_switch_of_group(self, group: int) -> str:
         """The border switch attached to core group ``group``."""
         return self.border_ids[group]

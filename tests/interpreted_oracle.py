@@ -7,7 +7,9 @@ closure step of ``assess`` in front. It is closed by a per-round,
 set-based §3.2.4 check written from the paper's definition rather than
 moved, so the whole reference shares no stage with production: sparse
 ``Sampler.sample`` draws -> recursive ``FaultTree.evaluate`` -> the
-per-round union-find's dense answers -> one fixed point per round.
+per-round union-find's dense answers -> one fixed point per round. Its
+closure step, :func:`string_closure`, is the set algebra the kernel's
+arena-mask closure replaced.
 """
 
 from __future__ import annotations
@@ -130,6 +132,18 @@ def reliable_rounds(structure, hosts, rounds, failed, external, pair) -> np.ndar
     return reliable
 
 
+def string_closure(topology, model, engine, hosts) -> tuple[set[str], list[str]]:
+    """``(subjects, sampled ids in sorted order)`` of some hosts: the
+    closure as set algebra on component ids, the way the from-scratch
+    assessor built it before the kernel's arena masks — the engine's
+    relevant elements, plus every basic event their subjects' trees read
+    — in the order it handed them to the sampler."""
+    elements = set(engine.relevant_elements(hosts))
+    subjects = elements & topology.elements
+    sampled = set(model.basic_events_for(subjects)) | (elements - subjects)
+    return subjects, sorted(sampled)
+
+
 def interpreted_assess(
     topology, model, plan, structure, rounds, sampler, rng,
     engine=None, sample_full_infrastructure=False,
@@ -138,17 +152,17 @@ def interpreted_assess(
 
     ``engine`` names the closure and answers reachability: the per-round
     union-find by default, or a production engine to hold to this
-    reference everything around it.
+    reference everything around it. The sampler is handed the whole
+    closure, never-failing components included.
     """
     engine = engine or UnionFindReachabilityEngine(topology)
     all_probabilities = model.failure_probabilities()
-    elements = set(engine.relevant_elements(plan.hosts()))
-    subjects = elements & topology.elements
-    sampled = set(model.basic_events_for(subjects)) | (elements - subjects)
+    subjects, closure = string_closure(topology, model, engine, plan.hosts())
+    sampled = set(closure)
     if sample_full_infrastructure:
         probabilities = all_probabilities
     else:
-        probabilities = {cid: all_probabilities[cid] for cid in sorted(sampled)}
+        probabilities = {cid: all_probabilities[cid] for cid in closure}
 
     batch = sampler.sample(probabilities, rounds, rng)
     dense = ZeroFill(rounds)

@@ -62,6 +62,20 @@ class TestAssessCommand:
         assert document["format"] == "assessment-result"
         assert 0.5 < document["estimate"]["score"] <= 1.0
 
+    def test_profile_shows_the_closure_layer_counters(self, capsys):
+        """Three hosts in three pods: the core layer, three pods and three
+        edge switches built once each, the core found twice."""
+        argv = ["assess", "--scale", "tiny", "--hosts", self.HOSTS, "--k", "2",
+                "--rounds", "2000", "--profile"]
+        code, out, _err = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        profile = json.loads(out)["profile"]
+        assert profile["counter/closure/layer/miss"] == 7
+        assert profile["counter/closure/layer/hit"] == 2
+        code, out, _err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "closure/layer/miss" in out and "closure/layer/hit" in out
+
     def test_unknown_host_is_reported(self, capsys):
         code, _out, err = run_cli(
             capsys,

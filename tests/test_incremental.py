@@ -406,8 +406,8 @@ class TestDeltaPricedUniverse:
         "engine", [GenericReachabilityEngine, UnionFindReachabilityEngine]
     )
     def test_matches_per_component_loop_on_zones(self, zones, engine):
-        """One ``"all"`` layer (generic) and the default one piece per
-        host (the round-reading union-find oracle behind its door)."""
+        """One ``"all"`` layer, the generic engine's or the round-reading
+        union-find oracle's behind its door."""
         topology, model = zones
         config = AssessmentConfig(
             mode="incremental",
@@ -424,10 +424,7 @@ class TestDeltaPricedUniverse:
                 ours.assess(plan, structure), reference.assess(plan, structure)
             )
             _assert_same_universe(ours, reference)
-        hosts = {host for plan in plans for host in plan.hosts()}
-        assert len(ours._layers) == (
-            1 if engine is GenericReachabilityEngine else len(hosts)
-        )
+        assert list(ours.kernel._layer_memo[ours.engine]) == ["all"]
 
     def test_walk_draws_once_per_failing_component_and_builds_layers_once(
         self, medium, monkeypatch
@@ -442,7 +439,7 @@ class TestDeltaPricedUniverse:
             AssessmentConfig(mode="incremental", rounds=600, master_seed=MASTER_SEED),
         )
         streams = _count_calls(monkeypatch, dagger, "_component_stream")
-        layers = _count_calls(monkeypatch, assessor, "_layer_masks")
+        layers = _count_calls(monkeypatch, assessor.kernel, "_masks_of")
         monkeypatch.setattr(
             assessor.engine,
             "relevant_elements",
@@ -461,8 +458,9 @@ class TestDeltaPricedUniverse:
         hosts = {host for plan in plans for host in plan.hosts()}
         edges = {topology.edge_switch_of(host) for host in hosts}
         pods = {topology.edge_pod[edge] for edge in edges}
-        assert layers[0] == len(assessor._layers)
-        assert layers[0] == 1 + len(pods) + len(edges) + len(hosts)
+        kept = assessor.kernel._layer_memo[assessor.engine]
+        assert len(kept) == 1 + len(pods) + len(edges)
+        assert layers[0] == len(kept) + len(hosts)
 
     def test_new_host_under_a_known_edge_builds_one_layer(self, medium, monkeypatch):
         topology, model = medium
@@ -478,7 +476,7 @@ class TestDeltaPricedUniverse:
         assessor.assess(
             DeploymentPlan.single_component([rack[0]] + others, component), structure
         )
-        layers = _count_calls(monkeypatch, assessor, "_layer_masks")
+        layers = _count_calls(monkeypatch, assessor.kernel, "_masks_of")
         misses = assessor.metrics.counter("sample/component/miss")
         moved = DeploymentPlan.single_component([rack[1]] + others, component)
         assessor.assess(moved, structure)
@@ -522,7 +520,7 @@ class TestDeltaPricedUniverse:
             raise AssertionError("a warm assess must not sample or evaluate")
 
         monkeypatch.setattr(assessor.sampler, "component_rows", forbidden)
-        monkeypatch.setattr(assessor, "_layer_masks", forbidden)
+        monkeypatch.setattr(assessor.kernel, "_masks_of", forbidden)
         monkeypatch.setattr(assessor.kernel.forest, "evaluate", forbidden)
         registry.incr_calls = 0
         misses = registry.counter("sample/component/miss")

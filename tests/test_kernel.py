@@ -12,6 +12,8 @@ incrementally, against ``tests/interpreted_oracle.py``.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,11 +61,15 @@ from repro.topology.presets import paper_topology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
+from repro.util.metrics import MetricsRegistry
 from tests.interpreted_oracle import (
     ZeroFill,
     assert_held_to_oracle,
     effective_states,
+    interpreted_assess,
+    string_closure,
 )
+from tests.test_incremental import _count_calls
 from tests.test_routing import fattree_ext_reference
 from tests.unionfind_oracle import UnionFindReachabilityEngine, unpacked
 
@@ -586,6 +592,8 @@ class TestIncrementalKernel:
 
 class TestScorePlans:
     def test_crn_shared_batch_equals_individual_assessments(self):
+        """Closure and full-infrastructure mode: bits, estimate and the
+        sampled component count (the whole data center in full mode)."""
         structure = ApplicationStructure.k_of_n(3, 5)
         hosts = list(FATTREE.hosts)
         plans = [
@@ -594,17 +602,25 @@ class TestScorePlans:
             )
             for i in (0, 3, 7)
         ]
-        config = AssessmentConfig(
-            rounds=1001, rng=3, sampler=CommonRandomDaggerSampler(99)
-        )
-        shared = build_assessor(FATTREE, FATTREE_INV, config)
-        results = shared.score_plans(plans, structure)
-        assert [r.plan for r in results] == plans
-        for plan, result in zip(plans, results):
-            solo = build_assessor(FATTREE, FATTREE_INV, config).assess(
-                plan, structure
+        for full in (False, True):
+            config = AssessmentConfig(
+                rounds=1001,
+                rng=3,
+                sampler=CommonRandomDaggerSampler(99),
+                sample_full_infrastructure=full,
             )
-            assert np.array_equal(solo.per_round, result.per_round)
+            shared = build_assessor(FATTREE, FATTREE_INV, config)
+            results = shared.score_plans(plans, structure)
+            assert [r.plan for r in results] == plans
+            for plan, result in zip(plans, results):
+                solo = build_assessor(FATTREE, FATTREE_INV, config).assess(
+                    plan, structure
+                )
+                assert np.array_equal(solo.per_round, result.per_round)
+                assert solo.estimate == result.estimate
+                assert solo.sampled_components == result.sampled_components
+            if full:
+                assert {r.sampled_components for r in results} == {len(shared.kernel.arena)}
 
     def test_single_plan_batch_equals_assess(self):
         # A non-CRN sampler sees the draw order, and the shared batch draws
@@ -618,6 +634,79 @@ class TestScorePlans:
             plans[0], structure
         )
         assert np.array_equal(results[0].per_round, reference.per_round)
+
+
+ZONES = MultiZoneTopology(zones=2, k=4, seed=7)
+ZONES_INV = build_zone_inventory(ZONES, seed=7)
+
+
+class TestOneClosure:
+    """The kernel's arena-mask closure against the string-set closure it
+    replaced (``tests/interpreted_oracle.py::string_closure``), and the
+    from-scratch assessor's draws against that closure's."""
+
+    @pytest.mark.parametrize(
+        "topology,inventory,engine",
+        [
+            pytest.param(FATTREE, FATTREE_INV, None, id="fattree"),
+            pytest.param(LEAFSPINE, LEAFSPINE_INV, None, id="leafspine"),
+            pytest.param(
+                FATTREE, FATTREE_INV, GenericReachabilityEngine(FATTREE), id="generic"
+            ),
+            pytest.param(ZONES, ZONES_INV, None, id="zones"),
+        ],
+    )
+    def test_kernel_closure_equals_the_string_closure(self, topology, inventory, engine):
+        engine = engine or engine_for(topology)
+        kernel = AssessmentKernel(topology, inventory)
+        host_memo = {}
+        rng = np.random.default_rng(3)
+        ids_in = kernel.arena.ids_in
+        for size in (1, 2, 3, 5, 5, 8):
+            hosts = [str(h) for h in rng.choice(topology.hosts, size, replace=False)]
+            subjects, sampled = string_closure(topology, inventory, engine, hosts)
+            # Cold or warm layers, with or without a host memo: one closure.
+            for memo in (None, host_memo):
+                got_subjects, got_sampled = kernel.closure_masks(
+                    engine, hosts, host_memo=memo
+                )
+                assert set(ids_in(got_subjects)) == subjects
+                assert sorted(ids_in(got_sampled)) == sampled
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            ExtendedDaggerSampler(),
+            DaggerSampler(),
+            MonteCarloSampler(),
+            CommonRandomDaggerSampler(17),
+        ],
+        ids=lambda sampler: sampler.name,
+    )
+    def test_assess_draws_the_string_closures_stream(self, sampler):
+        """Only the components that can fail reach the sampler, ranked by
+        id: every sampler draws what it drew from the whole closure in
+        sorted order, and leaves the generator where it left it."""
+        structure = ApplicationStructure.k_of_n(3, 5)
+        assessor = build_assessor(
+            FATTREE, FATTREE_INV, AssessmentConfig(rounds=701, rng=5, sampler=sampler)
+        )
+        reference = copy.deepcopy(assessor.rng)
+        probabilities = FATTREE_INV.failure_probabilities()
+        for offset in (0, 3, 7):
+            plan = _plan_for(FATTREE, structure, offset)
+            _, closure = string_closure(
+                FATTREE, FATTREE_INV, assessor.engine, plan.hosts()
+            )
+            assert any(probabilities[cid] == 0.0 for cid in closure)
+            got = assessor.assess(plan, structure)
+            per_round, sampled = interpreted_assess(
+                FATTREE, FATTREE_INV, plan, structure, 701, sampler, reference,
+                assessor.engine,
+            )
+            assert np.array_equal(got.per_round, per_round), offset
+            assert got.sampled_components == sampled == len(closure)
+            assert assessor.rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestKernelObject:
@@ -748,46 +837,58 @@ class TestFatTreeBlocksReadOnlyWhatAPlanNeeds:
 class TestMemosStopGrowing:
     BOUND = 8
 
-    def test_cold_plans_leave_bounded_state(self):
-        topology = paper_topology("tiny", seed=1)
+    def test_cold_plans_leave_bounded_state(self, monkeypatch):
+        """200 cold ``medium`` plans: one layer build per shared layer the
+        plans touch — the core, a pod, an edge switch — kept on the
+        kernel, and nothing kept per host."""
+        topology = paper_topology("medium", seed=1)
         inventory = build_paper_inventory(topology, seed=2)
-        assessor = build_assessor(topology, inventory, AssessmentConfig(rounds=64, rng=1))
-        structure = ApplicationStructure.k_of_n(2, 4)
+        registry = MetricsRegistry()
+        assessor = build_assessor(
+            topology, inventory, AssessmentConfig(rounds=64, rng=1, metrics=registry)
+        )
+        built = _count_calls(monkeypatch, assessor.kernel, "_masks_of")
+        structure = ApplicationStructure.k_of_n(8, 10)
         rng = np.random.default_rng(9)
-        seen = set()
-        while len(seen) < 300:
-            hosts = tuple(sorted(rng.choice(len(topology.hosts), 4, replace=False)))
-            if hosts in seen:
-                continue
-            seen.add(hosts)
-            plan = DeploymentPlan.single_component(
-                [topology.hosts[i] for i in hosts], structure.components[0].name
+        plans = [
+            DeploymentPlan.single_component(
+                [str(h) for h in rng.choice(topology.hosts, 10, replace=False)],
+                structure.components[0].name,
             )
+            for _ in range(200)
+        ]
+        for plan in plans:
             assessor.assess(plan, structure)
-        assert len(assessor._closures) <= self.BOUND
+        hosts = [host for plan in plans for host in plan.hosts()]
+        edges = {topology.edge_switch_of(host) for host in hosts}
+        pods = {topology.edge_pod[edge] for edge in edges}
+        kept = assessor.kernel._layer_memo[assessor.engine]
+        assert len(kept) == 1 + len(pods) + len(edges)
+        assert not kept.keys() & set(hosts)
+        assert registry.counter("closure/layer/miss") == len(kept)
+        assert registry.counter("closure/layer/hit") == 3 * len(hosts) - len(kept)
+        # A host's own layer is built each time it is met, a shared one once.
+        assert built[0] == len(kept) + len(hosts)
         assert len(assessor.kernel._order_by_content) <= self.BOUND
         assert vars(assessor.sampler) == {}  # no layout, no cache: nothing kept
 
     def test_chunked_pieces_share_one_closure(self, monkeypatch):
-        assessor = build_assessor(FATTREE, FATTREE_INV, AssessmentConfig(rng=1))
+        registry = MetricsRegistry()
+        assessor = build_assessor(
+            FATTREE, FATTREE_INV, AssessmentConfig(rng=1, metrics=registry)
+        )
         structure = ApplicationStructure.k_of_n(2, 3)
         plan = _plan_for(FATTREE, structure)
-        calls = {"closure": 0, "order": 0}
-        relevant = assessor.engine.relevant_elements
-        order = assessor.kernel.forest.evaluation_order
-
-        def counted_relevant(hosts):
-            calls["closure"] += 1
-            return relevant(hosts)
-
-        def counted_order(subjects):
-            calls["order"] += 1
-            return order(subjects)
-
-        monkeypatch.setattr(assessor.engine, "relevant_elements", counted_relevant)
-        monkeypatch.setattr(assessor.kernel.forest, "evaluation_order", counted_order)
+        order = _count_calls(monkeypatch, assessor.kernel.forest, "evaluation_order")
         result = chunked_assess(
             assessor, plan, structure, 3 * MIN_CHUNK_ROUNDS, 3, CancellationToken()
         )
         assert result.estimate.rounds == 3 * MIN_CHUNK_ROUNDS
-        assert calls == {"closure": 1, "order": 1}
+        shared = {
+            key
+            for host in plan.hosts()
+            for key, _ids in assessor.engine.relevant_layers(host)
+            if key != host
+        }
+        assert registry.counter("closure/layer/miss") == len(shared)
+        assert order[0] == 1

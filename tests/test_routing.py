@@ -426,7 +426,7 @@ class TestGenericEngineVsUnionFind:
         oracle = UnionFindReachabilityEngine(topology)
         elements = engine.relevant_elements(topology.hosts[:1])
         assert elements == oracle.relevant_elements(topology.hosts[:1])
-        assert engine.relevant_elements(topology.hosts[1:3]) is elements
+        assert engine.relevant_elements(topology.hosts[1:3]) == elements
 
     def test_cost_does_not_grow_with_rounds(self, monkeypatch):
         """A 500-round call makes no per-round Python call: the state
@@ -577,3 +577,22 @@ class TestRelevantLayers:
         engine = GenericReachabilityEngine(MultiZoneTopology(zones=2, k=4, seed=7))
         a, b = (engine.relevant_layers(host) for host in engine.topology.hosts[:2])
         assert len(a) == 1 and a[0][0] == b[0][0] and a[0][1] is b[0][1]
+
+    def test_leafspine_layers_add_up_to_its_up_down_closure(self):
+        """Spine layer, leaf layers and host layers together name what
+        the up-down paths read: the hosts, their leaves and links, every
+        spine with its links to those leaves, every border switch with
+        its spine links — and nothing of the other leaves."""
+        topo = LeafSpineTopology(spines=3, leaves=4, hosts_per_leaf=2, seed=1)
+        engine = LeafSpineReachabilityEngine(topo)
+        hosts = ["host/0/0", "host/0/1", "host/2/1"]
+        leaves = {topo.edge_switch_of(h) for h in hosts}
+        expected = {*hosts, *leaves, *(link_id(h, topo.edge_switch_of(h)) for h in hosts)}
+        for spine in topo.spine_ids:
+            expected.add(spine)
+            expected.update(link_id(leaf, spine) for leaf in leaves)
+            for border in topo.border_switches:
+                expected.update((border, link_id(border, spine)))
+        assert engine.relevant_elements(hosts) == expected
+        keys = {key for host in hosts for key, _ids in engine.relevant_layers(host)}
+        assert keys == {"spine", *(("leaf", leaf) for leaf in leaves), *hosts}

@@ -167,8 +167,8 @@ class _RecordingEngine(ReachabilityEngine):
         self._record()
         return self.inner.pairwise_reachable(states, pairs)
 
-    def relevant_elements(self, hosts):
-        return self.inner.relevant_elements(hosts)
+    def relevant_layers(self, host):
+        return self.inner.relevant_layers(host)
 
 
 class TestConfiguredEngine:

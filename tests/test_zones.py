@@ -17,7 +17,6 @@ from repro import serialization
 from repro.app.structure import ApplicationStructure
 from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.api import AssessmentConfig, build_assessor
-from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
 from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
@@ -28,6 +27,7 @@ from repro.faults.inventory import (
     validate_failure_probabilities,
     zone_shared_root_ids,
 )
+from repro.kernel import AssessmentKernel
 from repro.routing import engine_for
 from repro.routing.generic import GenericReachabilityEngine
 from repro.runtime.chaos import ZONE_OUTAGE_PROBABILITY, ZoneOutage
@@ -392,13 +392,14 @@ class TestConstrainedSearch:
 class TestZoneClosureIsOneLayer:
     def test_search_builds_one_layer_mask_pair(self, zones2, zone_model, monkeypatch):
         """Every host's generic closure is the whole data center: a
-        25-move walk builds its masks once, not once per host."""
+        25-move walk and its confirmations build its masks once, not once
+        per host."""
         built = []
-        layer_masks = IncrementalAssessor._layer_masks
+        masks_of = AssessmentKernel._masks_of
         monkeypatch.setattr(
-            IncrementalAssessor,
-            "_layer_masks",
-            lambda self, ids: built.append(len(ids)) or layer_masks(self, ids),
+            AssessmentKernel,
+            "_masks_of",
+            lambda self, ids: built.append(len(ids)) or masks_of(self, ids),
         )
         result = _zone_search(
             zones2,
@@ -413,7 +414,8 @@ class TestZoneClosureIsOneLayer:
             )
         )
         assert result.iterations == 25 and result.plans_assessed > 10
-        assert built == [len(GenericReachabilityEngine(zones2).relevant_elements([]))]
+        engine = GenericReachabilityEngine(zones2)
+        assert built == [len(engine.relevant_elements(zones2.hosts[:1]))]
 
 
 class TestGenericEngineKeepsEveryAnswer:

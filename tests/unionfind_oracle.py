@@ -105,9 +105,9 @@ class UnionFindReachabilityEngine(ReachabilityEngine):
         ids.extend(edge[2] for edge in self._edges)
         return ids
 
-    def relevant_elements(self, hosts) -> set[str]:
+    def relevant_layers(self, host):
         # Without structural knowledge, any element may sit on some path.
-        return set(self._relevant_ids())
+        return (("all", self._relevant_ids()),)
 
     def _components_for_round(self, states, round_index: int) -> _UnionFind:
         """Union-find of the alive subgraph in one round."""
