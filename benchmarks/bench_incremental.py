@@ -13,8 +13,9 @@ Usage::
     python benchmarks/bench_incremental.py            # full comparison
     python benchmarks/bench_incremental.py --smoke    # CI smoke: tiny
         preset, few moves; asserts equality + cache hit rate > 0, then
-        the delta-pricing counts of a fixed-seed 25-move ``medium`` walk
-        and the closure counts of 100 cold from-scratch ``tiny`` plans
+        the delta-pricing counts of a fixed-seed 25-move ``medium`` walk,
+        the closure counts of 100 cold from-scratch ``tiny`` plans and
+        what 20 repeated searches build on a warm ``tiny`` substrate
         (never wall-clock, so it cannot flake on loaded runners); writes
         ``BENCH_incremental.json``
 
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -37,10 +40,12 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
     sys.path.insert(0, str(_ROOT / "benchmarks"))
 
 from repro.app.structure import ApplicationStructure
+from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
+from repro.core.search import DeploymentSearch, SearchSpec
 from repro.faults.inventory import build_paper_inventory
 from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
@@ -133,8 +138,9 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
     order, so all repeat exactly across ``PYTHONHASHSEED`` and hosts:
     closure components seen, how many of them the positive-probability
     mask dropped without a draw, private generators constructed, shared
-    closure layers the kernel keeps, against the pods, edge switches and
-    hosts the walk touched.
+    closure layers the walk built (read from its counters: the kernel is
+    the substrate's, shared with anything else on it), against the pods,
+    edge switches and hosts the walk touched.
     """
     topology, inventory = _substrate(scale)
     structure = ApplicationStructure.k_of_n(8, 10)
@@ -174,7 +180,7 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
         "dropped_by_positive_mask": len(seen) - positive,
         "positive_misses": positive,
         "generators_constructed": generators,
-        "layers_kept": len(assessor.kernel._layer_memo[assessor.engine]),
+        "layer_builds": int(assessor.metrics.counter("closure/layer/miss")),
         "pods_touched": len(pods),
         "edges_touched": len(edges),
         "hosts_touched": len(hosts),
@@ -188,9 +194,9 @@ def run_scratch_counts(scale: str = "tiny", rounds: int = 600, count: int = 100)
     components handed to the sampler against the positive-probability
     components of each plan's string-set closure (engine elements plus
     their subjects' basic events), the ``sample/components`` counter
-    against the closures' full sizes, and the shared layers the kernel
-    keeps against the pods and edge switches touched. All repeat exactly
-    across ``PYTHONHASHSEED``.
+    against the closures' full sizes, and the shared layers built against
+    the pods and edge switches touched. All repeat exactly across
+    ``PYTHONHASHSEED``.
     """
     topology, inventory = _substrate(scale)
     structure = ApplicationStructure.k_of_n(2, 3)
@@ -206,18 +212,15 @@ def run_scratch_counts(scale: str = "tiny", rounds: int = 600, count: int = 100)
         drawn += len(probabilities)
         return sample_packed(sampler, probabilities, *args, **kwargs)
 
+    # The kernel is the substrate's: count only while these plans run.
     assessor.kernel.sample_packed = counted_sample
-    rng = np.random.default_rng(WALK_SEED)
+    try:
+        seen = _assess_cold_plans(assessor, topology, structure, count)
+    finally:
+        del assessor.kernel.sample_packed
     probabilities = inventory.failure_probabilities()
-    seen: set[tuple[str, ...]] = set()
     closure_total = positive = 0
-    while len(seen) < count:
-        hosts = tuple(sorted(str(h) for h in rng.choice(topology.hosts, 3, replace=False)))
-        if hosts in seen:
-            continue
-        seen.add(hosts)
-        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
-        assessor.assess(plan, structure)
+    for hosts in seen:
         elements = assessor.engine.relevant_elements(hosts)
         subjects = elements & topology.elements
         closure = inventory.basic_events_for(subjects) | (elements - subjects)
@@ -234,11 +237,67 @@ def run_scratch_counts(scale: str = "tiny", rounds: int = 600, count: int = 100)
         "positive_closure_components": positive,
         "components_counted": int(registry.counter("sample/components")),
         "closure_components": closure_total,
-        "layers_kept": len(assessor.kernel._layer_memo[assessor.engine]),
         "layer_builds": int(registry.counter("closure/layer/miss")),
         "pods_touched": len(pods),
         "edges_touched": len(edges),
     }
+
+
+def _assess_cold_plans(assessor, topology, structure, count: int) -> list[tuple[str, ...]]:
+    """Assess ``count`` distinct random 3-host plans once each."""
+    rng = np.random.default_rng(WALK_SEED)
+    seen: list[tuple[str, ...]] = []
+    while len(seen) < count:
+        hosts = tuple(sorted(str(h) for h in rng.choice(topology.hosts, 3, replace=False)))
+        if hosts in seen:
+            continue
+        seen.append(hosts)
+        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
+        assessor.assess(plan, structure)
+    return seen
+
+
+def run_warm_substrate(searches: int = 20, rounds: int = 300, moves: int = 10) -> dict:
+    """What repeated searches build on one substrate, in counts.
+
+    ``searches`` fixed-seed searches on ``tiny``, then the same ones
+    again. The first pass compiles subjects and builds closure layers
+    into the substrate's one kernel; the second finds them all there, so
+    it compiles and builds nothing. Every count repeats exactly across
+    ``PYTHONHASHSEED``.
+    """
+    topology, inventory = _substrate("tiny")
+    structure = ApplicationStructure.k_of_n(2, 3)
+    row: dict = {"workload": "warm_substrate", "scale": "tiny", "rounds": rounds,
+                 "searches": searches, "moves": moves}
+    for label in ("first", "second"):
+        registry = MetricsRegistry()
+        for seed in range(searches):
+            DeploymentSearch.from_config(
+                topology,
+                inventory,
+                AssessmentConfig(rounds=rounds, rng=seed, metrics=registry),
+                rng=seed + 1,
+                temperature_schedule=MoveBudgetTemperatureSchedule(moves),
+            ).search(SearchSpec(structure, max_seconds=3600.0, max_iterations=moves))
+        for counter in ("kernel/substrate/miss", "kernel/subject/miss", "closure/layer/miss"):
+            row[f"{label}_{counter.replace('/', '_')}"] = int(registry.counter(counter))
+    return row
+
+
+def _warm_substrate_under(hash_seed: str) -> dict:
+    """:func:`run_warm_substrate` in a fresh interpreter under one hash seed."""
+    here = pathlib.Path(__file__).resolve().parent
+    script = (
+        f"import json, sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]; "
+        "import bench_incremental; print(json.dumps(bench_incremental.run_warm_substrate()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _report(row: dict) -> str:
@@ -274,8 +333,8 @@ def run_smoke() -> int:
         "private generators constructed != new components that can fail"
     )
     layer_bound = 1 + counts["pods_touched"] + counts["edges_touched"]
-    assert counts["layers_kept"] <= layer_bound, (
-        f"{counts['layers_kept']} closure layers kept, bound {layer_bound}"
+    assert counts["layer_builds"] <= layer_bound, (
+        f"{counts['layer_builds']} closure layers built, bound {layer_bound}"
     )
     scratch = run_scratch_counts()
     print(" ".join(f"{key}={value}" for key, value in scratch.items()))
@@ -286,15 +345,29 @@ def run_smoke() -> int:
         "sample/components no longer counts the whole closure"
     )
     layer_bound = 1 + scratch["pods_touched"] + scratch["edges_touched"]
-    assert scratch["layers_kept"] == scratch["layer_builds"] <= layer_bound, (
-        f"{scratch['layers_kept']} closure layers kept, bound {layer_bound}"
+    assert scratch["layer_builds"] <= layer_bound, (
+        f"{scratch['layer_builds']} closure layers built, bound {layer_bound}"
+    )
+    warm = _warm_substrate_under("0")
+    print(" ".join(f"{key}={value}" for key, value in warm.items()))
+    assert warm == _warm_substrate_under("123"), (
+        "warm-substrate counts differ across PYTHONHASHSEED"
+    )
+    assert warm["first_kernel_substrate_miss"] == 1, "more than one kernel built"
+    assert warm["first_kernel_subject_miss"] > 0 and warm["first_closure_layer_miss"] > 0
+    assert warm["second_kernel_substrate_miss"] == 0
+    assert warm["second_kernel_subject_miss"] == 0, (
+        "a search on a warm substrate compiled a subject again"
+    )
+    assert warm["second_closure_layer_miss"] == 0, (
+        "a search on a warm substrate built a closure layer again"
     )
     row = {key: value for key, value in row.items() if key != "metrics"}
     payload = {
         "benchmark": "incremental engine: bit-equality and delta-pricing counts",
         "master_seed": MASTER_SEED,
         "walk_seed": WALK_SEED,
-        "rows": [{"workload": "tiny_equality", **row}, counts, scratch],
+        "rows": [{"workload": "tiny_equality", **row}, counts, scratch, warm],
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULTS_PATH}")

@@ -52,6 +52,7 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
+from repro.kernel import AssessmentKernel
 from repro.kernel.exact import ExactBudget, enumeration_rows, enumeration_weights
 from repro.kernel.packed import packed_width
 from repro.routing.base import RoundStates
@@ -120,7 +121,7 @@ class AnalyticAssessor(AssessorBase):
         self.sample_full_infrastructure = inner.sample_full_infrastructure
         self.metrics = inner.metrics
         self._evaluator = StructureEvaluator(self.engine)
-        self.kernel = inner.kernel
+        self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
         self._warned: set[str] = set()
         self._closure_states: dict[frozenset[str], _ClosureStates | str] = {}
         self._results: dict[tuple, AssessmentResult] = {}
@@ -151,14 +152,12 @@ class AnalyticAssessor(AssessorBase):
     def with_inner(self, inner) -> "AnalyticAssessor":
         """A sibling assessor over a different sampling fallback.
 
-        Exact state — closure enumerations, memoized exact results, the
-        compiled kernel — is *shared* with this assessor: exact values
-        are RNG-free, so they are valid under any inner sampler, and
-        sharing lets a search's screening hits double as the outer
-        assessor's confirmation hits.
+        Exact state — closure enumerations, memoized exact results — is
+        *shared* with this assessor: exact values are RNG-free, so they
+        are valid under any inner sampler, and sharing lets a search's
+        screening hits double as the outer assessor's confirmation hits.
         """
         clone = AnalyticAssessor(inner, budget=self.budget, config=self.config)
-        clone.kernel = self.kernel
         clone._closure_states = self._closure_states
         clone._results = self._results
         clone._warned = self._warned
@@ -186,7 +185,7 @@ class AnalyticAssessor(AssessorBase):
         self.inner.refresh_probabilities()
         self._closure_states.clear()
         self._results.clear()
-        self.kernel = self.inner.kernel
+        self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
 
     # ------------------------------------------------------------------
     # Exact evaluation

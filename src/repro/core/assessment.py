@@ -85,11 +85,8 @@ class ReliabilityAssessor(AssessorBase):
         self.sample_full_infrastructure = config.sample_full_infrastructure
         self.metrics = config.registry()
         self._evaluator = StructureEvaluator(self.engine)
-        self._all_probabilities = self.dependency_model.failure_probabilities()
         self._validated = set()
-        self.kernel = AssessmentKernel(
-            topology, self.dependency_model, self._all_probabilities
-        )
+        self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
 
     # ------------------------------------------------------------------
 
@@ -97,15 +94,11 @@ class ReliabilityAssessor(AssessorBase):
         """Re-read failure probabilities from the topology and model.
 
         Call after ``override_probabilities`` (bathtub-curve updates or
-        near-real-time condition changes, §2.1/§3.2.2).
+        near-real-time condition changes, §2.1/§3.2.2): the substrate's
+        generation moved, so this fetches the kernel compiled against the
+        new probabilities.
         """
-        self._all_probabilities = self.dependency_model.failure_probabilities()
-        # Rebuild so the arena's probability table (and anything compiled
-        # against it) cannot go stale; trees recompile lazily on the next
-        # assessment.
-        self.kernel = AssessmentKernel(
-            self.topology, self.dependency_model, self._all_probabilities
-        )
+        self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
 
     def _closure_masks(self, plan: DeploymentPlan) -> tuple[int, int]:
         return self.kernel.closure_masks(self.engine, plan.hosts(), self.metrics)
@@ -115,8 +108,8 @@ class ReliabilityAssessor(AssessorBase):
         (every sampler skips the rest without a draw), in sorted-id order,
         the stream :meth:`assess` has always drawn, or arena order."""
         if self.sample_full_infrastructure:
-            # The one long-lived dict, not a copy: samplers only read it.
-            return self._all_probabilities
+            # The kernel's one long-lived dict, not a copy.
+            return self.kernel.probabilities
         arena = self.kernel.arena
         drawn = arena.indices_in(sampled & self.kernel.positive)
         if by_id:
@@ -127,7 +120,7 @@ class ReliabilityAssessor(AssessorBase):
 
     def _sampled_components(self, sampled: int) -> int:
         if self.sample_full_infrastructure:
-            return len(self._all_probabilities)
+            return len(self.kernel.arena)
         return sampled.bit_count()
 
     def assess(
@@ -211,7 +204,7 @@ class ReliabilityAssessor(AssessorBase):
             # where the closure's links run to thousands.
             rows = batch.failed_rows(only)
             failed = kernel.effective_states(
-                kernel.arena.ids_in(subjects), rows, rows, values
+                kernel.arena.ids_in(subjects), rows, rows, values, metrics
             )
             round_states = RoundStates(rounds=rounds, failed=failed)
         # Dead from here on, and the larger share of an assessment's

@@ -20,7 +20,8 @@ assessed — so it can be cached once and reused across every move:
   :meth:`~repro.routing.base.ReachabilityEngine.relevant_layers` names —
   a fat-tree's core, a pod, an edge switch, the host itself; the generic
   engine's one piece is the whole data center. Shared layers are kept on
-  the kernel (and so shared with the search's confirmations); a host is
+  the substrate's kernel (and so shared with every assessor and search
+  on it); a host is
   the OR of its layers, kept here, and a plan the OR of its hosts.
 * **Effective-state cache** — fault-tree reasoning per subject does not
   depend on the plan either; each subject's effective per-round failure
@@ -142,10 +143,7 @@ class IncrementalAssessor(AssessorBase):
         topology: Topology,
         dependency_model: DependencyModel | None = None,
         config: AssessmentConfig | None = None,
-        kernel: AssessmentKernel | None = None,
     ):
-        """``kernel``: a compiled kernel over the same substrate to share
-        (it keeps no per-assessment state), as the search's outer one."""
         config = config or AssessmentConfig(mode="incremental")
         self.config = config
         self.topology = topology
@@ -153,14 +151,6 @@ class IncrementalAssessor(AssessorBase):
         if self.dependency_model.topology is not topology:
             raise ConfigurationError(
                 "dependency model was built for a different topology"
-            )
-        if kernel is not None and (
-            kernel.topology is not topology
-            or kernel.dependency_model is not self.dependency_model
-        ):
-            raise ConfigurationError(
-                "shared kernel was built for a different topology or "
-                "dependency model"
             )
         self.rounds = config.rounds
         self.rng = make_rng(config.rng)
@@ -182,16 +172,10 @@ class IncrementalAssessor(AssessorBase):
         self.sample_full_infrastructure = config.sample_full_infrastructure
         self.metrics = config.registry() or MetricsRegistry()
         self.engine = config.engine or engine_for(topology)
-        self._all_probabilities = self.dependency_model.failure_probabilities()
-        self._new_universe(kernel or self._private_kernel())
+        self._new_universe()
 
-    def _private_kernel(self) -> AssessmentKernel:
-        return AssessmentKernel(
-            self.topology, self.dependency_model, self._all_probabilities
-        )
-
-    def _new_universe(self, kernel: AssessmentKernel) -> None:
-        """An empty sampling universe on ``kernel``.
+    def _new_universe(self) -> None:
+        """An empty sampling universe on the substrate's current kernel.
 
         Everything below only ever gains entries, and existing entries are
         never rewritten (the CRN streams, and hence every row and forest
@@ -200,7 +184,7 @@ class IncrementalAssessor(AssessorBase):
         the engine path-segment caches that hang off it — stay valid
         across every assessment.
         """
-        self.kernel = kernel
+        self.kernel = kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
         # What every mask below indexes, and the mask of what can fail.
         self._arena = kernel.arena
         self._positive = kernel.positive
@@ -231,12 +215,10 @@ class IncrementalAssessor(AssessorBase):
         """Drop every cache (states, closures, plans, route vectors).
 
         Call after externally mutating failure probabilities or the
-        dependency model; the next assessment rebuilds from scratch — on
-        a kernel of its own (the probabilities, or even the dependency
-        trees, may have changed under a shared one).
+        dependency model; the next assessment rebuilds from scratch, on
+        the kernel of the substrate's current generation.
         """
-        self._all_probabilities = self.dependency_model.failure_probabilities()
-        self._new_universe(self._private_kernel())
+        self._new_universe()
 
     def reseed(self, master_seed: int) -> None:
         """Move to a new CRN master seed, invalidating every cache."""
@@ -307,7 +289,7 @@ class IncrementalAssessor(AssessorBase):
             raw_ids = [cid for cid in arena.ids_in(new_raw) if cid in rows]
             self._effective.update(
                 self.kernel.effective_states(
-                    subject_ids, raw_ids, rows, self._forest_values
+                    subject_ids, raw_ids, rows, self._forest_values, metrics
                 )
             )
 
@@ -379,7 +361,7 @@ class IncrementalAssessor(AssessorBase):
 
         metrics.incr("assess/incremental")
         if self.sample_full_infrastructure:
-            sampled_components = len(self._all_probabilities)
+            sampled_components = len(self._arena)
         else:
             sampled_components = sampled.bit_count()
         result = AssessmentResult(

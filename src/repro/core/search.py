@@ -279,8 +279,9 @@ class DeploymentSearch:
         :class:`~repro.sampling.dagger.CommonRandomDaggerSampler` with the
         same master seed, which is the oracle the equality tests build. It
         is configured like the outer assessor (rounds, engine, closure or
-        full-infrastructure sampling), shares its compiled kernel, and
-        differs in the sampler alone.
+        full-infrastructure sampling), runs on the same substrate kernel
+        (:meth:`~repro.kernel.AssessmentKernel.of`), and differs in the
+        sampler alone.
 
         When the outer assessor is an
         :class:`~repro.core.analytic.AnalyticAssessor`, the CRN assessor
@@ -316,9 +317,6 @@ class DeploymentSearch:
                 profile=False,
                 metrics=self.metrics,
             ),
-            # One arena and one compiled forest per search: a kernel keeps
-            # no per-assessment state, and nothing here runs concurrently.
-            kernel=getattr(outer, "kernel", None),
         )
         if analytic is not None:
             return analytic.with_inner(crn)

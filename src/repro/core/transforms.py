@@ -40,6 +40,7 @@ import networkx as nx
 
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
+from repro.kernel import AssessmentKernel
 from repro.topology.base import Topology
 from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
@@ -166,9 +167,14 @@ class BatchSymmetryFilter:
       onto the other's (:meth:`_match`).
 
     Both steps are exact, so there is no budget and no fallback. Group
-    ids and labels are interned to integers that mean something inside
-    this filter only: nothing derived from them leaves it but verdicts.
-    DESIGN.md ("Symmetry screening at batch rate") has the argument.
+    ids and labels are interned to integers in one table per substrate
+    generation, kept on its kernel
+    (:meth:`~repro.kernel.AssessmentKernel.of`) and shared by every
+    filter on it: nothing derived from them leaves a filter but
+    verdicts. When the generation moves (a probability override moves a
+    group's label) the filter takes the new table and drops its cached
+    refinements. DESIGN.md ("Symmetry screening at batch rate") has the
+    argument.
 
     The filter is deliberately *not* folded into :class:`SymmetryChecker`:
     the unwrapped checker remains the uncached reference implementation
@@ -193,28 +199,41 @@ class BatchSymmetryFilter:
         #: whose invariants were equal and ``symmetry/extensions`` the
         #: instance assignments their bijection searches tried.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._interned: dict[str, int] = {}
-        self._host_groups: dict[str, tuple[tuple[int, int], ...]] = {}
+        self._kernel = None
         self._refinements: OrderedDict[tuple, _Refinement] = OrderedDict()
 
     # ------------------------------------------------------------------
+
+    def _follow_substrate(self) -> None:
+        """Take the substrate's current table; drop refinements built on
+        another generation's."""
+        kernel = AssessmentKernel.of(self.checker.dependency_model)
+        if kernel is not self._kernel:
+            self._kernel = kernel
+            self._refinements.clear()
+            decimals = self.checker.probability_decimals
+            self._interned, self._host_groups = kernel.symmetry_tables.setdefault(
+                decimals, ({}, {})
+            )
 
     def _groups_of(self, host: str) -> tuple[tuple[int, int], ...]:
         """:meth:`SymmetryChecker.host_groups` on interned integers."""
         groups = self._host_groups.get(host)
         if groups is None:
-            intern = self._interned
-            groups = self._host_groups[host] = tuple(
-                (
-                    intern.setdefault(group, len(intern)),
-                    intern.setdefault(label, len(intern)),
+            with self._kernel.lock:
+                intern = self._interned
+                groups = self._host_groups[host] = tuple(
+                    (
+                        intern.setdefault(group, len(intern)),
+                        intern.setdefault(label, len(intern)),
+                    )
+                    for group, label in self.checker.host_groups(host)
                 )
-                for group, label in self.checker.host_groups(host)
-            )
         return groups
 
     def refinement(self, plan: DeploymentPlan) -> _Refinement:
         """Refined colouring of ``plan``, LRU-cached by canonical key."""
+        self._follow_substrate()
         return self._refinement(plan, plan.canonical_key())
 
     def _refinement(self, plan: DeploymentPlan, key: tuple) -> _Refinement:
@@ -366,5 +385,6 @@ class BatchSymmetryFilter:
         if key_a == key_b:
             return True
         self.metrics.incr("symmetry/screened")
+        self._follow_substrate()
         a, b = self._refinement(plan_a, key_a), self._refinement(plan_b, key_b)
         return a.invariant == b.invariant and self._match(a, b)

@@ -63,6 +63,23 @@ class DependencyModel:
     #: function of the component set, so interned once per model
     #: (:meth:`repro.kernel.arena.ComponentArena.for_model`).
     _interned: tuple | None = field(default=None, repr=False, compare=False)
+    #: Moves on every change to the model's components, trees or
+    #: probabilities; see :attr:`generation`.
+    _generation = 0
+    #: The substrate's compiled kernel (:meth:`repro.kernel.AssessmentKernel.of`).
+    _kernel = None
+
+    @property
+    def generation(self) -> tuple[int, int]:
+        """The substrate version: (topology's, model's own) generation.
+
+        An O(1) key for everything compiled from (topology, dependency
+        model, probabilities). It moves on
+        :meth:`~repro.topology.base.Topology.override_probabilities`,
+        :meth:`override_probabilities`, :meth:`add_dependency_component`
+        and :meth:`attach_branch`, the only ways to change the substrate.
+        """
+        return (self.topology.generation, self._generation)
 
     @classmethod
     def empty(cls, topology: Topology) -> "DependencyModel":
@@ -85,6 +102,7 @@ class DependencyModel:
             raise ConfigurationError(f"conflicting definitions for dependency {cid!r}")
         self.dependency_components[cid] = component
         self._interned = None
+        self._generation += 1
 
     def attach_branch(self, subject_id: str, branch: FaultTreeNode) -> None:
         """OR a new dependency branch into ``subject_id``'s fault tree.
@@ -105,6 +123,7 @@ class DependencyModel:
             root = or_gate(current.root, branch, label=f"{subject_id} fails")
         self.trees[subject_id] = FaultTree(subject_id=subject_id, root=root)
         self._events_memo.pop(subject_id, None)
+        self._generation += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -137,9 +156,12 @@ class DependencyModel:
         """Replace failure probabilities of dependency and/or network
         components (degradation events, chaos injections, what-ifs).
 
-        Structure is untouched, so attached trees stay valid. Assessors
-        cache probability maps: call ``refresh_probabilities()`` (and
-        ``clear_caches()`` on incremental assessors) afterwards.
+        Structure is untouched, so attached trees stay valid. Moves
+        :attr:`generation`: assessors built afterwards get a kernel
+        compiled against the new probabilities, and a live assessor
+        fetches it on ``refresh_probabilities()`` (``clear_caches()`` on
+        incremental assessors). The search's symmetry screen follows on
+        its own.
         """
         network = {}
         for cid, probability in overrides.items():
@@ -150,6 +172,7 @@ class DependencyModel:
                 network[cid] = probability
         if network:
             self.topology.override_probabilities(network)
+        self._generation += 1
 
     def basic_events_for(self, subject_ids: Iterable[str]) -> frozenset[str]:
         """Every component id the given subjects' trees can read.

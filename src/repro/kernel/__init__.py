@@ -25,7 +25,10 @@ union-find and a per-round structure check, bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+import os
+import threading
+import weakref
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,35 +84,70 @@ __all__ = [
 ]
 
 
-class AssessmentKernel:
-    """Compiled state for one (topology, dependency model) substrate.
+#: The kernels' lock: held to grow a forest or a symmetry table and to
+#: build a substrate's kernel. One for every kernel in the process (a warm
+#: substrate compiles nothing), and held across ``fork``, so a forked pool
+#: worker never inherits a forest half-way through an append.
+_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_LOCK.acquire, after_in_parent=_LOCK.release, after_in_child=_LOCK.release
+    )
 
-    Owns the component arena and the growing compiled forest; stateless
-    with respect to individual assessments (per-assessment scratch lives
-    in the caller), so one kernel is shared by every assessment an
-    assessor runs.
+
+class AssessmentKernel:
+    """Compiled state for one (topology, dependency model) substrate at one
+    :attr:`~repro.faults.dependencies.DependencyModel.generation`.
+
+    Owns the component arena with its ``probabilities`` (read once; the
+    samplers only read them), the growing compiled forest, the closure
+    layer memo (weak by engine, so a caller's own engine dies with its
+    assessor), the evaluation order memo and ``symmetry_tables``, the
+    :class:`~repro.core.transforms.BatchSymmetryFilter` host-group tables
+    per probability quantisation. Every entry is a pure function of the
+    substrate, so the one kernel :meth:`of` returns is shared by every
+    assessor and search on it, in any order and from any thread;
+    per-assessment scratch lives in the caller.
     """
 
-    def __init__(
-        self,
-        topology: "Topology",
-        dependency_model: "DependencyModel",
-        probabilities: Mapping[str, float] | None = None,
-    ):
+    def __init__(self, topology: "Topology", dependency_model: "DependencyModel"):
         self.topology = topology
         self.dependency_model = dependency_model
-        self.arena = ComponentArena.for_model(dependency_model, probabilities)
+        self.generation = dependency_model.generation
+        self.probabilities = dependency_model.failure_probabilities()
+        self.arena = ComponentArena.for_model(dependency_model, self.probabilities)
         #: The mask of the components that can fail: nothing else is drawn.
         self.positive = self.arena.mask_of_indices(self.arena.probabilities > 0.0)
         self.forest = CompiledForest(self.arena)
         self._compiler = FaultTreeCompiler(self.arena)
-        # engine -> its layer key -> (subjects, sampled) masks of the layer
-        self._layer_memo: dict["ReachabilityEngine", dict] = {}
+        self.lock = _LOCK
+        # engine -> layer key -> (subjects, sampled) masks; weak by engine
+        self._layer_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # frozenset(subjects) -> evaluation order, for the last few
         # subject sets: what repeats is one plan's closure assessed piece
         # by piece; the incremental universe hands in deltas that never
         # do, and a ~10 KiB order per cold plan is memory that grows.
         self._order_by_content: dict[frozenset, list[int]] = {}
+        self.symmetry_tables: dict[int, tuple[dict, dict]] = {}
+
+    @classmethod
+    def of(
+        cls, dependency_model: "DependencyModel", metrics: "MetricsRegistry | None" = None
+    ) -> "AssessmentKernel":
+        """The substrate's kernel at its current generation: the one way
+        an assessor gets a kernel. Built on the first call after the
+        generation moved, returned as is on every other."""
+        kernel = dependency_model._kernel
+        hit = kernel is not None and kernel.generation == dependency_model.generation
+        if not hit:
+            with _LOCK:
+                kernel = dependency_model._kernel
+                if kernel is None or kernel.generation != dependency_model.generation:
+                    kernel = cls(dependency_model.topology, dependency_model)
+                    dependency_model._kernel = kernel
+        if metrics is not None:
+            metrics.incr("kernel/substrate/hit" if hit else "kernel/substrate/miss")
+        return kernel
 
     # ------------------------------------------------------------------
     # Relevant closure
@@ -197,9 +235,20 @@ class AssessmentKernel:
     # Fault-tree reasoning
     # ------------------------------------------------------------------
 
-    def compile_subjects(self, subject_ids: Iterable[str]) -> None:
-        """Intern any new subjects' trees into the shared forest."""
-        self._compiler.extend(self.forest, self.dependency_model, subject_ids)
+    def compile_subjects(
+        self, subject_ids: Collection[str], metrics: "MetricsRegistry | None" = None
+    ) -> None:
+        """Intern any new subjects' trees into the shared forest, under
+        :attr:`lock`: readers never take it (a subject is published only
+        once compiled, see :meth:`CompiledForest.ensure_subject`)."""
+        roots = self.forest.roots
+        new = [subject for subject in subject_ids if subject not in roots]
+        if new:
+            with self.lock:
+                self._compiler.extend(self.forest, self.dependency_model, new)
+        if metrics is not None:
+            metrics.incr("kernel/subject/miss", len(new))
+            metrics.incr("kernel/subject/hit", len(subject_ids) - len(new))
 
     def effective_states(
         self,
@@ -207,6 +256,7 @@ class AssessmentKernel:
         links: Iterable[str],
         rows: Mapping[str, np.ndarray | None],
         values: dict[int, np.ndarray | None] | None = None,
+        metrics: "MetricsRegistry | None" = None,
     ) -> dict[str, np.ndarray]:
         """Packed effective per-round failure rows after fault-tree reasoning.
 
@@ -222,12 +272,12 @@ class AssessmentKernel:
         when its own event does. Returns a mapping from element id to
         packed failure row containing only elements that fail in at least
         one round (absent == always alive, the :class:`RoundStates`
-        convention).
+        convention). ``metrics`` counts the subjects compiled.
         """
         content_key = frozenset(subjects)
         order = self._order_by_content.get(content_key)
         if order is None:
-            self.compile_subjects(content_key)
+            self.compile_subjects(content_key, metrics)
             order = self.forest.evaluation_order(content_key)
             if len(self._order_by_content) >= 8:
                 self._order_by_content.clear()

@@ -87,13 +87,18 @@ class CompiledForest:
     # ------------------------------------------------------------------
 
     def ensure_subject(self, subject_id: str, tree_root: FaultTreeNode) -> int:
-        """Intern one subject's tree; idempotent per subject id."""
+        """Intern one subject's tree; idempotent per subject id.
+
+        Not thread-safe (the kernel's lock serialises callers), but safe
+        to read concurrently: ``roots[subject_id]``, what readers test,
+        is published last, once everything it names is in place.
+        """
         root = self.roots.get(subject_id)
         if root is not None:
             return root
         root = self._intern(tree_root)
-        self.roots[subject_id] = root
         self.subject_nodes[subject_id] = self._descendants(root)
+        self.roots[subject_id] = root
         return root
 
     def _intern(self, node: FaultTreeNode) -> int:

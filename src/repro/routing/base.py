@@ -48,7 +48,8 @@ class RoundStates:
     read "alive" — harmless, because every consumer unpacks with
     ``count=rounds``, which drops them. Inverted alive rows are memoized
     per component: engines ask for the same few masks over and over while
-    assembling path segments.
+    assembling path segments, which they keep in ``segments`` under
+    their own keys: everything an engine caches per states lives there.
     """
 
     rounds: int
@@ -58,6 +59,7 @@ class RoundStates:
         if self.rounds <= 0:
             raise ConfigurationError(f"rounds must be positive, got {self.rounds}")
         self._alive_cache: dict[str, np.ndarray] = {}
+        self.segments: dict = {}
 
     # -- row geometry -----------------------------------------------------
 
@@ -190,11 +192,17 @@ class ReachabilityEngine:
 
 
 def engine_for(topology: Topology) -> ReachabilityEngine:
-    """Pick the best engine for a topology.
+    """The topology's one engine, built on first need.
 
     Fat-trees and leaf-spines get their vectorised up-down engines; any
-    other architecture falls back to the generic connectivity engine.
+    other architecture falls back to the generic connectivity engine. An
+    engine keeps id layouts of the frozen topology only (per-states
+    caches live on :class:`RoundStates`), so every assessor, search and
+    thread on the topology shares it, and with it the kernel's closure
+    layers.
     """
+    if "_engine" in topology.__dict__:
+        return topology._engine
     # Imported here to avoid a routing <-> topology import cycle at load time.
     from repro.routing.fattree_fast import FatTreeReachabilityEngine
     from repro.routing.generic import GenericReachabilityEngine
@@ -203,7 +211,9 @@ def engine_for(topology: Topology) -> ReachabilityEngine:
     from repro.topology.leafspine import LeafSpineTopology
 
     if isinstance(topology, FatTreeTopology):
-        return FatTreeReachabilityEngine(topology)
-    if isinstance(topology, LeafSpineTopology):
-        return LeafSpineReachabilityEngine(topology)
-    return GenericReachabilityEngine(topology)
+        engine = FatTreeReachabilityEngine(topology)
+    elif isinstance(topology, LeafSpineTopology):
+        engine = LeafSpineReachabilityEngine(topology)
+    else:
+        engine = GenericReachabilityEngine(topology)
+    return topology.__dict__.setdefault("_engine", engine)

@@ -61,17 +61,6 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         self._pod_layers: dict[int, tuple[str, ...]] = {}
         self._edge_layers: dict[str, tuple[str, ...]] = {}
 
-    # ------------------------------------------------------------------
-    # Cached path-segment vectors (one cache per RoundStates object)
-    # ------------------------------------------------------------------
-
-    def _cache(self, states: RoundStates) -> dict:
-        cache = getattr(states, "_fattree_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(states, "_fattree_cache", cache)
-        return cache
-
     @staticmethod
     def _combine(*masks):
         """AND possibly-None alive masks (None = always alive).
@@ -152,7 +141,7 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
     def _edge_ext_rows(self, states: RoundStates, edges: Sequence[str]) -> np.ndarray:
         """Packed "alive with an alive route to an external core" rows of
         the given edge switches, stacked in call order."""
-        cache = self._cache(states)
+        cache = states.segments
         missing = [e for e in dict.fromkeys(edges) if ("edge_row", e) not in cache]
         if missing:
             topo = self.topology

@@ -40,13 +40,6 @@ class LeafSpineReachabilityEngine(ReachabilityEngine):
             link_id(border, spine) for spine in spines for border in borders
         )
 
-    def _cache(self, states: RoundStates) -> dict:
-        cache = getattr(states, "_leafspine_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(states, "_leafspine_cache", cache)
-        return cache
-
     @staticmethod
     def _combine(*masks):
         """AND possibly-None alive masks (None = always alive).
@@ -70,7 +63,7 @@ class LeafSpineReachabilityEngine(ReachabilityEngine):
 
     def _spine_external(self, states: RoundStates, spine: str):
         """Spine alive with an alive border switch attached."""
-        cache = self._cache(states)
+        cache = states.segments
         key = ("spine_ext", spine)
         if key not in cache:
             paths = [
@@ -83,7 +76,7 @@ class LeafSpineReachabilityEngine(ReachabilityEngine):
         return cache[key]
 
     def _leaf_external(self, states: RoundStates, leaf: str):
-        cache = self._cache(states)
+        cache = states.segments
         key = ("leaf_ext", leaf)
         if key not in cache:
             paths = [

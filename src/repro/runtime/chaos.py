@@ -171,11 +171,13 @@ class ZoneOutage:
     ZoneOutage(model, "zone0"): ...``).
 
     Only probabilities change, never structure, so attached fault trees
-    and topology graphs stay valid. Assessors cache probability maps:
-    after :meth:`inject`/:meth:`revert`, call ``refresh_probabilities()``
-    on from-scratch assessors and ``clear_caches()`` on incremental ones
-    (the :class:`~repro.service.redeploy.RedeploymentController` does
-    this automatically).
+    and topology graphs stay valid. Each override moves the substrate's
+    generation, so assessors built afterwards get a kernel compiled
+    against the outage; a live assessor fetches it after
+    :meth:`inject`/:meth:`revert` on ``refresh_probabilities()``
+    (from-scratch) or ``clear_caches()`` (incremental) — the
+    :class:`~repro.service.redeploy.RedeploymentController` does this
+    automatically — and a search's symmetry screen follows on its own.
     """
 
     def __init__(self, dependency_model, zone: str, probability: float = ZONE_OUTAGE_PROBABILITY):

@@ -61,6 +61,11 @@ class Topology:
     :meth:`_freeze`.
     """
 
+    #: Moves on every :meth:`override_probabilities`: half of the
+    #: substrate version a compiled kernel is keyed by
+    #: (:attr:`repro.faults.dependencies.DependencyModel.generation`).
+    generation = 0
+
     def __init__(
         self,
         name: str,
@@ -239,11 +244,15 @@ class Topology:
         """Replace failure probabilities for selected components.
 
         Supports the paper's bathtub-curve updates and what-if studies.
-        Allowed on frozen topologies because it changes no structure.
+        Allowed on frozen topologies because it changes no structure. Moves
+        :attr:`generation`, so the next assessor, and any
+        ``refresh_probabilities()`` / ``clear_caches()``, gets a kernel
+        compiled against the new probabilities.
         """
         for cid, probability in overrides.items():
             self.components[cid] = self.component(cid).with_probability(probability)
         self.__dict__.pop("_probabilities", None)
+        self.generation += 1
 
     def summarize(self) -> TopologySummary:
         """Component counts in the shape of the paper's Table 2."""

@@ -271,7 +271,7 @@ class PerComponentLoopAssessor(IncrementalAssessor):
                 self.metrics.incr("sample/component/hit")
                 continue
             self.metrics.incr("sample/component/miss")
-            self.samples[cid] = draw(cid, self._all_probabilities[cid], self.rounds)
+            self.samples[cid] = draw(cid, self.kernel.probabilities[cid], self.rounds)
 
     def _extend_universe(self, subjects, sampled, cancel=None):
         metrics = self.metrics
@@ -433,6 +433,7 @@ class TestDeltaPricedUniverse:
         generator per new component that can fail and none for the rest,
         the closure from layer ids alone, each layer built once."""
         topology, model = medium
+        model.override_probabilities({})  # a cold kernel: count one walk's builds
         assessor = IncrementalAssessor(
             topology,
             model,

@@ -512,16 +512,21 @@ class TestKernelIsTheDefault:
         assert isinstance(assessor.kernel, AssessmentKernel)
 
     def test_arena_table_is_interned_once_per_model(self):
+        """One kernel per substrate version; a probability change builds
+        the next one on the same interned id table."""
         first = build_assessor(FATTREE, FATTREE_INV, AssessmentConfig())
         second = build_assessor(
             FATTREE, FATTREE_INV, AssessmentConfig(mode="incremental")
         )
-        assert first.kernel.arena.index is second.kernel.arena.index
-        assert first.kernel.arena is not second.kernel.arena
-        before = first.kernel.arena
+        assert first.kernel is second.kernel
+        before = first.kernel
         first.refresh_probabilities()
-        assert first.kernel.arena is not before  # fresh probability vector
-        assert first.kernel.arena.ids is before.ids
+        assert first.kernel is before  # nothing moved
+        FATTREE_INV.override_probabilities({})
+        first.refresh_probabilities()
+        assert first.kernel is not before  # fresh probability vector
+        assert first.kernel.arena.ids is before.arena.ids
+        assert first.kernel.arena.index is before.arena.index
 
 
 class TestIncrementalKernel:
@@ -574,20 +579,19 @@ class TestIncrementalKernel:
         assert np.array_equal(first.per_round, again.per_round)
 
 
-    def test_foreign_shared_kernel_is_rejected(self):
-        """A shared kernel's arena and forest must be this assessor's own
-        substrate's: another topology's, or another model's over the same
-        topology, would be assessed on silently."""
+    def test_kernel_is_the_substrates_own(self):
+        """No caller hands an assessor a kernel: each gets its own
+        substrate's, so another model's over the same topology cannot be
+        assessed on silently."""
         config = AssessmentConfig(rounds=64, mode="incremental", master_seed=1)
         other_model = build_paper_inventory(FATTREE, seed=3)
-        for foreign in (
-            AssessmentKernel(LEAFSPINE, LEAFSPINE_INV),
-            AssessmentKernel(FATTREE, other_model),
-        ):
-            with pytest.raises(ConfigurationError, match="shared kernel"):
-                IncrementalAssessor(FATTREE, FATTREE_INV, config, kernel=foreign)
-        own = AssessmentKernel(FATTREE, FATTREE_INV)
-        assert IncrementalAssessor(FATTREE, FATTREE_INV, config, kernel=own).kernel is own
+        own = IncrementalAssessor(FATTREE, FATTREE_INV, config).kernel
+        other = IncrementalAssessor(FATTREE, other_model, config).kernel
+        assert own is AssessmentKernel.of(FATTREE_INV)
+        assert other is AssessmentKernel.of(other_model) and other is not own
+        assert other.dependency_model is other_model
+        with pytest.raises(TypeError):
+            IncrementalAssessor(FATTREE, FATTREE_INV, config, kernel=own)
 
 
 class TestScorePlans:
@@ -873,6 +877,7 @@ class TestMemosStopGrowing:
         assert vars(assessor.sampler) == {}  # no layout, no cache: nothing kept
 
     def test_chunked_pieces_share_one_closure(self, monkeypatch):
+        FATTREE_INV.override_probabilities({})  # a cold kernel's layers
         registry = MetricsRegistry()
         assessor = build_assessor(
             FATTREE, FATTREE_INV, AssessmentConfig(rng=1, metrics=registry)

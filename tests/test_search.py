@@ -200,9 +200,9 @@ class TestCrnBehaviour:
 
     @pytest.mark.parametrize("full", [True, False])
     def test_crn_assessor_shares_the_outer_kernel(self, fattree4, inventory, full):
-        """One arena and one compiled forest per search, not two, in the
-        outer assessor's sampling mode; a ``clear_caches()`` afterwards
-        builds the walk a private one."""
+        """One arena and one compiled forest per substrate, not one per
+        assessor, in the outer assessor's sampling mode; a
+        ``clear_caches()`` on an unchanged substrate keeps it."""
         outer = ReliabilityAssessor(
             fattree4,
             inventory,
@@ -216,5 +216,5 @@ class TestCrnBehaviour:
         before = crn.assess(plan, structure)
         outer.assess(plan, structure)  # compiles into the same forest
         crn.clear_caches()
-        assert crn.kernel is not outer.kernel
+        assert crn.kernel is outer.kernel
         assert np.array_equal(before.per_round, crn.assess(plan, structure).per_round)

@@ -453,7 +453,9 @@ class TestGenericEngineKeepsEveryAnswer:
                     zone_constraints=CROSS_ZONE,
                 )
             )
-            return result, metrics.snapshot()["counters"]
+            counters = metrics.snapshot()["counters"]
+            # The substrate's kernel is warm for the second run, by design.
+            return result, {k: v for k, v in counters.items() if not k.startswith("kernel/")}
 
         got, got_counters = run(GenericReachabilityEngine(zones2))
         want, want_counters = run(UnionFindReachabilityEngine(zones2))
