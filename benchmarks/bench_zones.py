@@ -18,6 +18,13 @@ Two gates for the zone-aware robustness stack:
   assessed-plan counts repeat exactly and are what the gate reads; the
   seconds are recorded as information only (both sides finish in a few
   hundredths of a second, where a wall-clock ratio is host noise).
+* ``route_counts`` — what a fixed-seed zone search costs the generic
+  route-and-check engine, for a K-of-N walk and a layered web/app/db
+  walk. The engine keeps each propagation on the states object it came
+  from, so border propagations must equal the states objects that
+  answered an external query (the walk's one, plus one per sequential
+  assessment), and pair propagations the distinct (states, source)
+  pairs. The counts repeat exactly under ``PYTHONHASHSEED`` 0 and 123.
 
 Results land in ``BENCH_zones.json`` at the repo root.
 
@@ -33,7 +40,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -43,7 +52,7 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
 
 import numpy as np
 
-from repro.app.structure import ApplicationStructure
+from repro.app.structure import EXTERNAL, ApplicationStructure
 from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.api import AssessmentConfig
 from repro.core.evaluation import StructureEvaluator
@@ -53,8 +62,10 @@ from repro.faults.component import ComponentType
 from repro.faults.inventory import build_zone_inventory, zone_shared_root_ids
 from repro.routing import engine_for
 from repro.routing.base import RoundStates
+from repro.routing.generic import GenericReachabilityEngine
 from repro.runtime.chaos import ZoneOutage
 from repro.topology.zones import MultiZoneTopology
+from repro.util.metrics import MetricsRegistry
 
 MASTER_SEED = 20170412
 #: Work floor of the warm start: the from-scratch search must assess at
@@ -223,11 +234,121 @@ def bench_incumbent_research(
 
 
 # ----------------------------------------------------------------------
+# Workload 3: the generic engine's propagations over a search
+# ----------------------------------------------------------------------
+
+
+class _CountingEngine(GenericReachabilityEngine):
+    """The generic engine, counting its propagations and who asked."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.counts = dict.fromkeys(
+            ("external_calls", "border_propagations", "pair_calls",
+             "pair_propagations"), 0
+        )
+        self.asked: dict[int, RoundStates] = {}  # held: ids stay distinct
+        self.external_states: set[int] = set()
+        self.pair_sources: set[tuple[int, str]] = set()
+
+    def _reach_from(self, seeds, table, edge_alive):
+        kind = "border" if seeds is self._borders else "pair"
+        self.counts[f"{kind}_propagations"] += 1
+        return super()._reach_from(seeds, table, edge_alive)
+
+    def external_reachable(self, states, hosts):
+        self.asked[id(states)] = states
+        self.counts["external_calls"] += 1
+        self.external_states.add(id(states))
+        return super().external_reachable(states, hosts)
+
+    def pairwise_reachable(self, states, pairs):
+        self.asked[id(states)] = states
+        self.counts["pair_calls"] += 1
+        self.pair_sources.update((id(states), a) for a, _b in pairs)
+        return super().pairwise_reachable(states, pairs)
+
+
+#: Web/app/db tiers behind an external entry: the walk asks for both
+#: external and pair reachability.
+LAYERED = ApplicationStructure.from_requirement_map(
+    {"web": 2, "app": 3, "db": 2},
+    {("web", EXTERNAL): 1, ("app", "web"): 1, ("db", "app"): 2},
+)
+
+
+def run_route_counts(rounds: int = 500, moves: int = 20) -> list[dict]:
+    """One fixed-seed constrained search per structure, in engine counts.
+
+    Every count is a function of the seeds alone, so all repeat exactly
+    across ``PYTHONHASHSEED`` and hosts.
+    """
+    topology, inventory = _substrate()
+    constraints = ZoneConstraints.from_mapping(
+        primary_zone="zone0", min_outside_primary=1
+    )
+    rows = []
+    for name, structure in (
+        ("k_of_n", ApplicationStructure.k_of_n(3, 4)),
+        ("layered", LAYERED),
+    ):
+        engine = _CountingEngine(topology)
+        registry = MetricsRegistry()
+        result = DeploymentSearch.from_config(
+            topology,
+            inventory,
+            AssessmentConfig(
+                rounds=rounds, rng=MASTER_SEED, engine=engine, metrics=registry
+            ),
+            rng=MASTER_SEED + 4,
+            temperature_schedule=MoveBudgetTemperatureSchedule(moves),
+        ).search(
+            SearchSpec(
+                structure,
+                max_seconds=3_600.0,
+                max_iterations=moves,
+                zone_constraints=constraints,
+            )
+        )
+        rows.append({
+            "workload": "route_counts",
+            "structure": name,
+            "rounds": rounds,
+            "moves": moves,
+            "plans_assessed": result.plans_assessed,
+            "sequential_assessments": int(registry.counter("assess/from_scratch")),
+            **engine.counts,
+            "external_states": len(engine.external_states),
+            "pair_sources": len(engine.pair_sources),
+        })
+    return rows
+
+
+def _route_counts_under(hash_seed: str) -> list[dict]:
+    """:func:`run_route_counts` in a fresh interpreter under one hash seed."""
+    here = pathlib.Path(__file__).resolve().parent
+    script = (
+        f"import json, sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]; "
+        "import bench_zones; print(json.dumps(bench_zones.run_route_counts()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# ----------------------------------------------------------------------
 # Reporting and gates
 # ----------------------------------------------------------------------
 
 
 def _report(row: dict) -> str:
+    if row["workload"] == "route_counts":
+        return f"{row['workload']:<18} " + " ".join(
+            f"{key}={value}" for key, value in row.items() if key != "workload"
+        )
     if row["workload"] == "zone_outage_exact":
         return (
             f"{row['workload']:<18} blast={row['failed_elements']} elements "
@@ -277,6 +398,23 @@ def _check(rows: list[dict]) -> list[str]:
         )
     if not research["warm_satisfies_constraints"]:
         failures.append("warm-start result violates the zone constraints")
+    for row in (r for r in rows if r["workload"] == "route_counts"):
+        walk = f"{row['structure']} walk"
+        if not (
+            row["border_propagations"]
+            == row["external_states"]
+            == 1 + row["sequential_assessments"]
+        ):
+            failures.append(
+                f"{walk}: {row['border_propagations']} border propagations for "
+                f"{row['external_states']} states objects asked "
+                f"(the walk's one + {row['sequential_assessments']} sequential)"
+            )
+        if row["pair_propagations"] != row["pair_sources"]:
+            failures.append(
+                f"{walk}: {row['pair_propagations']} pair propagations for "
+                f"{row['pair_sources']} distinct (states, source) pairs"
+            )
     return failures
 
 
@@ -293,11 +431,17 @@ def _write_results(rows: list[dict]) -> None:
 
 
 def run_smoke() -> int:
-    """CI gate: exact outage semantics plus the warm-start work floor."""
+    """CI gate: exact outage semantics, the warm-start work floor and the
+    generic engine's propagation counts."""
+    counts = _route_counts_under("0")
+    assert counts == _route_counts_under("123"), (
+        "route counts differ across PYTHONHASHSEED"
+    )
     rows = [
         bench_zone_outage_exact(),
         bench_incumbent_research(rounds=1_000, scratch_budget=60,
                                  incumbent_budget=12),
+        *counts,
     ]
     for row in rows:
         print(_report(row))
@@ -306,7 +450,8 @@ def run_smoke() -> int:
     _write_results(rows)
     print(
         "smoke OK: zone-pinned plan dies with its zone, constrained plan "
-        "survives, warm re-search meets the work floor at equal quality"
+        "survives, warm re-search meets the work floor at equal quality, "
+        "one propagation per (states, source)"
     )
     return 0
 
@@ -319,6 +464,7 @@ def run_full(rounds: int, scratch_budget: int, incumbent_budget: int) -> int:
             scratch_budget=scratch_budget,
             incumbent_budget=incumbent_budget,
         ),
+        *run_route_counts(),
     ]
     for row in rows:
         print(_report(row))
@@ -339,7 +485,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI gate: exact outage check + warm-start re-search work floor",
+        help="CI gate: exact outage check, warm-start re-search work floor, "
+        "route propagation counts",
     )
     parser.add_argument("--rounds", type=int, default=2_000)
     parser.add_argument("--scratch-budget", type=int, default=60)

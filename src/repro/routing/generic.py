@@ -10,17 +10,30 @@ fallback and the reference implementation the fast engines are validated
 against on architectures where the two semantics coincide.
 
 The topology is flattened once into node and link id tables and a
-directed edge list sorted by destination. A call stacks the alive rows of
-every node and link, bit-packed (64 rounds a word), and grows the set of
-rounds in which each node is reached from the seeds: one sweep moves every
-round one hop along every alive edge with a gather, an AND and a segmented
-OR, and sweeps repeat until nothing changes — at most one per node,
-whatever the round count.
+directed edge list sorted by destination. A propagation stacks the alive
+rows of every node and link, bit-packed (64 rounds a word), and grows the
+set of rounds in which each node is reached from the seeds: one sweep
+moves every round one hop along every alive edge with a gather, an AND
+and a segmented OR, and sweeps repeat until nothing changes — at most one
+per node, whatever the round count.
+
+One propagation holds the reach of *every* node, so it is kept on the
+states object it was computed from (``states.segments``): the border
+switches' reach matrix, and one per pair source, each built on first
+need. Later queries on the same states — a search walk's new hosts on an
+unchanged universe — gather rows from them. This is the fat-tree blocks'
+argument: every host's closure is the whole topology, so a states object
+is first queried only once every row a propagation reads is in it, and
+``failed`` only ever gains rows; the kept matrices are also keyed by
+``len(states.failed)``, so a caller that grows a states object after
+querying it gets fresh propagations. Only the ``(nodes x words)`` reach
+matrices are kept: a call that needs a new propagation rebuilds the alive
+table and edge rows and shares them across its new sources.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,6 +113,25 @@ class GenericReachabilityEngine(ReachabilityEngine):
                 return reach
             reach = grown
 
+    def _reach(
+        self, states: RoundStates, sources: Iterable[str | None]
+    ) -> dict[str | None, np.ndarray]:
+        """The reach matrix of every source (``None``: the border
+        switches) kept on ``states``, propagating the missing ones."""
+        size = len(states.failed)
+        kept = states.segments.get(self)
+        if kept is None or kept[0] != size:
+            kept = states.segments[self] = (size, {})
+        reach = kept[1]
+        missing = [source for source in sources if source not in reach]
+        if missing:
+            table = self._alive_table(states)
+            edge_alive = self._edge_alive(table)
+            for source in missing:
+                seeds = self._borders if source is None else [self._index[source]]
+                reach[source] = self._reach_from(seeds, table, edge_alive)
+        return reach
+
     def _rows(
         self, states: RoundStates, reach: np.ndarray, nodes: Sequence[str]
     ) -> np.ndarray:
@@ -112,21 +144,18 @@ class GenericReachabilityEngine(ReachabilityEngine):
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
     ) -> dict[str, np.ndarray]:
-        table = self._alive_table(states)
-        reach = self._reach_from(self._borders, table, self._edge_alive(table))
+        reach = self._reach(states, [None])[None]
         return dict(zip(hosts, self._rows(states, reach, hosts)))
 
     def pairwise_reachable(
         self, states: RoundStates, pairs: Sequence[tuple[str, str]]
     ) -> dict[tuple[str, str], np.ndarray]:
-        table = self._alive_table(states)
-        edge_alive = self._edge_alive(table)
         peers: dict[str, list[str]] = {}
         for a, b in pairs:
             peers.setdefault(a, []).append(b)
+        reach = self._reach(states, peers)
         result = {}
         for a, others in peers.items():
-            reach = self._reach_from([self._index[a]], table, edge_alive)
-            for b, row in zip(others, self._rows(states, reach, others)):
+            for b, row in zip(others, self._rows(states, reach[a], others)):
                 result[(a, b)] = row
         return result

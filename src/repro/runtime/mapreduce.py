@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import threading
 import time
 import warnings
@@ -75,8 +76,17 @@ _WORKER_STATE: dict = {}
 
 
 def _init_forked_worker(registry_key: int) -> None:
-    """Pin the forked snapshot of the parent state inside the worker."""
+    """Pin the forked snapshot of the parent state inside the worker.
+
+    The worker leaves the master's process group: a SIGTERM or SIGINT
+    sent to the group (a supervisor stopping the service, Ctrl-C) would
+    otherwise kill idle workers, one of them holding the pool's task-queue
+    lock, and the master's drain would wait on that lock forever. The
+    master stops its workers itself; ``Pool.terminate`` still signals
+    each one directly.
+    """
     global _WORKER_STATE
+    os.setpgid(0, 0)
     _WORKER_STATE = dict(_FORK_REGISTRY[registry_key])
 
 

@@ -23,7 +23,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOSTS = ["host/0/0/0", "host/1/0/0", "host/2/0/0"]
 
 
-def _start_server(journal_dir: str) -> tuple[subprocess.Popen, str]:
+def _start_server(
+    journal_dir: str, *extra: str, **popen
+) -> tuple[subprocess.Popen, str]:
+    """``repro serve`` on a free port; ``extra`` options override the
+    defaults, ``popen`` goes to :class:`subprocess.Popen`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     env["PYTHONUNBUFFERED"] = "1"
@@ -36,12 +40,14 @@ def _start_server(journal_dir: str) -> tuple[subprocess.Popen, str]:
             "--scheduler-workers", "1",
             "--drain-timeout", "120",
             "--journal-dir", journal_dir,
+            *extra,
         ],
         cwd=REPO_ROOT,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
+        **popen,
     )
     line = process.stdout.readline().strip()
     assert "listening on http://" in line, f"no address announced: {line!r}"
@@ -124,6 +130,32 @@ def test_sigterm_finishes_inflight_rejects_queued_and_exits_clean(tmp_path):
     finally:
         if process.poll() is None:
             process.kill()
+            process.wait(timeout=10.0)
+        if process.stdout is not None:
+            process.stdout.close()
+
+
+def test_process_group_sigterm_drains_a_pooled_server(tmp_path):
+    """SIGTERM to the server's whole process group, as a supervisor or a
+    terminal sends it, reaches the server alone: its pool workers sit in
+    groups of their own, so none dies holding the pool's task-queue lock,
+    and the drain stops them itself and exits 0."""
+    drain_timeout = 20.0
+    process, base_url = _start_server(
+        str(tmp_path / "journal"),
+        "--parallel-workers", "2",
+        "--drain-timeout", str(drain_timeout),
+        start_new_session=True,
+    )
+    try:
+        client = HttpServiceClient(base_url, timeout=60.0, max_attempts=1)
+        _wait_ready(client)
+        assert client.assess(HOSTS, k=2, rounds=20_000)["status"] == "ok"
+        os.killpg(process.pid, signal.SIGTERM)
+        assert process.wait(timeout=drain_timeout) == 0
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=10.0)
         if process.stdout is not None:
             process.stdout.close()

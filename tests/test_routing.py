@@ -463,6 +463,90 @@ class TestGenericEngineVsUnionFind:
             assert calls["alive_mask"] == ids
             assert 1 <= calls["sweep"] <= len(topology.graph.nodes)
             assert all(row.shape == (states.width,) for row in result.values())
+            # A second call on the same states gathers rows of the kept
+            # propagation: it reads no state and runs no sweep.
+            calls.update(alive_mask=0, sweep=0)
+            again = engine.external_reachable(states, topology.hosts[::-1])
+            assert calls == {"alive_mask": 0, "sweep": 0}
+            assert all(np.array_equal(again[h], result[h]) for h in topology.hosts)
+
+
+def _chunks(data, items):
+    """``items`` cut into consecutive non-empty pieces at drawn points."""
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(items) - 1))))
+    bounds = [0, *cuts, len(items)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestGenericEngineKeepsItsPropagations:
+    """The reach matrices the generic engine keeps on a states object
+    change no answer, and are computed once per (states, source)."""
+
+    @given(case=routing_cases(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_states_answers_like_a_fresh_one_per_query(self, case, data):
+        topology, rounds, failed, hosts, pairs = case
+        engine = GenericReachabilityEngine(topology)
+        queries = [("external", chunk) for chunk in _chunks(data, hosts)]
+        queries += [("pairs", chunk) for chunk in _chunks(data, pairs)]
+        queries = data.draw(st.permutations(queries))
+        # Between two calls, the shared states may gain a failing row.
+        withheld = data.draw(
+            st.sampled_from([None, *sorted(c for c in failed if failed[c].any())])
+        )
+        grow_at = data.draw(st.integers(1, len(queries) - 1))
+        current = {cid: row for cid, row in failed.items() if cid != withheld}
+        shared = packed_states(rounds, current)
+        for position, (kind, items) in enumerate(queries):
+            if position == grow_at and withheld is not None:
+                current[withheld] = failed[withheld]
+                shared.failed[withheld] = np.packbits(failed[withheld])
+            fresh = packed_states(rounds, current)
+            if kind == "external":
+                got = engine.external_reachable(shared, items)
+                want = engine.external_reachable(fresh, items)
+            else:
+                got = engine.pairwise_reachable(shared, items)
+                want = engine.pairwise_reachable(fresh, items)
+            assert got.keys() == want.keys()
+            for key, row in want.items():
+                assert np.array_equal(got[key], row), (kind, key)
+
+    def test_one_propagation_per_states_and_source(self, monkeypatch):
+        topology = FIXED_TOPOLOGIES[0]
+        engine = GenericReachabilityEngine(topology)
+        seeds = []
+        reach_from = GenericReachabilityEngine._reach_from
+
+        def counting_reach_from(self, sources, table, edge_alive):
+            seeds.append(tuple(sources))
+            return reach_from(self, sources, table, edge_alive)
+
+        monkeypatch.setattr(GenericReachabilityEngine, "_reach_from", counting_reach_from)
+        borders = tuple(engine._index[b] for b in topology.border_switches)
+        hosts = topology.hosts
+        states = _states_for(topology, seed=4, rounds=200)
+        for lo in range(0, len(hosts), 5):  # N external calls: one propagation
+            engine.external_reachable(states, hosts[lo : lo + 5])
+        assert seeds == [borders]
+
+        calls = [
+            [(hosts[0], hosts[1]), (hosts[0], hosts[7])],
+            [(hosts[3], hosts[0]), (hosts[0], hosts[20])],
+            [(hosts[3], hosts[9]), (hosts[12], hosts[0]), (hosts[0], hosts[1])],
+        ]
+        for pairs in calls:
+            engine.pairwise_reachable(states, pairs)
+        sources = [hosts[0], hosts[3], hosts[12]]
+        assert seeds[1:] == [(engine._index[s],) for s in sources]
+
+        # Another states object propagates again; the first keeps its own.
+        seeds.clear()
+        other = _states_for(topology, seed=5, rounds=200)
+        engine.external_reachable(other, hosts)
+        engine.external_reachable(states, hosts)
+        engine.pairwise_reachable(other, calls[0])
+        assert seeds == [borders, (engine._index[hosts[0]],)]
 
 
 class TestLeafSpineEngine:

@@ -418,47 +418,58 @@ class TestZoneClosureIsOneLayer:
         assert built == [len(engine.relevant_elements(zones2.hosts[:1]))]
 
 
+#: Web/app/db tiers: inter-component requirements go through
+#: pairwise_reachable.
+LAYERED = ApplicationStructure.from_requirement_map(
+    {"web": 2, "app": 3, "db": 2},
+    {("app", "web"): 1, ("db", "app"): 2},
+)
+
+
 class TestGenericEngineKeepsEveryAnswer:
     """The all-rounds generic engine against the per-round union-find it
     replaced, through the whole search: same plans, estimates, trajectory
-    and cache counters, in closure and full-infrastructure mode. Only the
-    engine differs: the production search drives the oracle through its
-    unpack/pack door."""
+    and cache counters, in closure and full-infrastructure mode, for K-of-N
+    and layered structures. Only the engine differs: the production search
+    drives the oracle through its unpack/pack door."""
 
-    @pytest.mark.parametrize("batch_size", [1, 3])
-    @pytest.mark.parametrize("full", [False, True])
-    def test_search_matches_union_find_oracle(
-        self, zones2, zone_model, full, batch_size
-    ):
-        def run(engine):
-            metrics = MetricsRegistry()
-            config = AssessmentConfig(
-                rounds=300,
-                rng=5,
-                sample_full_infrastructure=full,
-                engine=engine,
-                metrics=metrics,
+    @staticmethod
+    def _search_with(zones2, zone_model, engine, structure, batch_size, full):
+        metrics = MetricsRegistry()
+        config = AssessmentConfig(
+            rounds=300,
+            rng=5,
+            sample_full_infrastructure=full,
+            engine=engine,
+            metrics=metrics,
+        )
+        result = _zone_search(
+            zones2,
+            zone_model,
+            config=config,
+            batch_size=batch_size,
+            keep_trace=True,
+        ).search(
+            SearchSpec(
+                structure,
+                max_seconds=30.0,
+                max_iterations=12,
+                zone_constraints=CROSS_ZONE,
             )
-            result = _zone_search(
-                zones2,
-                zone_model,
-                config=config,
-                batch_size=batch_size,
-                keep_trace=True,
-            ).search(
-                SearchSpec(
-                    ApplicationStructure.k_of_n(3, 4),
-                    max_seconds=30.0,
-                    max_iterations=12,
-                    zone_constraints=CROSS_ZONE,
-                )
-            )
-            counters = metrics.snapshot()["counters"]
-            # The substrate's kernel is warm for the second run, by design.
-            return result, {k: v for k, v in counters.items() if not k.startswith("kernel/")}
+        )
+        counters = metrics.snapshot()["counters"]
+        # The substrate's kernel is warm for the second run, by design.
+        return result, {k: v for k, v in counters.items() if not k.startswith("kernel/")}
 
-        got, got_counters = run(GenericReachabilityEngine(zones2))
-        want, want_counters = run(UnionFindReachabilityEngine(zones2))
+    def _assert_same_search(self, zones2, zone_model, structure, batch_size, full):
+        got, got_counters = self._search_with(
+            zones2, zone_model, GenericReachabilityEngine(zones2), structure,
+            batch_size, full,
+        )
+        want, want_counters = self._search_with(
+            zones2, zone_model, UnionFindReachabilityEngine(zones2), structure,
+            batch_size, full,
+        )
         assert got.best_plan == want.best_plan
         assert got.best_assessment.estimate == want.best_assessment.estimate
         assert np.array_equal(
@@ -474,13 +485,33 @@ class TestGenericEngineKeepsEveryAnswer:
         ):
             assert getattr(got, field) == getattr(want, field), field
         assert got_counters == want_counters
+        return got_counters
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_search_matches_union_find_oracle(
+        self, zones2, zone_model, full, batch_size
+    ):
+        self._assert_same_search(
+            zones2, zone_model, ApplicationStructure.k_of_n(3, 4), batch_size, full
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_layered_search_matches_union_find_oracle(
+        self, zones2, zone_model, batch_size
+    ):
+        """Pair reach across moves: new hosts on the walk's one states
+        object are answered from the reach matrices kept there."""
+        counters = self._assert_same_search(
+            zones2, zone_model, LAYERED, batch_size, full=False
+        )
+        # More pairs were routed than one plan asks for (12): the walk's
+        # later plans asked for pairs on the same states object.
+        assert counters["route/pair/miss"] > 12
+        assert counters["route/pair/hit"] > 0
 
     def test_layered_assessment_matches_union_find_oracle(self, zones2, zone_model):
-        # Inter-component requirements go through pairwise_reachable.
-        structure = ApplicationStructure.from_requirement_map(
-            {"web": 2, "app": 3, "db": 2},
-            {("app", "web"): 1, ("db", "app"): 2},
-        )
+        structure = LAYERED
         zone0, zone1 = zones2.hosts_in_zone("zone0"), zones2.hosts_in_zone("zone1")
         plan = DeploymentPlan.from_mapping(
             {
