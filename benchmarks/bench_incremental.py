@@ -205,19 +205,18 @@ def run_scratch_counts(scale: str = "tiny", rounds: int = 600, count: int = 100)
         topology, inventory, AssessmentConfig(rounds=rounds, rng=WALK_SEED, metrics=registry)
     )
     drawn = 0
-    sample_packed = assessor.kernel.sample_packed
+    sample = assessor.sampler.sample
 
-    def counted_sample(sampler, probabilities, *args, **kwargs):
+    def counted_sample(probabilities, *args, **kwargs):
         nonlocal drawn
         drawn += len(probabilities)
-        return sample_packed(sampler, probabilities, *args, **kwargs)
+        return sample(probabilities, *args, **kwargs)
 
-    # The kernel is the substrate's: count only while these plans run.
-    assessor.kernel.sample_packed = counted_sample
+    assessor.sampler.sample = counted_sample
     try:
         seen = _assess_cold_plans(assessor, topology, structure, count)
     finally:
-        del assessor.kernel.sample_packed
+        del assessor.sampler.sample
     probabilities = inventory.failure_probabilities()
     closure_total = positive = 0
     for hosts in seen:

@@ -193,8 +193,8 @@ class ReliabilityAssessor(AssessorBase):
             only = set(kernel.arena.ids_in(sampled))
         if batch is None:
             with _stage(metrics, "sample"):
-                batch = kernel.sample_packed(
-                    self.sampler, probabilities, rounds, self.rng, cancel=cancel
+                batch = self.sampler.sample(
+                    probabilities, rounds, self.rng, cancel=cancel
                 )
 
         if cancel is not None:
@@ -251,7 +251,6 @@ class ReliabilityAssessor(AssessorBase):
 
         watch = Stopwatch()
         metrics = self.metrics
-        kernel = self.kernel
         closures: list[tuple[int, int]] = []
         union_sampled = 0
         with _stage(metrics, "closure"):
@@ -262,9 +261,7 @@ class ReliabilityAssessor(AssessorBase):
             probabilities = self._probabilities(union_sampled, by_id=False)
 
         with _stage(metrics, "sample"):
-            batch = kernel.sample_packed(
-                self.sampler, probabilities, rounds, self.rng, cancel=cancel
-            )
+            batch = self.sampler.sample(probabilities, rounds, self.rng, cancel=cancel)
 
         values: dict[int, np.ndarray | None] = {}
         results = []

@@ -6,10 +6,10 @@ every assessor uses:
 
 * :class:`~repro.kernel.arena.ComponentArena` interns component ids to
   dense ``int32`` indices, built once per (topology, dependency model);
-* samplers emit a bit-packed ``(components x rounds)`` state matrix
-  (:class:`~repro.kernel.packed.PackedBatch`) via ``sample_packed`` fast
-  paths that draw the same uniforms in the same order as the paper's
-  Table-1 form, ``Sampler.sample``;
+* every sampler draws the paper's Table 1 once, straight into a
+  bit-packed ``(components x rounds)`` state matrix
+  (:class:`~repro.kernel.packed.PackedBatch`), through its one
+  ``Sampler.sample``;
 * :class:`~repro.kernel.compiler.FaultTreeCompiler` flattens the whole
   forest into one postorder instruction program with shared subtrees
   deduplicated, evaluated by a non-recursive loop;
@@ -18,9 +18,9 @@ every assessor uses:
   (:class:`~repro.routing.base.RoundStates`), unpacking only at the
   estimate boundary.
 
-The reference it is held to is ``tests/interpreted_oracle.py``: sparse
-``Sampler.sample`` draws, recursive ``FaultTree.evaluate``, a per-round
-union-find and a per-round structure check, bit for bit.
+The reference it is held to is ``tests/interpreted_oracle.py``: its own
+per-component reference samplers, recursive ``FaultTree.evaluate``, a
+per-round union-find and a per-round structure check, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,20 +43,11 @@ from repro.kernel.exact import (
     enumeration_weights,
     exact_tree_probability,
 )
-from repro.kernel.packed import (
-    PACK_DTYPE,
-    PackedBatch,
-    pack_bool_matrix,
-    pack_indices,
-    packed_width,
-    unpack_matrix,
-    unpack_row,
-)
+from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.dependencies import DependencyModel
     from repro.routing.base import ReachabilityEngine
-    from repro.sampling.base import Sampler
     from repro.topology.base import Topology
     from repro.util.metrics import MetricsRegistry
 
@@ -76,11 +67,7 @@ __all__ = [
     "enumeration_rows",
     "enumeration_weights",
     "exact_tree_probability",
-    "pack_bool_matrix",
-    "pack_indices",
     "packed_width",
-    "unpack_matrix",
-    "unpack_row",
 ]
 
 
@@ -205,31 +192,6 @@ class AssessmentKernel:
             cid for cid in ids if cid not in subjects
         )
         return self.arena.mask_of(subjects), self.arena.mask_of(sampled)
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-
-    def sample_packed(
-        self,
-        sampler: "Sampler",
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,
-        cancel=None,
-    ) -> PackedBatch:
-        """One packed batch from any sampler.
-
-        Samplers with a matrix-native ``sample_packed`` fast path are
-        called directly; anything else runs its ordinary ``sample`` and
-        the sparse result is packed — either way the rng stream advances
-        exactly as ``sample`` would advance it.
-        """
-        fast = getattr(sampler, "sample_packed", None)
-        if fast is not None:
-            return fast(probabilities, rounds, rng, cancel=cancel)
-        batch = sampler.sample(probabilities, rounds, rng, cancel=cancel)
-        return PackedBatch.from_sample_batch(batch)
 
     # ------------------------------------------------------------------
     # Fault-tree reasoning

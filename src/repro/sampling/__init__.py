@@ -1,6 +1,6 @@
 """Failure-state samplers (Monte-Carlo, dagger) and reliability statistics."""
 
-from repro.sampling.base import SampleBatch, Sampler
+from repro.sampling.base import Sampler
 from repro.sampling.dagger import (
     DaggerSampler,
     ExtendedDaggerSampler,
@@ -19,7 +19,6 @@ __all__ = [
     "ExtendedDaggerSampler",
     "MonteCarloSampler",
     "ReliabilityEstimate",
-    "SampleBatch",
     "Sampler",
     "dagger_cycle_length",
     "dagger_draw_count",

@@ -22,26 +22,24 @@ which leaves every surviving round's marginal failure probability at ``p``.
 Implementation notes: probabilities in a data center are heavily repeated
 (the paper rounds them to 4 decimals), so components are grouped by exact
 probability and each group is sampled as one vectorised matrix of draws.
+The original scheme is the extended one with each component's own cycle as
+its block, so both samplers run one routine, :meth:`DaggerSampler.sample`,
+and differ only in ``_block_length``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import defaultdict
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.kernel.packed import PACK_DTYPE, PackedBatch, pack_indices, packed_width
-from repro.sampling.base import (
-    EMPTY_ROUNDS,
-    ROUND_DTYPE,
-    SampleBatch,
-    Sampler,
-    sampling_started,
-    validate_probabilities,
-)
+from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
+from repro.sampling.base import Sampler, sampling_started, validate_probabilities
+
+#: dtype of round-index arithmetic.
+ROUND_DTYPE = np.int64
 
 
 def dagger_cycle_length(probability: float) -> int:
@@ -69,44 +67,6 @@ def dagger_draw_count(probabilities: Mapping[str, float], rounds: int) -> int:
     return total
 
 
-def _group_draws(
-    rng: np.random.Generator,
-    probability: float,
-    count: int,
-    rounds: int,
-    block_length: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw ``(failed_round, valid)`` matrices for one probability group.
-
-    Cycles of length ``s = floor(1/p)`` are concatenated within blocks of
-    ``block_length`` rounds and truncated at block boundaries (extended
-    dagger). Entry ``[i, d]`` is the round draw ``d`` of component ``i``
-    fails, meaningful only where ``valid`` is True (the draw landed in a
-    subinterval and inside the block and round range).
-    """
-    s = dagger_cycle_length(probability)
-    cycles_per_block = math.ceil(block_length / s)
-    blocks = math.ceil(rounds / block_length)
-    draws_per_component = blocks * cycles_per_block
-
-    draw_index = np.arange(draws_per_component, dtype=ROUND_DTYPE)
-    block_of_draw = draw_index // cycles_per_block
-    cycle_in_block = draw_index % cycles_per_block
-    cycle_start = block_of_draw * block_length + cycle_in_block * s
-
-    r = rng.random((count, draws_per_component))
-    offset = np.floor(r / probability).astype(ROUND_DTYPE)
-    # A draw in the i-th subinterval (offset < s) fails round i of its
-    # cycle; the remainder section (offset >= s) keeps the cycle all-alive.
-    failed_round = cycle_start[np.newaxis, :] + offset
-    valid = (
-        (offset < s)
-        & (cycle_in_block[np.newaxis, :] * s + offset < block_length)
-        & (failed_round < rounds)
-    )
-    return failed_round, valid
-
-
 #: MSB-first bit of each round-within-byte position.
 _BIT_OF = (0x80 >> np.arange(8)).astype(PACK_DTYPE)
 
@@ -121,13 +81,14 @@ def _cycle_geometry(
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """``(s, draws_per_component, cycle_start, limit)`` for one group.
 
-    Mirrors the arithmetic of :func:`_group_draws` exactly, with its
-    three per-draw validity conditions folded into one: a draw whose
-    offset is below ``limit`` lands in a subinterval (``offset < s``),
-    inside the block (``cycle_in_block * s + offset < block_length``)
-    and inside the round range (``cycle_start + offset < rounds``) —
-    all integers, so the conjunction is ``offset < min`` of the three
-    bounds.
+    Cycles of length ``s = floor(1/p)`` are concatenated within blocks of
+    ``block_length`` rounds and truncated at block boundaries. Draw ``d``
+    of a component opens the cycle starting at round ``cycle_start[d]``,
+    and its offset ``floor(r / p)`` fails round ``cycle_start[d] + offset``
+    when it lands in a subinterval (``offset < s``), inside the block
+    (``cycle_in_block * s + offset < block_length``) and inside the round
+    range (``cycle_start + offset < rounds``) — all integers, so the
+    conjunction is ``offset < limit[d]``, the smallest of the three bounds.
     """
     key = (probability, rounds, block_length)
     geometry = _GEOMETRY_CACHE.get(key)
@@ -150,32 +111,22 @@ def _cycle_geometry(
     return geometry
 
 
-def _sample_group(
-    rng: np.random.Generator,
-    probability: float,
-    count: int,
-    rounds: int,
-    block_length: int,
-) -> list[np.ndarray]:
-    """Failed-round indices for ``count`` components sharing ``probability``.
+class DaggerSampler(Sampler):
+    """Original dagger sampling, without the cross-component cycle reset.
 
-    Returns one sorted index array per component.
-    """
-    failed_round, valid = _group_draws(rng, probability, count, rounds, block_length)
-    # Within a row, cycle starts are increasing and offsets stay inside
-    # their cycle, so the surviving indices are already sorted.
-    return [failed_round[row][valid[row]] for row in range(count)]
-
-
-class ExtendedDaggerSampler(Sampler):
-    """The paper's extended dagger sampling (Fig. 4).
-
-    All components' cycles are reset at the end of the longest dagger cycle
-    among them, so components with heterogeneous failure probabilities can
-    be sampled together without bias [63].
+    Each component concatenates its own cycles independently (Fig. 3).
+    Statistically this also has per-round marginal ``p``; the extended
+    variant exists to align cycle boundaries across heterogeneous
+    components. Kept for completeness and for ablation comparisons.
     """
 
-    name = "extended-dagger"
+    name = "dagger"
+
+    @staticmethod
+    def _block_length(probability: float, longest: int) -> int:
+        """Rounds after which a group's cycles restart: its own cycle, so
+        truncation never trims one — exactly the original scheme."""
+        return dagger_cycle_length(probability)
 
     def sample(
         self,
@@ -183,46 +134,17 @@ class ExtendedDaggerSampler(Sampler):
         rounds: int,
         rng: np.random.Generator,
         cancel=None,
-    ) -> SampleBatch:
-        sampling_started()
-        validate_probabilities(probabilities)
-        batch = SampleBatch(rounds=rounds)
-
-        by_probability: dict[float, list[str]] = defaultdict(list)
-        for cid, p in probabilities.items():
-            if p > 0.0:
-                by_probability[p].append(cid)
-        if not by_probability:
-            return batch
-
-        block_length = max(dagger_cycle_length(p) for p in by_probability)
-        for probability, component_ids in by_probability.items():
-            if cancel is not None:
-                cancel.check()
-            failed_lists = _sample_group(
-                rng, probability, len(component_ids), rounds, block_length
-            )
-            for cid, failed in zip(component_ids, failed_lists):
-                if failed.size:
-                    batch.failed_rounds[cid] = failed
-        return batch
-
-    def sample_packed(
-        self,
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,
-        cancel=None,
     ) -> PackedBatch:
-        """Matrix-native fast path, stream-identical to :meth:`sample`.
+        """Every group's uniforms from ONE ``rng.random`` call, straight
+        into packed rows.
 
-        All groups' uniforms come from ONE ``rng.random`` call — numpy
-        generators fill arrays sequentially from the bit stream, so a
-        flat draw laid out group by group, component by component is
-        bit-identical to :meth:`sample`'s one call per group. Each group
-        is a ``(components, draws)`` view of that array, turned in place
-        into the bit position ``row * 8 * width + round`` of every draw
-        by broadcasting the group's :func:`_cycle_geometry` tables, so
+        Components are grouped by exact probability, groups in order of
+        first appearance and components in mapping order inside a group;
+        the flat draw is laid out group by group, component by component,
+        cycle by cycle (block-major), so that order is the stream's. Each
+        group is a ``(components, draws)`` view of that array, turned in
+        place into the bit position ``row * 8 * width + round`` of every
+        draw by broadcasting the group's :func:`_cycle_geometry` tables, so
         nothing is laid out per draw and nothing about a probability map
         outlives the call.
         """
@@ -234,8 +156,6 @@ class ExtendedDaggerSampler(Sampler):
         if cancel is not None:
             cancel.check()
 
-        # Group by exact probability, groups in order of first appearance
-        # and components in mapping order inside a group: sample()'s order.
         levels, first, level_of, sizes = np.unique(
             values[positive],
             return_index=True,
@@ -251,9 +171,9 @@ class ExtendedDaggerSampler(Sampler):
 
         # floor(1/p) never grows with p: the smallest level has the
         # longest cycle.
-        block_length = dagger_cycle_length(float(levels[0]))
+        longest = dagger_cycle_length(float(levels[0]))
         groups = [
-            (p, count, *_cycle_geometry(p, rounds, block_length)[1:])
+            (p, count, *_cycle_geometry(p, rounds, self._block_length(p, longest))[1:])
             for p, count in zip(
                 levels[by_appearance].tolist(), sizes[by_appearance].tolist()
             )
@@ -270,9 +190,9 @@ class ExtendedDaggerSampler(Sampler):
             shape = (count, dpc)
             # A draw in the i-th subinterval fails round i of its cycle.
             # The quotient is below the (integer) limit exactly when its
-            # floor is, so one bound check replaces sample()'s three
-            # validity conditions (see _cycle_geometry), and truncation
-            # is floor for the non-negative ratios.
+            # floor is, so one bound check is every validity condition
+            # (see _cycle_geometry), and truncation is floor for the
+            # non-negative ratios.
             quotient = flat[lo:hi].reshape(shape)
             quotient /= p
             hits = hit[lo:hi].reshape(shape)
@@ -304,6 +224,22 @@ class ExtendedDaggerSampler(Sampler):
         return PackedBatch(
             rounds=rounds, component_ids=ids, matrix=matrix, nonzero=nonzero
         )
+
+
+class ExtendedDaggerSampler(DaggerSampler):
+    """The paper's extended dagger sampling (Fig. 4).
+
+    All components' cycles are reset at the end of the longest dagger cycle
+    among them, so components with heterogeneous failure probabilities can
+    be sampled together without bias [63].
+    """
+
+    name = "extended-dagger"
+
+    @staticmethod
+    def _block_length(probability: float, longest: int) -> int:
+        """Every group's cycles restart at the end of the longest cycle."""
+        return longest
 
 
 def _component_stream(master_seed: int, component_id: str) -> np.random.Generator:
@@ -345,34 +281,6 @@ class CommonRandomDaggerSampler(Sampler):
         """Switch every component stream to a new master seed."""
         self.master_seed = int(master_seed)
 
-    def component_failed_rounds(
-        self, component_id: str, probability: float, rounds: int
-    ) -> np.ndarray:
-        """Failed-round indices of one component under its private stream.
-
-        A pure function of ``(master_seed, component_id, probability,
-        rounds)`` — which is precisely what makes per-component failure
-        states cacheable across assessments: the incremental engine calls
-        this only for the closure *delta* of a move and reuses every
-        previously drawn component verbatim.
-        """
-        if probability <= 0.0:
-            return EMPTY_ROUNDS
-        stream = _component_stream(self.master_seed, component_id)
-        # Per-component cycle length (original dagger) rather than the
-        # extended cross-component reset: the reset aligns cycles of
-        # *jointly drawn* components, but these streams are independent
-        # per component, and a component's states must not depend on
-        # which other components happen to be in the closure — that is
-        # exactly what makes the coupling across calls work.
-        return _sample_group(
-            stream,
-            probability,
-            1,
-            rounds,
-            block_length=dagger_cycle_length(probability),
-        )[0]
-
     def component_rows(
         self,
         component_ids: Sequence[str],
@@ -380,14 +288,19 @@ class CommonRandomDaggerSampler(Sampler):
         rounds: int,
     ) -> dict[str, np.ndarray]:
         """Packed failure rows of several components, each from its private
-        stream.
+        stream; a component that never failed has no entry.
 
-        Row for row what :meth:`component_packed_row` returns, for
-        probabilities in (0, 1); a component that never failed has no
-        entry. Each draws from its own generator, so no row depends on
-        what else is in the call; what follows the draws is one ragged
-        pass, component ``i`` owning one entry per cycle of its own length
-        ``s_i``.
+        A row is a pure function of ``(master_seed, component_id,
+        probability, rounds)`` — which is precisely what makes per-component
+        failure states cacheable across assessments: the incremental engine
+        draws only the closure *delta* of a move and reuses every
+        previously drawn row verbatim. So each component runs its own
+        cycle length (original dagger) rather than the extended
+        cross-component reset: the reset aligns cycles of *jointly drawn*
+        components, and a component's states must not depend on which
+        other components happen to be in the call. What follows the draws
+        is one ragged pass, component ``i`` owning one entry per cycle of
+        its own length ``s_i``. Probabilities must be in (0, 1).
         """
         p = np.asarray(probabilities, dtype=np.float64)
         if not ((p > 0.0) & (p < 1.0)).all():
@@ -422,95 +335,22 @@ class CommonRandomDaggerSampler(Sampler):
         rounds: int,
         rng: np.random.Generator,  # unused: streams are component-addressed
         cancel=None,
-    ) -> SampleBatch:
-        sampling_started()
-        validate_probabilities(probabilities)
-        batch = SampleBatch(rounds=rounds)
-        for index, (cid, probability) in enumerate(probabilities.items()):
-            # Per-component streams are cheap individually; poll every few
-            # components so huge closures still cancel promptly.
-            if cancel is not None and index % 64 == 0:
-                cancel.check()
-            failed = self.component_failed_rounds(cid, probability, rounds)
-            if failed.size:
-                batch.failed_rounds[cid] = failed
-        return batch
-
-    def component_packed_row(
-        self, component_id: str, probability: float, rounds: int
-    ) -> np.ndarray | None:
-        """Packed failure row of one component, ``None`` when never failed.
-
-        The packed analogue of :meth:`component_failed_rounds`, with the
-        same pure-function-of-``(master_seed, component_id, probability,
-        rounds)`` contract — safe to cache across assessments.
-        """
-        failed = self.component_failed_rounds(component_id, probability, rounds)
-        if not failed.size:
-            return None
-        return pack_indices(failed, rounds)
-
-    def sample_packed(
-        self,
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,  # unused: streams are component-addressed
-        cancel=None,
     ) -> PackedBatch:
-        """Packed batch from the per-component common-random streams."""
+        """:meth:`component_rows` over the components that can fail, 64 at
+        a time (the cancellation point), laid into one packed matrix."""
         sampling_started()
-        validate_probabilities(probabilities)
-        ids = tuple(probabilities)
+        values = validate_probabilities(probabilities)
+        positive = np.flatnonzero(values > 0.0)
+        all_ids = list(probabilities)
+        ids = [all_ids[i] for i in positive.tolist()]
         matrix = np.zeros((len(ids), packed_width(rounds)), dtype=PACK_DTYPE)
-        for index, (cid, probability) in enumerate(probabilities.items()):
-            if cancel is not None and index % 64 == 0:
-                cancel.check()
-            row = self.component_packed_row(cid, probability, rounds)
-            if row is not None:
-                matrix[index] = row
-        return PackedBatch(rounds=rounds, component_ids=ids, matrix=matrix)
-
-
-class DaggerSampler(Sampler):
-    """Original dagger sampling, without the cross-component cycle reset.
-
-    Each component concatenates its own cycles independently (Fig. 3).
-    Statistically this also has per-round marginal ``p``; the extended
-    variant exists to align cycle boundaries across heterogeneous
-    components. Kept for completeness and for ablation comparisons.
-    """
-
-    name = "dagger"
-
-    def sample(
-        self,
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,
-        cancel=None,
-    ) -> SampleBatch:
-        sampling_started()
-        validate_probabilities(probabilities)
-        batch = SampleBatch(rounds=rounds)
-
-        by_probability: dict[float, list[str]] = defaultdict(list)
-        for cid, p in probabilities.items():
-            if p > 0.0:
-                by_probability[p].append(cid)
-
-        for probability, component_ids in by_probability.items():
+        for start in range(0, len(ids), 64):
             if cancel is not None:
                 cancel.check()
-            # With block_length == own cycle length, truncation never trims
-            # a cycle: this is exactly the original scheme.
-            failed_lists = _sample_group(
-                rng,
-                probability,
-                len(component_ids),
-                rounds,
-                block_length=dagger_cycle_length(probability),
-            )
-            for cid, failed in zip(component_ids, failed_lists):
-                if failed.size:
-                    batch.failed_rounds[cid] = failed
-        return batch
+            chunk = ids[start : start + 64]
+            chunk_p = values[positive[start : start + 64]]
+            rows = self.component_rows(chunk, chunk_p, rounds)
+            for offset, cid in enumerate(chunk):
+                if cid in rows:
+                    matrix[start + offset] = rows[cid]
+        return PackedBatch(rounds=rounds, component_ids=tuple(ids), matrix=matrix)

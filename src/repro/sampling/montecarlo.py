@@ -15,13 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
-from repro.sampling.base import (
-    ROUND_DTYPE,
-    SampleBatch,
-    Sampler,
-    sampling_started,
-    validate_probabilities,
-)
+from repro.sampling.base import Sampler, sampling_started, validate_probabilities
 
 #: Peak transient memory allowed per chunk, in bytes (~128 MiB). Each draw
 #: materialises a float64 uniform plus a bool in the comparison matrix, so
@@ -45,55 +39,7 @@ class MonteCarloSampler(Sampler):
         rounds: int,
         rng: np.random.Generator,
         cancel=None,
-    ) -> SampleBatch:
-        sampling_started()
-        validate_probabilities(probabilities)
-        batch = SampleBatch(rounds=rounds)
-
-        component_ids = [cid for cid, p in probabilities.items() if p > 0.0]
-        if not component_ids:
-            return batch
-        p_values = np.array([probabilities[cid] for cid in component_ids])
-
-        # Process components in chunks so the uniform-draw matrix plus its
-        # boolean comparison stay within the byte budget even for
-        # 1e5-round batches. The chunk size never changes the sampled
-        # states: consecutive rng.random((a, n)) calls consume the stream
-        # exactly like one rng.random((a + b, n)) call.
-        chunk_rows = max(1, _CHUNK_BUDGET_BYTES // (max(rounds, 1) * _BYTES_PER_DRAW))
-        for start in range(0, len(component_ids), chunk_rows):
-            if cancel is not None:
-                cancel.check()
-            stop = min(start + chunk_rows, len(component_ids))
-            draws = rng.random((stop - start, rounds))
-            failed_matrix = draws < p_values[start:stop, np.newaxis]
-            # One nonzero over the whole chunk, split back into per-row
-            # runs: np.nonzero is row-major, so each run is the sorted
-            # failed-round list of its component — identical to the old
-            # per-row nonzero calls at a fraction of the Python overhead.
-            row_idx, col_idx = np.nonzero(failed_matrix)
-            if not row_idx.size:
-                continue
-            counts = np.bincount(row_idx, minlength=stop - start)
-            runs = np.split(col_idx.astype(ROUND_DTYPE), np.cumsum(counts[:-1]))
-            for offset, failed in enumerate(runs):
-                if failed.size:
-                    batch.failed_rounds[component_ids[start + offset]] = failed
-        return batch
-
-    def sample_packed(
-        self,
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,
-        cancel=None,
     ) -> PackedBatch:
-        """Matrix-native fast path: pack each chunk's rows directly.
-
-        Consumes the rng stream exactly like :meth:`sample` (same chunk
-        sizes, same ``rng.random`` calls), so the drawn states are
-        bit-identical; only the index-extraction stage disappears.
-        """
         sampling_started()
         validate_probabilities(probabilities)
         component_ids = [cid for cid, p in probabilities.items() if p > 0.0]
@@ -101,6 +47,12 @@ class MonteCarloSampler(Sampler):
             return PackedBatch(rounds=rounds)
         p_values = np.array([probabilities[cid] for cid in component_ids])
 
+        # Components are drawn in chunks so the uniform-draw matrix plus its
+        # boolean comparison stay within the byte budget even for
+        # 1e5-round batches, and each chunk's rows are packed as they come.
+        # The chunk size never changes the sampled states: consecutive
+        # rng.random((a, n)) calls consume the stream exactly like one
+        # rng.random((a + b, n)) call.
         matrix = np.zeros((len(component_ids), packed_width(rounds)), dtype=PACK_DTYPE)
         chunk_rows = max(1, _CHUNK_BUDGET_BYTES // (max(rounds, 1) * _BYTES_PER_DRAW))
         for start in range(0, len(component_ids), chunk_rows):

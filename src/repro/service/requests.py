@@ -13,6 +13,7 @@ an exception-shaped timeout.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field
 
 from repro.util.cancel import CancellationToken
@@ -48,6 +49,15 @@ def _validate_idempotency_key(
         errors.append(
             ("idempotency_key", "must not contain control characters")
         )
+
+
+def _validate_positive_finite(
+    name: str, value: float | None, errors: list[tuple[str, str]]
+) -> None:
+    """A seconds field is absent or a finite number above zero: JSON
+    bodies can carry ``NaN`` and ``Infinity``, which compare as neither."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        errors.append((name, f"must be a positive finite number, got {value}"))
 
 
 @dataclass(frozen=True)
@@ -99,13 +109,7 @@ class AssessRequest:
             )
         if self.rounds is not None and self.rounds < 1:
             errors.append(("rounds", f"rounds must be >= 1, got {self.rounds}"))
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            errors.append(
-                (
-                    "deadline_seconds",
-                    f"deadline must be positive, got {self.deadline_seconds}",
-                )
-            )
+        _validate_positive_finite("deadline_seconds", self.deadline_seconds, errors)
         if errors:
             raise ValidationError(errors)
 
@@ -128,7 +132,9 @@ class AssessRequest:
             errors.append(("rounds", "must be an integer or omitted"))
             rounds = None
         deadline = payload.get("deadline_seconds")
-        if deadline is not None and not isinstance(deadline, (int, float)):
+        if deadline is not None and (
+            not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
+        ):
             errors.append(("deadline_seconds", "must be a number or omitted"))
             deadline = None
         key = payload.get("idempotency_key")
@@ -191,11 +197,8 @@ class SearchRequest:
             errors.append(
                 ("n", f"n={self.n} exceeds the {host_count} hosts available")
             )
-        if self.max_seconds <= 0:
-            errors.append(
-                ("max_seconds", f"must be positive, got {self.max_seconds}")
-            )
-        if not 0.0 <= self.desired_reliability <= 1.0:
+        _validate_positive_finite("max_seconds", self.max_seconds, errors)
+        if not 0.0 <= self.desired_reliability <= 1.0:  # NaN fails it too
             errors.append(
                 (
                     "desired_reliability",
@@ -204,13 +207,7 @@ class SearchRequest:
             )
         if self.rounds is not None and self.rounds < 1:
             errors.append(("rounds", f"rounds must be >= 1, got {self.rounds}"))
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            errors.append(
-                (
-                    "deadline_seconds",
-                    f"deadline must be positive, got {self.deadline_seconds}",
-                )
-            )
+        _validate_positive_finite("deadline_seconds", self.deadline_seconds, errors)
         if errors:
             raise ValidationError(errors)
 

@@ -28,6 +28,20 @@ def packed_states(rounds, failed):
     return RoundStates(rounds, rows)
 
 
+def unpack(rows, rounds):
+    """Dense boolean view of a packed row (or matrix of rows), pads cut."""
+    return RoundStates(rounds, {}).unpack(rows)
+
+
+def failed_rounds(batch):
+    """A sampled ``PackedBatch`` read as Table 1's sparse rows: each
+    component that failed in some round -> its sorted failed rounds, in
+    row order."""
+    dense = unpack(batch.matrix, batch.rounds)
+    rows = {cid: np.flatnonzero(row) for cid, row in zip(batch.component_ids, dense)}
+    return {cid: failed for cid, failed in rows.items() if failed.size}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -3,20 +3,23 @@
 This is the dense column ``src/`` carried beside the compiled kernel until
 it was deleted there: :class:`ZeroFill`, :func:`effective_states` and the
 dense arm of ``ReliabilityAssessor._run_stages`` verbatim, with the
-closure step of ``assess`` in front. It is closed by a per-round,
-set-based §3.2.4 check written from the paper's definition rather than
-moved, so the whole reference shares no stage with production: sparse
-``Sampler.sample`` draws -> recursive ``FaultTree.evaluate`` -> the
-per-round union-find's dense answers -> one fixed point per round. Its
-closure step, :func:`string_closure`, is the set algebra the kernel's
-arena-mask closure replaced.
+closure step of ``assess`` in front. It is opened by reference samplers
+and closed by a per-round, set-based §3.2.4 check, both written from the
+paper's definitions rather than moved, so the whole reference shares no
+stage with production: :func:`reference_sample`'s sparse draws ->
+recursive ``FaultTree.evaluate`` -> the per-round union-find's dense
+answers -> one fixed point per round. Its closure step,
+:func:`string_closure`, is the set algebra the kernel's arena-mask
+closure replaced.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
+import math
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,6 +28,95 @@ from repro.faults.dependencies import DependencyModel
 from repro.routing.base import RoundStates
 from repro.sampling.statistics import estimate_from_results
 from tests.unionfind_oracle import UnionFindReachabilityEngine
+
+
+# ---------------------------------------------------------------------------
+# Reference samplers: Table 1 by the definitions of §3.2.1-§3.2.2
+# ---------------------------------------------------------------------------
+
+
+def monte_carlo_rounds(uniforms: np.ndarray, p: float) -> np.ndarray:
+    """Monte-Carlo: one uniform per round, and ``r < p`` fails the round."""
+    return np.flatnonzero(uniforms < p)
+
+
+def dagger_rounds(uniforms: np.ndarray, p: float, rounds: int) -> np.ndarray:
+    """Dagger (Fig. 3): cycles of ``s = floor(1/p)`` rounds back to back,
+    one uniform per cycle. A uniform in the i-th subinterval of length
+    ``p`` fails round i of its cycle; one in the remainder fails none."""
+    s = math.floor(1.0 / p)
+    start = np.arange(len(uniforms)) * s
+    i = np.floor(uniforms / p).astype(np.int64)
+    return (start + i)[(i < s) & (start + i < rounds)]
+
+
+def extended_dagger_rounds(
+    uniforms: np.ndarray, p: float, block: int, rounds: int
+) -> np.ndarray:
+    """Extended dagger (Fig. 4): time is cut into blocks of ``block`` rounds
+    (the longest cycle in the call); inside a block the component's own
+    cycles run back to back, the last one truncated at the block's end.
+    Uniforms go block by block, cycle by cycle."""
+    s = math.floor(1.0 / p)
+    per_block = math.ceil(block / s)
+    draw = np.arange(len(uniforms))
+    in_block = draw % per_block * s
+    start = draw // per_block * block + in_block
+    i = np.floor(uniforms / p).astype(np.int64)
+    return (start + i)[(i < s) & (in_block + i < block) & (start + i < rounds)]
+
+
+def component_stream(master_seed: int, component_id: str) -> np.random.Generator:
+    """Common random numbers: one private stream per component, keyed by
+    ``(master_seed, blake2b-64 of the id)``."""
+    digest = hashlib.blake2b(component_id.encode("utf-8"), digest_size=8).digest()
+    return np.random.default_rng(
+        np.random.SeedSequence([master_seed, int.from_bytes(digest, "big")])
+    )
+
+
+def reference_sample(
+    sampler, probabilities: Mapping[str, float], rounds: int, rng
+) -> dict[str, np.ndarray]:
+    """Sorted failed rounds of every component that failed in some round,
+    drawn by the reference of ``sampler``'s kind (only its name and
+    master seed are read).
+
+    Components with ``p = 0`` take no draw. Monte-Carlo draws components
+    in mapping order; the dagger samplers group them by exact probability
+    first (levels in order of first appearance, components in mapping
+    order inside one), the order production lays a vectorised draw out
+    in. CRN reads its private streams and leaves ``rng`` alone.
+    """
+    positive = {cid: p for cid, p in probabilities.items() if p > 0.0}
+    failed = {}
+    if sampler.name == "monte-carlo":
+        for cid, p in positive.items():
+            failed[cid] = monte_carlo_rounds(rng.random(rounds), p)
+    elif sampler.name == "common-random-dagger":
+        for cid, p in positive.items():
+            stream = component_stream(sampler.master_seed, cid)
+            cycles = math.ceil(rounds / math.floor(1.0 / p))
+            failed[cid] = dagger_rounds(stream.random(cycles), p, rounds)
+    else:
+        levels: dict[float, list[str]] = {}
+        for cid, p in positive.items():
+            levels.setdefault(p, []).append(cid)
+        longest = max((math.floor(1.0 / p) for p in levels), default=1)
+        for p, ids in levels.items():
+            for cid in ids:
+                if sampler.name == "dagger":
+                    cycles = math.ceil(rounds / math.floor(1.0 / p))
+                    failed[cid] = dagger_rounds(rng.random(cycles), p, rounds)
+                else:
+                    assert sampler.name == "extended-dagger", sampler.name
+                    draws = math.ceil(rounds / longest) * math.ceil(
+                        longest / math.floor(1.0 / p)
+                    )
+                    failed[cid] = extended_dagger_rounds(
+                        rng.random(draws), p, longest, rounds
+                    )
+    return {cid: hits for cid, hits in failed.items() if hits.size}
 
 
 class ZeroFill(dict):
@@ -152,7 +244,8 @@ def interpreted_assess(
 
     ``engine`` names the closure and answers reachability: the per-round
     union-find by default, or a production engine to hold to this
-    reference everything around it. The sampler is handed the whole
+    reference everything around it. ``sampler`` names the reference
+    sampler (:func:`reference_sample`), which is handed the whole
     closure, never-failing components included.
     """
     engine = engine or UnionFindReachabilityEngine(topology)
@@ -164,9 +257,9 @@ def interpreted_assess(
     else:
         probabilities = {cid: all_probabilities[cid] for cid in closure}
 
-    batch = sampler.sample(probabilities, rounds, rng)
+    drawn = reference_sample(sampler, probabilities, rounds, rng)
     dense = ZeroFill(rounds)
-    for cid, failed_rounds in batch.failed_rounds.items():
+    for cid, failed_rounds in drawn.items():
         if cid in sampled:
             states = np.zeros(rounds, dtype=bool)
             states[failed_rounds] = True

@@ -22,6 +22,11 @@ from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
 from repro.runtime.mapreduce import ParallelAssessor
+from repro.sampling.dagger import (
+    CommonRandomDaggerSampler,
+    DaggerSampler,
+    ExtendedDaggerSampler,
+)
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.util.cancel import NEVER, CancellationToken
 from repro.util.errors import OperationCancelled
@@ -98,6 +103,17 @@ class TestSamplerCancellation:
         sampler = MonteCarloSampler()
         batch = sampler.sample({"a": 0.5}, 100, rng, cancel=CancellationToken())
         assert batch.rounds == 100
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [DaggerSampler(), ExtendedDaggerSampler(), CommonRandomDaggerSampler(1)],
+        ids=lambda sampler: sampler.name,
+    )
+    def test_every_sampler_checks_the_token(self, sampler, rng):
+        token = CancellationToken()
+        token.cancel("stop")
+        with pytest.raises(OperationCancelled):
+            sampler.sample({"a": 0.5, "b": 0.01}, 100, rng, cancel=token)
 
 
 class TestSequentialCancellation:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling.base import ROUND_DTYPE
+from repro.kernel.packed import packed_width
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
     DaggerSampler,
@@ -17,6 +17,8 @@ from repro.sampling.dagger import (
     dagger_draw_count,
 )
 from repro.sampling.montecarlo import MonteCarloSampler
+from tests.conftest import failed_rounds
+from tests.interpreted_oracle import reference_sample
 
 
 class TestCycleLength:
@@ -95,18 +97,18 @@ class TestDaggerSamplers:
         p = 0.2
         s = dagger_cycle_length(p)
         batch = sampler_cls().sample({"c": p}, 10_000, rng)
-        failed = batch.rounds_failed("c")
+        failed = failed_rounds(batch)["c"]
         cycles = failed // s
         assert len(np.unique(cycles)) == len(cycles)
 
     def test_failed_rounds_sorted_unique(self, sampler_cls, rng):
         batch = sampler_cls().sample({"c": 0.3}, 5_000, rng)
-        failed = batch.rounds_failed("c")
+        failed = failed_rounds(batch)["c"]
         assert np.all(np.diff(failed) > 0)
 
     def test_failed_rounds_in_range(self, sampler_cls, rng):
         batch = sampler_cls().sample({"c": 0.3}, 777, rng)
-        failed = batch.rounds_failed("c")
+        failed = failed_rounds(batch)["c"]
         assert failed.min() >= 0
         assert failed.max() < 777
 
@@ -114,22 +116,25 @@ class TestDaggerSamplers:
         """Unbiasedness: expected fraction of failed rounds is p (§3.2.2)."""
         p, rounds = 0.01, 200_000
         batch = sampler_cls().sample({"c": p}, rounds, rng)
-        rate = batch.failure_fraction("c")
+        rate = len(failed_rounds(batch)["c"]) / rounds
         sigma = math.sqrt(p * (1 - p) / rounds)
         assert abs(rate - p) < 5 * sigma
 
     def test_zero_probability_component_never_fails(self, sampler_cls, rng):
         batch = sampler_cls().sample({"c": 0.0, "d": 0.5}, 1_000, rng)
-        assert batch.rounds_failed("c").size == 0
+        assert batch.component_ids == ("d",)  # no draw, no row
+        assert "c" not in failed_rounds(batch)
 
     def test_empty_probabilities(self, sampler_cls, rng):
         batch = sampler_cls().sample({}, 100, rng)
-        assert batch.total_failure_events() == 0
+        assert batch.matrix.shape == (0, packed_width(100))
+        assert failed_rounds(batch) == {}
 
     def test_many_components(self, sampler_cls, rng):
         probabilities = {f"c{i}": 0.05 for i in range(40)}
         batch = sampler_cls().sample(probabilities, 2_000, rng)
-        rates = [batch.failure_fraction(f"c{i}") for i in range(40)]
+        failed = failed_rounds(batch)
+        rates = [len(failed.get(f"c{i}", ())) / 2_000 for i in range(40)]
         assert np.mean(rates) == pytest.approx(0.05, abs=0.01)
 
     @given(p=st.floats(min_value=0.001, max_value=0.9), seed=st.integers(0, 2**31))
@@ -138,7 +143,7 @@ class TestDaggerSamplers:
         rounds = 30_000
         rng = np.random.default_rng(seed)
         batch = sampler_cls().sample({"c": p}, rounds, rng)
-        rate = batch.failure_fraction("c")
+        rate = len(failed_rounds(batch).get("c", ())) / rounds
         sigma = math.sqrt(p * (1 - p) / rounds)
         # Dagger variance is *at most* the Bernoulli variance.
         assert abs(rate - p) < 6 * sigma + 1e-9
@@ -148,8 +153,9 @@ class TestExtendedDaggerSpecifics:
     def test_heterogeneous_components_all_sampled(self, rng):
         probabilities = {"fast": 0.3, "slow": 0.001, "mid": 0.05}
         batch = ExtendedDaggerSampler().sample(probabilities, 50_000, rng)
+        failed = failed_rounds(batch)
         for cid, p in probabilities.items():
-            rate = batch.failure_fraction(cid)
+            rate = len(failed[cid]) / 50_000
             sigma = math.sqrt(p * (1 - p) / 50_000)
             assert abs(rate - p) < 6 * sigma
 
@@ -161,7 +167,7 @@ class TestExtendedDaggerSpecifics:
         """
         rounds = 100_000
         batch = ExtendedDaggerSampler().sample({"a": 0.4, "b": 0.001}, rounds, rng)
-        assert batch.failure_fraction("a") == pytest.approx(0.4, abs=0.01)
+        assert len(failed_rounds(batch)["a"]) / rounds == pytest.approx(0.4, abs=0.01)
 
 
 class TestVarianceReduction:
@@ -176,7 +182,7 @@ class TestVarianceReduction:
 
         def window_counts(sampler, seed):
             batch = sampler.sample({"c": p}, rounds, np.random.default_rng(seed))
-            return batch.rounds_failed("c").size
+            return len(failed_rounds(batch).get("c", ()))
 
         dagger_counts = [window_counts(ExtendedDaggerSampler(), i) for i in range(trials)]
         mc_counts = [window_counts(MonteCarloSampler(), i) for i in range(trials)]
@@ -190,8 +196,10 @@ class TestCommonRandomDagger:
         s2 = CommonRandomDaggerSampler(master_seed=99)
         b1 = s1.sample({"a": 0.1, "b": 0.05}, 5_000, rng)
         b2 = s2.sample({"a": 0.1, "b": 0.05}, 5_000, np.random.default_rng(7))
+        f1, f2 = failed_rounds(b1), failed_rounds(b2)
+        assert f1.keys() == f2.keys() == {"a", "b"}
         for cid in ("a", "b"):
-            assert np.array_equal(b1.rounds_failed(cid), b2.rounds_failed(cid))
+            assert np.array_equal(f1[cid], f2[cid])
 
     def test_shared_components_coupled_across_closures(self, rng):
         """A component's states must not depend on the rest of the set."""
@@ -201,7 +209,7 @@ class TestCommonRandomDagger:
             {"shared": 0.1, "extra1": 0.2, "extra2": 0.01}, 2_000, rng
         )
         assert np.array_equal(
-            small.rounds_failed("shared"), large.rounds_failed("shared")
+            failed_rounds(small)["shared"], failed_rounds(large)["shared"]
         )
 
     def test_reseed_changes_states(self, rng):
@@ -209,7 +217,7 @@ class TestCommonRandomDagger:
         before = sampler.sample({"a": 0.2}, 5_000, rng)
         sampler.reseed(2)
         after = sampler.sample({"a": 0.2}, 5_000, rng)
-        assert not np.array_equal(before.rounds_failed("a"), after.rounds_failed("a"))
+        assert not np.array_equal(failed_rounds(before)["a"], failed_rounds(after)["a"])
 
     def test_marginal_rate_unbiased_over_seeds(self):
         p, rounds = 0.05, 2_000
@@ -217,38 +225,37 @@ class TestCommonRandomDagger:
         for seed in range(200):
             sampler = CommonRandomDaggerSampler(master_seed=seed)
             batch = sampler.sample({"c": p}, rounds, np.random.default_rng(0))
-            rates.append(batch.failure_fraction("c"))
+            rates.append(len(failed_rounds(batch).get("c", ())) / rounds)
         assert np.mean(rates) == pytest.approx(p, abs=0.005)
 
     def test_distinct_components_distinct_streams(self, rng):
         sampler = CommonRandomDaggerSampler(master_seed=3)
         batch = sampler.sample({"a": 0.3, "b": 0.3}, 10_000, rng)
-        assert not np.array_equal(batch.rounds_failed("a"), batch.rounds_failed("b"))
+        failed = failed_rounds(batch)
+        assert not np.array_equal(failed["a"], failed["b"])
 
-    def test_zero_probability_components_share_one_readonly_empty(self):
-        """About nine tenths of a fat-tree closure is zero-probability
-        links: they all get the same empty array, which nobody can write
-        to, and the positive-probability streams are byte for byte what
-        they were when each got a fresh one (digest from that commit)."""
+    def test_component_streams_are_pinned(self):
+        """A component's private stream is a pure function of ``(master
+        seed, id, probability, rounds)``: the rows are byte for byte what
+        they were when each component had its own per-component draw
+        (digest of the failed-round indices from that commit), through
+        :meth:`component_rows` and through ``sample`` alike; a component
+        that never fails takes no draw and gets no row."""
         sampler = CommonRandomDaggerSampler(master_seed=2024)
-        first = sampler.component_failed_rounds("link/a--b", 0.0, 5_000)
-        second = sampler.component_failed_rounds("link/c--d", 0.0, 5_000)
-        assert first is second and first.size == 0
-        assert first.dtype == ROUND_DTYPE and not first.flags.writeable
-        assert sampler.component_packed_row("link/a--b", 0.0, 5_000) is None
-        digest = hashlib.sha256()
-        for cid, probability in [
-            ("host/0/0/0", 0.01),
-            ("link/a--b", 0.003),
-            ("psu/1", 0.2),
-            ("core/0", 0.5),
-        ]:
-            failed = sampler.component_failed_rounds(cid, probability, 5_000)
-            assert failed.flags.writeable
-            digest.update(failed.tobytes())
-        assert digest.hexdigest() == (
-            "9fc02f58da92dcf22b8114a94173d8860746d2b7dcf85943668c287e4ddf6e64"
-        )
+        cases = {"host/0/0/0": 0.01, "link/a--b": 0.003, "psu/1": 0.2, "core/0": 0.5}
+        rows = sampler.component_rows(list(cases), np.array(list(cases.values())), 5_000)
+        batch = sampler.sample({"link/c--d": 0.0, **cases}, 5_000, np.random.default_rng())
+        assert batch.component_ids == tuple(cases)
+        for failed in (
+            {cid: np.flatnonzero(np.unpackbits(row, count=5_000)) for cid, row in rows.items()},
+            failed_rounds(batch),
+        ):
+            digest = hashlib.sha256()
+            for cid in cases:
+                digest.update(failed[cid].astype(np.int64).tobytes())
+            assert digest.hexdigest() == (
+                "9fc02f58da92dcf22b8114a94173d8860746d2b7dcf85943668c287e4ddf6e64"
+            )
 
     @given(
         probabilities=st.lists(
@@ -266,19 +273,21 @@ class TestCommonRandomDagger:
     def test_batch_draw_equals_the_per_component_draw(
         self, probabilities, rounds, seed
     ):
-        """``component_rows`` against the per-component oracle, row for
-        row; a component that never failed has no entry."""
+        """``component_rows`` against the oracle's per-component reference
+        draw, row for row; a component that never failed has no entry."""
         sampler = CommonRandomDaggerSampler(master_seed=seed)
         ids = [f"component/{i}" for i in range(len(probabilities))]
         rows = sampler.component_rows(ids, np.array(probabilities), rounds)
         assert list(rows) == [cid for cid in ids if cid in rows]
         for cid, probability in zip(ids, probabilities):
-            expected = sampler.component_packed_row(cid, probability, rounds)
-            if expected is None:
+            expected = reference_sample(sampler, {cid: probability}, rounds, None)
+            if not expected:
                 assert cid not in rows
             else:
-                assert rows[cid].dtype == expected.dtype
-                assert np.array_equal(rows[cid], expected)
+                dense = np.zeros(rounds, dtype=bool)
+                dense[expected[cid]] = True
+                assert rows[cid].dtype == np.uint8
+                assert np.array_equal(rows[cid], np.packbits(dense))
 
     def test_batch_draw_takes_probabilities_strictly_inside_the_unit_interval(self):
         sampler = CommonRandomDaggerSampler(master_seed=1)

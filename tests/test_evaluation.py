@@ -14,7 +14,7 @@ from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.routing.base import RoundStates
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
-from tests.conftest import packed_states
+from tests.conftest import packed_states, unpack
 
 
 @pytest.fixture
@@ -223,7 +223,7 @@ class TestVectorisation:
         batch = MonteCarloSampler().sample(
             lossy_fattree4.failure_probabilities(), 200, rng
         )
-        failed = {cid: batch.dense(cid) for cid in batch.failed_rounds}
+        failed = {cid: unpack(row, 200) for cid, row in batch.failed_rows().items()}
         states = packed_states(200, failed)
         evaluator = StructureEvaluator(engine)
         vector = evaluator.evaluate(states, plan, structure)

@@ -28,7 +28,7 @@ from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, OperationCancelled
 from repro.util.metrics import MetricsRegistry
-from tests.interpreted_oracle import assert_held_to_oracle
+from tests.interpreted_oracle import assert_held_to_oracle, reference_sample
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 MASTER_SEED = 424242
@@ -228,6 +228,17 @@ class _Ids(set):
     bit_count = set.__len__
 
 
+def _reference_row(sampler, cid, probability, rounds):
+    """One component's packed row from the oracle's reference CRN draw,
+    ``None`` when it never fails."""
+    failed = reference_sample(sampler, {cid: probability}, rounds, None).get(cid)
+    if failed is None:
+        return None
+    dense = np.zeros(rounds, dtype=bool)
+    dense[failed] = True
+    return np.packbits(dense)
+
+
 class PerComponentLoopAssessor(IncrementalAssessor):
     """Reference implementation: the universe as string sets — the closure
     rebuilt from raw per-host element sets for every plan, and one Python
@@ -263,7 +274,6 @@ class PerComponentLoopAssessor(IncrementalAssessor):
         return _Ids(subjects), _Ids(sampled)
 
     def _sample(self, sampled, cancel):
-        draw = self.sampler.component_packed_row
         for index, cid in enumerate(sampled):
             if cancel is not None and index % 64 == 0:
                 cancel.check()
@@ -271,7 +281,9 @@ class PerComponentLoopAssessor(IncrementalAssessor):
                 self.metrics.incr("sample/component/hit")
                 continue
             self.metrics.incr("sample/component/miss")
-            self.samples[cid] = draw(cid, self.kernel.probabilities[cid], self.rounds)
+            self.samples[cid] = _reference_row(
+                self.sampler, cid, self.kernel.probabilities[cid], self.rounds
+            )
 
     def _extend_universe(self, subjects, sampled, cancel=None):
         metrics = self.metrics

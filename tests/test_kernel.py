@@ -5,7 +5,8 @@ paper's pipeline computes — it only changes how states are stored and
 combined. These tests pin that contract at every layer: packbits
 round-trips (including round counts not divisible by 8), the component
 arena, compiled-forest vs recursive-interpreter equality over random
-fault-tree forests, sampler fast-path stream identity, and end-to-end
+fault-tree forests, every sampler's stream identity with the oracle's
+reference samplers, and end-to-end
 assessments on the fat-tree and leaf-spine presets, sequentially and
 incrementally, against ``tests/interpreted_oracle.py``.
 """
@@ -40,13 +41,12 @@ from repro.kernel import (
     AssessmentKernel,
     ComponentArena,
     CompiledForest,
-    pack_indices,
+    PackedBatch,
     packed_width,
-    unpack_row,
 )
-from repro.kernel.packed import PackedBatch, pack_bool_matrix, unpack_matrix
 from repro.routing.base import RoundStates, engine_for
 from repro.routing.generic import GenericReachabilityEngine
+from repro.runtime.chaos import ZONE_OUTAGE_PROBABILITY
 from repro.sampling import base as sampling_base
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
@@ -62,11 +62,13 @@ from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
+from tests.conftest import failed_rounds, unpack
 from tests.interpreted_oracle import (
     ZeroFill,
     assert_held_to_oracle,
     effective_states,
     interpreted_assess,
+    reference_sample,
     string_closure,
 )
 from tests.test_incremental import _count_calls
@@ -85,6 +87,15 @@ LEAFSPINE_INV = build_paper_inventory(LEAFSPINE, seed=3)
 EVENT_IDS = tuple(f"c{i}" for i in range(9))
 
 
+def _samplers():
+    return [
+        MonteCarloSampler(),
+        DaggerSampler(),
+        ExtendedDaggerSampler(),
+        CommonRandomDaggerSampler(master_seed=7),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Packed representation
 # ---------------------------------------------------------------------------
@@ -95,24 +106,37 @@ class TestPackedEdgeCases:
     def test_pack_unpack_roundtrip(self, rounds):
         rng = np.random.default_rng(rounds)
         dense = rng.random((5, rounds)) < 0.3
-        packed = pack_bool_matrix(dense)
+        packed = np.packbits(dense, axis=1)
         assert packed.shape == (5, packed_width(rounds))
-        assert np.array_equal(unpack_matrix(packed, rounds), dense)
+        assert np.array_equal(unpack(packed, rounds), dense)
         for row in range(5):
-            assert np.array_equal(unpack_row(packed[row], rounds), dense[row])
+            assert np.array_equal(unpack(packed[row], rounds), dense[row])
 
     @pytest.mark.parametrize("rounds", [1, 7, 8, 9, 13])
     def test_pack_indices_matches_dense_scatter(self, rounds):
-        rng = np.random.default_rng(rounds + 100)
-        indices = np.nonzero(rng.random(rounds) < 0.5)[0]
-        dense = np.zeros(rounds, dtype=bool)
-        dense[indices] = True
-        assert np.array_equal(unpack_row(pack_indices(indices, rounds), rounds), dense)
+        """Every sampler packs its failed rounds itself (the dagger ones
+        scatter each round's bit into its byte): each row equals packing
+        the dense scatter of the reference's failed rounds, pads and all,
+        with several hits to a byte and rows ending mid-byte."""
+        probs = {"a": 0.5, "b": 0.6, "c": ZONE_OUTAGE_PROBABILITY, "d": 0.3}
+        for sampler in _samplers():
+            batch = sampler.sample(probs, rounds, np.random.default_rng(rounds + 100))
+            expected = reference_sample(
+                sampler, probs, rounds, np.random.default_rng(rounds + 100)
+            )
+            for cid, row in zip(batch.component_ids, batch.matrix):
+                dense = np.zeros(rounds, dtype=bool)
+                dense[expected.get(cid, [])] = True
+                assert np.array_equal(row, np.packbits(dense)), (sampler.name, cid)
 
     def test_pad_bits_of_failure_rows_are_zero(self):
-        row = pack_indices(np.array([0, 8]), 9)  # 2 bytes, 7 pad bits
-        assert row.shape == (2,)
-        assert row[1] == 0b1000_0000  # only round 8 set, pads clear
+        # p = 0.999999 fails all 9 rounds: 2 bytes, the last with 7 pad bits.
+        for sampler in _samplers():
+            batch = sampler.sample(
+                {"x": ZONE_OUTAGE_PROBABILITY}, 9, np.random.default_rng(1)
+            )
+            row = batch.failed_rows()["x"]
+            assert row.tolist() == [0xFF, 0b1000_0000], sampler.name
 
     def test_rejects_nonpositive_rounds(self):
         with pytest.raises(ConfigurationError):
@@ -122,14 +146,22 @@ class TestPackedEdgeCases:
 
     @pytest.mark.parametrize("rounds", [1, 9, 501])
     def test_sample_batch_roundtrip(self, rounds):
+        """A sampled batch read back as sparse rows: ``failed_rows`` and
+        the ``nonzero`` flags name exactly the components that failed, in
+        draw order, each row unpacking to the reference's failed rounds;
+        ``only`` keeps the rows of a subset."""
         sampler = ExtendedDaggerSampler()
         probs = {cid: 0.05 for cid in EVENT_IDS}
-        legacy = sampler.sample(probs, rounds, np.random.default_rng(5))
-        packed = PackedBatch.from_sample_batch(legacy)
-        back = packed.to_sample_batch()
-        assert set(back.failed_rounds) == set(legacy.failed_rounds)
-        for cid, failed in legacy.failed_rounds.items():
-            assert np.array_equal(back.failed_rounds[cid], failed)
+        batch = sampler.sample(probs, rounds, np.random.default_rng(5))
+        expected = reference_sample(sampler, probs, rounds, np.random.default_rng(5))
+        rows = batch.failed_rows()
+        assert list(rows) == list(expected)
+        flagged = [cid for cid, flag in zip(batch.component_ids, batch.nonzero) if flag]
+        assert flagged == list(expected)
+        for cid, failed in expected.items():
+            assert np.array_equal(np.flatnonzero(unpack(rows[cid], rounds)), failed)
+        subset = set(EVENT_IDS[::2])
+        assert list(batch.failed_rows(subset)) == [c for c in expected if c in subset]
 
 
 class TestComponentArena:
@@ -201,7 +233,7 @@ class TestCompiledForestEquality:
 
         rng = np.random.default_rng(seed)
         dense = rng.random((len(EVENT_IDS), rounds)) < p
-        packed = pack_bool_matrix(dense)
+        packed = np.packbits(dense, axis=1)
         nonzero = dense.any(axis=1)
 
         def leaf_row(op):
@@ -215,7 +247,7 @@ class TestCompiledForestEquality:
             got = (
                 np.zeros(rounds, dtype=bool)
                 if row is None
-                else unpack_row(row, rounds)
+                else unpack(row, rounds)
             )
             assert np.array_equal(got, expected)
 
@@ -259,8 +291,24 @@ class TestScalarEvaluateRound:
 
 
 # ---------------------------------------------------------------------------
-# Sampler fast paths (stream identity)
+# Samplers against the oracle's reference samplers (stream identity)
 # ---------------------------------------------------------------------------
+
+
+def _assert_draws_like_the_reference(sampler, probs, rounds, seed):
+    """Production ``sample`` and its reference from one seed: the same
+    failed rows in the same order, ``nonzero`` flags that say which, and
+    the generator left in the same state."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sampler.sample(probs, rounds, rng_a)
+    expected = reference_sample(sampler, probs, rounds, rng_b)
+    got = failed_rounds(batch)
+    assert list(got) == list(expected), sampler.name
+    for cid, failed in expected.items():
+        assert np.array_equal(got[cid], failed), (sampler.name, cid)
+    assert set(batch.component_ids) == {c for c, p in probs.items() if p > 0}
+    assert batch.nonzero.tolist() == [cid in expected for cid in batch.component_ids]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state, sampler.name
 
 
 class TestSamplerFastPaths:
@@ -271,10 +319,7 @@ class TestSamplerFastPaths:
         "sampler", [MonteCarloSampler(), ExtendedDaggerSampler()], ids=lambda s: s.name
     )
     def test_packed_matches_legacy_draws(self, sampler, rounds):
-        legacy = sampler.sample(self.PROBS, rounds, np.random.default_rng(42))
-        packed = sampler.sample_packed(self.PROBS, rounds, np.random.default_rng(42))
-        reference = PackedBatch.from_sample_batch(legacy, packed.component_ids)
-        assert np.array_equal(packed.matrix, reference.matrix)
+        _assert_draws_like_the_reference(sampler, self.PROBS, rounds, 42)
 
     @given(
         levels=st.lists(
@@ -291,33 +336,46 @@ class TestSamplerFastPaths:
         """Cycles shorter than a byte put several hits of one component in
         one byte, and mixed levels exercise the first-appearance group
         order; rows, the nonzero flags and the stream position must all
-        match :meth:`sample`."""
-        sampler = ExtendedDaggerSampler()
+        match the reference."""
         probs = {f"c{i}": levels[k % len(levels)] for i, k in enumerate(picks)}
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        legacy = sampler.sample(probs, rounds, rng_a)
-        packed = sampler.sample_packed(probs, rounds, rng_b)
-        reference = PackedBatch.from_sample_batch(legacy, packed.component_ids)
-        assert set(packed.component_ids) == {c for c, p in probs.items() if p > 0}
-        assert np.array_equal(packed.matrix, reference.matrix)
-        assert np.array_equal(packed.nonzero, reference.nonzero)
-        assert rng_a.random() == rng_b.random()
+        _assert_draws_like_the_reference(ExtendedDaggerSampler(), probs, rounds, seed)
+
+    @given(
+        levels=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-4, max_value=0.999),
+                st.sampled_from([0.0, 0.5, 0.75, 0.25, 0.01, ZONE_OUTAGE_PROBABILITY]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        picks=st.lists(st.integers(0, 5), min_size=0, max_size=40),
+        rounds=st.one_of(st.integers(1, 3_000), st.sampled_from([1, 7, 9, 2_999])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_sampler_equals_its_reference(self, levels, picks, rounds, seed):
+        """Every production ``sample`` against its reference sampler in
+        ``tests/interpreted_oracle.py``, written from §3.2.2's definitions:
+        maps with zeros, repeated levels, ``p >= 0.5`` and the zone-outage
+        probability, any round count up to 3 000."""
+        probs = {f"c{i}": levels[k % len(levels)] for i, k in enumerate(picks)}
+        for sampler in _samplers():
+            _assert_draws_like_the_reference(sampler, probs, rounds, seed)
 
     @pytest.mark.parametrize("rounds", [9, 501])
     def test_crn_packed_matches_legacy(self, rounds):
-        sampler = CommonRandomDaggerSampler(master_seed=7)
-        legacy = sampler.sample(self.PROBS, rounds, np.random.default_rng(0))
-        packed = sampler.sample_packed(self.PROBS, rounds, np.random.default_rng(1))
-        reference = PackedBatch.from_sample_batch(legacy, packed.component_ids)
-        assert np.array_equal(packed.matrix, reference.matrix)
+        _assert_draws_like_the_reference(
+            CommonRandomDaggerSampler(master_seed=7), self.PROBS, rounds, 0
+        )
 
     def test_rng_stream_position_identical_after_sampling(self):
         """A kernel assessment must leave the shared rng exactly where the
-        legacy one would, or subsequent assessments diverge."""
-        for sampler in (MonteCarloSampler(), ExtendedDaggerSampler()):
+        reference leaves it, or subsequent assessments diverge."""
+        for sampler in (MonteCarloSampler(), ExtendedDaggerSampler(), DaggerSampler()):
             rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
             sampler.sample(self.PROBS, 501, rng_a)
-            sampler.sample_packed(self.PROBS, 501, rng_b)
+            reference_sample(sampler, self.PROBS, 501, rng_b)
             assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize(
@@ -336,26 +394,27 @@ class TestSamplerFastPaths:
         fired = []
         sampling_base.set_sampling_started_hook(lambda: fired.append(1))
         try:
-            kernel = AssessmentKernel(FATTREE, FATTREE_INV)
             for rounds in (64, 64, 9):  # a repeated map must fire again
                 fired.clear()
                 sampler.sample(self.PROBS, rounds, np.random.default_rng(1))
                 assert len(fired) == 1
-                fired.clear()
-                kernel.sample_packed(
-                    sampler, self.PROBS, rounds, np.random.default_rng(1)
-                )
-                assert len(fired) == 1
+            structure = ApplicationStructure.k_of_n(2, 3)
+            assessor = build_assessor(
+                FATTREE, FATTREE_INV, AssessmentConfig(rounds=64, rng=1, sampler=sampler)
+            )
+            fired.clear()
+            assessor.assess(_plan_for(FATTREE, structure), structure)
+            assert len(fired) == 1
         finally:
             sampling_base.set_sampling_started_hook(None)
 
     def test_packed_entry_validates_every_call(self):
         sampler = ExtendedDaggerSampler()
         probs = dict(self.PROBS)
-        sampler.sample_packed(probs, 64, np.random.default_rng(1))
+        sampler.sample(probs, 64, np.random.default_rng(1))
         probs["x0"] = 1.5  # same object, mutated: no cache may hide it
         with pytest.raises(ConfigurationError):
-            sampler.sample_packed(probs, 64, np.random.default_rng(1))
+            sampler.sample(probs, 64, np.random.default_rng(1))
 
     def test_incremental_draws_fire_the_seam_once_per_extension(self):
         fired = []
@@ -719,26 +778,26 @@ class TestKernelObject:
         sampler = ExtendedDaggerSampler()
         probabilities = FATTREE_INV.failure_probabilities()
         rounds = 501
-        batch = kernel.sample_packed(
-            sampler, probabilities, rounds, np.random.default_rng(2)
-        )
+        batch = sampler.sample(probabilities, rounds, np.random.default_rng(2))
         subjects = {
             cid for cid in FATTREE.graph if cid in FATTREE_INV.trees
         } or set(list(FATTREE.graph)[:8])
         failed = kernel.effective_states(
             subjects, set(probabilities) - subjects, batch.failed_rows()
         )
-        legacy = sampler.sample(probabilities, rounds, np.random.default_rng(2))
+        reference = reference_sample(
+            sampler, probabilities, rounds, np.random.default_rng(2)
+        )
         dense = ZeroFill(rounds)
-        for cid, failed_rounds in legacy.failed_rounds.items():
+        for cid, failed_at in reference.items():
             dense[cid] = np.zeros(rounds, dtype=bool)
-            dense[cid][failed_rounds] = True
+            dense[cid][failed_at] = True
         expected = effective_states(
             FATTREE_INV, subjects, set(probabilities) - subjects, dense
         )
         assert failed.keys() == expected.keys()
         for cid, vector in expected.items():
-            assert np.array_equal(unpack_row(failed[cid], rounds), vector), cid
+            assert np.array_equal(unpack(failed[cid], rounds), vector), cid
 
     def test_repr_mentions_arena_size(self):
         kernel = AssessmentKernel(FATTREE, FATTREE_INV)
@@ -780,7 +839,7 @@ class TestFatTreeBlocksReadOnlyWhatAPlanNeeds:
         failed = _CountingRows()
         for cid in sorted(engine.relevant_elements(hosts)):
             if rng.random() < 0.2:
-                failed[cid] = pack_bool_matrix(rng.random((1, self.ROUNDS)) < 0.3)[0]
+                failed[cid] = np.packbits(rng.random(self.ROUNDS) < 0.3)
         return RoundStates(rounds=self.ROUNDS, failed=failed)
 
     def test_rows_read_scale_with_the_plan_not_the_fabric(self, medium):
@@ -824,7 +883,7 @@ class TestFatTreeBlocksReadOnlyWhatAPlanNeeds:
                 fattree_ext_reference(medium, dense, host, i)
                 for i in range(self.ROUNDS)
             ]
-            assert np.array_equal(unpack_row(row, self.ROUNDS), want), host
+            assert np.array_equal(unpack(row, self.ROUNDS), want), host
 
     def test_closure_is_assembled_from_the_block_layouts(self, medium):
         engine = engine_for(medium)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.sampling.base import SampleBatch, validate_probabilities
+from repro.kernel.packed import PackedBatch
+from repro.sampling.base import validate_probabilities
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.util.errors import ConfigurationError
+from tests.conftest import failed_rounds, unpack
 
 
 class TestMonteCarloSampler:
@@ -15,11 +17,12 @@ class TestMonteCarloSampler:
         p, rounds = 0.05, 100_000
         batch = MonteCarloSampler().sample({"c": p}, rounds, rng)
         sigma = math.sqrt(p * (1 - p) / rounds)
-        assert abs(batch.failure_fraction("c") - p) < 5 * sigma
+        assert abs(len(failed_rounds(batch)["c"]) / rounds - p) < 5 * sigma
 
     def test_zero_probability_skipped(self, rng):
         batch = MonteCarloSampler().sample({"c": 0.0}, 1_000, rng)
-        assert "c" not in batch.failed_rounds
+        assert batch.component_ids == ()
+        assert failed_rounds(batch) == {}
 
     def test_rejects_invalid_probability(self, rng):
         with pytest.raises(ConfigurationError):
@@ -27,63 +30,45 @@ class TestMonteCarloSampler:
 
     def test_failed_rounds_sorted(self, rng):
         batch = MonteCarloSampler().sample({"c": 0.3}, 5_000, rng)
-        failed = batch.rounds_failed("c")
+        failed = failed_rounds(batch)["c"]
         assert np.all(np.diff(failed) > 0)
 
     def test_chunking_handles_many_components(self, rng):
         # More components than one chunk row-budget for this round count.
         probabilities = {f"c{i}": 0.2 for i in range(600)}
         batch = MonteCarloSampler().sample(probabilities, 100, rng)
-        rates = [batch.failure_fraction(f"c{i}") for i in range(600)]
+        failed = failed_rounds(batch)
+        rates = [len(failed.get(f"c{i}", ())) / 100 for i in range(600)]
         assert np.mean(rates) == pytest.approx(0.2, abs=0.01)
 
     def test_components_independent(self, rng):
         rounds = 50_000
         batch = MonteCarloSampler().sample({"a": 0.3, "b": 0.3}, rounds, rng)
-        a, b = batch.dense("a"), batch.dense("b")
+        a, b = unpack(batch.matrix, rounds)
         joint = np.mean(a & b)
         assert joint == pytest.approx(0.09, abs=0.01)
 
     def test_deterministic_given_seed(self):
         b1 = MonteCarloSampler().sample({"a": 0.1}, 1_000, np.random.default_rng(4))
         b2 = MonteCarloSampler().sample({"a": 0.1}, 1_000, np.random.default_rng(4))
-        assert np.array_equal(b1.rounds_failed("a"), b2.rounds_failed("a"))
+        assert np.array_equal(b1.matrix, b2.matrix)
 
 
 class TestSampleBatch:
+    """The batch every sampler returns: a bit-packed ``PackedBatch``."""
+
     def test_rejects_non_positive_rounds(self):
         with pytest.raises(ConfigurationError):
-            SampleBatch(rounds=0)
+            PackedBatch(rounds=0)
 
     def test_dense_roundtrip(self, rng):
         batch = MonteCarloSampler().sample({"c": 0.4}, 500, rng)
-        dense = batch.dense("c")
-        assert np.array_equal(np.nonzero(dense)[0], batch.rounds_failed("c"))
+        dense = unpack(batch.matrix[0], 500)
+        assert np.array_equal(np.nonzero(dense)[0], failed_rounds(batch)["c"])
 
     def test_dense_unknown_component_all_alive(self):
-        batch = SampleBatch(rounds=10)
-        assert not batch.dense("ghost").any()
-
-    def test_failed_components_in_round(self, rng):
-        batch = MonteCarloSampler().sample({"a": 0.5, "b": 0.5}, 200, rng)
-        for i in (0, 57, 199):
-            expected = {
-                cid for cid in ("a", "b") if batch.dense(cid)[i]
-            }
-            assert batch.failed_components_in_round(i) == expected
-
-    def test_failed_components_in_round_range_check(self):
-        batch = SampleBatch(rounds=10)
-        with pytest.raises(ConfigurationError):
-            batch.failed_components_in_round(10)
-        with pytest.raises(ConfigurationError):
-            batch.failed_components_in_round(-1)
-
-    def test_total_failure_events(self, rng):
-        batch = MonteCarloSampler().sample({"a": 0.2, "b": 0.2}, 1_000, rng)
-        assert batch.total_failure_events() == (
-            batch.rounds_failed("a").size + batch.rounds_failed("b").size
-        )
+        batch = PackedBatch(rounds=10)
+        assert batch.failed_rows() == {} and not batch.nonzero.any()
 
     def test_validate_probabilities(self):
         validate_probabilities({"a": 0.0, "b": 0.999})

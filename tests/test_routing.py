@@ -41,8 +41,7 @@ def _states_for(topology, seed=2, rounds=ROUNDS):
     batch = MonteCarloSampler().sample(
         topology.failure_probabilities(), rounds, np.random.default_rng(seed)
     )
-    failed = {cid: batch.dense(cid) for cid in batch.failed_rounds}
-    return packed_states(rounds, failed)
+    return RoundStates(rounds, batch.failed_rows())
 
 
 def _alive(dense, cid, i):

@@ -420,6 +420,24 @@ class TestHTTPFrontend:
             client.search(k="two", n=3)
         assert "k" in excinfo.value.fields()
 
+    def test_non_finite_budget_is_a_field_error(self, fattree4, inventory):
+        with _http_server(fattree4, inventory) as (service, httpd):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", httpd.server_address[1], timeout=60.0
+            )
+            try:
+                connection.request(
+                    "POST", "/search", body='{"k": 2, "n": 3, "max_seconds": Infinity}'
+                )
+                response = connection.getresponse()
+                document = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 400
+            assert document["error"] == "validation"
+            assert [error["field"] for error in document["errors"]] == ["max_seconds"]
+            assert service.metrics.counter("service/requests") == 0
+
     def test_cancel_unknown_request_is_404(self, http_service):
         _, client = http_service
         with pytest.raises(ReproError):

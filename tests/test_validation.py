@@ -8,6 +8,8 @@ handlers keep working) and a typed record the service can serialize.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.app.structure import ApplicationStructure
@@ -223,3 +225,36 @@ class TestSearchRequest:
         assert request.max_seconds == 5.0
         assert request.desired_reliability == 1.0
         assert request.rounds is None
+
+
+class TestJsonBodyNumbers:
+    """``json.loads`` parses ``NaN`` and ``Infinity``, and ``true`` is an
+    ``int`` to Python: an HTTP body carrying them is a field error, not a
+    1-second deadline or a search that never runs out of time."""
+
+    @pytest.mark.parametrize(
+        "body,fields",
+        [
+            ('{"hosts": HOSTS, "k": 2, "deadline_seconds": true}', {"deadline_seconds"}),
+            ('{"hosts": HOSTS, "k": 2, "deadline_seconds": NaN}', {"deadline_seconds"}),
+            ('{"k": 2, "n": 3, "max_seconds": Infinity}', {"max_seconds"}),
+            (
+                '{"k": 2, "n": 3, "max_seconds": NaN, "deadline_seconds": Infinity}',
+                {"max_seconds", "deadline_seconds"},
+            ),
+            ('{"k": 2, "n": 3, "desired_reliability": NaN}', {"desired_reliability"}),
+        ],
+        ids=[
+            "deadline-true",
+            "deadline-nan",
+            "budget-infinity",
+            "budget-nan-deadline-infinity",
+            "reliability-nan",
+        ],
+    )
+    def test_rejected_with_the_field_named(self, fattree4, body, fields):
+        payload = json.loads(body.replace("HOSTS", json.dumps(fattree4.hosts[:3])))
+        kind = AssessRequest if "hosts" in payload else SearchRequest
+        with pytest.raises(ValidationError) as excinfo:
+            kind.from_dict(payload).validate(fattree4)
+        assert set(excinfo.value.fields()) == fields
