@@ -42,6 +42,7 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
 
 from repro.drill.engine import replay_reproducer, run_campaign, run_drill
 from repro.drill.schedule import FaultSchedule, random_schedule
+from repro.serialization import encode
 
 from common import ResultTable
 
@@ -86,7 +87,7 @@ def _clean_phase(rounds: int, table: ResultTable, failures: list[str]) -> dict:
     schedule = random_schedule(_random.Random(GATE_SEED), max_events=5)
     first = run_drill(GATE_SEED, schedule)
     second = run_drill(GATE_SEED, schedule)
-    if first.to_dict() != second.to_dict():
+    if encode(first) != encode(second):
         failures.append("drill re-run from (seed, schedule) diverged")
 
     return {
@@ -139,7 +140,7 @@ def _bug_phase(
     second = replay_reproducer(report.reproducer_path)
     if first.passed:
         failures.append("reproducer replay did not reproduce the failure")
-    if first.to_dict() != second.to_dict():
+    if encode(first) != encode(second):
         failures.append("two reproducer replays diverged")
     with open(report.reproducer_path, "r", encoding="utf-8") as handle:
         reproducer = json.load(handle)

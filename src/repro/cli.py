@@ -54,7 +54,7 @@ from repro.core.objectives import CompositeObjective, WorkloadUtilityObjective
 from repro.core.plan import DeploymentPlan
 from repro.core.risk import RiskAnalyzer
 from repro.core.anneal import MoveBudgetTemperatureSchedule
-from repro.core.search import DeploymentSearch, SearchSpec
+from repro.core.search import DeploymentSearch, SearchSpec, SearchState
 from repro.faults.inventory import build_paper_inventory
 from repro.faults.probability import annual_downtime_hours
 from repro.runtime.mapreduce import RetryPolicy
@@ -159,7 +159,7 @@ def cmd_assess(args) -> int:
         close = getattr(assessor, "close", None)
         if close is not None:
             close()
-    document = serialization.assessment_to_dict(result)
+    document = serialization.encode(result)
     human = (
         f"plan      : {result.plan}\n"
         f"estimate  : {result.estimate}\n"
@@ -254,18 +254,23 @@ def cmd_search(args) -> int:
         signal.signal(signal.SIGINT, _request_stop)
 
     if args.resume:
-        result = search.resume(args.resume, max_seconds=args.seconds)
+        state = serialization.decode(SearchState, serialization.load(args.resume))
+        desired = state.spec.desired_reliability
+        result = search.resume(
+            state, max_seconds=args.seconds, max_iterations=args.move_budget
+        )
     else:
+        desired = args.desired
         structure = ApplicationStructure.k_of_n(args.k, args.n)
         spec = SearchSpec(
             structure,
-            desired_reliability=args.desired,
+            desired_reliability=desired,
             max_seconds=args.seconds if args.seconds is not None else 10.0,
             forbid_shared_rack=True,
             max_iterations=args.move_budget,
         )
         result = search.search(spec)
-    document = serialization.search_result_to_dict(result)
+    document = serialization.encode(result)
     human = (
         f"satisfied : {result.satisfied}\n"
         f"plan      : {result.best_plan}\n"
@@ -287,7 +292,7 @@ def cmd_search(args) -> int:
     _emit(args, document, human)
     if stop_requested["flag"]:
         return EXIT_PREEMPTED
-    if result.satisfied or args.desired >= 1.0:
+    if result.satisfied or desired >= 1.0:
         return EXIT_OK
     return EXIT_UNSATISFIED
 
@@ -299,7 +304,9 @@ def cmd_risk(args) -> int:
     plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
     analyzer = RiskAnalyzer(topology, inventory)
     entries = analyzer.report(plan, structure)
-    document = serialization.risk_report_to_dict(entries)
+    document = serialization.artifact(
+        "risk-report", entries=serialization.encode(entries)
+    )
     lines = [
         f"{'component':<28} {'type':<20} {'p':>8} {'lost':>5} {'down':>5}"
     ]
@@ -332,8 +339,8 @@ def cmd_baseline(args) -> int:
     for name, plan in plans.items():
         estimate = assessor.assess_k_of_n(plan.hosts(), args.k).estimate
         document["plans"][name] = {
-            "plan": serialization.plan_to_dict(plan),
-            "estimate": serialization.estimate_to_dict(estimate),
+            "plan": serialization.encode(plan),
+            "estimate": serialization.encode(estimate),
             "power_diversity": power_diversity(inventory, plan),
         }
         lines.append(f"{name}: {plan}")
@@ -383,10 +390,8 @@ def cmd_capacity(args) -> int:
         crash_rate_per_hour=args.crash_rate,
         failover_seconds=args.failover_seconds,
         max_workers=args.max_workers,
-        rounds=args.rounds,
-        seed=args.seed,
     )
-    document = plan.to_dict()
+    document = serialization.encode(plan)
     lines = [
         f"throughput : {args.target_rps:g} rps target / "
         f"{args.per_worker_rps:g} rps per worker -> k={plan.k_required}",
@@ -552,26 +557,9 @@ def cmd_redeploy(args) -> int:
         "version": 1,
         "zones": args.zones,
         "state_dir": args.state_dir,
-        "recovery": {
-            "decisions_seen": recovery.decisions_seen,
-            "completed_applies": recovery.completed_applies,
-            "incumbent_restored": recovery.incumbent_restored,
-            "torn_records_dropped": recovery.torn_records_dropped,
-        },
-        "decisions": [
-            {
-                "decision": d.decision_id,
-                "event": d.event.to_dict(),
-                "action": d.action,
-                "incumbent_score": d.incumbent_score,
-                "candidate_score": d.candidate_score,
-                "gain": d.gain,
-                "search_attempts": d.search_attempts,
-                "plan": serialization.plan_to_dict(d.plan) if d.plan else None,
-            }
-            for d in decisions
-        ],
-        "incumbent": serialization.plan_to_dict(controller.incumbent),
+        "recovery": serialization.encode(recovery),
+        "decisions": serialization.encode(decisions),
+        "incumbent": serialization.encode(controller.incumbent),
         "baseline_score": controller.baseline_score,
     }
     lines = [
@@ -613,7 +601,7 @@ def cmd_drill(args) -> int:
 
     if args.replay is not None:
         result = replay_reproducer(args.replay)
-        document = result.to_dict()
+        document = serialization.encode(result)
         lines = [
             f"replay     : {args.replay}",
             f"drill      : seed {result.seed}, {len(result.schedule)} "
@@ -643,7 +631,7 @@ def cmd_drill(args) -> int:
     )
     if args.out is not None:
         write_verdict(args.out, report)
-    document = report.to_dict()
+    document = serialization.encode(report)
     lines = [
         f"campaign   : {report.rounds_run}/{report.rounds} round(s), "
         f"seed {report.seed}"
@@ -812,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="resume an interrupted search from this checkpoint "
-        "(--k/--n come from the checkpoint)",
+        "(--k/--n/--desired come from the checkpoint)",
     )
     p.add_argument(
         "--batch-size",
@@ -962,11 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers", type=int, default=64,
         help="largest fleet size to consider",
     )
-    p.add_argument(
-        "--rounds", type=int, default=200_000,
-        help="Monte Carlo rounds for fleets too large to enumerate exactly",
-    )
-    p.add_argument("--seed", type=int, default=1, help="deterministic seed")
     p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )

@@ -9,7 +9,7 @@ for a fresh one (§3.3.1, Step 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +22,24 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.rng import make_rng
+
+
+def _pairs_to_json(values: str):
+    """The JSON shape of a ``((component, (value, ...)), ...)`` field: a
+    list of ``{"component": ..., values: [...]}`` objects."""
+    return lambda pairs: [
+        {"component": component, values: list(items)} for component, items in pairs
+    ]
+
+
+def _pinned_zones_from_json(entries) -> tuple:
+    return tuple((entry["component"], tuple(entry["zones"])) for entry in entries)
+
+
+def _placements_from_json(entries) -> tuple:
+    """Decoded placements, re-validated for distinct hosts."""
+    mapping = {entry["component"]: entry["hosts"] for entry in entries}
+    return DeploymentPlan.from_mapping(mapping).placements
 
 
 @dataclass(frozen=True)
@@ -46,9 +64,14 @@ class ZoneConstraints:
     :class:`~repro.topology.zones.MultiZoneTopology`).
     """
 
-    primary_zone: str | None = None
+    primary_zone: str | None = field(default=None, metadata={"json_null": True})
     min_outside_primary: int = 0
-    pinned_zones: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    pinned_zones: tuple[tuple[str, tuple[str, ...]], ...] = field(
+        default=(),
+        metadata={
+            "json_codec": (_pairs_to_json("zones"), _pinned_zones_from_json)
+        },
+    )
     spread_components: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -207,7 +230,9 @@ class DeploymentPlan:
     ``i``.
     """
 
-    placements: tuple[tuple[str, tuple[str, ...]], ...]
+    placements: tuple[tuple[str, tuple[str, ...]], ...] = field(
+        metadata={"json_codec": (_pairs_to_json("hosts"), _placements_from_json)}
+    )
 
     # ------------------------------------------------------------------
     # Constructors

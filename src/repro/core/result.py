@@ -109,7 +109,9 @@ class AssessmentResult:
 
     plan: DeploymentPlan
     estimate: ReliabilityEstimate
-    per_round: np.ndarray = field(repr=False)
+    per_round: np.ndarray = field(
+        repr=False, metadata={"json_skip": lambda: np.zeros(0, dtype=bool)}
+    )
     sampled_components: int
     elapsed_seconds: float
     runtime: RuntimeMetadata | None = None
@@ -124,23 +126,6 @@ class AssessmentResult:
         """True when the estimate is built from fewer rounds than asked
         for because portions were dropped under ``partial_ok``."""
         return self.runtime is not None and self.runtime.degraded
-
-    def to_dict(self) -> dict:
-        """Stable, versioned JSON-ready encoding (schema in serialization.py).
-
-        The raw per-round list is excluded by design — it is reproducible
-        from the recorded seeds and would dominate the artifact size.
-        """
-        from repro import serialization
-
-        return serialization.assessment_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "AssessmentResult":
-        """Decode an encoded assessment (``per_round`` comes back empty)."""
-        from repro import serialization
-
-        return serialization.assessment_from_dict(document)
 
 
 @dataclass(frozen=True)
@@ -163,17 +148,22 @@ class SearchResult:
 
     ``satisfied`` mirrors the provider protocol: True when a plan reaching
     the desired score was found within ``T_max``; otherwise the best plan
-    found is still reported.
+    found is still reported. Its JSON form (the provider's report to the
+    developer) carries the best assessment's estimate only, and no trace.
     """
 
+    json_properties = ("best_estimate",)
+
     best_plan: DeploymentPlan
-    best_assessment: AssessmentResult
+    best_assessment: AssessmentResult = field(metadata={"json_skip": True})
     satisfied: bool
     elapsed_seconds: float
     iterations: int
     plans_assessed: int
     plans_skipped_symmetric: int
-    trace: tuple[SearchRecord, ...] = field(default=(), repr=False)
+    trace: tuple[SearchRecord, ...] = field(
+        default=(), repr=False, metadata={"json_skip": True}
+    )
     #: Neighbour moves proposed, including screened-out candidates
     #: (== iterations when batch_size is 1 and nothing raises).
     candidates_proposed: int = 0
@@ -184,6 +174,10 @@ class SearchResult:
     @property
     def best_score(self) -> float:
         return self.best_assessment.score
+
+    @property
+    def best_estimate(self) -> ReliabilityEstimate:
+        return self.best_assessment.estimate
 
     @property
     def plans_considered(self) -> int:

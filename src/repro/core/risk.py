@@ -47,6 +47,8 @@ class RiskEntry:
             to this component; the default ranking key.
     """
 
+    json_properties = ("expected_loss",)
+
     component_id: str
     component_type: str
     failure_probability: float

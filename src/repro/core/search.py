@@ -60,6 +60,9 @@ from repro.util.timing import Deadline
 #: resource constraints").
 ResourceFilter = Callable[[DeploymentPlan], bool]
 
+#: Field metadata: the JSON form writes ``None`` as ``null``.
+_NULL = {"json_null": True}
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -88,9 +91,9 @@ class SearchSpec:
     desired_reliability: float = 1.0
     max_seconds: float = 30.0
     forbid_shared_rack: bool = False
-    desired_measure: float | None = None
-    max_iterations: int | None = None
-    zone_constraints: ZoneConstraints | None = None
+    desired_measure: float | None = field(default=None, metadata=_NULL)
+    max_iterations: int | None = field(default=None, metadata=_NULL)
+    zone_constraints: ZoneConstraints | None = field(default=None, metadata=_NULL)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.desired_reliability <= 1.0:
@@ -108,15 +111,19 @@ class SearchState:
     Everything :meth:`DeploymentSearch.resume` needs to continue a search
     exactly where it stopped. Captured at the top of an iteration (after
     the previous iteration's mutations, before any new randomness is
-    drawn) and serialized via ``repro.serialization``.
+    drawn) and serialized via ``repro.serialization``: plans, assessments
+    (estimates only — per-round lists are reproducible from the seeds),
+    counters, the consumed budget, both RNG states (numpy bit-generator
+    states are plain, big, integers), the common-random-numbers master
+    seed and the acceptance trace.
     """
 
     spec: SearchSpec
     current_plan: DeploymentPlan
-    current: AssessmentResult
+    current: AssessmentResult = field(metadata={"json_name": "current_assessment"})
     current_measure: float
     best_plan: DeploymentPlan
-    best: AssessmentResult
+    best: AssessmentResult = field(metadata={"json_name": "best_assessment"})
     best_measure: float
     iterations: int = 0
     plans_assessed: int = 0
@@ -126,23 +133,10 @@ class SearchState:
     candidates_proposed: int = 0
     batches_scored: int = 0
     elapsed_seconds: float = 0.0
-    search_rng_state: dict | None = None
-    assessor_rng_state: dict | None = None
-    crn_master_seed: int | None = None
+    search_rng_state: dict | None = field(default=None, metadata=_NULL)
+    assessor_rng_state: dict | None = field(default=None, metadata=_NULL)
+    crn_master_seed: int | None = field(default=None, metadata=_NULL)
     trace: list[SearchRecord] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """Stable, versioned JSON-ready encoding (schema in serialization.py)."""
-        from repro import serialization
-
-        return serialization.search_state_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "SearchState":
-        """Decode a checkpointed annealing state."""
-        from repro import serialization
-
-        return serialization.search_state_from_dict(document)
 
 
 class DeploymentSearch:
@@ -402,10 +396,10 @@ class DeploymentSearch:
 
         if isinstance(source, SearchState):
             state = source
-        elif isinstance(source, dict):
-            state = SearchState.from_dict(source)
         else:
-            state = SearchState.from_dict(serialization.load(source))
+            if not isinstance(source, dict):
+                source = serialization.load(source)
+            state = serialization.decode(SearchState, source)
         if state.search_rng_state is None or state.assessor_rng_state is None:
             raise ConfigurationError("checkpoint is missing RNG state")
 
@@ -654,7 +648,9 @@ class DeploymentSearch:
 
         state.search_rng_state = self.rng.bit_generator.state
         state.assessor_rng_state = self.assessor.rng.bit_generator.state
-        serialization.dump(state.to_dict(), self.checkpoint_path, checksum=True)
+        serialization.dump(
+            serialization.encode(state), self.checkpoint_path, checksum=True
+        )
 
     def _verify_satisfaction(
         self, spec: SearchSpec, plan: DeploymentPlan, assessment: AssessmentResult

@@ -25,12 +25,21 @@ from dataclasses import dataclass, field
 
 from repro.drill.faultpoints import armed
 from repro.drill.invariants import Violation, check_drill
-from repro.drill.schedule import SEEDED_BUGS, FaultSchedule, random_schedule
+from repro.drill.schedule import (
+    SEEDED_BUGS,
+    FaultSchedule,
+    random_schedule,
+    schedule_from_json,
+)
 from repro.drill.sim import DrillSim
+from repro.serialization import encode
 from repro.util.errors import ConfigurationError
 
 REPRODUCER_FORMAT = "drill-reproducer"
 VERDICT_NAME = "drill-verdict.json"
+
+#: Field metadata: the JSON form writes ``None`` as ``null``.
+_NULL = {"json_null": True}
 
 
 @dataclass
@@ -38,7 +47,9 @@ class DrillResult:
     """Outcome of one drill: the schedule, what fired, what broke."""
 
     seed: int
-    schedule: FaultSchedule
+    schedule: FaultSchedule = field(
+        metadata={"json_codec": (lambda s: s.events, schedule_from_json)}
+    )
     violations: list[Violation]
     ticks: int = 0
     crashes: int = 0
@@ -51,20 +62,6 @@ class DrillResult:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "schedule": self.schedule.to_list(),
-            "violations": [v.to_dict() for v in self.violations],
-            "ticks": self.ticks,
-            "crashes": self.crashes,
-            "power_losses": self.power_losses,
-            "restarts": self.restarts,
-            "failovers": self.failovers,
-            "faults_fired": self.faults_fired,
-            "submissions": self.submissions,
-        }
 
 
 def run_drill(
@@ -132,48 +129,37 @@ def run_drill(
 
 @dataclass
 class CampaignReport:
-    """Outcome of a randomized drill campaign."""
+    """Outcome of a randomized drill campaign. Its JSON form (the CLI
+    report and the ``/healthz`` verdict) names the failing drill's
+    violations, not the drill itself, and leaves out the per-round
+    results."""
+
+    json_properties = ("passed", "violations")
 
     rounds: int
     rounds_run: int
     seed: int
-    bug: str | None
-    failure: DrillResult | None = None
-    failed_round: int | None = None
-    reproducer_path: str | None = None
-    original_events: int | None = None
-    shrunk_events: int | None = None
+    bug: str | None = field(metadata=_NULL)
+    failure: DrillResult | None = field(default=None, metadata={"json_skip": True})
+    failed_round: int | None = field(default=None, metadata=_NULL)
+    reproducer_path: str | None = field(
+        default=None, metadata={"json_name": "reproducer", **_NULL}
+    )
+    original_events: int | None = field(default=None, metadata=_NULL)
+    shrunk_events: int | None = field(default=None, metadata=_NULL)
     shrink_runs: int = 0
     total_faults: int = 0
     total_crashes: int = 0
     total_submissions: int = 0
-    round_results: list = field(default_factory=list)
+    round_results: list = field(default_factory=list, metadata={"json_skip": True})
 
     @property
     def passed(self) -> bool:
         return self.failure is None
 
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "rounds_run": self.rounds_run,
-            "seed": self.seed,
-            "bug": self.bug,
-            "passed": self.passed,
-            "failed_round": self.failed_round,
-            "reproducer": self.reproducer_path,
-            "original_events": self.original_events,
-            "shrunk_events": self.shrunk_events,
-            "shrink_runs": self.shrink_runs,
-            "total_faults": self.total_faults,
-            "total_crashes": self.total_crashes,
-            "total_submissions": self.total_submissions,
-            "violations": (
-                [v.to_dict() for v in self.failure.violations]
-                if self.failure is not None
-                else []
-            ),
-        }
+    @property
+    def violations(self) -> list[Violation]:
+        return [] if self.failure is None else self.failure.violations
 
 
 def run_campaign(
@@ -289,8 +275,8 @@ def write_reproducer(
         "shards": shards,
         "requests": requests,
         "max_ticks": max_ticks,
-        "schedule": schedule.to_list(),
-        "violations": [v.to_dict() for v in violations],
+        "schedule": encode(schedule.events),
+        "violations": encode(violations),
         "original_events": original_events,
         "campaign": campaign,
     }
@@ -316,7 +302,7 @@ def replay_reproducer(path: str) -> DrillResult:
         )
     return run_drill(
         int(document["seed"]),
-        FaultSchedule.from_list(document["schedule"]),
+        schedule_from_json(document["schedule"]),
         shards=int(document.get("shards", 3)),
         requests=int(document.get("requests", 10)),
         max_ticks=int(document.get("max_ticks", 1200)),
@@ -332,7 +318,7 @@ def write_verdict(directory: str, report: CampaignReport) -> str:
     """Persist the campaign verdict where a serving stack can find it."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, VERDICT_NAME)
-    document = dict(report.to_dict(), completed_at=time.time())
+    document = dict(encode(report), completed_at=time.time())
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass
 
 from repro import serialization
+from repro.core.plan import DeploymentPlan
 from repro.service.journal import RequestJournal, _segment_key, scan_segment
 from repro.service.redeploy import INCUMBENT_NAME, JOURNAL_NAME, DecisionJournal
 from repro.util.errors import ConfigurationError
@@ -57,13 +58,6 @@ _TERMINAL_EVENTS = ("completed", "cancelled")
 class Violation:
     invariant: str
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"invariant": self.invariant, "detail": self.detail}
-
-    @staticmethod
-    def from_dict(data: dict) -> "Violation":
-        return Violation(str(data["invariant"]), str(data["detail"]))
 
 
 def _family_records(journal_dir: str) -> tuple[dict, list[Violation]]:
@@ -348,8 +342,8 @@ def _check_redeploy(sim) -> list[Violation]:
     committed_counts: dict = {}
     for record in committed.values():
         try:
-            canonical = serialization.plan_from_dict(
-                record["plan"]
+            canonical = serialization.decode(
+                DeploymentPlan, record["plan"]
             ).canonical_key()
         except (ConfigurationError, KeyError) as exc:
             violations.append(
@@ -385,11 +379,11 @@ def _check_redeploy(sim) -> list[Violation]:
     if committed:
         newest = committed[max(committed)]
         try:
-            expected = serialization.plan_from_dict(
-                newest["plan"]
+            expected = serialization.decode(
+                DeploymentPlan, newest["plan"]
             ).canonical_key()
-            actual = serialization.plan_from_dict(
-                serialization.load(incumbent_path)
+            actual = serialization.decode(
+                DeploymentPlan, serialization.load(incumbent_path)
             ).canonical_key()
         except (ConfigurationError, FileNotFoundError, KeyError) as exc:
             violations.append(

@@ -17,7 +17,6 @@ the invariant checkers have teeth.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from repro.drill.faultpoints import (
     FaultCommand,
     FaultPoints,
 )
+from repro.serialization import decode
 
 #: Roughly how many times each seam fires in a default drill — the
 #: occurrence range random schedules draw from, per point. Too-large
@@ -74,31 +74,11 @@ class FaultEvent:
     occurrence: int | None = None
     arg: int | None = None
 
-    def to_dict(self) -> dict:
-        document: dict = {"point": self.point, "command": self.command}
-        if self.occurrence is not None:
-            document["occurrence"] = self.occurrence
-        if self.arg is not None:
-            document["arg"] = self.arg
-        return document
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultEvent":
-        return cls(
-            point=str(payload["point"]),
-            command=str(payload["command"]),
-            occurrence=(
-                int(payload["occurrence"])
-                if payload.get("occurrence") is not None
-                else None
-            ),
-            arg=int(payload["arg"]) if payload.get("arg") is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """An immutable, JSON-serializable ordered set of fault events."""
+    """An immutable ordered set of fault events; its JSON form is the
+    list of events (:func:`schedule_from_json` reads it back)."""
 
     events: tuple[FaultEvent, ...] = ()
 
@@ -121,24 +101,13 @@ class FaultSchedule:
         )
         return FaultSchedule(extra + self.events)
 
-    # ------------------------------------------------------------------
-
-    def to_list(self) -> list[dict]:
-        return [event.to_dict() for event in self.events]
-
-    @classmethod
-    def from_list(cls, payload: list) -> "FaultSchedule":
-        return cls(tuple(FaultEvent.from_dict(item) for item in payload))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_list(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        return cls.from_list(json.loads(text))
-
     def __len__(self) -> int:
         return len(self.events)
+
+
+def schedule_from_json(events: list) -> FaultSchedule:
+    """The schedule whose JSON form (a list of events) is ``events``."""
+    return FaultSchedule(decode(tuple[FaultEvent, ...], events))
 
 
 def random_schedule(

@@ -40,6 +40,7 @@ from repro.drill.faultpoints import (
     fault_hit,
     raise_if_crash,
 )
+from repro.serialization import encode
 from repro.service.executor import request_seed
 from repro.service.lifecycle import Effect, RequestLifecycle, open_state
 from repro.service.redeploy import DegradationEvent, RedeploymentController
@@ -408,7 +409,7 @@ class DrillSim:
                 worker.ticket, worker.phase = effect.ticket, "started"
             elif effect.kind == "resolve":
                 for sub in self.trace.waiters.get(effect.ticket.id, []):
-                    sub.responses.append(effect.response.to_dict())
+                    sub.responses.append(encode(effect.response))
 
     # ------------------------------------------------------------------
     # Client side
@@ -487,7 +488,7 @@ class DrillSim:
         sub.request_id = ticket.id
         self.trace.waiters.setdefault(ticket.id, []).append(sub)
         if ticket.future.done():
-            sub.responses.append(ticket.future.result().to_dict())
+            sub.responses.append(encode(ticket.future.result()))
         self._apply(effects)
 
     def _cancel(self, index: int) -> None:

@@ -6,20 +6,17 @@ failure fail OR all members of a redundant group fail (AND gate). Trees of
 different elements are implicitly connected whenever they reference the
 same underlying component (e.g. a power supply shared by a whole row).
 
-Evaluation is vectorised: basic-event states are boolean arrays over
-sampling rounds (True = failed in that round), and gates combine them with
-numpy boolean algebra, so one traversal evaluates every round at once. A
-scalar convenience wrapper evaluates a single round from a set of failed
-component ids.
+Assessments evaluate the trees compiled, every round at once
+(:mod:`repro.kernel.compiler`). Here a tree evaluates one round from a
+set of failed component ids, which is what the single-failure what-if
+analysis (:mod:`repro.core.risk`) asks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import AbstractSet, Iterator, Sequence
 
 from repro.util.errors import ConfigurationError
 
@@ -111,23 +108,9 @@ class FaultTree:
         """All component ids referenced by the tree's leaves."""
         return frozenset(event.component_id for event in iter_basic_events(self.root))
 
-    def evaluate(self, failed_states: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Vectorised evaluation over rounds.
-
-        ``failed_states`` maps component id -> boolean array (True where the
-        component is failed). Returns a boolean array of the same length:
-        True in rounds where the subject fails.
-        """
-        return _evaluate_node(self.root, failed_states.__getitem__)
-
     def evaluate_round(self, failed_components: AbstractSet[str]) -> bool:
-        """Scalar evaluation of a single round from a failed-component set.
-
-        Pure set/bool recursion — no 1-element ndarrays per leaf. The
-        exact-probability enumerator calls this once per state of up to
-        ``2**20`` states, where the per-leaf array allocations used to
-        dominate its runtime.
-        """
+        """Whether the subject fails in a round where exactly
+        ``failed_components`` have failed (pure set/bool recursion)."""
         return _evaluate_node_scalar(self.root, failed_components)
 
     def depth(self) -> int:
@@ -155,29 +138,6 @@ def _node_depth(node: FaultTreeNode) -> int:
     return 1 + max(_node_depth(child) for child in node.children)
 
 
-def _evaluate_node(
-    node: FaultTreeNode, lookup: Callable[[str], np.ndarray]
-) -> np.ndarray:
-    if isinstance(node, BasicEvent):
-        return np.asarray(lookup(node.component_id), dtype=bool)
-    child_states = [_evaluate_node(child, lookup) for child in node.children]
-    if node.kind is GateKind.OR:
-        result = child_states[0].copy()
-        for state in child_states[1:]:
-            np.logical_or(result, state, out=result)
-        return result
-    if node.kind is GateKind.AND:
-        result = child_states[0].copy()
-        for state in child_states[1:]:
-            np.logical_and(result, state, out=result)
-        return result
-    # K_OF_N: count firing children per round.
-    counts = np.zeros_like(child_states[0], dtype=np.int32)
-    for state in child_states:
-        counts += state.astype(np.int32)
-    return np.asarray(counts >= node.threshold)
-
-
 def _evaluate_node_scalar(node: FaultTreeNode, failed: AbstractSet[str]) -> bool:
     if isinstance(node, BasicEvent):
         return node.component_id in failed
@@ -202,33 +162,6 @@ def trivial_tree(subject_id: str) -> FaultTree:
     limited-dependency-information mode of §3.4.
     """
     return FaultTree(subject_id=subject_id, root=basic(subject_id))
-
-
-def exact_failure_probability(
-    tree: FaultTree, probabilities: Mapping[str, float]
-) -> float:
-    """Exact top-event probability by enumerating basic-event states.
-
-    Exponential in the number of distinct basic events; intended for tests
-    and micro-topologies only (the ground truth the samplers approximate).
-    """
-    events = sorted(tree.basic_events())
-    if len(events) > 20:
-        raise ConfigurationError(
-            f"exact enumeration over {len(events)} events is intractable"
-        )
-    total = 0.0
-    for mask in range(1 << len(events)):
-        failed = {events[i] for i in range(len(events)) if mask >> i & 1}
-        weight = 1.0
-        for i, event in enumerate(events):
-            p = probabilities[event]
-            weight *= p if mask >> i & 1 else 1.0 - p
-        if weight == 0.0:
-            continue
-        if tree.evaluate_round(failed):
-            total += weight
-    return total
 
 
 def merge_shared_events(trees: Sequence[FaultTree]) -> frozenset[str]:

@@ -326,8 +326,8 @@ def exact_tree_probability(
 
     Compiles the tree into a throwaway single-subject forest and runs
     :func:`compute_marginals`. Unlike the ``2**n`` enumeration of
-    :func:`~repro.faults.faulttree.exact_failure_probability` (kept as
-    the test oracle), repeated-free trees of any size are polynomial —
+    ``tests/interpreted_oracle.py::exact_failure_probability``,
+    repeated-free trees of any size are polynomial —
     a k-of-n fleet over hundreds of workers is exact via the
     Poisson-binomial DP — and trees with shared events stay exact up to
     ``budget.shared_bits`` conditioning bits (:class:`ExactDeclined`

@@ -9,14 +9,10 @@ a K-of-N fault tree over worker basic events, so the planner reuses the
 repository's own assessment machinery: the analytic evaluator
 (:func:`~repro.kernel.exact.exact_tree_probability`), whose
 Poisson-binomial propagation handles a K-of-N gate over *any* fleet size
-in ``O(n * k)`` — the historical ``2**n`` enumeration cutoff with a
-Monte Carlo fallback above 20 workers is gone (the ``2**n`` enumerator
-survives only as the test oracle). The vectorised
-:meth:`~repro.faults.faulttree.FaultTree.evaluate` sampler with
-:func:`~repro.sampling.statistics.estimate_from_results` remains as a
-defensive fallback should the analytic evaluator ever decline. The
-planner recommends the smallest ``n`` whose availability
-(conservatively, the CI lower bound when sampled) meets the SLO.
+in ``O(n * k)``. A fleet tree shares no events between branches, which is
+the evaluator's only reason to decline, so every fleet size is exact.
+The planner recommends the smallest ``n`` whose availability meets the
+SLO.
 
 PCRAFT (PAPERS.md) frames the same question for stateless VM fleets;
 ``benchmarks/bench_fleet.py`` closes the loop by confirming the
@@ -29,10 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 from repro.faults.faulttree import FaultTree, basic, k_of_n_gate
-from repro.kernel.exact import ExactDeclined, exact_tree_probability
-from repro.sampling.statistics import estimate_from_results
+from repro.kernel.exact import exact_tree_probability
 from repro.util.errors import ConfigurationError
-from repro.util.rng import make_rng
 
 
 def worker_unavailability(
@@ -78,18 +72,9 @@ class CandidateFleet:
 
     workers: int
     availability: float
-    availability_lower: float  # CI lower bound (== availability when exact)
-    method: str  # "analytic" | "monte-carlo"
+    availability_lower: float  # == availability: the evaluation is exact
+    method: str  # "analytic"
     meets_slo: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "availability": self.availability,
-            "availability_lower": self.availability_lower,
-            "method": self.method,
-            "meets_slo": self.meets_slo,
-        }
 
 
 @dataclass(frozen=True)
@@ -103,72 +88,32 @@ class FleetCapacityPlan:
     crash_rate_per_hour: float
     failover_seconds: float
     worker_unavailability: float
-    recommended_workers: int | None
+    recommended_workers: int | None = field(metadata={"json_null": True})
     candidates: tuple[CandidateFleet, ...] = field(default_factory=tuple)
 
     @property
     def satisfiable(self) -> bool:
         return self.recommended_workers is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "target_rps": self.target_rps,
-            "per_worker_rps": self.per_worker_rps,
-            "k_required": self.k_required,
-            "slo": self.slo,
-            "crash_rate_per_hour": self.crash_rate_per_hour,
-            "failover_seconds": self.failover_seconds,
-            "worker_unavailability": self.worker_unavailability,
-            "recommended_workers": self.recommended_workers,
-            "candidates": [c.to_dict() for c in self.candidates],
-        }
-
 
 def assess_fleet(
-    workers: int,
-    k_required: int,
-    unavailability: float,
-    rounds: int = 200_000,
-    seed: int = 7,
+    workers: int, k_required: int, unavailability: float
 ) -> CandidateFleet:
     """Availability of one fleet size, analytically exact for any size.
 
     Independent workers under one K-of-N gate need no conditioning, so
     the analytic evaluator's Poisson-binomial propagation is exact in
-    ``O(n * k)`` regardless of fleet size. The Monte Carlo path only
-    runs if the evaluator declines — impossible for the trees built
-    here, kept as a defensive fallback; sampled fleets then use the CI
-    *lower* bound for the SLO decision (a capacity plan should err
-    toward one worker too many, never one too few on sampling noise).
+    ``O(n * k)`` regardless of fleet size.
     """
     tree = fleet_fault_tree(workers, k_required)
     probabilities = {f"worker-{i}": unavailability for i in range(workers)}
-    try:
-        down = exact_tree_probability(tree, probabilities)
-    except ExactDeclined:
-        pass
-    else:
-        availability = 1.0 - down
-        return CandidateFleet(
-            workers=workers,
-            availability=availability,
-            availability_lower=availability,
-            method="analytic",
-            meets_slo=False,  # decided by the caller against the SLO
-        )
-    rng = make_rng(seed + workers)
-    failed = {
-        event: rng.random(rounds) < probabilities[event]
-        for event in sorted(tree.basic_events())
-    }
-    fleet_down = tree.evaluate(failed)
-    estimate = estimate_from_results(~fleet_down)
+    availability = 1.0 - exact_tree_probability(tree, probabilities)
     return CandidateFleet(
         workers=workers,
-        availability=estimate.score,
-        availability_lower=estimate.ci_lower,
-        method="monte-carlo",
-        meets_slo=False,
+        availability=availability,
+        availability_lower=availability,
+        method="analytic",
+        meets_slo=False,  # decided by the caller against the SLO
     )
 
 
@@ -179,8 +124,6 @@ def plan_capacity(
     crash_rate_per_hour: float,
     failover_seconds: float,
     max_workers: int = 64,
-    rounds: int = 200_000,
-    seed: int = 7,
 ) -> FleetCapacityPlan:
     """Smallest worker count meeting both throughput and availability.
 
@@ -198,9 +141,7 @@ def plan_capacity(
     candidates: list[CandidateFleet] = []
     recommended: int | None = None
     for workers in range(k_required, max_workers + 1):
-        candidate = assess_fleet(
-            workers, k_required, unavailability, rounds=rounds, seed=seed
-        )
+        candidate = assess_fleet(workers, k_required, unavailability)
         meets = candidate.availability_lower >= slo
         candidate = CandidateFleet(
             workers=candidate.workers,

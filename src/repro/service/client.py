@@ -26,6 +26,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.serialization import encode
 from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
 from repro.service.scheduler import AssessmentService
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
@@ -223,14 +224,14 @@ class HttpServiceClient:
         deadline_seconds: float | None = None,
         idempotency_key: str | None = None,
     ) -> dict:
-        payload: dict = {"hosts": list(hosts), "k": k}
-        if rounds is not None:
-            payload["rounds"] = rounds
-        if deadline_seconds is not None:
-            payload["deadline_seconds"] = deadline_seconds
-        if idempotency_key is not None:
-            payload["idempotency_key"] = idempotency_key
-        return self._request("POST", "/assess", payload)
+        request = AssessRequest(
+            hosts=tuple(hosts),
+            k=k,
+            rounds=rounds,
+            deadline_seconds=deadline_seconds,
+            idempotency_key=idempotency_key,
+        )
+        return self._request("POST", "/assess", encode(request))
 
     def search(self, k: int, n: int, **options) -> dict:
         payload = {"k": k, "n": n}

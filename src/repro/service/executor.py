@@ -283,7 +283,7 @@ class RequestExecutor:
         return ServiceResponse(
             request_id=request_id,
             status=status,
-            result=serialization.assessment_to_dict(result),
+            result=serialization.encode(result),
             elapsed_seconds=watch.elapsed(),
             queue_seconds=queue_seconds,
             backend=backend,
@@ -353,7 +353,7 @@ def execute_search(
     result = search.search(spec)
     cut_short = token.cancelled
     status = "degraded" if cut_short else "ok"
-    document = serialization.search_result_to_dict(result)
+    document = serialization.encode(result)
     if recovered:
         document["recovered"] = True
     if cut_short:

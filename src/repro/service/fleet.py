@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.drill.faultpoints import fault_hit
+from repro.serialization import decode, encode
 from repro.service.executor import RequestExecutor
 from repro.service.health import SERVING, STOPPED
 from repro.service.lifecycle import Effect
@@ -176,7 +177,7 @@ def shard_worker_main(
             send({"type": "started", "id": request_id})
         response = executor.run(
             message["kind"],
-            request_cls.from_dict(message["request"]),
+            decode(request_cls, message["request"]),
             request_id=request_id,
             token=token,
             queue_seconds=message.get("queue_seconds", 0.0),
@@ -191,7 +192,7 @@ def shard_worker_main(
         )
         if command is not None and command.kind in ("exit", "drop"):
             os._exit(70)
-        send({"type": "response", "id": request_id, "response": response.to_dict()})
+        send({"type": "response", "id": request_id, "response": encode(response)})
     conn.close()
 
 
@@ -313,7 +314,7 @@ class FleetSupervisor(ServiceFront):
                         "type": "task",
                         "id": ticket.id,
                         "kind": ticket.kind,
-                        "request": ticket.request.to_dict(),
+                        "request": encode(ticket.request),
                         "deadline_seconds": ticket.token.remaining(),
                         "queue_seconds": effect.queue_seconds,
                         "recovered": ticket.recovered,
@@ -405,7 +406,7 @@ class FleetSupervisor(ServiceFront):
                     effects = core.completed(
                         shard,
                         message["id"],
-                        ServiceResponse.from_dict(message["response"]),
+                        decode(ServiceResponse, message["response"]),
                     )
                 else:
                     continue

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from repro.drill.faultpoints import fault_hit, raise_if_crash
+from repro.serialization import decode, encode
 from repro.service.heartbeat import HeartbeatTracker, RestartPolicy
 from repro.service.journal import RequestJournal
 from repro.service.requests import (
@@ -120,7 +121,7 @@ def fingerprint(request) -> str:
     work; the fingerprint is how a reuse-with-different-payload is
     caught instead of silently answered with the other request's result.
     """
-    document = dict(request.to_dict())
+    document = encode(request)
     document.pop("idempotency_key", None)
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -357,7 +358,7 @@ class RequestLifecycle:
         if stored is None:
             del self.keys[key]
             return None
-        response = replace(ServiceResponse.from_dict(stored), replayed=True)
+        response = replace(decode(ServiceResponse, stored), replayed=True)
         ticket = Ticket(
             id=response.request_id or self._next_id(),
             kind=kind,
@@ -451,7 +452,7 @@ class RequestLifecycle:
         journal.accepted(
             ticket.id,
             ticket.kind,
-            ticket.request.to_dict(),
+            encode(ticket.request),
             ticket.idempotency_key,
             ticket.fingerprint,
         )
@@ -570,7 +571,7 @@ class RequestLifecycle:
         try:
             if response.status in ("ok", "degraded", "error") and not internal:
                 if key is not None and self.store is not None:
-                    self.store.put(key, response.to_dict())
+                    self.store.put(key, encode(response))
                 # Drill seam: supervisor death between the durable result
                 # and the journal's terminal record — the request must
                 # re-execute bit-identically after recovery.
@@ -833,7 +834,7 @@ class RequestLifecycle:
                     request_cls = (
                         SearchRequest if entry.kind == "search" else AssessRequest
                     )
-                    request = request_cls.from_dict(entry.request)
+                    request = decode(request_cls, entry.request)
                     request.validate(self.topology)
                 except ValidationError as exc:
                     logger.warning(

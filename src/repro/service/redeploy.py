@@ -52,6 +52,7 @@ from repro.drill.faultpoints import (
     raise_if_crash,
     raise_if_crash_after,
 )
+from repro.serialization import decode, dump, encode, load
 from repro.util.errors import ConfigurationError
 
 #: Journal file name inside the controller's state directory.
@@ -59,6 +60,9 @@ JOURNAL_NAME = "redeploy-journal.jsonl"
 
 #: Atomically-replaced artifact holding the currently applied plan.
 INCUMBENT_NAME = "incumbent.json"
+
+#: Field metadata: the JSON form writes ``None`` as ``null``.
+_NULL = {"json_null": True}
 
 
 @dataclass(frozen=True)
@@ -72,32 +76,21 @@ class DegradationEvent:
 
     kind: str
     detail: str = ""
-    zone: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail, "zone": self.zone}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DegradationEvent":
-        return cls(
-            kind=str(payload["kind"]),
-            detail=str(payload.get("detail", "")),
-            zone=payload.get("zone"),
-        )
+    zone: str | None = field(default=None, metadata=_NULL)
 
 
 @dataclass(frozen=True)
 class RedeployDecision:
     """The outcome of one controller decision cycle."""
 
-    decision_id: int
+    decision_id: int = field(metadata={"json_name": "decision"})
     event: DegradationEvent
     action: str  # "applied" | "rejected" | "abandoned"
     incumbent_score: float
-    candidate_score: float | None = None
-    gain: float | None = None
+    candidate_score: float | None = field(default=None, metadata=_NULL)
+    gain: float | None = field(default=None, metadata=_NULL)
     search_attempts: int = 0
-    plan: DeploymentPlan | None = None
+    plan: DeploymentPlan | None = field(default=None, metadata=_NULL)
 
 
 @dataclass
@@ -108,7 +101,7 @@ class RecoveryReport:
     completed_applies: int = 0
     incumbent_restored: bool = False
     torn_records_dropped: int = 0
-    details: list[str] = field(default_factory=list)
+    details: list[str] = field(default_factory=list, metadata={"json_skip": True})
 
 
 class DecisionJournal:
@@ -312,9 +305,7 @@ class RedeploymentController:
                 terminal.add(decision)
 
         for decision in sorted(set(commits) - terminal):
-            from repro import serialization
-
-            candidate = serialization.plan_from_dict(commits[decision]["plan"])
+            candidate = decode(DeploymentPlan, commits[decision]["plan"])
             if self.incumbent is not None and (
                 candidate.canonical_key() == self.incumbent.canonical_key()
             ):
@@ -341,14 +332,10 @@ class RedeploymentController:
         return report
 
     def _load_committed_incumbent(self) -> DeploymentPlan | None:
-        from repro import serialization
-
         if not os.path.exists(self.incumbent_path):
             return None
         try:
-            return serialization.plan_from_dict(
-                serialization.load(self.incumbent_path)
-            )
+            return decode(DeploymentPlan, load(self.incumbent_path))
         except ConfigurationError:
             # A corrupt incumbent artifact cannot silently win over the
             # constructor-supplied plan; dump() is atomic so this only
@@ -356,14 +343,10 @@ class RedeploymentController:
             return None
 
     def _persist_incumbent(self, plan: DeploymentPlan) -> None:
-        from repro import serialization
-
         # Drill seam: crash on either side of the commit-point persist.
         command = fault_hit("redeploy.persist", path=self.incumbent_path)
         raise_if_crash(command, "redeploy.persist")
-        serialization.dump(
-            serialization.plan_to_dict(plan), self.incumbent_path, checksum=True
-        )
+        dump(encode(plan), self.incumbent_path, checksum=True)
         raise_if_crash_after(command, "redeploy.persist")
 
     # ------------------------------------------------------------------
@@ -437,8 +420,6 @@ class RedeploymentController:
         return self._decide(event)
 
     def _decide(self, event: DegradationEvent) -> RedeployDecision:
-        from repro import serialization
-
         decision = self._next_decision
         self._next_decision += 1
         incumbent_score = self.assess_incumbent()
@@ -446,7 +427,7 @@ class RedeploymentController:
             {
                 "record": "detected",
                 "decision": decision,
-                "event": event.to_dict(),
+                "event": encode(event),
                 "incumbent_score": incumbent_score,
             }
         )
@@ -505,7 +486,7 @@ class RedeploymentController:
             {
                 "record": "candidate",
                 "decision": decision,
-                "plan": serialization.plan_to_dict(candidate),
+                "plan": encode(candidate),
                 "candidate_score": candidate_score,
                 "incumbent_score": incumbent_score,
                 "gain": gain,

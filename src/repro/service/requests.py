@@ -1,9 +1,11 @@
 """Request/response records crossing the assessment-service boundary.
 
-Everything a client sends is validated *here*, before it costs a queue
-slot: malformed requests get a field-level
+Everything a client sends is validated before it costs a queue slot:
+:func:`repro.serialization.decode` turns a JSON body into a request and
+rejects malformed shapes, ``validate`` checks it against the topology,
+and each raises one field-level
 :class:`~repro.util.errors.ValidationError` listing every problem at
-once, and only well-formed work is ticketed. A :class:`Ticket` pairs the
+once, so only well-formed work is ticketed. A :class:`Ticket` pairs the
 request with its cancellation token and a future the client waits on; the
 scheduler resolves the future with a :class:`ServiceResponse` — including
 on deadline, where the response carries the *anytime* result rather than
@@ -51,6 +53,15 @@ def _validate_idempotency_key(
         )
 
 
+def _hosts_from_json(value) -> tuple[str, ...]:
+    """HTTP clients send ``hosts`` as a list or a comma-separated string."""
+    if isinstance(value, str):
+        value = [host.strip() for host in value.split(",") if host.strip()]
+    if not isinstance(value, list) or not all(isinstance(h, str) for h in value):
+        raise TypeError("must be a list of host ids")
+    return tuple(value)
+
+
 def _validate_positive_finite(
     name: str, value: float | None, errors: list[tuple[str, str]]
 ) -> None:
@@ -79,7 +90,9 @@ class AssessRequest:
             streams, so re-execution after a crash is bit-identical.
     """
 
-    hosts: tuple[str, ...]
+    hosts: tuple[str, ...] = field(
+        metadata={"json_codec": (list, _hosts_from_json)}
+    )
     k: int
     rounds: int | None = None
     deadline_seconds: float | None = None
@@ -112,55 +125,6 @@ class AssessRequest:
         _validate_positive_finite("deadline_seconds", self.deadline_seconds, errors)
         if errors:
             raise ValidationError(errors)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AssessRequest":
-        """Decode a JSON body; shape errors become field errors too."""
-        errors: list[tuple[str, str]] = []
-        hosts = payload.get("hosts")
-        if isinstance(hosts, str):
-            hosts = [h.strip() for h in hosts.split(",") if h.strip()]
-        if not isinstance(hosts, (list, tuple)):
-            errors.append(("hosts", "must be a list of host ids"))
-            hosts = ()
-        k = payload.get("k")
-        if not isinstance(k, int) or isinstance(k, bool):
-            errors.append(("k", "must be an integer"))
-            k = 0
-        rounds = payload.get("rounds")
-        if rounds is not None and (not isinstance(rounds, int) or isinstance(rounds, bool)):
-            errors.append(("rounds", "must be an integer or omitted"))
-            rounds = None
-        deadline = payload.get("deadline_seconds")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
-        ):
-            errors.append(("deadline_seconds", "must be a number or omitted"))
-            deadline = None
-        key = payload.get("idempotency_key")
-        if key is not None and not isinstance(key, str):
-            errors.append(("idempotency_key", "must be a string or omitted"))
-            key = None
-        if errors:
-            raise ValidationError(errors)
-        return cls(
-            hosts=tuple(str(h) for h in hosts),
-            k=k,
-            rounds=rounds,
-            deadline_seconds=float(deadline) if deadline is not None else None,
-            idempotency_key=key,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready encoding; the journal stores exactly this."""
-        document: dict = {"hosts": list(self.hosts), "k": self.k}
-        if self.rounds is not None:
-            document["rounds"] = self.rounds
-        if self.deadline_seconds is not None:
-            document["deadline_seconds"] = self.deadline_seconds
-        if self.idempotency_key is not None:
-            document["idempotency_key"] = self.idempotency_key
-        return document
 
 
 @dataclass(frozen=True)
@@ -210,63 +174,6 @@ class SearchRequest:
         _validate_positive_finite("deadline_seconds", self.deadline_seconds, errors)
         if errors:
             raise ValidationError(errors)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SearchRequest":
-        errors: list[tuple[str, str]] = []
-        values: dict = {}
-        for name, required, kinds in (
-            ("k", True, int),
-            ("n", True, int),
-            ("max_seconds", False, (int, float)),
-            ("desired_reliability", False, (int, float)),
-            ("rounds", False, int),
-            ("deadline_seconds", False, (int, float)),
-        ):
-            raw = payload.get(name)
-            if raw is None:
-                if required:
-                    errors.append((name, "is required"))
-                continue
-            if not isinstance(raw, kinds) or isinstance(raw, bool):
-                errors.append((name, f"must be a {getattr(kinds, '__name__', 'number')}"))
-                continue
-            values[name] = raw
-        key = payload.get("idempotency_key")
-        if key is not None and not isinstance(key, str):
-            errors.append(("idempotency_key", "must be a string or omitted"))
-            key = None
-        if errors:
-            raise ValidationError(errors)
-        return cls(
-            k=values["k"],
-            n=values["n"],
-            max_seconds=float(values.get("max_seconds", 5.0)),
-            desired_reliability=float(values.get("desired_reliability", 1.0)),
-            rounds=values.get("rounds"),
-            deadline_seconds=(
-                float(values["deadline_seconds"])
-                if "deadline_seconds" in values
-                else None
-            ),
-            idempotency_key=key,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready encoding; the journal stores exactly this."""
-        document: dict = {
-            "k": self.k,
-            "n": self.n,
-            "max_seconds": self.max_seconds,
-            "desired_reliability": self.desired_reliability,
-        }
-        if self.rounds is not None:
-            document["rounds"] = self.rounds
-        if self.deadline_seconds is not None:
-            document["deadline_seconds"] = self.deadline_seconds
-        if self.idempotency_key is not None:
-            document["idempotency_key"] = self.idempotency_key
-        return document
 
 
 @dataclass
@@ -319,38 +226,7 @@ class ServiceResponse:
     elapsed_seconds: float = 0.0
     queue_seconds: float = 0.0
     backend: str | None = None
-    replayed: bool = False
-
-    def to_dict(self) -> dict:
-        document = {
-            "request_id": self.request_id,
-            "status": self.status,
-            "elapsed_seconds": self.elapsed_seconds,
-            "queue_seconds": self.queue_seconds,
-        }
-        if self.backend is not None:
-            document["backend"] = self.backend
-        if self.result is not None:
-            document["result"] = self.result
-        if self.error is not None:
-            document["error"] = self.error
-        if self.replayed:
-            document["replayed"] = True
-        return document
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "ServiceResponse":
-        """Rebuild a response from its :meth:`to_dict` encoding."""
-        return cls(
-            request_id=str(document.get("request_id", "")),
-            status=str(document.get("status", "error")),
-            result=document.get("result"),
-            error=document.get("error"),
-            elapsed_seconds=float(document.get("elapsed_seconds", 0.0)),
-            queue_seconds=float(document.get("queue_seconds", 0.0)),
-            backend=document.get("backend"),
-            replayed=bool(document.get("replayed", False)),
-        )
+    replayed: bool = field(default=False, metadata={"json_omit": False})
 
     @property
     def ok(self) -> bool:

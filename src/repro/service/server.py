@@ -35,6 +35,7 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.serialization import decode, encode
 from repro.service.requests import AssessRequest, SearchRequest
 from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
@@ -131,14 +132,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path == "/assess":
                 payload = self._read_body()
-                request = AssessRequest.from_dict(payload)
-                response = service.assess(request)
-                self._send_json(200, response.to_dict())
+                response = service.assess(decode(AssessRequest, payload))
+                self._send_json(200, encode(response))
             elif self.path == "/search":
                 payload = self._read_body()
-                request = SearchRequest.from_dict(payload)
-                response = service.search(request)
-                self._send_json(200, response.to_dict())
+                response = service.search(decode(SearchRequest, payload))
+                self._send_json(200, encode(response))
             elif self.path.startswith("/cancel/"):
                 request_id = self.path[len("/cancel/"):]
                 found = service.cancel(request_id)

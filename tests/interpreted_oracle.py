@@ -7,10 +7,12 @@ closure step of ``assess`` in front. It is opened by reference samplers
 and closed by a per-round, set-based §3.2.4 check, both written from the
 paper's definitions rather than moved, so the whole reference shares no
 stage with production: :func:`reference_sample`'s sparse draws ->
-recursive ``FaultTree.evaluate`` -> the per-round union-find's dense
-answers -> one fixed point per round. Its closure step,
-:func:`string_closure`, is the set algebra the kernel's arena-mask
-closure replaced.
+the recursive, vectorised fault-tree :func:`evaluate` -> the per-round
+union-find's dense answers -> one fixed point per round. Its closure
+step, :func:`string_closure`, is the set algebra the kernel's arena-mask
+closure replaced. :func:`exact_failure_probability` enumerates a tree's
+basic-event states: the ground truth of the exact evaluator and the
+samplers on small trees.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ import copy
 import hashlib
 import math
 from types import SimpleNamespace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.app.structure import EXTERNAL
 from repro.faults.dependencies import DependencyModel
+from repro.faults.faulttree import BasicEvent, FaultTree, FaultTreeNode, GateKind
 from repro.routing.base import RoundStates
 from repro.sampling.statistics import estimate_from_results
+from repro.util.errors import ConfigurationError
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 
@@ -119,6 +123,76 @@ def reference_sample(
     return {cid: hits for cid, hits in failed.items() if hits.size}
 
 
+# ---------------------------------------------------------------------------
+# Interpreted fault trees
+# ---------------------------------------------------------------------------
+
+
+def evaluate(tree: FaultTree, failed_states: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Vectorised evaluation over rounds.
+
+    ``failed_states`` maps component id -> boolean array (True where the
+    component is failed). Returns a boolean array of the same length:
+    True in rounds where the subject fails.
+    """
+    return _evaluate_node(tree.root, failed_states.__getitem__)
+
+
+def _evaluate_node(
+    node: FaultTreeNode, lookup: Callable[[str], np.ndarray]
+) -> np.ndarray:
+    if isinstance(node, BasicEvent):
+        return np.asarray(lookup(node.component_id), dtype=bool)
+    child_states = [_evaluate_node(child, lookup) for child in node.children]
+    if node.kind is GateKind.OR:
+        result = child_states[0].copy()
+        for state in child_states[1:]:
+            np.logical_or(result, state, out=result)
+        return result
+    if node.kind is GateKind.AND:
+        result = child_states[0].copy()
+        for state in child_states[1:]:
+            np.logical_and(result, state, out=result)
+        return result
+    # K_OF_N: count firing children per round.
+    counts = np.zeros_like(child_states[0], dtype=np.int32)
+    for state in child_states:
+        counts += state.astype(np.int32)
+    return np.asarray(counts >= node.threshold)
+
+
+def exact_failure_probability(
+    tree: FaultTree, probabilities: Mapping[str, float]
+) -> float:
+    """Exact top-event probability by enumerating basic-event states.
+
+    Exponential in the number of distinct basic events; intended for tests
+    and micro-topologies only (the ground truth the samplers approximate).
+    """
+    events = sorted(tree.basic_events())
+    if len(events) > 20:
+        raise ConfigurationError(
+            f"exact enumeration over {len(events)} events is intractable"
+        )
+    total = 0.0
+    for mask in range(1 << len(events)):
+        failed = {events[i] for i in range(len(events)) if mask >> i & 1}
+        weight = 1.0
+        for i, event in enumerate(events):
+            p = probabilities[event]
+            weight *= p if mask >> i & 1 else 1.0 - p
+        if weight == 0.0:
+            continue
+        if tree.evaluate_round(failed):
+            total += weight
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The dense pipeline
+# ---------------------------------------------------------------------------
+
+
 class ZeroFill(dict):
     """Dense-state mapping that treats absent components as never failed."""
 
@@ -151,7 +225,7 @@ def effective_states(
     for subject in subjects:
         if dense.keys().isdisjoint(model.basic_events_of(subject)):
             continue  # nothing this subject depends on ever failed
-        effective = model.tree_for(subject).evaluate(dense)
+        effective = evaluate(model.tree_for(subject), dense)
         if effective.any():
             failed[subject] = effective
     model.register_raw_elements(links, dense.get, failed)

@@ -3,7 +3,7 @@
 Property tests for the third assessment backend:
 
 * :func:`repro.kernel.exact.exact_tree_probability` against the ``2**n``
-  enumeration oracle (:func:`~repro.faults.faulttree.exact_failure_probability`),
+  enumeration oracle (:func:`tests.interpreted_oracle.exact_failure_probability`),
   including trees with shared (repeated) basic events and k-of-n gates
   far beyond the enumeration limit;
 * plan-level exact scores against an independent pure-Python brute force
@@ -35,7 +35,6 @@ from repro.faults.faulttree import (
     FaultTree,
     and_gate,
     basic,
-    exact_failure_probability,
     k_of_n_gate,
     or_gate,
 )
@@ -54,12 +53,13 @@ from repro.kernel.exact import (
     exact_tree_probability,
 )
 from repro.routing.base import engine_for
-from repro.sampling.statistics import exact_estimate
-from repro.serialization import estimate_from_dict, estimate_to_dict
+from repro.sampling.statistics import ReliabilityEstimate, exact_estimate
+from repro.serialization import decode, encode
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, ValidationError
 from tests.conftest import packed_states
+from tests.interpreted_oracle import exact_failure_probability
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 TOPO = FatTreeTopology(4, seed=5)
@@ -423,17 +423,17 @@ class TestConfigValidation:
 class TestExactEstimates:
     def test_serialization_round_trips_exact(self):
         estimate = exact_estimate(0.987654321)
-        document = estimate_to_dict(estimate)
+        document = encode(estimate)
         assert document["exact"] is True
-        restored = estimate_from_dict(document)
+        restored = decode(ReliabilityEstimate, document)
         assert restored.exact
         assert restored.score == estimate.score
         assert restored.confidence_interval_width == 0.0
 
     def test_legacy_documents_default_to_sampled(self):
-        document = estimate_to_dict(exact_estimate(0.5))
+        document = encode(exact_estimate(0.5))
         document.pop("exact")
-        assert estimate_from_dict(document).exact is False
+        assert decode(ReliabilityEstimate, document).exact is False
 
     def test_exact_estimate_validates_range(self):
         with pytest.raises(ConfigurationError):

@@ -2,7 +2,7 @@
 serialization of results and search state.
 
 Covers: AssessmentConfig validation, build_assessor dispatch, the rejection
-of the legacy keyword forms, the Assessor protocol, to_dict/from_dict
+of the legacy keyword forms, the Assessor protocol, encode/decode
 round-trips (including runtime profiles), and the byte-budgeted Monte
 Carlo chunking.
 """
@@ -25,6 +25,7 @@ from repro.core.api import (
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
+from repro.core.result import AssessmentResult
 from repro.core.search import DeploymentSearch, SearchSpec, SearchState
 from repro.runtime.mapreduce import ParallelAssessor
 from repro.sampling import montecarlo
@@ -213,8 +214,8 @@ class TestAssessmentResultRoundTrip:
     def test_round_trip_without_runtime(self, fattree4, inventory):
         result = self._result(fattree4, inventory, profile=False)
         assert result.runtime is None
-        restored = serialization.assessment_from_dict(
-            serialization.assessment_to_dict(result)
+        restored = serialization.decode(
+            AssessmentResult, serialization.encode(result)
         )
         assert restored.runtime is None
         assert restored.estimate == result.estimate
@@ -228,18 +229,10 @@ class TestAssessmentResultRoundTrip:
         result = self._result(fattree4, inventory, profile=True)
         assert result.runtime is not None
         assert result.runtime.profile
-        document = serialization.assessment_to_dict(result)
-        restored = serialization.assessment_from_dict(document)
+        document = serialization.encode(result)
+        restored = serialization.decode(AssessmentResult, document)
         assert restored.runtime.backend == "incremental"
         assert restored.runtime.profile == result.runtime.profile
-
-    def test_methods_delegate_to_serialization(self, fattree4, inventory):
-        result = self._result(fattree4, inventory)
-        document = result.to_dict()
-        assert document == serialization.assessment_to_dict(result)
-        restored = type(result).from_dict(document)
-        assert restored.estimate == result.estimate
-        assert restored.plan == result.plan
 
 
 class TestSearchStateRoundTrip:
@@ -257,8 +250,8 @@ class TestSearchStateRoundTrip:
         )
         search.search(SearchSpec(STRUCTURE, max_seconds=30.0, max_iterations=6))
         document = serialization.load(ckpt)
-        state = SearchState.from_dict(document)
-        assert state.to_dict() == document
+        state = serialization.decode(SearchState, document)
+        assert serialization.encode(state) == document
 
     def test_version_mismatch_rejected(self, fattree4, inventory, tmp_path):
         ckpt = str(tmp_path / "state.json")
@@ -274,7 +267,7 @@ class TestSearchStateRoundTrip:
         document = serialization.load(ckpt)
         document["version"] = 999
         with pytest.raises(ConfigurationError):
-            SearchState.from_dict(document)
+            serialization.decode(SearchState, document)
 
 
 class TestMonteCarloChunking:

@@ -276,11 +276,11 @@ class TestBatchedCheckpointResume:
         document = serialization.load(ckpt)
         assert document["batch_size"] == 3
         assert document["candidates_proposed"] == 18
-        state = SearchState.from_dict(document)
+        state = serialization.decode(SearchState, document)
         assert state.batch_size == 3
         assert state.candidates_proposed == 18
         assert state.batches_scored == document["batches_scored"]
-        assert state.to_dict() == document
+        assert serialization.encode(state) == document
 
     def test_pre_batch_checkpoint_defaults(self, fattree4, inventory, tmp_path):
         """Checkpoints written before the batch fields existed load with
@@ -292,7 +292,7 @@ class TestBatchedCheckpointResume:
         document = serialization.load(ckpt)
         for legacy_missing in ("batch_size", "candidates_proposed", "batches_scored"):
             document.pop(legacy_missing)
-        state = SearchState.from_dict(document)
+        state = serialization.decode(SearchState, document)
         assert state.batch_size == 1
         assert state.candidates_proposed == 0
         assert state.batches_scored == 0

@@ -443,5 +443,5 @@ class TestSearchCancellation:
         from repro import serialization
         from repro.core.search import SearchState
 
-        state = SearchState.from_dict(serialization.load(ckpt))
+        state = serialization.decode(SearchState, serialization.load(ckpt))
         assert state.iterations > 0

@@ -122,7 +122,7 @@ class TestResumeEquivalence:
         ).search(SearchSpec(STRUCTURE, max_seconds=50.0, max_iterations=100))
         assert result.iterations == 8
         assert os.path.exists(ckpt)
-        state = serialization.search_state_from_dict(serialization.load(ckpt))
+        state = serialization.decode(SearchState, serialization.load(ckpt))
         assert state.iterations == 8
 
         resumed = _make_search(fattree4, inventory, ckpt).resume(
@@ -143,12 +143,12 @@ class TestCheckpointSerialization:
         ckpt = self._checkpoint(fattree4, inventory, tmp_path)
         document = serialization.load(ckpt)
         assert document["format"] == "search-checkpoint"
-        state = serialization.search_state_from_dict(document)
+        state = serialization.decode(SearchState, document)
         assert isinstance(state, SearchState)
         assert state.iterations == 10
         assert state.search_rng_state is not None
         assert state.assessor_rng_state is not None
-        again = serialization.search_state_to_dict(state)
+        again = serialization.encode(state)
         assert again["iterations"] == document["iterations"]
         assert again["search_rng_state"] == document["search_rng_state"]
 
@@ -161,7 +161,7 @@ class TestCheckpointSerialization:
 
     def test_rejects_wrong_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            serialization.search_state_from_dict({"format": "nonsense"})
+            serialization.decode(SearchState, {"format": "nonsense"})
 
     def test_resume_rejects_checkpoint_without_rng(
         self, fattree4, inventory, tmp_path
@@ -177,7 +177,7 @@ class TestCheckpointSerialization:
     ):
         ckpt = self._checkpoint(fattree4, inventory, tmp_path)
         document = serialization.load(ckpt)
-        state = serialization.search_state_from_dict(document)
+        state = serialization.decode(SearchState, document)
         results = [
             _make_search(fattree4, inventory).resume(source, max_iterations=12)
             for source in (ckpt, document, state)

@@ -156,6 +156,34 @@ class TestSearchCommand:
         # Rejected before the preemption handlers were installed.
         assert signal.getsignal(signal.SIGTERM) is before
 
+    def test_resume_keeps_the_checkpoint_bar_and_takes_a_new_move_budget(
+        self, capsys, tmp_path
+    ):
+        """A resumed search exits by the checkpoint's ``R_desired``, not by
+        the ``--desired`` default, and runs to the new ``--move-budget``."""
+        import signal
+
+        ckpt = str(tmp_path / "search.ckpt")
+        base = ("search", "--scale", "tiny", "--rounds", "500", "--json")
+        handlers = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            code, out, _err = run_cli(
+                capsys, *base, "--k", "3", "--n", "3", "--desired", "0.9999999",
+                "--move-budget", "6", "--checkpoint", ckpt,
+            )
+            assert code == 3
+            assert json.loads(out)["iterations"] == 6
+            code, out, _err = run_cli(
+                capsys, *base, "--resume", ckpt, "--move-budget", "30"
+            )
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        document = json.loads(out)
+        assert document["satisfied"] is False
+        assert code == 3
+        assert document["iterations"] == 30
+
     def test_incremental_flag_is_gone(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -40,7 +40,9 @@ from repro.drill.schedule import (
     FaultEvent,
     FaultSchedule,
     random_schedule,
+    schedule_from_json,
 )
+from repro.serialization import encode
 from repro.service.journal import RequestJournal
 from repro.service.redeploy import DecisionJournal
 from repro.service.store import ResultStore
@@ -110,7 +112,8 @@ class TestFaultPoints:
 class TestSchedule:
     def test_json_round_trip(self):
         schedule = random_schedule(random.Random(3), max_events=5)
-        assert FaultSchedule.from_json(schedule.to_json()) == schedule
+        text = json.dumps(encode(schedule.events))
+        assert schedule_from_json(json.loads(text)) == schedule
 
     def test_random_schedules_draw_faults_only_at_finite_occurrences(self):
         rng = random.Random(17)
@@ -215,7 +218,7 @@ class TestDrillEngine:
         first = run_drill(11, schedule, shards=2, requests=6)
         second = run_drill(11, schedule, shards=2, requests=6)
         assert first.passed, first.violations
-        assert first.to_dict() == second.to_dict()
+        assert encode(first) == encode(second)
 
     def test_clean_campaign_passes(self):
         report = run_campaign(rounds=3, seed=7, shards=2, requests=6)
@@ -262,7 +265,7 @@ class TestSeededBug:
         first = replay_reproducer(report.reproducer_path)
         second = replay_reproducer(report.reproducer_path)
         assert not first.passed
-        assert first.to_dict() == second.to_dict()
+        assert encode(first) == encode(second)
         assert violated & {v.invariant for v in first.violations}
 
 

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.sampling import base as sampling_base
+from repro.serialization import encode
 from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout
 from repro.service.fleet import FleetSupervisor
 from repro.service.journal import RequestJournal
@@ -258,7 +259,7 @@ class TestFleetRecovery:
         journal.accepted(
             "req-77",
             "assess",
-            request.to_dict(),
+            encode(request),
             "ghost",
             fingerprint(request),
         )

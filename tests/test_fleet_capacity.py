@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from repro.serialization import decode, encode
 from repro.service.capacity import (
+    FleetCapacityPlan,
     assess_fleet,
     fleet_fault_tree,
     plan_capacity,
@@ -86,8 +88,8 @@ class TestAssessFleet:
         assert candidate.availability == pytest.approx(truth, abs=1e-10)
 
     def test_results_are_deterministic(self):
-        first = assess_fleet(25, 20, 0.05, rounds=50_000, seed=9)
-        second = assess_fleet(25, 20, 0.05, rounds=50_000, seed=9)
+        first = assess_fleet(25, 20, 0.05)
+        second = assess_fleet(25, 20, 0.05)
         assert first.availability == second.availability
 
 
@@ -142,7 +144,8 @@ class TestPlanCapacity:
             crash_rate_per_hour=2.0,
             failover_seconds=5.0,
         )
-        document = plan.to_dict()
+        document = encode(plan)
+        assert decode(FleetCapacityPlan, document) == plan
         assert document["k_required"] == 2
         assert document["recommended_workers"] == plan.recommended_workers
         assert document["candidates"][-1]["meets_slo"] is True

@@ -67,6 +67,7 @@ from tests.interpreted_oracle import (
     ZeroFill,
     assert_held_to_oracle,
     effective_states,
+    evaluate,
     interpreted_assess,
     reference_sample,
     string_closure,
@@ -242,7 +243,7 @@ class TestCompiledForestEquality:
         compiled = forest.evaluate(subjects, leaf_row)
         states = {cid: dense[i] for i, cid in enumerate(EVENT_IDS)}
         for subject, tree in subjects.items():
-            expected = tree.evaluate(states)
+            expected = evaluate(tree, states)
             row = compiled[subject]
             got = (
                 np.zeros(rounds, dtype=bool)
@@ -287,7 +288,7 @@ class TestScalarEvaluateRound:
     def test_matches_vectorised_single_round(self, root, failed):
         tree = FaultTree(subject_id="s", root=root)
         states = {cid: np.array([cid in failed]) for cid in EVENT_IDS}
-        assert tree.evaluate_round(failed) == bool(tree.evaluate(states)[0])
+        assert tree.evaluate_round(failed) == bool(evaluate(tree, states)[0])
 
 
 # ---------------------------------------------------------------------------

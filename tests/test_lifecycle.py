@@ -20,6 +20,7 @@ import pytest
 from repro.drill.engine import run_campaign
 from repro.drill.faultpoints import FaultPoints, armed, fault_hit, raise_if_crash
 from repro.drill.sim import DrillSim
+from repro.serialization import encode
 from repro.service import executor, fleet, lifecycle, scheduler
 from repro.service.fleet import FleetSupervisor
 from repro.service.journal import RequestJournal
@@ -171,7 +172,7 @@ class TestAdmission:
     def test_recovered_tickets_queue_first_and_bypass_capacity(self, tmp_path):
         with RequestJournal(tmp_path) as journal:
             for number in (3, 4, 5):
-                journal.accepted(f"req-{number}", "assess", _request().to_dict())
+                journal.accepted(f"req-{number}", "assess", encode(_request()))
         core = _core(tmp_path, up=False, queue_capacity=1)
         # Already admitted once: never shed, original order kept.
         assert [t.id for t in core.slots[0].queue] == ["req-3", "req-4", "req-5"]
@@ -391,7 +392,7 @@ class TestFailover:
     def test_moved_and_finished_request_is_not_resurrected(self, tmp_path):
         """A takeover leaves the request pending in the dead family and
         finished in the survivor's: terminal anywhere means done."""
-        payload = _request("moved").to_dict()
+        payload = encode(_request("moved"))
         with RequestJournal(tmp_path, shard=1) as dead:
             dead.accepted("req-5", "assess", payload, "moved", "fp")
             dead.started("req-5")
@@ -406,7 +407,7 @@ class TestFailover:
         with RequestJournal(tmp_path, shard=1) as journal:
             ghost = _request("ghost")
             journal.accepted(
-                "req-7", "assess", ghost.to_dict(), "ghost",
+                "req-7", "assess", encode(ghost), "ghost",
                 lifecycle.fingerprint(ghost),
             )
             journal.accepted("req-9", "assess", {"hosts": ["nowhere"], "k": 1})
@@ -576,7 +577,7 @@ class TestDrillRunsProductionCode:
             )
             key = ticket.idempotency_key
             if key is not None:
-                self.store.put(key, response.to_dict())
+                self.store.put(key, encode(response))
                 self.keys[key] = ("completed", ticket.fingerprint, response.status)
 
         monkeypatch.setattr(RequestLifecycle, "_record_terminal", journal_first)

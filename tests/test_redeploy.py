@@ -295,7 +295,7 @@ def _write_crash_state(state_dir, candidate_plan, persist_incumbent):
          "incumbent_score": 0.2},
         {"record": "search-attempt", "decision": 1, "attempt": 1},
         {"record": "candidate", "decision": 1,
-         "plan": serialization.plan_to_dict(candidate_plan),
+         "plan": serialization.encode(candidate_plan),
          "candidate_score": 0.95, "incumbent_score": 0.2,
          "gain": 0.75, "apply": True},
     ]
@@ -304,7 +304,7 @@ def _write_crash_state(state_dir, candidate_plan, persist_incumbent):
             handle.write(json.dumps(record) + "\n")
     if persist_incumbent:
         serialization.dump(
-            serialization.plan_to_dict(candidate_plan),
+            serialization.encode(candidate_plan),
             os.path.join(state_dir, INCUMBENT_NAME),
             checksum=True,
         )

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, build_assessor
 from repro.core.plan import DeploymentPlan
+from repro.core.result import AssessmentResult, PortionFailure, RuntimeMetadata
+from repro.sampling.statistics import estimate_from_results
+from repro.serialization import decode, encode
 from repro.service.requests import AssessRequest, SearchRequest
 from repro.util.errors import ConfigurationError, ValidationError
 
@@ -181,15 +185,15 @@ class TestAssessRequest:
         assert "k" in excinfo.value.fields()
 
     def test_from_dict_accepts_comma_string_hosts(self):
-        request = AssessRequest.from_dict(
-            {"hosts": "a, b ,c", "k": 2, "deadline_seconds": 1}
+        request = decode(
+            AssessRequest, {"hosts": "a, b ,c", "k": 2, "deadline_seconds": 1}
         )
         assert request.hosts == ("a", "b", "c")
         assert request.deadline_seconds == 1.0
 
     def test_from_dict_shape_errors_are_field_errors(self):
         with pytest.raises(ValidationError) as excinfo:
-            AssessRequest.from_dict({"hosts": 7, "k": "two", "rounds": True})
+            decode(AssessRequest, {"hosts": 7, "k": "two", "rounds": True})
         assert set(excinfo.value.fields()) == {"hosts", "k", "rounds"}
 
 
@@ -217,11 +221,11 @@ class TestSearchRequest:
 
     def test_from_dict_requires_k_and_n(self):
         with pytest.raises(ValidationError) as excinfo:
-            SearchRequest.from_dict({})
+            decode(SearchRequest, {})
         assert set(excinfo.value.fields()) == {"k", "n"}
 
     def test_from_dict_defaults(self):
-        request = SearchRequest.from_dict({"k": 2, "n": 3})
+        request = decode(SearchRequest, {"k": 2, "n": 3})
         assert request.max_seconds == 5.0
         assert request.desired_reliability == 1.0
         assert request.rounds is None
@@ -256,5 +260,116 @@ class TestJsonBodyNumbers:
         payload = json.loads(body.replace("HOSTS", json.dumps(fattree4.hosts[:3])))
         kind = AssessRequest if "hosts" in payload else SearchRequest
         with pytest.raises(ValidationError) as excinfo:
-            kind.from_dict(payload).validate(fattree4)
+            decode(kind, payload).validate(fattree4)
         assert set(excinfo.value.fields()) == fields
+
+
+def _assessment_document() -> dict:
+    """A well-formed assessment document with a nested runtime."""
+    return encode(
+        AssessmentResult(
+            plan=DeploymentPlan.single_component(["a", "b"]),
+            estimate=estimate_from_results([1, 0, 1]),
+            per_round=np.ones(3, dtype=bool),
+            sampled_components=3,
+            elapsed_seconds=0.5,
+            runtime=RuntimeMetadata(
+                backend="inline",
+                workers=1,
+                portion_seeds=(7,),
+                failures=(PortionFailure(0, 0, "crash", "worker died"),),
+            ),
+        )
+    )
+
+
+def _broken(**changes) -> dict:
+    """The assessment document with ``changes`` applied, each keyed by
+    its path with ``__`` for the dots (``None`` deletes the key)."""
+    document = _assessment_document()
+    for path, value in changes.items():
+        *parents, key = path.split("__")
+        target = document
+        for parent in parents:
+            target = target[int(parent)] if parent.isdigit() else target[parent]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return document
+
+
+class TestDecodeRejections:
+    """``decode`` collects every shape and type error of a document into
+    one :class:`ValidationError` naming each bad path, for every type."""
+
+    @pytest.mark.parametrize(
+        "cls, document, paths",
+        [
+            (AssessRequest, {"hosts": ["a"], "k": True}, {"k"}),
+            (SearchRequest, {"k": 2, "n": 3, "max_seconds": False}, {"max_seconds"}),
+            (AssessmentResult, _broken(estimate__rounds=True), {"estimate.rounds"}),
+            (SearchRequest, {"k": "2", "n": 3}, {"k"}),
+            (
+                AssessmentResult,
+                _broken(runtime__backend=["inline"]),
+                {"runtime.backend"},
+            ),
+            (SearchRequest, {"n": 3}, {"k"}),
+            (
+                AssessmentResult,
+                _broken(sampled_components=None),
+                {"sampled_components"},
+            ),
+            (AssessmentResult, _broken(estimate=[0.5, 0.1]), {"estimate"}),
+            (
+                AssessmentResult,
+                _broken(runtime__failures=[["crash"]]),
+                {"runtime.failures.0"},
+            ),
+            (
+                AssessmentResult,
+                _broken(plan__placements=[{"hosts": ["a"]}]),
+                {"plan.placements"},
+            ),
+            (
+                AssessmentResult,
+                _broken(
+                    estimate__score="high",
+                    estimate__exact=1,
+                    runtime__workers=2.0,
+                    runtime__failures__0__kind=None,
+                    elapsed_seconds=None,
+                ),
+                {
+                    "estimate.score",
+                    "estimate.exact",
+                    "runtime.workers",
+                    "runtime.failures.0.kind",
+                    "elapsed_seconds",
+                },
+            ),
+        ],
+        ids=[
+            "bool-for-int",
+            "bool-for-float",
+            "nested-bool-for-int",
+            "string-for-int",
+            "list-for-string",
+            "missing-required",
+            "nested-missing-required",
+            "list-for-object",
+            "list-for-nested-object",
+            "malformed-placements",
+            "every-bad-path-at-once",
+        ],
+    )
+    def test_one_error_names_every_bad_path(self, cls, document, paths):
+        with pytest.raises(ValidationError) as excinfo:
+            decode(cls, document)
+        assert set(excinfo.value.fields()) == paths
+
+    def test_the_well_formed_document_decodes(self):
+        document = _assessment_document()
+        assert encode(decode(AssessmentResult, document)) == document
+

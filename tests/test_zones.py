@@ -352,15 +352,15 @@ class TestConstrainedSearch:
             max_seconds=5.0,
             zone_constraints=CROSS_ZONE,
         )
-        document = serialization.search_spec_to_dict(spec)
-        restored = serialization.search_spec_from_dict(document)
+        document = serialization.encode(spec)
+        restored = serialization.decode(SearchSpec, document)
         assert restored.zone_constraints == CROSS_ZONE
 
     def test_spec_round_trip_without_constraints(self):
         spec = SearchSpec(STRUCTURE, max_seconds=5.0)
-        document = serialization.search_spec_to_dict(spec)
+        document = serialization.encode(spec)
         assert document["zone_constraints"] is None
-        assert serialization.search_spec_from_dict(spec_document_legacy(document)).zone_constraints is None
+        assert serialization.decode(SearchSpec, spec_document_legacy(document)).zone_constraints is None
 
     def test_checkpoint_resume_keeps_constraints(
         self, zones2, zone_model, tmp_path
@@ -379,7 +379,7 @@ class TestConstrainedSearch:
         ).search(spec)
 
         document = serialization.load(ckpt)
-        restored_spec = serialization.search_spec_from_dict(document["spec"])
+        restored_spec = serialization.decode(SearchSpec, document["spec"])
         assert restored_spec.zone_constraints == CROSS_ZONE
 
         resumed = _zone_search(
