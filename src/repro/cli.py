@@ -368,7 +368,6 @@ def cmd_serve(args) -> int:
         rounds=args.rounds,
         queue_capacity=args.queue_capacity,
         scheduler_workers=args.scheduler_workers,
-        parallel_workers=args.parallel_workers,
         default_deadline_seconds=args.default_deadline,
         drain_timeout_seconds=args.drain_timeout,
         journal_dir=args.journal_dir,
@@ -854,13 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="worker threads executing requests",
-    )
-    p.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=0,
-        help="worker processes for the circuit-broken parallel backend "
-        "(0 = chunked sequential only)",
     )
     p.add_argument(
         "--default-deadline",

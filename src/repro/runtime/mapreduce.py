@@ -13,9 +13,9 @@ forked processes, and reduces the completed per-round lists through
 runs never changes its bits: for one stream and one layout the master,
 the pool and any mix of the two return the same ``per_round`` vector.
 Its callers are the service's anytime loop
-(:func:`repro.service.executor.chunked_assess`), :class:`ParallelAssessor`
-(an even split over its pool: Fig. 12, where parallelism pays off only at
-many rounds) and the thread service's circuit-broken pool.
+(:func:`repro.service.executor.chunked_assess`, always on the master) and
+:class:`ParallelAssessor` (an even split over its pool: Fig. 12, where
+parallelism pays off only at many rounds).
 
 The pool is *supervised*, because a system that assesses reliability
 should itself survive component failure. Under a :class:`RetryPolicy`, a
@@ -32,8 +32,8 @@ The pool is a fork-based ``multiprocessing.Pool`` whose workers inherit
 the master's assessor (topology, compiled kernel and all) copy-on-write
 through a registry entry that lives as long as the pool, so workers it
 respawns after a crash initialise correctly. Without the fork start
-method :func:`fork_pool` warns and returns ``None``: portions run on the
-master.
+method :class:`ParallelAssessor` warns and forks no pool: portions run on
+the master.
 """
 
 from __future__ import annotations
@@ -366,19 +366,6 @@ class WorkerPool:
                 return completed, exhausted, cancelled, retries
 
 
-def fork_pool(assessor, workers: int, **supervision) -> WorkerPool | None:
-    """A :class:`WorkerPool`, or ``None`` (with a warning) without fork."""
-    if not _fork_available():
-        warnings.warn(
-            "the 'fork' start method is unavailable on this platform; "
-            "portions run on the master (no parallelism)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return WorkerPool(assessor, workers, **supervision)
-
-
 def run_portions(
     assessor,
     plan: DeploymentPlan,
@@ -516,13 +503,22 @@ class ParallelAssessor(AssessorBase):
         self.dependency_model = self.master.dependency_model
         self.rounds = config.rounds
         self.metrics = self.master.metrics
-        self.pool = fork_pool(
-            self.master,
-            config.workers,
-            retry_policy=config.retry_policy,
-            partial_ok=config.partial_ok,
-            chaos=config.chaos,
-        )
+        self.pool: WorkerPool | None = None
+        if _fork_available():
+            self.pool = WorkerPool(
+                self.master,
+                config.workers,
+                retry_policy=config.retry_policy,
+                partial_ok=config.partial_ok,
+                chaos=config.chaos,
+            )
+        else:
+            warnings.warn(
+                "the 'fork' start method is unavailable on this platform; "
+                "portions run on the master (no parallelism)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     def close(self) -> None:
         """Shut the worker pool down (see :meth:`WorkerPool.close`)."""

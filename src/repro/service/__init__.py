@@ -2,16 +2,16 @@
 
 The long-running front to the assessment engines: bounded admission with
 typed load shedding, per-request deadlines with cooperative cancellation,
-circuit-broken routing between the parallel and sequential backends,
 anytime (partial, honestly widened) results, health/readiness probes and
 graceful drain — plus durability: a write-ahead request journal with
 crash recovery and idempotent retries backed by a durable result store
 (enable with ``journal_dir`` / ``repro serve --journal-dir``). Run it
 with ``python -m repro serve`` or embed it via :class:`AssessmentService`
-+ :class:`ServiceClient`.
++ :class:`ServiceClient`. The thread service runs every request on its
+own threads; the one shape with worker processes is the shard fleet
+(``repro serve --workers N``, :mod:`repro.service.fleet`).
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.cancellation import NEVER, CancellationToken
 from repro.service.client import HttpServiceClient, ServiceClient
 from repro.service.health import HealthMonitor
@@ -35,7 +35,6 @@ __all__ = [
     "AssessRequest",
     "AssessmentService",
     "CancellationToken",
-    "CircuitBreaker",
     "DegradationEvent",
     "HealthMonitor",
     "HttpServiceClient",

@@ -16,8 +16,7 @@ are a pure function of the request:
 * :func:`chunk_layout` / :func:`chunked_assess` — the anytime
   assessment loop (rounds cut into pieces by work, one seed per piece,
   cancellation checked between pieces, honest CI widening on partial
-  completion), the same bits whether the pieces run on the worker or on
-  the thread service's pool.
+  completion), every piece on the worker that took the request.
 * :class:`RequestExecutor` — one worker's view: a per-worker assessor
   plus ``run()`` mapping requests (and mid-run cancellation/errors) to
   :class:`~repro.service.requests.ServiceResponse`; thread workers and
@@ -102,7 +101,6 @@ def chunked_assess(
     rounds: int,
     chunks: int,
     token: CancellationToken,
-    pool=None,
 ) -> AssessmentResult:
     """The anytime loop: :func:`~repro.runtime.mapreduce.run_portions`
     over :func:`chunk_layout`, seeded from ``assessor.rng``.
@@ -111,11 +109,10 @@ def chunked_assess(
     rounds; the token is checked between pieces and forwarded into each
     piece's sampler loop. On cancel the completed pieces become the
     anytime estimate with coverage-widened bounds; only a cancel before
-    *any* piece finished raises :class:`OperationCancelled`. A ``pool``
-    runs the same pieces on its workers, with the same bits.
+    *any* piece finished raises :class:`OperationCancelled`.
     """
     layout = chunk_layout(rounds, chunks)
-    return run_portions(assessor, plan, structure, layout, token, pool)
+    return run_portions(assessor, plan, structure, layout, token)
 
 
 class RequestExecutor:
@@ -125,11 +122,8 @@ class RequestExecutor:
     an ``(kind, request)`` pair into a :class:`ServiceResponse` —
     including the cancelled/error response shapes, so neither a thread
     worker nor a shard worker process needs a mapping layer around it.
-
-    ``pool`` is the thread service's circuit-broken worker pool (see
-    :class:`~repro.service.scheduler.GuardedPool`), or ``None``: an
-    assess request's pieces then run on this worker's own assessor. The
-    pieces and their seeds are the same either way.
+    An assess request's pieces run on this worker's own assessor, which
+    is reseeded from :func:`request_seed` before every request.
     """
 
     def __init__(
@@ -140,22 +134,14 @@ class RequestExecutor:
         service_seed: int,
         default_rounds: int,
         chunks: int,
-        worker_index: int = 0,
-        pool=None,
     ):
         self.topology = topology
         self.dependency_model = dependency_model
         self.service_seed = service_seed
         self.default_rounds = default_rounds
         self.chunks = chunks
-        self.pool = pool
         self.assessor = ReliabilityAssessor.from_config(
-            topology,
-            dependency_model,
-            AssessmentConfig(
-                rounds=default_rounds,
-                rng=service_seed + 100 + worker_index,
-            ),
+            topology, dependency_model, AssessmentConfig(rounds=default_rounds)
         )
 
     # ------------------------------------------------------------------
@@ -257,20 +243,14 @@ class RequestExecutor:
             list(request.hosts), structure.components[0].name
         )
         rounds = request.rounds or self.default_rounds
-        seed = self.seed_for("assess", request.idempotency_key or request_id)
-
-        def pieces(pool) -> AssessmentResult:
-            # Reseed per attempt: the stream is a pure function of the
-            # request, not of which worker runs it or what ran before.
-            self.assessor.rng = make_rng(seed)
-            return chunked_assess(
-                self.assessor, plan, structure, rounds, self.chunks, token, pool
-            )
-
-        if self.pool is None:
-            result, backend = pieces(None), "chunked-sequential"
-        else:
-            result, backend = self.pool.run(pieces)
+        # The stream is a pure function of the request, not of which
+        # worker runs it or what ran before.
+        self.assessor.rng = make_rng(
+            self.seed_for("assess", request.idempotency_key or request_id)
+        )
+        result = chunked_assess(
+            self.assessor, plan, structure, rounds, self.chunks, token
+        )
         if recovered and result.runtime is not None:
             result = replace(
                 result, runtime=replace(result.runtime, recovered=True)
@@ -286,7 +266,7 @@ class RequestExecutor:
             result=serialization.encode(result),
             elapsed_seconds=watch.elapsed(),
             queue_seconds=queue_seconds,
-            backend=backend,
+            backend="chunked-sequential",
         )
 
     def run_search(

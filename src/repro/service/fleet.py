@@ -47,7 +47,7 @@ from repro.service.lifecycle import Effect
 from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
 from repro.service.scheduler import ServiceConfig, ServiceFront
 from repro.util.cancel import CancellationToken
-from repro.util.errors import ConfigurationError, ValidationError
+from repro.util.errors import ConfigurationError
 
 logger = logging.getLogger("repro.service.fleet")
 
@@ -96,7 +96,6 @@ def shard_worker_main(
         service_seed=seed,
         default_rounds=rounds,
         chunks=chunks,
-        worker_index=shard,
     )
 
     send_lock = threading.Lock()
@@ -237,10 +236,6 @@ class FleetSupervisor(ServiceFront):
         if config.fleet_workers < 1:
             raise ConfigurationError(
                 "FleetSupervisor requires fleet_workers >= 1"
-            )
-        if config.parallel_workers > 0:  # shards run every piece themselves
-            raise ValidationError(
-                [("parallel_workers", "the shard fleet runs no worker pool")]
             )
         self._ctx = _fork_context()
         super().__init__(

@@ -203,10 +203,6 @@ class RequestLifecycle:
         clock,
         metrics: MetricsRegistry | None = None,
     ):
-        if config.queue_capacity < 1:
-            raise ValueError(
-                f"queue capacity must be >= 1, got {config.queue_capacity}"
-            )
         self.config = config
         self.topology = topology
         self.journals = list(journals)

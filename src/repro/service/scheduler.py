@@ -13,16 +13,16 @@ what sits around it:
   it with forked workers.
 * :class:`AssessmentService` — the single-process shape: one slot whose
   ``scheduler_workers`` executors are threads, each running the shared
-  :class:`~repro.service.executor.RequestExecutor`, all handed the one
-  optional worker pool behind a :class:`~repro.service.breaker.
-  CircuitBreaker` (:class:`GuardedPool`).
+  :class:`~repro.service.executor.RequestExecutor` and every piece of
+  its requests on itself. The shard fleet is the one shape that uses
+  processes.
 
 A deadline firing mid-run does not raise: the service returns the
 **anytime result** built from the work completed so far, with honestly
 widened error bounds and ``status="degraded"``. Shutdown is graceful:
 ``drain()`` rejects the queued backlog with a typed response, lets
 in-flight requests finish (cancelling them into anytime results only if
-the drain timeout passes), then stops the workers and tears down the pool.
+the drain timeout passes), then stops the workers.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.api import AssessmentConfig
-from repro.core.assessment import ReliabilityAssessor
-from repro.core.result import RuntimeMetadata
-from repro.runtime.mapreduce import RetryPolicy, fork_pool
-from repro.service.breaker import CircuitBreaker
 from repro.service.executor import RequestExecutor
 from repro.service.health import DRAINING, SERVING, STOPPED, HealthMonitor
 from repro.service.lifecycle import Effect, RequestLifecycle, open_state
@@ -47,12 +42,7 @@ from repro.service.requests import (
     ServiceResponse,
     Ticket,
 )
-from repro.util.errors import (
-    CircuitOpen,
-    OperationCancelled,
-    ReproError,
-    ValidationError,
-)
+from repro.util.errors import ValidationError
 from repro.util.metrics import MetricsRegistry
 
 logger = logging.getLogger("repro.service")
@@ -61,6 +51,10 @@ logger = logging.getLogger("repro.service")
 @dataclass(frozen=True)
 class ServiceConfig:
     """Every knob of the long-running assessment service.
+
+    Construction raises one :class:`ValidationError` naming every queue or
+    worker count the service cannot run with, so each deployment shape
+    and the CLI reject them in the same words.
 
     Attributes:
         scale: Preset data-center scale (Table 2) when no topology is
@@ -71,8 +65,6 @@ class ServiceConfig:
         queue_capacity: Bounded admission-queue size; submits beyond it
             are shed with :class:`AdmissionRejected`.
         scheduler_workers: Worker threads executing requests.
-        parallel_workers: Worker *processes* for the shared parallel
-            backend; 0 disables it (chunked sequential only).
         chunks: Anytime granularity of the sequential path — rounds are
             assessed in at most this many pieces with a cancellation
             check between pieces; fewer when a piece would fall under
@@ -80,11 +72,6 @@ class ServiceConfig:
             default 10 000-round request is one piece).
         default_deadline_seconds: Deadline applied when a request does
             not set one (``None`` = unbounded).
-        breaker_failure_threshold / breaker_recovery_seconds /
-        breaker_half_open_probes: Circuit-breaker tuning for the
-            parallel backend.
-        portion_timeout_seconds: Per-portion hang deadline inside the
-            parallel backend.
         drain_timeout_seconds: How long ``drain()`` waits for in-flight
             requests before cancelling them into anytime results.
         journal_dir: Directory for the write-ahead request journal and
@@ -118,13 +105,8 @@ class ServiceConfig:
     rounds: int = 10_000
     queue_capacity: int = 8
     scheduler_workers: int = 2
-    parallel_workers: int = 0
     chunks: int = 8
     default_deadline_seconds: float | None = None
-    breaker_failure_threshold: int = 3
-    breaker_recovery_seconds: float = 5.0
-    breaker_half_open_probes: int = 1
-    portion_timeout_seconds: float | None = 30.0
     drain_timeout_seconds: float = 30.0
     journal_dir: str | None = None
     journal_segment_bytes: int = 1 << 20
@@ -136,6 +118,19 @@ class ServiceConfig:
     respawn_backoff_cap_seconds: float = 5.0
     quarantine_restarts: int = 5
     quarantine_window_seconds: float = 30.0
+
+    def __post_init__(self) -> None:
+        errors = [
+            (name, f"must be >= {least}, got {getattr(self, name)}")
+            for name, least in (
+                ("queue_capacity", 1),
+                ("scheduler_workers", 1),
+                ("fleet_workers", 0),
+            )
+            if getattr(self, name) < least
+        ]
+        if errors:
+            raise ValidationError(errors)
 
 
 class ServiceFront:
@@ -318,34 +313,11 @@ class AssessmentService(ServiceFront):
             width=config.scheduler_workers,
             shards=None,
         )
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failure_threshold,
-            recovery_seconds=config.breaker_recovery_seconds,
-            half_open_probes=config.breaker_half_open_probes,
-            clock=clock,
-            metrics=self.metrics,
-        )
         # Dispatched tickets on their way to a worker thread; the core
         # only dispatches while an executor is free, so it never holds
         # more than ``scheduler_workers`` items.
         self._dispatched: queue.SimpleQueue = queue.SimpleQueue()
         self._workers: list[threading.Thread] = []
-        self._pool = None
-        if config.parallel_workers > 0:
-            pool = fork_pool(
-                ReliabilityAssessor.from_config(
-                    self.topology,
-                    self.dependency_model,
-                    AssessmentConfig(rounds=config.rounds),
-                ),
-                config.parallel_workers,
-                retry_policy=RetryPolicy(
-                    timeout_seconds=config.portion_timeout_seconds
-                ),
-                partial_ok=True,
-            )
-            if pool is not None:
-                self._pool = GuardedPool(pool, self.breaker, self.metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -363,16 +335,15 @@ class AssessmentService(ServiceFront):
             self._apply(self.core.start())
         self.health.transition(SERVING)
         logger.info(
-            "service serving scale=%s workers=%d queue=%d parallel=%d",
+            "service serving scale=%s workers=%d queue=%d",
             self.config.scale,
             self.config.scheduler_workers,
             self.config.queue_capacity,
-            self.config.parallel_workers,
         )
         return self
 
     def close(self) -> None:
-        """Hard stop: cancel everything, stop workers, free the pool."""
+        """Hard stop: cancel everything, stop workers."""
         with self._lock:
             self.core.stop()
         for _ in self._workers:
@@ -380,9 +351,6 @@ class AssessmentService(ServiceFront):
         for thread in self._workers:
             thread.join(timeout=5.0)
         self._workers.clear()
-        if self._pool is not None:
-            self._pool.pool.close()
-            self._pool = None
         with self._lock:
             self.core.close()
         self.health.transition(STOPPED)
@@ -398,7 +366,6 @@ class AssessmentService(ServiceFront):
                 for index in range(self.config.scheduler_workers):
                     thread = threading.Thread(
                         target=self._worker_loop,
-                        args=(index,),
                         name=f"repro-service-worker-{index}",
                         daemon=True,
                     )
@@ -410,15 +377,13 @@ class AssessmentService(ServiceFront):
     # Execution
     # ------------------------------------------------------------------
 
-    def _worker_loop(self, index: int) -> None:
+    def _worker_loop(self) -> None:
         executor = RequestExecutor(
             self.topology,
             self.dependency_model,
             service_seed=self.config.seed,
             default_rounds=self.config.rounds,
             chunks=self.config.chunks,
-            worker_index=index,
-            pool=self._pool,
         )
         while True:
             try:
@@ -445,70 +410,3 @@ class AssessmentService(ServiceFront):
             )
             with self._lock:
                 self._apply(self.core.completed(0, ticket.id, response))
-
-    def status(self) -> dict:
-        """The shared snapshot plus the parallel backend's breaker."""
-        return dict(super().status(), breaker=self.breaker.snapshot())
-
-
-class GuardedPool:
-    """The thread service's one worker pool behind its circuit breaker.
-
-    :meth:`run` takes ``pieces(pool)``, a request's chunked assessment
-    that runs its pieces on ``pool`` or, given ``None``, on the calling
-    thread, and calls it on the pool when the pool is free and the
-    breaker allows. A busy pool, an open breaker or a pool that failed
-    the request sends it inline instead: same layout, same seeds, same
-    bits, so which side answers never decides a keyed request's result.
-    """
-
-    def __init__(self, pool, breaker: CircuitBreaker, metrics: MetricsRegistry):
-        self.pool = pool
-        self.breaker = breaker
-        self.metrics = metrics
-        self._lock = threading.Lock()
-
-    def run(self, pieces):
-        """``(result, backend)``: ``"parallel"`` when the pool answered."""
-        if self._lock.acquire(blocking=False):
-            try:
-                result = self._on_pool(pieces)
-            finally:
-                self._lock.release()
-            if result is not None:
-                return result, "parallel"
-        return pieces(None), "chunked-sequential"
-
-    def _on_pool(self, pieces):
-        try:
-            self.breaker.before_call()
-        except CircuitOpen:
-            self.metrics.incr("service/breaker_fallbacks")
-            return None
-        try:
-            result = pieces(self.pool)
-        except OperationCancelled:
-            # Not a pool fault: the caller's deadline fired before any
-            # piece finished.
-            raise
-        except ReproError as exc:
-            self.breaker.record_failure()
-            logger.warning("worker pool failed (%s); running inline", exc)
-            return None
-        if _runtime_sick(result.runtime):
-            self.breaker.record_failure()
-        else:
-            self.breaker.record_success()
-        return result
-
-
-def _runtime_sick(runtime: RuntimeMetadata) -> bool:
-    """Did the pool misbehave, even if the result recovered?
-
-    Cancellation is the *caller's* doing and never counts; crashes,
-    hangs, worker errors (recovered on the master or not) and pool
-    restarts do — a pool that keeps recovering is about to fail for real.
-    """
-    if any(f.kind != "cancelled" for f in runtime.failures):
-        return True
-    return runtime.pool_restarts > 0 and not runtime.cancelled

@@ -2,7 +2,7 @@
 
 Stdlib-only (``http.server``) so the service runs anywhere the library
 does. The handler is a thin protocol adapter — all behaviour (admission,
-deadlines, breaker routing, anytime degradation) lives in
+deadlines, anytime degradation) lives in
 :class:`~repro.service.scheduler.AssessmentService`; this module maps it
 onto HTTP:
 

@@ -83,19 +83,6 @@ class AdmissionRejected(ReproError):
         self.capacity = capacity
 
 
-class CircuitOpen(ReproError):
-    """A circuit breaker refused the call because its circuit is open.
-
-    Raised by :meth:`~repro.service.breaker.CircuitBreaker.before_call`
-    when the protected backend is presumed down and no half-open probe is
-    due; callers are expected to route to their fallback.
-    """
-
-    def __init__(self, message: str, retry_after_seconds: float | None = None):
-        super().__init__(message)
-        self.retry_after_seconds = retry_after_seconds
-
-
 class TopologyError(ReproError):
     """A topology is malformed or a query referenced an unknown element."""
 

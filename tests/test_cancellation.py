@@ -255,13 +255,17 @@ class TestParallelCancellation:
     def test_chunked_and_inline_report_the_same_loss(
         self, fattree4, inventory, monkeypatch, completed
     ):
-        """One runner, with and without a pool: the same pieces, cancelled
-        after the same piece, keep the same bits, drop the same rounds and
-        widen by the same coverage."""
-        from repro.runtime.mapreduce import WorkerPool
+        """One runner, with and without a pool: the service's chunk layout,
+        cancelled after the same piece, keeps the same bits, drops the same
+        rounds and widens by the same coverage."""
+        from repro.runtime.mapreduce import WorkerPool, run_portions
         from repro.sampling import base as sampling_base
         from repro.sampling.statistics import estimate_from_results
-        from repro.service.executor import MIN_CHUNK_ROUNDS, chunked_assess
+        from repro.service.executor import (
+            MIN_CHUNK_ROUNDS,
+            chunk_layout,
+            chunked_assess,
+        )
 
         pieces, rounds = 4, 4 * MIN_CHUNK_ROUNDS
         plan = _plan(fattree4)
@@ -274,8 +278,9 @@ class TestParallelCancellation:
         try:
             with contextlib.closing(WorkerPool(master, 1)) as pool:
                 sampling_base.set_sampling_started_hook(None)
-                pooled = chunked_assess(
-                    master, plan, STRUCTURE, rounds, pieces, token, pool
+                pooled = run_portions(
+                    master, plan, STRUCTURE, chunk_layout(rounds, pieces),
+                    token, pool,
                 )
         finally:
             release.release()

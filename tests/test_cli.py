@@ -244,7 +244,6 @@ class TestServeParser:
         assert args.port == 8321
         assert args.queue_capacity == 8
         assert args.scheduler_workers == 2
-        assert args.parallel_workers == 0
         assert args.default_deadline is None
         assert args.drain_timeout == 30.0
         assert args.handler.__name__ == "cmd_serve"
@@ -253,24 +252,38 @@ class TestServeParser:
         args = build_parser().parse_args(
             [
                 "serve", "--port", "0", "--queue-capacity", "2",
-                "--parallel-workers", "4", "--default-deadline", "1.5",
+                "--default-deadline", "1.5",
             ]
         )
         assert args.port == 0
         assert args.queue_capacity == 2
-        assert args.parallel_workers == 4
         assert args.default_deadline == 1.5
 
+    def test_the_thread_service_forks_no_pool(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--parallel-workers", "2"])
+        assert excinfo.value.code == 2
 
-    def test_fleet_rejects_a_parallel_pool(self, capsys):
-        """The shard fleet forks no pool: asking for one is a config error,
-        not a silently dropped flag."""
-        code, _out, err = run_cli(
-            capsys, "serve", "--workers", "2", "--parallel-workers", "2",
-            "--port", "0",
-        )
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--queue-capacity", "0"), "queue_capacity"),
+            (("--scheduler-workers", "0"), "scheduler_workers"),
+            (("--workers", "-1"), "fleet_workers"),
+        ],
+    )
+    def test_unusable_counts_exit_2_naming_the_field(
+        self, capsys, monkeypatch, flags, field
+    ):
+        """Rejected before anything is built or bound: a server that would
+        start is stubbed out, so a count that slips through fails fast."""
+        from repro.service import server
+
+        monkeypatch.setattr(server, "serve", lambda config, **_: 0)
+        code, _out, err = run_cli(capsys, "serve", "--port", "0", *flags)
         assert code == 2
-        assert "parallel_workers:" in err
+        assert "validation failed" in err
+        assert f"{field}: must be >= " in err
 
 
 class TestBaselineCommand:

@@ -136,14 +136,13 @@ def test_sigterm_finishes_inflight_rejects_queued_and_exits_clean(tmp_path):
 
 
 def test_process_group_sigterm_drains_a_pooled_server(tmp_path):
-    """SIGTERM to the server's whole process group, as a supervisor or a
-    terminal sends it, reaches the server alone: its pool workers sit in
-    groups of their own, so none dies holding the pool's task-queue lock,
-    and the drain stops them itself and exits 0."""
+    """SIGTERM to the whole process group of a server with worker
+    processes (the shard fleet), as a supervisor or a terminal sends it,
+    still ends in a drain that stops every worker and exits 0."""
     drain_timeout = 20.0
     process, base_url = _start_server(
         str(tmp_path / "journal"),
-        "--parallel-workers", "2",
+        "--workers", "2",
         "--drain-timeout", str(drain_timeout),
         start_new_session=True,
     )
@@ -153,12 +152,24 @@ def test_process_group_sigterm_drains_a_pooled_server(tmp_path):
         assert client.assess(HOSTS, k=2, rounds=20_000)["status"] == "ok"
         os.killpg(process.pid, signal.SIGTERM)
         assert process.wait(timeout=drain_timeout) == 0
+        deadline = time.monotonic() + 5.0
+        while _group_alive(process.pid):  # no worker outlives the drain
+            assert time.monotonic() < deadline, "a worker outlived the drain"
+            time.sleep(0.05)
     finally:
         if process.poll() is None:
             os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=10.0)
         if process.stdout is not None:
             process.stdout.close()
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_idle_server_shutdown_returns_promptly():

@@ -190,8 +190,9 @@ class TestAdmission:
         assert fresh.id == "req-6"
 
     def test_capacity_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as excinfo:
             _core(tmp_path, queue_capacity=0)
+        assert excinfo.value.fields() == ("queue_capacity",)
 
 
 class TestIdempotency:

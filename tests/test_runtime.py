@@ -2,6 +2,8 @@
 
 import contextlib
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +141,20 @@ class TestProcessBackend:
         pa.close()
         assert pa.pool._pool is None
         assert key not in mapreduce._FORK_REGISTRY
+
+    def test_workers_leave_the_masters_process_group(
+        self, fattree4, inventory, plan, structure
+    ):
+        """A SIGTERM to the master's group (a supervisor stopping it,
+        Ctrl-C) must not kill a worker that holds the task-queue lock."""
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3)) as pa:
+            pa.assess(plan, structure)
+            pids = pa.pool.live_worker_pids()
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while any(os.getpgid(pid) != pid for pid in pids):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
 
     def test_del_reaps_pool(self, fattree4, inventory):
         pa = ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", workers=2))

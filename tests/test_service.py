@@ -92,36 +92,6 @@ class TestServiceLifecycle:
             assert response.request_id.startswith("req-")
         assert service.health.state == STOPPED
 
-    def test_keyed_estimate_does_not_depend_on_who_runs_the_pieces(
-        self, fattree4, inventory
-    ):
-        """The pool, the open breaker's inline fallback and a service with
-        no pool cut a request into the same pieces under the same seeds,
-        so a keyed request gets one answer from all three."""
-        request = AssessRequest(
-            hosts=tuple(fattree4.hosts[:3]), k=2, rounds=2 * MIN_CHUNK_ROUNDS,
-            idempotency_key="same-bits",
-        )
-        with _service(fattree4, inventory, parallel_workers=2) as service:
-            pooled = service.assess(request, timeout=60.0)
-        with _service(
-            fattree4, inventory, parallel_workers=2,
-            breaker_failure_threshold=1, breaker_recovery_seconds=3600.0,
-        ) as service:
-            service.breaker.record_failure()
-            fallback = service.assess(request, timeout=60.0)
-        with _service(fattree4, inventory) as service:
-            alone = service.assess(request, timeout=60.0)
-        assert (pooled.backend, fallback.backend, alone.backend) == (
-            "parallel", "chunked-sequential", "chunked-sequential",
-        )
-        assert pooled.result["runtime"]["portion_seeds"] == (
-            alone.result["runtime"]["portion_seeds"]
-        )
-        assert len(alone.result["runtime"]["portion_seeds"]) == 2
-        assert pooled.result["estimate"] == alone.result["estimate"]
-        assert fallback.result["estimate"] == alone.result["estimate"]
-
     def test_search_round_trip(self, fattree4, inventory):
         with _service(fattree4, inventory, rounds=500) as service:
             client = ServiceClient(service)
@@ -222,7 +192,7 @@ class TestServiceLifecycle:
             assert status["queue"] == {
                 "depth": 0, "capacity": 4, "draining": False,
             }
-            assert status["breaker"]["state"] == "closed"
+            assert "breaker" not in status
             assert status["inflight"] == 0
 
     def test_metrics_record_requests_and_latency(self, fattree4, inventory):
@@ -399,7 +369,7 @@ class TestHTTPFrontend:
         assert client.readyz() == {"ready": True, "state": "serving"}
         health = client.healthz()
         assert health["health"]["state"] == "serving"
-        assert health["breaker"]["state"] == "closed"
+        assert "breaker" not in health
 
     def test_assess_over_http(self, http_service, fattree4):
         _, client = http_service

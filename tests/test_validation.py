@@ -20,6 +20,7 @@ from repro.core.result import AssessmentResult, PortionFailure, RuntimeMetadata
 from repro.sampling.statistics import estimate_from_results
 from repro.serialization import decode, encode
 from repro.service.requests import AssessRequest, SearchRequest
+from repro.service.scheduler import ServiceConfig
 from repro.util.errors import ConfigurationError, ValidationError
 
 STRUCTURE = ApplicationStructure.k_of_n(2, 3)
@@ -152,6 +153,40 @@ class TestAssessmentConfigValidation:
                 inventory,
                 AssessmentConfig(mode="parallel", workers=0),
             )
+
+
+class TestServiceConfigValidation:
+    """Counts the service cannot run with are refused at construction,
+    before a lifecycle, a thread or a process exists."""
+
+    def test_defaults_pass(self):
+        ServiceConfig()
+        ServiceConfig(queue_capacity=1, scheduler_workers=1, fleet_workers=0)
+
+    def test_zero_scheduler_workers_rejected(self):
+        # Admitted requests would wait for a thread that never exists.
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(scheduler_workers=0)
+        assert excinfo.value.fields() == ("scheduler_workers",)
+
+    def test_zero_queue_capacity_rejected(self):
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(queue_capacity=0)
+        assert excinfo.value.fields() == ("queue_capacity",)
+
+    def test_negative_fleet_workers_rejected(self):
+        # Not silently the thread scheduler.
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(fleet_workers=-1)
+        assert excinfo.value.fields() == ("fleet_workers",)
+
+    def test_one_error_names_every_bad_count(self):
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(queue_capacity=0, scheduler_workers=-2, fleet_workers=-1)
+        assert excinfo.value.fields() == (
+            "queue_capacity", "scheduler_workers", "fleet_workers",
+        )
+        assert "got -2" in str(excinfo.value)
 
 
 class TestAssessRequest:
