@@ -102,7 +102,7 @@ def run_comparison(
             mode="incremental",
             rounds=rounds,
             master_seed=MASTER_SEED,
-            profile=True,
+            metrics=MetricsRegistry(),
         ),
     )
 

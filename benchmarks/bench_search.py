@@ -156,7 +156,6 @@ def _legacy_search(
             rounds=outer.rounds,
             engine=outer.engine,
             master_seed=crn_master_seed,
-            sample_full_infrastructure=outer.sample_full_infrastructure,
             mode="incremental",
         ),
     )

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 
@@ -59,7 +60,7 @@ from repro.faults.inventory import build_paper_inventory
 from repro.faults.probability import annual_downtime_hours
 from repro.runtime.mapreduce import RetryPolicy
 from repro.topology.presets import PAPER_SCALES, paper_topology
-from repro.util.errors import ReproError, ValidationError
+from repro.util.errors import ConfigurationError, ReproError, ValidationError
 from repro.util.metrics import MetricsRegistry
 from repro.workload.model import HostWorkloadModel
 
@@ -149,7 +150,6 @@ def cmd_assess(args) -> int:
         ),
         partial_ok=args.partial_ok,
         metrics=metrics,
-        analytic_shared_bits=args.analytic_shared_bits,
         analytic_state_bits=args.analytic_state_bits,
     )
     assessor = build_assessor(topology, inventory, config)
@@ -211,7 +211,6 @@ def cmd_search(args) -> int:
         rng=args.seed + 2,
         mode=mode,
         metrics=metrics,
-        analytic_shared_bits=args.analytic_shared_bits,
         analytic_state_bits=args.analytic_state_bits,
     )
     if args.multi_objective:
@@ -417,6 +416,8 @@ def cmd_capacity(args) -> int:
 def cmd_journal(args) -> int:
     from repro.service.journal import RequestJournal
 
+    if not os.path.isdir(args.directory):
+        raise ConfigurationError(f"no journal directory at {args.directory!r}")
     state = RequestJournal.scan(args.directory)
     pending = {entry.request_id: entry for entry in state.pending}
     document = {
@@ -694,14 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="analytic tractability budget: closures with more than B "
             "uncertain basic events (2**B exact states) fall back to "
             "sampling",
-        )
-        p.add_argument(
-            "--analytic-shared-bits",
-            type=int,
-            default=12,
-            metavar="B",
-            help="analytic marginal-evaluation budget: at most B shared "
-            "basic events conditioned out (2**B conditioning states)",
         )
 
     def common(p, rounds_default=10_000):

@@ -109,16 +109,12 @@ class AnalyticAssessor(AssessorBase):
         self.inner = inner
         self.config = config or getattr(inner, "config", None)
         if budget is None and self.config is not None:
-            budget = ExactBudget(
-                shared_bits=self.config.analytic_shared_bits,
-                state_bits=self.config.analytic_state_bits,
-            )
+            budget = ExactBudget(state_bits=self.config.analytic_state_bits)
         self.budget = budget or ExactBudget()
         self.topology: Topology = inner.topology
         self.dependency_model: DependencyModel = inner.dependency_model
         self.rounds: int = inner.rounds
         self.engine = inner.engine
-        self.sample_full_infrastructure = inner.sample_full_infrastructure
         self.metrics = inner.metrics
         self._evaluator = StructureEvaluator(self.engine)
         self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)

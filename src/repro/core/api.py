@@ -1,21 +1,16 @@
 """The unified assessment API: one config, one protocol, one factory.
 
-Historically the codebase grew three divergent ways to ask for an
-assessment: the keyword sprawl of :class:`ReliabilityAssessor`, the
-constructor arguments of :class:`~repro.runtime.mapreduce.ParallelAssessor`,
-and the CLI's own flag plumbing. They drifted (different defaults,
-different names for the same knob) and every new execution mode multiplied
-the surface. This module collapses them:
-
-* :class:`AssessmentConfig` — a single declarative dataclass holding every
-  assessment knob, independent of the execution mode;
+* :class:`AssessmentConfig` — one declarative dataclass holding the
+  settings of an assessment, whatever the execution mode. Each field has
+  a caller outside the tests that sets it; a value nothing else would
+  set is a constant in the code that reads it, not a field;
 * :class:`Assessor` — the protocol every execution mode implements:
   ``assess(plan, structure, rounds=None)`` for one plan, the batch-first
   ``score_plans(plans, structure, rounds=None)`` the search hot loop
   consumes, plus the substrate attributes the search reads;
 * :func:`build_assessor` — the factory that turns a topology + dependency
-  model + config into the right assessor (sequential, parallel, or
-  incremental).
+  model + config into the right assessor (sequential, parallel,
+  incremental or analytic).
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ MAX_ANALYTIC_BITS = 26
 
 @dataclass(frozen=True)
 class AssessmentConfig:
-    """Every knob of an assessment, independent of the execution mode.
+    """The settings of an assessment, independent of the execution mode.
 
     Attributes:
         rounds: Sampling rounds per assessment (Table 1 columns).
@@ -66,9 +61,6 @@ class AssessmentConfig:
         engine: Reachability engine override; ``None`` picks the best
             engine for the topology. It receives and returns bit-packed
             rows (the contract in :mod:`repro.routing.base`).
-        sample_full_infrastructure: Sample every component of the data
-            center instead of the relevant closure (literal Table-1
-            semantics; what Fig. 7 times).
         mode: ``"sequential"`` (in-process), ``"parallel"`` (supervised
             worker pool), ``"incremental"`` (cached single-move deltas
             under common random numbers) or ``"analytic"`` (exact
@@ -83,15 +75,10 @@ class AssessmentConfig:
         chaos: Deterministic fault injection for tests (parallel mode).
         master_seed: Common-random-numbers master seed for the incremental
             mode; ``None`` derives one from ``rng``.
-        profile: Collect stage timings and cache counters; surfaced via
-            the assessor's ``metrics`` registry and, on results, via
-            ``RuntimeMetadata.profile``.
-        metrics: Externally supplied registry to record into (implies
-            nothing about ``profile``; passing one enables collection).
-        analytic_shared_bits: Tractability budget for the exact
-            *marginal* evaluator (:func:`repro.kernel.exact.compute_marginals`):
-            the maximum number of shared basic events conditioned out
-            (``2**bits`` conditioning states). Analytic mode only.
+        metrics: Registry to record stage timings and cache counters
+            into; surfaced on results via ``RuntimeMetadata.profile``.
+            ``None`` collects nothing (the incremental assessor keeps a
+            private registry of its own).
         analytic_state_bits: Tractability budget for exact *plan-level*
             evaluation: the maximum number of uncertain basic events in
             a plan's relevant closure (``2**bits`` enumerated joint
@@ -103,16 +90,13 @@ class AssessmentConfig:
     sampler: "Sampler | None" = None
     rng: "int | np.random.Generator | None" = None
     engine: "ReachabilityEngine | None" = None
-    sample_full_infrastructure: bool = False
     mode: str = "sequential"
     workers: int = 2
     retry_policy: "RetryPolicy | None" = None
     partial_ok: bool = False
     chaos: "ChaosPolicy | None" = None
     master_seed: int | None = None
-    profile: bool = False
     metrics: MetricsRegistry | None = field(default=None, compare=False)
-    analytic_shared_bits: int = 12
     analytic_state_bits: int = 20
 
     def __post_init__(self) -> None:
@@ -129,33 +113,19 @@ class AssessmentConfig:
         """Full field-level validation at the API boundary.
 
         ``__post_init__`` guards the invariants that would crash
-        immediately (positive rounds, known mode); this collects
-        *everything* — including cross-field constraints and, when a
-        topology is supplied, the physical sanity of its failure
-        probabilities — and raises one
-        :class:`~repro.util.errors.ValidationError` listing every
-        problem.
+        immediately (positive rounds, known mode); this collects every
+        other problem — field ranges and, when a topology is supplied,
+        the physical sanity of its failure probabilities — and raises one
+        :class:`~repro.util.errors.ValidationError` listing all of them.
         """
         from repro.util.errors import ValidationError
 
         errors: list[tuple[str, str]] = []
-        if self.rounds < 1:
-            errors.append(("rounds", f"must be >= 1, got {self.rounds}"))
-        if self.mode not in MODES:
-            errors.append(("mode", f"unknown mode {self.mode!r}"))
         if self.mode == "parallel" and self.workers < 1:
             errors.append(("workers", f"must be >= 1, got {self.workers}"))
         if self.master_seed is not None and self.master_seed < 0:
             errors.append(
                 ("master_seed", f"must be non-negative, got {self.master_seed}")
-            )
-        if not 0 <= self.analytic_shared_bits <= MAX_ANALYTIC_BITS:
-            errors.append(
-                (
-                    "analytic_shared_bits",
-                    f"must be in [0, {MAX_ANALYTIC_BITS}], "
-                    f"got {self.analytic_shared_bits}",
-                )
             )
         if not 0 <= self.analytic_state_bits <= MAX_ANALYTIC_BITS:
             errors.append(
@@ -163,16 +133,6 @@ class AssessmentConfig:
                     "analytic_state_bits",
                     f"must be in [0, {MAX_ANALYTIC_BITS}], "
                     f"got {self.analytic_state_bits}",
-                )
-            )
-        elif 0 <= self.analytic_shared_bits <= MAX_ANALYTIC_BITS and (
-            self.analytic_shared_bits > self.analytic_state_bits
-        ):
-            errors.append(
-                (
-                    "analytic_shared_bits",
-                    "conditioning budget cannot exceed the state budget "
-                    f"({self.analytic_shared_bits} > {self.analytic_state_bits})",
                 )
             )
         if topology is not None:
@@ -197,16 +157,6 @@ class AssessmentConfig:
                 )
         if errors:
             raise ValidationError(errors)
-
-    def registry(self) -> MetricsRegistry | None:
-        """The registry assessments should record into, or ``None``.
-
-        An explicitly supplied ``metrics`` registry always wins;
-        ``profile=True`` without one means "the assessor creates its own".
-        """
-        if self.metrics is not None:
-            return self.metrics
-        return MetricsRegistry() if self.profile else None
 
     def with_updates(self, **changes: Any) -> "AssessmentConfig":
         """A copy of this config with the given fields replaced."""

@@ -8,9 +8,9 @@ Pipeline, per assessment:
 2. Generate failure states for the closure across ``rounds`` rounds with
    the configured sampler (extended dagger sampling by default; §3.2.2).
    Components fail independently, so sampling only the closure draws from
-   the same joint distribution over everything step 3-4 read. Setting
-   ``sample_full_infrastructure=True`` instead samples every component of
-   the data center, the literal Table-1 semantics (and what Fig. 7 times).
+   the same joint distribution over everything steps 3-4 read as sampling
+   the whole data center (Table 1's literal semantics, which
+   ``tests/interpreted_oracle.py`` keeps as the reference).
 3. Reason over each element's fault tree to get its *effective* per-round
    failure state, and filter failed elements (§3.2.3).
 4. Route and check: evaluate the application structure's connectivity
@@ -82,8 +82,7 @@ class ReliabilityAssessor(AssessorBase):
         self.rounds = config.rounds
         self.engine = config.engine or engine_for(topology)
         self.rng = make_rng(config.rng)
-        self.sample_full_infrastructure = config.sample_full_infrastructure
-        self.metrics = config.registry()
+        self.metrics = config.metrics
         self._evaluator = StructureEvaluator(self.engine)
         self._validated = set()
         self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
@@ -107,9 +106,6 @@ class ReliabilityAssessor(AssessorBase):
         """The sampler's input for a closure: the components that can fail
         (every sampler skips the rest without a draw), in sorted-id order,
         the stream :meth:`assess` has always drawn, or arena order."""
-        if self.sample_full_infrastructure:
-            # The kernel's one long-lived dict, not a copy.
-            return self.kernel.probabilities
         arena = self.kernel.arena
         drawn = arena.indices_in(sampled & self.kernel.positive)
         if by_id:
@@ -117,11 +113,6 @@ class ReliabilityAssessor(AssessorBase):
         ids = arena.ids
         keys = [ids[i] for i in drawn.tolist()]
         return dict(zip(keys, arena.probabilities[drawn].tolist()))
-
-    def _sampled_components(self, sampled: int) -> int:
-        if self.sample_full_infrastructure:
-            return len(self.kernel.arena)
-        return sampled.bit_count()
 
     def assess(
         self,
@@ -156,7 +147,7 @@ class ReliabilityAssessor(AssessorBase):
         )
         with _stage(metrics, "estimate"):
             estimate = estimate_from_results(per_round)
-        sampled_components = self._sampled_components(sampled)
+        sampled_components = sampled.bit_count()
         if metrics is not None:
             metrics.incr("assess/from_scratch")
             metrics.incr("sample/components", sampled_components)
@@ -187,15 +178,15 @@ class ReliabilityAssessor(AssessorBase):
         """
         metrics = self.metrics
         kernel = self.kernel
-        # A shared or full-infrastructure batch holds more than the closure.
-        only = None
-        if batch is not None or self.sample_full_infrastructure:
-            only = set(kernel.arena.ids_in(sampled))
         if batch is None:
+            only = None
             with _stage(metrics, "sample"):
                 batch = self.sampler.sample(
                     probabilities, rounds, self.rng, cancel=cancel
                 )
+        else:
+            # A shared batch holds more than this plan's closure.
+            only = set(kernel.arena.ids_in(sampled))
 
         if cancel is not None:
             cancel.check()
@@ -287,12 +278,12 @@ class ReliabilityAssessor(AssessorBase):
                     plan=plan,
                     estimate=estimate,
                     per_round=per_round,
-                    sampled_components=self._sampled_components(sampled),
+                    sampled_components=sampled.bit_count(),
                     elapsed_seconds=watch.elapsed() - elapsed_before,
                 )
             )
         if metrics is not None:
-            metrics.incr("sample/components", self._sampled_components(union_sampled))
+            metrics.incr("sample/components", union_sampled.bit_count())
         return results
 
     def assess_to_ci(

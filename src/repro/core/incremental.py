@@ -169,8 +169,7 @@ class IncrementalAssessor(AssessorBase):
                 "random numbers (CommonRandomDaggerSampler); got "
                 f"{type(config.sampler).__name__}"
             )
-        self.sample_full_infrastructure = config.sample_full_infrastructure
-        self.metrics = config.registry() or MetricsRegistry()
+        self.metrics = config.metrics or MetricsRegistry()
         self.engine = config.engine or engine_for(topology)
         self._new_universe()
 
@@ -360,15 +359,11 @@ class IncrementalAssessor(AssessorBase):
             estimate = estimate_from_results(per_round)
 
         metrics.incr("assess/incremental")
-        if self.sample_full_infrastructure:
-            sampled_components = len(self._arena)
-        else:
-            sampled_components = sampled.bit_count()
         result = AssessmentResult(
             plan=plan,
             estimate=estimate,
             per_round=per_round,
-            sampled_components=sampled_components,
+            sampled_components=sampled.bit_count(),
             elapsed_seconds=watch.elapsed(),
             runtime=self._runtime_metadata(),
         )
@@ -420,8 +415,8 @@ class IncrementalAssessor(AssessorBase):
         ]
 
     def _runtime_metadata(self) -> RuntimeMetadata | None:
-        """Attach the metrics snapshot when profiling was requested."""
-        if not (self.config.profile or self.config.metrics is not None):
+        """Attach the metrics snapshot when a registry was supplied."""
+        if self.config.metrics is None:
             return None
         return RuntimeMetadata(
             backend="incremental",

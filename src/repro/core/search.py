@@ -153,12 +153,10 @@ class DeploymentSearch:
         self,
         assessor: Assessor,
         objective: Objective | None = None,
-        symmetry: SymmetryChecker | None = None,
         use_symmetry: bool = True,
         resource_filter: ResourceFilter | None = None,
         rng: int | np.random.Generator | None = None,
         keep_trace: bool = False,
-        common_random_numbers: bool = True,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
         checkpoint_path: str | None = None,
@@ -176,16 +174,12 @@ class DeploymentSearch:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         self.assessor = assessor
         self.objective = objective or ReliabilityObjective()
+        self._symmetry_filter = None
         if use_symmetry:
-            self.symmetry = symmetry or SymmetryChecker(
-                assessor.topology, assessor.dependency_model
-            )
             self._symmetry_filter = BatchSymmetryFilter(
-                self.symmetry, metrics=metrics
+                SymmetryChecker(assessor.topology, assessor.dependency_model),
+                metrics=metrics,
             )
-        else:
-            self.symmetry = None
-            self._symmetry_filter = None
         #: Candidates proposed (and scored in one ``score_plans`` call) per
         #: temperature step. ``1`` reproduces the classic one-neighbour
         #: loop bit-for-bit; see :meth:`_run` for the B>1 policy.
@@ -198,7 +192,6 @@ class DeploymentSearch:
         self.resource_filter = resource_filter
         self.rng = make_rng(rng)
         self.keep_trace = keep_trace
-        self.common_random_numbers = common_random_numbers
         self.metrics = metrics
         self._clock = clock
         self.checkpoint_path = checkpoint_path
@@ -234,35 +227,30 @@ class DeploymentSearch:
         mode), falling back to sampling per plan elsewhere.
         """
         config = config or AssessmentConfig(mode="incremental")
-        registry = config.registry()
         if config.mode == "analytic":
             from repro.core.analytic import AnalyticAssessor
 
             outer = AnalyticAssessor.from_config(
-                topology,
-                dependency_model,
-                config.with_updates(master_seed=None, metrics=registry),
+                topology, dependency_model, config.with_updates(master_seed=None)
             )
         else:
             outer = ReliabilityAssessor.from_config(
                 topology,
                 dependency_model,
-                config.with_updates(
-                    mode="sequential", master_seed=None, metrics=registry
-                ),
+                config.with_updates(mode="sequential", master_seed=None),
             )
-        if registry is not None:
-            search_kwargs.setdefault("metrics", registry)
+        if config.metrics is not None:
+            search_kwargs.setdefault("metrics", config.metrics)
         return cls(outer, **search_kwargs)
 
-    def _search_assessor(self, master_seed: int | None) -> Assessor:
+    def _search_assessor(self, master_seed: int) -> Assessor:
         """The assessor used inside one search run.
 
-        With common random numbers enabled (the default), assessments share
-        per-component random streams, so comparing the current plan with a
-        neighbour is a low-variance paired comparison — without it, the
-        per-swap reliability gain is often smaller than the sampling noise
-        and the annealing walk stalls. The winning plan is re-assessed
+        Its assessments share per-component random streams (common random
+        numbers), so comparing the current plan with a neighbour is a
+        low-variance paired comparison — without them, the per-swap
+        reliability gain is often smaller than the sampling noise and the
+        annealing walk stalls. The winning plan is re-assessed
         independently before being reported (see :meth:`search`).
 
         The CRN assessor is an
@@ -272,8 +260,8 @@ class DeploymentSearch:
         :class:`ReliabilityAssessor` over a
         :class:`~repro.sampling.dagger.CommonRandomDaggerSampler` with the
         same master seed, which is the oracle the equality tests build. It
-        is configured like the outer assessor (rounds, engine, closure or
-        full-infrastructure sampling), runs on the same substrate kernel
+        is configured like the outer assessor (rounds, engine), runs on the
+        same substrate kernel
         (:meth:`~repro.kernel.AssessmentKernel.of`), and differs in the
         sampler alone.
 
@@ -290,8 +278,6 @@ class DeploymentSearch:
         from repro.core.analytic import AnalyticAssessor
         from repro.core.incremental import IncrementalAssessor
 
-        if master_seed is None:
-            return self.assessor
         outer = self.assessor
         analytic = outer if isinstance(outer, AnalyticAssessor) else None
         if analytic is not None:
@@ -308,7 +294,6 @@ class DeploymentSearch:
                 rng=None,
                 engine=outer.engine,
                 master_seed=master_seed,
-                profile=False,
                 metrics=self.metrics,
             ),
         )
@@ -326,9 +311,7 @@ class DeploymentSearch:
         schedule = self.temperature_schedule or LinearTemperatureSchedule(
             spec.max_seconds
         )
-        crn_master_seed = (
-            int(self.rng.integers(0, 2**63)) if self.common_random_numbers else None
-        )
+        crn_master_seed = int(self.rng.integers(0, 2**63))
         assessor = self._search_assessor(crn_master_seed)
 
         # Steps 1-2: initial plan and its assessment. An explicit initial
@@ -365,7 +348,7 @@ class DeploymentSearch:
             crn_master_seed=crn_master_seed,
         )
         if self._satisfied(spec, current, current_measure):
-            verified = self._verify_satisfaction(spec, current_plan, current)
+            verified = self._verify_satisfaction(spec, current_plan)
             if verified is not None:
                 return self._result(state, verified, True, deadline)
 
@@ -402,6 +385,11 @@ class DeploymentSearch:
             state = serialization.decode(SearchState, source)
         if state.search_rng_state is None or state.assessor_rng_state is None:
             raise ConfigurationError("checkpoint is missing RNG state")
+        if state.crn_master_seed is None:
+            raise ConfigurationError(
+                "checkpoint has no crn_master_seed: it was written by a "
+                "search without common random numbers, which cannot resume"
+            )
 
         spec = state.spec
         overrides = {}
@@ -621,9 +609,7 @@ class DeploymentSearch:
                     state.current = neighbor
                     state.current_measure = neighbor_measure
                 if satisfied_candidate:
-                    verified = self._verify_satisfaction(
-                        spec, neighbor_plan, neighbor
-                    )
+                    verified = self._verify_satisfaction(spec, neighbor_plan)
                     if verified is not None:
                         state.best_plan, state.best = neighbor_plan, verified
                         return self._result(state, verified, True, deadline)
@@ -653,7 +639,7 @@ class DeploymentSearch:
         )
 
     def _verify_satisfaction(
-        self, spec: SearchSpec, plan: DeploymentPlan, assessment: AssessmentResult
+        self, spec: SearchSpec, plan: DeploymentPlan
     ) -> AssessmentResult | None:
         """Confirm a satisfying plan with independent randomness.
 
@@ -661,11 +647,8 @@ class DeploymentSearch:
         may owe the crossing to the shared seed; an independent assessment
         must agree before the search declares success. Returns the
         independent assessment, or ``None`` if satisfaction did not hold
-        up (the caller keeps searching). Without CRN the original
-        assessment stands.
+        up (the caller keeps searching).
         """
-        if not self.common_random_numbers:
-            return assessment
         independent = self.assessor.assess(plan, spec.structure)
         measure = self.objective.measure(plan, independent)
         if self._satisfied(spec, independent, measure):

@@ -27,7 +27,7 @@ instances, cached per plan.
 Probability classes quantise failure probabilities (§3.3.1: components of
 the same type with *similar* probabilities are treated as one type;
 components with very different probabilities become logically different
-types). The quantisation step is configurable.
+types), rounded to :data:`PROBABILITY_CLASS_DECIMALS` decimals.
 """
 
 from __future__ import annotations
@@ -42,33 +42,32 @@ from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
 from repro.kernel import AssessmentKernel
 from repro.topology.base import Topology
-from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
+
+#: Decimals a failure probability is rounded to for its probability
+#: class: 0.0099 and 0.0101 are one class, 0.01 and 0.03 two.
+PROBABILITY_CLASS_DECIMALS = 2
+
+#: Plans whose refinement :class:`BatchSymmetryFilter` keeps (LRU).
+MAX_REFINEMENTS = 4096
 
 
 class SymmetryChecker:
     """Computes canonical signatures of deployment plans."""
 
     def __init__(
-        self,
-        topology: Topology,
-        dependency_model: DependencyModel | None = None,
-        probability_decimals: int = 2,
+        self, topology: Topology, dependency_model: DependencyModel | None = None
     ):
-        if probability_decimals < 0:
-            raise ConfigurationError(
-                f"probability_decimals must be >= 0, got {probability_decimals}"
-            )
         self.topology = topology
         self.dependency_model = dependency_model or DependencyModel.empty(topology)
-        self.probability_decimals = probability_decimals
 
     # ------------------------------------------------------------------
 
     def probability_class(self, component_id: str) -> str:
         """Quantised failure-probability label of any component."""
         probability = self.dependency_model.component(component_id).failure_probability
-        return f"{round(probability, self.probability_decimals):.{self.probability_decimals}f}"
+        decimals = PROBABILITY_CLASS_DECIMALS
+        return f"{round(probability, decimals):.{decimals}f}"
 
     def _group_label(self, component_id: str) -> str:
         """Symmetry class + probability class of one infrastructure group."""
@@ -182,17 +181,9 @@ class BatchSymmetryFilter:
     """
 
     def __init__(
-        self,
-        checker: SymmetryChecker,
-        max_signatures: int = 4096,
-        metrics: MetricsRegistry | None = None,
+        self, checker: SymmetryChecker, metrics: MetricsRegistry | None = None
     ):
-        if max_signatures < 1:
-            raise ConfigurationError(
-                f"max_signatures must be >= 1, got {max_signatures}"
-            )
         self.checker = checker
-        self.max_signatures = max_signatures
         #: ``symmetry/screened`` counts the pairs decided,
         #: ``symmetry/refined`` the refinements built (one per distinct
         #: plan while it stays cached), ``symmetry/matched`` the pairs
@@ -211,10 +202,7 @@ class BatchSymmetryFilter:
         if kernel is not self._kernel:
             self._kernel = kernel
             self._refinements.clear()
-            decimals = self.checker.probability_decimals
-            self._interned, self._host_groups = kernel.symmetry_tables.setdefault(
-                decimals, ({}, {})
-            )
+            self._interned, self._host_groups = kernel.symmetry_tables
 
     def _groups_of(self, host: str) -> tuple[tuple[int, int], ...]:
         """:meth:`SymmetryChecker.host_groups` on interned integers."""
@@ -243,7 +231,7 @@ class BatchSymmetryFilter:
             return cached
         self.metrics.incr("symmetry/refined")
         refinement = self._refinements[key] = self._refine(plan)
-        if len(self._refinements) > self.max_signatures:
+        if len(self._refinements) > MAX_REFINEMENTS:
             self._refinements.popitem(last=False)
         return refinement
 

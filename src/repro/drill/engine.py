@@ -33,7 +33,7 @@ from repro.drill.schedule import (
 )
 from repro.drill.sim import DrillSim
 from repro.serialization import encode
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 REPRODUCER_FORMAT = "drill-reproducer"
 VERDICT_NAME = "drill-verdict.json"
@@ -180,7 +180,23 @@ def run_campaign(
     ``bug`` names a :data:`~repro.drill.schedule.SEEDED_BUGS` entry to
     graft onto every schedule — the self-test proving the invariants
     can catch a real durability bug, not just pass quiet runs.
+
+    Raises one :class:`~repro.util.errors.ValidationError` naming each
+    of ``rounds``, ``shards``, ``requests`` and ``max_events`` below 1:
+    with any of them at zero a campaign drills nothing and still passes.
     """
+    low = [
+        (name, f"must be >= 1, got {value}")
+        for name, value in (
+            ("rounds", rounds),
+            ("shards", shards),
+            ("requests", requests),
+            ("max_events", max_events),
+        )
+        if value < 1
+    ]
+    if low:
+        raise ValidationError(low)
     if bug is not None and bug not in SEEDED_BUGS:
         raise ConfigurationError(
             f"unknown seeded bug {bug!r}; have {sorted(SEEDED_BUGS)}"

@@ -90,8 +90,8 @@ class AssessmentKernel:
     samplers only read them), the growing compiled forest, the closure
     layer memo (weak by engine, so a caller's own engine dies with its
     assessor), the evaluation order memo and ``symmetry_tables``, the
-    :class:`~repro.core.transforms.BatchSymmetryFilter` host-group tables
-    per probability quantisation. Every entry is a pure function of the
+    :class:`~repro.core.transforms.BatchSymmetryFilter` interned ids and
+    host-group table. Every entry is a pure function of the
     substrate, so the one kernel :meth:`of` returns is shared by every
     assessor and search on it, in any order and from any thread;
     per-assessment scratch lives in the caller.
@@ -115,7 +115,7 @@ class AssessmentKernel:
         # by piece; the incremental universe hands in deltas that never
         # do, and a ~10 KiB order per cold plan is memory that grows.
         self._order_by_content: dict[frozenset, list[int]] = {}
-        self.symmetry_tables: dict[int, tuple[dict, dict]] = {}
+        self.symmetry_tables: tuple[dict, dict] = ({}, {})
 
     @classmethod
     def of(

@@ -66,7 +66,7 @@ class PackedBatch:
         """Packed failure row of every component that failed in some round
         (the compiled forest's leaf states; anything absent never failed),
         of those in the set ``only`` when given: a plan reads its closure,
-        a full-infrastructure batch holds the whole data center."""
+        a batch shared by several plans holds their union."""
         ids, matrix = self.component_ids, self.matrix
         failed = np.flatnonzero(self.nonzero).tolist()
         if only is not None:

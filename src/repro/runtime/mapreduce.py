@@ -74,6 +74,17 @@ _REGISTRY_IDS = itertools.count(1)
 
 _WORKER_STATE: dict = {}
 
+#: Retry backoff: a failed portion's delay grows by this factor per
+#: attempt, up to a cap, with a uniform ±fraction of jitter drawn from a
+#: private stream (decorrelates retry stampedes; estimates stay
+#: reproducible).
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_SECONDS = 2.0
+JITTER_FRACTION = 0.25
+#: How often the master polls the portions in flight and worker liveness
+#: when no result has woken it.
+POLL_INTERVAL_SECONDS = 0.05
+
 
 def _init_forked_worker(registry_key: int) -> None:
     """Pin the forked snapshot of the parent state inside the worker.
@@ -155,23 +166,15 @@ class RetryPolicy:
             detected by pid-watching, but a genuinely hung worker then
             hangs the assessment — set a timeout for production use).
         max_retries: Retry attempts per portion after its first failure.
-        backoff_seconds: Base delay before re-dispatching a failed portion.
-        backoff_multiplier: Exponential growth factor per retry attempt.
-        max_backoff_seconds: Cap on the backoff delay.
-        jitter_fraction: Uniform ±fraction of jitter applied to each
-            backoff delay (decorrelates retry stampedes; drawn from a
-            private stream so estimates stay reproducible).
-        poll_interval_seconds: How often the master polls the portions in
-            flight and checks worker liveness.
+        backoff_seconds: Base delay before re-dispatching a failed portion;
+            it grows by :data:`BACKOFF_MULTIPLIER` per attempt up to
+            :data:`MAX_BACKOFF_SECONDS`, with :data:`JITTER_FRACTION` of
+            jitter.
     """
 
     timeout_seconds: float | None = None
     max_retries: int = 2
     backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    max_backoff_seconds: float = 2.0
-    jitter_fraction: float = 0.25
-    poll_interval_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -182,27 +185,17 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_retries must be non-negative, got {self.max_retries}"
             )
-        if self.backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ConfigurationError("backoff delays must be non-negative")
-        if self.backoff_multiplier < 1.0:
+        if self.backoff_seconds < 0:
             raise ConfigurationError(
-                f"backoff multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ConfigurationError(
-                f"jitter fraction must be in [0, 1], got {self.jitter_fraction}"
-            )
-        if self.poll_interval_seconds <= 0:
-            raise ConfigurationError(
-                f"poll interval must be positive, got {self.poll_interval_seconds}"
+                f"backoff_seconds must be non-negative, got {self.backoff_seconds}"
             )
 
     def backoff_for(self, attempt: int, jitter_rng: np.random.Generator) -> float:
         """Delay before re-dispatching a portion on its Nth retry (1-based)."""
-        delay = self.backoff_seconds * self.backoff_multiplier ** max(0, attempt - 1)
-        delay = min(delay, self.max_backoff_seconds)
-        if self.jitter_fraction > 0.0 and delay > 0.0:
-            spread = self.jitter_fraction * delay
+        delay = self.backoff_seconds * BACKOFF_MULTIPLIER ** max(0, attempt - 1)
+        delay = min(delay, MAX_BACKOFF_SECONDS)
+        if delay > 0.0:
+            spread = JITTER_FRACTION * delay
             delay += float(jitter_rng.uniform(-spread, spread))
         return max(0.0, delay)
 
@@ -359,7 +352,7 @@ class WorkerPool:
                 )
                 inflight.append((portion, time.monotonic() + (timeout or float("inf"))))
             if inflight:
-                wake.wait(policy.poll_interval_seconds)
+                wake.wait(POLL_INTERVAL_SECONDS)
             elif due:  # every due portion is backing off
                 time.sleep(max(0.0, min(p.not_before for p in due) - time.monotonic()))
             else:

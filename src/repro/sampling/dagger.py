@@ -208,7 +208,7 @@ class DaggerSampler(Sampler):
         # bytes are sorted; each (component, round) pair is unique, so
         # hits sharing a byte set distinct bits. Plain assignment keeps
         # the last hit of a byte, the rare earlier ones are OR-ed in.
-        # (The per-draw arrays are megabytes in full-infrastructure mode:
+        # (The per-draw arrays are megabytes for a whole data center:
         # dropped as they die, shifted in place, so the next one reuses
         # their pages.)
         del flat

@@ -53,8 +53,10 @@ class ServiceConfig:
     """Every knob of the long-running assessment service.
 
     Construction raises one :class:`ValidationError` naming every queue or
-    worker count the service cannot run with, so each deployment shape
-    and the CLI reject them in the same words.
+    worker count, heartbeat setting and retention the service cannot run
+    with, so each deployment shape and the CLI reject them in the same
+    words. (A zero heartbeat interval or miss budget quarantines every
+    fleet worker; a zero retention deletes every stored result at start.)
 
     Attributes:
         scale: Preset data-center scale (Table 2) when no topology is
@@ -126,8 +128,14 @@ class ServiceConfig:
                 ("queue_capacity", 1),
                 ("scheduler_workers", 1),
                 ("fleet_workers", 0),
+                ("heartbeat_misses", 1),
             )
             if getattr(self, name) < least
+        ]
+        errors += [
+            (name, f"must be > 0, got {getattr(self, name)}")
+            for name in ("heartbeat_interval_seconds", "result_ttl_seconds")
+            if not getattr(self, name) > 0
         ]
         if errors:
             raise ValidationError(errors)

@@ -11,7 +11,9 @@ The registry is surfaced in two places:
 
 * ``--profile`` on the CLI prints the formatted snapshot after a command;
 * :class:`~repro.core.result.RuntimeMetadata` carries a flattened snapshot
-  when profiling is enabled, so machine-readable artifacts include it.
+  when the assessment config supplies a registry
+  (``AssessmentConfig(metrics=...)``), so machine-readable artifacts
+  include it.
 """
 
 from __future__ import annotations

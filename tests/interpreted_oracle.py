@@ -320,7 +320,9 @@ def interpreted_assess(
     union-find by default, or a production engine to hold to this
     reference everything around it. ``sampler`` names the reference
     sampler (:func:`reference_sample`), which is handed the whole
-    closure, never-failing components included.
+    closure, never-failing components included, or with
+    ``sample_full_infrastructure`` every component of the data center
+    (Table 1's literal semantics).
     """
     engine = engine or UnionFindReachabilityEngine(topology)
     all_probabilities = model.failure_probabilities()
@@ -358,16 +360,15 @@ def interpreted_assess(
 
 def assert_held_to_oracle(assessor, plans, structure) -> None:
     """Assess ``plans`` in order on a fresh production assessor and on its
-    interpreted reference — same substrate, rounds, engine, sampling mode,
-    sampler and seed: per-round vectors, estimates and
+    interpreted reference — same substrate, rounds, engine, sampler and
+    seed: per-round vectors, estimates and
     ``sampled_components`` must be equal."""
     rng = copy.deepcopy(assessor.rng)
     for plan in plans:
         got = assessor.assess(plan, structure)
         per_round, sampled = interpreted_assess(
             assessor.topology, assessor.dependency_model, plan, structure,
-            assessor.rounds, assessor.sampler, rng,
-            assessor.engine, assessor.sample_full_infrastructure,
+            assessor.rounds, assessor.sampler, rng, assessor.engine,
         )
         assert np.array_equal(got.per_round, per_round), plan
         assert got.estimate == estimate_from_results(per_round), plan

@@ -58,6 +58,7 @@ from repro.serialization import decode, encode
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, ValidationError
+from repro.util.metrics import MetricsRegistry
 from tests.conftest import packed_states
 from tests.interpreted_oracle import exact_failure_probability
 from tests.unionfind_oracle import UnionFindReachabilityEngine
@@ -267,7 +268,7 @@ class TestAnalyticAssessor:
 
     def test_decline_falls_back_bit_identically(self):
         config = AssessmentConfig(
-            rounds=3000, rng=21, analytic_shared_bits=0, analytic_state_bits=0
+            rounds=3000, rng=21, analytic_state_bits=0
         )
         hybrid = build_assessor(TOPO, MODEL, config.with_updates(mode="analytic"))
         plain = build_assessor(TOPO, MODEL, config)
@@ -298,12 +299,7 @@ class TestAnalyticAssessor:
             sizes.append(sum(1 for c in sampled if 0 < probabilities[c] < 1))
         assert min(sizes) < max(sizes), "test needs closures of two sizes"
         budget = min(sizes)  # small closures exact, the larger one declined
-        config = AssessmentConfig(
-            rounds=3000,
-            rng=5,
-            analytic_shared_bits=0,
-            analytic_state_bits=budget,
-        )
+        config = AssessmentConfig(rounds=3000, rng=5, analytic_state_bits=budget)
         hybrid = build_assessor(TOPO, MODEL, config.with_updates(mode="analytic"))
         results = hybrid.score_plans(plans, STRUCTURE)
         flags = [r.estimate.exact for r in results]
@@ -321,7 +317,9 @@ class TestAnalyticAssessor:
             assert ours.estimate.score == theirs.estimate.score
 
     def test_metrics_count_exact_assessments(self):
-        config = AssessmentConfig(mode="analytic", rounds=2000, rng=1, profile=True)
+        config = AssessmentConfig(
+            mode="analytic", rounds=2000, rng=1, metrics=MetricsRegistry()
+        )
         assessor = build_assessor(TOPO, MODEL, config)
         assessor.assess(plan_for("host/0/0/0", "host/0/0/1"), STRUCTURE)
         counters = assessor.metrics.snapshot()["counters"]
@@ -401,20 +399,11 @@ class TestAnalyticZones:
 
 class TestConfigValidation:
     def test_bits_out_of_range_are_collected(self):
-        config = AssessmentConfig(analytic_state_bits=40, analytic_shared_bits=-1)
+        config = AssessmentConfig(analytic_state_bits=40, master_seed=-1)
         with pytest.raises(ValidationError) as excinfo:
             config.validate()
         fields = {field for field, _ in excinfo.value.errors}
-        assert "analytic_state_bits" in fields
-        assert "analytic_shared_bits" in fields
-
-    def test_shared_cannot_exceed_state_budget(self):
-        config = AssessmentConfig(analytic_shared_bits=15, analytic_state_bits=10)
-        with pytest.raises(ValidationError) as excinfo:
-            config.validate()
-        assert any(
-            field == "analytic_shared_bits" for field, _ in excinfo.value.errors
-        )
+        assert fields == {"analytic_state_bits", "master_seed"}
 
     def test_analytic_is_a_known_mode(self):
         AssessmentConfig(mode="analytic").validate()

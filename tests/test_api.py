@@ -47,18 +47,6 @@ class TestAssessmentConfig:
         with pytest.raises(ConfigurationError):
             AssessmentConfig(mode="quantum")
 
-    def test_registry_precedence(self):
-        supplied = MetricsRegistry()
-        assert AssessmentConfig(metrics=supplied).registry() is supplied
-        assert (
-            AssessmentConfig(profile=True, metrics=supplied).registry()
-            is supplied
-        )
-        assert isinstance(
-            AssessmentConfig(profile=True).registry(), MetricsRegistry
-        )
-        assert AssessmentConfig().registry() is None
-
     def test_with_updates_returns_new_config(self):
         base = AssessmentConfig(rounds=500)
         updated = base.with_updates(rounds=900, mode="incremental")
@@ -129,7 +117,14 @@ class TestOneRepresentation:
 
     def test_config_has_no_kernel_field(self):
         names = {f.name for f in dataclasses.fields(AssessmentConfig)}
-        assert names.isdisjoint({"kernel", "backend"}) and len(names) == 15
+        removed = {
+            "kernel",
+            "backend",
+            "sample_full_infrastructure",
+            "profile",
+            "analytic_shared_bits",
+        }
+        assert names.isdisjoint(removed) and len(names) == 12
         with pytest.raises(TypeError, match="kernel"):
             AssessmentConfig(kernel=False)
 
@@ -203,16 +198,16 @@ class TestScorePlansProtocol:
 
 
 class TestAssessmentResultRoundTrip:
-    def _result(self, fattree4, inventory, profile=False):
+    def _result(self, fattree4, inventory, metrics=None):
         config = AssessmentConfig(
-            mode="incremental", rounds=500, master_seed=7, profile=profile
+            mode="incremental", rounds=500, master_seed=7, metrics=metrics
         )
         assessor = IncrementalAssessor.from_config(fattree4, inventory, config)
         plan = DeploymentPlan.random(fattree4, STRUCTURE, rng=2)
         return assessor.assess(plan, STRUCTURE)
 
     def test_round_trip_without_runtime(self, fattree4, inventory):
-        result = self._result(fattree4, inventory, profile=False)
+        result = self._result(fattree4, inventory)
         assert result.runtime is None
         restored = serialization.decode(
             AssessmentResult, serialization.encode(result)
@@ -226,7 +221,7 @@ class TestAssessmentResultRoundTrip:
         assert restored.per_round.size == 0
 
     def test_round_trip_with_runtime_profile(self, fattree4, inventory):
-        result = self._result(fattree4, inventory, profile=True)
+        result = self._result(fattree4, inventory, MetricsRegistry())
         assert result.runtime is not None
         assert result.runtime.profile
         document = serialization.encode(result)

@@ -25,7 +25,10 @@ from repro.routing.base import engine_for
 from repro.sampling.dagger import ExtendedDaggerSampler
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.fattree import FatTreeTopology
+from repro.sampling.statistics import estimate_from_results
+from repro.util.rng import make_rng
 from tests.conftest import packed_states
+from tests.interpreted_oracle import interpreted_assess
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
 
@@ -139,21 +142,22 @@ class TestAssessorMechanics:
         _subjects, sampled = assessor.closure_for(plan)
         assert len(sampled) < len(fattree4.components)
 
-    def test_full_infrastructure_mode(self, fattree4, inventory):
-        assessor = ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=500, rng=1, sample_full_infrastructure=True))
-        result = assessor.assess_k_of_n(fattree4.hosts[:2], 1)
-        # Everything with p > 0 is sampled: all hosts/switches + supplies.
-        expected = sum(
-            1
-            for p in inventory.failure_probabilities().values()
-        )
-        assert result.sampled_components == expected
-
     def test_closure_and_full_sampling_agree(self, fattree4, inventory):
-        """Restricting sampling to the closure is distribution-preserving."""
+        """Restricting sampling to the closure is distribution-preserving:
+        it agrees with the reference sampling the whole data center."""
         hosts = fattree4.hosts[:3]
-        closure = ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=30_000, rng=2)).assess_k_of_n(hosts, 2)
-        full = ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=30_000, rng=2, sample_full_infrastructure=True)).assess_k_of_n(hosts, 2)
+        assessor = ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=30_000, rng=2))
+        closure = assessor.assess_k_of_n(hosts, 2)
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
+        per_round, sampled = interpreted_assess(
+            fattree4, inventory, plan, structure, 30_000,
+            ExtendedDaggerSampler(), make_rng(2), assessor.engine,
+            sample_full_infrastructure=True,
+        )
+        assert sampled == len(inventory.failure_probabilities())
+        assert sampled > closure.sampled_components
+        full = estimate_from_results(per_round)
         assert closure.score == pytest.approx(full.score, abs=6e-3)
 
     def test_rejects_zero_rounds(self, fattree4, inventory):

@@ -172,6 +172,18 @@ class TestCheckpointSerialization:
         with pytest.raises(ConfigurationError):
             _make_search(fattree4, inventory).resume(document)
 
+    def test_resume_rejects_checkpoint_without_crn_master_seed(
+        self, fattree4, inventory, tmp_path
+    ):
+        """A null seed still decodes (the field stays nullable), but every
+        search walks under common random numbers, so it cannot resume."""
+        ckpt = self._checkpoint(fattree4, inventory, tmp_path)
+        document = serialization.load(ckpt)
+        document["crn_master_seed"] = None
+        assert serialization.decode(SearchState, document).crn_master_seed is None
+        with pytest.raises(ConfigurationError, match="crn_master_seed"):
+            _make_search(fattree4, inventory).resume(document)
+
     def test_resume_accepts_path_dict_and_state(
         self, fattree4, inventory, tmp_path
     ):

@@ -285,6 +285,53 @@ class TestServeParser:
         assert "validation failed" in err
         assert f"{field}: must be >= " in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--heartbeat-interval", "0"), "heartbeat_interval_seconds: must be > 0"),
+            (("--heartbeat-misses", "0"), "heartbeat_misses: must be >= 1"),
+            (("--result-ttl", "-5"), "result_ttl_seconds: must be > 0"),
+        ],
+        ids=["heartbeat-interval", "heartbeat-misses", "result-ttl"],
+    )
+    def test_unusable_liveness_and_retention_exit_2_naming_the_field(
+        self, capsys, monkeypatch, flags, message
+    ):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "serve", lambda config, **_: 0)
+        code, _out, err = run_cli(
+            capsys, "serve", "--port", "0", "--workers", "1", *flags
+        )
+        assert code == 2
+        assert "validation failed" in err
+        assert message in err
+
+
+class TestDrillCommand:
+    def test_sizes_below_one_exit_2_naming_each_field(self, capsys):
+        code, out, err = run_cli(
+            capsys, "drill", "--rounds", "0", "--shards", "0",
+            "--requests", "0", "--max-events", "0",
+        )
+        assert code == 2
+        assert "PASS" not in out
+        assert "validation failed" in err
+        for field in ("rounds", "shards", "requests", "max_events"):
+            assert f"  {field}: must be >= 1, got 0" in err
+
+
+class TestJournalCommand:
+    @pytest.mark.parametrize("make", [False, True], ids=["missing", "a-file"])
+    def test_no_directory_exits_2_with_one_error_line(self, capsys, tmp_path, make):
+        path = tmp_path / "journal"
+        if make:
+            path.write_text("not a directory")
+        code, out, err = run_cli(capsys, "journal", "inspect", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: no journal directory at {str(path)!r}"]
+
 
 class TestBaselineCommand:
     def test_baseline_output(self, capsys):

@@ -46,7 +46,7 @@ from repro.serialization import encode
 from repro.service.journal import RequestJournal
 from repro.service.redeploy import DecisionJournal
 from repro.service.store import ResultStore
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 
 class TestFaultPoints:
@@ -229,6 +229,26 @@ class TestDrillEngine:
     def test_unknown_bug_name_is_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown seeded bug"):
             run_campaign(rounds=1, seed=7, bug="no-such-bug")
+
+    @pytest.mark.parametrize(
+        "field", ["rounds", "shards", "requests", "max_events"]
+    )
+    def test_a_size_below_one_is_rejected(self, field):
+        """With no rounds, shards, requests or events a campaign drills
+        nothing and would report PASS (no shards: the seeded fsync bug
+        goes unseen; no events: a traceback)."""
+        sizes = {"rounds": 2, "shards": 2, "requests": 4, "max_events": 2}
+        sizes[field] = 0
+        with pytest.raises(ValidationError) as excinfo:
+            run_campaign(seed=7, bug="no-journal-fsync", **sizes)
+        assert excinfo.value.fields() == (field,)
+
+    def test_one_error_names_every_size_below_one(self):
+        with pytest.raises(ValidationError) as excinfo:
+            run_campaign(rounds=0, seed=7, shards=0, requests=-1, max_events=0)
+        assert excinfo.value.fields() == (
+            "rounds", "shards", "requests", "max_events",
+        )
 
     def test_verdict_round_trips_and_tolerates_absence(self, tmp_path):
         assert load_verdict(str(tmp_path)) is None

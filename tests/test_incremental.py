@@ -389,16 +389,10 @@ def _count_calls(monkeypatch, owner, name):
 
 
 class TestDeltaPricedUniverse:
-    @pytest.mark.parametrize("full", [False, True])
-    def test_matches_per_component_loop_over_a_walk(self, medium, full):
-        """Closure and full-infrastructure mode: the universe is the same,
-        ``sampled_components`` is not."""
+    def test_matches_per_component_loop_over_a_walk(self, medium):
         topology, model = medium
         config = AssessmentConfig(
-            mode="incremental",
-            rounds=600,
-            master_seed=MASTER_SEED,
-            sample_full_infrastructure=full,
+            mode="incremental", rounds=600, master_seed=MASTER_SEED
         )
         ours = IncrementalAssessor(topology, model, config)
         reference = PerComponentLoopAssessor(topology, model, config)
@@ -501,10 +495,7 @@ class TestDeltaPricedUniverse:
             == 1 + len(private)
         )
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_warm_assess_costs_a_handful_of_counter_bumps(
-        self, medium, full, monkeypatch
-    ):
+    def test_warm_assess_costs_a_handful_of_counter_bumps(self, medium, monkeypatch):
         """Cost guard by count: once every host of a plan is folded in, a
         new plan over those hosts draws nothing, evaluates no tree and
         touches the registry a constant number of times (the
@@ -518,7 +509,6 @@ class TestDeltaPricedUniverse:
                 mode="incremental",
                 rounds=600,
                 master_seed=MASTER_SEED,
-                sample_full_infrastructure=full,
                 metrics=registry,
             ),
         )

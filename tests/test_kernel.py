@@ -509,15 +509,6 @@ class TestAssessmentBitIdentity:
             topology, inventory, AssessmentConfig(rounds=501, rng=13), plans, structure
         )
 
-    def test_full_infrastructure_mode(self):
-        config = AssessmentConfig(rounds=800, rng=3, sample_full_infrastructure=True)
-        k_of_n = ApplicationStructure.k_of_n(3, 5)
-        for plan, structure in (
-            (_plan_for(FATTREE, k_of_n), k_of_n),
-            (_layered_plan(FATTREE), LAYERED),
-        ):
-            _held_to_oracle(FATTREE, FATTREE_INV, config, [plan], structure)
-
     def test_structured_application(self):
         """Pairwise reachability and the packed fixed point agree with the
         per-round definition too."""
@@ -656,8 +647,7 @@ class TestIncrementalKernel:
 
 class TestScorePlans:
     def test_crn_shared_batch_equals_individual_assessments(self):
-        """Closure and full-infrastructure mode: bits, estimate and the
-        sampled component count (the whole data center in full mode)."""
+        """Bits, estimate and the sampled component count."""
         structure = ApplicationStructure.k_of_n(3, 5)
         hosts = list(FATTREE.hosts)
         plans = [
@@ -666,25 +656,19 @@ class TestScorePlans:
             )
             for i in (0, 3, 7)
         ]
-        for full in (False, True):
-            config = AssessmentConfig(
-                rounds=1001,
-                rng=3,
-                sampler=CommonRandomDaggerSampler(99),
-                sample_full_infrastructure=full,
+        config = AssessmentConfig(
+            rounds=1001, rng=3, sampler=CommonRandomDaggerSampler(99)
+        )
+        shared = build_assessor(FATTREE, FATTREE_INV, config)
+        results = shared.score_plans(plans, structure)
+        assert [r.plan for r in results] == plans
+        for plan, result in zip(plans, results):
+            solo = build_assessor(FATTREE, FATTREE_INV, config).assess(
+                plan, structure
             )
-            shared = build_assessor(FATTREE, FATTREE_INV, config)
-            results = shared.score_plans(plans, structure)
-            assert [r.plan for r in results] == plans
-            for plan, result in zip(plans, results):
-                solo = build_assessor(FATTREE, FATTREE_INV, config).assess(
-                    plan, structure
-                )
-                assert np.array_equal(solo.per_round, result.per_round)
-                assert solo.estimate == result.estimate
-                assert solo.sampled_components == result.sampled_components
-            if full:
-                assert {r.sampled_components for r in results} == {len(shared.kernel.arena)}
+            assert np.array_equal(solo.per_round, result.per_round)
+            assert solo.estimate == result.estimate
+            assert solo.sampled_components == result.sampled_components
 
     def test_single_plan_batch_equals_assess(self):
         # A non-CRN sampler sees the draw order, and the shared batch draws

@@ -204,13 +204,12 @@ class TestEveryBackendEqualsTheInterpretedOracle:
         substrate=st.sampled_from(SUBSTRATES),
         structure=st.sampled_from(STRUCTURES),
         rounds=st.sampled_from([9, 64, 301]),
-        full=st.booleans(),
         round_reading=st.booleans(),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=25, deadline=None)
     def test_all_modes_agree_bit_for_bit(
-        self, substrate, structure, rounds, full, round_reading, seed
+        self, substrate, structure, rounds, round_reading, seed
     ):
         topology, model = substrate
         plan = DeploymentPlan.random(topology, structure, rng=seed)
@@ -224,13 +223,11 @@ class TestEveryBackendEqualsTheInterpretedOracle:
         def reference(portion, engine=None if independent else engine):
             return interpreted_assess(
                 topology, model, plan, structure, portion, sampler, None,
-                engine=engine, sample_full_infrastructure=full,
+                engine=engine,
             )
 
         want, sampled = reference(rounds)
-        base = AssessmentConfig(
-            rounds=rounds, rng=seed, engine=engine, sample_full_infrastructure=full
-        )
+        base = AssessmentConfig(rounds=rounds, rng=seed, engine=engine)
         for config in (
             base.with_updates(sampler=sampler),
             base.with_updates(mode="incremental", master_seed=seed),

@@ -255,17 +255,12 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter_fraction=1.5)
+            RetryPolicy(backoff_seconds=-0.1)
 
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            backoff_seconds=0.1,
-            backoff_multiplier=2.0,
-            max_backoff_seconds=0.3,
-            jitter_fraction=0.0,
-        )
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(mapreduce, "MAX_BACKOFF_SECONDS", 0.3)
+        monkeypatch.setattr(mapreduce, "JITTER_FRACTION", 0.0)
+        policy = RetryPolicy(backoff_seconds=0.1)
         rng = np.random.default_rng(0)
         delays = [policy.backoff_for(a, rng) for a in range(1, 5)]
         assert delays[0] == pytest.approx(0.1)
@@ -274,7 +269,7 @@ class TestRetryPolicy:
         assert delays[3] == pytest.approx(0.3)
 
     def test_jitter_bounded(self):
-        policy = RetryPolicy(backoff_seconds=0.1, jitter_fraction=0.25)
+        policy = RetryPolicy(backoff_seconds=0.1)
         rng = np.random.default_rng(1)
         for _ in range(50):
             delay = policy.backoff_for(1, rng)

@@ -180,7 +180,7 @@ class TestSearchLoop:
 
 class TestCrnBehaviour:
     def test_crn_uses_independent_final_assessment(self, quick_assessor):
-        search = _search(quick_assessor, common_random_numbers=True)
+        search = _search(quick_assessor)
         spec = SearchSpec(
             ApplicationStructure.k_of_n(2, 3), max_seconds=50.0, max_iterations=10
         )
@@ -190,27 +190,14 @@ class TestCrnBehaviour:
         # determinism across runs is the cheap observable here).
         assert result.best_assessment.estimate.rounds == quick_assessor.rounds
 
-    def test_no_crn_mode_runs(self, quick_assessor):
-        search = _search(quick_assessor, common_random_numbers=False)
-        spec = SearchSpec(
-            ApplicationStructure.k_of_n(2, 3), max_seconds=50.0, max_iterations=10
-        )
-        result = search.search(spec)
-        assert result.plans_assessed >= 1
-
-    @pytest.mark.parametrize("full", [True, False])
-    def test_crn_assessor_shares_the_outer_kernel(self, fattree4, inventory, full):
+    def test_crn_assessor_shares_the_outer_kernel(self, fattree4, inventory):
         """One arena and one compiled forest per substrate, not one per
-        assessor, in the outer assessor's sampling mode; a
-        ``clear_caches()`` on an unchanged substrate keeps it."""
+        assessor; a ``clear_caches()`` on an unchanged substrate keeps it."""
         outer = ReliabilityAssessor(
-            fattree4,
-            inventory,
-            config=AssessmentConfig(rounds=300, rng=5, sample_full_infrastructure=full),
+            fattree4, inventory, config=AssessmentConfig(rounds=300, rng=5)
         )
         crn = _search(outer)._search_assessor(master_seed=7)
         assert crn.kernel is outer.kernel
-        assert crn.sample_full_infrastructure is full
         structure = ApplicationStructure.k_of_n(2, 3)
         plan = DeploymentPlan.random(fattree4, structure, rng=3)
         before = crn.assess(plan, structure)

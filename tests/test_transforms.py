@@ -15,6 +15,7 @@ from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.plan import DeploymentPlan, MoveDescriptor
 from repro.core.search import DeploymentSearch, SearchSpec
+from repro.core import transforms
 from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
 from repro.faults.component import Component, ComponentType
 from repro.faults.dependencies import DependencyModel
@@ -25,7 +26,6 @@ from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.presets import paper_topology
 from repro.topology.zones import MultiZoneTopology
-from repro.util.errors import ConfigurationError
 from repro.util.metrics import MetricsRegistry
 
 
@@ -113,19 +113,8 @@ class TestProbabilityClasses:
         uniform_fattree.override_probabilities(
             {"host/0/0/0": 0.0101, "host/1/0/0": 0.0099}
         )
-        checker = SymmetryChecker(uniform_fattree, probability_decimals=2)
+        checker = SymmetryChecker(uniform_fattree)
         assert checker.equivalent(plan_of("host/0/0/0"), plan_of("host/1/0/0"))
-
-    def test_quantisation_granularity_configurable(self, uniform_fattree):
-        uniform_fattree.override_probabilities(
-            {"host/0/0/0": 0.0101, "host/1/0/0": 0.0099}
-        )
-        fine = SymmetryChecker(uniform_fattree, probability_decimals=4)
-        assert not fine.equivalent(plan_of("host/0/0/0"), plan_of("host/1/0/0"))
-
-    def test_rejects_negative_decimals(self, uniform_fattree):
-        with pytest.raises(ConfigurationError):
-            SymmetryChecker(uniform_fattree, probability_decimals=-1)
 
 
 class TestSharedDependencies:
@@ -273,13 +262,12 @@ class TestBatchSymmetryFilter:
         assert filt.metrics.counter("symmetry/screened") == 1
         assert filt.metrics.counter("symmetry/matched") == 0
 
-    def test_cache_is_bounded(self, uniform_fattree):
-        filt = BatchSymmetryFilter(SymmetryChecker(uniform_fattree), max_signatures=4)
+    def test_cache_is_bounded(self, uniform_fattree, monkeypatch):
+        monkeypatch.setattr(transforms, "MAX_REFINEMENTS", 4)
+        filt = BatchSymmetryFilter(SymmetryChecker(uniform_fattree))
         for plan, neighbor in self._walk(uniform_fattree, moves=20):
             filt.equivalent(plan, neighbor)
         assert len(filt._refinements) == 4
-        with pytest.raises(ConfigurationError):
-            BatchSymmetryFilter(SymmetryChecker(uniform_fattree), max_signatures=0)
 
     def test_search_counts_screening_in_its_registry(self, uniform_fattree):
         """The search hands its registry to the filter, so the screening

@@ -188,6 +188,39 @@ class TestServiceConfigValidation:
         )
         assert "got -2" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("heartbeat_interval_seconds", 0.0),
+            ("heartbeat_interval_seconds", -0.5),
+            ("heartbeat_interval_seconds", float("nan")),
+            ("heartbeat_misses", 0),
+            ("result_ttl_seconds", 0.0),
+            ("result_ttl_seconds", -1.0),
+        ],
+    )
+    def test_liveness_and_retention_must_be_positive(self, field, value):
+        # A zero interval or miss budget quarantines every fleet worker;
+        # a zero retention deletes every stored result at startup.
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(**{field: value})
+        assert excinfo.value.fields() == (field,)
+
+    def test_one_error_names_every_bad_setting(self):
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(
+                queue_capacity=0,
+                heartbeat_interval_seconds=0,
+                heartbeat_misses=0,
+                result_ttl_seconds=-1,
+            )
+        assert set(excinfo.value.fields()) == {
+            "queue_capacity",
+            "heartbeat_interval_seconds",
+            "heartbeat_misses",
+            "result_ttl_seconds",
+        }
+
 
 class TestAssessRequest:
     def test_valid_request_passes(self, fattree4):

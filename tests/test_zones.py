@@ -429,20 +429,14 @@ LAYERED = ApplicationStructure.from_requirement_map(
 class TestGenericEngineKeepsEveryAnswer:
     """The all-rounds generic engine against the per-round union-find it
     replaced, through the whole search: same plans, estimates, trajectory
-    and cache counters, in closure and full-infrastructure mode, for K-of-N
-    and layered structures. Only the engine differs: the production search
-    drives the oracle through its unpack/pack door."""
+    and cache counters, for K-of-N and layered structures. Only the engine
+    differs: the production search drives the oracle through its
+    unpack/pack door."""
 
     @staticmethod
-    def _search_with(zones2, zone_model, engine, structure, batch_size, full):
+    def _search_with(zones2, zone_model, engine, structure, batch_size):
         metrics = MetricsRegistry()
-        config = AssessmentConfig(
-            rounds=300,
-            rng=5,
-            sample_full_infrastructure=full,
-            engine=engine,
-            metrics=metrics,
-        )
+        config = AssessmentConfig(rounds=300, rng=5, engine=engine, metrics=metrics)
         result = _zone_search(
             zones2,
             zone_model,
@@ -461,14 +455,14 @@ class TestGenericEngineKeepsEveryAnswer:
         # The substrate's kernel is warm for the second run, by design.
         return result, {k: v for k, v in counters.items() if not k.startswith("kernel/")}
 
-    def _assert_same_search(self, zones2, zone_model, structure, batch_size, full):
+    def _assert_same_search(self, zones2, zone_model, structure, batch_size):
         got, got_counters = self._search_with(
             zones2, zone_model, GenericReachabilityEngine(zones2), structure,
-            batch_size, full,
+            batch_size,
         )
         want, want_counters = self._search_with(
             zones2, zone_model, UnionFindReachabilityEngine(zones2), structure,
-            batch_size, full,
+            batch_size,
         )
         assert got.best_plan == want.best_plan
         assert got.best_assessment.estimate == want.best_assessment.estimate
@@ -488,12 +482,9 @@ class TestGenericEngineKeepsEveryAnswer:
         return got_counters
 
     @pytest.mark.parametrize("batch_size", [1, 3])
-    @pytest.mark.parametrize("full", [False, True])
-    def test_search_matches_union_find_oracle(
-        self, zones2, zone_model, full, batch_size
-    ):
+    def test_search_matches_union_find_oracle(self, zones2, zone_model, batch_size):
         self._assert_same_search(
-            zones2, zone_model, ApplicationStructure.k_of_n(3, 4), batch_size, full
+            zones2, zone_model, ApplicationStructure.k_of_n(3, 4), batch_size
         )
 
     @pytest.mark.parametrize("batch_size", [1, 3])
@@ -503,7 +494,7 @@ class TestGenericEngineKeepsEveryAnswer:
         """Pair reach across moves: new hosts on the walk's one states
         object are answered from the reach matrices kept there."""
         counters = self._assert_same_search(
-            zones2, zone_model, LAYERED, batch_size, full=False
+            zones2, zone_model, LAYERED, batch_size
         )
         # More pairs were routed than one plan asks for (12): the walk's
         # later plans asked for pairs on the same states object.
@@ -536,19 +527,16 @@ class TestGenericEngineKeepsEveryAnswer:
         assert np.array_equal(results[0].per_round, results[1].per_round)
         # And the one pipeline itself, on the shipped generic engine, against
         # the interpreted reference with the union-find's dense answers.
-        for full in (False, True):
-            config = AssessmentConfig(
-                rounds=501, rng=21, sample_full_infrastructure=full
-            )
-            assessor = build_assessor(zones2, zone_model, config)
-            per_round, sampled = interpreted_assess(
-                zones2, zone_model, plan, structure, 501,
-                assessor.sampler, np.random.default_rng(21),
-                sample_full_infrastructure=full,
-            )
-            result = assessor.assess(plan, structure)
-            assert np.array_equal(result.per_round, per_round)
-            assert result.sampled_components == sampled
+        assessor = build_assessor(
+            zones2, zone_model, AssessmentConfig(rounds=501, rng=21)
+        )
+        per_round, sampled = interpreted_assess(
+            zones2, zone_model, plan, structure, 501,
+            assessor.sampler, np.random.default_rng(21),
+        )
+        result = assessor.assess(plan, structure)
+        assert np.array_equal(result.per_round, per_round)
+        assert result.sampled_components == sampled
 
 
 def spec_document_legacy(document):
