@@ -14,7 +14,8 @@ Usage::
     python benchmarks/bench_incremental.py --smoke    # CI smoke: tiny
         preset, few moves; asserts equality + cache hit rate > 0, then
         the delta-pricing counts of a fixed-seed 25-move ``medium`` walk,
-        the closure counts of 100 cold from-scratch ``tiny`` plans and
+        the closure counts of 100 cold from-scratch ``tiny`` plans, the
+        packed rows the fat-tree engine gathers over both, and
         what 20 repeated searches build on a warm ``tiny`` substrate
         (never wall-clock, so it cannot flake on loaded runners); writes
         ``BENCH_incremental.json``
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections.abc import Mapping
 import os
 import pathlib
 import subprocess
@@ -46,7 +48,9 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
+from repro.faults.component import link_id
 from repro.faults.inventory import build_paper_inventory
+from repro.routing.fattree_fast import FatTreeReachabilityEngine
 from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.topology.presets import paper_topology
@@ -256,6 +260,119 @@ def _assess_cold_plans(assessor, topology, structure, count: int) -> list[tuple[
     return seen
 
 
+class _CountedRows(Mapping):
+    """A failed-rows mapping that counts the packed rows read from it;
+    membership screens are not reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.rows[key]
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return self.rows.get(key, default)
+
+    def __contains__(self, key):
+        return key in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def _priced_rows(topology, failed, built: set, hosts) -> tuple[int, int]:
+    """``(failure-driven, dense)`` packed rows a fat-tree external query
+    gathers, given the blocks ``built`` so far on its states object: the
+    core layer once; a pod's aggregation switches, plus ``radix`` for each
+    of its groups with a failing uplink; an edge switch, plus ``radix``
+    when an uplink fails; 2 a host. The dense scaffold read every row of
+    the same blocks."""
+    radix = topology.radix
+    rows = dense = 0
+    if "core" not in built:
+        built.add("core")
+        rows += 2 * radix * radix + radix
+        dense += 2 * radix * radix + radix
+    for host in hosts:
+        edge = topology.edge_switch_of(host)
+        pod = topology.edge_pod[edge]
+        if pod not in built:
+            built.add(pod)
+            aggs = [topology.agg_ids[pod, g] for g in range(radix)]
+            rows += radix + radix * sum(
+                any(link_id(agg, topology.core_ids[g, j]) in failed for j in range(radix))
+                for g, agg in enumerate(aggs)
+            )
+            dense += radix * radix + radix
+        if edge not in built:
+            built.add(edge)
+            uplinks = [link_id(edge, topology.agg_ids[pod, g]) for g in range(radix)]
+            rows += 1 + radix * any(uplink in failed for uplink in uplinks)
+            dense += radix + 1
+        rows += 2
+        dense += 2
+    return rows, dense
+
+
+def run_route_rows(cold_plans: int = 100, moves: int = 25) -> dict:
+    """Packed rows the fat-tree engine gathers, in counts.
+
+    Every external query of the 100 cold from-scratch ``tiny`` plans and
+    of the fixed-seed 25-move incremental ``medium`` walk reads its
+    states object's failed rows through a counting mapping; the count
+    must equal :func:`_priced_rows` — what the query's failures price it
+    at — and is reported against what the dense scaffold read. All
+    repeat exactly across ``PYTHONHASHSEED``.
+    """
+    external = FatTreeReachabilityEngine.external_reachable
+    row: dict = {"workload": "route_rows"}
+
+    def counted(engine, states, hosts):
+        failed = states.failed
+        built = vars(states).setdefault("priced_blocks", set())
+        rows, dense = _priced_rows(engine.topology, failed, built, hosts)
+        states.failed = counter = _CountedRows(failed)
+        try:
+            return external(engine, states, hosts)
+        finally:
+            states.failed = failed
+            tally["rows_gathered"] += counter.reads
+            tally["rows_priced"] += rows
+            tally["rows_dense"] += dense
+
+    FatTreeReachabilityEngine.external_reachable = counted
+    try:
+        tally = row["tiny_cold_plans"] = dict.fromkeys(
+            ("rows_gathered", "rows_priced", "rows_dense"), 0
+        )
+        topology, inventory = _substrate("tiny")
+        assessor = ReliabilityAssessor.from_config(
+            topology, inventory, AssessmentConfig(rounds=600, rng=WALK_SEED)
+        )
+        _assess_cold_plans(assessor, topology, ApplicationStructure.k_of_n(2, 3), cold_plans)
+        tally = row["medium_walk"] = dict.fromkeys(
+            ("rows_gathered", "rows_priced", "rows_dense"), 0
+        )
+        topology, inventory = _substrate("medium")
+        structure = ApplicationStructure.k_of_n(8, 10)
+        assessor = IncrementalAssessor.from_config(
+            topology,
+            inventory,
+            AssessmentConfig(mode="incremental", rounds=600, master_seed=MASTER_SEED),
+        )
+        for plan in _move_sequence(topology, structure, moves):
+            assessor.assess(plan, structure)
+    finally:
+        FatTreeReachabilityEngine.external_reachable = external
+    return row
+
+
 def run_warm_substrate(searches: int = 20, rounds: int = 300, moves: int = 10) -> dict:
     """What repeated searches build on one substrate, in counts.
 
@@ -284,12 +401,13 @@ def run_warm_substrate(searches: int = 20, rounds: int = 300, moves: int = 10) -
     return row
 
 
-def _warm_substrate_under(hash_seed: str) -> dict:
-    """:func:`run_warm_substrate` in a fresh interpreter under one hash seed."""
+def _run_under(hash_seed: str, row: str) -> dict:
+    """The count row ``row`` (a ``run_*`` function's name) in a fresh
+    interpreter under one hash seed."""
     here = pathlib.Path(__file__).resolve().parent
     script = (
         f"import json, sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]; "
-        "import bench_incremental; print(json.dumps(bench_incremental.run_warm_substrate()))"
+        f"import bench_incremental; print(json.dumps(bench_incremental.{row}()))"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -347,9 +465,20 @@ def run_smoke() -> int:
     assert scratch["layer_builds"] <= layer_bound, (
         f"{scratch['layer_builds']} closure layers built, bound {layer_bound}"
     )
-    warm = _warm_substrate_under("0")
+    route = _run_under("0", "run_route_rows")
+    print(" ".join(f"{key}={value}" for key, value in route.items()))
+    assert route == _run_under("123", "run_route_rows"), (
+        "route row counts differ across PYTHONHASHSEED"
+    )
+    for label in ("tiny_cold_plans", "medium_walk"):
+        rows = route[label]
+        assert rows["rows_gathered"] == rows["rows_priced"], (
+            f"{label}: the fat-tree engine gathered {rows['rows_gathered']} packed "
+            f"rows where its failures price {rows['rows_priced']}"
+        )
+    warm = _run_under("0", "run_warm_substrate")
     print(" ".join(f"{key}={value}" for key, value in warm.items()))
-    assert warm == _warm_substrate_under("123"), (
+    assert warm == _run_under("123", "run_warm_substrate"), (
         "warm-substrate counts differ across PYTHONHASHSEED"
     )
     assert warm["first_kernel_substrate_miss"] == 1, "more than one kernel built"
@@ -366,7 +495,7 @@ def run_smoke() -> int:
         "benchmark": "incremental engine: bit-equality and delta-pricing counts",
         "master_seed": MASTER_SEED,
         "walk_seed": WALK_SEED,
-        "rows": [{"workload": "tiny_equality", **row}, counts, scratch, warm],
+        "rows": [{"workload": "tiny_equality", **row}, counts, scratch, route, warm],
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULTS_PATH}")

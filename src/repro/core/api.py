@@ -123,6 +123,8 @@ class AssessmentConfig:
         errors: list[tuple[str, str]] = []
         if self.mode == "parallel" and self.workers < 1:
             errors.append(("workers", f"must be >= 1, got {self.workers}"))
+        elif self.workers < 0:
+            errors.append(("workers", f"must be >= 0, got {self.workers}"))
         if self.master_seed is not None and self.master_seed < 0:
             errors.append(
                 ("master_seed", f"must be non-negative, got {self.master_seed}")

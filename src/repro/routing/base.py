@@ -50,9 +50,12 @@ class RoundStates:
     per component: engines ask for the same few masks over and over while
     assembling path segments, which they keep in ``segments`` under
     their own keys: everything an engine caches per states lives there.
-    The fat-tree engine keeps its core block, one block per pod and one
-    external row per edge switch; the leaf-spine engine one external row
-    per spine and per leaf; the generic engine, under its own instance,
+    The fat-tree engine keeps ``"core_block"`` (per group, its cells'
+    failed rows and its dead row), ``("pod_block", pod)`` (per group, the
+    failed rows OR-ing to its aggregation switch's dead row, and their AND
+    over the groups) and ``("edge_row", edge)`` (the edge switch's dead
+    row), each ``None`` where nothing fails; the leaf-spine engine one
+    external row per spine and per leaf; the generic engine, under its own instance,
     ``(len(failed), {source: reach})``: the border switches' reach matrix
     (source ``None``) and one per pair source. Each entry is built when
     first needed and stays valid because ``failed`` only ever gains rows,

@@ -21,7 +21,7 @@ links cost nothing.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,28 @@ from repro.routing.base import (
 )
 from repro.topology.fattree import FatTreeTopology
 from repro.util.errors import TopologyError
+
+
+def _any_of(*rows: np.ndarray | None) -> np.ndarray | None:
+    """OR of failed rows (``None`` = never fails); may alias an input."""
+    result = None
+    for row in rows:
+        if row is not None:
+            result = row if result is None else result | row
+    return result
+
+
+def _every(rows: Iterable[np.ndarray | None]) -> np.ndarray | None:
+    """AND of failed rows, lazily: ``None`` at the first row that never
+    fails or once the running AND clears (for sparse rows, after one)."""
+    result = None
+    for row in rows:
+        if row is None:
+            return None
+        result = row if result is None else result & row
+        if result is not row and not np.count_nonzero(result):
+            return None
+    return result
 
 
 class FatTreeReachabilityEngine(ReachabilityEngine):
@@ -84,21 +106,19 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         return result
 
     # ------------------------------------------------------------------
-    # Block-form external scaffolding
+    # Failure-driven external scaffolding
     #
-    # One numpy call per path segment would be hundreds of sub-microsecond
-    # bitwise ops whose *call overhead* dominates on packed rows (a k=4
-    # fabric's row is ~1 KB). The scaffold is therefore evaluated in three
-    # kinds of block, each built on first need for everything a call is
-    # missing at once and cached on the states object for its whole life:
-    # the core layer's border->core segments, one pod's aggregation
-    # switches' routes up, one edge switch's external row. A host's
-    # closure names every element its pod block and edge row read
-    # (`relevant_layers` is assembled from the same id layouts), and a
-    # states object's failed mapping only ever gains rows, so a block
-    # built when its first host is queried never goes stale. Always-alive
-    # (absent) elements enter as all-ones rows, which AND/OR treat
-    # exactly as the pairwise formulas treat None.
+    # In failed rows F (absent = never fails), De Morgan turns the
+    # AND-of-alive / OR-of-paths formulas into, bit for bit:
+    #   agg_dead[g] = F(agg) | F(border g) | AND_j (F(agg->core) | F(core) | F(border->core))
+    #   edge_dead   = F(edge) | AND_g (F(edge->agg g) | agg_dead[g])
+    #   external    = ~(F(host) | F(host->edge) | edge_dead)
+    # An AND with a never-failing term is zero, so only a (pod, group) or
+    # an edge switch with a failing uplink (screened by membership in
+    # ``failed``) reads its uplinks' rows. The core layer's, a pod's and
+    # an edge switch's rows are cached on the states object for its life:
+    # each reads only its layer of `relevant_layers`, which a host's
+    # closure names, and ``failed`` only gains rows, so none goes stale.
     # ------------------------------------------------------------------
 
     def _pod_layer(self, pod: int) -> tuple[str, ...]:
@@ -127,58 +147,50 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
             )
         return ids
 
-    @staticmethod
-    def _alive_rows(states: RoundStates, ids: Sequence[str]) -> np.ndarray:
-        """Packed alive matrix, one row per id (absent = always alive)."""
-        alive = np.zeros((len(ids), states.width), dtype=np.uint8)
-        failed_get = states.failed.get
-        for i, cid in enumerate(ids):
-            row = failed_get(cid)
-            if row is not None:
-                alive[i] = row
-        return np.bitwise_not(alive, out=alive)
-
-    def _edge_ext_rows(self, states: RoundStates, edges: Sequence[str]) -> np.ndarray:
-        """Packed "alive with an alive route to an external core" rows of
-        the given edge switches, stacked in call order."""
-        cache = states.segments
-        missing = [e for e in dict.fromkeys(edges) if ("edge_row", e) not in cache]
-        if missing:
-            topo = self.topology
-            radix, width = topo.radix, states.width
+    def _core_block(self, states: RoundStates):
+        """Per group: its cells' failed rows (core switch | border link, by
+        ``j``) and the rounds it has no route to an alive border switch."""
+        core = states.segments.get("core_block")
+        if core is None:
+            radix = self.topology.radix
             cells = radix * radix
-            # border(g) -> core(g, j) segments, shaped (group, j, width).
-            ext_core = cache.get("core_block")
-            if ext_core is None:
-                alive = self._alive_rows(states, self._core_layer)
-                ext_core = alive[:cells] & alive[cells : 2 * cells]
-                ext_core = ext_core.reshape(radix, radix, width)
-                ext_core &= alive[2 * cells :, None, :]
-                cache["core_block"] = ext_core
-            # agg(pod, g) alive with a route up: OR over core index j.
-            pod_of = [topo.edge_pod[e] for e in missing]
-            pods = [p for p in dict.fromkeys(pod_of) if ("pod_block", p) not in cache]
-            if pods:
-                alive = self._alive_rows(
-                    states, [cid for pod in pods for cid in self._pod_layer(pod)]
-                ).reshape(len(pods), cells + radix, width)
-                segments = alive[:, :cells].reshape(len(pods), radix, radix, width)
-                segments &= ext_core
-                agg_ext = np.bitwise_or.reduce(segments, axis=2)
-                agg_ext &= alive[:, cells:]
-                for pod, block in zip(pods, agg_ext):
-                    cache["pod_block", pod] = block
-            # edge alive with a route up: OR over aggregation group g.
-            alive = self._alive_rows(
-                states, [cid for edge in missing for cid in self._edge_layer(edge)]
-            ).reshape(len(missing), radix + 1, width)
-            segments = alive[:, :radix]
-            segments &= np.stack([cache["pod_block", pod] for pod in pod_of])
-            rows = np.bitwise_or.reduce(segments, axis=1)
-            rows &= alive[:, radix]
-            for edge, row in zip(missing, rows):
-                cache["edge_row", edge] = row
-        return np.stack([cache["edge_row", e] for e in edges])
+            rows = [states.failed.get(cid) for cid in self._core_layer]
+            cell = [_any_of(a, b) for a, b in zip(rows[:cells], rows[cells : 2 * cells])]
+            by_group = [cell[g * radix : (g + 1) * radix] for g in range(radix)]
+            dead = [_any_of(b, _every(group)) for b, group in zip(rows[2 * cells :], by_group)]
+            core = states.segments["core_block"] = (by_group, dead)
+        return core
+
+    def _pod_block(self, states: RoundStates, pod: int):
+        """Per group, the failed rows whose OR is ``agg_dead[g]``; and the
+        AND over the groups of those ORs."""
+        block = states.segments.get(("pod_block", pod))
+        if block is None:
+            by_group, core_dead = self._core_block(states)
+            radix = self.topology.radix
+            cells = radix * radix
+            get, keys = states.failed.get, states.failed.keys()
+            ids = self._pod_layer(pod)
+            parts = [(get(agg), dead) for agg, dead in zip(ids[cells:], core_dead)]
+            for g in range(radix):
+                uplinks = ids[g * radix : (g + 1) * radix]
+                if not keys.isdisjoint(uplinks):
+                    route = [_any_of(get(u), c) for u, c in zip(uplinks, by_group[g])]
+                    parts[g] += (_every(route),)
+            block = (parts, _every(_any_of(*part) for part in parts))
+            states.segments["pod_block", pod] = block
+        return block
+
+    def _edge_dead(self, states: RoundStates, edge: str):
+        """``edge_dead`` of one edge switch."""
+        dead = states.segments.get(("edge_row", edge), False)
+        if dead is False:
+            parts, dead = self._pod_block(states, self.topology.edge_pod[edge])
+            get, ids = states.failed.get, self._edge_layer(edge)
+            if not states.failed.keys().isdisjoint(ids[:-1]):
+                dead = _every([_any_of(get(u), *p) for u, p in zip(ids[:-1], parts)])
+            dead = states.segments["edge_row", edge] = _any_of(get(ids[-1]), dead)
+        return dead
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -203,12 +215,13 @@ class FatTreeReachabilityEngine(ReachabilityEngine):
         if not hosts:
             return {}
         edges = [self.topology.edge_switch_of(host) for host in hosts]
-        n = len(hosts)
-        alive = self._alive_rows(
-            states, [*hosts, *(link_id(h, e) for h, e in zip(hosts, edges))]
-        )
-        matrix = alive[:n] & alive[n:]
-        matrix &= self._edge_ext_rows(states, edges)
+        matrix = np.zeros((len(hosts), states.width), dtype=np.uint8)
+        get = states.failed.get
+        for i, (host, edge) in enumerate(zip(hosts, edges)):
+            dead = _any_of(self._edge_dead(states, edge), get(host), get(link_id(host, edge)))
+            if dead is not None:
+                matrix[i] = dead
+        np.invert(matrix, out=matrix)
         return dict(zip(hosts, matrix))
 
     def pairwise_reachable(

@@ -39,6 +39,7 @@ the master.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import threading
@@ -63,6 +64,7 @@ from repro.util.errors import (
     ConfigurationError,
     DegradedResult,
     OperationCancelled,
+    ValidationError,
     WorkerFailure,
 )
 from repro.util.rng import make_rng
@@ -177,18 +179,16 @@ class RetryPolicy:
     backoff_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive or None, got {self.timeout_seconds}"
-            )
+        errors = []
+        timeout = self.timeout_seconds
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            errors.append(("timeout_seconds", f"must be finite and > 0, or None, got {timeout}"))
         if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
+            errors.append(("max_retries", f"must be >= 0, got {self.max_retries}"))
         if self.backoff_seconds < 0:
-            raise ConfigurationError(
-                f"backoff_seconds must be non-negative, got {self.backoff_seconds}"
-            )
+            errors.append(("backoff_seconds", f"must be >= 0, got {self.backoff_seconds}"))
+        if errors:
+            raise ValidationError(errors)
 
     def backoff_for(self, attempt: int, jitter_rng: np.random.Generator) -> float:
         """Delay before re-dispatching a portion on its Nth retry (1-based)."""

@@ -21,7 +21,8 @@ which leaves every surviving round's marginal failure probability at ``p``.
 
 Implementation notes: probabilities in a data center are heavily repeated
 (the paper rounds them to 4 decimals), so components are grouped by exact
-probability and each group is sampled as one vectorised matrix of draws.
+probability, each group's cycle geometry is computed once, and every
+draw of every group is turned into a failed round in one ragged pass.
 The original scheme is the extended one with each component's own cycle as
 its block, so both samplers run one routine, :meth:`DaggerSampler.sample`,
 and differ only in ``_block_length``.
@@ -67,6 +68,9 @@ def dagger_draw_count(probabilities: Mapping[str, float], rounds: int) -> int:
     return total
 
 
+#: Fewest draws in one chunk of rows of :func:`_draw_bits` (or the rest).
+CHUNK_DRAWS = 1 << 16
+
 #: MSB-first bit of each round-within-byte position.
 _BIT_OF = (0x80 >> np.arange(8)).astype(PACK_DTYPE)
 
@@ -111,6 +115,43 @@ def _cycle_geometry(
     return geometry
 
 
+def _draw_bits(rng: np.random.Generator, levels, counts, geometry: list, width: int):
+    """``(hit, bit, nonzero)`` of one flat draw over ``counts[g]`` rows of
+    probability ``levels[g]`` and cycle ``geometry[g]`` per group: per draw,
+    whether it fails a round and that round's bit ``row * 8 * width +
+    round``; per row, whether any draw does. One ragged pass over chunks
+    of rows of at least :data:`CHUNK_DRAWS` draws concatenates each row's
+    cached cycle starts and limits: the only per-draw scratch is a chunk's.
+    """
+    group_of_row = np.repeat(np.arange(len(geometry)), counts).tolist()
+    row_p = np.repeat(levels, counts)
+    draws = np.repeat([dpc for _s, dpc, _start, _limit in geometry], counts)
+    ends = np.cumsum(draws)
+    flat = rng.random(int(ends[-1]))
+    hit, bit = np.empty(len(flat), dtype=bool), np.empty(len(flat), dtype=np.intp)
+    nonzero = np.empty(len(draws), dtype=bool)
+    lo = first = 0
+    while first < len(draws):
+        last = min(int(np.searchsorted(ends, lo + CHUNK_DRAWS)) + 1, len(draws))
+        hi, span = int(ends[last - 1]), draws[first:last]
+        rows = [geometry[g] for g in group_of_row[first:last]]
+        # A draw in the i-th subinterval fails round i of its cycle. The
+        # quotient is below the (integer) limit exactly when its floor
+        # is, so one bound check is every validity condition (see
+        # _cycle_geometry), and truncation is floor for the non-negative
+        # ratios.
+        quotient = flat[lo:hi]
+        quotient /= np.repeat(row_p[first:last], span)
+        np.less(quotient, np.concatenate([row[3] for row in rows]), out=hit[lo:hi])
+        np.logical_or.reduceat(hit[lo:hi], ends[first:last] - span - lo, out=nonzero[first:last])
+        bits = bit[lo:hi]
+        bits[...] = quotient
+        bits += np.concatenate([row[2] for row in rows])
+        bits += np.repeat(np.arange(first, last) * (8 * width), span)
+        lo, first = hi, last
+    return hit, bit, nonzero
+
+
 class DaggerSampler(Sampler):
     """Original dagger sampling, without the cross-component cycle reset.
 
@@ -141,12 +182,9 @@ class DaggerSampler(Sampler):
         Components are grouped by exact probability, groups in order of
         first appearance and components in mapping order inside a group;
         the flat draw is laid out group by group, component by component,
-        cycle by cycle (block-major), so that order is the stream's. Each
-        group is a ``(components, draws)`` view of that array, turned in
-        place into the bit position ``row * 8 * width + round`` of every
-        draw by broadcasting the group's :func:`_cycle_geometry` tables, so
-        nothing is laid out per draw and nothing about a probability map
-        outlives the call.
+        cycle by cycle (block-major), so that order is the stream's.
+        :func:`_draw_bits` turns it into the bit position of every draw;
+        nothing about a probability map outlives the call.
         """
         sampling_started()
         values = validate_probabilities(probabilities)
@@ -168,41 +206,15 @@ class DaggerSampler(Sampler):
         order = np.argsort(group_of_level[level_of], kind="stable")
         all_ids = list(probabilities)
         ids = tuple(all_ids[i] for i in positive[order].tolist())
-
         # floor(1/p) never grows with p: the smallest level has the
         # longest cycle.
         longest = dagger_cycle_length(float(levels[0]))
-        groups = [
-            (p, count, *_cycle_geometry(p, rounds, self._block_length(p, longest))[1:])
-            for p, count in zip(
-                levels[by_appearance].tolist(), sizes[by_appearance].tolist()
-            )
+        levels, sizes = levels[by_appearance], sizes[by_appearance]
+        geometry = [
+            _cycle_geometry(p, rounds, self._block_length(p, longest)) for p in levels.tolist()
         ]
         width = packed_width(rounds)
-        flat = rng.random(sum(count * dpc for _p, count, dpc, _start, _limit in groups))
-        hit = np.empty(len(flat), dtype=bool)
-        bit = np.empty(len(flat), dtype=np.intp)
-        nonzero = np.empty(len(ids), dtype=bool)
-        row_bit0 = np.arange(0, len(ids) * 8 * width, 8 * width)[:, None]
-        lo = row = 0
-        for p, count, dpc, cycle_start, limit in groups:
-            hi = lo + count * dpc
-            shape = (count, dpc)
-            # A draw in the i-th subinterval fails round i of its cycle.
-            # The quotient is below the (integer) limit exactly when its
-            # floor is, so one bound check is every validity condition
-            # (see _cycle_geometry), and truncation is floor for the
-            # non-negative ratios.
-            quotient = flat[lo:hi].reshape(shape)
-            quotient /= p
-            hits = hit[lo:hi].reshape(shape)
-            np.less(quotient, limit, out=hits)
-            hits.any(axis=1, out=nonzero[row : row + count])
-            bits = bit[lo:hi].reshape(shape)
-            bits[...] = quotient
-            bits += cycle_start
-            bits += row_bit0[row : row + count]
-            lo, row = hi, row + count
+        hit, bit, nonzero = _draw_bits(rng, levels, sizes, geometry, width)
 
         # Rows are in draw order and a row's hits in round order, so the
         # bytes are sorted; each (component, round) pair is unique, so
@@ -211,8 +223,7 @@ class DaggerSampler(Sampler):
         # (The per-draw arrays are megabytes for a whole data center:
         # dropped as they die, shifted in place, so the next one reuses
         # their pages.)
-        del flat
-        bit = bit[hit]
+        bit = np.compress(hit, bit)
         del hit
         mask = _BIT_OF[bit & 7]
         byte = np.right_shift(bit, 3, out=bit)

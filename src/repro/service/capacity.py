@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.faulttree import FaultTree, basic, k_of_n_gate
 from repro.kernel.exact import exact_tree_probability
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 
 def worker_unavailability(
@@ -132,10 +132,27 @@ def plan_capacity(
     evaluated with the repo's own fault-tree assessor — reaches ``slo``
     or ``max_workers`` is exhausted (``recommended_workers=None``).
     """
-    if target_rps <= 0 or per_worker_rps <= 0:
-        raise ConfigurationError("target and per-worker throughput must be > 0")
+    errors = [
+        (name, f"must be finite and > 0, got {rate}")
+        for name, rate in (("target_rps", target_rps), ("per_worker_rps", per_worker_rps))
+        if not (math.isfinite(rate) and rate > 0)
+    ]
+    if not errors and not math.isfinite(target_rps / per_worker_rps):
+        errors.append(
+            ("k_required", "not representable: target_rps / per_worker_rps overflows")
+        )
     if not 0.0 < slo < 1.0:
-        raise ConfigurationError(f"slo must be in (0, 1), got {slo}")
+        errors.append(("slo", f"must be in (0, 1), got {slo}"))
+    for name, value in (
+        ("crash_rate_per_hour", crash_rate_per_hour),
+        ("failover_seconds", failover_seconds),
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            errors.append((name, f"must be finite and >= 0, got {value}"))
+    if max_workers < 1:
+        errors.append(("max_workers", f"must be >= 1, got {max_workers}"))
+    if errors:
+        raise ValidationError(errors)
     k_required = max(1, math.ceil(target_rps / per_worker_rps))
     unavailability = worker_unavailability(crash_rate_per_hour, failover_seconds)
     candidates: list[CandidateFleet] = []

@@ -12,7 +12,9 @@ union-find's dense answers -> one fixed point per round. Its closure
 step, :func:`string_closure`, is the set algebra the kernel's arena-mask
 closure replaced. :func:`exact_failure_probability` enumerates a tree's
 basic-event states: the ground truth of the exact evaluator and the
-samplers on small trees.
+samplers on small trees. :func:`per_level_dagger_sample` and
+:func:`dense_external_reachable` are the dense routines the one-pass
+dagger draw and the failure-driven fat-tree blocks replaced.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.app.structure import EXTERNAL
+from repro.faults.component import link_id
 from repro.faults.dependencies import DependencyModel
 from repro.faults.faulttree import BasicEvent, FaultTree, FaultTreeNode, GateKind
 from repro.routing.base import RoundStates
@@ -373,3 +376,98 @@ def assert_held_to_oracle(assessor, plans, structure) -> None:
         assert np.array_equal(got.per_round, per_round), plan
         assert got.estimate == estimate_from_results(per_round), plan
         assert got.sampled_components == sampled, plan
+
+
+# ---------------------------------------------------------------------------
+# The dense routines the failure-driven fast paths replaced
+# ---------------------------------------------------------------------------
+
+
+def per_level_dagger_sample(sampler, probabilities: Mapping[str, float], rounds: int, rng):
+    """``DaggerSampler.sample`` as one loop over probability levels: each
+    group a ``(components, draws)`` view of the one flat draw, turned into
+    bit positions by broadcasting its cycle geometry. The one-pass
+    production routine must give the same ids, matrix, ``nonzero`` and
+    final rng state."""
+    from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
+    from repro.sampling.dagger import _BIT_OF, _cycle_geometry, dagger_cycle_length
+
+    values = np.fromiter(probabilities.values(), dtype=np.float64, count=len(probabilities))
+    positive = np.flatnonzero(values > 0.0)
+    if not positive.size:
+        return PackedBatch(rounds=rounds)
+    levels, first, level_of, sizes = np.unique(
+        values[positive], return_index=True, return_inverse=True, return_counts=True
+    )
+    by_appearance = np.argsort(first, kind="stable")
+    group_of_level = np.empty_like(by_appearance)
+    group_of_level[by_appearance] = np.arange(len(levels))
+    order = np.argsort(group_of_level[level_of], kind="stable")
+    all_ids = list(probabilities)
+    ids = tuple(all_ids[i] for i in positive[order].tolist())
+    longest = dagger_cycle_length(float(levels[0]))
+    groups = [
+        (p, count, *_cycle_geometry(p, rounds, sampler._block_length(p, longest))[1:])
+        for p, count in zip(levels[by_appearance].tolist(), sizes[by_appearance].tolist())
+    ]
+    width = packed_width(rounds)
+    flat = rng.random(sum(count * dpc for _p, count, dpc, _start, _limit in groups))
+    hit = np.empty(len(flat), dtype=bool)
+    bit = np.empty(len(flat), dtype=np.intp)
+    nonzero = np.empty(len(ids), dtype=bool)
+    row_bit0 = np.arange(0, len(ids) * 8 * width, 8 * width)[:, None]
+    lo = row = 0
+    for p, count, dpc, cycle_start, limit in groups:
+        hi = lo + count * dpc
+        shape = (count, dpc)
+        quotient = flat[lo:hi].reshape(shape)
+        quotient /= p
+        hits = hit[lo:hi].reshape(shape)
+        np.less(quotient, limit, out=hits)
+        hits.any(axis=1, out=nonzero[row : row + count])
+        bits = bit[lo:hi].reshape(shape)
+        bits[...] = quotient
+        bits += cycle_start
+        bits += row_bit0[row : row + count]
+        lo, row = hi, row + count
+    bit = bit[hit]
+    mask = _BIT_OF[bit & 7]
+    byte = bit >> 3
+    matrix = np.zeros((len(ids), width), dtype=PACK_DTYPE)
+    cells = matrix.reshape(-1)
+    np.bitwise_or.at(cells, byte, mask)
+    return PackedBatch(rounds=rounds, component_ids=ids, matrix=matrix, nonzero=nonzero)
+
+
+def dense_external_reachable(engine, states: RoundStates, hosts) -> dict[str, np.ndarray]:
+    """The fat-tree engine's external rows from dense blocks: every row of
+    the core layer, of each host's pod and of its edge switch gathered
+    into an alive matrix (absent = all ones) and AND / OR-reduced, whether
+    anything in it fails or not. Reads ``engine``'s id layouts and caches
+    nothing."""
+    topo = engine.topology
+    radix, width = topo.radix, states.width
+    cells = radix * radix
+
+    def alive_rows(ids):
+        alive = np.zeros((len(ids), width), dtype=np.uint8)
+        for i, cid in enumerate(ids):
+            row = states.failed.get(cid)
+            if row is not None:
+                alive[i] = row
+        return np.bitwise_not(alive, out=alive)
+
+    alive = alive_rows(engine._core_layer)
+    ext_core = (alive[:cells] & alive[cells : 2 * cells]).reshape(radix, radix, width)
+    ext_core &= alive[2 * cells :, None, :]
+    result = {}
+    for host in hosts:
+        edge = topo.edge_switch_of(host)
+        alive = alive_rows(engine._pod_layer(topo.edge_pod[edge]))
+        segments = alive[:cells].reshape(radix, radix, width) & ext_core
+        agg_ext = np.bitwise_or.reduce(segments, axis=1) & alive[cells:]
+        alive = alive_rows(engine._edge_layer(edge))
+        row = np.bitwise_or.reduce(alive[:radix] & agg_ext, axis=0) & alive[radix]
+        ends = alive_rows((host, link_id(host, edge)))
+        result[host] = row & ends[0] & ends[1]
+    return result

@@ -105,6 +105,25 @@ class TestAssessCommand:
         if backend is not None:
             assert runtime["workers"] == workers
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--workers", "-1"), "workers: must be >= 0, got -1"),
+            (("--portion-timeout", "nan"), "timeout_seconds: must be finite and > 0"),
+            (("--portion-timeout", "inf"), "timeout_seconds: must be finite and > 0"),
+        ],
+        ids=["negative-workers", "nan-timeout", "inf-timeout"],
+    )
+    def test_unusable_runtime_flags_exit_2_naming_the_field(self, capsys, flags, message):
+        code, _out, err = run_cli(
+            capsys,
+            "assess", "--scale", "tiny", "--hosts", self.HOSTS, "--k", "2",
+            "--rounds", "500", *flags,
+        )
+        assert code == 2
+        assert "validation failed" in err
+        assert message in err
+
 
 class TestSearchCommand:
     def test_search_runs(self, capsys):
@@ -211,6 +230,42 @@ class TestRiskCommand:
         document = json.loads(out)
         assert document["format"] == "risk-report"
         assert document["entries"]
+
+
+class TestCapacityCommand:
+    RATES = ("--target-rps", "10", "--per-worker-rps", "5")
+
+    def test_plans_a_fleet(self, capsys):
+        code, out, _err = run_cli(capsys, "capacity", *self.RATES)
+        assert code == 0
+        assert "recommend  : --workers" in out
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (("--target-rps", "nan", "--per-worker-rps", "5"), ["target_rps"]),
+            (("--target-rps", "1e300", "--per-worker-rps", "1e-300"), ["k_required"]),
+            (("--target-rps", "10", "--per-worker-rps", "inf"), ["per_worker_rps"]),
+            ((*RATES, "--failover-seconds", "nan"), ["failover_seconds"]),
+            ((*RATES, "--crash-rate", "inf"), ["crash_rate_per_hour"]),
+            ((*RATES, "--max-workers", "0"), ["max_workers"]),
+            (
+                ("--target-rps", "-1", "--per-worker-rps", "0", "--max-workers", "0"),
+                ["target_rps", "per_worker_rps", "max_workers"],
+            ),
+        ],
+        ids=[
+            "nan-target", "overflowing-count", "inf-per-worker", "nan-failover",
+            "inf-crash-rate", "no-workers", "every-field",
+        ],
+    )
+    def test_nonsense_rates_exit_2_naming_every_field(self, capsys, flags, fields):
+        code, out, err = run_cli(capsys, "capacity", *flags)
+        assert code == 2
+        assert out == ""
+        assert "validation failed" in err
+        named = [line.split(":")[0].strip() for line in err.splitlines()[1:]]
+        assert named == fields
 
 
 class TestExitCodes:

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.packed import packed_width
+from repro.sampling import dagger
 from repro.sampling.dagger import (
+    CHUNK_DRAWS,
     CommonRandomDaggerSampler,
     DaggerSampler,
     ExtendedDaggerSampler,
@@ -18,7 +22,7 @@ from repro.sampling.dagger import (
 )
 from repro.sampling.montecarlo import MonteCarloSampler
 from tests.conftest import failed_rounds
-from tests.interpreted_oracle import reference_sample
+from tests.interpreted_oracle import per_level_dagger_sample, reference_sample
 
 
 class TestCycleLength:
@@ -168,6 +172,53 @@ class TestExtendedDaggerSpecifics:
         rounds = 100_000
         batch = ExtendedDaggerSampler().sample({"a": 0.4, "b": 0.001}, rounds, rng)
         assert len(failed_rounds(batch)["a"]) / rounds == pytest.approx(0.4, abs=0.01)
+
+
+@pytest.mark.parametrize("sampler_cls", [DaggerSampler, ExtendedDaggerSampler])
+class TestOnePassDraw:
+    """The one ragged pass over every draw against the per-level loop it
+    replaced, over chunks of every size down to one row."""
+
+    @given(
+        levels=st.lists(
+            st.sampled_from([0.0, 1e-4, 0.3, 0.999, 0.0123]), min_size=1, max_size=12
+        ),
+        rounds=st.sampled_from([1, 7, 513, 10_000]),
+        chunk=st.sampled_from([1, 50, CHUNK_DRAWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_level_loop(self, sampler_cls, levels, rounds, chunk, seed):
+        probabilities = {f"c{i}": p for i, p in enumerate(levels)}
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(dagger, "CHUNK_DRAWS", chunk):
+            got = sampler_cls().sample(probabilities, rounds, rng)
+        want = per_level_dagger_sample(sampler_cls(), probabilities, rounds, ref_rng)
+        assert got.component_ids == want.component_ids
+        assert np.array_equal(got.matrix, want.matrix)
+        if want.nonzero is None:
+            assert got.nonzero is None
+        else:
+            assert np.array_equal(got.nonzero, want.nonzero)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_scratch_stays_within_17_bytes_a_draw(self, sampler_cls):
+        """Whole-data-center draws (Fig. 7) hold a float, a hit flag and a
+        bit position per draw; the per-draw geometry is one chunk's."""
+        spread = np.round(np.linspace(1e-3, 2e-2, 1_000), 4)
+        probabilities = {f"c{i}": float(p) for i, p in enumerate(spread)}
+        rounds = 100_000
+        tracemalloc.start()
+        try:
+            batch = sampler_cls().sample(probabilities, rounds, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        draws = sum(
+            dagger._cycle_geometry(p, rounds, sampler_cls._block_length(p, 1_000))[1]
+            for p in probabilities.values()
+        )
+        assert peak <= batch.matrix.nbytes + 17 * draws + 40 * CHUNK_DRAWS
 
 
 class TestVarianceReduction:

@@ -14,7 +14,7 @@ from repro.service.capacity import (
     plan_capacity,
     worker_unavailability,
 )
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 
 def binomial_availability(n: int, k: int, p: float) -> float:
@@ -157,3 +157,32 @@ class TestPlanCapacity:
             plan_capacity(10, 0, 0.99, 1.0, 5.0)
         with pytest.raises(ConfigurationError):
             plan_capacity(10, 10, 1.5, 1.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, fields",
+        [
+            ({"target_rps": math.nan}, ("target_rps",)),
+            ({"per_worker_rps": math.inf}, ("per_worker_rps",)),
+            ({"target_rps": 1e300, "per_worker_rps": 1e-300}, ("k_required",)),
+            ({"crash_rate_per_hour": math.nan}, ("crash_rate_per_hour",)),
+            ({"failover_seconds": math.nan}, ("failover_seconds",)),
+            ({"failover_seconds": math.inf}, ("failover_seconds",)),
+            ({"max_workers": 0}, ("max_workers",)),
+            (
+                {"target_rps": 0.0, "slo": math.nan, "failover_seconds": -1.0, "max_workers": -3},
+                ("target_rps", "slo", "failover_seconds", "max_workers"),
+            ),
+        ],
+        ids=[
+            "nan-target", "inf-per-worker", "overflowing-count", "nan-crash-rate",
+            "nan-failover", "inf-failover", "no-workers", "every-field",
+        ],
+    )
+    def test_nonsense_inputs_raise_one_error_naming_every_field(self, kwargs, fields):
+        args = {
+            "target_rps": 10.0, "per_worker_rps": 5.0, "slo": 0.999,
+            "crash_rate_per_hour": 1.0, "failover_seconds": 5.0, **kwargs,
+        }
+        with pytest.raises(ValidationError) as excinfo:
+            plan_capacity(**args)
+        assert excinfo.value.fields() == fields

@@ -27,6 +27,7 @@ from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, TopologyError
 from tests.conftest import packed_states
+from tests.interpreted_oracle import dense_external_reachable
 from tests.unionfind_oracle import (
     UnionFindReachabilityEngine,
     failed_in_round,
@@ -266,6 +267,81 @@ class TestFatTreeEngineVsBruteForce:
         )
         for host in hosts:
             assert np.array_equal(full[host], restricted[host])
+
+
+class TestFailureDrivenBlocks:
+    """The engine's failure-driven blocks against the dense scaffold they
+    replaced and the per-round up-down reference: failing hosts, switches
+    and links of every kind, queried at once and split over one states
+    object whose failed rows grow between queries, as the incremental
+    walk queries it."""
+
+    TOPOLOGY = FatTreeTopology(6, seed=1)  # radix 3: three groups a pod
+    ENGINE = FatTreeReachabilityEngine(TOPOLOGY)
+    KINDS = (
+        "core", "border_link", "border", "agg_uplink", "agg",
+        "edge_uplink", "edge", "host", "host_link",
+    )  # fmt: skip
+
+    @classmethod
+    def _kind_of(cls) -> dict[str, str]:
+        """Every id the engine reads, by kind, from its layer layouts."""
+        radix = cls.TOPOLOGY.radix
+        cells = radix * radix
+        kinds = {}
+        for host in cls.TOPOLOGY.hosts:
+            layers = cls.ENGINE.relevant_layers(host)
+            (_, core), (_, pod), (_, edge), (_, ends) = layers
+            kinds.update(dict.fromkeys(core[:cells], "core"))
+            kinds.update(dict.fromkeys(core[cells : 2 * cells], "border_link"))
+            kinds.update(dict.fromkeys(core[2 * cells :], "border"))
+            kinds.update(dict.fromkeys(pod[:cells], "agg_uplink"))
+            kinds.update(dict.fromkeys(pod[cells:], "agg"))
+            kinds.update(dict.fromkeys(edge[:-1], "edge_uplink"))
+            kinds.update({edge[-1]: "edge", ends[0]: "host", ends[1]: "host_link"})
+        return kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.sampled_from([1, 7, 64, 200]),
+        shares=st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=9, max_size=9),
+        density=st.sampled_from([0.02, 0.3, 0.9]),
+        hosts=st.integers(1, 8),
+        splits=st.integers(1, 3),
+    )
+    def test_equals_the_dense_scaffold_and_the_reference(
+        self, seed, rounds, shares, density, hosts, splits
+    ):
+        rng = np.random.default_rng(seed)
+        share = dict(zip(self.KINDS, shares))
+        failed = {
+            cid: np.packbits(rng.random(rounds) < density)
+            for cid, kind in sorted(self._kind_of().items())
+            if rng.random() < share[kind]
+        }
+        chosen = [str(h) for h in rng.choice(self.TOPOLOGY.hosts, hosts, replace=False)]
+        engine = self.ENGINE
+
+        grown: dict[str, np.ndarray] = {}
+        states = RoundStates(rounds, grown)
+        got = {}
+        for chunk in [*np.array_split(chosen, splits), chosen[:1]]:
+            chunk = [str(h) for h in chunk]
+            for cid in sorted(engine.relevant_elements(chunk)):
+                if cid in failed and cid not in grown:
+                    grown[cid] = failed[cid]
+            got.update(engine.external_reachable(states, chunk))
+
+        fresh = RoundStates(rounds, failed)
+        whole = engine.external_reachable(fresh, chosen)
+        dense = dense_external_reachable(engine, RoundStates(rounds, failed), chosen)
+        rows = unpacked(fresh)
+        for host in chosen:
+            assert got[host].tobytes() == dense[host].tobytes(), host
+            assert whole[host].tobytes() == dense[host].tobytes(), host
+            want = [fattree_ext_reference(self.TOPOLOGY, rows, host, i) for i in range(rounds)]
+            assert fresh.unpack(got[host]).tolist() == want, host
 
 
 class TestGenericEngine:

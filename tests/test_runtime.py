@@ -1,6 +1,7 @@
 """Tests for the parallel MapReduce-style assessor (repro.runtime)."""
 
 import contextlib
+import math
 import multiprocessing
 import os
 import time
@@ -21,7 +22,7 @@ from repro.runtime.mapreduce import (
 )
 from repro.service.executor import chunked_assess
 from repro.util.cancel import CancellationToken
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 from repro.core.api import AssessmentConfig
 
 
@@ -256,6 +257,18 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_seconds=-0.1)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_timeout_that_is_not_a_finite_positive_number(self, timeout):
+        with pytest.raises(ValidationError) as excinfo:
+            RetryPolicy(timeout_seconds=timeout)
+        assert excinfo.value.fields() == ("timeout_seconds",)
+
+    @pytest.mark.parametrize("mode", ["sequential", "analytic"])
+    def test_a_negative_worker_count_is_rejected_in_every_mode(self, mode):
+        with pytest.raises(ValidationError) as excinfo:
+            AssessmentConfig(mode=mode, workers=-1).validate()
+        assert excinfo.value.fields() == ("workers",)
 
     def test_backoff_grows_and_caps(self, monkeypatch):
         monkeypatch.setattr(mapreduce, "MAX_BACKOFF_SECONDS", 0.3)
