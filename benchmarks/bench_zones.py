@@ -58,8 +58,8 @@ from repro.core.api import AssessmentConfig
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.faults.component import ComponentType
 from repro.faults.inventory import build_zone_inventory, zone_shared_root_ids
+from repro.kernel import AssessmentKernel
 from repro.routing import engine_for
 from repro.routing.base import RoundStates
 from repro.routing.generic import GenericReachabilityEngine
@@ -95,19 +95,16 @@ def _substrate(zones: int = 2, k: int = 4):
 def _exact_outage_states(topology, inventory, zone: str) -> RoundStates:
     """One deterministic round with ``zone``'s shared roots failed.
 
-    Every graph element's fault tree is evaluated exactly (no sampling):
-    the zone's roots are the only failed basic events, so an element is
-    effectively down iff its tree reaches a root through the attached
-    OR branch — the correlated blast radius, derived from the trees
-    themselves rather than asserted.
+    Every graph element's fault tree is evaluated exactly (no sampling),
+    compiled, over the one round: the zone's roots are the only failed
+    basic events, so an element is effectively down iff its tree reaches
+    a root through the attached OR branch — the correlated blast radius,
+    derived from the trees themselves rather than asserted.
     """
-    outage = set(zone_shared_root_ids(inventory, zone))
-    failed = {}
-    for component_id, component in topology.components.items():
-        if component.component_type is ComponentType.LINK:
-            continue
-        down = inventory.tree_for(component_id).evaluate_round(outage)
-        failed[component_id] = np.packbits([down])
+    failed_row = np.packbits([True])
+    outage = dict.fromkeys(zone_shared_root_ids(inventory, zone), failed_row)
+    kernel = AssessmentKernel.of(inventory)
+    failed = kernel.effective_states(topology.elements, (), outage)
     return RoundStates(rounds=1, failed=failed)
 
 

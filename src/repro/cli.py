@@ -19,8 +19,9 @@ Most commands operate on the paper's preset data centers (``--scale``);
 fat-trees with per-zone shared roots) and runs the degradation-triggered
 redeployment controller against it.
 
-All commands are seeded deterministically (``--seed``) and can emit
-machine-readable JSON (``--json``).
+Every command that draws is seeded deterministically (``--seed``), and
+every command that prints a result can emit machine-readable JSON
+(``--json``). A command registers only the flags it reads.
 
 Exit codes (stable; scripts may branch on them):
 
@@ -80,7 +81,7 @@ def _build_context(args):
 
 
 def _metrics_for(args) -> MetricsRegistry | None:
-    return MetricsRegistry() if getattr(args, "profile", False) else None
+    return MetricsRegistry() if args.profile else None
 
 
 def _attach_profile(args, metrics, document: dict, human: str) -> str:
@@ -92,7 +93,7 @@ def _attach_profile(args, metrics, document: dict, human: str) -> str:
 
 
 def _emit(args, document: dict, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(human)
@@ -297,6 +298,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_risk(args) -> int:
+    if args.top < 0:
+        raise ValidationError([("--top", f"must be >= 0, got {args.top}")])
     topology, inventory = _build_context(args)
     hosts = _parse_hosts(args.hosts)
     structure = ApplicationStructure.k_of_n(args.k, len(hosts))
@@ -697,7 +700,19 @@ def build_parser() -> argparse.ArgumentParser:
             "sampling",
         )
 
-    def common(p, rounds_default=10_000):
+    # Flags several commands share; each command registers those it reads.
+    shared = {
+        "--json": dict(action="store_true", help="emit machine-readable JSON"),
+        "--rounds": dict(
+            type=int, default=10_000, help="sampling rounds per assessment"
+        ),
+        "--profile": dict(
+            action="store_true",
+            help="collect and print stage timings and cache counters",
+        ),
+    }
+
+    def common(p, *flags):
         p.add_argument(
             "--scale",
             choices=sorted(PAPER_SCALES),
@@ -705,27 +720,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="preset data-center scale (Table 2)",
         )
         p.add_argument("--seed", type=int, default=1, help="deterministic seed")
-        p.add_argument(
-            "--rounds",
-            type=int,
-            default=rounds_default,
-            help="sampling rounds per assessment",
-        )
-        p.add_argument(
-            "--json", action="store_true", help="emit machine-readable JSON"
-        )
-        p.add_argument(
-            "--profile",
-            action="store_true",
-            help="collect and print stage timings and cache counters",
-        )
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("topology", help="print a data center summary")
-    common(p)
+    common(p, "--json")
     p.set_defaults(handler=cmd_topology)
 
     p = sub.add_parser("assess", help="assess a concrete plan")
-    common(p)
+    common(p, "--json", "--rounds", "--profile")
     p.add_argument("--hosts", required=True, help="comma-separated host ids")
     p.add_argument("--k", type=int, required=True, help="instances that must be alive")
     p.add_argument(
@@ -756,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_assess)
 
     p = sub.add_parser("search", help="search for a reliable plan")
-    common(p)
+    common(p, "--json", "--rounds", "--profile")
     p.add_argument("--k", type=int, help="instances that must be alive")
     p.add_argument("--n", type=int, help="instances to deploy")
     p.add_argument(
@@ -817,14 +820,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("risk", help="single-failure risk report for a plan")
-    common(p)
+    common(p, "--json")
     p.add_argument("--hosts", required=True, help="comma-separated host ids")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--top", type=int, default=20, help="entries to print")
     p.set_defaults(handler=cmd_risk)
 
     p = sub.add_parser("baseline", help="common-practice baselines")
-    common(p)
+    common(p, "--json", "--rounds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=cmd_baseline)
@@ -832,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the long-lived assessment service over HTTP"
     )
-    common(p)
+    common(p, "--rounds")
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8321, help="bind port (0 = ephemeral)")
     p.add_argument(
@@ -935,9 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers", type=int, default=64,
         help="largest fleet size to consider",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    p.add_argument("--json", **shared["--json"])
     p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser(
@@ -954,9 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--orphans", action="store_true",
         help="only show non-terminal (orphaned) requests",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    p.add_argument("--json", **shared["--json"])
     p.set_defaults(handler=cmd_journal)
 
     p = sub.add_parser(
@@ -979,9 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         help="sampling rounds per assessment",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    p.add_argument("--json", **shared["--json"])
     p.add_argument("--k", type=int, required=True, help="instances that must be alive")
     p.add_argument("--n", type=int, required=True, help="instances to deploy")
     p.add_argument(
@@ -1111,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip delta-debugging the failing schedule",
     )
-    p.add_argument("--json", action="store_true", help="machine output")
+    p.add_argument("--json", **shared["--json"])
     p.set_defaults(handler=cmd_drill)
 
     return parser

@@ -8,6 +8,13 @@ answers *"if only this fails, how many instances go down, and does the
 application survive?"*, producing a ranked risk report similar in spirit
 to INDaaS's risk groups but instance-accurate and structure-aware.
 
+Each answer is one pass of the assessment pipeline over explicit
+scenarios instead of sampled rounds: round 0 fails nothing and round
+``i`` fails the closure's candidate ``i`` alone, so one compiled
+fault-tree evaluation and one route-and-check over ``1 + C`` packed
+rounds price every single failure. A what-if is the same pass over one
+round.
+
 The provider can use the report to justify a plan to a developer ("no
 single power supply takes out more than one instance") or to pick which
 dependency to pay down first.
@@ -23,8 +30,10 @@ from repro.app.structure import ApplicationStructure
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
-from repro.routing.base import ReachabilityEngine, RoundStates, engine_for
+from repro.kernel import PACK_DTYPE, AssessmentKernel, packed_width
+from repro.routing.base import RoundStates, engine_for
 from repro.topology.base import Topology
+from repro.util.errors import ValidationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,49 +74,50 @@ class RiskAnalyzer:
     """Single-failure impact analysis for deployment plans."""
 
     def __init__(
-        self,
-        topology: Topology,
-        dependency_model: DependencyModel | None = None,
-        engine: ReachabilityEngine | None = None,
+        self, topology: Topology, dependency_model: DependencyModel | None = None
     ):
         self.topology = topology
         self.dependency_model = dependency_model or DependencyModel.empty(topology)
-        self.engine = engine or engine_for(topology)
+        self.engine = engine_for(topology)
         self._evaluator = StructureEvaluator(self.engine)
 
     # ------------------------------------------------------------------
 
-    def _closure(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
-        elements = self.engine.relevant_elements(plan.hosts())
-        subjects = {cid for cid in elements if cid in self.topology.graph}
-        candidates = set(elements)
-        candidates.update(self.dependency_model.basic_events_for(subjects))
-        return subjects, candidates
-
-    def _active_counts(
+    def _scenario_counts(
         self,
         plan: DeploymentPlan,
         structure: ApplicationStructure,
-        subjects: set[str],
-        failed_components: frozenset[str],
-    ) -> dict[str, int]:
-        """Active instances per application component in the one round
-        where exactly these base components have failed."""
-        failed_row = np.packbits([True])
-        failed_states: dict[str, np.ndarray] = {}
-        for subject in subjects:
-            tree = self.dependency_model.tree_for(subject)
-            if tree.basic_events() & failed_components:
-                if tree.evaluate_round(failed_components):
-                    failed_states[subject] = failed_row
-        for cid in failed_components:
-            # Links (and any element without a fault tree entry) fail as
-            # themselves.
-            if cid in self.topology.components and cid not in failed_states:
-                failed_states[cid] = failed_row
-        states = RoundStates(1, failed_states)
+        subjects: int,
+        rows: dict[str, np.ndarray],
+        rounds: int,
+    ) -> dict[str, np.ndarray]:
+        """Active instances per application component in each of
+        ``rounds`` scenarios: ``rows`` maps a component id to its packed
+        row, set in the rounds where it fails (absent = never), and
+        ``subjects`` is the closure's subject mask."""
+        kernel = AssessmentKernel.of(self.dependency_model)
+        failed = kernel.effective_states(kernel.arena.ids_in(subjects), rows, rows)
+        states = RoundStates(rounds, failed)
         active = self._evaluator.active_instances(states, plan, structure)
-        return {name: int(states.unpack(m).sum()) for name, m in active.items()}
+        return {name: states.unpack(m).sum(axis=0) for name, m in active.items()}
+
+    def _known(self, failed) -> frozenset[str]:
+        """The failure set, rejecting a bare string and every id that is
+        neither a topology component nor a dependency."""
+        if isinstance(failed, str):
+            message = f"expected a collection of ids, got the string {failed!r}"
+            raise ValidationError([("failed_components", message)])
+        failed = frozenset(failed)
+        dependencies = self.dependency_model.dependency_components
+        unknown = sorted(
+            cid for cid in failed
+            if cid not in self.topology.components and cid not in dependencies
+        )
+        if unknown:
+            raise ValidationError(
+                [("failed_components", f"unknown component {cid!r}") for cid in unknown]
+            )
+        return failed
 
     def what_if(
         self,
@@ -118,14 +128,19 @@ class RiskAnalyzer:
         """Outcome of a concrete failure scenario.
 
         Returns ``(application_survives, active_instances_per_component)``
-        for the single round in which exactly ``failed_components`` have
-        failed.
+        for the single round in which exactly ``failed_components`` (a
+        collection of topology or dependency component ids) have failed.
         """
         plan.validate_against(self.topology, structure)
-        subjects, _ = self._closure(plan)
-        counts = self._active_counts(
-            plan, structure, subjects, frozenset(failed_components)
-        )
+        rows = dict.fromkeys(self._known(failed_components), np.packbits([True]))
+        kernel = AssessmentKernel.of(self.dependency_model)
+        subjects, _ = kernel.closure_masks(self.engine, plan.hosts())
+        counts = {
+            name: int(count[0])
+            for name, count in self._scenario_counts(
+                plan, structure, subjects, rows, 1
+            ).items()
+        }
         survives = all(
             counts[req.component] >= req.min_reachable
             for req in structure.requirements
@@ -133,10 +148,7 @@ class RiskAnalyzer:
         return survives, counts
 
     def report(
-        self,
-        plan: DeploymentPlan,
-        structure: ApplicationStructure,
-        include_network_elements: bool = True,
+        self, plan: DeploymentPlan, structure: ApplicationStructure
     ) -> list[RiskEntry]:
         """Single-failure risk entries, worst first.
 
@@ -146,39 +158,38 @@ class RiskAnalyzer:
         entries.
         """
         plan.validate_against(self.topology, structure)
-        subjects, candidates = self._closure(plan)
-        if not include_network_elements:
-            candidates = {
-                cid for cid in candidates if cid not in self.topology.components
-            }
+        kernel = AssessmentKernel.of(self.dependency_model)
+        subjects, sampled = kernel.closure_masks(self.engine, plan.hosts())
+        candidates = sorted(kernel.arena.ids_in(sampled))
+        rounds = 1 + len(candidates)
+        # Round 0 fails nothing; round i fails candidate i - 1 alone: one
+        # set bit per packed row.
+        bit = np.arange(1, rounds)
+        matrix = np.zeros((len(candidates), packed_width(rounds)), dtype=PACK_DTYPE)
+        matrix[bit - 1, bit >> 3] = 0x80 >> (bit & 7)
+        counts = self._scenario_counts(
+            plan, structure, subjects, dict(zip(candidates, matrix)), rounds
+        )
 
-        baseline = self._active_counts(plan, structure, subjects, frozenset())
-
+        names = list(counts)
+        active = np.stack([counts[name] for name in names])
+        lost = np.maximum(active[:, :1] - active[:, 1:], 0)
+        down = np.zeros(len(candidates), dtype=bool)
+        for req in structure.requirements:
+            down |= counts[req.component][1:] < req.min_reachable
         entries = []
-        for cid in sorted(candidates):
-            active = self._active_counts(plan, structure, subjects, frozenset((cid,)))
-            lost = 0
-            degraded = []
-            for name, count in active.items():
-                delta = baseline[name] - count
-                if delta > 0:
-                    degraded.append(name)
-                    lost += delta
-            if lost == 0:
-                continue
-            down = any(
-                active[req.component] < req.min_reachable
-                for req in structure.requirements
-            )
+        for i in np.flatnonzero(lost.any(axis=0)).tolist():
+            cid = candidates[i]
+            degraded = [name for name, delta in zip(names, lost[:, i]) if delta > 0]
             component = self.dependency_model.component(cid)
             entries.append(
                 RiskEntry(
                     component_id=cid,
                     component_type=component.component_type.value,
                     failure_probability=component.failure_probability,
-                    instances_lost=lost,
+                    instances_lost=int(lost[:, i].sum()),
                     components_degraded=tuple(sorted(degraded)),
-                    application_down=down,
+                    application_down=bool(down[i]),
                 )
             )
         entries.sort(

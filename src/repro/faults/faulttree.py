@@ -6,17 +6,17 @@ failure fail OR all members of a redundant group fail (AND gate). Trees of
 different elements are implicitly connected whenever they reference the
 same underlying component (e.g. a power supply shared by a whole row).
 
-Assessments evaluate the trees compiled, every round at once
-(:mod:`repro.kernel.compiler`). Here a tree evaluates one round from a
-set of failed component ids, which is what the single-failure what-if
-analysis (:mod:`repro.core.risk`) asks.
+This module only describes trees. Every evaluation runs compiled,
+every round at once (:mod:`repro.kernel.compiler`): sampled rounds in an
+assessment, enumerated states in the analytic assessor, and one round
+per single-failure scenario in the risk analysis (:mod:`repro.core.risk`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.util.errors import ConfigurationError
 
@@ -108,11 +108,6 @@ class FaultTree:
         """All component ids referenced by the tree's leaves."""
         return frozenset(event.component_id for event in iter_basic_events(self.root))
 
-    def evaluate_round(self, failed_components: AbstractSet[str]) -> bool:
-        """Whether the subject fails in a round where exactly
-        ``failed_components`` have failed (pure set/bool recursion)."""
-        return _evaluate_node_scalar(self.root, failed_components)
-
     def depth(self) -> int:
         """Height of the tree (a lone basic event has depth 1)."""
         return _node_depth(self.root)
@@ -136,23 +131,6 @@ def _node_depth(node: FaultTreeNode) -> int:
     if isinstance(node, BasicEvent):
         return 1
     return 1 + max(_node_depth(child) for child in node.children)
-
-
-def _evaluate_node_scalar(node: FaultTreeNode, failed: AbstractSet[str]) -> bool:
-    if isinstance(node, BasicEvent):
-        return node.component_id in failed
-    if node.kind is GateKind.OR:
-        return any(_evaluate_node_scalar(child, failed) for child in node.children)
-    if node.kind is GateKind.AND:
-        return all(_evaluate_node_scalar(child, failed) for child in node.children)
-    # K_OF_N: stop counting as soon as the threshold is reached.
-    fired = 0
-    for child in node.children:
-        if _evaluate_node_scalar(child, failed):
-            fired += 1
-            if fired >= node.threshold:
-                return True
-    return False
 
 
 def trivial_tree(subject_id: str) -> FaultTree:

@@ -10,9 +10,13 @@ stage with production: :func:`reference_sample`'s sparse draws ->
 the recursive, vectorised fault-tree :func:`evaluate` -> the per-round
 union-find's dense answers -> one fixed point per round. Its closure
 step, :func:`string_closure`, is the set algebra the kernel's arena-mask
-closure replaced. :func:`exact_failure_probability` enumerates a tree's
-basic-event states: the ground truth of the exact evaluator and the
-samplers on small trees. :func:`per_level_dagger_sample` and
+closure replaced. :func:`evaluate_round` is a tree's scalar, one-round
+evaluation; :func:`exact_failure_probability` enumerates a tree's
+basic-event states with it: the ground truth of the exact evaluator and
+the samplers on small trees. :func:`reference_risk_report` and
+:func:`reference_what_if` are the single-failure analysis the risk
+module ran before its scenario batch: one fresh 1-round pipeline per
+candidate. :func:`per_level_dagger_sample` and
 :func:`dense_external_reachable` are the dense routines the one-pass
 dagger draw and the failure-driven fat-tree blocks replaced.
 """
@@ -23,15 +27,17 @@ import copy
 import hashlib
 import math
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.app.structure import EXTERNAL
+from repro.core.evaluation import StructureEvaluator
+from repro.core.risk import RiskEntry
 from repro.faults.component import link_id
 from repro.faults.dependencies import DependencyModel
 from repro.faults.faulttree import BasicEvent, FaultTree, FaultTreeNode, GateKind
-from repro.routing.base import RoundStates
+from repro.routing.base import RoundStates, engine_for
 from repro.sampling.statistics import estimate_from_results
 from repro.util.errors import ConfigurationError
 from tests.unionfind_oracle import UnionFindReachabilityEngine
@@ -164,6 +170,29 @@ def _evaluate_node(
     return np.asarray(counts >= node.threshold)
 
 
+def evaluate_round(tree: FaultTree, failed_components: AbstractSet[str]) -> bool:
+    """Whether the subject fails in a round where exactly
+    ``failed_components`` have failed (pure set/bool recursion)."""
+    return _evaluate_node_scalar(tree.root, failed_components)
+
+
+def _evaluate_node_scalar(node: FaultTreeNode, failed: AbstractSet[str]) -> bool:
+    if isinstance(node, BasicEvent):
+        return node.component_id in failed
+    if node.kind is GateKind.OR:
+        return any(_evaluate_node_scalar(child, failed) for child in node.children)
+    if node.kind is GateKind.AND:
+        return all(_evaluate_node_scalar(child, failed) for child in node.children)
+    # K_OF_N: stop counting as soon as the threshold is reached.
+    fired = 0
+    for child in node.children:
+        if _evaluate_node_scalar(child, failed):
+            fired += 1
+            if fired >= node.threshold:
+                return True
+    return False
+
+
 def exact_failure_probability(
     tree: FaultTree, probabilities: Mapping[str, float]
 ) -> float:
@@ -186,7 +215,7 @@ def exact_failure_probability(
             weight *= p if mask >> i & 1 else 1.0 - p
         if weight == 0.0:
             continue
-        if tree.evaluate_round(failed):
+        if evaluate_round(tree, failed):
             total += weight
     return total
 
@@ -376,6 +405,95 @@ def assert_held_to_oracle(assessor, plans, structure) -> None:
         assert np.array_equal(got.per_round, per_round), plan
         assert got.estimate == estimate_from_results(per_round), plan
         assert got.sampled_components == sampled, plan
+
+
+# ---------------------------------------------------------------------------
+# Single-failure risk, one candidate at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_active_counts(topology, model, plan, structure, subjects, failed):
+    """Active instances per application component in the one round where
+    exactly ``failed`` have failed: each closure subject's tree evaluated
+    by :func:`evaluate_round`, anything else in the topology failing as
+    itself."""
+    failed_row = np.packbits([True])
+    failed_states: dict[str, np.ndarray] = {}
+    for subject in subjects:
+        tree = model.tree_for(subject)
+        if tree.basic_events() & failed:
+            if evaluate_round(tree, failed):
+                failed_states[subject] = failed_row
+    for cid in failed:
+        if cid in topology.components and cid not in failed_states:
+            failed_states[cid] = failed_row
+    states = RoundStates(1, failed_states)
+    evaluator = StructureEvaluator(engine_for(topology))
+    active = evaluator.active_instances(states, plan, structure)
+    return {name: int(states.unpack(m).sum()) for name, m in active.items()}
+
+
+def _reference_risk_closure(topology, model, plan) -> tuple[set[str], set[str]]:
+    """(subjects, candidates) of a plan as id strings: the engine's
+    relevant elements, plus every basic event their subjects' trees read."""
+    elements = engine_for(topology).relevant_elements(plan.hosts())
+    subjects = {cid for cid in elements if cid in topology.graph}
+    return subjects, set(elements) | model.basic_events_for(subjects)
+
+
+def reference_what_if(topology, model, plan, structure, failed_components):
+    """``RiskAnalyzer.what_if`` as one fresh 1-round pipeline on one
+    failure set."""
+    subjects, _ = _reference_risk_closure(topology, model, plan)
+    counts = _reference_active_counts(
+        topology, model, plan, structure, subjects, frozenset(failed_components)
+    )
+    survives = all(
+        counts[req.component] >= req.min_reachable for req in structure.requirements
+    )
+    return survives, counts
+
+
+def reference_risk_report(topology, model, plan, structure) -> list[RiskEntry]:
+    """``RiskAnalyzer.report`` as one fresh 1-round pipeline per candidate
+    in sorted order, entries ranked the same way."""
+    subjects, candidates = _reference_risk_closure(topology, model, plan)
+    baseline = _reference_active_counts(
+        topology, model, plan, structure, subjects, frozenset()
+    )
+    entries = []
+    for cid in sorted(candidates):
+        active = _reference_active_counts(
+            topology, model, plan, structure, subjects, frozenset((cid,))
+        )
+        lost = 0
+        degraded = []
+        for name, count in active.items():
+            delta = baseline[name] - count
+            if delta > 0:
+                degraded.append(name)
+                lost += delta
+        if lost == 0:
+            continue
+        down = any(
+            active[req.component] < req.min_reachable for req in structure.requirements
+        )
+        component = model.component(cid)
+        entries.append(
+            RiskEntry(
+                component_id=cid,
+                component_type=component.component_type.value,
+                failure_probability=component.failure_probability,
+                instances_lost=lost,
+                components_degraded=tuple(sorted(degraded)),
+                application_down=down,
+            )
+        )
+    entries.sort(
+        key=lambda e: (e.application_down, e.expected_loss, e.instances_lost),
+        reverse=True,
+    )
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.metrics import MetricsRegistry
 from tests.conftest import packed_states
-from tests.interpreted_oracle import exact_failure_probability
+from tests.interpreted_oracle import evaluate_round, exact_failure_probability
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 TOPO = FatTreeTopology(4, seed=5)
@@ -92,7 +92,7 @@ def brute_force_score(assessor: AnalyticAssessor, plan, structure) -> float:
     for sid in sorted(subjects):
         tree = model.tree_for(sid)
         vector = np.fromiter(
-            (tree.evaluate_round(fs) for fs in failed_sets), dtype=bool, count=n
+            (evaluate_round(tree, fs) for fs in failed_sets), dtype=bool, count=n
         )
         if vector.any():
             failed[sid] = vector

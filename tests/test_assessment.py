@@ -28,7 +28,7 @@ from repro.topology.fattree import FatTreeTopology
 from repro.sampling.statistics import estimate_from_results
 from repro.util.rng import make_rng
 from tests.conftest import packed_states
-from tests.interpreted_oracle import interpreted_assess
+from tests.interpreted_oracle import evaluate_round, interpreted_assess
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
 
@@ -60,7 +60,7 @@ def exact_k_of_n_reliability(topology, model, hosts, k, engine=None):
         failed_states = {}
         for subject in subjects:
             tree = model.tree_for(subject)
-            failed_states[subject] = np.array([tree.evaluate_round(failed_set)])
+            failed_states[subject] = np.array([evaluate_round(tree, failed_set)])
         states = packed_states(1, failed_states)
         reachable = engine.external_reachable(states, hosts)
         alive = sum(1 for h in hosts if states.unpack(reachable[h])[0])

@@ -22,6 +22,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["topology", "--scale", "galactic"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("topology",), "--rounds=500"),
+            (("topology",), "--profile"),
+            (("risk", "--hosts", "host/0/0/0", "--k", "1"), "--rounds=500"),
+            (("risk", "--hosts", "host/0/0/0", "--k", "1"), "--profile"),
+            (("baseline", "--k", "1", "--n", "2"), "--profile"),
+            (("serve",), "--profile"),
+            (("serve",), "--json"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_unknown(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestTopologyCommand:
     def test_human_output(self, capsys):
@@ -230,6 +248,16 @@ class TestRiskCommand:
         document = json.loads(out)
         assert document["format"] == "risk-report"
         assert document["entries"]
+
+    def test_negative_top_exits_2_naming_the_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "risk", "--scale", "tiny", "--hosts", "host/0/0/0,host/1/0/0",
+            "--k", "1", "--top", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--top: must be >= 0, got -1" in err
 
 
 class TestCapacityCommand:

@@ -15,6 +15,7 @@ from repro.faults.inventory import (
     power_supplies_of_plan,
 )
 from repro.util.errors import ConfigurationError
+from tests.interpreted_oracle import evaluate_round
 
 
 class TestDependencyModel:
@@ -34,9 +35,9 @@ class TestDependencyModel:
         model.attach_branch("host/0/0/0", basic("power/0"))
         tree = model.tree_for("host/0/0/0")
         assert tree.basic_events() == {"host/0/0/0", "power/0"}
-        assert tree.evaluate_round({"power/0"})
-        assert tree.evaluate_round({"host/0/0/0"})
-        assert not tree.evaluate_round(set())
+        assert evaluate_round(tree, {"power/0"})
+        assert evaluate_round(tree, {"host/0/0/0"})
+        assert not evaluate_round(tree, set())
 
     def test_attach_multiple_branches_flattens_or(self, fattree4):
         model = DependencyModel.empty(fattree4)
@@ -57,8 +58,8 @@ class TestDependencyModel:
             )
         model.attach_branch("host/0/0/0", and_gate(basic("a"), basic("b")))
         tree = model.tree_for("host/0/0/0")
-        assert not tree.evaluate_round({"a"})
-        assert tree.evaluate_round({"a", "b"})
+        assert not evaluate_round(tree, {"a"})
+        assert evaluate_round(tree, {"a", "b"})
 
     def test_dependency_id_collision_with_topology(self, fattree4):
         model = DependencyModel.empty(fattree4)
@@ -135,7 +136,7 @@ class TestPowerSupplies:
         ]
         assert len(dependents) >= 2
         for subject in dependents:
-            assert inventory.tree_for(subject).evaluate_round({supply})
+            assert evaluate_round(inventory.tree_for(subject), {supply})
 
     def test_rejects_zero_supplies(self, fattree4):
         model = DependencyModel.empty(fattree4)
@@ -158,8 +159,8 @@ class TestRichInventory:
         assert len(pairs) == 2
         tree = model.tree_for("host/0/0/0")
         pair = next(p for p in pairs if p[0] in tree.basic_events())
-        assert not tree.evaluate_round({pair[0]})
-        assert tree.evaluate_round({pair[0], pair[1]})
+        assert not evaluate_round(tree, {pair[0]})
+        assert evaluate_round(tree, {pair[0], pair[1]})
 
     def test_cooling_per_rack(self, fattree4):
         model = DependencyModel.empty(fattree4)
@@ -169,15 +170,15 @@ class TestRichInventory:
         units = cooling[rack]
         host = fattree4.hosts_in_rack(rack)[0]
         tree = model.tree_for(host)
-        assert not tree.evaluate_round({units[0]})
-        assert tree.evaluate_round(set(units))
+        assert not evaluate_round(tree, {units[0]})
+        assert evaluate_round(tree, set(units))
 
     def test_single_cooling_unit_is_single_point_of_failure(self, fattree4):
         model = DependencyModel.empty(fattree4)
         cooling = attach_rack_cooling(model, redundancy=1, seed=1)
         rack = fattree4.racks()[0]
         host = fattree4.hosts_in_rack(rack)[0]
-        assert model.tree_for(host).evaluate_round({cooling[rack][0]})
+        assert evaluate_round(model.tree_for(host), {cooling[rack][0]})
 
     def test_software_shared_across_hosts(self, fattree4):
         model = DependencyModel.empty(fattree4)
@@ -187,7 +188,7 @@ class TestRichInventory:
         sharers = [h for h, deps in software.items() if deps[0] == os_id]
         assert len(sharers) >= 2
         for host in sharers:
-            assert model.tree_for(host).evaluate_round({os_id})
+            assert evaluate_round(model.tree_for(host), {os_id})
 
     def test_build_rich_inventory_composes_everything(self, rich_inventory, fattree4):
         host = fattree4.hosts[0]

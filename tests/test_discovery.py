@@ -12,6 +12,7 @@ from repro.faults.discovery import (
 from repro.faults.dependencies import DependencyModel
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
+from tests.interpreted_oracle import evaluate_round
 
 GROUND_TRUTH = {
     "web": ["auth", "db"],
@@ -131,7 +132,7 @@ class TestBridgeToFaultTrees:
         assert created == ["service/db"]
         # Both hosts now fail when the shared db service fails.
         for host in service_hosts.values():
-            assert model.tree_for(host).evaluate_round({"service/db"})
+            assert evaluate_round(model.tree_for(host), {"service/db"})
         assert "service/db" in model.shared_dependencies()
 
     def test_end_to_end_mining_into_assessment(self, fattree4):

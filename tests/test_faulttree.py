@@ -19,7 +19,7 @@ from repro.faults.faulttree import (
     trivial_tree,
 )
 from repro.util.errors import ConfigurationError
-from tests.interpreted_oracle import evaluate, exact_failure_probability
+from tests.interpreted_oracle import evaluate, evaluate_round, exact_failure_probability
 
 
 def _fig5_tree() -> FaultTree:
@@ -66,25 +66,25 @@ class TestFig5Semantics:
     """The four behaviours the paper spells out for Fig. 5."""
 
     def test_fails_if_own_hardware_fails(self):
-        assert _fig5_tree().evaluate_round({"host"})
+        assert evaluate_round(_fig5_tree(), {"host"})
 
     def test_fails_if_any_software_fails(self):
-        assert _fig5_tree().evaluate_round({"os"})
-        assert _fig5_tree().evaluate_round({"lib"})
+        assert evaluate_round(_fig5_tree(), {"os"})
+        assert evaluate_round(_fig5_tree(), {"lib"})
 
     def test_power_needs_both_supplies(self):
         tree = _fig5_tree()
-        assert not tree.evaluate_round({"psu-a"})
-        assert not tree.evaluate_round({"psu-b"})
-        assert tree.evaluate_round({"psu-a", "psu-b"})
+        assert not evaluate_round(tree, {"psu-a"})
+        assert not evaluate_round(tree, {"psu-b"})
+        assert evaluate_round(tree, {"psu-a", "psu-b"})
 
     def test_cooling_needs_both_units(self):
         tree = _fig5_tree()
-        assert not tree.evaluate_round({"cool-a"})
-        assert tree.evaluate_round({"cool-a", "cool-b"})
+        assert not evaluate_round(tree, {"cool-a"})
+        assert evaluate_round(tree, {"cool-a", "cool-b"})
 
     def test_alive_with_no_failures(self):
-        assert not _fig5_tree().evaluate_round(set())
+        assert not evaluate_round(_fig5_tree(), set())
 
 
 class TestVectorisedEvaluation:
@@ -96,7 +96,7 @@ class TestVectorisedEvaluation:
         vector = evaluate(tree, states)
         for i in range(rounds):
             failed = {e for e in events if states[e][i]}
-            assert vector[i] == tree.evaluate_round(failed)
+            assert vector[i] == evaluate_round(tree, failed)
 
     def test_k_of_n_vectorised(self, rng):
         tree = FaultTree("x", k_of_n_gate(2, basic("a"), basic("b"), basic("c")))
@@ -155,7 +155,7 @@ class TestRandomTreeProperties:
         vector = evaluate(tree, states)
         for i in range(rounds):
             failed = {e for e in events if states[e][i]}
-            assert vector[i] == tree.evaluate_round(failed)
+            assert vector[i] == evaluate_round(tree, failed)
 
     @given(root=_tree_nodes(2))
     @settings(max_examples=40, deadline=None)
@@ -163,12 +163,12 @@ class TestRandomTreeProperties:
         """Failing MORE components can never un-fail the subject."""
         tree = FaultTree("subject", root)
         events = sorted(tree.basic_events())
-        assert not tree.evaluate_round(set()) or tree.evaluate_round(set(events))
+        assert not evaluate_round(tree, set()) or evaluate_round(tree, set(events))
         # Adding failures preserves a firing top event.
         for i in range(len(events)):
             partial = set(events[: i + 1])
-            if tree.evaluate_round(partial):
-                assert tree.evaluate_round(set(events))
+            if evaluate_round(tree, partial):
+                assert evaluate_round(tree, set(events))
 
 
 class TestExactProbability:

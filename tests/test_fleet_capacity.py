@@ -15,6 +15,7 @@ from repro.service.capacity import (
     worker_unavailability,
 )
 from repro.util.errors import ConfigurationError, ValidationError
+from tests.interpreted_oracle import evaluate_round
 
 
 def binomial_availability(n: int, k: int, p: float) -> float:
@@ -46,9 +47,9 @@ class TestWorkerUnavailability:
 class TestFleetFaultTree:
     def test_tree_fails_when_too_few_survive(self):
         tree = fleet_fault_tree(workers=3, k_required=2)
-        assert not tree.evaluate_round(set())
-        assert not tree.evaluate_round({"worker-0"})
-        assert tree.evaluate_round({"worker-0", "worker-1"})
+        assert not evaluate_round(tree, set())
+        assert not evaluate_round(tree, {"worker-0"})
+        assert evaluate_round(tree, {"worker-0", "worker-1"})
 
     def test_bounds_are_validated(self):
         with pytest.raises(ConfigurationError):

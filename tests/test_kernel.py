@@ -68,6 +68,7 @@ from tests.interpreted_oracle import (
     assert_held_to_oracle,
     effective_states,
     evaluate,
+    evaluate_round,
     interpreted_assess,
     reference_sample,
     string_closure,
@@ -288,7 +289,7 @@ class TestScalarEvaluateRound:
     def test_matches_vectorised_single_round(self, root, failed):
         tree = FaultTree(subject_id="s", root=root)
         states = {cid: np.array([cid in failed]) for cid in EVENT_IDS}
-        assert tree.evaluate_round(failed) == bool(evaluate(tree, states)[0])
+        assert evaluate_round(tree, failed) == bool(evaluate(tree, states)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,25 @@
 """Tests for the single-failure risk analyzer (repro.core.risk)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.app.generators import two_tier
+from repro.app.generators import microservice_mesh, two_tier
 from repro.app.structure import ApplicationStructure
 from repro.core.plan import DeploymentPlan
 from repro.core.risk import RiskAnalyzer
+from repro.faults.inventory import (
+    build_paper_inventory,
+    build_rich_inventory,
+    build_zone_inventory,
+)
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.zones import MultiZoneTopology
+from repro.util.errors import ValidationError
+from tests.interpreted_oracle import reference_risk_report, reference_what_if
+from tests.test_incremental import _count_calls
 
 
 @pytest.fixture
@@ -59,6 +73,29 @@ class TestWhatIf:
         _survives, counts = analyzer.what_if(plan, structure, [supply])
         assert counts["app"] < 3  # at least the dependent instance is gone
 
+    def test_unknown_components_are_rejected_by_name(self, analyzer):
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plan = DeploymentPlan.single_component(
+            ["host/0/0/0", "host/1/0/0", "host/2/0/0"], "app"
+        )
+        with pytest.raises(ValidationError) as raised:
+            analyzer.what_if(
+                plan, structure, ["no-such-component", "edge/0/0", "power/99"]
+            )
+        messages = [message for _field, message in raised.value.errors]
+        assert messages == [
+            "unknown component 'no-such-component'",
+            "unknown component 'power/99'",
+        ]
+
+    def test_a_bare_string_is_rejected(self, analyzer):
+        structure = ApplicationStructure.k_of_n(2, 3)
+        plan = DeploymentPlan.single_component(
+            ["host/0/0/0", "host/1/0/0", "host/2/0/0"], "app"
+        )
+        with pytest.raises(ValidationError, match="got the string 'power/0'"):
+            analyzer.what_if(plan, structure, "power/0")
+
 
 class TestReport:
     def test_hosts_lose_exactly_one_instance(self, analyzer):
@@ -99,15 +136,6 @@ class TestReport:
             e for e in report if not e.component_id.startswith("power/")
         ]
         assert max(e.instances_lost for e in network_entries) == 1
-
-    def test_dependency_only_report(self, analyzer):
-        structure = ApplicationStructure.k_of_n(2, 3)
-        plan = DeploymentPlan.single_component(
-            ["host/0/0/0", "host/1/0/0", "host/2/0/0"], "app"
-        )
-        report = analyzer.report(plan, structure, include_network_elements=False)
-        assert report  # power supplies affect the instances
-        assert all(e.component_id.startswith("power/") for e in report)
 
     def test_ranking_spofs_first(self, analyzer):
         structure = ApplicationStructure.k_of_n(2, 3)
@@ -159,3 +187,63 @@ class TestReliablePlansHaveSmallBlastRadius:
         assert analyzer.max_instances_lost_to_one_failure(
             spread, structure
         ) <= analyzer.max_instances_lost_to_one_failure(colocated, structure)
+
+
+FATTREE = FatTreeTopology(4, seed=5)
+LEAFSPINE = LeafSpineTopology(spines=4, leaves=6, hosts_per_leaf=4, seed=2)
+ZONES = MultiZoneTopology(zones=2, k=4, seed=7)
+SUBSTRATES = [
+    (FATTREE, build_paper_inventory(FATTREE, seed=3)),
+    (FATTREE, build_rich_inventory(FATTREE, seed=4)),
+    (LEAFSPINE, build_paper_inventory(LEAFSPINE, seed=3)),
+    (ZONES, build_zone_inventory(ZONES, seed=7)),
+]
+STRUCTURES = [
+    ApplicationStructure.k_of_n(2, 3),
+    ApplicationStructure.k_of_n(4, 4),
+    two_tier(),
+    # Two fully meshed cores: activity is a greatest fixed point.
+    microservice_mesh(2, 0, instances_per_component=2, k_per_component=1),
+]
+
+
+class TestOneScenarioBatchEqualsThePerCandidateOracle:
+    """The report and the what-if, one packed pass of the compiled
+    pipeline, equal a fresh 1-round pipeline per scenario."""
+
+    @given(
+        substrate=st.sampled_from(SUBSTRATES),
+        structure=st.sampled_from(STRUCTURES),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_report_and_what_if_equal_the_reference(self, substrate, structure, seed):
+        topology, model = substrate
+        plan = DeploymentPlan.random(topology, structure, rng=seed)
+        analyzer = RiskAnalyzer(topology, model)
+        assert analyzer.report(plan, structure) == reference_risk_report(
+            topology, model, plan, structure
+        )
+        ids = sorted(topology.components) + sorted(model.dependency_components)
+        rng = np.random.default_rng(seed)
+        for size in (0, 1, 3, 6):
+            failed = [ids[i] for i in rng.choice(len(ids), size, replace=False)]
+            assert analyzer.what_if(plan, structure, failed) == reference_what_if(
+                topology, model, plan, structure, failed
+            ), failed
+
+    @pytest.mark.parametrize(
+        "structure, pairwise",
+        [(ApplicationStructure.k_of_n(2, 3), 0), (two_tier(), 1)],
+        ids=["k-of-n", "two-tier"],
+    )
+    def test_one_route_and_check_call_whatever_the_candidate_count(
+        self, monkeypatch, structure, pairwise
+    ):
+        topology, model = SUBSTRATES[0]
+        analyzer = RiskAnalyzer(topology, model)
+        external = _count_calls(monkeypatch, analyzer.engine, "external_reachable")
+        pairs = _count_calls(monkeypatch, analyzer.engine, "pairwise_reachable")
+        plan = DeploymentPlan.random(topology, structure, rng=1)
+        assert analyzer.report(plan, structure)
+        assert (external[0], pairs[0]) == (1, pairwise)
