@@ -21,10 +21,10 @@ from repro.app.structure import ApplicationStructure
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.core.transforms import SymmetryChecker
 
 from common import ResultTable, bench_scales, inventory, topology
 from repro.core.api import AssessmentConfig
+from tests.graph_oracle import SurgeryGraphChecker
 
 BUDGET_SECONDS = 6.0
 
@@ -86,7 +86,7 @@ def test_signature_cost(benchmark):
     scale = bench_scales()[0]
     topo = topology(scale)
     structure = ApplicationStructure.k_of_n(4, 5)
-    checker = SymmetryChecker(topo, inventory(scale))
+    checker = SurgeryGraphChecker(topo, inventory(scale))
     plan = DeploymentPlan.random(topo, structure, rng=5)
     neighbor = plan.random_neighbor(topo, rng=6)
     benchmark(lambda: checker.equivalent(plan, neighbor))

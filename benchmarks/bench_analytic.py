@@ -101,13 +101,12 @@ class HardenedCorePolicy(PaperProbabilityPolicy):
     stochastic failure model.
     """
 
-    def probability_for(self, component_type, rng):
-        if component_type in (
-            ComponentType.CORE_SWITCH,
-            ComponentType.BORDER_SWITCH,
-        ):
-            return 0.0
-        return super().probability_for(component_type, rng)
+    def probabilities(self, types, rng):
+        hardened = (ComponentType.CORE_SWITCH, ComponentType.BORDER_SWITCH)
+        stochastic = [i for i, ctype in enumerate(types) if ctype not in hardened]
+        result = np.zeros(len(types))
+        result[stochastic] = super().probabilities([types[i] for i in stochastic], rng)
+        return result
 
 
 # ----------------------------------------------------------------------

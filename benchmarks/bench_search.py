@@ -1,7 +1,8 @@
 """Batch-first search loop vs the pre-batch loop.
 
 Reconstructs the pre-PR annealing hot loop — per-move ``random_neighbor``,
-the *uncached* :meth:`SymmetryChecker.equivalent` screen and one
+the *uncached* networkx surgery-graph screen
+(``tests/graph_oracle.py::SurgeryGraphChecker``) and one
 incremental assessment per surviving neighbour — and holds it against the
 batch-first :class:`DeploymentSearch` (move descriptors, the move-keyed
 :class:`BatchSymmetryFilter`, one shared-CRN ``score_plans`` call per
@@ -48,10 +49,13 @@ import pathlib
 import sys
 import time
 
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # standalone: make src/ importable without install
-    _ROOT = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(_ROOT / "src"))
     sys.path.insert(0, str(_ROOT / "benchmarks"))
+# The pre-batch loop's networkx screen lives with the test oracles.
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
 
 from common import count_calls
 from repro.app.structure import ApplicationStructure
@@ -66,7 +70,6 @@ from repro.core.incremental import IncrementalAssessor
 from repro.core.objectives import ReliabilityObjective
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.core.transforms import SymmetryChecker
 from repro.faults.inventory import build_paper_inventory
 from repro.topology.presets import (
     SEARCH_BENCHMARK_SCALE,
@@ -76,6 +79,7 @@ from repro.topology.presets import (
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline
+from tests.graph_oracle import SurgeryGraphChecker
 
 MASTER_SEED = 20170412
 SEARCH_SEED = MASTER_SEED  # seeds the annealing RNG of both loops
@@ -133,7 +137,7 @@ def _legacy_search(
     """The pre-batch annealing loop, reconstructed draw-for-draw.
 
     One ``random_neighbor`` per iteration, the uncached
-    ``SymmetryChecker.equivalent`` screen, one incremental assessment
+    ``SurgeryGraphChecker.equivalent`` screen, one incremental assessment
     per survivor, independent best-so-far confirmations — the
     exact loop shape (and RNG discipline) ``DeploymentSearch._run`` had
     before the batch-first rewrite, against which B=1 trajectories are
@@ -144,7 +148,7 @@ def _legacy_search(
         config.with_updates(mode="sequential", master_seed=None),
     )
     objective = ReliabilityObjective()
-    symmetry = SymmetryChecker(outer.topology, outer.dependency_model)
+    symmetry = SurgeryGraphChecker(outer.topology, outer.dependency_model)
     rng = make_rng(search_seed)
     deadline = Deadline(spec.max_seconds, clock=clock)
     schedule = LinearTemperatureSchedule(spec.max_seconds)

@@ -18,11 +18,12 @@ reliability can depend on:
 
 Two plans whose surgery graphs are isomorphic place their instances in
 symmetric positions with identically-shared dependencies, so the entire
-route-and-check distribution coincides. :class:`SymmetryChecker` is the
-reference: it builds the graphs and asks networkx for an exact
-isomorphism. :class:`BatchSymmetryFilter` is what the search calls: the
-same verdicts from colour refinement and one bijection search over the
-instances, cached per plan.
+route-and-check distribution coincides. :class:`SymmetryChecker` names
+every instance's groups and labels; :class:`BatchSymmetryFilter` decides
+the isomorphism from them by colour refinement and one bijection search
+over the instances, cached per plan. The reference that builds the graphs
+and asks a graph library for an exact isomorphism lives with the tests
+(``tests/graph_oracle.py``), which hold the filter to it.
 
 Probability classes quantise failure probabilities (§3.3.1: components of
 the same type with *similar* probabilities are treated as one type;
@@ -35,8 +36,6 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from itertools import chain
 from typing import NamedTuple
-
-import networkx as nx
 
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
@@ -53,7 +52,7 @@ MAX_REFINEMENTS = 4096
 
 
 class SymmetryChecker:
-    """Computes canonical signatures of deployment plans."""
+    """Labels the infrastructure groups a plan's instances belong to."""
 
     def __init__(
         self, topology: Topology, dependency_model: DependencyModel | None = None
@@ -94,47 +93,6 @@ class SymmetryChecker:
                 groups[event] = self._group_label(event)
         return tuple(groups.items())
 
-    def surgery_graph(self, plan: DeploymentPlan) -> nx.Graph:
-        """The canonical membership graph described in the module docstring."""
-        graph = nx.Graph()
-        for component, hosts in plan.placements:
-            for index, host in enumerate(hosts):
-                instance_node = ("instance", component, index)
-                graph.add_node(instance_node, label=f"instance|{component}")
-                for group, label in self.host_groups(host):
-                    graph.add_node(("group", group), label=label)
-                    graph.add_edge(instance_node, ("group", group))
-        return graph
-
-    def signature(self, plan: DeploymentPlan) -> str:
-        """A string that is equal for symmetric plans.
-
-        Weisfeiler-Lehman hash of the surgery graph; plans with different
-        signatures are definitely inequivalent, plans with equal signatures
-        are equivalent up to WL's (practically negligible on coloured
-        membership graphs) collision rate.
-        """
-        graph = self.surgery_graph(plan)
-        return nx.weisfeiler_lehman_graph_hash(graph, node_attr="label", iterations=3)
-
-    def equivalent(self, plan_a: DeploymentPlan, plan_b: DeploymentPlan) -> bool:
-        """Whether two plans are symmetric (same reliability by symmetry).
-
-        Signature equality is confirmed with an exact isomorphism check —
-        cheap on these small graphs — so a WL collision cannot cause a
-        genuinely different plan to be skipped.
-        """
-        if plan_a.canonical_key() == plan_b.canonical_key():
-            return True
-        if self.signature(plan_a) != self.signature(plan_b):
-            return False
-        matcher = nx.algorithms.isomorphism.GraphMatcher(
-            self.surgery_graph(plan_a),
-            self.surgery_graph(plan_b),
-            node_match=lambda a, b: a["label"] == b["label"],
-        )
-        return matcher.is_isomorphic()
-
 
 class _Refinement(NamedTuple):
     """What :class:`BatchSymmetryFilter` caches per plan."""
@@ -152,10 +110,10 @@ class _Refinement(NamedTuple):
 class BatchSymmetryFilter:
     """Symmetry screening for the search hot loop: one exact tier.
 
-    Every :meth:`SymmetryChecker.equivalent` call rebuilds two surgery
-    graphs and hashes both, even though consecutive checks share the
-    incumbent and each neighbour differs from it by one host. The filter
-    decides the same verdicts without a graph library:
+    A graph-isomorphism check would rebuild two surgery graphs per pair,
+    even though consecutive checks share the incumbent and each neighbour
+    differs from it by one host. The filter decides the same verdicts
+    without a graph library:
 
     * **Per plan**, LRU-cached by ``plan.canonical_key()``: the instance
       colouring refined to a fixpoint over the shared groups, and its
@@ -174,10 +132,6 @@ class BatchSymmetryFilter:
     group's label) the filter takes the new table and drops its cached
     refinements. DESIGN.md ("Symmetry screening at batch rate") has the
     argument.
-
-    The filter is deliberately *not* folded into :class:`SymmetryChecker`:
-    the unwrapped checker remains the uncached reference implementation
-    the differential tests hold the filter against.
     """
 
     def __init__(
@@ -367,8 +321,8 @@ class BatchSymmetryFilter:
     # ------------------------------------------------------------------
 
     def equivalent(self, plan_a: DeploymentPlan, plan_b: DeploymentPlan) -> bool:
-        """Cached, graph-free variant of :meth:`SymmetryChecker.equivalent`:
-        always the verdict the unwrapped checker would return."""
+        """Whether two plans are symmetric (same reliability by symmetry):
+        exactly whether their surgery graphs are isomorphic."""
         key_a, key_b = plan_a.canonical_key(), plan_b.canonical_key()
         if key_a == key_b:
             return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -75,14 +75,30 @@ class NormalProbabilityModel:
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw one probability (or ``size`` of them) from the model."""
-        draws = rng.normal(self.mean, self.stddev, size=size)
-        draws = np.clip(draws, self.minimum, self.maximum)
-        draws = np.round(draws, PROBABILITY_DECIMALS)
-        # Rounding can push a draw below the positive floor; re-clip.
-        draws = np.maximum(draws, 10.0**-PROBABILITY_DECIMALS)
+        draws = _clip_and_round(
+            rng.normal(self.mean, self.stddev, size=size), self.minimum, self.maximum
+        )
         if size is None:
             return float(draws)
         return draws
+
+
+def _clip_and_round(draws, minimum, maximum):
+    draws = np.round(np.clip(draws, minimum, maximum), PROBABILITY_DECIMALS)
+    # Rounding can push a draw below the positive floor; re-clip.
+    return np.maximum(draws, 10.0**-PROBABILITY_DECIMALS)
+
+
+def sample_each(
+    models: Sequence[NormalProbabilityModel], rng: np.random.Generator
+) -> np.ndarray:
+    """One draw from each of ``models``, in order, in one ``rng.normal``
+    call: bit for bit ``[model.sample(rng) for model in models]``, and it
+    leaves ``rng`` in the same state."""
+    mean, stddev, minimum, maximum = np.array(
+        [(m.mean, m.stddev, m.minimum, m.maximum) for m in models], dtype=float
+    ).reshape(-1, 4).T
+    return _clip_and_round(rng.normal(mean, stddev), minimum, maximum)
 
 
 #: The evaluation setting of §4.1: switches ~ N(0.008, 0.001), all other
@@ -92,15 +108,18 @@ PAPER_DEFAULT_MODEL = NormalProbabilityModel(mean=0.01, stddev=0.001)
 
 
 class ProbabilityPolicy:
-    """Assigns a failure probability to a component being created.
+    """Assigns failure probabilities to the components a topology builds.
 
     Policies let the same topology builder produce the paper's evaluation
     setting, a no-information default setting (§3.4), or anything custom.
     """
 
-    def probability_for(
-        self, component_type: ComponentType, rng: np.random.Generator
-    ) -> float:
+    def probabilities(
+        self, types: Sequence[ComponentType], rng: np.random.Generator
+    ) -> np.ndarray:
+        """One failure probability per entry of ``types`` (the components
+        being built, in insertion order); any draws are taken in that
+        order."""
         raise NotImplementedError
 
 
@@ -112,14 +131,17 @@ class PaperProbabilityPolicy(ProbabilityPolicy):
     default_model: NormalProbabilityModel = PAPER_DEFAULT_MODEL
     link_probability: float = 0.0
 
-    def probability_for(
-        self, component_type: ComponentType, rng: np.random.Generator
-    ) -> float:
-        if component_type is ComponentType.LINK:
-            return self.link_probability
-        if component_type.is_switch:
-            return self.switch_model.sample(rng)
-        return self.default_model.sample(rng)
+    def probabilities(
+        self, types: Sequence[ComponentType], rng: np.random.Generator
+    ) -> np.ndarray:
+        drawn = [i for i, ctype in enumerate(types) if ctype is not ComponentType.LINK]
+        models = [
+            self.switch_model if types[i].is_switch else self.default_model
+            for i in drawn
+        ]
+        result = np.full(len(types), float(self.link_probability))
+        result[drawn] = sample_each(models, rng)
+        return result
 
 
 @dataclass(frozen=True)
@@ -140,12 +162,11 @@ class DefaultProbabilityPolicy(ProbabilityPolicy):
                 f"default probability must be in (0, 1), got {self.default_probability}"
             )
 
-    def probability_for(
-        self, component_type: ComponentType, rng: np.random.Generator
-    ) -> float:
-        if component_type is ComponentType.LINK:
-            return self.link_probability
-        return self.default_probability
+    def probabilities(
+        self, types: Sequence[ComponentType], rng: np.random.Generator
+    ) -> np.ndarray:
+        links = np.array([ctype is ComponentType.LINK for ctype in types], dtype=bool)
+        return np.where(links, self.link_probability, self.default_probability)
 
 
 @dataclass(frozen=True)
@@ -205,17 +226,19 @@ class AhpProbabilityPolicy(ProbabilityPolicy):
             link_probability=link_probability,
         )
 
-    def probability_for(
-        self, component_type: ComponentType, rng: np.random.Generator
-    ) -> float:
-        if component_type is ComponentType.LINK:
-            return self.link_probability
+    def probabilities(
+        self, types: Sequence[ComponentType], rng: np.random.Generator
+    ) -> np.ndarray:
         weights = self.type_weights
-        if component_type not in weights:
-            return self.base_probability
         mean_weight = sum(weights.values()) / len(weights)
-        scaled = self.base_probability * weights[component_type] / mean_weight
-        return float(min(scaled, 0.99))
+        by_type = {
+            ctype: min(self.base_probability * weight / mean_weight, 0.99)
+            for ctype, weight in weights.items()
+        }
+        by_type[ComponentType.LINK] = self.link_probability
+        return np.array(
+            [by_type.get(ctype, self.base_probability) for ctype in types], dtype=float
+        )
 
 
 @dataclass(frozen=True, slots=True)

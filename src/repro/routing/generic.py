@@ -46,8 +46,8 @@ class GenericReachabilityEngine(ReachabilityEngine):
 
     def __init__(self, topology: Topology):
         super().__init__(topology)
-        nodes = list(topology.graph.nodes)
-        edges = list(topology.graph.edges(data="component_id"))
+        nodes = list(topology.adjacency)
+        edges = list(topology.links())
         self._index = {node: i for i, node in enumerate(nodes)}
         # Alive-table rows: every node, then the link of every edge.
         self._ids = nodes + [link for _a, _b, link in edges]

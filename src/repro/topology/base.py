@@ -6,16 +6,15 @@ external entities (§3.1). Every network element is a two-state
 :class:`~repro.faults.component.Component`, so samplers and the
 route-and-check engine can treat a topology uniformly regardless of its
 architecture. Architecture-specific subclasses (fat-tree, leaf-spine)
-populate the graph and may expose extra structure for fast routing.
+populate the adjacency and may expose extra structure for fast routing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.faults.component import Component, ComponentType, link_id
@@ -55,10 +54,10 @@ class TopologySummary:
 class Topology:
     """A data-center network: typed components connected by links.
 
-    Nodes of the underlying :mod:`networkx` graph are component ids of
-    hosts and switches; each edge carries the id of its link component.
-    Subclasses call the ``_add_*`` builders during construction and then
-    :meth:`_freeze`.
+    :attr:`adjacency` maps every host and switch id to its neighbours, each
+    to the id of the link component between them, both in insertion
+    order. Subclasses call the ``_add_*`` builders during construction and
+    then :meth:`_freeze`, which draws every failure probability at once.
     """
 
     #: Moves on every :meth:`override_probabilities`: half of the
@@ -75,8 +74,9 @@ class Topology:
         self.name = name
         self._policy = probability_policy or PaperProbabilityPolicy()
         self._rng = make_rng(seed)
-        self.graph = nx.Graph()
-        self.components: dict[str, Component] = {}
+        self.adjacency: dict[str, dict[str, str]] = {}
+        self.components: dict[str, Component] = {}  # filled by _freeze
+        self._pending: dict[str, tuple[ComponentType, dict]] = {}
         self.hosts: list[str] = []
         self.border_switches: list[str] = []
         self._frozen = False
@@ -85,57 +85,46 @@ class Topology:
     # Construction API (used by subclasses)
     # ------------------------------------------------------------------
 
-    def _assert_mutable(self) -> None:
-        if self._frozen:
-            raise TopologyError(f"topology {self.name!r} is frozen")
-
     def _add_component(
         self, component_id: str, component_type: ComponentType, **attributes
-    ) -> Component:
-        self._assert_mutable()
-        if component_id in self.components:
+    ) -> None:
+        if self._frozen:
+            raise TopologyError(f"topology {self.name!r} is frozen")
+        if component_id in self._pending:
             raise TopologyError(f"duplicate component id {component_id!r}")
-        probability = self._policy.probability_for(component_type, self._rng)
-        component = Component(
-            component_id=component_id,
-            component_type=component_type,
-            failure_probability=probability,
-            attributes=attributes,
-        )
-        self.components[component_id] = component
-        return component
+        self._pending[component_id] = (component_type, attributes)
 
-    def _add_host(self, component_id: str, **attributes) -> Component:
-        component = self._add_component(component_id, ComponentType.HOST, **attributes)
-        self.graph.add_node(component_id)
+    def _add_host(self, component_id: str, **attributes) -> None:
+        self._add_component(component_id, ComponentType.HOST, **attributes)
+        self.adjacency[component_id] = {}
         self.hosts.append(component_id)
-        return component
 
     def _add_switch(
         self, component_id: str, component_type: ComponentType, **attributes
-    ) -> Component:
+    ) -> None:
         if not component_type.is_switch:
             raise TopologyError(f"{component_type} is not a switch type")
-        component = self._add_component(component_id, component_type, **attributes)
-        self.graph.add_node(component_id)
+        self._add_component(component_id, component_type, **attributes)
+        self.adjacency[component_id] = {}
         if component_type is ComponentType.BORDER_SWITCH:
             self.border_switches.append(component_id)
-        return component
 
-    def _add_link(self, endpoint_a: str, endpoint_b: str, **attributes) -> Component:
-        self._assert_mutable()
+    def _add_link(self, endpoint_a: str, endpoint_b: str, **attributes) -> None:
+        if endpoint_a == endpoint_b:
+            raise TopologyError(f"link from {endpoint_a!r} to itself")
         for endpoint in (endpoint_a, endpoint_b):
-            if endpoint not in self.graph:
+            if endpoint not in self.adjacency:
                 raise TopologyError(f"link endpoint {endpoint!r} does not exist")
-        if self.graph.has_edge(endpoint_a, endpoint_b):
+        if endpoint_b in self.adjacency[endpoint_a]:
             raise TopologyError(f"duplicate link {endpoint_a!r} -- {endpoint_b!r}")
         cid = link_id(endpoint_a, endpoint_b)
-        component = self._add_component(cid, ComponentType.LINK, **attributes)
-        self.graph.add_edge(endpoint_a, endpoint_b, component_id=cid)
-        return component
+        self._add_component(cid, ComponentType.LINK, **attributes)
+        self.adjacency[endpoint_a][endpoint_b] = cid
+        self.adjacency[endpoint_b][endpoint_a] = cid
 
     def _freeze(self) -> None:
-        """Validate and seal the topology after construction."""
+        """Validate, draw every failure probability in one policy call (in
+        insertion order) and seal the topology."""
         if not self.hosts:
             raise TopologyError(f"topology {self.name!r} has no hosts")
         if not self.border_switches:
@@ -143,6 +132,13 @@ class Topology:
                 f"topology {self.name!r} has no border switches for external "
                 "connectivity"
             )
+        types = [ctype for ctype, _ in self._pending.values()]
+        probabilities = self._policy.probabilities(types, self._rng).tolist()
+        self.components = {
+            cid: Component(cid, ctype, p, attributes)
+            for (cid, (ctype, attributes)), p in zip(self._pending.items(), probabilities)
+        }
+        del self._pending
         self._frozen = True
 
     # ------------------------------------------------------------------
@@ -151,10 +147,20 @@ class Topology:
 
     @cached_property
     def elements(self) -> frozenset[str]:
-        """Ids of the hosts and switches: the graph's nodes (links are its
-        edges), as one set the assessors split closures against. Read it
-        on the frozen topology: it is built once."""
-        return frozenset(self.graph)
+        """Ids of the hosts and switches (links join them), as one set the
+        assessors split closures against. Read it on the frozen topology:
+        it is built once."""
+        return frozenset(self.adjacency)
+
+    def links(self) -> Iterator[tuple[str, str, str]]:
+        """``(endpoint, endpoint, link id)`` of every link once, from the
+        endpoint added first; in node, then neighbour, insertion order."""
+        done: set[str] = set()
+        for node, neighbours in self.adjacency.items():
+            done.add(node)
+            for neighbour, link in neighbours.items():
+                if neighbour not in done:
+                    yield node, neighbour, link
 
     def component(self, component_id: str) -> Component:
         """The component with ``component_id``; raises on unknown ids."""
@@ -178,26 +184,28 @@ class Topology:
 
     def link_between(self, endpoint_a: str, endpoint_b: str) -> Component:
         """The link component connecting two adjacent elements."""
-        data = self.graph.get_edge_data(endpoint_a, endpoint_b)
-        if data is None:
+        link = self.adjacency.get(endpoint_a, {}).get(endpoint_b)
+        if link is None:
             raise TopologyError(f"no link between {endpoint_a!r} and {endpoint_b!r}")
-        return self.components[data["component_id"]]
+        return self.components[link]
 
     def neighbors(self, component_id: str) -> list[str]:
         """Adjacent hosts/switches of a network element."""
-        if component_id not in self.graph:
-            raise TopologyError(f"unknown network element {component_id!r}")
-        return list(self.graph.neighbors(component_id))
+        try:
+            return list(self.adjacency[component_id])
+        except KeyError:
+            raise TopologyError(f"unknown network element {component_id!r}") from None
 
     def edge_switch_of(self, host_id: str) -> str:
         """The (single) switch a host attaches to."""
-        neighbors = self.neighbors(host_id)
+        validate_hosts_exist(self, (host_id,))
+        neighbors = self.adjacency[host_id]
         if len(neighbors) != 1:
             raise TopologyError(
                 f"host {host_id!r} attaches to {len(neighbors)} switches; "
                 "expected exactly one"
             )
-        return neighbors[0]
+        return next(iter(neighbors))
 
     def rack_of(self, host_id: str) -> str:
         """The rack a host lives in.
@@ -210,17 +218,17 @@ class Topology:
 
     def hosts_in_rack(self, rack_id: str) -> list[str]:
         """All hosts attached to the given rack's edge switch."""
-        if rack_id not in self.graph:
-            raise TopologyError(f"unknown rack {rack_id!r}")
+        if rack_id not in self._racks:
+            raise TopologyError(f"{rack_id!r} is not a rack")
         return [
             n
-            for n in self.graph.neighbors(rack_id)
+            for n in self.adjacency[rack_id]
             if self.components[n].component_type is ComponentType.HOST
         ]
 
     @cached_property
-    def _racks(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(self.rack_of(host) for host in self.hosts))
+    def _racks(self) -> dict[str, None]:
+        return dict.fromkeys(self.rack_of(host) for host in self.hosts)
 
     def racks(self) -> list[str]:
         """Every rack id (edge switches that have at least one host), in

@@ -51,7 +51,6 @@ class FatTreeTopology(Topology):
         self.num_pods = k - 1  # pods carrying hosts; one pod is the border pod
 
         # Fast-path routing structure, filled during construction:
-        self.host_edge: dict[str, str] = {}
         self.edge_pod: dict[str, int] = {}
         self.agg_ids: dict[tuple[int, int], str] = {}  # (pod, group) -> agg id
         self.core_ids: dict[tuple[int, int], str] = {}  # (group, j) -> core id
@@ -95,7 +94,6 @@ class FatTreeTopology(Topology):
                     hid = f"host/{pod}/{edge}/{h}"
                     self._add_host(hid, pod=pod, edge=edge, index=h)
                     self._add_link(hid, eid)
-                    self.host_edge[hid] = eid
 
     # ------------------------------------------------------------------
     # Structure queries used by the fast route-and-check path
@@ -104,13 +102,6 @@ class FatTreeTopology(Topology):
     def pod_of(self, component_id: str) -> int | None:
         """The pod index of a host/edge/aggregation switch, else ``None``."""
         return self.component(component_id).attributes.get("pod")
-
-    def edge_switch_of(self, host_id: str) -> str:
-        # O(1) override of the generic graph lookup.
-        try:
-            return self.host_edge[host_id]
-        except KeyError:
-            return super().edge_switch_of(host_id)
 
     def border_switch_of_group(self, group: int) -> str:
         """The border switch attached to core group ``group``."""

@@ -54,7 +54,6 @@ class LeafSpineTopology(Topology):
 
         self.spine_ids: list[str] = []
         self.leaf_ids: list[str] = []
-        self.host_leaf: dict[str, str] = {}
 
         self._build(border_switches)
         self._freeze()
@@ -82,13 +81,6 @@ class LeafSpineTopology(Topology):
                 hid = f"host/{leaf}/{h}"
                 self._add_host(hid, leaf=leaf, index=h)
                 self._add_link(hid, lid)
-                self.host_leaf[hid] = lid
-
-    def edge_switch_of(self, host_id: str) -> str:
-        try:
-            return self.host_leaf[host_id]
-        except KeyError:
-            return super().edge_switch_of(host_id)
 
     def symmetry_class_of(self, component_id: str) -> str:
         """Leaf-spine fabrics are tier-transitive, like fat-trees."""

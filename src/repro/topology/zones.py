@@ -74,7 +74,6 @@ class MultiZoneTopology(Topology):
         self.zone_names: list[str] = [f"zone{z}" for z in range(zones)]
 
         # Fast-path lookups, filled during construction:
-        self.host_edge: dict[str, str] = {}
         self.hosts_by_zone: dict[str, list[str]] = {z: [] for z in self.zone_names}
         self.borders_by_zone: dict[str, list[str]] = {z: [] for z in self.zone_names}
         self.wan_by_zone: dict[str, list[str]] = {z: [] for z in self.zone_names}
@@ -134,7 +133,6 @@ class MultiZoneTopology(Topology):
                     hid = f"{zone}/host/{pod}/{edge}/{h}"
                     self._add_host(hid, zone=zone, pod=pod_label, edge=edge, index=h)
                     self._add_link(hid, eid, zone=zone)
-                    self.host_edge[hid] = eid
                     self.hosts_by_zone[zone].append(hid)
 
     def _build_wan_mesh(self) -> None:
@@ -204,13 +202,6 @@ class MultiZoneTopology(Topology):
         distinct groups in symmetry surgery graphs.
         """
         return self.component(component_id).attributes.get("pod")
-
-    def edge_switch_of(self, host_id: str) -> str:
-        # O(1) override of the generic graph lookup.
-        try:
-            return self.host_edge[host_id]
-        except KeyError:
-            return super().edge_switch_of(host_id)
 
     def symmetry_class_of(self, component_id: str) -> str:
         """Tier label qualified by zone.

@@ -437,7 +437,7 @@ def _reference_risk_closure(topology, model, plan) -> tuple[set[str], set[str]]:
     """(subjects, candidates) of a plan as id strings: the engine's
     relevant elements, plus every basic event their subjects' trees read."""
     elements = engine_for(topology).relevant_elements(plan.hosts())
-    subjects = {cid for cid in elements if cid in topology.graph}
+    subjects = {cid for cid in elements if cid in topology.adjacency}
     return subjects, set(elements) | model.basic_events_for(subjects)
 
 

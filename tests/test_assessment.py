@@ -41,7 +41,7 @@ def exact_k_of_n_reliability(topology, model, hosts, k, engine=None):
     """
     engine = engine or engine_for(topology)
     subjects = [
-        cid for cid in engine.relevant_elements(list(hosts)) if cid in topology.graph
+        cid for cid in engine.relevant_elements(list(hosts)) if cid in topology.adjacency
     ]
     events = sorted(model.basic_events_for(subjects))
     probabilities = model.failure_probabilities()

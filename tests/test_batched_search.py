@@ -25,12 +25,12 @@ from repro.core.incremental import IncrementalAssessor
 from repro.core.objectives import ReliabilityObjective
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec, SearchState
-from repro.core.transforms import SymmetryChecker
 from repro.faults.inventory import build_paper_inventory
 from repro.topology.presets import paper_topology
 from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline
+from tests.graph_oracle import SurgeryGraphChecker
 
 STRUCTURE = ApplicationStructure.k_of_n(2, 3)
 
@@ -80,7 +80,7 @@ def _reference_search(fattree4, inventory, spec):
     """
     outer = ReliabilityAssessor(fattree4, inventory, config=_config())
     objective = ReliabilityObjective()
-    symmetry = SymmetryChecker(fattree4, outer.dependency_model)
+    symmetry = SurgeryGraphChecker(fattree4, outer.dependency_model)
     rng = make_rng(42)
     clock = FakeClock()
     deadline = Deadline(spec.max_seconds, clock=clock)
@@ -165,14 +165,14 @@ class TestSearchPathIsNetworkxFree:
         """The search screens symmetry without a graph library — zero
         frames of ``networkx.*`` under ``DeploymentSearch.search`` — and
         still walks the trajectory the reference loop walks with the
-        uncached networkx ``SymmetryChecker.equivalent``."""
+        uncached networkx ``SurgeryGraphChecker.equivalent``."""
         topology = paper_topology("medium", seed=1)
         inventory = build_paper_inventory(topology, seed=2)
         spec = SearchSpec(
             ApplicationStructure.k_of_n(8, 10), max_seconds=50.0, max_iterations=25
         )
         search = _search(topology, inventory)
-        topology.elements  # cached listing of the topology's own nx.Graph
+        topology.elements  # the adjacency's cached node set
         entered = []
 
         def profiler(frame, event, arg):

@@ -267,8 +267,8 @@ class PerComponentLoopAssessor(IncrementalAssessor):
             else:
                 metrics.incr("closure/host/hit")
             elements |= cached
-        graph = self.topology.graph
-        subjects = {cid for cid in elements if cid in graph}
+        adjacency = self.topology.adjacency
+        subjects = {cid for cid in elements if cid in adjacency}
         sampled = set(self.dependency_model.basic_events_for(subjects))
         sampled.update(elements - subjects)
         return _Ids(subjects), _Ids(sampled)

@@ -766,8 +766,8 @@ class TestKernelObject:
         rounds = 501
         batch = sampler.sample(probabilities, rounds, np.random.default_rng(2))
         subjects = {
-            cid for cid in FATTREE.graph if cid in FATTREE_INV.trees
-        } or set(list(FATTREE.graph)[:8])
+            cid for cid in FATTREE.adjacency if cid in FATTREE_INV.trees
+        } or set(list(FATTREE.adjacency)[:8])
         failed = kernel.effective_states(
             subjects, set(probabilities) - subjects, batch.failed_rows()
         )

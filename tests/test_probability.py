@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.component import ComponentType
 from repro.faults.probability import (
@@ -14,6 +16,7 @@ from repro.faults.probability import (
     PaperProbabilityPolicy,
     annual_downtime_hours,
     failure_probability_from_downtime,
+    sample_each,
 )
 from repro.util.errors import ConfigurationError
 
@@ -93,30 +96,76 @@ class TestNormalProbabilityModel:
 class TestPaperProbabilityPolicy:
     def test_switches_use_switch_model(self, rng):
         policy = PaperProbabilityPolicy()
-        draws = [
-            policy.probability_for(ComponentType.CORE_SWITCH, rng) for _ in range(500)
-        ]
+        draws = policy.probabilities([ComponentType.CORE_SWITCH] * 500, rng)
         assert np.mean(draws) == pytest.approx(0.008, abs=1e-3)
 
     def test_hosts_use_default_model(self, rng):
         policy = PaperProbabilityPolicy()
-        draws = [policy.probability_for(ComponentType.HOST, rng) for _ in range(500)]
+        draws = policy.probabilities([ComponentType.HOST] * 500, rng)
         assert np.mean(draws) == pytest.approx(0.01, abs=1e-3)
 
     def test_links_default_to_perfectly_reliable(self, rng):
         policy = PaperProbabilityPolicy()
-        assert policy.probability_for(ComponentType.LINK, rng) == 0.0
+        assert policy.probabilities([ComponentType.LINK], rng).tolist() == [0.0]
 
     def test_link_probability_override(self, rng):
         policy = PaperProbabilityPolicy(link_probability=0.05)
-        assert policy.probability_for(ComponentType.LINK, rng) == 0.05
+        assert policy.probabilities([ComponentType.LINK], rng).tolist() == [0.05]
+
+
+_MODELS = [
+    NormalProbabilityModel(mean=0.008, stddev=0.001),
+    NormalProbabilityModel(mean=0.01, stddev=0.001),
+    NormalProbabilityModel(mean=0.3, stddev=0.2, minimum=0.2),
+    NormalProbabilityModel(mean=0.01, stddev=0.02, maximum=0.02),
+    NormalProbabilityModel(mean=0.05, stddev=0.0),
+]
+
+
+class TestOneDrawPerBuild:
+    """A build's probabilities come from one ``rng.normal`` call over
+    arrays; it must be the per-component loop it replaced, bit for bit,
+    leaving the generator in the same state."""
+
+    @given(
+        picks=st.lists(st.integers(0, len(_MODELS) - 1), max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample_each_is_the_per_model_loop(self, picks, seed):
+        models = [_MODELS[i] for i in picks]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_each(models, rng)
+        want = [model.sample(ref_rng) for model in models]
+        assert got.tolist() == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        types=st.lists(st.sampled_from(list(ComponentType)), max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_paper_policy_is_the_per_component_draw(self, types, seed):
+        policy = PaperProbabilityPolicy(
+            switch_model=_MODELS[3], default_model=_MODELS[2], link_probability=0.001
+        )
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [
+            policy.link_probability
+            if ctype is ComponentType.LINK
+            else (policy.switch_model if ctype.is_switch else policy.default_model)
+            .sample(ref_rng)
+            for ctype in types
+        ]
+        assert policy.probabilities(types, rng).tolist() == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDefaultProbabilityPolicy:
     def test_same_value_for_all_non_links(self, rng):
         policy = DefaultProbabilityPolicy(default_probability=0.02)
         for ctype in (ComponentType.HOST, ComponentType.CORE_SWITCH, ComponentType.POWER_SUPPLY):
-            assert policy.probability_for(ctype, rng) == 0.02
+            assert policy.probabilities([ctype], rng).tolist() == [0.02]
 
     def test_rejects_out_of_range_default(self):
         with pytest.raises(ConfigurationError):
@@ -132,8 +181,9 @@ class TestAhpProbabilityPolicy:
         policy = AhpProbabilityPolicy.from_pairwise_matrix(
             types, [[1, 3], [1 / 3, 1]], base_probability=0.01
         )
-        host_p = policy.probability_for(ComponentType.HOST, rng)
-        switch_p = policy.probability_for(ComponentType.CORE_SWITCH, rng)
+        host_p, switch_p = policy.probabilities(
+            [ComponentType.HOST, ComponentType.CORE_SWITCH], rng
+        )
         assert host_p == pytest.approx(3 * switch_p, rel=1e-6)
 
     def test_mean_weight_maps_to_base(self, rng):
@@ -141,13 +191,13 @@ class TestAhpProbabilityPolicy:
         policy = AhpProbabilityPolicy.from_pairwise_matrix(
             types, [[1, 1], [1, 1]], base_probability=0.01
         )
-        assert policy.probability_for(ComponentType.HOST, rng) == pytest.approx(0.01)
+        assert policy.probabilities([ComponentType.HOST], rng)[0] == pytest.approx(0.01)
 
     def test_unknown_type_uses_base(self, rng):
         policy = AhpProbabilityPolicy(
             type_weights={ComponentType.HOST: 1.0}, base_probability=0.03
         )
-        assert policy.probability_for(ComponentType.COOLING, rng) == 0.03
+        assert policy.probabilities([ComponentType.COOLING], rng).tolist() == [0.03]
 
     def test_rejects_empty_weights(self):
         with pytest.raises(ConfigurationError):

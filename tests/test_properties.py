@@ -18,7 +18,6 @@ from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, build_assessor
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
-from repro.core.transforms import SymmetryChecker
 from repro.faults.dependencies import DependencyModel
 from repro.faults.inventory import (
     build_paper_inventory,
@@ -36,6 +35,7 @@ from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.zones import MultiZoneTopology
 from tests.conftest import packed_states
 from tests.interpreted_oracle import interpreted_assess
+from tests.graph_oracle import SurgeryGraphChecker
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 # Module-level fixtures built once: hypothesis re-runs the bodies many
@@ -44,7 +44,7 @@ TOPOLOGY = FatTreeTopology(
     4, probability_policy=DefaultProbabilityPolicy(0.01), seed=3
 )
 INVENTORY = build_paper_inventory(TOPOLOGY, seed=4)
-CHECKER = SymmetryChecker(TOPOLOGY, INVENTORY)
+CHECKER = SurgeryGraphChecker(TOPOLOGY, INVENTORY)
 HOSTS = list(TOPOLOGY.hosts)
 
 
@@ -93,7 +93,7 @@ class TestReachabilityProperties:
         """Reachability is antitone in the failure pattern."""
         rng = np.random.default_rng(seed)
         engine = FatTreeReachabilityEngine(TOPOLOGY)
-        elements = [cid for cid in TOPOLOGY.components if cid in TOPOLOGY.graph]
+        elements = [cid for cid in TOPOLOGY.components if cid in TOPOLOGY.adjacency]
         base_failed = {
             cid: np.array([rng.random() < failed_fraction]) for cid in elements
         }
@@ -117,7 +117,7 @@ class TestReachabilityProperties:
     def test_pairwise_symmetric(self, seed):
         rng = np.random.default_rng(seed)
         engine = FatTreeReachabilityEngine(TOPOLOGY)
-        elements = [cid for cid in TOPOLOGY.components if cid in TOPOLOGY.graph]
+        elements = [cid for cid in TOPOLOGY.components if cid in TOPOLOGY.adjacency]
         failed = {cid: rng.random(8) < 0.2 for cid in elements}
         a, b = HOSTS[0], HOSTS[7]
         states = packed_states(8, failed)

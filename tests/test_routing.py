@@ -353,15 +353,11 @@ class TestGenericEngine:
         dense = unpacked(lossy_states)
         for i in range(0, ROUNDS, 7):  # spot-check a sample of rounds
             graph = nx.Graph()
-            for node in lossy_fattree4.graph.nodes:
+            for node in lossy_fattree4.adjacency:
                 if _alive(dense, node, i):
                     graph.add_node(node)
-            for a, b, data in lossy_fattree4.graph.edges(data=True):
-                if (
-                    a in graph
-                    and b in graph
-                    and _alive(dense, data["component_id"], i)
-                ):
+            for a, b, link in lossy_fattree4.links():
+                if a in graph and b in graph and _alive(dense, link, i):
                     graph.add_edge(a, b)
             alive_borders = [
                 b for b in lossy_fattree4.border_switches if b in graph
@@ -446,9 +442,8 @@ def routing_cases(draw):
     dead_borders = draw(st.sampled_from(["none", "one", "all"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    graph = topology.graph
-    nodes = list(graph.nodes)
-    links = [link for _a, _b, link in graph.edges(data="component_id")]
+    nodes = list(topology.adjacency)
+    links = [link for _a, _b, link in topology.links()]
     failed = {
         cid: rng.random(rounds) < rate
         for cid in nodes + links
@@ -530,13 +525,13 @@ class TestGenericEngineVsUnionFind:
         monkeypatch.setattr(RoundStates, "alive_mask", counting_alive_mask)
         monkeypatch.setattr(GenericReachabilityEngine, "_sweep", counting_sweep)
 
-        ids = len(topology.graph.nodes) + topology.graph.number_of_edges()
+        ids = len(topology.adjacency) + len(list(topology.links()))
         for rounds in (50, 500):
             calls.update(alive_mask=0, sweep=0)
             states = _states_for(topology, seed=9, rounds=rounds)
             result = engine.external_reachable(states, topology.hosts)
             assert calls["alive_mask"] == ids
-            assert 1 <= calls["sweep"] <= len(topology.graph.nodes)
+            assert 1 <= calls["sweep"] <= len(topology.adjacency)
             assert all(row.shape == (states.width,) for row in result.values())
             # A second call on the same states gathers rows of the kept
             # propagation: it reads no state and runs no sweep.

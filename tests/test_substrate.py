@@ -28,7 +28,6 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.core.transforms import SymmetryChecker
 from repro.faults.component import Component, ComponentType
 from repro.faults.faulttree import basic
 from repro.faults.inventory import build_paper_inventory, build_zone_inventory
@@ -45,6 +44,7 @@ from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.presets import paper_topology
 from repro.topology.zones import MultiZoneTopology
+from tests.graph_oracle import SurgeryGraphChecker
 from tests.test_batched_search import FakeClock
 from tests.test_cli import run_cli
 
@@ -229,7 +229,7 @@ class TestSymmetryFollowsTheSubstrate:
         assert filt.equivalent(worn, neighbour)
         topology.override_probabilities({"host/0/0/0": 0.0261})
         search.assessor.refresh_probabilities()
-        assert not SymmetryChecker(topology, model).equivalent(worn, neighbour)
+        assert not SurgeryGraphChecker(topology, model).equivalent(worn, neighbour)
         assert not filt.equivalent(worn, neighbour)
         assert filt._kernel is search.assessor.kernel
 

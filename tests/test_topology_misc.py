@@ -6,8 +6,11 @@ import pytest
 from repro.faults.component import ComponentType
 from repro.faults.probability import DefaultProbabilityPolicy
 from repro.topology.base import Topology, validate_hosts_exist
+from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, TopologyError
+from tests.graph_oracle import as_networkx
 
 
 class TestLeafSpine:
@@ -28,7 +31,7 @@ class TestLeafSpine:
             assert sorted(leafspine.neighbors(border)) == sorted(leafspine.spine_ids)
 
     def test_connected(self, leafspine):
-        assert nx.is_connected(leafspine.graph)
+        assert nx.is_connected(as_networkx(leafspine))
 
     def test_edge_switch_of(self, leafspine):
         assert leafspine.edge_switch_of("host/2/1") == "leaf/2"
@@ -92,6 +95,13 @@ class TestBaseValidation:
         with pytest.raises(TopologyError):
             topo._add_link("s0", "h0")
 
+    def test_link_from_an_element_to_itself_rejected(self):
+        topo = Topology("x", probability_policy=DefaultProbabilityPolicy(0.1))
+        topo._add_switch("s", ComponentType.EDGE_SWITCH)
+        with pytest.raises(TopologyError, match="itself"):
+            topo._add_link("s", "s")
+        assert topo.neighbors("s") == []
+
     def test_link_to_unknown_endpoint_rejected(self):
         topo = Topology("x", probability_policy=DefaultProbabilityPolicy(0.1))
         topo._add_host("h0")
@@ -125,3 +135,45 @@ class TestBaseValidation:
         topo._freeze()
         with pytest.raises(TopologyError):
             topo.edge_switch_of("h0")
+
+
+class TestRackQueriesOnTheWrongKindOfId:
+    """Rack queries name what an id is when it is not what they take."""
+
+    @pytest.mark.parametrize(
+        "build, switch, kind",
+        [
+            (lambda: FatTreeTopology(4, seed=1), "core/0/0", "core_switch"),
+            (lambda: FatTreeTopology(4, seed=1), "edge/0/0", "edge_switch"),
+            (
+                lambda: LeafSpineTopology(spines=2, leaves=2, hosts_per_leaf=2, seed=1),
+                "spine/0",
+                "core_switch",
+            ),
+            (lambda: MultiZoneTopology(zones=2, k=4, seed=1), "zone0/border/0", "border_switch"),
+            (lambda: MultiZoneTopology(zones=2, k=4, seed=1), "wan/zone1/0", "wan_router"),
+        ],
+    )
+    def test_edge_switch_of_a_switch_names_its_type(self, build, switch, kind):
+        topology = build()
+        with pytest.raises(TopologyError, match=f"'{switch}' is a {kind}, not a host"):
+            topology.edge_switch_of(switch)
+        with pytest.raises(TopologyError, match="not a host"):
+            topology.rack_of(switch)
+
+    def test_edge_switch_of_an_unknown_id(self, fattree4):
+        with pytest.raises(TopologyError, match="unknown component 'ghost'"):
+            fattree4.edge_switch_of("ghost")
+
+    @pytest.mark.parametrize("not_a_rack", ["host/0/0/0", "core/0/0", "agg/0/0", "ghost"])
+    def test_hosts_in_rack_takes_only_racks(self, fattree4, not_a_rack):
+        with pytest.raises(TopologyError, match="is not a rack"):
+            fattree4.hosts_in_rack(not_a_rack)
+
+    def test_hosts_in_rack_of_every_rack(self, fattree4, leafspine):
+        for topology in (fattree4, leafspine):
+            racks = topology.racks()
+            hosts = [h for rack in racks for h in topology.hosts_in_rack(rack)]
+            assert sorted(hosts) == sorted(topology.hosts)
+            for rack in racks:
+                assert all(topology.rack_of(h) == rack for h in topology.hosts_in_rack(rack))

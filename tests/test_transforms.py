@@ -27,6 +27,7 @@ from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.presets import paper_topology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.metrics import MetricsRegistry
+from tests.graph_oracle import SurgeryGraphChecker
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ def uniform_fattree8():
 
 @pytest.fixture
 def checker(uniform_fattree):
-    return SymmetryChecker(uniform_fattree)
+    return SurgeryGraphChecker(uniform_fattree)
 
 
 def plan_of(*hosts):
@@ -103,7 +104,7 @@ class TestProbabilityClasses:
         """§3.3.1: same-type components with very different probabilities
         are logically different types."""
         uniform_fattree.override_probabilities({"host/0/0/0": 0.2})
-        checker = SymmetryChecker(uniform_fattree)
+        checker = SurgeryGraphChecker(uniform_fattree)
         a = plan_of("host/0/0/0")
         b = plan_of("host/1/0/0")
         assert checker.signature(a) != checker.signature(b)
@@ -113,7 +114,7 @@ class TestProbabilityClasses:
         uniform_fattree.override_probabilities(
             {"host/0/0/0": 0.0101, "host/1/0/0": 0.0099}
         )
-        checker = SymmetryChecker(uniform_fattree)
+        checker = SurgeryGraphChecker(uniform_fattree)
         assert checker.equivalent(plan_of("host/0/0/0"), plan_of("host/1/0/0"))
 
 
@@ -121,7 +122,7 @@ class TestSharedDependencies:
     def test_power_sharing_pattern_in_signature(self, uniform_fattree):
         """Plans with different power-supply sharing must differ."""
         model = build_paper_inventory(uniform_fattree, seed=5)
-        checker = SymmetryChecker(uniform_fattree, model)
+        checker = SurgeryGraphChecker(uniform_fattree, model)
         hosts = uniform_fattree.hosts
 
         def rack_supply(host):
@@ -163,7 +164,7 @@ class TestBatchSymmetryFilter:
 
     def test_verdicts_match_unwrapped_checker(self, uniform_fattree):
         filt = BatchSymmetryFilter(SymmetryChecker(uniform_fattree))
-        reference = SymmetryChecker(uniform_fattree)
+        reference = SurgeryGraphChecker(uniform_fattree)
         verdicts = []
         for plan, neighbor in self._walk(uniform_fattree):
             verdict = filt.equivalent(plan, neighbor)
@@ -202,7 +203,7 @@ class TestBatchSymmetryFilter:
         and every one is in a shared group — 8! renumberings, which the
         enumerating certificate used to decline. The bijection search
         maps them in a few more extensions than there are instances."""
-        checker = SymmetryChecker(uniform_fattree)
+        checker = SurgeryGraphChecker(uniform_fattree)
         filt = BatchSymmetryFilter(checker)
         pod_host = lambda pod: [
             h for h in uniform_fattree.hosts if uniform_fattree.pod_of(h) == pod
@@ -232,7 +233,7 @@ class TestBatchSymmetryFilter:
             seed=1,
         )
         one_per_rack = [topology.hosts_in_rack(rack)[0] for rack in topology.racks()]
-        checker = SymmetryChecker(topology)
+        checker = SurgeryGraphChecker(topology)
         filt = BatchSymmetryFilter(checker)
         a, b = plan_of(*one_per_rack[:8]), plan_of(*one_per_rack[1:])
         assert filt.equivalent(a, b) and checker.equivalent(a, b)
@@ -253,7 +254,7 @@ class TestBatchSymmetryFilter:
         """A move between hosts of different probability classes changes
         the moved instance's colour, so the invariants differ."""
         uniform_fattree.override_probabilities({"host/0/0/0": 0.2})
-        checker = SymmetryChecker(uniform_fattree)
+        checker = SurgeryGraphChecker(uniform_fattree)
         filt = BatchSymmetryFilter(checker)
         plan = plan_of("host/0/0/0", "host/1/0/0")
         neighbor = MoveDescriptor("host/0/0/0", "host/2/0/0").apply(plan)
@@ -313,7 +314,7 @@ def _substrate(name):
     racks = topology.racks()
     step = max(1, len(racks) // 8)
     pool = [h for rack in racks[::step][:8] for h in topology.hosts_in_rack(rack)[:3]]
-    return SymmetryChecker(topology, model), pool
+    return SurgeryGraphChecker(topology, model), pool
 
 
 def _plan(hosts, split):
@@ -407,7 +408,7 @@ class TestCertificateAgainstChecker:
         """Refinement cannot tell the four instances apart (each shares a
         pod with one other), so the verdict rests on the bijection search:
         the same four hosts as 2+2 match any other 2+2 and no 3+1."""
-        checker = SymmetryChecker(uniform_fattree8)
+        checker = SurgeryGraphChecker(uniform_fattree8)
         filt = BatchSymmetryFilter(checker)
         (a0, a1, a2), (b0, b1, _), (c0, c1, _) = self._pods(uniform_fattree8, 3, 3)
         two_two = plan_of(a0, b0, a1, b1)  # instance order interleaves the pods
@@ -426,7 +427,7 @@ class TestCertificateAgainstChecker:
         """Eight instances in one class, all of them in shared groups:
         2!^4 * 4! pod-respecting renumberings out of 8!, past the old
         certificate's budget."""
-        checker = SymmetryChecker(uniform_fattree8)
+        checker = SurgeryGraphChecker(uniform_fattree8)
         filt = BatchSymmetryFilter(checker)
         pods = self._pods(uniform_fattree8, 7, 3)
         four_twos = plan_of(*(pod[i] for i in (0, 1) for pod in pods[:4]))
@@ -452,7 +453,7 @@ class TestCertificateAgainstChecker:
             seed=1,
         )
         hosts = [topology.hosts_in_rack(rack)[0] for rack in topology.racks()]
-        checker = SymmetryChecker(topology, _supplied(topology, hosts[:9]))
+        checker = SurgeryGraphChecker(topology, _supplied(topology, hosts[:9]))
         filt = BatchSymmetryFilter(checker)
         supplied = plan_of(*hosts[:8])
         also_supplied = plan_of(*hosts[8:0:-1])
@@ -474,7 +475,7 @@ class TestCertificateAgainstChecker:
         )
         (a0, a1), (b0, b1), (c0, c1), (d0, d1) = self._pods(topology, 4, 2)
         aligned = _supplied(topology, (a0, a1), (b0, b1), (c0, d0), (c1, d1))
-        checker = SymmetryChecker(topology, aligned)
+        checker = SurgeryGraphChecker(topology, aligned)
         filt = BatchSymmetryFilter(checker)
         with_pods = plan_of(a0, b0, a1, b1)  # supplies follow the pods
         across_pods = plan_of(c0, c1, d0, d1)  # supplies cross the pods
@@ -507,7 +508,7 @@ class TestCertificateAgainstChecker:
             for pod in (0, 2, 4)
             for rack in (0, 1)
         ]
-        checker = SymmetryChecker(topology, _supplied(topology, *low, *crossing))
+        checker = SurgeryGraphChecker(topology, _supplied(topology, *low, *crossing))
         filt = BatchSymmetryFilter(checker)
         with_pods = plan_of(*(host for pod in low[:6] for host in pod))
         across_pods = plan_of(*(host for pod in high for host in pod))

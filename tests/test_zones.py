@@ -19,7 +19,7 @@ from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.api import AssessmentConfig, build_assessor
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
+from repro.core.transforms import BatchSymmetryFilter
 from repro.faults.component import ComponentType
 from repro.faults.inventory import (
     attach_zone_shared_roots,
@@ -39,6 +39,7 @@ from repro.util.errors import (
 )
 from repro.util.metrics import MetricsRegistry
 from tests.interpreted_oracle import interpreted_assess
+from tests.graph_oracle import SurgeryGraphChecker, as_networkx
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 
@@ -95,10 +96,11 @@ class TestMultiZoneTopology:
         """Cross-zone paths exist and route through the WAN mesh."""
         import networkx as nx
 
-        assert nx.is_connected(zones2.graph)
+        graph = as_networkx(zones2)
+        assert nx.is_connected(graph)
         h0 = zones2.hosts_in_zone("zone0")[0]
         h1 = zones2.hosts_in_zone("zone1")[0]
-        path = nx.shortest_path(zones2.graph, h0, h1)
+        path = nx.shortest_path(graph, h0, h1)
         assert any(node.startswith("wan/") for node in path)
 
     def test_dispatches_to_generic_engine(self, zones2):
@@ -552,7 +554,7 @@ class TestZoneSymmetry:
     ):
         """The mirror host in the other zone has a different shared-root
         context, so swapping zones is a real move, not a symmetry skip."""
-        checker = SymmetryChecker(zones2, zone_model)
+        checker = SurgeryGraphChecker(zones2, zone_model)
         filt = BatchSymmetryFilter(checker)
         h0 = "zone0/host/0/0/0"
         mirror = "zone1/host/0/0/0"
@@ -565,7 +567,7 @@ class TestZoneSymmetry:
 
     def test_same_zone_mirror_hosts_are_equivalent(self, zones2, zone_model):
         """Within one zone the fat-tree symmetry still collapses mirrors."""
-        checker = SymmetryChecker(zones2, zone_model)
+        checker = SurgeryGraphChecker(zones2, zone_model)
         filt = BatchSymmetryFilter(checker)
         a = "zone0/host/0/0/0"
         b = "zone0/host/0/0/1"  # same edge switch, same pod, same roots

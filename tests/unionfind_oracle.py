@@ -82,10 +82,10 @@ class UnionFindReachabilityEngine(ReachabilityEngine):
 
     def __init__(self, topology: Topology):
         super().__init__(topology)
-        self._index = {node: i for i, node in enumerate(topology.graph.nodes)}
+        self._index = {node: i for i, node in enumerate(topology.adjacency)}
         self._edges = [
-            (self._index[a], self._index[b], data["component_id"], a, b)
-            for a, b, data in topology.graph.edges(data=True)
+            (self._index[a], self._index[b], link, a, b)
+            for a, b, link in topology.links()
         ]
         self._border_indices = [self._index[b] for b in topology.border_switches]
         self._intact = self._intact_union_find()
