@@ -142,9 +142,6 @@ class ApplicationStructure:
         except KeyError:
             raise ConfigurationError(f"unknown component {name!r}") from None
 
-    def component_names(self) -> list[str]:
-        return [spec.name for spec in self.components]
-
     def content_key(self) -> tuple:
         """Hashable identity by content: two structures with equal keys
         validate and evaluate identically. Caches key on this, never on

@@ -61,6 +61,7 @@ from repro.faults.inventory import build_paper_inventory
 from repro.faults.probability import annual_downtime_hours
 from repro.runtime.mapreduce import RetryPolicy
 from repro.topology.presets import PAPER_SCALES, paper_topology
+from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, ReproError, ValidationError
 from repro.util.metrics import MetricsRegistry
 from repro.workload.model import HostWorkloadModel
@@ -225,8 +226,8 @@ def cmd_search(args) -> int:
     # Built before any signal handler is installed: a bad --batch-size or
     # --move-budget is a ConfigurationError here, which main() maps to
     # EXIT_CONFIG with the process's signal dispositions untouched.
-    stop_requested = {"flag": False}
     checkpoint_path = args.checkpoint or args.resume
+    preempted = CancellationToken() if checkpoint_path else None
     search = DeploymentSearch.from_config(
         topology,
         inventory,
@@ -235,7 +236,7 @@ def cmd_search(args) -> int:
         rng=args.seed + 4,
         checkpoint_path=checkpoint_path,
         checkpoint_every=args.checkpoint_every,
-        should_stop=(lambda: stop_requested["flag"]) if checkpoint_path else None,
+        cancel=preempted,
         batch_size=args.batch_size,
         temperature_schedule=(
             None
@@ -244,11 +245,13 @@ def cmd_search(args) -> int:
         ),
     )
 
-    # Graceful preemption: when checkpointing, SIGTERM/SIGINT request a
-    # final checkpoint and an orderly stop instead of killing mid-anneal.
-    if checkpoint_path:
+    # Graceful preemption: when checkpointing, SIGTERM/SIGINT cancel the
+    # search's token, which checkpoints and stops at the next move instead
+    # of killing mid-anneal. The token has no deadline, so only the
+    # handler ever sets it; the loop only reads it.
+    if preempted is not None:
         def _request_stop(signum, frame):
-            stop_requested["flag"] = True
+            preempted.cancel("preempted by signal")
 
         signal.signal(signal.SIGTERM, _request_stop)
         signal.signal(signal.SIGINT, _request_stop)
@@ -286,11 +289,11 @@ def cmd_search(args) -> int:
         )
     if checkpoint_path:
         human += f"\ncheckpoint: {checkpoint_path}"
-        if stop_requested["flag"]:
+        if preempted.cancelled:
             human += " (preempted; resume with --resume)"
     human = _attach_profile(args, metrics, document, human)
     _emit(args, document, human)
-    if stop_requested["flag"]:
+    if preempted is not None and preempted.cancelled:
         return EXIT_PREEMPTED
     if result.satisfied or desired >= 1.0:
         return EXIT_OK

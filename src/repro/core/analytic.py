@@ -346,11 +346,10 @@ class AnalyticAssessor(AssessorBase):
         """Hybrid batch scoring: exact screen, sampled confirm.
 
         Tractable candidates are answered exactly; the declined
-        remainder goes through the inner assessor's ``score_plans`` in
-        one shared batch (under a CRN sampler that subset is
-        bit-identical to per-plan assessment, so mixing exact and
-        sampled entries never changes what either backend would have
-        returned alone). Results come back in input order.
+        remainder goes through the inner assessor's ``score_plans``,
+        which returns what per-plan assessment would, so mixing exact
+        and sampled entries never changes what either backend would have
+        returned alone. Results come back in input order.
         """
         results: list[AssessmentResult | None] = [None] * len(plans)
         declined: list[int] = []

@@ -193,8 +193,8 @@ class Assessor(Protocol):
         Every backend must return exactly what per-plan :meth:`assess`
         calls would: the batch form is a performance contract (shared
         packed layouts, shared closure extension, one kernel dispatch),
-        never a semantic one. Backends without a fast path delegate to
-        :func:`score_plans_sequentially`.
+        never a semantic one. Backends without a fast path inherit
+        :meth:`AssessorBase.score_plans`.
         """
         ...
 
@@ -235,6 +235,22 @@ class AssessorBase:
             self._validated.clear()
         self._validated.add(key)
 
+    def score_plans(
+        self,
+        plans: "Sequence[DeploymentPlan]",
+        structure: ApplicationStructure,
+        rounds: int | None = None,
+        cancel=None,
+    ) -> "list[AssessmentResult]":
+        """The default ``score_plans``: one :meth:`assess` per plan, which
+        is what the :class:`Assessor` contract defines a batch to return.
+        The incremental walk and the analytic screen override it with
+        their fast paths."""
+        return [
+            self.assess(plan, structure, rounds=rounds, cancel=cancel)
+            for plan in plans
+        ]
+
     def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
         """(subjects, sampled component ids) of a plan's closure, decoded
         from the kernel's masks: the analytic assessor's input."""
@@ -250,27 +266,6 @@ class AssessorBase:
         structure = ApplicationStructure.k_of_n(k, len(hosts))
         plan = DeploymentPlan.single_component(hosts, structure.components[0].name)
         return self.assess(plan, structure, rounds=rounds)
-
-
-def score_plans_sequentially(
-    assessor: Assessor,
-    plans: "Sequence[DeploymentPlan]",
-    structure: "ApplicationStructure",
-    rounds: int | None = None,
-    cancel=None,
-) -> "list[AssessmentResult]":
-    """The default ``score_plans``: one :meth:`~Assessor.assess` per plan.
-
-    Correct for every backend by construction — batch scoring is defined
-    as "exactly what the per-plan calls would return". Backends with a
-    shared fast path (packed kernel batches, common closure extension)
-    override ``score_plans`` and fall back here when the fast path does
-    not apply.
-    """
-    return [
-        assessor.assess(plan, structure, rounds=rounds, cancel=cancel)
-        for plan in plans
-    ]
 
 
 def build_assessor(

@@ -22,7 +22,6 @@ Pipeline, per assessment:
 from __future__ import annotations
 
 import contextlib
-from typing import Sequence
 
 import numpy as np
 
@@ -102,14 +101,13 @@ class ReliabilityAssessor(AssessorBase):
     def _closure_masks(self, plan: DeploymentPlan) -> tuple[int, int]:
         return self.kernel.closure_masks(self.engine, plan.hosts(), self.metrics)
 
-    def _probabilities(self, sampled: int, by_id: bool) -> dict[str, float]:
+    def _probabilities(self, sampled: int) -> dict[str, float]:
         """The sampler's input for a closure: the components that can fail
         (every sampler skips the rest without a draw), in sorted-id order,
-        the stream :meth:`assess` has always drawn, or arena order."""
+        the stream :meth:`assess` has always drawn."""
         arena = self.kernel.arena
         drawn = arena.indices_in(sampled & self.kernel.positive)
-        if by_id:
-            drawn = drawn[np.argsort(arena.rank[drawn])]
+        drawn = drawn[np.argsort(arena.rank[drawn])]
         ids = arena.ids
         keys = [ids[i] for i in drawn.tolist()]
         return dict(zip(keys, arena.probabilities[drawn].tolist()))
@@ -140,10 +138,10 @@ class ReliabilityAssessor(AssessorBase):
             cancel.check()
         with _stage(metrics, "closure"):
             subjects, sampled = self._closure_masks(plan)
-            probabilities = self._probabilities(sampled, by_id=True)
+            probabilities = self._probabilities(sampled)
 
         per_round = self._run_stages(
-            plan, structure, rounds, subjects, sampled, probabilities, cancel
+            plan, structure, rounds, subjects, probabilities, cancel
         )
         with _stage(metrics, "estimate"):
             estimate = estimate_from_results(per_round)
@@ -165,37 +163,23 @@ class ReliabilityAssessor(AssessorBase):
         structure: ApplicationStructure,
         rounds: int,
         subjects: int,
-        sampled: int,
         probabilities: dict[str, float],
         cancel=None,
-        values: dict[int, np.ndarray | None] | None = None,
-        batch=None,
     ) -> np.ndarray:
-        """Sample -> fault-tree reasoning -> route-and-check.
-
-        ``batch`` and ``values`` let :meth:`score_plans` share one packed
-        batch (and the node-value cache over it) across many plans.
-        """
+        """Sample -> fault-tree reasoning -> route-and-check."""
         metrics = self.metrics
         kernel = self.kernel
-        if batch is None:
-            only = None
-            with _stage(metrics, "sample"):
-                batch = self.sampler.sample(
-                    probabilities, rounds, self.rng, cancel=cancel
-                )
-        else:
-            # A shared batch holds more than this plan's closure.
-            only = set(kernel.arena.ids_in(sampled))
+        with _stage(metrics, "sample"):
+            batch = self.sampler.sample(probabilities, rounds, self.rng, cancel=cancel)
 
         if cancel is not None:
             cancel.check()
         with _stage(metrics, "faulttree"):
             # Every failed row is a raw-element candidate: a handful,
             # where the closure's links run to thousands.
-            rows = batch.failed_rows(only)
+            rows = batch.failed_rows()
             failed = kernel.effective_states(
-                kernel.arena.ids_in(subjects), rows, rows, values, metrics
+                kernel.arena.ids_in(subjects), rows, rows, metrics=metrics
             )
             round_states = RoundStates(rounds=rounds, failed=failed)
         # Dead from here on, and the larger share of an assessment's
@@ -206,85 +190,6 @@ class ReliabilityAssessor(AssessorBase):
             cancel.check()
         with _stage(metrics, "route_and_check"):
             return self._evaluator.evaluate(round_states, plan, structure)
-
-    def score_plans(
-        self,
-        plans: Sequence[DeploymentPlan],
-        structure: ApplicationStructure,
-        rounds: int | None = None,
-        cancel=None,
-    ) -> list[AssessmentResult]:
-        """Score several plans against ONE shared sampled batch.
-
-        The shared batch puts every plan under common random numbers, so
-        score differences between the plans reflect only the components
-        they do not share — the paired-comparison property the annealing
-        search wants from candidate scoring. One packed batch over the
-        union closure is sampled once and the compiled forest's node-value
-        cache is reused across all plans (neighbour plans share almost all
-        subjects).
-
-        With a :class:`~repro.sampling.dagger.CommonRandomDaggerSampler`
-        the results are bit-identical to assessing each plan separately,
-        because its per-component streams do not depend on what else is
-        in the batch.
-        """
-        rounds = rounds or self.rounds
-        if len(plans) < 2:
-            # score_plans([p]) must equal [assess(p)] bit-for-bit on every
-            # backend, and assess's sorted-closure sampling order differs
-            # from the arena order the shared batch uses (visible to
-            # non-CRN samplers).
-            return [
-                self.assess(plan, structure, rounds=rounds, cancel=cancel)
-                for plan in plans
-            ]
-
-        watch = Stopwatch()
-        metrics = self.metrics
-        closures: list[tuple[int, int]] = []
-        union_sampled = 0
-        with _stage(metrics, "closure"):
-            for plan in plans:
-                plan.validate_against(self.topology, structure)
-                closures.append(self._closure_masks(plan))
-                union_sampled |= closures[-1][1]
-            probabilities = self._probabilities(union_sampled, by_id=False)
-
-        with _stage(metrics, "sample"):
-            batch = self.sampler.sample(probabilities, rounds, self.rng, cancel=cancel)
-
-        values: dict[int, np.ndarray | None] = {}
-        results = []
-        for plan, (subjects, sampled) in zip(plans, closures):
-            elapsed_before = watch.elapsed()
-            per_round = self._run_stages(
-                plan,
-                structure,
-                rounds,
-                subjects,
-                sampled,
-                probabilities,
-                cancel=cancel,
-                values=values,
-                batch=batch,
-            )
-            with _stage(metrics, "estimate"):
-                estimate = estimate_from_results(per_round)
-            if metrics is not None:
-                metrics.incr("assess/shared_batch")
-            results.append(
-                AssessmentResult(
-                    plan=plan,
-                    estimate=estimate,
-                    per_round=per_round,
-                    sampled_components=sampled.bit_count(),
-                    elapsed_seconds=watch.elapsed() - elapsed_before,
-                )
-            )
-        if metrics is not None:
-            metrics.incr("sample/components", union_sampled.bit_count())
-        return results
 
     def assess_to_ci(
         self,

@@ -126,13 +126,6 @@ class ZoneConstraints:
             and not self.spread_components
         )
 
-    def pinned_for(self, component: str) -> tuple[str, ...] | None:
-        """The allowed zones of one component, or ``None`` if unpinned."""
-        for name, zones in self.pinned_zones:
-            if name == component:
-                return zones
-        return None
-
     # ------------------------------------------------------------------
 
     def violations(

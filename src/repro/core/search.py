@@ -144,8 +144,8 @@ class DeploymentSearch:
 
     ``checkpoint_path`` enables crash tolerance: the annealing state is
     written there every ``checkpoint_every`` iterations and whenever the
-    loop stops (budget expiry, iteration cap, or ``should_stop`` — wire
-    the latter to a SIGTERM flag for graceful preemption). A checkpoint
+    loop stops (budget expiry, iteration cap, or ``cancel`` firing — a
+    SIGTERM handler cancels it for graceful preemption). A checkpoint
     is resumed with :meth:`resume`.
     """
 
@@ -161,7 +161,6 @@ class DeploymentSearch:
         clock: Callable[[], float] = time.monotonic,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 10,
-        should_stop: Callable[[], bool] | None = None,
         cancel=None,
         batch_size: int = 1,
         temperature_schedule=None,
@@ -196,7 +195,6 @@ class DeploymentSearch:
         self._clock = clock
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.should_stop = should_stop
         #: Optional :class:`~repro.util.cancel.CancellationToken`. Checked
         #: at the top of every annealing iteration (move granularity):
         #: when it fires, the loop checkpoints (if configured) and
@@ -471,14 +469,10 @@ class DeploymentSearch:
                 and state.iterations % self.checkpoint_every == 0
             ):
                 self._write_checkpoint(state)
-            if self.should_stop is not None and self.should_stop():
-                if self.checkpoint_path is not None:
-                    self._write_checkpoint(state)
-                break
             if self.cancel is not None and self.cancel.cancelled:
-                # Deadline/client cancel: stop between moves, persist the
-                # state for a later resume, and fall through to report
-                # the best-so-far (anytime search semantics).
+                # Deadline, client cancel or SIGTERM: stop between moves,
+                # persist the state for a later resume, and fall through
+                # to report the best-so-far (anytime search semantics).
                 if self.checkpoint_path is not None:
                     self._write_checkpoint(state)
                 break

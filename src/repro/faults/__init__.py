@@ -7,13 +7,6 @@ from repro.faults.cvss import (
     software_failure_probability,
 )
 from repro.faults.dependencies import DependencyModel
-from repro.faults.discovery import (
-    DiscoveredDependency,
-    Flow,
-    NetworkDependencyMiner,
-    attach_discovered_dependencies,
-    generate_flow_log,
-)
 from repro.faults.faulttree import (
     BasicEvent,
     FaultTree,
@@ -56,9 +49,6 @@ __all__ = [
     "ComponentType",
     "DefaultProbabilityPolicy",
     "DependencyModel",
-    "DiscoveredDependency",
-    "Flow",
-    "NetworkDependencyMiner",
     "FaultTree",
     "Gate",
     "GateKind",
@@ -69,7 +59,6 @@ __all__ = [
     "Vulnerability",
     "and_gate",
     "annual_downtime_hours",
-    "attach_discovered_dependencies",
     "attach_host_software",
     "attach_power_supplies",
     "attach_rack_cooling",
@@ -80,7 +69,6 @@ __all__ = [
     "build_rich_inventory",
     "build_zone_inventory",
     "failure_probability_from_downtime",
-    "generate_flow_log",
     "k_of_n_gate",
     "link_id",
     "or_gate",

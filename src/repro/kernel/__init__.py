@@ -10,7 +10,7 @@ every assessor uses:
   bit-packed ``(components x rounds)`` state matrix
   (:class:`~repro.kernel.packed.PackedBatch`), through its one
   ``Sampler.sample``;
-* :class:`~repro.kernel.compiler.FaultTreeCompiler` flattens the whole
+* :class:`~repro.kernel.compiler.CompiledForest` flattens the whole
   forest into one postorder instruction program with shared subtrees
   deduplicated, evaluated by a non-recursive loop;
 * the packed states flow into routing and structure evaluation as
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.kernel.arena import INDEX_DTYPE, ComponentArena
-from repro.kernel.compiler import CompiledForest, FaultTreeCompiler, ForestStats
+from repro.kernel.compiler import CompiledForest, ForestStats
 from repro.kernel.exact import (
     ExactBudget,
     ExactDeclined,
@@ -59,7 +59,6 @@ __all__ = [
     "CompiledForest",
     "ExactBudget",
     "ExactDeclined",
-    "FaultTreeCompiler",
     "ForestStats",
     "Marginals",
     "PackedBatch",
@@ -106,7 +105,6 @@ class AssessmentKernel:
         #: The mask of the components that can fail: nothing else is drawn.
         self.positive = self.arena.mask_of_indices(self.arena.probabilities > 0.0)
         self.forest = CompiledForest(self.arena)
-        self._compiler = FaultTreeCompiler(self.arena)
         self.lock = _LOCK
         # engine -> layer key -> (subjects, sampled) masks; weak by engine
         self._layer_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -207,7 +205,9 @@ class AssessmentKernel:
         new = [subject for subject in subject_ids if subject not in roots]
         if new:
             with self.lock:
-                self._compiler.extend(self.forest, self.dependency_model, new)
+                for subject in new:
+                    tree = self.dependency_model.tree_for(subject)
+                    self.forest.ensure_subject(subject, tree.root)
         if metrics is not None:
             metrics.incr("kernel/subject/miss", len(new))
             metrics.incr("kernel/subject/hit", len(subject_ids) - len(new))

@@ -28,16 +28,13 @@ failed" and ``ZeroFill`` semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.faults.faulttree import BasicEvent, FaultTreeNode, Gate, GateKind
 from repro.kernel.arena import ComponentArena
 from repro.util.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.dependencies import DependencyModel
 
 #: Instruction opcodes.
 OP_LEAF = 0
@@ -306,29 +303,3 @@ class CompiledForest:
             f"<CompiledForest: {s.subjects} subjects, {s.nodes} nodes "
             f"({s.leaves} leaves), {s.dedup_hits} dedup hits>"
         )
-
-
-class FaultTreeCompiler:
-    """Compiles a :class:`DependencyModel`'s trees against one arena."""
-
-    def __init__(self, arena: ComponentArena):
-        self.arena = arena
-
-    def compile_subjects(
-        self, model: "DependencyModel", subject_ids: Iterable[str]
-    ) -> CompiledForest:
-        """Compile the forest of the given subjects (deduplicated)."""
-        forest = CompiledForest(self.arena)
-        self.extend(forest, model, subject_ids)
-        return forest
-
-    def extend(
-        self,
-        forest: CompiledForest,
-        model: "DependencyModel",
-        subject_ids: Iterable[str],
-    ) -> None:
-        """Intern any not-yet-compiled subjects into an existing forest."""
-        for subject_id in subject_ids:
-            if subject_id not in forest.roots:
-                forest.ensure_subject(subject_id, model.tree_for(subject_id).root)

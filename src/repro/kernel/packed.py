@@ -62,13 +62,8 @@ class PackedBatch:
         if self.nonzero is None:
             self.nonzero = self.matrix.any(axis=1)
 
-    def failed_rows(self, only=None) -> dict[str, np.ndarray]:
+    def failed_rows(self) -> dict[str, np.ndarray]:
         """Packed failure row of every component that failed in some round
-        (the compiled forest's leaf states; anything absent never failed),
-        of those in the set ``only`` when given: a plan reads its closure,
-        a batch shared by several plans holds their union."""
+        (the compiled forest's leaf states; anything absent never failed)."""
         ids, matrix = self.component_ids, self.matrix
-        failed = np.flatnonzero(self.nonzero).tolist()
-        if only is not None:
-            failed = [i for i in failed if ids[i] in only]
-        return {ids[i]: matrix[i] for i in failed}
+        return {ids[i]: matrix[i] for i in np.flatnonzero(self.nonzero).tolist()}

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.app.structure import ApplicationStructure
-from repro.core.api import AssessmentConfig, AssessorBase, score_plans_sequentially
+from repro.core.api import AssessmentConfig, AssessorBase
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, PortionFailure, RuntimeMetadata
@@ -545,14 +545,3 @@ class ParallelAssessor(AssessorBase):
         return replace(
             result, runtime=replace(result.runtime, profile=self.metrics.flat())
         )
-
-    def score_plans(
-        self,
-        plans: Sequence[DeploymentPlan],
-        structure: ApplicationStructure,
-        rounds: int | None = None,
-        cancel=None,
-    ) -> list[AssessmentResult]:
-        """One :meth:`assess` per plan: the pool is already saturated by one
-        plan's portions, so there is no shared-batch fast path to gain."""
-        return score_plans_sequentially(self, plans, structure, rounds, cancel)

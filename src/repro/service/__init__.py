@@ -12,7 +12,6 @@ own threads; the one shape with worker processes is the shard fleet
 (``repro serve --workers N``, :mod:`repro.service.fleet`).
 """
 
-from repro.service.cancellation import NEVER, CancellationToken
 from repro.service.client import HttpServiceClient, ServiceClient
 from repro.service.health import HealthMonitor
 from repro.service.journal import JournalState, RequestJournal
@@ -30,6 +29,7 @@ from repro.service.requests import (
 )
 from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.service.store import ResultStore
+from repro.util.cancel import NEVER, CancellationToken
 
 __all__ = [
     "AssessRequest",

@@ -28,6 +28,7 @@ the drain timeout passes), then stops the workers.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import threading
 import time
@@ -41,6 +42,7 @@ from repro.service.requests import (
     SearchRequest,
     ServiceResponse,
     Ticket,
+    _validate_positive_finite,
 )
 from repro.util.errors import ValidationError
 from repro.util.metrics import MetricsRegistry
@@ -53,10 +55,12 @@ class ServiceConfig:
     """Every knob of the long-running assessment service.
 
     Construction raises one :class:`ValidationError` naming every queue or
-    worker count, heartbeat setting and retention the service cannot run
-    with, so each deployment shape and the CLI reject them in the same
-    words. (A zero heartbeat interval or miss budget quarantines every
-    fleet worker; a zero retention deletes every stored result at start.)
+    worker count, round count, deadline, drain timeout, heartbeat setting
+    and retention the service cannot run with, so each deployment shape
+    and the CLI reject them in the same words. (A zero heartbeat interval
+    or miss budget quarantines every fleet worker; a zero retention
+    deletes every stored result at start; zero rounds kill every executor
+    thread.)
 
     Attributes:
         scale: Preset data-center scale (Table 2) when no topology is
@@ -137,6 +141,18 @@ class ServiceConfig:
             for name in ("heartbeat_interval_seconds", "result_ttl_seconds")
             if not getattr(self, name) > 0
         ]
+        rounds = self.rounds
+        if isinstance(rounds, bool) or not (isinstance(rounds, int) and rounds >= 1):
+            errors.append(("rounds", f"must be an int >= 1, got {rounds!r}"))
+        # The default deadline obeys the rule a request's own one does.
+        _validate_positive_finite(
+            "default_deadline_seconds", self.default_deadline_seconds, errors
+        )
+        drain = self.drain_timeout_seconds
+        if not (math.isfinite(drain) and drain >= 0):
+            errors.append(
+                ("drain_timeout_seconds", f"must be finite and >= 0, got {drain}")
+            )
         if errors:
             raise ValidationError(errors)
 

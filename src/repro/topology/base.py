@@ -45,11 +45,6 @@ class TopologySummary:
             + self.border_switches
         )
 
-    @property
-    def total_components(self) -> int:
-        """Hosts + switches + links (network components only)."""
-        return self.hosts + self.total_switches + self.links
-
 
 class Topology:
     """A data-center network: typed components connected by links.

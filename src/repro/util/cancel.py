@@ -55,13 +55,6 @@ class CancellationToken:
 
     # ------------------------------------------------------------------
 
-    @classmethod
-    def with_deadline(
-        cls, seconds: float | None, clock: Clock = time.monotonic
-    ) -> "CancellationToken":
-        """A fresh token that fires ``seconds`` from now (or never)."""
-        return cls(deadline_seconds=seconds, clock=clock)
-
     def child(self, deadline_seconds: float | None = None) -> "CancellationToken":
         """A token that fires with this one, or on its own deadline."""
         return CancellationToken(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Iterator
 
 
 class MetricsRegistry:
@@ -165,20 +165,3 @@ class MetricsRegistry:
             f"<MetricsRegistry: {len(self._counters)} counters, "
             f"{len(self._timer_seconds)} timers>"
         )
-
-
-def flat_to_nested(flat: Mapping[str, float] | tuple) -> dict[str, dict]:
-    """Rebuild a structured snapshot from :meth:`MetricsRegistry.flat` output."""
-    if not isinstance(flat, Mapping):
-        flat = dict(flat)
-    nested: dict[str, dict] = {"counters": {}, "gauges": {}, "timers": {}}
-    for key, value in flat.items():
-        if key.startswith("counter/"):
-            nested["counters"][key[len("counter/"):]] = value
-        elif key.startswith("gauge/"):
-            nested["gauges"][key[len("gauge/"):]] = value
-        elif key.startswith("timer/"):
-            rest = key[len("timer/"):]
-            name, _, field = rest.rpartition("/")
-            nested["timers"].setdefault(name, {})[field] = value
-    return nested

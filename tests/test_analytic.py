@@ -8,7 +8,8 @@ Property tests for the third assessment backend:
   far beyond the enumeration limit;
 * plan-level exact scores against an independent pure-Python brute force
   that enumerates every joint failure state through the *legacy* dense
-  pipeline (different engine code path, same answer);
+  pipeline (different engine code path, same answer), on fixed plans and
+  on hypothesis-drawn plans and K-of-N structures;
 * CI containment: sampled confidence intervals must contain the exact
   value across seeds;
 * decline-and-fallback: an intractable closure must produce exactly the
@@ -24,6 +25,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.app.structure import ApplicationStructure
 from repro.core.analytic import AnalyticAssessor
@@ -111,6 +114,43 @@ def brute_force_score(assessor: AnalyticAssessor, plan, structure) -> float:
         fired = ((arange >> i) & 1).astype(bool)
         weights *= np.where(fired, p, 1.0 - p)
     return float(np.dot(weights, phi))
+
+
+def _small_closure_substrate():
+    """A k=4 fat-tree whose core and border switches never fail: every
+    plan of up to three hosts keeps at most 14 uncertain events in its
+    closure, few enough for :func:`brute_force_score`'s ``2**n`` walk."""
+    topology = FatTreeTopology(4, seed=5)
+    model = build_paper_inventory(topology, power_supplies=2, seed=9)
+    model.override_probabilities(
+        {cid: 0.0 for cid in topology.components if cid.startswith(("core/", "border/"))}
+    )
+    return topology, model
+
+
+SMALL_TOPO, SMALL_MODEL = _small_closure_substrate()
+
+
+class TestExactEqualsBruteForce:
+    """Needle-3 differential: on random plans and K-of-N structures the
+    exact backend's score is the brute-force enumeration's."""
+
+    @given(
+        n=st.integers(1, 3),
+        k_offset=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_plans_and_structures(self, n, k_offset, seed):
+        structure = ApplicationStructure.k_of_n(max(1, n - k_offset), n)
+        plan = DeploymentPlan.random(SMALL_TOPO, structure, rng=seed)
+        analytic = build_assessor(
+            SMALL_TOPO, SMALL_MODEL, AssessmentConfig(mode="analytic", rounds=500)
+        )
+        result = analytic.assess(plan, structure)
+        assert result.estimate.exact
+        oracle = brute_force_score(analytic, plan, structure)
+        assert result.estimate.score == pytest.approx(oracle, abs=1e-12)
 
 
 class TestExactTreeProbability:

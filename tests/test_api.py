@@ -16,12 +16,7 @@ import pytest
 
 from repro import serialization
 from repro.app.structure import ApplicationStructure
-from repro.core.api import (
-    AssessmentConfig,
-    Assessor,
-    build_assessor,
-    score_plans_sequentially,
-)
+from repro.core.api import MODES, AssessmentConfig, Assessor, build_assessor
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
@@ -158,15 +153,25 @@ class TestScorePlansProtocol:
             plans.append(plans[-1].random_neighbor(fattree4, rng=rng))
         return plans
 
-    def test_sequential_backend_matches_assess(self, fattree4, inventory):
+    def test_sequential_backend_matches_assess(self, fattree4, inventory, no_fork):
+        """Bits and estimate, for every mode with its default sampler and
+        for an analytic assessor whose closures all decline to sampling:
+        one ``score_plans`` call equals per-plan ``assess`` calls on a
+        fresh, identically configured assessor."""
         plans = self._plans(fattree4)
-        batch = ReliabilityAssessor.from_config(
-            fattree4, inventory, self.CONFIG.with_updates(master_seed=9)
-        )
-        results = batch.score_plans(plans, STRUCTURE)
-        assert len(results) == len(plans)
-        for plan, result in zip(plans, results):
-            assert result.plan == plan
+        configs = [self.CONFIG.with_updates(mode=mode, workers=2) for mode in MODES]
+        configs.append(self.CONFIG.with_updates(mode="analytic", analytic_state_bits=1))
+        for config in configs:
+            batch = build_assessor(fattree4, inventory, config)
+            lone = build_assessor(fattree4, inventory, config)
+            results = batch.score_plans(plans, STRUCTURE)
+            assert [r.plan for r in results] == plans
+            for plan, result in zip(plans, results):
+                alone = lone.assess(plan, STRUCTURE)
+                assert np.array_equal(result.per_round, alone.per_round), config
+                assert result.estimate == alone.estimate, config
+            if config.analytic_state_bits == 1:
+                assert not any(r.estimate.exact for r in results)
 
     def test_incremental_backend_bit_identical(self, fattree4, inventory):
         plans = self._plans(fattree4, count=4)
@@ -187,10 +192,11 @@ class TestScorePlansProtocol:
         assert [r.plan for r in results] == plans
 
     def test_sequential_helper_orders_results(self, fattree4, inventory):
+        """The default ``AssessorBase.score_plans`` keeps input order."""
         plans = self._plans(fattree4, count=2)
         assessor = ReliabilityAssessor.from_config(fattree4, inventory, self.CONFIG)
-        results = score_plans_sequentially(assessor, plans, STRUCTURE)
-        assert [r.plan for r in results] == plans
+        results = assessor.score_plans(plans[::-1], STRUCTURE)
+        assert [r.plan for r in results] == plans[::-1]
 
     def test_empty_batch(self, fattree4, inventory):
         assessor = ReliabilityAssessor.from_config(fattree4, inventory, self.CONFIG)

@@ -8,6 +8,10 @@ trajectory.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro import serialization
 from repro.app.structure import ApplicationStructure
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.search import DeploymentSearch, SearchSpec, SearchState
+from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
 
@@ -108,17 +113,16 @@ class TestResumeEquivalence:
     def test_should_stop_preempts_and_checkpoints(
         self, fattree4, inventory, tmp_path
     ):
-        """should_stop (the SIGTERM hook) halts the loop and forces a
-        final checkpoint even off the periodic cadence."""
+        """A cancelled token (what the CLI's SIGTERM handler fires) halts
+        the loop and forces a final checkpoint even off the periodic
+        cadence."""
         ckpt = str(tmp_path / "ck.json")
-        calls = {"n": 0}
-
-        def stop_after_eight():
-            calls["n"] += 1
-            return calls["n"] > 8
+        # The loop polls the token once per iteration and each poll reads
+        # the clock once, so the ninth poll finds the deadline passed.
+        token = CancellationToken(deadline_seconds=8.5, clock=FakeClock(step=1.0))
 
         result = _make_search(
-            fattree4, inventory, ckpt, should_stop=stop_after_eight
+            fattree4, inventory, ckpt, checkpoint_every=5, cancel=token
         ).search(SearchSpec(STRUCTURE, max_seconds=50.0, max_iterations=100))
         assert result.iterations == 8
         assert os.path.exists(ckpt)
@@ -129,6 +133,52 @@ class TestResumeEquivalence:
             ckpt, max_iterations=20
         )
         assert resumed.iterations == 20
+
+
+class TestPreemptionEndToEnd:
+    """``repro search --checkpoint`` as a real process: SIGTERM ends it
+    with a final checkpoint and exit code 4, and ``--resume`` continues."""
+
+    def _start(self, *argv):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        command = [sys.executable, "-m", "repro", "search", "--scale", "tiny",
+                   "--rounds", "500", "--json", *argv]
+        return subprocess.Popen(
+            command, cwd=root, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+
+    def _finish(self, process, timeout=120.0):
+        try:
+            return process.communicate(timeout=timeout)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+
+    def test_sigterm_exits_preempted_and_resume_continues(self, tmp_path):
+        ckpt = str(tmp_path / "search.ckpt")
+        process = self._start(
+            "--k", "2", "--n", "3", "--seconds", "60",
+            "--checkpoint", ckpt, "--checkpoint-every", "1",
+        )
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(ckpt) and process.poll() is None:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        process.send_signal(signal.SIGTERM)
+        out, err = self._finish(process)
+        assert process.returncode == 4, err
+        stopped = json.loads(out)["iterations"]
+        state = serialization.decode(SearchState, serialization.load(ckpt))
+        assert state.iterations == stopped
+
+        resumed = self._start("--resume", ckpt, "--move-budget", str(stopped + 5))
+        out, err = self._finish(resumed)
+        assert resumed.returncode == 0, err
+        assert json.loads(out)["iterations"] == stopped + 5
 
 
 class TestCheckpointSerialization:

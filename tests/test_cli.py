@@ -390,6 +390,28 @@ class TestServeParser:
         assert "validation failed" in err
         assert message in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--rounds", "0"), "rounds: must be an int >= 1"),
+            (("--default-deadline", "nan"), "default_deadline_seconds: must be"),
+            (("--default-deadline", "-1"), "default_deadline_seconds: must be"),
+            (("--drain-timeout", "nan"), "drain_timeout_seconds: must be"),
+            (("--drain-timeout", "-3"), "drain_timeout_seconds: must be"),
+        ],
+        ids=["rounds", "deadline-nan", "deadline-negative", "drain-nan", "drain-negative"],
+    )
+    def test_unusable_rounds_deadline_and_drain_exit_2_naming_the_field(
+        self, capsys, monkeypatch, flags, message
+    ):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "serve", lambda config, **_: 0)
+        code, _out, err = run_cli(capsys, "serve", "--port", "0", *flags)
+        assert code == 2
+        assert "validation failed" in err
+        assert message in err
+
 
 class TestDrillCommand:
     def test_sizes_below_one_exit_2_naming_each_field(self, capsys):

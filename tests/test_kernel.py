@@ -150,8 +150,7 @@ class TestPackedEdgeCases:
     def test_sample_batch_roundtrip(self, rounds):
         """A sampled batch read back as sparse rows: ``failed_rows`` and
         the ``nonzero`` flags name exactly the components that failed, in
-        draw order, each row unpacking to the reference's failed rounds;
-        ``only`` keeps the rows of a subset."""
+        draw order, each row unpacking to the reference's failed rounds."""
         sampler = ExtendedDaggerSampler()
         probs = {cid: 0.05 for cid in EVENT_IDS}
         batch = sampler.sample(probs, rounds, np.random.default_rng(5))
@@ -162,8 +161,6 @@ class TestPackedEdgeCases:
         assert flagged == list(expected)
         for cid, failed in expected.items():
             assert np.array_equal(np.flatnonzero(unpack(rows[cid], rounds)), failed)
-        subset = set(EVENT_IDS[::2])
-        assert list(batch.failed_rows(subset)) == [c for c in expected if c in subset]
 
 
 class TestComponentArena:
@@ -672,8 +669,6 @@ class TestScorePlans:
             assert solo.sampled_components == result.sampled_components
 
     def test_single_plan_batch_equals_assess(self):
-        # A non-CRN sampler sees the draw order, and the shared batch draws
-        # in arena order where assess draws in sorted-closure order.
         structure = ApplicationStructure.k_of_n(2, 4)
         plans = [_plan_for(FATTREE, structure)]
         config = AssessmentConfig(rounds=501, rng=5)

@@ -162,6 +162,7 @@ class TestServiceConfigValidation:
     def test_defaults_pass(self):
         ServiceConfig()
         ServiceConfig(queue_capacity=1, scheduler_workers=1, fleet_workers=0)
+        ServiceConfig(rounds=1, default_deadline_seconds=0.25, drain_timeout_seconds=0)
 
     def test_zero_scheduler_workers_rejected(self):
         # Admitted requests would wait for a thread that never exists.
@@ -202,6 +203,30 @@ class TestServiceConfigValidation:
     def test_liveness_and_retention_must_be_positive(self, field, value):
         # A zero interval or miss budget quarantines every fleet worker;
         # a zero retention deletes every stored result at startup.
+        with pytest.raises(ValidationError) as excinfo:
+            ServiceConfig(**{field: value})
+        assert excinfo.value.fields() == (field,)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rounds", 0),
+            ("rounds", -5),
+            ("rounds", True),
+            ("rounds", 2.5),
+            ("default_deadline_seconds", 0.0),
+            ("default_deadline_seconds", -1.0),
+            ("default_deadline_seconds", float("nan")),
+            ("default_deadline_seconds", float("inf")),
+            ("drain_timeout_seconds", -3.0),
+            ("drain_timeout_seconds", float("nan")),
+            ("drain_timeout_seconds", float("inf")),
+        ],
+    )
+    def test_rounds_deadline_and_drain_must_be_usable(self, field, value):
+        # Zero rounds kill both executor threads at start, so every request
+        # hangs; a NaN default deadline silently meant "unbounded" and a
+        # negative one cancelled every request before it ran.
         with pytest.raises(ValidationError) as excinfo:
             ServiceConfig(**{field: value})
         assert excinfo.value.fields() == (field,)
