@@ -38,11 +38,9 @@ from repro.app import (
 )
 from repro.baselines import (
     IndaasComparator,
-    best_of_random,
     common_practice_plan,
     enhanced_common_practice_plan,
     power_diversity,
-    random_plan,
     top_plans,
 )
 from repro.core import (
@@ -137,7 +135,6 @@ __all__ = [
     "ZoneConstraints",
     "ZoneOutage",
     "__version__",
-    "best_of_random",
     "build_assessor",
     "build_paper_inventory",
     "build_rich_inventory",
@@ -149,7 +146,6 @@ __all__ = [
     "multilayer",
     "paper_topology",
     "power_diversity",
-    "random_plan",
     "top_plans",
     "two_tier",
 ]

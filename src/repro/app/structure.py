@@ -175,16 +175,6 @@ class ApplicationStructure:
             (r.source, r.component) for r in self.requirements if r.source != EXTERNAL
         ]
 
-    @property
-    def is_simple_k_of_n(self) -> bool:
-        """True for the paper's basic scenario: one component, one external
-        K-of-N requirement (§2.2)."""
-        return (
-            len(self.components) == 1
-            and len(self.requirements) == 1
-            and self.requirements[0].source == EXTERNAL
-        )
-
     # ------------------------------------------------------------------
     # Constructors for common shapes
     # ------------------------------------------------------------------

@@ -1,23 +1,18 @@
-"""Baselines: common practice, enhanced common practice, INDaaS, random."""
+"""Baselines: common practice, enhanced common practice, INDaaS."""
 
 from repro.baselines.common_practice import (
     common_practice_plan,
     enhanced_common_practice_plan,
     power_diversity,
-    spread_plan_across_pods,
     top_plans,
 )
 from repro.baselines.indaas import IndaasComparator, RankedPlan
-from repro.baselines.random_placement import best_of_random, random_plan
 
 __all__ = [
     "IndaasComparator",
     "RankedPlan",
-    "best_of_random",
     "common_practice_plan",
     "enhanced_common_practice_plan",
     "power_diversity",
-    "random_plan",
-    "spread_plan_across_pods",
     "top_plans",
 ]

@@ -13,8 +13,6 @@ plan with the most diversified power supplies.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
 from repro.faults.inventory import power_supplies_of_plan
@@ -106,33 +104,3 @@ def enhanced_common_practice_plan(
     """
     plans = top_plans(topology, workload, instances, candidate_plans, component)
     return max(plans, key=lambda plan: power_diversity(dependency_model, plan))
-
-
-def spread_plan_across_pods(
-    topology: Topology,
-    workload: HostWorkloadModel,
-    instances: int,
-    component: str = "app",
-) -> DeploymentPlan:
-    """A stronger heuristic: least-loaded hosts, one per *pod*.
-
-    Not part of the paper's baselines; used by ablation studies to show
-    how far heuristics get without quantitative assessment.
-    """
-    pod_of = getattr(topology, "pod_of", None)
-    if pod_of is None:
-        return common_practice_plan(topology, workload, instances, component)
-    chosen: list[str] = []
-    used_pods: set = set()
-    for host in workload.rank_least_loaded(topology.hosts):
-        pod = pod_of(host)
-        if pod in used_pods:
-            continue
-        chosen.append(host)
-        used_pods.add(pod)
-        if len(chosen) == instances:
-            return DeploymentPlan.single_component(chosen, component)
-    raise UnsatisfiableRequirements(
-        f"cannot place {instances} instances in distinct pods "
-        f"({len(chosen)} feasible)"
-    )

@@ -475,6 +475,8 @@ def cmd_redeploy(args) -> int:
     from repro.service.redeploy import INCUMBENT_NAME, RedeploymentController
     from repro.topology.zones import MultiZoneTopology
 
+    if args.cycles < 0:
+        raise ValidationError([("--cycles", f"must be >= 0, got {args.cycles}")])
     topology = MultiZoneTopology(
         zones=args.zones, k=args.fabric_k, seed=args.seed
     )

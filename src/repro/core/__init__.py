@@ -26,7 +26,6 @@ from repro.core.objectives import (
 from repro.core.plan import (
     DeploymentPlan,
     ZoneConstraints,
-    enumerate_k_of_n_plans,
 )
 from repro.core.result import AssessmentResult, SearchRecord, SearchResult
 from repro.core.risk import RiskAnalyzer, RiskEntry
@@ -61,6 +60,5 @@ __all__ = [
     "acceptance_probability",
     "build_assessor",
     "classic_delta",
-    "enumerate_k_of_n_plans",
     "paper_delta",
 ]

@@ -53,7 +53,7 @@ from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
 from repro.kernel import AssessmentKernel
-from repro.kernel.exact import ExactBudget, enumeration_rows, enumeration_weights
+from repro.kernel.exact import enumeration_rows, enumeration_weights
 from repro.kernel.packed import packed_width
 from repro.routing.base import RoundStates
 from repro.sampling.statistics import exact_estimate
@@ -100,17 +100,9 @@ class AnalyticAssessor(AssessorBase):
     assessor's RNG stream exactly where per-plan sampling would.
     """
 
-    def __init__(
-        self,
-        inner,
-        budget: ExactBudget | None = None,
-        config: AssessmentConfig | None = None,
-    ):
+    def __init__(self, inner, config: AssessmentConfig):
         self.inner = inner
-        self.config = config or getattr(inner, "config", None)
-        if budget is None and self.config is not None:
-            budget = ExactBudget(state_bits=self.config.analytic_state_bits)
-        self.budget = budget or ExactBudget()
+        self.config = config
         self.topology: Topology = inner.topology
         self.dependency_model: DependencyModel = inner.dependency_model
         self.rounds: int = inner.rounds
@@ -153,7 +145,7 @@ class AnalyticAssessor(AssessorBase):
         are valid under any inner sampler, and sharing lets a search's
         screening hits double as the outer assessor's confirmation hits.
         """
-        clone = AnalyticAssessor(inner, budget=self.budget, config=self.config)
+        clone = AnalyticAssessor(inner, self.config)
         clone._closure_states = self._closure_states
         clone._results = self._results
         clone._warned = self._warned
@@ -234,11 +226,11 @@ class AnalyticAssessor(AssessorBase):
                 uncertain.append(cid)
             elif p >= 1.0:
                 certain_failed.append(cid)
-        if len(uncertain) > self.budget.state_bits:
+        allowed = self.config.analytic_state_bits
+        if len(uncertain) > allowed:
             reason = (
                 f"closure has {len(uncertain)} uncertain basic events, "
-                f"budget allows {self.budget.state_bits} "
-                f"(2**{self.budget.state_bits} exact states)"
+                f"budget allows {allowed} (2**{allowed} exact states)"
             )
             self._store_closure(key, reason)
             return reason
@@ -369,7 +361,8 @@ class AnalyticAssessor(AssessorBase):
         return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:
+        bits = self.config.analytic_state_bits
         return (
-            f"<AnalyticAssessor budget={self.budget} over "
+            f"<AnalyticAssessor analytic_state_bits={bits} over "
             f"{type(self.inner).__name__}>"
         )

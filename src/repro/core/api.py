@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.app.structure import ApplicationStructure
 from repro.core.plan import DeploymentPlan
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError, check_count
 from repro.util.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -100,8 +100,10 @@ class AssessmentConfig:
     analytic_state_bits: int = 20
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ConfigurationError(f"rounds must be positive, got {self.rounds}")
+        errors: list[tuple[str, str]] = []
+        check_count("rounds", self.rounds, 1, errors)
+        if errors:
+            raise ValidationError(errors)
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown assessment mode {self.mode!r}; expected one of {MODES}"
@@ -113,18 +115,14 @@ class AssessmentConfig:
         """Full field-level validation at the API boundary.
 
         ``__post_init__`` guards the invariants that would crash
-        immediately (positive rounds, known mode); this collects every
+        immediately (an int ``rounds >= 1``, a known mode); this collects every
         other problem — field ranges and, when a topology is supplied,
         the physical sanity of its failure probabilities — and raises one
         :class:`~repro.util.errors.ValidationError` listing all of them.
         """
-        from repro.util.errors import ValidationError
-
         errors: list[tuple[str, str]] = []
-        if self.mode == "parallel" and self.workers < 1:
-            errors.append(("workers", f"must be >= 1, got {self.workers}"))
-        elif self.workers < 0:
-            errors.append(("workers", f"must be >= 0, got {self.workers}"))
+        least_workers = 1 if self.mode == "parallel" else 0
+        check_count("workers", self.workers, least_workers, errors)
         if self.master_seed is not None and self.master_seed < 0:
             errors.append(
                 ("master_seed", f"must be non-negative, got {self.master_seed}")

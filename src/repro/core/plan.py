@@ -10,11 +10,11 @@ for a fresh one (§3.3.1, Step 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.app.structure import ApplicationStructure, InstanceRef
+from repro.app.structure import ApplicationStructure
 from repro.topology.base import Topology
 from repro.util.errors import (
     ConfigurationError,
@@ -326,16 +326,13 @@ class DeploymentPlan:
         self,
         topology: Topology,
         structure: ApplicationStructure,
-        capacity=None,
     ) -> None:
         """Check the plan fits the structure and names real hosts.
 
         Collects *every* problem and raises one field-level
         :class:`~repro.util.errors.ValidationError` (a
         :class:`ConfigurationError` subclass, so existing handlers keep
-        working) instead of dying on the first. ``capacity`` optionally
-        supplies a :class:`~repro.workload.capacity.CapacityModel`; each
-        plan host must then have a free slot.
+        working) instead of dying on the first.
         """
         errors: list[tuple[str, str]] = []
         by_component = dict(self.placements)
@@ -377,16 +374,6 @@ class DeploymentPlan:
             errors.append(
                 ("hosts", "deployment plans place each instance on a distinct host")
             )
-        if capacity is not None:
-            for host_id in hosts:
-                try:
-                    free = capacity.free_slots(host_id)
-                except Exception:
-                    continue  # unknown host already reported above
-                if free < 1:
-                    errors.append(
-                        ("capacity", f"host {host_id!r} has no free slot")
-                    )
         if errors:
             raise ValidationError(errors)
 
@@ -404,10 +391,6 @@ class DeploymentPlan:
             if name == component:
                 return hosts
         raise ConfigurationError(f"plan has no component {component!r}")
-
-    def host_of(self, instance: InstanceRef) -> str:
-        """The host of one specific instance."""
-        return self.hosts_for(instance.component)[instance.index]
 
     def instance_count(self) -> int:
         return sum(len(hosts) for _, hosts in self.placements)
@@ -506,18 +489,3 @@ class DeploymentPlan:
             f"{component}: [{', '.join(hosts)}]" for component, hosts in self.placements
         ]
         return "; ".join(parts)
-
-
-def enumerate_k_of_n_plans(
-    hosts: Iterable[str], n: int, component: str = "app"
-) -> Iterable[DeploymentPlan]:
-    """Yield every N-host plan over ``hosts`` (naive search baseline).
-
-    The paper's naive alternative to annealing — "generate all possible
-    deployment plans, assess them, and select the best" — is exponential;
-    this generator exists for tests and for demonstrating exactly that.
-    """
-    from itertools import combinations
-
-    for combo in combinations(list(hosts), n):
-        yield DeploymentPlan.single_component(combo, component)

@@ -50,7 +50,11 @@ from repro.core.objectives import Objective, ReliabilityObjective
 from repro.core.plan import DeploymentPlan, MoveDescriptor, ZoneConstraints
 from repro.core.result import AssessmentResult, SearchRecord, SearchResult
 from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
-from repro.util.errors import ConfigurationError
+from repro.util.errors import (
+    ConfigurationError,
+    ValidationError,
+    check_positive_finite,
+)
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline
@@ -96,12 +100,17 @@ class SearchSpec:
     zone_constraints: ZoneConstraints | None = field(default=None, metadata=_NULL)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.desired_reliability <= 1.0:
-            raise ConfigurationError(
-                f"desired reliability must be in [0, 1], got {self.desired_reliability}"
+        errors: list[tuple[str, str]] = []
+        if not 0.0 <= self.desired_reliability <= 1.0:  # NaN fails it too
+            errors.append(
+                (
+                    "desired_reliability",
+                    f"must be in [0, 1], got {self.desired_reliability}",
+                )
             )
-        if self.max_seconds <= 0:
-            raise ConfigurationError(f"T_max must be positive, got {self.max_seconds}")
+        check_positive_finite("max_seconds", self.max_seconds, errors)
+        if errors:
+            raise ValidationError(errors)
 
 
 @dataclass

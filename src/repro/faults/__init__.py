@@ -38,7 +38,6 @@ from repro.faults.probability import (
     PaperProbabilityPolicy,
     ProbabilityPolicy,
     annual_downtime_hours,
-    failure_probability_from_downtime,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "build_paper_inventory",
     "build_rich_inventory",
     "build_zone_inventory",
-    "failure_probability_from_downtime",
     "k_of_n_gate",
     "link_id",
     "or_gate",

@@ -37,16 +37,6 @@ class ComponentType(enum.Enum):
         """True for every switch tier, including border switches."""
         return self in _SWITCH_TYPES
 
-    @property
-    def is_network_element(self) -> bool:
-        """True for components that appear in the network graph."""
-        return self is ComponentType.HOST or self is ComponentType.LINK or self.is_switch
-
-    @property
-    def is_dependency(self) -> bool:
-        """True for shared-dependency components outside the network graph."""
-        return not self.is_network_element
-
 
 _SWITCH_TYPES = frozenset(
     {
@@ -85,11 +75,6 @@ class Component:
             raise ValueError(
                 f"failure probability of {self.component_id} must be in [0, 1), got {p}"
             )
-
-    @property
-    def is_perfectly_reliable(self) -> bool:
-        """True when the component can never fail (p == 0)."""
-        return self.failure_probability == 0.0
 
     def with_probability(self, probability: float) -> "Component":
         """Return a copy of this component with a new failure probability.

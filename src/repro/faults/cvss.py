@@ -16,7 +16,7 @@ Database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -115,18 +115,3 @@ class SyntheticVulnerabilityDatabase:
         return software_failure_probability(
             self.vulnerabilities_for(package_name, rng), scale
         )
-
-
-def rank_packages_by_risk(
-    packages: Sequence[tuple[str, Sequence[Vulnerability]]], scale: float = 0.002
-) -> list[tuple[str, float]]:
-    """Rank software packages by estimated failure probability, worst first.
-
-    Mirrors the service-provider ranking of Zhai et al. [81] that the paper
-    cites as related work.
-    """
-    ranked = [
-        (name, software_failure_probability(vulns, scale)) for name, vulns in packages
-    ]
-    ranked.sort(key=lambda item: item[1], reverse=True)
-    return ranked

@@ -23,21 +23,8 @@ from repro.util.errors import ConfigurationError
 #: Decimal places the paper rounds failure probabilities to (§4.1).
 PROBABILITY_DECIMALS = 4
 
-#: Hours in a (non-leap) year; used to convert downtime to annual rates.
+#: Hours in a (non-leap) year; used to convert reliability to annual downtime.
 HOURS_PER_YEAR = 365 * 24
-
-
-def failure_probability_from_downtime(
-    downtime_hours: float, window_hours: float = HOURS_PER_YEAR
-) -> float:
-    """The paper's estimator: p = downtime / window length (§2.1)."""
-    if window_hours <= 0:
-        raise ConfigurationError(f"window must be positive, got {window_hours}")
-    if not 0 <= downtime_hours <= window_hours:
-        raise ConfigurationError(
-            f"downtime {downtime_hours}h must lie within the {window_hours}h window"
-        )
-    return downtime_hours / window_hours
 
 
 def annual_downtime_hours(reliability: float) -> float:

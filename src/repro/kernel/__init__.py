@@ -32,10 +32,9 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.kernel.arena import INDEX_DTYPE, ComponentArena
+from repro.kernel.arena import ComponentArena
 from repro.kernel.compiler import CompiledForest, ForestStats
 from repro.kernel.exact import (
-    ExactBudget,
     ExactDeclined,
     Marginals,
     compute_marginals,
@@ -52,12 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.util.metrics import MetricsRegistry
 
 __all__ = [
-    "INDEX_DTYPE",
     "PACK_DTYPE",
     "AssessmentKernel",
     "ComponentArena",
     "CompiledForest",
-    "ExactBudget",
     "ExactDeclined",
     "ForestStats",
     "Marginals",

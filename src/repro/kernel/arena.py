@@ -20,9 +20,6 @@ from repro.util.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.dependencies import DependencyModel
 
-#: dtype of arena indices.
-INDEX_DTYPE = np.int32
-
 
 class ComponentArena:
     """Bidirectional component-id <-> dense-index interning table."""
@@ -99,21 +96,6 @@ class ComponentArena:
             raise ConfigurationError(
                 f"component {component_id!r} is not in the arena"
             ) from None
-
-    def id_of(self, index: int) -> str:
-        """Component id at one dense index."""
-        if not 0 <= index < len(self.ids):
-            raise ConfigurationError(
-                f"arena index {index} out of range [0, {len(self.ids)})"
-            )
-        return self.ids[index]
-
-    def indices_of(self, component_ids: Iterable[str]) -> np.ndarray:
-        """Dense indices of several component ids (input order preserved)."""
-        return np.fromiter(
-            (self.index_of(cid) for cid in component_ids),
-            dtype=INDEX_DTYPE,
-        )
 
     # Component sets as Python ints, bit ``i`` the component at index ``i``:
     # union is ``|``, difference ``& ~``, size ``int.bit_count()``.

@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.faulttree import FaultTree
 
 __all__ = [
-    "ExactBudget",
     "ExactDeclined",
     "Marginals",
     "compute_marginals",
@@ -70,27 +69,11 @@ class ExactDeclined(Exception):
     """
 
 
-@dataclass(frozen=True)
-class ExactBudget:
-    """Tractability cutoffs for the exact evaluator.
-
-    Attributes:
-        shared_bits: Maximum conditioning bits (basic events under shared
-            nodes) :func:`compute_marginals` will enumerate — cost and
-            memory scale with ``2**shared_bits``.
-        state_bits: Maximum uncertain basic events the plan-level
-            enumeration (:mod:`repro.core.analytic`) will expand into
-            ``2**state_bits`` exact states.
-    """
-
-    shared_bits: int = 12
-    state_bits: int = 20
-
-    def __post_init__(self) -> None:
-        if self.shared_bits < 0:
-            raise ValueError(f"shared_bits must be >= 0, got {self.shared_bits}")
-        if self.state_bits < 0:
-            raise ValueError(f"state_bits must be >= 0, got {self.state_bits}")
+#: Maximum conditioning bits (basic events under shared nodes)
+#: :func:`compute_marginals` enumerates; cost and memory scale with
+#: ``2**MAX_SHARED_BITS``. The plan-level enumeration's cutoff is
+#: ``AssessmentConfig.analytic_state_bits``.
+MAX_SHARED_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -136,7 +119,6 @@ def compute_marginals(
     probabilities: "np.ndarray | Sequence[float]",
     roots: Iterable[int],
     extra_refs: Iterable[int] = (),
-    budget: ExactBudget | None = None,
 ) -> Marginals:
     """Exact conditional failure probabilities for a compiled sub-forest.
 
@@ -155,10 +137,9 @@ def compute_marginals(
     appear under exactly one root along exactly one path, which is what
     makes the bottom-up product/DP propagation exact.
 
-    Raises :class:`ExactDeclined` when more than ``budget.shared_bits``
+    Raises :class:`ExactDeclined` when more than :data:`MAX_SHARED_BITS`
     events would need conditioning.
     """
-    budget = budget or ExactBudget()
     probabilities = np.asarray(probabilities, dtype=np.float64)
     roots = list(roots)
     order = _sub_dag(forest, roots)
@@ -200,10 +181,10 @@ def compute_marginals(
     # processes for the same substrate — node ids depend on compile order
     # and are not.
     conditioned.sort(key=lambda nid: operands[nid])
-    if len(conditioned) > budget.shared_bits:
+    if len(conditioned) > MAX_SHARED_BITS:
         raise ExactDeclined(
             f"{len(conditioned)} shared basic events need conditioning, "
-            f"budget allows {budget.shared_bits} (2**C assignments)"
+            f"budget allows {MAX_SHARED_BITS} (2**C assignments)"
         )
 
     n_sigma = 1 << len(conditioned)
@@ -320,7 +301,6 @@ def enumeration_weights(probabilities: Sequence[float]) -> np.ndarray:
 def exact_tree_probability(
     tree: "FaultTree",
     probabilities: Mapping[str, float],
-    budget: ExactBudget | None = None,
 ) -> float:
     """Exact top-event probability of one fault tree.
 
@@ -330,14 +310,12 @@ def exact_tree_probability(
     repeated-free trees of any size are polynomial —
     a k-of-n fleet over hundreds of workers is exact via the
     Poisson-binomial DP — and trees with shared events stay exact up to
-    ``budget.shared_bits`` conditioning bits (:class:`ExactDeclined`
+    :data:`MAX_SHARED_BITS` conditioning bits (:class:`ExactDeclined`
     beyond that).
     """
     events = sorted(tree.basic_events())
     arena = ComponentArena(events, (float(probabilities[e]) for e in events))
     forest = CompiledForest(arena)
     root = forest.ensure_subject(tree.subject_id, tree.root)
-    marginals = compute_marginals(
-        forest, arena.probabilities, [root], budget=budget
-    )
+    marginals = compute_marginals(forest, arena.probabilities, [root])
     return marginals.marginal(root)

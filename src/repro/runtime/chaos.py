@@ -130,15 +130,6 @@ class ChaosPolicy:
                 return ChaosAction(kind, seconds)
         return None
 
-    def targeted_portions(self, portions: int) -> set[int]:
-        """Portion indices that would be sabotaged on their first attempt
-        (useful for asserting an injection-rate floor in tests)."""
-        return {
-            index
-            for index in range(portions)
-            if self.action_for(index, 0) is not None
-        }
-
     def execute(self, portion: int, attempt: int) -> None:
         """Apply the injected fault, if any. Runs inside the worker."""
         action = self.action_for(portion, attempt)

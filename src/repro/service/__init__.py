@@ -6,13 +6,13 @@ anytime (partial, honestly widened) results, health/readiness probes and
 graceful drain — plus durability: a write-ahead request journal with
 crash recovery and idempotent retries backed by a durable result store
 (enable with ``journal_dir`` / ``repro serve --journal-dir``). Run it
-with ``python -m repro serve`` or embed it via :class:`AssessmentService`
-+ :class:`ServiceClient`. The thread service runs every request on its
-own threads; the one shape with worker processes is the shard fleet
-(``repro serve --workers N``, :mod:`repro.service.fleet`).
+with ``python -m repro serve`` or embed it via :class:`AssessmentService`.
+The thread service runs every request on its own threads; the one shape
+with worker processes is the shard fleet (``repro serve --workers N``,
+:mod:`repro.service.fleet`).
 """
 
-from repro.service.client import HttpServiceClient, ServiceClient
+from repro.service.client import HttpServiceClient
 from repro.service.health import HealthMonitor
 from repro.service.journal import JournalState, RequestJournal
 from repro.service.redeploy import (
@@ -46,7 +46,6 @@ __all__ = [
     "RequestJournal",
     "ResultStore",
     "SearchRequest",
-    "ServiceClient",
     "ServiceConfig",
     "ServiceResponse",
     "Ticket",

@@ -1,12 +1,10 @@
-"""Clients for the assessment service.
+"""Client for the assessment service.
 
-:class:`ServiceClient` wraps an in-process
-:class:`~repro.service.scheduler.AssessmentService` — the zero-transport
-path for tests and embedded use. :class:`HttpServiceClient` speaks the
-HTTP protocol of :mod:`repro.service.server` over stdlib ``urllib`` (no
-dependencies), converting the typed error responses back into the same
-exceptions the in-process path raises, so callers handle overload and
-validation identically either way.
+:class:`HttpServiceClient` speaks the HTTP protocol of
+:mod:`repro.service.server` over stdlib ``urllib`` (no dependencies),
+converting the typed error responses back into the same exceptions the
+in-process :class:`~repro.service.scheduler.AssessmentService` raises,
+so callers handle overload and validation identically either way.
 
 The HTTP client retries transient failures — connection errors while the
 server restarts, and 503 admission sheds — with capped exponential
@@ -27,59 +25,13 @@ import urllib.error
 import urllib.request
 
 from repro.serialization import encode
-from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
-from repro.service.scheduler import AssessmentService
+from repro.service.requests import AssessRequest
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
 
-
-class ServiceClient:
-    """In-process client: typed requests in, :class:`ServiceResponse` out."""
-
-    def __init__(self, service: AssessmentService):
-        self.service = service
-
-    def assess(
-        self,
-        hosts,
-        k: int,
-        rounds: int | None = None,
-        deadline_seconds: float | None = None,
-        idempotency_key: str | None = None,
-        timeout: float | None = None,
-    ) -> ServiceResponse:
-        request = AssessRequest(
-            hosts=tuple(hosts),
-            k=k,
-            rounds=rounds,
-            deadline_seconds=deadline_seconds,
-            idempotency_key=idempotency_key,
-        )
-        return self.service.assess(request, timeout=timeout)
-
-    def search(
-        self,
-        k: int,
-        n: int,
-        max_seconds: float = 5.0,
-        desired_reliability: float = 1.0,
-        rounds: int | None = None,
-        deadline_seconds: float | None = None,
-        idempotency_key: str | None = None,
-        timeout: float | None = None,
-    ) -> ServiceResponse:
-        request = SearchRequest(
-            k=k,
-            n=n,
-            max_seconds=max_seconds,
-            desired_reliability=desired_reliability,
-            rounds=rounds,
-            deadline_seconds=deadline_seconds,
-            idempotency_key=idempotency_key,
-        )
-        return self.service.search(request, timeout=timeout)
-
-    def cancel(self, request_id: str) -> bool:
-        return self.service.cancel(request_id)
+#: Base retry delay: attempt ``i`` sleeps about ``BACKOFF_SECONDS * 2**i``
+#: plus up to 25% jitter, the base capped at ``MAX_BACKOFF_SECONDS``.
+BACKOFF_SECONDS = 0.2
+MAX_BACKOFF_SECONDS = 5.0
 
 
 class HttpServiceClient:
@@ -87,9 +39,6 @@ class HttpServiceClient:
 
     Attributes:
         max_attempts: Total tries per logical request (first + retries).
-        backoff_seconds: Base delay; attempt ``i`` sleeps about
-            ``backoff_seconds * 2**i`` plus up to 25% jitter, capped at
-            ``max_backoff_seconds``.
     """
 
     def __init__(
@@ -97,8 +46,6 @@ class HttpServiceClient:
         base_url: str,
         timeout: float = 60.0,
         max_attempts: int = 3,
-        backoff_seconds: float = 0.2,
-        max_backoff_seconds: float = 5.0,
         sleep=time.sleep,
         rng: random.Random | int | None = None,
     ):
@@ -107,8 +54,6 @@ class HttpServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
-        self.max_backoff_seconds = max_backoff_seconds
         self._sleep = sleep
         # An int seeds a private stream so retry timing is reproducible
         # (drills and tests); None keeps the unseeded production default.
@@ -121,7 +66,7 @@ class HttpServiceClient:
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with jitter for the given 0-based attempt."""
-        base = min(self.max_backoff_seconds, self.backoff_seconds * (2**attempt))
+        base = min(MAX_BACKOFF_SECONDS, BACKOFF_SECONDS * (2**attempt))
         return base * (1.0 + 0.25 * self._rng.random())
 
     @staticmethod

@@ -61,11 +61,6 @@ class HeartbeatTracker:
         with self._lock:
             self._meta.setdefault(name, {}).update(meta)
 
-    def forget(self, name: str) -> None:
-        with self._lock:
-            self._beats.pop(name, None)
-            self._meta.pop(name, None)
-
     def age(self, name: str) -> float | None:
         """Seconds since the last beat; ``None`` for unknown workers."""
         with self._lock:

@@ -39,6 +39,7 @@ gracefully itself.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -53,7 +54,12 @@ from repro.drill.faultpoints import (
     raise_if_crash_after,
 )
 from repro.serialization import decode, dump, encode, load
-from repro.util.errors import ConfigurationError
+from repro.util.errors import (
+    ConfigurationError,
+    ValidationError,
+    check_count,
+    check_positive_finite,
+)
 
 #: Journal file name inside the controller's state directory.
 JOURNAL_NAME = "redeploy-journal.jsonl"
@@ -209,8 +215,8 @@ class RedeploymentController:
             that :meth:`check` treats as degradation.
         search_seconds / search_iterations: Budget of each re-search.
         max_retries: Search attempts per decision before abandoning.
-        backoff_seconds / backoff_factor: Exponential backoff between
-            failed search attempts.
+        backoff_seconds: Delay after the first failed search attempt;
+            it doubles after each further failure.
         apply_plan: Optional callback invoked with the newly applied
             plan (at-most-once; see the module docstring).
         sleep: Injectable sleep for deterministic tests.
@@ -229,22 +235,24 @@ class RedeploymentController:
         search_iterations: int | None = None,
         max_retries: int = 3,
         backoff_seconds: float = 0.05,
-        backoff_factor: float = 2.0,
         apply_plan: Callable[[DeploymentPlan], None] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if min_gain < 0:
-            raise ConfigurationError(f"min_gain must be >= 0, got {min_gain}")
-        if degradation_threshold <= 0:
-            raise ConfigurationError(
-                f"degradation_threshold must be positive, got {degradation_threshold}"
+        # NaN compares false both ways: a NaN gain would reject every
+        # candidate, a NaN threshold would never see a degradation.
+        errors: list[tuple[str, str]] = [
+            (name, f"must be a finite number >= 0, got {value}")
+            for name, value in (
+                ("min_gain", min_gain),
+                ("backoff_seconds", backoff_seconds),
             )
-        if max_retries < 1:
-            raise ConfigurationError(f"max_retries must be >= 1, got {max_retries}")
-        if backoff_seconds < 0 or backoff_factor < 1:
-            raise ConfigurationError(
-                "need backoff_seconds >= 0 and backoff_factor >= 1"
-            )
+            if not (math.isfinite(value) and value >= 0)
+        ]
+        check_positive_finite("degradation_threshold", degradation_threshold, errors)
+        check_positive_finite("search_seconds", search_seconds, errors)
+        check_count("max_retries", max_retries, 1, errors)
+        if errors:
+            raise ValidationError(errors)
         self.search = search
         self.structure = structure
         self.state_dir = os.fspath(state_dir)
@@ -258,7 +266,6 @@ class RedeploymentController:
         self.search_iterations = search_iterations
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
-        self.backoff_factor = backoff_factor
         self.apply_plan = apply_plan
         self.sleep = sleep
 
@@ -464,9 +471,7 @@ class RedeploymentController:
                     }
                 )
                 if attempt < self.max_retries:
-                    self.sleep(
-                        self.backoff_seconds * self.backoff_factor ** (attempt - 1)
-                    )
+                    self.sleep(self.backoff_seconds * 2 ** (attempt - 1))
 
         if result is None:
             self.journal.append({"record": "abandoned", "decision": decision})

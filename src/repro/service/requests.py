@@ -15,11 +15,10 @@ an exception-shaped timeout.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 from dataclasses import dataclass, field
 
 from repro.util.cancel import CancellationToken
-from repro.util.errors import ValidationError
+from repro.util.errors import ValidationError, check_positive_finite
 
 #: Response statuses. ``degraded`` means a usable anytime estimate with
 #: honestly widened bounds (deadline hit or portions dropped); it is a
@@ -60,15 +59,6 @@ def _hosts_from_json(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(h, str) for h in value):
         raise TypeError("must be a list of host ids")
     return tuple(value)
-
-
-def _validate_positive_finite(
-    name: str, value: float | None, errors: list[tuple[str, str]]
-) -> None:
-    """A seconds field is absent or a finite number above zero: JSON
-    bodies can carry ``NaN`` and ``Infinity``, which compare as neither."""
-    if value is not None and not (math.isfinite(value) and value > 0):
-        errors.append((name, f"must be a positive finite number, got {value}"))
 
 
 @dataclass(frozen=True)
@@ -122,7 +112,7 @@ class AssessRequest:
             )
         if self.rounds is not None and self.rounds < 1:
             errors.append(("rounds", f"rounds must be >= 1, got {self.rounds}"))
-        _validate_positive_finite("deadline_seconds", self.deadline_seconds, errors)
+        check_positive_finite("deadline_seconds", self.deadline_seconds, errors)
         if errors:
             raise ValidationError(errors)
 
@@ -161,7 +151,7 @@ class SearchRequest:
             errors.append(
                 ("n", f"n={self.n} exceeds the {host_count} hosts available")
             )
-        _validate_positive_finite("max_seconds", self.max_seconds, errors)
+        check_positive_finite("max_seconds", self.max_seconds, errors)
         if not 0.0 <= self.desired_reliability <= 1.0:  # NaN fails it too
             errors.append(
                 (
@@ -171,7 +161,7 @@ class SearchRequest:
             )
         if self.rounds is not None and self.rounds < 1:
             errors.append(("rounds", f"rounds must be >= 1, got {self.rounds}"))
-        _validate_positive_finite("deadline_seconds", self.deadline_seconds, errors)
+        check_positive_finite("deadline_seconds", self.deadline_seconds, errors)
         if errors:
             raise ValidationError(errors)
 

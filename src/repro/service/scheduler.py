@@ -42,9 +42,8 @@ from repro.service.requests import (
     SearchRequest,
     ServiceResponse,
     Ticket,
-    _validate_positive_finite,
 )
-from repro.util.errors import ValidationError
+from repro.util.errors import ValidationError, check_count, check_positive_finite
 from repro.util.metrics import MetricsRegistry
 
 logger = logging.getLogger("repro.service")
@@ -141,11 +140,9 @@ class ServiceConfig:
             for name in ("heartbeat_interval_seconds", "result_ttl_seconds")
             if not getattr(self, name) > 0
         ]
-        rounds = self.rounds
-        if isinstance(rounds, bool) or not (isinstance(rounds, int) and rounds >= 1):
-            errors.append(("rounds", f"must be an int >= 1, got {rounds!r}"))
+        check_count("rounds", self.rounds, 1, errors)
         # The default deadline obeys the rule a request's own one does.
-        _validate_positive_finite(
+        check_positive_finite(
             "default_deadline_seconds", self.default_deadline_seconds, errors
         )
         drain = self.drain_timeout_seconds

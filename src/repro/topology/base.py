@@ -164,25 +164,12 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown component {component_id!r}") from None
 
-    def components_of_type(self, component_type: ComponentType) -> list[Component]:
-        """All components of one type, in insertion order."""
-        return [
-            c for c in self.components.values() if c.component_type is component_type
-        ]
-
     @property
     def switches(self) -> list[str]:
         """Ids of every switch (all tiers, including border switches)."""
         return [
             c.component_id for c in self.components.values() if c.component_type.is_switch
         ]
-
-    def link_between(self, endpoint_a: str, endpoint_b: str) -> Component:
-        """The link component connecting two adjacent elements."""
-        link = self.adjacency.get(endpoint_a, {}).get(endpoint_b)
-        if link is None:
-            raise TopologyError(f"no link between {endpoint_a!r} and {endpoint_b!r}")
-        return self.components[link]
 
     def neighbors(self, component_id: str) -> list[str]:
         """Adjacent hosts/switches of a network element."""

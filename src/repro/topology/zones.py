@@ -165,11 +165,6 @@ class MultiZoneTopology(Topology):
         self._check_zone(zone)
         return list(self.hosts_by_zone[zone])
 
-    def wan_routers_in_zone(self, zone: str) -> list[str]:
-        """The WAN routers homed in one zone."""
-        self._check_zone(zone)
-        return list(self.wan_by_zone[zone])
-
     def zone_elements(self, zone: str) -> list[str]:
         """Every graph node (host/switch/router) belonging to one zone."""
         self._check_zone(zone)

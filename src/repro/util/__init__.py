@@ -3,28 +3,22 @@
 from repro.util.errors import (
     ConfigurationError,
     DegradedResult,
-    PortionTimeout,
     ReproError,
-    SearchBudgetExceeded,
     TopologyError,
     UnsatisfiableRequirements,
     WorkerFailure,
 )
-from repro.util.rng import derive_rng, make_rng, spawn_rngs
+from repro.util.rng import make_rng
 from repro.util.timing import Deadline, Stopwatch
 
 __all__ = [
     "ConfigurationError",
     "Deadline",
     "DegradedResult",
-    "PortionTimeout",
     "ReproError",
-    "SearchBudgetExceeded",
     "Stopwatch",
     "TopologyError",
     "UnsatisfiableRequirements",
     "WorkerFailure",
-    "derive_rng",
     "make_rng",
-    "spawn_rngs",
 ]

@@ -7,6 +7,8 @@ still distinguishing configuration mistakes from runtime conditions.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
@@ -48,6 +50,20 @@ class ValidationError(ConfigurationError):
                 for field, message in self.errors
             ],
         }
+
+
+def check_positive_finite(name: str, value: float | None, errors: list) -> None:
+    """A seconds field is absent or a finite number above zero. NaN and
+    infinity (a JSON body or a ``float`` flag can carry them) compare as
+    neither, and a NaN budget never runs out."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        errors.append((name, f"must be a positive finite number, got {value}"))
+
+
+def check_count(name: str, value, least: int, errors: list) -> None:
+    """A count field is an int (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= least):
+        errors.append((name, f"must be an int >= {least}, got {value!r}"))
 
 
 class OperationCancelled(ReproError):
@@ -92,51 +108,23 @@ class UnsatisfiableRequirements(ReproError):
 
     Raised eagerly when requirements are contradictory (for example a
     deployment of N instances onto fewer than N distinct hosts), as opposed
-    to a search that merely timed out (see :class:`SearchBudgetExceeded`).
+    to a search that merely ran out of time without meeting them.
     """
-
-
-class SearchBudgetExceeded(ReproError):
-    """The search spent its time budget without meeting the requirements.
-
-    Mirrors the paper's protocol: when no plan reaching ``R_desired`` is
-    found within ``T_max``, the provider informs the developer that the
-    requirements cannot currently be fulfilled. The best plan found so far
-    is attached so callers can still inspect or use it.
-    """
-
-    def __init__(self, message: str, best_plan=None, best_score=None):
-        super().__init__(message)
-        self.best_plan = best_plan
-        self.best_score = best_score
 
 
 class WorkerFailure(ReproError):
     """A worker process crashed or raised while assessing a portion.
 
     Raised by the supervised runtime when a portion could not be completed
-    even after retries and fallback. ``portion`` is the portion index,
-    ``attempt`` the zero-based attempt that failed last, and ``kind`` one
-    of ``"crash"``, ``"error"`` or ``"timeout"``.
+    even after retries and fallback. ``portion`` is the portion index and
+    ``attempt`` the zero-based attempt that failed last.
     """
-
-    kind = "error"
 
     def __init__(self, message: str, portion=None, attempt=None, failures=()):
         super().__init__(message)
         self.portion = portion
         self.attempt = attempt
         self.failures = tuple(failures)
-
-
-class PortionTimeout(WorkerFailure):
-    """A portion exceeded its per-portion timeout (a hung or late worker)."""
-
-    kind = "timeout"
-
-    def __init__(self, message: str, portion=None, attempt=None, timeout_seconds=None):
-        super().__init__(message, portion=portion, attempt=attempt)
-        self.timeout_seconds = timeout_seconds
 
 
 class DegradedResult(ReproError):

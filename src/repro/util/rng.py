@@ -2,14 +2,11 @@
 
 Every stochastic piece of the library (samplers, searchers, workload models,
 synthetic inventories) takes an explicit ``numpy.random.Generator`` so that
-experiments are reproducible end to end. These helpers centralise how
-generators are created and how child generators are derived from a parent
-without correlating their streams.
+experiments are reproducible end to end. :func:`make_rng` accepts a
+seed or a generator wherever either may be passed.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,48 +22,3 @@ def make_rng(seed: RandomState = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def derive_rng(parent: np.random.Generator, *key: int | str) -> np.random.Generator:
-    """Derive an independent child generator from ``parent`` and a key.
-
-    The key is hashed into the child's seed sequence, so deriving with the
-    same key twice from generators in the same state yields identical
-    streams, while different keys yield statistically independent streams.
-    """
-    material: list[int] = []
-    for part in key:
-        if isinstance(part, str):
-            material.extend(part.encode("utf-8"))
-        else:
-            material.append(int(part) & 0xFFFFFFFF)
-    # Advance the parent so successive derivations differ even with equal keys.
-    material.append(int(parent.integers(0, 2**32)))
-    return np.random.default_rng(np.random.SeedSequence(material))
-
-
-def spawn_rngs(parent: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``parent`` into ``count`` independent child generators."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = parent.integers(0, 2**63, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, items: Sequence, count: int
-) -> list:
-    """Choose ``count`` distinct items from ``items`` uniformly at random."""
-    if count > len(items):
-        raise ValueError(
-            f"cannot choose {count} distinct items from a pool of {len(items)}"
-        )
-    indices = rng.choice(len(items), size=count, replace=False)
-    return [items[int(i)] for i in indices]
-
-
-def shuffled(rng: np.random.Generator, items: Iterable) -> list:
-    """Return a new list with the items of ``items`` in random order."""
-    result = list(items)
-    rng.shuffle(result)
-    return result

@@ -8,6 +8,7 @@ injectable clock so tests can drive time deterministically.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -44,8 +45,10 @@ class Deadline:
         clock: Clock = time.monotonic,
         elapsed_offset: float = 0.0,
     ):
-        if budget_seconds <= 0:
-            raise ValueError(f"budget must be positive, got {budget_seconds}")
+        if not (math.isfinite(budget_seconds) and budget_seconds > 0):
+            raise ValueError(
+                f"budget must be positive and finite, got {budget_seconds}"
+            )
         if elapsed_offset < 0:
             raise ValueError(f"elapsed offset must be non-negative, got {elapsed_offset}")
         self.budget_seconds = float(budget_seconds)
@@ -63,10 +66,3 @@ class Deadline:
     def expired(self) -> bool:
         """True once the budget is exhausted."""
         return self.elapsed() >= self.budget_seconds
-
-    def fraction_remaining(self) -> float:
-        """The paper's annealing temperature t = (T_max - T_elapsed) / T_max.
-
-        Clamped to [0, 1]; reaches 0 exactly when the deadline expires.
-        """
-        return max(0.0, 1.0 - self.elapsed() / self.budget_seconds)

@@ -1,6 +1,5 @@
-"""Host workload models and capacity constraints."""
+"""Host workload models."""
 
-from repro.workload.capacity import CapacityModel
 from repro.workload.model import HostWorkloadModel
 
-__all__ = ["CapacityModel", "HostWorkloadModel"]
+__all__ = ["HostWorkloadModel"]

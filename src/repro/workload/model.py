@@ -67,14 +67,6 @@ class HostWorkloadModel:
         pool = list(self._workloads if hosts is None else hosts)
         return sorted(pool, key=lambda h: (self.workload_of(h), h))
 
-    def set_workload(self, host: str, load: float) -> None:
-        """Point update from a (near real-time) monitoring feed."""
-        if not 0.0 <= load <= 1.0:
-            raise ConfigurationError(f"workload must be in [0, 1], got {load}")
-        if host not in self._workloads:
-            raise ConfigurationError(f"no workload recorded for host {host!r}")
-        self._workloads[host] = load
-
     def drift(
         self, stddev: float = 0.02, seed: int | np.random.Generator | None = None
     ) -> None:

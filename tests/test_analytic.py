@@ -48,7 +48,7 @@ from repro.faults.inventory import (
 )
 from repro.kernel import ComponentArena, CompiledForest
 from repro.kernel.exact import (
-    ExactBudget,
+    MAX_SHARED_BITS,
     ExactDeclined,
     compute_marginals,
     enumeration_rows,
@@ -223,15 +223,25 @@ class TestExactTreeProbability:
         )
 
     def test_declines_over_budget_instead_of_truncating(self):
-        tree = FaultTree(
-            subject_id="s",
-            root=and_gate(or_gate(basic("a"), basic("b")), or_gate(basic("a"), basic("c"))),
-        )
-        probabilities = {"a": 0.3, "b": 0.2, "c": 0.45}
-        with pytest.raises(ExactDeclined):
-            exact_tree_probability(
-                tree, probabilities, budget=ExactBudget(shared_bits=0, state_bits=0)
+        # Every event feeds both branches, so all of them are shared and
+        # need one conditioning bit each: one more than the budget allows.
+        def tree_over(events):
+            return FaultTree(
+                subject_id="s",
+                root=and_gate(
+                    or_gate(*[basic(e) for e in events]),
+                    k_of_n_gate(2, *[basic(e) for e in events]),
+                ),
             )
+
+        events = [f"s{i}" for i in range(MAX_SHARED_BITS + 1)]
+        probabilities = {e: 0.1 for e in events}
+        with pytest.raises(ExactDeclined, match=f"{len(events)} shared basic events"):
+            exact_tree_probability(tree_over(events), probabilities)
+        at_budget = tree_over(events[:-1])
+        assert exact_tree_probability(at_budget, probabilities) == pytest.approx(
+            exact_failure_probability(at_budget, probabilities), abs=1e-12
+        )
 
 
 class TestEnumeration:

@@ -40,7 +40,7 @@ class TestReachabilityRequirement:
 class TestApplicationStructure:
     def test_k_of_n(self):
         s = ApplicationStructure.k_of_n(4, 5)
-        assert s.is_simple_k_of_n
+        assert len(s.components) == 1 and len(s.requirements) == 1
         assert s.total_instances == 5
         assert s.requirements[0].min_reachable == 4
         assert s.requirements[0].source == EXTERNAL
@@ -122,9 +122,6 @@ class TestApplicationStructure:
         with pytest.raises(ConfigurationError):
             s.component("ghost")
 
-    def test_not_simple_when_multi_component(self):
-        assert not two_tier().is_simple_k_of_n
-
     def test_repr(self):
         assert "2 components" in repr(two_tier())
 
@@ -150,7 +147,8 @@ class TestMultilayer:
 
     def test_single_layer(self):
         s = multilayer(1)
-        assert s.is_simple_k_of_n
+        assert len(s.components) == 1
+        assert [r.source for r in s.requirements] == [EXTERNAL]
 
     def test_rejects_zero_layers(self):
         with pytest.raises(ConfigurationError):

@@ -42,8 +42,7 @@ class TestLinkFailures:
             for cid, component in topo.components.items()
             if component.failure_probability > 0
         }
-        uplink = topo.link_between(host, topo.edge_switch_of(host))
-        overrides[uplink.component_id] = 0.3
+        overrides[topo.adjacency[host][topo.edge_switch_of(host)]] = 0.3
         topo.override_probabilities(overrides)
         score = ReliabilityAssessor(topo, config=AssessmentConfig(rounds=30_000, rng=8)).assess_k_of_n(
             [host], 1

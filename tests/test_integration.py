@@ -7,6 +7,8 @@ gracefully with limited information; and everything composes on a second
 architecture (leaf-spine).
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.baselines.common_practice import (
 from repro.baselines.indaas import IndaasComparator
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.objectives import CompositeObjective, WorkloadUtilityObjective
-from repro.core.plan import DeploymentPlan, enumerate_k_of_n_plans
+from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
 from repro.faults.inventory import build_paper_inventory, build_rich_inventory
 from repro.topology.fattree import FatTreeTopology
@@ -69,8 +71,8 @@ class TestProviderWorkflow:
         assessor = ReliabilityAssessor(topo, inventory, config=AssessmentConfig(rounds=25_000, rng=23))
 
         best_exhaustive = max(
-            assessor.assess(plan, structure).score
-            for plan in enumerate_k_of_n_plans(topo.hosts, 2)
+            assessor.assess(DeploymentPlan.single_component(pair, "app"), structure).score
+            for pair in combinations(topo.hosts, 2)
         )
         search = DeploymentSearch(assessor, rng=24, clock=FakeClock())
         result = search.search(

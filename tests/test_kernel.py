@@ -171,11 +171,7 @@ class TestComponentArena:
         assert arena.ids == tuple(probabilities)
         for i, cid in enumerate(arena.ids):
             assert arena.index_of(cid) == i
-            assert arena.id_of(i) == cid
             assert cid in arena
-        assert np.array_equal(
-            arena.indices_of(arena.ids[:5]), np.arange(5, dtype=np.int32)
-        )
         assert arena.probabilities is not None
         assert arena.probabilities[arena.index_of(arena.ids[3])] == pytest.approx(
             probabilities[arena.ids[3]]
@@ -185,8 +181,6 @@ class TestComponentArena:
         arena = ComponentArena(["a", "b"])
         with pytest.raises(ConfigurationError):
             arena.index_of("missing")
-        with pytest.raises(ConfigurationError):
-            arena.id_of(7)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.app.structure import ApplicationStructure, InstanceRef
+from repro.app.structure import ApplicationStructure
 from repro.app.generators import two_tier
-from repro.core.plan import DeploymentPlan, MoveDescriptor, enumerate_k_of_n_plans
+from repro.core.plan import DeploymentPlan, MoveDescriptor
 from repro.util.errors import ConfigurationError, UnsatisfiableRequirements
 
 
@@ -27,8 +27,9 @@ class TestConstruction:
             DeploymentPlan.from_mapping({"fe": ["a"], "db": ["a"]})
 
     def test_host_of_instance(self):
+        # Instance ``i`` of a component runs on the ``i``-th of its hosts.
         plan = DeploymentPlan.from_mapping({"fe": ["a", "b"]})
-        assert plan.host_of(InstanceRef("fe", 1)) == "b"
+        assert plan.hosts_for("fe")[1] == "b"
 
     def test_unknown_component(self):
         plan = DeploymentPlan.single_component(["a"])
@@ -173,10 +174,3 @@ class TestCanonicalKey:
         plan = DeploymentPlan.from_mapping({"fe": ["a"]})
         assert "fe: [a]" in str(plan)
 
-
-class TestEnumeration:
-    def test_enumerates_all_combinations(self):
-        plans = list(enumerate_k_of_n_plans(["a", "b", "c"], 2))
-        assert len(plans) == 3
-        keys = {p.canonical_key() for p in plans}
-        assert len(keys) == 3

@@ -15,32 +15,12 @@ from repro.faults.probability import (
     NormalProbabilityModel,
     PaperProbabilityPolicy,
     annual_downtime_hours,
-    failure_probability_from_downtime,
     sample_each,
 )
 from repro.util.errors import ConfigurationError
 
 
 class TestDowntimeConversion:
-    def test_basic_estimator(self):
-        # p = downtime / window length (§2.1)
-        assert failure_probability_from_downtime(87.6, 8760) == pytest.approx(0.01)
-
-    def test_zero_downtime(self):
-        assert failure_probability_from_downtime(0.0) == 0.0
-
-    def test_rejects_negative_downtime(self):
-        with pytest.raises(ConfigurationError):
-            failure_probability_from_downtime(-1.0)
-
-    def test_rejects_downtime_exceeding_window(self):
-        with pytest.raises(ConfigurationError):
-            failure_probability_from_downtime(10.0, 5.0)
-
-    def test_rejects_non_positive_window(self):
-        with pytest.raises(ConfigurationError):
-            failure_probability_from_downtime(1.0, 0.0)
-
     def test_annual_downtime_matches_paper_examples(self):
         # §4.2.2: 99.62 % ~ 33.3 h/yr, 99.97 % ~ 2.6 h/yr.
         assert annual_downtime_hours(0.9962) == pytest.approx(33.3, abs=0.3)

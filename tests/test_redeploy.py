@@ -204,7 +204,7 @@ class TestRetryAndBackoff:
         sleeps = []
         ctrl = _controller(
             zones2, tmp_path, search, plans["spread"],
-            max_retries=3, backoff_seconds=0.05, backoff_factor=2.0,
+            max_retries=3, backoff_seconds=0.05,
             sleep=sleeps.append,
         )
         ctrl.observe(DegradationEvent(kind="zone-outage", zone="zone0"))

@@ -84,7 +84,7 @@ class TestStructureRoundTrip:
     def test_round_trip_k_of_n(self):
         structure = ApplicationStructure.k_of_n(4, 5)
         restored = decode(ApplicationStructure, encode(structure))
-        assert restored.is_simple_k_of_n
+        assert restored.requirements == structure.requirements
         assert restored.total_instances == 5
 
     def test_invalid_structure_rejected_on_load(self):

@@ -18,7 +18,7 @@ from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
-from repro.service.client import HttpServiceClient, ServiceClient
+from repro.service.client import HttpServiceClient
 from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout, chunked_assess
 from repro.service.health import (
     DRAINING,
@@ -27,7 +27,7 @@ from repro.service.health import (
     STOPPED,
     HealthMonitor,
 )
-from repro.service.requests import AssessRequest
+from repro.service.requests import AssessRequest, SearchRequest
 from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.service.server import ServiceHTTPServer
 from repro.util.cancel import CancellationToken
@@ -82,8 +82,9 @@ class TestHealthMonitor:
 class TestServiceLifecycle:
     def test_normal_assess_round_trip(self, fattree4, inventory):
         with _service(fattree4, inventory) as service:
-            client = ServiceClient(service)
-            response = client.assess(fattree4.hosts[:3], k=2, timeout=60.0)
+            response = service.assess(
+                AssessRequest(hosts=tuple(fattree4.hosts[:3]), k=2), timeout=60.0
+            )
             assert response.ok
             assert response.status == "ok"
             assert response.backend == "chunked-sequential"
@@ -94,9 +95,8 @@ class TestServiceLifecycle:
 
     def test_search_round_trip(self, fattree4, inventory):
         with _service(fattree4, inventory, rounds=500) as service:
-            client = ServiceClient(service)
-            response = client.search(
-                k=2, n=3, max_seconds=0.5, timeout=60.0
+            response = service.search(
+                SearchRequest(k=2, n=3, max_seconds=0.5), timeout=60.0
             )
             assert response.ok
             assert response.backend == "search"
@@ -150,12 +150,13 @@ class TestServiceLifecycle:
         exception — degraded (partial estimate) or cancelled (nothing
         completed), depending on where the deadline lands."""
         with _service(fattree4, inventory, chunks=16) as service:
-            client = ServiceClient(service)
-            response = client.assess(
-                fattree4.hosts[:3],
-                k=2,
-                rounds=3_000_000,
-                deadline_seconds=0.15,
+            response = service.assess(
+                AssessRequest(
+                    hosts=tuple(fattree4.hosts[:3]),
+                    k=2,
+                    rounds=3_000_000,
+                    deadline_seconds=0.15,
+                ),
                 timeout=60.0,
             )
             assert response.status in ("ok", "degraded", "cancelled")
@@ -197,8 +198,8 @@ class TestServiceLifecycle:
 
     def test_metrics_record_requests_and_latency(self, fattree4, inventory):
         with _service(fattree4, inventory) as service:
-            ServiceClient(service).assess(
-                fattree4.hosts[:3], k=2, timeout=60.0
+            service.assess(
+                AssessRequest(hosts=tuple(fattree4.hosts[:3]), k=2), timeout=60.0
             )
             assert service.metrics.counter("service/requests") == 1
             assert service.metrics.counter("service/admitted") == 1

@@ -113,11 +113,6 @@ class TestBaseValidation:
         with pytest.raises(TopologyError):
             topo._add_switch("s0", ComponentType.HOST)
 
-    def test_link_between_unlinked_raises(self):
-        topo = _BareTopology()
-        with pytest.raises(TopologyError):
-            topo.link_between("h0", "b0")
-
     def test_validate_hosts_exist(self, fattree4):
         validate_hosts_exist(fattree4, ["host/0/0/0"])
         with pytest.raises(TopologyError):

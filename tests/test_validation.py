@@ -16,9 +16,11 @@ import pytest
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, build_assessor
 from repro.core.plan import DeploymentPlan
+from repro.core.search import SearchSpec
 from repro.core.result import AssessmentResult, PortionFailure, RuntimeMetadata
 from repro.sampling.statistics import estimate_from_results
 from repro.serialization import decode, encode
+from repro.service.redeploy import RedeploymentController
 from repro.service.requests import AssessRequest, SearchRequest
 from repro.service.scheduler import ServiceConfig
 from repro.util.errors import ConfigurationError, ValidationError
@@ -95,20 +97,6 @@ class TestPlanValidation:
         assert any(f.startswith("placements.") for f in fields)
         assert "hosts" in fields
 
-    def test_capacity_exhaustion_is_reported(self, fattree4):
-        from repro.workload.capacity import CapacityModel
-
-        capacity = CapacityModel.uniform(fattree4, slots_per_host=1)
-        victim = fattree4.hosts[0]
-        capacity.occupy_hosts([victim])
-        plan = DeploymentPlan.single_component(
-            fattree4.hosts[:3], STRUCTURE.components[0].name
-        )
-        with pytest.raises(ValidationError) as excinfo:
-            plan.validate_against(fattree4, STRUCTURE, capacity=capacity)
-        assert "capacity" in excinfo.value.fields()
-        assert victim in str(excinfo.value)
-
 
 class TestAssessmentConfigValidation:
     def test_valid_config_passes(self, fattree4):
@@ -153,6 +141,24 @@ class TestAssessmentConfigValidation:
                 inventory,
                 AssessmentConfig(mode="parallel", workers=0),
             )
+
+    @pytest.mark.parametrize(
+        "rounds", [True, 2.5, float("nan"), float("inf"), 0, -3], ids=repr
+    )
+    def test_rounds_it_cannot_run_are_refused_at_construction(self, rounds):
+        """The rule ``ServiceConfig.rounds`` applies: an int >= 1, never a
+        bool. Each of these used to construct and then die in ``assess``."""
+        with pytest.raises(ValidationError) as excinfo:
+            AssessmentConfig(rounds=rounds)
+        assert excinfo.value.fields() == ("rounds",)
+        with pytest.raises(ValidationError):
+            ServiceConfig(rounds=rounds)
+
+    @pytest.mark.parametrize("workers", [True, 1.5], ids=repr)
+    def test_workers_that_are_not_ints_are_field_errors(self, workers):
+        with pytest.raises(ValidationError) as excinfo:
+            AssessmentConfig(mode="parallel", workers=workers).validate()
+        assert excinfo.value.fields() == ("workers",)
 
 
 class TestServiceConfigValidation:
@@ -322,6 +328,93 @@ class TestSearchRequest:
         assert request.max_seconds == 5.0
         assert request.desired_reliability == 1.0
         assert request.rounds is None
+
+
+class TestOneBudgetRule:
+    """A search budget is a positive finite number of seconds on every
+    surface that takes one. NaN compares false against every bound, so a
+    check of ``<= 0`` alone let ``nan`` through, and a NaN budget never
+    runs out."""
+
+    BUDGETS = [0, -1, float("nan"), float("inf"), 1e-9, 5]
+    ACCEPTED = (1e-9, 5)
+
+    @staticmethod
+    def _refused(call, field) -> bool:
+        try:
+            call()
+        except ValidationError as exc:
+            assert field in exc.fields()
+            return True
+        return False
+
+    @pytest.mark.parametrize("seconds", BUDGETS, ids=repr)
+    def test_every_surface_accepts_and_refuses_the_same_budgets(
+        self, seconds, fattree4, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        structure = ApplicationStructure.k_of_n(1, 2)
+        incumbent = DeploymentPlan.single_component(fattree4.hosts[:2], "app")
+        code = main(
+            [
+                "search", "--scale", "tiny", "--k", "1", "--n", "2",
+                "--rounds", "200", "--move-budget", "2",
+                "--seconds", str(seconds),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert (code == 2) == ("max_seconds" in err)
+        refused = {
+            "SearchSpec": self._refused(
+                lambda: SearchSpec(structure, max_seconds=seconds), "max_seconds"
+            ),
+            "SearchRequest.validate": self._refused(
+                lambda: SearchRequest(k=1, n=2, max_seconds=seconds).validate(
+                    fattree4
+                ),
+                "max_seconds",
+            ),
+            "RedeploymentController": self._refused(
+                lambda: RedeploymentController(
+                    None,
+                    structure,
+                    str(tmp_path / "state"),
+                    incumbent=incumbent,
+                    search_seconds=seconds,
+                ),
+                "search_seconds",
+            ),
+            "repro search --seconds": code == 2,
+        }
+        expected = seconds not in self.ACCEPTED
+        assert refused == dict.fromkeys(refused, expected)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_gain", float("nan")),
+            ("min_gain", -0.1),
+            ("degradation_threshold", float("nan")),
+            ("degradation_threshold", 0.0),
+            ("max_retries", 0),
+        ],
+        ids=repr,
+    )
+    def test_controller_refuses_thresholds_it_cannot_compare(
+        self, fattree4, tmp_path, field, value
+    ):
+        incumbent = DeploymentPlan.single_component(fattree4.hosts[:2], "app")
+        with pytest.raises(ValidationError) as excinfo:
+            RedeploymentController(
+                None,
+                ApplicationStructure.k_of_n(1, 2),
+                str(tmp_path / "state"),
+                incumbent=incumbent,
+                **{field: value},
+            )
+        assert excinfo.value.fields() == (field,)
+        assert not (tmp_path / "state").exists()
 
 
 class TestJsonBodyNumbers:

@@ -61,18 +61,6 @@ class TestQueries:
 
 
 class TestUpdates:
-    def test_set_workload(self):
-        model = HostWorkloadModel({"a": 0.2})
-        model.set_workload("a", 0.9)
-        assert model.workload_of("a") == 0.9
-
-    def test_set_workload_validates(self):
-        model = HostWorkloadModel({"a": 0.2})
-        with pytest.raises(ConfigurationError):
-            model.set_workload("a", 2.0)
-        with pytest.raises(ConfigurationError):
-            model.set_workload("ghost", 0.5)
-
     def test_drift_stays_in_bounds(self, fattree4):
         model = HostWorkloadModel.uniform(fattree4, 0.02)
         for _ in range(10):

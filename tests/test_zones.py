@@ -74,7 +74,7 @@ class TestMultiZoneTopology:
     def test_zone_queries(self, zones2):
         host = zones2.hosts_in_zone("zone0")[0]
         assert zones2.zone_of(host) == "zone0"
-        assert zones2.zone_of(zones2.wan_routers_in_zone("zone1")[0]) == "zone1"
+        assert zones2.zone_of(zones2.wan_by_zone["zone1"][0]) == "zone1"
         assert all(
             zones2.zone_of(e) == "zone0" for e in zones2.zone_elements("zone0")
         )
@@ -144,7 +144,7 @@ class TestZoneInventory:
 
     def test_wan_conduits_attach_to_routers(self, zones2):
         model = build_zone_inventory(zones2, seed=7)
-        router = zones2.wan_routers_in_zone("zone0")[0]
+        router = zones2.wan_by_zone["zone0"][0]
         events = set(model.tree_for(router).basic_events())
         assert any(event.startswith("wan-conduit/") for event in events)
 
