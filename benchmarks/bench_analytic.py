@@ -16,7 +16,7 @@ Two gates for the exact fault-tree evaluation backend:
   truth of the returned plan) must be no worse than every rung's (zero
   quality regression). What the exact screen costs is gated by counts
   that repeat exactly: the share of its assessments decided with no
-  sampler entered (``sampling_started()`` never called for them), and its
+  sampler entered (no ``sampling.start`` seam hit for them), and its
   function calls (``sys.setprofile``) against the sampled search's at the
   base budget — an exact decision is Python dispatch over the closure's
   joint states and must stay within a fixed multiple of a sampled one's.
@@ -65,9 +65,9 @@ from repro.core.search import DeploymentSearch, SearchSpec
 from repro.faults.inventory import build_paper_inventory
 from repro.faults.probability import PaperProbabilityPolicy
 from repro.routing.base import RoundStates, engine_for
-from repro.sampling.base import set_sampling_started_hook
 from repro.topology.base import ComponentType
 from repro.topology.fattree import FatTreeTopology
+from repro.util.faultpoints import FaultPoints, armed
 from repro.util.metrics import MetricsRegistry
 from tests.interpreted_oracle import evaluate_round
 
@@ -267,25 +267,18 @@ def _search_counts(structure, rounds: int, moves: int, seeds) -> dict:
     Per seed, one analytic and one sampled search under ``sys.setprofile``
     (so not the runs that are timed): how many assessments the analytic
     search decided exactly and how many it declined to the sampler, the
-    ``sampling_started()`` calls it made — a declined assessment enters a
+    ``sampling.start`` seam hits it made — a declined assessment enters a
     sampler at most once, an exact one never — and both searches'
     function calls.
     """
-    exact = declined = sampling_calls = analytic_calls = sampled_calls = 0
-
-    def entered():
-        nonlocal sampling_calls
-        sampling_calls += 1
-
+    exact = declined = sampler_entries = analytic_calls = sampled_calls = 0
     for seed in seeds:
         registry = MetricsRegistry()
-        set_sampling_started_hook(entered)
-        try:
+        with armed(FaultPoints()) as seams:
             analytic_calls += count_calls(
                 lambda: _run_search("analytic", structure, rounds, moves, seed, registry)
             )
-        finally:
-            set_sampling_started_hook(None)
+        sampler_entries += seams.counters.get("sampling.start", 0)
         exact += int(
             registry.counter("analytic/exact") + registry.counter("analytic/exact_hit")
         )
@@ -297,7 +290,7 @@ def _search_counts(structure, rounds: int, moves: int, seeds) -> dict:
         "exact_assessments": exact,
         "declined_assessments": declined,
         "exact_share": exact / max(exact + declined, 1),
-        "sampling_started_calls": sampling_calls,
+        "sampler_entries": sampler_entries,
         "analytic_calls": analytic_calls,
         "sampled_calls": sampled_calls,
         "calls_ratio": analytic_calls / max(sampled_calls, 1),
@@ -403,7 +396,7 @@ def _report(row: dict) -> str:
         f"({row['equal_quality_bound']}, recorded); "
         f"{row['exact_assessments']}/"
         f"{row['exact_assessments'] + row['declined_assessments']} assessments "
-        f"exact, {row['sampling_started_calls']} sampler entries, "
+        f"exact, {row['sampler_entries']} sampler entries, "
         f"{row['calls_ratio']:.2f}x the sampled search's calls"
     )
 
@@ -438,9 +431,9 @@ def _check(rows: list[dict]) -> list[str]:
             f"only {search['exact_share']:.2%} of the analytic search's "
             f"assessments were exact (floor {EXACT_SHARE_FLOOR:.0%})"
         )
-    if search["sampling_started_calls"] > search["declined_assessments"]:
+    if search["sampler_entries"] > search["declined_assessments"]:
         failures.append(
-            f"{search['sampling_started_calls']} sampler entries for "
+            f"{search['sampler_entries']} sampler entries for "
             f"{search['declined_assessments']} declined assessments: an exact "
             "decision sampled"
         )

@@ -7,9 +7,11 @@ assessment. This bench quantifies what that supervision costs:
 
 * **baseline** — healthy pool, no faults injected. The delta against the
   seed's blocking ``pool.map`` is the price of per-portion supervision.
-* **fault sweep** — ``ChaosPolicy`` rate-mode injection at increasing
-  portion fault rates. Reported recovery latency is the extra wall-clock
-  over the healthy baseline, i.e. the cost of detection + retry.
+* **fault sweep** — at increasing portion fault rates, a seeded draw
+  arms ``exit`` or ``io_error`` at the ``pool.portion`` seam of some
+  first attempts ``(portion, 0)``. Reported recovery latency is the
+  extra wall-clock over the healthy baseline, i.e. the cost of detection
+  + retry.
 
 Environment knobs follow ``benchmarks/common.py``; additionally:
 
@@ -20,12 +22,13 @@ Environment knobs follow ``benchmarks/common.py``; additionally:
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.app.structure import ApplicationStructure
 from repro.core.plan import DeploymentPlan
-from repro.runtime.chaos import ChaosPolicy
 from repro.runtime.mapreduce import ParallelAssessor, RetryPolicy
+from repro.util.faultpoints import FaultCommand, FaultPoints, armed
 
 from common import ResultTable, _env_list, bench_scales, inventory, topology
 from repro.core.api import AssessmentConfig
@@ -42,13 +45,23 @@ def fault_rates() -> list[float]:
     ]
 
 
-def _measure(scale, rate, kinds=("crash", "error"), repetitions=3):
+def _rate_faults(rate: float) -> FaultPoints:
+    """Each portion's first attempt fails with probability ``rate``, by a
+    worker exit or an I/O error, from a seeded draw; retries go through."""
+    registry = FaultPoints()
+    rng = np.random.default_rng(11)
+    for portion in range(WORKERS):
+        if rng.random() < rate:
+            kind = str(rng.choice(("exit", "io_error")))
+            registry.add("pool.portion", FaultCommand(kind), occurrence=(portion, 0))
+    return registry
+
+
+def _measure(scale, rate, repetitions=3):
     topo = topology(scale)
     plan = DeploymentPlan.random(topo, STRUCTURE, rng=6)
-    chaos = (
-        ChaosPolicy(rate=rate, kinds=kinds, seed=11) if rate > 0 else None
-    )
-    with ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=ROUNDS, workers=WORKERS, rng=5, retry_policy=RetryPolicy(max_retries=3, backoff_seconds=0.01), chaos=chaos)) as assessor:
+    # Armed before the pool forks, so every worker inherits the faults.
+    with armed(_rate_faults(rate)), ParallelAssessor(topo, inventory(scale), config=AssessmentConfig(mode="parallel", rounds=ROUNDS, workers=WORKERS, rng=5, retry_policy=RetryPolicy(max_retries=3, backoff_seconds=0.01))) as assessor:
         best_ms, result = float("inf"), None
         for _ in range(repetitions):
             start = time.perf_counter()

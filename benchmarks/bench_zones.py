@@ -58,12 +58,15 @@ from repro.core.api import AssessmentConfig
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.faults.inventory import build_zone_inventory, zone_shared_root_ids
+from repro.faults.inventory import (
+    ZoneOutage,
+    build_zone_inventory,
+    zone_shared_root_ids,
+)
 from repro.kernel import AssessmentKernel
 from repro.routing import engine_for
 from repro.routing.base import RoundStates
 from repro.routing.generic import GenericReachabilityEngine
-from repro.runtime.chaos import ZoneOutage
 from repro.topology.zones import MultiZoneTopology
 from repro.util.metrics import MetricsRegistry
 

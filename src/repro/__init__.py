@@ -34,7 +34,6 @@ from repro.app import (
     ReachabilityRequirement,
     microservice_mesh,
     multilayer,
-    two_tier,
 )
 from repro.baselines import (
     IndaasComparator,
@@ -69,12 +68,13 @@ from repro.faults import (
     DependencyModel,
     FaultTree,
     PaperProbabilityPolicy,
+    ZoneOutage,
     build_paper_inventory,
     build_rich_inventory,
     build_zone_inventory,
 )
 from repro.routing import engine_for
-from repro.runtime import ParallelAssessor, ZoneOutage
+from repro.runtime import ParallelAssessor
 from repro.service import RedeploymentController
 from repro.sampling import (
     DaggerSampler,
@@ -147,5 +147,4 @@ __all__ = [
     "paper_topology",
     "power_diversity",
     "top_plans",
-    "two_tier",
 ]

@@ -1,6 +1,6 @@
 """Application structures: K-of-N, layered and microservice applications."""
 
-from repro.app.generators import microservice_mesh, multilayer, two_tier
+from repro.app.generators import microservice_mesh, multilayer
 from repro.app.structure import (
     EXTERNAL,
     ApplicationStructure,
@@ -17,5 +17,4 @@ __all__ = [
     "ReachabilityRequirement",
     "microservice_mesh",
     "multilayer",
-    "two_tier",
 ]

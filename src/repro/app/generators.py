@@ -5,7 +5,6 @@
 * ``microservice_mesh`` — the paper's "X-Y" structure: X fully-meshed core
   components, each talking to its own Y supporting components (Fig. 11:
   3-5, 5-10 and 10-20 structures; 10-20 means 10 + 10*20 = 210 components).
-* ``two_tier`` — the frontend/database example of Fig. 6.
 """
 
 from __future__ import annotations
@@ -17,26 +16,6 @@ from repro.app.structure import (
     ReachabilityRequirement,
 )
 from repro.util.errors import ConfigurationError
-
-
-def two_tier(
-    frontends: int = 2,
-    databases: int = 2,
-    k_frontend: int = 1,
-    k_database: int = 1,
-) -> ApplicationStructure:
-    """Fig. 6's example: FE reachable externally, DB reachable from FE."""
-    return ApplicationStructure(
-        components=[
-            ComponentSpec("frontend", frontends),
-            ComponentSpec("database", databases),
-        ],
-        requirements=[
-            ReachabilityRequirement("frontend", EXTERNAL, k_frontend),
-            ReachabilityRequirement("database", "frontend", k_database),
-        ],
-        name="two-tier",
-    )
 
 
 def multilayer(

@@ -470,8 +470,7 @@ def cmd_redeploy(args) -> int:
     import os
 
     from repro.core.plan import ZoneConstraints
-    from repro.faults.inventory import build_zone_inventory
-    from repro.runtime.chaos import ZoneOutage
+    from repro.faults.inventory import ZoneOutage, build_zone_inventory
     from repro.service.redeploy import INCUMBENT_NAME, RedeploymentController
     from repro.topology.zones import MultiZoneTopology
 

@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.result import AssessmentResult
     from repro.faults.dependencies import DependencyModel
     from repro.routing.base import ReachabilityEngine
-    from repro.runtime.chaos import ChaosPolicy
     from repro.runtime.mapreduce import RetryPolicy
     from repro.sampling.base import Sampler
     from repro.topology.base import Topology
@@ -72,7 +71,6 @@ class AssessmentConfig:
         retry_policy: Per-portion retry/timeout policy (parallel mode).
         partial_ok: Accept degraded partial estimates instead of inline
             recovery (parallel mode).
-        chaos: Deterministic fault injection for tests (parallel mode).
         master_seed: Common-random-numbers master seed for the incremental
             mode; ``None`` derives one from ``rng``.
         metrics: Registry to record stage timings and cache counters
@@ -94,7 +92,6 @@ class AssessmentConfig:
     workers: int = 2
     retry_policy: "RetryPolicy | None" = None
     partial_ok: bool = False
-    chaos: "ChaosPolicy | None" = None
     master_seed: int | None = None
     metrics: MetricsRegistry | None = field(default=None, compare=False)
     analytic_state_bits: int = 20

@@ -73,11 +73,11 @@ from repro.core.result import AssessmentResult, RuntimeMetadata
 from repro.faults.dependencies import DependencyModel
 from repro.kernel import AssessmentKernel
 from repro.routing.base import ReachabilityEngine, RoundStates, engine_for
-from repro.sampling.base import sampling_started
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.statistics import estimate_from_results
 from repro.topology.base import Topology
 from repro.util.errors import ConfigurationError
+from repro.util.faultpoints import fault_hit
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.util.timing import Stopwatch
@@ -254,7 +254,7 @@ class IncrementalAssessor(AssessorBase):
             metrics.incr("sample/component/hit", sampled.bit_count() - misses)
             metrics.incr("sample/component/miss", misses)
             if new:
-                sampling_started()
+                fault_hit("sampling.start")
                 self._sampled |= new & ~self._positive
                 ids, probabilities = arena.ids, arena.probabilities
                 drawn = arena.indices_in(new & self._positive)

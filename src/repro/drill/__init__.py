@@ -3,61 +3,9 @@
 ``repro.drill`` drives the full service substrate — admission, journal,
 result store, sharded workers with heartbeat failover, and the
 redeployment controller's commit point — through seeded, randomized
-fault schedules, then checks the system's durability contracts as
-explicit invariants and shrinks any failing schedule to a minimal
-reproducer. See ``repro drill --help`` and the DESIGN.md section
-"failure-drill engine".
-
-Import layering: the production durability modules import
-``repro.drill.faultpoints`` for their (no-op) seams, and this package's
-heavier halves (sim, engine) import those same production modules — so
-this ``__init__`` stays import-light and loads the engine lazily.
+fault schedules armed on the seams of :mod:`repro.util.faultpoints`,
+then checks the system's durability contracts as explicit invariants
+and shrinks any failing schedule to a minimal reproducer. See ``repro
+drill --help`` and the DESIGN.md section "failure-drill engine". The
+entry points live in :mod:`repro.drill.engine`.
 """
-
-from repro.drill.faultpoints import (
-    CATALOG,
-    FAULT_CATALOG,
-    FaultCommand,
-    FaultPoints,
-    SimulatedCrash,
-    arm,
-    armed,
-    disarm,
-    fault_hit,
-)
-from repro.drill.schedule import (
-    SEEDED_BUGS,
-    FaultEvent,
-    FaultSchedule,
-    random_schedule,
-)
-
-__all__ = [
-    "CATALOG",
-    "FAULT_CATALOG",
-    "FaultCommand",
-    "FaultPoints",
-    "SimulatedCrash",
-    "arm",
-    "armed",
-    "disarm",
-    "fault_hit",
-    "SEEDED_BUGS",
-    "FaultEvent",
-    "FaultSchedule",
-    "random_schedule",
-]
-
-
-def __getattr__(name):
-    # Lazy: the engine imports the service stack, which imports the
-    # fault seams above — eager loading here would be a cycle.
-    if name in ("run_drill", "run_campaign", "replay_reproducer"):
-        from repro.drill import engine
-
-        return getattr(engine, name)
-    if name == "shrink_schedule":
-        from repro.drill.shrink import shrink_schedule
-
-        return shrink_schedule
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

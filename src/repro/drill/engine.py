@@ -23,7 +23,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.drill.faultpoints import armed
 from repro.drill.invariants import Violation, check_drill
 from repro.drill.schedule import (
     SEEDED_BUGS,
@@ -33,7 +32,8 @@ from repro.drill.schedule import (
 )
 from repro.drill.sim import DrillSim
 from repro.serialization import encode
-from repro.util.errors import ConfigurationError, ValidationError
+from repro.util.errors import ConfigurationError, ValidationError, check_count
+from repro.util.faultpoints import armed
 
 REPRODUCER_FORMAT = "drill-reproducer"
 VERDICT_NAME = "drill-verdict.json"
@@ -182,21 +182,20 @@ def run_campaign(
     can catch a real durability bug, not just pass quiet runs.
 
     Raises one :class:`~repro.util.errors.ValidationError` naming each
-    of ``rounds``, ``shards``, ``requests`` and ``max_events`` below 1:
-    with any of them at zero a campaign drills nothing and still passes.
+    of ``rounds``, ``shards``, ``requests`` and ``max_events`` that is
+    not an int >= 1: with any of them at zero a campaign drills nothing
+    and still passes.
     """
-    low = [
-        (name, f"must be >= 1, got {value}")
-        for name, value in (
-            ("rounds", rounds),
-            ("shards", shards),
-            ("requests", requests),
-            ("max_events", max_events),
-        )
-        if value < 1
-    ]
-    if low:
-        raise ValidationError(low)
+    errors: list = []
+    for name, value in (
+        ("rounds", rounds),
+        ("shards", shards),
+        ("requests", requests),
+        ("max_events", max_events),
+    ):
+        check_count(name, value, 1, errors)
+    if errors:
+        raise ValidationError(errors)
     if bug is not None and bug not in SEEDED_BUGS:
         raise ConfigurationError(
             f"unknown seeded bug {bug!r}; have {sorted(SEEDED_BUGS)}"
@@ -306,23 +305,39 @@ def write_reproducer(
 
 
 def replay_reproducer(path: str) -> DrillResult:
-    """Re-run a reproducer file: same seed, same schedule, same drill."""
+    """Re-run a reproducer file: same seed, same schedule, same drill.
+
+    Before anything runs, one :class:`~repro.util.errors.ValidationError`
+    names each unusable field: ``seed`` (an int >= 0), ``shards``,
+    ``requests``, ``max_ticks`` (ints >= 1, as in :func:`run_campaign`)
+    and every event that could never fire — a false PASS otherwise.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read reproducer {path}: {exc}")
-    if document.get("format") != REPRODUCER_FORMAT:
+    if not isinstance(document, dict) or document.get("format") != REPRODUCER_FORMAT:
         raise ConfigurationError(
             f"{path} is not a {REPRODUCER_FORMAT} file"
         )
-    return run_drill(
-        int(document["seed"]),
-        schedule_from_json(document["schedule"]),
-        shards=int(document.get("shards", 3)),
-        requests=int(document.get("requests", 10)),
-        max_ticks=int(document.get("max_ticks", 1200)),
-    )
+    sizes = {
+        "shards": document.get("shards", 3),
+        "requests": document.get("requests", 10),
+        "max_ticks": document.get("max_ticks", 1200),
+    }
+    errors: list = []
+    check_count("seed", document.get("seed"), 0, errors)
+    for name, value in sizes.items():
+        check_count(name, value, 1, errors)
+    try:
+        schedule = schedule_from_json(document.get("schedule"))
+        schedule.build()
+    except ValidationError as exc:
+        errors += [(f"schedule.{name}".rstrip("."), why) for name, why in exc.errors]
+    if errors:
+        raise ValidationError(errors)
+    return run_drill(document["seed"], schedule, **sizes)
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Fault schedules: the serializable "what goes wrong when" of a drill.
 
 A schedule is an ordered list of :class:`FaultEvent` — each names a seam
-from the :data:`~repro.drill.faultpoints.CATALOG`, the occurrence index
+from the :data:`~repro.util.faultpoints.CATALOG`, the occurrence index
 it strikes at (``None`` = every occurrence) and the command kind. A
 drill is bit-reproducible from ``(seed, schedule)`` alone, so schedules
 round-trip through JSON: the campaign serializes every failing
 (shrunken) schedule to a reproducer file that ``repro drill --replay``
 re-runs verbatim.
 
-:func:`random_schedule` draws campaign schedules from the *fault* half
-of the catalog only — environment misfortune a correct system must
-tolerate. Deliberate bugs (``skip_fsync``) never appear in random
-schedules; they are injected explicitly via :data:`SEEDED_BUGS` to prove
-the invariant checkers have teeth.
+:func:`random_schedule` draws campaign schedules from the catalog
+minus :data:`_UNDRAWN_POINTS` — environment misfortune a correct system
+must tolerate, on the seams the simulation drives. Deliberate bugs
+(``skip_fsync``) never appear in random schedules; they are injected
+explicitly via :data:`SEEDED_BUGS` to prove the invariant checkers have
+teeth.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.drill.faultpoints import (
-    FAULT_CATALOG,
-    FaultCommand,
-    FaultPoints,
-)
 from repro.serialization import decode
+from repro.util.errors import ValidationError
+from repro.util.faultpoints import CATALOG, FaultCommand, FaultPoints
 
 #: Roughly how many times each seam fires in a default drill — the
 #: occurrence range random schedules draw from, per point. Too-large
@@ -46,10 +44,16 @@ _OCCURRENCE_RANGE = {
 }
 
 #: Points random schedules never draw: ``journal.fsync`` carries only
-#: the deliberate skip-fsync bug, and ``fleet.worker.send`` sits on the
-#: real fleet's pipe (the sim covers that failure mode through the
-#: ``worker.task.*`` seams instead).
-_UNDRAWN_POINTS = ("journal.fsync", "fleet.worker.send")
+#: the deliberate skip-fsync bug, ``fleet.worker.send`` sits on the real
+#: fleet's pipe (the sim covers that failure mode through the
+#: ``worker.task.*`` seams instead), and ``pool.portion`` and
+#: ``sampling.start`` sit in the assessment runtime, outside the drill.
+_UNDRAWN_POINTS = (
+    "journal.fsync",
+    "fleet.worker.send",
+    "pool.portion",
+    "sampling.start",
+)
 
 #: Named deliberate bugs for campaign self-tests: each is the list of
 #: events that recreate the defect. ``no-journal-fsync`` disables the
@@ -83,14 +87,22 @@ class FaultSchedule:
     events: tuple[FaultEvent, ...] = ()
 
     def build(self) -> FaultPoints:
-        """The armed-registry form of this schedule."""
+        """The armed-registry form of this schedule. Raises one
+        :class:`~repro.util.errors.ValidationError` naming
+        ``<index>.<field>`` of every event that could never fire."""
         registry = FaultPoints()
-        for event in self.events:
-            registry.add(
-                event.point,
-                FaultCommand(event.command, event.arg),
-                occurrence=event.occurrence,
-            )
+        errors: list = []
+        for index, event in enumerate(self.events):
+            try:
+                registry.add(
+                    event.point,
+                    FaultCommand(event.command, event.arg),
+                    occurrence=event.occurrence,
+                )
+            except ValidationError as exc:
+                errors += [(f"{index}.{name}", why) for name, why in exc.errors]
+        if errors:
+            raise ValidationError(errors)
         return registry
 
     def with_bug(self, bug: str) -> "FaultSchedule":
@@ -113,7 +125,7 @@ def schedule_from_json(events: list) -> FaultSchedule:
 def random_schedule(
     rng: random.Random, max_events: int = 5, points: tuple[str, ...] | None = None
 ) -> FaultSchedule:
-    """Draw a seeded fault schedule from the fault catalog.
+    """Draw a seeded fault schedule from the drawable catalog.
 
     Every command is addressed at an explicit occurrence (never ``None``)
     so a schedule is a *finite* amount of misfortune — a wildcard crash
@@ -122,14 +134,14 @@ def random_schedule(
     if points is None:
         points = tuple(
             point
-            for point in sorted(FAULT_CATALOG)
+            for point in sorted(CATALOG)
             if point not in _UNDRAWN_POINTS
         )
     count = rng.randint(1, max_events)
     events = []
     for _ in range(count):
         point = rng.choice(points)
-        command = rng.choice(FAULT_CATALOG[point])
+        command = rng.choice(CATALOG[point])
         occurrence = rng.randrange(_OCCURRENCE_RANGE.get(point, 20))
         arg = rng.randrange(96) if command == "torn" else None
         events.append(FaultEvent(point, command, occurrence, arg))

@@ -15,7 +15,7 @@ respond``), so a fault schedule addressing "the 3rd heartbeat" or "the
 7th journal append" strikes the same instant on every run: the whole
 drill is a pure function of ``(seed, schedule)``.
 
-A :class:`~repro.drill.faultpoints.SimulatedCrash` raised from any seam
+A :class:`~repro.util.faultpoints.SimulatedCrash` raised from any seam
 kills the simulated process: the core, its queues and tickets and the
 controller vanish; the next tick rebuilds the service *from its durable
 files alone* — the same recovery path a real restart takes. A
@@ -34,12 +34,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from repro.core.plan import DeploymentPlan
-from repro.drill.faultpoints import (
-    FaultPoints,
-    SimulatedCrash,
-    fault_hit,
-    raise_if_crash,
-)
 from repro.serialization import encode
 from repro.service.executor import request_seed
 from repro.service.lifecycle import Effect, RequestLifecycle, open_state
@@ -47,6 +41,12 @@ from repro.service.redeploy import DegradationEvent, RedeploymentController
 from repro.service.requests import AssessRequest, ServiceResponse, Ticket
 from repro.service.scheduler import ServiceConfig
 from repro.util.errors import AdmissionRejected
+from repro.util.faultpoints import (
+    FaultPoints,
+    SimulatedCrash,
+    fault_hit,
+    raise_if_crash,
+)
 
 #: Virtual seconds per tick, and the failure-detection knobs expressed
 #: in virtual time. One protocol step per tick keeps interleavings wide.

@@ -19,6 +19,7 @@ from repro.faults.faulttree import (
     trivial_tree,
 )
 from repro.faults.inventory import (
+    ZoneOutage,
     attach_host_software,
     attach_power_supplies,
     attach_rack_cooling,
@@ -56,6 +57,7 @@ __all__ = [
     "ProbabilityPolicy",
     "SyntheticVulnerabilityDatabase",
     "Vulnerability",
+    "ZoneOutage",
     "and_gate",
     "annual_downtime_hours",
     "attach_host_software",

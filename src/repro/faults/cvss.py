@@ -22,16 +22,6 @@ import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-#: CVSS v3 base-score severity bands.
-SEVERITY_BANDS = (
-    ("none", 0.0, 0.0),
-    ("low", 0.1, 3.9),
-    ("medium", 4.0, 6.9),
-    ("high", 7.0, 8.9),
-    ("critical", 9.0, 10.0),
-)
-
-
 @dataclass(frozen=True, slots=True)
 class Vulnerability:
     """One CVSS-scored vulnerability of a software package."""
@@ -44,14 +34,6 @@ class Vulnerability:
             raise ConfigurationError(
                 f"CVSS base score must be in [0, 10], got {self.base_score}"
             )
-
-    @property
-    def severity(self) -> str:
-        """The CVSS severity band name for this score."""
-        for name, low, high in SEVERITY_BANDS:
-            if low <= self.base_score <= high:
-                return name
-        return "critical"
 
 
 def vulnerability_trigger_probability(

@@ -355,8 +355,8 @@ def attach_zone_shared_roots(
 def zone_shared_root_ids(model: DependencyModel, zone: str) -> list[str]:
     """The shared-root dependency ids of one zone (power, cooling, control).
 
-    The chaos harness uses this to take a whole zone down in one
-    injection; see :class:`~repro.runtime.chaos.ZoneOutage`.
+    :class:`ZoneOutage` uses this to take a whole zone down in one
+    injection.
     """
     roots = [
         cid
@@ -370,6 +370,93 @@ def zone_shared_root_ids(model: DependencyModel, zone: str) -> list[str]:
             "with attach_zone_shared_roots?"
         )
     return roots
+
+
+#: Probability a zone's shared roots are driven to during an injected
+#: outage. Just under 1 because components require p < 1; at 1e-6 odds of
+#: survival the zone is down in essentially every sampled round.
+ZONE_OUTAGE_PROBABILITY = 0.999999
+
+
+class ZoneOutage:
+    """Take a whole availability zone down in one injection.
+
+    Drives every shared root of the zone (power feed, cooling plant,
+    control plane — see :func:`attach_zone_shared_roots`) to
+    :data:`ZONE_OUTAGE_PROBABILITY` at once, which fails every element of
+    the zone in essentially every sampled round — the correlated disaster
+    the cross-zone placement constraints exist for. :meth:`revert`
+    restores the exact original probabilities, and the class is a context
+    manager (``with ZoneOutage(model, "zone0"): ...``).
+
+    Only probabilities change, never structure, so attached fault trees
+    and topology graphs stay valid. Each override moves the substrate's
+    generation, so assessors built afterwards get a kernel compiled
+    against the outage; a live assessor fetches it after
+    :meth:`inject`/:meth:`revert` on ``refresh_probabilities()``
+    (from-scratch) or ``clear_caches()`` (incremental) — the
+    :class:`~repro.service.redeploy.RedeploymentController` does this
+    automatically — and a search's symmetry screen follows on its own.
+    """
+
+    def __init__(self, dependency_model, zone: str, probability: float = ZONE_OUTAGE_PROBABILITY):
+        if not 0.0 < probability < 1.0:
+            raise ConfigurationError(
+                f"outage probability must be in (0, 1), got {probability}"
+            )
+        self.dependency_model = dependency_model
+        self.zone = zone
+        self.probability = probability
+        self.root_ids = zone_shared_root_ids(dependency_model, zone)
+        self._saved: dict[str, float] | None = None
+
+    @property
+    def active(self) -> bool:
+        """True while the outage is injected."""
+        return self._saved is not None
+
+    def inject(self) -> list[str]:
+        """Fail the zone's shared roots; returns the affected root ids.
+
+        All-or-nothing: the roots are overridden one at a time, each
+        original saved *before* its mutation, and any failure rolls back
+        every override already applied before re-raising. Without that, a
+        root that rejects its override would leak a half-failed zone —
+        and ``with ZoneOutage(...)`` never reaches ``__exit__`` when
+        ``__enter__`` raises, so nothing else would clean it up.
+        """
+        if self.active:
+            return self.root_ids
+        probabilities = self.dependency_model.failure_probabilities()
+        saved: dict[str, float] = {}
+        try:
+            for rid in self.root_ids:
+                saved[rid] = probabilities[rid]
+                self.dependency_model.override_probabilities(
+                    {rid: self.probability}
+                )
+        except BaseException:
+            if saved:
+                # The failing root may or may not have been applied;
+                # restoring its saved original either way is harmless.
+                self.dependency_model.override_probabilities(saved)
+            raise
+        self._saved = saved
+        return self.root_ids
+
+    def revert(self) -> None:
+        """Restore the pre-outage probabilities (idempotent)."""
+        if self._saved is None:
+            return
+        self.dependency_model.override_probabilities(self._saved)
+        self._saved = None
+
+    def __enter__(self) -> "ZoneOutage":
+        self.inject()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.revert()
 
 
 def build_paper_inventory(

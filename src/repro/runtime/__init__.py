@@ -1,12 +1,8 @@
 """Supervised parallel execution engine for multi-round assessments."""
 
-from repro.runtime.chaos import ChaosAction, ChaosPolicy, ZoneOutage
 from repro.runtime.mapreduce import ParallelAssessor, RetryPolicy
 
 __all__ = [
-    "ChaosAction",
-    "ChaosPolicy",
     "ParallelAssessor",
     "RetryPolicy",
-    "ZoneOutage",
 ]

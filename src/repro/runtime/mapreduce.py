@@ -57,7 +57,6 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult, PortionFailure, RuntimeMetadata
 from repro.faults.dependencies import DependencyModel
-from repro.runtime.chaos import ChaosPolicy
 from repro.sampling.statistics import estimate_from_pieces
 from repro.topology.base import Topology
 from repro.util.errors import (
@@ -67,14 +66,15 @@ from repro.util.errors import (
     ValidationError,
     WorkerFailure,
 )
+from repro.util.faultpoints import fault_hit
 from repro.util.rng import make_rng
 from repro.util.timing import Stopwatch
 
-#: Per-pool state inherited by forked workers, keyed by a registry id.
-_FORK_REGISTRY: dict[int, dict] = {}
+#: Per-pool assessors inherited by forked workers, keyed by a registry id.
+_FORK_REGISTRY: dict[int, object] = {}
 _REGISTRY_IDS = itertools.count(1)
 
-_WORKER_STATE: dict = {}
+_worker_assessor = None
 
 #: Retry backoff: a failed portion's delay grows by this factor per
 #: attempt, up to a cap, with a uniform ±fraction of jitter drawn from a
@@ -86,6 +86,10 @@ JITTER_FRACTION = 0.25
 #: How often the master polls the portions in flight and worker liveness
 #: when no result has woken it.
 POLL_INTERVAL_SECONDS = 0.05
+#: How long a worker told to ``hang`` at the ``pool.portion`` seam sleeps.
+#: Long enough that only supervision (portion timeout + pool restart) can
+#: rescue the assessment; the restart's terminate() kills the sleeper.
+HANG_SECONDS = 3600.0
 
 
 def _init_forked_worker(registry_key: int) -> None:
@@ -98,9 +102,9 @@ def _init_forked_worker(registry_key: int) -> None:
     master stops its workers itself; ``Pool.terminate`` still signals
     each one directly.
     """
-    global _WORKER_STATE
+    global _worker_assessor
     os.setpgid(0, 0)
-    _WORKER_STATE = dict(_FORK_REGISTRY[registry_key])
+    _worker_assessor = _FORK_REGISTRY[registry_key]
 
 
 def _fork_available() -> bool:
@@ -145,12 +149,19 @@ def _run_portion(assessor, portion: _Portion, plan, structure, cancel=None):
 
 def _worker_portion(args: tuple) -> tuple[np.ndarray, int, int]:
     """A portion on a worker: the forked copy of the pool's assessor (the
-    per-worker "context" of §3.2.1, set up once), after any injected fault."""
+    per-worker "context" of §3.2.1, set up once), after any fault armed at
+    ``pool.portion`` for this ``(portion, attempt)``. A worker counts its
+    hits alone, so that pair is the one deterministic name of a hit."""
     portion, plan, structure = args
-    chaos: ChaosPolicy | None = _WORKER_STATE["chaos"]
-    if chaos is not None:
-        chaos.execute(portion.index, portion.attempt)
-    return _run_portion(_WORKER_STATE["assessor"], portion, plan, structure)
+    command = fault_hit("pool.portion", occurrence=(portion.index, portion.attempt))
+    if command is not None:
+        if command.kind == "exit":
+            os._exit(70)  # no exception, no cleanup: gone, as after a SIGKILL
+        if command.kind == "hang":
+            time.sleep(HANG_SECONDS)
+        else:
+            raise OSError(f"injected I/O error at portion {portion.index}")
+    return _run_portion(_worker_assessor, portion, plan, structure)
 
 
 def _record(failures: list, portion: _Portion, kind: str, message: str) -> None:
@@ -206,8 +217,8 @@ class WorkerPool:
     Every worker inherits ``assessor`` at fork and runs a portion on it
     exactly as :func:`run_portions` would on the master. ``partial_ok``
     tells the runner to drop a portion out of retries instead of rerunning
-    it on the master; ``chaos`` injects deterministic worker faults for
-    tests and benchmarks. One assessment at a time.
+    it on the master. Faults armed at the ``pool.portion`` seam before the
+    pool forks reach its workers. One assessment at a time.
     """
 
     def __init__(
@@ -216,7 +227,6 @@ class WorkerPool:
         workers: int,
         retry_policy: RetryPolicy | None = None,
         partial_ok: bool = False,
-        chaos: ChaosPolicy | None = None,
     ):
         self.workers = workers
         self.retry_policy = retry_policy or RetryPolicy()
@@ -224,7 +234,7 @@ class WorkerPool:
         self.restarts = 0
         self._jitter_rng = np.random.default_rng()
         self._registry_key = next(_REGISTRY_IDS)
-        _FORK_REGISTRY[self._registry_key] = {"assessor": assessor, "chaos": chaos}
+        _FORK_REGISTRY[self._registry_key] = assessor
         self._start()
 
     def _start(self) -> None:
@@ -475,8 +485,8 @@ class ParallelAssessor(AssessorBase):
     One master :class:`ReliabilityAssessor` is built from the config: the
     pool's workers inherit it, and the master runs on it whatever a
     platform without fork or an exhausted retry budget leaves there.
-    ``config.retry_policy``, ``partial_ok`` and ``chaos`` configure the
-    pool (see :class:`RetryPolicy` and :class:`WorkerPool`).
+    ``config.retry_policy`` and ``partial_ok`` configure the pool (see
+    :class:`RetryPolicy` and :class:`WorkerPool`).
     """
 
     def __init__(
@@ -503,7 +513,6 @@ class ParallelAssessor(AssessorBase):
                 config.workers,
                 retry_policy=config.retry_policy,
                 partial_ok=config.partial_ok,
-                chaos=config.chaos,
             )
         else:
             warnings.warn(

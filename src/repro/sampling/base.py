@@ -5,7 +5,8 @@ across many rounds — the table of §3.2.1 (Table 1 in the paper), with one
 row per component and one column per round. Every sampler draws that table
 once, straight into bit-packed rows
 (:class:`~repro.kernel.packed.PackedBatch`, 8 rounds a byte): the form
-fault-tree reasoning and route-and-check read.
+fault-tree reasoning and route-and-check read. Every sampler entry passes
+the ``sampling.start`` seam of :mod:`repro.util.faultpoints` once.
 """
 
 from __future__ import annotations
@@ -50,26 +51,6 @@ class Sampler:
                 rather than after the full batch.
         """
         raise NotImplementedError
-
-
-#: Test-only instrumentation: called (with no arguments) at the top of
-#: every sampler entry. Forked worker processes inherit the hook set in
-#: the parent before the pool was created, which lets tests gate
-#: *deterministically* on "a worker is now inside a sampling pass" instead
-#: of sleeping or inflating round counts. Never set in production code.
-_sampling_started_hook = None
-
-
-def set_sampling_started_hook(hook) -> None:
-    """Install (or with ``None`` clear) the sampling-started test hook."""
-    global _sampling_started_hook
-    _sampling_started_hook = hook
-
-
-def sampling_started() -> None:
-    """The seam itself: every sampler entry calls this exactly once."""
-    if _sampling_started_hook is not None:
-        _sampling_started_hook()
 
 
 def validate_probabilities(probabilities: Mapping[str, float]) -> np.ndarray:

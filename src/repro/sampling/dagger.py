@@ -37,7 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
-from repro.sampling.base import Sampler, sampling_started, validate_probabilities
+from repro.sampling.base import Sampler, validate_probabilities
+from repro.util.faultpoints import fault_hit
 
 #: dtype of round-index arithmetic.
 ROUND_DTYPE = np.int64
@@ -186,7 +187,7 @@ class DaggerSampler(Sampler):
         :func:`_draw_bits` turns it into the bit position of every draw;
         nothing about a probability map outlives the call.
         """
-        sampling_started()
+        fault_hit("sampling.start")
         values = validate_probabilities(probabilities)
         positive = np.flatnonzero(values > 0.0)
         if not positive.size:
@@ -349,7 +350,7 @@ class CommonRandomDaggerSampler(Sampler):
     ) -> PackedBatch:
         """:meth:`component_rows` over the components that can fail, 64 at
         a time (the cancellation point), laid into one packed matrix."""
-        sampling_started()
+        fault_hit("sampling.start")
         values = validate_probabilities(probabilities)
         positive = np.flatnonzero(values > 0.0)
         all_ids = list(probabilities)

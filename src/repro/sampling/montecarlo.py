@@ -15,7 +15,8 @@ from typing import Mapping
 import numpy as np
 
 from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
-from repro.sampling.base import Sampler, sampling_started, validate_probabilities
+from repro.sampling.base import Sampler, validate_probabilities
+from repro.util.faultpoints import fault_hit
 
 #: Peak transient memory allowed per chunk, in bytes (~128 MiB). Each draw
 #: materialises a float64 uniform plus a bool in the comparison matrix, so
@@ -40,7 +41,7 @@ class MonteCarloSampler(Sampler):
         rng: np.random.Generator,
         cancel=None,
     ) -> PackedBatch:
-        sampling_started()
+        fault_hit("sampling.start")
         validate_probabilities(probabilities)
         component_ids = [cid for cid, p in probabilities.items() if p > 0.0]
         if not component_ids:

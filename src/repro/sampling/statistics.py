@@ -46,15 +46,6 @@ class ReliabilityEstimate:
     exact: bool = False
 
     @property
-    def failure_odds(self) -> float:
-        """The plan's failure probability 1 - R.
-
-        "One order of magnitude more reliable" in the paper means one order
-        of magnitude lower failure odds (see Eq. 5's log-ratio).
-        """
-        return 1.0 - self.score
-
-    @property
     def ci_lower(self) -> float:
         """Lower end of the 95 % confidence interval, clamped to [0, 1]."""
         return max(0.0, self.score - self.confidence_interval_width / 2.0)
@@ -63,10 +54,6 @@ class ReliabilityEstimate:
     def ci_upper(self) -> float:
         """Upper end of the 95 % confidence interval, clamped to [0, 1]."""
         return min(1.0, self.score + self.confidence_interval_width / 2.0)
-
-    def contains(self, true_reliability: float) -> bool:
-        """Whether a reliability value lies within the 95 % interval."""
-        return self.ci_lower <= true_reliability <= self.ci_upper
 
     def __str__(self) -> str:
         if self.exact:

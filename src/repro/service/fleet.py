@@ -39,7 +39,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.drill.faultpoints import fault_hit
 from repro.serialization import decode, encode
 from repro.service.executor import RequestExecutor
 from repro.service.health import SERVING, STOPPED
@@ -48,6 +47,7 @@ from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
 from repro.service.scheduler import ServiceConfig, ServiceFront
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
+from repro.util.faultpoints import fault_hit
 
 logger = logging.getLogger("repro.service.fleet")
 

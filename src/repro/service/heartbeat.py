@@ -168,13 +168,6 @@ class RestartPolicy:
 
     def total_quarantines(self, name: str) -> int:
         """Lifetime quarantine *events* for ``name``: how many times it
-        crossed the flap threshold, surviving :meth:`reinstate` (which
-        clears the quarantine but not the operator-facing history)."""
+        crossed the flap threshold."""
         with self._lock:
             return self._quarantines.get(name, 0)
-
-    def reinstate(self, name: str) -> None:
-        """Operator override: clear quarantine and history for a worker."""
-        with self._lock:
-            self._quarantined.discard(name)
-            self._restarts.pop(name, None)

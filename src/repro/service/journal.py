@@ -49,14 +49,14 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-from repro.drill.faultpoints import (
+from repro.serialization import fsync_dir
+from repro.util.errors import ConfigurationError
+from repro.util.faultpoints import (
     SimulatedCrash,
     fault_hit,
     raise_if_crash,
     raise_if_crash_after,
 )
-from repro.serialization import fsync_dir
-from repro.util.errors import ConfigurationError
 
 logger = logging.getLogger("repro.service")
 

@@ -52,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from repro.drill.faultpoints import fault_hit, raise_if_crash
 from repro.serialization import decode, encode
 from repro.service.heartbeat import HeartbeatTracker, RestartPolicy
 from repro.service.journal import RequestJournal
@@ -65,6 +64,7 @@ from repro.service.requests import (
 from repro.service.store import ResultStore
 from repro.util.cancel import CancellationToken
 from repro.util.errors import AdmissionRejected, ValidationError
+from repro.util.faultpoints import fault_hit, raise_if_crash
 from repro.util.metrics import MetricsRegistry
 
 logger = logging.getLogger("repro.service")

@@ -47,18 +47,18 @@ from typing import Callable
 
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.drill.faultpoints import (
-    SimulatedCrash,
-    fault_hit,
-    raise_if_crash,
-    raise_if_crash_after,
-)
 from repro.serialization import decode, dump, encode, load
 from repro.util.errors import (
     ConfigurationError,
     ValidationError,
     check_count,
     check_positive_finite,
+)
+from repro.util.faultpoints import (
+    SimulatedCrash,
+    fault_hit,
+    raise_if_crash,
+    raise_if_crash_after,
 )
 
 #: Journal file name inside the controller's state directory.

@@ -21,12 +21,12 @@ import os
 import time
 
 from repro import serialization
-from repro.drill.faultpoints import (
+from repro.util.errors import ConfigurationError
+from repro.util.faultpoints import (
     fault_hit,
     raise_if_crash,
     raise_if_crash_after,
 )
-from repro.util.errors import ConfigurationError
 
 logger = logging.getLogger("repro.service")
 

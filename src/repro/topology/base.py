@@ -171,13 +171,6 @@ class Topology:
             c.component_id for c in self.components.values() if c.component_type.is_switch
         ]
 
-    def neighbors(self, component_id: str) -> list[str]:
-        """Adjacent hosts/switches of a network element."""
-        try:
-            return list(self.adjacency[component_id])
-        except KeyError:
-            raise TopologyError(f"unknown network element {component_id!r}") from None
-
     def edge_switch_of(self, host_id: str) -> str:
         """The (single) switch a host attaches to."""
         validate_hosts_exist(self, (host_id,))

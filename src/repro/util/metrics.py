@@ -73,13 +73,6 @@ class MetricsRegistry:
         """
         self._gauges[name] = float(value)
 
-    def reset(self) -> None:
-        """Clear every counter, timer and gauge."""
-        self._counters.clear()
-        self._timer_seconds.clear()
-        self._timer_calls.clear()
-        self._gauges.clear()
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -87,10 +80,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         """Current value of a counter (0 if never incremented)."""
         return self._counters.get(name, 0)
-
-    def gauge(self, name: str) -> float:
-        """Current value of a gauge (0 if never set)."""
-        return self._gauges.get(name, 0.0)
 
     def timer_seconds(self, name: str) -> float:
         """Cumulative seconds recorded under a timer name."""

@@ -16,18 +16,14 @@ Clock = Callable[[], float]
 
 
 class Stopwatch:
-    """Measures elapsed wall-clock time from construction (or reset)."""
+    """Measures elapsed wall-clock time from construction."""
 
     def __init__(self, clock: Clock = time.monotonic):
         self._clock = clock
         self._start = clock()
 
-    def reset(self) -> None:
-        """Restart the stopwatch at zero."""
-        self._start = self._clock()
-
     def elapsed(self) -> float:
-        """Seconds elapsed since construction or the last reset."""
+        """Seconds elapsed since construction."""
         return self._clock() - self._start
 
 
@@ -62,7 +58,3 @@ class Deadline:
     def remaining(self) -> float:
         """Seconds left in the budget; never negative."""
         return max(0.0, self.budget_seconds - self.elapsed())
-
-    def expired(self) -> bool:
-        """True once the budget is exhausted."""
-        return self.elapsed() >= self.budget_seconds

@@ -118,8 +118,9 @@ class TestOneRepresentation:
             "sample_full_infrastructure",
             "profile",
             "analytic_shared_bits",
+            "chaos",
         }
-        assert names.isdisjoint(removed) and len(names) == 12
+        assert names.isdisjoint(removed) and len(names) == 11
         with pytest.raises(TypeError, match="kernel"):
             AssessmentConfig(kernel=False)
 

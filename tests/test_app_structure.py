@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.app.generators import microservice_mesh, multilayer, two_tier
+from repro.app.generators import microservice_mesh, multilayer
 from repro.app.structure import (
     EXTERNAL,
     ApplicationStructure,
@@ -11,6 +11,7 @@ from repro.app.structure import (
     ReachabilityRequirement,
 )
 from repro.util.errors import ConfigurationError
+from tests.structures import two_tier
 
 
 class TestComponentSpec:

@@ -88,5 +88,5 @@ def test_intervals_cover_the_exact_reliability(exact_cases, make_sampler):
             estimate = build_assessor(topology, model, config).assess(
                 plan, structure
             ).estimate
-            covered.append(estimate.contains(exact))
+            covered.append(estimate.ci_lower <= exact <= estimate.ci_upper)
     assert np.mean(covered) >= FLOOR

@@ -30,6 +30,8 @@ from repro.sampling.dagger import (
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.util.cancel import NEVER, CancellationToken
 from repro.util.errors import OperationCancelled
+from repro.util.faultpoints import armed
+from tests.sampling_gate import SamplingGate
 
 STRUCTURE = ApplicationStructure.k_of_n(2, 3)
 
@@ -259,7 +261,6 @@ class TestParallelCancellation:
         cancelled after the same piece, keeps the same bits, drops the same
         rounds and widens by the same coverage."""
         from repro.runtime.mapreduce import WorkerPool, run_portions
-        from repro.sampling import base as sampling_base
         from repro.sampling.statistics import estimate_from_results
         from repro.service.executor import (
             MIN_CHUNK_ROUNDS,
@@ -274,17 +275,16 @@ class TestParallelCancellation:
         token = CancellationToken()
         master = ReliabilityAssessor.from_config(fattree4, inventory, config)
         hook, release = _cancel_on_pool_after(completed, token)
-        sampling_base.set_sampling_started_hook(hook)
         try:
-            with contextlib.closing(WorkerPool(master, 1)) as pool:
-                sampling_base.set_sampling_started_hook(None)
+            with armed(SamplingGate(hook)):  # only the forked worker keeps it
+                pool = WorkerPool(master, 1)
+            with contextlib.closing(pool):
                 pooled = run_portions(
                     master, plan, STRUCTURE, chunk_layout(rounds, pieces),
                     token, pool,
                 )
         finally:
             release.release()
-            sampling_base.set_sampling_started_hook(None)
 
         token = CancellationToken()
         master = ReliabilityAssessor.from_config(fattree4, inventory, config)
@@ -323,8 +323,8 @@ class TestParallelCancellation:
     ):
         """Mid-sampling cancel: the suspect pool is restarted, workers live.
 
-        Deterministically gated: the sampling-started hook (inherited by
-        the forked workers, installed before the pool forks) signals the
+        Deterministically gated: a :class:`SamplingGate` (inherited by the
+        forked workers, armed before the pool forks) signals the
         moment a worker is inside a sampling pass and then blocks until
         released — so the cancel always lands mid-portion, with no
         timing-sensitive round counts or wall-clock deadlines.
@@ -338,8 +338,6 @@ class TestParallelCancellation:
         import multiprocessing
         import threading
 
-        from repro.sampling import base as sampling_base
-
         started = multiprocessing.Semaphore(0)
         release = multiprocessing.Semaphore(0)
 
@@ -348,9 +346,8 @@ class TestParallelCancellation:
             if release.acquire(timeout=60.0):
                 release.release()  # pass the baton: later entrants fly through
 
-        sampling_base.set_sampling_started_hook(hook)
         try:
-            with ParallelAssessor.from_config(
+            with armed(SamplingGate(hook)), ParallelAssessor.from_config(
                 fattree4,
                 inventory,
                 AssessmentConfig(mode="parallel", workers=2, rounds=10_000, rng=3),
@@ -378,7 +375,7 @@ class TestParallelCancellation:
                 watcher.join(timeout=30.0)
                 assert saw_sampling.is_set(), "no worker ever entered sampling"
                 # Open the gate for everyone — including freshly forked
-                # workers that inherited the hook — before using the pool.
+                # workers that inherited the gate — before using the pool.
                 release.release()
                 # The old in-flight workers were torn down with the pool
                 # restart; the fresh pool must be fully alive and usable.
@@ -389,7 +386,6 @@ class TestParallelCancellation:
                 assert follow_up.estimate.rounds == 200
         finally:
             release.release()
-            sampling_base.set_sampling_started_hook(None)
 
 
 class TestSearchCancellation:

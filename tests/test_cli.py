@@ -423,7 +423,7 @@ class TestDrillCommand:
         assert "PASS" not in out
         assert "validation failed" in err
         for field in ("rounds", "shards", "requests", "max_events"):
-            assert f"  {field}: must be >= 1, got 0" in err
+            assert f"  {field}: must be an int >= 1, got 0" in err
 
 
 class TestJournalCommand:

@@ -12,13 +12,6 @@ from repro.util.errors import ConfigurationError
 
 
 class TestVulnerability:
-    def test_severity_bands(self):
-        assert Vulnerability("x", 0.0).severity == "none"
-        assert Vulnerability("x", 2.0).severity == "low"
-        assert Vulnerability("x", 5.0).severity == "medium"
-        assert Vulnerability("x", 8.0).severity == "high"
-        assert Vulnerability("x", 9.8).severity == "critical"
-
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(ConfigurationError):
             Vulnerability("x", -1.0)

@@ -18,22 +18,13 @@ import random
 
 import pytest
 
-from repro.cli import EXIT_DRILL, EXIT_OK, main
+from repro.cli import EXIT_CONFIG, EXIT_DRILL, EXIT_OK, main
 from repro.drill.engine import (
     load_verdict,
     replay_reproducer,
     run_campaign,
     run_drill,
     write_verdict,
-)
-from repro.drill.faultpoints import (
-    CATALOG,
-    FAULT_CATALOG,
-    FaultCommand,
-    FaultPoints,
-    SimulatedCrash,
-    armed,
-    fault_hit,
 )
 from repro.drill.schedule import (
     _UNDRAWN_POINTS,
@@ -47,15 +38,63 @@ from repro.service.journal import RequestJournal
 from repro.service.redeploy import DecisionJournal
 from repro.service.store import ResultStore
 from repro.util.errors import ConfigurationError, ValidationError
+from repro.util.faultpoints import (
+    CATALOG,
+    FaultCommand,
+    FaultPoints,
+    SimulatedCrash,
+    armed,
+    fault_hit,
+)
 
 
 class TestFaultPoints:
     def test_rejects_unknown_point_and_kind(self):
         registry = FaultPoints()
-        with pytest.raises(ValueError, match="unknown fault point"):
+        with pytest.raises(ValidationError, match="unknown fault point"):
             registry.add("no.such.seam", FaultCommand("crash"))
-        with pytest.raises(ValueError, match="does not honour"):
+        with pytest.raises(ValidationError, match="does not honour"):
             registry.add("journal.append", FaultCommand("kill"))
+
+    @pytest.mark.parametrize(
+        "point, kind, occurrence, field",
+        [
+            ("no.such.seam", "crash", 0, "point"),
+            ("journal.append", "kill", 0, "command"),
+            ("pool.portion", "crash", (0, 0), "command"),
+            ("sampling.start", "hang", None, "command"),
+            ("store.put", "crash", -3, "occurrence"),
+        ],
+        ids=["point", "command", "pool-kind", "sampling-start", "occurrence"],
+    )
+    def test_add_names_the_field_that_could_never_fire(
+        self, point, kind, occurrence, field
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            FaultPoints().add(point, FaultCommand(kind), occurrence=occurrence)
+        assert excinfo.value.fields() == (field,)
+
+    def test_a_named_occurrence_ignores_the_hit_count(self):
+        """``pool.portion`` hits are named ``(portion, attempt)``: only
+        that identity fires, however many hits came before."""
+        registry = FaultPoints()
+        registry.add("pool.portion", FaultCommand("io_error"), occurrence=(2, 0))
+        assert registry.hit("pool.portion", occurrence=(0, 0)) is None
+        assert registry.hit("pool.portion", occurrence=(2, 1)) is None
+        assert registry.hit("pool.portion", occurrence=(2, 0)).kind == "io_error"
+        assert registry.hit("pool.portion", occurrence=(2, 0)).kind == "io_error"
+        assert registry.counters["pool.portion"] == 4
+        assert registry.fired[0] == {
+            "point": "pool.portion", "occurrence": (2, 0), "kind": "io_error"
+        }
+
+    def test_sampling_start_counts_every_entry_and_commands_nothing(self):
+        registry = FaultPoints()
+        with armed(registry):
+            assert fault_hit("sampling.start") is None
+            assert fault_hit("sampling.start") is None
+        assert registry.counters == {"sampling.start": 2}
+        assert CATALOG["sampling.start"] == ()
 
     def test_occurrence_addressing(self):
         registry = FaultPoints()
@@ -106,7 +145,8 @@ class TestFaultPoints:
 
     def test_fault_catalog_excludes_deliberate_bugs(self):
         assert "journal.fsync" in CATALOG
-        assert "journal.fsync" not in FAULT_CATALOG
+        assert "journal.fsync" in _UNDRAWN_POINTS
+        assert {"pool.portion", "sampling.start"} <= set(_UNDRAWN_POINTS)
 
 
 class TestSchedule:
@@ -119,10 +159,10 @@ class TestSchedule:
         rng = random.Random(17)
         for _ in range(200):
             for event in random_schedule(rng, max_events=5).events:
-                assert event.point in FAULT_CATALOG
+                assert event.point in CATALOG
                 assert event.point not in _UNDRAWN_POINTS
                 assert event.occurrence is not None
-                assert event.command in FAULT_CATALOG[event.point]
+                assert event.command in CATALOG[event.point]
 
     def test_with_bug_prepends_the_bug_events(self):
         base = FaultSchedule((FaultEvent("store.put", "io_error", 3),))
@@ -133,9 +173,12 @@ class TestSchedule:
         assert seeded.events[-1] == base.events[0]
 
     def test_build_validates_against_the_catalog(self):
-        bad = FaultSchedule((FaultEvent("journal.append", "kill", 0),))
-        with pytest.raises(ValueError):
+        bad = FaultSchedule(
+            (FaultEvent("store.put", "crash", 1), FaultEvent("journal.append", "kill", 0))
+        )
+        with pytest.raises(ValidationError) as excinfo:
             bad.build()
+        assert excinfo.value.fields() == ("1.command",)
 
 
 class TestProductionSeams:
@@ -290,6 +333,43 @@ class TestSeededBug:
 
 
 class TestDrillCli:
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"schedule": [{"point": "no.such", "command": "crash"}]}, "schedule.0.point"),
+            ({"schedule": [{"point": "journal.append", "command": "kill"}]}, "schedule.0.command"),
+            (
+                {"schedule": [{"point": "store.put", "command": "crash", "occurrence": -3}]},
+                "schedule.0.occurrence",
+            ),
+            ({"seed": "7"}, "seed"),
+            ({"shards": 0}, "shards"),
+            ({"requests": 0}, "requests"),
+            ({"max_ticks": 0}, "max_ticks"),
+        ],
+        ids=["point", "command", "occurrence", "seed", "shards", "requests", "max_ticks"],
+    )
+    def test_bad_reproducer_exits_2_naming_the_field(
+        self, tmp_path, capsys, change, field
+    ):
+        """A reproducer whose event can never fire would replay to a false
+        PASS; every such file is refused before anything runs."""
+        document = {
+            "format": "drill-reproducer",
+            "seed": 7,
+            "shards": 2,
+            "requests": 6,
+            "max_ticks": 1200,
+            "schedule": [],
+        }
+        path = tmp_path / "reproducer.json"
+        path.write_text(json.dumps({**document, **change}))
+        assert main(["drill", "--replay", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "validation failed" in captured.err
+        assert f"  {field}: " in captured.err
+
     def test_campaign_pass_exits_zero(self, capsys):
         assert (
             main(

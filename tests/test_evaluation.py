@@ -8,13 +8,14 @@ propagation, and the greatest-fixed-point behaviour on meshed cores.
 import numpy as np
 import pytest
 
-from repro.app.generators import microservice_mesh, multilayer, two_tier
+from repro.app.generators import microservice_mesh, multilayer
 from repro.app.structure import ApplicationStructure
 from repro.core.evaluation import StructureEvaluator
 from repro.core.plan import DeploymentPlan
 from repro.routing.base import RoundStates
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
 from tests.conftest import packed_states, unpack
+from tests.structures import two_tier
 
 
 @pytest.fixture

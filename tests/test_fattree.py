@@ -63,7 +63,7 @@ class TestConstruction:
 class TestWiring:
     def test_every_host_has_one_edge_switch(self, fattree4):
         for host in fattree4.hosts:
-            neighbors = fattree4.neighbors(host)
+            neighbors = list(fattree4.adjacency[host])
             assert len(neighbors) == 1
             assert (
                 fattree4.component(neighbors[0]).component_type
@@ -73,14 +73,14 @@ class TestWiring:
     def test_edge_switch_degree(self, fattree4):
         # k/2 hosts below + k/2 aggregation switches above.
         for edge in fattree4.edge_pod:
-            assert len(fattree4.neighbors(edge)) == fattree4.k
+            assert len(fattree4.adjacency[edge]) == fattree4.k
 
     def test_agg_connects_to_own_core_group(self, fattree4):
         r = fattree4.radix
         for (pod, group), agg in fattree4.agg_ids.items():
             cores = [
                 n
-                for n in fattree4.neighbors(agg)
+                for n in fattree4.adjacency[agg]
                 if fattree4.component(n).component_type is ComponentType.CORE_SWITCH
             ]
             assert sorted(cores) == sorted(
@@ -90,7 +90,7 @@ class TestWiring:
     def test_border_connects_to_own_core_group(self, fattree4):
         r = fattree4.radix
         for group, border in fattree4.border_ids.items():
-            cores = fattree4.neighbors(border)
+            cores = list(fattree4.adjacency[border])
             assert sorted(cores) == sorted(
                 fattree4.core_ids[(group, j)] for j in range(r)
             )
@@ -115,7 +115,7 @@ class TestWiring:
             groups = set()
             for g in range(r):
                 agg = fattree4.agg_ids[(pod, g)]
-                for n in fattree4.neighbors(agg):
+                for n in fattree4.adjacency[agg]:
                     attrs = fattree4.component(n).attributes
                     if fattree4.component(n).component_type is ComponentType.CORE_SWITCH:
                         groups.add(attrs["group"])
@@ -148,8 +148,6 @@ class TestQueries:
     def test_unknown_component_raises(self, fattree4):
         with pytest.raises(TopologyError):
             fattree4.component("nope")
-        with pytest.raises(TopologyError):
-            fattree4.neighbors("nope")
         with pytest.raises(TopologyError):
             fattree4.hosts_in_rack("nope")
 

@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.sampling import base as sampling_base
 from repro.serialization import encode
 from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout
 from repro.service.fleet import FleetSupervisor
@@ -25,6 +24,8 @@ from repro.service.lifecycle import HashRing, fingerprint
 from repro.service.requests import AssessRequest
 from repro.service.scheduler import ServiceConfig
 from repro.util.errors import AdmissionRejected, ConfigurationError
+from repro.util.faultpoints import armed
+from tests.sampling_gate import SamplingGate
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -353,9 +354,8 @@ class TestFleetChaos:
                 ready.release()
                 gate.acquire()
 
-        sampling_base.set_sampling_started_hook(hook)
-        try:
-            # Workers fork *after* the hook is set and inherit it.
+        # Workers fork *after* the gate is armed and inherit it.
+        with armed(SamplingGate(hook)):
             with FleetSupervisor(
                 _config(tmp_path / "chaos", rounds=rounds)
             ) as fleet:
@@ -377,8 +377,6 @@ class TestFleetChaos:
                     e["event"] for e in state.events[response.request_id]
                 ]
                 assert events.count("completed") == 1
-        finally:
-            sampling_base.set_sampling_started_hook(None)
 
     def test_queued_keyed_requests_survive_worker_death(self, tmp_path):
         """Tickets queued behind a dying shard move to survivors without

@@ -112,14 +112,6 @@ class TestRestartPolicy:
         assert policy.restarts("shard-0") == 1
         assert policy.restarts("shard-1") == 1
 
-    def test_reinstate_clears_quarantine(self, clock):
-        policy = self._policy(clock, quarantine_restarts=1)
-        policy.record_failure("shard-0")
-        assert policy.record_failure("shard-0") is None
-        policy.reinstate("shard-0")
-        assert not policy.is_quarantined("shard-0")
-        assert policy.record_failure("shard-0") == 0.25
-
     def test_total_restarts_survive_the_window(self, clock):
         policy = self._policy(clock)
         policy.record_failure("shard-0")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.app.generators import two_tier
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
@@ -30,6 +29,7 @@ from repro.util.errors import ConfigurationError, OperationCancelled
 from repro.util.metrics import MetricsRegistry
 from tests.interpreted_oracle import assert_held_to_oracle, reference_sample
 from tests.unionfind_oracle import UnionFindReachabilityEngine
+from tests.structures import two_tier
 
 MASTER_SEED = 424242
 ROUNDS = 2_000

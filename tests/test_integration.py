@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.app.generators import microservice_mesh, multilayer, two_tier
+from repro.app.generators import microservice_mesh, multilayer
 from repro.app.structure import ApplicationStructure
 from repro.baselines.common_practice import (
     common_practice_plan,
@@ -28,6 +28,7 @@ from repro.topology.fattree import FatTreeTopology
 from repro.topology.leafspine import LeafSpineTopology
 from repro.workload.model import HostWorkloadModel
 from repro.core.api import AssessmentConfig
+from tests.structures import two_tier
 
 
 class FakeClock:

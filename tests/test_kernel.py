@@ -33,6 +33,7 @@ from repro.faults.faulttree import (
 )
 from repro.faults.component import link_id
 from repro.faults.inventory import (
+    ZONE_OUTAGE_PROBABILITY,
     build_paper_inventory,
     build_rich_inventory,
     build_zone_inventory,
@@ -46,8 +47,6 @@ from repro.kernel import (
 )
 from repro.routing.base import RoundStates, engine_for
 from repro.routing.generic import GenericReachabilityEngine
-from repro.runtime.chaos import ZONE_OUTAGE_PROBABILITY
-from repro.sampling import base as sampling_base
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
     DaggerSampler,
@@ -61,6 +60,7 @@ from repro.topology.presets import paper_topology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
+from repro.util.faultpoints import FaultPoints, armed
 from repro.util.metrics import MetricsRegistry
 from tests.conftest import failed_rounds, unpack
 from tests.interpreted_oracle import (
@@ -384,22 +384,17 @@ class TestSamplerFastPaths:
     def test_sampling_started_seam_fires_once_per_entry(self, sampler):
         """The fleet and cancellation chaos tests gate on this seam; it must
         fire on every entry a worker can take, validation or no validation."""
-        fired = []
-        sampling_base.set_sampling_started_hook(lambda: fired.append(1))
-        try:
+        with armed(FaultPoints()) as seams:
             for rounds in (64, 64, 9):  # a repeated map must fire again
-                fired.clear()
+                before = seams.counters.get("sampling.start", 0)
                 sampler.sample(self.PROBS, rounds, np.random.default_rng(1))
-                assert len(fired) == 1
+                assert seams.counters["sampling.start"] == before + 1
             structure = ApplicationStructure.k_of_n(2, 3)
             assessor = build_assessor(
                 FATTREE, FATTREE_INV, AssessmentConfig(rounds=64, rng=1, sampler=sampler)
             )
-            fired.clear()
             assessor.assess(_plan_for(FATTREE, structure), structure)
-            assert len(fired) == 1
-        finally:
-            sampling_base.set_sampling_started_hook(None)
+            assert seams.counters["sampling.start"] == 4
 
     def test_packed_entry_validates_every_call(self):
         sampler = ExtendedDaggerSampler()
@@ -410,9 +405,7 @@ class TestSamplerFastPaths:
             sampler.sample(probs, 64, np.random.default_rng(1))
 
     def test_incremental_draws_fire_the_seam_once_per_extension(self):
-        fired = []
-        sampling_base.set_sampling_started_hook(lambda: fired.append(1))
-        try:
+        with armed(FaultPoints()) as seams:
             assessor = build_assessor(
                 FATTREE,
                 FATTREE_INV,
@@ -421,11 +414,9 @@ class TestSamplerFastPaths:
             structure = ApplicationStructure.k_of_n(2, 3)
             plan = _plan_for(FATTREE, structure)
             assessor.assess(plan, structure)
-            assert len(fired) == 1
+            assert seams.counters["sampling.start"] == 1
             assessor.assess(plan, structure)  # plan cache: nothing drawn
-            assert len(fired) == 1
-        finally:
-            sampling_base.set_sampling_started_hook(None)
+            assert seams.counters["sampling.start"] == 1
 
 
 # ---------------------------------------------------------------------------

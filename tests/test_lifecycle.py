@@ -18,7 +18,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.drill.engine import run_campaign
-from repro.drill.faultpoints import FaultPoints, armed, fault_hit, raise_if_crash
 from repro.drill.sim import DrillSim
 from repro.serialization import encode
 from repro.service import executor, fleet, lifecycle, scheduler
@@ -28,6 +27,7 @@ from repro.service.lifecycle import RequestLifecycle, open_state
 from repro.service.requests import AssessRequest, ServiceResponse
 from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.util.errors import AdmissionRejected, ValidationError
+from repro.util.faultpoints import FaultPoints, armed, fault_hit, raise_if_crash
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),

@@ -1,15 +1,16 @@
 """Every function, class and method defined under ``src/repro`` has a
 caller outside the tests.
 
-A name that appears nowhere else in ``src/``, ``benchmarks/``,
-``examples/`` or ``scripts/`` has no caller: it is dead code, and this
-test fails until it is deleted (or given a caller). Tests are not
-callers: code that only a test runs is not part of the program. Under
-``src/``, import statements and ``__all__`` lists do not count either,
-because re-exporting a name does not call it. The check counts
-identifier tokens everywhere else, so a reference from a benchmark, an
-example or a docstring keeps a name alive; it errs on the side of
-keeping code.
+A name referenced nowhere in ``src/``, ``benchmarks/``, ``examples/``
+or ``scripts/`` has no caller: it is dead code, and this test fails
+until it is deleted (or given a caller). Tests are not callers: code
+that only a test runs is not part of the program. References are read
+from the syntax tree, not from the text: a ``Name``, an ``Attribute``,
+a keyword argument or a string constant that is one identifier
+(``getattr(obj, "name")``, ``json_properties``) counts; a comment, a
+docstring, an import or an ``__all__`` entry does not, because none of
+them calls anything. A method whose name another definition or a
+variable shares still hides behind that name; check those by hand.
 
 Dunder methods (``__init__``, ``__repr__``, ...) are called by the
 language, never by name, so they are not checked.
@@ -37,6 +38,7 @@ ALLOWLIST = {
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions() -> list[tuple[str, str, int]]:
@@ -60,38 +62,57 @@ def _is_export_list(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _without_imports_and_exports(source: str) -> str:
-    """``source`` with the lines of every import statement and every
-    ``__all__`` assignment blanked."""
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_export_list(node):
-            for index in range(node.lineno - 1, node.end_lineno):
-                lines[index] = ""
-    return "\n".join(lines)
+def _ignored(tree: ast.AST) -> set[int]:
+    """Ids of the nodes that never count: docstrings and everything in
+    an ``__all__`` assignment."""
+    ignored = set()
+    for node in ast.walk(tree):
+        if isinstance(node, _SCOPES) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                ignored.add(id(first.value))
+        elif _is_export_list(node):
+            ignored.update(id(inner) for inner in ast.walk(node))
+    return ignored
+
+
+def _references(source: str) -> Counter:
+    """How often ``source`` references each name (see the module doc)."""
+    tree = ast.parse(source)
+    ignored = _ignored(tree)
+    counts: Counter = Counter()
+    for node in ast.walk(tree):
+        if id(node) in ignored:
+            continue
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            counts[node.arg] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.fullmatch(node.value):
+                counts[node.value] += 1
+    return counts
 
 
 def _identifier_counts() -> Counter:
     counts: Counter = Counter()
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
-            text = path.read_text(encoding="utf-8")
-            if top == "src":
-                text = _without_imports_and_exports(text)
-            counts.update(_IDENTIFIER.findall(text))
+            counts.update(_references(path.read_text(encoding="utf-8")))
     return counts
 
 
 def test_every_definition_is_referenced():
     definitions = _definitions()
-    defined = Counter(name for name, _, _ in definitions)
     counts = _identifier_counts()
     dead = sorted(
         f"{file}:{line}: {name}"
         for name, file, line in definitions
         if not (name.startswith("__") and name.endswith("__"))
         and name not in ALLOWLIST
-        and counts[name] <= defined[name]
+        and not counts[name]
     )
     assert not dead, "no caller outside the tests:\n" + "\n".join(dead)
 
@@ -99,26 +120,30 @@ def test_every_definition_is_referenced():
 def test_the_allowlist_is_still_needed():
     """An allowlisted name that is no longer defined, or that has gained
     a caller, leaves the list: it can only shrink."""
-    defined = Counter(name for name, _, _ in _definitions())
+    defined = {name for name, _, _ in _definitions()}
     counts = _identifier_counts()
     stale = sorted(
-        name
-        for name in ALLOWLIST
-        if defined[name] == 0 or counts[name] > defined[name]
+        name for name in ALLOWLIST if name not in defined or counts[name]
     )
     assert not stale, f"allowlisted but undefined or called: {stale}"
 
 
 def test_the_scan_sees_the_package():
     """Guard against a vacuous pass: the walk finds the package's
-    definitions, a definition's own name is counted, and an import or
-    an ``__all__`` entry is not."""
+    definitions and their references, and an import, an ``__all__``
+    entry, a docstring or a comment is not a reference."""
     definitions = _definitions()
     names = {name for name, _, _ in definitions}
     assert len(definitions) > 500
     assert {"ReliabilityAssessor", "DeploymentSearch", "do_GET"} <= names
     assert _identifier_counts()["ReliabilityAssessor"] > 1
-    blanked = _without_imports_and_exports(
-        "from a import (\n    b,\n    c,\n)\nimport d\n__all__ = [\n    'e',\n]\nf(b)\n"
+    source = (
+        "from a import b\n"
+        "import c\n"
+        "__all__ = ['d']\n"
+        "def e():\n"
+        "    'f'\n"
+        "    return g.h(i=j, k='l')  # m\n"
+        "n = ('o', 'p q')\n"
     )
-    assert _IDENTIFIER.findall(blanked) == ["f", "b"]
+    assert set(_references(source)) == {"g", "h", "i", "j", "k", "l", "n", "o"}

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.app.generators import two_tier
 from repro.app.structure import ApplicationStructure
 from repro.core.anneal import paper_delta
 from repro.core.objectives import (
@@ -19,6 +18,7 @@ from repro.core.result import AssessmentResult
 from repro.sampling.statistics import estimate_from_results
 from repro.util.errors import ConfigurationError
 from repro.workload.model import HostWorkloadModel
+from tests.structures import two_tier
 
 
 def _assessment(plan, score):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.app.structure import ApplicationStructure
-from repro.app.generators import two_tier
 from repro.core.plan import DeploymentPlan, MoveDescriptor
 from repro.util.errors import ConfigurationError, UnsatisfiableRequirements
+from tests.structures import two_tier
 
 
 class TestConstruction:

@@ -19,8 +19,7 @@ from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch
-from repro.faults.inventory import build_zone_inventory
-from repro.runtime.chaos import ZoneOutage
+from repro.faults.inventory import ZoneOutage, build_zone_inventory
 from repro.service.redeploy import (
     INCUMBENT_NAME,
     JOURNAL_NAME,

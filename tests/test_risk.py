@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.app.generators import microservice_mesh, two_tier
+from repro.app.generators import microservice_mesh
 from repro.app.structure import ApplicationStructure
 from repro.core.plan import DeploymentPlan
 from repro.core.risk import RiskAnalyzer
@@ -19,6 +19,7 @@ from repro.topology.leafspine import LeafSpineTopology
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ValidationError
 from tests.interpreted_oracle import reference_risk_report, reference_what_if
+from tests.structures import two_tier
 from tests.test_incremental import _count_calls
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import serialization
-from repro.app.generators import two_tier
 from repro.app.structure import ApplicationStructure
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.result import (
@@ -31,6 +30,7 @@ from repro.service.lifecycle import fingerprint
 from repro.service.redeploy import DegradationEvent, RecoveryReport, RedeployDecision
 from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
 from repro.util.errors import ConfigurationError
+from tests.structures import two_tier
 
 
 class TestPlanRoundTrip:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sampling.statistics import (
-    ReliabilityEstimate,
     estimate_from_pieces,
     estimate_from_results,
     rounds_for_target_ci,
@@ -32,7 +31,6 @@ class TestEstimateFromResults:
     def test_all_unreliable(self):
         estimate = estimate_from_results(np.zeros(100))
         assert estimate.score == 0.0
-        assert estimate.failure_odds == 1.0
 
     def test_eq2_variance(self):
         results = np.array([1, 0, 1, 1, 0, 1, 1, 1], dtype=float)
@@ -52,8 +50,8 @@ class TestEstimateFromResults:
 
     def test_contains(self):
         estimate = estimate_from_results([1, 0] * 500)
-        assert estimate.contains(0.5)
-        assert not estimate.contains(0.9)
+        assert estimate.ci_lower <= 0.5 <= estimate.ci_upper
+        assert not estimate.ci_lower <= 0.9 <= estimate.ci_upper
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -96,7 +94,8 @@ class TestCoverage:
         rng = np.random.default_rng(31)
         for _ in range(trials):
             results = rng.random(2_000) < truth
-            if estimate_from_results(results).contains(truth):
+            estimate = estimate_from_results(results)
+            if estimate.ci_lower <= truth <= estimate.ci_upper:
                 covered += 1
         # Binomial(400, 0.95) -> stddev ~ 4.3; accept a generous band.
         assert covered / trials > 0.88
@@ -164,12 +163,3 @@ class TestRoundsForTargetCi:
             rounds_for_target_ci(0.0, 0.1)
         with pytest.raises(ConfigurationError):
             rounds_for_target_ci(0.01, -1.0)
-
-
-class TestReliabilityEstimateProperties:
-    def test_failure_odds(self):
-        estimate = ReliabilityEstimate(
-            score=0.99, variance=0.0, confidence_interval_width=0.0,
-            rounds=10, reliable_rounds=9,
-        )
-        assert estimate.failure_odds == pytest.approx(0.01)

@@ -46,7 +46,7 @@ def build_digest(build) -> str:
             sorted(component.attributes.items()),
         )
         if component.component_type is not ComponentType.LINK:
-            put("neighbors", cid, topology.neighbors(cid))
+            put("neighbors", cid, list(topology.adjacency[cid]))
     put("hosts", topology.hosts, "borders", topology.border_switches)
     engine = GenericReachabilityEngine(topology)
     put("engine", engine._ids)

@@ -23,12 +23,12 @@ class TestLeafSpine:
 
     def test_every_leaf_connects_to_every_spine(self, leafspine):
         for leaf in leafspine.leaf_ids:
-            neighbors = set(leafspine.neighbors(leaf))
+            neighbors = set(leafspine.adjacency[leaf])
             assert set(leafspine.spine_ids) <= neighbors
 
     def test_borders_connect_to_all_spines(self, leafspine):
         for border in leafspine.border_switches:
-            assert sorted(leafspine.neighbors(border)) == sorted(leafspine.spine_ids)
+            assert sorted(leafspine.adjacency[border]) == sorted(leafspine.spine_ids)
 
     def test_connected(self, leafspine):
         assert nx.is_connected(as_networkx(leafspine))
@@ -100,7 +100,7 @@ class TestBaseValidation:
         topo._add_switch("s", ComponentType.EDGE_SWITCH)
         with pytest.raises(TopologyError, match="itself"):
             topo._add_link("s", "s")
-        assert topo.neighbors("s") == []
+        assert list(topo.adjacency["s"]) == []
 
     def test_link_to_unknown_endpoint_rejected(self):
         topo = Topology("x", probability_policy=DefaultProbabilityPolicy(0.1))

@@ -36,25 +36,15 @@ class TestStopwatch:
         clock.now += 2.5
         assert watch.elapsed() == pytest.approx(2.5)
 
-    def test_reset(self):
-        clock = FakeClock()
-        watch = Stopwatch(clock)
-        clock.now += 5
-        watch.reset()
-        clock.now += 1
-        assert watch.elapsed() == pytest.approx(1.0)
-
 
 class TestDeadline:
     def test_lifecycle(self):
         clock = FakeClock()
         deadline = Deadline(10.0, clock)
-        assert not deadline.expired()
         assert deadline.remaining() == pytest.approx(10.0)
         clock.now += 5
         assert deadline.remaining() == pytest.approx(5.0)
         clock.now += 6
-        assert deadline.expired()
         assert deadline.remaining() == 0.0
 
     def test_rejects_non_positive_budget(self):

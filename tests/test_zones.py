@@ -22,6 +22,8 @@ from repro.core.search import DeploymentSearch, SearchSpec
 from repro.core.transforms import BatchSymmetryFilter
 from repro.faults.component import ComponentType
 from repro.faults.inventory import (
+    ZONE_OUTAGE_PROBABILITY,
+    ZoneOutage,
     attach_zone_shared_roots,
     build_zone_inventory,
     validate_failure_probabilities,
@@ -30,7 +32,6 @@ from repro.faults.inventory import (
 from repro.kernel import AssessmentKernel
 from repro.routing import engine_for
 from repro.routing.generic import GenericReachabilityEngine
-from repro.runtime.chaos import ZONE_OUTAGE_PROBABILITY, ZoneOutage
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import (
     ConfigurationError,
