@@ -1,0 +1,280 @@
+"""Mutation probe: can a module's tests see a wrong answer?
+
+One mutant at a time is made inside the function bodies of a module under
+``src/repro`` and run against that module's test list (``TESTS``) with
+``-x`` and a fixed hypothesis seed. A run that fails, or outlives its
+timeout, kills the mutant. Operators: ``<``/``<=``, ``>``/``>=``,
+``==``/``!=``, ``+``/``-``, ``*``/``/``, ``&``/``|`` (augmented
+assignments included), ``and``/``or``, and an int constant + 1.
+Annotations, docstrings and ``__repr__`` are never mutated.
+
+A survivor needs one of three fates: a test that kills it, deletion of
+the code it mutated, or an entry in ``EQUIVALENT`` that says why no test
+can tell it from the original. Like the dead-code allowlist, that list
+can only shrink.
+
+Mutants run in a scratch copy of ``src/`` and ``tests/`` (under
+``$TMPDIR``), never in the checkout. The rows of the probed modules
+replace their earlier rows in ``benchmarks/results/mutation.json``;
+other modules' rows are kept.
+
+    python scripts/mutation_probe.py sampling/dagger.py sampling/statistics.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+OUTPUT = ROOT / "benchmarks" / "results" / "mutation.json"
+
+#: Module (relative to ``src/repro``) -> the tests its mutants run against.
+TESTS = {
+    "sampling/dagger.py": [
+        "tests/test_dagger.py",
+        "tests/test_kernel.py::TestPackedEdgeCases",
+        "tests/test_kernel.py::TestSamplerFastPaths",
+        "tests/test_incremental.py",
+        "tests/test_cancellation.py",
+    ],
+    "sampling/statistics.py": [
+        "tests/test_statistics.py",
+        "tests/test_calibration.py",
+        "tests/test_runtime.py",
+    ],
+    "kernel/exact.py": ["tests/test_analytic.py", "tests/test_calibration.py"],
+}
+
+#: ``(module, stripped source line, operator, occurrence)`` -> why the
+#: mutant cannot be told apart from the original. ``occurrence`` counts the
+#: earlier mutants of the module with the same line text and operator.
+_CACHE_BOUND = "a cache's eviction threshold: one entry more before a clear changes no value"
+EQUIVALENT = {
+    ("sampling/dagger.py", "if not positive or rounds <= 0:", "LtE->Lt", 0):
+        "at rounds == 0 the geometry has zero blocks, so zero draws: 0 either way",
+    ("sampling/dagger.py", "if len(_GEOMETRY_CACHE) >= 4096:", "GtE->Gt", 0): _CACHE_BOUND,
+    ("sampling/dagger.py", "if len(_GEOMETRY_CACHE) >= 4096:", "int+1", 0): _CACHE_BOUND,
+    (
+        "sampling/dagger.py",
+        "last = min(int(ends.searchsorted(lo + CHUNK_DRAWS)) + 1, len(rows))",
+        "int+1",
+        0,
+    ): "one more row a chunk: chunk bounds change no bit (TestOnePassDraw holds "
+    "every chunk size down to one row to the per-level loop)",
+    ("sampling/dagger.py", "cells = matrix.reshape(-1)", "int+1", 0):
+        "numpy reads any negative size in reshape as 'the rest': -1 and -2 give "
+        "the same flat view",
+    ("kernel/exact.py", "refs[nid] += 1", "int+1", 1):
+        "(the extra_refs count) a node in the sub-DAG already has a root or a "
+        "parent reference, so one extra reference makes it shared and a second "
+        "changes nothing",
+    ("kernel/exact.py", "and 0.0 < probabilities[operands[nid]] < 1.0", "Lt->LtE", 1):
+        "(the upper bound) no validated probability is 1, and conditioning such a "
+        "leaf gives the same values: its unfired half weighs 0",
+    ("kernel/exact.py", "if len(_ROWS_CACHE) >= 32:", "GtE->Gt", 0): _CACHE_BOUND,
+    ("kernel/exact.py", "if len(_ROWS_CACHE) >= 32:", "int+1", 0): _CACHE_BOUND,
+}
+
+_PAIRS = [
+    (ast.Lt, ast.LtE),
+    (ast.Gt, ast.GtE),
+    (ast.Eq, ast.NotEq),
+    (ast.Add, ast.Sub),
+    (ast.Mult, ast.Div),
+    (ast.BitAnd, ast.BitOr),
+    (ast.And, ast.Or),
+]
+SWAPS = {**dict(_PAIRS), **{b: a for a, b in _PAIRS}}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SKIPPED_FIELDS = {"annotation", "returns"}
+
+
+def _is_docstring(node: ast.AST, parent: ast.AST | None) -> bool:
+    return (
+        isinstance(parent, (*_FUNCTIONS, ast.ClassDef, ast.Module))
+        and bool(parent.body)
+        and parent.body[0] is node
+        and isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def _sites(tree: ast.AST) -> list[tuple[ast.AST, int | None, str]]:
+    """Every mutation site in function bodies, in a fixed order:
+    ``(node, index of the comparison operator or None, operator label)``."""
+    found: list[tuple[ast.AST, int | None, str]] = []
+
+    def visit(node: ast.AST, parent: ast.AST | None, in_function: bool) -> None:
+        if isinstance(node, _FUNCTIONS):
+            if node.name == "__repr__":
+                return
+            in_function = True
+        if _is_docstring(node, parent):
+            return
+        if in_function:
+            if isinstance(node, ast.Compare):
+                for index, op in enumerate(node.ops):
+                    if type(op) in SWAPS:
+                        label = f"{type(op).__name__}->{SWAPS[type(op)].__name__}"
+                        found.append((node, index, label))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)):
+                if type(node.op) in SWAPS:
+                    swapped = SWAPS[type(node.op)].__name__
+                    found.append((node, None, f"{type(node.op).__name__}->{swapped}"))
+            elif isinstance(node, ast.Constant) and type(node.value) is int:
+                found.append((node, None, "int+1"))
+        for field, value in ast.iter_fields(node):
+            if field in _SKIPPED_FIELDS:
+                continue
+            children = value if isinstance(value, list) else [value]
+            for child in children:
+                if isinstance(child, ast.AST):
+                    visit(child, node, in_function)
+
+    visit(tree, None, False)
+    return found
+
+
+def _mutate(node: ast.AST, index: int | None) -> None:
+    if isinstance(node, ast.Compare):
+        node.ops[index] = SWAPS[type(node.ops[index])]()
+    elif isinstance(node, ast.Constant):
+        node.value += 1
+    else:
+        node.op = SWAPS[type(node.op)]()
+
+
+def mutants(source: str) -> list[tuple[int, str, str, int]]:
+    """``(line, operator, stripped source line, occurrence)`` of every
+    mutant (see :data:`EQUIVALENT`)."""
+    lines = source.splitlines()
+    seen: dict[tuple[str, str], int] = {}
+    found = []
+    for node, _index, label in _sites(ast.parse(source)):
+        text = lines[node.lineno - 1].strip()
+        occurrence = seen.get((text, label), 0)
+        seen[(text, label)] = occurrence + 1
+        found.append((node.lineno, label, text, occurrence))
+    return found
+
+
+def mutant_source(source: str, number: int) -> str:
+    """The module with mutant ``number`` applied (``-1``: none), unparsed."""
+    tree = ast.parse(source)
+    if number >= 0:
+        node, index, _label = _sites(tree)[number]
+        _mutate(node, index)
+    return ast.unparse(tree) + "\n"
+
+
+def _run(workdir: Path, tests: list[str], timeout: float) -> tuple[bool, float]:
+    """``(passed, seconds)`` of one run of ``tests`` in ``workdir``."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *tests,
+    ]
+    start = time.perf_counter()
+    try:
+        completed = subprocess.run(
+            command, cwd=workdir, env=env, timeout=timeout,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        passed = completed.returncode == 0
+    except subprocess.TimeoutExpired:
+        passed = False
+    return passed, time.perf_counter() - start
+
+
+def probe(module: str, workdir: Path) -> list[dict]:
+    """One row per mutant of ``module``, run in the copy at ``workdir``."""
+    tests = TESTS[module]
+    target = workdir / "src" / "repro" / module
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    target.write_text(mutant_source(source, -1), encoding="utf-8")
+    passed, baseline = _run(workdir, tests, timeout=3600)
+    if not passed:
+        raise SystemExit(f"{module}: the tests fail on the unmutated module")
+    rows = []
+    try:
+        for number, (line, operator, text, occurrence) in enumerate(mutants(source)):
+            target.write_text(mutant_source(source, number), encoding="utf-8")
+            passed, seconds = _run(workdir, tests, timeout=3 * baseline + 30)
+            row = {
+                "module": module,
+                "line": line,
+                "operator": operator,
+                "killed": not passed,
+                "seconds": round(seconds, 2),
+            }
+            reason = EQUIVALENT.get((module, text, operator, occurrence))
+            if passed and reason:
+                row["equivalent"] = reason
+            rows.append(row)
+            print(
+                f"{module}:{line} {operator:12s} "
+                f"{'killed' if not passed else 'SURVIVED'} {seconds:6.1f}s  {text}",
+                flush=True,
+            )
+    finally:
+        target.write_text(source, encoding="utf-8")
+    return rows
+
+
+def _summary(rows: list[dict]) -> dict:
+    survivors = [row for row in rows if not row["killed"]]
+    return {
+        "mutants": len(rows),
+        "killed": len(rows) - len(survivors),
+        "survived": len(survivors),
+        "equivalent": sum(1 for row in survivors if "equivalent" in row),
+        "seconds": round(sum(row["seconds"] for row in rows), 1),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("modules", nargs="+", choices=sorted(TESTS))
+    args = parser.parse_args(argv)
+    report = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {"rows": []}
+    rows = [row for row in report["rows"] if row["module"] not in args.modules]
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as scratch:
+        workdir = Path(scratch)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT / "src", workdir / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", workdir / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", workdir / "pyproject.toml")
+        for module in args.modules:
+            rows.extend(probe(module, workdir))
+    modules = sorted({row["module"] for row in rows})
+    report = {
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+        "operators": sorted({row["operator"] for row in rows}),
+        "tests": {module: TESTS[module] for module in modules},
+        "summary": {
+            module: _summary([row for row in rows if row["module"] == module])
+            for module in modules
+        },
+        "rows": rows,
+    }
+    OUTPUT.write_text(json.dumps(report, indent=1) + "\n")
+    for module in modules:
+        print(module, report["summary"][module])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

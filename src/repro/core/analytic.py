@@ -217,7 +217,8 @@ class AnalyticAssessor(AssessorBase):
         # Deterministic event order: sorted component ids, exactly like
         # the sequential assessor's sorted-closure sampling order — the
         # bit assignment (and hence float summation order) is identical
-        # across processes.
+        # across processes. ``from_config`` does not validate, so a
+        # topology that reports p = 1 reaches here: always failed.
         uncertain: list[str] = []
         certain_failed: list[str] = []
         for cid in sorted(sampled):

@@ -136,20 +136,20 @@ class AssessmentConfig:
             bad = [
                 (cid, p)
                 for cid, p in topology.failure_probabilities().items()
-                if not 0.0 <= p <= 1.0
+                if not 0.0 <= p < 1.0
             ]
             for cid, p in bad[:5]:
                 errors.append(
                     (
                         "topology.failure_probabilities",
-                        f"component {cid!r} has probability {p} outside [0, 1]",
+                        f"component {cid!r} has probability {p} outside [0, 1)",
                     )
                 )
             if len(bad) > 5:
                 errors.append(
                     (
                         "topology.failure_probabilities",
-                        f"... and {len(bad) - 5} more components outside [0, 1]",
+                        f"... and {len(bad) - 5} more components outside [0, 1)",
                     )
                 )
         if errors:

@@ -8,9 +8,9 @@ common random numbers all of that work is a pure function of
 ``(component, master_seed, rounds)`` — independent of which plan is being
 assessed — so it can be cached once and reused across every move:
 
-* **Component-state cache** — each component's packed failure row comes
-  from its private CRN stream (see
-  :meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_rows`),
+* **Component-state cache** — a component's packed failure row is the
+  samplers' one dagger routine fed by its private CRN stream
+  (:meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_rows`),
   so a one-host move only samples the closure *delta*; every shared
   component's states are reused verbatim.
 * **Closure memoization** — a closure is a ``(subjects, sampled)`` pair

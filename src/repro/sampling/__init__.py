@@ -1,7 +1,9 @@
-"""Failure-state samplers (Monte-Carlo, dagger) and reliability statistics."""
+"""Failure-state samplers (Monte-Carlo; dagger, extended and common-random
+dagger, one routine) and reliability statistics."""
 
 from repro.sampling.base import Sampler
 from repro.sampling.dagger import (
+    CommonRandomDaggerSampler,
     DaggerSampler,
     ExtendedDaggerSampler,
     dagger_cycle_length,
@@ -15,6 +17,7 @@ from repro.sampling.statistics import (
 )
 
 __all__ = [
+    "CommonRandomDaggerSampler",
     "DaggerSampler",
     "ExtendedDaggerSampler",
     "MonteCarloSampler",

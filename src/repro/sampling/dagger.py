@@ -24,8 +24,10 @@ Implementation notes: probabilities in a data center are heavily repeated
 probability, each group's cycle geometry is computed once, and every
 draw of every group is turned into a failed round in one ragged pass.
 The original scheme is the extended one with each component's own cycle as
-its block, so both samplers run one routine, :meth:`DaggerSampler.sample`,
-and differ only in ``_block_length``.
+its block, and common random numbers are the original scheme with each
+component's uniforms read from its own stream, so every dagger row is made
+by one routine, :meth:`DaggerSampler._draw`, behind two hooks:
+``_block_length`` and ``_uniforms``.
 """
 
 from __future__ import annotations
@@ -60,13 +62,8 @@ def dagger_draw_count(probabilities: Mapping[str, float], rounds: int) -> int:
     positive = [p for p in probabilities.values() if p > 0.0]
     if not positive or rounds <= 0:
         return 0
-    longest = max(dagger_cycle_length(p) for p in positive)
-    blocks = math.ceil(rounds / longest)
-    total = 0
-    for p in positive:
-        cycles_per_block = math.ceil(longest / dagger_cycle_length(p))
-        total += blocks * cycles_per_block
-    return total
+    longest = dagger_cycle_length(min(positive))
+    return sum(_cycle_geometry(p, rounds, longest)[1] for p in positive)
 
 
 #: Fewest draws in one chunk of rows of :func:`_draw_bits` (or the rest).
@@ -116,41 +113,33 @@ def _cycle_geometry(
     return geometry
 
 
-def _draw_bits(rng: np.random.Generator, levels, counts, geometry: list, width: int):
-    """``(hit, bit, nonzero)`` of one flat draw over ``counts[g]`` rows of
-    probability ``levels[g]`` and cycle ``geometry[g]`` per group: per draw,
-    whether it fails a round and that round's bit ``row * 8 * width +
-    round``; per row, whether any draw does. One ragged pass over chunks
+def _draw_bits(flat, draws, ends, row_p, rows: list, row_bits: int):
+    """``(hit, bit)`` of the flat draw ``flat``, row ``i`` of probability
+    ``row_p[i]`` and cycle geometry ``rows[i]`` owning its ``draws[i]``
+    uniforms up to ``ends[i]``: per draw, whether it fails a round and
+    that round's bit ``i * row_bits + round``. One ragged pass over chunks
     of rows of at least :data:`CHUNK_DRAWS` draws concatenates each row's
     cached cycle starts and limits: the only per-draw scratch is a chunk's.
     """
-    group_of_row = np.repeat(np.arange(len(geometry)), counts).tolist()
-    row_p = np.repeat(levels, counts)
-    draws = np.repeat([dpc for _s, dpc, _start, _limit in geometry], counts)
-    ends = np.cumsum(draws)
-    flat = rng.random(int(ends[-1]))
     hit, bit = np.empty(len(flat), dtype=bool), np.empty(len(flat), dtype=np.intp)
-    nonzero = np.empty(len(draws), dtype=bool)
     lo = first = 0
-    while first < len(draws):
-        last = min(int(np.searchsorted(ends, lo + CHUNK_DRAWS)) + 1, len(draws))
-        hi, span = int(ends[last - 1]), draws[first:last]
-        rows = [geometry[g] for g in group_of_row[first:last]]
+    while first < len(rows):
+        last = min(int(ends.searchsorted(lo + CHUNK_DRAWS)) + 1, len(rows))
+        hi, span, chunk = int(ends[last - 1]), draws[first:last], rows[first:last]
         # A draw in the i-th subinterval fails round i of its cycle. The
         # quotient is below the (integer) limit exactly when its floor
         # is, so one bound check is every validity condition (see
         # _cycle_geometry), and truncation is floor for the non-negative
         # ratios.
         quotient = flat[lo:hi]
-        quotient /= np.repeat(row_p[first:last], span)
-        np.less(quotient, np.concatenate([row[3] for row in rows]), out=hit[lo:hi])
-        np.logical_or.reduceat(hit[lo:hi], ends[first:last] - span - lo, out=nonzero[first:last])
+        quotient /= row_p[first:last].repeat(span)
+        np.less(quotient, np.concatenate([row[3] for row in chunk]), out=hit[lo:hi])
         bits = bit[lo:hi]
         bits[...] = quotient
-        bits += np.concatenate([row[2] for row in rows])
-        bits += np.repeat(np.arange(first, last) * (8 * width), span)
+        bits += np.concatenate([row[2] for row in chunk])
+        bits += np.arange(first * row_bits, last * row_bits, row_bits).repeat(span)
         lo, first = hi, last
-    return hit, bit, nonzero
+    return hit, bit
 
 
 class DaggerSampler(Sampler):
@@ -160,6 +149,10 @@ class DaggerSampler(Sampler):
     Statistically this also has per-round marginal ``p``; the extended
     variant exists to align cycle boundaries across heterogeneous
     components. Kept for completeness and for ablation comparisons.
+
+    Every dagger row is made by :meth:`_draw`; subclasses differ in
+    :meth:`_block_length` (where cycles restart) and :meth:`_uniforms`
+    (where a row's draws come from, which also decides :meth:`_groups`).
     """
 
     name = "dagger"
@@ -170,33 +163,18 @@ class DaggerSampler(Sampler):
         truncation never trims one — exactly the original scheme."""
         return dagger_cycle_length(probability)
 
-    def sample(
-        self,
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,
-        cancel=None,
-    ) -> PackedBatch:
-        """Every group's uniforms from ONE ``rng.random`` call, straight
-        into packed rows.
+    def _uniforms(self, rng, ids: Sequence[str], ends: np.ndarray) -> np.ndarray:
+        """The flat draw, row ``i`` ending at ``ends[i]``: one
+        ``rng.random`` call, so the row layout is the stream's order."""
+        return rng.random(int(ends[-1]))
 
-        Components are grouped by exact probability, groups in order of
-        first appearance and components in mapping order inside a group;
-        the flat draw is laid out group by group, component by component,
-        cycle by cycle (block-major), so that order is the stream's.
-        :func:`_draw_bits` turns it into the bit position of every draw;
-        nothing about a probability map outlives the call.
-        """
-        fault_hit("sampling.start")
-        values = validate_probabilities(probabilities)
-        positive = np.flatnonzero(values > 0.0)
-        if not positive.size:
-            return PackedBatch(rounds=rounds)
-        if cancel is not None:
-            cancel.check()
-
+    def _groups(self, values: np.ndarray) -> tuple:
+        """``(order, levels, sizes)`` of the components that can fail:
+        grouped by exact probability, groups in order of first appearance
+        and components in mapping order inside a group, so each group's
+        cycle geometry is looked up once."""
         levels, first, level_of, sizes = np.unique(
-            values[positive],
+            values,
             return_index=True,
             return_inverse=True,
             return_counts=True,
@@ -205,17 +183,53 @@ class DaggerSampler(Sampler):
         group_of_level = np.empty_like(by_appearance)
         group_of_level[by_appearance] = np.arange(len(levels))
         order = np.argsort(group_of_level[level_of], kind="stable")
+        return order, levels[by_appearance], sizes[by_appearance]
+
+    def sample(
+        self,
+        probabilities: Mapping[str, float],
+        rounds: int,
+        rng: np.random.Generator,
+        cancel=None,
+    ) -> PackedBatch:
+        """The components that can fail, laid out by :meth:`_groups`,
+        straight into packed rows by :meth:`_draw`; nothing about a
+        probability map outlives the call."""
+        fault_hit("sampling.start")
+        values = validate_probabilities(probabilities)
+        positive = np.flatnonzero(values > 0.0)
+        if not positive.size:
+            return PackedBatch(rounds=rounds)
+        if cancel is not None:
+            cancel.check()
+        order, levels, sizes = self._groups(values[positive])
         all_ids = list(probabilities)
         ids = tuple(all_ids[i] for i in positive[order].tolist())
+        return self._draw(ids, levels, sizes, rounds, rng)
+
+    def _draw(
+        self, ids: tuple, levels: np.ndarray, sizes, rounds: int, rng
+    ) -> PackedBatch:
+        """Packed rows of ``ids``: ``sizes[g]`` rows (a scalar: every
+        group's) of probability ``levels[g]`` in (0, 1) per group.
+
+        The flat draw is laid out row by row, cycle by cycle (block-major);
+        :func:`_draw_bits` turns it into the bit position of every draw.
+        """
         # floor(1/p) never grows with p: the smallest level has the
         # longest cycle.
-        longest = dagger_cycle_length(float(levels[0]))
-        levels, sizes = levels[by_appearance], sizes[by_appearance]
-        geometry = [
-            _cycle_geometry(p, rounds, self._block_length(p, longest)) for p in levels.tolist()
-        ]
+        plist = levels.tolist()
+        longest = dagger_cycle_length(min(plist))
+        geometry = [_cycle_geometry(p, rounds, self._block_length(p, longest)) for p in plist]
+        group = np.arange(len(geometry)).repeat(sizes)
+        rows = [geometry[g] for g in group.tolist()]
+        draws = np.array([dpc for _s, dpc, _start, _limit in geometry])[group]
+        ends = draws.cumsum()
         width = packed_width(rounds)
-        hit, bit, nonzero = _draw_bits(rng, levels, sizes, geometry, width)
+        flat = self._uniforms(rng, ids, ends)
+        hit, bit = _draw_bits(flat, draws, ends, levels[group], rows, 8 * width)
+        del flat
+        nonzero = np.logical_or.reduceat(hit, ends - draws)
 
         # Rows are in draw order and a row's hits in round order, so the
         # bytes are sorted; each (component, round) pair is unique, so
@@ -224,15 +238,16 @@ class DaggerSampler(Sampler):
         # (The per-draw arrays are megabytes for a whole data center:
         # dropped as they die, shifted in place, so the next one reuses
         # their pages.)
-        bit = np.compress(hit, bit)
+        bit = bit.compress(hit)
         del hit
         mask = _BIT_OF[bit & 7]
         byte = np.right_shift(bit, 3, out=bit)
         matrix = np.zeros((len(ids), width), dtype=PACK_DTYPE)
         cells = matrix.reshape(-1)
         cells[byte] = mask
-        shared = np.flatnonzero(byte[1:] == byte[:-1])
-        np.bitwise_or.at(cells, byte[shared], mask[shared])
+        shared = (byte[1:] == byte[:-1]).nonzero()[0]
+        if shared.size:
+            np.bitwise_or.at(cells, byte[shared], mask[shared])
         return PackedBatch(
             rounds=rounds, component_ids=ids, matrix=matrix, nonzero=nonzero
         )
@@ -264,8 +279,8 @@ def _component_stream(master_seed: int, component_id: str) -> np.random.Generato
     )
 
 
-class CommonRandomDaggerSampler(Sampler):
-    """Extended dagger sampling with *common random numbers* across calls.
+class CommonRandomDaggerSampler(DaggerSampler):
+    """Dagger sampling with *common random numbers* across calls.
 
     Every component's failure states are drawn from a private stream keyed
     by ``(master_seed, component_id)``, so two sample calls — e.g. for the
@@ -274,14 +289,17 @@ class CommonRandomDaggerSampler(Sampler):
     plans then reflect only the genuinely differing components, which
     turns the annealing comparison into a low-variance paired test.
 
-    Marginally the distribution is the same extended dagger distribution
-    (each stream is an ordinary dagger stream), so individual scores stay
-    unbiased; only the coupling *between* assessments changes. Because the
-    "best score observed" under a fixed master seed inherits that seed's
-    noise, callers should re-assess a search's winning plan with
-    independent randomness before reporting it (the search does this).
-
-    Call :meth:`reseed` to move to a fresh master seed.
+    A row is a pure function of ``(master_seed, component_id, probability,
+    rounds)``, which is what lets the incremental engine draw only the
+    closure *delta* of a move (:meth:`component_rows`) and reuse every
+    other row verbatim. So a component's states must not depend on which
+    others share the call: each keeps its own cycle (the original scheme's
+    :meth:`_block_length`, not the extended reset) and rows keep mapping
+    order, ungrouped. Marginally each stream is an ordinary dagger stream,
+    so scores stay unbiased; only the coupling *between* assessments
+    changes. The "best score observed" under one master seed inherits that
+    seed's noise, so a search re-assesses its winner with independent
+    randomness before reporting it. :meth:`reseed` moves to a fresh seed.
     """
 
     name = "common-random-dagger"
@@ -293,76 +311,24 @@ class CommonRandomDaggerSampler(Sampler):
         """Switch every component stream to a new master seed."""
         self.master_seed = int(master_seed)
 
-    def component_rows(
-        self,
-        component_ids: Sequence[str],
-        probabilities: np.ndarray,
-        rounds: int,
-    ) -> dict[str, np.ndarray]:
-        """Packed failure rows of several components, each from its private
-        stream; a component that never failed has no entry.
-
-        A row is a pure function of ``(master_seed, component_id,
-        probability, rounds)`` — which is precisely what makes per-component
-        failure states cacheable across assessments: the incremental engine
-        draws only the closure *delta* of a move and reuses every
-        previously drawn row verbatim. So each component runs its own
-        cycle length (original dagger) rather than the extended
-        cross-component reset: the reset aligns cycles of *jointly drawn*
-        components, and a component's states must not depend on which
-        other components happen to be in the call. What follows the draws
-        is one ragged pass, component ``i`` owning one entry per cycle of
-        its own length ``s_i``. Probabilities must be in (0, 1).
-        """
-        p = np.asarray(probabilities, dtype=np.float64)
-        if not ((p > 0.0) & (p < 1.0)).all():
-            raise ValueError(f"probabilities must be in (0, 1), got {p}")
-        s = np.floor(1.0 / p).astype(ROUND_DTYPE)
-        draws = -(-rounds // s)
-        ends = np.cumsum(draws)
-        quotient = np.empty(ends[-1])
+    def _uniforms(self, rng, ids: Sequence[str], ends: np.ndarray) -> np.ndarray:
+        """Row ``i``'s uniforms from component ``ids[i]``'s private stream;
+        ``rng`` is unused."""
+        flat = np.empty(int(ends[-1]))
         lo = 0
-        for cid, hi in zip(component_ids, ends.tolist()):
-            _component_stream(self.master_seed, cid).random(out=quotient[lo:hi])
+        for cid, hi in zip(ids, ends.tolist()):
+            _component_stream(self.master_seed, cid).random(out=flat[lo:hi])
             lo = hi
-        component = np.repeat(np.arange(len(p)), draws)
-        quotient /= p[component]
-        # A draw in the i-th subinterval fails round i of its cycle; past
-        # the last subinterval, or the last round, it fails nothing.
-        offset = quotient.astype(ROUND_DTYPE)
-        cycle_length = s[component]
-        cycle = np.arange(len(offset)) - (ends - draws)[component]
-        failed = cycle * cycle_length + offset
-        hit = (offset < cycle_length) & (failed < rounds)
-        component, failed = component[hit], failed[hit]
-        counts = np.bincount(component, minlength=len(p))
-        dense = np.zeros((len(p), rounds), dtype=bool)
-        dense[component, failed] = True
-        rows = np.packbits(dense, axis=1)
-        return {component_ids[i]: rows[i] for i in np.flatnonzero(counts).tolist()}
+        return flat
 
-    def sample(
-        self,
-        probabilities: Mapping[str, float],
-        rounds: int,
-        rng: np.random.Generator,  # unused: streams are component-addressed
-        cancel=None,
-    ) -> PackedBatch:
-        """:meth:`component_rows` over the components that can fail, 64 at
-        a time (the cancellation point), laid into one packed matrix."""
-        fault_hit("sampling.start")
-        values = validate_probabilities(probabilities)
-        positive = np.flatnonzero(values > 0.0)
-        all_ids = list(probabilities)
-        ids = [all_ids[i] for i in positive.tolist()]
-        matrix = np.zeros((len(ids), packed_width(rounds)), dtype=PACK_DTYPE)
-        for start in range(0, len(ids), 64):
-            if cancel is not None:
-                cancel.check()
-            chunk = ids[start : start + 64]
-            chunk_p = values[positive[start : start + 64]]
-            rows = self.component_rows(chunk, chunk_p, rounds)
-            for offset, cid in enumerate(chunk):
-                if cid in rows:
-                    matrix[start + offset] = rows[cid]
-        return PackedBatch(rounds=rounds, component_ids=tuple(ids), matrix=matrix)
+    def _groups(self, values: np.ndarray) -> tuple:
+        """Every row its own group, in mapping order."""
+        return np.arange(len(values)), values, 1
+
+    def component_rows(
+        self, component_ids: Sequence[str], probabilities: np.ndarray, rounds: int
+    ) -> dict[str, np.ndarray]:
+        """Packed rows of components with probabilities in (0, 1), in the
+        given order; a component that never failed has no entry."""
+        levels = np.asarray(probabilities, dtype=np.float64)
+        return self._draw(tuple(component_ids), levels, 1, rounds, None).failed_rows()

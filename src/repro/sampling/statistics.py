@@ -151,6 +151,4 @@ def rounds_for_target_ci(
         raise ConfigurationError(f"target width must be positive, got {target_ci_width}")
     if pilot_variance_per_round < 0:
         raise ConfigurationError("variance must be non-negative")
-    if pilot_variance_per_round == 0:
-        return 1
     return max(1, math.ceil(16.0 * pilot_variance_per_round / target_ci_width**2))

@@ -21,6 +21,7 @@ Property tests for the third assessment backend:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -411,6 +412,47 @@ class TestAnalyticZones:
         for root in roots:
             independent *= marginals.marginal(root)
         assert marginals.marginal(joint) > independent
+
+    def test_shared_roots_give_the_exact_joint(self):
+        """The conditional-independence contract products of conditioned
+        values rely on: roots [R, S] with R = OR(a, b) and S = AND(R, c)
+        share R, so a and b are conditioned out and sum_sigma w * R * S
+        is the joint P(R and S) = P(S) = 0.28 * 0.3 = 0.084 (a 2**3
+        enumeration); a leaf named in ``extra_refs`` is conditioned the
+        same way, P(a and S) = 0.1 * 0.3 = 0.030. Without the root and
+        extra reference counts nothing is shared and the products read
+        0.0235 and 0.0084. A shared leaf that never fails (z) is not a
+        sigma bit: it would spend budget on an assignment of weight 0."""
+        arena = ComponentArena(["a", "b", "c", "z"], [0.1, 0.2, 0.3, 0.0])
+        forest = CompiledForest(arena)
+        r_tree = or_gate(basic("a"), basic("b"), basic("z"))
+        r = forest.ensure_subject("R", r_tree)
+        s = forest.ensure_subject("S", and_gate(r_tree, basic("c")))
+        a = forest.ensure_subject("a", basic("a"))
+
+        def brute_force(event):
+            total = 0.0
+            for states in itertools.product((False, True), repeat=3):
+                weight = 1.0
+                for failed, p in zip(states, (0.1, 0.2, 0.3)):
+                    weight *= p if failed else 1.0 - p
+                failed_a, failed_b, failed_c = states
+                if event(failed_a, (failed_a or failed_b) and failed_c):
+                    total += weight
+            return total
+
+        joint = compute_marginals(forest, arena.probabilities, [r, s])
+        assert [arena.ids[forest.operands[n]] for n in joint.conditioned] == ["a", "b"]
+        product = joint.values[r] * joint.values[s]
+        assert float(np.dot(joint.weights, product)) == pytest.approx(0.084, abs=1e-15)
+        assert brute_force(lambda _a, failed_s: failed_s) == pytest.approx(0.084, abs=1e-15)
+
+        with_leaf = compute_marginals(forest, arena.probabilities, [s], extra_refs=[a])
+        product = with_leaf.values[a] * with_leaf.values[s]
+        assert float(np.dot(with_leaf.weights, product)) == pytest.approx(0.030, abs=1e-15)
+        assert brute_force(lambda failed_a, failed_s: failed_a and failed_s) == (
+            pytest.approx(0.030, abs=1e-15)
+        )
 
     def _zone_assessor(self, engine_class=None):
         topology = MultiZoneTopology(zones=2, k=4, seed=7)

@@ -69,6 +69,10 @@ class TestDrawCount:
     def test_zero_rounds(self):
         assert dagger_draw_count({"c": 0.1}, 0) == 0
 
+    def test_one_round_takes_one_block(self):
+        # One 10-round block: one cycle of p=0.1, five of p=0.5.
+        assert dagger_draw_count({"a": 0.1, "b": 0.5}, 1) == 1 + 5
+
 
 class TestFig3Examples:
     """The worked examples of the paper's Fig. 3, reproduced exactly."""

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sampling.statistics import (
+    ReliabilityEstimate,
     estimate_from_pieces,
     estimate_from_results,
+    exact_estimate,
     rounds_for_target_ci,
 )
 from repro.util.errors import ConfigurationError
@@ -47,6 +49,30 @@ class TestEstimateFromResults:
     def test_ci_bounds_clamped(self):
         estimate = estimate_from_results([1] * 9 + [0])
         assert 0.0 <= estimate.ci_lower <= estimate.ci_upper <= 1.0
+
+    def test_ci_endpoints_are_two_standard_errors(self):
+        """Eq. 3 by hand: R = 0.9 over 900 rounds has V = 0.09 / 900 =
+        1e-4, so the interval is 0.9 -+ 2 * sqrt(1e-4) = [0.88, 0.92]."""
+        estimate = estimate_from_results([1] * 810 + [0] * 90)
+        assert estimate.score == pytest.approx(0.9, abs=1e-15)
+        assert estimate.variance == pytest.approx(1e-4, rel=1e-12)
+        assert estimate.ci_lower == pytest.approx(0.88, abs=1e-12)
+        assert estimate.ci_upper == pytest.approx(0.92, abs=1e-12)
+
+    def test_ci_endpoints_clamp_to_the_unit_interval(self):
+        def interval(score):
+            estimate = ReliabilityEstimate(
+                score=score,
+                variance=0.0025,
+                confidence_interval_width=0.2,
+                rounds=100,
+                reliable_rounds=round(100 * score),
+            )
+            return estimate.ci_lower, estimate.ci_upper
+
+        assert interval(0.95) == (pytest.approx(0.85), 1.0)
+        assert interval(0.05) == (0.0, pytest.approx(0.15))
+        assert interval(0.5) == (pytest.approx(0.4), pytest.approx(0.6))
 
     def test_contains(self):
         estimate = estimate_from_results([1, 0] * 500)
@@ -158,8 +184,32 @@ class TestRoundsForTargetCi:
     def test_zero_variance(self):
         assert rounds_for_target_ci(0.01, 0.0) == 1
 
+    def test_pinned_round_counts(self):
+        """n = 16 * Var[L] / width^2, exactly, for the worst-case
+        Bernoulli variance; at least one round even when the quotient
+        underflows to zero."""
+        assert rounds_for_target_ci(0.01, 0.25) == 40_000
+        assert rounds_for_target_ci(0.02, 0.25) == 10_000
+        assert rounds_for_target_ci(0.5, 0.25) == 16
+        assert rounds_for_target_ci(1e10, 5e-324) == 1
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             rounds_for_target_ci(0.0, 0.1)
         with pytest.raises(ConfigurationError):
             rounds_for_target_ci(0.01, -1.0)
+
+
+class TestExactEstimate:
+    def test_accepts_the_closed_unit_interval(self):
+        for score in (0.0, 0.25, 1.0):
+            estimate = exact_estimate(score)
+            assert estimate.score == score and estimate.exact
+            assert estimate.ci_lower == estimate.ci_upper == score
+            # No sampling backs it.
+            assert estimate.rounds == estimate.reliable_rounds == 0
+
+    def test_rejects_scores_just_outside(self):
+        for score in (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)):
+            with pytest.raises(ConfigurationError):
+                exact_estimate(score)

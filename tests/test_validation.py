@@ -119,20 +119,24 @@ class TestAssessmentConfigValidation:
         assert excinfo.value.fields() == ("master_seed",)
 
     def test_unphysical_probabilities_reported(self, fattree4):
-        class BrokenTopology:
-            components = fattree4.components
-            hosts = fattree4.hosts
+        """Every sampler takes [0, 1): a certain failure is refused here,
+        not mid-``assess`` by a sampler."""
+        for probability in (1.5, 1.0, -0.1):
 
-            def failure_probabilities(self):
-                probabilities = fattree4.failure_probabilities()
-                first = next(iter(probabilities))
-                probabilities[first] = 1.5
-                return probabilities
+            class BrokenTopology:
+                components = fattree4.components
+                hosts = fattree4.hosts
 
-        with pytest.raises(ValidationError) as excinfo:
-            AssessmentConfig(rounds=100).validate(BrokenTopology())
-        assert "topology.failure_probabilities" in excinfo.value.fields()
-        assert "1.5" in str(excinfo.value)
+                def failure_probabilities(self):
+                    probabilities = fattree4.failure_probabilities()
+                    first = next(iter(probabilities))
+                    probabilities[first] = probability
+                    return probabilities
+
+            with pytest.raises(ValidationError) as excinfo:
+                AssessmentConfig(rounds=100).validate(BrokenTopology())
+            assert "topology.failure_probabilities" in excinfo.value.fields()
+            assert str(probability) in str(excinfo.value)
 
     def test_build_assessor_validates(self, fattree4, inventory):
         with pytest.raises(ValidationError):
