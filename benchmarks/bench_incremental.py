@@ -51,7 +51,6 @@ from repro.core.search import DeploymentSearch, SearchSpec
 from repro.faults.component import link_id
 from repro.faults.inventory import build_paper_inventory
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
-from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.topology.presets import paper_topology
 from repro.util.metrics import MetricsRegistry
@@ -141,7 +140,7 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
     Every count is a function of the walk alone — none depends on set
     order, so all repeat exactly across ``PYTHONHASHSEED`` and hosts:
     closure components seen, how many of them the positive-probability
-    mask dropped without a draw, private generators constructed, shared
+    mask dropped without a draw, ids handed to the CRN source, shared
     closure layers the walk built (read from its counters: the kernel is
     the substrate's, shared with anything else on it), against the pods,
     edge switches and hosts the walk touched.
@@ -154,20 +153,21 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
         inventory,
         AssessmentConfig(mode="incremental", rounds=rounds, master_seed=MASTER_SEED),
     )
-    generators = 0
-    component_stream = dagger._component_stream
+    rows_drawn = 0
+    sampler = assessor.sampler
+    uniforms = sampler._uniforms
 
-    def counted_stream(master_seed, component_id):
-        nonlocal generators
-        generators += 1
-        return component_stream(master_seed, component_id)
+    def counted_uniforms(rng, ids, ends):
+        nonlocal rows_drawn
+        rows_drawn += len(ids)
+        return uniforms(rng, ids, ends)
 
-    dagger._component_stream = counted_stream
+    sampler._uniforms = counted_uniforms
     try:
         for plan in plans:
             assessor.assess(plan, structure)
     finally:
-        dagger._component_stream = component_stream
+        del sampler._uniforms
     seen = set().union(*(assessor.closure_for(plan)[1] for plan in plans))
     probabilities = inventory.failure_probabilities()
     positive = sum(probabilities[cid] > 0.0 for cid in seen)
@@ -183,7 +183,7 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
         "component_misses": int(assessor.metrics.counter("sample/component/miss")),
         "dropped_by_positive_mask": len(seen) - positive,
         "positive_misses": positive,
-        "generators_constructed": generators,
+        "rows_drawn": rows_drawn,
         "layer_builds": int(assessor.metrics.counter("closure/layer/miss")),
         "pods_touched": len(pods),
         "edges_touched": len(edges),
@@ -446,8 +446,8 @@ def run_smoke() -> int:
     assert counts["component_misses"] == counts["components_seen"], (
         "a closure component was folded into the universe more than once"
     )
-    assert counts["generators_constructed"] == counts["positive_misses"], (
-        "private generators constructed != new components that can fail"
+    assert counts["rows_drawn"] == counts["positive_misses"], (
+        "CRN rows drawn != new components that can fail"
     )
     layer_bound = 1 + counts["pods_touched"] + counts["edges_touched"]
     assert counts["layer_builds"] <= layer_bound, (

@@ -27,7 +27,14 @@ Three workloads:
 * ``large_walk`` — the k=48 search-benchmark preset (~27k hosts,
   :func:`~repro.topology.presets.search_benchmark_topology`) running a
   fixed move budget under the move-budget temperature schedule; gates
-  that the full budget completes inside a wall-clock budget.
+  that the full budget completes inside a wall-clock budget;
+* ``crn_quality`` — one row per substrate (the ``medium`` fat-tree and
+  the 2-zone searches of ``benchmarks/e2e``): fixed-seed searches run
+  under the counter-based CRN streams and under the generator-per-component
+  source they replaced (``tests/legacy_crn.py``), each best plan judged by
+  an independent 10^5-round assessment; gates that the mean judged scores
+  differ by less than 3 standard errors (two-sample z). Deterministic per
+  seed.
 
 Results land in ``BENCH_search.json`` at the repo root.
 
@@ -36,7 +43,7 @@ Usage::
     python benchmarks/bench_search.py            # full comparison
     python benchmarks/bench_search.py --smoke    # CI gate: trajectory
         equality, >= 4x tiny call ratio, symmetry-screen counts, k=48
-        budget completion
+        budget completion, CRN quality |z| < 3 on fewer seeds
 
 Also runnable under pytest (``pytest benchmarks/bench_search.py``).
 """
@@ -45,9 +52,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
+
+import numpy as np
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # standalone: make src/ importable without install
@@ -68,18 +78,20 @@ from repro.core.api import AssessmentConfig
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.incremental import IncrementalAssessor
 from repro.core.objectives import ReliabilityObjective
-from repro.core.plan import DeploymentPlan
+from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
-from repro.faults.inventory import build_paper_inventory
+from repro.faults.inventory import build_paper_inventory, build_zone_inventory
 from repro.topology.presets import (
     SEARCH_BENCHMARK_SCALE,
     paper_topology,
     search_benchmark_topology,
 )
+from repro.topology.zones import MultiZoneTopology
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline
 from tests.graph_oracle import SurgeryGraphChecker
+from tests.legacy_crn import legacy_streams
 
 MASTER_SEED = 20170412
 SEARCH_SEED = MASTER_SEED  # seeds the annealing RNG of both loops
@@ -93,6 +105,14 @@ EXTENSIONS_PER_MATCH_CEILING = 20.0
 #: Wall-clock budget the k=48 fixed-move-budget walk must finish inside
 #: (search only; building the 27k-host substrate is reported separately).
 LARGE_BUDGET_SECONDS = 240.0
+
+#: ``crn_quality``: search seeds per substrate (full run, ``--smoke``), the
+#: judge's rounds and the bound on the two-sample z of the judged means.
+QUALITY_SEEDS = {"medium": 150, "zones": 300}
+QUALITY_SMOKE_SEEDS = {"medium": 40, "zones": 80}
+JUDGE_ROUNDS = 100_000
+JUDGE_SEED = 7919
+QUALITY_Z_BOUND = 3.0
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = _REPO_ROOT / "BENCH_search.json"
@@ -475,7 +495,91 @@ def bench_large_walk(
     }
 
 
+#: The two searches of ``benchmarks/e2e``'s ``search_fattree`` and
+#: ``search_zones`` workloads: (structure k, n, rounds, moves, forbid a
+#: shared rack, zone constraints).
+_QUALITY_SEARCHES = {
+    "medium": (8, 10, 10_000, 25, True, None),
+    "zones": (
+        4, 5, 500, 10, False,
+        ZoneConstraints.from_mapping(primary_zone="zone0", min_outside_primary=2),
+    ),
+}
+
+
+def _quality_substrate(scale: str):
+    if scale == "zones":
+        topology = MultiZoneTopology(zones=2, k=4, seed=1)
+        return topology, build_zone_inventory(topology, seed=2)
+    return _substrate(scale)
+
+
+def bench_crn_quality(scale: str, seeds: int) -> dict:
+    """Judged quality of the search's best plans under both CRN sources.
+
+    Search seed ``i`` walks under the counter-based streams and under the
+    legacy generator-per-component streams; each best plan is judged by a
+    from-scratch assessment of :data:`JUDGE_ROUNDS` rounds whose seed
+    depends on ``i`` alone, so both sources' plans meet the same judge.
+    """
+    k, n, rounds, moves, forbid_shared_rack, zones = _QUALITY_SEARCHES[scale]
+    topology, inventory = _quality_substrate(scale)
+    structure = ApplicationStructure.k_of_n(k, n)
+    spec = SearchSpec(
+        structure,
+        max_seconds=3_600.0,
+        max_iterations=moves,
+        forbid_shared_rack=forbid_shared_rack,
+        zone_constraints=zones,
+    )
+
+    def judged(seed: int) -> tuple[tuple, float]:
+        plan = DeploymentSearch.from_config(
+            topology,
+            inventory,
+            AssessmentConfig(mode="incremental", rounds=rounds, rng=seed),
+            rng=seed + 1,
+            temperature_schedule=MoveBudgetTemperatureSchedule(moves),
+        ).search(spec).best_plan
+        judge = ReliabilityAssessor.from_config(
+            topology, inventory, AssessmentConfig(rounds=JUDGE_ROUNDS, rng=JUDGE_SEED + seed)
+        )
+        return plan.canonical_key(), judge.assess(plan, structure).score
+
+    start = time.perf_counter()
+    counter = [judged(seed) for seed in range(seeds)]
+    with legacy_streams():
+        legacy = [judged(seed) for seed in range(seeds)]
+    seconds = time.perf_counter() - start
+    new, old = (np.array([score for _key, score in runs]) for runs in (counter, legacy))
+    error = math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / seeds)
+    return {
+        "workload": "crn_quality",
+        "scale": scale,
+        "searches": seeds,
+        "rounds": rounds,
+        "moves": moves,
+        "judge_rounds": JUDGE_ROUNDS,
+        "counter_mean": float(new.mean()),
+        "legacy_mean": float(old.mean()),
+        "counter_std": float(new.std(ddof=1)),
+        "legacy_std": float(old.std(ddof=1)),
+        "z": float((new.mean() - old.mean()) / error) if error else 0.0,
+        "z_bound": QUALITY_Z_BOUND,
+        "same_best_plan": sum(a[0] == b[0] for a, b in zip(counter, legacy)),
+        "seconds": seconds,
+    }
+
+
 def _report(row: dict) -> str:
+    if row["workload"] == "crn_quality":
+        return (
+            f"{row['workload']:<11} {row['scale']:<6} searches={row['searches']} "
+            f"judged at {row['judge_rounds']} rounds: counter={row['counter_mean']:.5f} "
+            f"legacy={row['legacy_mean']:.5f} z={row['z']:+.2f} "
+            f"same best plan {row['same_best_plan']}/{row['searches']} "
+            f"({row['seconds']:.0f}s)"
+        )
     if row["workload"] == "tiny_loop":
         return (
             f"{row['workload']:<11} {row['scale']:<6} rounds={row['rounds']:<6} "
@@ -537,10 +641,17 @@ def run_smoke() -> int:
         f"moves in {large['search_seconds']:.1f}s "
         f"(budget {large['budget_seconds']:.0f}s)"
     )
-    _write_results([tiny, symmetry, large])
+    quality = [bench_crn_quality(scale, seeds) for scale, seeds in QUALITY_SMOKE_SEEDS.items()]
+    for row in quality:
+        print(_report(row))
+        assert abs(row["z"]) < QUALITY_Z_BOUND, (
+            f"{row['scale']}: judged means of the two CRN sources {row['z']:+.2f} "
+            f"standard errors apart, bound {QUALITY_Z_BOUND:.0f}"
+        )
+    _write_results([tiny, symmetry, large, *quality])
     print(
         "smoke OK: bit-identical trajectory, call-ratio floor, symmetry-screen "
-        "counts and budget met"
+        "counts, budget and CRN quality met"
     )
     return 0
 
@@ -554,9 +665,10 @@ def run_full(rounds: int, moves: int, move_budget: int, batch_size: int) -> int:
             move_budget=move_budget, rounds=rounds, batch_size=batch_size
         ),
     ]
+    rows += [bench_crn_quality(scale, seeds) for scale, seeds in QUALITY_SEEDS.items()]
     for row in rows:
         print(_report(row))
-    tiny, symmetry, large = rows
+    tiny, symmetry, large, *quality = rows
     if tiny["mismatches"]:
         print(f"  !! {tiny['mismatches']} trajectory mismatches")
         failed = True
@@ -572,6 +684,10 @@ def run_full(rounds: int, moves: int, move_budget: int, batch_size: int) -> int:
     if not (large["within_budget"] and large["completed_budget"]):
         print("  !! k=48 walk missed its wall-clock budget")
         failed = True
+    for row in quality:
+        if abs(row["z"]) >= QUALITY_Z_BOUND:
+            print(f"  !! {row['scale']}: CRN quality z {row['z']:+.2f}")
+            failed = True
     _write_results(rows)
     return 1 if failed else 0
 
@@ -587,7 +703,7 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="CI gate: trajectory equality, 4x tiny call ratio, "
-        "symmetry-screen counts, k=48 budget",
+        "symmetry-screen counts, k=48 budget, CRN quality",
     )
     parser.add_argument("--rounds", type=int, default=2_000)
     parser.add_argument("--moves", type=int, default=120)

@@ -120,17 +120,13 @@ class AssessmentConfig:
         errors: list[tuple[str, str]] = []
         least_workers = 1 if self.mode == "parallel" else 0
         check_count("workers", self.workers, least_workers, errors)
-        if self.master_seed is not None and self.master_seed < 0:
+        if self.master_seed is not None:
+            check_count("master_seed", self.master_seed, 0, errors)
+        bits = self.analytic_state_bits
+        check_count("analytic_state_bits", bits, 0, errors)
+        if isinstance(bits, int) and bits > MAX_ANALYTIC_BITS:
             errors.append(
-                ("master_seed", f"must be non-negative, got {self.master_seed}")
-            )
-        if not 0 <= self.analytic_state_bits <= MAX_ANALYTIC_BITS:
-            errors.append(
-                (
-                    "analytic_state_bits",
-                    f"must be in [0, {MAX_ANALYTIC_BITS}], "
-                    f"got {self.analytic_state_bits}",
-                )
+                ("analytic_state_bits", f"must be at most {MAX_ANALYTIC_BITS}, got {bits}")
             )
         if topology is not None:
             bad = [

@@ -9,10 +9,11 @@ common random numbers all of that work is a pure function of
 assessed — so it can be cached once and reused across every move:
 
 * **Component-state cache** — a component's packed failure row is the
-  samplers' one dagger routine fed by its private CRN stream
-  (:meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_rows`),
-  so a one-host move only samples the closure *delta*; every shared
-  component's states are reused verbatim.
+  samplers' one dagger routine fed by its counter-based CRN stream (a
+  SplitMix64 count from a BLAKE2b key of ``(master_seed, id)``, every row
+  of a call in one uint64 pass:
+  :meth:`~repro.sampling.dagger.CommonRandomDaggerSampler.component_rows`),
+  so a one-host move only samples the closure *delta*.
 * **Closure memoization** — a closure is a ``(subjects, sampled)`` pair
   of bitmasks (Python ints) over the
   :class:`~repro.kernel.arena.ComponentArena` indices, built by

@@ -380,7 +380,10 @@ class DeploymentSearch:
         The :class:`DeploymentSearch` this is called on must be built
         against the same topology, dependency model, objective and round
         count as the original — the checkpoint records the annealing
-        state, not the substrate.
+        state, not the substrate. A checkpoint written before the
+        counter-based CRN streams still decodes and resumes, on the new
+        streams: it retraces the uninterrupted run only on the code that
+        wrote it.
         """
         from repro import serialization
 

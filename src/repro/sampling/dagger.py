@@ -25,9 +25,13 @@ probability, each group's cycle geometry is computed once, and every
 draw of every group is turned into a failed round in one ragged pass.
 The original scheme is the extended one with each component's own cycle as
 its block, and common random numbers are the original scheme with each
-component's uniforms read from its own stream, so every dagger row is made
-by one routine, :meth:`DaggerSampler._draw`, behind two hooks:
-``_block_length`` and ``_uniforms``.
+component's uniforms read from its own counter-based stream, so every
+dagger row is made by one routine, :meth:`DaggerSampler._draw`, behind two
+hooks: ``_block_length`` and ``_uniforms``. A component's key is the
+little-endian 64-bit BLAKE2b of its id keyed by the master seed; its
+``j``-th uniform (from 0) is the top 53 bits of SplitMix64's finaliser of
+``key + (j + 1) * 0x9E3779B97F4A7C15 mod 2**64`` [Salmon et al., SC'11;
+Steele et al., OOPSLA'14], so one uint64 pass draws every row of a call.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ def dagger_draw_count(probabilities: Mapping[str, float], rounds: int) -> int:
 
 #: Fewest draws in one chunk of rows of :func:`_draw_bits` (or the rest).
 CHUNK_DRAWS = 1 << 16
+
+#: SplitMix64's increment (the golden gamma) and its finaliser's multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 #: MSB-first bit of each round-within-byte position.
 _BIT_OF = (0x80 >> np.arange(8)).astype(PACK_DTYPE)
@@ -269,21 +277,12 @@ class ExtendedDaggerSampler(DaggerSampler):
         return longest
 
 
-def _component_stream(master_seed: int, component_id: str) -> np.random.Generator:
-    """A component's private generator: same (master, id) -> same stream."""
-    digest = hashlib.blake2b(
-        component_id.encode("utf-8"), digest_size=8
-    ).digest()
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, int.from_bytes(digest, "big")])
-    )
-
-
 class CommonRandomDaggerSampler(DaggerSampler):
     """Dagger sampling with *common random numbers* across calls.
 
-    Every component's failure states are drawn from a private stream keyed
-    by ``(master_seed, component_id)``, so two sample calls — e.g. for the
+    Every component's failure states are drawn from a private counter-based
+    stream keyed by ``(master_seed, component_id)`` (defined above; no
+    per-component object is built), so two sample calls — e.g. for the
     current plan and a neighbour sharing 4 of its 5 hosts — see *identical*
     states for every shared component. Score differences between such
     plans then reflect only the genuinely differing components, which
@@ -305,21 +304,33 @@ class CommonRandomDaggerSampler(DaggerSampler):
     name = "common-random-dagger"
 
     def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed)
+        self.reseed(master_seed)
 
     def reseed(self, master_seed: int) -> None:
-        """Switch every component stream to a new master seed."""
+        """Switch every component stream to a new master seed: the BLAKE2b
+        key is its shortest little-endian bytes, hashed past 64 bytes."""
         self.master_seed = int(master_seed)
+        size = max(1, -(-self.master_seed.bit_length() // 8))
+        key = self.master_seed.to_bytes(size, "little")
+        self._key = key if size <= 64 else hashlib.blake2b(key).digest()
 
     def _uniforms(self, rng, ids: Sequence[str], ends: np.ndarray) -> np.ndarray:
-        """Row ``i``'s uniforms from component ``ids[i]``'s private stream;
+        """Row ``i``'s uniforms from component ``ids[i]``'s stream, every
+        row in one uint64 pass (wrapping, as SplitMix64 is defined);
         ``rng`` is unused."""
-        flat = np.empty(int(ends[-1]))
-        lo = 0
-        for cid, hi in zip(ids, ends.tolist()):
-            _component_stream(self.master_seed, cid).random(out=flat[lo:hi])
-            lo = hi
-        return flat
+        digests = (hashlib.blake2b(cid.encode(), digest_size=8, key=self._key) for cid in ids)
+        keys = np.frombuffer(b"".join(d.digest() for d in digests), dtype="<u8")
+        draws = np.diff(ends, prepend=0)
+        z = np.arange(1, int(ends[-1]) + 1, dtype=np.uint64)
+        z *= _GAMMA
+        # Each row counts from 1: its key less the gammas of the rows before.
+        z += (keys - (ends - draws).astype(np.uint64) * _GAMMA).repeat(draws)
+        for shift, multiplier in zip((30, 27), _MIX):
+            z ^= z >> shift
+            z *= multiplier
+        z ^= z >> 31
+        z >>= 11
+        return z * 2.0**-53
 
     def _groups(self, values: np.ndarray) -> tuple:
         """Every row its own group, in mapping order."""

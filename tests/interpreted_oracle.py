@@ -79,13 +79,27 @@ def extended_dagger_rounds(
     return (start + i)[(i < s) & (in_block + i < block) & (start + i < rounds)]
 
 
-def component_stream(master_seed: int, component_id: str) -> np.random.Generator:
-    """Common random numbers: one private stream per component, keyed by
-    ``(master_seed, blake2b-64 of the id)``."""
-    digest = hashlib.blake2b(component_id.encode("utf-8"), digest_size=8).digest()
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, int.from_bytes(digest, "big")])
-    )
+def component_stream(master_seed: int, component_id: str, count: int) -> np.ndarray:
+    """Common random numbers: the first ``count`` uniforms of a component's
+    counter-based stream, in Python ints masked to 64 bits. The key is the
+    little-endian 64-bit BLAKE2b of the id keyed by the master seed's
+    shortest little-endian bytes (their BLAKE2b-512 past 64 bytes); the
+    ``j``-th uniform (from 0) is the top 53 bits of SplitMix64's finaliser
+    of ``key + (j + 1) * 0x9E3779B97F4A7C15``."""
+    mask = (1 << 64) - 1
+    seed = master_seed.to_bytes(max(1, (master_seed.bit_length() + 7) // 8), "little")
+    if len(seed) > 64:
+        seed = hashlib.blake2b(seed).digest()
+    digest = hashlib.blake2b(component_id.encode("utf-8"), digest_size=8, key=seed)
+    key = int.from_bytes(digest.digest(), "little")
+    uniforms = []
+    for j in range(count):
+        z = (key + (j + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        uniforms.append((z >> 11) / (1 << 53))
+    return np.array(uniforms, dtype=np.float64)
 
 
 def reference_sample(
@@ -108,9 +122,9 @@ def reference_sample(
             failed[cid] = monte_carlo_rounds(rng.random(rounds), p)
     elif sampler.name == "common-random-dagger":
         for cid, p in positive.items():
-            stream = component_stream(sampler.master_seed, cid)
             cycles = math.ceil(rounds / math.floor(1.0 / p))
-            failed[cid] = dagger_rounds(stream.random(cycles), p, rounds)
+            uniforms = component_stream(sampler.master_seed, cid, cycles)
+            failed[cid] = dagger_rounds(uniforms, p, rounds)
     else:
         levels: dict[float, list[str]] = {}
         for cid, p in positive.items():

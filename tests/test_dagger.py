@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,12 @@ from repro.sampling.dagger import (
 )
 from repro.sampling.montecarlo import MonteCarloSampler
 from tests.conftest import failed_rounds
-from tests.interpreted_oracle import per_level_dagger_sample, reference_sample
+from tests.legacy_crn import legacy_streams
+from tests.interpreted_oracle import (
+    component_stream,
+    per_level_dagger_sample,
+    reference_sample,
+)
 
 
 class TestCycleLength:
@@ -245,6 +251,28 @@ class TestVarianceReduction:
         assert np.var(dagger_counts) < np.var(mc_counts)
 
 
+def _pinned_rows_digest() -> str:
+    """sha256 of the failed-round indices of four components under master
+    seed 2024 at 5 000 rounds; the same through :meth:`component_rows` and
+    through ``sample`` (where a ``p = 0`` component takes no draw)."""
+    sampler = CommonRandomDaggerSampler(master_seed=2024)
+    cases = {"host/0/0/0": 0.01, "link/a--b": 0.003, "psu/1": 0.2, "core/0": 0.5}
+    rows = sampler.component_rows(list(cases), np.array(list(cases.values())), 5_000)
+    batch = sampler.sample({"link/c--d": 0.0, **cases}, 5_000, np.random.default_rng())
+    assert batch.component_ids == tuple(cases)
+    digests = set()
+    for failed in (
+        {cid: np.flatnonzero(np.unpackbits(row, count=5_000)) for cid, row in rows.items()},
+        failed_rounds(batch),
+    ):
+        digest = hashlib.sha256()
+        for cid in cases:
+            digest.update(failed[cid].astype(np.int64).tobytes())
+        digests.add(digest.hexdigest())
+    (digest,) = digests
+    return digest
+
+
 class TestCommonRandomDagger:
     def test_same_master_seed_same_states(self, rng):
         s1 = CommonRandomDaggerSampler(master_seed=99)
@@ -292,23 +320,20 @@ class TestCommonRandomDagger:
     def test_component_streams_are_pinned(self):
         """A component's private stream is a pure function of ``(master
         seed, id, probability, rounds)``: the rows are byte for byte what
-        they were when each component had its own per-component draw
-        (digest of the failed-round indices from that commit), through
+        the counter-based streams gave when they replaced the generator
+        per component (digest of the failed-round indices), through
         :meth:`component_rows` and through ``sample`` alike; a component
         that never fails takes no draw and gets no row."""
-        sampler = CommonRandomDaggerSampler(master_seed=2024)
-        cases = {"host/0/0/0": 0.01, "link/a--b": 0.003, "psu/1": 0.2, "core/0": 0.5}
-        rows = sampler.component_rows(list(cases), np.array(list(cases.values())), 5_000)
-        batch = sampler.sample({"link/c--d": 0.0, **cases}, 5_000, np.random.default_rng())
-        assert batch.component_ids == tuple(cases)
-        for failed in (
-            {cid: np.flatnonzero(np.unpackbits(row, count=5_000)) for cid, row in rows.items()},
-            failed_rounds(batch),
-        ):
-            digest = hashlib.sha256()
-            for cid in cases:
-                digest.update(failed[cid].astype(np.int64).tobytes())
-            assert digest.hexdigest() == (
+        assert _pinned_rows_digest() == (
+            "9eeada6f29b3287ed07cb207f058a5bfffb6fd9ce9538e86345546012b149adf"
+        )
+
+    def test_legacy_source_keeps_the_old_pin(self):
+        """The generator-per-component source kept under ``tests/`` draws
+        exactly the rows the sampler drew before the counter-based
+        streams (the digest pinned then)."""
+        with legacy_streams():
+            assert _pinned_rows_digest() == (
                 "9fc02f58da92dcf22b8114a94173d8860746d2b7dcf85943668c287e4ddf6e64"
             )
 
@@ -349,3 +374,95 @@ class TestCommonRandomDagger:
         for probability in (0.0, 1.0):
             with pytest.raises(ValueError):
                 sampler.component_rows(["a", "b"], np.array([0.1, probability]), 50)
+
+    def test_stream_known_answer(self):
+        """The first three uniforms of ``host/0/0/0`` under master seed 2024,
+        worked from the definition: the BLAKE2b key is ``2024`` as the two
+        little-endian bytes ``e8 07``, the id's 64-bit key (little-endian
+        digest) is ``0x7831cef8b0126012``, and SplitMix64's finaliser of
+        ``key + (j + 1) * 0x9E3779B97F4A7C15`` gives ``0xd970a641f0342dda``,
+        ``0xd72f39b14822ba09`` and ``0x0e78f71d49765a5d``, whose top 53 bits
+        over ``2**53`` are the floats below. Drawn with every warning an
+        error: the uint64 arithmetic wraps silently, as defined."""
+        digest = hashlib.blake2b(b"host/0/0/0", digest_size=8, key=b"\xe8\x07")
+        assert int.from_bytes(digest.digest(), "little") == 0x7831CEF8B0126012
+        sampler = CommonRandomDaggerSampler(master_seed=2024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uniforms = sampler._uniforms(None, ["host/0/0/0"], np.array([3]))
+        expected = [0.8493751440984886, 0.8405643518273206, 0.05653328385366174]
+        assert uniforms.tolist() == expected
+        mixed = (0xD970A641F0342DDA, 0xD72F39B14822BA09, 0x0E78F71D49765A5D)
+        assert [(z >> 11) / 2**53 for z in mixed] == expected
+        assert component_stream(2024, "host/0/0/0", 3).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "master_seed", [0, 1, 255, 256, 2**63 - 1, 2**70, 2**511, 2**512, 2**600]
+    )
+    def test_any_non_negative_seed_keys_a_stream(self, master_seed):
+        """Every row of one call equals the oracle's stream of its id, for
+        seeds on both sides of each key-length boundary, including those
+        past BLAKE2b's 64-byte key (hashed first)."""
+        sampler = CommonRandomDaggerSampler(master_seed)
+        ids = ["host/0/0/0", "link/a--b", "psu/1"]
+        ends = np.array([5, 105, 106])
+        expected = [component_stream(master_seed, cid, n) for cid, n in zip(ids, (5, 100, 1))]
+        assert np.array_equal(sampler._uniforms(None, ids, ends), np.concatenate(expected))
+
+    def test_draws_construct_no_numpy_generator(self):
+        """The counter-based source builds no per-component object, and
+        its wrapping uint64 arithmetic raises no warning."""
+        sampler = CommonRandomDaggerSampler(master_seed=7)
+        ids = [f"host/0/0/{i}" for i in range(64)]
+        with mock.patch.object(
+            np.random, "SeedSequence", side_effect=AssertionError("seeded")
+        ), mock.patch.object(
+            np.random, "default_rng", side_effect=AssertionError("constructed")
+        ), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sampler.component_rows(ids, np.full(64, 0.01), 10_000)
+        assert len(rows) == 64
+
+
+def _ks_statistic(uniforms: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of a sample to the uniform on [0, 1)."""
+    u = np.sort(uniforms)
+    n = len(u)
+    i = np.arange(1, n + 1)
+    return max(float((i / n - u).max()), float((u - (i - 1) / n).max()))
+
+
+class TestCounterStreamStatistics:
+    """The CRN source's uniforms look uniform and independent where the
+    keys are closest: near-identical ids and adjacent master seeds. The
+    streams are fixed by their seeds, so each bound is checked once, at a
+    level (KS 1.95/sqrt(n): 0.1 % two-sided; |r| < 4/sqrt(n)) a sound
+    source misses by chance about once in a thousand or far less."""
+
+    KS_CRITICAL = 1.95  # Kolmogorov distribution, alpha = 0.001
+
+    def test_ks_uniform_pooled_and_first_draws(self):
+        sampler = CommonRandomDaggerSampler(master_seed=20170412)
+        streams, per_stream = 1_000, 100
+        ids = [f"host/{i // 100}/{i // 10 % 10}/{i % 10}" for i in range(streams)]
+        ends = np.arange(1, streams + 1) * per_stream
+        uniforms = sampler._uniforms(None, ids, ends)
+        assert uniforms.size == 100_000
+        assert uniforms.min() >= 0.0 and uniforms.max() < 1.0
+        pooled = _ks_statistic(uniforms)
+        assert pooled * math.sqrt(uniforms.size) < self.KS_CRITICAL
+        first = uniforms[::per_stream]
+        assert _ks_statistic(first) * math.sqrt(first.size) < self.KS_CRITICAL
+
+    def test_near_identical_ids_are_uncorrelated(self):
+        n = 100_000
+        sampler = CommonRandomDaggerSampler(master_seed=3)
+        both = sampler._uniforms(None, ["host/0/0/0", "host/0/0/1"], np.array([n, 2 * n]))
+        assert abs(np.corrcoef(both[:n], both[n:])[0, 1]) < 4 / math.sqrt(n)
+
+    def test_adjacent_master_seeds_are_uncorrelated(self):
+        n = 100_000
+        ends = np.array([n])
+        seed0 = CommonRandomDaggerSampler(0)._uniforms(None, ["host/0/0/0"], ends)
+        seed1 = CommonRandomDaggerSampler(1)._uniforms(None, ["host/0/0/0"], ends)
+        assert abs(np.corrcoef(seed0, seed1)[0, 1]) < 4 / math.sqrt(n)

@@ -19,7 +19,6 @@ from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
 from repro.faults.inventory import build_paper_inventory, build_zone_inventory
 from repro.routing.generic import GenericReachabilityEngine
-from repro.sampling import dagger
 from repro.sampling.dagger import CommonRandomDaggerSampler
 from repro.sampling.montecarlo import MonteCarloSampler
 from repro.topology.presets import paper_topology
@@ -435,9 +434,9 @@ class TestDeltaPricedUniverse:
     def test_walk_draws_once_per_failing_component_and_builds_layers_once(
         self, medium, monkeypatch
     ):
-        """Count guards over a 25-move ``medium`` walk: one private
-        generator per new component that can fail and none for the rest,
-        the closure from layer ids alone, each layer built once."""
+        """Count guards over a 25-move ``medium`` walk: one CRN row drawn
+        per new component that can fail and none for the rest, the
+        closure from layer ids alone, each layer built once."""
         topology, model = medium
         model.override_probabilities({})  # a cold kernel: count one walk's builds
         assessor = IncrementalAssessor(
@@ -445,7 +444,13 @@ class TestDeltaPricedUniverse:
             model,
             AssessmentConfig(mode="incremental", rounds=600, master_seed=MASTER_SEED),
         )
-        streams = _count_calls(monkeypatch, dagger, "_component_stream")
+        drawn = []
+        uniforms = assessor.sampler._uniforms
+        monkeypatch.setattr(
+            assessor.sampler,
+            "_uniforms",
+            lambda rng, ids, ends: drawn.extend(ids) or uniforms(rng, ids, ends),
+        )
         layers = _count_calls(monkeypatch, assessor.kernel, "_masks_of")
         monkeypatch.setattr(
             assessor.engine,
@@ -460,7 +465,8 @@ class TestDeltaPricedUniverse:
             seen |= assessor.closure_for(plan)[1]
         probabilities = model.failure_probabilities()
         assert assessor.metrics.counter("sample/component/miss") == len(seen)
-        assert streams[0] == sum(probabilities[cid] > 0.0 for cid in seen)
+        assert len(drawn) == len(set(drawn))
+        assert set(drawn) == {cid for cid in seen if probabilities[cid] > 0.0}
         assert set(assessor._rows) <= {c for c in seen if probabilities[c] > 0.0}
         hosts = {host for plan in plans for host in plan.hosts()}
         edges = {topology.edge_switch_of(host) for host in hosts}

@@ -118,6 +118,23 @@ class TestAssessmentConfigValidation:
             AssessmentConfig(master_seed=-1).validate()
         assert excinfo.value.fields() == ("master_seed",)
 
+    @pytest.mark.parametrize("seed", [1.5, True, False, "7", float("nan")], ids=repr)
+    def test_master_seed_is_an_int(self, seed):
+        """A float or bool seed would silently run an int seed's streams."""
+        with pytest.raises(ValidationError) as excinfo:
+            AssessmentConfig(master_seed=seed).validate()
+        assert excinfo.value.fields() == ("master_seed",)
+
+    @pytest.mark.parametrize("bits", [True, 3.5, float("nan"), -1, 27], ids=repr)
+    def test_analytic_state_bits_is_an_int_in_budget(self, bits):
+        with pytest.raises(ValidationError) as excinfo:
+            AssessmentConfig(analytic_state_bits=bits).validate()
+        assert excinfo.value.fields() == ("analytic_state_bits",)
+
+    @pytest.mark.parametrize("bits", [0, 26])
+    def test_analytic_state_bits_bounds_are_inclusive(self, bits):
+        AssessmentConfig(analytic_state_bits=bits, master_seed=2**70).validate()
+
     def test_unphysical_probabilities_reported(self, fattree4):
         """Every sampler takes [0, 1): a certain failure is refused here,
         not mid-``assess`` by a sampler."""
