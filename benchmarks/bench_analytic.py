@@ -20,10 +20,12 @@ Two gates for the exact fault-tree evaluation backend:
   function calls (``sys.setprofile``) against the sampled search's at the
   base budget — an exact decision is Python dispatch over the closure's
   joint states and must stay within a fixed multiple of a sampled one's.
-  Seconds — both searches', and the equal-quality speedup over the
-  cheapest rung that matches the analytic quality, or over the top rung
-  as a lower bound when none does — are recorded, never asserted: the two
-  searches' wall-clock ratio moves with every speed-up of either.
+  Seconds — both searches', each the median of ``TIMING_REPEATS``
+  repeats alternating analytic and sampled, and the equal-quality speedup
+  over the cheapest rung that matches the analytic quality, or over the
+  top rung as a lower bound when none does, with its interquartile range
+  over the repeats — are recorded, never asserted: the two searches'
+  wall-clock ratio moves with every speed-up of either.
 
 Results land in ``BENCH_analytic.json`` at the repo root.
 
@@ -69,7 +71,7 @@ from repro.topology.base import ComponentType
 from repro.topology.fattree import FatTreeTopology
 from repro.util.faultpoints import FaultPoints, armed
 from repro.util.metrics import MetricsRegistry
-from tests.interpreted_oracle import evaluate_round
+from tests.interpreted_oracle import closure_ids, evaluate_round
 
 MASTER_SEED = 20170412
 #: Plan scores are dot products of ~2**15-entry float64 vectors; 1e-9
@@ -86,6 +88,8 @@ CALLS_RATIO_CEILING = 2.0
 #: of deterministic plans — the epsilon only absorbs float dot-product
 #: rounding, not sampling noise.
 QUALITY_EPSILON = 1e-12
+#: Timed runs of each search per seed; a search's seconds are the median.
+TIMING_REPEATS = 3
 
 RESULTS_PATH = _ROOT / "BENCH_analytic.json"
 
@@ -118,7 +122,7 @@ def _brute_force_score(assessor, plan, structure) -> float:
     """Independent ``2**n`` oracle through the legacy dense pipeline."""
     topology = assessor.topology
     model = assessor.dependency_model
-    subjects, sampled = assessor.closure_for(plan)
+    subjects, sampled = closure_ids(assessor.inner, plan)
     probabilities = model.failure_probabilities()
     uncertain = [c for c in sorted(sampled) if 0.0 < probabilities[c] < 1.0]
     certain = {c for c in sampled if probabilities[c] >= 1.0}
@@ -297,6 +301,33 @@ def _search_counts(structure, rounds: int, moves: int, seeds) -> dict:
     }
 
 
+def _timed_searches(structure, searches, moves: int, seeds) -> tuple[dict, dict]:
+    """Per-repeat seconds and the winners of every ``(mode, rounds)`` search.
+
+    Each of :data:`TIMING_REPEATS` repeats runs every search once per
+    seed, the analytic one first and the sampled rungs after it, seed by
+    seed, so host drift lands on both sides alike. A repeat's seconds for
+    a search are its mean over the seeds. A search repeats exactly, so
+    the first repeat's winner stands for all of them.
+    """
+    seconds = {search: [] for search in searches}
+    winners: dict = {}
+    for _ in range(TIMING_REPEATS):
+        totals = dict.fromkeys(searches, 0.0)
+        for seed in seeds:
+            for mode, rounds in searches:
+                elapsed, winner = _run_search(mode, structure, rounds, moves, seed)
+                totals[mode, rounds] += elapsed
+                winners.setdefault((mode, rounds, seed), winner)
+        for search, total in totals.items():
+            seconds[search].append(total / len(seeds))
+    return seconds, winners
+
+
+def _iqr(values) -> list[float]:
+    return [float(q) for q in np.percentile(values, [25, 75])]
+
+
 def bench_hybrid_search(
     moves: int = 300,
     seeds: tuple[int, ...] = (7, 8, 9),
@@ -308,63 +339,67 @@ def bench_hybrid_search(
     Both searches run the same annealing loop (same move budget, batch
     size, proposal seeds); only the assessment differs. Winner quality is
     the ground-truth reliability of the returned plan, so a quality
-    comparison between the two searches is exact, not estimated.
+    comparison between the two searches is exact, not estimated. A
+    search's seconds are the median of its repeats (see
+    :func:`_timed_searches`); ``speedup_iqr`` is the interquartile range
+    of the per-repeat speedups.
     """
     structure = ApplicationStructure.k_of_n(2, 3)
+    analytic = ("analytic", fallback_rounds)
+    sampled = [("incremental", rounds) for rounds in ladder]
+    seconds, winners = _timed_searches(structure, [analytic, *sampled], moves, seeds)
 
-    analytic_times, analytic_quality = [], []
-    for seed in seeds:
-        seconds, winner = _run_search(
-            "analytic", structure, fallback_rounds, moves, seed
-        )
-        analytic_times.append(seconds)
-        analytic_quality.append(_ground_truth(winner, structure))
-    analytic_seconds = float(np.mean(analytic_times))
-    analytic_mean_quality = float(np.mean(analytic_quality))
+    def mean_quality(mode, rounds) -> float:
+        truths = [_ground_truth(winners[mode, rounds, s], structure) for s in seeds]
+        return float(np.mean(truths))
 
+    analytic_mean_quality = mean_quality(*analytic)
     rungs = []
-    for rounds in ladder:
-        times, quality = [], []
-        for seed in seeds:
-            seconds, winner = _run_search(
-                "incremental", structure, rounds, moves, seed
-            )
-            times.append(seconds)
-            quality.append(_ground_truth(winner, structure))
-        mean_quality = float(np.mean(quality))
+    for search in sampled:
+        quality = mean_quality(*search)
         rungs.append(
             {
-                "rounds": rounds,
-                "seconds": float(np.mean(times)),
-                "mean_quality": mean_quality,
-                "matches_analytic": mean_quality
-                >= analytic_mean_quality - QUALITY_EPSILON,
+                "rounds": search[1],
+                "seconds": float(np.median(seconds[search])),
+                "seconds_iqr": _iqr(seconds[search]),
+                "mean_quality": quality,
+                "matches_analytic": quality >= analytic_mean_quality - QUALITY_EPSILON,
             }
         )
 
     matched = [r for r in rungs if r["matches_analytic"]]
     if matched:
-        equal_quality_seconds = min(r["seconds"] for r in matched)
+        equal_quality = min(matched, key=lambda r: r["seconds"])
         equal_quality_bound = "matched"
     else:
         # No budget on the ladder matched the exact screen's quality; the
         # top rung's cost under-states the true equal-quality cost.
-        equal_quality_seconds = rungs[-1]["seconds"]
+        equal_quality = rungs[-1]
         equal_quality_bound = "lower-bound"
+    equal_quality_times = seconds["incremental", equal_quality["rounds"]]
+    analytic_seconds = float(np.median(seconds[analytic]))
 
     return {
         "workload": "hybrid_search",
         "structure": "2-of-3",
         "moves": moves,
         "seeds": list(seeds),
+        "timing_repeats": TIMING_REPEATS,
         "fallback_rounds": fallback_rounds,
         "sampled_baseline": "incremental CRN search",
         "analytic_seconds": analytic_seconds,
+        "analytic_seconds_iqr": _iqr(seconds[analytic]),
         "analytic_mean_quality": analytic_mean_quality,
         "rungs": rungs,
-        "equal_quality_seconds": equal_quality_seconds,
+        "equal_quality_seconds": equal_quality["seconds"],
         "equal_quality_bound": equal_quality_bound,
-        "speedup": equal_quality_seconds / max(analytic_seconds, 1e-12),
+        "speedup": equal_quality["seconds"] / max(analytic_seconds, 1e-12),
+        "speedup_iqr": _iqr(
+            [
+                rung / max(exact, 1e-12)
+                for rung, exact in zip(equal_quality_times, seconds[analytic])
+            ]
+        ),
         **_search_counts(structure, fallback_rounds, moves, seeds),
     }
 
@@ -393,6 +428,7 @@ def _report(row: dict) -> str:
         f"{row['workload']:<18} analytic {row['analytic_mean_quality']:.6f}@"
         f"{row['analytic_seconds']:.2f}s vs sampled [{rung_text}] "
         f"equal-quality speedup {row['speedup']:.2f}x "
+        f"(IQR {row['speedup_iqr'][0]:.2f}-{row['speedup_iqr'][1]:.2f}x) "
         f"({row['equal_quality_bound']}, recorded); "
         f"{row['exact_assessments']}/"
         f"{row['exact_assessments'] + row['declined_assessments']} assessments "

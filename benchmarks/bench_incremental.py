@@ -168,7 +168,8 @@ def run_delta_counts(scale: str = "medium", rounds: int = 600, moves: int = 25) 
             assessor.assess(plan, structure)
     finally:
         del sampler._uniforms
-    seen = set().union(*(assessor.closure_for(plan)[1] for plan in plans))
+    ids_in = assessor.kernel.arena.ids_in
+    seen = set().union(*(ids_in(assessor._closure_masks(plan)[1]) for plan in plans))
     probabilities = inventory.failure_probabilities()
     positive = sum(probabilities[cid] > 0.0 for cid in seen)
     hosts = {host for plan in plans for host in plan.hosts()}

@@ -19,6 +19,8 @@ replace their earlier rows in ``benchmarks/results/mutation.json``;
 other modules' rows are kept.
 
     python scripts/mutation_probe.py sampling/dagger.py sampling/statistics.py
+
+Every module in ``TESTS`` is probed by CI's weekly ``Mutation probe`` job.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ TESTS = {
         "tests/test_runtime.py",
     ],
     "kernel/exact.py": ["tests/test_analytic.py", "tests/test_calibration.py"],
+    "core/analytic.py": [
+        "tests/test_analytic.py",
+        "tests/test_api.py",
+        "tests/test_substrate.py",
+    ],
+    "core/risk.py": ["tests/test_risk.py"],
 }
 
 #: ``(module, stripped source line, operator, occurrence)`` -> why the
@@ -84,6 +92,12 @@ EQUIVALENT = {
         "leaf gives the same values: its unfired half weighs 0",
     ("kernel/exact.py", "if len(_ROWS_CACHE) >= 32:", "GtE->Gt", 0): _CACHE_BOUND,
     ("kernel/exact.py", "if len(_ROWS_CACHE) >= 32:", "int+1", 0): _CACHE_BOUND,
+    ("core/analytic.py", "if len(self._closure_states) >= 1024:", "GtE->Gt", 0):
+        _CACHE_BOUND,
+    ("core/analytic.py", "if len(self._closure_states) >= 1024:", "int+1", 0):
+        _CACHE_BOUND,
+    ("core/analytic.py", "if len(self._results) >= 8192:", "GtE->Gt", 0): _CACHE_BOUND,
+    ("core/analytic.py", "if len(self._results) >= 8192:", "int+1", 0): _CACHE_BOUND,
 }
 
 _PAIRS = [

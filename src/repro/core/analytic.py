@@ -6,16 +6,19 @@ exact-when-tractable-else-sampled split (PAPERS.md). Instead of drawing
 ``rounds`` Monte Carlo samples, a plan's relevant closure is evaluated
 over *every* joint failure state of its uncertain basic events:
 
-1. The closure's uncertain events (``0 < p < 1``; links at probability 0
-   and certain-failed components are folded out as constants) become the
+1. The closure's uncertain events (``0 < p < 1``, picked from the
+   inner assessor's arena masks; links at probability 0 and
+   certain-failed components are folded out as constants) become the
    bits of a ``2**U`` state enumeration, laid out as bit-packed rows by
    :func:`repro.kernel.exact.enumeration_rows` — one synthetic "round"
    per state.
 2. The compiled fault-tree forest and the packed route-and-check run
-   **once** over the enumeration, exactly as they would over a sampled
-   batch — shared power/cooling/control roots are handled by the
-   enumeration itself (each shared event is one bit read by every tree
-   referencing it, so the correlations of Fig. 5 are exact, not an
+   **once** over the enumeration, through the same
+   :func:`~repro.core.evaluation.scenario_states` and
+   :meth:`~repro.core.evaluation.StructureEvaluator.evaluate` a sampled
+   batch goes through — shared power/cooling/control roots are handled
+   by the enumeration itself (each shared event is one bit read by every
+   tree referencing it, so the correlations of Fig. 5 are exact, not an
    independence approximation).
 3. The per-state reliable/unreliable vector is weighted by each state's
    exact probability (:func:`~repro.kernel.exact.enumeration_weights`),
@@ -48,7 +51,7 @@ import numpy as np
 
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, AssessorBase
-from repro.core.evaluation import StructureEvaluator
+from repro.core.evaluation import StructureEvaluator, scenario_states
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
@@ -63,30 +66,6 @@ from repro.util.timing import Stopwatch
 __all__ = ["AnalyticAssessor"]
 
 logger = logging.getLogger(__name__)
-
-
-class _ClosureStates:
-    """The exact state enumeration of one relevant closure.
-
-    Shared by every plan over the same host set: the packed per-element
-    failure rows over all ``2**U`` states, the exact per-state weights,
-    and one long-lived :class:`RoundStates` so engine-side per-state
-    caches stay warm across the plans that share the closure.
-    """
-
-    __slots__ = ("rounds", "states", "weights", "sampled_size")
-
-    def __init__(
-        self,
-        rounds: int,
-        states: RoundStates,
-        weights: np.ndarray,
-        sampled_size: int,
-    ):
-        self.rounds = rounds
-        self.states = states
-        self.weights = weights
-        self.sampled_size = sampled_size
 
 
 class AnalyticAssessor(AssessorBase):
@@ -111,7 +90,11 @@ class AnalyticAssessor(AssessorBase):
         self._evaluator = StructureEvaluator(self.engine)
         self.kernel = AssessmentKernel.of(self.dependency_model, self.metrics)
         self._warned: set[str] = set()
-        self._closure_states: dict[frozenset[str], _ClosureStates | str] = {}
+        # subjects mask -> (states, weights, sampled count) of the closure's
+        # exact enumeration, or the reason it declines. One long-lived
+        # RoundStates per closure keeps engine-side per-state caches warm
+        # across the plans that share it.
+        self._closure_states: dict[int, tuple[RoundStates, np.ndarray, int] | str] = {}
         self._results: dict[tuple, AssessmentResult] = {}
         self._validated = set()
 
@@ -160,10 +143,6 @@ class AnalyticAssessor(AssessorBase):
         """The fallback assessor's generator (checkpointed by the search)."""
         return self.inner.rng
 
-    def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
-        """(subjects, sampled) for a plan — the inner assessor's memo."""
-        return self.inner.closure_for(plan)
-
     def refresh_probabilities(self) -> None:
         """Re-read failure probabilities and drop every exact artifact.
 
@@ -197,73 +176,56 @@ class AnalyticAssessor(AssessorBase):
         Diagnostic surface for tests and operators; does all the closure
         analysis but none of the evaluation.
         """
-        subjects, sampled = self.inner.closure_for(plan)
-        entry = self._closure(subjects, sampled)
+        entry = self._closure(*self.inner._closure_masks(plan))
         return entry if isinstance(entry, str) else None
 
     def _closure(
-        self, subjects: set[str], sampled: set[str]
-    ) -> _ClosureStates | str:
-        """The closure's exact enumeration, or a decline-reason string."""
-        key = frozenset(subjects)
-        cached = self._closure_states.get(key)
+        self, subjects: int, sampled: int
+    ) -> tuple[RoundStates, np.ndarray, int] | str:
+        """The closure's exact enumeration — its states, per-state weights
+        and sampled component count — or a decline-reason string."""
+        cached = self._closure_states.get(subjects)
         if cached is not None:
             return cached
         kernel = self.kernel
         arena = kernel.arena
-        probability_of = arena.probabilities
-        index_of = arena.index_of
 
         # Deterministic event order: sorted component ids, exactly like
         # the sequential assessor's sorted-closure sampling order — the
         # bit assignment (and hence float summation order) is identical
         # across processes. ``from_config`` does not validate, so a
         # topology that reports p = 1 reaches here: always failed.
-        uncertain: list[str] = []
-        certain_failed: list[str] = []
-        for cid in sorted(sampled):
-            p = float(probability_of[index_of(cid)])
-            if 0.0 < p < 1.0:
-                uncertain.append(cid)
-            elif p >= 1.0:
-                certain_failed.append(cid)
+        events = arena.indices_in(sampled)
+        events = events[np.argsort(arena.rank[events])]
+        p = arena.probabilities[events]
+        uncertain = events[(0.0 < p) & (p < 1.0)]
         allowed = self.config.analytic_state_bits
         if len(uncertain) > allowed:
             reason = (
                 f"closure has {len(uncertain)} uncertain basic events, "
                 f"budget allows {allowed} (2**{allowed} exact states)"
             )
-            self._store_closure(key, reason)
+            self._store_closure(subjects, reason)
             return reason
 
-        bits = len(uncertain)
-        rounds = 1 << bits
-        rows = enumeration_rows(bits)
-        width = packed_width(rounds)
-        weights = enumeration_weights(
-            [float(probability_of[index_of(cid)]) for cid in uncertain]
-        )
-
-        leaf_rows: dict[str, np.ndarray] = {
-            cid: rows[i] for i, cid in enumerate(uncertain)
-        }
-        failed_row = np.full(width, 0xFF, dtype=np.uint8)
+        rounds = 1 << len(uncertain)
+        failed_row = np.full(packed_width(rounds), 0xFF, dtype=np.uint8)
         failed_row.flags.writeable = False
-        for cid in certain_failed:
-            leaf_rows[cid] = failed_row
-
-        failed = kernel.effective_states(subjects, sampled - subjects, leaf_rows)
-        entry = _ClosureStates(
-            rounds=rounds,
-            states=RoundStates(rounds=rounds, failed=failed),
-            weights=weights,
-            sampled_size=len(sampled),
+        ids = arena.ids
+        rows = {ids[i]: failed_row for i in events[p >= 1.0].tolist()}
+        for i, row in zip(uncertain.tolist(), enumeration_rows(len(uncertain))):
+            rows[ids[i]] = row
+        weights = enumeration_weights(arena.probabilities[uncertain].tolist())
+        entry = (
+            scenario_states(kernel, subjects, rows, rounds),
+            weights,
+            sampled.bit_count(),
         )
-        self._store_closure(key, entry)
+        self._store_closure(subjects, entry)
         return entry
 
     def _store_closure(
-        self, key: frozenset[str], entry: _ClosureStates | str
+        self, key: int, entry: tuple[RoundStates, np.ndarray, int] | str
     ) -> None:
         if len(self._closure_states) >= 1024:
             self._closure_states.clear()
@@ -281,13 +243,13 @@ class AnalyticAssessor(AssessorBase):
             return cached
         watch = Stopwatch()
         self._validate(plan, structure)
-        subjects, sampled = self.inner.closure_for(plan)
-        entry = self._closure(subjects, sampled)
+        entry = self._closure(*self.inner._closure_masks(plan))
         if isinstance(entry, str):
             self._warn("state-bits", entry)
             return None
-        reliable = self._evaluator.evaluate(entry.states, plan, structure)
-        score = float(np.dot(entry.weights, reliable))
+        states, weights, sampled_size = entry
+        reliable = self._evaluator.evaluate(states, plan, structure)
+        score = float(np.dot(weights, reliable))
         # The weights sum to 1 up to float rounding; keep the score a
         # probability under that last-ulp drift.
         score = min(1.0, max(0.0, score))
@@ -298,7 +260,7 @@ class AnalyticAssessor(AssessorBase):
             # per-state outcomes are closure-shaped, not round-shaped,
             # so the result list L is empty by design.
             per_round=np.zeros(0, dtype=bool),
-            sampled_components=entry.sampled_size,
+            sampled_components=sampled_size,
             elapsed_seconds=watch.elapsed(),
         )
         if len(self._results) >= 8192:

@@ -242,13 +242,6 @@ class AssessorBase:
             for plan in plans
         ]
 
-    def closure_for(self, plan: DeploymentPlan) -> tuple[set[str], set[str]]:
-        """(subjects, sampled component ids) of a plan's closure, decoded
-        from the kernel's masks: the analytic assessor's input."""
-        subjects, sampled = self._closure_masks(plan)
-        ids_in = self.kernel.arena.ids_in
-        return set(ids_in(subjects)), set(ids_in(sampled))
-
     def assess_k_of_n(
         self, hosts, k: int, rounds: int | None = None
     ) -> "AssessmentResult":

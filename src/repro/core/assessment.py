@@ -27,12 +27,12 @@ import numpy as np
 
 from repro.app.structure import ApplicationStructure
 from repro.core.api import DEFAULT_ROUNDS, AssessmentConfig, AssessorBase
-from repro.core.evaluation import StructureEvaluator
+from repro.core.evaluation import StructureEvaluator, scenario_states
 from repro.core.plan import DeploymentPlan
 from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
 from repro.kernel import AssessmentKernel
-from repro.routing.base import ReachabilityEngine, RoundStates, engine_for
+from repro.routing.base import engine_for
 from repro.sampling.base import Sampler
 from repro.sampling.dagger import ExtendedDaggerSampler
 from repro.sampling.statistics import (
@@ -168,7 +168,6 @@ class ReliabilityAssessor(AssessorBase):
     ) -> np.ndarray:
         """Sample -> fault-tree reasoning -> route-and-check."""
         metrics = self.metrics
-        kernel = self.kernel
         with _stage(metrics, "sample"):
             batch = self.sampler.sample(probabilities, rounds, self.rng, cancel=cancel)
 
@@ -177,11 +176,9 @@ class ReliabilityAssessor(AssessorBase):
         with _stage(metrics, "faulttree"):
             # Every failed row is a raw-element candidate: a handful,
             # where the closure's links run to thousands.
-            rows = batch.failed_rows()
-            failed = kernel.effective_states(
-                kernel.arena.ids_in(subjects), rows, rows, metrics=metrics
+            round_states = scenario_states(
+                self.kernel, subjects, batch.failed_rows(), rounds, metrics
             )
-            round_states = RoundStates(rounds=rounds, failed=failed)
         # Dead from here on, and the larger share of an assessment's
         # transient memory: route-and-check reads only ``failed``.
         del batch

@@ -21,9 +21,18 @@ many sweeps as the structure is deep.
 Everything here is vectorised across rounds: activity is a bit-packed
 matrix (instances x packed rounds) per component, and one fixed-point sweep
 is a handful of bitwise numpy reductions regardless of the round count.
+
+Every backend runs the same batch: :func:`scenario_states` turns the
+packed failure rows its caller chose — a sampled batch, an exact state
+enumeration, one-failure scenarios — into effective :class:`RoundStates`,
+:meth:`StructureEvaluator.counts` reads the active instances per component
+in each round, and :func:`reliable` is the one requirement check. A caller
+overrides a component by replacing its entry in the rows.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -31,6 +40,42 @@ from repro.app.structure import EXTERNAL, ApplicationStructure
 from repro.core.plan import DeploymentPlan
 from repro.routing.base import ReachabilityEngine, RoundStates
 from repro.util.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernel import AssessmentKernel
+    from repro.util.metrics import MetricsRegistry
+
+
+def scenario_states(
+    kernel: "AssessmentKernel",
+    subjects: int,
+    rows: Mapping[str, np.ndarray],
+    rounds: int,
+    metrics: "MetricsRegistry | None" = None,
+) -> RoundStates:
+    """Effective failure states of ``rounds`` scenarios after fault-tree
+    reasoning. ``subjects`` is the closure's subject mask and ``rows``
+    maps a component id to its packed failure row, set in the rounds
+    where it fails; an absent id never fails. ``metrics`` counts the
+    subjects compiled."""
+    failed = kernel.effective_states(
+        kernel.arena.ids_in(subjects), rows, rows, metrics=metrics
+    )
+    return RoundStates(rounds=rounds, failed=failed)
+
+
+def reliable(
+    structure: ApplicationStructure, counts: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Boolean vector over rounds: True where every requirement
+    ``(Ci, Cj, K)`` sees at least ``K`` active instances of ``Ci``, read
+    from :meth:`StructureEvaluator.counts`."""
+    rounds = len(next(iter(counts.values())))
+    result = np.ones(rounds, dtype=bool)
+    for requirement in structure.requirements:
+        met = counts[requirement.component] >= requirement.min_reachable
+        np.logical_and(result, met, out=result)
+    return result
 
 
 class StructureEvaluator:
@@ -48,28 +93,21 @@ class StructureEvaluator:
         structure: ApplicationStructure,
     ) -> np.ndarray:
         """Boolean vector over rounds: True where the plan is reliable."""
-        active = self.active_instances(states, plan, structure)
-        reliable = np.ones(states.rounds, dtype=bool)
-        for requirement in structure.requirements:
-            # Counting is the estimate boundary: unpack here (and only
-            # here), dropping the pad bits of the last byte.
-            counts = states.unpack(active[requirement.component]).sum(axis=0)
-            np.logical_and(reliable, counts >= requirement.min_reachable, out=reliable)
-        return reliable
+        return reliable(structure, self.counts(states, plan, structure))
 
-    def active_instances(
+    def counts(
         self,
         states: RoundStates,
         plan: DeploymentPlan,
         structure: ApplicationStructure,
     ) -> dict[str, np.ndarray]:
-        """Per-component packed activity matrices (instances x row width).
+        """Active instances per application component in each round.
 
-        A bit is set when that instance is *active* in that round —
-        alive and satisfying all of its component's reachability
-        requirements (the greatest fixed point described above). This is
-        the instance-level view behind :meth:`evaluate`, also used by the
-        risk analyzer to attribute impact to individual dependencies.
+        An instance is active when it is alive and satisfies all of its
+        component's reachability requirements (the greatest fixed point
+        described above, over packed per-component activity matrices).
+        Counting is the estimate boundary: the matrices are unpacked here
+        (and only here), dropping the pad bits of the last byte.
         """
         hosts_by_component = {
             spec.name: plan.hosts_for(spec.name) for spec in structure.components
@@ -80,13 +118,10 @@ class StructureEvaluator:
         pair_reachable = self._pairwise_reachability(
             states, structure, hosts_by_component
         )
-        return self._fixed_point(
-            states,
-            structure,
-            hosts_by_component,
-            external_by_host,
-            pair_reachable,
+        active = self._fixed_point(
+            states, structure, hosts_by_component, external_by_host, pair_reachable
         )
+        return {name: states.unpack(m).sum(axis=0) for name, m in active.items()}
 
     # ------------------------------------------------------------------
     # Reachability inputs

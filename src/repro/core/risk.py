@@ -9,11 +9,14 @@ application survive?"*, producing a ranked risk report similar in spirit
 to INDaaS's risk groups but instance-accurate and structure-aware.
 
 Each answer is one pass of the assessment pipeline over explicit
-scenarios instead of sampled rounds: round 0 fails nothing and round
-``i`` fails the closure's candidate ``i`` alone, so one compiled
-fault-tree evaluation and one route-and-check over ``1 + C`` packed
-rounds price every single failure. A what-if is the same pass over one
-round.
+scenarios instead of sampled rounds, through the same
+:func:`~repro.core.evaluation.scenario_states`,
+:meth:`~repro.core.evaluation.StructureEvaluator.counts` and
+:func:`~repro.core.evaluation.reliable` a sampled batch goes through:
+round 0 fails nothing and round ``i`` fails the closure's candidate ``i``
+alone, so one compiled fault-tree evaluation and one route-and-check over
+``1 + C`` packed rounds price every single failure. A what-if is the same
+pass over one round.
 
 The provider can use the report to justify a plan to a developer ("no
 single power supply takes out more than one instance") or to pick which
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.app.structure import ApplicationStructure
-from repro.core.evaluation import StructureEvaluator
+from repro.core.evaluation import StructureEvaluator, reliable, scenario_states
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
 from repro.kernel import PACK_DTYPE, AssessmentKernel, packed_width
-from repro.routing.base import RoundStates, engine_for
+from repro.routing.base import engine_for
 from repro.topology.base import Topology
 from repro.util.errors import ValidationError
 
@@ -83,24 +86,6 @@ class RiskAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def _scenario_counts(
-        self,
-        plan: DeploymentPlan,
-        structure: ApplicationStructure,
-        subjects: int,
-        rows: dict[str, np.ndarray],
-        rounds: int,
-    ) -> dict[str, np.ndarray]:
-        """Active instances per application component in each of
-        ``rounds`` scenarios: ``rows`` maps a component id to its packed
-        row, set in the rounds where it fails (absent = never), and
-        ``subjects`` is the closure's subject mask."""
-        kernel = AssessmentKernel.of(self.dependency_model)
-        failed = kernel.effective_states(kernel.arena.ids_in(subjects), rows, rows)
-        states = RoundStates(rounds, failed)
-        active = self._evaluator.active_instances(states, plan, structure)
-        return {name: states.unpack(m).sum(axis=0) for name, m in active.items()}
-
     def _known(self, failed) -> frozenset[str]:
         """The failure set, rejecting a bare string and every id that is
         neither a topology component nor a dependency."""
@@ -135,17 +120,10 @@ class RiskAnalyzer:
         rows = dict.fromkeys(self._known(failed_components), np.packbits([True]))
         kernel = AssessmentKernel.of(self.dependency_model)
         subjects, _ = kernel.closure_masks(self.engine, plan.hosts())
-        counts = {
-            name: int(count[0])
-            for name, count in self._scenario_counts(
-                plan, structure, subjects, rows, 1
-            ).items()
-        }
-        survives = all(
-            counts[req.component] >= req.min_reachable
-            for req in structure.requirements
-        )
-        return survives, counts
+        states = scenario_states(kernel, subjects, rows, 1)
+        counts = self._evaluator.counts(states, plan, structure)
+        survives = reliable(structure, counts).item()
+        return survives, {name: count.item() for name, count in counts.items()}
 
     def report(
         self, plan: DeploymentPlan, structure: ApplicationStructure
@@ -167,16 +145,14 @@ class RiskAnalyzer:
         bit = np.arange(1, rounds)
         matrix = np.zeros((len(candidates), packed_width(rounds)), dtype=PACK_DTYPE)
         matrix[bit - 1, bit >> 3] = 0x80 >> (bit & 7)
-        counts = self._scenario_counts(
-            plan, structure, subjects, dict(zip(candidates, matrix)), rounds
-        )
+        rows = dict(zip(candidates, matrix))
+        states = scenario_states(kernel, subjects, rows, rounds)
+        counts = self._evaluator.counts(states, plan, structure)
 
         names = list(counts)
         active = np.stack([counts[name] for name in names])
         lost = np.maximum(active[:, :1] - active[:, 1:], 0)
-        down = np.zeros(len(candidates), dtype=bool)
-        for req in structure.requirements:
-            down |= counts[req.component][1:] < req.min_reachable
+        down = ~reliable(structure, counts)[1:]
         entries = []
         for i in np.flatnonzero(lost.any(axis=0)).tolist():
             cid = candidates[i]
@@ -207,6 +183,9 @@ class RiskAnalyzer:
     def max_instances_lost_to_one_failure(
         self, plan: DeploymentPlan, structure: ApplicationStructure
     ) -> int:
-        """The plan's worst-case blast radius for any single failure."""
+        """The plan's worst-case blast radius for any single failure.
+
+        The report is never empty: every plan host is a candidate, and
+        its own event fails it and so the instances on it."""
         entries = self.report(plan, structure)
-        return max((e.instances_lost for e in entries), default=0)
+        return max(e.instances_lost for e in entries)

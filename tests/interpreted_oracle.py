@@ -2,15 +2,18 @@
 
 This is the dense column ``src/`` carried beside the compiled kernel until
 it was deleted there: :class:`ZeroFill`, :func:`effective_states` and the
-dense arm of ``ReliabilityAssessor._run_stages`` verbatim, with the
-closure step of ``assess`` in front. It is opened by reference samplers
+dense sample -> fault-tree -> route-and-check stages verbatim, with the
+closure step of ``assess`` in front; ``forced`` pins components up or
+down in place of their draws, the reference for a replaced row in
+``repro.core.evaluation.scenario_states``. It is opened by reference samplers
 and closed by a per-round, set-based §3.2.4 check, both written from the
 paper's definitions rather than moved, so the whole reference shares no
 stage with production: :func:`reference_sample`'s sparse draws ->
 the recursive, vectorised fault-tree :func:`evaluate` -> the per-round
 union-find's dense answers -> one fixed point per round. Its closure
 step, :func:`string_closure`, is the set algebra the kernel's arena-mask
-closure replaced. :func:`evaluate_round` is a tree's scalar, one-round
+closure replaced; :func:`closure_ids` decodes an assessor's masks to the
+same id sets. :func:`evaluate_round` is a tree's scalar, one-round
 evaluation; :func:`exact_failure_probability` enumerates a tree's
 basic-event states with it: the ground truth of the exact evaluator and
 the samplers on small trees. :func:`reference_risk_report` and
@@ -356,9 +359,17 @@ def string_closure(topology, model, engine, hosts) -> tuple[set[str], list[str]]
     return subjects, sorted(sampled)
 
 
+def closure_ids(assessor, plan) -> tuple[set[str], set[str]]:
+    """``(subjects, sampled)`` of a plan's closure as id sets, decoded from
+    a sampling assessor's arena masks."""
+    subjects, sampled = assessor._closure_masks(plan)
+    ids_in = assessor.kernel.arena.ids_in
+    return set(ids_in(subjects)), set(ids_in(sampled))
+
+
 def interpreted_assess(
     topology, model, plan, structure, rounds, sampler, rng,
-    engine=None, sample_full_infrastructure=False,
+    engine=None, sample_full_infrastructure=False, forced=None,
 ) -> tuple[np.ndarray, int]:
     """``(per-round reliable vector, sampled components)`` of one plan.
 
@@ -368,7 +379,9 @@ def interpreted_assess(
     sampler (:func:`reference_sample`), which is handed the whole
     closure, never-failing components included, or with
     ``sample_full_infrastructure`` every component of the data center
-    (Table 1's literal semantics).
+    (Table 1's literal semantics). ``forced`` maps a component id to
+    ``True`` (failed in every round) or ``False`` (in none), in place of
+    its draws.
     """
     engine = engine or UnionFindReachabilityEngine(topology)
     all_probabilities = model.failure_probabilities()
@@ -386,6 +399,11 @@ def interpreted_assess(
             states = np.zeros(rounds, dtype=bool)
             states[failed_rounds] = True
             dense[cid] = states
+    for cid, down in (forced or {}).items():
+        if down:
+            dense[cid] = np.ones(rounds, dtype=bool)
+        else:
+            dense.pop(cid, None)
     failed = effective_states(model, subjects, dense.keys() - subjects, dense)
 
     placed = {spec.name: plan.hosts_for(spec.name) for spec in structure.components}
@@ -442,9 +460,8 @@ def _reference_active_counts(topology, model, plan, structure, subjects, failed)
         if cid in topology.components and cid not in failed_states:
             failed_states[cid] = failed_row
     states = RoundStates(1, failed_states)
-    evaluator = StructureEvaluator(engine_for(topology))
-    active = evaluator.active_instances(states, plan, structure)
-    return {name: int(states.unpack(m).sum()) for name, m in active.items()}
+    counts = StructureEvaluator(engine_for(topology)).counts(states, plan, structure)
+    return {name: int(count[0]) for name, count in counts.items()}
 
 
 def _reference_risk_closure(topology, model, plan) -> tuple[set[str], set[str]]:

@@ -64,7 +64,11 @@ from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.metrics import MetricsRegistry
 from tests.conftest import packed_states
-from tests.interpreted_oracle import evaluate_round, exact_failure_probability
+from tests.interpreted_oracle import (
+    closure_ids,
+    evaluate_round,
+    exact_failure_probability,
+)
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 
 TOPO = FatTreeTopology(4, seed=5)
@@ -83,7 +87,7 @@ def brute_force_score(assessor: AnalyticAssessor, plan, structure) -> float:
     boolean round states, the generic engine construction path)."""
     topology = assessor.topology
     model = assessor.dependency_model
-    subjects, sampled = assessor.closure_for(plan)
+    subjects, sampled = closure_ids(assessor.inner, plan)
     probabilities = model.failure_probabilities()
     uncertain = [c for c in sorted(sampled) if 0.0 < probabilities[c] < 1.0]
     certain = {c for c in sampled if probabilities[c] >= 1.0}
@@ -335,6 +339,43 @@ class TestAnalyticAssessor:
     def test_explain_is_none_when_tractable(self, analytic):
         assert analytic.explain(plan_for("host/0/0/0", "host/0/0/1")) is None
 
+    def test_an_exact_result_has_no_rounds(self, analytic):
+        result = analytic.assess(plan_for("host/0/0/0", "host/0/0/1"), STRUCTURE)
+        assert result.estimate.exact
+        assert result.per_round.shape == (0,)
+
+    def test_a_certain_failure_is_a_constant_not_a_state_bit(self, monkeypatch):
+        """A component whose probability table reads p = 1 (a component
+        refuses it, so only a model or topology reporting its own table
+        brings one; the samplers refuse it too, so only the exact path
+        meets it) fails in every state and takes no bit of the
+        ``analytic_state_bits`` budget."""
+        topology = FatTreeTopology(4, seed=5)
+        model = build_paper_inventory(topology, power_supplies=3, seed=9)
+        plan = plan_for("host/0/0/0", "host/0/0/1")
+        probe = build_assessor(topology, model, AssessmentConfig(mode="analytic"))
+        _, sampled = closure_ids(probe.inner, plan)
+        table = model.failure_probabilities()
+        bits = sum(1 for cid in sampled if 0.0 < table[cid] < 1.0)
+        assessor = build_assessor(
+            topology,
+            model,
+            AssessmentConfig(mode="analytic", analytic_state_bits=bits - 1),
+        )
+        assert assessor.explain(plan) is not None
+        healthy = probe.assess(plan, STRUCTURE).estimate.score
+
+        table["host/0/0/0"] = 1.0
+        monkeypatch.setattr(model, "failure_probabilities", lambda: dict(table))
+        model.override_probabilities({})  # a new generation: a new kernel
+        assessor.refresh_probabilities()
+        assert assessor.explain(plan) is None
+        result = assessor.assess(plan, STRUCTURE)
+        assert result.estimate.exact
+        oracle = brute_force_score(assessor, plan, STRUCTURE)
+        assert result.estimate.score == pytest.approx(oracle, abs=1e-12)
+        assert result.estimate.score < healthy
+
     def test_score_plans_mixes_exact_and_sampled(self):
         plans = [
             plan_for("host/0/0/0", "host/0/0/1"),  # same rack: small closure
@@ -347,7 +388,7 @@ class TestAnalyticAssessor:
         )
         sizes = []
         for plan in plans:
-            _, sampled = helper.closure_for(plan)
+            _, sampled = closure_ids(helper.inner, plan)
             sizes.append(sum(1 for c in sampled if 0 < probabilities[c] < 1))
         assert min(sizes) < max(sizes), "test needs closures of two sizes"
         budget = min(sizes)  # small closures exact, the larger one declined

@@ -28,7 +28,7 @@ from repro.topology.fattree import FatTreeTopology
 from repro.sampling.statistics import estimate_from_results
 from repro.util.rng import make_rng
 from tests.conftest import packed_states
-from tests.interpreted_oracle import evaluate_round, interpreted_assess
+from tests.interpreted_oracle import closure_ids, evaluate_round, interpreted_assess
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
 
@@ -139,7 +139,7 @@ class TestAssessorMechanics:
 
     def test_closure_much_smaller_than_full(self, assessor, fattree4):
         plan = DeploymentPlan.single_component(fattree4.hosts[:2], "app")
-        _subjects, sampled = assessor.closure_for(plan)
+        _subjects, sampled = closure_ids(assessor, plan)
         assert len(sampled) < len(fattree4.components)
 
     def test_closure_and_full_sampling_agree(self, fattree4, inventory):

@@ -26,7 +26,11 @@ from repro.topology.zones import MultiZoneTopology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, OperationCancelled
 from repro.util.metrics import MetricsRegistry
-from tests.interpreted_oracle import assert_held_to_oracle, reference_sample
+from tests.interpreted_oracle import (
+    assert_held_to_oracle,
+    closure_ids,
+    reference_sample,
+)
 from tests.unionfind_oracle import UnionFindReachabilityEngine
 from tests.structures import two_tier
 
@@ -402,7 +406,7 @@ class TestDeltaPricedUniverse:
                 ours.assess(plan, structure), reference.assess(plan, structure)
             )
             _assert_same_universe(ours, reference)
-            closure = ours.closure_for(plan)
+            closure = closure_ids(ours, plan)
             assert closure == tuple(map(set, reference._closure_masks(plan)))
         assert ours.metrics.counter("sample/component/hit") > 10_000
         assert_held_to_oracle(ours, plans[::6], structure)
@@ -462,7 +466,7 @@ class TestDeltaPricedUniverse:
         seen = set()
         for plan in plans:
             assessor.assess(plan, structure)
-            seen |= assessor.closure_for(plan)[1]
+            seen |= closure_ids(assessor, plan)[1]
         probabilities = model.failure_probabilities()
         assert assessor.metrics.counter("sample/component/miss") == len(seen)
         assert len(drawn) == len(set(drawn))
@@ -562,7 +566,7 @@ class TestDeltaPricedUniverse:
         arena = assessor._arena
         known = arena.indices_in(assessor._sampled)
         drawn = known[arena.probabilities[known] > 0.0]
-        _, sampled = assessor.closure_for(plan)
+        _, sampled = closure_ids(assessor, plan)
         # One check before the closure, one before the first batch of 64
         # components that can fail, the third before the second batch: 64
         # drawn, the never-failing ones known without a draw, no more.
@@ -592,7 +596,7 @@ class TestDeltaPricedUniverse:
         assessor.assess(plan, structure)
         link = next(
             cid
-            for cid in sorted(assessor.closure_for(plan)[1])
+            for cid in sorted(closure_ids(assessor, plan)[1])
             if cid.startswith("link[") and model.failure_probabilities()[cid] == 0.0
         )
         bit = 1 << assessor._arena.index_of(link)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.app.structure import ApplicationStructure
 from repro.core.api import AssessmentConfig, build_assessor
 from repro.core.assessment import ReliabilityAssessor
+from repro.core.evaluation import StructureEvaluator, reliable, scenario_states
 from repro.core.plan import DeploymentPlan
 from repro.faults.dependencies import DependencyModel
 from repro.faults.inventory import (
@@ -25,6 +26,7 @@ from repro.faults.inventory import (
     build_zone_inventory,
 )
 from repro.faults.probability import DefaultProbabilityPolicy
+from repro.kernel import PACK_DTYPE, packed_width
 from repro.routing.base import engine_for
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
 from repro.runtime import mapreduce
@@ -250,3 +252,44 @@ class TestEveryBackendEqualsTheInterpretedOracle:
             [reference(portion)[0] for portion in parallel._portions(rounds)]
         )
         assert np.array_equal(parallel.assess(plan, structure).per_round, portions)
+
+    @given(
+        substrate=st.sampled_from(SUBSTRATES),
+        structure=st.sampled_from(STRUCTURES),
+        rounds=st.sampled_from([9, 64, 301]),
+        down=st.booleans(),
+        pick=st.integers(0, 2**16),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_replaced_row_is_a_forced_component(
+        self, substrate, structure, rounds, down, pick, seed
+    ):
+        """The scenario batch's override contract: replace one closure
+        component's row in a sampled batch with an all-failed row, or drop
+        it, and the reliable vector is the reference's with that component
+        forced down or up."""
+        topology, model = substrate
+        plan = DeploymentPlan.random(topology, structure, rng=seed)
+        sampler = CommonRandomDaggerSampler(seed)
+        engine = engine_for(topology)
+        assessor = ReliabilityAssessor(
+            topology, model, AssessmentConfig(rounds=rounds, sampler=sampler)
+        )
+        subjects, sampled = assessor._closure_masks(plan)
+        candidates = sorted(assessor.kernel.arena.ids_in(sampled))
+        component = candidates[pick % len(candidates)]
+        batch = sampler.sample(assessor._probabilities(sampled), rounds, assessor.rng)
+        rows = dict(batch.failed_rows())
+        if down:
+            rows[component] = np.full(packed_width(rounds), 0xFF, dtype=PACK_DTYPE)
+        else:
+            rows.pop(component, None)
+        states = scenario_states(assessor.kernel, subjects, rows, rounds)
+        counts = StructureEvaluator(assessor.engine).counts(states, plan, structure)
+        want, _ = interpreted_assess(
+            topology, model, plan, structure, rounds, sampler, None,
+            engine=None if topology is ZONES else engine,
+            forced={component: down},
+        )
+        assert np.array_equal(reliable(structure, counts), want)

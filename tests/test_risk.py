@@ -156,6 +156,16 @@ class TestReport:
             entry.failure_probability * entry.instances_lost
         )
 
+    def test_expected_loss_scales_with_the_instances_lost(self, analyzer, fattree4):
+        structure = ApplicationStructure.k_of_n(1, 3)
+        plan = DeploymentPlan.single_component(
+            ["host/0/0/0", "host/0/0/1", "host/1/0/0"], "app"
+        )
+        edge = fattree4.edge_switch_of("host/0/0/0")
+        entry = _entry(analyzer.report(plan, structure), edge)
+        assert entry.instances_lost == 2
+        assert entry.expected_loss == entry.failure_probability * 2
+
     def test_two_tier_structure_awareness(self, analyzer):
         structure = two_tier()
         plan = DeploymentPlan.from_mapping(
