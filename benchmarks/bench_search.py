@@ -33,8 +33,10 @@ Three workloads:
   under the counter-based CRN streams and under the generator-per-component
   source they replaced (``tests/legacy_crn.py``), each best plan judged by
   an independent 10^5-round assessment; gates that the mean judged scores
-  differ by less than 3 standard errors (two-sample z). Deterministic per
-  seed.
+  differ by less than 3 standard errors (two-sample z), and that the
+  reported best score minus the judged one averages within 3 standard
+  errors of 0 under each source (an honest ``best_assessment``).
+  Deterministic per seed.
 
 Results land in ``BENCH_search.json`` at the repo root.
 
@@ -43,7 +45,8 @@ Usage::
     python benchmarks/bench_search.py            # full comparison
     python benchmarks/bench_search.py --smoke    # CI gate: trajectory
         equality, >= 4x tiny call ratio, symmetry-screen counts, k=48
-        budget completion, CRN quality |z| < 3 on fewer seeds
+        budget completion, CRN quality |z| < 3 and reported-score bias
+        |z| < 3 on fewer seeds
 
 Also runnable under pytest (``pytest benchmarks/bench_search.py``).
 """
@@ -158,10 +161,11 @@ def _legacy_search(
 
     One ``random_neighbor`` per iteration, the uncached
     ``SurgeryGraphChecker.equivalent`` screen, one incremental assessment
-    per survivor, independent best-so-far confirmations — the
-    exact loop shape (and RNG discipline) ``DeploymentSearch._run`` had
-    before the batch-first rewrite, against which B=1 trajectories are
-    gated bit-identical.
+    per survivor — the exact loop shape (and RNG discipline)
+    ``DeploymentSearch._run`` had before the batch-first rewrite, against
+    which B=1 trajectories are gated bit-identical. The best plan is ranked
+    by the CRN scores and assessed once by the outer assessor after the
+    loop, as the batch-first loop does.
     """
     outer = ReliabilityAssessor.from_config(
         topology, inventory,
@@ -190,8 +194,8 @@ def _legacy_search(
     )
     current = inner.assess(current_plan, spec.structure)
     current_measure = objective.measure(current_plan, current)
-    best_plan, best = current_plan, outer.assess(current_plan, spec.structure)
-    plans_assessed = 2
+    best_plan, best = current_plan, current
+    plans_assessed = 1
     iterations = 0
     skipped_symmetric = 0
     trace: list[tuple] = []
@@ -236,10 +240,7 @@ def _legacy_search(
         neighbor_measure = objective.measure(neighbor_plan, neighbor)
 
         if objective.prefers(neighbor_plan, neighbor, best_plan, best):
-            confirmation = outer.assess(neighbor_plan, spec.structure)
-            plans_assessed += 1
-            if objective.prefers(neighbor_plan, confirmation, best_plan, best):
-                best_plan, best = neighbor_plan, confirmation
+            best_plan, best = neighbor_plan, neighbor
 
         delta = objective.delta(current_plan, current, neighbor_plan, neighbor)
         accepted = accept_neighbor(delta, temperature, rng)
@@ -258,6 +259,8 @@ def _legacy_search(
             ):
                 best_plan, best = neighbor_plan, independent
                 return summary(True)
+    best = outer.assess(best_plan, spec.structure)
+    plans_assessed += 1
     return summary(False)
 
 
@@ -533,26 +536,35 @@ def bench_crn_quality(scale: str, seeds: int) -> dict:
         zone_constraints=zones,
     )
 
-    def judged(seed: int) -> tuple[tuple, float]:
-        plan = DeploymentSearch.from_config(
+    def judged(seed: int) -> tuple[tuple, float, float]:
+        """The best plan's key, its judged score and the reported minus
+        the judged score."""
+        result = DeploymentSearch.from_config(
             topology,
             inventory,
             AssessmentConfig(mode="incremental", rounds=rounds, rng=seed),
             rng=seed + 1,
             temperature_schedule=MoveBudgetTemperatureSchedule(moves),
-        ).search(spec).best_plan
+        ).search(spec)
         judge = ReliabilityAssessor.from_config(
             topology, inventory, AssessmentConfig(rounds=JUDGE_ROUNDS, rng=JUDGE_SEED + seed)
         )
-        return plan.canonical_key(), judge.assess(plan, structure).score
+        score = judge.assess(result.best_plan, structure).score
+        return result.best_plan.canonical_key(), score, result.best_score - score
 
     start = time.perf_counter()
     counter = [judged(seed) for seed in range(seeds)]
     with legacy_streams():
         legacy = [judged(seed) for seed in range(seeds)]
     seconds = time.perf_counter() - start
-    new, old = (np.array([score for _key, score in runs]) for runs in (counter, legacy))
+    new, old = (np.array([run[1] for run in runs]) for runs in (counter, legacy))
     error = math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / seeds)
+    bias = {}
+    for source, runs in (("counter", counter), ("legacy", legacy)):
+        gaps = np.array([run[2] for run in runs])
+        bias_error = gaps.std(ddof=1) / math.sqrt(seeds)
+        bias[f"{source}_bias"] = float(gaps.mean())
+        bias[f"{source}_bias_z"] = float(gaps.mean() / bias_error) if bias_error else 0.0
     return {
         "workload": "crn_quality",
         "scale": scale,
@@ -565,10 +577,23 @@ def bench_crn_quality(scale: str, seeds: int) -> dict:
         "counter_std": float(new.std(ddof=1)),
         "legacy_std": float(old.std(ddof=1)),
         "z": float((new.mean() - old.mean()) / error) if error else 0.0,
+        **bias,
         "z_bound": QUALITY_Z_BOUND,
         "same_best_plan": sum(a[0] == b[0] for a, b in zip(counter, legacy)),
         "seconds": seconds,
     }
+
+
+def _bias_failures(row: dict) -> list[str]:
+    """Which CRN sources of a ``crn_quality`` row report a best score
+    biased against the judge."""
+    return [
+        f"{row['scale']}: {source} reported minus judged best score averages "
+        f"{row[f'{source}_bias']:+.5f} ({row[f'{source}_bias_z']:+.2f} "
+        f"standard errors), bound {QUALITY_Z_BOUND:.0f}"
+        for source in ("counter", "legacy")
+        if abs(row[f"{source}_bias_z"]) >= QUALITY_Z_BOUND
+    ]
 
 
 def _report(row: dict) -> str:
@@ -577,7 +602,9 @@ def _report(row: dict) -> str:
             f"{row['workload']:<11} {row['scale']:<6} searches={row['searches']} "
             f"judged at {row['judge_rounds']} rounds: counter={row['counter_mean']:.5f} "
             f"legacy={row['legacy_mean']:.5f} z={row['z']:+.2f} "
-            f"same best plan {row['same_best_plan']}/{row['searches']} "
+            f"reported-judged: counter={row['counter_bias']:+.5f} "
+            f"(z={row['counter_bias_z']:+.2f}) legacy={row['legacy_bias']:+.5f} "
+            f"(z={row['legacy_bias_z']:+.2f}) same best plan {row['same_best_plan']}/{row['searches']} "
             f"({row['seconds']:.0f}s)"
         )
     if row["workload"] == "tiny_loop":
@@ -619,8 +646,9 @@ def _write_results(rows: list[dict]) -> None:
 
 
 def run_smoke() -> int:
-    """CI gate: trajectory equality, the tiny call-ratio floor, and the
-    k=48 move budget finishing inside its wall-clock budget."""
+    """CI gate: trajectory equality, the tiny call-ratio floor, the k=48
+    move budget finishing inside its wall-clock budget, and the CRN
+    quality and reported-score bias bounds."""
     tiny = bench_tiny_loop(rounds=2_000, moves=300, repeats=3)
     print(_report(tiny))
     assert tiny["mismatches"] == 0, (
@@ -648,10 +676,12 @@ def run_smoke() -> int:
             f"{row['scale']}: judged means of the two CRN sources {row['z']:+.2f} "
             f"standard errors apart, bound {QUALITY_Z_BOUND:.0f}"
         )
+        failures = _bias_failures(row)
+        assert not failures, "; ".join(failures)
     _write_results([tiny, symmetry, large, *quality])
     print(
         "smoke OK: bit-identical trajectory, call-ratio floor, symmetry-screen "
-        "counts, budget and CRN quality met"
+        "counts, budget, CRN quality and reported-score bias met"
     )
     return 0
 
@@ -688,6 +718,9 @@ def run_full(rounds: int, moves: int, move_budget: int, batch_size: int) -> int:
         if abs(row["z"]) >= QUALITY_Z_BOUND:
             print(f"  !! {row['scale']}: CRN quality z {row['z']:+.2f}")
             failed = True
+        for failure in _bias_failures(row):
+            print(f"  !! {failure}")
+            failed = True
     _write_results(rows)
     return 1 if failed else 0
 
@@ -703,7 +736,7 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="CI gate: trajectory equality, 4x tiny call ratio, "
-        "symmetry-screen counts, k=48 budget, CRN quality",
+        "symmetry-screen counts, k=48 budget, CRN quality and bias",
     )
     parser.add_argument("--rounds", type=int, default=2_000)
     parser.add_argument("--moves", type=int, default=120)

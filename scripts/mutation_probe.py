@@ -62,6 +62,18 @@ TESTS = {
         "tests/test_substrate.py",
     ],
     "core/risk.py": ["tests/test_risk.py"],
+    "core/evaluation.py": [
+        "tests/test_evaluation.py",
+        "tests/test_kernel.py",
+        "tests/test_properties.py",
+        "tests/test_risk.py",
+        "tests/test_zones.py",
+    ],
+    "routing/fattree_fast.py": [
+        "tests/test_routing.py",
+        "tests/test_kernel.py",
+        "tests/test_properties.py",
+    ],
 }
 
 #: ``(module, stripped source line, operator, occurrence)`` -> why the
@@ -98,6 +110,21 @@ EQUIVALENT = {
         _CACHE_BOUND,
     ("core/analytic.py", "if len(self._results) >= 8192:", "GtE->Gt", 0): _CACHE_BOUND,
     ("core/analytic.py", "if len(self._results) >= 8192:", "int+1", 0): _CACHE_BOUND,
+    ("core/evaluation.py", "wanted.add((a, b) if a < b else (b, a))", "Lt->LtE", 0):
+        "guarded by `if a != b`: equal hosts never reach the comparison",
+    ("core/evaluation.py", "if host < src_host", "Lt->LtE", 0):
+        "the else branch of `if src_host == host`: equal hosts never reach it",
+    (
+        "routing/fattree_fast.py",
+        "cell = [_any_of(a, b) for a, b in zip(rows[:cells], rows[cells : 2 * cells])]",
+        "int+1",
+        0,
+    ): "`rows[cells : 3 * cells]`: zip stops with `rows[:cells]`, so the extra "
+    "rows are never read",
+    ("routing/fattree_fast.py", "uplinks = ids[g * radix : (g + 1) * radix]", "int+1", 0):
+        "`(g + 2) * radix`: zip with `by_group[g]` reads the group's own uplinks "
+        "only; a failure among the extra ids adds `_every(by_group[g])` to a part "
+        "whose `core_dead[g]` already covers it",
 }
 
 _PAIRS = [

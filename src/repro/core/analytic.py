@@ -6,10 +6,9 @@ exact-when-tractable-else-sampled split (PAPERS.md). Instead of drawing
 ``rounds`` Monte Carlo samples, a plan's relevant closure is evaluated
 over *every* joint failure state of its uncertain basic events:
 
-1. The closure's uncertain events (``0 < p < 1``, picked from the
-   inner assessor's arena masks; links at probability 0 and
-   certain-failed components are folded out as constants) become the
-   bits of a ``2**U`` state enumeration, laid out as bit-packed rows by
+1. The closure's uncertain events (``p > 0``, picked from the inner
+   assessor's arena masks; links at probability 0 are folded out as
+   constants) become the bits of a ``2**U`` state enumeration, laid out as bit-packed rows by
    :func:`repro.kernel.exact.enumeration_rows` — one synthetic "round"
    per state.
 2. The compiled fault-tree forest and the packed route-and-check run
@@ -57,7 +56,6 @@ from repro.core.result import AssessmentResult
 from repro.faults.dependencies import DependencyModel
 from repro.kernel import AssessmentKernel
 from repro.kernel.exact import enumeration_rows, enumeration_weights
-from repro.kernel.packed import packed_width
 from repro.routing.base import RoundStates
 from repro.sampling.statistics import exact_estimate
 from repro.topology.base import Topology
@@ -126,7 +124,7 @@ class AnalyticAssessor(AssessorBase):
         Exact state — closure enumerations, memoized exact results — is
         *shared* with this assessor: exact values are RNG-free, so they
         are valid under any inner sampler, and sharing lets a search's
-        screening hits double as the outer assessor's confirmation hits.
+        screening hits serve the outer assessor's final assessment.
         """
         clone = AnalyticAssessor(inner, self.config)
         clone._closure_states = self._closure_states
@@ -193,12 +191,11 @@ class AnalyticAssessor(AssessorBase):
         # Deterministic event order: sorted component ids, exactly like
         # the sequential assessor's sorted-closure sampling order — the
         # bit assignment (and hence float summation order) is identical
-        # across processes. ``from_config`` does not validate, so a
-        # topology that reports p = 1 reaches here: always failed.
+        # across processes. An event at p = 1 (only a topology reporting
+        # its own table brings one) is a bit whose up states weigh 0.
         events = arena.indices_in(sampled)
         events = events[np.argsort(arena.rank[events])]
-        p = arena.probabilities[events]
-        uncertain = events[(0.0 < p) & (p < 1.0)]
+        uncertain = events[arena.probabilities[events] > 0.0]
         allowed = self.config.analytic_state_bits
         if len(uncertain) > allowed:
             reason = (
@@ -209,12 +206,11 @@ class AnalyticAssessor(AssessorBase):
             return reason
 
         rounds = 1 << len(uncertain)
-        failed_row = np.full(packed_width(rounds), 0xFF, dtype=np.uint8)
-        failed_row.flags.writeable = False
         ids = arena.ids
-        rows = {ids[i]: failed_row for i in events[p >= 1.0].tolist()}
-        for i, row in zip(uncertain.tolist(), enumeration_rows(len(uncertain))):
-            rows[ids[i]] = row
+        rows = {
+            ids[i]: row
+            for i, row in zip(uncertain.tolist(), enumeration_rows(len(uncertain)))
+        }
         weights = enumeration_weights(arena.probabilities[uncertain].tolist())
         entry = (
             scenario_states(kernel, subjects, rows, rounds),

@@ -39,7 +39,6 @@ import numpy as np
 from repro.app.structure import EXTERNAL, ApplicationStructure
 from repro.core.plan import DeploymentPlan
 from repro.routing.base import ReachabilityEngine, RoundStates
-from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel import AssessmentKernel
@@ -195,10 +194,9 @@ class StructureEvaluator:
             if any(r.source == EXTERNAL for r in requirements_by_component[component])
         }
 
-        # Each sweep can only clear bits, so the loop terminates; the cap
-        # is a defensive bound far above any structure's convergence depth.
-        max_sweeps = 4 * (structure.total_instances + len(structure.requirements)) + 8
-        for _ in range(max_sweeps):
+        # Each sweep only clears bits of a finite lattice, so the loop ends.
+        changed = True
+        while changed:
             changed = False
             for component, hosts in hosts_by_component.items():
                 matrix = active[component]
@@ -231,9 +229,4 @@ class StructureEvaluator:
                         if not np.array_equal(updated, matrix[row]):
                             matrix[row] = updated
                             changed = True
-            if not changed:
-                return active
-        raise ReproError(
-            "structure evaluation did not converge; this indicates a bug in "
-            "the fixed-point sweep"
-        )
+        return active

@@ -137,6 +137,8 @@ class SearchRecord:
     temperature: float
     candidate_score: float
     current_score: float
+    #: The best plan's score under the walk's common random numbers; under
+    #: a reliability objective it never decreases along a trace.
     best_score: float
     accepted: bool
     skipped_symmetric: bool = False
@@ -155,6 +157,8 @@ class SearchResult:
     json_properties = ("best_estimate",)
 
     best_plan: DeploymentPlan
+    #: One assessment of ``best_plan`` drawn independently of the walk that
+    #: chose it (the satisfying confirmation when ``satisfied``).
     best_assessment: AssessmentResult = field(metadata={"json_skip": True})
     satisfied: bool
     elapsed_seconds: float

@@ -15,6 +15,12 @@ reliability ``R_desired`` and the search budget ``T_max`` — the provider:
    elapses (the requirements cannot currently be fulfilled — the best
    plan found is still reported).
 
+The walk scores plans under common random numbers (CRN), and the best
+plan is the one the CRN scores rank first. The reported assessment of
+that plan is drawn once, after the loop, independently of the walk: a
+score that ranked a plan first overstates it (winner's curse), and so
+does the running maximum of independent re-assessments.
+
 Multi-objective search (§3.3.3) plugs in through the objective: pass a
 :class:`~repro.core.objectives.CompositeObjective` and the loop optimises
 the holistic measure instead of reliability alone.
@@ -221,15 +227,16 @@ class DeploymentSearch:
     ) -> "DeploymentSearch":
         """Build a search from the unified assessment configuration.
 
-        The *outer* assessor — used for independent best-so-far
-        confirmations, which must draw fresh randomness on every call —
-        is the sequential from-scratch path whatever ``config.mode``
-        says, and the walk itself always runs on the
+        The *outer* assessor — which draws the reported plan's one
+        independent assessment and confirms a satisfying plan, with
+        randomness the walk never sees — is the sequential from-scratch
+        path whatever ``config.mode`` says, and the walk itself always
+        runs on the
         :class:`~repro.core.incremental.IncrementalAssessor` (see
         :meth:`_search_assessor`). Only ``mode="analytic"`` changes the
         shape: it wraps both in the
         :class:`~repro.core.analytic.AnalyticAssessor`, so candidate
-        screening *and* best-so-far confirmation are exact wherever the
+        screening *and* the final assessment are exact wherever the
         closure is tractable (the hybrid exact-screen/sampled-confirm
         mode), falling back to sampling per plan elsewhere.
         """
@@ -258,7 +265,7 @@ class DeploymentSearch:
         low-variance paired comparison — without them, the per-swap
         reliability gain is often smaller than the sampling noise and the
         annealing walk stalls. The winning plan is re-assessed
-        independently before being reported (see :meth:`search`).
+        independently, once, before being reported (see :meth:`_run`).
 
         The CRN assessor is an
         :class:`~repro.core.incremental.IncrementalAssessor`, which caches
@@ -276,7 +283,7 @@ class DeploymentSearch:
         :class:`~repro.core.analytic.AnalyticAssessor`, the CRN assessor
         built here becomes its new sampling fallback (``with_inner``):
         exact screening results are RNG-free, so the exact memo is
-        shared between the search and the outer confirmations, while
+        shared between the search and the outer assessor, while
         intractable plans still ride the CRN machinery below.
 
         ``master_seed`` is drawn by :meth:`search` (and recorded in
@@ -292,7 +299,7 @@ class DeploymentSearch:
         crn = IncrementalAssessor(
             outer.topology,
             outer.dependency_model,
-            # The outer sampler and stream are the confirmations' own; the
+            # The outer sampler and stream are the outer assessor's own; the
             # walk's randomness is the master seed alone, and it reports
             # into the search's registry or nowhere.
             outer.config.with_updates(
@@ -336,21 +343,20 @@ class DeploymentSearch:
         current = assessor.assess(current_plan, spec.structure)
         current_measure = self.objective.measure(current_plan, current)
 
-        # Best-so-far tracking uses *independent* assessments: with many
-        # noisy scores, "max of the sampled scores" systematically picks
-        # winners whose luck does not replicate (winner's curse), so a
-        # candidate only becomes the new best after a fresh assessment,
-        # drawn independently of the one that nominated it, confirms it.
-        best = self.assessor.assess(current_plan, spec.structure)
+        # Best-so-far is tracked under the walk's CRN: a candidate and the
+        # best share their random streams, so "beats the best" is a paired
+        # comparison. The CRN score of the winner is optimistic (winner's
+        # curse), so it is never reported: `_run` assesses the best plan
+        # once, independently, after the loop.
         state = SearchState(
             spec=spec,
             current_plan=current_plan,
             current=current,
             current_measure=current_measure,
             best_plan=current_plan,
-            best=best,
-            best_measure=self.objective.measure(current_plan, best),
-            plans_assessed=2,
+            best=current,
+            best_measure=current_measure,
+            plans_assessed=1,
             batch_size=self.batch_size,
             crn_master_seed=crn_master_seed,
         )
@@ -452,8 +458,9 @@ class DeploymentSearch:
         order-deterministic). RNG discipline, per step: the search RNG
         draws exactly the proposal draws (in proposal order), then one
         acceptance draw per processed candidate whose acceptance
-        probability is below 1; the confirmation RNG draws once per
-        best-screen pass. With ``batch_size=1`` every draw lands where
+        probability is below 1. The outer assessor's RNG draws only to
+        confirm a satisfying plan and, once, to assess the best plan
+        after the loop. With ``batch_size=1`` every draw lands where
         the classic one-neighbour loop put it, so B=1 trajectories are
         bit-identical to the pre-batch implementation.
 
@@ -570,19 +577,8 @@ class DeploymentSearch:
                 if self.objective.prefers(
                     neighbor_plan, neighbor, state.best_plan, state.best
                 ):
-                    # Cheap screen passed; confirm with independent
-                    # sampling before dethroning the incumbent best.
-                    confirmation = self.assessor.assess(
-                        neighbor_plan, spec.structure
-                    )
-                    state.plans_assessed += 1
-                    if self.objective.prefers(
-                        neighbor_plan, confirmation, state.best_plan, state.best
-                    ):
-                        state.best_plan, state.best = neighbor_plan, confirmation
-                        state.best_measure = self.objective.measure(
-                            state.best_plan, state.best
-                        )
+                    state.best_plan, state.best = neighbor_plan, neighbor
+                    state.best_measure = neighbor_measure
 
                 # Step 5: accept improvements, or worse plans
                 # probabilistically — always against the pre-move
@@ -625,12 +621,15 @@ class DeploymentSearch:
                     break
 
         # Budget exhausted (or stop requested): requirements not
-        # fulfilled; report the best found (its assessment is already an
-        # independent confirmation). The final checkpoint lets a caller
-        # resume with a bigger budget.
+        # fulfilled; report the best found. The final checkpoint, written
+        # before the outer RNG draws, lets a caller resume with a bigger
+        # budget. The one independent assessment takes no cancellation
+        # token: a stopped search still reports a full-round estimate.
         if self.checkpoint_path is not None:
             self._write_checkpoint(state)
-        return self._result(state, state.best, False, deadline)
+        best = self.assessor.assess(state.best_plan, spec.structure)
+        state.plans_assessed += 1
+        return self._result(state, best, False, deadline)
 
     # ------------------------------------------------------------------
 

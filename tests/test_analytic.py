@@ -344,32 +344,36 @@ class TestAnalyticAssessor:
         assert result.estimate.exact
         assert result.per_round.shape == (0,)
 
-    def test_a_certain_failure_is_a_constant_not_a_state_bit(self, monkeypatch):
+    def test_a_certain_failure_is_a_state_bit_of_weight_zero(self, monkeypatch):
         """A component whose probability table reads p = 1 (a component
         refuses it, so only a model or topology reporting its own table
         brings one; the samplers refuse it too, so only the exact path
-        meets it) fails in every state and takes no bit of the
-        ``analytic_state_bits`` budget."""
+        meets it) takes one state bit like any other event, and the
+        enumeration stays exact: its up states weigh 0."""
         topology = FatTreeTopology(4, seed=5)
         model = build_paper_inventory(topology, power_supplies=3, seed=9)
         plan = plan_for("host/0/0/0", "host/0/0/1")
         probe = build_assessor(topology, model, AssessmentConfig(mode="analytic"))
         _, sampled = closure_ids(probe.inner, plan)
         table = model.failure_probabilities()
-        bits = sum(1 for cid in sampled if 0.0 < table[cid] < 1.0)
+        bits = sum(1 for cid in sampled if table[cid] > 0.0)
         assessor = build_assessor(
+            topology, model, AssessmentConfig(mode="analytic", analytic_state_bits=bits)
+        )
+        narrow = build_assessor(
             topology,
             model,
             AssessmentConfig(mode="analytic", analytic_state_bits=bits - 1),
         )
-        assert assessor.explain(plan) is not None
         healthy = probe.assess(plan, STRUCTURE).estimate.score
 
         table["host/0/0/0"] = 1.0
         monkeypatch.setattr(model, "failure_probabilities", lambda: dict(table))
         model.override_probabilities({})  # a new generation: a new kernel
-        assessor.refresh_probabilities()
+        for each in (assessor, narrow):
+            each.refresh_probabilities()
         assert assessor.explain(plan) is None
+        assert narrow.explain(plan) is not None
         result = assessor.assess(plan, STRUCTURE)
         assert result.estimate.exact
         oracle = brute_force_score(assessor, plan, STRUCTURE)

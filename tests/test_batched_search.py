@@ -73,9 +73,10 @@ def _reference_search(fattree4, inventory, spec):
     """The pre-batch loop, reconstructed draw-for-draw.
 
     One ``random_neighbor`` per iteration, the uncached symmetry screen,
-    one assessment per survivor, independent best confirmations — the
-    exact RNG and clock discipline ``DeploymentSearch._run`` had before
-    the batch-first rewrite. Seeds and clock match ``_search``'s
+    one assessment per survivor — the exact RNG and clock discipline
+    ``DeploymentSearch._run`` had before the batch-first rewrite. The
+    best plan is ranked by the CRN scores and assessed once by the outer
+    assessor after the loop. Seeds and clock match ``_search``'s
     defaults, so its trajectory is what ``batch_size=1`` must reproduce.
     """
     outer = ReliabilityAssessor(fattree4, inventory, config=_config())
@@ -96,7 +97,7 @@ def _reference_search(fattree4, inventory, spec):
 
     current_plan = DeploymentPlan.random(fattree4, spec.structure, rng=rng)
     current = inner.assess(current_plan, spec.structure)
-    best_plan, best = current_plan, outer.assess(current_plan, spec.structure)
+    best_plan, best = current_plan, current
     iterations = 0
     trace = []
 
@@ -120,9 +121,7 @@ def _reference_search(fattree4, inventory, spec):
             continue
         neighbor = inner.assess(neighbor_plan, spec.structure)
         if objective.prefers(neighbor_plan, neighbor, best_plan, best):
-            confirmation = outer.assess(neighbor_plan, spec.structure)
-            if objective.prefers(neighbor_plan, confirmation, best_plan, best):
-                best_plan, best = neighbor_plan, confirmation
+            best_plan, best = neighbor_plan, neighbor
         delta = objective.delta(current_plan, current, neighbor_plan, neighbor)
         accepted = accept_neighbor(delta, temperature, rng)
         trace.append((
@@ -135,8 +134,11 @@ def _reference_search(fattree4, inventory, spec):
         if satisfied_candidate:
             verified = outer.assess(neighbor_plan, spec.structure)
             if satisfied(verified):
-                best_plan, best = neighbor_plan, verified
-                break
+                return {
+                    "trace": trace, "best_plan": neighbor_plan,
+                    "best_score": verified.score,
+                }
+    best = outer.assess(best_plan, spec.structure)
     return {"trace": trace, "best_plan": best_plan, "best_score": best.score}
 
 

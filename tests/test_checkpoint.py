@@ -108,7 +108,9 @@ class TestResumeEquivalence:
         )
         assert resumed.iterations > first.iterations
         assert resumed.elapsed_seconds >= 2.0
-        assert resumed.best_score >= first.best_score - 1e-12
+        # The walk's best-so-far (its CRN score) carries over and never
+        # drops; the reported scores are two independent draws.
+        assert resumed.trace[-1].best_score >= first.trace[-1].best_score
 
     def test_should_stop_preempts_and_checkpoints(
         self, fattree4, inventory, tmp_path

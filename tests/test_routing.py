@@ -344,6 +344,23 @@ class TestFailureDrivenBlocks:
             assert fresh.unpack(got[host]).tolist() == want, host
 
 
+    @pytest.mark.parametrize("group", range(TOPOLOGY.radix))
+    def test_a_failed_uplink_to_the_only_alive_agg_cuts_the_edge(self, group):
+        """Every agg of the pod but ``group``'s is down, and so is the
+        edge's uplink to that one: no route out, whichever uplink it is
+        (the last one included)."""
+        topology = self.TOPOLOGY
+        host = topology.hosts[0]
+        edge = topology.edge_switch_of(host)
+        pod = topology.edge_pod[edge]
+        down = [topology.agg_ids[(pod, g)] for g in range(topology.radix) if g != group]
+        down.append(link_id(edge, topology.agg_ids[(pod, group)]))
+        states = RoundStates(1, {cid: np.packbits([True]) for cid in down})
+        reached = self.ENGINE.external_reachable(states, [host])[host]
+        assert states.unpack(reached).tolist() == [False]
+        assert not fattree_ext_reference(topology, unpacked(states), host, 0)
+
+
 class TestGenericEngine:
     def test_matches_networkx_connectivity(self, lossy_fattree4, lossy_states):
         engine = GenericReachabilityEngine(lossy_fattree4)

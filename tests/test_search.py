@@ -11,6 +11,7 @@ from repro.app.structure import ApplicationStructure
 from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.core.search import DeploymentSearch, SearchSpec
+from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
 from repro.core.api import AssessmentConfig
 
@@ -30,6 +31,21 @@ class FakeClock:
 @pytest.fixture
 def quick_assessor(fattree4, inventory):
     return ReliabilityAssessor(fattree4, inventory, config=AssessmentConfig(rounds=1_500, rng=5))
+
+
+def _spy_outer(assessor, clock):
+    """Record ``(plan, kwargs, result, clock readings)`` of every call of
+    ``assessor.assess``."""
+    calls = []
+    assess = assessor.assess
+
+    def spy(plan, structure, **kwargs):
+        result = assess(plan, structure, **kwargs)
+        calls.append((plan, kwargs, result, round(clock.now / clock.step)))
+        return result
+
+    assessor.assess = spy
+    return calls
 
 
 def _search(quick_assessor, **kwargs):
@@ -179,16 +195,82 @@ class TestSearchLoop:
 
 
 class TestCrnBehaviour:
-    def test_crn_uses_independent_final_assessment(self, quick_assessor):
-        search = _search(quick_assessor)
+    def test_unsatisfied_search_assesses_the_best_plan_once_after_the_loop(
+        self, quick_assessor
+    ):
+        """The walk ranks plans by their CRN scores; the outer assessor is
+        called once, after the loop's last clock reading, on the plan
+        reported, and its result is what the search returns."""
+        clock = FakeClock()
+        calls = _spy_outer(quick_assessor, clock)
+        search = _search(quick_assessor, clock=clock)
         spec = SearchSpec(
-            ApplicationStructure.k_of_n(2, 3), max_seconds=50.0, max_iterations=10
+            ApplicationStructure.k_of_n(2, 3), max_seconds=50.0, max_iterations=30
         )
         result = search.search(spec)
-        # The reported assessment was produced by the base assessor and
-        # therefore carries a real closure size (CRN path also does, but
-        # determinism across runs is the cheap observable here).
-        assert result.best_assessment.estimate.rounds == quick_assessor.rounds
+        assert not result.satisfied
+        [(plan, kwargs, returned, reads)] = calls
+        # Readings: the deadline, one per loop top (the last one breaks).
+        assert reads == 1 + result.iterations + 1
+        assert plan == result.best_plan and "cancel" not in kwargs
+        assert result.best_assessment is returned
+
+    def test_satisfied_search_calls_the_outer_assessor_only_to_verify(
+        self, quick_assessor
+    ):
+        search = _search(quick_assessor)
+        calls = _spy_outer(quick_assessor, search._clock)
+        verified = []
+        verify = search._verify_satisfaction
+
+        def spy(spec, plan):
+            verified.append(verify(spec, plan))
+            return verified[-1]
+
+        search._verify_satisfaction = spy
+        spec = SearchSpec(
+            ApplicationStructure.k_of_n(1, 3), desired_reliability=0.5, max_seconds=100.0
+        )
+        result = search.search(spec)
+        assert result.satisfied
+        assert [id(returned) for _, _, returned, _ in calls] == list(map(id, verified))
+        assert result.best_assessment is verified[-1]
+
+    def test_cancelled_search_still_reports_an_outer_assessment(self, quick_assessor):
+        """A fired token stops the walk, not the one final assessment:
+        it runs without the token and reports every round."""
+        token = CancellationToken()
+        clock = FakeClock()
+
+        def cancelling_clock():
+            if clock.now >= 0.1:
+                token.cancel("deadline")
+            return clock()
+
+        calls = _spy_outer(quick_assessor, clock)
+        search = _search(quick_assessor, clock=cancelling_clock, cancel=token)
+        result = search.search(
+            SearchSpec(ApplicationStructure.k_of_n(2, 3), max_seconds=50.0)
+        )
+        assert token.cancelled and 0 < result.iterations < 20
+        [(plan, kwargs, returned, _)] = calls
+        assert plan == result.best_plan and "cancel" not in kwargs
+        assert result.best_assessment is returned
+        assert returned.estimate.rounds == quick_assessor.rounds
+        assert returned.runtime is None
+
+    def test_trace_best_score_never_decreases(self, quick_assessor):
+        search = _search(quick_assessor, keep_trace=True, batch_size=3)
+        result = search.search(
+            SearchSpec(
+                ApplicationStructure.k_of_n(2, 3), max_seconds=50.0, max_iterations=40
+            )
+        )
+        best = [record.best_score for record in result.trace]
+        assert len(best) > 40
+        assert all(a <= b for a, b in zip(best, best[1:]))
+        scores = [record.candidate_score for record in result.trace]
+        assert best[-1] == max(result.trace[0].current_score, *scores)
 
     def test_crn_assessor_shares_the_outer_kernel(self, fattree4, inventory):
         """One arena and one compiled forest per substrate, not one per
