@@ -21,9 +21,12 @@ Three workloads:
   recorded only;
 * ``symmetry_walk`` — a fixed-seed 8-of-10 search on the Table-2 medium
   preset with the symmetry screen's pairs recorded; gates the screen's
-  work counters (exact repeats): refinements built == distinct plans
-  screened, bijection searches run == pairs with equal invariants, and
-  instance assignments tried <= a committed ceiling per search run;
+  work counters (exact repeats): pairs screened == pairs the degree
+  profiles rejected + pairs whose profiles agree (the surgery graphs'
+  ``(label, degree)`` multisets, from the networkx reference),
+  refinements built == distinct plans among the agreeing pairs,
+  bijection searches run == pairs with equal invariants, and instance
+  assignments tried <= a committed ceiling per search run;
 * ``large_walk`` — the k=48 search-benchmark preset (~27k hosts,
   :func:`~repro.topology.presets.search_benchmark_topology`) running a
   fixed move budget under the move-budget temperature schedule; gates
@@ -358,7 +361,8 @@ def bench_symmetry_walk(rounds: int, moves: int) -> dict:
     Every pair the search screens is recorded on its way into the filter,
     so what the counters must equal is computed from the pairs themselves
     (the walk stays far inside the filter's LRU, so a plan is refined
-    exactly once).
+    exactly once, and only when a pair it is in passes the degree
+    profiles).
     """
     topology, inventory = _substrate("medium")
     registry = MetricsRegistry()
@@ -385,12 +389,16 @@ def bench_symmetry_walk(rounds: int, moves: int) -> dict:
             max_iterations=moves,
         )
     )
-    counters = {
-        name: int(registry.counter(f"symmetry/{name}"))
-        for name in ("screened", "refined", "matched", "extensions")
-    }
+    names = ("screened", "profile_rejected", "refined", "matched", "extensions")
+    counters = {name: int(registry.counter(f"symmetry/{name}")) for name in names}
     pairs = [(a, b) for a, b in pairs if a.canonical_key() != b.canonical_key()]
-    plans = {plan.canonical_key() for pair in pairs for plan in pair}
+    reference = SurgeryGraphChecker(topology, inventory)
+    agreed = [
+        (a, b)
+        for a, b in pairs
+        if reference.degree_profile(a) == reference.degree_profile(b)
+    ]
+    plans = {plan.canonical_key() for pair in agreed for plan in pair}
     equal_invariants = sum(
         screen.refinement(a).invariant == screen.refinement(b).invariant
         for a, b in pairs
@@ -403,7 +411,8 @@ def bench_symmetry_walk(rounds: int, moves: int) -> dict:
         "iterations": result.iterations,
         "skipped_symmetric": result.plans_skipped_symmetric,
         "pairs_screened": len(pairs),
-        "distinct_plans_screened": len(plans),
+        "pairs_with_equal_profiles": len(agreed),
+        "distinct_plans_refinable": len(plans),
         "pairs_with_equal_invariants": equal_invariants,
         **counters,
         "extensions_per_match": counters["extensions"] / max(counters["matched"], 1),
@@ -418,10 +427,17 @@ def _symmetry_walk_failures(row: dict) -> list[str]:
         failures.append(
             f"{row['screened']} pairs counted, {row['pairs_screened']} screened"
         )
-    if row["refined"] != row["distinct_plans_screened"]:
+    if row["screened"] != row["profile_rejected"] + row["pairs_with_equal_profiles"]:
+        failures.append(
+            f"{row['profile_rejected']} pairs rejected by the degree profiles, "
+            f"{row['pairs_with_equal_profiles']} with equal profiles, "
+            f"{row['screened']} screened"
+        )
+    if row["refined"] != row["distinct_plans_refinable"]:
         failures.append(
             f"{row['refined']} refinements built for "
-            f"{row['distinct_plans_screened']} distinct plans"
+            f"{row['distinct_plans_refinable']} distinct plans of pairs with "
+            "equal profiles"
         )
     if row["matched"] != row["pairs_with_equal_invariants"]:
         failures.append(
@@ -618,8 +634,10 @@ def _report(row: dict) -> str:
     if row["workload"] == "symmetry_walk":
         return (
             f"{row['workload']:<11} {row['scale']:<6} moves={row['moves']:<4} "
-            f"screened={row['screened']} refined={row['refined']}/"
-            f"{row['distinct_plans_screened']} plans matched={row['matched']}/"
+            f"screened={row['screened']} profile-rejected={row['profile_rejected']}/"
+            f"{row['pairs_screened'] - row['pairs_with_equal_profiles']} "
+            f"refined={row['refined']}/{row['distinct_plans_refinable']} plans "
+            f"matched={row['matched']}/"
             f"{row['pairs_with_equal_invariants']} equal invariants "
             f"skipped={row['skipped_symmetric']} extensions={row['extensions']} "
             f"({row['extensions_per_match']:.1f}/match)"

@@ -62,6 +62,10 @@ TESTS = {
         "tests/test_substrate.py",
     ],
     "core/risk.py": ["tests/test_risk.py"],
+    "core/transforms.py": [
+        "tests/test_transforms.py",
+        "tests/test_substrate.py::TestSymmetryFollowsTheSubstrate",
+    ],
     "core/evaluation.py": [
         "tests/test_evaluation.py",
         "tests/test_kernel.py",
@@ -125,6 +129,16 @@ EQUIVALENT = {
         "`(g + 2) * radix`: zip with `by_group[g]` reads the group's own uplinks "
         "only; a failure among the extra ids adds `_every(by_group[g])` to a part "
         "whose `core_dead[g]` already covers it",
+    ("core/transforms.py", "shift[key] = shift.get(key, 0) + step", "Add->Sub", 0):
+        "every entry of the signed difference flips sign, and a difference is "
+        "zero exactly when its negation is",
+    ("core/transforms.py", "if len(table) == count or not shared:", "Or->And", 0):
+        "an early exit: a discrete colouring, or one with no shared group to "
+        "refine by, is a fixpoint, and the next round splits no class and "
+        "breaks with the same tables and colours",
+    ("core/transforms.py", "image = [-1] * len(order)", "int+1", 0):
+        "the fill value is never read: a group is looked up only at the depth "
+        "of its last member, when every member has its image",
 }
 
 _PAIRS = [

@@ -38,12 +38,14 @@ assessed — so it can be cached once and reused across every move:
 assessment may walk the whole closure in Python: what a plan adds to the
 universe is ``closure & ~known``, the hit/miss counters are bumped by
 ``int.bit_count()``, and only the delta's bits are turned back into
-indices. Of those, the components that cannot fail (most links) are
-dropped by the positive-probability mask without a call or a dict entry
-— an absent row reads "never failed" everywhere — and the rest are drawn
-64 to a ``component_rows`` call, a component's known bit set only once
-its row is stored. Entries are pure functions of their key, so the order
-the delta is walked in (arena order) cannot show in any result.
+indices, at the cost of those bits (the arena's few-bits branch), never
+by unpacking the whole arena. The components that cannot fail (most
+links) are dropped by the positive-probability mask before they are
+converted, drawn or registered — an absent row reads "never failed"
+everywhere — and the rest are drawn 64 to a ``component_rows`` call, a
+component's known bit set only once its row is stored. Entries are pure
+functions of their key, so the order the delta is walked in (arena
+order) cannot show in any result.
 
 **Correctness invariant (CRN equality).** Before the route-and-check for
 a plan runs, every element of that plan's relevant closure has been
@@ -258,7 +260,8 @@ class IncrementalAssessor(AssessorBase):
                 fault_hit("sampling.start")
                 self._sampled |= new & ~self._positive
                 ids, probabilities = arena.ids, arena.probabilities
-                drawn = arena.indices_in(new & self._positive)
+                drawn_mask = new & self._positive
+                drawn = arena.indices_in(drawn_mask)
                 for lo in range(0, len(drawn), 64):
                     if cancel is not None:
                         cancel.check()
@@ -270,7 +273,8 @@ class IncrementalAssessor(AssessorBase):
                             self.rounds,
                         )
                     )
-                    self._sampled |= arena.mask_of_indices(batch)
+                    last = lo + 64 >= len(drawn)  # every drawn row is stored
+                    self._sampled |= drawn_mask if last else arena.mask_of_indices(batch)
 
         with metrics.timer("faulttree"):
             if cancel is not None:
@@ -286,7 +290,7 @@ class IncrementalAssessor(AssessorBase):
             self._registered |= new_raw
             subject_ids = arena.ids_in(new_subjects)
             # Only a component that failed can register a failing element.
-            raw_ids = [cid for cid in arena.ids_in(new_raw) if cid in rows]
+            raw_ids = [c for c in arena.ids_in(new_raw & self._positive) if c in rows]
             self._effective.update(
                 self.kernel.effective_states(
                     subject_ids, raw_ids, rows, self._forest_values, metrics

@@ -20,9 +20,9 @@ Two plans whose surgery graphs are isomorphic place their instances in
 symmetric positions with identically-shared dependencies, so the entire
 route-and-check distribution coincides. :class:`SymmetryChecker` names
 every instance's groups and labels; :class:`BatchSymmetryFilter` decides
-the isomorphism from them by colour refinement and one bijection search
-over the instances, cached per plan. The reference that builds the graphs
-and asks a graph library for an exact isomorphism lives with the tests
+the isomorphism from them (group degree profiles, colour refinement, one
+bijection search). The reference that builds the graphs and asks a graph
+library for an exact isomorphism lives with the tests
 (``tests/graph_oracle.py``), which hold the filter to it.
 
 Probability classes quantise failure probabilities (§3.3.1: components of
@@ -68,30 +68,28 @@ class SymmetryChecker:
         decimals = PROBABILITY_CLASS_DECIMALS
         return f"{round(probability, decimals):.{decimals}f}"
 
-    def _group_label(self, component_id: str) -> str:
-        """Symmetry class + probability class of one infrastructure group."""
-        if component_id in self.topology:
-            symmetry = self.topology.symmetry_class_of(component_id)
+    def group_label(self, group: str) -> str:
+        """Node label of one group: ``pod`` for a pod, else the
+        component's symmetry class + probability class."""
+        if group.startswith("pod:"):
+            return "pod"
+        if group in self.topology:
+            symmetry = self.topology.symmetry_class_of(group)
         else:
-            dependency = self.dependency_model.component(component_id)
-            symmetry = dependency.component_type.value
-        return f"{symmetry}|p{self.probability_class(component_id)}"
+            symmetry = self.dependency_model.component(group).component_type.value
+        return f"{symmetry}|p{self.probability_class(group)}"
 
-    def host_groups(self, host: str) -> tuple[tuple[str, str], ...]:
-        """``(group id, node label)`` of every group an instance on ``host``
-        is a member of: the host, its edge switch, its pod and the shared
-        dependencies in its fault tree — deduplicated, in a fixed order.
-        """
+    def groups_of(self, host: str) -> tuple[str, ...]:
+        """Every group an instance on ``host`` is a member of: the host,
+        its edge switch, its pod (``pod:<n>``) and the shared dependencies
+        in its fault tree — deduplicated, in a fixed order."""
         topo = self.topology
-        edge = topo.edge_switch_of(host)
-        groups = {host: self._group_label(host), edge: self._group_label(edge)}
+        groups = [host, topo.edge_switch_of(host)]
         pod_of = getattr(topo, "pod_of", None)
         if pod_of is not None and pod_of(host) is not None:
-            groups[f"pod:{pod_of(host)}"] = "pod"
-        for event in sorted(self.dependency_model.basic_events_of(host)):
-            if event not in groups:
-                groups[event] = self._group_label(event)
-        return tuple(groups.items())
+            groups.append(f"pod:{pod_of(host)}")
+        groups.extend(sorted(self.dependency_model.basic_events_of(host)))
+        return tuple(dict.fromkeys(groups))
 
 
 class _Refinement(NamedTuple):
@@ -113,25 +111,31 @@ class BatchSymmetryFilter:
     A graph-isomorphism check would rebuild two surgery graphs per pair,
     even though consecutive checks share the incumbent and each neighbour
     differs from it by one host. The filter decides the same verdicts
-    without a graph library:
+    without a graph library, paying per pair for the hosts that differ:
 
-    * **Per plan**, LRU-cached by ``plan.canonical_key()``: the instance
-      colouring refined to a fixpoint over the shared groups, and its
-      isomorphism invariant (:meth:`refinement`).
+    * **Degree profiles** (:meth:`_profiles_agree`): an isomorphism maps
+      each group node onto one of equal label and degree, so unequal
+      multisets of ``(group label, degree)`` are not equivalent. Only the
+      groups of the hosts that differ are read, against the incumbent's
+      group -> degree table (kept until the incumbent changes).
+    * **Per plan** of a pair whose profiles agree, LRU-cached by
+      ``plan.canonical_key()``: the instance colouring refined to a
+      fixpoint over the shared groups, and its isomorphism invariant
+      (:meth:`refinement`).
     * **Per pair**: unequal invariants are not equivalent; equal
       invariants are decided by searching for one colour-preserving
       bijection of the instances that carries one plan's shared groups
       onto the other's (:meth:`_match`).
 
-    Both steps are exact, so there is no budget and no fallback. Group
+    Every step is exact, so there is no budget and no fallback. Group
     ids and labels are interned to integers in one table per substrate
     generation, kept on its kernel
     (:meth:`~repro.kernel.AssessmentKernel.of`) and shared by every
-    filter on it: nothing derived from them leaves a filter but
-    verdicts. When the generation moves (a probability override moves a
-    group's label) the filter takes the new table and drops its cached
-    refinements. DESIGN.md ("Symmetry screening at batch rate") has the
-    argument.
+    filter on it, each group labelled once: nothing derived from them
+    leaves a filter but verdicts. When the generation moves (a
+    probability override moves a group's label) the filter takes the new
+    table and drops its cached profiles and refinements. DESIGN.md
+    ("Symmetry screening at batch rate") has the argument.
     """
 
     def __init__(
@@ -139,39 +143,74 @@ class BatchSymmetryFilter:
     ):
         self.checker = checker
         #: ``symmetry/screened`` counts the pairs decided,
+        #: ``symmetry/profile_rejected`` those the degree profiles decided,
         #: ``symmetry/refined`` the refinements built (one per distinct
-        #: plan while it stays cached), ``symmetry/matched`` the pairs
-        #: whose invariants were equal and ``symmetry/extensions`` the
-        #: instance assignments their bijection searches tried.
+        #: plan of the others while it stays cached), ``symmetry/matched``
+        #: the pairs whose invariants were equal and ``symmetry/extensions``
+        #: the instance assignments their bijection searches tried.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._kernel = None
+        # A plan's key and its (group, label) -> degree table.
+        self._incumbent, self._degrees = None, Counter()
         self._refinements: OrderedDict[tuple, _Refinement] = OrderedDict()
 
     # ------------------------------------------------------------------
 
     def _follow_substrate(self) -> None:
-        """Take the substrate's current table; drop refinements built on
-        another generation's."""
+        """Take the substrate's current table; drop profiles and
+        refinements built on another generation's."""
         kernel = AssessmentKernel.of(self.checker.dependency_model)
         if kernel is not self._kernel:
             self._kernel = kernel
+            self._incumbent = None
             self._refinements.clear()
-            self._interned, self._host_groups = kernel.symmetry_tables
+            self._interned, self._host_groups, self._labels = kernel.symmetry_tables
 
     def _groups_of(self, host: str) -> tuple[tuple[int, int], ...]:
-        """:meth:`SymmetryChecker.host_groups` on interned integers."""
+        """``(group, label)`` of every group in
+        :meth:`SymmetryChecker.groups_of`, on interned integers."""
         groups = self._host_groups.get(host)
         if groups is None:
+            checker = self.checker
             with self._kernel.lock:
-                intern = self._interned
-                groups = self._host_groups[host] = tuple(
-                    (
-                        intern.setdefault(group, len(intern)),
-                        intern.setdefault(label, len(intern)),
-                    )
-                    for group, label in self.checker.host_groups(host)
-                )
+                intern, labels = self._interned, self._labels
+                entries = []
+                for name in checker.groups_of(host):
+                    group = intern.setdefault(name, len(intern))
+                    if group not in labels:
+                        label = checker.group_label(name)
+                        labels[group] = intern.setdefault(label, len(intern))
+                    entries.append((group, labels[group]))
+                groups = self._host_groups[host] = tuple(entries)
         return groups
+
+    def _profiles_agree(
+        self, plan_a: DeploymentPlan, key_a: tuple, plan_b: DeploymentPlan
+    ) -> bool:
+        """Whether both plans have one multiset of ``(group label,
+        degree)``, a group's degree the instances in it: compared over the
+        groups of the hosts that differ, the only groups whose degrees can,
+        against ``plan_a``'s group -> degree table."""
+        if key_a != self._incumbent:
+            self._incumbent = key_a
+            self._degrees = Counter(
+                chain.from_iterable(map(self._groups_of, plan_a.hosts()))
+            )
+        degrees = self._degrees
+        moved = Counter(plan_b.hosts())  # host -> its instances in b minus in a
+        moved.subtract(plan_a.hosts())
+        change: dict[tuple, int] = {}  # (group, label) -> degree in b minus in a
+        for host, count in moved.items():
+            if count:
+                for entry in self._groups_of(host):
+                    change[entry] = change.get(entry, 0) + count
+        shift: dict[tuple, int] = {}  # (label, degree) -> groups in b minus in a
+        for entry, delta in change.items():
+            if delta:
+                label, degree = entry[1], degrees.get(entry, 0)
+                for key, step in ((label, degree), -1), ((label, degree + delta), 1):
+                    shift[key] = shift.get(key, 0) + step
+        return not any(count for (_, degree), count in shift.items() if degree)
 
     def refinement(self, plan: DeploymentPlan) -> _Refinement:
         """Refined colouring of ``plan``, LRU-cached by canonical key."""
@@ -328,5 +367,8 @@ class BatchSymmetryFilter:
             return True
         self.metrics.incr("symmetry/screened")
         self._follow_substrate()
+        if not self._profiles_agree(plan_a, key_a, plan_b):
+            self.metrics.incr("symmetry/profile_rejected")
+            return False
         a, b = self._refinement(plan_a, key_a), self._refinement(plan_b, key_b)
         return a.invariant == b.invariant and self._match(a, b)

@@ -86,8 +86,8 @@ class AssessmentKernel:
     samplers only read them), the growing compiled forest, the closure
     layer memo (weak by engine, so a caller's own engine dies with its
     assessor), the evaluation order memo and ``symmetry_tables``, the
-    :class:`~repro.core.transforms.BatchSymmetryFilter` interned ids and
-    host-group table. Every entry is a pure function of the
+    :class:`~repro.core.transforms.BatchSymmetryFilter` interned ids,
+    host-group table and group labels. Every entry is a pure function of the
     substrate, so the one kernel :meth:`of` returns is shared by every
     assessor and search on it, in any order and from any thread;
     per-assessment scratch lives in the caller.
@@ -100,7 +100,9 @@ class AssessmentKernel:
         self.probabilities = dependency_model.failure_probabilities()
         self.arena = ComponentArena.for_model(dependency_model, self.probabilities)
         #: The mask of the components that can fail: nothing else is drawn.
-        self.positive = self.arena.mask_of_indices(self.arena.probabilities > 0.0)
+        self.positive = self.arena.mask_of_indices(
+            np.flatnonzero(self.arena.probabilities > 0.0)
+        )
         self.forest = CompiledForest(self.arena)
         self.lock = _LOCK
         # engine -> layer key -> (subjects, sampled) masks; weak by engine
@@ -110,7 +112,7 @@ class AssessmentKernel:
         # by piece; the incremental universe hands in deltas that never
         # do, and a ~10 KiB order per cold plan is memory that grows.
         self._order_by_content: dict[frozenset, list[int]] = {}
-        self.symmetry_tables: tuple[dict, dict] = ({}, {})
+        self.symmetry_tables: tuple[dict, dict, dict] = ({}, {}, {})
 
     @classmethod
     def of(

@@ -20,6 +20,10 @@ from repro.util.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.dependencies import DependencyModel
 
+#: Set bits up to which a mask is built or read bit by bit (a host's own,
+#: a move's delta), at the cost of its bits; past it in one numpy pass.
+FEW_BITS = 16
+
 
 class ComponentArena:
     """Bidirectional component-id <-> dense-index interning table."""
@@ -102,6 +106,8 @@ class ComponentArena:
 
     def mask_of_indices(self, indices) -> int:
         """The bitmask with exactly the given dense indices set."""
+        if len(indices) <= FEW_BITS:
+            return sum(1 << i for i in set(map(int, indices)))
         flags = np.zeros(len(self.ids), dtype=bool)
         flags[indices] = True
         packed = np.packbits(flags, bitorder="little")
@@ -110,14 +116,17 @@ class ComponentArena:
     def mask_of(self, component_ids: Iterable[str]) -> int:
         """The bitmask of several component ids (each one in the arena)."""
         index = self.index
-        indices = {index[cid] for cid in component_ids}
-        if len(indices) > 16:
-            return self.mask_of_indices(list(indices))
-        # A few bits (a host's own): cheaper summed than packed full-width.
-        return sum(1 << i for i in indices)
+        return self.mask_of_indices([index[cid] for cid in component_ids])
 
     def indices_in(self, mask: int) -> np.ndarray:
         """Ascending dense indices of the bits set in ``mask``."""
+        if mask.bit_count() <= FEW_BITS:
+            indices = []
+            while mask:
+                i = mask.bit_length() - 1
+                indices.append(i)
+                mask ^= 1 << i
+            return np.array(indices[::-1], dtype=np.intp)
         raw = mask.to_bytes((len(self.ids) + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
         return np.flatnonzero(bits)

@@ -4,15 +4,17 @@
   ``networkx.Graph`` (each edge carries its ``component_id``), for
   connectivity and path oracles.
 * :class:`SurgeryGraphChecker` — the §3.3.1 surgery graph of a plan, its
-  Weisfeiler-Lehman signature and an exact VF2 isomorphism verdict: the
-  uncached reference :class:`~repro.core.transforms.BatchSymmetryFilter`
-  is held to.
+  group degree profile, its Weisfeiler-Lehman signature and an exact VF2
+  isomorphism verdict: the uncached reference
+  :class:`~repro.core.transforms.BatchSymmetryFilter` is held to.
 
 Kept apart from ``interpreted_oracle.py``, which benchmarks import without
 networkx installed.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import networkx as nx
 
@@ -41,10 +43,20 @@ class SurgeryGraphChecker(SymmetryChecker):
             for index, host in enumerate(hosts):
                 instance_node = ("instance", component, index)
                 graph.add_node(instance_node, label=f"instance|{component}")
-                for group, label in self.host_groups(host):
-                    graph.add_node(("group", group), label=label)
+                for group in self.groups_of(host):
+                    graph.add_node(("group", group), label=self.group_label(group))
                     graph.add_edge(instance_node, ("group", group))
         return graph
+
+    def degree_profile(self, plan: DeploymentPlan) -> Counter:
+        """The multiset of ``(label, degree)`` over the group nodes: equal
+        for isomorphic surgery graphs."""
+        graph = self.surgery_graph(plan)
+        return Counter(
+            (label, graph.degree(node))
+            for node, label in graph.nodes(data="label")
+            if node[0] == "group"
+        )
 
     def signature(self, plan: DeploymentPlan) -> str:
         """A string that is equal for symmetric plans: the WL hash of the

@@ -38,6 +38,7 @@ from repro.faults.inventory import (
     build_rich_inventory,
     build_zone_inventory,
 )
+from repro.kernel import arena as arena_module
 from repro.kernel import (
     AssessmentKernel,
     ComponentArena,
@@ -45,6 +46,7 @@ from repro.kernel import (
     PackedBatch,
     packed_width,
 )
+from repro.kernel.arena import FEW_BITS
 from repro.routing.base import RoundStates, engine_for
 from repro.routing.generic import GenericReachabilityEngine
 from repro.sampling.dagger import (
@@ -185,6 +187,31 @@ class TestComponentArena:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigurationError):
             ComponentArena(["a", "a"])
+
+    @pytest.mark.parametrize("size", ["none", "one", "threshold", "past", "full"])
+    def test_both_conversion_paths_agree(self, size, monkeypatch):
+        """Up to ``FEW_BITS`` bits a set is converted bit by bit, past it in
+        one full-width pass: forced onto either path, or left to its bit
+        count, each gives the same mask, ids and ascending ``intp``
+        indices — the lowest and highest index included."""
+        arena = ComponentArena.for_model(FATTREE_INV)
+        n = len(arena)
+        count = {"none": 0, "one": 1, "threshold": FEW_BITS, "past": FEW_BITS + 1}
+        chosen = np.random.default_rng(7).permutation(np.arange(1, n - 1))
+        indices = np.concatenate(([0, n - 1], chosen))[: count.get(size, n)]
+        # Unordered and repeated, as a caller may hand them in.
+        given_indices = np.concatenate((indices, indices[:3]))[::-1]
+        expected = sorted(indices.tolist())
+        expected_mask = sum(1 << i for i in expected)
+        for few_bits in (-1, n, FEW_BITS):  # full-width, bit by bit, by count
+            monkeypatch.setattr(arena_module, "FEW_BITS", few_bits)
+            assert arena.mask_of_indices(given_indices) == expected_mask
+            assert arena.mask_of_indices(given_indices.tolist()) == expected_mask
+            assert arena.mask_of([arena.ids[i] for i in given_indices]) == expected_mask
+            found = arena.indices_in(expected_mask)
+            assert found.dtype == np.intp
+            assert found.tolist() == expected
+            assert arena.ids_in(expected_mask) == [arena.ids[i] for i in expected]
 
 
 # ---------------------------------------------------------------------------

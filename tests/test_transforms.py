@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,24 +175,33 @@ class TestBatchSymmetryFilter:
         assert any(verdicts) and not all(verdicts)
 
     def test_counters_count_what_ran(self, uniform_fattree):
-        """One refinement per distinct plan, one matching per pair whose
-        invariants are equal, at least one extension per instance of a
-        matching that succeeds."""
+        """The degree profiles decide the pairs whose ``(label, degree)``
+        multisets differ; of the others, one refinement per distinct plan,
+        one matching per pair whose invariants are equal, at least one
+        extension per instance of a matching that succeeds."""
         filt = BatchSymmetryFilter(SymmetryChecker(uniform_fattree))
+        reference = SurgeryGraphChecker(uniform_fattree)
         pairs = _distinct(self._walk(uniform_fattree, moves=40))
         verdicts = [filt.equivalent(plan, neighbor) for plan, neighbor in pairs]
-        plans = {plan.canonical_key() for pair in pairs for plan in pair}
+        agreed = [
+            (a, b)
+            for a, b in pairs
+            if reference.degree_profile(a) == reference.degree_profile(b)
+        ]
+        counter = filt.metrics.counter
+        assert counter("symmetry/screened") == len(pairs)
+        assert counter("symmetry/profile_rejected") == len(pairs) - len(agreed) > 0
+        plans = {plan.canonical_key() for pair in agreed for plan in pair}
+        assert counter("symmetry/refined") == len(plans) < len(pairs)
         equal_invariants = sum(
             filt.refinement(a).invariant == filt.refinement(b).invariant
             for a, b in pairs
         )
-        counter = filt.metrics.counter
-        assert counter("symmetry/screened") == len(pairs)
-        assert counter("symmetry/refined") == len(plans)
         assert counter("symmetry/matched") == equal_invariants >= sum(verdicts) > 0
         assert counter("symmetry/extensions") >= 3 * sum(verdicts)
         assert set(filt.metrics.snapshot()["counters"]) == {
             "symmetry/screened",
+            "symmetry/profile_rejected",
             "symmetry/refined",
             "symmetry/matched",
             "symmetry/extensions",
@@ -465,6 +475,45 @@ class TestCertificateAgainstChecker:
         assert not checker.equivalent(supplied, one_outside)
         assert filt.metrics.counter("symmetry/matched") == 1
 
+    def test_refinement_runs_to_its_fixpoint(self, uniform_fattree8):
+        """Two pods of three: a rack pair plus one, and three racks of one.
+        The first round cannot tell the lone instances apart (each is in a
+        rack of one and a pod of three); the second tells the one beside
+        the rack pair from the three in the other pod."""
+        filt = BatchSymmetryFilter(SymmetryChecker(uniform_fattree8))
+        plan = plan_of(
+            "host/0/0/0", "host/0/0/1", "host/0/1/0",
+            "host/1/0/0", "host/1/1/0", "host/1/2/0",
+        )
+        refinement = filt.refinement(plan)
+        assert len(refinement.invariant[0]) == 2
+        assert sorted(refinement.classes) == [[0, 1], [2], [3, 4, 5]]
+
+    def test_doubled_supplies_are_not_a_ring(self):
+        """Two pairs of hosts each fed by two supplies, against four hosts
+        in a ring of four supplies: every instance is in two supply groups
+        of two either way, so the invariants are equal, and only a
+        bijection search that claims each of ``b``'s groups once (and
+        gives a claim back once when it backtracks) refutes the pair."""
+        topology = LeafSpineTopology(
+            spines=2,
+            leaves=10,
+            hosts_per_leaf=2,
+            probability_policy=DefaultProbabilityPolicy(0.01),
+            seed=1,
+        )
+        h = [topology.hosts_in_rack(rack)[0] for rack in topology.racks()]
+        doubled = [(h[0], h[1]), (h[0], h[1]), (h[2], h[3]), (h[2], h[3])]
+        ring = [(h[4], h[5]), (h[5], h[6]), (h[6], h[7]), (h[7], h[4])]
+        checker = SurgeryGraphChecker(topology, _supplied(topology, *doubled, *ring))
+        pairs = (plan_of(*h[:4]), plan_of(*h[4:8])), (plan_of(*h[4:8]), plan_of(*h[:4]))
+        for a, b in pairs:
+            filt = BatchSymmetryFilter(checker)
+            assert filt.refinement(a).invariant == filt.refinement(b).invariant
+            assert not filt.equivalent(a, b)
+            assert not checker.equivalent(a, b)
+            assert filt.metrics.counter("symmetry/matched") == 1
+
     def test_pod_and_supply_sharing_patterns_are_told_apart(self):
         """Four instances, two per pod, two per power supply: whether the
         supply pairs coincide with the pod pairs or cross them is invisible
@@ -528,6 +577,84 @@ class TestCertificateAgainstChecker:
         assert filt.equivalent(with_pods, shifted)
         assert checker.equivalent(with_pods, shifted)
         assert n <= filt.metrics.counter("symmetry/extensions") - before <= 3 * n
+
+
+@st.composite
+def screened_pairs(draw):
+    """Two plans of one to three components: a one-host move of one
+    component, or two arbitrary plans; when ``colocated``, instances of
+    different components may share a host."""
+    name = draw(st.sampled_from(["medium", "zones", "leafspine"]))
+    checker, pool = _substrate(name)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    colocated = draw(st.booleans())
+
+    def hosts(count, taken=()):
+        free = [host for host in pool if host not in taken]
+        return draw(
+            st.lists(st.sampled_from(free), min_size=count, max_size=count, unique=True)
+        )
+
+    def deal():
+        if colocated:
+            return [hosts(size) for size in sizes]
+        flat = hosts(sum(sizes))
+        return [flat[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+
+    def plan(lists):
+        return DeploymentPlan(
+            tuple((f"c{i}", tuple(hosts)) for i, hosts in enumerate(lists))
+        )
+
+    hosts_a = deal()
+    if draw(st.booleans()):
+        hosts_b = [list(component) for component in hosts_a]
+        moved = draw(st.integers(0, len(sizes) - 1))
+        taken = hosts_b[moved] if colocated else sum(hosts_b, [])
+        hosts_b[moved][draw(st.integers(0, sizes[moved] - 1))] = hosts(1, taken)[0]
+    else:
+        hosts_b = deal()
+    return checker, plan(hosts_a), plan(hosts_b)
+
+
+class TestDegreeProfiles:
+    """The screen's first step compares the two plans' multisets of
+    ``(group label, degree)`` from the groups of the hosts that differ."""
+
+    @given(pair=screened_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_the_unequal_profiles(self, pair):
+        checker, a, b = pair
+        verdict = checker.equivalent(a, b)
+        agree = checker.degree_profile(a) == checker.degree_profile(b)
+        assert agree or not verdict
+        distinct = a.canonical_key() != b.canonical_key()
+        # One filter for both orders: the second reads b's cached table.
+        filt = BatchSymmetryFilter(checker)
+        for first, second in ((a, b), (b, a), (a, b)):
+            before = filt.metrics.counter("symmetry/profile_rejected")
+            assert filt.equivalent(first, second) == verdict
+            rejected = filt.metrics.counter("symmetry/profile_rejected") - before
+            assert rejected == (distinct and not agree)
+
+    def test_each_group_is_labelled_once(self):
+        """Edge, pod and supply groups are shared by many hosts: each is
+        labelled the first time a host in it is seen, not once per host."""
+        checker, pool = _substrate("medium")
+        checker = SymmetryChecker(checker.topology, checker.dependency_model)
+        labelled = Counter()
+        label = checker.group_label
+        checker.group_label = lambda group: labelled.update([group]) or label(group)
+        checker.dependency_model.override_probabilities({})  # a cold table
+        filt = BatchSymmetryFilter(checker)
+        plans = [plan_of(*pool[i : i + 6]) for i in range(0, len(pool) - 6, 2)]
+        for a, b in zip(plans, plans[1:]):
+            filt.equivalent(a, b)
+        seen = {host for plan in plans for host in plan.hosts()}
+        groups = {group for host in seen for group in checker.groups_of(host)}
+        assert set(labelled) == groups
+        assert set(labelled.values()) == {1}
+        assert len(groups) < sum(len(checker.groups_of(host)) for host in seen)
 
 
 _HASH_SEED_SCRIPT = """
