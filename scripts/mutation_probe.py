@@ -78,6 +78,11 @@ TESTS = {
         "tests/test_kernel.py",
         "tests/test_properties.py",
     ],
+    "runtime/mapreduce.py": [
+        "tests/test_runtime.py",
+        "tests/test_chaos.py",
+        "tests/test_cancellation.py::TestParallelCancellation",
+    ],
 }
 
 #: ``(module, stripped source line, operator, occurrence)`` -> why the
@@ -129,6 +134,8 @@ EQUIVALENT = {
         "`(g + 2) * radix`: zip with `by_group[g]` reads the group's own uplinks "
         "only; a failure among the extra ids adds `_every(by_group[g])` to a part "
         "whose `core_dead[g]` already covers it",
+    ("core/transforms.py", "if len(self._changes) >= MAX_CHANGES:", "GtE->Gt", 0):
+        _CACHE_BOUND,
     ("core/transforms.py", "shift[key] = shift.get(key, 0) + step", "Add->Sub", 0):
         "every entry of the signed difference flips sign, and a difference is "
         "zero exactly when its negation is",
@@ -136,6 +143,9 @@ EQUIVALENT = {
         "an early exit: a discrete colouring, or one with no shared group to "
         "refine by, is a fixpoint, and the next round splits no class and "
         "breaks with the same tables and colours",
+    ("runtime/mapreduce.py", "os._exit(70)  # the only command: gone, as after a SIGKILL", "int+1", 0):
+        "the master learns of a dead worker from its pipe's EOF and never reads "
+        "the exit status",
     ("core/transforms.py", "image = [-1] * len(order)", "int+1", 0):
         "the fill value is never read: a group is looked up only at the depth "
         "of its last member, when every member has its image",

@@ -30,9 +30,8 @@ Exit codes (stable; scripts may branch on them):
 2    configuration/usage error (bad flags, unknown hosts, validation)
 3    search finished but the desired reliability was not reached
 4    search was preempted (SIGTERM/SIGINT); a resumable checkpoint exists
-5    result is degraded — an estimate was produced but rounds were lost
-     (``partial_ok`` drops or a deadline), so its error bounds are wider
-     than requested
+5    result is degraded — an estimate was produced but a cancellation
+     cut rounds off, so its error bounds are wider than requested
 ===  ====================================================================
 """
 
@@ -59,7 +58,6 @@ from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.search import DeploymentSearch, SearchSpec, SearchState
 from repro.faults.inventory import build_paper_inventory
 from repro.faults.probability import annual_downtime_hours
-from repro.runtime.mapreduce import RetryPolicy
 from repro.topology.presets import PAPER_SCALES, paper_topology
 from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, ReproError, ValidationError
@@ -147,10 +145,6 @@ def cmd_assess(args) -> int:
         rng=args.seed + 2,
         mode=mode,
         workers=args.workers,
-        retry_policy=RetryPolicy(
-            timeout_seconds=args.portion_timeout, max_retries=args.retries
-        ),
-        partial_ok=args.partial_ok,
         metrics=metrics,
         analytic_state_bits=args.analytic_state_bits,
     )
@@ -182,12 +176,6 @@ def cmd_assess(args) -> int:
             f"\nworkers   : {runtime.workers} ({runtime.backend} backend, "
             f"{runtime.portions} portions)"
         )
-        if runtime.retries or runtime.failures:
-            human += (
-                f"\nrecovery  : {runtime.retries} retries, "
-                f"{runtime.pool_restarts} pool restarts, "
-                f"{runtime.recovered_inline} recovered inline"
-            )
         if result.degraded:
             human += (
                 f"\nDEGRADED  : {runtime.dropped_portions} portions "
@@ -740,24 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="parallel worker processes (0 = sequential in-process)",
-    )
-    p.add_argument(
-        "--portion-timeout",
-        type=float,
-        default=None,
-        help="per-portion timeout in seconds before a worker is presumed hung",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="retry attempts per failed portion before degrading",
-    )
-    p.add_argument(
-        "--partial-ok",
-        action="store_true",
-        help="accept partial results with widened error bounds instead of "
-        "recovering failed portions inline",
     )
     analytic_flags(p)
     p.set_defaults(handler=cmd_assess)

@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.result import AssessmentResult
     from repro.faults.dependencies import DependencyModel
     from repro.routing.base import ReachabilityEngine
-    from repro.runtime.mapreduce import RetryPolicy
     from repro.sampling.base import Sampler
     from repro.topology.base import Topology
 
@@ -60,17 +59,14 @@ class AssessmentConfig:
         engine: Reachability engine override; ``None`` picks the best
             engine for the topology. It receives and returns bit-packed
             rows (the contract in :mod:`repro.routing.base`).
-        mode: ``"sequential"`` (in-process), ``"parallel"`` (supervised
-            worker pool), ``"incremental"`` (cached single-move deltas
+        mode: ``"sequential"`` (in-process), ``"parallel"`` (a pool of
+            forked workers), ``"incremental"`` (cached single-move deltas
             under common random numbers) or ``"analytic"`` (exact
             fault-tree evaluation where the closure fits the
             tractability budget, sampled fallback elsewhere; see
             :mod:`repro.core.analytic`).
         workers: Worker processes for the parallel mode (on a platform
             without fork the portions run on the master instead).
-        retry_policy: Per-portion retry/timeout policy (parallel mode).
-        partial_ok: Accept degraded partial estimates instead of inline
-            recovery (parallel mode).
         master_seed: Common-random-numbers master seed for the incremental
             mode; ``None`` derives one from ``rng``.
         metrics: Registry to record stage timings and cache counters
@@ -90,8 +86,6 @@ class AssessmentConfig:
     engine: "ReachabilityEngine | None" = None
     mode: str = "sequential"
     workers: int = 2
-    retry_policy: "RetryPolicy | None" = None
-    partial_ok: bool = False
     master_seed: int | None = None
     metrics: MetricsRegistry | None = field(default=None, compare=False)
     analytic_state_bits: int = 20

@@ -12,14 +12,16 @@ from repro.sampling.statistics import ReliabilityEstimate
 
 @dataclass(frozen=True)
 class PortionFailure:
-    """One failed attempt at one portion of a split assessment.
+    """One portion of a split assessment that did not complete where it
+    was sent.
 
     Attributes:
         portion: Index of the portion within the assessment.
-        attempt: Zero-based attempt number that failed.
-        kind: ``"crash"`` (worker process died), ``"timeout"`` (portion
-            exceeded its per-portion deadline), ``"error"`` (the worker
-            raised an exception) or ``"cancelled"`` (a token fired first).
+        attempt: Always 0 (one worker attempt); an earlier runner that
+            retried on workers wrote higher numbers.
+        kind: ``"crash"`` (the worker process died), ``"error"`` (the
+            worker raised an exception) or ``"cancelled"`` (a token fired
+            first); an earlier runner also wrote ``"timeout"``.
         message: Human-readable description of the failure.
     """
 
@@ -44,13 +46,13 @@ class RuntimeMetadata:
         workers: Worker processes of the pool; 1 when the portions ran
             on the master, 0 for the incremental assessor.
         portion_seeds: The per-portion stream seeds that produced the
-            estimate (the seeds actually used, including retry reseeds).
-        retries: Total retry attempts across all portions.
-        pool_restarts: Times the worker pool was torn down and restarted.
-        recovered_inline: Portions recovered by the master running them
-            inline after worker retries were exhausted.
-        dropped_portions: Portions dropped in ``partial_ok`` mode, or cut
-            off by cancellation.
+            estimate, one per completed portion.
+        retries, pool_restarts: Always 0 from the current runner, which
+            never retries a worker; documents from an earlier one may
+            count retries and pool restarts here.
+        recovered_inline: Portions a worker died or raised on that the
+            master ran again under the same seed.
+        dropped_portions: Portions cut off by cancellation.
         dropped_rounds: Sampling rounds lost with the dropped portions.
         cancelled: The assessment was stopped early by a cancellation
             token (deadline or client cancel); the estimate is an
@@ -58,8 +60,8 @@ class RuntimeMetadata:
         recovered: The request was replayed from the service's
             write-ahead journal after a crash; this execution is a
             re-run of work accepted by a previous process.
-        failures: Per-attempt failure records (crash/timeout/error/
-            cancelled).
+        failures: One record per portion a worker lost or a token cut
+            off (crash/error/cancelled).
         profile: Flattened metrics snapshot (stage timers and cache
             counters) when the assessment ran with profiling enabled;
             see :meth:`repro.util.metrics.MetricsRegistry.flat`.
@@ -100,8 +102,8 @@ class AssessmentResult:
         sampled_components: How many components had failure states
             generated (the relevant closure, incl. dependencies).
         elapsed_seconds: Wall-clock time of the assessment.
-        runtime: How a split assessment ran — portion seeds, retry and
-            degradation counters — when it went through
+        runtime: How a split assessment ran — portion seeds, recovery
+            and cancellation counters — when it went through
             :func:`~repro.runtime.mapreduce.run_portions` (the parallel
             assessor, the service's chunked path), or the incremental
             assessor's profile; ``None`` for one plain ``assess`` call.
@@ -124,7 +126,7 @@ class AssessmentResult:
     @property
     def degraded(self) -> bool:
         """True when the estimate is built from fewer rounds than asked
-        for because portions were dropped under ``partial_ok``."""
+        for because a cancellation cut portions off."""
         return self.runtime is not None and self.runtime.degraded
 
 

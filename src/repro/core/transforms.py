@@ -49,6 +49,9 @@ PROBABILITY_CLASS_DECIMALS = 2
 
 #: Plans whose refinement :class:`BatchSymmetryFilter` keeps (LRU).
 MAX_REFINEMENTS = 4096
+#: Screened neighbours of one incumbent whose degree change
+#: :class:`BatchSymmetryFilter` keeps (past it, it starts over).
+MAX_CHANGES = 256
 
 
 class SymmetryChecker:
@@ -117,7 +120,10 @@ class BatchSymmetryFilter:
       each group node onto one of equal label and degree, so unequal
       multisets of ``(group label, degree)`` are not equivalent. Only the
       groups of the hosts that differ are read, against the incumbent's
-      group -> degree table (kept until the incumbent changes).
+      group -> degree table. The table is built from the whole plan only
+      for an incumbent no screen reached: a screened neighbour that
+      becomes the incumbent gets the old table plus the change its
+      screen computed.
     * **Per plan** of a pair whose profiles agree, LRU-cached by
       ``plan.canonical_key()``: the instance colouring refined to a
       fixpoint over the shared groups, and its isomorphism invariant
@@ -150,8 +156,10 @@ class BatchSymmetryFilter:
         #: the instance assignments their bijection searches tried.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._kernel = None
-        # A plan's key and its (group, label) -> degree table.
+        # A plan's key and its (group, label) -> degree table; the degree
+        # change of each neighbour screened against it, by the neighbour's key.
         self._incumbent, self._degrees = None, Counter()
+        self._changes: dict[tuple, dict[tuple, int]] = {}
         self._refinements: OrderedDict[tuple, _Refinement] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -163,6 +171,7 @@ class BatchSymmetryFilter:
         if kernel is not self._kernel:
             self._kernel = kernel
             self._incumbent = None
+            self._changes.clear()
             self._refinements.clear()
             self._interned, self._host_groups, self._labels = kernel.symmetry_tables
 
@@ -185,17 +194,20 @@ class BatchSymmetryFilter:
         return groups
 
     def _profiles_agree(
-        self, plan_a: DeploymentPlan, key_a: tuple, plan_b: DeploymentPlan
+        self, plan_a: DeploymentPlan, key_a: tuple, plan_b: DeploymentPlan, key_b: tuple
     ) -> bool:
         """Whether both plans have one multiset of ``(group label,
         degree)``, a group's degree the instances in it: compared over the
         groups of the hosts that differ, the only groups whose degrees can,
         against ``plan_a``'s group -> degree table."""
         if key_a != self._incumbent:
+            change = self._changes.get(key_a)
+            if change is None:
+                self._degrees = self._degree_table(plan_a)
+            else:  # a screened neighbour: the old table plus its change
+                self._degrees.update(change)
             self._incumbent = key_a
-            self._degrees = Counter(
-                chain.from_iterable(map(self._groups_of, plan_a.hosts()))
-            )
+            self._changes.clear()
         degrees = self._degrees
         moved = Counter(plan_b.hosts())  # host -> its instances in b minus in a
         moved.subtract(plan_a.hosts())
@@ -204,6 +216,9 @@ class BatchSymmetryFilter:
             if count:
                 for entry in self._groups_of(host):
                     change[entry] = change.get(entry, 0) + count
+        if len(self._changes) >= MAX_CHANGES:
+            self._changes.clear()
+        self._changes[key_b] = change
         shift: dict[tuple, int] = {}  # (label, degree) -> groups in b minus in a
         for entry, delta in change.items():
             if delta:
@@ -211,6 +226,10 @@ class BatchSymmetryFilter:
                 for key, step in ((label, degree), -1), ((label, degree + delta), 1):
                     shift[key] = shift.get(key, 0) + step
         return not any(count for (_, degree), count in shift.items() if degree)
+
+    def _degree_table(self, plan: DeploymentPlan) -> Counter:
+        """``plan``'s ``(group, label)`` -> degree table, from every host."""
+        return Counter(chain.from_iterable(map(self._groups_of, plan.hosts())))
 
     def refinement(self, plan: DeploymentPlan) -> _Refinement:
         """Refined colouring of ``plan``, LRU-cached by canonical key."""
@@ -367,7 +386,7 @@ class BatchSymmetryFilter:
             return True
         self.metrics.incr("symmetry/screened")
         self._follow_substrate()
-        if not self._profiles_agree(plan_a, key_a, plan_b):
+        if not self._profiles_agree(plan_a, key_a, plan_b, key_b):
             self.metrics.incr("symmetry/profile_rejected")
             return False
         a, b = self._refinement(plan_a, key_a), self._refinement(plan_b, key_b)

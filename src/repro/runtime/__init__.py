@@ -1,8 +1,7 @@
-"""Supervised parallel execution engine for multi-round assessments."""
+"""Parallel execution engine for multi-round assessments."""
 
-from repro.runtime.mapreduce import ParallelAssessor, RetryPolicy
+from repro.runtime.mapreduce import ParallelAssessor
 
 __all__ = [
     "ParallelAssessor",
-    "RetryPolicy",
 ]

@@ -2,11 +2,9 @@
 
 from repro.util.errors import (
     ConfigurationError,
-    DegradedResult,
     ReproError,
     TopologyError,
     UnsatisfiableRequirements,
-    WorkerFailure,
 )
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline, Stopwatch
@@ -14,11 +12,9 @@ from repro.util.timing import Deadline, Stopwatch
 __all__ = [
     "ConfigurationError",
     "Deadline",
-    "DegradedResult",
     "ReproError",
     "Stopwatch",
     "TopologyError",
     "UnsatisfiableRequirements",
-    "WorkerFailure",
     "make_rng",
 ]

@@ -110,31 +110,3 @@ class UnsatisfiableRequirements(ReproError):
     deployment of N instances onto fewer than N distinct hosts), as opposed
     to a search that merely ran out of time without meeting them.
     """
-
-
-class WorkerFailure(ReproError):
-    """A worker process crashed or raised while assessing a portion.
-
-    Raised by the supervised runtime when a portion could not be completed
-    even after retries and fallback. ``portion`` is the portion index and
-    ``attempt`` the zero-based attempt that failed last.
-    """
-
-    def __init__(self, message: str, portion=None, attempt=None, failures=()):
-        super().__init__(message)
-        self.portion = portion
-        self.attempt = attempt
-        self.failures = tuple(failures)
-
-
-class DegradedResult(ReproError):
-    """Degraded execution could not produce any usable result.
-
-    Raised in ``partial_ok`` mode when *every* portion was lost, so there
-    are zero completed rounds to estimate from. The per-portion failure
-    records are attached for diagnosis.
-    """
-
-    def __init__(self, message: str, failures=()):
-        super().__init__(message)
-        self.failures = tuple(failures)

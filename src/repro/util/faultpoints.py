@@ -68,7 +68,7 @@ CATALOG = {
     "worker.heartbeat": ("drop", "hang"),
     "supervisor.admit": ("crash", "power_crash"),
     "supervisor.tick": ("crash", "power_crash"),
-    "pool.portion": ("exit", "hang", "io_error"),
+    "pool.portion": ("exit",),
     "sampling.start": (),
 }
 
@@ -106,7 +106,7 @@ class FaultPoints:
     journal appends, tear the write at byte 17" — or ``(point, None)``
     for every occurrence. The occurrence is the point's hit count unless
     the seam names the hit itself: a forked pool worker counts its hits
-    alone, so ``pool.portion`` hits are named ``(portion, attempt)``.
+    alone, so ``pool.portion`` hits are named by the portion's index.
     Either way the schedule addresses nothing else, so a drill is
     bit-reproducible from ``(seed, schedule)``.
 

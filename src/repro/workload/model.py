@@ -41,11 +41,6 @@ class HostWorkloadModel:
         draws = np.clip(rng.normal(mean, stddev, size=len(topology.hosts)), 0.0, 1.0)
         return cls(dict(zip(topology.hosts, (float(d) for d in draws))))
 
-    @classmethod
-    def uniform(cls, topology: Topology, load: float = 0.0) -> "HostWorkloadModel":
-        """Every host at the same load (workload-agnostic searches)."""
-        return cls({host: load for host in topology.hosts})
-
     # ------------------------------------------------------------------
 
     def workload_of(self, host: str) -> float:

@@ -119,8 +119,10 @@ class TestOneRepresentation:
             "profile",
             "analytic_shared_bits",
             "chaos",
+            "retry_policy",
+            "partial_ok",
         }
-        assert names.isdisjoint(removed) and len(names) == 11
+        assert names.isdisjoint(removed) and len(names) == 9
         with pytest.raises(TypeError, match="kernel"):
             AssessmentConfig(kernel=False)
 

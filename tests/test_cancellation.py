@@ -183,7 +183,7 @@ def _cancel_on_pool_after(pieces, token):
     worker; the next portion signals and then blocks inside sampling,
     so the cancel lands while it is in flight, after exactly ``pieces``
     results reached the master (one worker runs portions in turn). Raw
-    semaphores: the pool restart kills the blocked worker, and a
+    semaphores: the teardown kills the blocked worker, and a
     semaphore has no acknowledge protocol to deadlock on.
     """
     import multiprocessing
@@ -296,6 +296,7 @@ class TestParallelCancellation:
         kept = MIN_CHUNK_ROUNDS * completed
         coverage = rounds / kept
         for result in (pooled, alone):
+            assert result.runtime.recovered_inline == 0  # cut off, not recovered
             assert result.runtime.cancelled
             assert result.runtime.dropped_portions == pieces - completed
             assert result.runtime.dropped_rounds == rounds - kept
@@ -321,7 +322,8 @@ class TestParallelCancellation:
     def test_process_backend_cancel_leaves_no_orphan_pool(
         self, fattree4, inventory
     ):
-        """Mid-sampling cancel: the suspect pool is restarted, workers live.
+        """Mid-sampling cancel: the pool is torn down, no worker keeps
+        sampling, and the next call forks a live pool again.
 
         Deterministically gated: a :class:`SamplingGate` (inherited by the
         forked workers, armed before the pool forks) signals the
@@ -330,7 +332,7 @@ class TestParallelCancellation:
         timing-sensitive round counts or wall-clock deadlines.
 
         The gates are raw semaphores, not ``multiprocessing.Event``:
-        the pool restart SIGTERMs workers while they are blocked on the
+        the teardown SIGTERMs workers while they are blocked on the
         gate, and an Event's condition-variable ``set()`` deadlocks
         waiting for dead sleepers to acknowledge. A POSIX semaphore has
         no acknowledge protocol, so killing a blocked waiter is safe.
@@ -354,7 +356,7 @@ class TestParallelCancellation:
             ) as assessor:
                 if assessor.pool is None:
                     pytest.skip("fork unavailable on this platform")
-                before_pids = assessor.pool.live_worker_pids()
+                before = [process for process, _ in assessor.pool._workers]
                 token = CancellationToken()
                 saw_sampling = threading.Event()
 
@@ -377,13 +379,15 @@ class TestParallelCancellation:
                 # Open the gate for everyone — including freshly forked
                 # workers that inherited the gate — before using the pool.
                 release.release()
-                # The old in-flight workers were torn down with the pool
-                # restart; the fresh pool must be fully alive and usable.
-                after_pids = assessor.pool.live_worker_pids()
-                assert len(after_pids) == 2
-                assert not (before_pids & after_pids)
+                # The in-flight workers were torn down with the pool ...
+                assert assessor.pool._workers == []
+                assert not any(process.is_alive() for process in before)
+                # ... and the next call forks a fresh, fully usable pool.
                 follow_up = assessor.assess(_plan(fattree4), STRUCTURE, rounds=200)
                 assert follow_up.estimate.rounds == 200
+                after = [process for process, _ in assessor.pool._workers]
+                assert len(after) == 2 and all(p.is_alive() for p in after)
+                assert not {p.pid for p in before} & {p.pid for p in after}
         finally:
             release.release()
 

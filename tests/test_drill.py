@@ -61,7 +61,7 @@ class TestFaultPoints:
         [
             ("no.such.seam", "crash", 0, "point"),
             ("journal.append", "kill", 0, "command"),
-            ("pool.portion", "crash", (0, 0), "command"),
+            ("pool.portion", "crash", 0, "command"),
             ("sampling.start", "hang", None, "command"),
             ("store.put", "crash", -3, "occurrence"),
         ],
@@ -75,18 +75,19 @@ class TestFaultPoints:
         assert excinfo.value.fields() == (field,)
 
     def test_a_named_occurrence_ignores_the_hit_count(self):
-        """``pool.portion`` hits are named ``(portion, attempt)``: only
+        """``pool.portion`` hits are named by the portion's index: only
         that identity fires, however many hits came before."""
         registry = FaultPoints()
-        registry.add("pool.portion", FaultCommand("io_error"), occurrence=(2, 0))
-        assert registry.hit("pool.portion", occurrence=(0, 0)) is None
-        assert registry.hit("pool.portion", occurrence=(2, 1)) is None
-        assert registry.hit("pool.portion", occurrence=(2, 0)).kind == "io_error"
-        assert registry.hit("pool.portion", occurrence=(2, 0)).kind == "io_error"
-        assert registry.counters["pool.portion"] == 4
-        assert registry.fired[0] == {
-            "point": "pool.portion", "occurrence": (2, 0), "kind": "io_error"
-        }
+        registry.add("pool.portion", FaultCommand("exit"), occurrence=2)
+        assert registry.hit("pool.portion", occurrence=0) is None
+        assert registry.hit("pool.portion", occurrence=1) is None
+        assert registry.hit("pool.portion", occurrence=2).kind == "exit"
+        assert registry.hit("pool.portion", occurrence=2).kind == "exit"
+        assert registry.hit("pool.portion", occurrence=0) is None
+        assert registry.counters["pool.portion"] == 5
+        assert registry.fired == [
+            {"point": "pool.portion", "occurrence": 2, "kind": "exit"}
+        ] * 2
 
     def test_sampling_start_counts_every_entry_and_commands_nothing(self):
         registry = FaultPoints()

@@ -74,7 +74,7 @@ class TestWorkloadUtility:
 
     def test_measure_value(self, fattree4, plans):
         a, _ = plans
-        model = HostWorkloadModel.uniform(fattree4, 0.25)
+        model = HostWorkloadModel(dict.fromkeys(fattree4.hosts, 0.25))
         assert WorkloadUtilityObjective(model).measure(a, None) == pytest.approx(0.75)
 
     def test_delta_sign(self, fattree4, plans):
@@ -126,7 +126,7 @@ class TestBandwidthUtility:
 class TestCompositeObjective:
     def test_eq7_weighted_sum(self, fattree4, plans):
         a, _ = plans
-        workload = HostWorkloadModel.uniform(fattree4, 0.2)
+        workload = HostWorkloadModel(dict.fromkeys(fattree4.hosts, 0.2))
         composite = CompositeObjective.reliability_and_utility(
             WorkloadUtilityObjective(workload)
         )
@@ -135,7 +135,7 @@ class TestCompositeObjective:
 
     def test_custom_weights(self, fattree4, plans):
         a, _ = plans
-        workload = HostWorkloadModel.uniform(fattree4, 0.0)
+        workload = HostWorkloadModel(dict.fromkeys(fattree4.hosts, 0.0))
         composite = CompositeObjective(
             [
                 WeightedObjective(ReliabilityObjective(), 0.9),

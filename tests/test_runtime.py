@@ -1,7 +1,6 @@
 """Tests for the parallel MapReduce-style assessor (repro.runtime)."""
 
 import contextlib
-import math
 import multiprocessing
 import os
 import time
@@ -16,7 +15,6 @@ from repro.runtime import mapreduce
 from repro.routing.base import ReachabilityEngine, engine_for
 from repro.runtime.mapreduce import (
     ParallelAssessor,
-    RetryPolicy,
     WorkerPool,
     run_portions,
 )
@@ -48,6 +46,11 @@ class TestPortions:
     def test_more_workers_than_rounds(self, fattree4, inventory, no_fork):
         with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", workers=4)) as pa:
             assert pa._portions(2) == [1, 1]
+            assert pa._portions(1) == [1]
+
+    def test_one_worker_takes_every_round(self, fattree4, inventory, no_fork):
+        with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", workers=1)) as pa:
+            assert pa._portions(7) == [7]
 
     def test_rejects_zero_workers(self, fattree4, inventory):
         with pytest.raises(ConfigurationError):
@@ -132,25 +135,24 @@ class TestProcessBackend:
         pa.close()
 
     def test_close_drains_gracefully(self, fattree4, inventory, plan, structure):
-        """A healthy pool is drained (close + join), not terminated: work
-        dispatched before close() still lands, and no registry entry or
-        worker process is leaked."""
+        """Every result lands before ``assess`` returns, and close() joins
+        every worker process: none is leaked."""
         pa = ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3))
-        key = pa.pool._registry_key
+        processes = [process for process, _ in pa.pool._workers]
         result = pa.assess(plan, structure)
         assert result.estimate.rounds == 2_000
         pa.close()
-        assert pa.pool._pool is None
-        assert key not in mapreduce._FORK_REGISTRY
+        assert pa.pool._workers == []
+        assert not any(process.is_alive() for process in processes)
 
     def test_workers_leave_the_masters_process_group(
         self, fattree4, inventory, plan, structure
     ):
         """A SIGTERM to the master's group (a supervisor stopping it,
-        Ctrl-C) must not kill a worker that holds the task-queue lock."""
+        Ctrl-C) reaches the master alone, which stops its workers itself."""
         with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=2_000, workers=2, rng=3)) as pa:
             pa.assess(plan, structure)
-            pids = pa.pool.live_worker_pids()
+            pids = [process.pid for process, _ in pa.pool._workers]
             assert len(pids) == 2
             deadline = time.monotonic() + 10.0
             while any(os.getpgid(pid) != pid for pid in pids):
@@ -159,9 +161,9 @@ class TestProcessBackend:
 
     def test_del_reaps_pool(self, fattree4, inventory):
         pa = ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", workers=2))
-        key = pa.pool._registry_key
+        processes = [process for process, _ in pa.pool._workers]
         pa.pool.__del__()
-        assert key not in mapreduce._FORK_REGISTRY
+        assert not any(process.is_alive() for process in processes)
 
 
 class _RecordingEngine(ReachabilityEngine):
@@ -216,7 +218,7 @@ class TestConfiguredEngine:
 class TestRuntimeMetadata:
     def test_metadata_populated(self, fattree4, inventory, plan, structure):
         """The result carries real runtime metadata: actual worker count,
-        one real per-portion seed per portion, zeroed fault counters."""
+        one real per-portion seed per portion, zeroed recovery counters."""
         with ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", rounds=4_000, workers=2, rng=3)) as pa:
             result = pa.assess(plan, structure)
         runtime = result.runtime
@@ -242,51 +244,16 @@ class TestRuntimeMetadata:
             result = pa.assess(plan, structure)
         assert result.runtime.backend == "inline"
         assert result.runtime.portions == 3
+        assert result.runtime.workers == 1
+        assert result.runtime.recovered_inline == 0
 
 
-class TestRetryPolicy:
-    def test_defaults_valid(self):
-        policy = RetryPolicy()
-        assert policy.max_retries >= 1
-        assert policy.timeout_seconds is None
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(timeout_seconds=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_seconds=-0.1)
-
-    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
-    def test_rejects_a_timeout_that_is_not_a_finite_positive_number(self, timeout):
-        with pytest.raises(ValidationError) as excinfo:
-            RetryPolicy(timeout_seconds=timeout)
-        assert excinfo.value.fields() == ("timeout_seconds",)
-
+class TestWorkerCount:
     @pytest.mark.parametrize("mode", ["sequential", "analytic"])
     def test_a_negative_worker_count_is_rejected_in_every_mode(self, mode):
         with pytest.raises(ValidationError) as excinfo:
             AssessmentConfig(mode=mode, workers=-1).validate()
         assert excinfo.value.fields() == ("workers",)
-
-    def test_backoff_grows_and_caps(self, monkeypatch):
-        monkeypatch.setattr(mapreduce, "MAX_BACKOFF_SECONDS", 0.3)
-        monkeypatch.setattr(mapreduce, "JITTER_FRACTION", 0.0)
-        policy = RetryPolicy(backoff_seconds=0.1)
-        rng = np.random.default_rng(0)
-        delays = [policy.backoff_for(a, rng) for a in range(1, 5)]
-        assert delays[0] == pytest.approx(0.1)
-        assert delays[1] == pytest.approx(0.2)
-        assert delays[2] == pytest.approx(0.3)  # capped
-        assert delays[3] == pytest.approx(0.3)
-
-    def test_jitter_bounded(self):
-        policy = RetryPolicy(backoff_seconds=0.1)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            delay = policy.backoff_for(1, rng)
-            assert 0.075 <= delay <= 0.125
 
 
 class TestForkFallback:
@@ -294,8 +261,9 @@ class TestForkFallback:
         self, fattree4, inventory, monkeypatch
     ):
         monkeypatch.setattr(mapreduce, "_fork_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="fork"):
+        with pytest.warns(RuntimeWarning, match="fork") as record:
             pa = ParallelAssessor(fattree4, inventory, config=AssessmentConfig(mode="parallel", workers=2))
+        assert record[0].filename == __file__  # blames the caller
         with pa:
             assert pa.pool is None
 
@@ -357,8 +325,9 @@ class TestOneRunner:
     ):
         master = ReliabilityAssessor(fattree4, inventory, AssessmentConfig(rng=2))
         stream = master.rng
-        run_portions(master, plan, structure, [300, 300])
+        result = run_portions(master, plan, structure, [300, 300])
         assert master.rng is stream
         expected = np.random.default_rng(2)
-        expected.integers(0, 2**63, size=2)
+        seeds = expected.integers(0, 2**63, size=2)
+        assert result.runtime.portion_seeds == tuple(int(seed) for seed in seeds)
         assert stream.integers(0, 2**63) == expected.integers(0, 2**63)

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.structure import ApplicationStructure
+from repro.core.anneal import MoveBudgetTemperatureSchedule
 from repro.core.api import AssessmentConfig
-from repro.core.plan import DeploymentPlan, MoveDescriptor
+from repro.core.plan import DeploymentPlan, MoveDescriptor, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
 from repro.core import transforms
 from repro.core.transforms import BatchSymmetryFilter, SymmetryChecker
@@ -655,6 +656,60 @@ class TestDegreeProfiles:
         assert set(labelled) == groups
         assert set(labelled.values()) == {1}
         assert len(groups) < sum(len(checker.groups_of(host)) for host in seen)
+
+
+    def test_a_table_is_built_only_for_an_incumbent_no_screen_reached(
+        self, monkeypatch
+    ):
+        """A screened neighbour that becomes the incumbent takes the old
+        table plus its change: on e2e-shaped 2-zone searches, the whole
+        plan is read once per incumbent no screen reached, not once per
+        incumbent."""
+        topology = MultiZoneTopology(zones=2, k=4, seed=1)
+        model = build_zone_inventory(topology, seed=2)
+        built, screened = [], []
+        table, equivalent = BatchSymmetryFilter._degree_table, BatchSymmetryFilter.equivalent
+
+        def counting_table(self, plan):
+            built.append(plan.canonical_key())
+            return table(self, plan)
+
+        def recording(self, plan_a, plan_b):
+            screened.append((plan_a.canonical_key(), plan_b.canonical_key()))
+            return equivalent(self, plan_a, plan_b)
+
+        monkeypatch.setattr(BatchSymmetryFilter, "_degree_table", counting_table)
+        monkeypatch.setattr(BatchSymmetryFilter, "equivalent", recording)
+        spec = SearchSpec(
+            ApplicationStructure.k_of_n(4, 5),
+            max_seconds=3600.0,
+            max_iterations=30,
+            zone_constraints=ZoneConstraints.from_mapping(
+                primary_zone="zone0", min_outside_primary=2
+            ),
+        )
+        for seed in range(3):
+            built.clear()
+            screened.clear()
+            DeploymentSearch.from_config(
+                topology,
+                model,
+                AssessmentConfig(mode="incremental", rounds=200, rng=seed),
+                rng=seed + 1,
+                temperature_schedule=MoveBudgetTemperatureSchedule(30),
+            ).search(spec)
+            incumbent, reached, unreached, incumbents = None, set(), [], 0
+            for key_a, key_b in screened:
+                if key_a == key_b:
+                    continue  # decided before any table is read
+                if key_a != incumbent:
+                    incumbents += 1
+                    if key_a not in reached:
+                        unreached.append(key_a)
+                    incumbent, reached = key_a, set()
+                reached.add(key_b)
+            assert built == unreached
+            assert len(built) < incumbents
 
 
 _HASH_SEED_SCRIPT = """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.errors import DegradedResult, ReproError, WorkerFailure
+from repro.util.errors import AdmissionRejected, OperationCancelled, ReproError
 from repro.util.rng import make_rng
 from repro.util.timing import Deadline, Stopwatch
 
@@ -54,15 +54,5 @@ class TestDeadline:
 
 class TestErrors:
     def test_hierarchy(self):
-        assert issubclass(WorkerFailure, ReproError)
-        assert issubclass(DegradedResult, ReproError)
-
-    def test_worker_failure_carries_context(self):
-        error = WorkerFailure("boom", portion=2, attempt=1, failures=["x"])
-        assert error.portion == 2
-        assert error.attempt == 1
-        assert error.failures == ("x",)
-
-    def test_degraded_result_carries_failures(self):
-        error = DegradedResult("all portions lost", failures=["a", "b"])
-        assert error.failures == ("a", "b")
+        assert issubclass(OperationCancelled, ReproError)
+        assert issubclass(AdmissionRejected, ReproError)

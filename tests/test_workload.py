@@ -14,10 +14,6 @@ class TestConstruction:
         assert 0.17 < mean < 0.23  # N(0.2, 0.05)
         assert all(0.0 <= load <= 1.0 for load in loads)
 
-    def test_uniform(self, fattree4):
-        model = HostWorkloadModel.uniform(fattree4, 0.3)
-        assert all(model.workload_of(h) == 0.3 for h in fattree4.hosts)
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigurationError):
             HostWorkloadModel({"h": 1.5})
@@ -56,19 +52,19 @@ class TestQueries:
         assert model.rank_least_loaded() == ["a", "b"]
 
     def test_len(self, fattree4):
-        model = HostWorkloadModel.uniform(fattree4)
+        model = HostWorkloadModel(dict.fromkeys(fattree4.hosts, 0.0))
         assert len(model) == len(fattree4.hosts)
 
 
 class TestUpdates:
     def test_drift_stays_in_bounds(self, fattree4):
-        model = HostWorkloadModel.uniform(fattree4, 0.02)
+        model = HostWorkloadModel(dict.fromkeys(fattree4.hosts, 0.02))
         for _ in range(10):
             model.drift(stddev=0.1, seed=1)
         assert all(0.0 <= model.workload_of(h) <= 1.0 for h in fattree4.hosts)
 
     def test_drift_changes_loads(self, fattree4):
-        model = HostWorkloadModel.uniform(fattree4, 0.5)
+        model = HostWorkloadModel(dict.fromkeys(fattree4.hosts, 0.5))
         before = model.snapshot()
         model.drift(stddev=0.05, seed=2)
         assert model.snapshot() != before
