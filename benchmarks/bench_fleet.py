@@ -58,10 +58,9 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
     sys.path.insert(0, str(_ROOT / "benchmarks"))
 
 from repro.service.capacity import plan_capacity
-from repro.service.fleet import FleetSupervisor
+from repro.service.fleet import FleetSupervisor, ServiceConfig
 from repro.service.journal import RequestJournal
 from repro.service.requests import AssessRequest
-from repro.service.scheduler import ServiceConfig
 from repro.util.errors import AdmissionRejected
 
 from common import ResultTable

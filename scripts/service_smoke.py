@@ -18,7 +18,8 @@ With ``--crash`` it instead proves the durability contract on a real
 
 1. a reference server answers a keyed assessment (the ground truth),
 2. a journaled server is SIGKILLed while that same keyed request is
-   journaled-``started`` but unfinished,
+   journaled-``started`` but unfinished, and its orphaned shard worker
+   must exit on its own,
 3. a restarted server on the same journal recovers the request; the
    resubmitted key joins it and the answer must carry
    ``runtime.recovered`` and be *bit-identical* to the reference
@@ -62,6 +63,7 @@ from repro.service.journal import RequestJournal  # noqa: E402
 
 READY_TIMEOUT_SECONDS = 30.0
 DRAIN_TIMEOUT_SECONDS = 30.0
+ORPHAN_EXIT_SECONDS = 10.0
 MAX_DEGRADED_ATTEMPTS = 8
 MAX_CRASH_ATTEMPTS = 6
 CRASH_KEY = "crash-smoke-job"
@@ -86,7 +88,7 @@ def start_server(extra_args: list[str] | None = None) -> tuple[subprocess.Popen,
             "--scale", "tiny",
             "--port", "0",
             "--queue-capacity", "4",
-            "--scheduler-workers", "1",
+            "--workers", "1",
             *(extra_args or []),
         ],
         cwd=REPO_ROOT,
@@ -220,6 +222,7 @@ def _kill_mid_execution(
     try:
         client = HttpServiceClient(base_url, timeout=300.0, max_attempts=1)
         wait_ready(client)
+        workers = [shard["pid"] for shard in _fleet_view(client)["shards"]]
         # The HTTP call dies with the server; fire it from a thread and
         # let the connection error evaporate.
         submit = threading.Thread(
@@ -240,6 +243,7 @@ def _kill_mid_execution(
             if started:
                 process.kill()  # SIGKILL: no drain, no journal goodbye
                 process.wait(timeout=10.0)
+                _await_orphans_exit(workers)
                 return started[0].request_id
             if CRASH_KEY in state.keys:
                 return None  # finished before we could kill: too fast
@@ -247,6 +251,35 @@ def _kill_mid_execution(
         raise SmokeFailure("keyed request never reached journaled-started")
     finally:
         _stop(process)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie nobody reaped is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _await_orphans_exit(pids: list[int]) -> None:
+    """Shard workers whose supervisor was SIGKILLed must exit by
+    themselves: an orphan must never answer for a recovered shard."""
+    deadline = time.monotonic() + ORPHAN_EXIT_SECONDS
+    while any(_running(pid) for pid in pids):
+        check(
+            time.monotonic() < deadline,
+            f"orphaned workers {[p for p in pids if _running(p)]} outlived "
+            f"their supervisor by {ORPHAN_EXIT_SECONDS:.0f} s",
+        )
+        time.sleep(0.05)
+    print(f"orphaned workers {pids} exited after the supervisor's SIGKILL")
 
 
 def _swallow(fn, *args, **kwargs) -> None:

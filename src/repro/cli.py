@@ -8,8 +8,8 @@ drive reCloud from scripts:
 ``search``     search for a reliable plan within a time budget
 ``risk``       single-failure risk report for a plan
 ``baseline``   show the common-practice / enhanced-CP plans
-``serve``      run the long-lived assessment service (HTTP); with
-               ``--workers N`` a supervised multi-process shard fleet
+``serve``      run the long-lived assessment service (HTTP): a supervisor
+               and ``--workers N`` forked shard worker processes
 ``capacity``   plan the worker fleet size for an SLO under a crash rate
 ``journal``    inspect a write-ahead journal directory post-mortem
 ``redeploy``   watch a multi-zone deployment and redeploy on degradation
@@ -30,8 +30,9 @@ Exit codes (stable; scripts may branch on them):
 2    configuration/usage error (bad flags, unknown hosts, validation)
 3    search finished but the desired reliability was not reached
 4    search was preempted (SIGTERM/SIGINT); a resumable checkpoint exists
-5    result is degraded — an estimate was produced but a cancellation
-     cut rounds off, so its error bounds are wider than requested
+5    retired, never reused (was: degraded assessment; no command can
+     produce one, since only a cancellation token drops rounds)
+6    a failure drill found an invariant violation
 ===  ====================================================================
 """
 
@@ -69,7 +70,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSATISFIED = 3
 EXIT_PREEMPTED = 4
-EXIT_DEGRADED = 5
 EXIT_DRILL = 6
 
 
@@ -176,16 +176,9 @@ def cmd_assess(args) -> int:
             f"\nworkers   : {runtime.workers} ({runtime.backend} backend, "
             f"{runtime.portions} portions)"
         )
-        if result.degraded:
-            human += (
-                f"\nDEGRADED  : {runtime.dropped_portions} portions "
-                f"({runtime.dropped_rounds} rounds) lost; error bounds widened"
-            )
     human = _attach_profile(args, metrics, document, human)
     _emit(args, document, human)
-    # A degraded estimate is usable but not what was asked for: exit
-    # non-zero so scripts cannot mistake it for a full-fidelity result.
-    return EXIT_DEGRADED if result.degraded else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_search(args) -> int:
@@ -348,7 +341,7 @@ def cmd_baseline(args) -> int:
 def cmd_serve(args) -> int:
     import logging
 
-    from repro.service.scheduler import ServiceConfig
+    from repro.service.fleet import ServiceConfig
     from repro.service.server import serve
 
     logging.basicConfig(
@@ -360,7 +353,6 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         rounds=args.rounds,
         queue_capacity=args.queue_capacity,
-        scheduler_workers=args.scheduler_workers,
         default_deadline_seconds=args.default_deadline,
         drain_timeout_seconds=args.drain_timeout,
         journal_dir=args.journal_dir,
@@ -819,12 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded admission queue size; further requests are shed",
     )
     p.add_argument(
-        "--scheduler-workers",
-        type=int,
-        default=2,
-        help="worker threads executing requests",
-    )
-    p.add_argument(
         "--default-deadline",
         type=float,
         default=None,
@@ -862,11 +848,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="shard worker processes for the supervised fleet (0 = "
-        "single-process thread scheduler); each worker owns a shard of "
-        "the idempotency-key space, dead workers are failed over from "
-        "the journal and respawned with backoff",
+        default=2,
+        help="shard worker processes executing requests, one at a time "
+        "each; each worker owns a shard of the idempotency-key space, "
+        "dead workers are failed over from the journal and respawned "
+        "with backoff",
     )
     p.add_argument(
         "--heartbeat-interval",

@@ -6,14 +6,13 @@ The drill runs the *production* request lifecycle —
 real :class:`~repro.service.store.ResultStore`, with its consistent hash
 ring, heartbeat failure detection, restart policy, takeover and recovery
 — plus the real :class:`~repro.service.redeploy.RedeploymentController`
-commit point. It is the third driver of that core, next to the thread
-service and the forked fleet: what it replaces is only the
-nondeterministic substrate (threads, processes, pipes, wall clocks), with
-a discrete-event tick loop and a virtual clock. Workers are protocol
-state machines that advance one step per tick (``started → compute →
-respond``), so a fault schedule addressing "the 3rd heartbeat" or "the
-7th journal append" strikes the same instant on every run: the whole
-drill is a pure function of ``(seed, schedule)``.
+commit point. It runs that core as the forked fleet does; what it
+replaces is only the nondeterministic substrate (threads, processes,
+pipes, wall clocks), with a discrete-event tick loop and a virtual clock.
+Workers are protocol state machines that advance one step per tick
+(``started → compute → respond``), so a fault schedule addressing "the
+3rd heartbeat" or "the 7th journal append" strikes the same instant on
+every run: the whole drill is a pure function of ``(seed, schedule)``.
 
 A :class:`~repro.util.faultpoints.SimulatedCrash` raised from any seam
 kills the simulated process: the core, its queues and tickets and the
@@ -36,10 +35,10 @@ from types import SimpleNamespace
 from repro.core.plan import DeploymentPlan
 from repro.serialization import encode
 from repro.service.executor import request_seed
+from repro.service.fleet import ServiceConfig
 from repro.service.lifecycle import Effect, RequestLifecycle, open_state
 from repro.service.redeploy import DegradationEvent, RedeploymentController
 from repro.service.requests import AssessRequest, ServiceResponse, Ticket
-from repro.service.scheduler import ServiceConfig
 from repro.util.errors import AdmissionRejected
 from repro.util.faultpoints import (
     FaultPoints,

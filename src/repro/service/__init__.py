@@ -6,13 +6,14 @@ anytime (partial, honestly widened) results, health/readiness probes and
 graceful drain — plus durability: a write-ahead request journal with
 crash recovery and idempotent retries backed by a durable result store
 (enable with ``journal_dir`` / ``repro serve --journal-dir``). Run it
-with ``python -m repro serve`` or embed it via :class:`AssessmentService`.
-The thread service runs every request on its own threads; the one shape
-with worker processes is the shard fleet (``repro serve --workers N``,
+with ``python -m repro serve`` or embed it via :class:`FleetSupervisor`:
+a supervisor process that owns admission and the journal, and forked
+shard worker processes that execute (``repro serve --workers N``,
 :mod:`repro.service.fleet`).
 """
 
 from repro.service.client import HttpServiceClient
+from repro.service.fleet import FleetSupervisor, ServiceConfig
 from repro.service.health import HealthMonitor
 from repro.service.journal import JournalState, RequestJournal
 from repro.service.redeploy import (
@@ -27,15 +28,14 @@ from repro.service.requests import (
     ServiceResponse,
     Ticket,
 )
-from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.service.store import ResultStore
 from repro.util.cancel import NEVER, CancellationToken
 
 __all__ = [
     "AssessRequest",
-    "AssessmentService",
     "CancellationToken",
     "DegradationEvent",
+    "FleetSupervisor",
     "HealthMonitor",
     "HttpServiceClient",
     "JournalState",

@@ -2,9 +2,9 @@
 
 :class:`HttpServiceClient` speaks the HTTP protocol of
 :mod:`repro.service.server` over stdlib ``urllib`` (no dependencies),
-converting the typed error responses back into the same exceptions the
-in-process :class:`~repro.service.scheduler.AssessmentService` raises,
-so callers handle overload and validation identically either way.
+converting the typed error responses back into the same exceptions an
+embedded :class:`~repro.service.fleet.FleetSupervisor` raises, so
+callers handle overload and validation identically either way.
 
 The HTTP client retries transient failures — connection errors while the
 server restarts, and 503 admission sheds — with capped exponential

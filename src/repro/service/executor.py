@@ -1,9 +1,8 @@
-"""Request execution core shared by every service deployment shape.
+"""Request execution core of the service's shard workers.
 
-The in-process :class:`~repro.service.scheduler.AssessmentService` runs
-requests on scheduler *threads*; the supervised fleet
-(:mod:`repro.service.fleet`) runs them in shard worker *processes*. Both
-must answer a given request with the **same bits** — that is the whole
+The supervised fleet (:mod:`repro.service.fleet`) runs requests in shard
+worker *processes*. Every worker must answer a given request with the
+**same bits**, and so must an in-process call — that is the whole
 failover guarantee: a request re-executed after a crash, on a different
 worker, in a different process, yields the result the original execution
 would have produced. The way to keep that property is to have exactly one
@@ -19,8 +18,8 @@ are a pure function of the request:
   completion), every piece on the worker that took the request.
 * :class:`RequestExecutor` — one worker's view: a per-worker assessor
   plus ``run()`` mapping requests (and mid-run cancellation/errors) to
-  :class:`~repro.service.requests.ServiceResponse`; thread workers and
-  shard worker processes both execute through it and nothing else.
+  :class:`~repro.service.requests.ServiceResponse`; shard worker
+  processes execute through it and nothing else.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ class RequestExecutor:
 
     Owns a sequential assessor over the service's data center and turns
     an ``(kind, request)`` pair into a :class:`ServiceResponse` —
-    including the cancelled/error response shapes, so neither a thread
-    worker nor a shard worker process needs a mapping layer around it.
+    including the cancelled/error response shapes, so a shard worker
+    process needs no mapping layer around it.
     An assess request's pieces run on this worker's own assessor, which
     is reseeded from :func:`request_seed` before every request.
     """
@@ -309,8 +308,8 @@ def execute_search(
     """One search request, end to end, on the incremental engine.
 
     The seed must come from :func:`request_seed` — a recovered search
-    then explores the same trajectory regardless of which worker (thread
-    or process) runs it.
+    then explores the same trajectory regardless of which worker process
+    runs it.
     """
     structure = ApplicationStructure.k_of_n(request.k, request.n)
     search = DeploymentSearch.from_config(

@@ -1,12 +1,13 @@
-"""Supervised multi-process worker fleet for the assessment service.
+"""The assessment service: a supervisor and its forked shard workers.
 
-One :class:`FleetSupervisor` process owns admission, idempotency and the
+This is the one deployment shape of the long-running service. One
+:class:`FleetSupervisor` process owns admission, idempotency and the
 write-ahead journals — all of it the shared
 :class:`~repro.service.lifecycle.RequestLifecycle`, configured as N slots
-of width 1 with one journal segment family each; N forked shard worker
-processes own execution. This module is the plumbing between the two:
-fork and pipe, a reader thread per worker turning protocol messages into
-core events (``hello`` → ``worker_ready``, ``heartbeat``, ``started``,
+with one journal segment family each; N forked shard worker processes
+own execution. This module is the plumbing between the two: fork and
+pipe, a reader thread per worker turning protocol messages into core
+events (``hello`` → ``worker_ready``, ``heartbeat``, ``started``,
 ``response`` → ``completed``), a monitor thread reporting exited
 processes (``worker_lost``) and the passage of time (``tick``), and
 ``_apply`` carrying the core's effects back out (``dispatch``/``cancel``
@@ -24,14 +25,24 @@ replay is bit-identical); it respawns with exponential backoff or is
 quarantined when it flaps; while **no** worker is routable submissions
 are shed with ``AdmissionRejected(reason="failover")``.
 
-The fleet requires the ``fork`` start method (workers inherit the built
-topology and any test hooks); platforms without it get a
+A deadline firing mid-run does not raise: the worker returns the
+**anytime result** built from the pieces completed so far, with honestly
+widened error bounds and ``status="degraded"``. Shutdown is graceful:
+``drain()`` rejects the queued backlog with a typed response, lets
+in-flight requests finish (cancelling them into anytime results only if
+the drain timeout passes), then stops the workers.
+
+The supervisor builds the data center once; every worker, respawns
+included, runs on that topology and dependency model, inherited through
+``fork`` (nothing is pickled), together with any armed test hooks.
+Platforms without ``fork`` get a
 :class:`~repro.util.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 import os
 import queue as queue_module
@@ -41,15 +52,120 @@ from dataclasses import dataclass, field
 
 from repro.serialization import decode, encode
 from repro.service.executor import RequestExecutor
-from repro.service.health import SERVING, STOPPED
-from repro.service.lifecycle import Effect
-from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
-from repro.service.scheduler import ServiceConfig, ServiceFront
+from repro.service.health import DRAINING, SERVING, STOPPED, HealthMonitor
+from repro.service.lifecycle import Effect, RequestLifecycle, open_state
+from repro.service.requests import (
+    AssessRequest,
+    SearchRequest,
+    ServiceResponse,
+    Ticket,
+)
 from repro.util.cancel import CancellationToken
-from repro.util.errors import ConfigurationError
+from repro.util.errors import (
+    ConfigurationError,
+    ValidationError,
+    check_count,
+    check_positive_finite,
+)
 from repro.util.faultpoints import fault_hit
+from repro.util.metrics import MetricsRegistry
 
 logger = logging.getLogger("repro.service.fleet")
+
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """Every knob of the long-running assessment service.
+
+    Construction raises one :class:`ValidationError` naming every queue or
+    worker count, round count, deadline, drain timeout, heartbeat setting
+    and retention the service cannot run with, so the supervisor and the
+    CLI reject them in the same words. (A zero heartbeat interval or miss
+    budget quarantines every worker; a zero retention deletes every
+    stored result at start; zero rounds kill every executor.)
+
+    Attributes:
+        scale: Preset data-center scale (Table 2) when no topology is
+            injected.
+        seed: Deterministic seed for topology, inventory and assessment
+            randomness.
+        rounds: Default sampling rounds per assess request.
+        queue_capacity: Bounded admission-queue size; submits beyond it
+            are shed with :class:`AdmissionRejected`.
+        chunks: Anytime granularity of an assessment — rounds are
+            assessed in at most this many pieces with a cancellation
+            check between pieces; fewer when a piece would fall under
+            :data:`repro.service.executor.MIN_CHUNK_ROUNDS` rounds (a
+            default 10 000-round request is one piece).
+        default_deadline_seconds: Deadline applied when a request does
+            not set one (``None`` = unbounded).
+        drain_timeout_seconds: How long ``drain()`` waits for in-flight
+            requests before cancelling them into anytime results.
+        journal_dir: Directory for the write-ahead request journal and
+            the durable result store. ``None`` (the default) disables
+            durability: no journaling, no crash recovery, no idempotent
+            replay — requests still get per-request deterministic seeds.
+        journal_segment_bytes: Rotation threshold for journal segments;
+            sealed segments are the unit of journal GC.
+        result_ttl_seconds: How long completed results (and the sealed
+            journal segments remembering them) are retained for
+            idempotent replay. Default one week.
+        fleet_workers: Shard worker processes, each executing one
+            request at a time (``repro serve --workers N``).
+        heartbeat_interval_seconds / heartbeat_misses: Failure detection
+            — a worker that misses ``heartbeat_misses`` consecutive
+            intervals (or whose process exits) is declared dead and
+            failed over.
+        respawn_backoff_seconds / respawn_backoff_cap_seconds: Base and
+            cap of the exponential backoff between respawns of a dead
+            shard worker.
+        quarantine_restarts / quarantine_window_seconds: A worker
+            restarted more than ``quarantine_restarts`` times within the
+            window is quarantined — no further respawns; its key range
+            is served by the surviving shards.
+    """
+
+    scale: str = "tiny"
+    seed: int = 1
+    rounds: int = 10_000
+    queue_capacity: int = 8
+    chunks: int = 8
+    default_deadline_seconds: float | None = None
+    drain_timeout_seconds: float = 30.0
+    journal_dir: str | None = None
+    journal_segment_bytes: int = 1 << 20
+    result_ttl_seconds: float = 7 * 24 * 3600.0
+    fleet_workers: int = 2
+    heartbeat_interval_seconds: float = 0.25
+    heartbeat_misses: int = 8
+    respawn_backoff_seconds: float = 0.25
+    respawn_backoff_cap_seconds: float = 5.0
+    quarantine_restarts: int = 5
+    quarantine_window_seconds: float = 30.0
+
+    def __post_init__(self) -> None:
+        errors = [
+            (name, f"must be >= 1, got {getattr(self, name)}")
+            for name in ("queue_capacity", "fleet_workers", "heartbeat_misses")
+            if getattr(self, name) < 1
+        ]
+        errors += [
+            (name, f"must be > 0, got {getattr(self, name)}")
+            for name in ("heartbeat_interval_seconds", "result_ttl_seconds")
+            if not getattr(self, name) > 0
+        ]
+        check_count("rounds", self.rounds, 1, errors)
+        # The default deadline obeys the rule a request's own one does.
+        check_positive_finite(
+            "default_deadline_seconds", self.default_deadline_seconds, errors
+        )
+        drain = self.drain_timeout_seconds
+        if not (math.isfinite(drain) and drain >= 0):
+            errors.append(
+                ("drain_timeout_seconds", f"must be finite and >= 0, got {drain}")
+            )
+        if errors:
+            raise ValidationError(errors)
 
 
 def _fork_context():
@@ -69,7 +185,8 @@ def _fork_context():
 def shard_worker_main(
     shard: int,
     conn,
-    scale: str,
+    topology,
+    dependency_model,
     seed: int,
     rounds: int,
     chunks: int,
@@ -77,19 +194,16 @@ def shard_worker_main(
 ) -> None:
     """Entry point of one forked shard worker process.
 
-    Three threads: a reader turning pipe messages into tasks and firing
-    cancellation tokens, a heartbeat sender proving liveness every
-    ``heartbeat_interval``, and the main loop executing one task at a
-    time through the shared :class:`RequestExecutor` (same bits as the
-    thread service's workers). The worker exits on ``stop``,
-    on pipe EOF, and when its parent disappears — an orphaned worker
-    must never keep answering for a shard that has been failed over.
+    Runs on the supervisor's ``topology`` and ``dependency_model``,
+    inherited through ``fork``. Three threads: a reader turning pipe
+    messages into tasks and firing cancellation tokens, a heartbeat
+    sender proving liveness every ``heartbeat_interval``, and the main
+    loop executing one task at a time through :class:`RequestExecutor`.
+    The worker exits on ``stop``, on pipe EOF, and when its supervisor
+    disappears — an orphaned worker must never keep answering for a
+    shard that has been failed over.
     """
-    from repro.faults.inventory import build_paper_inventory
-    from repro.topology.presets import paper_topology
-
-    topology = paper_topology(scale, seed=seed)
-    dependency_model = build_paper_inventory(topology, seed=seed + 1)
+    supervisor = multiprocessing.parent_process().pid
     executor = RequestExecutor(
         topology,
         dependency_model,
@@ -140,7 +254,7 @@ def shard_worker_main(
 
     def heart() -> None:
         while not stop.wait(heartbeat_interval):
-            if os.getppid() == 1:  # reparented to init: supervisor died
+            if os.getppid() != supervisor:  # reparented: supervisor died
                 os._exit(0)
             send(
                 {
@@ -223,34 +337,58 @@ class _Worker:
             return False
 
 
-class FleetSupervisor(ServiceFront):
-    """Supervisor process of the worker fleet.
+class FleetSupervisor:
+    """The long-running, overload-safe front to the assessment engines.
 
-    Same public surface as :class:`~repro.service.scheduler.
-    AssessmentService` (both are :class:`ServiceFront`), so the HTTP
-    server and the clients cannot tell which deployment shape is behind
-    them.
+    Owns the lock, the metrics, the health state and one
+    :class:`RequestLifecycle`; turns each public call into a core event
+    under the lock and carries the returned effects out to the shard
+    worker processes. ``topology`` / ``dependency_model`` default to the
+    ``config.scale`` preset built from ``config.seed``.
     """
 
-    def __init__(self, config: ServiceConfig, clock=time.monotonic):
-        if config.fleet_workers < 1:
-            raise ConfigurationError(
-                "FleetSupervisor requires fleet_workers >= 1"
-            )
+    def __init__(
+        self,
+        config: ServiceConfig | None = None,
+        topology=None,
+        dependency_model=None,
+        clock=time.monotonic,
+    ):
         self._ctx = _fork_context()
-        super().__init__(
+        config = config or ServiceConfig()
+        self.config = config
+        self._clock = clock
+        if topology is None:
+            from repro.faults.inventory import build_paper_inventory
+            from repro.topology.presets import paper_topology
+
+            topology = paper_topology(config.scale, seed=config.seed)
+            dependency_model = build_paper_inventory(topology, seed=config.seed + 1)
+        self.topology = topology
+        self.dependency_model = dependency_model
+        self.metrics = MetricsRegistry()
+        self.health = HealthMonitor(clock)
+        self._lock = threading.RLock()
+        self._started = False
+        self.core = RequestLifecycle(
             config,
-            None,
-            None,
-            clock,
+            topology,
+            *open_state(config, config.fleet_workers),
             slots=config.fleet_workers,
-            width=1,
-            shards=config.fleet_workers,
+            clock=clock,
+            metrics=self.metrics,
         )
+        self.heartbeats = self.core.heartbeats
         self._slots = self.core.slots
         self._workers = [_Worker() for _ in self._slots]
         self._stop = threading.Event()
         self._monitor: threading.Thread | None = None
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -293,6 +431,81 @@ class FleetSupervisor(ServiceFront):
         with self._lock:
             self.core.close()
         self.health.transition(STOPPED)
+
+    def drain(self, timeout_seconds: float | None = None) -> None:
+        """Graceful shutdown: queued rejected, in-flight allowed to finish.
+
+        After ``timeout_seconds`` (default from config) the still-running
+        requests are *cancelled*, which turns them into anytime results —
+        they resolve normally, just degraded.
+        """
+        timeout = (
+            self.config.drain_timeout_seconds
+            if timeout_seconds is None
+            else timeout_seconds
+        )
+        self.health.transition(DRAINING)
+        with self._lock:
+            self._apply(self.core.drain())
+        deadline = self._clock() + timeout
+        self._await_open(lambda: max(0.0, deadline - self._clock()))
+        with self._lock:
+            self._apply(self.core.cancel_inflight("service draining"))
+        self._await_open(lambda: 5.0)
+        self.close()
+
+    def _await_open(self, patience) -> None:
+        with self._lock:
+            open_tickets = list(self.core.tickets.values())
+        for ticket in open_tickets:
+            try:
+                ticket.future.result(timeout=patience())
+            except Exception:
+                pass
+
+    # ------------------------------------------------------------------
+    # Requests
+    # ------------------------------------------------------------------
+
+    def submit(self, kind: str, request) -> Ticket:
+        """Validate, then admit through the lifecycle core.
+
+        Raises :class:`ValidationError` for malformed requests and
+        :class:`~repro.util.errors.AdmissionRejected` under overload,
+        drain or failover — both *before* any assessment work is spent
+        or anything is journaled. With a journal configured, a request
+        carrying an already-known idempotency key is never executed
+        twice: it joins the live ticket or resolves immediately with the
+        stored response.
+        """
+        if kind not in ("assess", "search"):
+            raise ValidationError([("kind", f"unknown request kind {kind!r}")])
+        request.validate(self.topology)
+        with self._lock:
+            ticket, effects = self.core.admit(kind, request)
+            self._apply(effects)
+        return ticket
+
+    def assess(
+        self, request: AssessRequest, timeout: float | None = None
+    ) -> ServiceResponse:
+        """Submit an assess request and wait for its response."""
+        return self.submit("assess", request).future.result(timeout=timeout)
+
+    def search(
+        self, request: SearchRequest, timeout: float | None = None
+    ) -> ServiceResponse:
+        """Submit a search request and wait for its response."""
+        return self.submit("search", request).future.result(timeout=timeout)
+
+    def cancel(self, request_id: str, reason: str = "cancelled by client") -> bool:
+        """Fire a request's token; returns False for unknown ids."""
+        with self._lock:
+            effects = self.core.cancel(request_id, reason)
+            if effects is None:
+                return False
+            self._apply(effects)
+        return True
 
     # ------------------------------------------------------------------
     # Effects out: processes and pipes
@@ -349,7 +562,8 @@ class FleetSupervisor(ServiceFront):
             args=(
                 shard,
                 child_conn,
-                self.config.scale,
+                self.topology,
+                self.dependency_model,
                 self.config.seed,
                 self.config.rounds,
                 self.config.chunks,
@@ -426,9 +640,11 @@ class FleetSupervisor(ServiceFront):
     # ------------------------------------------------------------------
 
     def status(self) -> dict:
-        """The shared snapshot plus the per-shard fleet view."""
+        """JSON-ready health, queue, per-worker, durability and per-shard
+        fleet snapshot."""
         with self._lock:
-            restarts = self.core.restarts
+            core = self.core
+            restarts = core.restarts
             shards = [
                 {
                     "shard": slot.shard,
@@ -445,7 +661,22 @@ class FleetSupervisor(ServiceFront):
                 }
                 for slot, worker in zip(self._slots, self._workers)
             ]
-            status = super().status()
+            status = {
+                "health": self.health.snapshot(),
+                "queue": {
+                    "depth": core.depth(),
+                    "capacity": self.config.queue_capacity,
+                    "draining": core.draining,
+                },
+                "inflight": sum(len(slot.inflight) for slot in core.slots),
+                "workers": self.heartbeats.snapshot(),
+                "durability": {
+                    "journaling": bool(core.journals),
+                    "journal_dir": self.config.journal_dir,
+                    "known_keys": len(core.keys),
+                },
+                "drill": self._drill_verdict(),
+            }
         status["fleet"] = {
             "shards": shards,
             "alive": sum(1 for s in shards if s["state"] == "alive"),
@@ -455,3 +686,13 @@ class FleetSupervisor(ServiceFront):
             "workers": self.config.fleet_workers,
         }
         return status
+
+    def _drill_verdict(self) -> dict | None:
+        """The last ``repro drill`` verdict written next to this journal,
+        so ``/healthz`` shows whether the stack passed its latest failure
+        drill (``None`` when no campaign has run against this state dir)."""
+        if not self.config.journal_dir:
+            return None
+        from repro.drill.engine import load_verdict
+
+        return load_verdict(self.config.journal_dir)

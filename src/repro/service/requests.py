@@ -7,7 +7,7 @@ and each raises one field-level
 :class:`~repro.util.errors.ValidationError` listing every problem at
 once, so only well-formed work is ticketed. A :class:`Ticket` pairs the
 request with its cancellation token and a future the client waits on; the
-scheduler resolves the future with a :class:`ServiceResponse` — including
+service resolves the future with a :class:`ServiceResponse` — including
 on deadline, where the response carries the *anytime* result rather than
 an exception-shaped timeout.
 """

@@ -2,9 +2,9 @@
 
 Stdlib-only (``http.server``) so the service runs anywhere the library
 does. The handler is a thin protocol adapter — all behaviour (admission,
-deadlines, anytime degradation) lives in
-:class:`~repro.service.scheduler.AssessmentService`; this module maps it
-onto HTTP:
+deadlines, anytime degradation, the shard workers) lives in
+:class:`~repro.service.fleet.FleetSupervisor`; this module maps it onto
+HTTP:
 
 ====================  ======================================================
 ``POST /assess``      body ``{"hosts": [...], "k": 2, "rounds"?,
@@ -36,8 +36,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serialization import decode, encode
+from repro.service.fleet import FleetSupervisor, ServiceConfig
 from repro.service.requests import AssessRequest, SearchRequest
-from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
 
 logger = logging.getLogger("repro.service")
@@ -54,7 +54,7 @@ SHUTDOWN_POLL_SECONDS = 0.05
 class ServiceHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, address, service: AssessmentService):
+    def __init__(self, address, service: FleetSupervisor):
         super().__init__(address, _Handler)
         self.service = service
 
@@ -103,7 +103,7 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     @property
-    def service(self) -> AssessmentService:
+    def service(self) -> FleetSupervisor:
         return self.server.service
 
     def log_message(self, format, *args):  # route through logging, not stderr
@@ -182,19 +182,12 @@ def serve(
     """Run the service until SIGTERM/SIGINT, then drain gracefully.
 
     Returns the process exit code (0 for a clean drain). Signal handlers
-    are optional so tests can drive shutdown directly. With
-    ``config.fleet_workers > 0`` the HTTP front talks to a
-    :class:`~repro.service.fleet.FleetSupervisor` — N forked shard
-    worker processes with heartbeat supervision and journal-based
-    failover — instead of the in-process thread scheduler; the handler
-    cannot tell the difference.
+    are optional so tests can drive shutdown directly. Behind the
+    HTTP front runs a :class:`~repro.service.fleet.FleetSupervisor`:
+    ``config.fleet_workers`` forked shard worker processes with
+    heartbeat supervision and journal-based failover.
     """
-    if config is not None and config.fleet_workers > 0:
-        from repro.service.fleet import FleetSupervisor
-
-        service = FleetSupervisor(config).start()
-    else:
-        service = AssessmentService(config).start()
+    service = FleetSupervisor(config).start()
     httpd = ServiceHTTPServer((host, port), service)
     stop_event = threading.Event()
 

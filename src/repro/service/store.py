@@ -9,7 +9,7 @@ half-result behind and silent corruption is caught at read time.
 
 Resubmitting a completed idempotency key is answered straight from here
 without re-execution; entries older than the configured TTL are removed
-by :meth:`compact`, which the scheduler folds into journal segment GC so
+by :meth:`compact`, which the service pairs with journal segment GC so
 a key's stored answer and its journal memory age out together.
 """
 

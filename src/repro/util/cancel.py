@@ -11,8 +11,8 @@ one clock read plus an event check) or calls ``token.check()`` to raise
 Tokens compose: a child token created with ``token.child()`` fires when
 its parent fires (service shutdown cancels every in-flight request) or
 when its own deadline passes, whichever comes first. All state is
-thread-safe — the service's HTTP thread cancels tokens that the scheduler
-worker threads poll.
+thread-safe — a shard worker's pipe reader cancels tokens that its
+executing thread polls.
 """
 
 from __future__ import annotations

@@ -303,9 +303,12 @@ class TestExitCodes:
         assert cli.EXIT_CONFIG == 2
         assert cli.EXIT_UNSATISFIED == 3
         assert cli.EXIT_PREEMPTED == 4
-        assert cli.EXIT_DEGRADED == 5
-        assert len({cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_UNSATISFIED,
-                    cli.EXIT_PREEMPTED, cli.EXIT_DEGRADED}) == 5
+        assert cli.EXIT_DRILL == 6
+        # 5 (a degraded assessment) is retired: no command reaches it.
+        assert not hasattr(cli, "EXIT_DEGRADED")
+        codes = [value for name, value in vars(cli).items()
+                 if name.startswith("EXIT_")]
+        assert sorted(codes) == [0, 2, 3, 4, 6]
 
     def test_validation_errors_list_every_field(self, capsys):
         code, _out, err = run_cli(
@@ -324,7 +327,7 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8321
         assert args.queue_capacity == 8
-        assert args.scheduler_workers == 2
+        assert args.workers == 2
         assert args.default_deadline is None
         assert args.drain_timeout == 30.0
         assert args.handler.__name__ == "cmd_serve"
@@ -349,7 +352,7 @@ class TestServeParser:
         "flags, field",
         [
             (("--queue-capacity", "0"), "queue_capacity"),
-            (("--scheduler-workers", "0"), "scheduler_workers"),
+            (("--workers", "0"), "fleet_workers"),
             (("--workers", "-1"), "fleet_workers"),
         ],
     )

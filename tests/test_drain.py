@@ -37,7 +37,7 @@ def _start_server(
             "--scale", "tiny",
             "--port", "0",
             "--queue-capacity", "4",
-            "--scheduler-workers", "1",
+            "--workers", "1",
             "--drain-timeout", "120",
             "--journal-dir", journal_dir,
             *extra,
@@ -175,10 +175,10 @@ def _group_alive(pgid: int) -> bool:
 def test_idle_server_shutdown_returns_promptly():
     """``shutdown()`` waits out one ``serve_forever`` poll interval; with
     the stdlib's default that was up to 0.5 s for a server doing nothing."""
-    from repro.service.scheduler import AssessmentService, ServiceConfig
+    from repro.service.fleet import FleetSupervisor
     from repro.service.server import ServiceHTTPServer
 
-    with AssessmentService(ServiceConfig(scale="tiny")) as service:
+    with FleetSupervisor() as service:
         for _ in range(3):  # the old wait was uniform in [0, 0.5) s
             httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
             thread = threading.Thread(target=httpd.serve_forever, daemon=True)

@@ -419,9 +419,8 @@ class TestRealFleetSeam:
         worker's ``started`` protocol message must not affect the reply
         (the journal simply never learns the request began)."""
         from repro.service.executor import MIN_CHUNK_ROUNDS
-        from repro.service.fleet import FleetSupervisor
+        from repro.service.fleet import FleetSupervisor, ServiceConfig
         from repro.service.requests import AssessRequest
-        from repro.service.scheduler import ServiceConfig
 
         registry = FaultPoints()
         # Each worker's first send is its first task's "started".

@@ -31,12 +31,11 @@ from repro.drill.schedule import FaultSchedule
 from repro.sampling.statistics import ReliabilityEstimate
 from repro.serialization import artifact, decode, dump, encode, load
 from repro.service.capacity import FleetCapacityPlan
-from repro.service.fleet import FleetSupervisor
+from repro.service.fleet import FleetSupervisor, ServiceConfig
 from repro.service.journal import encode_record, scan_segment
 from repro.service.lifecycle import fingerprint
 from repro.service.redeploy import DegradationEvent, RecoveryReport, RedeployDecision
 from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
-from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.util.errors import ValidationError
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -190,18 +189,26 @@ class TestJournalAndStore:
     @pytest.mark.parametrize("service", SERVICES)
     def test_a_restarted_service_replays_the_directory(self, service, tmp_path):
         """The pending request re-executes bit-identically, and every
-        stored key answers with its stored response."""
+        stored key answers with its stored response. The thread service
+        that wrote ``thread-service`` (one unsharded journal family) is
+        gone: a default fleet serves its directory."""
         plan = _manifest()[service]
         directory = tmp_path / service
         shutil.copytree(_path(service), directory)
+        written = plan["config"]
         config = ServiceConfig(
-            **plan["config"], journal_dir=str(directory), result_ttl_seconds=1e12
+            scale=written["scale"],
+            seed=written["seed"],
+            rounds=written["rounds"],
+            queue_capacity=written["queue_capacity"],
+            fleet_workers=written["fleet_workers"] or ServiceConfig.fleet_workers,
+            journal_dir=str(directory),
+            result_ttl_seconds=1e12,
         )
-        front_cls = FleetSupervisor if config.fleet_workers else AssessmentService
         stored = {
             entry["request"]["idempotency_key"]: entry for entry in plan["stored"]
         }
-        with front_cls(config).start() as front:
+        with FleetSupervisor(config).start() as front:
             pending = plan["pending"]
             response = front.assess(
                 decode(AssessRequest, pending["request"]), timeout=120.0

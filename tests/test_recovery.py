@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service.fleet import FleetSupervisor, ServiceConfig
 from repro.service.journal import RequestJournal
 from repro.service.requests import AssessRequest
-from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.util.errors import AdmissionRejected, ValidationError
 
 
-def _service(fattree4, inventory, **overrides) -> AssessmentService:
-    defaults = dict(
-        scale="tiny", rounds=1_000, queue_capacity=8, scheduler_workers=1
-    )
+def _service(fattree4, inventory, **overrides) -> FleetSupervisor:
+    defaults = dict(scale="tiny", rounds=1_000, queue_capacity=8, fleet_workers=1)
     defaults.update(overrides)
-    return AssessmentService(
+    return FleetSupervisor(
         ServiceConfig(**defaults), topology=fattree4, dependency_model=inventory
     )
 

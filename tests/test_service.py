@@ -20,6 +20,7 @@ from repro.core.assessment import ReliabilityAssessor
 from repro.core.plan import DeploymentPlan
 from repro.service.client import HttpServiceClient
 from repro.service.executor import MIN_CHUNK_ROUNDS, chunk_layout, chunked_assess
+from repro.service.fleet import FleetSupervisor, ServiceConfig
 from repro.service.health import (
     DRAINING,
     SERVING,
@@ -28,18 +29,15 @@ from repro.service.health import (
     HealthMonitor,
 )
 from repro.service.requests import AssessRequest, SearchRequest
-from repro.service.scheduler import AssessmentService, ServiceConfig
 from repro.service.server import ServiceHTTPServer
 from repro.util.cancel import CancellationToken
 from repro.util.errors import AdmissionRejected, ReproError, ValidationError
 
 
-def _service(fattree4, inventory, **overrides) -> AssessmentService:
-    defaults = dict(
-        scale="tiny", rounds=2_000, queue_capacity=4, scheduler_workers=2
-    )
+def _service(fattree4, inventory, **overrides) -> FleetSupervisor:
+    defaults = dict(scale="tiny", rounds=2_000, queue_capacity=4)
     defaults.update(overrides)
-    return AssessmentService(
+    return FleetSupervisor(
         ServiceConfig(**defaults), topology=fattree4, dependency_model=inventory
     )
 
@@ -171,7 +169,7 @@ class TestServiceLifecycle:
         self, fattree4, inventory
     ):
         service = _service(
-            fattree4, inventory, scheduler_workers=1, queue_capacity=4,
+            fattree4, inventory, fleet_workers=1, queue_capacity=4,
             rounds=200_000, chunks=4,
         ).start()
         request = AssessRequest(hosts=tuple(fattree4.hosts[:3]), k=2)

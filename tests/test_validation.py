@@ -22,7 +22,7 @@ from repro.sampling.statistics import estimate_from_results
 from repro.serialization import decode, encode
 from repro.service.redeploy import RedeploymentController
 from repro.service.requests import AssessRequest, SearchRequest
-from repro.service.scheduler import ServiceConfig
+from repro.service.fleet import ServiceConfig
 from repro.util.errors import ConfigurationError, ValidationError
 
 STRUCTURE = ApplicationStructure.k_of_n(2, 3)
@@ -188,14 +188,14 @@ class TestServiceConfigValidation:
 
     def test_defaults_pass(self):
         ServiceConfig()
-        ServiceConfig(queue_capacity=1, scheduler_workers=1, fleet_workers=0)
+        ServiceConfig(queue_capacity=1, fleet_workers=1)
         ServiceConfig(rounds=1, default_deadline_seconds=0.25, drain_timeout_seconds=0)
 
-    def test_zero_scheduler_workers_rejected(self):
-        # Admitted requests would wait for a thread that never exists.
+    def test_zero_fleet_workers_rejected(self):
+        # Admitted requests would wait for a worker that never exists.
         with pytest.raises(ValidationError) as excinfo:
-            ServiceConfig(scheduler_workers=0)
-        assert excinfo.value.fields() == ("scheduler_workers",)
+            ServiceConfig(fleet_workers=0)
+        assert excinfo.value.fields() == ("fleet_workers",)
 
     def test_zero_queue_capacity_rejected(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -203,16 +203,15 @@ class TestServiceConfigValidation:
         assert excinfo.value.fields() == ("queue_capacity",)
 
     def test_negative_fleet_workers_rejected(self):
-        # Not silently the thread scheduler.
         with pytest.raises(ValidationError) as excinfo:
             ServiceConfig(fleet_workers=-1)
         assert excinfo.value.fields() == ("fleet_workers",)
 
     def test_one_error_names_every_bad_count(self):
         with pytest.raises(ValidationError) as excinfo:
-            ServiceConfig(queue_capacity=0, scheduler_workers=-2, fleet_workers=-1)
+            ServiceConfig(queue_capacity=0, fleet_workers=-2, heartbeat_misses=0)
         assert excinfo.value.fields() == (
-            "queue_capacity", "scheduler_workers", "fleet_workers",
+            "queue_capacity", "fleet_workers", "heartbeat_misses",
         )
         assert "got -2" in str(excinfo.value)
 
