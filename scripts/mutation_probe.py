@@ -90,6 +90,23 @@ TESTS = {
         "tests/test_golden.py",
         "tests/test_drill.py",
     ],
+    # The core's own tests and the drill, which runs it: no fleet forks.
+    # (The seam-count test reads the source text, which the probe
+    # re-renders with other quotes.)
+    "service/lifecycle.py": [
+        "tests/test_fleet.py::TestHashRing",
+        "tests/test_lifecycle.py::TestAdmission",
+        "tests/test_lifecycle.py::TestIdempotency",
+        "tests/test_lifecycle.py::TestTerminalRecords",
+        "tests/test_lifecycle.py::TestOnMessage",
+        "tests/test_lifecycle.py::TestFailover",
+        "tests/test_lifecycle.py::TestForeignFamilies",
+        "tests/test_lifecycle.py::TestSeams::test_seams_fire_in_the_drill",
+        "tests/test_lifecycle.py::TestDrillRunsProductionCode",
+        "tests/test_drill.py::TestDrillEngine",
+        "tests/test_drill.py::TestSeededBug",
+        "tests/test_drill.py::TestDrillCli",
+    ],
 }
 
 #: ``(module, stripped source line, operator, occurrence)`` -> why the
@@ -181,6 +198,17 @@ EQUIVALENT = {
     ): "the default tear point of the `torn` seam: any cut strictly inside the "
     "record leaves a torn tail that open truncates to the same intact prefix "
     "(the clamp to [1, len - 1] is tested)",
+    ("service/lifecycle.py", 'return int.from_bytes(digest[:8], "big")', "int+1", 0):
+        "a ring point from 9 digest bytes instead of 8: the ninth byte only "
+        "breaks ties between equal 8-byte prefixes, so every comparison, and "
+        "with it every placement, is the same barring a 64-bit collision",
+    (
+        "service/lifecycle.py",
+        "for family in sorted(families, key=lambda f: -1 if f is None else f)",
+        "int+1",
+        0,
+    ): "-1 or -2 as the unsharded family's sort key: both sort it before "
+    "every shard number, and shard numbers are never negative",
     ("service/journal.py", "and now - os.path.getmtime(path) >= ttl_seconds", "GtE->Gt", 0):
         "a segment's age is the difference of two wall-clock readings; it equals "
         "the TTL only by coincidence of floats, and at TTL 0 the clock has moved "

@@ -58,8 +58,9 @@ master seed and round count — the property the test suite asserts across
 randomized move sequences.
 
 Caches grow with the set of hosts the search has touched (a few KiB per
-component at 10^4 rounds); :meth:`IncrementalAssessor.clear_caches`
-resets everything, e.g. after ``override_probabilities`` style updates.
+component at 10^4 rounds) and live as long as the assessor: every search
+builds its own, so a search after ``override_probabilities`` style
+updates starts from an empty universe on the substrate's new kernel.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class IncrementalAssessor(AssessorBase):
     :meth:`from_config` / :func:`~repro.core.api.build_assessor` with
     ``mode="incremental"``. The round count and master seed are fixed for
     the assessor's lifetime — they define the sampling universe all the
-    caches live in (use a fresh assessor, or :meth:`clear_caches` plus
-    :meth:`reseed`, to change either).
+    caches live in, as does the substrate's kernel at construction (use
+    a fresh assessor to change any of them).
     """
 
     def __init__(
@@ -212,20 +213,6 @@ class IncrementalAssessor(AssessorBase):
     def master_seed(self) -> int:
         """The CRN master seed the whole cache universe is keyed by."""
         return self.sampler.master_seed
-
-    def clear_caches(self) -> None:
-        """Drop every cache (states, closures, plans, route vectors).
-
-        Call after externally mutating failure probabilities or the
-        dependency model; the next assessment rebuilds from scratch, on
-        the kernel of the substrate's current generation.
-        """
-        self._new_universe()
-
-    def reseed(self, master_seed: int) -> None:
-        """Move to a new CRN master seed, invalidating every cache."""
-        self.sampler.reseed(master_seed)
-        self.clear_caches()
 
     def _closure_masks(self, plan: DeploymentPlan) -> tuple[int, int]:
         """The plan's closure masks, each host's kept for the walk."""

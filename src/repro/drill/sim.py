@@ -10,7 +10,9 @@ commit point. It runs that core as the forked fleet does; what it
 replaces is only the nondeterministic substrate (threads, processes,
 pipes, wall clocks), with a discrete-event tick loop and a virtual clock.
 Workers are protocol state machines that advance one step per tick
-(``started → compute → respond``), so a fault schedule addressing "the
+(``started → compute → respond``) and speak the fleet's pipe protocol:
+each message they send, ``response`` encoded as on the pipe, goes through
+the core's own ``on_message``, so a fault schedule addressing "the
 3rd heartbeat" or "the 7th journal append" strikes the same instant on
 every run: the whole drill is a pure function of ``(seed, schedule)``.
 
@@ -112,9 +114,6 @@ class _StubSearch:
         self.candidate_score = 0.95
 
     def refresh_probabilities(self) -> None:
-        pass
-
-    def clear_caches(self) -> None:
         pass
 
     def assess(self, plan, structure) -> _StubAssessment:
@@ -399,7 +398,9 @@ class DrillSim:
             effect = pending.popleft()
             if effect.kind == "spawn":
                 service.workers[effect.shard] = SimWorker(effect.shard)
-                pending.extend(service.core.worker_ready(effect.shard))
+                pending.extend(
+                    service.core.on_message(effect.shard, {"type": "hello"})
+                )
             elif effect.kind == "kill":
                 self.trace.failovers += 1
                 service.workers[effect.shard].state = "down"
@@ -529,11 +530,11 @@ class DrillSim:
             if command is not None and command.kind == "hang":
                 worker.state = "hung"
             elif command is None or command.kind != "drop":
-                service.core.heartbeat(shard)
+                service.core.on_message(shard, {"type": "heartbeat"})
 
     def _monitor(self) -> None:
-        """What the fleet's monitor thread does each interval: report
-        exited processes, then let the core judge the silent ones."""
+        """What the fleet's event loop does: report exited processes,
+        then let the core judge the silent ones."""
         service = self.service
         for shard, worker in sorted(service.workers.items()):
             if worker.state == "exited":
@@ -559,7 +560,7 @@ class DrillSim:
                 worker.state = "hung"
             elif worker.phase == "started":
                 if command is None:  # else "drop": the message is lost
-                    core.started(shard, ticket.id)
+                    core.on_message(shard, {"type": "started", "id": ticket.id})
                 worker.phase = "compute"
             elif worker.phase == "compute":
                 worker.result = self._execute(ticket)
@@ -569,15 +570,13 @@ class DrillSim:
                 worker.phase = "respond"
             else:
                 worker.ticket = None
-                self._apply(
-                    core.completed(
-                        shard,
-                        ticket.id,
-                        ServiceResponse(
-                            request_id=ticket.id, status="ok", result=worker.result
-                        ),
+                response = encode(
+                    ServiceResponse(
+                        request_id=ticket.id, status="ok", result=worker.result
                     )
                 )
+                message = {"type": "response", "id": ticket.id, "response": response}
+                self._apply(core.on_message(shard, message))
 
     def _execute(self, ticket: Ticket) -> dict:
         """The deterministic stand-in for an assessment: a pure function

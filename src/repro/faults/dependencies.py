@@ -157,11 +157,11 @@ class DependencyModel:
         components (degradation events, chaos injections, what-ifs).
 
         Structure is untouched, so attached trees stay valid. Moves
-        :attr:`generation`: assessors built afterwards get a kernel
-        compiled against the new probabilities, and a live assessor
-        fetches it on ``refresh_probabilities()`` (``clear_caches()`` on
-        incremental assessors). The search's symmetry screen follows on
-        its own.
+        :attr:`generation`: assessors built afterwards (every search's
+        incremental assessor among them) get a kernel compiled against
+        the new probabilities, and a live from-scratch assessor fetches
+        it on ``refresh_probabilities()``. The search's symmetry screen
+        follows on its own.
         """
         network = {}
         for cid, probability in overrides.items():

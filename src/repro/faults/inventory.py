@@ -392,9 +392,9 @@ class ZoneOutage:
     Only probabilities change, never structure, so attached fault trees
     and topology graphs stay valid. Each override moves the substrate's
     generation, so assessors built afterwards get a kernel compiled
-    against the outage; a live assessor fetches it after
-    :meth:`inject`/:meth:`revert` on ``refresh_probabilities()``
-    (from-scratch) or ``clear_caches()`` (incremental) — the
+    against the outage (every search builds its incremental assessor
+    anew); a live from-scratch assessor fetches it after
+    :meth:`inject`/:meth:`revert` on ``refresh_probabilities()`` — the
     :class:`~repro.service.redeploy.RedeploymentController` does this
     automatically — and a search's symmetry screen follows on its own.
     """

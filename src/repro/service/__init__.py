@@ -29,7 +29,7 @@ from repro.service.requests import (
     Ticket,
 )
 from repro.service.store import ResultStore
-from repro.util.cancel import NEVER, CancellationToken
+from repro.util.cancel import CancellationToken
 
 __all__ = [
     "AssessRequest",
@@ -39,7 +39,6 @@ __all__ = [
     "HealthMonitor",
     "HttpServiceClient",
     "JournalState",
-    "NEVER",
     "RecoveryReport",
     "RedeployDecision",
     "RedeploymentController",

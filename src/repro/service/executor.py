@@ -254,11 +254,7 @@ class RequestExecutor:
             result = replace(
                 result, runtime=replace(result.runtime, recovered=True)
             )
-        status = (
-            "degraded"
-            if result.degraded or (result.runtime and result.runtime.cancelled)
-            else "ok"
-        )
+        status = "degraded" if result.degraded else "ok"
         return ServiceResponse(
             request_id=request_id,
             status=status,

@@ -6,12 +6,11 @@ write-ahead journals — all of it the shared
 :class:`~repro.service.lifecycle.RequestLifecycle`, configured as N slots
 with one journal segment family each; N forked shard worker processes
 own execution. This module is the plumbing between the two: fork and
-pipe, a reader thread per worker turning protocol messages into core
-events (``hello`` → ``worker_ready``, ``heartbeat``, ``started``,
-``response`` → ``completed``), a monitor thread reporting exited
-processes (``worker_lost``) and the passage of time (``tick``), and
-``_apply`` carrying the core's effects back out (``dispatch``/``cancel``
-→ pipe messages, ``kill``/``spawn`` → processes).
+pipe, one event loop waiting on every worker's pipe and process
+sentinel — each protocol message to the core's ``on_message``, an exit
+(``worker_lost``) once that pipe is read to its end, time (``tick``) —
+and ``_apply`` carrying the core's effects back out (``dispatch``/
+``cancel`` → pipe messages, ``kill``/``spawn`` → processes).
 
 What the core decides and this module only executes: a key always lands
 on the same worker while it is alive (consistent :class:`~repro.service.
@@ -44,11 +43,12 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serialization import decode, encode
 from repro.service.executor import RequestExecutor
@@ -195,15 +195,15 @@ def shard_worker_main(
     """Entry point of one forked shard worker process.
 
     Runs on the supervisor's ``topology`` and ``dependency_model``,
-    inherited through ``fork``. Three threads: a reader turning pipe
-    messages into tasks and firing cancellation tokens, a heartbeat
-    sender proving liveness every ``heartbeat_interval``, and the main
-    loop executing one task at a time through :class:`RequestExecutor`.
-    The worker exits on ``stop``, on pipe EOF, and when its supervisor
+    inherited through ``fork``. Two threads: a link thread polling the
+    pipe until the next beat is due (messages become tasks or fire
+    cancellation tokens), then sending the beat, and the main loop
+    executing one task at a time through :class:`RequestExecutor`. The
+    worker exits on ``stop``, on pipe EOF, and when its supervisor
     disappears — an orphaned worker must never keep answering for a
     shard that has been failed over.
     """
-    supervisor = multiprocessing.parent_process().pid
+    supervisor, pid = multiprocessing.parent_process().pid, os.getpid()
     executor = RequestExecutor(
         topology,
         dependency_model,
@@ -213,7 +213,6 @@ def shard_worker_main(
     )
 
     send_lock = threading.Lock()
-    stop = threading.Event()
     tasks: queue_module.Queue = queue_module.Queue()
     tokens: dict[str, CancellationToken] = {}
     tokens_lock = threading.Lock()
@@ -226,14 +225,23 @@ def shard_worker_main(
             # The supervisor is gone; there is nobody to answer to.
             os._exit(0)
 
-    def reader() -> None:
+    def link() -> None:
+        beat = {"type": "heartbeat", "shard": shard, "pid": pid}
+        beat_at = time.monotonic() + heartbeat_interval
         while True:
+            wait = beat_at - time.monotonic()
+            if wait <= 0:
+                if os.getppid() != supervisor:  # reparented: supervisor died
+                    os._exit(0)
+                send(dict(beat, ts=time.time()))
+                beat_at = time.monotonic() + heartbeat_interval
+                continue
             try:
+                if not conn.poll(wait):
+                    continue
                 message = conn.recv()
             except (EOFError, OSError):
-                stop.set()
-                tasks.put(None)
-                return
+                break
             kind = message.get("type")
             if kind == "task":
                 token = CancellationToken(
@@ -248,26 +256,11 @@ def shard_worker_main(
                 if token is not None:
                     token.cancel(message.get("reason", "cancelled by supervisor"))
             elif kind == "stop":
-                stop.set()
-                tasks.put(None)
-                return
+                break
+        tasks.put(None)
 
-    def heart() -> None:
-        while not stop.wait(heartbeat_interval):
-            if os.getppid() != supervisor:  # reparented: supervisor died
-                os._exit(0)
-            send(
-                {
-                    "type": "heartbeat",
-                    "shard": shard,
-                    "pid": os.getpid(),
-                    "ts": time.time(),
-                }
-            )
-
-    threading.Thread(target=reader, name="fleet-reader", daemon=True).start()
-    threading.Thread(target=heart, name="fleet-heart", daemon=True).start()
-    send({"type": "hello", "shard": shard, "pid": os.getpid()})
+    threading.Thread(target=link, name="fleet-link", daemon=True).start()
+    send({"type": "hello", "shard": shard, "pid": pid})
 
     while True:
         item = tasks.get()
@@ -320,18 +313,16 @@ class _Worker:
 
     process: object = None
     conn: object = None
-    send_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def send(self, message: dict) -> bool:
-        """Best-effort pipe send. A dead pipe is the monitor's problem:
-        it reports the exited process and the core re-routes whatever
-        the worker held, this message's ticket included."""
+        """Best-effort pipe send (under the supervisor lock). A dead pipe
+        is the event loop's problem: it reports the exited process and the
+        core re-routes whatever the worker held, this message's included."""
         conn = self.conn
         if conn is None:
             return False
         try:
-            with self.send_lock:
-                conn.send(message)
+            conn.send(message)
             return True
         except (OSError, ValueError, BrokenPipeError):
             return False
@@ -382,7 +373,7 @@ class FleetSupervisor:
         self._slots = self.core.slots
         self._workers = [_Worker() for _ in self._slots]
         self._stop = threading.Event()
-        self._monitor: threading.Thread | None = None
+        self._loop: threading.Thread | None = None
 
     def __enter__(self):
         return self.start()
@@ -400,10 +391,10 @@ class FleetSupervisor:
         self._started = True
         with self._lock:
             self._apply(self.core.start())
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="fleet-monitor", daemon=True
+        self._loop = threading.Thread(
+            target=self._event_loop, name="fleet-loop", daemon=True
         )
-        self._monitor.start()
+        self._loop.start()
         self.health.transition(SERVING)
         logger.info(
             "fleet serving scale=%s shards=%d queue=%d journal=%s",
@@ -415,20 +406,22 @@ class FleetSupervisor:
         return self
 
     def close(self) -> None:
-        """Hard stop: stop workers, resolve stragglers, free resources."""
+        """Hard stop: stop workers, resolve stragglers, free resources.
+        The event loop reads on until the workers have exited."""
         with self._lock:
             self.core.stop()
-        self._stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-            self._monitor = None
-        for worker in self._workers:
-            worker.send({"type": "stop"})
+            for worker in self._workers:
+                worker.send({"type": "stop"})
         for worker in self._workers:
             if worker.process is not None:
                 worker.process.join(timeout=2.0)
-            self._kill(worker)
+        self._stop.set()
+        if self._loop is not None:
+            self._loop.join(timeout=5.0)
+            self._loop = None
         with self._lock:
+            for worker in self._workers:
+                self._kill(worker)
             self.core.close()
         self.health.transition(STOPPED)
 
@@ -577,12 +570,6 @@ class FleetSupervisor:
         worker.process = process
         worker.conn = parent_conn
         self.heartbeats.annotate(slot.name, pid=process.pid)
-        threading.Thread(
-            target=self._reader_loop,
-            args=(shard, parent_conn, slot.generation),
-            name=f"fleet-reader-{shard}",
-            daemon=True,
-        ).start()
         logger.info(
             "%s spawned pid=%d generation=%d",
             slot.name,
@@ -594,46 +581,53 @@ class FleetSupervisor:
     # Events in: worker messages, process exits, time
     # ------------------------------------------------------------------
 
-    def _reader_loop(self, shard: int, conn, generation: int) -> None:
-        core = self.core
-        while not self._stop.is_set():
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return  # the monitor notices the dead process
-            kind = message.get("type")
-            with self._lock:
-                if self._slots[shard].generation != generation:
-                    return  # a respawn superseded this pipe
-                if kind == "hello":
-                    effects = core.worker_ready(shard)
-                elif kind == "heartbeat":
-                    effects = core.heartbeat(shard)
-                elif kind == "started":
-                    effects = core.started(shard, message["id"])
-                elif kind == "response":
-                    effects = core.completed(
-                        shard,
-                        message["id"],
-                        decode(ServiceResponse, message["response"]),
-                    )
-                else:
-                    continue
-                self._apply(effects)
-
-    def _monitor_loop(self) -> None:
+    def _event_loop(self) -> None:
+        """The supervisor's one event loop. It waits on every live
+        worker's pipe and process sentinel together; a ready pipe's
+        messages go to :meth:`_receive`, an exited worker's after them
+        (the pipe is read to its end first), and every half heartbeat
+        interval the core is told that time passed. A respawn swaps the
+        pipe and sentinel waited on; a killed worker's closed pipe drops
+        out of the wait."""
         interval = max(0.02, self.config.heartbeat_interval_seconds / 2)
-        while not self._stop.wait(interval):
-            with self._lock:
-                for slot, worker in zip(self._slots, self._workers):
-                    if (
-                        slot.state in ("starting", "alive")
-                        and not worker.process.is_alive()
-                    ):
-                        self._apply(
-                            self.core.worker_lost(slot.shard, "process exited")
-                        )
-                self._apply(self.core.tick())
+        tick_at = time.monotonic() + interval
+        while not self._stop.is_set():
+            live = [
+                (shard, worker.conn, worker.process.sentinel)
+                for shard, worker in enumerate(self._workers)
+                if worker.conn is not None
+            ]
+            ready = set(
+                multiprocessing.connection.wait(
+                    [handle for _, *handles in live for handle in handles],
+                    timeout=max(0.0, tick_at - time.monotonic()),
+                )
+            )
+            for shard, conn, sentinel in live:
+                if conn in ready or sentinel in ready:
+                    if not self._read(shard, conn) or sentinel in ready:
+                        with self._lock:  # read to its end: close, take over
+                            self._kill(self._workers[shard])
+                            self._apply(self.core.worker_lost(shard, "process exited"))
+            if time.monotonic() >= tick_at:
+                tick_at = time.monotonic() + interval
+                with self._lock:
+                    self._apply(self.core.tick())
+
+    def _read(self, shard: int, conn) -> bool:
+        """Hand every message waiting on ``conn`` to :meth:`_receive`;
+        ``False`` once the pipe is at its end."""
+        try:
+            while conn.poll():
+                self._receive(shard, conn.recv())
+        except (EOFError, OSError):
+            return False
+        return True
+
+    def _receive(self, shard: int, message: dict) -> None:
+        """The one receive point: a worker's message, as its core event."""
+        with self._lock:
+            self._apply(self.core.on_message(shard, message))
 
     # ------------------------------------------------------------------
     # Introspection

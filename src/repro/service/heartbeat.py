@@ -4,9 +4,9 @@ Two small, independently testable state machines:
 
 :class:`HeartbeatTracker` answers "when did worker X last prove it was
 alive, and has it missed enough beats to be declared dead?". It never
-declares anything by itself — the fleet monitor combines its answer with
-``Process.is_alive()`` so a worker that *exited* is dead immediately,
-while a worker that is merely silent must miss ``misses`` consecutive
+declares anything by itself — the lifecycle core's ``tick`` asks it; a
+worker that *exited* is reported at once by the fleet's event loop,
+while one that is merely silent must miss ``misses`` consecutive
 intervals first (a long GC pause or a busy CPU is not a crash).
 
 :class:`RestartPolicy` answers "when may a dead worker be respawned, and

@@ -30,6 +30,10 @@ event               what the core does
 ``drain``           stop admitting, reject what is queued
 ==================  =====================================================
 
+:meth:`RequestLifecycle.on_message` maps a shard worker's protocol
+message to its event; the fleet's event loop and the drill's fake
+workers both deliver their messages through it.
+
 Effects (:class:`Effect`) are ``dispatch`` a ticket to a slot, ``cancel``
 a dispatched ticket, ``kill`` / ``spawn`` a slot's executor, and
 ``resolve`` — the ticket's future already holds the response, the effect
@@ -456,7 +460,8 @@ class RequestLifecycle:
 
     def _pick(self, slot: Slot) -> Ticket | None:
         """Own queue first; otherwise steal the oldest *unkeyed* ticket
-        from the longest queue that has one. Keyed tickets stay with
+        from the longest queue that has one (the lowest shard's, on a
+        tie). Keyed tickets stay with
         their ring owner (placement is what makes a key a key). A stolen
         ticket keeps its journal family: only the executor changes."""
         if slot.queue:
@@ -514,6 +519,23 @@ class RequestLifecycle:
     # ------------------------------------------------------------------
     # Execution outcomes
     # ------------------------------------------------------------------
+
+    def on_message(self, shard: int, message: dict) -> list[Effect]:
+        """A shard worker's protocol message as the event it stands for:
+        ``hello`` → :meth:`worker_ready`, ``heartbeat``, ``started``, and
+        ``response`` → :meth:`completed` with the decoded response. Any
+        other type is ignored."""
+        kind = message.get("type")
+        if kind == "hello":
+            return self.worker_ready(shard)
+        if kind == "heartbeat":
+            return self.heartbeat(shard)
+        if kind == "started":
+            return self.started(shard, message["id"])
+        if kind == "response":
+            response = decode(ServiceResponse, message["response"])
+            return self.completed(shard, message["id"], response)
+        return []
 
     def started(self, shard: int, request_id: str) -> list[Effect]:
         """An executor began the request: journal ``started``."""
@@ -599,7 +621,7 @@ class RequestLifecycle:
             ticket.kind,
             response.status,
             ticket.shard,
-            response.backend or "-",
+            response.backend,
             response.elapsed_seconds,
             response.queue_seconds,
         )
@@ -680,6 +702,8 @@ class RequestLifecycle:
         """Time passed: judge silent and slow-starting executors, spawn
         the ones whose backoff is over."""
         effects: list[Effect] = []
+        if self.stopped:
+            return effects
         now = self.clock()
         misses = self.config.heartbeat_misses
         for slot in self.slots:
@@ -706,7 +730,7 @@ class RequestLifecycle:
         or quarantine a flapping slot, whose key range the survivors
         keep serving."""
         slot = self.slots[shard]
-        if slot.state not in ("starting", "alive"):
+        if self.stopped or slot.state not in ("starting", "alive"):
             return []
         logger.warning("%s declared dead (%s)", slot.name, why)
         self.metrics.incr("fleet/worker_deaths")
@@ -782,7 +806,9 @@ class RequestLifecycle:
 
     def stop(self) -> None:
         """Hard stop, first half: shed everything new, dispatch nothing
-        more, cancel what runs. Executors may still report outcomes."""
+        more, cancel what runs, judge no executor (``tick`` and
+        ``worker_lost`` do nothing). Executors may still report
+        outcomes."""
         self.draining = self.stopped = True
         self.root_token.cancel("service stopped")
 

@@ -229,8 +229,8 @@ class Topology:
         Supports the paper's bathtub-curve updates and what-if studies.
         Allowed on frozen topologies because it changes no structure. Moves
         :attr:`generation`, so the next assessor, and any
-        ``refresh_probabilities()`` / ``clear_caches()``, gets a kernel
-        compiled against the new probabilities.
+        ``refresh_probabilities()``, gets a kernel compiled against the
+        new probabilities.
         """
         for cid, probability in overrides.items():
             self.components[cid] = self.component(cid).with_probability(probability)

@@ -106,8 +106,3 @@ class CancellationToken:
         if self._deadline_at is not None:
             state += f", {max(0.0, self._deadline_at - self._clock()):.3f}s left"
         return f"<CancellationToken {state}>"
-
-
-#: A token that never fires — lets hot loops poll unconditionally instead
-#: of branching on ``cancel is None`` at every check site.
-NEVER = CancellationToken()

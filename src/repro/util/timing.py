@@ -54,7 +54,3 @@ class Deadline:
     def elapsed(self) -> float:
         """Seconds spent so far (including any credited offset)."""
         return self.elapsed_offset + self._watch.elapsed()
-
-    def remaining(self) -> float:
-        """Seconds left in the budget; never negative."""
-        return max(0.0, self.budget_seconds - self.elapsed())

@@ -71,9 +71,5 @@ class HostWorkloadModel:
             noisy = self._workloads[host] + float(rng.normal(0.0, stddev))
             self._workloads[host] = min(1.0, max(0.0, noisy))
 
-    def snapshot(self) -> dict[str, float]:
-        """A copy of the current per-host workloads."""
-        return dict(self._workloads)
-
     def __len__(self) -> int:
         return len(self._workloads)

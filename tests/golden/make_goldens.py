@@ -197,36 +197,26 @@ def _reference_estimate(request) -> dict:
 
 
 def _tap_fleet_pipe():
-    """Record the supervisor's task messages and the workers' responses."""
+    """Record the supervisor's task messages and, at its one receive
+    point, the workers' responses."""
     from repro.service import fleet
 
     messages = {"task": [], "response": []}
     send = fleet._Worker.send
-    reader_loop = fleet.FleetSupervisor._reader_loop
+    receive = fleet.FleetSupervisor._receive
 
     def tapped_send(self, message):
         if message.get("type") == "task":
             messages["task"].append(message)
         return send(self, message)
 
-    class Tap:
-        def __init__(self, conn):
-            self._conn = conn
-
-        def recv(self):
-            message = self._conn.recv()
-            if message.get("type") == "response":
-                messages["response"].append(message)
-            return message
-
-        def __getattr__(self, name):
-            return getattr(self._conn, name)
-
-    def tapped_reader_loop(self, shard, conn, generation):
-        return reader_loop(self, shard, Tap(conn), generation)
+    def tapped_receive(self, shard, message):
+        if message.get("type") == "response":
+            messages["response"].append(message)
+        return receive(self, shard, message)
 
     fleet._Worker.send = tapped_send
-    fleet.FleetSupervisor._reader_loop = tapped_reader_loop
+    fleet.FleetSupervisor._receive = tapped_receive
     return messages
 
 

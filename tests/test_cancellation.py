@@ -28,7 +28,7 @@ from repro.sampling.dagger import (
     ExtendedDaggerSampler,
 )
 from repro.sampling.montecarlo import MonteCarloSampler
-from repro.util.cancel import NEVER, CancellationToken
+from repro.util.cancel import CancellationToken
 from repro.util.errors import OperationCancelled
 from repro.util.faultpoints import armed
 from tests.sampling_gate import SamplingGate
@@ -88,9 +88,6 @@ class TestCancellationToken:
         now["t"] = 2.0
         assert child.cancelled
         assert not parent.cancelled
-
-    def test_never_token(self):
-        assert not NEVER.cancelled
 
 
 class TestSamplerCancellation:

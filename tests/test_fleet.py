@@ -13,6 +13,7 @@ import copy
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -97,6 +98,15 @@ class TestHashRing:
                 assert after == owner, "a surviving shard's key moved"
             else:
                 assert after in survivors
+
+    def test_placement_is_pinned_across_processes_and_releases(self):
+        """sha256 points, 64 a shard: a key lands where it always did,
+        and a dead shard's keys go to the next eligible point clockwise."""
+        ring = HashRing(3)
+        owners = [ring.owner(f"key-{i}") for i in range(24)]
+        assert "".join(map(str, owners)) == "001000011012010112112202"
+        survivors = [ring.owner(f"key-{i}", [0, 2]) for i in range(24)]
+        assert "".join(map(str, survivors)) == "002000020002000002222202"
 
     def test_eligible_filter_and_empty_set(self):
         ring = HashRing(4)
@@ -332,6 +342,49 @@ class TestFleetRecovery:
                     timeout=60,
                 )
                 assert response.status == "ok"
+
+
+class TestOneEventLoop:
+    """The supervisor reads every worker pipe, sees every exit and ticks
+    from one thread; a worker runs its executor beside one link
+    thread."""
+
+    def test_one_supervisor_thread_survives_a_kill9_respawn(self, tmp_path):
+        before = set(threading.enumerate())
+
+        def started_threads():
+            return sorted(t.name for t in set(threading.enumerate()) - before)
+
+        with FleetSupervisor(_config(tmp_path)) as fleet:
+            assert _wait_until(lambda: fleet.status()["fleet"]["alive"] == 2)
+            assert started_threads() == ["fleet-loop"]
+            os.kill(fleet._workers[0].process.pid, signal.SIGKILL)
+            assert _wait_until(
+                lambda: fleet._slots[0].generation == 2
+                and fleet.status()["fleet"]["alive"] == 2
+            ), fleet.status()
+            assert started_threads() == ["fleet-loop"]
+            response = fleet.assess(AssessRequest(hosts=_hosts(fleet), k=2), timeout=60)
+            assert response.status == "ok"
+        assert started_threads() == []
+
+    def test_a_worker_runs_its_executor_beside_one_link_thread(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        seen = ctx.Queue()
+
+        def hook():  # runs in the worker, on its executor thread
+            names = sorted(t.name for t in threading.enumerate())
+            seen.put((threading.current_thread() is threading.main_thread(), names))
+
+        with armed(SamplingGate(hook)):
+            with FleetSupervisor(_config(tmp_path, fleet_workers=1)) as fleet:
+                response = fleet.assess(
+                    AssessRequest(hosts=_hosts(fleet), k=2), timeout=60
+                )
+        assert response.status == "ok"
+        on_main, names = seen.get(timeout=10)
+        assert on_main
+        assert names == sorted(["fleet-link", threading.main_thread().name])
 
 
 class TestFleetChaos:

@@ -158,26 +158,18 @@ class TestCacheBehaviour:
         assert incremental.metrics.counter("plan_cache/hit") == hits_before + 1
         _assert_identical(first, second)
 
-    def test_clear_caches_preserves_results(self, fattree4, inventory):
-        _, incremental = _pair(fattree4, inventory)
-        structure = ApplicationStructure.k_of_n(2, 3)
-        plan = DeploymentPlan.random(fattree4, structure, rng=6)
-        before = incremental.assess(plan, structure)
-        incremental.clear_caches()
-        after = incremental.assess(plan, structure)
-        _assert_identical(before, after)
-
     def test_reseed_changes_then_restores_stream(self, fattree4, inventory):
-        _, incremental = _pair(fattree4, inventory)
+        """The master seed is the stream: another seed draws other rows,
+        the same seed again draws the same bits."""
         structure = ApplicationStructure.k_of_n(2, 3)
         plan = DeploymentPlan.random(fattree4, structure, rng=6)
-        original = incremental.assess(plan, structure)
-        incremental.reseed(MASTER_SEED + 1)
-        assert incremental.master_seed == MASTER_SEED + 1
-        other = incremental.assess(plan, structure)
-        assert not np.array_equal(original.per_round, other.per_round)
-        incremental.reseed(MASTER_SEED)
-        restored = incremental.assess(plan, structure)
+        original = _pair(fattree4, inventory)[1].assess(plan, structure)
+        other = _pair(fattree4, inventory, master_seed=MASTER_SEED + 1)[1]
+        assert other.master_seed == MASTER_SEED + 1
+        assert not np.array_equal(
+            original.per_round, other.assess(plan, structure).per_round
+        )
+        restored = _pair(fattree4, inventory)[1].assess(plan, structure)
         _assert_identical(original, restored)
 
 
@@ -584,13 +576,12 @@ class TestDeltaPricedUniverse:
         assert assessor._sampled == scratch._sampled
         _same_arrays(assessor._rows, scratch._rows)
 
-    def test_clear_caches_recomputes_the_positive_mask(self, fattree4):
+    def test_a_new_assessor_draws_a_link_the_change_made_fallible(self, fattree4):
         model = build_paper_inventory(fattree4, seed=3)
-        assessor = IncrementalAssessor(
-            fattree4,
-            model,
-            AssessmentConfig(mode="incremental", rounds=ROUNDS, master_seed=MASTER_SEED),
+        config = AssessmentConfig(
+            mode="incremental", rounds=ROUNDS, master_seed=MASTER_SEED
         )
+        assessor = IncrementalAssessor(fattree4, model, config)
         structure = ApplicationStructure.k_of_n(2, 3)
         plan = DeploymentPlan.random(fattree4, structure, rng=6)
         assessor.assess(plan, structure)
@@ -603,7 +594,7 @@ class TestDeltaPricedUniverse:
         assert not assessor._positive & bit and link not in assessor._rows
         model.override_probabilities({link: 0.25})
         try:
-            assessor.clear_caches()
+            assessor = IncrementalAssessor(fattree4, model, config)
             assert assessor._positive & bit
             assessor.assess(plan, structure)
             assert link in assessor._rows

@@ -626,19 +626,6 @@ class TestIncrementalKernel:
             plans.append(plans[-1].random_neighbor(FATTREE, rng=rng))
         _held_to_oracle(FATTREE, FATTREE_INV, config, plans, structure)
 
-    def test_clear_caches_resets_kernel_universe(self):
-        structure = ApplicationStructure.k_of_n(2, 4)
-        config = AssessmentConfig(
-            rounds=501, mode="incremental", master_seed=9
-        )
-        assessor = build_assessor(FATTREE, FATTREE_INV, config)
-        plan = _plan_for(FATTREE, structure)
-        first = assessor.assess(plan, structure)
-        assessor.clear_caches()
-        assert not assessor._rows and not assessor._forest_values
-        again = assessor.assess(plan, structure)
-        assert np.array_equal(first.per_round, again.per_round)
-
 
     def test_kernel_is_the_substrates_own(self):
         """No caller hands an assessor a kernel: each gets its own

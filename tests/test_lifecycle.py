@@ -91,6 +91,10 @@ def _kinds(effects):
     return [effect.kind for effect in effects]
 
 
+def _first_ids(core):
+    return [core.admit("assess", _request())[0].id for _ in range(2)]
+
+
 def _key_owned_by(core, shard, taken=()):
     return next(
         key
@@ -190,6 +194,22 @@ class TestAdmission:
         fresh, _ = core.admit("assess", _request())
         assert fresh.id == "req-6"
 
+    def test_dispatch_carries_the_time_queued(self, tmp_path):
+        core = _core(tmp_path, up=False)
+        ticket, _ = core.admit("assess", _request())
+        core.clock.now += 2.5
+        core.start()
+        (dispatch,) = core.worker_ready(0)
+        assert (dispatch.ticket, dispatch.queue_seconds) == (ticket, 2.5)
+
+    def test_ids_count_from_one_past_every_journaled_id(self, tmp_path):
+        assert _first_ids(_core(None)) == ["req-1", "req-2"]
+        journal = RequestJournal(os.fspath(tmp_path), shard=0)
+        journal.accepted("req-41", "assess", encode(_request()), None, None)
+        journal.completed("req-41", "ok")
+        journal.close()
+        assert _first_ids(_core(tmp_path)) == ["req-42", "req-43"]
+
     def test_capacity_must_be_positive(self, tmp_path):
         with pytest.raises(ValidationError) as excinfo:
             _core(tmp_path, queue_capacity=0)
@@ -284,6 +304,125 @@ class TestIdempotency:
         core.completed(ticket.shard, ticket.id, _ok(ticket))
         assert appends == ["accepted", "started", "completed"]
         assert len(digests) == 1
+
+
+class TestTerminalRecords:
+    """What each kind of executor outcome leaves in the journal, the
+    store and the key table."""
+
+    def _finish(self, tmp_path, key, status, error):
+        core = _core(tmp_path)
+        ticket, _ = core.admit("assess", _request(key))
+        response = ServiceResponse(ticket.id, status, error=error)
+        core.completed(0, ticket.id, response)
+        last = RequestJournal.scan(tmp_path).events[ticket.id][-1]
+        return core, ticket, response, last
+
+    def test_an_error_answer_is_stored_and_replayed(self, tmp_path):
+        core, ticket, answer, last = self._finish(
+            tmp_path, "job", "error", {"error": "validation", "message": "no"}
+        )
+        assert last["event"] == "completed"
+        assert core.keys["job"] == ("completed", ticket.fingerprint, "error")
+        assert core.store.get("job") == encode(answer)
+
+    def test_an_executor_crash_is_no_answer_and_unbinds_the_key(self, tmp_path):
+        core, _, _, last = self._finish(
+            tmp_path, "job", "error", {"error": "internal", "message": "boom"}
+        )
+        assert (last["event"], last["reason"]) == ("cancelled", "internal")
+        assert "job" not in core.keys and core.store.get("job") is None
+
+    def test_a_cancelled_run_is_journaled_with_its_reason(self, tmp_path):
+        core, _, _, last = self._finish(
+            tmp_path, "job", "cancelled", {"error": "cancelled", "reason": "deadline"}
+        )
+        assert (last["event"], last["reason"]) == ("cancelled", "deadline")
+        assert "job" not in core.keys and core.store.get("job") is None
+
+    def test_an_unkeyed_answer_is_journaled_and_not_stored(self, tmp_path):
+        core, ticket, _, last = self._finish(tmp_path, None, "ok", None)
+        assert _events(tmp_path, ticket.id) == ["accepted", "completed"]
+        assert not os.listdir(tmp_path / "results")
+
+
+class TestOnMessage:
+    """One mapping from a worker's protocol message to its core event,
+    shared by the fleet's event loop and the drill's fake workers."""
+
+    def test_hello_makes_the_starting_slot_alive_and_dispatches(self, tmp_path):
+        core = _core(tmp_path, up=False)
+        ticket, _ = core.admit("assess", _request())
+        core.start()
+        assert core.slots[0].state == "starting"
+        (effect,) = core.on_message(0, {"type": "hello", "shard": 0, "pid": 1})
+        assert core.slots[0].state == "alive"
+        assert (effect.kind, effect.ticket) == ("dispatch", ticket)
+        assert core.heartbeats.age("shard-0") is not None
+
+    def test_heartbeat_is_proof_of_life(self, tmp_path):
+        core = _core(tmp_path)
+        core.clock.now += 5.0
+        assert core.heartbeats.age("shard-0") == 5.0
+        assert core.on_message(0, {"type": "heartbeat", "shard": 0}) == []
+        assert core.heartbeats.age("shard-0") == 0.0
+
+    def test_started_journals_started(self, tmp_path):
+        core = _core(tmp_path)
+        ticket, _ = core.admit("assess", _request("job"))
+        assert core.on_message(0, {"type": "started", "id": ticket.id}) == []
+        assert _events(tmp_path, ticket.id) == ["accepted", "started"]
+
+    def test_a_response_is_completed_with_the_decoded_response(self, tmp_path):
+        """Stored, journaled and resolved exactly as ``completed`` with
+        the response the pipe message encodes."""
+
+        def direct(core, ticket, response):
+            return core.completed(0, ticket.id, response)
+
+        def as_message(core, ticket, response):
+            message = {"type": "response", "id": ticket.id}
+            return core.on_message(0, dict(message, response=encode(response)))
+
+        outcomes = []
+        for directory, deliver in (
+            (tmp_path / "direct", direct),
+            (tmp_path / "message", as_message),
+        ):
+            core = _core(directory)
+            ticket, _ = core.admit("assess", _request("job"))
+            follower, _ = core.admit("assess", _request())
+            response = ServiceResponse(
+                request_id=ticket.id,
+                status="degraded",
+                result={"score": 0.75, "rounds": 3},
+                elapsed_seconds=0.5,
+                queue_seconds=0.25,
+                backend="chunked-sequential",
+            )
+            effects = deliver(core, ticket, response)
+            assert [(e.kind, e.ticket) for e in effects] == [
+                ("resolve", ticket), ("dispatch", follower),
+            ]
+            assert effects[0].response == response
+            assert ticket.future.result(timeout=0) == response
+            assert core.keys["job"] == ("completed", ticket.fingerprint, "degraded")
+            outcomes.append(
+                (core.store.get("job"), _events(directory, ticket.id), ticket.id)
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == encode(response)
+        assert outcomes[0][1] == ["accepted", "completed"]
+
+    def test_unknown_types_are_ignored(self, tmp_path):
+        core = _core(tmp_path, up=False)
+        ticket, _ = core.admit("assess", _request("job"))
+        core.start()
+        for message in ({"type": "bogus", "id": ticket.id}, {"id": ticket.id}):
+            assert core.on_message(0, message) == []
+        assert core.slots[0].state == "starting"
+        assert core.heartbeats.age("shard-0") is None
+        assert _events(tmp_path, ticket.id) == ["accepted"]
 
 
 class TestFailover:
@@ -391,6 +530,53 @@ class TestFailover:
                 "accepted", "started", "completed",
             ]
 
+    def test_a_tie_for_the_longest_queue_is_stolen_from_the_lowest_shard(
+        self, tmp_path
+    ):
+        core = _core(tmp_path, slots=3, up=False)
+        tickets = [core.admit("assess", _request())[0] for _ in range(6)]
+        assert [t.shard for t in tickets] == [0, 1, 2, 0, 1, 2]
+        core.start()
+        for shard in (1, 2, 0):  # each takes the head of its own queue
+            core.worker_ready(shard)
+        core.completed(0, tickets[0].id, _ok(tickets[0]))  # then its own next
+        resolve, steal = core.completed(0, tickets[3].id, _ok(tickets[3]))
+        assert (steal.kind, steal.shard, steal.ticket) == ("dispatch", 0, tickets[4])
+
+    def test_a_worker_that_never_says_hello_is_lost_after_a_minute(self, tmp_path):
+        core = _fleet_core(tmp_path, up=False)
+        core.start()
+        core.worker_ready(0)
+        core.clock.now += lifecycle.STARTUP_TIMEOUT_SECONDS
+        core.heartbeat(0)
+        assert core.tick() == []
+        core.clock.now += 0.5
+        core.heartbeat(0)
+        assert _kinds(core.tick()) == ["kill"]
+        assert [slot.state for slot in core.slots] == ["alive", "respawning"]
+
+    def test_a_respawn_is_due_the_moment_its_backoff_ends(self, tmp_path):
+        core = _fleet_core(tmp_path, respawn_backoff_seconds=0.25)
+        assert _kinds(core.worker_lost(1, "process exited")) == ["kill"]
+        assert core.worker_lost(1, "process exited") == []  # already dead
+        core.clock.now += 0.25
+        core.heartbeat(0)
+        assert _kinds(core.tick()) == ["spawn"]
+        assert core.slots[1].state == "starting"
+
+    def test_a_stopped_core_judges_no_executor(self, tmp_path):
+        """After ``stop`` the fleet winds its workers down: no silence,
+        exit or startup delay is a loss, nothing is taken over."""
+        core = _fleet_core(tmp_path)
+        ticket, _ = core.admit("assess", _request())
+        core.stop()
+        core.clock.now += 2 * lifecycle.STARTUP_TIMEOUT_SECONDS
+        assert core.tick() == []
+        assert core.worker_lost(ticket.shard, "process exited") == []
+        assert [slot.state for slot in core.slots] == ["alive", "alive"]
+        assert core.slots[ticket.shard].inflight == {ticket.id: ticket}
+        assert _events(tmp_path, ticket.id, shard=ticket.shard) == ["accepted"]
+
     def test_moved_and_finished_request_is_not_resurrected(self, tmp_path):
         """A takeover leaves the request pending in the dead family and
         finished in the survivor's: terminal anywhere means done."""
@@ -463,6 +649,16 @@ class TestForeignFamilies:
         assert _events(tmp_path, pending.id, shard=owner) == ["accepted"]
         fresh, _ = narrow.admit("assess", _request())
         assert fresh.id == "req-10"
+
+    def test_a_foreign_request_that_no_longer_validates_ends_once(self, tmp_path):
+        with RequestJournal(tmp_path) as journal:
+            request = _request(host="gone")
+            journal.accepted("req-5", "assess", encode(request), None, None)
+        first = _core(tmp_path, slots=1)
+        assert not first.tickets
+        assert _events(tmp_path, "req-5", shard=0) == ["cancelled"]
+        first.close()
+        assert not _core(tmp_path, slots=1).tickets
 
     def test_an_unsharded_directory_is_served_without_reexecution(self, tmp_path):
         store = ResultStore(os.fspath(tmp_path / "results"))

@@ -185,7 +185,6 @@ class TestGeneration:
         kernel = AssessmentKernel.of(model)
         sequential, incremental, analytic = self._assessors(topology, model)
         sequential.refresh_probabilities()
-        incremental.clear_caches()
         analytic.refresh_probabilities()
         for assessor in (sequential, incremental, analytic, analytic.inner):
             assert assessor.kernel is kernel
@@ -205,10 +204,10 @@ class TestGeneration:
         assert fresh is after
         assert sequential.kernel is before  # until told to re-read
         sequential.refresh_probabilities()
-        incremental.clear_caches()
         analytic.refresh_probabilities()
-        for assessor in (sequential, incremental, analytic, analytic.inner):
+        for assessor in (sequential, analytic, analytic.inner):
             assert assessor.kernel is after
+        assert incremental.kernel is before  # a search's own, for its life
         assert after.probabilities == model.failure_probabilities()
 
 

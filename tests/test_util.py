@@ -40,12 +40,11 @@ class TestStopwatch:
 class TestDeadline:
     def test_lifecycle(self):
         clock = FakeClock()
-        deadline = Deadline(10.0, clock)
-        assert deadline.remaining() == pytest.approx(10.0)
+        deadline = Deadline(10.0, clock, elapsed_offset=1.5)
+        assert deadline.budget_seconds == 10.0
+        assert deadline.elapsed() == pytest.approx(1.5)
         clock.now += 5
-        assert deadline.remaining() == pytest.approx(5.0)
-        clock.now += 6
-        assert deadline.remaining() == 0.0
+        assert deadline.elapsed() == pytest.approx(6.5)
 
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError):
