@@ -55,6 +55,11 @@ TESTS = {
         "tests/test_calibration.py",
         "tests/test_runtime.py",
     ],
+    "sampling/montecarlo.py": [
+        "tests/test_montecarlo.py",
+        "tests/test_kernel.py::TestSamplerFastPaths",
+        "tests/test_calibration.py",
+    ],
     "kernel/exact.py": ["tests/test_analytic.py", "tests/test_calibration.py"],
     "core/analytic.py": [
         "tests/test_analytic.py",
@@ -91,8 +96,6 @@ TESTS = {
         "tests/test_drill.py",
     ],
     # The core's own tests and the drill, which runs it: no fleet forks.
-    # (The seam-count test reads the source text, which the probe
-    # re-renders with other quotes.)
     "service/lifecycle.py": [
         "tests/test_fleet.py::TestHashRing",
         "tests/test_lifecycle.py::TestAdmission",
@@ -101,6 +104,7 @@ TESTS = {
         "tests/test_lifecycle.py::TestOnMessage",
         "tests/test_lifecycle.py::TestFailover",
         "tests/test_lifecycle.py::TestForeignFamilies",
+        "tests/test_lifecycle.py::TestSeams::test_durability_seams_exist_once_in_the_core",
         "tests/test_lifecycle.py::TestSeams::test_seams_fire_in_the_drill",
         "tests/test_lifecycle.py::TestDrillRunsProductionCode",
         "tests/test_drill.py::TestDrillEngine",

@@ -106,7 +106,9 @@ class StructureEvaluator:
         component's reachability requirements (the greatest fixed point
         described above, over packed per-component activity matrices).
         Counting is the estimate boundary: the matrices are unpacked here
-        (and only here), dropping the pad bits of the last byte.
+        (and only here), dropping the pad bits of the last byte, and each
+        component's bits are summed in the narrowest unsigned type that
+        holds its instance count, then widened once to ``intp``.
         """
         hosts_by_component = {
             spec.name: plan.hosts_for(spec.name) for spec in structure.components
@@ -120,7 +122,10 @@ class StructureEvaluator:
         active = self._fixed_point(
             states, structure, hosts_by_component, external_by_host, pair_reachable
         )
-        return {name: states.unpack(m).sum(axis=0) for name, m in active.items()}
+        return {
+            name: states.unpack(m).sum(axis=0, dtype=np.min_scalar_type(len(m))).astype(np.intp)
+            for name, m in active.items()
+        }
 
     # ------------------------------------------------------------------
     # Reachability inputs

@@ -228,14 +228,17 @@ class DaggerSampler(Sampler):
         # longest cycle.
         plist = levels.tolist()
         longest = dagger_cycle_length(min(plist))
-        geometry = [_cycle_geometry(p, rounds, self._block_length(p, longest)) for p in plist]
-        group = np.arange(len(geometry)).repeat(sizes)
-        rows = [geometry[g] for g in group.tolist()]
-        draws = np.array([dpc for _s, dpc, _start, _limit in geometry])[group]
+        # One geometry lookup per distinct probability: CRN's rows repeat them.
+        geometry = {
+            p: _cycle_geometry(p, rounds, self._block_length(p, longest)) for p in set(plist)
+        }
+        row_p = levels.repeat(sizes)
+        rows = [geometry[p] for p in row_p.tolist()]
+        draws = np.array([row[1] for row in rows], dtype=ROUND_DTYPE)
         ends = draws.cumsum()
         width = packed_width(rounds)
         flat = self._uniforms(rng, ids, ends)
-        hit, bit = _draw_bits(flat, draws, ends, levels[group], rows, 8 * width)
+        hit, bit = _draw_bits(flat, draws, ends, row_p, rows, 8 * width)
         del flat
         nonzero = np.logical_or.reduceat(hit, ends - draws)
 
@@ -312,25 +315,33 @@ class CommonRandomDaggerSampler(DaggerSampler):
         self.master_seed = int(master_seed)
         size = max(1, -(-self.master_seed.bit_length() // 8))
         key = self.master_seed.to_bytes(size, "little")
-        self._key = key if size <= 64 else hashlib.blake2b(key).digest()
+        key = key if size <= 64 else hashlib.blake2b(key).digest()
+        #: Keyed and empty: each id's digest is a copy of it, updated.
+        self._keyed = hashlib.blake2b(digest_size=8, key=key)
 
     def _uniforms(self, rng, ids: Sequence[str], ends: np.ndarray) -> np.ndarray:
         """Row ``i``'s uniforms from component ``ids[i]``'s stream, every
         row in one uint64 pass (wrapping, as SplitMix64 is defined);
         ``rng`` is unused."""
-        digests = (hashlib.blake2b(cid.encode(), digest_size=8, key=self._key) for cid in ids)
-        keys = np.frombuffer(b"".join(d.digest() for d in digests), dtype="<u8")
-        draws = np.diff(ends, prepend=0)
+        digests = []
+        for cid in ids:
+            digest = self._keyed.copy()
+            digest.update(cid.encode())
+            digests.append(digest.digest())
+        keys = np.frombuffer(b"".join(digests), dtype="<u8")
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1]
         z = np.arange(1, int(ends[-1]) + 1, dtype=np.uint64)
         z *= _GAMMA
         # Each row counts from 1: its key less the gammas of the rows before.
-        z += (keys - (ends - draws).astype(np.uint64) * _GAMMA).repeat(draws)
+        z += (keys - starts.astype(np.uint64) * _GAMMA).repeat(ends - starts)
+        scratch = np.empty_like(z)
         for shift, multiplier in zip((30, 27), _MIX):
-            z ^= z >> shift
+            z ^= np.right_shift(z, shift, out=scratch)
             z *= multiplier
-        z ^= z >> 31
+        z ^= np.right_shift(z, 31, out=scratch)
         z >>= 11
-        return z * 2.0**-53
+        return np.multiply(z, 2.0**-53, out=scratch.view(np.float64))
 
     def _groups(self, values: np.ndarray) -> tuple:
         """Every row its own group, in mapping order."""

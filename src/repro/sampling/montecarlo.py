@@ -50,19 +50,21 @@ class MonteCarloSampler(Sampler):
 
         # Components are drawn in chunks so the uniform-draw matrix plus its
         # boolean comparison stay within the byte budget even for
-        # 1e5-round batches, and each chunk's rows are packed as they come.
-        # The chunk size never changes the sampled states: consecutive
+        # 1e5-round batches, and each chunk's rows are packed as they come,
+        # in one statement so its draws die before the next chunk's. The
+        # chunk size never changes the sampled states: consecutive
         # rng.random((a, n)) calls consume the stream exactly like one
         # rng.random((a + b, n)) call.
         matrix = np.zeros((len(component_ids), packed_width(rounds)), dtype=PACK_DTYPE)
-        chunk_rows = max(1, _CHUNK_BUDGET_BYTES // (max(rounds, 1) * _BYTES_PER_DRAW))
+        chunk_rows = max(1, _CHUNK_BUDGET_BYTES // (rounds * _BYTES_PER_DRAW))
         for start in range(0, len(component_ids), chunk_rows):
             if cancel is not None:
                 cancel.check()
             stop = min(start + chunk_rows, len(component_ids))
-            draws = rng.random((stop - start, rounds))
-            failed_matrix = draws < p_values[start:stop, np.newaxis]
-            matrix[start:stop] = np.packbits(failed_matrix, axis=1)
+            matrix[start:stop] = np.packbits(
+                rng.random((stop - start, rounds)) < p_values[start:stop, np.newaxis],
+                axis=1,
+            )
         return PackedBatch(
             rounds=rounds, component_ids=tuple(component_ids), matrix=matrix
         )

@@ -68,21 +68,27 @@ def estimate_from_results(result_list: np.ndarray) -> ReliabilityEstimate:
     """Build a :class:`ReliabilityEstimate` from a per-round result list.
 
     ``result_list`` is the paper's ``L``: one entry per round, truthy when
-    the deployment plan was reliable in that round.
+    the deployment plan was reliable in that round (any nonzero entry is
+    one reliable round). ``k`` of ``n`` give the score ``k / n``; ``Var[L]``
+    sums ``(1 - k/n)**2`` and ``(k/n)**2`` in round order, as ``np.var``
+    does, so the bits are ``np.var``'s without a float copy of ``L``.
     """
-    results = np.asarray(result_list, dtype=float)
+    results = np.asarray(result_list)
     if results.ndim != 1 or results.size == 0:
         raise ConfigurationError("result list must be a non-empty 1-D sequence")
     n = results.size
-    score = float(results.mean())
-    variance = float(results.var()) / n  # Eq. 2: V = Var[L] / n
+    reliable_rounds = int(np.count_nonzero(results))
+    score = reliable_rounds / n
+    miss = 1.0 - score
+    squares = np.where(results, miss * miss, score * score)
+    variance = float(np.add.reduce(squares)) / n / n  # Eq. 2: V = Var[L] / n
     ci_width = 4.0 * math.sqrt(variance)  # Eq. 3
     return ReliabilityEstimate(
         score=score,
         variance=variance,
         confidence_interval_width=ci_width,
         rounds=n,
-        reliable_rounds=int(results.sum()),
+        reliable_rounds=reliable_rounds,
     )
 
 

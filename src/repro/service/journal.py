@@ -33,9 +33,11 @@ rewriting. A fleet deployment gives every shard its own *segment family*
 (``journal-sNN-*.waj``) in the shared directory: one single-writer file
 per shard, a scan that can read only one shard's family, and
 per-shard GC that never touches a survivor's live segment. Opening the journal for writing truncates a *torn tail* — a
-record half-written when the process died — back to the last intact
-record; corruption anywhere in a sealed (fsync'd, rotated-away) segment
-is loud :class:`~repro.util.errors.ConfigurationError`, never silent.
+record half-written when the process died: a frame that runs past the
+end of the file, or a bad last frame — back to the last intact record.
+A bad frame with bytes after it, and corruption anywhere in a sealed
+(fsync'd, rotated-away) segment, is loud
+:class:`~repro.util.errors.ConfigurationError`, never silent.
 """
 
 from __future__ import annotations
@@ -159,6 +161,20 @@ def scan_segment(path: str) -> tuple[list[dict], int, str | None]:
             good_bytes, defect = stop.value
             return records, good_bytes, defect
         records.append(record)
+
+
+def torn_tail(path: str, offset: int) -> bool:
+    """Whether the bad frame at ``offset`` of a segment no one is writing
+    is a torn tail: it runs past the end of the file, or ends it. A bad
+    frame with bytes after it is corruption, never a torn append."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        header = handle.read(_HEADER.size)
+        size = handle.seek(0, os.SEEK_END)
+    if len(header) < _HEADER.size:
+        return True
+    length, _ = _HEADER.unpack(header)
+    return offset + _HEADER.size + length >= size
 
 
 @dataclass
@@ -319,11 +335,12 @@ class RequestJournal:
         for index, path in enumerate(segments):
             records, good_bytes, defect = scan_segment(path)
             if defect is not None:
-                if index != len(segments) - 1:
+                if index != len(segments) - 1 or not torn_tail(path, good_bytes):
                     raise ConfigurationError(
                         f"journal segment {path!r} is corrupt mid-stream "
-                        f"({defect}); sealed segments were fsync'd, so this "
-                        "is real corruption — refusing to guess"
+                        f"({defect} at byte {good_bytes}); sealed segments "
+                        "were fsync'd and a live one is only ever torn at "
+                        "its end, so this is real corruption — refusing to guess"
                     )
                 # Torn tail of the live segment: the process died
                 # mid-append. Drop the partial record, keep the rest.

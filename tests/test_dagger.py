@@ -24,6 +24,7 @@ from repro.sampling.dagger import (
 from repro.sampling.montecarlo import MonteCarloSampler
 from tests.conftest import failed_rounds
 from tests.legacy_crn import legacy_streams
+from tests.percall_oracle import blake2b_uniforms, per_row_draw
 from tests.interpreted_oracle import (
     component_stream,
     per_level_dagger_sample,
@@ -229,6 +230,56 @@ class TestOnePassDraw:
             for p in probabilities.values()
         )
         assert peak <= batch.matrix.nbytes + 17 * draws + 40 * CHUNK_DRAWS
+
+
+class TestOnePassDrawPerRowBody:
+    """``_draw`` against its body before the lean delta draw
+    (``tests/percall_oracle.py``: a geometry lookup and a list entry per
+    row, and CRN's keyed BLAKE2b built per id): ids, rows, ``nonzero`` and
+    the rng state of every dagger sampler, over chunks down to one row."""
+
+    @given(
+        levels=st.lists(
+            st.sampled_from([0.0, 1e-4, 0.3, 0.999, 0.0123, 0.0101]),
+            min_size=1,
+            max_size=12,
+        ),
+        rounds=st.sampled_from([1, 7, 513, 10_000]),
+        chunk=st.sampled_from([1, 50, CHUNK_DRAWS]),
+        seed=st.integers(0, 2**32 - 1),
+        master_seed=st.one_of(st.integers(0, 2**64), st.sampled_from([2**512, 2**600])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_row_body(self, levels, rounds, chunk, seed, master_seed):
+        probabilities = {f"c{i}": p for i, p in enumerate(levels)}
+        samplers = (
+            DaggerSampler(),
+            ExtendedDaggerSampler(),
+            CommonRandomDaggerSampler(master_seed),
+        )
+        for sampler in samplers:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            with mock.patch.object(dagger, "CHUNK_DRAWS", chunk):
+                got = sampler.sample(probabilities, rounds, rng)
+                with mock.patch.object(DaggerSampler, "_draw", per_row_draw):
+                    want = sampler.sample(probabilities, rounds, ref_rng)
+            assert got.component_ids == want.component_ids, sampler.name
+            assert np.array_equal(got.matrix, want.matrix), sampler.name
+            assert np.array_equal(got.nonzero, want.nonzero), sampler.name
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        draws=st.lists(st.integers(1, 300), min_size=1, max_size=20),
+        master_seed=st.one_of(st.integers(0, 2**64), st.sampled_from([2**512, 2**600])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_crn_uniforms_equal_the_per_id_hashing(self, draws, master_seed):
+        sampler = CommonRandomDaggerSampler(master_seed)
+        ids = [f"host/{i}/0/{i % 3}" for i in range(len(draws))]
+        ends = np.cumsum(draws)
+        got = sampler._uniforms(None, ids, ends)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, blake2b_uniforms(sampler, None, ids, ends))
 
 
 class TestVarianceReduction:

@@ -5,8 +5,13 @@ failure patterns: K-of-N counting, the Fig. 6 two-tier walk-through, chain
 propagation, and the greatest-fixed-point behaviour on meshed cores.
 """
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.app.generators import microservice_mesh, multilayer
 from repro.app.structure import ApplicationStructure
@@ -15,6 +20,7 @@ from repro.core.plan import DeploymentPlan
 from repro.routing.base import RoundStates
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
 from tests.conftest import packed_states, unpack
+from tests.percall_oracle import int64_counts
 from tests.structures import two_tier
 
 
@@ -234,3 +240,38 @@ class TestVectorisation:
             }
             single = evaluator.evaluate(packed_states(1, single_failed), plan, structure)
             assert vector[i] == single[0], i
+
+
+class TestPackedCount:
+    """``counts`` reduces the unpacked activity in the narrowest unsigned
+    type that holds the instance count and widens once: the same values
+    and dtype as the int64 sum it replaced (``tests/percall_oracle.py``)."""
+
+    @given(
+        instances=st.sampled_from([0, 1, 255, 256, 300]),
+        rounds=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_int64_sum(self, instances, rounds, seed):
+        states = RoundStates(rounds=rounds, failed={})
+        # Random bytes, pad bits of the last byte included: they must drop.
+        active = np.random.default_rng(seed).integers(
+            0, 256, (instances, states.width), dtype=np.uint8
+        )
+        active[: seed % 3] = 0xFF  # some rows active in every round
+        structure = SimpleNamespace(components=[SimpleNamespace(name="c")])
+        plan = SimpleNamespace(hosts_for=lambda name: ())
+        evaluator = StructureEvaluator(engine=None)
+        with mock.patch.object(
+            StructureEvaluator, "_external_reachability", return_value={}
+        ), mock.patch.object(
+            StructureEvaluator, "_pairwise_reachability", return_value={}
+        ), mock.patch.object(
+            StructureEvaluator, "_fixed_point", return_value={"c": active}
+        ):
+            got = evaluator.counts(states, plan, structure)["c"]
+        want = int64_counts(states, active)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+        assert got.shape == (rounds,)

@@ -177,6 +177,56 @@ class TestJournalLifecycle:
             journal.close()
             assert RequestJournal.scan(root).terminal_ids == {"req-1"}
 
+    @staticmethod
+    def _three_accepted(root):
+        """A live segment of three ``accepted`` records and each record's
+        start offset."""
+        starts = []
+        with RequestJournal(root) as journal:
+            for n in (1, 2, 3):
+                starts.append(os.path.getsize(journal._current_path))
+                journal.accepted(f"req-{n}", "assess", {"hosts": ["h0"], "k": 1})
+            return journal._current_path, starts
+
+    def test_a_bit_flip_mid_live_segment_is_refused(self, tmp_path):
+        """A bad frame with bytes after it is corruption, not a torn
+        append: open refuses it and leaves the segment as it was, where
+        it used to truncate the segment to 0 bytes and replay nothing."""
+        segment, starts = self._three_accepted(tmp_path)
+        data = bytearray(open(segment, "rb").read())
+        data[starts[1] - 1] ^= 0x40  # the first record's last payload byte
+        with open(segment, "wb") as handle:
+            handle.write(bytes(data))
+        with pytest.raises(ConfigurationError, match="corrupt mid-stream"):
+            RequestJournal(tmp_path)
+        assert open(segment, "rb").read() == bytes(data)
+
+    def test_a_bad_last_frame_is_a_torn_tail(self, tmp_path):
+        """The same flip in the last record, which ends the file, is a
+        torn tail: it is cut, and the two records before it replay."""
+        segment, starts = self._three_accepted(tmp_path)
+        data = bytearray(open(segment, "rb").read())
+        data[-1] ^= 0x40
+        with open(segment, "wb") as handle:
+            handle.write(bytes(data))
+        journal = RequestJournal(tmp_path)
+        assert [p.request_id for p in journal.replay().pending] == ["req-1", "req-2"]
+        journal.close()
+        assert os.path.getsize(segment) == starts[2]
+
+    def test_a_length_that_runs_past_the_end_is_a_torn_tail(self, tmp_path):
+        """A last frame whose length field claims one byte more than the
+        file holds runs past the end: torn, whatever its checksum."""
+        segment, starts = self._three_accepted(tmp_path)
+        data = bytearray(open(segment, "rb").read())
+        length = int.from_bytes(data[starts[2] : starts[2] + 4], "big")
+        data[starts[2] : starts[2] + 4] = (length + 1).to_bytes(4, "big")
+        with open(segment, "wb") as handle:
+            handle.write(bytes(data))
+        journal = RequestJournal(tmp_path)
+        assert [p.request_id for p in journal.replay().pending] == ["req-1", "req-2"]
+        journal.close()
+
     def test_sealed_segment_torn_at_every_byte_offset_is_loud(self, tmp_path):
         """Property: the same cuts inside a *sealed* segment are not a
         torn tail — sealed segments were fsync'd, so a short read there

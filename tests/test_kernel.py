@@ -14,6 +14,7 @@ incrementally, against ``tests/interpreted_oracle.py``.
 from __future__ import annotations
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from repro.kernel import (
 from repro.kernel.arena import FEW_BITS
 from repro.routing.base import RoundStates, engine_for
 from repro.routing.generic import GenericReachabilityEngine
+from repro.sampling import dagger as dagger_module
 from repro.sampling.dagger import (
     CommonRandomDaggerSampler,
     DaggerSampler,
@@ -372,16 +374,19 @@ class TestSamplerFastPaths:
         picks=st.lists(st.integers(0, 5), min_size=0, max_size=40),
         rounds=st.one_of(st.integers(1, 3_000), st.sampled_from([1, 7, 9, 2_999])),
         seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 50, dagger_module.CHUNK_DRAWS]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_every_sampler_equals_its_reference(self, levels, picks, rounds, seed):
+    def test_every_sampler_equals_its_reference(self, levels, picks, rounds, seed, chunk):
         """Every production ``sample`` against its reference sampler in
         ``tests/interpreted_oracle.py``, written from §3.2.2's definitions:
         maps with zeros, repeated levels, ``p >= 0.5`` and the zone-outage
-        probability, any round count up to 3 000."""
+        probability, any round count up to 3 000, dagger draws in chunks
+        down to one row."""
         probs = {f"c{i}": levels[k % len(levels)] for i, k in enumerate(picks)}
-        for sampler in _samplers():
-            _assert_draws_like_the_reference(sampler, probs, rounds, seed)
+        with mock.patch.object(dagger_module, "CHUNK_DRAWS", chunk):
+            for sampler in _samplers():
+                _assert_draws_like_the_reference(sampler, probs, rounds, seed)
 
     @pytest.mark.parametrize("rounds", [9, 501])
     def test_crn_packed_matches_legacy(self, rounds):

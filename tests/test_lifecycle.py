@@ -11,6 +11,7 @@ the core's durability order is broken.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import multiprocessing
 import os
@@ -821,11 +822,25 @@ class TestDriverEquivalence:
         assert state.keys["big"][1] == "ok"
 
 
+def _fault_hits(module, seam: str) -> int:
+    """``fault_hit("<seam>", ...)`` calls in ``module``'s syntax tree."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "fault_hit"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == seam
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+    )
+
+
 class TestSeams:
     def test_durability_seams_exist_once_in_the_core(self):
         for seam in ("fleet.route.accepted", "fleet.record_terminal"):
-            assert inspect.getsource(lifecycle).count(f'"{seam}"') == 2
+            assert _fault_hits(lifecycle, seam) == 1
             for caller in (fleet, inspect.getmodule(DrillSim)):
+                assert _fault_hits(caller, seam) == 0
                 assert seam not in inspect.getsource(caller)
 
     def test_seams_fire_in_the_drill(self, tmp_path):

@@ -15,6 +15,7 @@ from repro.sampling.statistics import (
     rounds_for_target_ci,
 )
 from repro.util.errors import ConfigurationError
+from tests.percall_oracle import float_estimate
 
 
 class TestEstimateFromResults:
@@ -109,6 +110,45 @@ class TestEstimateFromResults:
         # Variance shrinks as 1/n for fixed composition.
         doubled = estimate_from_results(list(results) * 2)
         assert doubled.variance == pytest.approx(estimate.variance / 2)
+
+
+class TestOnePassEstimate:
+    """``k / n`` and one pass of ``np.var``'s squares: bit for bit the
+    float mean, var and sum they replaced (``tests/percall_oracle.py``)."""
+
+    @given(
+        results=st.one_of(
+            st.lists(st.booleans(), min_size=1, max_size=3_000),
+            st.integers(1, 3_000).map(lambda n: [True] * n),
+            st.integers(1, 3_000).map(lambda n: [False] * n),
+        ),
+        form=st.sampled_from(["bool", "int", "list"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_float_estimate(self, results, form):
+        if form == "bool":
+            results = np.array(results, dtype=bool)
+        elif form == "int":
+            results = np.array(results, dtype=np.int64)
+        else:
+            results = [int(r) for r in results]
+        got, want = estimate_from_results(results), float_estimate(results)
+        assert got == want
+        assert type(got.score) is type(got.variance) is float
+        assert type(got.reliable_rounds) is int
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_one_round(self, single):
+        assert estimate_from_results([single]) == float_estimate([single])
+        assert estimate_from_results([single]).variance == 0.0
+
+    def test_a_nonzero_entry_is_one_reliable_round(self):
+        """Only 0/1 entries are the paper's ``L``; any other nonzero entry
+        counts as one reliable round (the float mean read it as its
+        value: 2 of 4 here)."""
+        estimate = estimate_from_results(np.array([2, 0, 0, 0]))
+        assert (estimate.reliable_rounds, estimate.score) == (1, 0.25)
+        assert estimate == estimate_from_results([True, False, False, False])
 
 
 class TestCoverage:
