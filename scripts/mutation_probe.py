@@ -95,6 +95,12 @@ TESTS = {
         "tests/test_golden.py",
         "tests/test_drill.py",
     ],
+    "service/redeploy.py": [
+        "tests/test_redeploy.py",
+        "tests/test_drill.py",
+        "tests/test_golden.py",
+        "tests/test_validation.py::TestOneBudgetRule",
+    ],
     # The core's own tests and the drill, which runs it: no fleet forks.
     "service/lifecycle.py": [
         "tests/test_fleet.py::TestHashRing",
@@ -194,14 +200,6 @@ EQUIVALENT = {
         "int+1",
         1,
     ): _DEFAULT_SEGMENT,
-    (
-        "service/journal.py",
-        "cut = len(data) // 2 if command.arg is None else command.arg",
-        "int+1",
-        0,
-    ): "the default tear point of the `torn` seam: any cut strictly inside the "
-    "record leaves a torn tail that open truncates to the same intact prefix "
-    "(the clamp to [1, len - 1] is tested)",
     ("service/lifecycle.py", 'return int.from_bytes(digest[:8], "big")', "int+1", 0):
         "a ring point from 9 digest bytes instead of 8: the ninth byte only "
         "breaks ties between equal 8-byte prefixes, so every comparison, and "

@@ -3,10 +3,9 @@
 Each checker inspects the finished :class:`~repro.drill.sim.DrillSim` —
 its client-side trace plus the durable directories — and returns
 :class:`Violation` records. The checkers read the journal segments and
-decision log *raw* (via :func:`~repro.service.journal.scan_segment` and
-:class:`~repro.service.redeploy.DecisionJournal`), independently of the
-recovery code under test, so a recovery bug cannot hide its own
-evidence.
+decision log *raw* (via :func:`~repro.service.journal.read_frames`, the
+one reader of framed files), independently of the recovery code under
+test, so a recovery bug cannot hide its own evidence.
 
 The invariants:
 
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 
 from repro import serialization
 from repro.core.plan import DeploymentPlan
-from repro.service.journal import RequestJournal, _segment_key, scan_segment
+from repro.service.journal import RequestJournal, _segment_key, read_frames
 from repro.service.redeploy import INCUMBENT_NAME, JOURNAL_NAME, DecisionJournal
 from repro.util.errors import ConfigurationError
 
@@ -63,9 +62,10 @@ class Violation:
 def _family_records(journal_dir: str) -> tuple[dict, list[Violation]]:
     """Raw record sequences per segment family, in segment order.
 
-    A defective non-final segment is a violation in its own right (the
-    torn-tail tolerance only ever applies to the live tail); the
-    checkers still see every record before the defect.
+    A corrupt segment is a violation in its own right: any defect in a
+    sealed segment, or a bad frame with bytes after it in the live one
+    (the torn-tail tolerance only ever applies to the live tail). The
+    checkers still see the records of every intact segment.
     """
     families: dict = {}
     for name in os.listdir(journal_dir):
@@ -80,17 +80,15 @@ def _family_records(journal_dir: str) -> tuple[dict, list[Violation]]:
         segments.sort()
         family: list[dict] = []
         for index, (_, name) in enumerate(segments):
-            segment_records, _, defect = scan_segment(
-                os.path.join(journal_dir, name)
-            )
-            family.extend(segment_records)
-            if defect is not None and index < len(segments) - 1:
-                violations.append(
-                    Violation(
-                        "journal-lifecycle",
-                        f"sealed segment {name} is defective: {defect}",
-                    )
+            try:
+                segment_records, _ = read_frames(
+                    os.path.join(journal_dir, name),
+                    sealed=index < len(segments) - 1,
                 )
+            except ConfigurationError as exc:
+                violations.append(Violation("journal-lifecycle", str(exc)))
+                continue
+            family.extend(segment_records)
         records[shard] = family
     return records, violations
 

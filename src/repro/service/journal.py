@@ -32,12 +32,17 @@ so garbage collection can drop whole sealed segments instead of
 rewriting. A fleet deployment gives every shard its own *segment family*
 (``journal-sNN-*.waj``) in the shared directory: one single-writer file
 per shard, a scan that can read only one shard's family, and
-per-shard GC that never touches a survivor's live segment. Opening the journal for writing truncates a *torn tail* — a
-record half-written when the process died: a frame that runs past the
-end of the file, or a bad last frame — back to the last intact record.
-A bad frame with bytes after it, and corruption anywhere in a sealed
-(fsync'd, rotated-away) segment, is loud
-:class:`~repro.util.errors.ConfigurationError`, never silent.
+per-shard GC that never touches a survivor's live segment.
+
+Every framed file is read through :func:`read_frames`, which makes the
+one torn-vs-corrupt decision (the redeploy controller's decision log is
+framed the same way). Opening the journal for writing truncates a *torn
+tail* — a record half-written when the process died: a frame that runs
+past the end of the file, or a bad last frame — back to the last intact
+record. A bad frame with bytes after it, and corruption anywhere in a
+sealed (fsync'd, rotated-away) segment, is loud
+:class:`~repro.util.errors.ConfigurationError`, never silent; so is it
+in a read-only :meth:`RequestJournal.scan`.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ from dataclasses import dataclass, field
 from repro.serialization import fsync_dir
 from repro.util.errors import ConfigurationError
 from repro.util.faultpoints import (
-    SimulatedCrash,
     fault_hit,
     raise_if_crash,
     raise_if_crash_after,
+    raise_if_torn,
 )
 
 logger = logging.getLogger("repro.service")
@@ -117,64 +122,63 @@ def encode_record(record: dict) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def iter_records(data: bytes):
-    """Yield ``(offset, record)`` pairs until the data ends or breaks.
+def read_frames(
+    path: str, sealed: bool = False, repair: bool = False
+) -> tuple[list[dict], int]:
+    """Read a framed file once: its intact records and the number of torn
+    frames dropped (0 or 1).
 
-    Stops at the first torn or corrupt record and reports where: returns
-    via StopIteration-free protocol — callers use :func:`scan_segment`.
-    """
-    offset = 0
-    while offset < len(data):
-        if offset + _HEADER.size > len(data):
-            return offset, "torn header"
-        length, checksum = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > len(data):
-            return offset, "torn payload"
-        payload = data[start:end]
-        if zlib.crc32(payload) != checksum:
-            return offset, "checksum mismatch"
-        try:
-            record = json.loads(payload)
-        except json.JSONDecodeError:
-            return offset, "payload is not valid JSON"
-        yield offset, record
-        offset = end
-    return offset, None
-
-
-def scan_segment(path: str) -> tuple[list[dict], int, str | None]:
-    """Read one segment: ``(records, good_bytes, defect)``.
-
-    ``good_bytes`` is the offset up to which the segment is intact;
-    ``defect`` describes the first bad record (``None`` for a clean file).
+    The one torn-vs-corrupt rule. An append is only ever torn at the end
+    of a live file, so the first bad frame is a *torn tail* when it runs
+    past the end of the bytes read, or is the last frame in them; with
+    ``repair`` the file is truncated back to the intact records and
+    fsync'd, so the next append starts on a frame boundary. A bad frame
+    with bytes after it, and any bad frame in a ``sealed`` file (fsync'd
+    whole, then rotated away), is corruption: loud
+    :class:`~repro.util.errors.ConfigurationError` with the path, the
+    defect and its byte offset.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     records: list[dict] = []
-    iterator = iter_records(data)
-    while True:
+    offset = 0
+    while offset < len(data):
+        if offset + _HEADER.size > len(data):
+            defect, end = "torn header", len(data)
+            break
+        length, checksum = _HEADER.unpack_from(data, offset)
+        start = offset + _HEADER.size
+        end = start + length
+        if end > len(data):
+            defect = "torn payload"
+            break
+        payload = data[start:end]
+        if zlib.crc32(payload) != checksum:
+            defect = "checksum mismatch"
+            break
         try:
-            _, record = next(iterator)
-        except StopIteration as stop:
-            good_bytes, defect = stop.value
-            return records, good_bytes, defect
-        records.append(record)
-
-
-def torn_tail(path: str, offset: int) -> bool:
-    """Whether the bad frame at ``offset`` of a segment no one is writing
-    is a torn tail: it runs past the end of the file, or ends it. A bad
-    frame with bytes after it is corruption, never a torn append."""
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        header = handle.read(_HEADER.size)
-        size = handle.seek(0, os.SEEK_END)
-    if len(header) < _HEADER.size:
-        return True
-    length, _ = _HEADER.unpack(header)
-    return offset + _HEADER.size + length >= size
+            records.append(json.loads(payload))
+        except ValueError:
+            defect = "payload is not valid JSON"
+            break
+        offset = end
+    else:
+        return records, 0
+    if sealed or end < len(data):
+        raise ConfigurationError(
+            f"{path!r} is corrupt mid-stream ({defect} at byte {offset}); "
+            "an append is only ever torn at the end of a live file, so "
+            "this is real corruption — refusing to guess"
+        )
+    if repair:
+        logger.warning(
+            "%s: truncating torn tail (%s) at byte %d", path, defect, offset
+        )
+        with open(path, "r+b") as handle:
+            handle.truncate(offset)
+            handle.flush()
+            os.fsync(handle.fileno())
+    return records, 1
 
 
 @dataclass
@@ -333,27 +337,10 @@ class RequestJournal:
         state = JournalState()
         segments = self._segments()
         for index, path in enumerate(segments):
-            records, good_bytes, defect = scan_segment(path)
-            if defect is not None:
-                if index != len(segments) - 1 or not torn_tail(path, good_bytes):
-                    raise ConfigurationError(
-                        f"journal segment {path!r} is corrupt mid-stream "
-                        f"({defect} at byte {good_bytes}); sealed segments "
-                        "were fsync'd and a live one is only ever torn at "
-                        "its end, so this is real corruption — refusing to guess"
-                    )
-                # Torn tail of the live segment: the process died
-                # mid-append. Drop the partial record, keep the rest.
-                logger.warning(
-                    "journal %s: truncating torn tail (%s) at byte %d",
-                    path,
-                    defect,
-                    good_bytes,
-                )
-                with open(path, "r+b") as handle:
-                    handle.truncate(good_bytes)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+            # Only the live (last) segment can hold a torn tail.
+            records, _ = read_frames(
+                path, sealed=index < len(segments) - 1, repair=True
+            )
             for record in records:
                 _fold(state, record, path)
         if segments:
@@ -389,8 +376,9 @@ class RequestJournal:
         """Read-only replay of a journal directory.
 
         Tolerates a torn tail (the writer may be mid-append) without
-        truncating anything — safe to call against a *live* journal from
-        another process, e.g. the crash-recovery harness. With the
+        truncating anything, and refuses corruption as open does; safe to
+        call against a *live* journal from another process, e.g. the
+        crash-recovery harness, because each file is read once. With the
         default ``shard=...`` every segment family in the directory is
         folded into one state (each family may carry its own torn live
         tail); ``shard=N`` (or ``shard=None`` for the unsharded family)
@@ -412,12 +400,7 @@ class RequestJournal:
             entries.sort()
             for index, (_, name) in enumerate(entries):
                 path = os.path.join(directory, name)
-                records, _, defect = scan_segment(path)
-                if defect is not None and index != len(entries) - 1:
-                    raise ConfigurationError(
-                        f"journal segment {path!r} is corrupt mid-stream "
-                        f"({defect})"
-                    )
+                records, _ = read_frames(path, sealed=index < len(entries) - 1)
                 for record in records:
                     _fold(state, record, path)
         return state
@@ -444,13 +427,7 @@ class RequestJournal:
             )
             raise_if_crash(command, "journal.append")
             durable = handle.tell()
-            if command is not None and command.kind == "torn":
-                cut = len(data) // 2 if command.arg is None else command.arg
-                cut = max(1, min(int(cut), len(data) - 1))
-                handle.write(data[:cut])
-                handle.flush()
-                os.fsync(handle.fileno())
-                raise SimulatedCrash("journal.append")
+            raise_if_torn(command, "journal.append", handle, data)
             handle.write(data)
             handle.flush()
             fsync_command = fault_hit(

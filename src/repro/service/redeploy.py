@@ -11,8 +11,10 @@ that re-search near-free) and applies the winner only on a meaningful
 reliability gain.
 
 Controller crashes must not corrupt the deployment, so every decision is
-journaled to an append-only, fsync'd JSONL log with an explicit commit
-point:
+journaled to an append-only, fsync'd log with an explicit commit point.
+The log is framed and checksummed like the request journal's segments
+(:func:`~repro.service.journal.encode_record`), and read through the same
+torn-vs-corrupt rule (:func:`~repro.service.journal.read_frames`):
 
 ``detected`` → ``search-attempt``/``search-failed``* → ``candidate``
 (with ``apply: true|false`` — the commit record, carrying the full plan)
@@ -30,6 +32,11 @@ never lost. The optional ``apply_plan`` callback is an at-most-once
 notification to external actuation; the authoritative committed plan is
 always ``incumbent.json``.
 
+A state directory that still holds a JSONL decision log written by an
+earlier version (``redeploy-journal.jsonl``) is refused at construction
+and left untouched: that format had no checksum, and reading it as frames
+would take the whole file for a torn tail.
+
 Failed searches (errors, or results that violate the zone constraints)
 are retried with exponential backoff up to ``max_retries`` before the
 decision is journaled ``abandoned`` — degradation handling must degrade
@@ -38,7 +45,6 @@ gracefully itself.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -48,6 +54,7 @@ from typing import Callable
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch, SearchSpec
 from repro.serialization import decode, dump, encode, load
+from repro.service.journal import encode_record, read_frames
 from repro.util.errors import (
     ConfigurationError,
     ValidationError,
@@ -55,14 +62,17 @@ from repro.util.errors import (
     check_positive_finite,
 )
 from repro.util.faultpoints import (
-    SimulatedCrash,
     fault_hit,
     raise_if_crash,
     raise_if_crash_after,
+    raise_if_torn,
 )
 
 #: Journal file name inside the controller's state directory.
-JOURNAL_NAME = "redeploy-journal.jsonl"
+JOURNAL_NAME = "redeploy-journal.waj"
+
+#: The JSONL decision log of earlier versions; refused, never read.
+_JSONL_JOURNAL_NAME = "redeploy-journal.jsonl"
 
 #: Atomically-replaced artifact holding the currently applied plan.
 INCUMBENT_NAME = "incumbent.json"
@@ -111,84 +121,44 @@ class RecoveryReport:
 
 
 class DecisionJournal:
-    """Append-only fsync'd JSONL record log with torn-tail tolerance.
+    """Append-only fsync'd log of decision records, one frame each.
 
-    Each line is one JSON object with a ``record`` field. A crash can
-    tear at most the final line; :meth:`scan` drops an undecodable tail
-    (counting it) but raises on mid-file corruption, mirroring the
-    service journal's loud-vs-tolerant split.
+    Each record is a dict with a ``record`` field, framed with length and
+    crc32 as the request journal frames its records. A crash can tear at
+    most the final frame; :meth:`scan` drops it (counting it) but refuses
+    a bad frame with bytes after it, which a torn append cannot leave.
     """
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
 
     def append(self, record: dict) -> None:
-        data = (
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        # Drill seams: crash before the append, tear the line at a byte
+        data = encode_record(record)
+        # Drill seams: crash before the append, tear the frame at a byte
         # offset, or crash after it is durable (no-op in production).
         command = fault_hit(
             "redeploy.journal", record=record.get("record"), path=self.path
         )
         raise_if_crash(command, "redeploy.journal")
-        if command is not None and command.kind == "torn":
-            cut = len(data) // 2 if command.arg is None else command.arg
-            cut = max(1, min(int(cut), len(data) - 1))
-            with open(self.path, "ab") as handle:
-                handle.write(data[:cut])
-                handle.flush()
-                os.fsync(handle.fileno())
-            raise SimulatedCrash("redeploy.journal")
         with open(self.path, "ab") as handle:
+            raise_if_torn(command, "redeploy.journal", handle, data)
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         raise_if_crash_after(command, "redeploy.journal")
 
     def scan(self, repair: bool = False) -> tuple[list[dict], int]:
-        """All decodable records plus the number of torn tail lines.
+        """All intact records plus the number of torn frames dropped.
 
         With ``repair=True`` a torn tail is also *truncated away*, so the
-        next :meth:`append` starts on a clean line — without that, an
-        append after a torn crash would concatenate onto the partial
-        line and turn a tolerated tail into loud mid-file corruption.
-        Recovery runs with repair; read-only inspection does not.
+        next :meth:`append` starts on a frame boundary — without that, an
+        append after a torn crash would land behind the partial frame and
+        turn a tolerated tail into loud mid-file corruption. Recovery
+        runs with repair; read-only inspection does not.
         """
         if not os.path.exists(self.path):
             return [], 0
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        records: list[dict] = []
-        torn = 0
-        good_bytes = 0
-        parts = data.split(b"\n")
-        complete, remainder = parts[:-1], parts[-1]
-        for index, raw in enumerate(complete):
-            stripped = raw.strip()
-            if stripped:
-                try:
-                    records.append(json.loads(stripped.decode("utf-8")))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    if index == len(complete) - 1 and not remainder:
-                        torn += 1  # the crash interrupted this append
-                        break
-                    raise ConfigurationError(
-                        f"redeploy journal {self.path!r} is corrupt at "
-                        f"line {index + 1}"
-                    )
-            good_bytes += len(raw) + 1  # +1 for the real newline
-        if remainder.strip():
-            # An unterminated final line is torn *even when it parses*:
-            # the newline is part of the record's durability, and only
-            # truncation keeps the next append off the partial line.
-            torn += 1
-        if repair and torn and good_bytes < len(data):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return records, torn
+        return read_frames(self.path, repair=repair)
 
 
 class RedeploymentController:
@@ -257,6 +227,13 @@ class RedeploymentController:
         self.structure = structure
         self.state_dir = os.fspath(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
+        legacy = os.path.join(self.state_dir, _JSONL_JOURNAL_NAME)
+        if os.path.exists(legacy):
+            raise ConfigurationError(
+                f"{legacy!r} is a decision log in the JSONL format of an "
+                f"earlier version; this version reads only the framed "
+                f"{JOURNAL_NAME!r} and leaves that file as it is"
+            )
         self.journal = DecisionJournal(os.path.join(self.state_dir, JOURNAL_NAME))
         self.incumbent_path = os.path.join(self.state_dir, INCUMBENT_NAME)
         self.zone_constraints = zone_constraints
@@ -301,7 +278,7 @@ class RedeploymentController:
         commits: dict[int, dict] = {}
         terminal: set[int] = set()
         for record in records:
-            decision = int(record.get("decision", 0))
+            decision = int(record["decision"])
             self._next_decision = max(self._next_decision, decision + 1)
             kind = record.get("record")
             if kind == "detected":
@@ -440,9 +417,9 @@ class RedeploymentController:
         )
 
         result = None
-        attempts = 0
+        # max_retries >= 1 (checked at construction), so ``attempt`` is
+        # bound after the loop: the number of searches this decision ran.
         for attempt in range(1, self.max_retries + 1):
-            attempts = attempt
             self.journal.append(
                 {"record": "search-attempt", "decision": decision, "attempt": attempt}
             )
@@ -480,7 +457,7 @@ class RedeploymentController:
                 event=event,
                 action="abandoned",
                 incumbent_score=incumbent_score,
-                search_attempts=attempts,
+                search_attempts=attempt,
             )
 
         candidate = result.best_plan
@@ -511,7 +488,7 @@ class RedeploymentController:
                 incumbent_score=incumbent_score,
                 candidate_score=candidate_score,
                 gain=gain,
-                search_attempts=attempts,
+                search_attempts=attempt,
                 plan=candidate,
             )
 
@@ -528,7 +505,7 @@ class RedeploymentController:
             incumbent_score=incumbent_score,
             candidate_score=candidate_score,
             gain=gain,
-            search_attempts=attempts,
+            search_attempts=attempt,
             plan=candidate,
         )
 

@@ -256,3 +256,17 @@ def raise_if_crash_after(command: FaultCommand | None, point: str) -> None:
     """Honour an after-the-operation crash command at ``point``."""
     if command is not None and command.kind == "crash_after":
         raise SimulatedCrash(point)
+
+
+def raise_if_torn(command: FaultCommand | None, point: str, handle, data: bytes) -> None:
+    """Honour a ``torn`` command at ``point``: write the first ``arg``
+    bytes of ``data`` (half of it by default; at least one byte, never
+    all of them) durably to ``handle``, then crash."""
+    if command is None or command.kind != "torn":
+        return
+    cut = len(data) // 2 if command.arg is None else command.arg
+    cut = max(1, min(int(cut), len(data) - 1))
+    handle.write(data[:cut])
+    handle.flush()
+    os.fsync(handle.fileno())
+    raise SimulatedCrash(point)

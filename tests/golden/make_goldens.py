@@ -5,11 +5,15 @@ Every file here is a document the service, the CLI or the search wrote
 for real, from fixed seeds: write-ahead journal segments and result-store
 entries of a 2-shard fleet, the fleet's pipe messages, a zone-constrained
 search checkpoint with its trace, the ``--json`` output of six commands,
-HTTP response bodies, and a redeploy controller's decision journal with
-its ``incumbent.json``. ``thread-service/`` (one unsharded journal family
-and its store) was written by the single-process thread service, which
-no longer exists; this script keeps it and its manifest entry as they
-are, and the tests open it with a fleet.
+and HTTP response bodies. ``thread-service/`` (one unsharded journal
+family and its store) was written by the single-process thread service,
+which no longer exists; this script keeps it and its manifest entry as
+they are, and the tests open it with a fleet. Likewise ``redeploy/``: a
+redeploy controller's ``incumbent.json`` and its decision log in the
+JSONL format of an earlier controller, which the controller now refuses.
+This script keeps both as they are and writes their framed twin,
+``redeploy/redeploy-journal.waj``: the same records, each framed by
+``encode_record``, which the controller recovers.
 ``tests/test_golden.py`` decodes each one, re-encodes it and requires
 the same JSON, and opens the journal directory with a fresh service.
 That pins the JSON formats by test: a change that alters a document the
@@ -51,7 +55,7 @@ OUTPUTS = (
     "pipe",
     "cli",
     "http",
-    "redeploy",
+    "redeploy/redeploy-journal.waj",
     "checkpoint-zones.json",
     "manifest.json",
 )
@@ -330,7 +334,19 @@ def _cli(root: str) -> None:
         raise RuntimeError(f"repro drill --replay exited {run.returncode}: {run.stderr}")
     with open(os.path.join(directory, "drill-replay.json"), "w", encoding="utf-8") as handle:
         handle.write(run.stdout)
-    shutil.copytree(os.path.join(root, "redeploy"), os.path.join(HERE, "redeploy"))
+
+
+def _framed_redeploy_journal() -> None:
+    """Frame the JSONL decision log's records, in order, as the
+    controller's ``DecisionJournal.append`` writes them."""
+    from repro.service.journal import encode_record
+    from repro.service.redeploy import JOURNAL_NAME
+
+    directory = os.path.join(HERE, "redeploy")
+    with open(os.path.join(directory, "redeploy-journal.jsonl"), "rb") as handle:
+        records = [json.loads(line) for line in handle]
+    with open(os.path.join(directory, JOURNAL_NAME), "wb") as handle:
+        handle.write(b"".join(map(encode_record, records)))
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +433,7 @@ def main() -> int:
         _checkpoint(root)
         _cli(root)
         _http(root)
+    _framed_redeploy_journal()
     _write_json(os.path.join(HERE, "manifest.json"), manifest)
     print(f"wrote goldens under {HERE}")
     return 0

@@ -1,10 +1,12 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.journal import RequestJournal
 
 
 def run_cli(capsys, *argv):
@@ -438,6 +440,23 @@ class TestJournalCommand:
         assert out == ""
         assert err.splitlines() == [f"error: no journal directory at {str(path)!r}"]
 
+    def test_a_corrupt_live_segment_exits_2_naming_it(self, capsys, tmp_path):
+        """A bad frame with records after it is refused, not read as a
+        shorter journal."""
+        with RequestJournal(tmp_path) as journal:
+            for number in (1, 2):
+                journal.started(f"req-{number}")
+            segment = journal._current_path
+        data = bytearray(open(segment, "rb").read())
+        data[10] ^= 0x01  # a payload byte of the first record
+        with open(segment, "wb") as handle:
+            handle.write(bytes(data))
+        code, out, err = run_cli(capsys, "journal", "inspect", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {segment!r} is corrupt mid-stream")
+
 
 class TestBaselineCommand:
     def test_baseline_output(self, capsys):
@@ -490,6 +509,15 @@ class TestRedeployCommand:
         assert rerun["recovery"]["incumbent_restored"] is True
         assert rerun["recovery"]["completed_applies"] == 0
         assert rerun["incumbent"] == document["incumbent"]
+
+    def test_a_jsonl_decision_log_is_config_error(self, capsys, tmp_path):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "redeploy-journal.jsonl").write_text('{"record":"detected"}\n')
+        code, _out, err = run_cli(capsys, *self.BASE, "--state-dir", str(state))
+        assert code == 2
+        assert "JSONL format" in err
+        assert sorted(os.listdir(state)) == ["redeploy-journal.jsonl"]
 
     def test_unknown_zone_is_config_error(self, capsys, tmp_path):
         code, _out, err = run_cli(

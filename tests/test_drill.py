@@ -26,6 +26,7 @@ from repro.drill.engine import (
     run_drill,
     write_verdict,
 )
+from repro.drill.invariants import _family_records
 from repro.drill.schedule import (
     _UNDRAWN_POINTS,
     FaultEvent,
@@ -34,7 +35,7 @@ from repro.drill.schedule import (
     schedule_from_json,
 )
 from repro.serialization import encode
-from repro.service.journal import RequestJournal
+from repro.service.journal import RequestJournal, encode_record
 from repro.service.redeploy import DecisionJournal
 from repro.service.store import ResultStore
 from repro.util.errors import ConfigurationError, ValidationError
@@ -227,33 +228,69 @@ class TestProductionSeams:
             store.put("key", {"status": "ok"})
         assert store.get("key") == {"status": "ok"}
 
-    def test_decision_journal_unterminated_line_is_torn(self, tmp_path):
-        path = tmp_path / "decisions.jsonl"
+    def test_decision_journal_torn_append_is_dropped_then_repaired(
+        self, tmp_path
+    ):
+        """The ``redeploy.journal`` seam tears a frame as the request
+        journal's does: all but its last byte reach the disk. The torn
+        frame is dropped and counted, and after a repairing scan the next
+        append reads back clean."""
+        path = tmp_path / "decisions.waj"
         journal = DecisionJournal(str(path))
         journal.append({"record": "a"})
-        # A crash after the bytes but before the newline: the line parses,
-        # but without its terminator it is not durable.
-        with open(path, "ab") as handle:
-            handle.write(json.dumps({"record": "b"}).encode("utf-8"))
+        intact = path.read_bytes()
+        registry = FaultPoints().add(
+            "redeploy.journal", FaultCommand("torn", arg=10**6)
+        )
+        with armed(registry), pytest.raises(SimulatedCrash):
+            journal.append({"record": "b"})
+        assert path.read_bytes() == intact + encode_record({"record": "b"})[:-1]
         records, torn = journal.scan()
         assert [r["record"] for r in records] == ["a"]
         assert torn == 1
         records, torn = journal.scan(repair=True)
         assert torn == 1
+        assert path.read_bytes() == intact
         journal.append({"record": "c"})
         records, torn = journal.scan()
         assert [r["record"] for r in records] == ["a", "c"]
         assert torn == 0
 
     def test_decision_journal_mid_file_corruption_is_loud(self, tmp_path):
-        path = tmp_path / "decisions.jsonl"
+        path = tmp_path / "decisions.waj"
         journal = DecisionJournal(str(path))
         journal.append({"record": "a"})
         journal.append({"record": "b"})
         data = path.read_bytes().replace(b'"a"', b'"a', 1)
         path.write_bytes(data)
-        with pytest.raises(ConfigurationError, match="corrupt at line"):
+        with pytest.raises(ConfigurationError, match="corrupt mid-stream"):
             journal.scan()
+
+
+class TestRawJournalReader:
+    def test_a_bad_frame_mid_live_segment_is_a_lifecycle_violation(
+        self, tmp_path
+    ):
+        """The checkers' raw reader applies the journal's rule to a
+        family's last segment: a torn tail is tolerated, a bad frame with
+        records after it is a ``journal-lifecycle`` violation."""
+        for shard in (0, 1):
+            with RequestJournal(tmp_path, shard=shard) as journal:
+                for number in (1, 2):
+                    journal.started(f"req-{shard}{number}")
+        torn = tmp_path / "journal-s00-00000001.waj"
+        torn.write_bytes(torn.read_bytes() + b"\x00\x00")
+        corrupt = tmp_path / "journal-s01-00000001.waj"
+        data = bytearray(corrupt.read_bytes())
+        data[10] ^= 0x01  # a payload byte of the first record
+        corrupt.write_bytes(bytes(data))
+        records, violations = _family_records(str(tmp_path))
+        assert [r["id"] for r in records[0]] == ["req-01", "req-02"]
+        assert records[1] == []
+        (violation,) = violations
+        assert violation.invariant == "journal-lifecycle"
+        assert str(corrupt) in violation.detail
+        assert "checksum mismatch at byte 0" in violation.detail
 
 
 class TestDrillEngine:

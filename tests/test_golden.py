@@ -3,12 +3,14 @@ to the same JSON, and still serve a restarted service.
 
 ``tests/golden/`` holds journal segments, result-store entries, fleet pipe
 messages, a search checkpoint, CLI ``--json`` output, HTTP bodies and a
-redeploy journal, written from fixed seeds by
+redeploy decision log, written from fixed seeds by
 ``tests/golden/make_goldens.py`` (see its docstring for when to rerun
 it). Files written with ``sort_keys`` (journal, store, checkpoint,
 request fingerprints, redeploy journal and incumbent) must re-encode
 byte for byte; HTTP bodies and CLI output, where key order is free, must
-re-encode to equal parsed JSON.
+re-encode to equal parsed JSON. The decision log is kept twice: in the
+JSONL format an earlier version wrote (which the controller refuses),
+and framed as the controller writes it now, holding the same records.
 """
 
 from __future__ import annotations
@@ -32,9 +34,16 @@ from repro.sampling.statistics import ReliabilityEstimate
 from repro.serialization import artifact, decode, dump, encode, load
 from repro.service.capacity import FleetCapacityPlan
 from repro.service.fleet import FleetSupervisor, ServiceConfig
-from repro.service.journal import encode_record, scan_segment
+from repro.service.journal import encode_record, read_frames
 from repro.service.lifecycle import fingerprint
-from repro.service.redeploy import DegradationEvent, RecoveryReport, RedeployDecision
+from repro.service.redeploy import (
+    INCUMBENT_NAME,
+    JOURNAL_NAME,
+    DegradationEvent,
+    RecoveryReport,
+    RedeployDecision,
+    RedeploymentController,
+)
 from repro.service.requests import AssessRequest, SearchRequest, ServiceResponse
 from repro.util.errors import ValidationError
 
@@ -67,6 +76,7 @@ FIXTURES = (
     "http/replayed.json",
     "http/requests.json",
     "redeploy/redeploy-journal.jsonl",
+    "redeploy/redeploy-journal.waj",
     "redeploy/incumbent.json",
 )
 
@@ -154,8 +164,7 @@ class TestJournalAndStore:
         accepted = 0
         for name in segments:
             path = os.path.join(directory, name)
-            records, _, defect = scan_segment(path)
-            assert defect is None
+            records, _ = read_frames(path, sealed=True)
             reframed = b""
             for record in records:
                 if record["event"] == "accepted":
@@ -278,6 +287,33 @@ class TestCheckpointAndRedeploy:
             text = json.dumps(record, sort_keys=True, separators=(",", ":"))
             assert (text + "\n").encode("utf-8") == line
         assert plans
+
+    def test_framed_redeploy_journal_frames_the_jsonl_records(self):
+        """The framed decision log holds the JSONL fixture's records, in
+        order, each framed by ``encode_record``."""
+        with open(_path("redeploy/redeploy-journal.jsonl"), "rb") as handle:
+            records = [json.loads(line) for line in handle]
+        framed = _path(f"redeploy/{JOURNAL_NAME}")
+        with open(framed, "rb") as handle:
+            assert b"".join(map(encode_record, records)) == handle.read()
+        assert read_frames(framed, sealed=True) == (records, 0)
+
+    def test_controller_recovers_the_framed_redeploy_journal(self, tmp_path):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        for name in (JOURNAL_NAME, INCUMBENT_NAME):
+            shutil.copyfile(_path(f"redeploy/{name}"), state_dir / name)
+        # Recovery reads only the state dir: no search or structure needed.
+        controller = RedeploymentController(None, None, str(state_dir))
+        report = controller.last_recovery
+        assert report.incumbent_restored
+        assert report.torn_records_dropped == 0
+        assert (report.decisions_seen, report.completed_applies) == (2, 0)
+        assert controller.incumbent == decode(
+            DeploymentPlan, load(_path("redeploy/incumbent.json"))
+        )
+        with open(_path(f"redeploy/{JOURNAL_NAME}"), "rb") as handle:
+            assert (state_dir / JOURNAL_NAME).read_bytes() == handle.read()
 
     def test_incumbent_re_encodes_byte_for_byte(self, tmp_path):
         plan = decode(DeploymentPlan, load(_path("redeploy/incumbent.json")))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,7 @@ from repro.service.journal import (
     PendingRequest,
     RequestJournal,
     encode_record,
-    scan_segment,
+    read_frames,
 )
 from repro.service.store import ResultStore
 from repro.util.errors import ConfigurationError
@@ -37,50 +38,77 @@ def frozen_clock(monkeypatch):
     monkeypatch.setattr(journal_module, "time", SimpleNamespace(time=lambda: 1.0))
 
 
+def _defect(path) -> str:
+    """What a sealed read of ``path`` refuses: the defect and its offset."""
+    with pytest.raises(ConfigurationError, match="corrupt mid-stream") as excinfo:
+        read_frames(str(path), sealed=True)
+    return str(excinfo.value)
+
+
 class TestRecordFraming:
     def test_round_trip_one_record(self, tmp_path):
         path = tmp_path / "seg.waj"
         path.write_bytes(encode_record({"event": "started", "id": "req-1"}))
-        records, good, defect = scan_segment(str(path))
-        assert defect is None
-        assert good == path.stat().st_size
+        records, torn = read_frames(str(path), sealed=True)
+        assert torn == 0
         assert records == [{"event": "started", "id": "req-1"}]
 
     def test_torn_header_reported(self, tmp_path):
         path = tmp_path / "seg.waj"
         whole = encode_record({"event": "started", "id": "req-1"})
         path.write_bytes(whole + b"\x00\x00")  # 2 stray bytes: torn header
-        records, good, defect = scan_segment(str(path))
-        assert len(records) == 1
-        assert good == len(whole)
-        assert defect == "torn header"
+        records, torn = read_frames(str(path))
+        assert (len(records), torn) == (1, 1)
+        assert f"(torn header at byte {len(whole)})" in _defect(path)
 
     def test_torn_payload_reported(self, tmp_path):
         path = tmp_path / "seg.waj"
         whole = encode_record({"event": "started", "id": "req-1"})
         second = encode_record({"event": "completed", "id": "req-1"})
         path.write_bytes(whole + second[:-3])  # payload cut short
-        records, good, defect = scan_segment(str(path))
-        assert len(records) == 1
-        assert good == len(whole)
-        assert defect == "torn payload"
+        records, torn = read_frames(str(path))
+        assert (len(records), torn) == (1, 1)
+        assert f"(torn payload at byte {len(whole)})" in _defect(path)
 
     def test_a_record_cut_after_its_header_is_a_torn_payload(self, tmp_path):
         path = tmp_path / "seg.waj"
         whole = encode_record({"event": "started", "id": "req-1"})
         path.write_bytes(whole + whole[:8])  # a whole header, no payload
-        records, good, defect = scan_segment(str(path))
-        assert (len(records), good, defect) == (1, len(whole), "torn payload")
+        records, torn = read_frames(str(path))
+        assert (len(records), torn) == (1, 1)
+        assert f"(torn payload at byte {len(whole)})" in _defect(path)
 
     def test_bit_flip_caught_by_checksum(self, tmp_path):
         path = tmp_path / "seg.waj"
         data = bytearray(encode_record({"event": "started", "id": "req-1"}))
         data[-1] ^= 0x40  # flip a payload bit; the crc32 must notice
         path.write_bytes(bytes(data))
-        records, good, defect = scan_segment(str(path))
-        assert records == []
-        assert good == 0
-        assert defect == "checksum mismatch"
+        assert read_frames(str(path)) == ([], 1)  # the last frame: torn
+        assert "(checksum mismatch at byte 0)" in _defect(path)
+
+    # Invalid UTF-8 raises UnicodeDecodeError, not JSONDecodeError.
+    @pytest.mark.parametrize("payload", [b"{not json", b'"\xff"'])
+    def test_a_checksummed_payload_that_is_not_json_is_a_defect(
+        self, tmp_path, payload
+    ):
+        path = tmp_path / "seg.waj"
+        bad = journal_module._HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        path.write_bytes(bad + STARTED)
+        with pytest.raises(
+            ConfigurationError, match="payload is not valid JSON at byte 0"
+        ):
+            read_frames(str(path))
+
+    def test_repair_cuts_a_torn_tail_and_leaves_a_clean_file_alone(self, tmp_path):
+        path = tmp_path / "seg.waj"
+        path.write_bytes(STARTED + STARTED[:5])
+        records = [{"event": "started", "id": "req-1", "ts": 1.0}]
+        assert read_frames(str(path)) == (records, 1)
+        assert path.read_bytes() == STARTED + STARTED[:5]  # no repair: untouched
+        assert read_frames(str(path), repair=True)[1] == 1
+        assert path.read_bytes() == STARTED
+        assert read_frames(str(path), repair=True)[1] == 0
+        assert path.read_bytes() == STARTED
 
 
 class TestJournalLifecycle:
@@ -201,6 +229,21 @@ class TestJournalLifecycle:
             RequestJournal(tmp_path)
         assert open(segment, "rb").read() == bytes(data)
 
+    def test_scan_refuses_a_bit_flip_mid_live_segment(self, tmp_path):
+        """The read-only scan applies the same rule as open: it refuses a
+        bad frame with bytes after it, where it used to fold the records
+        before it (none here) and report no pending request."""
+        segment, starts = self._three_accepted(tmp_path)
+        data = bytearray(open(segment, "rb").read())
+        data[starts[1] - 1] ^= 0x40
+        with open(segment, "wb") as handle:
+            handle.write(bytes(data))
+        with pytest.raises(
+            ConfigurationError, match="checksum mismatch at byte 0"
+        ):
+            RequestJournal.scan(tmp_path)
+        assert open(segment, "rb").read() == bytes(data)
+
     def test_a_bad_last_frame_is_a_torn_tail(self, tmp_path):
         """The same flip in the last record, which ends the file, is a
         torn tail: it is cut, and the two records before it replay."""
@@ -249,6 +292,21 @@ class TestJournalLifecycle:
                 (root / name).write_bytes(data[:cut] if name == sealed else data)
             with pytest.raises(ConfigurationError, match="corrupt mid-stream"):
                 RequestJournal(root)
+
+    def test_a_torn_end_of_the_segment_before_the_live_one_is_loud(
+        self, tmp_path
+    ):
+        """Only the last segment can be torn: the same cut in the sealed
+        segment just before it is refused, by open and by scan alike."""
+        self._write_segments(
+            tmp_path, [("accepted", "req-1")], [("completed", "req-1")]
+        )
+        sealed = tmp_path / journal_module._segment_name(1)
+        sealed.write_bytes(sealed.read_bytes()[:-1])
+        with pytest.raises(ConfigurationError, match="torn payload at byte 0"):
+            RequestJournal(tmp_path)
+        with pytest.raises(ConfigurationError, match="torn payload at byte 0"):
+            RequestJournal.scan(tmp_path)
 
     def test_corrupt_sealed_segment_is_loud(self, tmp_path):
         with RequestJournal(tmp_path, segment_bytes=1) as journal:

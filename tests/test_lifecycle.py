@@ -28,7 +28,7 @@ from repro.service.journal import RequestJournal
 from repro.service.lifecycle import RequestLifecycle, open_state
 from repro.service.requests import AssessRequest, ServiceResponse
 from repro.service.store import ResultStore
-from repro.util.errors import AdmissionRejected, ValidationError
+from repro.util.errors import AdmissionRejected, ConfigurationError, ValidationError
 from repro.util.faultpoints import FaultPoints, armed, fault_hit, raise_if_crash
 
 needs_fork = pytest.mark.skipif(
@@ -650,6 +650,21 @@ class TestForeignFamilies:
         assert _events(tmp_path, pending.id, shard=owner) == ["accepted"]
         fresh, _ = narrow.admit("assess", _request())
         assert fresh.id == "req-10"
+
+    def test_a_corrupt_foreign_family_refuses_the_start(self, tmp_path):
+        """A bad frame with records after it in a family no slot owns is
+        refused loudly, as in an owned one, and nothing is cut."""
+        with RequestJournal(tmp_path) as journal:
+            for number in (1, 2):
+                journal.accepted(f"req-{number}", "assess", encode(_request()))
+            segment = journal._current_path
+        data = bytearray(open(segment, "rb").read())
+        data[10] ^= 0x01  # a payload byte of the first record
+        with open(segment, "wb") as handle:
+            handle.write(bytes(data))
+        with pytest.raises(ConfigurationError, match="corrupt mid-stream"):
+            _core(tmp_path, slots=1)
+        assert open(segment, "rb").read() == bytes(data)
 
     def test_a_foreign_request_that_no_longer_validates_ends_once(self, tmp_path):
         with RequestJournal(tmp_path) as journal:

@@ -49,9 +49,16 @@ class TestMonteCarloSampler:
         assert np.all(np.diff(failed) > 0)
 
     def test_chunking_handles_many_components(self, rng):
-        # More components than one chunk row-budget for this round count.
+        # A budget of 64 rows at 100 rounds: 600 components cross nine
+        # chunk boundaries, the last chunk part-full (one check a chunk).
         probabilities = {f"c{i}": 0.2 for i in range(600)}
-        batch = MonteCarloSampler().sample(probabilities, 100, rng)
+        chunks = []
+        cancel = SimpleNamespace(check=lambda: chunks.append(None))
+        with mock.patch.object(
+            montecarlo, "_CHUNK_BUDGET_BYTES", 64 * 100 * montecarlo._BYTES_PER_DRAW
+        ):
+            batch = MonteCarloSampler().sample(probabilities, 100, rng, cancel)
+        assert len(chunks) == 10
         failed = failed_rounds(batch)
         rates = [len(failed.get(f"c{i}", ())) / 100 for i in range(600)]
         assert np.mean(rates) == pytest.approx(0.2, abs=0.01)

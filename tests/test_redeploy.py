@@ -8,8 +8,8 @@ under a real ZoneOutage. Crash recovery is tested by reconstructing the
 exact journal states a mid-decision kill leaves behind.
 """
 
-import json
 import os
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +20,7 @@ from repro.core.api import AssessmentConfig
 from repro.core.plan import DeploymentPlan, ZoneConstraints
 from repro.core.search import DeploymentSearch
 from repro.faults.inventory import ZoneOutage, build_zone_inventory
+from repro.service.journal import encode_record, read_frames
 from repro.service.redeploy import (
     INCUMBENT_NAME,
     JOURNAL_NAME,
@@ -29,6 +30,14 @@ from repro.service.redeploy import (
 )
 from repro.topology.zones import MultiZoneTopology
 from repro.util.errors import ConfigurationError
+
+#: The decision log an earlier version wrote, one JSON object a line.
+LEGACY_JOURNAL = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "golden",
+    "redeploy",
+    "redeploy-journal.jsonl",
+)
 
 STRUCTURE = ApplicationStructure.k_of_n(1, 3)
 CROSS_ZONE = ZoneConstraints.from_mapping(
@@ -109,9 +118,9 @@ def _controller(zones2, tmp_path, search, incumbent, **kwargs):
 
 
 def _journal_records(state_dir):
-    path = os.path.join(state_dir, JOURNAL_NAME)
-    with open(path) as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+    """The decision log's records, read raw; any defect fails the test."""
+    records, _ = read_frames(os.path.join(state_dir, JOURNAL_NAME), sealed=True)
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +190,55 @@ class TestDecisionLifecycle:
         kinds = [r["record"] for r in _journal_records(ctrl.state_dir)]
         assert kinds.count("rejected") == 1
 
+    def test_a_drop_of_exactly_the_threshold_is_degradation(
+        self, zones2, tmp_path, plans
+    ):
+        scores = {plans["spread"].canonical_key(): 0.75}
+        search = StubSearch(zones2, scores, [])
+        ctrl = _controller(
+            zones2, tmp_path, search, plans["spread"], degradation_threshold=0.25
+        )
+        assert ctrl.check() is None  # baseline 0.75
+        scores[plans["spread"].canonical_key()] = 0.5
+        assert ctrl.check().kind == "score-drop"
+
+    def test_a_gain_of_exactly_min_gain_is_applied(self, zones2, tmp_path, plans):
+        scores = {
+            plans["spread"].canonical_key(): 0.5,
+            plans["far"].canonical_key(): 0.75,
+        }
+        search = StubSearch(zones2, scores, [plans["far"]])
+        ctrl = _controller(zones2, tmp_path, search, plans["spread"], min_gain=0.25)
+        ctrl.observe(DegradationEvent(kind="zone-outage", zone="zone0"))
+        assert ctrl.step().action == "applied"
+
+    def test_decision_ids_count_up_across_a_restart(self, zones2, tmp_path, plans):
+        search = StubSearch(zones2, {}, [])
+        ids = []
+        for cycles in (2, 1):
+            ctrl = _controller(zones2, tmp_path, search, plans["spread"])
+            for _ in range(cycles):
+                ctrl.observe(DegradationEvent(kind="zone-outage", zone="zone0"))
+                ids.append(ctrl.step().decision_id)
+        assert ids == [1, 2, 3]
+        detected = [
+            r["decision"]
+            for r in _journal_records(ctrl.state_dir)
+            if r["record"] == "detected"
+        ]
+        assert detected == [1, 2, 3]
+
+    def test_run_sleeps_between_cycles_only(self, zones2, tmp_path, plans):
+        sleeps = []
+        search = StubSearch(zones2, {}, [])
+        ctrl = _controller(
+            zones2, tmp_path, search, plans["spread"], sleep=sleeps.append
+        )
+        assert ctrl.run(3, poll_seconds=0.5) == []
+        assert sleeps == [0.5, 0.5]
+        assert ctrl.run(2) == []
+        assert sleeps == [0.5, 0.5]
+
     def test_observed_events_outrank_polling(self, zones2, tmp_path, plans):
         search = StubSearch(zones2, {}, [plans["far"]])
         search.assessor.scores[plans["far"].canonical_key()] = 0.999
@@ -215,6 +273,21 @@ class TestRetryAndBackoff:
         assert kinds.count("search-attempt") == 3
         assert kinds.count("search-failed") == 3
         assert kinds[-1] == "abandoned"
+
+    @pytest.mark.parametrize("max_retries, attempts", [(1, 1), (None, 3)])
+    def test_a_decision_runs_at_most_max_retries_searches(
+        self, zones2, tmp_path, plans, max_retries, attempts
+    ):
+        """One search is a valid budget, and three is the default."""
+        search = StubSearch(zones2, {}, [RuntimeError("boom")] * 4)
+        budget = {} if max_retries is None else {"max_retries": max_retries}
+        ctrl = _controller(
+            zones2, tmp_path, search, plans["spread"], sleep=lambda _: None, **budget
+        )
+        ctrl.observe(DegradationEvent(kind="zone-outage", zone="zone0"))
+        decision = ctrl.step()
+        assert (decision.action, decision.search_attempts) == ("abandoned", attempts)
+        assert search.calls == attempts
 
     def test_transient_failure_retries_to_success(self, zones2, tmp_path, plans):
         search = StubSearch(
@@ -252,7 +325,8 @@ class TestRetryAndBackoff:
 
 class TestDecisionJournal:
     def test_round_trip(self, tmp_path):
-        journal = DecisionJournal(str(tmp_path / "j.jsonl"))
+        journal = DecisionJournal(str(tmp_path / JOURNAL_NAME))
+        assert journal.scan() == ([], 0)  # no file yet: nothing torn
         journal.append({"record": "detected", "decision": 1})
         journal.append({"record": "applied", "decision": 1})
         records, torn = journal.scan()
@@ -260,32 +334,51 @@ class TestDecisionJournal:
         assert [r["record"] for r in records] == ["detected", "applied"]
 
     def test_torn_tail_is_dropped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(
-            json.dumps({"record": "detected", "decision": 1}) + "\n"
-            + '{"record": "candid'  # the crash-torn final line
-        )
-        records, torn = DecisionJournal(str(path)).scan()
-        assert torn == 1
-        assert len(records) == 1
+        """A crash may tear the last frame at any byte: the frame is
+        dropped and counted once, and after a repairing scan the next
+        append reads back clean."""
+        first = encode_record({"record": "detected", "decision": 1})
+        last = encode_record({"record": "candidate", "decision": 1})
+        for cut in range(1, len(last)):
+            path = tmp_path / f"cut-{cut}.waj"
+            path.write_bytes(first + last[:cut])
+            journal = DecisionJournal(str(path))
+            records, torn = journal.scan()
+            assert torn == 1
+            assert records == [{"record": "detected", "decision": 1}]
+            assert journal.scan(repair=True)[1] == 1
+            assert path.read_bytes() == first
+            journal.append({"record": "abandoned", "decision": 1})
+            records, torn = journal.scan()
+            assert torn == 0
+            assert [r["record"] for r in records] == ["detected", "abandoned"]
 
     def test_mid_file_corruption_is_loud(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(
-            "garbage\n" + json.dumps({"record": "detected", "decision": 1}) + "\n"
-        )
-        with pytest.raises(ConfigurationError):
-            DecisionJournal(str(path)).scan()
+        """One bit flipped in a middle record still reads as JSON
+        (``"decision":2`` becomes ``"decision":3``); the checksum refuses
+        it, with or without repair, and the file stays as it was."""
+        path = tmp_path / JOURNAL_NAME
+        journal = DecisionJournal(str(path))
+        for decision in (1, 2, 3):
+            journal.append({"record": "detected", "decision": decision})
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"decision":2') + len(b'"decision":')] ^= 0x01
+        path.write_bytes(bytes(data))
+        for repair in (False, True):
+            with pytest.raises(ConfigurationError, match="checksum mismatch"):
+                journal.scan(repair=repair)
+        assert path.read_bytes() == bytes(data)
 
 
-def _write_crash_state(state_dir, candidate_plan, persist_incumbent):
+def _write_crash_state(state_dir, candidate_plan, persist_incumbent, apply=True):
     """Reproduce the on-disk state of a controller killed mid-apply.
 
     The journal holds a committed (apply=True) candidate record with no
     terminal record. ``persist_incumbent`` selects which side of the
     commit point the kill landed on: False = before the incumbent file
     was written (recovery must finish the apply), True = after (recovery
-    must only complete the journal, never re-apply).
+    must only complete the journal, never re-apply). ``apply=False``
+    leaves an uncommitted candidate instead (killed before ``rejected``).
     """
     os.makedirs(state_dir, exist_ok=True)
     records = [
@@ -296,11 +389,11 @@ def _write_crash_state(state_dir, candidate_plan, persist_incumbent):
         {"record": "candidate", "decision": 1,
          "plan": serialization.encode(candidate_plan),
          "candidate_score": 0.95, "incumbent_score": 0.2,
-         "gain": 0.75, "apply": True},
+         "gain": 0.75, "apply": apply},
     ]
-    with open(os.path.join(state_dir, JOURNAL_NAME), "w") as handle:
+    with open(os.path.join(state_dir, JOURNAL_NAME), "wb") as handle:
         for record in records:
-            handle.write(json.dumps(record) + "\n")
+            handle.write(encode_record(record))
     if persist_incumbent:
         serialization.dump(
             serialization.encode(candidate_plan),
@@ -360,6 +453,42 @@ class TestCrashRecovery:
         records = _journal_records(state_dir)
         assert records[-1]["record"] == "applied"
         assert records[-1]["recovered"] is True
+
+    def test_an_uncommitted_candidate_is_never_applied(
+        self, zones2, tmp_path, plans
+    ):
+        state_dir = str(tmp_path / "state")
+        _write_crash_state(
+            state_dir, plans["far"], persist_incumbent=False, apply=False
+        )
+        applied = []
+        ctrl = RedeploymentController(
+            StubSearch(zones2, {}, []), STRUCTURE, state_dir,
+            incumbent=plans["spread"], zone_constraints=CROSS_ZONE,
+            apply_plan=applied.append,
+        )
+        assert ctrl.last_recovery.completed_applies == 0
+        assert applied == []
+        assert ctrl.incumbent == plans["spread"]
+        assert [r["record"] for r in _journal_records(state_dir)] == [
+            "detected", "search-attempt", "candidate",
+        ]
+
+    def test_a_jsonl_decision_log_is_refused_and_left_alone(
+        self, zones2, tmp_path, plans
+    ):
+        """A state dir holding the JSONL log of an earlier version is
+        refused at construction; the file is never read as frames (which
+        would take it whole for a torn tail) or cut."""
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        legacy = state_dir / "redeploy-journal.jsonl"
+        shutil.copyfile(LEGACY_JOURNAL, legacy)
+        before = legacy.read_bytes()
+        with pytest.raises(ConfigurationError, match="JSONL format"):
+            _controller(zones2, tmp_path, StubSearch(zones2, {}, []), plans["spread"])
+        assert legacy.read_bytes() == before
+        assert os.listdir(state_dir) == ["redeploy-journal.jsonl"]
 
     def test_no_incumbent_anywhere_is_a_config_error(self, zones2, tmp_path):
         search = StubSearch(zones2, {}, [])
