@@ -197,14 +197,18 @@ def _chaos_killer(
     rng = random.Random(13)
     kills: list[int] = []
     while not stop.wait(every):
-        with fleet._lock:
-            alive = [s for s in fleet._slots if s.state == "alive"]
-            if len(alive) < 2:
-                continue  # keep at least one survivor to fail over onto
-            victim = rng.choice(alive)
-            pid = fleet._workers[victim.shard].process.pid
+        alive = fleet._on_loop(
+            lambda: [
+                (s.shard, fleet._workers[s.shard].process.pid)
+                for s in fleet._slots
+                if s.state == "alive"
+            ]
+        )
+        if len(alive) < 2:
+            continue  # keep at least one survivor to fail over onto
+        shard, pid = rng.choice(alive)
         os.kill(pid, signal.SIGKILL)
-        kills.append(victim.shard)
+        kills.append(shard)
     return kills
 
 

@@ -101,6 +101,11 @@ TESTS = {
         "tests/test_golden.py",
         "tests/test_validation.py::TestOneBudgetRule",
     ],
+    # The failure detector and restart policy, alone and in the core.
+    "service/heartbeat.py": [
+        "tests/test_heartbeat.py",
+        "tests/test_lifecycle.py::TestFailover",
+    ],
     # The core's own tests and the drill, which runs it: no fleet forks.
     "service/lifecycle.py": [
         "tests/test_fleet.py::TestHashRing",

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from repro import serialization
 from repro.core.plan import DeploymentPlan
-from repro.service.journal import RequestJournal, _segment_key, read_frames
+from repro.service.journal import RequestJournal, read_frames, segment_families
 from repro.service.redeploy import INCUMBENT_NAME, JOURNAL_NAME, DecisionJournal
 from repro.util.errors import ConfigurationError
 
@@ -59,38 +59,18 @@ class Violation:
     detail: str
 
 
-def _family_records(journal_dir: str) -> tuple[dict, list[Violation]]:
-    """Raw record sequences per segment family, in segment order.
-
-    A corrupt segment is a violation in its own right: any defect in a
-    sealed segment, or a bad frame with bytes after it in the live one
-    (the torn-tail tolerance only ever applies to the live tail). The
-    checkers still see the records of every intact segment.
-    """
-    families: dict = {}
-    for name in os.listdir(journal_dir):
-        key = _segment_key(name)
-        if key is not None:
-            families.setdefault(key[0], []).append((key[1], name))
-    records: dict = {}
-    violations: list[Violation] = []
-    for shard, segments in sorted(
-        families.items(), key=lambda item: (item[0] is None, item[0] or 0)
-    ):
-        segments.sort()
-        family: list[dict] = []
-        for index, (_, name) in enumerate(segments):
-            try:
-                segment_records, _ = read_frames(
-                    os.path.join(journal_dir, name),
-                    sealed=index < len(segments) - 1,
-                )
-            except ConfigurationError as exc:
-                violations.append(Violation("journal-lifecycle", str(exc)))
-                continue
-            family.extend(segment_records)
-        records[shard] = family
-    return records, violations
+def _family_records(journal_dir: str) -> dict:
+    """Raw record sequences per segment family, in segment order. Read
+    after the final scan came back clean: it applies the same
+    :func:`read_frames` rule, so a corrupt segment never gets here."""
+    return {
+        family: [
+            record
+            for index, path in enumerate(paths)
+            for record in read_frames(path, sealed=index < len(paths) - 1)[0]
+        ]
+        for family, paths in segment_families(journal_dir).items()
+    }
 
 
 def _canonical(value) -> str:
@@ -128,8 +108,7 @@ def check_drill(sim) -> list[Violation]:
         )
         return violations
 
-    raw, raw_violations = _family_records(sim.journal_dir)
-    violations.extend(raw_violations)
+    raw = _family_records(sim.journal_dir)
 
     # ------------------------------------------------------------- I1
     for sub in sim.trace.submissions:

@@ -6,11 +6,12 @@ write-ahead journals — all of it the shared
 :class:`~repro.service.lifecycle.RequestLifecycle`, configured as N slots
 with one journal segment family each; N forked shard worker processes
 own execution. This module is the plumbing between the two: fork and
-pipe, one event loop waiting on every worker's pipe and process
-sentinel — each protocol message to the core's ``on_message``, an exit
-(``worker_lost``) once that pipe is read to its end, time (``tick``) —
-and ``_apply`` carrying the core's effects back out (``dispatch``/
-``cancel`` → pipe messages, ``kill``/``spawn`` → processes).
+pipe, one event loop, the only thread that calls the core, waiting on
+every worker's pipe and process sentinel — each protocol message to the
+core's ``on_message``, an exit (``worker_lost``) once that pipe is read
+to its end, time (``tick``), every public call handed over by another
+thread — and ``_apply`` carrying the core's effects back out
+(``dispatch``/``cancel`` → pipe messages, ``kill``/``spawn`` → processes).
 
 What the core decides and this module only executes: a key always lands
 on the same worker while it is alive (consistent :class:`~repro.service.
@@ -48,6 +49,8 @@ import os
 import queue as queue_module
 import threading
 import time
+import weakref
+from concurrent import futures
 from dataclasses import dataclass
 
 from repro.serialization import decode, encode
@@ -314,28 +317,26 @@ class _Worker:
     process: object = None
     conn: object = None
 
-    def send(self, message: dict) -> bool:
-        """Best-effort pipe send (under the supervisor lock). A dead pipe
-        is the event loop's problem: it reports the exited process and the
-        core re-routes whatever the worker held, this message's included."""
-        conn = self.conn
-        if conn is None:
-            return False
+    def send(self, message: dict) -> None:
+        """Best-effort pipe send. A dead pipe is the event loop's problem:
+        it reports the exited process and the core re-routes whatever the
+        worker held, this message's included."""
         try:
-            conn.send(message)
-            return True
+            if self.conn is not None:
+                self.conn.send(message)
         except (OSError, ValueError, BrokenPipeError):
-            return False
+            pass
 
 
 class FleetSupervisor:
     """The long-running, overload-safe front to the assessment engines.
 
-    Owns the lock, the metrics, the health state and one
-    :class:`RequestLifecycle`; turns each public call into a core event
-    under the lock and carries the returned effects out to the shard
-    worker processes. ``topology`` / ``dependency_model`` default to the
-    ``config.scale`` preset built from ``config.seed``.
+    Owns the metrics, the health state, one :class:`RequestLifecycle` and
+    the event loop, the one thread that touches it: every public call
+    becomes a core event run on that thread, whose returned effects it
+    carries out to the shard worker processes. ``topology`` /
+    ``dependency_model`` default to the ``config.scale`` preset built
+    from ``config.seed``.
     """
 
     def __init__(
@@ -348,7 +349,6 @@ class FleetSupervisor:
         self._ctx = _fork_context()
         config = config or ServiceConfig()
         self.config = config
-        self._clock = clock
         if topology is None:
             from repro.faults.inventory import build_paper_inventory
             from repro.topology.presets import paper_topology
@@ -359,8 +359,6 @@ class FleetSupervisor:
         self.dependency_model = dependency_model
         self.metrics = MetricsRegistry()
         self.health = HealthMonitor(clock)
-        self._lock = threading.RLock()
-        self._started = False
         self.core = RequestLifecycle(
             config,
             topology,
@@ -369,11 +367,15 @@ class FleetSupervisor:
             clock=clock,
             metrics=self.metrics,
         )
-        self.heartbeats = self.core.heartbeats
         self._slots = self.core.slots
         self._workers = [_Worker() for _ in self._slots]
-        self._stop = threading.Event()
         self._loop: threading.Thread | None = None
+        self._posts = queue_module.SimpleQueue()  # (call, args, future)
+        self._wake = os.pipe()  # closed with this object: no reused fd
+        for fd in self._wake:
+            weakref.finalize(self, os.close, fd)
+        self._stop_by = math.inf  # set once the workers are told to stop
+        self._exited = False
 
     def __enter__(self):
         return self.start()
@@ -386,15 +388,14 @@ class FleetSupervisor:
     # ------------------------------------------------------------------
 
     def start(self) -> "FleetSupervisor":
-        if self._started:
+        if self._loop is not None:
             return self
-        self._started = True
-        with self._lock:
-            self._apply(self.core.start())
+        started = futures.Future()
         self._loop = threading.Thread(
-            target=self._event_loop, name="fleet-loop", daemon=True
+            target=self._event_loop, args=(started,), name="fleet-loop", daemon=True
         )
         self._loop.start()
+        started.result()  # the loop's first act: core.start() ran or raised
         self.health.transition(SERVING)
         logger.info(
             "fleet serving scale=%s shards=%d queue=%d journal=%s",
@@ -406,24 +407,21 @@ class FleetSupervisor:
         return self
 
     def close(self) -> None:
-        """Hard stop: stop workers, resolve stragglers, free resources.
-        The event loop reads on until the workers have exited."""
-        with self._lock:
+        """Hard stop: hand the stop to the loop, which stops the workers,
+        answers stragglers and closes the journals; wait for it to exit."""
+        if self._loop is None:  # never started: no loop to hand it to
             self.core.stop()
-            for worker in self._workers:
-                worker.send({"type": "stop"})
-        for worker in self._workers:
-            if worker.process is not None:
-                worker.process.join(timeout=2.0)
-        self._stop.set()
-        if self._loop is not None:
-            self._loop.join(timeout=5.0)
-            self._loop = None
-        with self._lock:
-            for worker in self._workers:
-                self._kill(worker)
             self.core.close()
+        else:
+            self._on_loop(self._stop)
+            self._loop.join()
         self.health.transition(STOPPED)
+
+    def _stop(self) -> None:
+        self.core.stop()
+        for worker in self._workers:
+            worker.send({"type": "stop"})
+        self._stop_by = time.monotonic() + 2.0
 
     def drain(self, timeout_seconds: float | None = None) -> None:
         """Graceful shutdown: queued rejected, in-flight allowed to finish.
@@ -432,51 +430,44 @@ class FleetSupervisor:
         requests are *cancelled*, which turns them into anytime results —
         they resolve normally, just degraded.
         """
-        timeout = (
-            self.config.drain_timeout_seconds
-            if timeout_seconds is None
-            else timeout_seconds
-        )
+        if timeout_seconds is None:
+            timeout_seconds = self.config.drain_timeout_seconds
         self.health.transition(DRAINING)
-        with self._lock:
-            self._apply(self.core.drain())
-        deadline = self._clock() + timeout
-        self._await_open(lambda: max(0.0, deadline - self._clock()))
-        with self._lock:
-            self._apply(self.core.cancel_inflight("service draining"))
-        self._await_open(lambda: 5.0)
+        self._on_loop(lambda: self._apply(self.core.drain()))
+        self._await_open(timeout_seconds)
+        self._on_loop(
+            lambda: self._apply(self.core.cancel_inflight("service draining"))
+        )
+        self._await_open(5.0)
         self.close()
 
-    def _await_open(self, patience) -> None:
-        with self._lock:
-            open_tickets = list(self.core.tickets.values())
-        for ticket in open_tickets:
-            try:
-                ticket.future.result(timeout=patience())
-            except Exception:
-                pass
+    def _await_open(self, timeout: float) -> None:
+        tickets = self._on_loop(lambda: list(self.core.tickets.values()))
+        futures.wait([ticket.future for ticket in tickets], timeout=timeout)
 
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
 
     def submit(self, kind: str, request) -> Ticket:
-        """Validate, then admit through the lifecycle core.
+        """Validate on the caller's thread, then admit on the loop.
 
         Raises :class:`ValidationError` for malformed requests and
         :class:`~repro.util.errors.AdmissionRejected` under overload,
-        drain or failover — both *before* any assessment work is spent
-        or anything is journaled. With a journal configured, a request
-        carrying an already-known idempotency key is never executed
-        twice: it joins the live ticket or resolves immediately with the
-        stored response.
+        drain, failover or once stopped — all *before* any assessment
+        work is spent or anything is journaled. With a journal
+        configured, a request carrying an already-known idempotency key
+        is never executed twice: it joins the live ticket or resolves
+        immediately with the stored response.
         """
         if kind not in ("assess", "search"):
             raise ValidationError([("kind", f"unknown request kind {kind!r}")])
         request.validate(self.topology)
-        with self._lock:
-            ticket, effects = self.core.admit(kind, request)
-            self._apply(effects)
+        return self._on_loop(self._admit, kind, request)
+
+    def _admit(self, kind: str, request) -> Ticket:
+        ticket, effects = self.core.admit(kind, request)
+        self._apply(effects)
         return ticket
 
     def assess(
@@ -493,20 +484,20 @@ class FleetSupervisor:
 
     def cancel(self, request_id: str, reason: str = "cancelled by client") -> bool:
         """Fire a request's token; returns False for unknown ids."""
-        with self._lock:
-            effects = self.core.cancel(request_id, reason)
-            if effects is None:
-                return False
-            self._apply(effects)
-        return True
+        return self._on_loop(self._cancel, request_id, reason)
+
+    def _cancel(self, request_id: str, reason: str) -> bool:
+        effects = self.core.cancel(request_id, reason)
+        self._apply(effects or [])
+        return effects is not None
 
     # ------------------------------------------------------------------
     # Effects out: processes and pipes
     # ------------------------------------------------------------------
 
     def _apply(self, effects: list[Effect]) -> None:
-        """Carry out core effects (lock held, so a ticket's ``task``
-        always reaches the pipe before its ``cancel``)."""
+        """Carry out core effects (on the loop, like every event, so a
+        ticket's ``task`` always reaches the pipe before its ``cancel``)."""
         for effect in effects:
             if effect.kind == "dispatch":
                 ticket = effect.ticket
@@ -569,7 +560,7 @@ class FleetSupervisor:
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn
-        self.heartbeats.annotate(slot.name, pid=process.pid)
+        self.core.heartbeats.annotate(slot.name, pid=process.pid)
         logger.info(
             "%s spawned pid=%d generation=%d",
             slot.name,
@@ -578,41 +569,61 @@ class FleetSupervisor:
         )
 
     # ------------------------------------------------------------------
-    # Events in: worker messages, process exits, time
+    # Events in: worker messages, process exits, time, posted calls
     # ------------------------------------------------------------------
 
-    def _event_loop(self) -> None:
-        """The supervisor's one event loop. It waits on every live
-        worker's pipe and process sentinel together; a ready pipe's
-        messages go to :meth:`_receive`, an exited worker's after them
-        (the pipe is read to its end first), and every half heartbeat
-        interval the core is told that time passed. A respawn swaps the
-        pipe and sentinel waited on; a killed worker's closed pipe drops
-        out of the wait."""
+    def _event_loop(self, started: futures.Future) -> None:
+        """The one thread that touches the core: ``core.start()`` first
+        (:meth:`start` raises its failure), then a wait on the self-pipe
+        and every live worker's pipe and sentinel. A ready pipe is read to
+        its end before its worker's exit is handled, posted calls run in
+        order, and the core ticks every half heartbeat. Once stopped it
+        reads on until the workers exit (two seconds at most), then kills
+        the rest and closes the core."""
         interval = max(0.02, self.config.heartbeat_interval_seconds / 2)
-        tick_at = time.monotonic() + interval
-        while not self._stop.is_set():
-            live = [
-                (shard, worker.conn, worker.process.sentinel)
-                for shard, worker in enumerate(self._workers)
-                if worker.conn is not None
-            ]
-            ready = set(
-                multiprocessing.connection.wait(
-                    [handle for _, *handles in live for handle in handles],
-                    timeout=max(0.0, tick_at - time.monotonic()),
+        wake = self._wake[0]
+        try:
+            try:
+                self._apply(self.core.start())
+            except BaseException as exc:
+                started.set_exception(exc)
+                return
+            started.set_result(None)
+            tick_at = time.monotonic() + interval
+            while True:
+                live = [
+                    (shard, worker.conn, worker.process.sentinel)
+                    for shard, worker in enumerate(self._workers)
+                    if worker.conn is not None
+                ]
+                stopping = self._stop_by < math.inf
+                if stopping and (not live or time.monotonic() >= self._stop_by):
+                    break
+                until = min(tick_at, self._stop_by)
+                ready = set(
+                    multiprocessing.connection.wait(
+                        [wake] + [h for _, *handles in live for h in handles],
+                        timeout=max(0.0, until - time.monotonic()),
+                    )
                 )
-            )
-            for shard, conn, sentinel in live:
-                if conn in ready or sentinel in ready:
-                    if not self._read(shard, conn) or sentinel in ready:
-                        with self._lock:  # read to its end: close, take over
+                for shard, conn, sentinel in live:
+                    if conn in ready or sentinel in ready:
+                        if not self._read(shard, conn) or sentinel in ready:
                             self._kill(self._workers[shard])
-                            self._apply(self.core.worker_lost(shard, "process exited"))
-            if time.monotonic() >= tick_at:
-                tick_at = time.monotonic() + interval
-                with self._lock:
+                            lost = self.core.worker_lost(shard, "process exited")
+                            self._apply(lost)
+                if wake in ready:
+                    os.read(wake, 4096)
+                    self._run_posts()
+                if time.monotonic() >= tick_at:
+                    tick_at = time.monotonic() + interval
                     self._apply(self.core.tick())
+        finally:
+            for worker in self._workers:
+                self._kill(worker)
+            self.core.close()
+            self._exited = True
+            self._run_posts()
 
     def _read(self, shard: int, conn) -> bool:
         """Hand every message waiting on ``conn`` to :meth:`_receive`;
@@ -626,8 +637,32 @@ class FleetSupervisor:
 
     def _receive(self, shard: int, message: dict) -> None:
         """The one receive point: a worker's message, as its core event."""
-        with self._lock:
-            self._apply(self.core.on_message(shard, message))
+        self._apply(self.core.on_message(shard, message))
+
+    def _on_loop(self, call, *args):
+        """Run ``call(*args)`` on the event loop and return (or raise) its
+        result: post it, wake the loop through its self-pipe, block on the
+        future. Inline on the loop, before ``start`` and after the loop
+        exited (nothing else mutates the core then)."""
+        if self._exited or self._loop in (None, threading.current_thread()):
+            return call(*args)
+        future = futures.Future()
+        self._posts.put((call, args, future))
+        os.write(self._wake[1], b"\0")
+        if self._exited:  # the loop exited after the check: run it here
+            self._run_posts()
+        return future.result()
+
+    def _run_posts(self) -> None:
+        while True:
+            try:
+                call, args, future = self._posts.get_nowait()
+            except queue_module.Empty:
+                return
+            try:
+                future.set_result(call(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -636,41 +671,43 @@ class FleetSupervisor:
     def status(self) -> dict:
         """JSON-ready health, queue, per-worker, durability and per-shard
         fleet snapshot."""
-        with self._lock:
-            core = self.core
-            restarts = core.restarts
-            shards = [
-                {
-                    "shard": slot.shard,
-                    "state": slot.state,
-                    "pid": worker.process.pid if worker.process else None,
-                    "generation": slot.generation,
-                    "restarts": restarts.total_restarts(slot.name),
-                    "window_restarts": restarts.restarts(slot.name),
-                    "quarantined": restarts.is_quarantined(slot.name),
-                    "lifetime_quarantines": restarts.total_quarantines(slot.name),
-                    "queue_depth": len(slot.queue),
-                    "inflight": next(iter(slot.inflight), None),
-                    "heartbeat_age_seconds": self.heartbeats.age(slot.name),
-                }
-                for slot, worker in zip(self._slots, self._workers)
-            ]
-            status = {
-                "health": self.health.snapshot(),
-                "queue": {
-                    "depth": core.depth(),
-                    "capacity": self.config.queue_capacity,
-                    "draining": core.draining,
-                },
-                "inflight": sum(len(slot.inflight) for slot in core.slots),
-                "workers": self.heartbeats.snapshot(),
-                "durability": {
-                    "journaling": bool(core.journals),
-                    "journal_dir": self.config.journal_dir,
-                    "known_keys": len(core.keys),
-                },
-                "drill": self._drill_verdict(),
+        return self._on_loop(self._status, self._drill_verdict())
+
+    def _status(self, drill: dict | None) -> dict:
+        core = self.core
+        heartbeats, restarts = core.heartbeats, core.restarts
+        shards = [
+            {
+                "shard": slot.shard,
+                "state": slot.state,
+                "pid": worker.process.pid if worker.process else None,
+                "generation": slot.generation,
+                "restarts": restarts.total_restarts(slot.name),
+                "window_restarts": restarts.restarts(slot.name),
+                "quarantined": restarts.is_quarantined(slot.name),
+                "lifetime_quarantines": restarts.total_quarantines(slot.name),
+                "queue_depth": len(slot.queue),
+                "inflight": next(iter(slot.inflight), None),
+                "heartbeat_age_seconds": heartbeats.age(slot.name),
             }
+            for slot, worker in zip(self._slots, self._workers)
+        ]
+        status = {
+            "health": self.health.snapshot(),
+            "queue": {
+                "depth": core.depth(),
+                "capacity": self.config.queue_capacity,
+                "draining": core.draining,
+            },
+            "inflight": sum(len(slot.inflight) for slot in core.slots),
+            "workers": heartbeats.snapshot(),
+            "durability": {
+                "journaling": bool(core.journals),
+                "journal_dir": self.config.journal_dir,
+                "known_keys": len(core.keys),
+            },
+            "drill": drill,
+        }
         status["fleet"] = {
             "shards": shards,
             "alive": sum(1 for s in shards if s["state"] == "alive"),

@@ -18,12 +18,12 @@ the survivors, and the operator sees it loudly in ``/healthz``. The
 restart count resets once a worker stays alive for a full quarantine
 window, so one bad afternoon does not poison the policy forever.
 
-Both take an injectable clock so tests drive time instead of sleeping.
+Both take an injectable clock so tests drive time instead of sleeping,
+and neither takes a lock: one thread, the lifecycle core's, calls them.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,34 +40,28 @@ class HeartbeatTracker:
 
     def __init__(self, clock=time.monotonic):
         self._clock = clock
-        self._lock = threading.Lock()
         self._beats: dict[str, _Beat] = {}
         self._meta: dict[str, dict] = {}
 
     def beat(self, name: str, busy: bool | None = None) -> None:
         """Record a proof of life; ``busy`` optionally updates state."""
         now = self._clock()
-        with self._lock:
-            entry = self._beats.get(name)
-            if entry is None:
-                entry = self._beats[name] = _Beat(last=now)
-            entry.last = now
-            entry.beats += 1
-            if busy is not None:
-                entry.busy = busy
+        entry = self._beats.get(name)
+        if entry is None:
+            entry = self._beats[name] = _Beat(last=now)
+        entry.last = now
+        entry.beats += 1
+        if busy is not None:
+            entry.busy = busy
 
     def annotate(self, name: str, **meta) -> None:
         """Attach operator-facing metadata (shard, pid, ...) to a worker."""
-        with self._lock:
-            self._meta.setdefault(name, {}).update(meta)
+        self._meta.setdefault(name, {}).update(meta)
 
     def age(self, name: str) -> float | None:
         """Seconds since the last beat; ``None`` for unknown workers."""
-        with self._lock:
-            entry = self._beats.get(name)
-            if entry is None:
-                return None
-            return max(0.0, self._clock() - entry.last)
+        entry = self._beats.get(name)
+        return None if entry is None else max(0.0, self._clock() - entry.last)
 
     def missed(self, name: str, interval_seconds: float, misses: int) -> bool:
         """Has ``name`` been silent for ``misses`` whole intervals?
@@ -77,26 +71,23 @@ class HeartbeatTracker:
         were alive once.
         """
         age = self.age(name)
-        if age is None:
-            return False
-        return age > interval_seconds * misses
+        return age is not None and age > interval_seconds * misses
 
     def snapshot(self) -> list[dict]:
         """JSON-ready per-worker view, sorted by name."""
         now = self._clock()
-        with self._lock:
-            rows = []
-            for name in sorted(self._beats):
-                entry = self._beats[name]
-                row = {
-                    "name": name,
-                    "heartbeat_age_seconds": max(0.0, now - entry.last),
-                    "busy": entry.busy,
-                    "beats": entry.beats,
-                }
-                row.update(self._meta.get(name, {}))
-                rows.append(row)
-            return rows
+        rows = []
+        for name in sorted(self._beats):
+            entry = self._beats[name]
+            row = {
+                "name": name,
+                "heartbeat_age_seconds": max(0.0, now - entry.last),
+                "busy": entry.busy,
+                "beats": entry.beats,
+            }
+            row.update(self._meta.get(name, {}))
+            rows.append(row)
+        return rows
 
 
 @dataclass
@@ -121,8 +112,6 @@ class RestartPolicy:
     _restarts: dict[str, list[float]] = field(default_factory=dict)
     _lifetime: dict[str, int] = field(default_factory=dict)
     _quarantines: dict[str, int] = field(default_factory=dict)
-    _quarantined: set[str] = field(default_factory=set)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def record_failure(self, name: str) -> float | None:
         """Note a death; return the respawn delay, or ``None`` = quarantine.
@@ -132,42 +121,34 @@ class RestartPolicy:
         restarts quarantines the worker instead.
         """
         now = self.clock()
-        with self._lock:
-            self._lifetime[name] = self._lifetime.get(name, 0) + 1
-            if name in self._quarantined:
-                return None
-            history = self._restarts.setdefault(name, [])
-            cutoff = now - self.quarantine_window_seconds
-            history[:] = [t for t in history if t >= cutoff]
-            history.append(now)
-            if len(history) > self.quarantine_restarts:
-                self._quarantined.add(name)
-                self._quarantines[name] = self._quarantines.get(name, 0) + 1
-                return None
-            return min(
-                self.backoff_cap_seconds,
-                self.backoff_seconds * (2 ** (len(history) - 1)),
-            )
+        self._lifetime[name] = self._lifetime.get(name, 0) + 1
+        if name in self._quarantines:
+            return None
+        history = self._restarts.setdefault(name, [])
+        cutoff = now - self.quarantine_window_seconds
+        history[:] = [t for t in history if t >= cutoff]
+        history.append(now)
+        if len(history) > self.quarantine_restarts:
+            self._quarantines[name] = 1
+            return None
+        return min(
+            self.backoff_cap_seconds,
+            self.backoff_seconds * (2 ** (len(history) - 1)),
+        )
 
     def is_quarantined(self, name: str) -> bool:
-        with self._lock:
-            return name in self._quarantined
+        return name in self._quarantines
 
     def restarts(self, name: str) -> int:
         """Restarts within the current flap window."""
-        now = self.clock()
-        with self._lock:
-            history = self._restarts.get(name, [])
-            cutoff = now - self.quarantine_window_seconds
-            return sum(1 for t in history if t >= cutoff)
+        cutoff = self.clock() - self.quarantine_window_seconds
+        return sum(1 for t in self._restarts.get(name, []) if t >= cutoff)
 
     def total_restarts(self, name: str) -> int:
         """Lifetime failures recorded for ``name`` (never pruned)."""
-        with self._lock:
-            return self._lifetime.get(name, 0)
+        return self._lifetime.get(name, 0)
 
     def total_quarantines(self, name: str) -> int:
         """Lifetime quarantine *events* for ``name``: how many times it
         crossed the flap threshold."""
-        with self._lock:
-            return self._quarantines.get(name, 0)
+        return self._quarantines.get(name, 0)

@@ -51,7 +51,6 @@ import json
 import logging
 import os
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -109,9 +108,21 @@ def _segment_key(name: str) -> tuple[int | None, int] | None:
     return (shard, int(body)) if body.isdigit() else None
 
 
-def _segment_sequence(name: str) -> int | None:
-    key = _segment_key(name)
-    return None if key is None else key[1]
+def segment_families(directory) -> dict[int | None, list[str]]:
+    """Every segment family in ``directory``: shard number (``None`` for
+    the unsharded family) -> its segment paths in sequence order. The
+    one listing rule; families come in the order of their names,
+    unsharded first."""
+    directory = os.fspath(directory)
+    families: dict[int | None, list[tuple[int, str]]] = {}
+    for name in sorted(os.listdir(directory)):
+        key = _segment_key(name)
+        if key is not None:
+            families.setdefault(key[0], []).append((key[1], name))
+    return {
+        family: [os.path.join(directory, name) for _, name in sorted(entries)]
+        for family, entries in families.items()
+    }
 
 
 def encode_record(record: dict) -> bytes:
@@ -294,11 +305,11 @@ def _fold(state: JournalState, record: dict, segment: str) -> None:
 class RequestJournal:
     """Append-only, segment-rotated, fsync'd write-ahead journal.
 
-    One instance owns a journal directory for writing; concurrent readers
-    may :meth:`scan` the same directory read-only (the chaos harness does,
-    while the service is live). All appends are serialized under a lock —
-    the supervisor's pipe readers and its admission path share one
-    journal.
+    One instance owns one segment family of a journal directory for
+    writing, and one thread makes every call (the service's event loop,
+    or the drill's driver); concurrent readers may :meth:`scan` the same
+    directory read-only (the chaos harness does, while the service is
+    live).
     """
 
     def __init__(
@@ -311,7 +322,6 @@ class RequestJournal:
         self.directory = os.fspath(directory)
         self.segment_bytes = segment_bytes
         self.shard = shard
-        self._lock = threading.Lock()
         self._handle = None
         os.makedirs(self.directory, exist_ok=True)
         self._state = self._open()
@@ -320,22 +330,10 @@ class RequestJournal:
     # Opening and replay
     # ------------------------------------------------------------------
 
-    def _segments(self) -> list[str]:
-        """This journal's own segment family, in sequence order."""
-        entries = [
-            (key[1], name)
-            for name in os.listdir(self.directory)
-            if (key := _segment_key(name)) is not None and key[0] == self.shard
-        ]
-        return [
-            os.path.join(self.directory, name)
-            for _, name in sorted(entries)
-        ]
-
     def _open(self) -> JournalState:
         """Replay every segment, truncate a torn tail, open for append."""
         state = JournalState()
-        segments = self._segments()
+        segments = segment_families(self.directory).get(self.shard, [])
         for index, path in enumerate(segments):
             # Only the live (last) segment can hold a torn tail.
             records, _ = read_frames(
@@ -345,7 +343,7 @@ class RequestJournal:
                 _fold(state, record, path)
         if segments:
             current = segments[-1]
-            sequence = _segment_sequence(os.path.basename(current))
+            sequence = _segment_key(os.path.basename(current))[1]
         else:
             sequence = 1
             current = os.path.join(
@@ -365,11 +363,7 @@ class RequestJournal:
     def families(directory) -> set[int | None]:
         """The segment families present in ``directory``: shard numbers,
         ``None`` for the unsharded family."""
-        return {
-            key[0]
-            for name in os.listdir(os.fspath(directory))
-            if (key := _segment_key(name)) is not None
-        }
+        return set(segment_families(directory))
 
     @staticmethod
     def scan(directory, shard=...) -> JournalState:
@@ -385,22 +379,13 @@ class RequestJournal:
         restricts the scan to one family, e.g. to see what a dead worker's
         shard still owes.
         """
-        directory = os.fspath(directory)
         state = JournalState()
-        # Families fold in the order of their names: unsharded first.
-        families: dict[int | None, list[tuple[int, str]]] = {}
-        for name in sorted(os.listdir(directory)):
-            key = _segment_key(name)
-            if key is None:
-                continue
-            if shard is not ... and key[0] != shard:
-                continue
-            families.setdefault(key[0], []).append((key[1], name))
-        for entries in families.values():
-            entries.sort()
-            for index, (_, name) in enumerate(entries):
-                path = os.path.join(directory, name)
-                records, _ = read_frames(path, sealed=index < len(entries) - 1)
+        families = segment_families(directory)
+        if shard is not ...:
+            families = {shard: families.get(shard, [])}
+        for paths in families.values():  # unsharded first
+            for index, path in enumerate(paths):
+                records, _ = read_frames(path, sealed=index < len(paths) - 1)
                 for record in records:
                     _fold(state, record, path)
         return state
@@ -413,44 +398,43 @@ class RequestJournal:
         if self.shard is not None:
             record = dict(record, shard=self.shard)
         data = encode_record(record)
-        with self._lock:
-            handle = self._handle
-            if handle is None:
-                raise ConfigurationError("journal is closed")
-            # Drill seams (no-op unless a fault registry is armed): a
-            # crash before the write, a write torn at an arbitrary byte
-            # offset, a skipped fsync, or a crash after the append.
-            command = fault_hit(
-                "journal.append",
-                event=record.get("event"),
-                path=self._current_path,
-            )
-            raise_if_crash(command, "journal.append")
-            durable = handle.tell()
-            raise_if_torn(command, "journal.append", handle, data)
-            handle.write(data)
-            handle.flush()
-            fsync_command = fault_hit(
-                "journal.fsync", path=self._current_path, durable=durable
-            )
-            if fsync_command is None:  # the seam's one command: skip_fsync
-                os.fsync(handle.fileno())
-            # Keep the segment->ids maps live for gc: this record lives
-            # in the current segment until it is dropped.
-            if record["event"] == "accepted":
-                index = self._state.segment_ids
-            elif record["event"] in TERMINAL_EVENTS:
-                index = self._state.segment_ends
-            else:
-                index = None
-            if index is not None:
-                index.setdefault(self._current_path, set()).add(record["id"])
-            if handle.tell() >= self.segment_bytes:
-                self._rotate()
-            raise_if_crash_after(command, "journal.append")
+        handle = self._handle
+        if handle is None:
+            raise ConfigurationError("journal is closed")
+        # Drill seams (no-op unless a fault registry is armed): a crash
+        # before the write, a write torn at an arbitrary byte offset, a
+        # skipped fsync, or a crash after the append.
+        command = fault_hit(
+            "journal.append",
+            event=record.get("event"),
+            path=self._current_path,
+        )
+        raise_if_crash(command, "journal.append")
+        durable = handle.tell()
+        raise_if_torn(command, "journal.append", handle, data)
+        handle.write(data)
+        handle.flush()
+        fsync_command = fault_hit(
+            "journal.fsync", path=self._current_path, durable=durable
+        )
+        if fsync_command is None:  # the seam's one command: skip_fsync
+            os.fsync(handle.fileno())
+        # Keep the segment->ids maps live for gc: this record lives in
+        # the current segment until it is dropped.
+        if record["event"] == "accepted":
+            index = self._state.segment_ids
+        elif record["event"] in TERMINAL_EVENTS:
+            index = self._state.segment_ends
+        else:
+            index = None
+        if index is not None:
+            index.setdefault(self._current_path, set()).add(record["id"])
+        if handle.tell() >= self.segment_bytes:
+            self._rotate()
+        raise_if_crash_after(command, "journal.append")
 
     def _rotate(self) -> None:
-        """Seal the current segment and open the next (lock held)."""
+        """Seal the current segment and open the next."""
         self._handle.close()
         self._sequence += 1
         self._current_path = os.path.join(
@@ -531,51 +515,48 @@ class RequestJournal:
         """
         state = self._state
         now = time.time()
-        with self._lock:
-            removable = {
-                path
-                for path in state.segment_ids.keys() | state.segment_ends.keys()
-                if path != self._current_path
-                and os.path.exists(path)
-                and not state.segment_ids.get(path, set()) - terminal_ids
-                and now - os.path.getmtime(path) >= ttl_seconds
-            }
-            while True:
-                accepted = set(kept_ids).union(
-                    *(
-                        ids
-                        for path, ids in state.segment_ids.items()
-                        if path not in removable
-                    )
+        removable = {
+            path
+            for path in state.segment_ids.keys() | state.segment_ends.keys()
+            if path != self._current_path
+            and os.path.exists(path)
+            and not state.segment_ids.get(path, set()) - terminal_ids
+            and now - os.path.getmtime(path) >= ttl_seconds
+        }
+        while True:
+            accepted = set(kept_ids).union(
+                *(
+                    ids
+                    for path, ids in state.segment_ids.items()
+                    if path not in removable
                 )
-                needed = {
-                    path
-                    for path in removable
-                    if state.segment_ends.get(path, set()) & accepted
-                }
-                if not needed:
-                    break
-                removable -= needed
-            removed = sorted(removable)
-            for path in removed:
-                os.unlink(path)
-                state.segment_ids.pop(path, None)
-                state.segment_ends.pop(path, None)
-            if removed:
-                fsync_dir(self.directory)
+            )
+            needed = {
+                path
+                for path in removable
+                if state.segment_ends.get(path, set()) & accepted
+            }
+            if not needed:
+                break
+            removable -= needed
+        removed = sorted(removable)
         for path in removed:
+            os.unlink(path)
+            state.segment_ids.pop(path, None)
+            state.segment_ends.pop(path, None)
             logger.info("journal gc: removed sealed segment %s", path)
+        if removed:
+            fsync_dir(self.directory)
         return removed
 
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            handle, self._handle = self._handle, None
-            if handle is not None:
-                handle.flush()
-                os.fsync(handle.fileno())
-                handle.close()
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.flush()
+            os.fsync(handle.fileno())
+            handle.close()
 
     def __enter__(self) -> "RequestJournal":
         return self

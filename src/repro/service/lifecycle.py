@@ -6,8 +6,8 @@ shedding, the write-ahead ``accepted`` record, placement, exactly-once
 terminal recording, takeover of a dead worker's requests, drain and
 rebuild from the journal. It is a single-threaded state machine: it
 starts no thread, process or socket and reads no clock but the one it is
-given. Callers hold one lock around every call, feed it **events** and
-carry out the **effects** it returns:
+given. One thread makes every call: it feeds the core **events** and
+carries out the **effects** it returns:
 
 ==================  =====================================================
 event               what the core does
@@ -253,6 +253,8 @@ class RequestLifecycle:
         *before* anything is journaled — an overloaded service must not
         pay two fsyncs to say no.
         """
+        if self.stopped:
+            self._shed("service is stopped and answers nothing", "stopped")
         key = request.idempotency_key
         digest = None
         if key is not None and self.journals:
@@ -261,10 +263,7 @@ class RequestLifecycle:
             if existing is not None:
                 return existing, []
         if self.draining:
-            self._shed(
-                "service is draining and accepts no new requests",
-                "stopped" if self.stopped else "draining",
-            )
+            self._shed("service is draining and accepts no new requests", "draining")
         if not self._routable():
             self.metrics.incr("fleet/failover_sheds")
             self._shed(

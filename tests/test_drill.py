@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.drill.engine import (
     run_drill,
     write_verdict,
 )
-from repro.drill.invariants import _family_records
+from repro.drill.invariants import _family_records, check_drill
 from repro.drill.schedule import (
     _UNDRAWN_POINTS,
     FaultEvent,
@@ -271,23 +272,26 @@ class TestRawJournalReader:
     def test_a_bad_frame_mid_live_segment_is_a_lifecycle_violation(
         self, tmp_path
     ):
-        """The checkers' raw reader applies the journal's rule to a
-        family's last segment: a torn tail is tolerated, a bad frame with
-        records after it is a ``journal-lifecycle`` violation."""
+        """The drill applies the journal's rule to a family's last
+        segment: a torn tail is tolerated, a bad frame with records after
+        it is one ``journal-lifecycle`` violation naming the path, the
+        defect and its byte offset."""
         for shard in (0, 1):
             with RequestJournal(tmp_path, shard=shard) as journal:
                 for number in (1, 2):
                     journal.started(f"req-{shard}{number}")
         torn = tmp_path / "journal-s00-00000001.waj"
         torn.write_bytes(torn.read_bytes() + b"\x00\x00")
+        records = _family_records(str(tmp_path))
+        assert [r["id"] for r in records[0]] == ["req-01", "req-02"]
         corrupt = tmp_path / "journal-s01-00000001.waj"
         data = bytearray(corrupt.read_bytes())
         data[10] ^= 0x01  # a payload byte of the first record
         corrupt.write_bytes(bytes(data))
-        records, violations = _family_records(str(tmp_path))
-        assert [r["id"] for r in records[0]] == ["req-01", "req-02"]
-        assert records[1] == []
-        (violation,) = violations
+        sim = SimpleNamespace(
+            fatal_error=None, quiesced=True, journal_dir=str(tmp_path)
+        )
+        (violation,) = check_drill(sim)
         assert violation.invariant == "journal-lifecycle"
         assert str(corrupt) in violation.detail
         assert "checksum mismatch at byte 0" in violation.detail

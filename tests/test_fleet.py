@@ -10,6 +10,9 @@ guarantee carried across process boundaries.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
+import inspect
 import multiprocessing
 import os
 import signal
@@ -19,13 +22,16 @@ import time
 import pytest
 
 from repro.serialization import encode
+from repro.service.client import HttpServiceClient
 from repro.service.executor import MIN_CHUNK_ROUNDS, RequestExecutor, chunk_layout
 from repro.service.fleet import FleetSupervisor, ServiceConfig
+from repro.service.heartbeat import HeartbeatTracker, RestartPolicy
 from repro.service.journal import RequestJournal
-from repro.service.lifecycle import HashRing, fingerprint
+from repro.service.lifecycle import HashRing, RequestLifecycle, fingerprint
 from repro.service.requests import AssessRequest, ServiceResponse
+from repro.service.server import ServiceHTTPServer
 from repro.util.cancel import CancellationToken
-from repro.util.errors import AdmissionRejected, ConfigurationError
+from repro.util.errors import AdmissionRejected, ConfigurationError, ReproError
 from repro.util.faultpoints import armed
 from tests.sampling_gate import SamplingGate
 
@@ -64,6 +70,11 @@ def _without_wall_time(response: ServiceResponse) -> dict:
     document.pop("elapsed_seconds", None)
     document["result"].pop("elapsed_seconds")
     return document
+
+
+def _set_states(fleet, state):
+    for slot in fleet._slots:
+        slot.state = state
 
 
 def _wait_until(predicate, timeout=30.0, interval=0.05):
@@ -254,16 +265,12 @@ class TestFleetBasics:
         try:
             fleet.start()
             hosts = _hosts(fleet)
-            with fleet._lock:
-                for slot in fleet._slots:
-                    slot.state = "quarantined"
+            fleet._on_loop(_set_states, fleet, "quarantined")
             with pytest.raises(AdmissionRejected) as excinfo:
                 fleet.submit("assess", AssessRequest(hosts=hosts, k=2))
             assert excinfo.value.reason == "failover"
         finally:
-            with fleet._lock:
-                for slot in fleet._slots:
-                    slot.state = "alive"
+            fleet._on_loop(_set_states, fleet, "alive")
             fleet.close()
 
 
@@ -345,9 +352,77 @@ class TestFleetRecovery:
 
 
 class TestOneEventLoop:
-    """The supervisor reads every worker pipe, sees every exit and ticks
-    from one thread; a worker runs its executor beside one link
-    thread."""
+    """The supervisor reads every worker pipe, sees every exit, ticks and
+    runs every call into the core from one thread; a worker runs its
+    executor beside one link thread."""
+
+    def test_every_core_call_runs_on_the_loop(self, tmp_path, monkeypatch):
+        """HTTP threads validate and hand off: from ``start`` through the
+        drain, every method of the core and of the heartbeat tracker,
+        restart policy and journals it owns runs on ``fleet-loop``."""
+        calls = []
+
+        def traced(name, method):
+            @functools.wraps(method)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread().name))
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        fleet = FleetSupervisor(_config(tmp_path))  # opens the journals
+        for cls in (RequestLifecycle, HeartbeatTracker, RestartPolicy, RequestJournal):
+            for name, member in list(vars(cls).items()):
+                if name.startswith("__"):
+                    continue
+                if isinstance(member, staticmethod):
+                    monkeypatch.setattr(
+                        cls, name, staticmethod(traced(name, member.__func__))
+                    )
+                elif inspect.isfunction(member):
+                    monkeypatch.setattr(cls, name, traced(name, member))
+        fleet.start()
+        httpd = ServiceHTTPServer(("127.0.0.1", 0), fleet)
+        server = threading.Thread(target=httpd.serve_forever, daemon=True)
+        server.start()
+        url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        hosts = _hosts(fleet)
+        errors = []
+
+        def client_loop(index):
+            client = HttpServiceClient(url, timeout=60.0, max_attempts=1)
+            try:
+                for key in (f"c{index}", f"c{index}", None):  # fresh, replay
+                    response = client.assess(hosts, 2, idempotency_key=key)
+                    assert response["status"] == "ok", response
+                    with pytest.raises(ReproError, match="HTTP 404"):
+                        client.cancel(response["request_id"])  # finished
+                    assert client.healthz()["fleet"]["workers"] == 2
+            except BaseException as exc:
+                errors.append(exc)
+
+        clients = [
+            threading.Thread(target=client_loop, args=(index,))
+            for index in range(2)
+        ]
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            httpd.shutdown()
+            server.join(timeout=10)
+            httpd.server_close()
+            fleet.drain()
+        monkeypatch.undo()
+        assert not errors, errors
+        assert {name for name, _ in calls} >= {
+            "start", "admit", "cancel", "on_message", "accepted", "completed",
+            "beat", "snapshot", "is_quarantined", "drain", "close",
+        }
+        assert {thread for _, thread in calls} == {"fleet-loop"}
 
     def test_one_supervisor_thread_survives_a_kill9_respawn(self, tmp_path):
         before = set(threading.enumerate())
@@ -368,13 +443,32 @@ class TestOneEventLoop:
             assert response.status == "ok"
         assert started_threads() == []
 
+    def test_a_closed_fleet_sheds_stopped_and_reads_its_final_state(
+        self, tmp_path
+    ):
+        """Once the loop has exited nothing mutates the core: a submit is
+        shed ``stopped`` (a known key too), a cancel finds nothing, and
+        the status is the final one."""
+        with FleetSupervisor(_config(tmp_path)) as fleet:
+            keyed = AssessRequest(hosts=_hosts(fleet), k=2, idempotency_key="k")
+            answered = fleet.assess(keyed, timeout=60)
+        for request in (keyed, dataclasses.replace(keyed, idempotency_key=None)):
+            with pytest.raises(AdmissionRejected) as excinfo:
+                fleet.submit("assess", request)
+            assert excinfo.value.reason == "stopped"
+        assert not fleet.cancel(answered.request_id)
+        status = fleet.status()
+        assert status["health"]["state"] == "stopped"
+        assert status["durability"]["known_keys"] == 1
+
     def test_a_worker_runs_its_executor_beside_one_link_thread(self, tmp_path):
         ctx = multiprocessing.get_context("fork")
         seen = ctx.Queue()
 
         def hook():  # runs in the worker, on its executor thread
+            main = threading.main_thread()  # the thread that forked it
             names = sorted(t.name for t in threading.enumerate())
-            seen.put((threading.current_thread() is threading.main_thread(), names))
+            seen.put((threading.current_thread() is main, names, main.name))
 
         with armed(SamplingGate(hook)):
             with FleetSupervisor(_config(tmp_path, fleet_workers=1)) as fleet:
@@ -382,9 +476,9 @@ class TestOneEventLoop:
                     AssessRequest(hosts=_hosts(fleet), k=2), timeout=60
                 )
         assert response.status == "ok"
-        on_main, names = seen.get(timeout=10)
+        on_main, names, main_name = seen.get(timeout=10)
         assert on_main
-        assert names == sorted(["fleet-link", threading.main_thread().name])
+        assert names == sorted(["fleet-link", main_name])
 
 
 class TestFleetChaos:
@@ -426,8 +520,9 @@ class TestFleetChaos:
             ) as fleet:
                 ticket = fleet.submit("assess", request)
                 assert ready.acquire(timeout=60), "worker never sampled"
-                with fleet._lock:
-                    busy = [s.shard for s in fleet._slots if s.inflight]
+                busy = fleet._on_loop(
+                    lambda: [s.shard for s in fleet._slots if s.inflight]
+                )
                 assert busy, fleet.status()
                 os.kill(fleet._workers[busy[0]].process.pid, signal.SIGKILL)
                 for _ in range(500):  # unblock the replay and respawns

@@ -69,6 +69,14 @@ class TestHeartbeatTracker:
         assert busy["pid"] == 4242
         assert busy["heartbeat_age_seconds"] == pytest.approx(0.5)
 
+    def test_snapshot_age_counts_from_the_last_beat(self, clock):
+        tracker = HeartbeatTracker(clock=clock)
+        clock.advance(2.0)
+        tracker.beat("shard-0")
+        clock.advance(0.5)
+        (row,) = tracker.snapshot()
+        assert row["heartbeat_age_seconds"] == pytest.approx(0.5)
+
 
 class TestRestartPolicy:
     def _policy(self, clock, **overrides):
@@ -119,3 +127,21 @@ class TestRestartPolicy:
         policy.record_failure("shard-0")
         assert policy.restarts("shard-0") == 1  # windowed
         assert policy.total_restarts("shard-0") == 2  # lifetime
+
+    def test_a_restart_exactly_one_window_old_still_counts(self, clock):
+        policy = self._policy(clock)
+        policy.record_failure("shard-0")
+        clock.advance(30.0)
+        assert policy.restarts("shard-0") == 1
+        assert policy.record_failure("shard-0") == 0.5  # the second rung
+
+    def test_lifetime_counts_start_at_zero_and_a_quarantine_counts_once(
+        self, clock
+    ):
+        policy = self._policy(clock)
+        assert policy.total_restarts("shard-0") == 0
+        assert policy.total_quarantines("shard-0") == 0
+        for _ in range(6):  # quarantined at the fourth, sticky after
+            policy.record_failure("shard-0")
+        assert policy.total_restarts("shard-0") == 6
+        assert policy.total_quarantines("shard-0") == 1

@@ -24,7 +24,7 @@ from repro.drill.sim import DrillSim
 from repro.serialization import encode
 from repro.service import executor, fleet, lifecycle
 from repro.service.fleet import FleetSupervisor, ServiceConfig
-from repro.service.journal import RequestJournal
+from repro.service.journal import RequestJournal, segment_families
 from repro.service.lifecycle import RequestLifecycle, open_state
 from repro.service.requests import AssessRequest, ServiceResponse
 from repro.service.store import ResultStore
@@ -737,7 +737,7 @@ class TestForeignFamilies:
                 core.started(owner, ticket.id)
                 core.completed(owner, ticket.id, _ok(ticket))
                 done.append(ticket.id)
-            if len(core.slots[owner].journal._segments()) > 1:
+            if len(segment_families(tmp_path)[owner]) > 1:
                 break
             keys.append(_key_owned_by(core, owner, taken=keys))
             core.admit("assess", _request(keys[-1]))
