@@ -38,7 +38,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
 OUTPUT = ROOT / "benchmarks" / "results" / "mutation.json"
 
 #: Module (relative to ``src/repro``) -> the tests its mutants run against.
@@ -100,6 +99,13 @@ TESTS = {
         "tests/test_drill.py",
         "tests/test_golden.py",
         "tests/test_validation.py::TestOneBudgetRule",
+    ],
+    # The result store, with the journal it pairs with, the core that
+    # writes it and the drill that checks the two agree.
+    "service/store.py": [
+        "tests/test_journal.py",
+        "tests/test_lifecycle.py",
+        "tests/test_drill.py",
     ],
     # The failure detector and restart policy, alone and in the core.
     "service/heartbeat.py": [
@@ -339,7 +345,7 @@ def probe(module: str, workdir: Path) -> list[dict]:
     """One row per mutant of ``module``, run in the copy at ``workdir``."""
     tests = TESTS[module]
     target = workdir / "src" / "repro" / module
-    source = (PACKAGE / module).read_text(encoding="utf-8")
+    source = target.read_text(encoding="utf-8")  # the copy's, not the checkout's
     target.write_text(mutant_source(source, -1), encoding="utf-8")
     passed, baseline = _run(workdir, tests, timeout=3600)
     if not passed:

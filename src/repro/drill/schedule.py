@@ -44,16 +44,9 @@ _OCCURRENCE_RANGE = {
 }
 
 #: Points random schedules never draw: ``journal.fsync`` carries only
-#: the deliberate skip-fsync bug, ``fleet.worker.send`` sits on the real
-#: fleet's pipe (the sim covers that failure mode through the
-#: ``worker.task.*`` seams instead), and ``pool.portion`` and
+#: the deliberate skip-fsync bug, and ``pool.portion`` and
 #: ``sampling.start`` sit in the assessment runtime, outside the drill.
-_UNDRAWN_POINTS = (
-    "journal.fsync",
-    "fleet.worker.send",
-    "pool.portion",
-    "sampling.start",
-)
+_UNDRAWN_POINTS = ("journal.fsync", "pool.portion", "sampling.start")
 
 #: Named deliberate bugs for campaign self-tests: each is the list of
 #: events that recreate the defect. ``no-journal-fsync`` disables the

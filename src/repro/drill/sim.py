@@ -6,15 +6,18 @@ The drill runs the *production* request lifecycle —
 real :class:`~repro.service.store.ResultStore`, with its consistent hash
 ring, heartbeat failure detection, restart policy, takeover and recovery
 — plus the real :class:`~repro.service.redeploy.RedeploymentController`
-commit point. It runs that core as the forked fleet does; what it
-replaces is only the nondeterministic substrate (threads, processes,
-pipes, wall clocks), with a discrete-event tick loop and a virtual clock.
-Workers are protocol state machines that advance one step per tick
-(``started → compute → respond``) and speak the fleet's pipe protocol:
-each message they send, ``response`` encoded as on the pipe, goes through
-the core's own ``on_message``, so a fault schedule addressing "the
-3rd heartbeat" or "the 7th journal append" strikes the same instant on
-every run: the whole drill is a pure function of ``(seed, schedule)``.
+commit point. It runs that core as the forked fleet does, over the
+fleet's own worker class, :class:`~repro.service.fleet.ShardWorker`;
+what it replaces is only the nondeterministic substrate (threads,
+processes, pipes, wall clocks, the assessment itself), with a
+discrete-event tick loop, a virtual clock and a deterministic stand-in
+executor. Each tick a worker beats and takes one protocol step
+(``started → compute → respond``); the supervisor's ``task`` and
+``cancel`` messages reach it as :func:`~repro.service.fleet.pipe_message`
+builds them, and each message it sends goes through the core's own
+``on_message``, so a fault schedule addressing "the 3rd heartbeat" or
+"the 7th journal append" strikes the same instant on every run: the
+whole drill is a pure function of ``(seed, schedule)``.
 
 A :class:`~repro.util.faultpoints.SimulatedCrash` raised from any seam
 kills the simulated process: the core, its queues and tickets and the
@@ -30,17 +33,16 @@ import contextlib
 import hashlib
 import os
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from repro.core.plan import DeploymentPlan
 from repro.serialization import encode
-from repro.service.executor import request_seed
-from repro.service.fleet import ServiceConfig
+from repro.service.executor import RequestExecutor
+from repro.service.fleet import ServiceConfig, ShardWorker, pipe_message
 from repro.service.lifecycle import Effect, RequestLifecycle, open_state
 from repro.service.redeploy import DegradationEvent, RedeploymentController
-from repro.service.requests import AssessRequest, ServiceResponse, Ticket
+from repro.service.requests import AssessRequest, ServiceResponse
 from repro.util.errors import AdmissionRejected
 from repro.util.faultpoints import (
     FaultPoints,
@@ -193,26 +195,28 @@ class DrillTrace:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SimWorker:
-    """One fake shard worker process: the protocol steps of one task."""
+class _DrillExecutor(RequestExecutor):
+    """The deterministic stand-in for an assessment: the executor's own
+    ``run`` (its cancelled response included) over a result that is a
+    pure function of the per-request seed, which derives from the
+    idempotency key (or the journaled request id) — so any
+    re-execution, in any process incarnation, is bit-identical."""
 
-    shard: int
-    state: str = "alive"  # alive | hung | exited | down
-    ticket: Ticket | None = None
-    phase: str = "started"  # started -> compute -> respond
-    result: dict | None = None
+    def __init__(self, seed: int, trace: DrillTrace):
+        self.service_seed = seed
+        self.trace = trace
 
-
-class _SimClock:
-    def __init__(self):
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        self._now += seconds
+    def run_assess(self, request, *, request_id: str, **_) -> ServiceResponse:
+        handle = request.idempotency_key or request_id
+        seed = self.seed_for("assess", handle)
+        digest = hashlib.sha256(f"drill:{seed}".encode("utf-8")).hexdigest()
+        result = {
+            "score": int(digest[:8], 16) / 0xFFFFFFFF,
+            "digest": digest[:16],
+            "seed": seed,
+        }
+        self.trace.executions.setdefault(handle, []).append(result)
+        return ServiceResponse(request_id=request_id, status="ok", result=result)
 
 
 class _ServiceState:
@@ -228,10 +232,12 @@ class _ServiceState:
             sim.topology,
             *open_state(sim.config, sim.shards),
             slots=sim.shards,
-            clock=sim.clock.now,
+            clock=sim.clock,
         )
         self.store = self.core.store
-        self.workers: dict[int, SimWorker] = {}
+        # One simulated process per live shard: alive, hung or exited
+        # (the worker's own state); a killed one is gone from here.
+        self.workers: dict[int, ShardWorker] = {}
 
         # The real controller, recovering its commit point from disk.
         # The fresh stub answers "search finds nothing better than the
@@ -308,8 +314,9 @@ class DrillSim:
             components=frozenset(f"h{index}" for index in range(requests))
         )
 
-        self.clock = _SimClock()
+        self.now = 0.0  # virtual seconds
         self.trace = DrillTrace()
+        self.executor = _DrillExecutor(seed, self.trace)
         self.ops = make_workload(random.Random(seed), requests)
         self.redeploy_rng = random.Random(seed ^ 0x5EED)
         self.current_score = 0.95
@@ -328,7 +335,7 @@ class DrillSim:
     def run(self) -> "DrillSim":
         while self.tick < self.max_ticks and self._work_remaining():
             self.tick += 1
-            self.clock.advance(TICK_SECONDS)
+            self.now += TICK_SECONDS
             try:
                 if self.service is None:
                     self._boot()
@@ -337,9 +344,11 @@ class DrillSim:
                     "supervisor.tick",
                 )
                 self._client_ops()
-                self._beat_workers()
+                for _, worker in sorted(self.service.workers.items()):
+                    worker.beat()
                 self._monitor()
-                self._worker_steps()
+                for _, worker in sorted(self.service.workers.items()):
+                    worker.step()
                 if self.tick % REDEPLOY_EVERY == 0:
                     self.service.controller.step()
             except SimulatedCrash as crash:
@@ -352,6 +361,18 @@ class DrillSim:
                 self._boot()
         self._final_fetches()
         return self
+
+    def clock(self) -> float:
+        return self.now
+
+    def _monitor(self) -> None:
+        """What the fleet's event loop does: report exited processes,
+        then let the core judge the silent ones."""
+        service = self.service
+        for shard, worker in sorted(service.workers.items()):
+            if worker.state == "exited":
+                self._apply(service.core.worker_lost(shard, "process exited"))
+        self._apply(service.core.tick())
 
     def _boot(self) -> None:
         """A process start: rebuild from disk, spawn every worker."""
@@ -387,29 +408,34 @@ class DrillSim:
             self.registry.disable()
 
     def _apply(self, effects: list[Effect]) -> None:
-        """Carry out core effects on the fake substrate: a spawned worker
-        is up (and says hello) at once, a killed one is gone at once, a
-        resolved ticket's response reaches every client waiting on its
-        id — including clients that acked it in an earlier incarnation.
-        ``cancel`` has no step to interrupt: fake work ignores tokens."""
+        """Carry out core effects on the simulated processes: a spawned
+        worker is up (and says hello) at once, a killed one is gone at
+        once, ``dispatch`` and ``cancel`` reach the worker as the pipe
+        messages, a resolved ticket's response reaches every client
+        waiting on its id — including clients that acked it in an
+        earlier incarnation. What a worker sends comes back here through
+        the core's ``on_message``, as the fleet's event loop delivers it."""
         service = self.service
-        pending = deque(effects)
-        while pending:
-            effect = pending.popleft()
+        for effect in effects:
             if effect.kind == "spawn":
-                service.workers[effect.shard] = SimWorker(effect.shard)
-                pending.extend(
-                    service.core.on_message(effect.shard, {"type": "hello"})
+                shard = effect.shard
+                worker = service.workers[shard] = ShardWorker(
+                    shard,
+                    self.executor,
+                    lambda message, shard=shard: self._apply(
+                        service.core.on_message(shard, message)
+                    ),
+                    self.clock,
                 )
+                worker.hello()
             elif effect.kind == "kill":
                 self.trace.failovers += 1
-                service.workers[effect.shard].state = "down"
-            elif effect.kind == "dispatch":
-                worker = service.workers[effect.shard]
-                worker.ticket, worker.phase = effect.ticket, "started"
+                del service.workers[effect.shard]
             elif effect.kind == "resolve":
                 for sub in self.trace.waiters.get(effect.ticket.id, []):
                     sub.responses.append(encode(effect.response))
+            else:  # dispatch | cancel
+                service.workers[effect.shard].receive(pipe_message(effect))
 
     # ------------------------------------------------------------------
     # Client side
@@ -516,82 +542,6 @@ class DrillSim:
                 stored = service.store.get(sub.key)
                 if stored is not None:
                     sub.responses.append(dict(stored, replayed=True))
-
-    # ------------------------------------------------------------------
-    # Workers
-    # ------------------------------------------------------------------
-
-    def _beat_workers(self) -> None:
-        service = self.service
-        for shard, worker in sorted(service.workers.items()):
-            if worker.state != "alive":
-                continue
-            command = fault_hit("worker.heartbeat", shard=shard)
-            if command is not None and command.kind == "hang":
-                worker.state = "hung"
-            elif command is None or command.kind != "drop":
-                service.core.on_message(shard, {"type": "heartbeat"})
-
-    def _monitor(self) -> None:
-        """What the fleet's event loop does: report exited processes,
-        then let the core judge the silent ones."""
-        service = self.service
-        for shard, worker in sorted(service.workers.items()):
-            if worker.state == "exited":
-                self._apply(service.core.worker_lost(shard, "process exited"))
-        self._apply(service.core.tick())
-
-    def _worker_steps(self) -> None:
-        service = self.service
-        core = service.core
-        for shard, worker in sorted(service.workers.items()):
-            ticket = worker.ticket
-            if worker.state != "alive" or ticket is None:
-                continue
-            command = fault_hit(
-                f"worker.task.{worker.phase}", shard=shard, request=ticket.id
-            )
-            if command is not None and command.kind == "kill":
-                # The process dies; the supervisor-side ticket stays on
-                # the slot until the monitor notices and the core takes
-                # the work over.
-                worker.state = "exited"
-            elif command is not None and command.kind == "hang":
-                worker.state = "hung"
-            elif worker.phase == "started":
-                if command is None:  # else "drop": the message is lost
-                    core.on_message(shard, {"type": "started", "id": ticket.id})
-                worker.phase = "compute"
-            elif worker.phase == "compute":
-                worker.result = self._execute(ticket)
-                self.trace.executions.setdefault(
-                    ticket.idempotency_key or ticket.id, []
-                ).append(worker.result)
-                worker.phase = "respond"
-            else:
-                worker.ticket = None
-                response = encode(
-                    ServiceResponse(
-                        request_id=ticket.id, status="ok", result=worker.result
-                    )
-                )
-                message = {"type": "response", "id": ticket.id, "response": response}
-                self._apply(core.on_message(shard, message))
-
-    def _execute(self, ticket: Ticket) -> dict:
-        """The deterministic stand-in for an assessment: a pure function
-        of the per-request seed, which derives from the idempotency key
-        (or the journaled request id) — so any re-execution, in any
-        process incarnation, is bit-identical."""
-        seed = request_seed(
-            self.seed, ticket.kind, ticket.idempotency_key or ticket.id
-        )
-        digest = hashlib.sha256(f"drill:{seed}".encode("utf-8")).hexdigest()
-        return {
-            "score": int(digest[:8], 16) / 0xFFFFFFFF,
-            "digest": digest[:16],
-            "seed": seed,
-        }
 
     # ------------------------------------------------------------------
     # Redeployment controller script

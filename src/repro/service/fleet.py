@@ -5,13 +5,15 @@ This is the one deployment shape of the long-running service. One
 write-ahead journals — all of it the shared
 :class:`~repro.service.lifecycle.RequestLifecycle`, configured as N slots
 with one journal segment family each; N forked shard worker processes
-own execution. This module is the plumbing between the two: fork and
+own execution, each driving one :class:`ShardWorker` — the worker
+protocol the drill steps too. This module is the plumbing: fork and
 pipe, one event loop, the only thread that calls the core, waiting on
 every worker's pipe and process sentinel — each protocol message to the
 core's ``on_message``, an exit (``worker_lost``) once that pipe is read
 to its end, time (``tick``), every public call handed over by another
 thread — and ``_apply`` carrying the core's effects back out
-(``dispatch``/``cancel`` → pipe messages, ``kill``/``spawn`` → processes).
+(``dispatch``/``cancel`` → :func:`pipe_message`, ``kill``/``spawn`` →
+processes).
 
 What the core decides and this module only executes: a key always lands
 on the same worker while it is alive (consistent :class:`~repro.service.
@@ -50,6 +52,7 @@ import queue as queue_module
 import threading
 import time
 import weakref
+from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -185,6 +188,118 @@ def _fork_context():
 # ----------------------------------------------------------------------
 
 
+class ShardWorker:
+    """The shard worker protocol, once: no thread, no pipe, no process.
+
+    The forked process drives it from its link thread and main loop
+    (:func:`shard_worker_main`), the drill one tick at a time on a
+    virtual ``clock``, which its tokens read. :meth:`receive` takes the
+    supervisor's messages, :meth:`hello` and :meth:`beat` announce the
+    worker, and :meth:`step` runs one protocol step of the oldest task:
+    ``started``, then compute through ``executor.run``, then
+    ``response``. Everything goes out through ``send``.
+
+    The worker seams: ``worker.heartbeat`` at each beat (``drop`` loses
+    that beat) and ``worker.task.<step>`` before each step (``drop``
+    loses the ``started`` message). ``kill`` makes the worker
+    ``exited`` and ``hang`` makes it ``hung``: it beats and steps no
+    more, and its driver carries the state out — the process exits or
+    blocks, the drill stops stepping it.
+    """
+
+    def __init__(self, shard: int, executor, send, clock):
+        self.shard = shard
+        self.executor = executor
+        self.send = send
+        self.clock = clock
+        self.state = "alive"  # alive | hung | exited
+        self.tasks: deque = deque()  # (message, request, token), oldest first
+        self.tokens: dict[str, CancellationToken] = {}
+        self.phase = "started"  # started -> compute -> respond
+        self.response: ServiceResponse | None = None
+
+    def hello(self) -> None:
+        self.send({"type": "hello"})
+
+    def beat(self) -> None:
+        if self.state != "alive":
+            return
+        command = fault_hit("worker.heartbeat", shard=self.shard)
+        if command is None:
+            self.send({"type": "heartbeat"})
+        elif command.kind == "hang":
+            self.state = "hung"
+
+    def receive(self, message: dict) -> bool:
+        """A supervisor message: ``task`` queues the decoded request with
+        a token of its own, ``cancel`` fires that token. ``False`` on
+        ``stop``."""
+        kind = message["type"]
+        if kind == "task":
+            cls = SearchRequest if message["kind"] == "search" else AssessRequest
+            token = CancellationToken(message["deadline_seconds"], clock=self.clock)
+            self.tokens[message["id"]] = token
+            self.tasks.append((message, decode(cls, message["request"]), token))
+        elif kind == "cancel":
+            token = self.tokens.get(message["id"])
+            if token is not None:
+                token.cancel(message["reason"])
+        return kind != "stop"
+
+    def step(self) -> bool:
+        """One protocol step of the oldest task; ``False`` when there is
+        none to take or the worker is no longer alive."""
+        if self.state != "alive" or not self.tasks:
+            return False
+        message, request, token = self.tasks[0]
+        request_id = message["id"]
+        command = fault_hit(
+            f"worker.task.{self.phase}", shard=self.shard, request=request_id
+        )
+        if command is not None and command.kind != "drop":
+            self.state = "exited" if command.kind == "kill" else "hung"
+            return False
+        if self.phase == "started":
+            if command is None:  # a dropped "started" is harmless
+                self.send({"type": "started", "id": request_id})
+            self.phase = "compute"
+        elif self.phase == "compute":
+            self.response = self.executor.run(
+                message["kind"],
+                request,
+                request_id=request_id,
+                token=token,
+                queue_seconds=message["queue_seconds"],
+                recovered=message["recovered"],
+            )
+            del self.tokens[request_id]
+            self.phase = "respond"
+        else:
+            self.tasks.popleft()
+            self.phase = "started"
+            response = encode(self.response)
+            self.send({"type": "response", "id": request_id, "response": response})
+        return True
+
+
+def pipe_message(effect: Effect) -> dict:
+    """The supervisor's message for a ``dispatch`` or ``cancel`` effect,
+    as the pipe carries it to the fleet's workers and the drill hands
+    it to its own."""
+    ticket = effect.ticket
+    if effect.kind == "cancel":
+        return {"type": "cancel", "id": ticket.id, "reason": effect.reason}
+    return {
+        "type": "task",
+        "id": ticket.id,
+        "kind": ticket.kind,
+        "request": encode(ticket.request),
+        "deadline_seconds": ticket.token.remaining(),
+        "queue_seconds": effect.queue_seconds,
+        "recovered": ticket.recovered,
+    }
+
+
 def shard_worker_main(
     shard: int,
     conn,
@@ -195,30 +310,22 @@ def shard_worker_main(
     chunks: int,
     heartbeat_interval: float,
 ) -> None:
-    """Entry point of one forked shard worker process.
+    """Entry point of one forked shard worker process: a
+    :class:`ShardWorker` over :class:`RequestExecutor`, on the
+    supervisor's ``topology`` and ``dependency_model``, inherited
+    through ``fork``.
 
-    Runs on the supervisor's ``topology`` and ``dependency_model``,
-    inherited through ``fork``. Two threads: a link thread polling the
-    pipe until the next beat is due (messages become tasks or fire
-    cancellation tokens), then sending the beat, and the main loop
-    executing one task at a time through :class:`RequestExecutor`. The
-    worker exits on ``stop``, on pipe EOF, and when its supervisor
+    Two threads: a link thread polling the pipe until the next beat is
+    due, handing each message to the worker, then beating; and the main
+    loop stepping the worker's tasks. The worker exits on ``stop``, on
+    pipe EOF, on a ``kill`` seam (status 70), and when its supervisor
     disappears — an orphaned worker must never keep answering for a
-    shard that has been failed over.
+    shard that has been failed over. A ``hang`` blocks the main loop
+    and stops the beats: the supervisor's heartbeat verdict reaps it.
     """
-    supervisor, pid = multiprocessing.parent_process().pid, os.getpid()
-    executor = RequestExecutor(
-        topology,
-        dependency_model,
-        service_seed=seed,
-        default_rounds=rounds,
-        chunks=chunks,
-    )
-
+    supervisor = multiprocessing.parent_process().pid
     send_lock = threading.Lock()
-    tasks: queue_module.Queue = queue_module.Queue()
-    tokens: dict[str, CancellationToken] = {}
-    tokens_lock = threading.Lock()
+    wake = queue_module.SimpleQueue()  # True per message, False at the end
 
     def send(message: dict) -> None:
         try:
@@ -228,80 +335,46 @@ def shard_worker_main(
             # The supervisor is gone; there is nobody to answer to.
             os._exit(0)
 
+    executor = RequestExecutor(
+        topology,
+        dependency_model,
+        service_seed=seed,
+        default_rounds=rounds,
+        chunks=chunks,
+    )
+    worker = ShardWorker(shard, executor, send, time.monotonic)
+
     def link() -> None:
-        beat = {"type": "heartbeat", "shard": shard, "pid": pid}
         beat_at = time.monotonic() + heartbeat_interval
         while True:
             wait = beat_at - time.monotonic()
             if wait <= 0:
                 if os.getppid() != supervisor:  # reparented: supervisor died
                     os._exit(0)
-                send(dict(beat, ts=time.time()))
+                worker.beat()
                 beat_at = time.monotonic() + heartbeat_interval
                 continue
             try:
                 if not conn.poll(wait):
                     continue
-                message = conn.recv()
+                if not worker.receive(conn.recv()):
+                    break
             except (EOFError, OSError):
                 break
-            kind = message.get("type")
-            if kind == "task":
-                token = CancellationToken(
-                    deadline_seconds=message.get("deadline_seconds")
-                )
-                with tokens_lock:
-                    tokens[message["id"]] = token
-                tasks.put((message, token))
-            elif kind == "cancel":
-                with tokens_lock:
-                    token = tokens.get(message["id"])
-                if token is not None:
-                    token.cancel(message.get("reason", "cancelled by supervisor"))
-            elif kind == "stop":
-                break
-        tasks.put(None)
+            wake.put(True)
+        wake.put(False)
 
     threading.Thread(target=link, name="fleet-link", daemon=True).start()
-    send({"type": "hello", "shard": shard, "pid": pid})
-
-    while True:
-        item = tasks.get()
-        if item is None:
-            break
-        message, token = item
-        request_id = message["id"]
-        request_cls = (
-            SearchRequest if message["kind"] == "search" else AssessRequest
-        )
-        # Drill seam: die or lose the protocol message at a chosen step
-        # (no-op in production; a dropped "started" is harmless — the
-        # journal simply never learns the request began executing).
-        command = fault_hit(
-            "fleet.worker.send", message="started", shard=shard
-        )
-        if command is not None and command.kind == "exit":
+    worker.hello()
+    running = True
+    while running:
+        running = wake.get()  # the tasks queued before False still run
+        while worker.step():
+            pass
+        if worker.state == "exited":
             os._exit(70)
-        if command is None or command.kind != "drop":
-            send({"type": "started", "id": request_id})
-        response = executor.run(
-            message["kind"],
-            decode(request_cls, message["request"]),
-            request_id=request_id,
-            token=token,
-            queue_seconds=message.get("queue_seconds", 0.0),
-            recovered=message.get("recovered", False),
-        )
-        with tokens_lock:
-            tokens.pop(request_id, None)
-        # Drill seam: a lost response means a dead pipe, and a worker
-        # with a dead pipe exits — both kinds end the process here.
-        command = fault_hit(
-            "fleet.worker.send", message="response", shard=shard
-        )
-        if command is not None and command.kind in ("exit", "drop"):
-            os._exit(70)
-        send({"type": "response", "id": request_id, "response": encode(response)})
+        if worker.state == "hung":
+            threading.Event().wait()  # forever: no beats, no steps
     conn.close()
 
 
@@ -499,27 +572,8 @@ class FleetSupervisor:
         """Carry out core effects (on the loop, like every event, so a
         ticket's ``task`` always reaches the pipe before its ``cancel``)."""
         for effect in effects:
-            if effect.kind == "dispatch":
-                ticket = effect.ticket
-                self._workers[effect.shard].send(
-                    {
-                        "type": "task",
-                        "id": ticket.id,
-                        "kind": ticket.kind,
-                        "request": encode(ticket.request),
-                        "deadline_seconds": ticket.token.remaining(),
-                        "queue_seconds": effect.queue_seconds,
-                        "recovered": ticket.recovered,
-                    }
-                )
-            elif effect.kind == "cancel":
-                self._workers[effect.shard].send(
-                    {
-                        "type": "cancel",
-                        "id": effect.ticket.id,
-                        "reason": effect.reason,
-                    }
-                )
+            if effect.kind in ("dispatch", "cancel"):
+                self._workers[effect.shard].send(pipe_message(effect))
             elif effect.kind == "kill":
                 self._kill(self._workers[effect.shard])
             elif effect.kind == "spawn":

@@ -31,8 +31,8 @@ event               what the core does
 ==================  =====================================================
 
 :meth:`RequestLifecycle.on_message` maps a shard worker's protocol
-message to its event; the fleet's event loop and the drill's fake
-workers both deliver their messages through it.
+message to its event; the fleet's event loop and the drill both
+deliver the one worker class's messages through it.
 
 Effects (:class:`Effect`) are ``dispatch`` a ticket to a slot, ``cancel``
 a dispatched ticket, ``kill`` / ``spawn`` a slot's executor, and
@@ -42,8 +42,8 @@ tells the driver so (to log it, or to hand it to a simulated client).
 A :class:`Slot` is one journal family, one FIFO and one executor. Two
 callers run this machine: the service (:mod:`repro.service.fleet`), N
 slots over forked shard worker processes, and the drill
-(:mod:`repro.drill.sim`), N slots of tick-stepped fake workers on a
-virtual clock.
+(:mod:`repro.drill.sim`), N slots of the fleet's worker class,
+tick-stepped on a virtual clock.
 """
 
 from __future__ import annotations

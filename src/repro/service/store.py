@@ -102,7 +102,7 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def compact(self, ttl_seconds: float) -> list[str]:
-        """Remove results stored longer than ``ttl_seconds`` ago.
+        """Remove results stored ``ttl_seconds`` ago or earlier.
 
         Unreadable files are removed too — they can never serve a replay,
         and leaving them would mask the corruption forever. Returns the

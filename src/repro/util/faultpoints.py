@@ -43,16 +43,15 @@ KINDS = (
     "torn",         # write only the first ``arg`` bytes, then crash
     "skip_fsync",   # (bug) complete the write but skip its fsync
     "io_error",     # raise OSError at the seam (e.g. os.replace failing)
-    "exit",         # real fleet or pool worker: os._exit(70) at the seam
     "drop",         # drop the message/heartbeat crossing the seam
-    "kill",         # sim worker dies at this protocol step
+    "kill",         # the worker dies at the seam (a process: os._exit(70))
     "hang",         # worker stops beating and stops progressing
 )
 
-#: Every seam, with the command kinds it honours. Points under
-#: ``worker.``/``supervisor.`` are the drill's simulation-protocol seams;
-#: the rest are threaded into production code. ``sampling.start`` honours
-#: nothing: its hit counter is the record of sampler entries.
+#: Every seam, with the command kinds it honours. ``supervisor.`` points
+#: are the drill's own; the rest are threaded into production code,
+#: ``worker.`` into the fleet's one worker class. ``sampling.start``
+#: honours nothing: its hit counter is the record of sampler entries.
 CATALOG = {
     "journal.append": ("crash", "crash_after", "torn", "power_crash"),
     "journal.fsync": ("skip_fsync",),
@@ -61,14 +60,13 @@ CATALOG = {
     "redeploy.persist": ("crash", "crash_after", "power_crash"),
     "fleet.route.accepted": ("crash",),
     "fleet.record_terminal": ("crash",),
-    "fleet.worker.send": ("exit", "drop"),
     "worker.task.started": ("kill", "hang", "drop"),
     "worker.task.compute": ("kill", "hang"),
     "worker.task.respond": ("kill", "hang"),
     "worker.heartbeat": ("drop", "hang"),
     "supervisor.admit": ("crash", "power_crash"),
     "supervisor.tick": ("crash", "power_crash"),
-    "pool.portion": ("exit",),
+    "pool.portion": ("kill",),
     "sampling.start": (),
 }
 

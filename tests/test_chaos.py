@@ -1,6 +1,6 @@
 """Fault-injection tests for the worker pool.
 
-``exit`` is armed at the ``pool.portion`` seam of
+``kill`` is armed at the ``pool.portion`` seam of
 :mod:`repro.util.faultpoints` before the pool forks, addressed by the
 portion's index: the worker dies as after a SIGKILL. A portion is a pure
 function of its seed, so the master runs a lost portion once more under
@@ -36,7 +36,7 @@ def exits(portions) -> FaultPoints:
     """A registry whose workers die at the start of these portions."""
     registry = FaultPoints()
     for portion in portions:
-        registry.add("pool.portion", FaultCommand("exit"), occurrence=portion)
+        registry.add("pool.portion", FaultCommand("kill"), occurrence=portion)
     return registry
 
 

@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +36,7 @@ from repro.drill.schedule import (
     random_schedule,
     schedule_from_json,
 )
+from repro.drill.sim import DrillSim
 from repro.serialization import encode
 from repro.service.journal import RequestJournal, encode_record
 from repro.service.redeploy import DecisionJournal
@@ -80,15 +82,15 @@ class TestFaultPoints:
         """``pool.portion`` hits are named by the portion's index: only
         that identity fires, however many hits came before."""
         registry = FaultPoints()
-        registry.add("pool.portion", FaultCommand("exit"), occurrence=2)
+        registry.add("pool.portion", FaultCommand("kill"), occurrence=2)
         assert registry.hit("pool.portion", occurrence=0) is None
         assert registry.hit("pool.portion", occurrence=1) is None
-        assert registry.hit("pool.portion", occurrence=2).kind == "exit"
-        assert registry.hit("pool.portion", occurrence=2).kind == "exit"
+        assert registry.hit("pool.portion", occurrence=2).kind == "kill"
+        assert registry.hit("pool.portion", occurrence=2).kind == "kill"
         assert registry.hit("pool.portion", occurrence=0) is None
         assert registry.counters["pool.portion"] == 5
         assert registry.fired == [
-            {"point": "pool.portion", "occurrence": 2, "kind": "exit"}
+            {"point": "pool.portion", "occurrence": 2, "kind": "kill"}
         ] * 2
 
     def test_sampling_start_counts_every_entry_and_commands_nothing(self):
@@ -344,6 +346,38 @@ class TestDrillEngine:
         assert verdict["rounds_run"] == 1
 
 
+class TestDrillWorker:
+    def test_a_client_cancel_reaches_the_in_flight_worker(self, tmp_path):
+        """The drill's workers are the fleet's: a client cancel that
+        races an unkeyed request already on a worker fires the worker's
+        token, and the client is answered ``cancelled`` — journaled as
+        started, then cancelled, never completed."""
+        registry = FaultPoints()
+        with armed(registry):
+            sim = DrillSim(5, os.fspath(tmp_path), registry, shards=2, requests=6)
+            sim.run()
+        sim.service.close_handles()
+        assert sim.quiesced and check_drill(sim) == []
+        records = [
+            record
+            for family in _family_records(sim.journal_dir).values()
+            for record in family
+        ]
+        (cancelled,) = [r for r in records if r["event"] == "cancelled"]
+        assert (cancelled["reason"], cancelled["started"]) == (
+            "client-cancel", True,
+        )
+        request_id = cancelled["id"]
+        assert [r["event"] for r in records if r["id"] == request_id] == [
+            "accepted", "started", "cancelled",
+        ]
+        (sub,) = [s for s in sim.trace.submissions if s.request_id == request_id]
+        assert sub.key is None
+        assert [(r["status"], r["error"]["reason"]) for r in sub.responses] == [
+            ("cancelled", "client-cancel"),
+        ]
+
+
 class TestSeededBug:
     def test_fsync_bug_is_caught_shrunk_and_replays_deterministically(
         self, tmp_path
@@ -450,22 +484,48 @@ class TestDrillCli:
         assert "REPRODUCED" in capsys.readouterr().out
 
 
+class _HangBusyBeatOnce(FaultPoints):
+    """Hangs, once across every forked worker, the first heartbeat a
+    worker sends while its task computes; that computation waits for
+    the hang, so the worker holds the request when it goes silent."""
+
+    def __init__(self):
+        super().__init__()
+        self.hung = multiprocessing.get_context("fork").Value("b", 0)
+
+    def hit(self, point, occurrence=None, **context):
+        command = super().hit(point, occurrence, **context)
+        if point == "sampling.start":
+            deadline = time.monotonic() + 30
+            while not self.hung.value and time.monotonic() < deadline:
+                time.sleep(0.005)
+        elif point == "worker.heartbeat" and self.counters.get("sampling.start"):
+            with self.hung.get_lock():
+                if not self.hung.value:
+                    self.hung.value = 1
+                    return FaultCommand("hang")
+        return command
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the worker fleet requires the fork start method",
 )
 class TestRealFleetSeam:
+    """The forked fleet's workers inherit an armed registry and honour
+    the worker seams the drill's schedules use."""
+
     def test_dropped_started_message_is_harmless(self, tmp_path):
-        """The real forked fleet inherits an armed registry; dropping a
-        worker's ``started`` protocol message must not affect the reply
-        (the journal simply never learns the request began)."""
+        """Dropping a worker's ``started`` protocol message must not
+        affect the reply (the journal simply never learns the request
+        began)."""
         from repro.service.executor import MIN_CHUNK_ROUNDS
         from repro.service.fleet import FleetSupervisor, ServiceConfig
         from repro.service.requests import AssessRequest
 
         registry = FaultPoints()
-        # Each worker's first send is its first task's "started".
-        registry.add("fleet.worker.send", FaultCommand("drop"), occurrence=0)
+        # Each worker counts its own hits: its first task's "started".
+        registry.add("worker.task.started", FaultCommand("drop"), occurrence=0)
         config = ServiceConfig(
             scale="tiny",
             seed=1,
@@ -486,3 +546,37 @@ class TestRealFleetSeam:
                     AssessRequest(hosts=hosts, k=2), timeout=60
                 )
                 assert response.status == "ok"
+        events = RequestJournal.scan(tmp_path).events
+        assert [e["event"] for e in events[response.request_id]] == [
+            "accepted", "completed",
+        ]
+
+    def test_a_hung_heartbeat_is_reaped_and_its_request_failed_over(
+        self, tmp_path
+    ):
+        """A worker whose beats hang mid-request holds the request
+        silently; the supervisor's heartbeat verdict kills it, and the
+        survivor answers the request, flagged recovered."""
+        from repro.service.fleet import FleetSupervisor, ServiceConfig
+        from repro.service.requests import AssessRequest
+
+        config = ServiceConfig(
+            scale="tiny",
+            rounds=1_000,
+            fleet_workers=2,
+            heartbeat_interval_seconds=0.05,
+            heartbeat_misses=4,
+            respawn_backoff_seconds=0.05,
+            journal_dir=os.fspath(tmp_path),
+        )
+        with armed(_HangBusyBeatOnce()):
+            with FleetSupervisor(config) as fleet:
+                hosts = tuple(
+                    c for c in fleet.topology.components if c.startswith("host")
+                )[:3]
+                response = fleet.assess(
+                    AssessRequest(hosts=hosts, k=2), timeout=60
+                )
+        assert response.status == "ok"
+        assert response.result["runtime"]["recovered"] is True
+        assert fleet.metrics.counter("fleet/worker_deaths") >= 1

@@ -9,6 +9,7 @@ compaction behaviour.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 import zlib
@@ -526,6 +527,40 @@ class TestResultStore:
         assert removed == [old_path]
         assert store.get("old") is None
         assert store.get("new") is not None
+
+    def test_an_entry_is_named_by_its_keys_digest(self, tmp_path):
+        """The file name is the on-disk format: a directory written by an
+        earlier release must still answer its keys."""
+        ResultStore(tmp_path).put("kk", {"status": "ok"})
+        digest = hashlib.sha256(b"kk").hexdigest()
+        assert os.listdir(tmp_path) == [digest[:40] + ".json"]
+
+    def test_a_foreign_document_under_the_keys_name_reads_as_absent(
+        self, tmp_path
+    ):
+        from repro import serialization
+
+        store = ResultStore(tmp_path)
+        serialization.dump(
+            {"format": "checkpoint", "key": "kk", "response": {"status": "ok"}},
+            store._path("kk"),
+            checksum=True,
+        )
+        assert store.get("kk") is None
+
+    def test_a_result_exactly_ttl_old_is_compacted(self, tmp_path, monkeypatch):
+        from repro.service import store as store_module
+
+        now = [1_000.0]
+        monkeypatch.setattr(
+            store_module, "time", SimpleNamespace(time=lambda: now[0])
+        )
+        store = ResultStore(tmp_path)
+        store.put("kk", {"status": "ok"})
+        now[0] = 1_059.5
+        assert store.compact(ttl_seconds=60.0) == []
+        now[0] = 1_060.0
+        assert store.compact(ttl_seconds=60.0) == [store._path("kk")]
 
 
 class TestJournalStateFolding:

@@ -15,6 +15,7 @@ import ast
 import inspect
 import multiprocessing
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,7 @@ from repro.drill.engine import run_campaign
 from repro.drill.sim import DrillSim
 from repro.serialization import encode
 from repro.service import executor, fleet, lifecycle
-from repro.service.fleet import FleetSupervisor, ServiceConfig
+from repro.service.fleet import FleetSupervisor, ServiceConfig, ShardWorker
 from repro.service.journal import RequestJournal, segment_families
 from repro.service.lifecycle import RequestLifecycle, open_state
 from repro.service.requests import AssessRequest, ServiceResponse
@@ -349,7 +350,7 @@ class TestTerminalRecords:
 
 class TestOnMessage:
     """One mapping from a worker's protocol message to its core event,
-    shared by the fleet's event loop and the drill's fake workers."""
+    shared by the fleet's event loop and the drill."""
 
     def test_hello_makes_the_starting_slot_alive_and_dispatches(self, tmp_path):
         core = _core(tmp_path, up=False)
@@ -837,17 +838,26 @@ class TestDriverEquivalence:
         assert state.keys["big"][1] == "ok"
 
 
-def _fault_hits(module, seam: str) -> int:
-    """``fault_hit("<seam>", ...)`` calls in ``module``'s syntax tree."""
-    return sum(
+def _seam_name(node) -> str | None:
+    """The seam a ``fault_hit(...)`` call names: its constant first
+    argument, or the constant head of an f-string one."""
+    if not (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "fault_hit"
-        and bool(node.args)
-        and isinstance(node.args[0], ast.Constant)
-        and node.args[0].value == seam
-        for node in ast.walk(ast.parse(inspect.getsource(module)))
-    )
+        and node.args
+    ):
+        return None
+    first = node.args[0]
+    if isinstance(first, ast.JoinedStr) and first.values:
+        first = first.values[0]
+    return first.value if isinstance(first, ast.Constant) else None
+
+
+def _fault_hits(module, seam: str) -> int:
+    """``fault_hit("<seam>", ...)`` calls in ``module``'s syntax tree."""
+    tree = ast.parse(inspect.getsource(module))
+    return sum(_seam_name(node) == seam for node in ast.walk(tree))
 
 
 class TestSeams:
@@ -857,6 +867,27 @@ class TestSeams:
             for caller in (fleet, inspect.getmodule(DrillSim)):
                 assert _fault_hits(caller, seam) == 0
                 assert seam not in inspect.getsource(caller)
+
+    def test_worker_seams_exist_once_in_the_worker_class(self):
+        """Every ``worker.`` seam is hit in one place in ``src/``, the
+        fleet's worker class, which the drill drives: the drill hits
+        none of its own."""
+        package = Path(lifecycle.__file__).parents[1]
+        hits = [
+            (path.relative_to(package).as_posix(), top.name, seam)
+            for path in sorted(package.rglob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(top)
+            for seam in [_seam_name(node)]
+            if seam is not None and seam.startswith("worker.")
+        ]
+        assert hits == [
+            ("service/fleet.py", "ShardWorker", "worker.heartbeat"),
+            ("service/fleet.py", "ShardWorker", "worker.task."),
+        ]
+        source = inspect.getsource(inspect.getmodule(DrillSim))
+        assert 'fault_hit("worker.' not in source
+        assert 'fault_hit(f"worker.' not in source
 
     def test_seams_fire_in_the_drill(self, tmp_path):
         registry = FaultPoints()
@@ -909,6 +940,27 @@ class TestDrillRunsProductionCode:
         report = self._campaign(tmp_path)
         assert not report.passed
         assert "store-journal-agreement" in {
+            v.invariant for v in report.failure.violations
+        }
+
+    def test_a_cancelled_task_never_answered_leaves_its_client_waiting(
+        self, monkeypatch, tmp_path
+    ):
+        """The drill steps the fleet's worker class: a worker that drops
+        a task once it is cancelled, answering nothing, is caught."""
+        step = ShardWorker.step
+
+        def swallow_cancelled(self):
+            if self.phase == "respond" and self.response.status == "cancelled":
+                self.tasks.popleft()
+                self.phase = "started"
+                return True
+            return step(self)
+
+        monkeypatch.setattr(ShardWorker, "step", swallow_cancelled)
+        report = self._campaign(tmp_path)
+        assert not report.passed
+        assert "fleet-drained" in {
             v.invariant for v in report.failure.violations
         }
 
