@@ -328,8 +328,12 @@ def run_route_rows(cold_plans: int = 100, moves: int = 25) -> dict:
     of the fixed-seed 25-move incremental ``medium`` walk reads its
     states object's failed rows through a counting mapping; the count
     must equal :func:`_priced_rows` — what the query's failures price it
-    at — and is reported against what the dense scaffold read. All
-    repeat exactly across ``PYTHONHASHSEED``.
+    at — and is reported against what the dense scaffold read. The walk
+    also counts the hosts its engine queries were asked about
+    (``external_queries``), the distinct hosts of its plans
+    (``hosts_assessed``) and its ``route/host`` hits and misses: each
+    host is settled once per universe. All repeat exactly across
+    ``PYTHONHASHSEED``.
     """
     external = FatTreeReachabilityEngine.external_reachable
     row: dict = {"workload": "route_rows"}
@@ -346,11 +350,12 @@ def run_route_rows(cold_plans: int = 100, moves: int = 25) -> dict:
             tally["rows_gathered"] += counter.reads
             tally["rows_priced"] += rows
             tally["rows_dense"] += dense
+            tally["external_queries"] += len(hosts)
 
     FatTreeReachabilityEngine.external_reachable = counted
     try:
         tally = row["tiny_cold_plans"] = dict.fromkeys(
-            ("rows_gathered", "rows_priced", "rows_dense"), 0
+            ("rows_gathered", "rows_priced", "rows_dense", "external_queries"), 0
         )
         topology, inventory = _substrate("tiny")
         assessor = ReliabilityAssessor.from_config(
@@ -358,7 +363,7 @@ def run_route_rows(cold_plans: int = 100, moves: int = 25) -> dict:
         )
         _assess_cold_plans(assessor, topology, ApplicationStructure.k_of_n(2, 3), cold_plans)
         tally = row["medium_walk"] = dict.fromkeys(
-            ("rows_gathered", "rows_priced", "rows_dense"), 0
+            ("rows_gathered", "rows_priced", "rows_dense", "external_queries"), 0
         )
         topology, inventory = _substrate("medium")
         structure = ApplicationStructure.k_of_n(8, 10)
@@ -367,8 +372,12 @@ def run_route_rows(cold_plans: int = 100, moves: int = 25) -> dict:
             inventory,
             AssessmentConfig(mode="incremental", rounds=600, master_seed=MASTER_SEED),
         )
-        for plan in _move_sequence(topology, structure, moves):
+        plans = _move_sequence(topology, structure, moves)
+        for plan in plans:
             assessor.assess(plan, structure)
+        tally["hosts_assessed"] = len({host for plan in plans for host in plan.hosts()})
+        for counter in ("route/host/hit", "route/host/miss"):
+            tally[counter.replace("/", "_")] = int(assessor.metrics.counter(counter))
     finally:
         FatTreeReachabilityEngine.external_reachable = external
     return row
@@ -477,6 +486,14 @@ def run_smoke() -> int:
             f"{label}: the fat-tree engine gathered {rows['rows_gathered']} packed "
             f"rows where its failures price {rows['rows_priced']}"
         )
+    walk = route["medium_walk"]
+    assert walk["external_queries"] == walk["hosts_assessed"], (
+        f"the walk asked its engine about {walk['external_queries']} hosts; it "
+        f"assessed {walk['hosts_assessed']} distinct ones, each settled once"
+    )
+    assert walk["route_host_miss"] == walk["hosts_assessed"], (
+        "a route/host miss is a host settled for the first time"
+    )
     warm = _run_under("0", "run_warm_substrate")
     print(" ".join(f"{key}={value}" for key, value in warm.items()))
     assert warm == _run_under("123", "run_warm_substrate"), (

@@ -11,16 +11,20 @@ the required source (or a border switch for EXTERNAL). A round is
 **reliable** when every requirement ``(Ci, Cj, K)`` sees at least ``K``
 active instances of ``Ci``.
 
-Mutual requirements (the fully-meshed microservice cores of §4.2.3) make
-"active" self-referential; the evaluator computes the *greatest* fixed
-point — start from every alive instance being active and prune until
-stable — which exists because pruning is monotone over a finite lattice.
-For acyclic structures (K-of-N, layered chains) the loop converges in as
-many sweeps as the structure is deep.
+The evaluator works in two steps: **settle, then fixed point over
+pairwise components**.
 
-Everything here is vectorised across rounds: activity is a bit-packed
-matrix (instances x packed rounds) per component, and one fixed-point sweep
-is a handful of bitwise numpy reductions regardless of the round count.
+1. *Settle.* An instance's settled row is its host's alive row, or its
+   external row (set only where the host is alive) when the component
+   requires EXTERNAL, kept per ``(host, needs external)`` in
+   ``states.segments["settled"]`` as long as the engines' segments are
+   (``failed`` only gains rows): a search walk settles only new hosts.
+2. *Fixed point.* Pairwise requirements (layered chains, the meshed
+   cores of §4.2.3) make "active" self-referential; the *greatest* fixed
+   point — start from the settled rows, prune until stable — exists
+   because pruning is monotone over a finite lattice. Only components
+   with a pairwise requirement are swept, as bit-packed matrices
+   (instances x packed rounds); a K-of-N plan takes no sweep.
 
 Every backend runs the same batch: :func:`scenario_states` turns the
 packed failure rows its caller chose — a sampled batch, an exact state
@@ -78,10 +82,15 @@ def reliable(
 
 
 class StructureEvaluator:
-    """Evaluates per-round reliability of (plan, structure) pairs."""
+    """Evaluates per-round reliability of (plan, structure) pairs.
+    ``metrics``, when given (the incremental walk's), counts the lookups
+    of external instances' settled rows as ``route/host/hit|miss``."""
 
-    def __init__(self, engine: ReachabilityEngine):
+    def __init__(
+        self, engine: ReachabilityEngine, metrics: "MetricsRegistry | None" = None
+    ):
         self.engine = engine
+        self.metrics = metrics
 
     # ------------------------------------------------------------------
 
@@ -100,138 +109,115 @@ class StructureEvaluator:
         plan: DeploymentPlan,
         structure: ApplicationStructure,
     ) -> dict[str, np.ndarray]:
-        """Active instances per application component in each round.
-
-        An instance is active when it is alive and satisfies all of its
-        component's reachability requirements (the greatest fixed point
-        described above, over packed per-component activity matrices).
-        Counting is the estimate boundary: the matrices are unpacked here
-        (and only here), dropping the pad bits of the last byte, and each
-        component's bits are summed in the narrowest unsigned type that
-        holds its instance count, then widened once to ``intp``.
-        """
+        """Active instances per application component in each round:
+        settle, then fixed point over pairwise components (module
+        docstring). Counting is the estimate boundary: rows are unpacked
+        here (and only here), dropping the pad bits of the last byte, and
+        summed by :func:`active_counts`."""
         hosts_by_component = {
             spec.name: plan.hosts_for(spec.name) for spec in structure.components
         }
-        external_by_host = self._external_reachability(
-            states, structure, hosts_by_component
-        )
-        pair_reachable = self._pairwise_reachability(
-            states, structure, hosts_by_component
-        )
-        active = self._fixed_point(
-            states, structure, hosts_by_component, external_by_host, pair_reachable
+        external: dict[str, bool] = {}
+        pairwise: dict[str, list[str]] = {}
+        for name in hosts_by_component:
+            requirements = structure.requirements_for(name)
+            external[name] = any(r.source == EXTERNAL for r in requirements)
+            sources = [r.source for r in requirements if r.source != EXTERNAL]
+            if sources:
+                pairwise[name] = sources
+        settled = self._settle(states, hosts_by_component, external)
+        active = (
+            self._fixed_point(states, hosts_by_component, external, pairwise, settled)
+            if pairwise
+            else {}
         )
         return {
-            name: states.unpack(m).sum(axis=0, dtype=np.min_scalar_type(len(m))).astype(np.intp)
-            for name, m in active.items()
+            name: active_counts(
+                states.unpack(active[name]).view(np.uint8)
+                if name in active
+                else [settled[host, external[name]][1] for host in hosts],
+                states.rounds,
+            )
+            for name, hosts in hosts_by_component.items()
         }
 
-    # ------------------------------------------------------------------
-    # Reachability inputs
-    # ------------------------------------------------------------------
-
-    def _external_reachability(
-        self, states, structure, hosts_by_component
-    ) -> dict[str, np.ndarray]:
-        hosts_needing_external: list[str] = []
-        for requirement in structure.requirements:
-            if requirement.source == EXTERNAL:
-                hosts_needing_external.extend(hosts_by_component[requirement.component])
-        if not hosts_needing_external:
-            return {}
-        return self.engine.external_reachable(states, hosts_needing_external)
-
-    def _pairwise_reachability(
-        self, states, structure, hosts_by_component
-    ) -> dict[tuple[str, str], np.ndarray]:
-        """Reachability vectors keyed by canonical ``(min, max)`` host pair.
-
-        Reachability is symmetric, so each unordered pair is queried and
-        stored once under its sorted tuple (cheaper to build and hash
-        than the frozensets this used to key by).
-        """
-        wanted: set[tuple[str, str]] = set()
-        for requirement in structure.requirements:
-            if requirement.source == EXTERNAL:
-                continue
-            for a in hosts_by_component[requirement.component]:
-                for b in hosts_by_component[requirement.source]:
-                    if a != b:
-                        wanted.add((a, b) if a < b else (b, a))
-        if not wanted:
-            return {}
-        return self.engine.pairwise_reachable(states, sorted(wanted))
-
-    # ------------------------------------------------------------------
-    # Greatest fixed point of instance activity
-    # ------------------------------------------------------------------
+    def _settle(self, states, hosts_by_component, external) -> dict:
+        """``(host, needs external)`` -> the instance's settled row, packed
+        and unpacked, kept in ``states.segments``; the rows missing there
+        are settled with one engine call."""
+        memo = states.segments.setdefault("settled", {})
+        wanted = dict.fromkeys(
+            (host, external[name])
+            for name, hosts in hosts_by_component.items()
+            for host in hosts
+        )
+        missing = [key for key in wanted if key not in memo]
+        queried = [host for host, needs in missing if needs]
+        if self.metrics is not None and any(external.values()):
+            asked = sum(needs for _host, needs in wanted)
+            self.metrics.incr("route/host/hit", asked - len(queried))
+            self.metrics.incr("route/host/miss", len(queried))
+        reachable = self.engine.external_reachable(states, queried) if queried else {}
+        for host, needs in missing:
+            # An engine's external row is set only where the host is alive.
+            row = reachable[host] if needs else states.materialize(states.alive_mask(host))
+            memo[host, needs] = (row, np.unpackbits(row, count=states.rounds))
+        return memo
 
     def _fixed_point(
-        self,
-        states: RoundStates,
-        structure: ApplicationStructure,
-        hosts_by_component: dict[str, tuple[str, ...]],
-        external_by_host: dict[str, np.ndarray],
-        pair_reachable: dict[tuple[str, str], np.ndarray],
+        self, states, hosts_by_component, external, pairwise, settled
     ) -> dict[str, np.ndarray]:
-        # All matrices are packed uint8 rows; the sweeps below only use
-        # bitwise AND/OR and equality, and pad bits prune monotonically
-        # like every other bit.
+        """Packed activity matrices of the ``pairwise`` components and
+        their sources, each started from its instances' settled rows.
 
-        # Start optimistic: every alive instance is active.
-        active: dict[str, np.ndarray] = {}
-        for component, hosts in hosts_by_component.items():
-            matrix = np.empty((len(hosts), states.width), dtype=np.uint8)
-            for row, host in enumerate(hosts):
-                matrix[row] = states.materialize(states.alive_mask(host))
-            active[component] = matrix
-
-        requirements_by_component: dict[str, list] = {
-            spec.name: structure.requirements_for(spec.name)
-            for spec in structure.components
+        A sweep prunes the ``pairwise`` ones only (a source without a
+        pairwise requirement is final) and only clears bits, so the loop
+        ends; pad bits prune monotonically like every other bit.
+        Reachability is symmetric, so each pair of hosts (never equal: a
+        plan places every instance on its own host) is asked for once,
+        under its sorted tuple.
+        """
+        involved = set(pairwise).union(*pairwise.values())
+        active = {
+            name: np.stack([settled[host, external[name]][0] for host in hosts])
+            for name, hosts in hosts_by_component.items()
+            if name in involved
         }
-        # A component's EXTERNAL requirement ANDs its whole activity matrix
-        # against its hosts' stacked external rows in one sweep step.
-        external_matrix: dict[str, np.ndarray] = {
-            component: np.stack([external_by_host[host] for host in hosts])
-            for component, hosts in hosts_by_component.items()
-            if any(r.source == EXTERNAL for r in requirements_by_component[component])
+        wanted = {
+            (a, b) if a < b else (b, a)
+            for name, sources in pairwise.items()
+            for source in sources
+            for a in hosts_by_component[name]
+            for b in hosts_by_component[source]
         }
-
-        # Each sweep only clears bits of a finite lattice, so the loop ends.
+        pair_reachable = self.engine.pairwise_reachable(states, sorted(wanted))
         changed = True
         while changed:
             changed = False
-            for component, hosts in hosts_by_component.items():
-                matrix = active[component]
-                for requirement in requirements_by_component[component]:
-                    if requirement.source == EXTERNAL:
-                        updated = matrix & external_matrix[component]
-                        if not np.array_equal(updated, matrix):
-                            active[component] = matrix = updated
-                            changed = True
-                        continue
-                    source_hosts = hosts_by_component[requirement.source]
-                    source_active = active[requirement.source]
-                    for row, host in enumerate(hosts):
+            for name, sources in pairwise.items():
+                matrix = active[name]
+                for source in sources:
+                    source_hosts = hosts_by_component[source]
+                    source_active = active[source]
+                    for row, host in enumerate(hosts_by_component[name]):
                         # Reachable from >= 1 *active* source instance.
                         can_reach = states.zeros()
                         for src_row, src_host in enumerate(source_hosts):
-                            if src_host == host:
-                                # Colocated instances trivially reach each
-                                # other while the shared host is alive.
-                                link = source_active[src_row]
-                            else:
-                                pair = (
-                                    (host, src_host)
-                                    if host < src_host
-                                    else (src_host, host)
-                                )
-                                link = pair_reachable[pair] & source_active[src_row]
+                            pair = (host, src_host) if host < src_host else (src_host, host)
+                            link = pair_reachable[pair] & source_active[src_row]
                             np.bitwise_or(can_reach, link, out=can_reach)
                         updated = matrix[row] & can_reach
                         if not np.array_equal(updated, matrix[row]):
                             matrix[row] = updated
                             changed = True
         return active
+
+
+def active_counts(rows, rounds: int) -> np.ndarray:
+    """Active instances in each round: the instances' unpacked ``uint8``
+    rows summed in the narrowest unsigned type that holds their number,
+    then widened once to ``intp``."""
+    total = np.zeros(rounds, dtype=np.min_scalar_type(len(rows)))
+    for row in rows:
+        np.add(total, row, out=total)
+    return total.astype(np.intp)

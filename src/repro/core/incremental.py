@@ -27,10 +27,13 @@ assessed — so it can be cached once and reused across every move:
 * **Effective-state cache** — fault-tree reasoning per subject does not
   depend on the plan either; each subject's effective per-round failure
   vector is computed once and shared by every plan that touches it.
-* **Route segment + per-host reachability caches** — all assessments
-  share one :class:`~repro.routing.base.RoundStates`, so the engines'
-  per-states path-segment caches persist across moves, and a caching
-  proxy memoizes finished per-host external / per-pair vectors.
+* **Route segment + settled-row caches** — all assessments share one
+  :class:`~repro.routing.base.RoundStates`, so the engines' per-states
+  path-segment caches persist across moves, and so do the evaluator's
+  settled rows: route-and-check is "settle, then fixed point over
+  pairwise components", and each host is settled once per universe
+  (counted as ``route/host/hit|miss``). A caching proxy memoizes
+  finished per-pair vectors only.
 * **Plan-level result cache** — keyed by the plan's canonical key, so
   revisited plans cost a dictionary lookup.
 
@@ -88,35 +91,26 @@ from repro.util.timing import Stopwatch
 
 
 class _CachingEngine(ReachabilityEngine):
-    """Memoizes finished per-host / per-pair reachability vectors.
+    """Memoizes finished per-pair reachability vectors; external queries
+    pass through (the evaluator keeps each host's settled row).
 
-    Valid because both answers are a pure function of the shared failure
-    states and the queried host(s) alone — per-host results do not depend
-    on which other hosts share the call (all shipped engines compute them
-    host-by-host) — and the shared states for any element a query reads
-    are in place before the first query that reads them, and never change.
-    Missing entries are delegated to the inner engine in one batch: the
-    generic engine stacks its alive tables and propagates from the border
-    switches once per call, however many hosts the call names.
+    Valid because a pair's answer is a pure function of the shared
+    failure states and the two hosts alone (all shipped engines compute
+    it pair by pair), and the shared states for any element a query reads
+    are in place before the first query that reads them, and never
+    change. Missing pairs are delegated to the inner engine in one batch.
     """
 
     def __init__(self, inner: ReachabilityEngine, metrics: MetricsRegistry):
         super().__init__(inner.topology)
         self.inner = inner
         self.metrics = metrics
-        self._external: dict[str, np.ndarray] = {}
         self._pairs: dict[tuple[str, str], np.ndarray] = {}
 
     def external_reachable(
         self, states: RoundStates, hosts: Sequence[str]
     ) -> dict[str, np.ndarray]:
-        unique = list(dict.fromkeys(hosts))
-        missing = [h for h in unique if h not in self._external]
-        self.metrics.incr("route/host/hit", len(unique) - len(missing))
-        self.metrics.incr("route/host/miss", len(missing))
-        if missing:
-            self._external.update(self.inner.external_reachable(states, missing))
-        return {h: self._external[h] for h in unique}
+        return self.inner.external_reachable(states, hosts)
 
     def pairwise_reachable(
         self, states: RoundStates, pairs: Sequence[tuple[str, str]]
@@ -200,8 +194,9 @@ class IncrementalAssessor(AssessorBase):
         self._effective: dict[str, np.ndarray] = {}  # post-fault-tree states
         self._reasoned = 0  # mask: subjects whose tree is evaluated
         self._registered = 0  # mask: non-subjects seen by the filter step
-        self._caching_engine = _CachingEngine(self.engine, self.metrics)
-        self._evaluator = StructureEvaluator(self._caching_engine)
+        self._evaluator = StructureEvaluator(
+            _CachingEngine(self.engine, self.metrics), self.metrics
+        )
         self._plan_cache: dict[tuple, AssessmentResult] = {}
         self._states = RoundStates(rounds=self.rounds, failed=self._effective)
 

@@ -57,7 +57,9 @@ class RoundStates:
     row), each ``None`` where nothing fails; the leaf-spine engine one
     external row per spine and per leaf; the generic engine, under its own instance,
     ``(len(failed), {source: reach})``: the border switches' reach matrix
-    (source ``None``) and one per pair source. Each entry is built when
+    (source ``None``) and one per pair source. The structure evaluator
+    keeps ``"settled"``: per ``(host, needs external)``, an instance's
+    settled row, packed and unpacked. Each entry is built when
     first needed and stays valid because ``failed`` only ever gains rows,
     never rewrites them.
     """

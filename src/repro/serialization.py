@@ -484,8 +484,8 @@ def dump(document: dict, path, checksum: bool = False) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            # One write, not ``json.dump``'s stream of small ones.
+            handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

@@ -725,17 +725,18 @@ class RequestLifecycle:
     def worker_lost(self, shard: int, why: str) -> list[Effect]:
         """Declare a slot's executor dead: kill it (a silent worker must
         not come back and answer for work that has been handed over),
-        move its requests to the survivors, then respawn with backoff —
-        or quarantine a flapping slot, whose key range the survivors
-        keep serving."""
+        decide whether it respawns with backoff or is quarantined (a
+        flapping slot, whose key range the survivors keep serving), and
+        move its requests to the survivors — or, with none left, keep
+        them for the slot's next executor."""
         slot = self.slots[shard]
         if self.stopped or slot.state not in ("starting", "alive"):
             return []
         logger.warning("%s declared dead (%s)", slot.name, why)
         self.metrics.incr("fleet/worker_deaths")
-        self._set_state(slot, "dead")
-        effects = [Effect("kill", shard)] + self._takeover(slot)
         delay = self.restarts.record_failure(slot.name)
+        self._set_state(slot, "dead")
+        effects = [Effect("kill", shard)] + self._takeover(slot, delay is not None)
         if delay is None:
             self._set_state(slot, "quarantined")
             self.metrics.incr("fleet/quarantined")
@@ -750,21 +751,27 @@ class RequestLifecycle:
             logger.info("%s respawning in %.2fs", slot.name, delay)
         return effects + self._dispatch()
 
-    def _takeover(self, slot: Slot) -> list[Effect]:
+    def _takeover(self, slot: Slot, respawning: bool) -> list[Effect]:
         """Re-route a dead slot's live tickets — the objects holding the
         futures clients are blocked on. The orphaned in-flight request
         goes to the *front* of its new queue flagged ``recovered`` (its
         id keeps the seed, so the replay is bit-identical), queued
-        tickets behind it in arrival order. The journal is not read:
-        what it holds is what a *restarted* supervisor recovers from."""
+        tickets behind it in arrival order. A slot that will respawn and
+        has no routable survivor keeps them, in that order, for its next
+        executor. The journal is not read: what it holds is what a
+        *restarted* supervisor recovers from."""
         orphans = list(slot.inflight.values())
         queued = list(slot.queue)
         slot.inflight.clear()
         slot.queue.clear()
-        effects: list[Effect] = []
-        for ticket in reversed(orphans):
+        for ticket in orphans:
             ticket.recovered = True
             self.metrics.incr("fleet/orphans_recovered")
+        if respawning and not self._routable():
+            slot.queue.extend(orphans + queued)
+            return []
+        effects: list[Effect] = []
+        for ticket in reversed(orphans):
             effects += self._route(ticket, front=True)
         for ticket in queued:
             effects += self._route(ticket)

@@ -19,8 +19,6 @@ The registry is surfaced in two places:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 
 class MetricsRegistry:
@@ -45,16 +43,9 @@ class MetricsRegistry:
         """Add ``amount`` to the named counter (creating it at 0)."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time a stage; cumulative across calls."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._timer_seconds[name] = self._timer_seconds.get(name, 0.0) + elapsed
-            self._timer_calls[name] = self._timer_calls.get(name, 0) + 1
+    def timer(self, name: str) -> "_Timer":
+        """Time a stage (a ``with`` block); cumulative across calls."""
+        return _Timer(self, name)
 
     def observe(self, name: str, seconds: float) -> None:
         """Record an externally measured duration under a timer name.
@@ -154,3 +145,20 @@ class MetricsRegistry:
             f"<MetricsRegistry: {len(self._counters)} counters, "
             f"{len(self._timer_seconds)} timers>"
         )
+
+
+class _Timer:
+    """One timed ``with`` block: a plain context manager costs half of a
+    generator-based one, and the search walk times five per candidate."""
+
+    __slots__ = ("registry", "name", "start")
+
+    def __init__(self, registry: MetricsRegistry, name: str):
+        self.registry = registry
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self.registry.observe(self.name, time.perf_counter() - self.start)

@@ -5,6 +5,11 @@ same bits.
 * :func:`int64_counts`: ``StructureEvaluator.counts``' reduction, the
   unpacked activity summed in int64 (production sums in the narrowest
   unsigned type that holds the instance count, then widens once).
+* :func:`fixed_point_counts`: ``StructureEvaluator.counts`` before the
+  settle step: every instance's alive row stacked per component, EXTERNAL
+  rows ANDed in by the sweep, and the greatest fixed point run over every
+  component (production settles each instance once, keeps the row on the
+  states object, and iterates only over pairwise components).
 * :func:`float_estimate`: ``estimate_from_results`` on ``L`` converted to
   floats, then ``mean``, ``var`` and ``sum`` (production counts the
   nonzero entries and sums ``np.var``'s squares in one pass).
@@ -21,6 +26,7 @@ import math
 
 import numpy as np
 
+from repro.app.structure import EXTERNAL
 from repro.kernel.packed import PACK_DTYPE, PackedBatch, packed_width
 from repro.sampling.dagger import (
     _BIT_OF,
@@ -38,6 +44,75 @@ from repro.util.errors import ConfigurationError
 def int64_counts(states, active: np.ndarray) -> np.ndarray:
     """Active instances in each round of one packed activity matrix."""
     return states.unpack(active).sum(axis=0)
+
+
+def fixed_point_counts(engine, states, plan, structure) -> dict[str, np.ndarray]:
+    """Active instances per component in each round, from one greatest
+    fixed point over every component's stacked alive rows."""
+    hosts_by_component = {
+        spec.name: plan.hosts_for(spec.name) for spec in structure.components
+    }
+    requirements_by_component = {
+        spec.name: structure.requirements_for(spec.name)
+        for spec in structure.components
+    }
+    hosts_needing_external: list[str] = []
+    wanted: set[tuple[str, str]] = set()
+    for requirement in structure.requirements:
+        if requirement.source == EXTERNAL:
+            hosts_needing_external.extend(hosts_by_component[requirement.component])
+            continue
+        for a in hosts_by_component[requirement.component]:
+            for b in hosts_by_component[requirement.source]:
+                if a != b:
+                    wanted.add((a, b) if a < b else (b, a))
+    external_by_host = (
+        engine.external_reachable(states, hosts_needing_external)
+        if hosts_needing_external
+        else {}
+    )
+    pair_reachable = engine.pairwise_reachable(states, sorted(wanted)) if wanted else {}
+
+    # Start optimistic: every alive instance is active.
+    active: dict[str, np.ndarray] = {}
+    for component, hosts in hosts_by_component.items():
+        matrix = np.empty((len(hosts), states.width), dtype=np.uint8)
+        for row, host in enumerate(hosts):
+            matrix[row] = states.materialize(states.alive_mask(host))
+        active[component] = matrix
+    external_matrix: dict[str, np.ndarray] = {
+        component: np.stack([external_by_host[host] for host in hosts])
+        for component, hosts in hosts_by_component.items()
+        if any(r.source == EXTERNAL for r in requirements_by_component[component])
+    }
+    changed = True
+    while changed:
+        changed = False
+        for component, hosts in hosts_by_component.items():
+            matrix = active[component]
+            for requirement in requirements_by_component[component]:
+                if requirement.source == EXTERNAL:
+                    updated = matrix & external_matrix[component]
+                    if not np.array_equal(updated, matrix):
+                        active[component] = matrix = updated
+                        changed = True
+                    continue
+                source_hosts = hosts_by_component[requirement.source]
+                source_active = active[requirement.source]
+                for row, host in enumerate(hosts):
+                    can_reach = states.zeros()
+                    for src_row, src_host in enumerate(source_hosts):
+                        if src_host == host:
+                            link = source_active[src_row]
+                        else:
+                            pair = (host, src_host) if host < src_host else (src_host, host)
+                            link = pair_reachable[pair] & source_active[src_row]
+                        np.bitwise_or(can_reach, link, out=can_reach)
+                    updated = matrix[row] & can_reach
+                    if not np.array_equal(updated, matrix[row]):
+                        matrix[row] = updated
+                        changed = True
+    return {name: int64_counts(states, m) for name, m in active.items()}
 
 
 def float_estimate(result_list) -> ReliabilityEstimate:

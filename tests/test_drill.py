@@ -580,3 +580,34 @@ class TestRealFleetSeam:
         assert response.status == "ok"
         assert response.result["runtime"]["recovered"] is True
         assert fleet.metrics.counter("fleet/worker_deaths") >= 1
+
+    def test_a_lone_hung_worker_is_respawned_and_answers_its_request(
+        self, tmp_path
+    ):
+        """With one worker there is no survivor: the request waits for
+        the respawned worker, which answers it ``ok``, flagged
+        recovered, instead of a ``failover`` rejection."""
+        from repro.service.fleet import FleetSupervisor, ServiceConfig
+        from repro.service.requests import AssessRequest
+
+        config = ServiceConfig(
+            scale="tiny",
+            rounds=1_000,
+            fleet_workers=1,
+            heartbeat_interval_seconds=0.05,
+            heartbeat_misses=4,
+            respawn_backoff_seconds=0.05,
+            journal_dir=os.fspath(tmp_path),
+        )
+        with armed(_HangBusyBeatOnce()):
+            with FleetSupervisor(config) as fleet:
+                hosts = tuple(
+                    c for c in fleet.topology.components if c.startswith("host")
+                )[:3]
+                response = fleet.assess(
+                    AssessRequest(hosts=hosts, k=2), timeout=60
+                )
+        assert response.status == "ok"
+        assert response.result["runtime"]["recovered"] is True
+        assert fleet.metrics.counter("fleet/worker_deaths") >= 1
+        assert fleet.metrics.counter("fleet/respawns") >= 1

@@ -2,11 +2,11 @@
 
 The evaluator is checked against hand-computed semantics on controlled
 failure patterns: K-of-N counting, the Fig. 6 two-tier walk-through, chain
-propagation, and the greatest-fixed-point behaviour on meshed cores.
+propagation, and the greatest-fixed-point behaviour on meshed cores; and
+against ``tests/percall_oracle.py::fixed_point_counts``, the fixed point
+over every component that the settle step replaced, on random structures,
+engines and states.
 """
-
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.generators import microservice_mesh, multilayer
-from repro.app.structure import ApplicationStructure
-from repro.core.evaluation import StructureEvaluator
+from repro.app.structure import (
+    EXTERNAL,
+    ApplicationStructure,
+    ComponentSpec,
+    ReachabilityRequirement,
+)
+from repro.core.api import AssessmentConfig
+from repro.core.evaluation import StructureEvaluator, active_counts, reliable
+from repro.core.incremental import IncrementalAssessor
 from repro.core.plan import DeploymentPlan
-from repro.routing.base import RoundStates
+from repro.faults.inventory import build_paper_inventory, build_zone_inventory
+from repro.routing.base import ReachabilityEngine, RoundStates, engine_for
 from repro.routing.fattree_fast import FatTreeReachabilityEngine
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.leafspine import LeafSpineTopology
+from repro.topology.zones import MultiZoneTopology
+from repro.util.metrics import MetricsRegistry
 from tests.conftest import packed_states, unpack
-from tests.percall_oracle import int64_counts
+from tests.percall_oracle import fixed_point_counts, int64_counts
 from tests.structures import two_tier
 
 
@@ -243,9 +255,10 @@ class TestVectorisation:
 
 
 class TestPackedCount:
-    """``counts`` reduces the unpacked activity in the narrowest unsigned
-    type that holds the instance count and widens once: the same values
-    and dtype as the int64 sum it replaced (``tests/percall_oracle.py``)."""
+    """``active_counts`` reduces the unpacked activity in the narrowest
+    unsigned type that holds the instance count and widens once: the same
+    values and dtype as the int64 sum it replaced
+    (``tests/percall_oracle.py``)."""
 
     @given(
         instances=st.sampled_from([0, 1, 255, 256, 300]),
@@ -260,18 +273,194 @@ class TestPackedCount:
             0, 256, (instances, states.width), dtype=np.uint8
         )
         active[: seed % 3] = 0xFF  # some rows active in every round
-        structure = SimpleNamespace(components=[SimpleNamespace(name="c")])
-        plan = SimpleNamespace(hosts_for=lambda name: ())
-        evaluator = StructureEvaluator(engine=None)
-        with mock.patch.object(
-            StructureEvaluator, "_external_reachability", return_value={}
-        ), mock.patch.object(
-            StructureEvaluator, "_pairwise_reachability", return_value={}
-        ), mock.patch.object(
-            StructureEvaluator, "_fixed_point", return_value={"c": active}
-        ):
-            got = evaluator.counts(states, plan, structure)["c"]
+        got = active_counts(states.unpack(active).view(np.uint8), rounds)
         want = int64_counts(states, active)
         assert got.dtype == want.dtype == np.intp
         assert np.array_equal(got, want)
         assert got.shape == (rounds,)
+
+
+# ----------------------------------------------------------------------
+# Settle, then fixed point: held to the fixed point over every component
+# ----------------------------------------------------------------------
+
+_FATTREE = FatTreeTopology(4, seed=1)
+_LEAFSPINE = LeafSpineTopology(spines=4, leaves=6, hosts_per_leaf=3, seed=2)
+_ZONES = MultiZoneTopology(zones=2, k=4, seed=1)
+#: One substrate per engine: fat-tree, leaf-spine, generic (zones).
+SUBSTRATES = {
+    "fattree": (_FATTREE, build_paper_inventory(_FATTREE, seed=3)),
+    "leafspine": (_LEAFSPINE, build_paper_inventory(_LEAFSPINE, seed=3)),
+    "generic": (_ZONES, build_zone_inventory(_ZONES, seed=2)),
+}
+
+
+@st.composite
+def mixed_structures(draw):
+    """Blocks of external-only K-of-N components, layered chains and X-Y
+    meshes (X mutually dependent cores, Y supports each core needs), with
+    an optional cross-block pairwise requirement."""
+    components: list[ComponentSpec] = []
+    requirements: list[ReachabilityRequirement] = []
+
+    def component(name: str) -> int:
+        n = draw(st.integers(1, 2))
+        components.append(ComponentSpec(name, n))
+        return n
+
+    def require(name: str, n: int, source: str) -> None:
+        k = draw(st.integers(1, n))
+        requirements.append(ReachabilityRequirement(name, source, k))
+
+    for block in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["k_of_n", "chain", "mesh"]))
+        if kind == "k_of_n":
+            name = f"b{block}"
+            require(name, component(name), EXTERNAL)
+        elif kind == "chain":
+            previous = EXTERNAL
+            for layer in range(draw(st.integers(2, 3))):
+                name = f"b{block}l{layer}"
+                require(name, component(name), previous)
+                previous = name
+        else:
+            cores = [f"b{block}c{i}" for i in range(2)]
+            supports = [f"b{block}s{i}" for i in range(draw(st.integers(0, 1)))]
+            sizes = {name: component(name) for name in cores + supports}
+            require(cores[0], sizes[cores[0]], EXTERNAL)
+            for core in cores:
+                for other in cores + supports:
+                    if other != core:
+                        require(core, sizes[core], other)
+    if len(components) > 1 and draw(st.booleans()):
+        names = [spec.name for spec in components]
+        target = draw(st.sampled_from(names))
+        source = draw(st.sampled_from([n for n in names if n != target]))
+        if not any(r.component == target and r.source == source for r in requirements):
+            n = next(spec.instances for spec in components if spec.name == target)
+            require(target, n, source)
+    return ApplicationStructure(components, requirements)
+
+
+def _assert_counts_equal(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype == np.intp
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestSettleThenFixedPoint:
+    """``counts`` equals the fixed point over every component, element
+    by element, on fresh states and on one states object grown across a
+    move sequence as the incremental walk grows it."""
+
+    @given(
+        substrate=st.sampled_from(sorted(SUBSTRATES)),
+        structure=mixed_structures(),
+        rounds=st.integers(1, 130),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fresh_states(self, substrate, structure, rounds, data):
+        topology, _model = SUBSTRATES[substrate]
+        engine = engine_for(topology)
+        ids = sorted(topology.components)
+        failing = data.draw(st.lists(st.sampled_from(ids), max_size=25, unique=True))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        failed = {cid: rng.random(rounds) < 0.3 for cid in failing}
+        hosts = iter(data.draw(st.permutations(sorted(topology.hosts))))
+        plan = DeploymentPlan.from_mapping(
+            {
+                spec.name: [next(hosts) for _ in range(spec.instances)]
+                for spec in structure.components
+            }
+        )
+        want = fixed_point_counts(engine, packed_states(rounds, failed), plan, structure)
+        got = StructureEvaluator(engine).counts(
+            packed_states(rounds, failed), plan, structure
+        )
+        _assert_counts_equal(got, want)
+
+    @given(
+        substrate=st.sampled_from(sorted(SUBSTRATES)),
+        structure=mixed_structures(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_states_grown_across_a_walk(self, substrate, structure, seed):
+        topology, model = SUBSTRATES[substrate]
+        assessor = IncrementalAssessor.from_config(
+            topology,
+            model,
+            AssessmentConfig(mode="incremental", rounds=100, master_seed=seed),
+        )
+        engine = assessor.engine
+        rng = np.random.default_rng(seed)
+        plan = DeploymentPlan.random(topology, structure, rng=rng)
+        for _ in range(6):
+            result = assessor.assess(plan, structure)
+            # The walk's own states, settled rows and all, ...
+            states = assessor._states
+            got = StructureEvaluator(engine).counts(states, plan, structure)
+            # ... against a copy of its rows that has settled nothing.
+            fresh = RoundStates(rounds=states.rounds, failed=dict(states.failed))
+            want = fixed_point_counts(engine, fresh, plan, structure)
+            _assert_counts_equal(got, want)
+            assert np.array_equal(result.per_round, reliable(structure, want))
+            plan = plan.random_neighbor(topology, rng=rng)
+
+
+class _AskedHosts(ReachabilityEngine):
+    """An engine that records the hosts its external queries name."""
+
+    def __init__(self, inner):
+        super().__init__(inner.topology)
+        self.inner = inner
+        self.asked: list[str] = []
+
+    def external_reachable(self, states, hosts):
+        self.asked.extend(hosts)
+        return self.inner.external_reachable(states, hosts)
+
+    def pairwise_reachable(self, states, pairs):
+        return self.inner.pairwise_reachable(states, pairs)
+
+
+class TestSettledRowsAreKept:
+    """A states object keeps every settled row: across plans an engine is
+    asked about each external host once, and ``route/host`` counts one
+    miss per such host and a hit per later lookup."""
+
+    @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+    def test_each_external_host_is_settled_once_per_states(self, substrate):
+        topology, _model = SUBSTRATES[substrate]
+        engine = _AskedHosts(engine_for(topology))
+        metrics = MetricsRegistry()
+        evaluator = StructureEvaluator(engine, metrics)
+        rng = np.random.default_rng(4)
+        rounds = 40
+        failed = {
+            cid: rng.random(rounds) < 0.3
+            for cid in rng.choice(sorted(topology.components), 30, replace=False)
+        }
+        states = packed_states(rounds, failed)
+        structure = two_tier(frontends=2, databases=2)
+        plan = DeploymentPlan.random(topology, structure, rng=rng)
+        lookups = 0
+        frontends: list[str] = []
+        for _ in range(8):
+            got = evaluator.counts(states, plan, structure)
+            want = fixed_point_counts(
+                engine.inner, packed_states(rounds, failed), plan, structure
+            )
+            _assert_counts_equal(got, want)
+            lookups += 2
+            frontends += plan.hosts_for("frontend")
+            plan = plan.random_neighbor(topology, rng=rng)
+        distinct = list(dict.fromkeys(frontends))
+        assert engine.asked == distinct
+        assert metrics.counter("route/host/miss") == len(distinct)
+        assert metrics.counter("route/host/hit") == lookups - len(distinct)
+        kept = states.segments["settled"]
+        assert sorted(host for host, needs in kept if needs) == sorted(distinct)

@@ -503,6 +503,49 @@ class TestFailover:
             core.admit("assess", _request())
         assert excinfo.value.reason == "failover"
 
+    def test_a_lone_slot_that_respawns_keeps_its_tickets_orphans_first(
+        self, tmp_path
+    ):
+        """With no survivor, a slot that will respawn is where its work
+        waits: the orphan leads its queue flagged ``recovered``, nothing
+        is rejected, and its next executor runs both in its own family."""
+        core = _core(tmp_path, slots=1, respawn_backoff_seconds=2.0)
+        orphan, effects = core.admit("assess", _request("key-a"))
+        assert [(e.kind, e.shard) for e in effects] == [("dispatch", 0)]
+        core.started(0, orphan.id)
+        queued, _ = core.admit("assess", _request("key-b"))
+
+        effects = core.worker_lost(0, "missed 3 heartbeats")
+        assert _kinds(effects) == ["kill"]
+        assert core.slots[0].state == "respawning"
+        assert list(core.slots[0].queue) == [orphan, queued]
+        assert orphan.recovered and not queued.recovered
+        assert not orphan.future.done() and not queued.future.done()
+        assert core.metrics.counter("fleet/orphans_recovered") == 1
+        assert core.metrics.counter("service/rejected") == 0
+
+        core.clock.now += 2.0
+        assert _kinds(core.tick()) == ["spawn"]
+        (dispatch,) = core.worker_ready(0)
+        assert (dispatch.kind, dispatch.ticket) == ("dispatch", orphan)
+        _resolve, second = core.completed(0, orphan.id, _ok(orphan))
+        assert (second.kind, second.ticket) == ("dispatch", queued)
+        assert orphan.future.result(timeout=0).status == "ok"
+        assert _events(tmp_path, orphan.id, shard=0) == [
+            "accepted",
+            "started",
+            "completed",
+        ]
+
+    def test_a_lone_slot_that_is_quarantined_rejects_its_tickets(self, tmp_path):
+        core = _core(tmp_path, slots=1, quarantine_restarts=0)
+        orphan, _ = core.admit("assess", _request("key-a"))
+        core.worker_lost(0, "process exited")
+        assert core.slots[0].state == "quarantined"
+        response = orphan.future.result(timeout=0)
+        assert response.status == "rejected"
+        assert response.error["reason"] == "failover"
+
     def test_idle_slot_steals_unkeyed_work_but_never_a_key(self, tmp_path):
         core = _fleet_core(tmp_path, up=False)
         keyed, _ = core.admit("assess", _request(_key_owned_by(core, 0)))

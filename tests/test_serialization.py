@@ -159,6 +159,43 @@ class TestFileHelpers:
         document = serialization.load(path)
         assert decode(DeploymentPlan, document) == plan
 
+    @given(
+        document=st.dictionaries(
+            st.text(max_size=6),
+            st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=8),
+                lambda children: st.lists(children, max_size=3)
+                | st.dictionaries(st.text(max_size=4), children, max_size=3),
+                max_leaves=12,
+            ),
+            max_size=5,
+        ).map(lambda d: {"ünïcødé ✓": "ß→∞", "ratio": 0.1 + 0.2, **d}),
+        checksum=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dump_writes_the_bytes_json_dump_streamed(
+        self, tmp_path_factory, document, checksum
+    ):
+        """One write of ``json.dumps`` lands the same bytes as the
+        ``json.dump`` stream plus newline it replaced."""
+        directory = tmp_path_factory.mktemp("dump")
+        serialization.dump(document, directory / "one.json", checksum=checksum)
+        streamed = dict(document)
+        if checksum:
+            streamed[serialization.CHECKSUM_KEY] = serialization._payload_checksum(
+                document
+            )
+        with open(directory / "streamed.json", "w", encoding="utf-8") as handle:
+            json.dump(streamed, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        assert (directory / "one.json").read_bytes() == (
+            directory / "streamed.json"
+        ).read_bytes()
+
     def test_fsync_dir_succeeds_on_a_real_directory(self, tmp_path):
         assert serialization.fsync_dir(tmp_path) is True
 
