@@ -7,14 +7,16 @@ simulation — no processes, no sleeps, no timing sensitivity):
   (``--rounds 30 --seed 7``) must finish with zero invariant
   violations, and a re-run of one round must be bit-identical
   (reproducibility is the property everything else rests on).
-* **seeded bug** — the same campaign with the ``no-journal-fsync`` bug
-  injected must fail, shrink the failing schedule to at most
+* **seeded bugs** — the same campaign once per
+  :data:`~repro.drill.schedule.SEEDED_BUGS` entry, that bug injected,
+  must fail, shrink the failing schedule to at most
   :data:`SHRUNK_EVENTS_BUDGET` events, and the written reproducer must
   replay to the same verdict twice. This is the self-test that the
-  invariant checkers catch real defects, not just pass clean runs.
+  invariant checkers catch real defects, not just pass clean runs; one
+  bug that survives fails the run, ``--smoke`` included.
 
 Results land in ``BENCH_drill.json`` at the repo root; the failing
-reproducer (if the bug phase writes one — it should) stays under the
+reproducers (one per bug — each should write one) stay under the
 chosen ``--out`` directory so CI can upload it as an artifact.
 
 Usage::
@@ -41,7 +43,7 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
     sys.path.insert(0, str(_ROOT / "benchmarks"))
 
 from repro.drill.engine import replay_reproducer, run_campaign, run_drill
-from repro.drill.schedule import FaultSchedule, random_schedule
+from repro.drill.schedule import SEEDED_BUGS, random_schedule
 from repro.serialization import encode
 
 from common import ResultTable
@@ -63,7 +65,7 @@ def _clean_phase(rounds: int, table: ResultTable, failures: list[str]) -> dict:
     report = run_campaign(rounds=rounds, seed=GATE_SEED)
     elapsed = time.perf_counter() - start
     table.row(
-        f"{'clean':<8} {report.rounds_run:>7} {report.total_faults:>7} "
+        f"{'clean':<18} {report.rounds_run:>7} {report.total_faults:>7} "
         f"{report.total_crashes:>8} {report.total_submissions:>7} "
         f"{elapsed:>8.1f} {'PASS' if report.passed else 'FAIL':>8}"
     )
@@ -101,47 +103,45 @@ def _clean_phase(rounds: int, table: ResultTable, failures: list[str]) -> dict:
 
 
 def _bug_phase(
-    out_dir: str, table: ResultTable, failures: list[str]
+    bug: str, out_dir: str, table: ResultTable, failures: list[str]
 ) -> dict:
     start = time.perf_counter()
     report = run_campaign(
         rounds=GATE_ROUNDS,
         seed=GATE_SEED,
-        bug="no-journal-fsync",
-        out_dir=out_dir,
+        bug=bug,
+        out_dir=os.path.join(out_dir, bug),
     )
     elapsed = time.perf_counter() - start
     table.row(
-        f"{'bug':<8} {report.rounds_run:>7} {report.total_faults:>7} "
+        f"{bug:<18} {report.rounds_run:>7} {report.total_faults:>7} "
         f"{report.total_crashes:>8} {report.total_submissions:>7} "
         f"{elapsed:>8.1f} {'FAIL' if report.passed else 'CAUGHT':>8}"
     )
     if report.passed:
-        failures.append(
-            "seeded no-journal-fsync bug survived the campaign undetected"
-        )
+        failures.append(f"seeded {bug} bug survived the campaign undetected")
         return {"caught": False, "seconds": elapsed}
 
     violated = sorted({v.invariant for v in report.failure.violations})
     if report.shrunk_events is None:
-        failures.append("failing schedule was not shrunk")
+        failures.append(f"{bug}: failing schedule was not shrunk")
     elif report.shrunk_events > SHRUNK_EVENTS_BUDGET:
         failures.append(
-            f"shrunk reproducer has {report.shrunk_events} events, "
+            f"{bug}: shrunk reproducer has {report.shrunk_events} events, "
             f"budget is {SHRUNK_EVENTS_BUDGET}"
         )
     if report.reproducer_path is None or not os.path.exists(
         report.reproducer_path
     ):
-        failures.append("no reproducer file was written")
+        failures.append(f"{bug}: no reproducer file was written")
         return {"caught": True, "seconds": elapsed, "violated": violated}
 
     first = replay_reproducer(report.reproducer_path)
     second = replay_reproducer(report.reproducer_path)
     if first.passed:
-        failures.append("reproducer replay did not reproduce the failure")
+        failures.append(f"{bug}: reproducer replay did not reproduce the failure")
     if encode(first) != encode(second):
-        failures.append("two reproducer replays diverged")
+        failures.append(f"{bug}: two reproducer replays diverged")
     with open(report.reproducer_path, "r", encoding="utf-8") as handle:
         reproducer = json.load(handle)
     return {
@@ -163,7 +163,7 @@ def run_bench(smoke: bool = False, out_dir: str | None = None) -> int:
     )
     table = ResultTable(
         "drill_campaign",
-        f"{'phase':<8} {'rounds':>7} {'faults':>7} {'crashes':>8} "
+        f"{'phase':<18} {'rounds':>7} {'faults':>7} {'crashes':>8} "
         f"{'reqs':>7} {'sec':>8} {'verdict':>8}",
     )
     failures: list[str] = []
@@ -175,7 +175,10 @@ def run_bench(smoke: bool = False, out_dir: str | None = None) -> int:
         os.makedirs(out_dir, exist_ok=True)
     try:
         clean = _clean_phase(rounds, table, failures)
-        bug = _bug_phase(out_dir, table, failures)
+        bugs = {
+            bug: _bug_phase(bug, out_dir, table, failures)
+            for bug in sorted(SEEDED_BUGS)
+        }
     finally:
         if scratch is not None:
             scratch.cleanup()
@@ -185,7 +188,7 @@ def run_bench(smoke: bool = False, out_dir: str | None = None) -> int:
             {
                 "gate": {"rounds": rounds, "seed": GATE_SEED},
                 "clean": clean,
-                "bug": bug,
+                "bugs": bugs,
                 "failures": failures,
             },
             indent=2,
@@ -199,7 +202,10 @@ def run_bench(smoke: bool = False, out_dir: str | None = None) -> int:
     print(
         f"drill OK: {clean['rounds']} clean round(s) "
         f"({clean['faults_fired']} faults, {clean['crashes']} crashes), "
-        f"seeded bug caught and shrunk to {bug['shrunk_events']} event(s)"
+        + ", ".join(
+            f"{bug} caught and shrunk to {row['shrunk_events']} event(s)"
+            for bug, row in bugs.items()
+        )
     )
     return 0
 
@@ -219,7 +225,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out",
         default=None,
-        help="directory for the seeded-bug reproducer (default: temp dir)",
+        help="directory for the seeded-bug reproducers (default: temp dir)",
     )
     args = parser.parse_args(argv)
     return run_bench(smoke=args.smoke, out_dir=args.out)

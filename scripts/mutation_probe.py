@@ -137,6 +137,9 @@ TESTS = {
         "tests/test_drill.py::TestSeededBug",
         "tests/test_drill.py::TestDrillCli",
     ],
+    # The checks every drill verdict rests on: clean campaigns, seeded
+    # bugs and hand-broken durable state.
+    "drill/invariants.py": ["tests/test_drill.py"],
 }
 
 #: ``(module, stripped source line, operator, occurrence)`` -> why the

@@ -19,14 +19,16 @@ The invariants:
     Resubmitting an idempotency key never observes two different
     answers.
 ``bit-identical-replay``
-    Every re-execution of a request (after takeover or restart) produced
-    a bit-identical result payload, and the stored result matches.
+    Every answer clients saw for a request (its key, or its id when
+    unkeyed), whichever execution produced it, equals the answer one
+    fresh in-process :class:`~repro.service.executor.RequestExecutor`
+    gives that request after the drill.
 ``journal-lifecycle``
     Within a segment family no record for a request follows its terminal
     record, and a request is never both completed and cancelled.
 ``store-journal-agreement``
     Every key the journal folds as completed-ok has a readable stored
-    result matching the executed payload.
+    result equal to that fresh answer.
 ``redeploy-exactly-once``
     Every committed decision (candidate record with ``apply=true``) has
     exactly one ``applied`` record, uncommitted decisions have none, no
@@ -39,6 +41,7 @@ The invariants:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -47,6 +50,7 @@ from repro import serialization
 from repro.core.plan import DeploymentPlan
 from repro.service.journal import RequestJournal, read_frames, segment_families
 from repro.service.redeploy import INCUMBENT_NAME, JOURNAL_NAME, DecisionJournal
+from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError
 
 #: Journal record kinds that end a request's lifecycle.
@@ -61,30 +65,30 @@ class Violation:
 
 def _family_records(journal_dir: str) -> dict:
     """Raw record sequences per segment family, in segment order. Read
-    after the final scan came back clean: it applies the same
-    :func:`read_frames` rule, so a corrupt segment never gets here."""
+    after the final scan came back clean: it applied :func:`read_frames`'
+    rule to every segment, so all that can be left to drop is a live
+    segment's torn tail."""
     return {
-        family: [
-            record
-            for index, path in enumerate(paths)
-            for record in read_frames(path, sealed=index < len(paths) - 1)[0]
-        ]
+        family: [record for path in paths for record in read_frames(path)[0]]
         for family, paths in segment_families(journal_dir).items()
     }
 
 
-def _canonical(value) -> str:
-    """Order-insensitive fingerprint (stored results round-trip through
-    JSON with sorted keys; in-memory ones keep insertion order)."""
-    return json.dumps(value, sort_keys=True)
+#: The result fields an answer and its re-execution may differ in: the
+#: wall-clock time it took, and whether it ran as a recovery.
+REEXECUTION_FIELDS = ("elapsed_seconds", "runtime.recovered")
 
 
 def _ok_payload(response: dict) -> str:
-    """The comparable part of a delivered response: status + result.
-
-    Timing, provenance (``recovered``/``replayed``) and request ids may
-    legitimately differ between an original answer and its replay."""
-    return _canonical([response.get("status"), response.get("result")])
+    """The comparable part of a delivered response, keys sorted (stored
+    results round-trip through JSON): its status and its result less
+    :data:`REEXECUTION_FIELDS`. The response's own timing, id and
+    ``replayed`` flag sit outside the result."""
+    result = json.loads(json.dumps(response.get("result")))
+    for path in REEXECUTION_FIELDS:
+        *parents, name = path.split(".")
+        functools.reduce(dict.get, parents, result).pop(name, None)
+    return json.dumps([response.get("status"), result], sort_keys=True)
 
 
 def check_drill(sim) -> list[Violation]:
@@ -127,16 +131,36 @@ def check_drill(sim) -> list[Violation]:
             )
         )
 
-    # ------------------------------------------------------------- I2
+    # What every delivered and stored answer must equal: one fresh
+    # in-process execution of the request (the registry is disarmed).
+    executor = sim.make_executor()
+
+    @functools.cache
+    def fresh(handle: str, request) -> str:
+        response = executor.run(
+            "assess", request, request_id=handle, token=CancellationToken()
+        )
+        return _ok_payload(serialization.encode(response))
+
+    # --------------------------------------------------------- I2/I3
     by_key: dict = {}
     for sub in sim.trace.submissions:
-        if sub.key is None:
-            continue
         for response in sub.responses:
-            if response.get("status") in ("ok", "degraded"):
-                by_key.setdefault(sub.key, []).append(response)
-    for key, responses in sorted(by_key.items()):
-        payloads = {_ok_payload(r) for r in responses}
+            if response.get("status") not in ("ok", "degraded"):
+                continue
+            payload = _ok_payload(response)
+            if sub.key is not None:
+                by_key.setdefault(sub.key, set()).add(payload)
+            if payload != fresh(sub.key or sub.request_id, sub.request):
+                violations.append(
+                    Violation(
+                        "bit-identical-replay",
+                        f"submission {sub.seq} (key={sub.key!r}, "
+                        f"id={sub.request_id}) was answered with a payload "
+                        "a fresh execution of its request does not give",
+                    )
+                )
+    for key, payloads in sorted(by_key.items()):
         if len(payloads) > 1:
             violations.append(
                 Violation(
@@ -145,22 +169,8 @@ def check_drill(sim) -> list[Violation]:
                 )
             )
 
-    # ------------------------------------------------------------- I3
-    for handle, results in sorted(sim.trace.executions.items()):
-        distinct = {_canonical(r) for r in results}
-        if len(distinct) > 1:
-            violations.append(
-                Violation(
-                    "bit-identical-replay",
-                    f"{len(results)} executions of {handle!r} produced "
-                    f"{len(distinct)} distinct payloads",
-                )
-            )
-
     # ------------------------------------------------------------- I4
-    for shard, family in sorted(
-        raw.items(), key=lambda item: (item[0] is None, item[0] or 0)
-    ):
+    for shard, family in raw.items():
         terminal_seen: set = set()
         for record in family:
             request_id = record.get("id")
@@ -194,7 +204,7 @@ def check_drill(sim) -> list[Violation]:
             )
         )
 
-    # ------------------------------------------------------- I2/I3/I5
+    # ------------------------------------------------------------- I5
     if sim.service is not None:
         store = sim.service.store
         for key, (fingerprint, status) in sorted(final.keys.items()):
@@ -210,15 +220,15 @@ def check_drill(sim) -> list[Violation]:
                     )
                 )
                 continue
-            executions = sim.trace.executions.get(key)
-            if executions and _canonical(stored.get("result")) != _canonical(
-                executions[0]
-            ):
+            request = next(
+                sub.request for sub in sim.trace.submissions if sub.key == key
+            )
+            if _ok_payload(stored) != fresh(key, request):
                 violations.append(
                     Violation(
                         "store-journal-agreement",
-                        f"stored result for {key!r} differs from the "
-                        "executed payload",
+                        f"stored result for {key!r} differs from a fresh "
+                        "execution",
                     )
                 )
 
@@ -340,16 +350,15 @@ def _check_redeploy(sim) -> list[Violation]:
             violations.append(
                 Violation(
                     "redeploy-exactly-once",
-                    f"plan {canonical[:40]}... actuated without a committed "
-                    "decision",
+                    f"plan {canonical} actuated without a committed decision",
                 )
             )
         elif count > allowed:
             violations.append(
                 Violation(
                     "redeploy-exactly-once",
-                    f"plan {canonical[:40]}... actuated {count} times for "
-                    f"{allowed} committed decision(s)",
+                    f"plan {canonical} actuated {count} times for {allowed} "
+                    "committed decision(s)",
                 )
             )
 

@@ -11,9 +11,9 @@ re-runs verbatim.
 :func:`random_schedule` draws campaign schedules from the catalog
 minus :data:`_UNDRAWN_POINTS` — environment misfortune a correct system
 must tolerate, on the seams the simulation drives. Deliberate bugs
-(``skip_fsync``) never appear in random schedules; they are injected
-explicitly via :data:`SEEDED_BUGS` to prove the invariant checkers have
-teeth.
+(``skip_fsync``, ``skip_reseed``) never appear in random schedules; they
+are injected explicitly via :data:`SEEDED_BUGS` to prove the invariant
+checkers have teeth.
 """
 
 from __future__ import annotations
@@ -43,20 +43,25 @@ _OCCURRENCE_RANGE = {
     "supervisor.tick": 40,
 }
 
-#: Points random schedules never draw: ``journal.fsync`` carries only
-#: the deliberate skip-fsync bug, and ``pool.portion`` and
-#: ``sampling.start`` sit in the assessment runtime, outside the drill.
-_UNDRAWN_POINTS = ("journal.fsync", "pool.portion", "sampling.start")
+#: Points random schedules never draw: ``journal.fsync`` and
+#: ``executor.reseed`` carry only deliberate bugs, and ``pool.portion``
+#: and ``sampling.start`` sit in the assessment runtime, outside the drill.
+_UNDRAWN_POINTS = (
+    "journal.fsync", "executor.reseed", "pool.portion", "sampling.start"
+)
 
 #: Named deliberate bugs for campaign self-tests: each is the list of
 #: events that recreate the defect. ``no-journal-fsync`` disables the
 #: write-ahead journal's fsync wholesale and then cuts the power — the
-#: canonical lost-acknowledged-write defect.
+#: canonical lost-acknowledged-write defect. ``no-request-reseed`` lets
+#: every executor answer from the stream its previous request left — an
+#: answer that depends on what the worker ran before.
 SEEDED_BUGS = {
     "no-journal-fsync": (
         ("journal.fsync", None, "skip_fsync", None),
         ("supervisor.tick", 24, "power_crash", None),
     ),
+    "no-request-reseed": (("executor.reseed", None, "skip_reseed", None),),
 }
 
 

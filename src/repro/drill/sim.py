@@ -7,17 +7,23 @@ real :class:`~repro.service.store.ResultStore`, with its consistent hash
 ring, heartbeat failure detection, restart policy, takeover and recovery
 — plus the real :class:`~repro.service.redeploy.RedeploymentController`
 commit point. It runs that core as the forked fleet does, over the
-fleet's own worker class, :class:`~repro.service.fleet.ShardWorker`;
-what it replaces is only the nondeterministic substrate (threads,
-processes, pipes, wall clocks, the assessment itself), with a
-discrete-event tick loop, a virtual clock and a deterministic stand-in
-executor. Each tick a worker beats and takes one protocol step
+fleet's own worker class, :class:`~repro.service.fleet.ShardWorker`,
+each over its own :class:`~repro.service.executor.RequestExecutor` on
+the ``tiny`` data center the fleet would build from the drill's config.
+What it replaces is only the nondeterministic substrate (threads,
+processes, pipes, wall clocks) with a discrete-event tick loop and a
+virtual clock. Each tick a worker beats and takes one protocol step
 (``started → compute → respond``); the supervisor's ``task`` and
 ``cancel`` messages reach it as :func:`~repro.service.fleet.pipe_message`
 builds them, and each message it sends goes through the core's own
 ``on_message``, so a fault schedule addressing "the 3rd heartbeat" or
 "the 7th journal append" strikes the same instant on every run: the
 whole drill is a pure function of ``(seed, schedule)``.
+
+Out of the drill's reach: the anytime ``degraded`` answer (a request at
+the config's rounds is one piece of :func:`~repro.service.executor.chunk_layout`,
+and ``executor.run`` is one worker step, so a cancel never lands between
+pieces) and search requests (they stop on wall-clock ``max_seconds``).
 
 A :class:`~repro.util.faultpoints.SimulatedCrash` raised from any seam
 kills the simulated process: the core, its queues and tickets and the
@@ -30,19 +36,19 @@ bytes back to its last durable offset before the rebuild.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import random
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from repro.core.plan import DeploymentPlan
+from repro.faults.inventory import build_paper_inventory
 from repro.serialization import encode
 from repro.service.executor import RequestExecutor
 from repro.service.fleet import ServiceConfig, ShardWorker, pipe_message
 from repro.service.lifecycle import Effect, RequestLifecycle, open_state
 from repro.service.redeploy import DegradationEvent, RedeploymentController
-from repro.service.requests import AssessRequest, ServiceResponse
+from repro.service.requests import AssessRequest
+from repro.topology.presets import paper_topology
 from repro.util.errors import AdmissionRejected
 from repro.util.faultpoints import (
     FaultPoints,
@@ -165,7 +171,6 @@ class Submission:
 
     seq: int
     index: int
-    kind: str
     key: str | None
     request: AssessRequest
     acked: bool = False
@@ -182,7 +187,6 @@ class DrillTrace:
 
     submissions: list[Submission] = field(default_factory=list)
     waiters: dict[str, list[Submission]] = field(default_factory=dict)
-    executions: dict[str, list[dict]] = field(default_factory=dict)
     apply_calls: list[str] = field(default_factory=list)
     crashes: int = 0
     power_losses: int = 0
@@ -193,30 +197,6 @@ class DrillTrace:
 # ----------------------------------------------------------------------
 # Server-side state (rebuilt from durable files on every crash)
 # ----------------------------------------------------------------------
-
-
-class _DrillExecutor(RequestExecutor):
-    """The deterministic stand-in for an assessment: the executor's own
-    ``run`` (its cancelled response included) over a result that is a
-    pure function of the per-request seed, which derives from the
-    idempotency key (or the journaled request id) — so any
-    re-execution, in any process incarnation, is bit-identical."""
-
-    def __init__(self, seed: int, trace: DrillTrace):
-        self.service_seed = seed
-        self.trace = trace
-
-    def run_assess(self, request, *, request_id: str, **_) -> ServiceResponse:
-        handle = request.idempotency_key or request_id
-        seed = self.seed_for("assess", handle)
-        digest = hashlib.sha256(f"drill:{seed}".encode("utf-8")).hexdigest()
-        result = {
-            "score": int(digest[:8], 16) / 0xFFFFFFFF,
-            "digest": digest[:16],
-            "seed": seed,
-        }
-        self.trace.executions.setdefault(handle, []).append(result)
-        return ServiceResponse(request_id=request_id, status="ok", result=result)
 
 
 class _ServiceState:
@@ -299,6 +279,7 @@ class DrillSim:
         os.makedirs(self.journal_dir, exist_ok=True)
         os.makedirs(self.redeploy_dir, exist_ok=True)
         self.config = ServiceConfig(
+            seed=seed,
             journal_dir=self.journal_dir,
             journal_segment_bytes=SEGMENT_BYTES,
             heartbeat_interval_seconds=HEARTBEAT_INTERVAL,
@@ -308,15 +289,13 @@ class DrillSim:
             quarantine_restarts=QUARANTINE_RESTARTS,
             quarantine_window_seconds=QUARANTINE_WINDOW,
         )
-        # The data center recovered requests are re-validated against:
-        # request ``i`` deploys onto host ``h<i>``.
-        self.topology = SimpleNamespace(
-            components=frozenset(f"h{index}" for index in range(requests))
-        )
+        # The data center the workers assess and recovered requests are
+        # re-validated against, built as the fleet builds it.
+        self.topology = paper_topology(self.config.scale, seed=seed)
+        self.dependency_model = build_paper_inventory(self.topology, seed=seed + 1)
 
         self.now = 0.0  # virtual seconds
         self.trace = DrillTrace()
-        self.executor = _DrillExecutor(seed, self.trace)
         self.ops = make_workload(random.Random(seed), requests)
         self.redeploy_rng = random.Random(seed ^ 0x5EED)
         self.current_score = 0.95
@@ -364,6 +343,16 @@ class DrillSim:
 
     def clock(self) -> float:
         return self.now
+
+    def make_executor(self) -> RequestExecutor:
+        """A worker's executor, as a forked shard worker builds its own."""
+        return RequestExecutor(
+            self.topology,
+            self.dependency_model,
+            service_seed=self.config.seed,
+            default_rounds=self.config.rounds,
+            chunks=self.config.chunks,
+        )
 
     def _monitor(self) -> None:
         """What the fleet's event loop does: report exited processes,
@@ -421,7 +410,7 @@ class DrillSim:
                 shard = effect.shard
                 worker = service.workers[shard] = ShardWorker(
                     shard,
-                    self.executor,
+                    self.make_executor(),
                     lambda message, shard=shard: self._apply(
                         service.core.on_message(shard, message)
                     ),
@@ -461,14 +450,13 @@ class DrillSim:
 
     def _apply_op(self, op: WorkOp) -> None:
         if op.action in ("submit", "resubmit"):
+            hosts = self.topology.hosts
+            picked = tuple(hosts[(op.index + i) % len(hosts)] for i in range(3))
             sub = Submission(
                 seq=self.next_seq,
                 index=op.index,
-                kind="assess",
                 key=op.key,
-                request=AssessRequest(
-                    hosts=(f"h{op.index}",), k=1, idempotency_key=op.key
-                ),
+                request=AssessRequest(hosts=picked, k=2, idempotency_key=op.key),
             )
             self.next_seq += 1
             self.trace.submissions.append(sub)
@@ -500,7 +488,7 @@ class DrillSim:
             fault_hit("supervisor.admit", seq=sub.seq), "supervisor.admit"
         )
         try:
-            ticket, effects = self.service.core.admit(sub.kind, sub.request)
+            ticket, effects = self.service.core.admit("assess", sub.request)
         except AdmissionRejected as exc:
             sub.responses.append(
                 {

@@ -43,6 +43,7 @@ from repro.service.requests import (
 )
 from repro.util.cancel import CancellationToken
 from repro.util.errors import OperationCancelled, ReproError
+from repro.util.faultpoints import fault_hit
 from repro.util.rng import make_rng
 from repro.util.timing import Stopwatch
 
@@ -145,9 +146,6 @@ class RequestExecutor:
 
     # ------------------------------------------------------------------
 
-    def seed_for(self, kind: str, handle: str) -> int:
-        return request_seed(self.service_seed, kind, handle)
-
     def run(
         self,
         kind: str,
@@ -178,16 +176,8 @@ class RequestExecutor:
                     },
                     queue_seconds=queue_seconds,
                 )
-            if kind == "assess":
-                return self.run_assess(
-                    request,
-                    request_id=request_id,
-                    token=token,
-                    queue_seconds=queue_seconds,
-                    recovered=recovered,
-                    watch=watch,
-                )
-            return self.run_search(
+            run = self.run_assess if kind == "assess" else self.run_search
+            return run(
                 request,
                 request_id=request_id,
                 token=token,
@@ -243,10 +233,12 @@ class RequestExecutor:
         )
         rounds = request.rounds or self.default_rounds
         # The stream is a pure function of the request, not of which
-        # worker runs it or what ran before.
-        self.assessor.rng = make_rng(
-            self.seed_for("assess", request.idempotency_key or request_id)
-        )
+        # worker runs it or what ran before (``skip_reseed``: a drill bug).
+        handle = request.idempotency_key or request_id
+        if fault_hit("executor.reseed") is None:
+            self.assessor.rng = make_rng(
+                request_seed(self.service_seed, "assess", handle)
+            )
         result = chunked_assess(
             self.assessor, plan, structure, rounds, self.chunks, token
         )
@@ -279,7 +271,9 @@ class RequestExecutor:
             self.dependency_model,
             request,
             request_id=request_id,
-            seed=self.seed_for("search", request.idempotency_key or request_id),
+            seed=request_seed(
+                self.service_seed, "search", request.idempotency_key or request_id
+            ),
             default_rounds=self.default_rounds,
             token=token,
             queue_seconds=queue_seconds,

@@ -18,10 +18,11 @@ Two kinds of injected misfortune exist and the distinction matters:
   power loss, torn writes, worker kills/hangs, dropped messages, a
   failing ``os.replace``. A correct system must survive every schedule
   of these without violating its invariants.
-* **Bugs** model the *code* misbehaving — today, skipping an fsync the
-  write-ahead contract requires. The drill campaign injects these only
-  when explicitly asked to (``--seed-bug``), as a self-test that the
-  invariant checkers actually catch real defects.
+* **Bugs** model the *code* misbehaving — skipping an fsync the
+  write-ahead contract requires, or an executor answering from the
+  random stream its previous request left. The drill campaign injects
+  these only when explicitly asked to (``--seed-bug``), as a self-test
+  that the invariant checkers actually catch real defects.
 
 Crashes are raised as :class:`SimulatedCrash`, deliberately derived from
 ``BaseException`` so they sail past the broad ``except Exception``
@@ -42,6 +43,7 @@ KINDS = (
     "power_crash",  # crash + power loss: un-fsync'd bytes are truncated
     "torn",         # write only the first ``arg`` bytes, then crash
     "skip_fsync",   # (bug) complete the write but skip its fsync
+    "skip_reseed",  # (bug) keep the random stream the last request left
     "io_error",     # raise OSError at the seam (e.g. os.replace failing)
     "drop",         # drop the message/heartbeat crossing the seam
     "kill",         # the worker dies at the seam (a process: os._exit(70))
@@ -55,6 +57,7 @@ KINDS = (
 CATALOG = {
     "journal.append": ("crash", "crash_after", "torn", "power_crash"),
     "journal.fsync": ("skip_fsync",),
+    "executor.reseed": ("skip_reseed",),
     "store.put": ("crash", "crash_after", "io_error", "power_crash"),
     "redeploy.journal": ("crash", "crash_after", "torn", "power_crash"),
     "redeploy.persist": ("crash", "crash_after", "power_crash"),

@@ -28,7 +28,14 @@ from repro.drill.engine import (
     run_drill,
     write_verdict,
 )
-from repro.drill.invariants import _family_records, check_drill
+from repro.drill.invariants import (
+    REEXECUTION_FIELDS,
+    Violation,
+    _check_redeploy,
+    _family_records,
+    _ok_payload,
+    check_drill,
+)
 from repro.drill.schedule import (
     _UNDRAWN_POINTS,
     FaultEvent,
@@ -36,11 +43,13 @@ from repro.drill.schedule import (
     random_schedule,
     schedule_from_json,
 )
-from repro.drill.sim import DrillSim
-from repro.serialization import encode
+from repro.drill.sim import DrillSim, _plan
+from repro.serialization import dump, encode
 from repro.service.journal import RequestJournal, encode_record
-from repro.service.redeploy import DecisionJournal
+from repro.service.redeploy import INCUMBENT_NAME, JOURNAL_NAME, DecisionJournal
+from repro.service.requests import AssessRequest
 from repro.service.store import ResultStore
+from repro.util.cancel import CancellationToken
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.faultpoints import (
     CATALOG,
@@ -149,8 +158,9 @@ class TestFaultPoints:
         assert registry.unsynced == {}
 
     def test_fault_catalog_excludes_deliberate_bugs(self):
-        assert "journal.fsync" in CATALOG
-        assert "journal.fsync" in _UNDRAWN_POINTS
+        assert CATALOG["journal.fsync"] == ("skip_fsync",)
+        assert CATALOG["executor.reseed"] == ("skip_reseed",)
+        assert {"journal.fsync", "executor.reseed"} <= set(_UNDRAWN_POINTS)
         assert {"pool.portion", "sampling.start"} <= set(_UNDRAWN_POINTS)
 
 
@@ -298,6 +308,32 @@ class TestRawJournalReader:
         assert str(corrupt) in violation.detail
         assert "checksum mismatch at byte 0" in violation.detail
 
+    def test_one_id_completed_in_one_family_and_cancelled_in_another(
+        self, tmp_path
+    ):
+        """No family resurrects the id on its own; across the two it is
+        both completed and cancelled."""
+        with RequestJournal(tmp_path, shard=0) as journal:
+            journal.completed("req-1", "ok")
+        with RequestJournal(tmp_path, shard=1) as journal:
+            journal.cancelled("req-1", "client-cancel")
+        sim = SimpleNamespace(
+            fatal_error=None,
+            quiesced=True,
+            journal_dir=str(tmp_path),
+            redeploy_dir=str(tmp_path / "redeploy"),
+            trace=SimpleNamespace(submissions=[]),
+            make_executor=lambda: None,
+            service=None,
+        )
+        violations = [v for v in check_drill(sim) if v.invariant != "fleet-drained"]
+        assert violations == [
+            Violation(
+                "journal-lifecycle",
+                "req-1 is journaled both completed and cancelled",
+            )
+        ]
+
 
 class TestDrillEngine:
     def test_clean_drill_is_bit_reproducible(self):
@@ -347,6 +383,19 @@ class TestDrillEngine:
 
 
 class TestDrillWorker:
+    def test_each_worker_assesses_real_hosts_on_its_own_executor(self, tmp_path):
+        registry = FaultPoints()
+        with armed(registry):
+            sim = DrillSim(5, os.fspath(tmp_path), registry, shards=2, requests=6)
+            sim.run()
+        sim.service.close_handles()
+        workers = sim.service.workers.values()
+        assert len({id(worker.executor) for worker in workers}) == 2
+        for sub in sim.trace.submissions:
+            assert set(sub.request.hosts) <= set(sim.topology.hosts)
+            assert (len(sub.request.hosts), sub.request.k) == (3, 2)
+        assert registry.counters["sampling.start"] > 0
+
     def test_a_client_cancel_reaches_the_in_flight_worker(self, tmp_path):
         """The drill's workers are the fleet's: a client cancel that
         races an unkeyed request already on a worker fires the worker's
@@ -378,6 +427,102 @@ class TestDrillWorker:
         ]
 
 
+def _leaves(value, prefix: str = "") -> dict:
+    """Dotted path -> value of every leaf of a JSON document."""
+    if not isinstance(value, dict):
+        return {prefix: value}
+    leaves: dict = {}
+    for name, item in value.items():
+        leaves.update(_leaves(item, f"{prefix}.{name}" if prefix else name))
+    return leaves
+
+
+class TestOkPayload:
+    @pytest.mark.parametrize("key", ["key-3", None], ids=["keyed", "unkeyed"])
+    def test_leaves_out_exactly_what_a_recovered_reexecution_changes(
+        self, tmp_path, key
+    ):
+        """A first execution and a recovered re-execution on a fresh
+        executor differ in exactly :data:`REEXECUTION_FIELDS`, and the
+        drill's comparison leaves out those and nothing else."""
+        sim = DrillSim(5, os.fspath(tmp_path), FaultPoints(), requests=4)
+        request = AssessRequest(
+            hosts=tuple(sim.topology.hosts[:3]), k=2, idempotency_key=key
+        )
+        first, again = (
+            encode(
+                sim.make_executor().run(
+                    "assess",
+                    request,
+                    request_id="req-3",
+                    token=CancellationToken(),
+                    recovered=recovered,
+                )
+            )
+            for recovered in (False, True)
+        )
+        before, after = _leaves(first["result"]), _leaves(again["result"])
+        assert before.keys() == after.keys()
+        assert {path for path in before if before[path] != after[path]} == set(
+            REEXECUTION_FIELDS
+        )
+        assert _ok_payload(first) == _ok_payload(again)
+        changed = dict(first, result=dict(first["result"], sampled_components=0))
+        assert _ok_payload(changed) != _ok_payload(first)
+        assert _ok_payload(dict(first, status="degraded")) != _ok_payload(first)
+
+
+class TestInvariantChecks:
+    def test_two_answers_to_one_key_break_duplicate_suppression(self, tmp_path):
+        """A key answered twice, once with a forged score: two distinct
+        payloads for one key, and one no fresh execution gives."""
+        sim = DrillSim(5, os.fspath(tmp_path), FaultPoints(), shards=2, requests=6)
+        sim.run()
+        sim.service.close_handles()
+        assert check_drill(sim) == []
+        sub = next(sub for sub in sim.trace.submissions if sub.key is not None)
+        forged = json.loads(json.dumps(sub.responses[0]))
+        forged["result"]["estimate"]["score"] += 0.25
+        sub.responses.append(forged)
+        assert sorted(v.invariant for v in check_drill(sim)) == [
+            "bit-identical-replay",
+            "duplicate-suppression",
+        ]
+
+    @pytest.mark.parametrize(
+        "calls, detail",
+        [
+            (["plan"], None),
+            (["plan", "plan"], "plan {plan} actuated 2 times for 1 committed decision(s)"),
+            (["other"], "plan {other} actuated without a committed decision"),
+        ],
+        ids=["once", "twice", "uncommitted"],
+    )
+    def test_a_committed_plan_is_actuated_once(self, tmp_path, calls, detail):
+        """One committed, applied decision in a hand-written decision
+        log: its plan actuated once passes; twice, or a plan no decision
+        committed, is one ``redeploy-exactly-once`` violation."""
+        keys = {"plan": _plan(1).canonical_key(), "other": _plan(2).canonical_key()}
+        journal = DecisionJournal(os.fspath(tmp_path / JOURNAL_NAME))
+        journal.append(
+            {"record": "candidate", "decision": 1, "plan": encode(_plan(1)),
+             "apply": True}
+        )
+        journal.append({"record": "applied", "decision": 1})
+        dump(encode(_plan(1)), tmp_path / INCUMBENT_NAME, checksum=True)
+        sim = SimpleNamespace(
+            redeploy_dir=os.fspath(tmp_path),
+            trace=SimpleNamespace(apply_calls=[keys[name] for name in calls]),
+        )
+        violations = _check_redeploy(sim)
+        if detail is None:
+            assert violations == []
+        else:
+            (violation,) = violations
+            assert violation.invariant == "redeploy-exactly-once"
+            assert violation.detail == detail.format(**keys)
+
+
 class TestSeededBug:
     def test_fsync_bug_is_caught_shrunk_and_replays_deterministically(
         self, tmp_path
@@ -392,7 +537,7 @@ class TestSeededBug:
         # durability contract the bug breaks.
         assert not report.passed
         violated = {v.invariant for v in report.failure.violations}
-        assert violated  # at least one named invariant
+        assert "no-lost-request" in violated
         # Shrunk: the minimal reproducer is a handful of events.
         assert report.shrunk_events is not None
         assert report.shrunk_events <= 5
@@ -406,6 +551,34 @@ class TestSeededBug:
         assert not first.passed
         assert encode(first) == encode(second)
         assert violated & {v.invariant for v in first.violations}
+
+    def test_gate_campaign_passes_with_its_counters(self):
+        """``repro drill --rounds 30 --seed 7``: a bug-only seam outside
+        the drawn catalog moves no schedule and no counter."""
+        report = run_campaign(rounds=30, seed=7, shrink_failures=False)
+        assert report.passed, report.violations
+        assert (
+            report.total_crashes,
+            report.total_faults,
+            report.total_submissions,
+        ) == (62, 90, 364)
+
+    def test_reseed_bug_is_caught_by_the_gate_campaign(self, tmp_path):
+        """An executor that answers from the stream its previous request
+        left gives answers a fresh execution does not: the delivered and
+        the stored ones both."""
+        report = run_campaign(
+            rounds=30,
+            seed=7,
+            bug="no-request-reseed",
+            shrink_failures=False,
+            out_dir=os.fspath(tmp_path),
+        )
+        assert not report.passed
+        assert {v.invariant for v in report.failure.violations} == {
+            "bit-identical-replay",
+            "store-journal-agreement",
+        }
 
 
 class TestDrillCli:
